@@ -2,9 +2,10 @@
 
 Times the vectorized hot-path kernels the leaves run at memory speed —
 join build+probe, grouped aggregation, multi-key sort, bitvector
-popcount/AND, the RLE codec, and SmartIndex lookups — and, for the join
-and aggregation kernels, the straightforward scalar loops they replaced,
-so every run reports the speedup the vectorization buys.
+popcount/AND, the RLE codec, SmartIndex lookups, and the dictionary
+chunk reader — and, for the join, aggregation and dictionary kernels,
+the straightforward scalar loops they replaced, so every run reports the
+speedup the vectorization buys.
 
 ``run_suite`` returns a machine-readable dict; ``benchmarks/run_kernels.py``
 writes/compares the committed ``BENCH_kernels.json`` baseline and
@@ -21,6 +22,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.columnar.block import ColumnChunk
+from repro.columnar.encoding import DictionaryEncoding
+from repro.columnar.schema import DataType
 from repro.engine.aggregates import make_state, partial_aggregate
 from repro.engine.operators import hash_join, sort_frame
 from repro.index.bitmap import BitVector, rle_compress, rle_decompress
@@ -40,6 +44,8 @@ JOIN_ROWS = 100_000
 AGG_ROWS = 100_000
 SORT_ROWS = 100_000
 BITS = 1_000_000
+#: One scan_cold block (benchmarks/e2e): 80k rows over a 64-word dictionary.
+DICT_ROWS = 80_000
 
 
 def _best_of(fn: Callable[[], object], repeat: int = 3) -> float:
@@ -256,6 +262,57 @@ def bench_index_lookup_10k(repeat: int) -> Dict[str, float]:
     return _bench_lookup(10_000, repeat)
 
 
+def _dict_string_chunk() -> ColumnChunk:
+    rng = np.random.default_rng(41)
+    words = np.array(
+        [f"{w}{j:02d}" for w in ("alpha", "bravo", "delta", "gamma",
+                                 "kappa", "omega", "sigma", "theta") for j in range(8)],
+        dtype=object,
+    )
+    chunk = ColumnChunk.from_array("s", DataType.STRING, words[rng.integers(0, 64, DICT_ROWS)])
+    assert chunk.encoding_tag == 2, "expected a dictionary-coded chunk"
+    return chunk
+
+
+def bench_dict_string_decode(repeat: int) -> Dict[str, float]:
+    """Full materialization of a dictionary string chunk: one
+    ``uniques[codes]`` gather against the per-row loop it replaced."""
+    chunk = _dict_string_chunk()
+    uniques, codes = DictionaryEncoding().decode_parts(chunk.payload, chunk.row_count)
+
+    def scalar():
+        out = np.empty(len(codes), dtype=object)
+        for i, c in enumerate(codes):
+            out[i] = uniques[c]
+        return out
+
+    assert scalar().tolist() == chunk.decode().tolist()
+    wall = _best_of(chunk.decode, repeat)
+    scalar_wall = _best_of(scalar, 1)
+    return {"wall_s": wall, "scalar_wall_s": scalar_wall,
+            "speedup": scalar_wall / wall, "rows": DICT_ROWS}
+
+
+def bench_dict_contains_lut(repeat: int) -> Dict[str, float]:
+    """CONTAINS answered on the 64 uniques and mapped through the codes,
+    against evaluating it on every decoded row."""
+    chunk = _dict_string_chunk()
+    atom = AtomicPredicate("s", BinaryOperator.CONTAINS, "ha0")
+    decoded = chunk.decode()
+
+    def lut():
+        return chunk.reader().map_bool(atom.evaluate)
+
+    def scalar():
+        return atom.evaluate(decoded)
+
+    assert np.array_equal(lut(), scalar())
+    wall = _best_of(lut, repeat)
+    scalar_wall = _best_of(scalar, repeat)
+    return {"wall_s": wall, "scalar_wall_s": scalar_wall,
+            "speedup": scalar_wall / wall, "rows": DICT_ROWS}
+
+
 KERNELS: Dict[str, Callable[[int], Dict[str, float]]] = {
     "join_build_probe_100k": bench_join,
     "grouped_aggregate_100k": bench_grouped_aggregate,
@@ -265,6 +322,8 @@ KERNELS: Dict[str, Callable[[int], Dict[str, float]]] = {
     "rle_roundtrip_1m": bench_rle_roundtrip,
     "index_lookup_100": bench_index_lookup_100,
     "index_lookup_10k": bench_index_lookup_10k,
+    "dict_string_decode_80k": bench_dict_string_decode,
+    "dict_contains_lut_80k": bench_dict_contains_lut,
 }
 
 
@@ -276,7 +335,10 @@ def run_suite(repeat: int = 3) -> Dict[str, Dict[str, float]]:
 def acceptance_failures(results: Dict[str, Dict[str, float]]) -> List[str]:
     """The suite's built-in invariants (independent of any baseline)."""
     problems = []
-    for name in ("join_build_probe_100k", "grouped_aggregate_100k"):
+    for name in (
+        "join_build_probe_100k", "grouped_aggregate_100k",
+        "dict_string_decode_80k", "dict_contains_lut_80k",
+    ):
         speedup = results[name]["speedup"]
         if speedup < MIN_SPEEDUP:
             problems.append(

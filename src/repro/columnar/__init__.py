@@ -10,6 +10,7 @@ from repro.columnar.block import (
 from repro.columnar.bloom import BloomFilter
 from repro.columnar.encoding import (
     BitPackedEncoding,
+    ChunkReader,
     DeltaEncoding,
     DictionaryEncoding,
     Encoding,
@@ -30,6 +31,7 @@ __all__ = [
     "BloomFilter",
     "Catalog",
     "ColumnHistogram",
+    "ChunkReader",
     "ChunkStats",
     "ColumnChunk",
     "DataType",

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.columnar.bloom import BloomFilter
-from repro.columnar.encoding import choose_encoding, codec_by_tag
+from repro.columnar.encoding import ChunkReader, choose_encoding, codec_by_tag
 from repro.columnar.schema import DataType, Schema
 from repro.errors import StorageError
 
@@ -83,26 +83,13 @@ class ColumnChunk:
         return cls(name, dtype, codec.tag, codec.encode(array), stats, len(array))
 
     def decode(self) -> np.ndarray:
+        """Fully materialize the column as a fresh writable array."""
         return codec_by_tag(self.encoding_tag).decode(self.payload, self.row_count)
 
-    def dictionary_parts(self) -> "Optional[tuple]":
-        """``(uniques, codes)`` when dictionary-encoded, else None.
-
-        The fused pipeline (engine.pipeline) evaluates predicates on the
-        unique set and gathers payload rows as ``uniques[codes[rows]]``,
-        skipping the full ``decode()`` materialization.
-        """
-        codec = codec_by_tag(self.encoding_tag)
-        if not hasattr(codec, "decode_parts"):
-            return None
-        return codec.decode_parts(self.payload, self.row_count)
-
-    def plain_view(self) -> Optional[np.ndarray]:
-        """Zero-copy read-only view when plain-encoded numeric, else None."""
-        codec = codec_by_tag(self.encoding_tag)
-        if not hasattr(codec, "decode_view"):
-            return None
-        return codec.decode_view(self.payload, self.row_count)
+    def reader(self) -> ChunkReader:
+        """Encoding-aware access (predicate on the encoded form, gather
+        of chosen rows) that equals the same operation on :meth:`decode`."""
+        return codec_by_tag(self.encoding_tag).reader(self.payload, self.row_count, self.decode)
 
     @property
     def encoded_bytes(self) -> int:
@@ -223,15 +210,18 @@ class Block:
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "Block":
+        """Parse the header; chunk payloads stay zero-copy ``memoryview``
+        slices of ``payload`` (which they keep alive)."""
         if payload[:4] != _MAGIC:
             raise StorageError("not a Feisu columnar block (bad magic)")
         (hlen,) = struct.unpack_from("<I", payload, 4)
-        header = json.loads(payload[8 : 8 + hlen].decode("utf-8"))
+        buf = memoryview(payload)
+        header = json.loads(str(buf[8 : 8 + hlen], "utf-8"))
         schema = Schema.from_dict(header["schema"])
         pos = 8 + hlen
         chunks: Dict[str, ColumnChunk] = {}
         for spec in header["chunks"]:
-            raw = payload[pos : pos + spec["length"]]
+            raw = buf[pos : pos + spec["length"]]
             pos += spec["length"]
             dtype = DataType(spec["dtype"])
             stats = ChunkStats(spec["min"], spec["max"], spec["distinct"])

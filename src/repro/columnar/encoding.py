@@ -18,7 +18,7 @@ numpy buffers.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,18 +41,13 @@ def _pack_strings(values: Sequence[str]) -> bytes:
     return b"".join(out)
 
 
-def _unpack_strings(payload: bytes) -> np.ndarray:
-    (count,) = struct.unpack_from(_U32, payload, 0)
-    offsets = [0]
-    pos = _U32_SIZE
-    for _ in range(count):
-        (end,) = struct.unpack_from(_U32, payload, pos)
-        offsets.append(end)
-        pos += _U32_SIZE
-    data_start = pos
+def _unpack_strings(payload, pos: int = 0) -> np.ndarray:
+    (count,) = struct.unpack_from(_U32, payload, pos)
+    ends = np.frombuffer(payload, dtype=np.uint32, count=count, offset=pos + _U32_SIZE).tolist()
+    start = pos + _U32_SIZE * (count + 1)
+    blob = bytes(payload[start : start + (ends[-1] if ends else 0)])
     arr = np.empty(count, dtype=object)
-    for i in range(count):
-        arr[i] = payload[data_start + offsets[i] : data_start + offsets[i + 1]].decode("utf-8")
+    arr[:] = [blob[a:b].decode("utf-8") for a, b in zip([0] + ends, ends)]
     return arr
 
 
@@ -60,8 +55,103 @@ def _is_string(array: np.ndarray) -> bool:
     return array.dtype == object
 
 
+class ChunkReader:
+    """Encoding-aware access to one column chunk.
+
+    With ``d`` the fully decoded array, ``values()`` is ``d``,
+    ``take(rows)`` is ``d[rows]`` and ``map_bool(fn, rows)`` is
+    ``fn(d)`` (``fn(d[rows])`` when ``rows`` is given) as booleans —
+    exactly, provided ``fn`` is *elementwise* (row ``i`` of its result
+    depends on row ``i`` of its input alone) and ``rows`` is an integer
+    index array.  Subclasses answer from the encoded form; this one
+    decodes once, on first use.
+
+    ``fn`` may be handed a read-only view over the chunk's payload and
+    must not keep or write to it.  No result aliases the payload, and
+    ``take``/``map_bool`` results are fresh writable arrays.  ``values()``
+    is decoded once and *shared*: every call on one reader returns the
+    same array, so callers must not write to it in place (copy first).
+    The reader itself is valid for as long as its chunk's payload
+    buffer is.
+    """
+
+    __slots__ = ("_decode", "_full")
+
+    def __init__(self, decode: Callable[[], np.ndarray]):
+        self._decode = decode
+        self._full: Optional[np.ndarray] = None
+
+    def values(self) -> np.ndarray:
+        if self._full is None:
+            self._full = self._decode()
+        return self._full
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        return self.values()[rows]
+
+    def map_bool(self, fn: Callable[[np.ndarray], np.ndarray], rows=None) -> np.ndarray:
+        values = self.values()
+        return np.asarray(fn(values if rows is None else values[rows]), dtype=np.bool_)
+
+
+class _ViewReader(ChunkReader):
+    """Plain numerics: work on the zero-copy ``frombuffer`` view."""
+
+    __slots__ = ("_view",)
+
+    def __init__(self, decode, view: np.ndarray):
+        ChunkReader.__init__(self, decode)
+        self._view = view
+
+    def take(self, rows):
+        return self._view[rows]
+
+    def map_bool(self, fn, rows=None):
+        view = self._view
+        return np.asarray(fn(view if rows is None else view[rows]), dtype=np.bool_)
+
+
+class _DictionaryReader(ChunkReader):
+    """Answer ``fn`` once on the uniques, map it through the codes."""
+
+    __slots__ = ("_uniques", "_codes")
+
+    def __init__(self, decode, uniques: np.ndarray, codes: np.ndarray):
+        ChunkReader.__init__(self, decode)
+        self._uniques = uniques
+        self._codes = codes
+
+    def take(self, rows):
+        return self._uniques[self._codes[rows]]
+
+    def map_bool(self, fn, rows=None):
+        if rows is not None and len(rows) < len(self._uniques):
+            return np.asarray(fn(self.take(rows)), dtype=np.bool_)
+        lut = np.asarray(fn(self._uniques), dtype=np.bool_)
+        return lut[self._codes if rows is None else self._codes[rows]]
+
+
+class _RunLengthReader(ChunkReader):
+    """Answer ``fn`` once per run, ``np.repeat`` the verdicts."""
+
+    __slots__ = ("_runs", "_lengths")
+
+    def __init__(self, decode, runs: np.ndarray, lengths: np.ndarray):
+        ChunkReader.__init__(self, decode)
+        self._runs = runs
+        self._lengths = lengths
+
+    def map_bool(self, fn, rows=None):
+        full = np.repeat(np.asarray(fn(self._runs), dtype=np.bool_), self._lengths)
+        return full if rows is None else full[rows]
+
+
 class Encoding:
-    """Base codec.  Subclasses set :attr:`tag` (one byte on the wire)."""
+    """Base codec.  Subclasses set :attr:`tag` (one byte on the wire).
+
+    ``payload`` is any bytes-like object; :meth:`Block.from_bytes` hands
+    codecs ``memoryview`` slices of the block buffer.
+    """
 
     tag: int = -1
     name: str = "base"
@@ -69,8 +159,15 @@ class Encoding:
     def encode(self, array: np.ndarray) -> bytes:
         raise NotImplementedError
 
-    def decode(self, payload: bytes, count: int) -> np.ndarray:
+    def decode(self, payload, count: int) -> np.ndarray:
+        """Fully materialize: a fresh writable array of ``count`` values."""
         raise NotImplementedError
+
+    def reader(self, payload, count: int, decode: Callable[[], np.ndarray]) -> ChunkReader:
+        """A :class:`ChunkReader` over ``payload``; ``decode`` is the
+        chunk's own full materialization (used where nothing cheaper
+        applies)."""
+        return ChunkReader(decode)
 
     def encoded_size(self, array: np.ndarray) -> int:
         """Size estimate used by :func:`choose_encoding` (exact here)."""
@@ -88,26 +185,28 @@ class PlainEncoding(Encoding):
             return b"s" + _pack_strings(list(array))
         return b"n" + array.dtype.str.encode() + b"\x00" + array.tobytes()
 
-    def decode(self, payload: bytes, count: int) -> np.ndarray:
-        view = self.decode_view(payload, count)
-        if view is None:
-            return _unpack_strings(payload[1:])
-        return view.copy()  # decouple from the payload buffer
+    def decode(self, payload, count: int) -> np.ndarray:
+        values = self.read(payload, count)
+        return values if values.dtype == object else values.copy()
 
-    def decode_view(self, payload: bytes, count: int) -> Optional[np.ndarray]:
-        """Zero-copy read-only view of a numeric chunk (None for strings).
-
-        Lets the fused pipeline gather a handful of matching payload rows
-        without materializing (and copying) the whole column first; any
-        fancy-indexed gather off the view is a fresh writable array.
-        ``frombuffer`` with an explicit offset avoids slicing (copying)
-        the multi-megabyte payload just to skip the tiny header.
-        """
+    def read(self, payload, count: int) -> np.ndarray:
+        """Like :meth:`decode`, but numerics come back as a zero-copy
+        read-only view over ``payload`` (any fancy-indexed gather off it
+        is a fresh writable array).  ``frombuffer`` with an explicit
+        offset skips the tiny header without slicing the buffer."""
         if payload[:1] == b"s":
-            return None
-        sep = payload.index(b"\x00", 1)
-        dtype = np.dtype(payload[1:sep].decode())
+            return _unpack_strings(payload, 1)
+        sep = bytes(payload[:32]).index(b"\x00", 1)
+        dtype = np.dtype(str(payload[1:sep], "ascii"))
         return np.frombuffer(payload, dtype=dtype, count=count, offset=sep + 1)
+
+    def reader(self, payload, count, decode):
+        if payload[:1] == b"s":
+            return ChunkReader(decode)
+        return _ViewReader(decode, self.read(payload, count))
+
+
+_PLAIN = PlainEncoding()
 
 
 class RunLengthEncoding(Encoding):
@@ -123,19 +222,18 @@ class RunLengthEncoding(Encoding):
         lbytes = np.asarray(lengths, dtype=np.uint32).tobytes()
         return struct.pack(_U32, len(lengths)) + struct.pack(_U32, len(vbytes)) + vbytes + lbytes
 
-    def decode(self, payload: bytes, count: int) -> np.ndarray:
-        nruns, vlen = struct.unpack_from(_U32 + "I", payload, 0)
-        vbytes = payload[8 : 8 + vlen]
-        lengths = np.frombuffer(payload[8 + vlen :], dtype=np.uint32, count=nruns)
-        values = PlainEncoding().decode(vbytes, nruns)
-        if _is_string(values):
-            out = np.empty(count, dtype=object)
-            pos = 0
-            for v, ln in zip(values, lengths):
-                out[pos : pos + ln] = v
-                pos += ln
-            return out
-        return np.repeat(values, lengths)
+    def decode(self, payload, count: int) -> np.ndarray:
+        return np.repeat(*self.decode_parts(payload))
+
+    def decode_parts(self, payload) -> Tuple[np.ndarray, np.ndarray]:
+        """``(run values, run lengths)``, both read in place."""
+        nruns, vlen = struct.unpack_from("<II", payload, 0)
+        values = _PLAIN.read(memoryview(payload)[8 : 8 + vlen], nruns)
+        lengths = np.frombuffer(payload, dtype=np.uint32, count=nruns, offset=8 + vlen)
+        return values, lengths
+
+    def reader(self, payload, count, decode):
+        return _RunLengthReader(decode, *self.decode_parts(payload))
 
 
 class DictionaryEncoding(Encoding):
@@ -170,29 +268,20 @@ class DictionaryEncoding(Encoding):
             struct.pack(_U32, len(uarr)) + struct.pack(_U32, len(ubytes)) + ubytes + cbytes
         )
 
-    def decode(self, payload: bytes, count: int) -> np.ndarray:
+    def decode(self, payload, count: int) -> np.ndarray:
         uarr, codes = self.decode_parts(payload, count)
-        if _is_string(uarr):
-            out = np.empty(count, dtype=object)
-            for i, c in enumerate(codes):
-                out[i] = uarr[c]
-            return out
         return uarr[codes]
 
-    def decode_parts(self, payload: bytes, count: int) -> "Tuple[np.ndarray, np.ndarray]":
-        """``(uniques, codes)`` without materializing the full column.
-
-        ``decode()`` is exactly ``uniques[codes]``, so an elementwise
-        predicate can be answered on the (tiny) unique set and mapped
-        through the codes, and a selective gather of rows ``r`` is
-        ``uniques[codes[r]]`` — the fused pipeline's decode-avoidance
-        path.  ``codes`` is a read-only view over the payload buffer
-        (no multi-megabyte byte-slice copy).
-        """
-        nuniq, ulen = struct.unpack_from(_U32 + "I", payload, 0)
-        uarr = PlainEncoding().decode(payload[8 : 8 + ulen], nuniq)
+    def decode_parts(self, payload, count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(uniques, codes)``, both read in place (no byte-slice copy
+        of the multi-megabyte buffer); ``decode()`` is ``uniques[codes]``."""
+        nuniq, ulen = struct.unpack_from("<II", payload, 0)
+        uarr = _PLAIN.read(memoryview(payload)[8 : 8 + ulen], nuniq)
         codes = np.frombuffer(payload, dtype=np.uint32, count=count, offset=8 + ulen)
         return uarr, codes
+
+    def reader(self, payload, count, decode):
+        return _DictionaryReader(decode, *self.decode_parts(payload, count))
 
 
 class DeltaEncoding(Encoding):
@@ -216,11 +305,11 @@ class DeltaEncoding(Encoding):
         first = struct.pack("<q", int(array[0]))
         return first + RunLengthEncoding().encode(deltas)
 
-    def decode(self, payload: bytes, count: int) -> np.ndarray:
+    def decode(self, payload, count: int) -> np.ndarray:
         (first,) = struct.unpack_from("<q", payload, 0)
         if count == 0:
             return np.empty(0, dtype=np.int64)
-        deltas = RunLengthEncoding().decode(payload[8:], count - 1)
+        deltas = RunLengthEncoding().decode(memoryview(payload)[8:], count - 1)
         out = np.empty(count, dtype=np.int64)
         out[0] = first
         if count > 1:
@@ -241,7 +330,7 @@ class BitPackedEncoding(Encoding):
             raise StorageError("bit-packing requires a boolean array")
         return np.packbits(array).tobytes()
 
-    def decode(self, payload: bytes, count: int) -> np.ndarray:
+    def decode(self, payload, count: int) -> np.ndarray:
         bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=count)
         return bits.astype(np.bool_)
 

@@ -258,34 +258,74 @@ def _canonical_key_values(values: List) -> List:
     return [_NAN_KEY if isinstance(v, float) and v != v else v for v in values]
 
 
-def _group_order(key_arrays: Sequence[np.ndarray], num_rows: int):
+#: ``(source, index)`` with ``column == source[index]`` (``Frame.gathered``).
+Gather = Tuple[np.ndarray, np.ndarray]
+
+
+def _dense_codes(col: np.ndarray, gather: Optional[Gather] = None) -> Tuple[np.ndarray, int]:
+    """``(codes, cardinality)``: each value's rank among sorted distinct
+    values, order-equivalent to ``np.unique(col, return_inverse=True)``.
+
+    A column a join gathered from a shorter build side is ranked on that
+    side and the ranks mapped through the gather index (the cardinality
+    is then the build side's).  Other string columns are ranked by
+    hashing — one dict probe per row plus a sort of the distinct values.
+    Sorting the object array instead costs ``n log n`` string comparisons
+    per task, which made a group-by on a string key cost in proportion
+    to how many rows the query's predicates let through.  Anything that
+    is not all ``str`` takes ``np.unique``.
+    """
+    if gather is not None and len(gather[0]) <= len(col):
+        codes, cardinality = _dense_codes(gather[0])
+        return codes[gather[1]], cardinality
+    if col.dtype == object:
+        values = col.tolist()
+        try:
+            uniques = sorted(set(values))
+        except TypeError:  # unhashable or mutually unorderable values
+            uniques = None
+        if uniques is not None and all(type(u) is str for u in uniques):
+            rank = dict(zip(uniques, range(len(uniques))))
+            codes = np.fromiter(map(rank.__getitem__, values), np.int64, len(values))
+            return codes, len(uniques)
+    uniques, codes = np.unique(col, return_inverse=True)
+    return codes.astype(np.int64), len(uniques)
+
+
+def _group_order(
+    key_arrays: Sequence[np.ndarray],
+    num_rows: int,
+    key_gathers: Optional[Sequence[Optional[Gather]]] = None,
+):
     """One stable sort bringing equal key tuples together.
 
     Returns ``(order, starts)``: ``order`` permutes rows so each group is
     a contiguous run beginning at ``starts[g]``; groups appear in key
     sort order (matching ``np.unique``), rows within a group in input
-    order.  The single-key fast path needs no factorize pass at all —
-    one argsort plus one adjacent-difference over the sorted values.
+    order.  The single-key fast path needs no factorize pass for numeric
+    keys — one argsort plus one adjacent-difference over the sorted values.
     """
+    gathers = key_gathers or [None] * len(key_arrays)
     if len(key_arrays) == 1:
         col = key_arrays[0]
-        if np.issubdtype(col.dtype, np.floating) and np.isnan(col).any():
+        if col.dtype == object or (
+            np.issubdtype(col.dtype, np.floating) and np.isnan(col).any()
+        ):
+            # Strings: integer codes sort by radix, not by comparisons.
             # NaN != NaN would split every NaN row into its own group;
-            # factorize like the multi-key path (np.unique collapses
-            # NaNs into one code) so all NaN rows share a group.
-            col = np.unique(col, return_inverse=True)[1].astype(np.int64)
+            # np.unique collapses NaNs into one code.
+            col = _dense_codes(col, gathers[0])[0]
         order = _stable_order(col)
         svals = col[order]
         change = svals[1:] != svals[:-1]
     else:
         combined = None
-        for col in key_arrays:
-            uniques, codes = np.unique(col, return_inverse=True)
-            codes = codes.astype(np.int64)
+        for col, gather in zip(key_arrays, gathers):
+            codes, cardinality = _dense_codes(col, gather)
             if combined is None:
                 combined = codes
             else:
-                combined = combined * np.int64(len(uniques)) + codes
+                combined = combined * np.int64(cardinality) + codes
         order = _stable_order(combined)
         svals = combined[order]
         change = svals[1:] != svals[:-1]
@@ -354,10 +394,13 @@ def partial_aggregate(
     agg_funcs: Sequence[str],
     agg_arrays: Sequence[Optional[np.ndarray]],
     num_rows: int,
+    key_gathers: Optional[Sequence[Optional[Gather]]] = None,
 ) -> GroupedPartial:
     """Aggregate one frame into per-group partial states.
 
-    ``agg_arrays[i]`` is None for COUNT(*) (row counting needs no column).
+    ``agg_arrays[i]`` is None for COUNT(*) (row counting needs no column);
+    ``key_gathers[i]``, where known, is how a join produced
+    ``key_arrays[i]`` (``Frame.gathered``) and only speeds grouping up.
 
     All reductions are vectorized: one stable sort brings each group's
     rows together, then every aggregate computes all groups' values in a
@@ -374,7 +417,7 @@ def partial_aggregate(
         order = np.arange(num_rows, dtype=np.int64)
         starts = np.zeros(1, dtype=np.int64)
     else:
-        order, starts = _group_order(key_arrays, num_rows)
+        order, starts = _group_order(key_arrays, num_rows, key_gathers)
     counts = np.diff(np.append(starts, num_rows)).tolist()
     # Sorted gathers are shared between aggregates over the same column
     # (COUNT(x) / SUM(x) / AVG(x) all reference x once).

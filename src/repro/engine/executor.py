@@ -4,9 +4,10 @@ Leaf path, per block (§IV-C-3 / Fig 7):
 
 1. probe the SmartIndex cache with the scan CNF — fully covered filters
    skip both the block scan and predicate evaluation;
-2. otherwise decode the needed column chunks, evaluate only the *missing*
-   clauses (optionally through the B+ tree baseline), and insert fresh
-   SmartIndex entries for every atom evaluated;
+2. otherwise evaluate only the *missing* clauses on the encoded column
+   chunks (optionally through the B+ tree baseline), insert fresh
+   SmartIndex entries for every atom evaluated, and materialize the
+   payload columns at the matching rows only;
 3. join against broadcast dimension tables, apply the post-join residual
    filter;
 4. produce either per-group partial aggregates or a projected row frame.
@@ -27,6 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.columnar.block import Block
+from repro.columnar.encoding import ChunkReader
 from repro.columnar.schema import DataType, coerce_array
 from repro.engine.aggregates import GroupedPartial, partial_aggregate
 from repro.engine.operators import (
@@ -34,7 +36,6 @@ from repro.engine.operators import (
     join,
     limit_frame,
     prefix_columns,
-    scan_block,
     sort_frame,
 )
 from repro.errors import ExecutionError
@@ -122,8 +123,10 @@ class TaskResult:
         if self.partial is not None:
             return self.partial.estimated_bytes()
         if self.frame is not None:
+            # ``len(str(x)) + 8`` per string; ``map`` keeps the per-row
+            # work out of Python frames.
             return 64 + sum(
-                v.nbytes if v.dtype != object else sum(len(str(x)) + 8 for x in v)
+                v.nbytes if v.dtype != object else sum(map(len, map(str, v))) + 8 * len(v)
                 for v in self.frame.columns.values()
             )
         return 64
@@ -171,6 +174,10 @@ def execute_scan_task(
 ) -> TaskResult:
     """Run one scan task against its (already fetched) block.
 
+    Filter, then gather: predicates are answered on the encoded chunks
+    (:func:`_select_rows`), and only ``plan.payload_columns`` are
+    materialized, only at the matching rows.
+
     ``span`` is the attempt's :class:`~repro.obs.trace.Span` (or None);
     the index probe is recorded as a child and the row counts as tags.
 
@@ -183,93 +190,138 @@ def execute_scan_task(
     passing ``index_manager=None`` alongside a non-base layout (variant
     row order invalidates whole-block bitvectors, as with row slices).
     """
-    row_slice = task.row_slice
-    if row_slice is not None:
+    if task.row_slice is not None:
         layout = None  # slices are defined on base row order only
-    if row_slice is not None:
+    report, readers, rows = _select_rows(
+        task, plan, block, index_manager, btree_provider, now, span, layout
+    )
+    frame = _gather(task, plan, readers, rows, report.rows_in_block)
+    report.rows_matched = frame.num_rows
+    return _finish_task(frame, task, plan, broadcast_frames, report, layout)
+
+
+def _select_rows(
+    task: ScanTask,
+    plan: PhysicalPlan,
+    block: Block,
+    index_manager: Optional[SmartIndexManager],
+    btree_provider: Optional[BTreeProvider],
+    now: float,
+    span=None,
+    layout=None,
+) -> Tuple[TaskExecutionReport, Optional[Dict[str, ChunkReader]], Optional[np.ndarray]]:
+    """Probe the index, price the scan and evaluate what is left.
+
+    Returns ``(report, readers, rows)``: the readers of the columns the
+    scan reads (None when an index-covered filter matches nothing, so
+    nothing is read at all) and the ascending ids of the matching rows
+    (None for every row of the block).  Every charge is a formula over
+    whole-block row counts, never over the work done here, so the
+    simulated clock cannot see how a column was read.
+    """
+    lo, hi = 0, block.num_rows
+    if task.row_slice is not None:
         # Adaptive sub-task (S53): cover only rows [lo, hi) of the block.
         # The SmartIndex and B+ trees are whole-block structures — a mask
         # computed on a slice must neither consult nor feed them, or a
         # partial answer would be reused for a full-block probe.
         index_manager = None
         btree_provider = None
-        lo = max(0, min(int(row_slice[0]), block.num_rows))
-        hi = max(lo, min(int(row_slice[1]), block.num_rows))
-        slice_rows = hi - lo
+        lo = max(0, min(int(task.row_slice[0]), block.num_rows))
+        hi = max(lo, min(int(task.row_slice[1]), block.num_rows))
+    num_rows = hi - lo
     report = TaskExecutionReport(
-        task_id=task.task_id,
-        rows_in_block=block.num_rows if row_slice is None else slice_rows,
-        scale_factor=block.scale_factor,
+        task_id=task.task_id, rows_in_block=num_rows, scale_factor=block.scale_factor
     )
     cnf = plan.scan_cnf
-    analyzed = plan.analyzed
-
     mask, missing, residuals = _filter_mask(
         task, cnf, block, index_manager, btree_provider, now, report, span=span
     )
-
-    payload_columns = _payload_columns(task, plan)
     if report.index_full_cover and mask is not None and not mask.any():
-        # Fully index-covered and empty: nothing to read at all.
-        frame = Frame({c: np.empty(0, dtype=_np_dtype(analyzed, task, c)) for c in payload_columns}, 0)
-    else:
-        read_columns = payload_columns if report.index_full_cover else list(task.columns)
-        if read_columns:
-            if residuals:
-                io_bytes, decode_ops = _semantic_read_costs(
-                    block, read_columns, residuals, missing, payload_columns
-                )
-                report.io_bytes += io_bytes
-                report.cpu_ops += decode_ops
-            elif row_slice is not None:
-                # Proportional charge: a slice reads its fraction of every
-                # chunk, so summed sub-task costs equal the whole block's.
-                fraction = slice_rows / max(1, block.num_rows)
-                report.io_bytes += int(round(block.column_bytes(read_columns) * fraction))
-                report.cpu_ops += OPS_PER_DECODE * slice_rows * len(read_columns)
-            else:
-                candidate_rows = (
-                    sorted_candidate_rows_for(layout, block, cnf, read_columns)
-                    if layout is not None
-                    else None
-                )
-                if candidate_rows is not None:
-                    # Sorted variant (S54): a binary search over the sort
-                    # column bounds the candidate range, so the scan pays
-                    # the sort chunk in full plus only the candidates'
-                    # share of every other chunk.  Evaluation below stays
-                    # exact over all rows — only the charge shrinks.
-                    fraction = candidate_rows / max(1, block.num_rows)
-                    sort_col = layout.sort_column
-                    rest = [c for c in read_columns if c != sort_col]
-                    report.io_bytes += block.column_bytes([sort_col]) + int(
-                        round(block.column_bytes(rest) * fraction)
-                    )
-                    report.cpu_ops += (
-                        OPS_PER_DECODE * block.num_rows
-                        + OPS_PER_DECODE * candidate_rows * len(rest)
-                        + 64.0  # the binary search itself
-                    )
-                else:
-                    report.io_bytes += block.column_bytes(read_columns)
-                    report.cpu_ops += OPS_PER_DECODE * block.num_rows * len(read_columns)
-            report.io_seeks += 1
-        frame = scan_block(block, read_columns) if read_columns else Frame(
-            {}, block.num_rows if row_slice is None else slice_rows
-        )
-        if row_slice is not None and frame.columns:
-            frame = Frame({n: v[lo:hi] for n, v in frame.columns.items()}, slice_rows)
-        if missing:
-            mask = _evaluate_missing(missing, frame, mask, index_manager, task, now, report)
+        return report, None, None
+    payload_columns = plan.payload_columns
+    read_columns = payload_columns if report.index_full_cover else task.columns
+    if read_columns:
         if residuals:
-            mask = _evaluate_residuals(residuals, frame, mask, index_manager, task, now, report)
-        if mask is not None:
-            frame = apply_filter(frame, mask)
-            frame = frame.select(payload_columns)
+            io_bytes, decode_ops = _semantic_read_costs(
+                block, read_columns, residuals, missing, payload_columns
+            )
+            report.io_bytes += io_bytes
+            report.cpu_ops += decode_ops
+        elif task.row_slice is not None:
+            # Proportional charge: a slice reads its fraction of every
+            # chunk, so summed sub-task costs equal the whole block's.
+            fraction = num_rows / max(1, block.num_rows)
+            report.io_bytes += int(round(block.column_bytes(read_columns) * fraction))
+            report.cpu_ops += OPS_PER_DECODE * num_rows * len(read_columns)
         else:
-            frame = frame.select(payload_columns)
-    report.rows_matched = frame.num_rows
+            candidate_rows = (
+                sorted_candidate_rows_for(layout, block, cnf, read_columns)
+                if layout is not None
+                else None
+            )
+            if candidate_rows is not None:
+                # Sorted variant (S54): a binary search over the sort
+                # column bounds the candidate range, so the scan pays
+                # the sort chunk in full plus only the candidates'
+                # share of every other chunk.  Evaluation below stays
+                # exact over all rows — only the charge shrinks.
+                fraction = candidate_rows / max(1, block.num_rows)
+                sort_col = layout.sort_column
+                rest = [c for c in read_columns if c != sort_col]
+                report.io_bytes += block.column_bytes([sort_col]) + int(
+                    round(block.column_bytes(rest) * fraction)
+                )
+                report.cpu_ops += (
+                    OPS_PER_DECODE * block.num_rows
+                    + OPS_PER_DECODE * candidate_rows * len(rest)
+                    + 64.0  # the binary search itself
+                )
+            else:
+                report.io_bytes += block.column_bytes(read_columns)
+                report.cpu_ops += OPS_PER_DECODE * block.num_rows * len(read_columns)
+        report.io_seeks += 1
+    readers = {c: block.chunks[c].reader() for c in read_columns}
+    scope = None if task.row_slice is None else np.arange(lo, hi)
+    if missing:
+        mask = _evaluate_missing(
+            missing, readers, scope, num_rows, mask, index_manager, task, now, report
+        )
+    if residuals:
+        mask = _evaluate_residuals(residuals, readers, mask, index_manager, task, now, report)
+    if mask is None:
+        return report, readers, scope
+    return report, readers, mask.nonzero()[0] + lo
 
+
+def _gather(
+    task: ScanTask,
+    plan: PhysicalPlan,
+    readers: Optional[Dict[str, ChunkReader]],
+    rows: Optional[np.ndarray],
+    num_rows: int,
+) -> Frame:
+    """Materialize the payload columns at ``rows`` (see :func:`_select_rows`)."""
+    columns = plan.payload_columns
+    if readers is None:
+        return Frame(
+            {c: np.empty(0, dtype=_np_dtype(plan.analyzed, task, c)) for c in columns}, 0
+        )
+    if rows is None:
+        return Frame({c: readers[c].values() for c in columns}, num_rows)
+    return Frame({c: readers[c].take(rows) for c in columns}, len(rows))
+
+
+def _finish_task(
+    frame: Frame,
+    task: ScanTask,
+    plan: PhysicalPlan,
+    broadcast_frames: Optional[Dict[str, Frame]],
+    report: TaskExecutionReport,
+    layout=None,
+) -> TaskResult:
+    """Joins, post-join filter, then partial aggregate or projection."""
+    analyzed = plan.analyzed
     qualified = plan.has_joins
     if qualified:
         frame = prefix_columns(frame, task.binding)
@@ -283,7 +335,8 @@ def execute_scan_task(
         frame = apply_filter(frame, post_mask)
 
     if plan.is_aggregate:
-        partial = _partial_aggregate(frame, plan, qualified, report)
+        report.cpu_ops += 2.0 * frame.num_rows * max(1, len(analyzed.aggregates))
+        partial = _partial_aggregate(frame, plan, qualified)
         return TaskResult(task.task_id, partial=partial, report=report)
 
     output_frame = _project_task_frame(frame, plan, qualified)
@@ -295,12 +348,6 @@ def execute_scan_task(
 def _np_dtype(analyzed: AnalyzedQuery, task: ScanTask, column: str):
     table = analyzed.tables[task.binding]
     return table.schema.field(column).dtype.numpy_dtype
-
-
-def _payload_columns(task: ScanTask, plan: PhysicalPlan) -> List[str]:
-    """Columns needed beyond predicate evaluation (outputs, joins,
-    grouping, residual filters) — precomputed by the planner."""
-    return list(plan.payload_columns)
 
 
 def _filter_mask(
@@ -408,39 +455,63 @@ def _btree_clause(
     return out
 
 
+def _atom_ops(atom) -> float:
+    return OPS_PER_CONTAINS if atom.op is BinaryOperator.CONTAINS else OPS_PER_COMPARISON
+
+
+def _feed_index(
+    index_manager: Optional[SmartIndexManager],
+    task: ScanTask,
+    atom,
+    atom_mask: np.ndarray,
+    now: float,
+) -> None:
+    if index_manager is None:
+        return
+    if index_manager.semantic:
+        index_manager.insert(
+            task.block.block_id,
+            atom,
+            atom_mask,
+            now,
+            saved_s=atom_saved_seconds(task.block, atom),
+        )
+    else:
+        index_manager.insert(task.block.block_id, atom, atom_mask, now)
+
+
 def _evaluate_missing(
     missing: Sequence[Clause],
-    frame: Frame,
+    readers: Dict[str, ChunkReader],
+    scope: Optional[np.ndarray],
+    num_rows: int,
     mask: Optional[np.ndarray],
     index_manager: Optional[SmartIndexManager],
     task: ScanTask,
     now: float,
     report: TaskExecutionReport,
 ) -> np.ndarray:
-    """Evaluate the uncovered clauses on real data; feed the index."""
+    """Evaluate the uncovered clauses on the ``num_rows`` rows in
+    ``scope`` (None: the whole block); feed the index."""
     combined = mask
     for clause in missing:
         clause_mask: Optional[np.ndarray] = None
         for atom in clause.atoms:
-            values = frame.column(atom.column)
-            atom_mask = atom.evaluate(values)
-            ops = OPS_PER_CONTAINS if atom.op is BinaryOperator.CONTAINS else OPS_PER_COMPARISON
-            report.cpu_ops += ops * len(values)
-            if index_manager is not None:
-                if index_manager.semantic:
-                    index_manager.insert(
-                        task.block.block_id,
-                        atom,
-                        atom_mask,
-                        now,
-                        saved_s=atom_saved_seconds(task.block, atom),
-                    )
-                else:
-                    index_manager.insert(task.block.block_id, atom, atom_mask, now)
+            atom_mask = readers[atom.column].map_bool(atom.evaluate, scope)
+            report.cpu_ops += _atom_ops(atom) * num_rows
+            _feed_index(index_manager, task, atom, atom_mask, now)
             clause_mask = atom_mask if clause_mask is None else (clause_mask | atom_mask)
         for residual in clause.residuals:
+            # Opaque expression: needs real values of the columns it touches.
+            frame = Frame(
+                {
+                    c: readers[c].values() if scope is None else readers[c].take(scope)
+                    for c in _expr_columns(residual)
+                },
+                num_rows,
+            )
             res_mask = evaluate(residual, frame).astype(np.bool_)
-            report.cpu_ops += 2.0 * frame.num_rows
+            report.cpu_ops += 2.0 * num_rows
             clause_mask = res_mask if clause_mask is None else (clause_mask | res_mask)
         if clause_mask is None:
             raise ExecutionError("clause with neither atoms nor residuals")
@@ -510,7 +581,7 @@ def _semantic_read_costs(
 
 def _evaluate_residuals(
     residuals: Sequence[ResidualClause],
-    frame: Frame,
+    readers: Dict[str, ChunkReader],
     mask: Optional[np.ndarray],
     index_manager: Optional[SmartIndexManager],
     task: ScanTask,
@@ -532,20 +603,12 @@ def _evaluate_residuals(
         idx = np.flatnonzero(cand)
         clause_sub = np.zeros(len(idx), dtype=np.bool_)
         for atom in r.clause.atoms:
-            values = frame.column(atom.column)[idx]
-            sub = np.asarray(atom.evaluate(values), dtype=np.bool_)
-            ops = OPS_PER_CONTAINS if atom.op is BinaryOperator.CONTAINS else OPS_PER_COMPARISON
-            report.cpu_ops += ops * len(idx)
+            sub = readers[atom.column].map_bool(atom.evaluate, idx)
+            report.cpu_ops += _atom_ops(atom) * len(idx)
             if index_manager is not None:
                 full_atom = np.zeros(len(cand), dtype=np.bool_)
                 full_atom[idx] = sub
-                index_manager.insert(
-                    task.block.block_id,
-                    atom,
-                    full_atom,
-                    now,
-                    saved_s=atom_saved_seconds(task.block, atom),
-                )
+                _feed_index(index_manager, task, atom, full_atom, now)
             clause_sub |= sub
         clause_full = np.zeros(len(cand), dtype=np.bool_)
         clause_full[idx] = clause_sub
@@ -610,21 +673,23 @@ def _rewrite(expr: Expr, mapping: Dict[Expr, Column]) -> Expr:
     return expr
 
 
-def _partial_aggregate(
-    frame: Frame, plan: PhysicalPlan, qualified: bool, report: TaskExecutionReport
-) -> GroupedPartial:
+def _partial_aggregate(frame: Frame, plan: PhysicalPlan, qualified: bool) -> GroupedPartial:
     analyzed = plan.analyzed
     resolve = _resolver_for(analyzed, frame, qualified)
     key_arrays = [evaluate(k, frame, resolve) for k in analyzed.group_keys]
+    key_gathers = [
+        frame.gathered.get(resolve(k)) if isinstance(k, Column) else None
+        for k in analyzed.group_keys
+    ]
     agg_arrays: List[Optional[np.ndarray]] = []
     for agg in analyzed.aggregates:
         if isinstance(agg.argument, Star):
             agg_arrays.append(None)
         else:
             agg_arrays.append(evaluate(agg.argument, frame, resolve))
-    report.cpu_ops += 2.0 * frame.num_rows * max(1, len(analyzed.aggregates))
     return partial_aggregate(
-        key_arrays, [a.func for a in analyzed.aggregates], agg_arrays, frame.num_rows
+        key_arrays, [a.func for a in analyzed.aggregates], agg_arrays, frame.num_rows,
+        key_gathers,
     )
 
 

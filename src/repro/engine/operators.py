@@ -134,6 +134,9 @@ def hash_join(
     left-row-major order with right matches ascending, exactly like the
     scalar build/probe loop this replaces; swapping the build side would
     change that order, so we do not.
+
+    String columns of the build side that reach the output by a pure
+    gather (no outer padding) are also recorded in ``Frame.gathered``.
     """
     overlap = set(left.columns) & set(right.columns)
     if overlap:
@@ -201,14 +204,21 @@ def hash_join(
     else:
         pos = np.minimum(np.searchsorted(uniq, l_codes), len(uniq) - 1)
         matched = uniq[pos] == l_codes
-    match_counts = np.where(matched, run_counts[pos] if len(uniq) else 0, 0)
-    li = np.repeat(np.arange(n_left, dtype=np.int64), match_counts)
-    total = int(match_counts.sum())
-    # Offset of each output row within its left row's run of matches.
-    first_out = np.repeat(np.cumsum(match_counts) - match_counts, match_counts)
-    offsets = np.arange(total, dtype=np.int64) - first_out
-    starts_per_row = run_starts[pos] if len(uniq) else np.zeros(n_left, dtype=np.int64)
-    ri = r_order[np.repeat(starts_per_row, match_counts) + offsets]
+    if len(uniq) == n_right:
+        # Distinct build keys (a dimension table): a left row has one
+        # match or none, so the matched rows are the output.
+        li = np.flatnonzero(matched)
+        ri = r_order[pos[li]]
+        total = len(li)
+    else:
+        match_counts = np.where(matched, run_counts[pos] if len(uniq) else 0, 0)
+        li = np.repeat(np.arange(n_left, dtype=np.int64), match_counts)
+        total = int(match_counts.sum())
+        # Offset of each output row within its left row's run of matches.
+        first_out = np.repeat(np.cumsum(match_counts) - match_counts, match_counts)
+        offsets = np.arange(total, dtype=np.int64) - first_out
+        starts_per_row = run_starts[pos] if len(uniq) else np.zeros(n_left, dtype=np.int64)
+        ri = r_order[np.repeat(starts_per_row, match_counts) + offsets]
 
     unmatched = (
         np.flatnonzero(~matched) if kind is JoinKind.LEFT_OUTER else np.empty(0, np.int64)
@@ -220,12 +230,15 @@ def hash_join(
         if pad:
             matched_part = np.concatenate((matched_part, col[unmatched]))
         out[name] = matched_part
+    gathered: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
     for name, col in right.columns.items():
         matched_part = col[ri]
         if pad:
             matched_part = np.concatenate((matched_part, _default_pad(col, pad)))
+        elif col.dtype == object:
+            gathered[name] = (col, ri)
         out[name] = matched_part
-    return Frame(out, total + pad)
+    return Frame(out, total + pad, gathered)
 
 
 def cross_join(left: Frame, right: Frame) -> Frame:

@@ -12,8 +12,10 @@ post-join against a combined frame (``binding.column`` names).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from itertools import repeat
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +41,13 @@ class Frame:
 
     columns: Dict[str, np.ndarray]
     num_rows: int
+    #: ``name -> (source, index)`` for columns a join produced as
+    #: ``source[index]`` from its build side, so that GROUP BY can rank
+    #: the short source and map the ranks through ``index``.  A hint
+    #: only: operations that build a new frame drop it.
+    gathered: Dict[str, Tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @classmethod
     def from_columns(cls, columns: Dict[str, np.ndarray]) -> "Frame":
@@ -127,18 +136,26 @@ def _broadcast(value, num_rows: int) -> np.ndarray:
     return np.full(num_rows, float(value), dtype=np.float64)
 
 
+def _map_rows(fn, dtype, *columns: np.ndarray) -> np.ndarray:
+    """``fn`` over the rows of ``columns`` without a Python frame per
+    row: ``map`` drives a C-level callable from C."""
+    count = len(columns[0])
+    if dtype is object:
+        out = np.empty(count, dtype=object)
+        out[:] = list(map(fn, *columns))
+        return out
+    return np.fromiter(map(fn, *columns), dtype=dtype, count=count)
+
+
 def _contains(haystack: np.ndarray, needle: np.ndarray) -> np.ndarray:
-    out = np.empty(len(haystack), dtype=np.bool_)
-    for i in range(len(haystack)):
-        out[i] = needle[i] in haystack[i]
-    return out
+    return _map_rows(operator.contains, np.bool_, haystack, needle)
 
 
 def string_contains(column: np.ndarray, needle: str) -> np.ndarray:
-    """Vectorized ``column CONTAINS literal`` — the hot predicate path."""
-    if len(column) == 0:
-        return np.empty(0, dtype=np.bool_)
-    return np.fromiter((needle in v for v in column), dtype=np.bool_, count=len(column))
+    """``column CONTAINS literal`` for any string array.  Dictionary
+    chunks never get here row by row: their reader answers on the
+    uniques (:class:`~repro.columnar.encoding.ChunkReader`)."""
+    return _map_rows(operator.contains, np.bool_, column, repeat(needle))
 
 
 def evaluate(expr: Expr, frame: Frame, resolve: Resolver = bare_resolver) -> np.ndarray:
@@ -167,17 +184,11 @@ def evaluate(expr: Expr, frame: Frame, resolve: Resolver = bare_resolver) -> np.
 def _evaluate_function(expr: FunctionCall, frame: Frame, resolve: Resolver) -> np.ndarray:
     args = [evaluate(a, frame, resolve) for a in expr.args]
     if expr.name == "LENGTH":
-        return np.fromiter((len(v) for v in args[0]), dtype=np.int64, count=len(args[0]))
+        return _map_rows(len, np.int64, args[0])
     if expr.name == "LOWER":
-        out = np.empty(len(args[0]), dtype=object)
-        for i, v in enumerate(args[0]):
-            out[i] = v.lower()
-        return out
+        return _map_rows(str.lower, object, args[0])
     if expr.name == "UPPER":
-        out = np.empty(len(args[0]), dtype=object)
-        for i, v in enumerate(args[0]):
-            out[i] = v.upper()
-        return out
+        return _map_rows(str.upper, object, args[0])
     if expr.name == "ABS":
         return np.abs(args[0])
     raise ExecutionError(f"unknown function {expr.name!r}")

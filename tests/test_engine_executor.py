@@ -1,5 +1,7 @@
 """Leaf-task execution and master finalization, in isolation."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -243,3 +245,47 @@ def test_topk_pushdown_multi_key_global_order(env):
     result, _ = run_query(env, "SELECT c2, c1 FROM T ORDER BY c2 ASC, c1 DESC LIMIT 10")
     pairs = sorted(zip(columns["c2"], columns["c1"]), key=lambda p: (p[0], -p[1]))[:10]
     assert result.rows() == [(int(a), int(b)) for a, b in pairs]
+
+
+def test_scan_task_runs_no_python_per_row():
+    """Guard: a CONTAINS + group-by scan over a 50k-row block whose
+    string column is dictionary-coded makes a few hundred calls, not one
+    (or more) per row — predicates are answered on the 64 uniques and
+    payload rows are gathered by numpy."""
+    rows = 50_000
+    nodes = TopologySpec(1, 1, 1).addresses()
+    fs = DistributedFS(nodes)
+    router = StorageRouter()
+    router.register(fs, default=True)
+    catalog = Catalog()
+    rng = np.random.default_rng(3)
+    words = np.array([f"{w}{j:02d}" for w in ("alpha", "bravo", "delta", "gamma")
+                      for j in range(16)], dtype=object)
+    columns = {
+        "g": rng.integers(0, 16, rows),
+        "x": rng.random(rows),
+        "s": words[rng.integers(0, len(words), rows)],
+    }
+    schema = Schema.of(g=DataType.INT64, x=DataType.FLOAT64, s=DataType.STRING)
+    store_table("B", schema, columns, router, fs, block_rows=rows, catalog=catalog)
+    plan = build_plan(analyze(parse(
+        "SELECT g, COUNT(*) AS n, SUM(x) AS sx FROM B WHERE s CONTAINS 'ha0' GROUP BY g"
+    ), catalog))
+    (task,) = plan.tasks
+    block = load_block(router, task.block)
+    assert block.chunks["s"].encoding_tag == 2  # dictionary
+
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        result = execute_scan_task(task, plan, block, {})
+    finally:
+        sys.setprofile(None)
+    assert result.report.rows_matched == int(np.sum(["ha0" in v for v in columns["s"]]))
+    assert calls < 2_000, calls

@@ -188,30 +188,27 @@ def test_merge_exact_gate(env):
 
 
 def test_lazy_decode_equivalence(env):
-    """The encoding-aware accessors agree with a full decode."""
+    """The encoding-aware reader agrees with a full decode (the
+    codec x dtype x op matrix lives in test_columnar_reader_property)."""
     router, _catalog, _ = env
     sql = "SELECT c1 FROM T"
     plan, _ = _plan_and_broadcasts(env, sql)
     block = load_block(router, plan.tasks[0].block)
+    rows = np.arange(0, block.num_rows, 3)
     for name, chunk in block.chunks.items():
         decoded = chunk.decode()
-        parts = chunk.dictionary_parts()
-        if parts is not None:
-            uniques, codes = parts
-            assert np.array_equal(uniques[codes], decoded)
-        view = chunk.plain_view()
-        if view is not None:
-            assert np.array_equal(view, decoded)
-            assert not view.flags.writeable
+        reader = chunk.reader()
+        assert np.array_equal(reader.values(), decoded)
+        assert np.array_equal(reader.take(rows), decoded[rows])
+        first = decoded[0]
+        assert np.array_equal(reader.map_bool(lambda v: v == first), decoded == first)
 
 
-def test_compile_exposes_morsels(env):
+def test_pipeline_exposes_morsels(env):
     router, _catalog, _ = env
     plan, _ = _plan_and_broadcasts(env, "SELECT c1 FROM T WHERE c1 > 50")
     task = plan.tasks[0]
-    pipe = FusedPipeline.compile(
-        task, plan, load_block(router, task.block), morsel_rows=300
-    )
+    pipe = FusedPipeline(task, plan, load_block(router, task.block), morsel_rows=300)
     assert [hi - lo for lo, hi in pipe.morsels[:-1]] == [300] * (len(pipe.morsels) - 1)
     assert pipe.morsels[-1][1] == task.block.num_rows
 

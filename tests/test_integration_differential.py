@@ -11,8 +11,14 @@ executor on twin clusters loaded with identical data: every query must
 return byte-identical results AND identical modeled cost accounting
 (``response_time_s``, ``io_bytes_modeled``), which is what lets the
 committed figure results stay unchanged when the flag is flipped.
+
+A third runs both executors task by task — cold and index-covered, with
+plain and semantic (candidate-mask) index managers, on adaptive row
+slices and on layout variants — and compares the rows with the oracle
+and every ``TaskExecutionReport`` field with each other.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -20,6 +26,19 @@ import pytest
 
 from repro import DataType, FeisuCluster, FeisuConfig, Schema
 from repro.cluster.node import LeafConfig
+from repro.columnar.table import Catalog
+from repro.engine.executor import execute_scan_task, finalize
+from repro.engine.pipeline import execute_fused_scan_task
+from repro.index.smartindex import SmartIndexManager
+from repro.planner.expressions import Frame
+from repro.planner.physical import build_plan
+from repro.sim.netmodel import TopologySpec
+from repro.sql.analyzer import analyze
+from repro.sql.parser import parse
+from repro.storage.layouts import LayoutSpec, apply_layout
+from repro.storage.loader import load_block, read_table_frame, store_table
+from repro.storage.router import StorageRouter
+from repro.storage.systems import DistributedFS
 from tests._oracle import _match, _row_dicts, reference_execute
 from tests.conftest import CLICKS_SCHEMA, make_clicks_columns
 
@@ -196,3 +215,158 @@ def test_fused_matches_unfused_random(fused_twins, seed):
         _assert_results_identical(
             unfused_cluster.query(sql), fused_cluster.query(sql), sql
         )
+
+
+# -- task-level differential: rows AND every report field -----------------------
+#
+# Both executors filter on the encoded chunks and gather only matching
+# payload rows through one ChunkReader; they differ in morsel splitting
+# and threading.  Here every task runs through both, cold and
+# index-covered, and must agree on the rows (with the oracle too) and on
+# every TaskExecutionReport field that feeds the simulated clock.
+
+#: The fused path's own bookkeeping; everything else must be identical.
+_FUSED_ONLY_FIELDS = {"fused", "morsels", "workers", "morsel_wall_s"}
+
+TASK_DIFFERENTIAL_QUERIES = [
+    "SELECT COUNT(*) AS n, SUM(c1) AS s FROM T WHERE c1 < 60",
+    "SELECT COUNT(*) AS n, SUM(c1) AS s FROM T WHERE c1 < 30",  # residual of the above
+    "SELECT province AS p, COUNT(*) AS n, AVG(clicks) AS a FROM T "
+    "WHERE url CONTAINS 'site3' AND c2 > 2 GROUP BY p ORDER BY p",
+    "SELECT province AS p, COUNT(*) AS n FROM T WHERE url CONTAINS 'site' "
+    "AND NOT (url CONTAINS 'site3') GROUP BY p ORDER BY p",
+    "SELECT c1 AS a, c2 AS b, url AS u FROM T WHERE c1 <= 4 OR c2 = 9 "
+    "ORDER BY a, b, u LIMIT 400",
+    "SELECT c2 AS k, MIN(clicks) AS lo, MAX(clicks) AS hi FROM T "
+    "WHERE c1 + c2 > 50 GROUP BY k ORDER BY k",  # opaque residual expression
+    "SELECT COUNT(*) AS n FROM T WHERE c1 > 10000",
+    "SELECT c2 AS k, COUNT(*) AS n FROM T GROUP BY k ORDER BY k",
+    "SELECT label AS g, COUNT(*) AS n, SUM(weight) AS w FROM T JOIN D ON T.c2 = D.c2 "
+    "WHERE c1 < 40 AND weight > 0.25 GROUP BY g ORDER BY g",
+]
+
+
+@pytest.fixture(scope="module")
+def task_env():
+    nodes = TopologySpec(1, 1, 2).addresses()
+    fs = DistributedFS(nodes)
+    router = StorageRouter()
+    router.register(fs, default=True)
+    catalog = Catalog()
+    columns = make_clicks_columns()
+    store_table("T", CLICKS_SCHEMA, columns, router, fs, block_rows=1500, catalog=catalog)
+    dim = {
+        "c2": np.arange(10),
+        "label": np.array([f"grp{i}" for i in range(10)], dtype=object),
+        "weight": np.linspace(0.1, 1.0, 10),
+    }
+    dim_schema = Schema.of(c2=DataType.INT64, label=DataType.STRING, weight=DataType.FLOAT64)
+    store_table("D", dim_schema, dim, router, fs, catalog=catalog)
+    return router, catalog, _row_dicts(columns), {"D": _row_dicts(dim)}
+
+
+def _compile(task_env, sql):
+    router, catalog, _rows, _dim = task_env
+    plan = build_plan(analyze(parse(sql), catalog))
+    broadcasts = {
+        bc.binding: Frame.from_columns(
+            read_table_frame(router, catalog.get(bc.table_name), list(bc.columns))
+        )
+        for bc in plan.broadcasts
+    }
+    return plan, broadcasts, [load_block(router, t.block) for t in plan.tasks]
+
+
+def _assert_reports_identical(unfused, fused, context):
+    for u, f in zip(unfused, fused):
+        for field in dataclasses.fields(u.report):
+            if field.name not in _FUSED_ONLY_FIELDS:
+                assert getattr(u.report, field.name) == getattr(f.report, field.name), (
+                    context, u.task_id, field.name,
+                )
+
+
+def _assert_matches_oracle(task_env, plan, results, sql):
+    _router, _catalog, rows, dim_rows = task_env
+    expected = reference_execute(sql, rows, join_tables=dim_rows)
+    got = finalize(plan, results).rows()
+    assert len(got) == len(expected), sql
+    for row_a, row_b in zip(got, expected):
+        assert len(row_a) == len(row_b), sql
+        for a, b in zip(row_a, row_b):
+            assert _match(a, b), (sql, row_a, row_b)
+
+
+@pytest.mark.parametrize("index", ["none", "plain", "semantic"])
+def test_tasks_agree_on_rows_and_every_report_field(task_env, index):
+    managers = {
+        "none": (None, None),
+        "plain": (SmartIndexManager(), SmartIndexManager()),
+        "semantic": (SmartIndexManager(semantic=True), SmartIndexManager(semantic=True)),
+    }[index]
+    residual_clauses = 0
+    for sql in TASK_DIFFERENTIAL_QUERIES:
+        plan, broadcasts, blocks = _compile(task_env, sql)
+        for round_ in ("cold", "covered"):
+            unfused = [
+                execute_scan_task(t, plan, b, broadcasts, index_manager=managers[0], now=1.0)
+                for t, b in zip(plan.tasks, blocks)
+            ]
+            fused = [
+                execute_fused_scan_task(
+                    t, plan, b, broadcasts, index_manager=managers[1], now=1.0,
+                    worker_threads=2, morsel_rows=400,
+                )
+                for t, b in zip(plan.tasks, blocks)
+            ]
+            _assert_reports_identical(unfused, fused, (sql, round_))
+            assert finalize(plan, fused).rows() == finalize(plan, unfused).rows(), sql
+            _assert_matches_oracle(task_env, plan, unfused, sql)
+            residual_clauses += sum(r.report.index_residual_clauses for r in unfused)
+    # The semantic manager must actually have answered with candidate masks.
+    assert (residual_clauses > 0) == (index == "semantic")
+
+
+@pytest.mark.parametrize("sql", TASK_DIFFERENTIAL_QUERIES)
+def test_row_slices_agree_and_sum_to_the_whole_block(task_env, sql):
+    plan, broadcasts, blocks = _compile(task_env, sql)
+    whole = [execute_scan_task(t, plan, b, broadcasts) for t, b in zip(plan.tasks, blocks)]
+    unfused, fused = [], []
+    for task, block in zip(plan.tasks, blocks):
+        cuts = [0, 1, block.num_rows // 3, block.num_rows - 7, block.num_rows]
+        for lo, hi in zip(cuts, cuts[1:]):
+            part = dataclasses.replace(task, task_id=f"{task.task_id}.{lo}", row_slice=(lo, hi))
+            unfused.append(execute_scan_task(part, plan, block, broadcasts))
+            fused.append(execute_fused_scan_task(part, plan, block, broadcasts, morsel_rows=400))
+    _assert_reports_identical(unfused, fused, sql)
+    _assert_matches_oracle(task_env, plan, unfused, sql)
+    _assert_matches_oracle(task_env, plan, fused, sql)
+    for field in ("rows_in_block", "rows_matched"):
+        assert sum(getattr(r.report, field) for r in unfused) == sum(
+            getattr(r.report, field) for r in whole
+        ), field
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        LayoutSpec(sort_column="c1"),
+        LayoutSpec(sort_column="url", copartition_column="c2"),
+        LayoutSpec(copartition_column="c2", columns=("c1", "c2", "url", "clicks", "province")),
+    ],
+)
+def test_layout_variants_agree(task_env, spec):
+    for sql in TASK_DIFFERENTIAL_QUERIES:
+        plan, broadcasts, blocks = _compile(task_env, sql)
+        variants = [apply_layout(b, spec) for b in blocks]
+        unfused = [
+            execute_scan_task(t, plan, v, broadcasts, layout=spec)
+            for t, v in zip(plan.tasks, variants)
+        ]
+        fused = [
+            execute_fused_scan_task(t, plan, v, broadcasts, layout=spec, morsel_rows=400)
+            for t, v in zip(plan.tasks, variants)
+        ]
+        _assert_reports_identical(unfused, fused, sql)
+        _assert_matches_oracle(task_env, plan, unfused, sql)
+        _assert_matches_oracle(task_env, plan, fused, sql)

@@ -319,6 +319,50 @@ def test_partial_aggregate_no_keys_matches_scalar_reference(data):
         assert [s.final() for s in states] == [s.final() for s in want[key]]
 
 
+@given(data=st.data(), kind=st.sampled_from([JoinKind.INNER, JoinKind.LEFT_OUTER]))
+def test_join_gather_hint_groups_like_the_gathered_column(data, kind):
+    # hash_join records how it produced each string build-side column
+    # (``Frame.gathered``); grouping through that hint must give the
+    # groups, their order and their states that grouping on the
+    # materialized column gives — alone and combined with a second key.
+    labels = data.draw(st.lists(words, min_size=0, max_size=8))
+    lk = data.draw(st.lists(st.integers(0, 9), min_size=0, max_size=40))
+    left = Frame(
+        {"l.k": _column("int", lk),
+         "l.v": np.asarray(
+             data.draw(st.lists(exact_floats, min_size=len(lk), max_size=len(lk))),
+             dtype=np.float64)},
+        len(lk),
+    )
+    right = Frame(
+        {"r.k": np.arange(len(labels), dtype=np.int64), "r.label": _column("str", labels)},
+        len(labels),
+    )
+    joined = hash_join(left, right, ["l.k"], ["r.k"], kind)
+    _assert_frames_equal(joined, _reference_hash_join(left, right, ["l.k"], ["r.k"], kind))
+    for name, (source, index) in joined.gathered.items():
+        assert source[index].tolist() == joined.column(name).tolist()
+    # Outer padding is not a gather from the build side: no hint then.
+    padded = kind is JoinKind.LEFT_OUTER and any(k >= len(labels) for k in lk)
+    assert ("r.label" in joined.gathered) == (not padded)
+    funcs, arrays = ["COUNT", "SUM"], [None, joined.column("l.v")]
+    for extra in ([], [joined.column("l.k") % 2]):
+        keys = [joined.column("r.label"), *extra]
+        hints = [joined.gathered.get("r.label"), *[None] * len(extra)]
+        plain = partial_aggregate(keys, funcs, arrays, joined.num_rows)
+        hinted = partial_aggregate(keys, funcs, arrays, joined.num_rows, hints)
+        assert list(hinted.groups) == list(plain.groups)
+        for key, states in plain.groups.items():
+            assert [s.final() for s in hinted.groups[key]] == [s.final() for s in states]
+
+
+def test_partial_aggregate_object_keys_that_are_not_all_strings():
+    # The hashed ranking is for ``str`` only; anything else keeps np.unique.
+    keys = np.array([3, 1, 3, 2], dtype=object)
+    got = partial_aggregate([keys], ["COUNT"], [None], 4)
+    assert [(k, s[0].final()) for k, s in got.groups.items()] == [((1,), 1), ((2,), 1), ((3,), 2)]
+
+
 def test_partial_aggregate_nan_keys_share_one_group():
     # NaN != NaN must not split NaN rows into per-row groups: the scalar
     # path's np.unique factorize collapsed all NaNs into one group.

@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Dependency-free line-coverage gate for the cluster, engine, fault, gateway, index, planner and storage layers.
+"""Dependency-free line-coverage gate for the cluster, columnar, engine, fault, gateway, index, planner and storage layers.
 
 The container has no ``coverage``/``pytest-cov``, so this implements the
 minimum honestly: a ``sys.settrace`` hook records executed lines in
-``repro.cluster``, ``repro.engine``, ``repro.faults``, ``repro.gateway``,
-``repro.index``, ``repro.planner`` and ``repro.storage`` while the
+``repro.cluster``, ``repro.columnar``, ``repro.engine``, ``repro.faults``,
+``repro.gateway``, ``repro.index``, ``repro.planner`` and ``repro.storage`` while the
 focused test suites run in-process, the denominator comes from each
 module's compiled ``co_lines()`` tables, and the gate fails if combined
 coverage drops below the floor.
@@ -30,6 +30,7 @@ SRC = os.path.join(ROOT, "src")
 #: Packages under the gate.
 TARGET_DIRS = (
     os.path.join(SRC, "repro", "cluster") + os.sep,
+    os.path.join(SRC, "repro", "columnar") + os.sep,
     os.path.join(SRC, "repro", "engine") + os.sep,
     os.path.join(SRC, "repro", "faults") + os.sep,
     os.path.join(SRC, "repro", "gateway") + os.sep,
@@ -51,6 +52,12 @@ TEST_ARGS = [
     "tests/test_cluster_state_fixes.py",
     "tests/test_elastic.py",
     "tests/test_membership.py",
+    "tests/test_columnar_block.py",
+    "tests/test_columnar_bloom.py",
+    "tests/test_columnar_encoding.py",
+    "tests/test_columnar_json.py",
+    "tests/test_columnar_reader_property.py",
+    "tests/test_columnar_schema.py",
     "tests/test_engine_aggregates.py",
     "tests/test_engine_executor.py",
     "tests/test_engine_operators.py",
@@ -171,7 +178,7 @@ def main():
         if args.report and missed:
             print(f"{'':<{width}}  missed: {_ranges(missed)}")
     overall = total_hit / total_exec if total_exec else 1.0
-    print(f"\nTOTAL repro.cluster + repro.engine + repro.faults + repro.gateway + repro.index + repro.planner + repro.storage: {100.0 * overall:.1f}% "
+    print(f"\nTOTAL repro.cluster + repro.columnar + repro.engine + repro.faults + repro.gateway + repro.index + repro.planner + repro.storage: {100.0 * overall:.1f}% "
           f"({total_hit}/{total_exec} lines), floor {100.0 * args.floor:.4g}%")
     if args.report:
         return 0
