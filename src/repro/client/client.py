@@ -62,9 +62,7 @@ class FeisuClient:
         try:
             parse(sql)
         except ParseError as exc:
-            hint = _hint_for(str(exc))
-            message = f"{exc}{('; ' + hint) if hint else ''}"
-            return SyntaxReport(ok=False, message=message, position=exc.position)
+            return SyntaxReport(ok=False, message=_guided(exc), position=exc.position)
         return SyntaxReport(ok=True)
 
     def verify_access(self, sql: str) -> None:
@@ -79,12 +77,15 @@ class FeisuClient:
 
     def _guarded_preflight(self, sql: str):
         """The client-side checks every submission path must pass: syntax
-        with guided errors, then the ACL read pre-flight.  Returns the
-        analyzed query so callers don't parse twice."""
-        report = self.check_syntax(sql)
-        if not report.ok:
-            raise ParseError(report.message, position=report.position, text=sql)
-        analyzed = analyze(parse(sql), self.cluster.catalog)
+        with guided errors (as :meth:`check_syntax` words them), then the
+        ACL read pre-flight.  The statement is parsed and analyzed once;
+        the result, stamped with its text, is handed on to the master."""
+        try:
+            query = parse(sql)
+        except ParseError as exc:
+            raise ParseError(_guided(exc), position=exc.position, text=sql) from None
+        analyzed = analyze(query, self.cluster.catalog)
+        analyzed.source_sql = sql
         self.cluster.acl.check_read(self.user, [t.name for t in analyzed.tables.values()])
         return analyzed
 
@@ -104,7 +105,7 @@ class FeisuClient:
 
     def query_job(self, sql: str, options: Optional[JobOptions] = None) -> Job:
         analyzed = self._guarded_preflight(sql)
-        job = self.cluster.query_job(sql, user=self.user, options=options)
+        job = self.cluster.query_job(sql, user=self.user, options=options, analyzed=analyzed)
         # History keeps the ORIGINAL plan fingerprint even when the
         # adaptive path re-planned mid-query; the post-re-plan digest is
         # a separate field so it can be cross-checked against EXPLAIN
@@ -194,6 +195,12 @@ _HINTS: Sequence[Tuple[str, str]] = (
     ("unterminated string", "string literals use single quotes: 'value'"),
     ("unknown function", "supported: COUNT SUM AVG MIN MAX LENGTH LOWER UPPER ABS"),
 )
+
+
+def _guided(exc: ParseError) -> str:
+    """The parser's message plus a hint on how to fix the statement."""
+    hint = _hint_for(str(exc))
+    return f"{exc}{('; ' + hint) if hint else ''}"
 
 
 def _hint_for(message: str) -> str:

@@ -168,22 +168,14 @@ def new_job(user: str, sql: str, plan: PhysicalPlan, options: JobOptions, now: f
 
 def task_signature(plan: PhysicalPlan, task: ScanTask) -> Tuple:
     """Structural identity of a task: equal signatures ⇒ equal results."""
-    analyzed = plan.analyzed
-    agg_sig = (
-        tuple(str(k) for k in analyzed.group_keys),
-        tuple((a.func, str(a.argument)) for a in analyzed.aggregates),
-    )
-    broadcast_sig = tuple(
-        (bc.binding, bc.table_name, bc.columns, bc.kind.value, str(bc.condition))
-        for bc in plan.broadcasts
-    )
+    scan_clauses, is_aggregate, agg_sig, post_filter, broadcast_sig = plan.task_signature_base
     return (
         task.block.path,
-        tuple(sorted(str(c) for c in plan.scan_cnf.clauses)),
+        scan_clauses,
         task.columns,
-        plan.is_aggregate,
+        is_aggregate,
         agg_sig,
-        str(plan.post_filter),
+        post_filter,
         broadcast_sig,
         task.row_slice,
     )

@@ -12,8 +12,9 @@ replication of master-component state is provided by
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.jobs import (
     Job,
@@ -25,7 +26,7 @@ from repro.cluster.jobs import (
     task_signature,
 )
 from repro.cluster.membership import ClusterManager
-from repro.cluster.messages import DISPATCH_BASE_BYTES, STATUS_BYTES, send
+from repro.cluster.messages import DISPATCH_BASE_BYTES, STATUS_BYTES, deliver, send
 from repro.cluster.node import LeafServer, StemServer
 from repro.cluster.scheduler import JobScheduler, Placement
 from repro.columnar.table import Catalog
@@ -33,6 +34,7 @@ from repro.storage.loader import read_table_frame
 from repro.engine.executor import QueryResult, TaskResult, finalize
 from repro.errors import (
     AccessDeniedError,
+    AnalysisError,
     ClusterStateError,
     FeisuError,
     QueryTimeout,
@@ -44,7 +46,7 @@ from repro.security.acl import AccessControl, QuotaPolicy, RateLimiter
 from repro.security.auth import Credential, SSOAuthority
 from repro.sim.events import Event, Simulator
 from repro.sim.netmodel import NetworkTopology, NodeAddress, TrafficClass
-from repro.sql.analyzer import analyze
+from repro.sql.analyzer import AnalyzedQuery, analyze
 from repro.sql.parser import parse
 
 #: How many distinct leaves one task may be attempted on before failing.
@@ -66,7 +68,7 @@ class CandidateQueue:
     """
 
     def __init__(self) -> None:
-        self._queue: List[Tuple[Job, Event]] = []
+        self._queue: Deque[Tuple[Job, Event]] = deque()
 
     def push(self, job: Job, done: Event) -> None:
         self._queue.append((job, done))
@@ -75,7 +77,7 @@ class CandidateQueue:
         """The next job to emit, or None when empty."""
         if not self._queue:
             return None
-        return self._queue.pop(0)
+        return self._queue.popleft()
 
     def remove(self, job_id: str) -> Optional[Tuple[Job, Event]]:
         """Withdraw a queued job (cancellation) without emitting it."""
@@ -87,7 +89,8 @@ class CandidateQueue:
 
     def drain(self) -> List[Tuple[Job, Event]]:
         """Empty the queue, returning what was waiting (master failover)."""
-        waiting, self._queue = self._queue, []
+        waiting = list(self._queue)
+        self._queue.clear()
         return waiting
 
     def jobs(self) -> List[Tuple[Job, Event]]:
@@ -287,6 +290,7 @@ class Master:
         user: str,
         cred: Optional[Credential],
         options: Optional[JobOptions] = None,
+        analyzed: Optional[AnalyzedQuery] = None,
     ) -> Tuple[Job, Event]:
         """Admit, plan and launch a query; returns (job, completion event).
 
@@ -294,7 +298,7 @@ class Master:
         admission failures raise synchronously, exactly like the paper's
         client-side verification.
         """
-        job = self.admit(sql, user, cred, options)
+        job = self.admit(sql, user, cred, options, analyzed)
         return self.launch(job)
 
     def admit(
@@ -303,15 +307,28 @@ class Master:
         user: str,
         cred: Optional[Credential],
         options: Optional[JobOptions] = None,
+        analyzed: Optional[AnalyzedQuery] = None,
     ) -> Job:
         """The admission half of :meth:`submit`: parse, analyze, entry
         guard, plan, register.  Raises synchronously on any rejection;
-        the returned job has not yet entered the candidate queue."""
+        the returned job has not yet entered the candidate queue.
+
+        A caller that already parsed and analyzed ``sql`` (the client
+        pre-flight) passes the result as ``analyzed`` and the master does
+        not repeat that work — but only for a statement stamped with this
+        very text, since ``sql`` is what the job is registered, ledgered
+        and audited under.  The entry guard runs either way, on the
+        tables of the statement about to be planned."""
         if self._shut_down:
             raise ClusterStateError("this master has shut down; resubmit to its successor")
         options = options or JobOptions()
-        query = parse(sql)
-        analyzed = analyze(query, self.catalog)
+        if analyzed is None:
+            analyzed = analyze(parse(sql), self.catalog)
+        elif analyzed.source_sql != sql:
+            raise AnalysisError(
+                "the analyzed statement handed to the master was not parsed from the "
+                f"submitted SQL text (parsed from {analyzed.source_sql!r}, submitted {sql!r})"
+            )
         self.entry_guard.admit(user, cred, [t.name for t in analyzed.tables.values()], self.sim.now)
         plan = build_plan(analyzed)
         job = new_job(user, sql, plan, options, self.sim.now)
@@ -525,7 +542,7 @@ class Master:
                 job_gate.succeed()
 
         def launch_own(task: ScanTask) -> Event:
-            supervisor_done = self.sim.event(name=f"{task.task_id}.done")
+            supervisor_done = self.sim.event(name="task.done")
             self.job_manager.track_task(task_signature(plan, task), supervisor_done)
             self.sim.process(
                 self._task_supervisor(job, task, broadcasts, sent_broadcast_to, supervisor_done),
@@ -744,7 +761,7 @@ class Master:
             job.stats.adaptive_partitions_recovered += 1
 
         def launch_own(task: ScanTask) -> Event:
-            supervisor_done = self.sim.event(name=f"{task.task_id}.done")
+            supervisor_done = self.sim.event(name="task.done")
             self.job_manager.track_task(task_signature(plan, task), supervisor_done)
             self.sim.process(
                 self._task_supervisor(
@@ -976,7 +993,7 @@ class Master:
                     is_backup=bool(attempts),
                     attempt_index=len(attempts),
                 ),
-                name=f"{task.task_id}.attempt{len(attempts)}",
+                name="task.attempt",
             )
             attempts.append(proc)
             proc.add_callback(on_attempt)
@@ -1028,6 +1045,9 @@ class Master:
             # Dispatch flows down the tree — master [→ dc stem] → rack stem →
             # leaf — on the control class (§III-B: stems "further dissect the
             # plan to the leaf servers"; §V-C: task dispatch is control flow).
+            # ``send``, not ``deliver``, here and for the ship below: at the
+            # instant a job is emitted these hops keep their events even
+            # node-local (see ``messages.send``).
             dispatch_span = span.child("dispatch", self.sim.now) if span is not None else None
             hops = 0
             hop_from = self.address
@@ -1081,19 +1101,21 @@ class Master:
                 payload = result.payload_bytes()
                 stems_crossed = 0
                 hop_from = leaf.address
+                # Looked up again, not remembered from dispatch: a stem that
+                # died (or came back) while the leaf worked is routed around.
                 for stem in self._aggregation_path(leaf.address):
-                    yield send(self.sim, self.net, hop_from, stem.address, payload, TrafficClass.READ)
+                    yield from deliver(self.net, hop_from, stem.address, payload, TrafficClass.READ)
                     result = yield from stem.merge(result)
                     hop_from = stem.address
                     stems_crossed += 1
-                yield send(self.sim, self.net, hop_from, self.address, payload, TrafficClass.READ)
+                yield from deliver(self.net, hop_from, self.address, payload, TrafficClass.READ)
                 if return_span is not None:
                     return_span.tag("spilled", False)
                     return_span.tag("bytes", payload)
                     return_span.tag("traffic_class", "read")
                     return_span.tag("stems", stems_crossed)
-            yield send(
-                self.sim, self.net, leaf.address, self.address, STATUS_BYTES, TrafficClass.CONTROL
+            yield from deliver(
+                self.net, leaf.address, self.address, STATUS_BYTES, TrafficClass.CONTROL
             )
             if return_span is not None:
                 return_span.finish(self.sim.now)
@@ -1139,12 +1161,12 @@ class Master:
         replicas = spill_system.locations(inner)
         remote = next((r for r in replicas if r != leaf.address), None)
         if remote is not None:
-            yield send(self.sim, self.net, leaf.address, remote, int(modeled_bytes), TrafficClass.WRITE)
+            yield from deliver(self.net, leaf.address, remote, int(modeled_bytes), TrafficClass.WRITE)
         # Only the location travels the result path.
-        yield send(self.sim, self.net, leaf.address, self.address, STATUS_BYTES, TrafficClass.READ)
+        yield from deliver(self.net, leaf.address, self.address, STATUS_BYTES, TrafficClass.READ)
         # Master fetches from the nearest replica on the read flow.
         source = min(replicas, key=lambda r: self.net.distance(r, self.address))
-        yield send(self.sim, self.net, source, self.address, int(modeled_bytes), TrafficClass.READ)
+        yield from deliver(self.net, source, self.address, int(modeled_bytes), TrafficClass.READ)
         fetched = deserialize_result(spill_system.read(inner))
         spill_system.delete(inner)
         job.stats.results_spilled += 1

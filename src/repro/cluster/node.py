@@ -23,7 +23,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from repro.cluster.membership import HEARTBEAT_PERIOD_S, ClusterManager
-from repro.cluster.messages import HEARTBEAT_BYTES, WorkerLoad, send
+from repro.cluster.messages import HEARTBEAT_BYTES, WorkerLoad, deliver
 from repro.columnar.block import Block
 from repro.engine.executor import TaskResult, execute_scan_task
 from repro.errors import ClusterStateError, ExecutionError, FaultInjectedError
@@ -37,6 +37,12 @@ from repro.sim.netmodel import NetworkTopology, NodeAddress, TrafficClass
 from repro.sim.resources import Cpu, Disk, Nic, Resource, Ssd
 from repro.storage.router import StorageRouter
 from repro.storage.ssd_cache import SsdCache
+
+
+#: Entries in a leaf's parsed-block map.  An entry is the header objects
+#: of one block plus views into a payload the storage system already
+#: holds, so the bound limits bookkeeping, not data.
+PARSED_BLOCKS_MAX = 128
 
 
 @dataclass
@@ -142,6 +148,12 @@ class LeafServer:
         )
         self._btrees: Dict[Tuple[str, str], BPlusTree] = {}
         self.btree_builds = 0
+        #: Effective path → (payload, the :class:`Block` parsed from it),
+        #: oldest first.  An entry is reused only while the storage layer
+        #: hands back *that very* bytes object: a write, re-tiering,
+        #: layout publish/retract or delete replaces or drops the stored
+        #: object, so a stale parse can never be served.
+        self._parsed_blocks: Dict[str, Tuple[bytes, Block]] = {}
 
         #: Per-storage-system task slots honouring resource agreements.
         self._slots: Dict[str, Resource] = {}
@@ -235,13 +247,8 @@ class LeafServer:
                 cpu_queue_s=self.cpu.queue_delay(),
             )
             try:
-                yield send(
-                    self.sim,
-                    self.net,
-                    self.address,
-                    master_addr,
-                    HEARTBEAT_BYTES,
-                    TrafficClass.CONTROL,
+                yield from deliver(
+                    self.net, self.address, master_addr, HEARTBEAT_BYTES, TrafficClass.CONTROL
                 )
             except FaultInjectedError:
                 continue  # this beat never arrived; try again next period
@@ -322,7 +329,7 @@ class LeafServer:
                 )
             else:
                 payload = system.read(inner)
-            block = Block.from_bytes(payload)
+            block = self._parsed_block(block_path, payload)
             if (
                 self.config.enable_fused_pipelines
                 and task.row_slice is None
@@ -461,6 +468,18 @@ class LeafServer:
             self.running_tasks -= 1
             slot.release()
 
+    def _parsed_block(self, block_path: str, payload: bytes) -> Block:
+        """``Block.from_bytes(payload)``, parsed once per stored object."""
+        parsed = self._parsed_blocks
+        hit = parsed.get(block_path)
+        if hit is not None and hit[0] is payload:
+            return hit[1]
+        block = Block.from_bytes(payload)
+        if hit is None and len(parsed) >= PARSED_BLOCKS_MAX:
+            del parsed[next(iter(parsed))]
+        parsed[block_path] = (payload, block)
+        return block
+
     def _charge_io(
         self, task: ScanTask, system, inner: str, block_path: str, payload: bytes, report
     ) -> Generator[Event, None, None]:
@@ -560,13 +579,8 @@ class StemServer:
             if self.faults is not None and self.faults.heartbeat_suppressed(self.worker_id):
                 continue
             try:
-                yield send(
-                    self.sim,
-                    self.net,
-                    self.address,
-                    master_addr,
-                    HEARTBEAT_BYTES,
-                    TrafficClass.CONTROL,
+                yield from deliver(
+                    self.net, self.address, master_addr, HEARTBEAT_BYTES, TrafficClass.CONTROL
                 )
             except FaultInjectedError:
                 continue

@@ -107,12 +107,6 @@ class JobScheduler:
             if leaf is not None:
                 self._by_address.pop(leaf.address, None)
 
-    def _is_draining(self, worker_id: str) -> bool:
-        """True when the cluster manager marks the worker draining; a
-        manager without drain states (test doubles) drains nothing."""
-        is_draining = getattr(self.cluster_manager, "is_draining", None)
-        return bool(is_draining(worker_id)) if is_draining is not None else False
-
     def note_readmission(self, worker_id: str) -> None:
         """Cluster-manager callback: a dead-marked worker heartbeat again
         and is placeable once more."""
@@ -171,26 +165,29 @@ class JobScheduler:
         ]
         # Draining workers (S55) take no new tasks while their replicas
         # evacuate — unless they are the only live leaves left, in which
-        # case liveness beats drain strictness.
-        non_draining = [leaf for leaf in alive if not self._is_draining(leaf.worker_id)]
-        if non_draining:
-            alive = non_draining
+        # case liveness beats drain strictness.  A manager without drain
+        # states (test doubles) drains nothing.
+        is_draining = getattr(self.cluster_manager, "is_draining", None)
+        if is_draining is not None:
+            non_draining = [leaf for leaf in alive if not is_draining(leaf.worker_id)]
+            if non_draining:
+                alive = non_draining
         if prefer:
             preferred = [leaf for leaf in alive if leaf.worker_id in prefer]
             if preferred:
                 alive = preferred
         if not alive:
             raise SchedulingError(f"no live leaf available for task {task.task_id}")
+        system, inner = self.router.resolve(self._effective_path(task))
         if not self.locality_aware:
             with self._lock:
                 cursor = self._rr
                 self._rr += 1
             leaf = alive[cursor % len(alive)]
-            local = self._is_local(leaf, task)
+            local = leaf.address in system.locations(inner)
             self._count(local)
-            return Placement(leaf, local, self._estimate(leaf, task, cnf, local))
+            return Placement(leaf, local, self._estimate(leaf, task, cnf, local, system, inner))
 
-        system, inner = self.router.resolve(self._effective_path(task))
         replica_addrs = set(system.locations(inner))
         local_candidates = [leaf for leaf in alive if leaf.address in replica_addrs]
         if local_candidates:
@@ -208,7 +205,7 @@ class JobScheduler:
             else:
                 leaf = min(local_candidates, key=lambda lf: lf.load_snapshot().pressure)
             self._count(True)
-            return Placement(leaf, True, self._estimate(leaf, task, cnf, True))
+            return Placement(leaf, True, self._estimate(leaf, task, cnf, True, system, inner))
 
         # No replica holder available: minimize transfer + load.
         def remote_cost(leaf: LeafServer) -> float:
@@ -231,11 +228,7 @@ class JobScheduler:
 
         leaf = min(alive, key=remote_cost)
         self._count(False)
-        return Placement(leaf, False, self._estimate(leaf, task, cnf, False))
-
-    def _is_local(self, leaf: LeafServer, task: ScanTask) -> bool:
-        system, inner = self.router.resolve(self._effective_path(task))
-        return leaf.address in system.locations(inner)
+        return Placement(leaf, False, self._estimate(leaf, task, cnf, False, system, inner))
 
     def _count(self, local: bool) -> None:
         with self._lock:
@@ -245,13 +238,14 @@ class JobScheduler:
                 self.placements_remote += 1
 
     def _estimate(
-        self, leaf: LeafServer, task: ScanTask, cnf: ConjunctiveForm, local: bool
+        self, leaf: LeafServer, task: ScanTask, cnf: ConjunctiveForm, local: bool, system, inner: str
     ) -> float:
+        """Cost estimate for ``task`` on ``leaf``; ``system``/``inner`` are
+        the task's effective path as :meth:`place` resolved it."""
         if self.layouts is not None:
             # Layout-aware estimate: prices the serving replica's variant
             # and already includes the transfer leg for non-holders.
             return self.layouts.scan_seconds(task, cnf, leaf.address)
-        system, _ = self.router.resolve(self._effective_path(task))
         est = self.cost_model.task_seconds(
             task,
             cnf,
@@ -261,7 +255,6 @@ class JobScheduler:
             nbytes=self._task_bytes(task),
         )
         if not local:
-            system, inner = self.router.resolve(self._effective_path(task))
             replicas = system.locations(inner)
             if replicas:
                 nbytes = self._task_bytes(task)

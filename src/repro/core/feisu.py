@@ -36,6 +36,7 @@ from repro.security.acl import AccessControl, QuotaPolicy
 from repro.security.auth import Credential, SSOAuthority
 from repro.sim.events import Event, Simulator
 from repro.sim.netmodel import NetworkTopology, NodeAddress, TopologySpec
+from repro.sql.analyzer import AnalyzedQuery
 from repro.storage.router import StorageRouter
 from repro.storage.systems import DistributedFS, FatmanFS, KeyValueStore, LocalFS
 
@@ -416,10 +417,14 @@ class FeisuCluster:
         sql: str,
         user: Optional[str] = None,
         options: Optional[JobOptions] = None,
+        analyzed: Optional[AnalyzedQuery] = None,
     ) -> "tuple[Job, Event]":
-        """Asynchronous submission (drive ``sim`` yourself)."""
+        """Asynchronous submission (drive ``sim`` yourself).
+
+        ``analyzed`` is the statement as a client pre-flight already
+        parsed and analyzed it from ``sql``; see :meth:`Master.admit`."""
         user = user or self._default_user
-        return self.master.submit(sql, user, self._credentials.get(user), options)
+        return self.master.submit(sql, user, self._credentials.get(user), options, analyzed)
 
     def query(
         self,
@@ -444,9 +449,10 @@ class FeisuCluster:
         sql: str,
         user: Optional[str] = None,
         options: Optional[JobOptions] = None,
+        analyzed: Optional[AnalyzedQuery] = None,
     ) -> Job:
         """Like :meth:`query` but returns the full job record."""
-        job, done = self.submit(sql, user, options)
+        job, done = self.submit(sql, user, options, analyzed)
         self.sim.run_until_complete(done)
         return job
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.columnar.table import BlockRef, Table
@@ -96,6 +97,27 @@ class PhysicalPlan:
     @property
     def has_joins(self) -> bool:
         return bool(self.broadcasts)
+
+    @cached_property
+    def task_signature_base(self) -> Tuple:
+        """What every task of this plan shares of its structural identity
+        (:func:`repro.cluster.jobs.task_signature`): scan predicates,
+        aggregation fragment, residual filter and broadcast joins.  Built
+        once per plan — re-planning never rewrites these fields."""
+        analyzed = self.analyzed
+        return (
+            tuple(sorted(str(c) for c in self.scan_cnf.clauses)),
+            self.is_aggregate,
+            (
+                tuple(str(k) for k in analyzed.group_keys),
+                tuple((a.func, str(a.argument)) for a in analyzed.aggregates),
+            ),
+            str(self.post_filter),
+            tuple(
+                (bc.binding, bc.table_name, bc.columns, bc.kind.value, str(bc.condition))
+                for bc in self.broadcasts
+            ),
+        )
 
     def scan_predicate_keys(self) -> List[str]:
         """Canonical keys of every indexable scan atom (similarity stats)."""

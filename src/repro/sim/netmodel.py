@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FeisuError
 from repro.sim.events import Event, Simulator
@@ -145,6 +145,14 @@ class NetworkTopology:
         #: per-rack/per-datacenter, not per-node, so a node joining an
         #: existing rack shares that rack's ToR — no new Link objects.
         self._admitted: set = set()
+        #: Per traffic class, ``(src, dst)`` → the bottleneck link and the
+        #: other links in path order (``(None, ())`` for a node-local
+        #: pair).  Filled on first use, which is also where addresses are
+        #: validated; never invalidated, because link bandwidths are
+        #: fixed at construction and a joining node adds no link.
+        self._routes: List[Dict[tuple, Tuple[Optional[Link], Tuple[Link, ...]]]] = [
+            {} for _ in TrafficClass
+        ]
         for d in range(spec.datacenters):
             self._core[d] = Link(sim, f"core-dc{d}", CORE_BANDWIDTH_BPS, CORE_LATENCY_S)
             for r in range(spec.racks_per_datacenter):
@@ -233,16 +241,27 @@ class NetworkTopology:
         nbytes: int,
         cls: TrafficClass = TrafficClass.READ,
     ) -> Event:
+        routes = self._routes[cls]
+        route = routes.get((src, dst))
+        if route is None:
+            route = routes[(src, dst)] = self._route(src, dst, cls)
+        bottleneck, others = route
+        if bottleneck is None:
+            return self.sim.timeout(0.0, name="local-transfer")
+        delay = bottleneck.occupy(nbytes, cls)
+        for link in others:
+            delay += link.latency_s
+            link.bytes_carried += nbytes  # volume accounting on the full path
+        return self.sim.timeout(delay, name="xfer")
+
+    def _route(
+        self, src: NodeAddress, dst: NodeAddress, cls: TrafficClass
+    ) -> Tuple[Optional[Link], Tuple[Link, ...]]:
         links = self.path(src, dst)
         if not links:
-            return self.sim.timeout(0.0, name="local-transfer")
+            return None, ()
         bottleneck = min(links, key=lambda ln: ln.bandwidth_bps * CLASS_BANDWIDTH_SHARE[cls])
-        delay = bottleneck.occupy(nbytes, cls)
-        for link in links:
-            if link is not bottleneck:
-                delay += link.latency_s
-                link.bytes_carried += nbytes  # volume accounting on the full path
-        return self.sim.timeout(delay, name=f"xfer-{src}->{dst}")
+        return bottleneck, tuple(ln for ln in links if ln is not bottleneck)
 
     def transfer_time_estimate(
         self, src: NodeAddress, dst: NodeAddress, nbytes: int, cls: TrafficClass = TrafficClass.READ

@@ -14,7 +14,8 @@ Ethernet, 64 GB of memory.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from collections import deque
+from typing import Any, Deque, Optional
 
 from repro.sim.events import Event, SimulationError, Simulator
 
@@ -46,6 +47,8 @@ class Device:
     def __init__(self, sim: Simulator, name: str = "device"):
         self.sim = sim
         self.name = name
+        #: Event name for every request, built once (not per request).
+        self._event_name = f"{name}.service"
         self._free_at = 0.0
         self.busy_time = 0.0
         self.request_count = 0
@@ -64,7 +67,7 @@ class Device:
         self._free_at = end
         self.busy_time += duration
         self.request_count += 1
-        return self.sim.timeout(end - now, value=value, name=f"{self.name}.service")
+        return self.sim.timeout(end - now, value=value, name=self._event_name)
 
     def queue_delay(self) -> float:
         """Seconds a request issued now would wait before starting."""
@@ -157,6 +160,7 @@ class Cpu(Device):
         super().__init__(sim, name=name)
         if cores < 1:
             raise SimulationError("cpu needs at least one core")
+        self._event_name = f"{name}.compute"
         self.cores = cores
         self.ops_per_sec = ops_per_sec
         self._lane_free_at = [0.0] * cores
@@ -169,15 +173,16 @@ class Cpu(Device):
         if ops < 0:
             raise SimulationError(f"negative op count {ops}")
         now = self.sim.now
-        lane = min(range(self.cores), key=lambda i: self._lane_free_at[i])
-        start = max(now, self._lane_free_at[lane])
+        lanes = self._lane_free_at
+        lane = lanes.index(min(lanes))  # first least-loaded lane
+        start = max(now, lanes[lane])
         duration = self.compute_time(ops)
         end = start + duration
-        self._lane_free_at[lane] = end
+        lanes[lane] = end
         self.busy_time += duration
         self.request_count += 1
         self.ops_executed += ops
-        return self.sim.timeout(end - now, value=value, name=f"{self.name}.compute")
+        return self.sim.timeout(end - now, value=value, name=self._event_name)
 
     def queue_delay(self) -> float:
         return max(0.0, min(self._lane_free_at) - self.sim.now)
@@ -197,10 +202,11 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self.in_use = 0
-        self._waiters: List[Event] = []
+        self._grant_name = f"{name}.grant"
+        self._waiters: Deque[Event] = deque()
 
     def request(self) -> Event:
-        ev = self.sim.event(name=f"{self.name}.grant")
+        ev = self.sim.event(name=self._grant_name)
         if self.in_use < self.capacity:
             self.in_use += 1
             ev.succeed()
@@ -212,7 +218,7 @@ class Resource:
         if self.in_use <= 0:
             raise SimulationError(f"release on idle resource {self.name!r}")
         if self._waiters:
-            self._waiters.pop(0).succeed()
+            self._waiters.popleft().succeed()
         else:
             self.in_use -= 1
 
@@ -224,7 +230,7 @@ class Resource:
         self.capacity = capacity
         while self._waiters and self.in_use < self.capacity:
             self.in_use += 1
-            self._waiters.pop(0).succeed()
+            self._waiters.popleft().succeed()
 
     @property
     def queue_length(self) -> int:

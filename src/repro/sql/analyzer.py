@@ -86,6 +86,10 @@ class AnalyzedQuery:
     aggregates: List[AggregateCall]
     #: name of the first FROM table — the scan driver.
     base_binding: str
+    #: The SQL text ``query`` was parsed from, when whoever parsed it
+    #: recorded it — what lets the master accept a pre-analyzed statement
+    #: for exactly that text and no other.
+    source_sql: Optional[str] = None
 
     @property
     def is_aggregate(self) -> bool:

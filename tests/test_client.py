@@ -92,3 +92,105 @@ def test_history_since_filter(client):
     client.query("SELECT COUNT(*) FROM T")
     later = client.cluster.sim.now + 1000.0
     assert client.history.entries("dev", since=later) == []
+
+
+# -- parse once, analyze once; the master still guards (S57) -----------------
+
+
+def _count_calls(monkeypatch):
+    """Count ``parse``/``analyze`` calls made by the client and the master
+    (each module holds its own imported binding)."""
+    import repro.client.client as client_module
+    import repro.cluster.master as master_module
+    from repro.sql.analyzer import analyze
+    from repro.sql.parser import parse
+
+    calls = {"parse": 0, "analyze": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, fn in (("parse", parse), ("analyze", analyze)):
+        for module in (client_module, master_module):
+            monkeypatch.setattr(module, name, counting(name, fn))
+    return calls
+
+
+def test_query_job_parses_and_analyzes_once(client, monkeypatch):
+    calls = _count_calls(monkeypatch)
+    job = client.query_job("SELECT COUNT(*) FROM T WHERE c2 > 3")
+    assert job.result is not None and job.sql == "SELECT COUNT(*) FROM T WHERE c2 > 3"
+    assert calls == {"parse": 1, "analyze": 1}
+    # A caller that hands the master nothing still gets the master's own.
+    client.cluster.query_job("SELECT COUNT(*) FROM T WHERE c2 > 3", user="dev")
+    assert calls == {"parse": 2, "analyze": 2}
+
+
+@pytest.mark.parametrize(
+    "sql", ["SELECT a", "SELECT a, FROM T", "SELECT COUNT(*) FROM T WHERE url = 'x", "SELEC x FROM T"]
+)
+def test_guided_error_is_what_check_syntax_reports(client, sql):
+    report = client.check_syntax(sql)
+    assert not report.ok
+    with pytest.raises(ParseError) as err:
+        client.query_job(sql)
+    assert err.value.args[0] == report.message
+    assert err.value.position == report.position
+    assert err.value.text == sql
+
+
+def _preanalyzed(cluster, sql):
+    from repro.sql.analyzer import analyze
+    from repro.sql.parser import parse
+
+    analyzed = analyze(parse(sql), cluster.catalog)
+    analyzed.source_sql = sql
+    return analyzed
+
+
+def test_entry_guard_still_checks_a_preanalyzed_statement(fresh_cluster):
+    from repro.errors import QuotaExceededError
+    from repro.security.acl import Quota
+
+    sql = "SELECT COUNT(*) FROM T"
+    guard = fresh_cluster.master.entry_guard
+    # ACL: the statement's tables are checked for the submitting user.
+    fresh_cluster.create_user("intern")  # no grants at all
+    with pytest.raises(AccessDeniedError):
+        fresh_cluster.submit(sql, user="intern", analyzed=_preanalyzed(fresh_cluster, sql))
+    assert guard.rejected == 1 and guard.admitted == 0
+    # Expired credential.
+    fresh_cluster.create_user("dev", admin=True)
+    client = FeisuClient(fresh_cluster, "dev")
+    fresh_cluster._credentials["dev"] = fresh_cluster.authority.issue(
+        "dev", fresh_cluster.all_domains(), now=0.0, ttl_s=1.0
+    )
+    assert client.query_job(sql).result is not None
+    fresh_cluster.sim.run(until=2.0)
+    with pytest.raises(AccessDeniedError, match="expired"):
+        client.query_job(sql)
+    # Quota exhaustion.
+    fresh_cluster.create_user("dev", admin=True)  # a fresh credential
+    fresh_cluster.quota.set_quota("dev", Quota(max_queries_per_day=2))
+    assert client.query_job(sql).result is not None  # the second of two
+    with pytest.raises(QuotaExceededError):
+        client.query_job(sql)
+    assert guard.rejected == 3
+
+
+def test_master_refuses_a_statement_not_parsed_from_the_submitted_sql(fresh_cluster):
+    from repro.errors import AnalysisError
+    from repro.sql.analyzer import analyze
+    from repro.sql.parser import parse
+
+    other = _preanalyzed(fresh_cluster, "SELECT COUNT(*) FROM T WHERE c1 < 5")
+    unstamped = analyze(parse("SELECT COUNT(*) FROM T"), fresh_cluster.catalog)
+    for analyzed in (other, unstamped):
+        with pytest.raises(AnalysisError, match="not parsed from"):
+            fresh_cluster.submit("SELECT COUNT(*) FROM T", analyzed=analyzed)
+    assert fresh_cluster.master.job_manager.jobs == {}
+    assert fresh_cluster.master.entry_guard.admitted == 0

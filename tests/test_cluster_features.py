@@ -213,6 +213,21 @@ def test_all_stems_down_leaves_talk_to_master():
     assert r.num_rows == 1
 
 
+def test_stem_dying_mid_task_is_routed_around_not_retried():
+    """The result path is looked up when the result returns, not
+    remembered from dispatch: a stem that dies while the leaves work
+    costs no attempt (S57 measured remembering it — every in-flight
+    attempt failed at the dead stem's merge and re-ran)."""
+    cluster = _cluster()
+    job, done = cluster.submit("SELECT COUNT(*) FROM T WHERE a < 10")
+    cluster.sim.schedule(0.01, cluster.stems[0].crash)
+    cluster.sim.run_until_complete(done)
+    assert job.result is not None and job.result.num_rows == 1
+    assert any(t.finished_at > 0.01 for t in job.task_timeline)  # the crash was mid-flight
+    assert job.stats.backups_launched == 0 and job.stats.tasks_failed == 0
+    assert len(job.task_timeline) == job.stats.tasks_total
+
+
 def test_crash_mid_job_recovers_via_backup():
     cluster = _cluster()
     job, done = cluster.submit("SELECT SUM(b) FROM T WHERE a >= 0")

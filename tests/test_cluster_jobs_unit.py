@@ -1,5 +1,8 @@
 """Unit tests for task signatures and job bookkeeping."""
 
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,82 @@ def test_projection_vs_aggregate_different_signatures(catalog):
     p1 = _plan(catalog, "SELECT a FROM T WHERE a > 3")
     p2 = _plan(catalog, "SELECT COUNT(*) FROM T WHERE a > 3")
     assert task_signature(p1, p1.tasks[0]) != task_signature(p2, p2.tasks[0])
+
+
+def test_row_slice_columns_and_path_distinguish_tasks(catalog):
+    plan = _plan(catalog, "SELECT COUNT(*) FROM T WHERE a > 3")
+    task, other_block = plan.tasks[0], plan.tasks[1]
+    whole = task_signature(plan, task)
+    assert task_signature(plan, dataclasses.replace(task, row_slice=(0, 100))) != whole
+    assert task_signature(plan, dataclasses.replace(task, row_slice=(0, 100))) != task_signature(
+        plan, dataclasses.replace(task, row_slice=(100, 200))
+    )
+    assert task_signature(plan, dataclasses.replace(task, columns=("a", "b"))) != whole
+    assert task_signature(plan, other_block) != whole
+
+
+def _signature_before_s57(plan, task):
+    """``task_signature`` as it was when every call rebuilt the whole
+    tuple (before S57 hoisted the plan half): the reference formula."""
+    analyzed = plan.analyzed
+    agg_sig = (
+        tuple(str(k) for k in analyzed.group_keys),
+        tuple((a.func, str(a.argument)) for a in analyzed.aggregates),
+    )
+    broadcast_sig = tuple(
+        (bc.binding, bc.table_name, bc.columns, bc.kind.value, str(bc.condition))
+        for bc in plan.broadcasts
+    )
+    return (
+        task.block.path,
+        tuple(sorted(str(c) for c in plan.scan_cnf.clauses)),
+        task.columns,
+        plan.is_aggregate,
+        agg_sig,
+        str(plan.post_filter),
+        broadcast_sig,
+        task.row_slice,
+    )
+
+
+def test_signature_equals_the_reference_formula_over_the_corpus(small_cluster):
+    """Element for element, over the differential corpus and over the
+    slices the adaptive re-optimizer cuts tasks into."""
+    from repro.planner.adaptive import AdaptiveConfig, ReoptController, ReoptDecision
+    from tests.test_adaptive_differential import ADAPTIVE_DIFFERENTIAL_QUERIES
+    from tests.test_integration_differential import (
+        FUSED_DIFFERENTIAL_QUERIES,
+        TASK_DIFFERENTIAL_QUERIES,
+        _random_join_query,
+        _random_query,
+    )
+
+    rng = random.Random(57)
+    corpus = (
+        FUSED_DIFFERENTIAL_QUERIES
+        + TASK_DIFFERENTIAL_QUERIES
+        + ADAPTIVE_DIFFERENTIAL_QUERIES
+        + [_random_query(rng) for _ in range(40)]
+        + [_random_join_query(rng) for _ in range(12)]
+    )
+    split = ReoptDecision(0.0, 0.1, 0.5, 5.0, actions=("skew-split",), split_factor=3)
+    checked = 0
+    for sql in corpus:
+        plan = _plan(small_cluster.catalog, sql)
+        controller = ReoptController(
+            AdaptiveConfig(pilot_min_rows=64, min_split_rows=128), plan
+        )
+        tasks = (
+            list(plan.tasks)
+            + controller.pilot_wave(plan.tasks)
+            + controller.remainder_wave(plan.tasks, split)
+        )
+        for task in tasks:
+            got, want = task_signature(plan, task), _signature_before_s57(plan, task)
+            assert got == want, sql
+            assert [type(x) for x in got] == [type(x) for x in want], sql
+            checked += 1
+    assert checked > 500
 
 
 def test_new_job_snapshot(catalog):

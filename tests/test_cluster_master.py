@@ -150,3 +150,78 @@ def test_stats_surface(small_cluster):
     r = small_cluster.query("SELECT COUNT(*) FROM T WHERE c2 = 1")
     for key in ("io_bytes_modeled", "tasks_total", "response_time_s"):
         assert key in r.stats
+
+
+# -- a hop between co-located roles is not a message (S57) -------------------
+
+
+def test_deliver_creates_an_event_only_between_different_nodes():
+    from repro.cluster.messages import deliver, send
+    from repro.sim.netmodel import NetworkTopology, NodeAddress, TopologySpec, TrafficClass
+
+    sim = Simulator()
+    net = NetworkTopology(sim, TopologySpec(1, 2, 2))
+    here, there = NodeAddress(0, 0, 0), NodeAddress(0, 1, 1)
+    assert list(deliver(net, here, NodeAddress(0, 0, 0), 2048, TrafficClass.CONTROL)) == []
+    assert sim.step() is False  # nothing was scheduled
+    (event,) = list(deliver(net, here, there, 2048, TrafficClass.CONTROL))
+    sim.run_until_complete(event)
+    assert sim.now > 0.0
+    # ``send`` keeps its place in the event order even node-local.
+    at = sim.now
+    sim.run_until_complete(send(sim, net, here, here, 2048, TrafficClass.CONTROL))
+    assert sim.now == at
+
+
+def test_index_covered_query_stays_within_its_event_budget():
+    """16 covered tasks on the end-to-end benchmark's 2 x 4 cluster, where
+    master, rack-0 stem and one leaf share a node.  The count is exact
+    and repeatable (it was 323 while co-located hops on the way back up
+    the tree cost a zero-delay event each); raise the pin only with a
+    reason."""
+    from repro import DataType, Schema
+
+    cluster = FeisuCluster(FeisuConfig(datacenters=1, racks_per_datacenter=2, nodes_per_rack=4))
+    rng = np.random.default_rng(7)
+    cluster.load_table(
+        "E",
+        Schema.of(a=DataType.INT64, b=DataType.INT64),
+        {"a": rng.integers(0, 1000, 4096), "b": rng.integers(0, 1000, 4096)},
+        storage="storage-a",
+        block_rows=256,
+    )
+    sql = "SELECT COUNT(*) FROM E WHERE a < 500"
+    cluster.query(sql)  # builds the index entries
+    job, done = cluster.submit(sql)
+    steps = 0
+    while not done.triggered:
+        assert cluster.sim.step()
+        steps += 1
+    assert job.stats.tasks_total == job.stats.index_full_covers == 16
+    assert steps <= 279
+
+
+def test_node_local_hops_draw_no_fault_randomness():
+    """On one node every hop and every heartbeat is node-local: with an
+    injector installed nothing is dropped, delayed or even drawn for."""
+    from repro import DataType, Schema
+    from repro.faults.plan import FaultPlan, MessageDelay, MessageDrop
+
+    cluster = FeisuCluster(FeisuConfig(datacenters=1, racks_per_datacenter=1, nodes_per_rack=1))
+    cluster.load_table(
+        "E", Schema.of(a=DataType.INT64), {"a": np.arange(2000)}, storage="storage-a", block_rows=250
+    )
+    injector = cluster.install_faults(
+        FaultPlan().add(MessageDrop(probability=0.5), MessageDelay(extra_s=0.1, probability=0.5)),
+        seed=3,
+    )
+    rng_state = injector.rng.bit_generator.state
+    job = cluster.query_job(
+        "SELECT a FROM E WHERE a < 900", options=JobOptions(spill_threshold_bytes=1.0)
+    )
+    cluster.sim.run(until=cluster.sim.now + 12.0)  # a few heartbeat rounds
+    assert job.status is JobStatus.SUCCEEDED and job.result.num_rows == 900
+    assert job.stats.results_spilled > 0
+    assert cluster.cluster_manager.heartbeats_received > 0
+    assert injector.rng.bit_generator.state == rng_state
+    assert injector.dropped == injector.delayed == 0

@@ -113,3 +113,167 @@ def test_index_memory_accounting_visible():
     assert cluster.index_memory_used() > 0
     stats = cluster.aggregate_index_stats()
     assert stats.creations > 0
+
+
+# -- parsed-block map (S57) ---------------------------------------------------
+#
+# A leaf keeps the Block it parsed from a stored payload and reuses it
+# only while the storage layer hands back that very bytes object.  Every
+# way a path's bytes can change must therefore show in the next answer.
+
+_SCHEMA = Schema.of(a=DataType.INT64, b=DataType.FLOAT64)
+_NO_INDEX = LeafConfig(enable_smartindex=False)  # isolate the map from SmartIndex
+
+
+def _rows(n, a_value):
+    return {"a": np.full(n, a_value, dtype=np.int64), "b": np.zeros(n)}
+
+
+def _rewrite_table(cluster, columns, storage="storage-a"):
+    """The ingestion process rewriting T in place: same paths, same
+    block ids, different contents."""
+    from repro.storage.loader import store_table
+
+    table = store_table(
+        "T", _SCHEMA, columns, cluster.router, cluster.storage_by_name(storage), block_rows=500
+    )
+    cluster.catalog.replace(table)
+
+
+def _count_parses(monkeypatch):
+    from repro.columnar.block import Block
+
+    parses = []
+    original = Block.from_bytes
+    monkeypatch.setattr(
+        Block,
+        "from_bytes",
+        classmethod(lambda cls, payload: parses.append(1) or original(payload)),
+    )
+    return parses
+
+
+def _within_bound(cluster):
+    from repro.cluster.node import PARSED_BLOCKS_MAX
+
+    return all(len(leaf._parsed_blocks) <= PARSED_BLOCKS_MAX for leaf in cluster.leaves)
+
+
+def test_block_parsed_once_then_reparsed_after_overwrite_and_recreate(monkeypatch):
+    cluster = _cluster(_NO_INDEX)
+    parses = _count_parses(monkeypatch)
+    sql = "SELECT COUNT(*) FROM T WHERE a = 7"
+    before = cluster.query(sql).rows()[0][0]
+    assert before < 3000
+    assert len(parses) == 6  # one per block
+    cluster.query(sql)
+    cluster.query("SELECT SUM(b) FROM T WHERE a > 3")  # other columns, same blocks
+    assert len(parses) == 6  # same leaves, same stored objects: nothing to parse
+    settled = len(parses)
+
+    _rewrite_table(cluster, _rows(3000, 7))  # overwrite in place
+    assert cluster.query(sql).rows()[0][0] == 3000
+    assert len(parses) > settled
+
+    system = cluster.storage_by_name("storage-a")
+    for ref in cluster.catalog.get("T").blocks:  # delete, then re-create
+        system.delete(cluster.router.resolve(ref.path)[1])
+    _rewrite_table(cluster, _rows(3000, 8))
+    assert cluster.query(sql).rows()[0][0] == 0
+    assert cluster.query("SELECT COUNT(*) FROM T WHERE a = 8").rows()[0][0] == 3000
+    assert _within_bound(cluster)
+
+
+def test_layout_variant_publish_and_retract_are_seen(monkeypatch):
+    # One node: the leaf that parsed the base bytes is the one that must
+    # notice the variant, and later the retraction.
+    cluster = FeisuCluster(
+        FeisuConfig(
+            datacenters=1,
+            racks_per_datacenter=1,
+            nodes_per_rack=1,
+            leaf=LeafConfig(enable_smartindex=False, enable_layouts=True),
+        )
+    )
+    rng = np.random.default_rng(2)
+    cluster.load_table(
+        "T", _SCHEMA, {"a": rng.integers(0, 50, 3000), "b": rng.random(3000)},
+        storage="storage-a", block_rows=500,
+    )
+    parses = _count_parses(monkeypatch)
+    sql = "SELECT COUNT(*) FROM T WHERE a < 20"
+    expected = cluster.query(sql).rows()[0][0]
+    assert cluster.query(sql).rows()[0][0] == expected
+    assert len(parses) == 6
+
+    from repro.storage.layouts import LayoutSpec
+
+    system = cluster.storage_by_name("storage-a")
+    inners = [cluster.router.resolve(ref.path)[1] for ref in cluster.catalog.get("T").blocks]
+    for inner in inners:  # publish a sorted variant on the only replica
+        (node,) = system.locations(inner)
+        rewrite = cluster.layouts._rewrite(system, inner, node, LayoutSpec(sort_column="a"))
+        assert cluster.sim.run_until_complete(cluster.sim.process(rewrite))
+    settled = len(parses)
+    assert cluster.query(sql).rows()[0][0] == expected  # served by a variant
+    assert cluster.layouts.stats.variant_reads >= 1
+    assert len(parses) > settled  # the variant's bytes were parsed, not the base parse reused
+
+    for inner in inners:  # retract every variant
+        for node in system.variant_nodes(inner):
+            system.clear_replica_variant(inner, node)
+    variant_reads = cluster.layouts.stats.variant_reads
+    settled = len(parses)
+    assert cluster.query(sql).rows()[0][0] == expected  # base order again
+    assert cluster.layouts.stats.variant_reads == variant_reads
+    assert len(parses) > settled  # and the variant's parse was not reused for the base
+    assert _within_bound(cluster)
+
+
+def test_promoted_block_is_read_from_its_hot_copy():
+    cluster = _cluster(LeafConfig(enable_smartindex=False, enable_tiering=True))
+    cluster.tiering.promote_threshold = 2.0
+    cluster.load_table("F", _SCHEMA, _rows(1000, 7), storage="fatman", block_rows=500)
+    sql = "SELECT COUNT(*) FROM F WHERE a = 7"
+    for _ in range(4):
+        assert cluster.query(sql).rows()[0][0] == 1000
+        cluster.sim.run(until=cluster.sim.now + 40.0)  # let the daemon fire
+    assert cluster.tiering.stats.promotions >= 1
+    assert cluster.query(sql).rows()[0][0] == 1000
+    # The map is keyed by the path actually read: the hot copies are in it.
+    keys = {key for leaf in cluster.leaves for key in leaf._parsed_blocks}
+    assert any(cluster.tiering.effective_path(ref.path) in keys
+               for ref in cluster.catalog.get("F").blocks
+               if cluster.tiering.effective_path(ref.path) != ref.path)
+    assert _within_bound(cluster)
+
+
+def test_reingested_log_table_on_the_same_paths_returns_new_rows():
+    from repro.workload.loggen import LogIngestor, generate_log_records
+
+    cluster = _cluster(_NO_INDEX)
+    node = cluster.nodes[2]
+    LogIngestor(cluster, table_name="logs").ingest(node, generate_log_records(40, 0, 0, 1))
+    assert cluster.query("SELECT COUNT(*) FROM logs").rows()[0][0] == 40
+    cluster.catalog.drop("logs")
+    fresh = LogIngestor(cluster, table_name="logs")  # block ids restart: same paths
+    fresh.ingest(node, generate_log_records(25, 0, 1, 2))
+    assert cluster.query("SELECT COUNT(*) FROM logs").rows()[0][0] == 25
+    assert _within_bound(cluster)
+
+
+def test_parsed_block_map_is_bounded(monkeypatch):
+    import repro.cluster.node as node_module
+
+    monkeypatch.setattr(node_module, "PARSED_BLOCKS_MAX", 3)
+    cluster = FeisuCluster(
+        FeisuConfig(datacenters=1, racks_per_datacenter=1, nodes_per_rack=1, leaf=_NO_INDEX)
+    )
+    cluster.load_table("T", _SCHEMA, _rows(3000, 7), storage="storage-a", block_rows=250)
+    (leaf,) = cluster.leaves
+    for _ in range(2):
+        assert cluster.query("SELECT COUNT(*) FROM T WHERE a = 7").rows()[0][0] == 3000
+        assert len(leaf._parsed_blocks) == 3  # 12 blocks went through
+    _rewrite_table(cluster, _rows(3000, 9))
+    assert cluster.query("SELECT COUNT(*) FROM T WHERE a = 7").rows()[0][0] == 0
+    assert len(leaf._parsed_blocks) == 3

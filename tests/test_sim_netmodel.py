@@ -113,3 +113,74 @@ def test_link_utilization_reporting(net):
     sim.run()
     assert any(link.bytes_carried > 0 for link in topo.links())
     assert all(0.0 <= link.utilization() <= 1.0 for link in topo.links())
+
+
+# -- memoised routes (S57) ----------------------------------------------------
+
+
+def _transfer_before_s57(topo, src, dst, nbytes, cls):
+    """``NetworkTopology._transfer`` as it was when every message rebuilt
+    its link list and re-picked the bottleneck: the reference."""
+    links = topo.path(src, dst)
+    if not links:
+        return topo.sim.timeout(0.0)
+    bottleneck = min(links, key=lambda ln: ln.bandwidth_bps * CLASS_BANDWIDTH_SHARE[cls])
+    delay = bottleneck.occupy(nbytes, cls)
+    for link in links:
+        if link is not bottleneck:
+            delay += link.latency_s
+            link.bytes_carried += nbytes
+    return topo.sim.timeout(delay)
+
+
+def _drive_every_route(transfer_of):
+    """Every address pair x class of a 2-DC topology, three rounds: memo
+    cold, memo warm with queues still busy, and with a node admitted
+    after the memo is warm.  Returns completion times and link books."""
+    spec = TopologySpec(datacenters=2, racks_per_datacenter=2, nodes_per_rack=2)
+    sim = Simulator()
+    topo = NetworkTopology(sim, spec)
+    transfer = transfer_of(topo)
+    finished = []
+
+    def one_round(addresses, nbytes):
+        for src in addresses:
+            for dst in addresses:
+                for cls in TrafficClass:
+                    slot = len(finished)
+                    finished.append(None)
+                    transfer(src, dst, nbytes, cls).add_callback(
+                        lambda _ev, slot=slot: finished.__setitem__(slot, sim.now)
+                    )
+
+    one_round(spec.addresses(), 10_000)
+    sim.run(until=0.002)
+    one_round(spec.addresses(), 777_777)
+    newcomer = NodeAddress(1, 0, 7)
+    topo.admit_node(newcomer)
+    one_round(spec.addresses() + [newcomer], 31_337)
+    sim.run()
+    assert None not in finished
+    return finished, [(ln.name, ln.bytes_carried, ln.busy_time) for ln in topo.links()]
+
+
+def test_memoised_routes_equal_unmemoised_bit_for_bit():
+    memoised = _drive_every_route(lambda topo: topo.transfer)
+    reference = _drive_every_route(
+        lambda topo: lambda *args: _transfer_before_s57(topo, *args)
+    )
+    assert memoised == reference  # floats compared exactly
+
+
+def test_unknown_address_raises_on_first_use_and_is_not_memoised(net):
+    _, topo = net
+    inside, outside = NodeAddress(0, 0, 0), NodeAddress(0, 0, 9)
+    for _ in range(2):
+        with pytest.raises(FeisuError):
+            topo.transfer(inside, outside, 100, TrafficClass.CONTROL)
+        with pytest.raises(FeisuError):
+            topo.transfer(outside, inside, 100, TrafficClass.READ)
+    assert all(link.bytes_carried == 0 for link in topo.links())
+    topo.admit_node(outside)  # once cabled up, the same pair routes
+    topo.transfer(inside, outside, 100, TrafficClass.CONTROL)
+    assert any(link.bytes_carried == 100 for link in topo.links())

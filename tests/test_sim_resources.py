@@ -121,3 +121,40 @@ def test_resource_invalid_capacity():
     res = Resource(sim, 1)
     with pytest.raises(SimulationError):
         res.resize(0)
+
+
+# -- order-preserving shortcuts (S57) -----------------------------------------
+
+
+def test_cpu_picks_the_first_least_loaded_lane():
+    """``lanes.index(min(lanes))`` must choose what ``min(range(cores),
+    key=...)`` chose: the lowest-numbered lane among equally free ones."""
+    import random
+
+    rng = random.Random(57)
+    sim = Simulator()
+    cpu = Cpu(sim, cores=4, ops_per_sec=1.0)
+    reference = [0.0] * 4
+    for _ in range(400):
+        if rng.random() < 0.3:
+            sim.run(until=sim.now + rng.choice([0.0, 0.5, 2.0]))
+        ops = rng.choice([1.0, 1.0, 2.0, 3.5])  # repeats force ties
+        lane = min(range(4), key=lambda i: reference[i])
+        reference[lane] = max(sim.now, reference[lane]) + ops
+        cpu.compute(ops)
+        assert cpu._lane_free_at == reference
+
+
+def test_resource_waiters_are_granted_in_request_order():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    res.request()
+    granted = []
+    for name in "abcde":
+        res.request().add_callback(lambda _ev, name=name: granted.append(name))
+    res.release()
+    res.release()
+    res.resize(3)  # grants the next two at once
+    sim.run()
+    assert granted == ["a", "b", "c", "d"]
+    assert res.queue_length == 1
