@@ -50,18 +50,20 @@ class PrimaryBackup(Generic[S]):
         make_state: Callable[[], S],
         name: str = "component",
         checkpoint_interval_ops: Optional[int] = None,
+        copy_state: Callable[[S], S] = copy.deepcopy,
     ):
         self.sim = sim
         self.name = name
-        self._make_state = make_state
+        #: Copies the live primary's state for a new shadow.  A component
+        #: whose state holds only immutable values can pass a shallow one.
+        self._copy_state = copy_state
         self._primary: Optional[_Replica[S]] = _Replica(make_state())
         self._shadow: Optional[_Replica[S]] = _Replica(make_state())
+        #: Ops the shadow may still have to apply; entry i is global op
+        #: ``_log_base + i``.  The shadow is the log's only reader, so a
+        #: checkpoint empties it and nothing is kept while no shadow runs.
         self._log: List[Tuple[Callable[..., None], Tuple[Any, ...]]] = []
-        #: Ops folded into the checkpoint; log entry i is global op
-        #: ``_log_base + i``.  The log holds only the checkpoint's tail,
-        #: so it no longer grows without bound across a long-lived master.
         self._log_base = 0
-        self._checkpoint_state: Optional[S] = None
         #: Auto-checkpoint (sync + truncate) once the tail reaches this
         #: many ops; None = only explicit sync_shadow() checkpoints.
         self.checkpoint_interval_ops = checkpoint_interval_ops
@@ -73,9 +75,11 @@ class PrimaryBackup(Generic[S]):
         """Apply a mutation through the primary and log it for the shadow."""
         if self._primary is None:
             raise ClusterStateError(f"{self.name}: no primary to serve writes")
-        self._log.append((op, args))
         op(self._primary.state, *args)
         self._primary.applied += 1
+        if self._shadow is None:
+            return  # nobody to replicate to: the op is not retained
+        self._log.append((op, args))
         self._replicate()
         if (
             self.checkpoint_interval_ops is not None
@@ -85,8 +89,6 @@ class PrimaryBackup(Generic[S]):
 
     def _replicate(self) -> None:
         """Stream the op log to the shadow, keeping lag bounded."""
-        if self._shadow is None:
-            return
         while self._primary.applied - self._shadow.applied > DEFAULT_MAX_LAG_OPS:
             self._catch_up_one()
 
@@ -97,18 +99,18 @@ class PrimaryBackup(Generic[S]):
         self._shadow.applied += 1
 
     def sync_shadow(self) -> None:
-        """Drain the full log into the shadow, then checkpoint.
+        """Checkpoint: drain the full log into the shadow and truncate it.
 
-        After the drain both replicas agree, so the op log's only
-        remaining consumer is a *future* shadow bootstrap — which the
-        checkpoint now serves.  The log is therefore truncated here,
-        bounding its memory to one checkpoint interval's tail.
+        After the drain both replicas agree, so the shadow's state *is*
+        the checkpoint — no copy of it is taken.  A later shadow starts
+        from the live primary (:meth:`start_new_shadow`), so the drained
+        ops have no reader left and the log is bounded to one checkpoint
+        interval's tail at a cost independent of the history's size.
         """
         if self._shadow is None:
             return
         while self._shadow.applied < self._primary.applied:
             self._catch_up_one()
-        self._checkpoint_state = copy.deepcopy(self._primary.state)
         self._log_base = self._primary.applied
         self._log = []
 
@@ -154,21 +156,20 @@ class PrimaryBackup(Generic[S]):
             self._catch_up_one()
         self._primary = self._shadow
         self._shadow = None
+        self._log_base += len(self._log)
+        self._log = []
         self.failovers += 1
 
     def start_new_shadow(self) -> None:
-        """Bring up a fresh shadow from checkpoint-plus-tail.
+        """Bring up a fresh shadow from one copy of the live primary.
 
-        Bootstraps from the last checkpoint (if any) and replays only the
-        log tail recorded since — not the component's full history.
+        The copy is taken at ``applied = primary.applied`` with an empty
+        tail: the state a checkpoint plus a replay of the ops since would
+        reach, without keeping either around between failovers.
         """
-        if self._checkpoint_state is not None:
-            replica: _Replica[S] = _Replica(
-                copy.deepcopy(self._checkpoint_state), applied=self._log_base
-            )
-        else:
-            replica = _Replica(self._make_state(), applied=self._log_base)
-        for op, args in self._log:
-            op(replica.state, *args)
-            replica.applied += 1
-        self._shadow = replica
+        primary = self._primary
+        if primary is None:
+            raise ClusterStateError(f"{self.name}: no primary to copy a shadow from")
+        self._shadow = _Replica(self._copy_state(primary.state), applied=primary.applied)
+        self._log = []
+        self._log_base = primary.applied

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.engine.executor import QueryResult, TaskResult
 from repro.obs.trace import Tracer
@@ -20,6 +21,10 @@ from repro.planner.physical import PhysicalPlan, ScanTask
 from repro.sim.events import Event, Simulator
 
 _job_counter = itertools.count()
+
+#: Finished jobs the manager keeps reachable by id; older ones leave its
+#: registry (a caller still holding the :class:`Job` keeps its result).
+FINISHED_JOBS_RETAINED = 256
 
 
 class JobStatus(enum.Enum):
@@ -182,7 +187,12 @@ def task_signature(plan: PhysicalPlan, task: ScanTask) -> Tuple:
 
 
 class JobManager:
-    """Job registry plus the identical-task reuse cache."""
+    """Job registry plus the identical-task reuse cache.
+
+    ``jobs`` holds every unfinished job and the last
+    ``FINISHED_JOBS_RETAINED`` finished ones; what metrics report about
+    *all* jobs ever served is kept as running totals.
+    """
 
     def __init__(self, sim: Simulator, reuse_completed_window_s: float = 0.0):
         self.sim = sim
@@ -191,6 +201,15 @@ class JobManager:
         #: to recently finished ones (ablation knob).
         self.reuse_completed_window_s = reuse_completed_window_s
         self.jobs: Dict[str, Job] = {}
+        self._finished_ids: Deque[str] = deque()
+        self.jobs_total = 0
+        #: Terminal jobs by status, over the master's whole life.
+        self.finished_by_status: Dict[JobStatus, int] = {
+            JobStatus.SUCCEEDED: 0,
+            JobStatus.FAILED: 0,
+            JobStatus.TIMED_OUT: 0,
+        }
+        self.results_spilled = 0
         self._in_flight: Dict[Tuple, Event] = {}
         self._completed: Dict[Tuple, Tuple[TaskResult, float]] = {}
         self.reuse_hits_running = 0
@@ -198,6 +217,15 @@ class JobManager:
 
     def register(self, job: Job) -> None:
         self.jobs[job.job_id] = job
+        self.jobs_total += 1
+
+    def retire(self, job: Job) -> None:
+        """``job`` reached its terminal status: count it, and let the
+        oldest finished job beyond the retained window leave the registry."""
+        self.finished_by_status[job.status] += 1
+        self._finished_ids.append(job.job_id)
+        if len(self._finished_ids) > FINISHED_JOBS_RETAINED:
+            self.jobs.pop(self._finished_ids.popleft(), None)
 
     # -- task reuse ------------------------------------------------------
 
@@ -220,22 +248,14 @@ class JobManager:
         return None
 
     def track_task(self, sig: Tuple, done: Event) -> None:
-        """Publish an in-flight task for other jobs to piggyback on."""
+        """Publish an in-flight task for other jobs to piggyback on; its
+        owner calls :meth:`settle_task` from its callback on ``done``."""
         self._in_flight[sig] = done
 
-        def on_done(ev: Event) -> None:
-            if self._in_flight.get(sig) is done:
-                del self._in_flight[sig]
-            if ev.ok and self.reuse_completed_window_s > 0:
-                self._completed[sig] = (ev.value, self.sim.now)
-
-        done.add_callback(on_done)
-
-    # -- reporting ---------------------------------------------------------
-
-    def finished_jobs(self) -> List[Job]:
-        return [
-            j
-            for j in self.jobs.values()
-            if j.status in (JobStatus.SUCCEEDED, JobStatus.FAILED, JobStatus.TIMED_OUT)
-        ]
+    def settle_task(self, sig: Tuple, done: Event) -> None:
+        """``done`` resolved: withdraw the task from the in-flight table
+        and, inside the reuse window, remember its result."""
+        if self._in_flight.get(sig) is done:
+            del self._in_flight[sig]
+        if done.ok and self.reuse_completed_window_s > 0:
+            self._completed[sig] = (done.value, self.sim.now)

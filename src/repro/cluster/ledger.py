@@ -53,11 +53,15 @@ class JobLedger:
     def __init__(self, sim: Simulator, checkpoint_interval_ops: int = 256):
         self.sim = sim
         # The checkpoint interval bounds the op log: every N ops the
-        # shadow is drained, the state checkpointed and the log truncated
-        # to its tail — a long-lived master's ledger no longer grows
-        # linearly with every job ever run.
+        # shadow is drained and the log truncated to its tail.  Entries
+        # are frozen, so a new shadow needs only a shallow copy of the
+        # primary's dict.
         self._pb: PrimaryBackup[Dict] = PrimaryBackup(
-            sim, dict, name="job-ledger", checkpoint_interval_ops=checkpoint_interval_ops
+            sim,
+            dict,
+            name="job-ledger",
+            checkpoint_interval_ops=checkpoint_interval_ops,
+            copy_state=dict.copy,
         )
 
     # -- writes (called by the master) --------------------------------------

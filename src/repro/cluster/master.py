@@ -108,6 +108,7 @@ def _straggler_watchdog(
     estimates: List[float],
     launch_times: List[float],
     launch,
+    armed: Optional[List[Event]] = None,
 ) -> Generator[Event, None, None]:
     """Back up the *newest in-flight* attempt once it is overdue.
 
@@ -122,13 +123,19 @@ def _straggler_watchdog(
     * otherwise the attempt is a genuine straggler → launch one backup.
 
     The shared ``attempts``/``estimates``/``launch_times`` lists are the
-    supervisor's own records; ``launch`` is its placement closure.
+    supervisor's own records; ``launch`` is its placement closure.  The
+    deadline timer being slept on is kept in ``armed`` (when given), so
+    whoever resolves ``done`` can :meth:`~Event.abandon` it instead of
+    leaving this generator suspended until a deadline nobody needs.
     """
     watched = 0
     while not done.triggered:
         target = launch_times[watched] + deadline_for(estimates[watched])
         if target > sim.now:
-            yield sim.timeout(target - sim.now)
+            timer = sim.timeout(target - sim.now)
+            if armed is not None:
+                armed[:] = [timer]
+            yield timer
         if done.triggered:
             return
         newest = len(attempts) - 1
@@ -367,6 +374,7 @@ class Master:
 
     def _record_terminal(self, job: Job) -> None:
         self._active.pop(job.job_id, None)
+        self.job_manager.retire(job)
         if job.trace is not None and job.trace.root is not None:
             # Close the root and clamp any attempt spans a timeout or
             # cancel left open; root duration == job.response_time_s.
@@ -541,14 +549,8 @@ class Master:
             elif early_ratio is not None and completed / total >= early_ratio:
                 job_gate.succeed()
 
-        def launch_own(task: ScanTask) -> Event:
-            supervisor_done = self.sim.event(name="task.done")
-            self.job_manager.track_task(task_signature(plan, task), supervisor_done)
-            self.sim.process(
-                self._task_supervisor(job, task, broadcasts, sent_broadcast_to, supervisor_done),
-                name=task.task_id,
-            )
-            return supervisor_done
+        def launch_own(task: ScanTask) -> None:
+            self._launch_tracked(job, task, broadcasts, sent_broadcast_to, on_task(task))
 
         def on_task(task: ScanTask, fallback_allowed: bool = False):
             def cb(ev: Event) -> None:
@@ -565,7 +567,7 @@ class Master:
                     # our own turned one job's bad luck into every
                     # piggybacker's.  Fall back to our own supervisor once.
                     reused.discard(task.task_id)
-                    launch_own(task).add_callback(on_task(task))
+                    launch_own(task)
                     return
                 else:
                     failed.add(task.task_id)
@@ -580,7 +582,7 @@ class Master:
                 reused.add(task.task_id)
                 shared.add_callback(on_task(task, fallback_allowed=True))
                 continue
-            launch_own(task).add_callback(on_task(task))
+            launch_own(task)
 
         if job.options.max_time_s is not None:
             def deadline() -> None:
@@ -760,17 +762,11 @@ class Master:
             # partition of the current wave re-runs, nothing else.
             job.stats.adaptive_partitions_recovered += 1
 
-        def launch_own(task: ScanTask) -> Event:
-            supervisor_done = self.sim.event(name="task.done")
-            self.job_manager.track_task(task_signature(plan, task), supervisor_done)
-            self.sim.process(
-                self._task_supervisor(
-                    job, task, broadcasts, sent_broadcast_to, supervisor_done,
-                    estimate_scale=estimate_scale, prefer=prefer, on_retry=on_retry,
-                ),
-                name=task.task_id,
+        def launch_own(task: ScanTask) -> None:
+            self._launch_tracked(
+                job, task, broadcasts, sent_broadcast_to, on_task(task),
+                estimate_scale=estimate_scale, prefer=prefer, on_retry=on_retry,
             )
-            return supervisor_done
 
         def on_task(task: ScanTask, fallback_allowed: bool = False):
             def cb(ev: Event) -> None:
@@ -784,7 +780,7 @@ class Master:
                         job.stats.tasks_reused += 1
                 elif fallback_allowed:
                     reused.discard(task.task_id)
-                    launch_own(task).add_callback(on_task(task))
+                    launch_own(task)
                     return
                 else:
                     failed.add(task.task_id)
@@ -799,7 +795,7 @@ class Master:
                 reused.add(task.task_id)
                 shared.add_callback(on_task(task, fallback_allowed=True))
                 continue
-            launch_own(task).add_callback(on_task(task))
+            launch_own(task)
 
         if deadline_at is not None:
             def deadline() -> None:
@@ -941,6 +937,34 @@ class Master:
 
     # -- per-task supervision (dispatch, stem routing, backups) ---------------------
 
+    def _launch_tracked(
+        self,
+        job: Job,
+        task: ScanTask,
+        broadcasts: Dict[str, Frame],
+        sent_broadcast_to: Set[str],
+        on_result,
+        **supervisor_options,
+    ) -> None:
+        """Start ``task``'s own supervisor, published for identical-task
+        reuse.  One callback on its completion settles the job manager's
+        in-flight entry and then hands the outcome to ``on_result``."""
+        done = self.sim.event(name="task.done")
+        sig = task_signature(job.plan, task)
+        self.job_manager.track_task(sig, done)
+        self.sim.process(
+            self._task_supervisor(
+                job, task, broadcasts, sent_broadcast_to, done, **supervisor_options
+            ),
+            name=task.task_id,
+        )
+
+        def on_done(ev: Event) -> None:
+            self.job_manager.settle_task(sig, ev)
+            on_result(ev)
+
+        done.add_callback(on_done)
+
     def _task_supervisor(
         self,
         job: Job,
@@ -957,22 +981,31 @@ class Master:
         estimates: List[float] = []
         launch_times: List[float] = []
         failures = [0]
+        #: The watchdog's pending deadline timer, if it is asleep on one.
+        armed: List[Event] = []
 
-        def on_attempt(ev: Event) -> None:
+        def on_attempt(value: Optional[TaskResult], exc: Optional[Exception]) -> None:
+            # Called by the attempt itself as its last step (not as a
+            # callback on its process, which would cost every task one
+            # more zero-delay event to learn what the attempt knows).
             if done.triggered:
                 return
-            if ev.ok:
-                done.succeed(ev.value)
-                return
-            failures[0] += 1
-            if failures[0] >= MAX_TASK_ATTEMPTS:
-                done.fail(ev._exc)  # noqa: SLF001
-                return
-            launched = _launch()
-            if launched and on_retry is not None:
-                on_retry(task)
-            if not launched and failures[0] >= len(attempts):
-                done.fail(ev._exc)  # noqa: SLF001
+            if exc is None:
+                done.succeed(value)
+            else:
+                failures[0] += 1
+                if failures[0] < MAX_TASK_ATTEMPTS:
+                    launched = _launch()
+                    if launched and on_retry is not None:
+                        on_retry(task)
+                    if launched or failures[0] < len(attempts):
+                        return
+                done.fail(exc)
+            # The task is resolved: the watchdog's timer dies with it.  Its
+            # slot keeps its time on the queue but no longer wakes (or keeps
+            # alive) this supervisor, its attempts and the job behind them.
+            for timer in armed:
+                timer.abandon()
 
         def _launch() -> bool:
             try:
@@ -989,14 +1022,13 @@ class Master:
             launch_times.append(self.sim.now)
             proc = self.sim.process(
                 self._task_flow(
-                    job, task, placement, broadcasts, sent_broadcast_to,
+                    job, task, placement, broadcasts, sent_broadcast_to, on_attempt,
                     is_backup=bool(attempts),
                     attempt_index=len(attempts),
                 ),
                 name="task.attempt",
             )
             attempts.append(proc)
-            proc.add_callback(on_attempt)
             if len(attempts) > 1:
                 job.stats.backups_launched += 1
             return True
@@ -1013,7 +1045,7 @@ class Master:
         if job.options.enable_backup:
             yield from _straggler_watchdog(
                 self.sim, self.scheduler.backup_deadline, done,
-                attempts, estimates, launch_times, _launch,
+                attempts, estimates, launch_times, _launch, armed,
             )
         if not done.triggered:
             yield done
@@ -1025,9 +1057,12 @@ class Master:
         placement: Placement,
         broadcasts: Dict[str, Frame],
         sent_broadcast_to: Set[str],
+        report,
         is_backup: bool = False,
         attempt_index: int = 0,
     ) -> Generator[Event, None, TaskResult]:
+        """One attempt of ``task`` on ``placement.leaf``; its outcome goes
+        to the supervisor's ``report(result, exc)`` before it returns."""
         leaf = placement.leaf
         attempt_started = self.sim.now
         root = job.trace.root if job.trace is not None else None
@@ -1122,6 +1157,8 @@ class Master:
         except BaseException as exc:
             if span is not None:
                 span.tag("error", str(exc))
+            if isinstance(exc, Exception):  # not a generator being closed
+                report(None, exc)
             raise
         finally:
             if span is not None:
@@ -1138,6 +1175,7 @@ class Master:
                 backup=is_backup,
             )
         )
+        report(result, None)
         return result
 
     def _spill_result(
@@ -1170,6 +1208,7 @@ class Master:
         fetched = deserialize_result(spill_system.read(inner))
         spill_system.delete(inner)
         job.stats.results_spilled += 1
+        self.job_manager.results_spilled += 1
         return fetched
 
     def _spill_system(self):

@@ -132,14 +132,14 @@ def collect_metrics(cluster) -> ClusterMetrics:
     )
     m.index_memory_bytes = cluster.index_memory_used()
 
-    jobs = cluster.master.job_manager.jobs.values()
-    m.jobs_total = len(jobs)
-    m.jobs_succeeded = sum(j.status is JobStatus.SUCCEEDED for j in jobs)
-    m.jobs_failed = sum(j.status is JobStatus.FAILED for j in jobs)
-    m.jobs_timed_out = sum(j.status is JobStatus.TIMED_OUT for j in jobs)
+    job_manager = cluster.master.job_manager
+    m.jobs_total = job_manager.jobs_total
+    m.jobs_succeeded = job_manager.finished_by_status[JobStatus.SUCCEEDED]
+    m.jobs_failed = job_manager.finished_by_status[JobStatus.FAILED]
+    m.jobs_timed_out = job_manager.finished_by_status[JobStatus.TIMED_OUT]
     m.heartbeats_received = cluster.cluster_manager.heartbeats_received
     m.jobs_queued = cluster.master.queued_jobs
-    m.results_spilled = sum(j.stats.results_spilled for j in jobs)
+    m.results_spilled = job_manager.results_spilled
 
     gateway = getattr(cluster, "gateway", None)
     if gateway is not None:

@@ -32,6 +32,11 @@ from repro.storage.router import StorageRouter
 BACKUP_FACTOR = 3.0
 #: Floor on the overdue threshold, in simulated seconds.
 BACKUP_MIN_S = 2.0
+#: Entries the (block, column-set) byte-size memo keeps; the oldest goes
+#: first, so tables that were dropped or reloaded age out of it.
+TASK_BYTES_CACHE_ENTRIES = 1 << 16
+#: How many re-admitted worker ids the scheduler remembers by name.
+RECENT_READMISSIONS = 64
 
 
 @dataclass
@@ -79,6 +84,11 @@ class JobScheduler:
         self.task_bytes_hits = 0
         self.task_bytes_misses = 0
         self._leaves: Dict[str, LeafServer] = {}
+        #: Registration index per worker — ``_leaves``' insertion order,
+        #: so a block's holders can be put in the order a scan of every
+        #: leaf would meet them (``min`` breaks ties on it).
+        self._order: Dict[str, int] = {}
+        self._registrations = 0
         #: Address → leaf map; ``leaf_at`` used to scan every leaf per
         #: call, O(n) on the result-return path of every task.
         self._by_address: Dict[NodeAddress, LeafServer] = {}
@@ -91,26 +101,36 @@ class JobScheduler:
         # neither skips nor double-counts a slot.
         self._lock = threading.RLock()
         #: Workers explicitly re-admitted after being declared dead
-        #: (wired to :meth:`ClusterManager.on_readmit`).
+        #: (wired to :meth:`ClusterManager.on_readmit`): a running count
+        #: and the most recent ids, oldest first.
+        self.readmissions = 0
         self.readmitted_workers: List[str] = []
 
     def register_leaf(self, leaf: LeafServer) -> None:
         with self._lock:
             self._leaves[leaf.worker_id] = leaf
             self._by_address[leaf.address] = leaf
+            # Re-registering a known id keeps its place, as in the dict;
+            # unregister + register moves it to the end.
+            if leaf.worker_id not in self._order:
+                self._order[leaf.worker_id] = self._registrations
+                self._registrations += 1
 
     def unregister_leaf(self, worker_id: str) -> None:
         """Forget a decommissioned leaf (S55): it stops being a placement
         candidate and ``leaf_at`` no longer resolves its address."""
         with self._lock:
             leaf = self._leaves.pop(worker_id, None)
+            self._order.pop(worker_id, None)
             if leaf is not None:
                 self._by_address.pop(leaf.address, None)
 
     def note_readmission(self, worker_id: str) -> None:
         """Cluster-manager callback: a dead-marked worker heartbeat again
         and is placeable once more."""
+        self.readmissions += 1
         self.readmitted_workers.append(worker_id)
+        del self.readmitted_workers[:-RECENT_READMISSIONS]
 
     def leaves(self) -> List[LeafServer]:
         return list(self._leaves.values())
@@ -130,6 +150,8 @@ class JobScheduler:
             return cached
         self.task_bytes_misses += 1
         nbytes = task.block.bytes_for(task.columns) * task.block.scale_factor
+        if len(self._task_bytes_cache) >= TASK_BYTES_CACHE_ENTRIES:
+            del self._task_bytes_cache[next(iter(self._task_bytes_cache))]
         self._task_bytes_cache[key] = nbytes
         return nbytes
 
@@ -156,6 +178,31 @@ class JobScheduler:
         remainder tasks with leaves that already hold the broadcast
         frames, avoiding a second dimension-table ship.
         """
+        system, inner = self.router.resolve(self._effective_path(task))
+        is_draining = getattr(self.cluster_manager, "is_draining", None)
+        if self.locality_aware and not prefer:
+            # Holder-first: a live, non-draining holder proves the global
+            # non-draining list non-empty, so the registry-wide filters
+            # below would select exactly these leaves — start from the
+            # block's replicas instead of from every registered leaf.
+            holders = []
+            for addr in system.locations(inner):
+                leaf = self._by_address.get(addr)
+                if (
+                    leaf is not None
+                    and self._leaves.get(leaf.worker_id) is leaf
+                    and leaf.alive
+                    and self.cluster_manager.is_alive(leaf.worker_id)
+                    and leaf.worker_id not in exclude
+                    and not (is_draining is not None and is_draining(leaf.worker_id))
+                ):
+                    holders.append(leaf)
+            if holders:
+                holders.sort(key=lambda lf: self._order[lf.worker_id])
+                return self._place_on_holder(holders, task, cnf, system, inner)
+
+        # Fall-through (no eligible holder, ``prefer`` given, round-robin
+        # ablation, every live leaf draining): filter the whole registry.
         alive = [
             leaf
             for leaf in self._leaves.values()
@@ -167,7 +214,6 @@ class JobScheduler:
         # evacuate — unless they are the only live leaves left, in which
         # case liveness beats drain strictness.  A manager without drain
         # states (test doubles) drains nothing.
-        is_draining = getattr(self.cluster_manager, "is_draining", None)
         if is_draining is not None:
             non_draining = [leaf for leaf in alive if not is_draining(leaf.worker_id)]
             if non_draining:
@@ -178,7 +224,6 @@ class JobScheduler:
                 alive = preferred
         if not alive:
             raise SchedulingError(f"no live leaf available for task {task.task_id}")
-        system, inner = self.router.resolve(self._effective_path(task))
         if not self.locality_aware:
             with self._lock:
                 cursor = self._rr
@@ -191,21 +236,7 @@ class JobScheduler:
         replica_addrs = set(system.locations(inner))
         local_candidates = [leaf for leaf in alive if leaf.address in replica_addrs]
         if local_candidates:
-            if self.layouts is not None:
-                # Trojan replicas (S54): holders are not interchangeable —
-                # score each by the layout its copy serves, load-broken.
-                leaf = min(
-                    local_candidates,
-                    key=lambda lf: (
-                        self.layouts.scan_seconds(task, cnf, lf.address)
-                        + 0.05 * lf.load_snapshot().pressure,
-                        lf.worker_id,
-                    ),
-                )
-            else:
-                leaf = min(local_candidates, key=lambda lf: lf.load_snapshot().pressure)
-            self._count(True)
-            return Placement(leaf, True, self._estimate(leaf, task, cnf, True, system, inner))
+            return self._place_on_holder(local_candidates, task, cnf, system, inner)
 
         # No replica holder available: minimize transfer + load.
         def remote_cost(leaf: LeafServer) -> float:
@@ -229,6 +260,27 @@ class JobScheduler:
         leaf = min(alive, key=remote_cost)
         self._count(False)
         return Placement(leaf, False, self._estimate(leaf, task, cnf, False, system, inner))
+
+    def _place_on_holder(
+        self, holders: List[LeafServer], task: ScanTask, cnf: ConjunctiveForm, system, inner: str
+    ) -> Placement:
+        """The §III-B local choice among replica ``holders``, given in
+        registration order (``min`` keeps the first of equals)."""
+        if self.layouts is not None:
+            # Trojan replicas (S54): holders are not interchangeable —
+            # score each by the layout its copy serves, load-broken.
+            leaf = min(
+                holders,
+                key=lambda lf: (
+                    self.layouts.scan_seconds(task, cnf, lf.address)
+                    + 0.05 * lf.load_snapshot().pressure,
+                    lf.worker_id,
+                ),
+            )
+        else:
+            leaf = min(holders, key=lambda lf: lf.load_snapshot().pressure)
+        self._count(True)
+        return Placement(leaf, True, self._estimate(leaf, task, cnf, True, system, inner))
 
     def _count(self, local: bool) -> None:
         with self._lock:

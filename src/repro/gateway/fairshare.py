@@ -21,6 +21,10 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.gateway.config import TenantPolicy
 from repro.gateway.session import GatewayQuery
 
+#: Closed backlog intervals a tenant keeps, newest last: enough for a
+#: fairness measurement over any recent run, not a log of every drain.
+BACKLOG_SPANS_RETAINED = 4096
+
 
 class TenantQueue:
     """One tenant's admission queue plus its serving books."""
@@ -49,7 +53,7 @@ class TenantQueue:
         #: Closed backlog intervals, for windowed fairness measurement
         #: (fairness is only meaningful between tenants whose backlogs
         #: overlap in time).
-        self.backlog_spans: List[Tuple[float, float]] = []
+        self.backlog_spans: Deque[Tuple[float, float]] = deque(maxlen=BACKLOG_SPANS_RETAINED)
         self._backlog_since: Optional[float] = None
 
     @property

@@ -94,6 +94,9 @@ class SQLGateway:
                 "FIFO candidate queue would re-order fair-share emissions"
             )
         self.admission = AdmissionController(self.config)
+        #: Live sessions — open, or closed with queries still to resolve —
+        #: and their handles by id.  A closed session whose last query has
+        #: resolved leaves both (handles the caller holds keep working).
         self.sessions: Dict[str, GatewaySession] = {}
         self.queries: Dict[str, GatewayQuery] = {}
         self._session_ids = itertools.count()
@@ -126,6 +129,19 @@ class SQLGateway:
 
     def open_sessions(self) -> List[GatewaySession]:
         return [s for s in self.sessions.values() if s.state is SessionState.OPEN]
+
+    def _retire_session(self, session: GatewaySession) -> None:
+        """Forget ``session`` and its handles once it is closed and every
+        query it submitted is terminal.  The session lets go of its
+        handles too (they keep pointing at it, not it at them), so what
+        the caller no longer holds is freed without waiting for a cycle
+        collection."""
+        if session.state is SessionState.OPEN or session.active_queries():
+            return
+        if self.sessions.pop(session.session_id, None) is not None:
+            for query in session.queries:
+                self.queries.pop(query.query_id, None)
+            session.queries.clear()
 
     # -- submission (called via GatewaySession.submit) --------------------
 
@@ -252,7 +268,8 @@ class SQLGateway:
         if query._span is not None:  # noqa: SLF001
             query._span.tag("status", status.value)  # noqa: SLF001
             query._span.finish_tree(self.cluster.sim.now)  # noqa: SLF001
-        query.done.succeed(query)
+        query.done.succeed(status)
+        self._retire_session(query.session)
 
     # -- kill & timeout ---------------------------------------------------
 
@@ -295,6 +312,7 @@ class SQLGateway:
                 query, QueryCancelled(f"session {session.session_id} killed")
             ):
                 killed += 1
+        self._retire_session(session)
         return killed
 
     def _expire(self, query: GatewayQuery) -> None:

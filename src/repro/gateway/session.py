@@ -51,10 +51,12 @@ class SessionState(enum.Enum):
 class GatewayQuery:
     """One submission's lifecycle through the gateway.
 
-    ``done`` fires (with the handle itself as value) exactly once, when
-    the query reaches a terminal status — whether it ran, was rejected
-    by the master's entry guard at emission, was killed with its
-    session, or timed out while still queued.
+    ``done`` fires exactly once, when the query reaches a terminal
+    status — whether it ran, was rejected by the master's entry guard at
+    emission, was killed with its session, or timed out while still
+    queued.  Its value is that :class:`QueryStatus`, not the handle: an
+    event holding the handle that holds it would keep a dropped handle,
+    its job and its result rows alive until a cycle collection.
     """
 
     __slots__ = (
@@ -226,6 +228,7 @@ class GatewaySession:
         """Stop accepting submissions; in-flight queries finish normally."""
         if self.state is SessionState.OPEN:
             self.state = SessionState.CLOSED
+            self.gateway._retire_session(self)  # noqa: SLF001
 
     def kill(self) -> int:
         """Tear the session down: queued queries resolve ``KILLED``

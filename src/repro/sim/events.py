@@ -72,6 +72,15 @@ class Event:
         else:
             self._callbacks.append(fn)
 
+    def abandon(self) -> None:
+        """Drop every waiter of this event.
+
+        For a pending timer whose waiters have nothing left to do: its
+        slot on the queue keeps its time, so the clock still advances
+        there, but it wakes nobody and holds nothing alive.
+        """
+        self._callbacks = []
+
     def succeed(self, value: Any = None) -> "Event":
         self._resolve(value, None)
         return self

@@ -90,6 +90,9 @@ class AnalyzedQuery:
     #: recorded it — what lets the master accept a pre-analyzed statement
     #: for exactly that text and no other.
     source_sql: Optional[str] = None
+    #: :meth:`columns_of` answers per binding, filled on first use — the
+    #: query is not rewritten once analysis has returned it.
+    _columns_of: Dict[str, List[str]] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def is_aggregate(self) -> bool:
@@ -105,7 +108,11 @@ class AnalyzedQuery:
         return _infer_type(expr, self)
 
     def columns_of(self, binding: str) -> List[str]:
-        """Column names of ``binding`` referenced anywhere in the query."""
+        """Column names of ``binding`` referenced anywhere in the query
+        (sorted; the list is shared between calls — do not mutate it)."""
+        cached = self._columns_of.get(binding)
+        if cached is not None:
+            return cached
         wanted = set()
         exprs: List[Expr] = list(self.output_exprs) + list(self.group_keys)
         if self.query.where is not None:
@@ -123,7 +130,8 @@ class AnalyzedQuery:
                     res = self.resolutions.get((node.table, node.name))
                     if res is not None and res.binding == binding:
                         wanted.add(res.field.name)
-        return sorted(wanted)
+        columns = self._columns_of[binding] = sorted(wanted)
+        return columns
 
     @property
     def order_by(self) -> Tuple[OrderItem, ...]:

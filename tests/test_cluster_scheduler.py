@@ -1,9 +1,10 @@
 """Scheduler placement policy and backup deadlines."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import FeisuCluster, FeisuConfig, Schema, DataType
-from repro.cluster.scheduler import BACKUP_FACTOR, BACKUP_MIN_S
+from repro.cluster.scheduler import BACKUP_FACTOR, BACKUP_MIN_S, Placement
 from repro.errors import SchedulingError
 from repro.planner.physical import build_plan
 from repro.sql.analyzer import analyze
@@ -137,3 +138,201 @@ def test_cross_datacenter_data_is_slower():
     # and the far cluster's WAN links actually carried the data
     wan_far = sum(ln.bytes_carried for ln in far.net.links() if ln.name.startswith("wan"))
     assert wan_far > 0
+
+
+# -- holder-first placement ≡ the full registry scan -------------------------
+#
+# ``JobScheduler.place`` starts from the block's replica holders and only
+# falls through to filtering every registered leaf when no holder is
+# eligible.  ``_reference_place`` is the body it had when it scanned the
+# registry for every task; the two must agree on every decision.
+
+
+def _reference_place(self, task, cnf, exclude=(), prefer=()):
+    alive = [
+        leaf
+        for leaf in self._leaves.values()
+        if leaf.alive
+        and self.cluster_manager.is_alive(leaf.worker_id)
+        and leaf.worker_id not in exclude
+    ]
+    is_draining = getattr(self.cluster_manager, "is_draining", None)
+    if is_draining is not None:
+        non_draining = [leaf for leaf in alive if not is_draining(leaf.worker_id)]
+        if non_draining:
+            alive = non_draining
+    if prefer:
+        preferred = [leaf for leaf in alive if leaf.worker_id in prefer]
+        if preferred:
+            alive = preferred
+    if not alive:
+        raise SchedulingError(f"no live leaf available for task {task.task_id}")
+    system, inner = self.router.resolve(self._effective_path(task))
+    if not self.locality_aware:
+        with self._lock:
+            cursor = self._rr
+            self._rr += 1
+        leaf = alive[cursor % len(alive)]
+        local = leaf.address in system.locations(inner)
+        self._count(local)
+        return Placement(leaf, local, self._estimate(leaf, task, cnf, local, system, inner))
+
+    replica_addrs = set(system.locations(inner))
+    local_candidates = [leaf for leaf in alive if leaf.address in replica_addrs]
+    if local_candidates:
+        if self.layouts is not None:
+            leaf = min(
+                local_candidates,
+                key=lambda lf: (
+                    self.layouts.scan_seconds(task, cnf, lf.address)
+                    + 0.05 * lf.load_snapshot().pressure,
+                    lf.worker_id,
+                ),
+            )
+        else:
+            leaf = min(local_candidates, key=lambda lf: lf.load_snapshot().pressure)
+        self._count(True)
+        return Placement(leaf, True, self._estimate(leaf, task, cnf, True, system, inner))
+
+    def remote_cost(leaf):
+        if self.layouts is not None:
+            xfer = min(
+                self.net.transfer_time_estimate(
+                    addr, leaf.address, int(self.layouts.replica_bytes(task, addr))
+                )
+                for addr in replica_addrs
+            ) if replica_addrs else 0.0
+        else:
+            nbytes = self._task_bytes(task)
+            xfer = min(
+                self.net.transfer_time_estimate(addr, leaf.address, int(nbytes))
+                for addr in replica_addrs
+            ) if replica_addrs else 0.0
+        return xfer + 0.05 * leaf.load_snapshot().pressure
+
+    leaf = min(alive, key=remote_cost)
+    self._count(False)
+    return Placement(leaf, False, self._estimate(leaf, task, cnf, False, system, inner))
+
+
+class _NoDrainManager:
+    """A cluster-manager double that knows liveness and nothing else."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def is_alive(self, worker_id):
+        return self._inner.is_alive(worker_id)
+
+
+class _FakeLayouts:
+    """Layout scorer double: a coarse score per address, so holders tie."""
+
+    def __init__(self, scores):
+        self._scores = scores
+
+    def scan_seconds(self, task, cnf, address):
+        return self._scores.get(address, 0.5)
+
+    def replica_bytes(self, task, address):
+        return 1000.0 * (1 + self._scores.get(address, 0.5))
+
+
+_N_LEAVES = 8
+#: Small, so that most examples leave some holder eligible (the early
+#: exit) while a good share leave none (the fall-through).
+_subset = st.sets(st.integers(0, _N_LEAVES - 1), max_size=2)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=list(HealthCheck))
+@given(
+    replicas=st.lists(st.integers(0, _N_LEAVES - 1), max_size=4, unique=True),
+    crashed=_subset,
+    manager_dead=_subset,
+    draining=_subset,
+    exclude=st.sets(st.integers(0, _N_LEAVES - 1), max_size=4),
+    prefer=st.sampled_from([set(), set(), {1}, {2, 5}, {0, 3, 6}]),
+    reregistered=st.lists(st.integers(0, _N_LEAVES - 1), max_size=4),
+    running=st.lists(st.integers(0, 2), min_size=_N_LEAVES, max_size=_N_LEAVES),
+    layout_scores=st.none() | st.lists(
+        st.sampled_from([0.25, 0.5]), min_size=_N_LEAVES, max_size=_N_LEAVES
+    ),
+    locality_aware=st.sampled_from([True, True, True, False]),
+    drainless_manager=st.booleans(),
+    rr=st.integers(0, 20),
+)
+def test_holder_first_place_equals_registry_scan(
+    env, replicas, crashed, manager_dead, draining, exclude, prefer, reregistered,
+    running, layout_scores, locality_aware, drainless_manager, rr,
+):
+    cluster, plan = env
+    sched, manager = cluster.scheduler, cluster.cluster_manager
+    leaves = list(cluster.leaves)
+    task = plan.tasks[0]
+    system, inner = cluster.router.resolve(task.block.path)
+    original_replicas = list(system._placement[inner])  # noqa: SLF001
+    try:
+        system._placement[inner] = [leaves[i].address for i in replicas]  # noqa: SLF001
+        for i, leaf in enumerate(leaves):
+            leaf.alive = i not in crashed
+            leaf.running_tasks = running[i]
+            record = manager._workers[leaf.worker_id]  # noqa: SLF001
+            record.alive = i not in manager_dead
+            record.draining = i in draining
+        for i in reregistered:  # moves the leaf to the end of the registry
+            sched.unregister_leaf(leaves[i].worker_id)
+            sched.register_leaf(leaves[i])
+        sched.locality_aware = locality_aware
+        if layout_scores is not None:
+            sched.layouts = _FakeLayouts(
+                {leaf.address: layout_scores[i] for i, leaf in enumerate(leaves)}
+            )
+        if drainless_manager:
+            sched.cluster_manager = _NoDrainManager(manager)
+        kwargs = dict(
+            exclude=[leaves[i].worker_id for i in sorted(exclude)],
+            prefer=[leaves[i].worker_id for i in sorted(prefer)],
+        )
+
+        def run(place):
+            sched._rr, sched.placements_local, sched.placements_remote = rr, 0, 0  # noqa: SLF001
+            try:
+                p = place(task, plan.scan_cnf, **kwargs)
+                outcome = (p.leaf.worker_id, p.data_local, p.estimate_s)
+            except SchedulingError:
+                outcome = "no live leaf"
+            return outcome, sched._rr, sched.placements_local, sched.placements_remote  # noqa: SLF001
+
+        assert run(sched.place) == run(lambda *a, **k: _reference_place(sched, *a, **k))
+    finally:
+        system._placement[inner] = original_replicas  # noqa: SLF001
+        sched.cluster_manager = manager
+        sched.layouts = None
+        sched.locality_aware = True
+        for leaf in leaves:
+            leaf.alive = True
+            leaf.running_tasks = 0
+            record = manager._workers[leaf.worker_id]  # noqa: SLF001
+            record.alive, record.draining = True, False
+            sched.unregister_leaf(leaf.worker_id)
+            sched.register_leaf(leaf)
+
+
+def test_local_placement_cost_does_not_grow_with_the_registry():
+    """On 4 096 leaves one local placement asks the manager about the
+    block's holders, not about every registered leaf."""
+    cluster = FeisuCluster(
+        FeisuConfig(datacenters=4, racks_per_datacenter=32, nodes_per_rack=32)
+    )
+    cluster.load_table("T", Schema.of(a=DataType.INT64), {"a": np.arange(512)}, block_rows=256)
+    plan = build_plan(analyze(parse("SELECT COUNT(*) FROM T"), cluster.catalog))
+    task = plan.tasks[0]
+    system, inner = cluster.router.resolve(task.block.path)
+    n_replicas = len(system.locations(inner))
+    manager = cluster.cluster_manager
+    calls = []
+    real = manager.is_alive
+    manager.is_alive = lambda worker_id: calls.append(worker_id) or real(worker_id)
+    placement = cluster.scheduler.place(task, plan.scan_cnf)
+    assert len(cluster.leaves) == 4096 and placement.data_local
+    assert len(calls) <= n_replicas + 2

@@ -7,8 +7,8 @@ Covers four long-standing defects:
 * silent zombie resurrection in :meth:`ClusterManager.heartbeat`
   (re-admission is now explicit: counter + scheduler notification);
 * the unbounded :class:`PrimaryBackup` op log (now truncated at
-  ``sync_shadow`` checkpoints, with shadow bootstrap from
-  checkpoint-plus-tail);
+  ``sync_shadow`` checkpoints and not kept at all without a shadow; a
+  new shadow starts from a copy of the live primary);
 * the straggler watchdog launching a backup against a stale deadline
   right after a failed attempt's retry started (double-backup).
 """
@@ -179,13 +179,37 @@ class TestBoundedOpLog:
             pb.apply(_set_op, i, i)
         pb.fail_primary()
         pb.start_new_shadow()
-        # The fresh shadow starts from the op-20 checkpoint plus the
-        # 5-op tail, not a full-history replay.
+        # No checkpoint copy and no log survive the failover: the fresh
+        # shadow is one copy of the live primary (the promoted shadow,
+        # which replayed the 5-op tail past the op-20 checkpoint), i.e.
+        # the state checkpoint-plus-tail used to rebuild.  It must be a
+        # copy — ops stream to it from here on, they are not shared.
         assert pb.monitoring_state() == {i: i for i in range(25)}
+        assert pb.monitoring_state() is not pb.state
+        assert pb.log_length == 0 and pb.shadow_lag_ops == 0
         for i in range(25, 40):
             pb.apply(_set_op, i, i)
         pb.fail_primary()
         assert pb.state == {i: i for i in range(40)}
+
+    def test_no_log_is_retained_while_there_is_no_shadow(self):
+        # The shadow is the log's only reader; between fail_primary() and
+        # start_new_shadow() the log used to grow by one entry per op
+        # with checkpoint_interval_ops bounding nothing.
+        pb = PrimaryBackup(Simulator(), dict, checkpoint_interval_ops=10)
+        for i in range(25):
+            pb.apply(_set_op, i, i)
+        pb.fail_primary()
+        assert pb.log_length == 0
+        for i in range(25, 10_025):
+            pb.apply(_set_op, i, i)
+        assert pb.log_length == 0
+        pb.start_new_shadow()
+        assert pb.monitoring_state() == pb.state
+        for i in range(10_025, 10_030):
+            pb.apply(_set_op, i, i)
+        pb.fail_primary()
+        assert pb.state == {i: i for i in range(10_030)}
 
     def test_job_ledger_log_stays_bounded(self):
         ledger = JobLedger(Simulator(), checkpoint_interval_ops=8)
