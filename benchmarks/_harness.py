@@ -67,7 +67,7 @@ def run_stream(
     host-side execution time of that query.  Figure tests read the
     modeled keys by name, so the extra key never reaches the committed
     result files; it is there so a harness run can report simulated and
-    wall time side by side (e.g. when judging the fused-pipeline flag).
+    wall time side by side.
     """
     out = []
     for sql in queries:

@@ -5,7 +5,7 @@ Zipf-skewed sessions against a 4-slot gateway and asserts (a) the S52
 acceptance bar — every session completes, p99 simulated service latency
 within 3x the idle p50, windowed Jain fairness >= 0.9 — and (b) no
 latency/fairness drift past the committed ``BENCH_gateway.json``
-baseline.  Mirrors the pipelinebench gate.
+baseline.
 """
 
 import json

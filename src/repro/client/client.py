@@ -145,7 +145,7 @@ class FeisuClient:
 
         options = dataclasses.replace(options or JobOptions(), trace=True)
         job = self.query_job(sql, options=options)
-        return render(job.plan, job, leaf_config=self.cluster.config.leaf)
+        return render(job.plan, job)
 
     # -- SmartIndex personalization ----------------------------------------------
 

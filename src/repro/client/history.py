@@ -26,9 +26,9 @@ from repro.sql.ast import Column, walk
 def _locked(method):
     """Serialize a public entry point on the instance's ``_lock``.
 
-    Gateway sessions record history from concurrent drivers (and the
-    fused pipeline's morsel workers are real OS threads); an RLock keeps
-    the log and its derived counters consistent — the same pattern as
+    The history is safe under concurrent callers (gateway sessions may
+    record from concurrent drivers): an RLock keeps the log and its
+    derived counters consistent — the same pattern as
     ``SmartIndexManager``."""
 
     @functools.wraps(method)

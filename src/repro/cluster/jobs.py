@@ -254,8 +254,22 @@ class JobManager:
 
     def settle_task(self, sig: Tuple, done: Event) -> None:
         """``done`` resolved: withdraw the task from the in-flight table
-        and, inside the reuse window, remember its result."""
+        and, with a reuse window, remember its result — for the window,
+        not for good: results that have outlived it leave here."""
         if self._in_flight.get(sig) is done:
             del self._in_flight[sig]
-        if done.ok and self.reuse_completed_window_s > 0:
-            self._completed[sig] = (done.value, self.sim.now)
+        window = self.reuse_completed_window_s
+        if window <= 0:
+            return
+        completed = self._completed
+        now = self.sim.now
+        # Oldest first: a re-settled signature moves to the end below, so
+        # insertion order is completion order.
+        while completed:
+            oldest = next(iter(completed))
+            if now - completed[oldest][1] <= window:
+                break
+            del completed[oldest]
+        if done.ok:
+            completed.pop(sig, None)
+            completed[sig] = (done.value, now)

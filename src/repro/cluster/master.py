@@ -362,7 +362,7 @@ class Master:
         self._active[job.job_id] = (job, done)
         if self.ledger is not None:
             self.ledger.record_submitted(job.job_id, job.user, job.sql, job.submitted_at)
-        proc = self.sim.process(self._job_body(job, done), name=job.job_id)
+        proc = self.sim.process(self._job_process(job, done), name=job.job_id)
 
         def on_proc_outcome(ev) -> None:
             # Safety net: an uncaught orchestration failure must resolve
@@ -488,27 +488,25 @@ class Master:
 
     # -- job orchestration -------------------------------------------------------
 
-    def _job_body(self, job: Job, done: Event) -> Generator[Event, None, None]:
-        """Pick the execution path: frozen single wave, or adaptive (S53).
-
-        Adaptive runs only for plain full-scan jobs — block sampling and
-        early-return ratios change which rows a job *intends* to read,
-        and the two-wave bookkeeping would misreport them; those jobs
-        keep the frozen path, as does anything below ``min_tasks``.
-        """
-        adaptive = self.adaptive
-        if (
-            adaptive is not None
-            and job.options.sample_block_ratio is None
-            and job.options.min_processed_ratio >= 1.0
-            and len(job.plan.tasks) >= max(1, adaptive.min_tasks)
-        ):
-            return self._job_process_adaptive(job, done)
-        return self._job_process(job, done)
-
     def _job_process(self, job: Job, done: Event) -> Generator[Event, None, None]:
+        """Drive one job: fetch its broadcasts, run its tasks, resolve it.
+
+        The frozen plan is one wave over the (possibly sampled) task
+        list.  On a cluster with ``adaptive`` configured a plain
+        full-scan job runs pilot wave → checkpoint (re-plan) → remainder
+        wave instead (S53).  Block sampling and early-return ratios
+        change which rows a job *intends* to read, and the two-wave
+        bookkeeping would misreport them; those jobs stay one wave, as
+        does anything below ``min_tasks``.
+
+        Every pilot result is retained at the master across the
+        checkpoint, so a worker crash mid-job re-runs only the lost
+        partitions of the *current* wave (the supervisor's retry
+        machinery), never completed ones — partition-level recovery.
+        """
         job.status = JobStatus.RUNNING
         plan = job.plan
+        options = job.options
         root = job.trace.root if job.trace is not None else None
         fetch_span = None
         if root is not None and plan.broadcasts:
@@ -523,38 +521,159 @@ class Master:
         if fetch_span is not None:
             fetch_span.finish(self.sim.now)
 
-        tasks = self._sampled_tasks(plan, job.options)
-        total = len(tasks)
-        if total == 0:
-            self._finish_ok(job, done, [], 1.0)
-            return
+        controller = None
+        if (
+            self.adaptive is not None
+            and options.sample_block_ratio is None
+            and options.min_processed_ratio >= 1.0
+            and len(plan.tasks) >= max(1, self.adaptive.min_tasks)
+        ):
+            from repro.planner.adaptive import ReoptController, plan_fingerprint
 
-        arrived: Dict[str, TaskResult] = {}
-        failed: Set[str] = set()
-        reused: Set[str] = set()
-        job_gate = self.sim.event(name=f"{job.job_id}.gate")
-        early_ratio = (
-            job.options.min_processed_ratio
-            if job.options.min_processed_ratio < 1.0
-            else None
+            controller = ReoptController(self.adaptive, plan, self.scheduler.cost_model)
+            job.plan_digest = plan_fingerprint(plan)
+            wave = controller.pilot_wave(plan.tasks)
+            job.stats.tasks_total = len(wave)
+            job.stats.adaptive_waves = 1
+            sampled_fraction = 1.0
+        else:
+            wave = self._sampled_tasks(plan, options)
+            if not wave:
+                self._finish_ok(job, done, [], 1.0)
+                return
+            sampled_fraction = len(wave) / max(len(plan.tasks), 1)
+        #: Tasks the job means to run; the remainder wave adds its own.
+        intended = len(wave)
+        deadline_at = (
+            self.sim.now + options.max_time_s if options.max_time_s is not None else None
         )
         sent_broadcast_to: Set[str] = set()
+        arrived: Dict[str, TaskResult] = {}
+        yield from self._run_wave(
+            job, wave, broadcasts, sent_broadcast_to, arrived,
+            early_ratio=(
+                options.min_processed_ratio if options.min_processed_ratio < 1.0 else None
+            ),
+            time_left=options.max_time_s,
+            recovering=controller is not None,
+        )
+        if job.status not in (JobStatus.RUNNING, JobStatus.PENDING):
+            return  # cancelled or failed over while tasks were in flight
 
-        def check_done() -> None:
-            if job_gate.triggered:
-                return
-            completed = len(arrived)
-            if completed == total or (completed + len(failed)) == total:
-                job_gate.succeed()
-            elif early_ratio is not None and completed / total >= early_ratio:
-                job_gate.succeed()
+        if controller is not None and len(arrived) == intended:
+            # Checkpoint: compare pilot actuals against the frozen estimates.
+            pilot_durations = {}
+            for timing in job.task_timeline:
+                if timing.task_id in arrived and timing.task_id not in pilot_durations:
+                    pilot_durations[timing.task_id] = timing.duration_s
+            live_workers = sum(
+                1
+                for leaf in self.scheduler.leaves()
+                if leaf.alive and self.cluster_manager.is_alive(leaf.worker_id)
+            )
+            decision = controller.decide(
+                now=self.sim.now,
+                tasks=plan.tasks,
+                pilot_results=[arrived[t.task_id] for t in wave],
+                pilot_durations=pilot_durations,
+                live_workers=live_workers,
+                broadcast_holders=tuple(sorted(sent_broadcast_to)),
+                broadcast_bytes=self._broadcast_bytes(broadcasts) if broadcasts else 0,
+            )
+            remainder = controller.remainder_wave(plan.tasks, decision)
+            if decision.replanned:
+                job.stats.adaptive_replans += 1
+                job.replanned_plan_digest = plan_fingerprint(plan, wave + remainder)
+            job.stats.adaptive_splits += max(
+                0, len(remainder) - (len(plan.tasks) - decision.skipped_tasks)
+            )
+            job.stats.adaptive_tasks_skipped += decision.skipped_tasks
+            if root is not None:
+                root.event(
+                    "reopt.decision",
+                    self.sim.now,
+                    actions=",".join(decision.actions) or "none",
+                    estimated_selectivity=decision.estimated_selectivity,
+                    observed_selectivity=decision.observed_selectivity,
+                    error_ratio=decision.error_ratio,
+                    split_factor=decision.split_factor,
+                    estimate_scale=decision.estimate_scale,
+                    hot_share=decision.hot_share,
+                    duration_skew=decision.duration_skew,
+                    prefer_workers=len(decision.prefer_workers),
+                    skipped_tasks=decision.skipped_tasks,
+                )
 
-        def launch_own(task: ScanTask) -> None:
-            self._launch_tracked(job, task, broadcasts, sent_broadcast_to, on_task(task))
+            intended += len(remainder)
+            job.stats.tasks_total = intended
+            if remainder:
+                job.stats.adaptive_waves += 1
+                yield from self._run_wave(
+                    job, remainder, broadcasts, sent_broadcast_to, arrived,
+                    time_left=(
+                        max(0.0, deadline_at - self.sim.now) if deadline_at is not None else None
+                    ),
+                    recovering=True,
+                    prefer=decision.prefer_workers,
+                    estimate_scale=decision.estimate_scale,
+                )
+                if job.status not in (JobStatus.RUNNING, JobStatus.PENDING):
+                    return
+
+        # Completion is judged against what the job *intended* to scan
+        # (the sample, if one was requested); the reported ratio is the
+        # true fraction of the table's blocks that were processed.
+        completed_fraction = len(arrived) / intended
+        ratio = completed_fraction * sampled_fraction
+        if completed_fraction < options.min_processed_ratio and completed_fraction < 1.0:
+            self._finish_timeout(job, done, ratio)
+        else:
+            self._finish_ok(job, done, list(arrived.values()), ratio)
+
+    def _run_wave(
+        self,
+        job: Job,
+        wave: List[ScanTask],
+        broadcasts: Dict[str, Frame],
+        sent_broadcast_to: Set[str],
+        arrived: Dict[str, TaskResult],
+        early_ratio: Optional[float] = None,
+        time_left: Optional[float] = None,
+        recovering: bool = False,
+        prefer: Sequence[str] = (),
+        estimate_scale: float = 1.0,
+    ) -> Generator[Event, None, None]:
+        """Launch one wave of a job's tasks and wait for it.
+
+        The wait ends when every task has resolved, when ``early_ratio``
+        of them have arrived, or after ``time_left`` simulated seconds.
+        Results land in ``arrived``; a task of the wave absent from it
+        afterwards failed terminally or was still in flight.
+        ``recovering`` waves (the adaptive ones) count each attempt
+        re-launched after a loss as a recovered partition.
+        """
+        plan = job.plan
+        total = len(wave)
+        arrived_before = len(arrived)
+        failed = 0
+        reused: Set[str] = set()
+        gate = self.sim.event(name=f"{job.job_id}.wave")
+
+        on_retry = None
+        if recovering:
+            def on_retry(task: ScanTask) -> None:
+                # A lost attempt re-launched on a surviving leaf: exactly one
+                # partition of the current wave re-runs, nothing else.
+                job.stats.adaptive_partitions_recovered += 1
+
+        supervisor_options = {
+            "estimate_scale": estimate_scale, "prefer": prefer, "on_retry": on_retry,
+        }
 
         def on_task(task: ScanTask, fallback_allowed: bool = False):
             def cb(ev: Event) -> None:
-                if job_gate.triggered:
+                nonlocal failed
+                if gate.triggered:
                     return
                 if ev.ok:
                     arrived[task.task_id] = ev.value
@@ -567,225 +686,19 @@ class Master:
                     # our own turned one job's bad luck into every
                     # piggybacker's.  Fall back to our own supervisor once.
                     reused.discard(task.task_id)
-                    launch_own(task)
+                    self._launch_tracked(
+                        job, task, broadcasts, sent_broadcast_to, on_task(task),
+                        **supervisor_options,
+                    )
                     return
                 else:
-                    failed.add(task.task_id)
+                    failed += 1
                     job.stats.tasks_failed += 1
-                check_done()
-
-            return cb
-
-        for task in tasks:
-            shared = self.job_manager.lookup_task(task_signature(plan, task))
-            if shared is not None:
-                reused.add(task.task_id)
-                shared.add_callback(on_task(task, fallback_allowed=True))
-                continue
-            launch_own(task)
-
-        if job.options.max_time_s is not None:
-            def deadline() -> None:
-                if not job_gate.triggered:
-                    job_gate.succeed()
-
-            self.sim.schedule(job.options.max_time_s, deadline)
-
-        yield job_gate
-        # Completion is judged against what the job *intended* to scan
-        # (the sample, if one was requested); the reported ratio is the
-        # true fraction of the table's blocks that were processed.
-        completed_fraction = len(arrived) / total
-        sampled_fraction = total / max(len(plan.tasks), 1)
-        ratio = completed_fraction * sampled_fraction
-        if job.status not in (JobStatus.RUNNING, JobStatus.PENDING):
-            return  # cancelled or failed over while tasks were in flight
-        if completed_fraction < job.options.min_processed_ratio and completed_fraction < 1.0:
-            exc = QueryTimeout(
-                f"{job.job_id} processed {ratio:.0%} of data within limits",
-                processed_ratio=ratio,
-            )
-            job.status = JobStatus.TIMED_OUT
-            job.error = exc
-            job.finished_at = self.sim.now
-            job.stats.response_time_s = job.response_time_s
-            self._record_terminal(job)
-            self._job_finished()
-            done.succeed(job)
-            return
-        self._finish_ok(job, done, list(arrived.values()), ratio)
-
-    # -- adaptive two-wave orchestration (S53) ----------------------------------
-
-    def _job_process_adaptive(self, job: Job, done: Event) -> Generator[Event, None, None]:
-        """Pilot wave → checkpoint (re-plan) → remainder wave.
-
-        Every pilot result is retained at the master across the
-        checkpoint, so a worker crash mid-job re-runs only the lost
-        partitions of the *current* wave (the supervisor's retry
-        machinery), never completed ones — partition-level recovery.
-        """
-        from repro.planner.adaptive import ReoptController, plan_fingerprint
-
-        job.status = JobStatus.RUNNING
-        plan = job.plan
-        root = job.trace.root if job.trace is not None else None
-        fetch_span = None
-        if root is not None and plan.broadcasts:
-            fetch_span = root.child("fetch_broadcasts", self.sim.now)
-        try:
-            broadcasts = yield from self._fetch_broadcasts(plan, span=fetch_span)
-        except FeisuError as exc:
-            if fetch_span is not None:
-                fetch_span.tag("error", str(exc)).finish(self.sim.now)
-            self._finish_failed(job, done, exc)
-            return
-        if fetch_span is not None:
-            fetch_span.finish(self.sim.now)
-
-        tasks = list(plan.tasks)
-        controller = ReoptController(self.adaptive, plan, self.scheduler.cost_model)
-        job.plan_digest = plan_fingerprint(plan)
-        deadline_at = (
-            self.sim.now + job.options.max_time_s
-            if job.options.max_time_s is not None
-            else None
-        )
-        sent_broadcast_to: Set[str] = set()
-        arrived: Dict[str, TaskResult] = {}
-
-        pilot = controller.pilot_wave(tasks)
-        job.stats.tasks_total = len(pilot)
-        job.stats.adaptive_waves = 1
-        failed = yield from self._run_wave(
-            job, pilot, broadcasts, sent_broadcast_to, arrived, deadline_at=deadline_at
-        )
-        if job.status not in (JobStatus.RUNNING, JobStatus.PENDING):
-            return  # cancelled or failed over mid-wave
-        if failed:
-            self._adaptive_timeout(job, done, arrived)
-            return
-
-        # Checkpoint: compare pilot actuals against the frozen estimates.
-        pilot_durations = {}
-        pilot_ids = {t.task_id for t in pilot}
-        for timing in job.task_timeline:
-            if timing.task_id in pilot_ids and timing.task_id not in pilot_durations:
-                pilot_durations[timing.task_id] = timing.duration_s
-        live_workers = sum(
-            1
-            for leaf in self.scheduler.leaves()
-            if leaf.alive and self.cluster_manager.is_alive(leaf.worker_id)
-        )
-        decision = controller.decide(
-            now=self.sim.now,
-            tasks=tasks,
-            pilot_results=[arrived[t.task_id] for t in pilot],
-            pilot_durations=pilot_durations,
-            live_workers=live_workers,
-            broadcast_holders=tuple(sorted(sent_broadcast_to)),
-            broadcast_bytes=self._broadcast_bytes(broadcasts) if broadcasts else 0,
-        )
-        remainder = controller.remainder_wave(tasks, decision)
-        if decision.replanned:
-            job.stats.adaptive_replans += 1
-            job.replanned_plan_digest = plan_fingerprint(plan, pilot + remainder)
-        job.stats.adaptive_splits += max(
-            0, len(remainder) - (len(tasks) - decision.skipped_tasks)
-        )
-        job.stats.adaptive_tasks_skipped += decision.skipped_tasks
-        if root is not None:
-            root.event(
-                "reopt.decision",
-                self.sim.now,
-                actions=",".join(decision.actions) or "none",
-                estimated_selectivity=decision.estimated_selectivity,
-                observed_selectivity=decision.observed_selectivity,
-                error_ratio=decision.error_ratio,
-                split_factor=decision.split_factor,
-                estimate_scale=decision.estimate_scale,
-                hot_share=decision.hot_share,
-                duration_skew=decision.duration_skew,
-                prefer_workers=len(decision.prefer_workers),
-                skipped_tasks=decision.skipped_tasks,
-            )
-
-        job.stats.tasks_total = len(pilot) + len(remainder)
-        if remainder:
-            job.stats.adaptive_waves += 1
-            failed = yield from self._run_wave(
-                job,
-                remainder,
-                broadcasts,
-                sent_broadcast_to,
-                arrived,
-                prefer=decision.prefer_workers,
-                estimate_scale=decision.estimate_scale,
-                deadline_at=deadline_at,
-            )
-            if job.status not in (JobStatus.RUNNING, JobStatus.PENDING):
-                return
-            if failed:
-                self._adaptive_timeout(job, done, arrived)
-                return
-        self._finish_ok(job, done, list(arrived.values()), 1.0)
-
-    def _run_wave(
-        self,
-        job: Job,
-        wave: List[ScanTask],
-        broadcasts: Dict[str, Frame],
-        sent_broadcast_to: Set[str],
-        arrived: Dict[str, TaskResult],
-        prefer: Sequence[str] = (),
-        estimate_scale: float = 1.0,
-        deadline_at: Optional[float] = None,
-    ) -> Generator[Event, None, Set[str]]:
-        """Launch one adaptive wave and wait for every task to resolve.
-
-        Shares the frozen path's reuse/fallback/supervisor machinery;
-        returns the task ids that failed terminally (empty = complete).
-        """
-        plan = job.plan
-        total = len(wave)
-        completed: Set[str] = set()
-        failed: Set[str] = set()
-        reused: Set[str] = set()
-        gate = self.sim.event(name=f"{job.job_id}.wave")
-
-        def check_done() -> None:
-            if not gate.triggered and len(completed) + len(failed) == total:
-                gate.succeed()
-
-        def on_retry(task: ScanTask) -> None:
-            # A lost attempt re-launched on a surviving leaf: exactly one
-            # partition of the current wave re-runs, nothing else.
-            job.stats.adaptive_partitions_recovered += 1
-
-        def launch_own(task: ScanTask) -> None:
-            self._launch_tracked(
-                job, task, broadcasts, sent_broadcast_to, on_task(task),
-                estimate_scale=estimate_scale, prefer=prefer, on_retry=on_retry,
-            )
-
-        def on_task(task: ScanTask, fallback_allowed: bool = False):
-            def cb(ev: Event) -> None:
-                if gate.triggered:
-                    return
-                if ev.ok:
-                    completed.add(task.task_id)
-                    arrived[task.task_id] = ev.value
-                    job.stats.absorb(ev.value)
-                    if task.task_id in reused:
-                        job.stats.tasks_reused += 1
-                elif fallback_allowed:
-                    reused.discard(task.task_id)
-                    launch_own(task)
-                    return
-                else:
-                    failed.add(task.task_id)
-                    job.stats.tasks_failed += 1
-                check_done()
+                completed = len(arrived) - arrived_before
+                if completed + failed == total or (
+                    early_ratio is not None and completed / total >= early_ratio
+                ):
+                    gate.succeed()
 
             return cb
 
@@ -794,40 +707,29 @@ class Master:
             if shared is not None:
                 reused.add(task.task_id)
                 shared.add_callback(on_task(task, fallback_allowed=True))
-                continue
-            launch_own(task)
+            else:
+                self._launch_tracked(
+                    job, task, broadcasts, sent_broadcast_to, on_task(task),
+                    **supervisor_options,
+                )
 
-        if deadline_at is not None:
-            def deadline() -> None:
+        if time_left is not None:
+            def expire() -> None:
                 if not gate.triggered:
                     gate.succeed()
 
-            self.sim.schedule(max(0.0, deadline_at - self.sim.now), deadline)
+            self.sim.schedule(time_left, expire)
 
         yield gate
-        # A deadline expiry leaves in-flight tasks unresolved: count them
-        # as lost so the caller reports a timeout.
-        if len(completed) + len(failed) < total:
-            failed.update(
-                t.task_id for t in wave
-                if t.task_id not in completed and t.task_id not in failed
-            )
-        return failed
 
-    def _adaptive_timeout(self, job: Job, done: Event, arrived: Dict[str, TaskResult]) -> None:
-        """Terminal path when an adaptive wave lost tasks or timed out."""
-        ratio = len(arrived) / max(1, job.stats.tasks_total)
+    def _finish_timeout(self, job: Job, done: Event, ratio: float) -> None:
+        """Terminal path when a job lost tasks or ran out of time below
+        its ``min_processed_ratio``."""
         exc = QueryTimeout(
             f"{job.job_id} processed {ratio:.0%} of data within limits",
             processed_ratio=ratio,
         )
-        job.status = JobStatus.TIMED_OUT
-        job.error = exc
-        job.finished_at = self.sim.now
-        job.stats.response_time_s = job.response_time_s
-        self._record_terminal(job)
-        self._job_finished()
-        done.succeed(job)
+        self._finish_failed(job, done, exc, status=JobStatus.TIMED_OUT)
 
     def _finish_ok(self, job: Job, done: Event, results: List[TaskResult], ratio: float) -> None:
         if job.status not in (JobStatus.RUNNING, JobStatus.PENDING):
@@ -872,10 +774,12 @@ class Master:
         self._job_finished()
         done.succeed(job)
 
-    def _finish_failed(self, job: Job, done: Event, exc: BaseException) -> None:
+    def _finish_failed(
+        self, job: Job, done: Event, exc: BaseException, status: JobStatus = JobStatus.FAILED
+    ) -> None:
         if job.status not in (JobStatus.RUNNING, JobStatus.PENDING):
             return
-        job.status = JobStatus.FAILED
+        job.status = status
         job.error = exc
         job.finished_at = self.sim.now
         job.stats.response_time_s = job.response_time_s

@@ -70,16 +70,6 @@ class LeafConfig:
     #: cheaper variant I/O charges.  Off by default: the committed paper
     #: figures use byte-identical replicas.
     enable_layouts: bool = False
-    #: Fused morsel-parallel scan pipelines (S51): one pass per block,
-    #: lazy selection, real worker threads for wall-clock.  Off by
-    #: default — results and simulated charges are byte-identical either
-    #: way (differential-tested), but the default keeps the committed
-    #: figures on the reference operator-at-a-time path.
-    enable_fused_pipelines: bool = False
-    #: Morsel worker pool size; 0 means ``os.cpu_count()``.
-    worker_threads: int = 0
-    #: Rows per morsel for the fused driver.
-    morsel_rows: int = 64 * 1024
 
 
 class LeafServer:
@@ -330,64 +320,35 @@ class LeafServer:
             else:
                 payload = system.read(inner)
             block = self._parsed_block(block_path, payload)
-            if (
-                self.config.enable_fused_pipelines
-                and task.row_slice is None
-                and layout is None
-            ):
-                from repro.engine.pipeline import execute_fused_scan_task
-
-                result = execute_fused_scan_task(
-                    task,
-                    plan,
-                    block,
-                    broadcast_frames,
-                    index_manager=self.index_manager,
-                    btree_provider=(
-                        self._btree_provider(block) if self.config.enable_btree else None
-                    ),
-                    now=self.sim.now,
-                    span=span,
-                    worker_threads=self.config.worker_threads,
-                    morsel_rows=self.config.morsel_rows,
-                )
+            if layout is None:
+                index_manager = self.index_manager
+                btree_provider = self._btree_provider(block) if self.config.enable_btree else None
             else:
-                if layout is not None:
-                    # Variant row order invalidates whole-block SmartIndex
-                    # bitvectors (keyed by block_id on *base* order) — same
-                    # rule adaptive row slices follow.  The variant's own
-                    # attached B+ tree is served under a layout-tagged key.
-                    btree_provider = (
-                        self._btree_provider(
-                            block,
-                            tag="#" + layout.describe(),
-                            only_column=layout.index_column,
-                        )
-                        if layout.index_column is not None
-                        else None
-                    )
-                    result = execute_scan_task(
-                        task,
-                        plan,
+                # Variant row order invalidates whole-block SmartIndex
+                # bitvectors (keyed by block_id on *base* order) — same
+                # rule adaptive row slices follow.  The variant's own
+                # attached B+ tree is served under a layout-tagged key.
+                index_manager = None
+                btree_provider = (
+                    self._btree_provider(
                         block,
-                        broadcast_frames,
-                        index_manager=None,
-                        btree_provider=btree_provider,
-                        now=self.sim.now,
-                        span=span,
-                        layout=layout,
+                        tag="#" + layout.describe(),
+                        only_column=layout.index_column,
                     )
-                else:
-                    result = execute_scan_task(
-                        task,
-                        plan,
-                        block,
-                        broadcast_frames,
-                        index_manager=self.index_manager,
-                        btree_provider=self._btree_provider(block) if self.config.enable_btree else None,
-                        now=self.sim.now,
-                        span=span,
-                    )
+                    if layout.index_column is not None
+                    else None
+                )
+            result = execute_scan_task(
+                task,
+                plan,
+                block,
+                broadcast_frames,
+                index_manager=index_manager,
+                btree_provider=btree_provider,
+                now=self.sim.now,
+                span=span,
+                layout=layout,
+            )
             report = result.report
             if self.layouts is not None:
                 from repro.storage.layouts import base_join_columns
@@ -426,14 +387,6 @@ class LeafServer:
                                 4,
                             ),
                         )
-                    if report.fused:
-                        # Morsel-level aggregation as tags on the one scan
-                        # span — no per-morsel children, so the span tree
-                        # stays the same size at any morsel count.
-                        scan_span.tag("fused", True)
-                        scan_span.tag("morsels", report.morsels)
-                        scan_span.tag("workers", report.workers)
-                        scan_span.tag("morsel_wall_s", round(report.morsel_wall_s, 6))
                     scan_span.finish(self.sim.now)
             elif span is not None:
                 # Fully index-covered: record a zero-IO scan span so the
@@ -447,11 +400,6 @@ class LeafServer:
                     covered_span.tag(
                         "layout", layout.describe() if layout is not None else "base"
                     )
-                if report.fused:
-                    covered_span.tag("fused", True)
-                    covered_span.tag("morsels", report.morsels)
-                    covered_span.tag("workers", report.workers)
-                    covered_span.tag("morsel_wall_s", round(report.morsel_wall_s, 6))
                 covered_span.finish(self.sim.now)
             if report.modeled_cpu_ops > 0:
                 cpu_name = "aggregate" if plan.is_aggregate else "project"

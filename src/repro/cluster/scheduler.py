@@ -95,8 +95,8 @@ class JobScheduler:
         self._rr = 0
         self.placements_local = 0
         self.placements_remote = 0
-        # Interleaved submissions (gateway sessions, morsel workers in
-        # tests) mutate the round-robin cursor and placement counters;
+        # Interleaved submissions (gateway sessions, concurrent callers
+        # in tests) mutate the round-robin cursor and placement counters;
         # an RLock keeps increments atomic so concurrent placement
         # neither skips nor double-counts a slot.
         self._lock = threading.RLock()

@@ -535,10 +535,7 @@ class FeisuCluster:
         from repro.sql.analyzer import analyze
         from repro.sql.parser import parse
 
-        return explain_plan(
-            build_plan(analyze(parse(sql), self.catalog)),
-            leaf_config=self.config.leaf,
-        )
+        return explain_plan(build_plan(analyze(parse(sql), self.catalog)))
 
     # -- §V-B resource consolidation --------------------------------------
 

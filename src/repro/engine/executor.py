@@ -91,14 +91,6 @@ class TaskExecutionReport:
     index_subsumption_hits: int = 0
     index_residual_clauses: int = 0
     index_residual_fraction: float = 0.0
-    #: Fused-pipeline extras (:mod:`repro.engine.pipeline`); defaults
-    #: keep operator-at-a-time reports — and the spans built from them —
-    #: byte-identical.  ``morsel_wall_s`` is real wall-clock (library
-    #: time, never charged to the simulated clock).
-    fused: bool = False
-    morsels: int = 0
-    workers: int = 1
-    morsel_wall_s: float = 0.0
 
     @property
     def modeled_io_bytes(self) -> float:

@@ -201,11 +201,11 @@ class ResidualClause:
 def _locked(method):
     """Serialize a public entry point on the instance's ``_lock``.
 
-    The fused pipeline's morsel workers (engine.pipeline) share one
-    manager per leaf and probe/insert from real OS threads; an RLock
-    (public methods call other public methods) keeps the cache's books —
-    ``_bytes``, the eviction heaps, the secondary indexes — consistent
-    without per-structure locking.
+    A manager is safe under concurrent callers probing and inserting
+    from real OS threads: an RLock (public methods call other public
+    methods) keeps the cache's books — ``_bytes``, the eviction heaps,
+    the secondary indexes — consistent without per-structure locking.
+    Simulated outcomes never depend on thread timing.
     """
 
     @functools.wraps(method)

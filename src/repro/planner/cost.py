@@ -28,11 +28,6 @@ OPS_PER_CONTAINS = 20.0
 OPS_PER_DECODE = 0.5
 #: In-memory SmartIndex application cost per row (bitvector AND/NOT).
 OPS_PER_INDEX_ROW = 0.03125  # one 64-bit word op covers 64 rows, ~2 ops/word
-#: Fixed ops per morsel in the fused pipeline (scheduling, slice setup,
-#: aggregate-state merge) — the reason morsels are ~64K rows, not 64.
-OPS_PER_MORSEL = 256.0
-#: Default fused-pipeline morsel granularity (rows).
-MORSEL_ROWS_DEFAULT = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -92,39 +87,6 @@ class CostModel:
         io = self.disk_seek_s + fraction * nbytes / self.disk_bandwidth_bps
         cpu = fraction * self.scan_cpu_seconds(task, cnf)
         return io + cpu + self.index_cpu_seconds(task, max(1, len(cnf.clauses)))
-
-    def morsel_count(self, task: ScanTask, morsel_rows: int = MORSEL_ROWS_DEFAULT) -> int:
-        """Morsels the fused driver splits this task's block into."""
-        rows = max(1, task.block.num_rows)
-        return -(-rows // max(1, int(morsel_rows)))  # ceil division
-
-    def fused_task_seconds(
-        self,
-        task: ScanTask,
-        cnf: ConjunctiveForm,
-        workers: int = 1,
-        morsel_rows: int = MORSEL_ROWS_DEFAULT,
-        bandwidth_factor: float = 1.0,
-    ) -> float:
-        """Wall-clock-shaped estimate for a fused morsel-parallel task.
-
-        The I/O term is unchanged (the device model serializes reads
-        regardless of CPU fan-out); decode+filter CPU divides across the
-        worker lanes actually usable (``min(workers, morsels)``), and
-        each morsel pays a fixed scheduling/merge overhead — which is
-        why a finer ``morsel_rows`` is not free.  The *simulated* clock
-        never uses this: fused and unfused tasks charge identical ops by
-        design, so this estimate exists for EXPLAIN and for sizing
-        ``LeafConfig.morsel_rows``.
-        """
-        morsels = self.morsel_count(task, morsel_rows)
-        lanes = max(1, min(int(workers) if workers else 1, morsels))
-        overhead = OPS_PER_MORSEL * morsels / self.cpu_ops_per_sec
-        return (
-            self.scan_io_seconds(task, bandwidth_factor)
-            + self.scan_cpu_seconds(task, cnf) / lanes
-            + overhead
-        )
 
     def sized_task_seconds(
         self,

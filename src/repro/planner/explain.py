@@ -15,25 +15,15 @@ from repro.planner.cost import CostModel
 from repro.planner.physical import PhysicalPlan
 
 
-def explain(
-    plan: PhysicalPlan,
-    cost_model: Optional[CostModel] = None,
-    leaf_config=None,
-) -> str:
-    """Render a physical plan as an indented tree.
-
-    ``leaf_config`` (a :class:`~repro.cluster.node.LeafConfig`, duck-typed)
-    lets the scan section show leaf execution mode — fused pipelines and
-    their morsel split — next to the planner's decisions.
-    """
-    lines, _anchors = _plan_lines(plan, cost_model, leaf_config=leaf_config)
+def explain(plan: PhysicalPlan, cost_model: Optional[CostModel] = None) -> str:
+    """Render a physical plan as an indented tree."""
+    lines, _anchors = _plan_lines(plan, cost_model)
     return "\n".join(lines)
 
 
 def _plan_lines(
     plan: PhysicalPlan,
     cost_model: Optional[CostModel] = None,
-    leaf_config=None,
 ) -> "tuple[List[str], Dict[str, int]]":
     """The explain tree plus anchor indices for operator annotations."""
     # A def-time `CostModel()` default would be one shared instance for
@@ -103,16 +93,6 @@ def _plan_lines(
             cost_model.task_seconds(t, plan.scan_cnf, index_covered=True) for t in plan.tasks
         )
         add(2, f"estimated task seconds: {cold:.3f} cold / {warm:.3f} index-covered")
-    if leaf_config is not None and getattr(leaf_config, "enable_fused_pipelines", False):
-        # Only rendered when the flag-gated fused path is on, so default
-        # EXPLAIN output is unchanged.
-        import os as _os
-
-        morsel_rows = getattr(leaf_config, "morsel_rows", 64 * 1024)
-        workers = getattr(leaf_config, "worker_threads", 0) or (_os.cpu_count() or 1)
-        morsels = sum(cost_model.morsel_count(t, morsel_rows) for t in plan.tasks)
-        add(2, f"fused pipeline: yes, morsels: {morsels} "
-               f"({workers} workers, {morsel_rows} rows/morsel)")
     return lines, anchors
 
 
@@ -120,7 +100,6 @@ def explain_analyze(
     plan: PhysicalPlan,
     job,
     cost_model: Optional[CostModel] = None,
-    leaf_config=None,
 ) -> str:
     """Render the plan annotated with what actually happened.
 
@@ -131,7 +110,7 @@ def explain_analyze(
     when it ran with ``JobOptions.trace=True``, falling back to the
     aggregate job counters when tracing was off.
     """
-    lines, anchors = _plan_lines(plan, cost_model, leaf_config=leaf_config)
+    lines, anchors = _plan_lines(plan, cost_model)
     stats = job.stats
     timeline = job.task_timeline
     trace = getattr(job, "trace", None)
@@ -173,16 +152,6 @@ def explain_analyze(
                     f"actual semantic: {stats.index_subsumption_hits} subsumption hits, "
                     f"{stats.index_residual_clauses} residual clauses "
                     f"(mean candidate fraction {mean_fraction:.3f})"
-                )
-            morsels = trace.tag_sum("morsels", "scan")
-            if morsels:
-                # Fused-pipeline line: the tags only exist when the
-                # flag-gated fused path ran, so default output is
-                # unchanged.
-                wall = trace.tag_sum("morsel_wall_s", "scan")
-                scan_lines.append(
-                    f"actual fused: {int(morsels)} morsels, "
-                    f"{wall * 1000:.2f} ms worker wall-clock"
                 )
             tiers = trace.tag_values("tier", "scan")
             if tiers:

@@ -43,10 +43,11 @@ _PREF_CACHE_LIMIT = 65536
 def _locked(method):
     """Serialize a public entry point on the instance's ``_lock``.
 
-    Leaves consult one cache per node from the fused pipeline's morsel
-    worker threads (engine.pipeline); an RLock (``put`` recurses into
-    ``invalidate``/``_evict_one``) keeps ``_bytes`` and the LRU order
-    consistent under concurrent get/put.
+    The cache is safe under concurrent callers: an RLock (``put``
+    recurses into ``invalidate``/``_evict_one``) keeps ``_bytes`` and
+    the LRU order consistent under concurrent get/put.  Simulated
+    outcomes never depend on thread timing — the simulator itself runs
+    every leaf on one thread.
     """
 
     @functools.wraps(method)

@@ -13,6 +13,7 @@ for SUM/COUNT/MIN/MAX and NaN group keys — the property the hot-key
 splitter relies on for correctness.
 """
 
+import dataclasses
 import math
 import random
 
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro import DataType, FeisuCluster, FeisuConfig, Schema
 from repro.client import FeisuClient
+from repro.cluster.jobs import JobOptions
 from repro.cluster.node import LeafConfig
 from repro.engine.aggregates import GroupedPartial, partial_aggregate
 from repro.planner.adaptive import AdaptiveConfig, plan_fingerprint
@@ -192,6 +194,45 @@ def test_no_misestimate_no_replan(adaptive_twins):
     assert result.stats.get("adaptive_waves", 0) == 2
     assert result.stats.get("adaptive_replans", 0) == 0
     assert result.stats.get("adaptive_splits", 0) == 0
+
+
+# -- eligibility is a condition on the job, not a second driver -----------------
+
+
+@pytest.mark.parametrize(
+    "adaptive, options",
+    [
+        (AdaptiveConfig(), JobOptions(sample_block_ratio=0.5)),
+        (AdaptiveConfig(), JobOptions(min_processed_ratio=0.5)),
+        (AdaptiveConfig(min_tasks=1000), JobOptions()),
+    ],
+    ids=["sampled", "early-return", "below-min-tasks"],
+)
+def test_ineligible_job_runs_as_on_a_frozen_cluster(adaptive, options):
+    """What adaptive eligibility rules out runs the frozen single wave,
+    attempt for attempt — including the retries a dead leaf causes, which
+    only an adaptive wave counts as recovered partitions."""
+    sql = "SELECT c2 AS k, COUNT(*) AS n FROM T WHERE c1 >= 20 GROUP BY k ORDER BY k"
+    jobs = []
+    for config in (None, adaptive):
+        cluster = _clicks_twin(config)
+        for leaf in cluster.leaves[1::2]:
+            cluster.sim.schedule(0.004, leaf.crash)  # mid-task: their attempts are lost
+        jobs.append(cluster.query_job(sql, options=options))
+    frozen, ineligible = jobs
+
+    def timeline(job):  # task ids carry a process-wide plan counter
+        return [
+            dataclasses.replace(t, task_id=t.task_id.split("/", 1)[1])
+            for t in job.task_timeline
+        ]
+
+    assert timeline(ineligible) == timeline(frozen)
+    assert ineligible.result.rows() == frozen.result.rows()
+    assert ineligible.result.stats == frozen.result.stats  # no adaptive_* keys either
+    assert ineligible.stats.backups_launched > 0
+    assert ineligible.stats.adaptive_partitions_recovered == 0
+    assert ineligible.stats.adaptive_waves == 0 and ineligible.plan_digest == ""
 
 
 # -- the QueryHistory digest fix (pinned regression) ----------------------------

@@ -21,6 +21,7 @@ import pytest
 from repro import DataType, FeisuCluster, FeisuConfig, Schema
 from repro.client.client import FeisuClient
 from repro.cluster import jobs as jobs_mod
+from repro.cluster.node import LeafConfig
 from repro.gateway import GatewayConfig
 from repro.sim.events import Event
 
@@ -102,10 +103,8 @@ QUERIES = [
 ]
 
 
-def _cluster(gateway=None) -> FeisuCluster:
-    cluster = FeisuCluster(
-        FeisuConfig(racks_per_datacenter=2, nodes_per_rack=4, gateway=gateway)
-    )
+def _cluster(**config) -> FeisuCluster:
+    cluster = FeisuCluster(FeisuConfig(racks_per_datacenter=2, nodes_per_rack=4, **config))
     rng = np.random.default_rng(3)
     n = 2000
     cluster.load_table(
@@ -144,6 +143,35 @@ def test_client_path_state_is_flat_in_jobs_served(small_window):
     assert manager.jobs_total == 3 * N and len(manager.jobs) == 8
     assert cluster.job_ledger.log_length < 256 and len(cluster.job_ledger.entries()) == 3 * N
     assert cluster.metrics().jobs_succeeded == 3 * N
+
+
+def test_completed_task_reuse_keeps_only_its_window(small_window):
+    """With a reuse window the master remembers finished tasks' results
+    for the window, not one per distinct signature ever settled."""
+    window = 60.0
+    # SmartIndex off: every distinct literal adds entries to it, and those
+    # are bounded by its own memory budget and TTL, not by jobs served.
+    cluster = _cluster(
+        reuse_completed_window_s=window, leaf=LeafConfig(enable_smartindex=False)
+    )
+    client = FeisuClient(cluster, "u")
+    manager = cluster.master.job_manager
+    literals = iter(range(10_000))
+
+    def serve(count: int) -> None:
+        for _ in range(count):
+            sql = f"SELECT COUNT(*) FROM T WHERE a > {next(literals)}"
+            client.query(sql)
+            client.query(sql)  # inside the window: answered from the kept results
+            cluster.sim.run(until=cluster.sim.now + window + 1.0)
+
+    serve(N)
+    before = census(cluster, client)
+    serve(2 * N)
+    after = census(cluster, client)
+    assert _grown(before, after) == {}
+    assert before["JobManager._completed"] > 0
+    assert manager.reuse_hits_completed == 3 * N * before["JobManager._completed"]
 
 
 def test_gateway_path_state_is_flat_in_sessions_served(small_window):

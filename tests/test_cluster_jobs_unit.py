@@ -119,7 +119,7 @@ def test_signature_equals_the_reference_formula_over_the_corpus(small_cluster):
     from repro.planner.adaptive import AdaptiveConfig, ReoptController, ReoptDecision
     from tests.test_adaptive_differential import ADAPTIVE_DIFFERENTIAL_QUERIES
     from tests.test_integration_differential import (
-        FUSED_DIFFERENTIAL_QUERIES,
+        DIFFERENTIAL_QUERIES,
         TASK_DIFFERENTIAL_QUERIES,
         _random_join_query,
         _random_query,
@@ -127,7 +127,7 @@ def test_signature_equals_the_reference_formula_over_the_corpus(small_cluster):
 
     rng = random.Random(57)
     corpus = (
-        FUSED_DIFFERENTIAL_QUERIES
+        DIFFERENTIAL_QUERIES
         + TASK_DIFFERENTIAL_QUERIES
         + ADAPTIVE_DIFFERENTIAL_QUERIES
         + [_random_query(rng) for _ in range(40)]

@@ -166,6 +166,33 @@ def test_index_cover_with_payload_reads_less(env):
     assert 0 < io2 < io1
 
 
+def test_cold_pass_feeds_the_index_in_clause_order(env):
+    """One entry per evaluated atom per block, inserted in CNF order."""
+    _, catalog, _ = env
+    mgr = SmartIndexManager()
+    run_query(env, "SELECT c1 FROM T WHERE c1 > 60 AND c2 = 4", index_manager=mgr)
+    blocks = catalog.get("T").blocks
+    assert mgr.entry_count == 2 * len(blocks)
+    for ref in blocks:
+        keys = [e.predicate_key for e in mgr.entries_for_block(ref.block_id)]
+        assert keys == ["c1 > 60", "c2 = 4"]
+
+
+def test_index_covered_pass_reads_nothing_where_no_row_matches(env):
+    """Covered tasks read payload columns only — and nothing at all from
+    a block whose cover says no row matches."""
+    mgr = SmartIndexManager()
+    sql = "SELECT c1 FROM T WHERE c1 > 98 AND c2 = 4"
+    r1, res1 = run_query(env, sql, index_manager=mgr)
+    r2, res2 = run_query(env, sql, index_manager=mgr, now=1.0)
+    assert r1.rows() == r2.rows()
+    assert all(r.report.index_full_cover for r in res2)
+    assert all(s.report.io_bytes < f.report.io_bytes for s, f in zip(res2, res1))
+    empty = [s.report for s in res2 if s.report.rows_matched == 0]
+    assert empty and all(r.io_bytes == 0 and r.io_seeks == 0 for r in empty)
+    assert any(s.report.io_bytes > 0 for s in res2)
+
+
 def test_btree_answers_supported_clauses(env):
     router, catalog, columns = env
     trees = {}

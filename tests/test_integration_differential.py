@@ -5,17 +5,14 @@ test and the chaos matrix); queries here are generated randomly across
 the dialect's feature space and must match it exactly (modulo float
 tolerance and row order for unordered queries).
 
-A second differential axis pits the fused morsel pipeline (S51,
-``LeafConfig.enable_fused_pipelines``) against the operator-at-a-time
-executor on twin clusters loaded with identical data: every query must
-return byte-identical results AND identical modeled cost accounting
-(``response_time_s``, ``io_bytes_modeled``), which is what lets the
-committed figure results stay unchanged when the flag is flipped.
+A fixed list of figure-shaped queries runs twice through the cluster —
+cold, then with the SmartIndex entries round one fed — so the covered
+path is pinned against the oracle too.
 
-A third runs both executors task by task — cold and index-covered, with
-plain and semantic (candidate-mask) index managers, on adaptive row
-slices and on layout variants — and compares the rows with the oracle
-and every ``TaskExecutionReport`` field with each other.
+A task-level section runs ``execute_scan_task`` task by task — cold and
+index-covered, with plain and semantic (candidate-mask) index managers,
+on adaptive row slices and on layout variants — and compares the rows
+with the oracle.
 """
 
 import dataclasses
@@ -24,11 +21,9 @@ import random
 import numpy as np
 import pytest
 
-from repro import DataType, FeisuCluster, FeisuConfig, Schema
-from repro.cluster.node import LeafConfig
+from repro import DataType, Schema
 from repro.columnar.table import Catalog
 from repro.engine.executor import execute_scan_task, finalize
-from repro.engine.pipeline import execute_fused_scan_task
 from repro.index.smartindex import SmartIndexManager
 from repro.planner.expressions import Frame
 from repro.planner.physical import build_plan
@@ -39,11 +34,10 @@ from repro.storage.layouts import LayoutSpec, apply_layout
 from repro.storage.loader import load_block, read_table_frame, store_table
 from repro.storage.router import StorageRouter
 from repro.storage.systems import DistributedFS
-from tests._oracle import _match, _row_dicts, reference_execute
+from tests._oracle import _match, _row_dicts, compare_rows, reference_execute
 from tests.conftest import CLICKS_SCHEMA, make_clicks_columns
 
 # -- query generation -----------------------------------------------------------
-
 
 
 def _random_join_query(rng):
@@ -130,44 +124,11 @@ def test_sum_with_nulls_matches(small_cluster):
     assert r.rows() == [(0,)]
 
 
-# -- fused-vs-unfused differential (S51) ----------------------------------------
-
-
-def _twin(enable_fused: bool) -> FeisuCluster:
-    cluster = FeisuCluster(
-        FeisuConfig(
-            datacenters=1,
-            racks_per_datacenter=2,
-            nodes_per_rack=4,
-            leaf=LeafConfig(enable_fused_pipelines=enable_fused),
-        )
-    )
-    columns = make_clicks_columns()
-    cluster.load_table("T", CLICKS_SCHEMA, columns, storage="storage-a", block_rows=1500)
-    dim = {
-        "c2": np.arange(10),
-        "label": np.array([f"grp{i}" for i in range(10)], dtype=object),
-        "weight": np.linspace(0.1, 1.0, 10),
-    }
-    cluster.load_table(
-        "D",
-        Schema.of(c2=DataType.INT64, label=DataType.STRING, weight=DataType.FLOAT64),
-        dim,
-        storage="storage-b",
-        block_rows=100,
-    )
-    return cluster
-
-
-@pytest.fixture(scope="module")
-def fused_twins():
-    """Identical data, one cluster per executor mode."""
-    return _twin(enable_fused=False), _twin(enable_fused=True)
-
+# -- figure-shaped queries, cold then index-covered ------------------------------
 
 #: Figure-shaped queries (the workloads behind the committed results)
 #: plus edge shapes: empty matches, full scans, negation, OR residuals.
-FUSED_DIFFERENTIAL_QUERIES = [
+DIFFERENTIAL_QUERIES = [
     "SELECT COUNT(*) AS n FROM T WHERE c1 > 50",
     "SELECT COUNT(*) AS n FROM T WHERE url CONTAINS 'site3'",
     "SELECT province, COUNT(*) AS n, SUM(c1) AS s FROM T "
@@ -187,46 +148,24 @@ FUSED_DIFFERENTIAL_QUERIES = [
 ]
 
 
-def _assert_results_identical(unfused, fused, sql):
-    assert fused.columns == unfused.columns, sql
-    assert fused.rows() == unfused.rows(), sql
-    for key in ("response_time_s", "io_bytes_modeled", "index_full_covers",
-                "index_clause_hits"):
-        assert fused.stats[key] == unfused.stats[key], (sql, key)
+@pytest.mark.parametrize("sql", DIFFERENTIAL_QUERIES)
+def test_queries_match_oracle(small_cluster, sql):
+    rows = _row_dicts(small_cluster._test_columns)
+    dim_rows = {"D": _row_dicts(small_cluster._test_dim)}
+    expected = reference_execute(sql, rows, join_tables=dim_rows)
+    # Two rounds: round one feeds the SmartIndex whatever it did not hold
+    # yet, so round two is answered from it — both paths are pinned.
+    for round_ in ("cold", "covered"):
+        result = small_cluster.query(sql)
+        divergence = compare_rows(result.rows(), expected)
+        assert divergence is None, (sql, round_, divergence)
+    assert result.stats["index_clause_misses"] == 0, sql
 
 
-@pytest.mark.parametrize("sql", FUSED_DIFFERENTIAL_QUERIES)
-def test_fused_matches_unfused(fused_twins, sql):
-    unfused_cluster, fused_cluster = fused_twins
-    # Two rounds: the second runs index-covered (SmartIndex entries were
-    # fed by round one), so both the cold and covered paths are pinned.
-    for _ in range(2):
-        _assert_results_identical(
-            unfused_cluster.query(sql), fused_cluster.query(sql), sql
-        )
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_fused_matches_unfused_random(fused_twins, seed):
-    unfused_cluster, fused_cluster = fused_twins
-    rng = random.Random(1000 + seed)
-    for _ in range(5):
-        sql = _random_query(rng)
-        _assert_results_identical(
-            unfused_cluster.query(sql), fused_cluster.query(sql), sql
-        )
-
-
-# -- task-level differential: rows AND every report field -----------------------
+# -- task-level differential ------------------------------------------------------
 #
-# Both executors filter on the encoded chunks and gather only matching
-# payload rows through one ChunkReader; they differ in morsel splitting
-# and threading.  Here every task runs through both, cold and
-# index-covered, and must agree on the rows (with the oracle too) and on
-# every TaskExecutionReport field that feeds the simulated clock.
-
-#: The fused path's own bookkeeping; everything else must be identical.
-_FUSED_ONLY_FIELDS = {"fused", "morsels", "workers", "morsel_wall_s"}
+# Every task of every query runs through ``execute_scan_task`` directly,
+# cold and index-covered, and the finalized rows must match the oracle.
 
 TASK_DIFFERENTIAL_QUERIES = [
     "SELECT COUNT(*) AS n, SUM(c1) AS s FROM T WHERE c1 < 60",
@@ -277,53 +216,35 @@ def _compile(task_env, sql):
     return plan, broadcasts, [load_block(router, t.block) for t in plan.tasks]
 
 
-def _assert_reports_identical(unfused, fused, context):
-    for u, f in zip(unfused, fused):
-        for field in dataclasses.fields(u.report):
-            if field.name not in _FUSED_ONLY_FIELDS:
-                assert getattr(u.report, field.name) == getattr(f.report, field.name), (
-                    context, u.task_id, field.name,
-                )
-
-
 def _assert_matches_oracle(task_env, plan, results, sql):
     _router, _catalog, rows, dim_rows = task_env
     expected = reference_execute(sql, rows, join_tables=dim_rows)
-    got = finalize(plan, results).rows()
-    assert len(got) == len(expected), sql
-    for row_a, row_b in zip(got, expected):
-        assert len(row_a) == len(row_b), sql
-        for a, b in zip(row_a, row_b):
-            assert _match(a, b), (sql, row_a, row_b)
+    divergence = compare_rows(finalize(plan, results).rows(), expected)
+    assert divergence is None, (sql, divergence)
 
 
 @pytest.mark.parametrize("index", ["none", "plain", "semantic"])
-def test_tasks_agree_on_rows_and_every_report_field(task_env, index):
-    managers = {
-        "none": (None, None),
-        "plain": (SmartIndexManager(), SmartIndexManager()),
-        "semantic": (SmartIndexManager(semantic=True), SmartIndexManager(semantic=True)),
+def test_tasks_match_oracle(task_env, index):
+    manager = {
+        "none": None,
+        "plain": SmartIndexManager(),
+        "semantic": SmartIndexManager(semantic=True),
     }[index]
-    residual_clauses = 0
+    full_covers = residual_clauses = 0
     for sql in TASK_DIFFERENTIAL_QUERIES:
         plan, broadcasts, blocks = _compile(task_env, sql)
         for round_ in ("cold", "covered"):
-            unfused = [
-                execute_scan_task(t, plan, b, broadcasts, index_manager=managers[0], now=1.0)
+            results = [
+                execute_scan_task(t, plan, b, broadcasts, index_manager=manager, now=1.0)
                 for t, b in zip(plan.tasks, blocks)
             ]
-            fused = [
-                execute_fused_scan_task(
-                    t, plan, b, broadcasts, index_manager=managers[1], now=1.0,
-                    worker_threads=2, morsel_rows=400,
-                )
-                for t, b in zip(plan.tasks, blocks)
-            ]
-            _assert_reports_identical(unfused, fused, (sql, round_))
-            assert finalize(plan, fused).rows() == finalize(plan, unfused).rows(), sql
-            _assert_matches_oracle(task_env, plan, unfused, sql)
-            residual_clauses += sum(r.report.index_residual_clauses for r in unfused)
-    # The semantic manager must actually have answered with candidate masks.
+            _assert_matches_oracle(task_env, plan, results, sql)
+            if round_ == "covered":
+                full_covers += sum(r.report.index_full_cover for r in results)
+            residual_clauses += sum(r.report.index_residual_clauses for r in results)
+    # The second round really ran index-covered, and the semantic manager
+    # really answered with candidate masks.
+    assert (full_covers > 0) == (index != "none")
     assert (residual_clauses > 0) == (index == "semantic")
 
 
@@ -331,18 +252,15 @@ def test_tasks_agree_on_rows_and_every_report_field(task_env, index):
 def test_row_slices_agree_and_sum_to_the_whole_block(task_env, sql):
     plan, broadcasts, blocks = _compile(task_env, sql)
     whole = [execute_scan_task(t, plan, b, broadcasts) for t, b in zip(plan.tasks, blocks)]
-    unfused, fused = [], []
+    sliced = []
     for task, block in zip(plan.tasks, blocks):
         cuts = [0, 1, block.num_rows // 3, block.num_rows - 7, block.num_rows]
         for lo, hi in zip(cuts, cuts[1:]):
             part = dataclasses.replace(task, task_id=f"{task.task_id}.{lo}", row_slice=(lo, hi))
-            unfused.append(execute_scan_task(part, plan, block, broadcasts))
-            fused.append(execute_fused_scan_task(part, plan, block, broadcasts, morsel_rows=400))
-    _assert_reports_identical(unfused, fused, sql)
-    _assert_matches_oracle(task_env, plan, unfused, sql)
-    _assert_matches_oracle(task_env, plan, fused, sql)
+            sliced.append(execute_scan_task(part, plan, block, broadcasts))
+    _assert_matches_oracle(task_env, plan, sliced, sql)
     for field in ("rows_in_block", "rows_matched"):
-        assert sum(getattr(r.report, field) for r in unfused) == sum(
+        assert sum(getattr(r.report, field) for r in sliced) == sum(
             getattr(r.report, field) for r in whole
         ), field
 
@@ -358,15 +276,8 @@ def test_row_slices_agree_and_sum_to_the_whole_block(task_env, sql):
 def test_layout_variants_agree(task_env, spec):
     for sql in TASK_DIFFERENTIAL_QUERIES:
         plan, broadcasts, blocks = _compile(task_env, sql)
-        variants = [apply_layout(b, spec) for b in blocks]
-        unfused = [
-            execute_scan_task(t, plan, v, broadcasts, layout=spec)
-            for t, v in zip(plan.tasks, variants)
+        results = [
+            execute_scan_task(t, plan, apply_layout(b, spec), broadcasts, layout=spec)
+            for t, b in zip(plan.tasks, blocks)
         ]
-        fused = [
-            execute_fused_scan_task(t, plan, v, broadcasts, layout=spec, morsel_rows=400)
-            for t, v in zip(plan.tasks, variants)
-        ]
-        _assert_reports_identical(unfused, fused, sql)
-        _assert_matches_oracle(task_env, plan, unfused, sql)
-        _assert_matches_oracle(task_env, plan, fused, sql)
+        _assert_matches_oracle(task_env, plan, results, sql)

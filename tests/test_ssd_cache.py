@@ -122,8 +122,8 @@ def test_rejected_preferred_pressure_update_drops_stale_entry():
     cache.prefer("/hot")
     cache.put("/hot/a", b"1234")
     cache.put("/x", b"12")
-    # Growing /x to 6 bytes needs /hot/a evicted — refused for a
-    # non-preferred insert — but the stale 2-byte /x must still go.
+    # Growing /x to 6 bytes needs /hot/a evicted, which a non-preferred
+    # insert may not do — but the stale 2-byte /x must still go.
     assert not cache.put("/x", b"123456")
     assert cache.get("/x") is None
     assert cache.get("/hot/a") is not None

@@ -1,5 +1,5 @@
-"""Thread-safety of the structures the fused pipeline's worker pool
-shares: SmartIndexManager probe/insert and SsdCache get/put.
+"""Thread-safety of the structures documented as safe under concurrent
+callers: SmartIndexManager probe/insert and SsdCache get/put.
 
 Eight OS threads hammer one instance with a Hypothesis-generated
 operation mix; afterwards the books must balance exactly — byte

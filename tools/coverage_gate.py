@@ -44,6 +44,7 @@ TARGET_DIRS = tuple(os.path.join(SRC, "repro", pkg) + os.sep for pkg in TARGET_P
 #: Test files that exercise the gated packages.
 TEST_ARGS = [
     "tests/chaos",
+    "tests/test_bounded_state.py",
     "tests/test_client.py",
     "tests/test_client_serving_fixes.py",
     "tests/test_cluster_domains.py",
@@ -65,7 +66,6 @@ TEST_ARGS = [
     "tests/test_engine_aggregates.py",
     "tests/test_engine_executor.py",
     "tests/test_engine_operators.py",
-    "tests/test_engine_pipeline.py",
     "tests/test_engine_serialize.py",
     "tests/test_adaptive_differential.py",
     "tests/test_gateway.py",
