@@ -11,6 +11,7 @@ from repro.columnar.bloom import BloomFilter
 from repro.columnar.encoding import (
     BitPackedEncoding,
     ChunkReader,
+    ColumnFacts,
     DeltaEncoding,
     DictionaryEncoding,
     Encoding,
@@ -18,7 +19,7 @@ from repro.columnar.encoding import (
     RunLengthEncoding,
     choose_encoding,
 )
-from repro.columnar.json_flatten import flatten_record, flatten_records
+from repro.columnar.json_flatten import align_columns, flatten_record, flatten_records
 from repro.columnar.schema import DataType, Field, Schema, coerce_array
 from repro.columnar.stats import ColumnHistogram
 from repro.columnar.table import BlockRef, Catalog, Table
@@ -34,6 +35,7 @@ __all__ = [
     "ChunkReader",
     "ChunkStats",
     "ColumnChunk",
+    "ColumnFacts",
     "DataType",
     "DeltaEncoding",
     "DictionaryEncoding",
@@ -43,6 +45,7 @@ __all__ = [
     "RunLengthEncoding",
     "Schema",
     "Table",
+    "align_columns",
     "choose_encoding",
     "coerce_array",
     "flatten_record",

@@ -17,12 +17,13 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.columnar.bloom import BloomFilter
-from repro.columnar.encoding import ChunkReader, choose_encoding, codec_by_tag
+from repro.columnar.encoding import ChunkReader, ColumnFacts, choose_encoding, codec_by_tag
 from repro.columnar.schema import DataType, Schema
 from repro.errors import StorageError
 
@@ -34,12 +35,30 @@ _MAGIC = b"FSU1"
 
 @dataclass
 class ChunkStats:
-    """Statistics for one column chunk, used for pruning."""
+    """Statistics for one column chunk, used for pruning.
+
+    The Bloom filter of a freshly written string chunk is built the
+    first time it is consulted, from the values ``bloom_source()``
+    returns; it is not serialised, so a block parsed back from bytes
+    prunes on min / max alone.
+    """
 
     min_value: Optional[object] = None
     max_value: Optional[object] = None
     distinct_estimate: int = 0
-    bloom: Optional[BloomFilter] = None
+    bloom_source: Optional[Callable[[], np.ndarray]] = field(
+        default=None, repr=False, compare=False
+    )
+    _bloom: Optional[BloomFilter] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def bloom(self) -> Optional[BloomFilter]:
+        if self._bloom is None and self.bloom_source is not None:
+            distinct = set(map(str, self.bloom_source()))
+            self._bloom = BloomFilter(expected_items=len(distinct))
+            self._bloom.update(distinct)
+            self.bloom_source = None
+        return self._bloom
 
     def range_excludes_equality(self, value: object) -> bool:
         """True if ``column == value`` can't match anything in the chunk."""
@@ -78,9 +97,14 @@ class ColumnChunk:
 
     @classmethod
     def from_array(cls, name: str, dtype: DataType, array: np.ndarray) -> "ColumnChunk":
-        codec = choose_encoding(array, dtype)
-        stats = _compute_stats(array, dtype)
-        return cls(name, dtype, codec.tag, codec.encode(array), stats, len(array))
+        facts = ColumnFacts(array)
+        codec = choose_encoding(array, dtype, facts)
+        payload = codec.encode(array, facts)
+        stats = _compute_stats(array, dtype, facts)
+        if dtype is DataType.STRING and len(array):
+            # Holds the payload the chunk holds anyway, not the array.
+            stats.bloom_source = partial(codec.decode, payload, len(array))
+        return cls(name, dtype, codec.tag, payload, stats, len(array))
 
     def decode(self) -> np.ndarray:
         """Fully materialize the column as a fresh writable array."""
@@ -96,22 +120,18 @@ class ColumnChunk:
         return len(self.payload)
 
 
-def _compute_stats(array: np.ndarray, dtype: DataType) -> ChunkStats:
+def _compute_stats(array: np.ndarray, dtype: DataType, facts: ColumnFacts) -> ChunkStats:
     if len(array) == 0:
         return ChunkStats()
-    if dtype is DataType.BOOL:
-        return ChunkStats(bool(array.min()), bool(array.max()), int(array.min() != array.max()) + 1)
     if dtype is DataType.STRING:
-        values = [str(v) for v in array]
-        uniq = set(values)
-        bloom = BloomFilter(expected_items=len(uniq))
-        bloom.update(uniq)
-        return ChunkStats(min(values), max(values), len(uniq), bloom)
-    uniq_count = len(np.unique(array))
+        distinct = facts.first_seen
+        return ChunkStats(str(min(distinct)), str(max(distinct)), len(distinct))
     lo, hi = array.min(), array.max()
+    if dtype is DataType.BOOL:
+        return ChunkStats(bool(lo), bool(hi), int(lo != hi) + 1)
     if dtype is DataType.INT64:
-        return ChunkStats(int(lo), int(hi), uniq_count)
-    return ChunkStats(float(lo), float(hi), uniq_count)
+        return ChunkStats(int(lo), int(hi), facts.distinct_count)
+    return ChunkStats(float(lo), float(hi), facts.distinct_count)
 
 
 class Block:

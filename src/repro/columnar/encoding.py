@@ -18,7 +18,8 @@ numpy buffers.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,14 +32,11 @@ _U32_SIZE = 4
 
 def _pack_strings(values: Sequence[str]) -> bytes:
     """Offsets + concatenated UTF-8 payload."""
-    blobs = [v.encode("utf-8") for v in values]
-    out = [struct.pack(_U32, len(blobs))]
-    offset = 0
-    for b in blobs:
-        offset += len(b)
-        out.append(struct.pack(_U32, offset))
-    out.extend(blobs)
-    return b"".join(out)
+    blobs = list(map(str.encode, values))
+    ends = np.cumsum(list(map(len, blobs)), dtype=np.int64)
+    if len(ends) and ends[-1] > 0xFFFFFFFF:
+        raise StorageError("string chunk exceeds the 4 GiB offset range")
+    return b"".join([struct.pack(_U32, len(blobs)), ends.astype("<u4").tobytes(), *blobs])
 
 
 def _unpack_strings(payload, pos: int = 0) -> np.ndarray:
@@ -156,7 +154,9 @@ class Encoding:
     tag: int = -1
     name: str = "base"
 
-    def encode(self, array: np.ndarray) -> bytes:
+    def encode(self, array: np.ndarray, facts: Optional["ColumnFacts"] = None) -> bytes:
+        """Encode ``array``; ``facts``, when the caller already has them
+        for this very array, spare recomputing runs and distinct values."""
         raise NotImplementedError
 
     def decode(self, payload, count: int) -> np.ndarray:
@@ -180,9 +180,9 @@ class PlainEncoding(Encoding):
     tag = 0
     name = "plain"
 
-    def encode(self, array: np.ndarray) -> bytes:
+    def encode(self, array: np.ndarray, facts: Optional["ColumnFacts"] = None) -> bytes:
         if _is_string(array):
-            return b"s" + _pack_strings(list(array))
+            return b"s" + _pack_strings(array.tolist())
         return b"n" + array.dtype.str.encode() + b"\x00" + array.tobytes()
 
     def decode(self, payload, count: int) -> np.ndarray:
@@ -215,12 +215,14 @@ class RunLengthEncoding(Encoding):
     tag = 1
     name = "rle"
 
-    def encode(self, array: np.ndarray) -> bytes:
-        values, lengths = run_length_split(array)
-        plain = PlainEncoding()
-        vbytes = plain.encode(values)
+    def encode(self, array: np.ndarray, facts: Optional["ColumnFacts"] = None) -> bytes:
+        return self.encode_runs(*(facts or ColumnFacts(array)).runs)
+
+    @staticmethod
+    def encode_runs(values: np.ndarray, lengths: np.ndarray) -> bytes:
+        vbytes = _PLAIN.encode(values)
         lbytes = np.asarray(lengths, dtype=np.uint32).tobytes()
-        return struct.pack(_U32, len(lengths)) + struct.pack(_U32, len(vbytes)) + vbytes + lbytes
+        return struct.pack("<II", len(lengths), len(vbytes)) + vbytes + lbytes
 
     def decode(self, payload, count: int) -> np.ndarray:
         return np.repeat(*self.decode_parts(payload))
@@ -242,31 +244,11 @@ class DictionaryEncoding(Encoding):
     tag = 2
     name = "dictionary"
 
-    def encode(self, array: np.ndarray) -> bytes:
-        if _is_string(array):
-            # Python-level uniquing: numpy's fixed-width unicode arrays
-            # silently strip trailing NULs, corrupting round-trips.
-            mapping: dict = {}
-            uniques: list = []
-            codes = np.empty(len(array), dtype=np.uint32)
-            for i, v in enumerate(array):
-                idx = mapping.get(v)
-                if idx is None:
-                    idx = len(uniques)
-                    mapping[v] = idx
-                    uniques.append(v)
-                codes[i] = idx
-            uarr = np.empty(len(uniques), dtype=object)
-            for i, u in enumerate(uniques):
-                uarr[i] = u
-        else:
-            uarr, codes = np.unique(array, return_inverse=True)
-        plain = PlainEncoding()
-        ubytes = plain.encode(uarr)
+    def encode(self, array: np.ndarray, facts: Optional["ColumnFacts"] = None) -> bytes:
+        uarr, codes = (facts or ColumnFacts(array)).dictionary
+        ubytes = _PLAIN.encode(uarr)
         cbytes = np.asarray(codes, dtype=np.uint32).tobytes()
-        return (
-            struct.pack(_U32, len(uarr)) + struct.pack(_U32, len(ubytes)) + ubytes + cbytes
-        )
+        return struct.pack("<II", len(uarr), len(ubytes)) + ubytes + cbytes
 
     def decode(self, payload, count: int) -> np.ndarray:
         uarr, codes = self.decode_parts(payload, count)
@@ -295,15 +277,12 @@ class DeltaEncoding(Encoding):
     tag = 4
     name = "delta"
 
-    def encode(self, array: np.ndarray) -> bytes:
+    def encode(self, array: np.ndarray, facts: Optional["ColumnFacts"] = None) -> bytes:
         if not np.issubdtype(array.dtype, np.integer):
             raise StorageError("delta encoding requires an integer array")
-        if len(array) == 0:
-            return struct.pack("<q", 0) + RunLengthEncoding().encode(array)
-        with np.errstate(over="ignore"):
-            deltas = np.diff(array.astype(np.int64))
-        first = struct.pack("<q", int(array[0]))
-        return first + RunLengthEncoding().encode(deltas)
+        first = int(array[0]) if len(array) else 0
+        runs = (facts or ColumnFacts(array)).delta_runs
+        return struct.pack("<q", first) + RunLengthEncoding.encode_runs(*runs)
 
     def decode(self, payload, count: int) -> np.ndarray:
         (first,) = struct.unpack_from("<q", payload, 0)
@@ -325,7 +304,7 @@ class BitPackedEncoding(Encoding):
     tag = 3
     name = "bitpacked"
 
-    def encode(self, array: np.ndarray) -> bytes:
+    def encode(self, array: np.ndarray, facts: Optional["ColumnFacts"] = None) -> bytes:
         if array.dtype != np.bool_:
             raise StorageError("bit-packing requires a boolean array")
         return np.packbits(array).tobytes()
@@ -369,42 +348,113 @@ def run_length_split(array: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return array[starts], lengths
 
 
-def choose_encoding(array: np.ndarray, dtype: DataType) -> Encoding:
+#: Rows of a column the codec chooser looks at for its distinct-value estimate.
+CHOOSER_SAMPLE_ROWS = 4096
+
+
+class ColumnFacts:
+    """What the codec chooser, the chunk statistics and the codecs each
+    ask of one column, computed at most once.
+
+    Every fact is lazy, so a column pays only for what its type and its
+    chosen codec need.  String columns (object arrays) are uniqued in
+    Python — numpy's fixed-width unicode arrays silently strip trailing
+    NULs, corrupting round-trips — but per distinct value, not per row.
+    """
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+    @cached_property
+    def runs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(run values, run lengths)``."""
+        return run_length_split(self.array)
+
+    @cached_property
+    def delta_runs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Runs of the wrapping int64 differences between neighbours."""
+        with np.errstate(over="ignore"):
+            return run_length_split(np.diff(self.array.astype(np.int64)))
+
+    @cached_property
+    def strings(self) -> List[str]:
+        """A string column as a Python list."""
+        return self.array.tolist()
+
+    @cached_property
+    def first_seen(self) -> Dict[str, int]:
+        """A string column's distinct values, each mapped to its rank in
+        first-appearance order."""
+        distinct = dict.fromkeys(self.strings)
+        return dict(zip(distinct, range(len(distinct))))
+
+    @cached_property
+    def dictionary(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(uniques, codes)`` with ``uniques[codes]`` equal to the column:
+        strings in first-appearance order, numerics sorted."""
+        if not _is_string(self.array):
+            return np.unique(self.array, return_inverse=True)
+        code_of = self.first_seen
+        uniques = np.empty(len(code_of), dtype=object)
+        uniques[:] = list(code_of)
+        codes = np.fromiter(
+            map(code_of.__getitem__, self.strings), dtype=np.uint32, count=len(self.strings)
+        )
+        return uniques, codes
+
+    @cached_property
+    def distinct_count(self) -> int:
+        """Exact number of distinct values in the whole column."""
+        if _is_string(self.array):
+            return len(self.first_seen)
+        # Reuse the dictionary when the codec already paid for it, and
+        # where the column is small enough that the inverse costs nothing.
+        if "dictionary" in self.__dict__ or len(self.array) <= CHOOSER_SAMPLE_ROWS:
+            return len(self.dictionary[0])
+        return len(np.unique(self.array))
+
+    @cached_property
+    def sampled_distinct_count(self) -> int:
+        """Distinct values among the first ``CHOOSER_SAMPLE_ROWS`` rows."""
+        if len(self.array) <= CHOOSER_SAMPLE_ROWS:
+            return self.distinct_count
+        if _is_string(self.array):
+            return len(set(self.strings[:CHOOSER_SAMPLE_ROWS]))
+        return len(np.unique(self.array[:CHOOSER_SAMPLE_ROWS]))
+
+
+def choose_encoding(
+    array: np.ndarray, dtype: DataType, facts: Optional[ColumnFacts] = None
+) -> Encoding:
     """Pick the smallest applicable codec for the array.
 
     Booleans always bit-pack.  For other types we compare plain size
     against cheap analytic estimates of RLE and dictionary sizes, so we
-    avoid actually encoding three times.
+    avoid actually encoding three times.  ``facts`` are the caller's
+    :class:`ColumnFacts` for this array, if it has them.
     """
     if dtype is DataType.BOOL:
         return _CODECS[BitPackedEncoding.tag]
     n = len(array)
     if n == 0:
         return _CODECS[PlainEncoding.tag]
-    values, lengths = run_length_split(array)
-    nruns = len(values)
+    if facts is None:
+        facts = ColumnFacts(array)
+    nruns = len(facts.runs[0])
+    uniq = facts.sampled_distinct_count
     if dtype is DataType.STRING:
-        avg = sum(len(str(v)) for v in array[: min(n, 64)]) / min(n, 64) + _U32_SIZE
-        plain_size = n * avg
-        uniq = len(set(array[: min(n, 4096)].tolist()))
-        dict_size = uniq * avg + n * 4
-        rle_size = nruns * avg + nruns * 4
+        head = min(n, 64)
+        item = sum(map(len, map(str, array[:head].tolist()))) / head + _U32_SIZE
     else:
         item = array.dtype.itemsize
-        plain_size = n * item
-        uniq = len(np.unique(array[: min(n, 4096)]))
-        dict_size = uniq * item + n * 4
-        rle_size = nruns * item + nruns * 4
     candidates = [
-        (plain_size, PlainEncoding.tag),
-        (dict_size, DictionaryEncoding.tag),
-        (rle_size, RunLengthEncoding.tag),
+        (n * item, PlainEncoding.tag),
+        (uniq * item + n * 4, DictionaryEncoding.tag),
+        (nruns * item + nruns * 4, RunLengthEncoding.tag),
     ]
     if dtype is DataType.INT64 and n > 1:
-        with np.errstate(over="ignore"):
-            deltas = np.diff(array.astype(np.int64))
-        _dv, dlen = run_length_split(deltas)
-        delta_size = 8 + len(_dv) * array.dtype.itemsize + len(dlen) * 4
+        dvalues, dlengths = facts.delta_runs
+        delta_size = 8 + len(dvalues) * array.dtype.itemsize + len(dlengths) * 4
         candidates.append((delta_size, DeltaEncoding.tag))
     best = min(candidates)
     return _CODECS[best[1]]

@@ -164,7 +164,6 @@ def coerce_array(values: Sequence[object], dtype: DataType) -> np.ndarray:
     """Build a column array of logical type ``dtype`` from Python values."""
     if dtype is DataType.STRING:
         arr = np.empty(len(values), dtype=object)
-        for i, v in enumerate(values):
-            arr[i] = v
+        arr[:] = values
         return arr
     return np.asarray(values, dtype=dtype.numpy_dtype)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
 from repro.columnar.block import Block
-from repro.columnar.json_flatten import flatten_records
+from repro.columnar.json_flatten import align_columns, flatten_records
 from repro.columnar.schema import Schema
 from repro.columnar.table import Table
 from repro.sim.events import Event, Simulator
@@ -93,19 +93,8 @@ class ConversionDaemon:
                 continue
             schema, columns = flatten_records(records)
             table = self._table(schema)
-            if table.schema.to_dict() != schema.to_dict():
-                # align onto the established schema, defaulting gaps
-                aligned = {}
-                import numpy as np
-
-                for f in table.schema:
-                    if f.name in columns:
-                        aligned[f.name] = columns[f.name]
-                    elif f.dtype.numpy_dtype == object:
-                        aligned[f.name] = np.array([""] * len(records), dtype=object)
-                    else:
-                        aligned[f.name] = np.zeros(len(records), dtype=f.dtype.numpy_dtype)
-                columns = aligned
+            if table.schema != schema:
+                columns = align_columns(table.schema, columns, len(records))
             block_id = f"{self.table_name}.{self.node}.b{self._block_seq}"
             self._block_seq += 1
             block = Block.from_arrays(block_id, table.schema, columns, self.scale_factor)

@@ -17,10 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.columnar.block import Block
-from repro.columnar.json_flatten import flatten_records
+from repro.columnar.json_flatten import align_columns, flatten_records
 from repro.columnar.schema import Schema
 from repro.columnar.table import BlockRef, Table
 from repro.sim.netmodel import NodeAddress
@@ -77,19 +75,9 @@ class LogIngestor:
             self._schema = schema
             self._table = Table(self.table_name, schema, description="node-local service logs")
             self.cluster.catalog.register(self._table)
-        elif schema.to_dict() != self._schema.to_dict():
-            # Dense engine: align batches onto the first-seen schema,
-            # default-filling fields this batch happens to lack.
-            n = len(next(iter(columns.values()))) if columns else 0
-            aligned = {}
-            for f in self._schema:
-                if f.name in columns:
-                    aligned[f.name] = columns[f.name]
-                else:
-                    aligned[f.name] = np.zeros(n, dtype=f.dtype.numpy_dtype) if (
-                        f.dtype.numpy_dtype != object
-                    ) else np.array([""] * n, dtype=object)
-            columns = aligned
+        elif schema != self._schema:
+            # Dense engine: every batch lands on the first-seen schema.
+            columns = align_columns(self._schema, columns, len(records))
         block_id = f"{self.table_name}.b{self._block_seq}"
         self._block_seq += 1
         block = Block.from_arrays(block_id, self._schema, columns, self.scale_factor)

@@ -53,3 +53,14 @@ def test_property_membership_after_insert(items):
     bf = BloomFilter(expected_items=max(len(items), 1))
     bf.update(items)
     assert all(bf.might_contain(x) for x in items)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.text(max_size=8), st.integers(), st.floats(allow_nan=False)), max_size=60))
+def test_update_equals_add_in_a_loop(values):
+    one, other = BloomFilter(expected_items=32), BloomFilter(expected_items=32)
+    one.update(values)
+    for v in values:
+        other.add(v)
+    assert one.count == other.count == len(values)
+    assert one.to_bytes() == other.to_bytes()

@@ -84,3 +84,18 @@ def test_empty_raw_file_discarded(fresh_cluster):
     )
     assert converted == 0
     assert fresh_cluster.local_fs.list_paths(f"/raw/{node}/") == []
+
+
+def test_converted_batches_are_cast_onto_the_table_schema(fresh_cluster):
+    """The daemon shares ``LogIngestor``'s alignment: a file whose column
+    infers to another type is cast to the table's, not stored as it came."""
+    node_a, node_b = fresh_cluster.nodes[0], fresh_cluster.nodes[1]
+    write_raw_records(fresh_cluster, node_a, "a.jsonl", [{"tag": "a", "score": 1.5}, {"tag": "b", "score": 2.5}])
+    write_raw_records(fresh_cluster, node_b, "b.jsonl", [{"tag": 7, "score": 3}, {"tag": 8, "score": 4}, {"tag": 7}])
+    for node in (node_a, node_b):
+        daemon = ConversionDaemon(fresh_cluster, node, table_name="dtyped")
+        fresh_cluster.sim.run_until_complete(fresh_cluster.sim.process(daemon.convert_pending()))
+    rows = fresh_cluster.query("SELECT tag, score FROM dtyped").rows()
+    assert sorted(rows) == [("7", 0.0), ("7", 3.0), ("8", 4.0), ("a", 1.5), ("b", 2.5)]
+    assert fresh_cluster.query("SELECT COUNT(*) FROM dtyped WHERE tag = '7'").rows() == [(2,)]
+    assert fresh_cluster.query("SELECT SUM(score) FROM dtyped WHERE score > 2.75").rows() == [(7.0,)]

@@ -52,3 +52,17 @@ def test_table_property_before_ingest(fresh_cluster):
     ing = LogIngestor(fresh_cluster)
     with pytest.raises(RuntimeError):
         _ = ing.table
+
+
+def test_batches_are_cast_onto_the_first_seen_schema(fresh_cluster):
+    """A later batch whose column infers to another type is stored as the
+    table's type, not passed through (it used to land as ints under a
+    STRING field: SELECT returned 7, and ``tag = '7'`` matched nothing)."""
+    ing = LogIngestor(fresh_cluster, table_name="typed")
+    nodes = fresh_cluster.nodes
+    ing.ingest(nodes[0], [{"tag": "a", "score": 1.5}, {"tag": "b", "score": 2.5}])
+    ing.ingest(nodes[1], [{"tag": 7, "score": 3}, {"tag": 8, "score": 4}, {"tag": 7}])
+    rows = fresh_cluster.query("SELECT tag, score FROM typed").rows()
+    assert sorted(rows) == [("7", 0.0), ("7", 3.0), ("8", 4.0), ("a", 1.5), ("b", 2.5)]
+    assert fresh_cluster.query("SELECT COUNT(*) FROM typed WHERE tag = '7'").rows() == [(2,)]
+    assert fresh_cluster.query("SELECT SUM(score) FROM typed WHERE score > 2.75").rows() == [(7.0,)]

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Dependency-free line-coverage gate for the client, cluster, columnar, engine, fault, gateway, index, planner, simulator and storage layers.
+"""Dependency-free line-coverage gate for the client, cluster, columnar, engine, fault, gateway, index, planner, simulator, storage and workload layers.
 
 The container has no ``coverage``/``pytest-cov``, so this implements the
 minimum honestly: a ``sys.settrace`` hook records executed lines in the
@@ -38,6 +38,7 @@ TARGET_PACKAGES = (
     "planner",
     "sim",
     "storage",
+    "workload",
 )
 TARGET_DIRS = tuple(os.path.join(SRC, "repro", pkg) + os.sep for pkg in TARGET_PACKAGES)
 
@@ -88,6 +89,12 @@ TEST_ARGS = [
     "tests/test_storage_layouts.py",
     "tests/test_layout_property.py",
     "tests/test_new_features.py",
+    "tests/test_block_digests.py",
+    "tests/test_write_path.py",
+    "tests/test_loggen.py",
+    "tests/test_conversion_daemon.py",
+    "tests/test_workload.py",
+    "tests/test_workload_replay.py",
 ]
 
 FLOOR = 0.80
