@@ -20,14 +20,15 @@ one user:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.client.history import QueryHistory
 from repro.cluster.jobs import Job, JobOptions
 from repro.core.feisu import FeisuCluster
 from repro.engine.executor import QueryResult
-from repro.errors import AccessDeniedError, ParseError
-from repro.sql.analyzer import analyze
+from repro.errors import ParseError
+from repro.planner.physical import plan_fingerprint
+from repro.sql.analyzer import AnalyzedQuery, analyze_sql, guided
 from repro.sql.parser import parse
 
 
@@ -62,31 +63,23 @@ class FeisuClient:
         try:
             parse(sql)
         except ParseError as exc:
-            return SyntaxReport(ok=False, message=_guided(exc), position=exc.position)
+            return SyntaxReport(ok=False, message=guided(exc, sql).args[0], position=exc.position)
         return SyntaxReport(ok=True)
 
     def verify_access(self, sql: str) -> None:
         """Raise :class:`AccessDeniedError` if the user lacks rights to
         any referenced table (mirrors the production pre-flight)."""
-        analyzed = analyze(parse(sql), self.cluster.catalog)
-        self.cluster.acl.check_read(
-            self.user, [t.name for t in analyzed.tables.values()]
-        )
+        self._guarded_preflight(sql)
 
     # -- querying -------------------------------------------------------------
 
-    def _guarded_preflight(self, sql: str):
+    def _guarded_preflight(self, sql: str) -> AnalyzedQuery:
         """The client-side checks every submission path must pass: syntax
         with guided errors (as :meth:`check_syntax` words them), then the
-        ACL read pre-flight.  The statement is parsed and analyzed once;
-        the result, stamped with its text, is handed on to the master."""
-        try:
-            query = parse(sql)
-        except ParseError as exc:
-            raise ParseError(_guided(exc), position=exc.position, text=sql) from None
-        analyzed = analyze(query, self.cluster.catalog)
-        analyzed.source_sql = sql
-        self.cluster.acl.check_read(self.user, [t.name for t in analyzed.tables.values()])
+        ACL read pre-flight.  The statement comes from the catalog's
+        statement cache, where the master finds it again."""
+        analyzed = analyze_sql(sql, self.cluster.catalog)
+        self.cluster.acl.check_read(self.user, analyzed.table_names)
         return analyzed
 
     def query(self, sql: str, options: Optional[JobOptions] = None) -> QueryResult:
@@ -105,15 +98,13 @@ class FeisuClient:
 
     def query_job(self, sql: str, options: Optional[JobOptions] = None) -> Job:
         analyzed = self._guarded_preflight(sql)
-        job = self.cluster.query_job(sql, user=self.user, options=options, analyzed=analyzed)
+        job = self.cluster.query_job(sql, user=self.user, options=options)
         # History keeps the ORIGINAL plan fingerprint even when the
         # adaptive path re-planned mid-query; the post-re-plan digest is
         # a separate field so it can be cross-checked against EXPLAIN
         # ANALYZE's "plan digest: X -> Y" line.
         digest = getattr(job, "plan_digest", "")
         if not digest and job.plan is not None:
-            from repro.planner.adaptive import plan_fingerprint
-
             digest = plan_fingerprint(job.plan)
         self.history.record(
             self.cluster.sim.now,
@@ -187,24 +178,3 @@ def _fmt(v: object) -> str:
     if isinstance(v, float):
         return f"{v:.6g}"
     return str(v)
-
-
-_HINTS: Sequence[Tuple[str, str]] = (
-    ("expected FROM", "every query needs a FROM clause: SELECT ... FROM table"),
-    ("expected expression", "check for a trailing comma or missing operand"),
-    ("unterminated string", "string literals use single quotes: 'value'"),
-    ("unknown function", "supported: COUNT SUM AVG MIN MAX LENGTH LOWER UPPER ABS"),
-)
-
-
-def _guided(exc: ParseError) -> str:
-    """The parser's message plus a hint on how to fix the statement."""
-    hint = _hint_for(str(exc))
-    return f"{exc}{('; ' + hint) if hint else ''}"
-
-
-def _hint_for(message: str) -> str:
-    for needle, hint in _HINTS:
-        if needle in message:
-            return hint
-    return ""

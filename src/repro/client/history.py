@@ -18,9 +18,8 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.planner.cnf import to_cnf
+from repro.planner.physical import plan_shape
 from repro.sql.analyzer import AnalyzedQuery
-from repro.sql.ast import Column, walk
 
 
 def _locked(method):
@@ -79,23 +78,15 @@ class QueryHistory:
         plan_digest: str = "",
         post_plan_digest: Optional[str] = None,
     ) -> HistoryEntry:
-        columns = set()
-        for exprs in ([analyzed.query.where] if analyzed.query.where else []):
-            for node in walk(exprs):
-                if isinstance(node, Column):
-                    columns.add(node.name)
-        for expr in analyzed.output_exprs:
-            for node in walk(expr):
-                if isinstance(node, Column):
-                    columns.add(node.name)
-        keys = tuple(a.key for a in to_cnf(analyzed.query.where).atoms)
+        """Record one query; its features are the statement's, derived
+        once per statement."""
         entry = HistoryEntry(
             at=at,
             user=user,
             sql=sql,
-            tables=tuple(sorted(t.name for t in analyzed.tables.values())),
-            columns=tuple(sorted(columns)),
-            predicate_keys=keys,
+            tables=tuple(sorted(analyzed.table_names)),
+            columns=analyzed.touched_columns,
+            predicate_keys=plan_shape(analyzed).predicate_keys,
             plan_digest=plan_digest,
             post_plan_digest=post_plan_digest,
         )

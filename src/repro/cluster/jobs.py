@@ -173,7 +173,7 @@ def new_job(user: str, sql: str, plan: PhysicalPlan, options: JobOptions, now: f
 
 def task_signature(plan: PhysicalPlan, task: ScanTask) -> Tuple:
     """Structural identity of a task: equal signatures ⇒ equal results."""
-    scan_clauses, is_aggregate, agg_sig, post_filter, broadcast_sig = plan.task_signature_base
+    scan_clauses, is_aggregate, agg_sig, post_filter, broadcast_sig = plan.shape.task_signature_base
     return (
         task.block.path,
         scan_clauses,

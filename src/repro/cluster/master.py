@@ -34,20 +34,18 @@ from repro.storage.loader import read_table_frame
 from repro.engine.executor import QueryResult, TaskResult, finalize
 from repro.errors import (
     AccessDeniedError,
-    AnalysisError,
     ClusterStateError,
     FeisuError,
     QueryTimeout,
     SchedulingError,
 )
 from repro.planner.expressions import Frame
-from repro.planner.physical import PhysicalPlan, ScanTask, build_plan
+from repro.planner.physical import PhysicalPlan, ScanTask, build_plan, plan_fingerprint
 from repro.security.acl import AccessControl, QuotaPolicy, RateLimiter
 from repro.security.auth import Credential, SSOAuthority
 from repro.sim.events import Event, Simulator
 from repro.sim.netmodel import NetworkTopology, NodeAddress, TrafficClass
-from repro.sql.analyzer import AnalyzedQuery, analyze
-from repro.sql.parser import parse
+from repro.sql.analyzer import analyze_sql
 
 #: How many distinct leaves one task may be attempted on before failing.
 MAX_TASK_ATTEMPTS = 4
@@ -173,7 +171,9 @@ class EntryGuard:
         self.admitted = 0
         self.rejected = 0
 
-    def admit(self, user: str, cred: Optional[Credential], tables: List[str], now: float) -> None:
+    def admit(
+        self, user: str, cred: Optional[Credential], tables: Sequence[str], now: float
+    ) -> None:
         try:
             if cred is None:
                 raise AccessDeniedError(f"user {user!r} presented no credential")
@@ -297,7 +297,6 @@ class Master:
         user: str,
         cred: Optional[Credential],
         options: Optional[JobOptions] = None,
-        analyzed: Optional[AnalyzedQuery] = None,
     ) -> Tuple[Job, Event]:
         """Admit, plan and launch a query; returns (job, completion event).
 
@@ -305,7 +304,7 @@ class Master:
         admission failures raise synchronously, exactly like the paper's
         client-side verification.
         """
-        job = self.admit(sql, user, cred, options, analyzed)
+        job = self.admit(sql, user, cred, options)
         return self.launch(job)
 
     def admit(
@@ -314,29 +313,18 @@ class Master:
         user: str,
         cred: Optional[Credential],
         options: Optional[JobOptions] = None,
-        analyzed: Optional[AnalyzedQuery] = None,
     ) -> Job:
-        """The admission half of :meth:`submit`: parse, analyze, entry
-        guard, plan, register.  Raises synchronously on any rejection;
-        the returned job has not yet entered the candidate queue.
-
-        A caller that already parsed and analyzed ``sql`` (the client
-        pre-flight) passes the result as ``analyzed`` and the master does
-        not repeat that work — but only for a statement stamped with this
-        very text, since ``sql`` is what the job is registered, ledgered
-        and audited under.  The entry guard runs either way, on the
-        tables of the statement about to be planned."""
+        """The admission half of :meth:`submit`: the statement (parsed and
+        analyzed once per text, :func:`~repro.sql.analyzer.analyze_sql`),
+        entry guard, plan, register.  Raises synchronously on any
+        rejection; the returned job has not yet entered the candidate
+        queue.  The entry guard runs on every admission, on the tables of
+        the statement about to be planned."""
         if self._shut_down:
             raise ClusterStateError("this master has shut down; resubmit to its successor")
         options = options or JobOptions()
-        if analyzed is None:
-            analyzed = analyze(parse(sql), self.catalog)
-        elif analyzed.source_sql != sql:
-            raise AnalysisError(
-                "the analyzed statement handed to the master was not parsed from the "
-                f"submitted SQL text (parsed from {analyzed.source_sql!r}, submitted {sql!r})"
-            )
-        self.entry_guard.admit(user, cred, [t.name for t in analyzed.tables.values()], self.sim.now)
+        analyzed = analyze_sql(sql, self.catalog)
+        self.entry_guard.admit(user, cred, analyzed.table_names, self.sim.now)
         plan = build_plan(analyzed)
         job = new_job(user, sql, plan, options, self.sim.now)
         self.job_manager.register(job)
@@ -528,7 +516,7 @@ class Master:
             and options.min_processed_ratio >= 1.0
             and len(plan.tasks) >= max(1, self.adaptive.min_tasks)
         ):
-            from repro.planner.adaptive import ReoptController, plan_fingerprint
+            from repro.planner.adaptive import ReoptController
 
             controller = ReoptController(self.adaptive, plan, self.scheduler.cost_model)
             job.plan_digest = plan_fingerprint(plan)

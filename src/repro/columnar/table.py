@@ -103,6 +103,10 @@ class Catalog:
 
     def __init__(self) -> None:
         self._tables: Dict[str, Table] = {}
+        #: SQL text -> analyzed statement, kept and bounded by
+        #: :func:`repro.sql.analyzer.analyze_sql` for everyone querying
+        #: this catalog.
+        self.statements: Dict[str, object] = {}
 
     def register(self, table: Table) -> None:
         if table.name in self._tables:
@@ -117,6 +121,10 @@ class Catalog:
             return self._tables[name]
         except KeyError:
             raise StorageError(f"unknown table {name!r}") from None
+
+    def holds(self, table: Table) -> bool:
+        """Is ``table`` (this very object) registered under its name?"""
+        return self._tables.get(table.name) is table
 
     def __contains__(self, name: str) -> bool:
         return name in self._tables

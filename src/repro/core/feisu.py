@@ -36,7 +36,6 @@ from repro.security.acl import AccessControl, QuotaPolicy
 from repro.security.auth import Credential, SSOAuthority
 from repro.sim.events import Event, Simulator
 from repro.sim.netmodel import NetworkTopology, NodeAddress, TopologySpec
-from repro.sql.analyzer import AnalyzedQuery
 from repro.storage.router import StorageRouter
 from repro.storage.systems import DistributedFS, FatmanFS, KeyValueStore, LocalFS
 
@@ -417,14 +416,10 @@ class FeisuCluster:
         sql: str,
         user: Optional[str] = None,
         options: Optional[JobOptions] = None,
-        analyzed: Optional[AnalyzedQuery] = None,
     ) -> "tuple[Job, Event]":
-        """Asynchronous submission (drive ``sim`` yourself).
-
-        ``analyzed`` is the statement as a client pre-flight already
-        parsed and analyzed it from ``sql``; see :meth:`Master.admit`."""
+        """Asynchronous submission (drive ``sim`` yourself)."""
         user = user or self._default_user
-        return self.master.submit(sql, user, self._credentials.get(user), options, analyzed)
+        return self.master.submit(sql, user, self._credentials.get(user), options)
 
     def query(
         self,
@@ -449,10 +444,9 @@ class FeisuCluster:
         sql: str,
         user: Optional[str] = None,
         options: Optional[JobOptions] = None,
-        analyzed: Optional[AnalyzedQuery] = None,
     ) -> Job:
         """Like :meth:`query` but returns the full job record."""
-        job, done = self.submit(sql, user, options, analyzed)
+        job, done = self.submit(sql, user, options)
         self.sim.run_until_complete(done)
         return job
 
@@ -532,10 +526,9 @@ class FeisuCluster:
         """Render the physical plan the master would produce for ``sql``."""
         from repro.planner.explain import explain as explain_plan
         from repro.planner.physical import build_plan
-        from repro.sql.analyzer import analyze
-        from repro.sql.parser import parse
+        from repro.sql.analyzer import analyze_sql
 
-        return explain_plan(build_plan(analyze(parse(sql), self.catalog)))
+        return explain_plan(build_plan(analyze_sql(sql, self.catalog)))
 
     # -- §V-B resource consolidation --------------------------------------
 

@@ -41,8 +41,7 @@ from repro.gateway.session import (
 from repro.obs.trace import Tracer
 from repro.planner.physical import build_plan
 from repro.sim.events import Event
-from repro.sql.analyzer import analyze
-from repro.sql.parser import parse
+from repro.sql.analyzer import analyze_sql
 
 
 @dataclass
@@ -154,11 +153,10 @@ class SQLGateway:
     ) -> GatewayQuery:
         sim = self.cluster.sim
         # Client-end pre-flight: syntax and ACL fail synchronously, so
-        # bad requests never occupy queue space (§III-C).
-        analyzed = analyze(parse(sql), self.cluster.catalog)
-        self.cluster.acl.check_read(
-            session.user, [t.name for t in analyzed.tables.values()]
-        )
+        # bad requests never occupy queue space (§III-C).  The statement
+        # stays cached for the master to find at emission.
+        analyzed = analyze_sql(sql, self.cluster.catalog)
+        self.cluster.acl.check_read(session.user, analyzed.table_names)
         plan = build_plan(analyzed)
         tq = self.admission.tenant(session.tenant)
         if timeout_s is None:

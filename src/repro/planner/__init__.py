@@ -12,7 +12,6 @@ from repro.planner.adaptive import (
     AdaptiveConfig,
     ReoptController,
     ReoptDecision,
-    plan_fingerprint,
 )
 from repro.planner.cost import CostModel
 from repro.planner.explain import explain
@@ -35,6 +34,7 @@ from repro.planner.physical import (
     PhysicalPlan,
     ScanTask,
     build_plan,
+    plan_fingerprint,
 )
 
 __all__ = [

@@ -31,7 +31,6 @@ partitions of the current wave re-run (partition-level recovery).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -93,25 +92,6 @@ class ReoptDecision:
     @property
     def replanned(self) -> bool:
         return bool(self.actions)
-
-
-def plan_fingerprint(plan: PhysicalPlan, tasks: Optional[Sequence[ScanTask]] = None) -> str:
-    """Stable structural digest of a plan (or of a revised task set).
-
-    Covers what determines the answer and the work: scan predicates,
-    residual filter, broadcasts, and per-task block/slice/columns.
-    ``QueryHistory`` records the original plan's digest plus (after a
-    re-plan) the revised one, so history and EXPLAIN ANALYZE agree.
-    """
-    chosen = plan.tasks if tasks is None else tasks
-    h = hashlib.blake2b(digest_size=8)
-    h.update(repr(tuple(sorted(str(c) for c in plan.scan_cnf.clauses))).encode())
-    h.update(str(plan.post_filter).encode())
-    for bc in plan.broadcasts:
-        h.update(f"|{bc.binding}:{bc.table_name}:{bc.kind.value}".encode())
-    for t in chosen:
-        h.update(f"|{t.block.block_id}:{t.row_slice}:{','.join(t.columns)}".encode())
-    return h.hexdigest()
 
 
 class ReoptController:

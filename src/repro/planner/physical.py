@@ -13,17 +13,21 @@ In this reproduction a :class:`PhysicalPlan` consists of:
   (SmartIndex's domain) and a *post-join residual*;
 * the aggregation/ordering/limit fragment executed bottom-up through the
   tree.
+
+Everything but the tasks depends on the statement alone: that half, the
+:class:`PlanShape`, is derived once per analyzed statement and kept on
+it; :func:`build_plan` instantiates tasks from the table's current blocks
+on every execution.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
-from repro.columnar.table import BlockRef, Table
-from repro.errors import PlanError
+from repro.columnar.table import BlockRef
 from repro.planner.cnf import AtomicPredicate, Clause, ConjunctiveForm, to_cnf
 from repro.planner.simplify import simplify_cnf
 from repro.sql.analyzer import AnalyzedQuery
@@ -70,6 +74,31 @@ class BroadcastTable:
     condition: Optional[Expr]
 
 
+@dataclass(frozen=True)
+class PlanShape:
+    """The half of a plan that depends on the statement alone — the same
+    for every execution, so it is derived once (:func:`plan_shape`)."""
+
+    #: The WHERE clause is unsatisfiable: every block prunes away.
+    contradiction: bool
+    scan_cnf: ConjunctiveForm
+    post_filter: Optional[Expr]
+    broadcasts: Tuple[BroadcastTable, ...]
+    payload_columns: Tuple[str, ...]
+    #: What every task reads: the payload plus the scan predicates' columns.
+    base_columns: Tuple[str, ...]
+    #: Single-atom scan clauses, the ones catalog range statistics can prune on.
+    range_atoms: Tuple[AtomicPredicate, ...]
+    #: Keys of every atom of the WHERE clause as written (query history).
+    predicate_keys: Tuple[str, ...]
+    #: What every task shares of its structural identity
+    #: (:func:`repro.cluster.jobs.task_signature`): scan predicates,
+    #: aggregation fragment, residual filter and broadcast joins.
+    task_signature_base: Tuple
+    #: The statement half of :func:`plan_fingerprint`'s digest input.
+    fingerprint_head: bytes
+
+
 @dataclass
 class PhysicalPlan:
     """Everything workers and the master need to run one query."""
@@ -77,7 +106,9 @@ class PhysicalPlan:
     plan_id: str
     analyzed: AnalyzedQuery
     tasks: List[ScanTask]
-    broadcasts: List[BroadcastTable]
+    #: The statement half this plan instantiates; the fields below are its.
+    shape: PlanShape
+    broadcasts: Tuple[BroadcastTable, ...]
     #: Conjuncts over base-table columns only — evaluated at scan time
     #: and eligible for SmartIndex reuse.
     scan_cnf: ConjunctiveForm
@@ -98,27 +129,6 @@ class PhysicalPlan:
     def has_joins(self) -> bool:
         return bool(self.broadcasts)
 
-    @cached_property
-    def task_signature_base(self) -> Tuple:
-        """What every task of this plan shares of its structural identity
-        (:func:`repro.cluster.jobs.task_signature`): scan predicates,
-        aggregation fragment, residual filter and broadcast joins.  Built
-        once per plan — re-planning never rewrites these fields."""
-        analyzed = self.analyzed
-        return (
-            tuple(sorted(str(c) for c in self.scan_cnf.clauses)),
-            self.is_aggregate,
-            (
-                tuple(str(k) for k in analyzed.group_keys),
-                tuple((a.func, str(a.argument)) for a in analyzed.aggregates),
-            ),
-            str(self.post_filter),
-            tuple(
-                (bc.binding, bc.table_name, bc.columns, bc.kind.value, str(bc.condition))
-                for bc in self.broadcasts
-            ),
-        )
-
     def scan_predicate_keys(self) -> List[str]:
         """Canonical keys of every indexable scan atom (similarity stats)."""
         return self.scan_cnf.predicate_keys()
@@ -127,64 +137,109 @@ class PhysicalPlan:
         return sum(t.block.bytes_for(t.columns) for t in self.tasks)
 
 
-def build_plan(analyzed: AnalyzedQuery) -> PhysicalPlan:
-    """Construct the physical plan for an analyzed query."""
-    query = analyzed.query
+def plan_shape(analyzed: AnalyzedQuery) -> PlanShape:
+    """The statement half of ``analyzed``'s plan, derived on first use and
+    kept on the statement."""
+    shape = analyzed._plan_shape  # noqa: SLF001 - the memo slot is this module's
+    if shape is None:
+        shape = analyzed._plan_shape = _derive_shape(analyzed)  # noqa: SLF001
+    return shape
+
+
+def _derive_shape(analyzed: AnalyzedQuery) -> PlanShape:
     base_binding = analyzed.base_binding
-    base_table = analyzed.tables[base_binding]
-
-    simplified = simplify_cnf(to_cnf(query.where))
-    if simplified.contradiction:
-        # Unsatisfiable WHERE: the whole table prunes away at plan time.
-        return PhysicalPlan(
-            plan_id=f"plan-{next(_plan_counter)}",
-            analyzed=analyzed,
-            tasks=[],
-            broadcasts=_build_broadcasts(analyzed),
-            scan_cnf=ConjunctiveForm([]),
-            post_filter=None,
-            payload_columns=(),
-            pruned_blocks=len(base_table.blocks),
-        )
-    cnf = simplified.cnf
-    scan_clauses, residual_clauses = _split_clauses(cnf, analyzed, base_binding)
-    scan_cnf = ConjunctiveForm(scan_clauses)
-    post_filter = _clauses_to_expr(residual_clauses)
-
-    broadcasts = _build_broadcasts(analyzed)
-    payload_columns = _payload_columns(analyzed, base_binding, post_filter)
-    base_columns = sorted(
-        set(payload_columns).union(*(c.columns for c in scan_cnf.clauses))
-        if scan_cnf.clauses
-        else set(payload_columns)
+    cnf = to_cnf(analyzed.query.where)
+    broadcasts = tuple(_build_broadcasts(analyzed))
+    simplified = simplify_cnf(cnf)
+    scan_cnf, post_filter, payload_columns = ConjunctiveForm([]), None, ()
+    if not simplified.contradiction:
+        scan_clauses, residual_clauses = _split_clauses(simplified.cnf, analyzed, base_binding)
+        scan_cnf = ConjunctiveForm(scan_clauses)
+        post_filter = _clauses_to_expr(residual_clauses)
+        payload_columns = tuple(_payload_columns(analyzed, base_binding, post_filter))
+    scan_key = tuple(sorted(str(c) for c in scan_cnf.clauses))
+    head = [repr(scan_key), str(post_filter)]
+    head.extend(f"|{bc.binding}:{bc.table_name}:{bc.kind.value}" for bc in broadcasts)
+    return PlanShape(
+        contradiction=simplified.contradiction,
+        scan_cnf=scan_cnf,
+        post_filter=post_filter,
+        broadcasts=broadcasts,
+        payload_columns=payload_columns,
+        base_columns=tuple(
+            sorted(set(payload_columns).union(*(c.columns for c in scan_cnf.clauses)))
+        ),
+        range_atoms=tuple(c.atoms[0] for c in scan_cnf.clauses if len(c.atoms) == 1),
+        predicate_keys=tuple(cnf.predicate_keys()),
+        task_signature_base=(
+            scan_key,
+            analyzed.is_aggregate,
+            (
+                tuple(str(k) for k in analyzed.group_keys),
+                tuple((a.func, str(a.argument)) for a in analyzed.aggregates),
+            ),
+            str(post_filter),
+            tuple(
+                (bc.binding, bc.table_name, bc.columns, bc.kind.value, str(bc.condition))
+                for bc in broadcasts
+            ),
+        ),
+        fingerprint_head="".join(head).encode(),
     )
 
+
+def build_plan(analyzed: AnalyzedQuery) -> PhysicalPlan:
+    """Instantiate the physical plan of an analyzed query: a fresh plan id
+    and one task per block of the base table's *current* block list that
+    range statistics cannot prune."""
+    shape = plan_shape(analyzed)
+    base_binding = analyzed.base_binding
+    base_table = analyzed.tables[base_binding]
     plan_id = f"plan-{next(_plan_counter)}"
     tasks: List[ScanTask] = []
     pruned = 0
-    for ref in base_table.blocks:
-        if _prunable(ref, scan_cnf):
-            pruned += 1
-            continue
-        tasks.append(
-            ScanTask(
-                task_id=f"{plan_id}/t{len(tasks)}",
-                table_name=base_table.name,
-                binding=base_binding,
-                block=ref,
-                columns=tuple(base_columns),
+    if shape.contradiction:
+        pruned = len(base_table.blocks)
+    else:
+        for ref in base_table.blocks:
+            if _prunable(ref, shape.range_atoms):
+                pruned += 1
+                continue
+            tasks.append(
+                ScanTask(
+                    task_id=f"{plan_id}/t{len(tasks)}",
+                    table_name=base_table.name,
+                    binding=base_binding,
+                    block=ref,
+                    columns=shape.base_columns,
+                )
             )
-        )
     return PhysicalPlan(
         plan_id=plan_id,
         analyzed=analyzed,
         tasks=tasks,
-        broadcasts=broadcasts,
-        scan_cnf=scan_cnf,
-        post_filter=post_filter,
-        payload_columns=tuple(payload_columns),
+        shape=shape,
+        broadcasts=shape.broadcasts,
+        scan_cnf=shape.scan_cnf,
+        post_filter=shape.post_filter,
+        payload_columns=shape.payload_columns,
         pruned_blocks=pruned,
     )
+
+
+def plan_fingerprint(plan: PhysicalPlan, tasks: Optional[Sequence[ScanTask]] = None) -> str:
+    """Stable structural digest of a plan (or of a revised task set).
+
+    Covers what determines the answer and the work: scan predicates,
+    residual filter, broadcasts, and per-task block/slice/columns.
+    ``QueryHistory`` records the original plan's digest plus (after a
+    re-plan) the revised one, so history and EXPLAIN ANALYZE agree.
+    """
+    chosen = plan.tasks if tasks is None else tasks
+    h = hashlib.blake2b(plan.shape.fingerprint_head, digest_size=8)
+    for t in chosen:
+        h.update(f"|{t.block.block_id}:{t.row_slice}:{','.join(t.columns)}".encode())
+    return h.hexdigest()
 
 
 def _split_clauses(
@@ -280,16 +335,13 @@ def _payload_columns(
     return sorted(needed)
 
 
-def _prunable(ref: BlockRef, scan_cnf: ConjunctiveForm) -> bool:
+def _prunable(ref: BlockRef, range_atoms: Sequence[AtomicPredicate]) -> bool:
     """Can catalog range stats prove no row of this block matches?
 
     Sound for single-atom clauses: the clause must hold for some row, so
     if its range test fails for the whole block the block is dead.
     """
-    for clause in scan_cnf.clauses:
-        if len(clause.atoms) != 1 or clause.residuals:
-            continue
-        atom = clause.atoms[0]
+    for atom in range_atoms:
         rng = ref.range_of(atom.column)
         if rng is None:
             continue

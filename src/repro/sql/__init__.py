@@ -1,6 +1,6 @@
 """SQL frontend for Feisu's star-schema dialect (§III-A)."""
 
-from repro.sql.analyzer import AnalyzedQuery, analyze
+from repro.sql.analyzer import AnalyzedQuery, analyze, analyze_sql
 from repro.sql.ast import (
     AggregateCall,
     BinaryOp,
@@ -45,6 +45,7 @@ __all__ = [
     "Token",
     "TokenType",
     "analyze",
+    "analyze_sql",
     "classify_statement",
     "format_expression",
     "format_query",

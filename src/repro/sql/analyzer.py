@@ -7,16 +7,20 @@ types, enforces grouping rules, folds ``WITHIN`` scopes into group keys,
 and computes the output schema.
 
 The result is an :class:`AnalyzedQuery`, the planner's input.
+:func:`analyze_sql` is the one entry point from SQL text: it parses and
+analyzes each statement once per catalog and keeps the result.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.columnar.schema import DataType, Field, Schema, common_type
 from repro.columnar.table import Catalog, Table
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ParseError
 from repro.sql.ast import (
     AggregateCall,
     BinaryOp,
@@ -36,6 +40,7 @@ from repro.sql.ast import (
     contains_aggregate,
     walk,
 )
+from repro.sql.parser import parse
 
 _AGG_RESULT_TYPE = {
     "COUNT": lambda t: DataType.INT64,
@@ -86,17 +91,32 @@ class AnalyzedQuery:
     aggregates: List[AggregateCall]
     #: name of the first FROM table — the scan driver.
     base_binding: str
-    #: The SQL text ``query`` was parsed from, when whoever parsed it
-    #: recorded it — what lets the master accept a pre-analyzed statement
-    #: for exactly that text and no other.
-    source_sql: Optional[str] = None
     #: :meth:`columns_of` answers per binding, filled on first use — the
     #: query is not rewritten once analysis has returned it.
     _columns_of: Dict[str, List[str]] = field(default_factory=dict, repr=False, compare=False)
+    #: The statement half of its physical plan
+    #: (:func:`repro.planner.physical.plan_shape`), filled on first use.
+    _plan_shape: Optional[object] = field(default=None, repr=False, compare=False)
 
     @property
     def is_aggregate(self) -> bool:
         return bool(self.aggregates) or bool(self.group_keys)
+
+    @cached_property
+    def table_names(self) -> Tuple[str, ...]:
+        """Names of the bound tables in FROM/JOIN order (what ACL checks read)."""
+        return tuple(t.name for t in self.tables.values())
+
+    @cached_property
+    def touched_columns(self) -> Tuple[str, ...]:
+        """Sorted names of the columns the WHERE clause and the select
+        list mention (the per-user query history's column features)."""
+        exprs = list(self.output_exprs)
+        if self.query.where is not None:
+            exprs.append(self.query.where)
+        return tuple(
+            sorted({node.name for expr in exprs for node in walk(expr) if isinstance(node, Column)})
+        )
 
     def resolve(self, column: Column) -> ResolvedColumn:
         try:
@@ -174,6 +194,57 @@ def analyze(query: Query, catalog: Catalog) -> AnalyzedQuery:
         ]
     )
     return analyzed
+
+
+#: Analyzed statements each catalog keeps (:func:`analyze_sql`); the
+#: oldest goes first, so statements no one repeats age out.
+STATEMENT_CACHE_ENTRIES = 1024
+#: Serializes inserts and evictions; lookups need no lock.
+_statements_lock = threading.Lock()
+
+
+def analyze_sql(sql: str, catalog: Catalog) -> AnalyzedQuery:
+    """Parse and analyze ``sql`` against ``catalog``, once per statement.
+
+    The result is kept on the catalog under the exact text and reused
+    while every table it bound is still the catalog's table of that name
+    (``is``): analysis reads only table identity and schema, a schema
+    never changes once registered, and drop + reload or
+    :meth:`Catalog.replace` registers a new object.  Access checks are the
+    caller's, on every execution.  A syntax error raises a guided
+    :class:`ParseError` (:func:`guided`) and nothing is kept."""
+    statements = catalog.statements
+    analyzed = statements.get(sql)
+    if analyzed is not None and all(catalog.holds(t) for t in analyzed.tables.values()):
+        return analyzed
+    try:
+        query = parse(sql)
+    except ParseError as exc:
+        raise guided(exc, sql) from None
+    analyzed = analyze(query, catalog)
+    with _statements_lock:
+        statements.pop(sql, None)
+        while len(statements) >= STATEMENT_CACHE_ENTRIES:
+            del statements[next(iter(statements))]
+        statements[sql] = analyzed
+    return analyzed
+
+
+#: Substring of a parser message -> how to fix the statement.
+_HINTS: Sequence[Tuple[str, str]] = (
+    ("expected FROM", "every query needs a FROM clause: SELECT ... FROM table"),
+    ("expected expression", "check for a trailing comma or missing operand"),
+    ("unterminated string", "string literals use single quotes: 'value'"),
+    ("unknown function", "supported: COUNT SUM AVG MIN MAX LENGTH LOWER UPPER ABS"),
+)
+
+
+def guided(exc: ParseError, sql: str) -> ParseError:
+    """``exc`` with a hint on how to fix the statement added to its
+    message (the offset stays in ``position``; ``str()`` shows it once)."""
+    message = exc.args[0]
+    hint = next((hint for needle, hint in _HINTS if needle in message), "")
+    return ParseError(f"{message}; {hint}" if hint else message, position=exc.position, text=sql)
 
 
 # -- binding ---------------------------------------------------------------

@@ -27,7 +27,8 @@ from repro.client import FeisuClient
 from repro.cluster.jobs import JobOptions
 from repro.cluster.node import LeafConfig
 from repro.engine.aggregates import GroupedPartial, partial_aggregate
-from repro.planner.adaptive import AdaptiveConfig, plan_fingerprint
+from repro.planner.adaptive import AdaptiveConfig
+from repro.planner.physical import plan_fingerprint
 from repro.workload.generator import skewed_join_dataset, skewed_join_queries
 from tests._oracle import compare_rows
 from tests.conftest import CLICKS_SCHEMA, make_clicks_columns

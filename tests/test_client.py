@@ -4,6 +4,7 @@ import pytest
 
 from repro.client import FeisuClient
 from repro.errors import AccessDeniedError, ParseError
+from tests.conftest import CLICKS_SCHEMA
 
 
 @pytest.fixture()
@@ -94,16 +95,14 @@ def test_history_since_filter(client):
     assert client.history.entries("dev", since=later) == []
 
 
-# -- parse once, analyze once; the master still guards (S57) -----------------
+# -- once per statement per catalog; the master still guards ------------------
 
 
 def _count_calls(monkeypatch):
-    """Count ``parse``/``analyze`` calls made by the client and the master
-    (each module holds its own imported binding)."""
-    import repro.client.client as client_module
-    import repro.cluster.master as master_module
-    from repro.sql.analyzer import analyze
-    from repro.sql.parser import parse
+    """Count ``parse``/``analyze`` calls.  Every submission path reaches
+    them through ``analyze_sql``, i.e. through the analyzer module's own
+    bindings."""
+    import repro.sql.analyzer as analyzer_module
 
     calls = {"parse": 0, "analyze": 0}
 
@@ -114,20 +113,31 @@ def _count_calls(monkeypatch):
 
         return wrapper
 
-    for name, fn in (("parse", parse), ("analyze", analyze)):
-        for module in (client_module, master_module):
-            monkeypatch.setattr(module, name, counting(name, fn))
+    for name in calls:
+        monkeypatch.setattr(analyzer_module, name, counting(name, getattr(analyzer_module, name)))
     return calls
 
 
 def test_query_job_parses_and_analyzes_once(client, monkeypatch):
+    """Once per distinct statement per catalog: the first run is a miss, a
+    repeat through the client or straight to the cluster is a hit, and a
+    run after drop + reload analyzes against the new table."""
     calls = _count_calls(monkeypatch)
-    job = client.query_job("SELECT COUNT(*) FROM T WHERE c2 > 3")
-    assert job.result is not None and job.sql == "SELECT COUNT(*) FROM T WHERE c2 > 3"
+    sql = "SELECT COUNT(*) FROM T"
+    job = client.query_job(sql)
+    assert job.result is not None and job.sql == sql
     assert calls == {"parse": 1, "analyze": 1}
-    # A caller that hands the master nothing still gets the master's own.
-    client.cluster.query_job("SELECT COUNT(*) FROM T WHERE c2 > 3", user="dev")
+    again = client.query_job(sql)
+    client.cluster.query_job(sql, user="dev")
+    assert calls == {"parse": 1, "analyze": 1}
+    assert again.result.rows() == job.result.rows()
+    cluster = client.cluster
+    cluster.catalog.drop("T")
+    columns = {k: v[:500] for k, v in cluster._test_columns.items()}
+    cluster.load_table("T", CLICKS_SCHEMA, columns, storage="storage-a", block_rows=100)
+    reloaded = client.query_job(sql)
     assert calls == {"parse": 2, "analyze": 2}
+    assert job.result.rows() == [(3000,)] and reloaded.result.rows() == [(500,)]
 
 
 @pytest.mark.parametrize(
@@ -143,25 +153,36 @@ def test_guided_error_is_what_check_syntax_reports(client, sql):
     assert err.value.text == sql
 
 
-def _preanalyzed(cluster, sql):
-    from repro.sql.analyzer import analyze
-    from repro.sql.parser import parse
+def test_guided_error_names_its_offset_once_on_client_and_gateway(client):
+    from repro.gateway.gateway import SQLGateway
 
-    analyzed = analyze(parse(sql), cluster.catalog)
-    analyzed.source_sql = sql
-    return analyzed
+    sql = "SELECT a, FROM T"
+    with pytest.raises(ParseError) as from_client:
+        client.query(sql)
+    session = SQLGateway(client.cluster).open_session("dev")
+    with pytest.raises(ParseError) as from_gateway:
+        session.submit(sql)
+    message = str(from_client.value)
+    assert message == str(from_gateway.value)
+    assert message.count("at offset 10") == 1
+    assert "check for a trailing comma or missing operand" in message
+    assert sql not in client.cluster.catalog.statements  # parse errors are never kept
 
 
 def test_entry_guard_still_checks_a_preanalyzed_statement(fresh_cluster):
+    """ACL, credential lifetime and quota are checked on every admission,
+    also when the statement comes out of the cache."""
     from repro.errors import QuotaExceededError
     from repro.security.acl import Quota
+    from repro.sql.analyzer import analyze_sql
 
     sql = "SELECT COUNT(*) FROM T"
     guard = fresh_cluster.master.entry_guard
+    cached = analyze_sql(sql, fresh_cluster.catalog)
     # ACL: the statement's tables are checked for the submitting user.
     fresh_cluster.create_user("intern")  # no grants at all
     with pytest.raises(AccessDeniedError):
-        fresh_cluster.submit(sql, user="intern", analyzed=_preanalyzed(fresh_cluster, sql))
+        fresh_cluster.submit(sql, user="intern")
     assert guard.rejected == 1 and guard.admitted == 0
     # Expired credential.
     fresh_cluster.create_user("dev", admin=True)
@@ -180,17 +201,4 @@ def test_entry_guard_still_checks_a_preanalyzed_statement(fresh_cluster):
     with pytest.raises(QuotaExceededError):
         client.query_job(sql)
     assert guard.rejected == 3
-
-
-def test_master_refuses_a_statement_not_parsed_from_the_submitted_sql(fresh_cluster):
-    from repro.errors import AnalysisError
-    from repro.sql.analyzer import analyze
-    from repro.sql.parser import parse
-
-    other = _preanalyzed(fresh_cluster, "SELECT COUNT(*) FROM T WHERE c1 < 5")
-    unstamped = analyze(parse("SELECT COUNT(*) FROM T"), fresh_cluster.catalog)
-    for analyzed in (other, unstamped):
-        with pytest.raises(AnalysisError, match="not parsed from"):
-            fresh_cluster.submit("SELECT COUNT(*) FROM T", analyzed=analyzed)
-    assert fresh_cluster.master.job_manager.jobs == {}
-    assert fresh_cluster.master.entry_guard.admitted == 0
+    assert analyze_sql(sql, fresh_cluster.catalog) is cached  # every denial was a hit

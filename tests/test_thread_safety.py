@@ -1,5 +1,6 @@
 """Thread-safety of the structures documented as safe under concurrent
-callers: SmartIndexManager probe/insert and SsdCache get/put.
+callers: SmartIndexManager probe/insert, SsdCache get/put and the
+statement cache behind ``analyze_sql``.
 
 Eight OS threads hammer one instance with a Hypothesis-generated
 operation mix; afterwards the books must balance exactly — byte
@@ -8,15 +9,20 @@ consistent with the primary map.  Without the per-manager lock these
 races corrupt ``_bytes`` and the LRU/eviction structures.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.index.smartindex import SmartIndexManager
+from repro import DataType, Schema
+from repro.columnar.table import Catalog, Table
 from repro.planner.cnf import AtomicPredicate
+from repro.sql import analyzer
 from repro.sql.ast import BinaryOperator
 from repro.storage.ssd_cache import SsdCache
 
@@ -125,3 +131,33 @@ def test_ssd_cache_hammer(seed, admit_all):
     assert cache.entry_count == len(cache._entries)
     assert cache.used_bytes <= cache.capacity_bytes
     assert cache.hits + cache.misses >= 0
+
+
+@settings(deadline=None, max_examples=8)
+@given(seed=st.integers(0, 2**31 - 1), bound=st.integers(1, 6))
+def test_statement_cache_hammer(seed, bound):
+    catalog = Catalog()
+    catalog.register(Table("T", Schema.of(a=DataType.INT64, b=DataType.FLOAT64)))
+    statements = [f"SELECT COUNT(*) AS n{i} FROM T WHERE a > {i}" for i in range(16)]
+    plans = np.random.default_rng(seed).integers(0, 2**31 - 1, THREADS)
+
+    def ops(tid, i):
+        r = np.random.default_rng(plans[tid] + i)
+        k = int(r.integers(0, len(statements)))
+        if int(r.integers(0, 8)) == 0:  # a reload: every cached statement goes stale
+            catalog.replace(Table("T", Schema.of(a=DataType.INT64, b=DataType.FLOAT64)))
+        analyzed = analyzer.analyze_sql(statements[k], catalog)
+        assert analyzed.output_names == [f"n{k}"]
+
+    # Eviction runs on nearly every miss while other threads look up; a
+    # short switch interval interleaves them mid-operation.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(analyzer, "STATEMENT_CACHE_ENTRIES", bound):
+            _hammer(ops, per_thread_ops=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(catalog.statements) <= bound
+    for sql, analyzed in catalog.statements.items():
+        assert analyzed.output_names == [f"n{statements.index(sql)}"]

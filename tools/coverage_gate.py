@@ -37,6 +37,7 @@ TARGET_PACKAGES = (
     "index",
     "planner",
     "sim",
+    "sql",
     "storage",
     "workload",
 )
@@ -80,6 +81,12 @@ TEST_ARGS = [
     "tests/test_sim_golden.py",
     "tests/test_sim_netmodel.py",
     "tests/test_sim_resources.py",
+    "tests/test_sql_analyzer.py",
+    "tests/test_sql_formatter.py",
+    "tests/test_sql_fuzz.py",
+    "tests/test_sql_lexer.py",
+    "tests/test_sql_parser.py",
+    "tests/test_statement_cache.py",
     "tests/test_soak_chaos.py",
     "tests/test_ssd_cache.py",
     "tests/test_ssd_cache_property.py",
