@@ -61,8 +61,9 @@ class ChunkReader:
     ``fn(d)`` (``fn(d[rows])`` when ``rows`` is given) as booleans —
     exactly, provided ``fn`` is *elementwise* (row ``i`` of its result
     depends on row ``i`` of its input alone) and ``rows`` is an integer
-    index array.  Subclasses answer from the encoded form; this one
-    decodes once, on first use.
+    id array.  ``rows`` is never a boolean mask: the kernels gather with
+    ``take``, which would read a mask as the ids 0 and 1.  Subclasses
+    answer from the encoded form; this one decodes once, on first use.
 
     ``fn`` may be handed a read-only view over the chunk's payload and
     must not keep or write to it.  No result aliases the payload, and
@@ -102,15 +103,42 @@ class _ViewReader(ChunkReader):
         self._view = view
 
     def take(self, rows):
-        return self._view[rows]
+        return self._view.take(rows)
 
     def map_bool(self, fn, rows=None):
         view = self._view
-        return np.asarray(fn(view if rows is None else view[rows]), dtype=np.bool_)
+        return np.asarray(fn(view if rows is None else view.take(rows)), dtype=np.bool_)
+
+
+def _true_range(verdicts: np.ndarray) -> Optional[Tuple[int, int]]:
+    """``(lo, hi)`` when ``verdicts`` is true on exactly ``[lo, hi)``
+    (``lo == hi`` when it is true nowhere), else None.
+
+    Three short-circuiting ``argmax``/``argmin`` scans: the first true,
+    the first false after it, any true after that.  ``nonzero`` would
+    write out every true index to learn the same.
+    """
+    if not verdicts.size:
+        return 0, 0
+    lo = int(verdicts.argmax())
+    if not verdicts[lo]:
+        return 0, 0
+    hi = lo + int(verdicts[lo:].argmin())
+    if hi == lo:  # true from ``lo`` to the end
+        return lo, verdicts.size
+    rest = verdicts[hi:]
+    return None if rest[rest.argmax()] else (lo, hi)
 
 
 class _DictionaryReader(ChunkReader):
-    """Answer ``fn`` once on the uniques, map it through the codes."""
+    """Answer ``fn`` once on the uniques, map the verdicts onto the codes.
+
+    When the true verdicts are one code range — always, for an order
+    comparison on a numeric dictionary, whose uniques are sorted — that
+    map is a compare on the codes; otherwise a ``take`` of the verdicts.  The
+    range is read off the verdicts, so either way the answer is exactly
+    ``fn(decode())``.
+    """
 
     __slots__ = ("_uniques", "_codes")
 
@@ -120,13 +148,27 @@ class _DictionaryReader(ChunkReader):
         self._codes = codes
 
     def take(self, rows):
-        return self._uniques[self._codes[rows]]
+        # ``take`` with integer ids is 2-4x faster than fancy indexing
+        # through the unaligned uint32 codes.
+        return self._uniques.take(self._codes.take(rows))
 
     def map_bool(self, fn, rows=None):
-        if rows is not None and len(rows) < len(self._uniques):
+        uniques = self._uniques
+        if rows is not None and len(rows) < len(uniques):
             return np.asarray(fn(self.take(rows)), dtype=np.bool_)
-        lut = np.asarray(fn(self._uniques), dtype=np.bool_)
-        return lut[self._codes if rows is None else self._codes[rows]]
+        codes = self._codes if rows is None else self._codes.take(rows)
+        lut = np.asarray(fn(uniques), dtype=np.bool_)
+        span = _true_range(lut)
+        if span is None:
+            return lut.take(codes)
+        lo, hi = span
+        if lo == hi:
+            return np.zeros(codes.size, dtype=np.bool_)
+        if lo == 0:
+            return codes < hi
+        if hi == lut.size:
+            return codes >= lo
+        return (codes >= lo) & (codes < hi)
 
 
 class _RunLengthReader(ChunkReader):

@@ -283,7 +283,10 @@ def _select_rows(
         mask = _evaluate_residuals(residuals, readers, mask, index_manager, task, now, report)
     if mask is None:
         return report, readers, scope
-    return report, readers, mask.nonzero()[0] + lo
+    rows = mask.nonzero()[0]
+    if lo:
+        rows += lo
+    return report, readers, rows
 
 
 def _gather(

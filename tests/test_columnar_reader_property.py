@@ -13,6 +13,7 @@ one array shared per reader.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.columnar.block import Block, ChunkStats, ColumnChunk
@@ -149,3 +150,112 @@ def test_block_round_trip_serves_the_same_reader(case):
         assert _same(
             reader.map_bool(atom.evaluate), np.asarray(atom.evaluate(array), dtype=np.bool_)
         )
+
+
+# -- code-range compares and ``take`` chains on leaf-shaped chunks ----------------
+#
+# A dictionary reader answers a predicate with a compare on the codes
+# when the true verdicts over the uniques are one code range, and with a
+# ``take`` of the verdicts otherwise; gathers are ``take`` chains.  These
+# cases run on chunks parsed by ``Block.from_bytes`` (so every view is as
+# unaligned as on a leaf) and large enough for near-unique columns.
+
+
+def _loaded_reader(dtype, array, codec):
+    """``(reader, decoded, wire)`` for ``array`` through a block buffer."""
+    block = Block("b", Schema.of(c=dtype), {"c": _chunk(dtype, array, codec)}, len(array))
+    wire = block.to_bytes()
+    chunk = Block.from_bytes(wire).chunks["c"]
+    return chunk.reader(), chunk.decode(), wire
+
+
+def _assert_fresh(got, expected, wire, shared):
+    assert _same(got, expected)
+    assert got.flags.writeable
+    assert not np.shares_memory(got, np.frombuffer(wire, dtype=np.uint8))
+    assert not np.shares_memory(got, shared)
+
+
+def _row_sets(n, n_uniques, rng):
+    """``rows=None`` plus id arrays shorter and longer than the uniques."""
+    short = np.sort(rng.choice(n, size=max(0, min(n, n_uniques - 1) // 2), replace=False))
+    long = rng.integers(0, n, size=n_uniques + 5) if n else np.empty(0, dtype=np.intp)
+    return [None, short.astype(np.intp), long, np.arange(n)[::3]]
+
+
+#: Which of 16 sorted uniques hold: each verdict shape the reader tells apart.
+VERDICT_SHAPES = {
+    "empty": [],
+    "all": list(range(16)),
+    "prefix": list(range(5)),
+    "suffix": list(range(9, 16)),
+    "middle": list(range(4, 9)),
+    "single": [7],
+    "non_contiguous": [1, 3, 8, 15],
+}
+
+
+@pytest.mark.parametrize("kind", ["int", "string"])
+@pytest.mark.parametrize("shape", sorted(VERDICT_SHAPES))
+def test_dictionary_verdict_shapes(kind, shape):
+    rng = np.random.default_rng(len(shape))
+    keys = rng.integers(0, 16, 4096)
+    if kind == "int":
+        dtype, array = DataType.INT64, keys * 3 - 20
+        chosen = np.array([k * 3 - 20 for k in VERDICT_SHAPES[shape]], dtype=np.int64)
+    else:
+        # String uniques are in first-appearance order, not sorted.
+        dtype, array = DataType.STRING, np.array([f"v{k:02d}" for k in keys], dtype=object)
+        chosen = np.array([f"v{k:02d}" for k in VERDICT_SHAPES[shape]], dtype=object)
+    reader, decoded, wire = _loaded_reader(dtype, array, DictionaryEncoding())
+
+    def fn(values):
+        return np.isin(values, chosen)
+
+    shared = reader.values()
+    for rows in _row_sets(len(array), 16, rng):
+        reference = decoded if rows is None else decoded[rows]
+        _assert_fresh(reader.map_bool(fn, rows), fn(reference), wire, shared)
+        if rows is not None:
+            _assert_fresh(reader.take(rows), reference, wire, shared)
+
+
+@st.composite
+def near_unique_cases(draw):
+    """Near-unique INT64 / FLOAT64 chunks of >= 4 096 rows (floats with
+    NaN and both zeros) under the codecs a leaf reads through views."""
+    kind = draw(st.sampled_from(["int", "float"]))
+    n = draw(st.sampled_from([4096, 5003]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "int":
+        array = rng.integers(-(2**40), 2**40, n)
+        pivots = [int(array[rng.integers(n)]), 0, -(2**41)]
+        dtype = DataType.INT64
+    else:
+        array = rng.random(n) * 100.0 - 50.0
+        specials = rng.choice(n, size=30, replace=False)
+        array[specials[:10]] = np.nan
+        array[specials[10:20]] = 0.0
+        array[specials[20:]] = -0.0
+        pivots = [float(array[rng.integers(n)]), 0.0, -0.0, float("nan")]
+        dtype = DataType.FLOAT64
+    codec = draw(st.sampled_from([PlainEncoding(), DictionaryEncoding()]))
+    literal = draw(st.sampled_from(pivots))
+    atoms = [AtomicPredicate("c", op, literal, False) for op in COMPARISONS]
+    return dtype, array, codec, atoms, rng
+
+
+@settings(max_examples=25)
+@given(near_unique_cases())
+def test_near_unique_chunks_from_bytes(case):
+    dtype, array, codec, atoms, rng = case
+    reader, decoded, wire = _loaded_reader(dtype, array, codec)
+    assert _same(decoded, array)
+    shared = reader.values()
+    for rows in _row_sets(len(array), len(np.unique(array)), rng):
+        reference = decoded if rows is None else decoded[rows]
+        if rows is not None:
+            _assert_fresh(reader.take(rows), reference, wire, shared)
+        for atom in atoms:
+            expected = np.asarray(atom.evaluate(reference), dtype=np.bool_)
+            _assert_fresh(reader.map_bool(atom.evaluate, rows), expected, wire, shared)

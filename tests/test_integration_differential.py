@@ -265,6 +265,62 @@ def test_row_slices_agree_and_sum_to_the_whole_block(task_env, sql):
         ), field
 
 
+class _IntegerRowsReader:
+    """Forwards to a real reader, asserting every ``rows`` is an integer
+    id array (``take`` would read a boolean mask as the ids 0 and 1)."""
+
+    def __init__(self, inner, seen):
+        self._inner = inner
+        self._seen = seen
+
+    def _check(self, rows):
+        assert isinstance(rows, np.ndarray) and rows.dtype.kind in "iu", rows.dtype
+        self._seen.append(len(rows))
+
+    def values(self):
+        return self._inner.values()
+
+    def take(self, rows):
+        self._check(rows)
+        return self._inner.take(rows)
+
+    def map_bool(self, fn, rows=None):
+        if rows is not None:
+            self._check(rows)
+        return self._inner.map_bool(fn, rows)
+
+
+def test_readers_are_handed_integer_row_ids(task_env, monkeypatch):
+    from repro.columnar.block import ColumnChunk
+
+    seen = []
+    real_reader = ColumnChunk.reader
+    monkeypatch.setattr(
+        ColumnChunk, "reader", lambda chunk: _IntegerRowsReader(real_reader(chunk), seen)
+    )
+    wide, narrow = TASK_DIFFERENTIAL_QUERIES[:2]  # ``narrow`` is a residual of ``wide``
+    # Whole-block tasks, then row slices, each gathering at matched rows.
+    for sql in (wide, TASK_DIFFERENTIAL_QUERIES[2], TASK_DIFFERENTIAL_QUERIES[4]):
+        plan, broadcasts, blocks = _compile(task_env, sql)
+        for task, block in zip(plan.tasks, blocks):
+            execute_scan_task(task, plan, block, broadcasts)
+            part = dataclasses.replace(task, row_slice=(3, block.num_rows - 5))
+            execute_scan_task(part, plan, block, broadcasts)
+    assert seen
+    # Semantic residuals: candidate rows of ``narrow`` inside ``wide``'s vectors.
+    manager = SmartIndexManager(semantic=True)
+    residual_clauses = 0
+    for sql in (wide, narrow):
+        plan, broadcasts, blocks = _compile(task_env, sql)
+        results = [
+            execute_scan_task(t, plan, b, broadcasts, index_manager=manager, now=1.0)
+            for t, b in zip(plan.tasks, blocks)
+        ]
+        _assert_matches_oracle(task_env, plan, results, sql)
+        residual_clauses += sum(r.report.index_residual_clauses for r in results)
+    assert residual_clauses > 0
+
+
 @pytest.mark.parametrize(
     "spec",
     [
