@@ -176,12 +176,14 @@ def task_signature(plan: PhysicalPlan, task: ScanTask) -> Tuple:
     scan_clauses, is_aggregate, agg_sig, post_filter, broadcast_sig = plan.shape.task_signature_base
     return (
         task.block.path,
+        task.block.incarnation,
         scan_clauses,
         task.columns,
         is_aggregate,
         agg_sig,
         post_filter,
         broadcast_sig,
+        plan.broadcast_incarnations,
         task.row_slice,
     )
 

@@ -136,7 +136,7 @@ class LeafServer:
             if config.enable_ssd_cache
             else None
         )
-        self._btrees: Dict[Tuple[str, str], BPlusTree] = {}
+        self._btrees: Dict[Tuple[str, str], Tuple[int, BPlusTree]] = {}  # (incarnation, tree)
         self.btree_builds = 0
         #: Effective path → (payload, the :class:`Block` parsed from it),
         #: oldest first.  An entry is reused only while the storage layer
@@ -257,20 +257,19 @@ class LeafServer:
         row order invalidates base-order trees, S54); ``only_column``
         restricts the provider to a variant's *attached* index column."""
 
-        def provider(block_id: str, column: str) -> Optional[BPlusTree]:
+        def provider(index_key: Tuple[str, int], column: str) -> Optional[BPlusTree]:
             if only_column is not None and column != only_column:
                 return None
-            key = (block_id + tag, column)
-            tree = self._btrees.get(key)
-            if tree is None:
+            key = (index_key[0] + tag, column)  # index_key: (block id, incarnation)
+            built = self._btrees.get(key)
+            if built is None or built[0] != index_key[1]:
                 if column not in block.chunks:
                     return None
                 # B-trees are prebuilt ahead of queries in the paper's
                 # comparison; build lazily here but off the query clock.
-                tree = BPlusTree(block.column(column))
-                self._btrees[key] = tree
+                built = self._btrees[key] = (index_key[1], BPlusTree(block.column(column)))
                 self.btree_builds += 1
-            return tree
+            return built[1]
 
         return provider
 
@@ -320,6 +319,7 @@ class LeafServer:
             else:
                 payload = system.read(inner)
             block = self._parsed_block(block_path, payload)
+            index_key = (block.block_id, system.incarnation(inner))  # of the bytes just read
             if layout is None:
                 index_manager = self.index_manager
                 btree_provider = self._btree_provider(block) if self.config.enable_btree else None
@@ -348,6 +348,7 @@ class LeafServer:
                 now=self.sim.now,
                 span=span,
                 layout=layout,
+                index_key=index_key,
             )
             report = result.report
             if self.layouts is not None:
@@ -447,16 +448,9 @@ class LeafServer:
             self.heat.record(
                 task.block.path, nbytes, reader=self.address, now=self.sim.now
             )
-        if self.ssd_cache is not None:
-            cached = self.ssd_cache.get(block_path)
-            if cached is not None:
-                if cached == payload:
-                    yield self.ssd.read(nbytes, seeks=report.io_seeks)
-                    return
-                # The block was rewritten since it was cached; serving the
-                # stale copy would return wrong rows.  Reclassify the hit
-                # and fall through to a real read.
-                self.ssd_cache.invalidate_stale(block_path)
+        if self.ssd_cache is not None and self.ssd_cache.get(block_path, payload):
+            yield self.ssd.read(nbytes, seeks=report.io_seeks)
+            return
         replicas = system.locations(inner)
         if not replicas:
             raise ExecutionError(f"no live replica for {block_path}")

@@ -32,8 +32,8 @@ from repro.storage.router import StorageRouter
 BACKUP_FACTOR = 3.0
 #: Floor on the overdue threshold, in simulated seconds.
 BACKUP_MIN_S = 2.0
-#: Entries the (block, column-set) byte-size memo keeps; the oldest goes
-#: first, so tables that were dropped or reloaded age out of it.
+#: Entries the (block, incarnation, column-set) byte-size memo keeps; the
+#: oldest goes first, so tables that were dropped or reloaded age out of it.
 TASK_BYTES_CACHE_ENTRIES = 1 << 16
 #: How many re-admitted worker ids the scheduler remembers by name.
 RECENT_READMISSIONS = 64
@@ -140,10 +140,8 @@ class JobScheduler:
 
     def _task_bytes(self, task: ScanTask) -> float:
         """Modeled bytes a scan of ``task.columns`` reads from the catalog
-        block, memoized per (block, column-set)."""
-        # Encoded size in the key guards against a table reloaded under
-        # the same block ids with different data.
-        key = (task.block.block_id, task.block.encoded_bytes, task.columns)
+        block, memoized per (block, incarnation, column-set)."""
+        key = (task.block.block_id, task.block.incarnation, task.columns)
         cached = self._task_bytes_cache.get(key)
         if cached is not None:
             self.task_bytes_hits += 1

@@ -29,6 +29,7 @@ class BlockRef:
     scale_factor: float = 1.0
     #: Optional per-column (name, min, max) triples for planner pruning.
     column_ranges: "tuple" = ()
+    incarnation: int = 0  # of the stored bytes (``StorageSystem.write``); 0 if unknown
 
     def bytes_for(self, columns: Iterable[str]) -> int:
         """Encoded bytes a scan of ``columns`` must read from this block."""

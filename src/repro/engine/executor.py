@@ -23,7 +23,7 @@ cluster charges these against its device models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,8 +65,8 @@ from repro.sql.ast import (
     Star,
 )
 
-#: Provides a prebuilt B+ tree for (block_id, column), or None.
-BTreeProvider = Callable[[str, str], Optional[BPlusTree]]
+#: Provides a prebuilt B+ tree for (block key, column), or None.
+BTreeProvider = Callable[[Hashable, str], Optional[BPlusTree]]
 
 
 @dataclass
@@ -163,6 +163,7 @@ def execute_scan_task(
     now: float = 0.0,
     span=None,
     layout=None,
+    index_key: Optional[Hashable] = None,
 ) -> TaskResult:
     """Run one scan task against its (already fetched) block.
 
@@ -181,11 +182,15 @@ def execute_scan_task(
     variant pays the clustered join rate.  The caller is responsible for
     passing ``index_manager=None`` alongside a non-base layout (variant
     row order invalidates whole-block bitvectors, as with row slices).
+    ``index_key`` (default: the block id) is the one key the index and
+    ``btree_provider`` see; a leaf passes ``(block id, incarnation)``.
     """
     if task.row_slice is not None:
         layout = None  # slices are defined on base row order only
+    if index_key is None:
+        index_key = block.block_id
     report, readers, rows = _select_rows(
-        task, plan, block, index_manager, btree_provider, now, span, layout
+        task, plan, block, index_key, index_manager, btree_provider, now, span, layout
     )
     frame = _gather(task, plan, readers, rows, report.rows_in_block)
     report.rows_matched = frame.num_rows
@@ -196,6 +201,7 @@ def _select_rows(
     task: ScanTask,
     plan: PhysicalPlan,
     block: Block,
+    index_key: Hashable,
     index_manager: Optional[SmartIndexManager],
     btree_provider: Optional[BTreeProvider],
     now: float,
@@ -227,7 +233,7 @@ def _select_rows(
     )
     cnf = plan.scan_cnf
     mask, missing, residuals = _filter_mask(
-        task, cnf, block, index_manager, btree_provider, now, report, span=span
+        cnf, block, index_key, index_manager, btree_provider, now, report, span=span
     )
     if report.index_full_cover and mask is not None and not mask.any():
         return report, None, None
@@ -277,10 +283,12 @@ def _select_rows(
     scope = None if task.row_slice is None else np.arange(lo, hi)
     if missing:
         mask = _evaluate_missing(
-            missing, readers, scope, num_rows, mask, index_manager, task, now, report
+            missing, readers, scope, num_rows, mask, index_manager, index_key, task, now, report
         )
     if residuals:
-        mask = _evaluate_residuals(residuals, readers, mask, index_manager, task, now, report)
+        mask = _evaluate_residuals(
+            residuals, readers, mask, index_manager, index_key, task, now, report
+        )
     if mask is None:
         return report, readers, scope
     rows = mask.nonzero()[0]
@@ -346,9 +354,9 @@ def _np_dtype(analyzed: AnalyzedQuery, task: ScanTask, column: str):
 
 
 def _filter_mask(
-    task: ScanTask,
     cnf: ConjunctiveForm,
     block: Block,
+    index_key: Hashable,
     index_manager: Optional[SmartIndexManager],
     btree_provider: Optional[BTreeProvider],
     now: float,
@@ -372,7 +380,7 @@ def _filter_mask(
         if index_manager.semantic:
             before_sub = index_manager.stats.subsumption_hits
             mask_bv, missing, residuals = index_manager.cover_semantic(
-                block.block_id, cnf, now, span=probe
+                index_key, cnf, now, span=probe
             )
             report.index_subsumption_hits += (
                 index_manager.stats.subsumption_hits - before_sub
@@ -380,7 +388,7 @@ def _filter_mask(
             report.index_residual_clauses += len(residuals)
             report.index_residual_fraction += sum(r.fraction for r in residuals)
         else:
-            mask_bv, missing = index_manager.cover(block.block_id, cnf, now, span=probe)
+            mask_bv, missing = index_manager.cover(index_key, cnf, now, span=probe)
         covered = len(cnf.clauses) - len(missing) - len(residuals)
         report.index_clause_hits += covered
         report.index_clause_misses += len(missing)
@@ -402,7 +410,7 @@ def _filter_mask(
     if btree_provider is not None:
         still_missing: List[Clause] = []
         for clause in missing:
-            resolved = _btree_clause(clause, block, btree_provider, report)
+            resolved = _btree_clause(clause, index_key, btree_provider, report)
             if resolved is None:
                 still_missing.append(clause)
             else:
@@ -428,7 +436,7 @@ def _filter_mask(
 
 def _btree_clause(
     clause: Clause,
-    block: Block,
+    index_key: Hashable,
     btree_provider: BTreeProvider,
     report: TaskExecutionReport,
 ) -> Optional[np.ndarray]:
@@ -436,7 +444,7 @@ def _btree_clause(
         return None
     masks = []
     for atom in clause.atoms:
-        tree = btree_provider(block.block_id, atom.column)
+        tree = btree_provider(index_key, atom.column)
         if tree is None or not tree.supports(atom):
             return None
         mask = tree.evaluate(atom)
@@ -456,23 +464,15 @@ def _atom_ops(atom) -> float:
 
 def _feed_index(
     index_manager: Optional[SmartIndexManager],
+    index_key: Hashable,
     task: ScanTask,
     atom,
     atom_mask: np.ndarray,
     now: float,
 ) -> None:
-    if index_manager is None:
-        return
-    if index_manager.semantic:
-        index_manager.insert(
-            task.block.block_id,
-            atom,
-            atom_mask,
-            now,
-            saved_s=atom_saved_seconds(task.block, atom),
-        )
-    else:
-        index_manager.insert(task.block.block_id, atom, atom_mask, now)
+    if index_manager is not None:
+        saved_s = atom_saved_seconds(task.block, atom) if index_manager.semantic else None
+        index_manager.insert(index_key, atom, atom_mask, now, saved_s=saved_s)
 
 
 def _evaluate_missing(
@@ -482,6 +482,7 @@ def _evaluate_missing(
     num_rows: int,
     mask: Optional[np.ndarray],
     index_manager: Optional[SmartIndexManager],
+    index_key: Hashable,
     task: ScanTask,
     now: float,
     report: TaskExecutionReport,
@@ -494,7 +495,7 @@ def _evaluate_missing(
         for atom in clause.atoms:
             atom_mask = readers[atom.column].map_bool(atom.evaluate, scope)
             report.cpu_ops += _atom_ops(atom) * num_rows
-            _feed_index(index_manager, task, atom, atom_mask, now)
+            _feed_index(index_manager, index_key, task, atom, atom_mask, now)
             clause_mask = atom_mask if clause_mask is None else (clause_mask | atom_mask)
         for residual in clause.residuals:
             # Opaque expression: needs real values of the columns it touches.
@@ -579,6 +580,7 @@ def _evaluate_residuals(
     readers: Dict[str, ChunkReader],
     mask: Optional[np.ndarray],
     index_manager: Optional[SmartIndexManager],
+    index_key: Hashable,
     task: ScanTask,
     now: float,
     report: TaskExecutionReport,
@@ -603,7 +605,7 @@ def _evaluate_residuals(
             if index_manager is not None:
                 full_atom = np.zeros(len(cand), dtype=np.bool_)
                 full_atom[idx] = sub
-                _feed_index(index_manager, task, atom, full_atom, now)
+                _feed_index(index_manager, index_key, task, atom, full_atom, now)
             clause_sub |= sub
         clause_full = np.zeros(len(cand), dtype=np.bool_)
         clause_full[idx] = clause_sub

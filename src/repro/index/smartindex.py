@@ -3,7 +3,8 @@
 An entry mirrors the Fig 6 record: block id; the canonical
 ``op/colname/colvalue`` predicate identity; the 0-1 result vector
 (optionally RLE-compressed); and misc metadata (creation time, last use,
-preference flag).
+preference flag).  The block id is an opaque key: a leaf passes ``(block
+id, incarnation)``, so vectors of rewritten bytes are simply never probed.
 
 The :class:`SmartIndexManager` implements §IV-C-2's management policy:
 
@@ -42,7 +43,7 @@ import heapq
 import threading
 from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -85,7 +86,7 @@ _DERIVABLE_OPS = frozenset(
 class SmartIndexEntry:
     """One (block, predicate) result vector plus Fig 6 metadata."""
 
-    block_id: str
+    block_id: Hashable
     predicate_key: str
     length: int
     created_at: float
@@ -108,7 +109,7 @@ class SmartIndexEntry:
     @classmethod
     def build(
         cls,
-        block_id: str,
+        block_id: Hashable,
         predicate_key: str,
         vector: BitVector,
         now: float,
@@ -251,11 +252,8 @@ class SmartIndexManager:
         self._created: Deque[Tuple[float, Tuple[str, str]]] = deque()
         self._pinned_expired: Dict[Tuple[str, str], float] = {}
         self._last_pinned_sweep = float("-inf")
-        # Secondary indexes: block id -> insertion-ordered set of entry
-        # keys (invalidate_block/entries_for_block) and predicate key ->
-        # set of entry keys (prefer/unprefer), so neither scans the
-        # whole cache.
-        self._by_block: Dict[str, Dict[Tuple[str, str], None]] = {}
+        # Secondary index: predicate key -> set of entry keys, so
+        # prefer/unprefer do not scan the whole cache.
         self._by_predicate: Dict[str, Dict[Tuple[str, str], None]] = {}
         # Semantic-mode state: the interval registry mirrors the cached
         # atoms; the frequency sketch tracks probe demand per predicate
@@ -290,7 +288,7 @@ class SmartIndexManager:
 
     @_locked
     def lookup_atom(
-        self, block_id: str, atom: AtomicPredicate, now: float, sweep: bool = True
+        self, block_id: Hashable, atom: AtomicPredicate, now: float, sweep: bool = True
     ) -> Optional[BitVector]:
         """Fetch the result vector for one atom, directly or via the
         complement's bit-NOT (Fig 7)."""
@@ -309,7 +307,7 @@ class SmartIndexManager:
 
     @_locked
     def lookup_clause(
-        self, block_id: str, clause: Clause, now: float, sweep: bool = True
+        self, block_id: Hashable, clause: Clause, now: float, sweep: bool = True
     ) -> Optional[BitVector]:
         """OR of all atom vectors; None unless *every* atom is present.
 
@@ -329,7 +327,7 @@ class SmartIndexManager:
 
     @_locked
     def cover(
-        self, block_id: str, cnf: ConjunctiveForm, now: float, span=None
+        self, block_id: Hashable, cnf: ConjunctiveForm, now: float, span=None
     ) -> Tuple[Optional[BitVector], List[Clause]]:
         """Try to answer a whole scan filter from the cache.
 
@@ -369,7 +367,7 @@ class SmartIndexManager:
 
     @_locked
     def cover_semantic(
-        self, block_id: str, cnf: ConjunctiveForm, now: float, span=None
+        self, block_id: Hashable, cnf: ConjunctiveForm, now: float, span=None
     ) -> Tuple[Optional[BitVector], List[Clause], List[ResidualClause]]:
         """Subsumption-aware :meth:`cover`.
 
@@ -433,7 +431,7 @@ class SmartIndexManager:
         return mask, missing, residuals
 
     def _probe_atom_semantic(
-        self, block_id: str, atom: AtomicPredicate, now: float
+        self, block_id: Hashable, atom: AtomicPredicate, now: float
     ) -> Optional[BitVector]:
         """Exact → complement → derived-by-composition, with stats."""
         self._bump_freq(atom.key)
@@ -456,7 +454,7 @@ class SmartIndexManager:
         return None
 
     def _derive_atom(
-        self, block_id: str, atom: AtomicPredicate, now: float
+        self, block_id: Hashable, atom: AtomicPredicate, now: float
     ) -> Optional[BitVector]:
         """Exact bitmap-algebra composition from same-value cached atoms.
 
@@ -520,7 +518,7 @@ class SmartIndexManager:
 
     def _candidate_clause(
         self,
-        block_id: str,
+        block_id: Hashable,
         clause: Clause,
         vecs: List[Optional[BitVector]],
         now: float,
@@ -549,7 +547,7 @@ class SmartIndexManager:
         return ResidualClause(clause, candidate, fraction)
 
     def _candidate_atom(
-        self, block_id: str, atom: AtomicPredicate, now: float
+        self, block_id: Hashable, atom: AtomicPredicate, now: float
     ) -> Optional[BitVector]:
         """AND of every tightest cached superset of this atom."""
         result: Optional[BitVector] = None
@@ -580,7 +578,7 @@ class SmartIndexManager:
     @_locked
     def insert(
         self,
-        block_id: str,
+        block_id: Hashable,
         atom: AtomicPredicate,
         mask: np.ndarray,
         now: float,
@@ -598,7 +596,7 @@ class SmartIndexManager:
 
     def _insert_vector(
         self,
-        block_id: str,
+        block_id: Hashable,
         atom: AtomicPredicate,
         vector: BitVector,
         now: float,
@@ -623,7 +621,6 @@ class SmartIndexManager:
         self._bytes += entry.nbytes
         self._created.append((now, entry.key))
         self._pinned_expired.pop(entry.key, None)  # re-created: TTL restarts
-        self._by_block.setdefault(block_id, {})[entry.key] = None
         self._by_predicate.setdefault(atom.key, {})[entry.key] = None
         self.stats.creations += 1
         if self.semantic:
@@ -774,11 +771,6 @@ class SmartIndexManager:
         entry = self._entries.pop(key)
         self._bytes -= entry.nbytes
         self._pinned_expired.pop(key, None)
-        block_keys = self._by_block.get(key[0])
-        if block_keys is not None:
-            block_keys.pop(key, None)
-            if not block_keys:
-                del self._by_block[key[0]]
         pred_keys = self._by_predicate.get(entry.predicate_key)
         if pred_keys is not None:
             pred_keys.pop(key, None)
@@ -786,12 +778,6 @@ class SmartIndexManager:
                 del self._by_predicate[entry.predicate_key]
         if self.semantic and entry.atom is not None:
             self._registry.discard(key[0], entry.atom)
-
-    @_locked
-    def invalidate_block(self, block_id: str) -> None:
-        """Drop every entry of a block (data rewrite)."""
-        for key in list(self._by_block.get(block_id, ())):
-            self._remove(key)
 
     # -- introspection -----------------------------------------------------
 
@@ -804,5 +790,5 @@ class SmartIndexManager:
         return len(self._entries)
 
     @_locked
-    def entries_for_block(self, block_id: str) -> List[SmartIndexEntry]:
-        return [self._entries[k] for k in self._by_block.get(block_id, ())]
+    def entries_for_block(self, block_id: Hashable) -> List[SmartIndexEntry]:
+        return [e for e in self._entries.values() if e.block_id == block_id]

@@ -120,6 +120,8 @@ class PhysicalPlan:
     payload_columns: Tuple[str, ...] = ()
     #: Blocks skipped outright by catalog range statistics.
     pruned_blocks: int = 0
+    #: Per broadcast, its table's block incarnations at instantiation.
+    broadcast_incarnations: Tuple[Tuple[int, ...], ...] = ()
 
     @property
     def is_aggregate(self) -> bool:
@@ -224,6 +226,10 @@ def build_plan(analyzed: AnalyzedQuery) -> PhysicalPlan:
         post_filter=shape.post_filter,
         payload_columns=shape.payload_columns,
         pruned_blocks=pruned,
+        broadcast_incarnations=tuple(
+            tuple(ref.incarnation for ref in analyzed.tables[bc.binding].blocks)
+            for bc in shape.broadcasts
+        ),
     )
 
 

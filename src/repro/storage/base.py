@@ -16,11 +16,14 @@ the business critical applications on top of the storage system".
 from __future__ import annotations
 
 import abc
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import PathError, StorageError
 from repro.sim.netmodel import NodeAddress
+
+_incarnations = itertools.count(1)  # one for all systems: names a write wherever it is copied
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,7 @@ class StorageSystem(abc.ABC):
         self.domain = domain
         self.profile = profile
         self._files: Dict[str, bytes] = {}
+        self._incarnations: Dict[str, int] = {}  # path -> incarnation of its bytes
         self._placement: Dict[str, List[NodeAddress]] = {}
         #: Per-replica physical variants ("Trojan" layouts, S54): an
         #: individual replica holder may serve an alternative encoding of
@@ -60,18 +64,26 @@ class StorageSystem(abc.ABC):
 
     # -- namespace ------------------------------------------------------
 
-    def write(self, path: str, data: bytes, node: Optional[NodeAddress] = None) -> None:
-        """Store ``data`` at ``path`` with system-specific placement."""
+    def write(
+        self, path: str, data: bytes, node: Optional[NodeAddress] = None, incarnation: int = 0
+    ) -> int:
+        """Store ``data`` at ``path`` with system-specific placement; return
+        its incarnation: a fresh one, or that of the write it copies."""
         if not path.startswith("/"):
             raise PathError(f"storage paths must be absolute, got {path!r}")
         placement = self._place(path, len(data), node)
         if not placement:
             raise StorageError(f"{self.name}: no placement for {path!r}")
         self._files[path] = bytes(data)
+        self._incarnations[path] = incarnation or next(_incarnations)
         self._placement[path] = placement
         # A rewritten base payload invalidates every replica variant: the
         # variants were derived from the old bytes.
         self._variants.pop(path, None)
+        return self._incarnations[path]
+
+    def incarnation(self, path: str) -> Optional[int]:
+        return self._incarnations.get(path)
 
     def read(self, path: str) -> bytes:
         try:
@@ -89,6 +101,7 @@ class StorageSystem(abc.ABC):
         if path not in self._files:
             raise PathError(f"{self.name}: no such path {path!r}")
         del self._files[path]
+        del self._incarnations[path]
         del self._placement[path]
         self._variants.pop(path, None)
 

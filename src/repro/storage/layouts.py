@@ -581,6 +581,7 @@ class LayoutDaemon:
         next cycle retries from scratch; an unchanged base plus the
         deterministic rewrite make the retry idempotent.
         """
+        incarnation = system.incarnation(inner)
         base = system.read(inner)
         block = Block.from_bytes(base)
         spec = spec.narrowed_to([f.name for f in block.schema.fields])
@@ -606,8 +607,8 @@ class LayoutDaemon:
             min(sources, key=lambda s: self.net.distance(s, node)) if sources else node
         )
         yield self.net.transfer(source, node, len(data), TrafficClass.WRITE)
-        if not system.exists(inner):
-            return False  # block deleted while the rewrite was in flight
+        if system.incarnation(inner) != incarnation:
+            return False  # block rewritten or deleted while the rewrite was in flight
         if node not in system.locations(inner):
             return False  # replica lost mid-rewrite; nothing to publish onto
         system.set_replica_variant(inner, node, data, meta=meta)

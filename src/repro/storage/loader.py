@@ -54,8 +54,8 @@ def store_table(
         inner = f"{base_path}/{block.block_id}"
         full = router.full_path(system, inner)
         payload = block.to_bytes()
-        system.write(inner, payload, node=node)
-        table.add_block(make_block_ref(block, full, payload))
+        incarnation = system.write(inner, payload, node=node)
+        table.add_block(make_block_ref(block, full, payload, incarnation))
     if catalog is not None:
         catalog.register(table)
     return table
@@ -97,14 +97,14 @@ def store_table_striped(
         inner = f"{base_path}/{block.block_id}"
         full = router.full_path(system, inner)
         payload = block.to_bytes()
-        system.write(inner, payload)
-        table.add_block(make_block_ref(block, full, payload))
+        incarnation = system.write(inner, payload)
+        table.add_block(make_block_ref(block, full, payload, incarnation))
     if catalog is not None:
         catalog.register(table)
     return table
 
 
-def make_block_ref(block: Block, full_path: str, payload: bytes) -> BlockRef:
+def make_block_ref(block: Block, full_path: str, payload: bytes, incarnation: int = 0) -> BlockRef:
     column_bytes = tuple((n, c.encoded_bytes) for n, c in block.chunks.items())
     ranges = tuple(
         (n, c.stats.min_value, c.stats.max_value)
@@ -119,6 +119,7 @@ def make_block_ref(block: Block, full_path: str, payload: bytes) -> BlockRef:
         column_bytes=column_bytes,
         scale_factor=block.scale_factor,
         column_ranges=ranges,
+        incarnation=incarnation,
     )
 
 

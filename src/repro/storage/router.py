@@ -89,10 +89,14 @@ class StorageRouter:
         cred: Optional[Credential] = None,
         node: Optional[NodeAddress] = None,
         now: float = 0.0,
-    ) -> None:
+    ) -> int:
         system, inner = self.resolve(full_path)
         self._check(system, cred, now)
-        system.write(inner, data, node=node)
+        return system.write(inner, data, node=node)
+
+    def incarnation(self, full_path: str) -> Optional[int]:
+        system, inner = self.resolve(full_path)
+        return system.incarnation(inner)
 
     def exists(self, full_path: str) -> bool:
         """False only for resolvable-but-missing paths.

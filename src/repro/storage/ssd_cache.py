@@ -18,9 +18,9 @@ Preference entries are path *prefixes*; they come either from operators
 
 Two policy guarantees (regression-pinned in ``tests/test_ssd_cache.py``):
 
-* a **rejected update never leaves stale bytes** — if a path is being
-  rewritten and the new payload cannot be admitted, the old entry is
-  invalidated rather than kept serving the previous contents;
+* a **line is valid by identity** — :meth:`SsdCache.get` hits only if the
+  line holds the very payload object just read from storage, and a
+  rejected update (a rewritten path) still drops the old line;
 * **preferred entries are never sacrificed for non-preferred
   admissions** — when only preferred entries remain, a non-preferred
   insert is rejected instead of evicting business-critical data.
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from repro.errors import StorageError
 
@@ -80,7 +80,6 @@ class SsdCache:
         self._pref_cache: Dict[str, bool] = {}
         self.hits = 0
         self.misses = 0
-        self.stale_invalidations = 0
         self.rejected_for_preferred = 0
 
     # -- preferences (manual §IV-B interference, or tiering-derived) -----
@@ -115,37 +114,33 @@ class SsdCache:
     # -- cache operations -------------------------------------------------
 
     @_locked
-    def get(self, path: str) -> Optional[bytes]:
-        data = self._entries.get(path)
-        if data is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(path)
-        self.hits += 1
-        return data
+    def get(self, path: str, payload: bytes) -> bool:
+        """Is ``payload`` — the object just read from ``path`` — cached?
+        A line holding another object is stale: it is dropped."""
+        if self._entries.get(path) is payload:
+            self._entries.move_to_end(path)
+            self.hits += 1
+            return True
+        self.invalidate(path)
+        self.misses += 1
+        return False
 
     @_locked
     def put(self, path: str, data: bytes) -> bool:
         """Insert unless admission policy rejects; returns admitted?
 
-        Any rejected *update* (admission, oversize, or preferred-only
-        eviction pressure) invalidates the existing entry: a path that
-        was just rewritten must never keep serving its old bytes.
+        The path's old line goes either way: a rejected *update*
+        (admission, oversize, or preferred-only eviction pressure) must
+        not leave the previous bytes behind.
         """
+        self.invalidate(path)
         preferred = self.is_preferred(path)
-        if self.admit_preferred_only and not preferred:
-            self.invalidate(path)
+        if (self.admit_preferred_only and not preferred) or len(data) > self.capacity_bytes:
             return False
-        if len(data) > self.capacity_bytes:
-            self.invalidate(path)
-            return False
-        if path in self._entries:
-            self._bytes -= len(self._entries.pop(path))
         while self._bytes + len(data) > self.capacity_bytes and self._entries:
             if not self._evict_one(allow_preferred=preferred):
                 # Only preferred entries remain and this insert is not
-                # preferred: reject it rather than sacrifice them.  The
-                # stale previous version (if any) was popped above.
+                # preferred: reject it rather than sacrifice them.
                 self.rejected_for_preferred += 1
                 return False
         self._entries[path] = data
@@ -173,16 +168,6 @@ class SsdCache:
         if path in self._entries:
             self._bytes -= len(self._entries.pop(path))
 
-    @_locked
-    def invalidate_stale(self, path: str) -> None:
-        """Drop an entry the caller found to disagree with the backing
-        store, and correct the hit it was just (wrongly) served as."""
-        if path in self._entries:
-            self._bytes -= len(self._entries.pop(path))
-        self.hits = max(0, self.hits - 1)
-        self.misses += 1
-        self.stale_invalidations += 1
-
     @property
     def used_bytes(self) -> int:
         return self._bytes
@@ -203,6 +188,5 @@ class SsdCache:
             "miss_ratio": self.miss_ratio(),
             "used_bytes": self._bytes,
             "entries": len(self._entries),
-            "stale_invalidations": self.stale_invalidations,
             "rejected_for_preferred": self.rejected_for_preferred,
         }

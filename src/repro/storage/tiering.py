@@ -25,9 +25,11 @@ observation loop:
 
 Promotion is a *copy*, never a move: the cold replica set is untouched,
 so the :class:`~repro.faults.invariants.InvariantMonitor` replication
-floor holds on both systems throughout.  A promotion killed mid-transfer
+floor holds on both systems throughout.  The copy carries its source's
+incarnation and is served only while that is the cold path's; the next
+cycle demotes a stale one.  A promotion killed mid-transfer
 by the fault injector leaves no published hint and no placement entry;
-the next cycle retries, and an ``exists`` check first makes the retry
+the next cycle retries, and an incarnation check first makes the retry
 idempotent (a completed copy whose publish was lost is adopted, not
 re-copied or double-counted).
 
@@ -205,12 +207,15 @@ class TieringDaemon:
         self.heat.record(path, nbytes, reader=reader, now=now)
 
     def effective_path(self, path: str) -> str:
-        """Where reads for ``path`` should actually go right now."""
-        return self._promoted.get(path, path)
+        """Where reads for ``path`` go: its promoted copy while that is current."""
+        hot_full = self._promoted.get(path)
+        if hot_full is None or self.router.incarnation(hot_full) != self.router.incarnation(path):
+            return path
+        return hot_full
 
     def tier_of(self, path: str) -> str:
         """``promoted`` | ``cold`` | ``hot`` for trace tags and EXPLAIN."""
-        if path in self._promoted:
+        if self.effective_path(path) != path:
             return "promoted"
         try:
             system, _ = self.router.resolve(path)
@@ -282,9 +287,10 @@ class TieringDaemon:
     def run_once(self) -> Generator[Event, None, None]:
         now = self.sim.now
         self.stats.cycles += 1
-        # Demote first: decayed blocks free promoted-byte budget this cycle.
+        # Demote first: decayed blocks and stale copies free budget this cycle.
         for path in list(self._promoted):
-            if self.heat.heat(path, now) <= self.demote_threshold:
+            decayed = self.heat.heat(path, now) <= self.demote_threshold
+            if decayed or self.effective_path(path) == path:
                 self._demote(path)
         budget = self.max_promoted_bytes - sum(self._promoted_bytes.values())
         promoted = 0
@@ -324,7 +330,8 @@ class TieringDaemon:
         cold_system, cold_inner = self.router.resolve(path)
         hot_inner = f"{PROMOTED_MOUNT}/{cold_system.scheme}{cold_inner}"
         hot_full = self.router.full_path(self.hot_system, hot_inner)
-        if self.hot_system.exists(hot_inner):
+        incarnation = cold_system.incarnation(cold_inner)
+        if self.hot_system.incarnation(hot_inner) == incarnation:
             self._publish(path, hot_full, self.hot_system.size(hot_inner))
             self.stats.adopted_promotions += 1
             return True
@@ -344,9 +351,9 @@ class TieringDaemon:
             reader = eligible[0]
         source = min(sources, key=lambda s: self.net.distance(s, reader))
         yield self.net.transfer(source, reader, len(data), TrafficClass.WRITE)
-        if not cold_system.exists(cold_inner):
-            return False  # source block deleted while the copy was in flight
-        self.hot_system.write(hot_inner, data, node=reader)
+        if cold_system.incarnation(cold_inner) != incarnation:
+            return False  # source rewritten or deleted while the copy was in flight
+        self.hot_system.write(hot_inner, data, node=reader, incarnation=incarnation)
         self._publish(path, hot_full, len(data))
         self.stats.promotions += 1
         return True

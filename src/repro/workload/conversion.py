@@ -100,9 +100,9 @@ class ConversionDaemon:
             block = Block.from_arrays(block_id, table.schema, columns, self.scale_factor)
             blob = block.to_bytes()
             inner = f"/logs/{self.node}/{block_id}"
-            fs.write(inner, blob, node=self.node)
+            incarnation = fs.write(inner, blob, node=self.node)
             table.add_block(
-                make_block_ref(block, self.cluster.router.full_path(fs, inner), blob)
+                make_block_ref(block, self.cluster.router.full_path(fs, inner), blob, incarnation)
             )
             fs.delete(path)
             # Conversion is real work on a co-tenant node: charge the CPU.

@@ -83,9 +83,9 @@ class LogIngestor:
         block = Block.from_arrays(block_id, self._schema, columns, self.scale_factor)
         payload = block.to_bytes()
         inner = f"/logs/{node}/{block_id}"
-        self.cluster.local_fs.write(inner, payload, node=node)
+        incarnation = self.cluster.local_fs.write(inner, payload, node=node)
         full = self.cluster.router.full_path(self.cluster.local_fs, inner)
-        ref = make_block_ref(block, full, payload)
+        ref = make_block_ref(block, full, payload, incarnation)
         assert self._table is not None
         self._table.add_block(ref)
         return ref

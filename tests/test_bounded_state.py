@@ -230,6 +230,44 @@ def test_no_supervisor_outlives_its_job_on_the_heap():
     assert waiting == []
 
 
+def test_reloads_leave_derived_block_state_bounded():
+    """A table reloaded 20 times under the same block ids: every reload
+    makes the B+ trees and SmartIndex vectors of the old bytes dead.  A
+    tree is rebuilt in place, and dead vectors leave through the index's
+    own memory budget, so neither grows with reloads.  One leaf, so
+    placement cannot spread the blocks over more caches as it goes."""
+    budget = 1024
+    cluster = FeisuCluster(
+        FeisuConfig(
+            racks_per_datacenter=1,
+            nodes_per_rack=1,
+            leaf=LeafConfig(enable_btree=True, index_memory_bytes=budget),
+        )
+    )
+    (leaf,) = cluster.leaves
+    schema = Schema.of(a=DataType.INT64, s=DataType.STRING)
+    # The range atom is answered by a tree; CONTAINS (no tree) feeds the index.
+    sql = "SELECT COUNT(*) FROM T WHERE a > 100 AND s CONTAINS 'k3'"
+    sizes = []
+    for i in range(20):
+        rng = np.random.default_rng(i)
+        a, s = rng.permutation(2000), rng.integers(0, 8, 2000)
+        if "T" in cluster.catalog:
+            cluster.catalog.drop("T")
+        cluster.load_table(
+            "T",
+            schema,
+            {"a": a, "s": np.array([f"k{v}" for v in s], dtype=object)},
+            block_rows=500,
+        )
+        assert cluster.query(sql).rows() == [(int(((a > 100) & (s == 3)).sum()),)]
+        manager = leaf.index_manager
+        assert manager.used_bytes <= budget
+        sizes.append((len(leaf._btrees), manager.entry_count))
+    assert leaf.btree_builds == 20 * sizes[0][0]  # rebuilt for every reload...
+    assert set(sizes[2:]) == {sizes[-1]}  # ...in place, and the index at its budget
+
+
 def test_statement_cache_keeps_only_its_bound(monkeypatch):
     from repro.sql import analyzer
 

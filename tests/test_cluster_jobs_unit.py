@@ -87,11 +87,15 @@ def test_row_slice_columns_and_path_distinguish_tasks(catalog):
     )
     assert task_signature(plan, dataclasses.replace(task, columns=("a", "b"))) != whole
     assert task_signature(plan, other_block) != whole
+    rewritten = dataclasses.replace(task.block, incarnation=task.block.incarnation + 1)
+    assert task_signature(plan, dataclasses.replace(task, block=rewritten)) != whole
 
 
-def _signature_before_s57(plan, task):
-    """``task_signature`` as it was when every call rebuilt the whole
-    tuple (before S57 hoisted the plan half): the reference formula."""
+def _reference_signature(plan, task):
+    """``task_signature`` rebuilt whole on every call, the way it was
+    before S57 hoisted the plan half, plus the incarnations of the
+    scanned block and of the broadcast tables' blocks: the reference
+    formula."""
     analyzed = plan.analyzed
     agg_sig = (
         tuple(str(k) for k in analyzed.group_keys),
@@ -103,12 +107,17 @@ def _signature_before_s57(plan, task):
     )
     return (
         task.block.path,
+        task.block.incarnation,
         tuple(sorted(str(c) for c in plan.scan_cnf.clauses)),
         task.columns,
         plan.is_aggregate,
         agg_sig,
         str(plan.post_filter),
         broadcast_sig,
+        tuple(
+            tuple(ref.incarnation for ref in analyzed.tables[bc.binding].blocks)
+            for bc in plan.broadcasts
+        ),
         task.row_slice,
     )
 
@@ -146,7 +155,7 @@ def test_signature_equals_the_reference_formula_over_the_corpus(small_cluster):
             + controller.remainder_wave(plan.tasks, split)
         )
         for task in tasks:
-            got, want = task_signature(plan, task), _signature_before_s57(plan, task)
+            got, want = task_signature(plan, task), _reference_signature(plan, task)
             assert got == want, sql
             assert [type(x) for x in got] == [type(x) for x in want], sql
             checked += 1

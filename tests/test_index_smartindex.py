@@ -135,13 +135,16 @@ def test_dense_random_vector_stays_raw():
     assert entry.raw is not None  # RLE would not help
 
 
-def test_invalidate_block():
+def test_block_key_is_opaque_to_the_manager():
+    """A leaf keys vectors by (block id, incarnation): a rewritten block's
+    key never finds the vectors of the bytes it replaced."""
     mgr = SmartIndexManager()
-    mgr.insert("b0", _atom("a > 1"), _mask([1]), now=0.0)
-    mgr.insert("b1", _atom("a > 1"), _mask([1]), now=0.0)
-    mgr.invalidate_block("b0")
-    assert mgr.lookup_atom("b0", _atom("a > 1"), now=0.0) is None
-    assert mgr.lookup_atom("b1", _atom("a > 1"), now=0.0) is not None
+    mgr.insert(("b0", 1), _atom("a > 1"), _mask([1]), now=0.0)
+    mgr.insert(("b1", 1), _atom("a > 1"), _mask([1]), now=0.0)
+    assert mgr.lookup_atom(("b0", 2), _atom("a > 1"), now=0.0) is None
+    assert mgr.lookup_atom(("b0", 1), _atom("a > 1"), now=0.0) is not None
+    assert [e.block_id for e in mgr.entries_for_block(("b0", 1))] == [("b0", 1)]
+    assert mgr.entries_for_block(("b0", 2)) == []
 
 
 def test_reinsert_replaces_bytes_accounting():

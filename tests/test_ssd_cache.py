@@ -1,9 +1,15 @@
-"""SSD data-cache semantics (§IV-B): LRU + manual preferences."""
+"""SSD data-cache semantics (§IV-B): LRU + manual preferences.
+
+``get`` is handed the payload the storage layer just returned; a line is
+a hit only if it holds that very object.
+"""
 
 import pytest
 
 from repro.errors import StorageError
 from repro.storage.ssd_cache import SsdCache
+
+A, B, C = (bytes(bytearray(b"1234")) for _ in range(3))  # equal bytes, distinct objects
 
 
 def test_invalid_capacity():
@@ -13,47 +19,47 @@ def test_invalid_capacity():
 
 def test_preferred_only_admission_default():
     cache = SsdCache(100)
-    assert not cache.put("/t/a", b"12345")  # not preferred: rejected
+    assert not cache.put("/t/a", A)  # not preferred: rejected
     cache.prefer("/t/")
-    assert cache.put("/t/a", b"12345")
-    assert cache.get("/t/a") == b"12345"
+    assert cache.put("/t/a", A)
+    assert cache.get("/t/a", A)
 
 
 def test_admit_all_mode():
     cache = SsdCache(100, admit_preferred_only=False)
-    assert cache.put("/x", b"abc")
-    assert cache.get("/x") == b"abc"
+    assert cache.put("/x", A)
+    assert cache.get("/x", A)
 
 
 def test_lru_eviction_order():
     cache = SsdCache(10, admit_preferred_only=False)
-    cache.put("/a", b"1234")
-    cache.put("/b", b"1234")
-    cache.get("/a")          # touch /a: /b becomes LRU
-    cache.put("/c", b"1234")  # evicts /b
-    assert cache.get("/a") is not None
-    assert cache.get("/b") is None
-    assert cache.get("/c") is not None
+    cache.put("/a", A)
+    cache.put("/b", B)
+    cache.get("/a", A)  # touch /a: /b becomes LRU
+    cache.put("/c", C)  # evicts /b
+    assert cache.get("/a", A)
+    assert not cache.get("/b", B)
+    assert cache.get("/c", C)
 
 
 def test_preferred_entries_survive_eviction_pressure():
     cache = SsdCache(10, admit_preferred_only=False)
     cache.prefer("/hot")
-    cache.put("/hot/a", b"1234")
-    cache.put("/cold/b", b"1234")
-    cache.put("/cold/c", b"1234")  # must evict; sacrifices /cold/b
-    assert cache.get("/hot/a") is not None
-    assert cache.get("/cold/b") is None
+    cache.put("/hot/a", A)
+    cache.put("/cold/b", B)
+    cache.put("/cold/c", C)  # must evict; sacrifices /cold/b
+    assert cache.get("/hot/a", A)
+    assert not cache.get("/cold/b", B)
 
 
 def test_all_preferred_falls_back_to_lru():
     cache = SsdCache(8, admit_preferred_only=False)
     cache.prefer("/")
-    cache.put("/a", b"1234")
-    cache.put("/b", b"1234")
-    cache.put("/c", b"1234")
+    cache.put("/a", A)
+    cache.put("/b", B)
+    cache.put("/c", C)
     assert cache.entry_count == 2
-    assert cache.get("/a") is None  # oldest preferred evicted
+    assert not cache.get("/a", A)  # oldest preferred evicted
 
 
 def test_oversized_object_rejected():
@@ -70,18 +76,18 @@ def test_overwrite_updates_bytes():
 
 def test_invalidate():
     cache = SsdCache(100, admit_preferred_only=False)
-    cache.put("/a", b"1234")
+    cache.put("/a", A)
     cache.invalidate("/a")
-    assert cache.get("/a") is None
+    assert not cache.get("/a", A)
     assert cache.used_bytes == 0
 
 
 def test_miss_ratio_accounting():
     cache = SsdCache(100, admit_preferred_only=False)
-    cache.get("/a")            # miss
-    cache.put("/a", b"1")
-    cache.get("/a")            # hit
-    cache.get("/b")            # miss
+    cache.get("/a", A)  # miss
+    cache.put("/a", A)
+    cache.get("/a", A)  # hit
+    cache.get("/b", B)  # miss
     assert cache.hits == 1 and cache.misses == 2
     assert cache.miss_ratio() == pytest.approx(2 / 3)
     stats = cache.stats()
@@ -100,43 +106,50 @@ def test_unprefer():
 
 def test_rejected_oversized_update_invalidates_stale_entry():
     cache = SsdCache(4, admit_preferred_only=False)
-    assert cache.put("/a", b"old")
+    old = b"old"
+    assert cache.put("/a", old)
     # The path is rewritten with a payload the cache cannot hold; the
     # old bytes must not keep being served.
     assert not cache.put("/a", b"12345")
-    assert cache.get("/a") is None
+    assert not cache.get("/a", old)
+    assert cache.entry_count == 0
 
 
 def test_rejected_admission_update_invalidates_stale_entry():
     cache = SsdCache(100)
     cache.prefer("/t/")
-    assert cache.put("/t/a", b"old")
+    old = b"old"
+    assert cache.put("/t/a", old)
     cache.unprefer("/t/")
     # Rewrite rejected by the preferred-only policy: stale copy must go.
     assert not cache.put("/t/a", b"new")
-    assert cache.get("/t/a") is None
+    assert not cache.get("/t/a", old)
+    assert cache.entry_count == 0
 
 
 def test_rejected_preferred_pressure_update_drops_stale_entry():
     cache = SsdCache(8, admit_preferred_only=False)
     cache.prefer("/hot")
-    cache.put("/hot/a", b"1234")
-    cache.put("/x", b"12")
+    cache.put("/hot/a", A)
+    old = b"12"
+    cache.put("/x", old)
     # Growing /x to 6 bytes needs /hot/a evicted, which a non-preferred
     # insert may not do — but the stale 2-byte /x must still go.
     assert not cache.put("/x", b"123456")
-    assert cache.get("/x") is None
-    assert cache.get("/hot/a") is not None
+    assert not cache.get("/x", old)
+    assert cache.get("/hot/a", A)
 
 
-def test_invalidate_stale_reclassifies_hit():
+def test_line_holding_another_object_is_a_miss_and_is_dropped():
+    """The path was rewritten since it was cached: the storage layer now
+    returns another object — even one with equal bytes — so the line is
+    stale.  It is dropped and counted as a miss, never served."""
     cache = SsdCache(100, admit_preferred_only=False)
-    cache.put("/a", b"old")
-    assert cache.get("/a") == b"old"   # counted as a hit...
-    cache.invalidate_stale("/a")       # ...but the bytes were stale
+    cache.put("/a", A)
+    assert not cache.get("/a", B)
     assert cache.hits == 0 and cache.misses == 1
-    assert cache.stale_invalidations == 1
-    assert cache.get("/a") is None
+    assert cache.entry_count == 0 and cache.used_bytes == 0
+    assert not cache.get("/a", A)  # the line is gone, not merely skipped
 
 
 # -- regressions: preference inversion -----------------------------------
@@ -145,24 +158,24 @@ def test_invalidate_stale_reclassifies_hit():
 def test_non_preferred_insert_never_evicts_preferred():
     cache = SsdCache(8, admit_preferred_only=False)
     cache.prefer("/hot")
-    cache.put("/hot/a", b"1234")
-    cache.put("/hot/b", b"1234")
+    cache.put("/hot/a", A)
+    cache.put("/hot/b", B)
     # Cache is full of preferred data; a non-preferred insert must be
     # rejected, not displace business-critical entries.
-    assert not cache.put("/cold/x", b"1234")
-    assert cache.get("/hot/a") is not None
-    assert cache.get("/hot/b") is not None
+    assert not cache.put("/cold/x", C)
+    assert cache.get("/hot/a", A)
+    assert cache.get("/hot/b", B)
     assert cache.rejected_for_preferred == 1
 
 
 def test_preferred_insert_may_still_evict_preferred_lru():
     cache = SsdCache(8, admit_preferred_only=False)
     cache.prefer("/hot")
-    cache.put("/hot/a", b"1234")
-    cache.put("/hot/b", b"1234")
-    assert cache.put("/hot/c", b"1234")  # preferred-for-preferred: LRU
-    assert cache.get("/hot/a") is None
-    assert cache.get("/hot/c") is not None
+    cache.put("/hot/a", A)
+    cache.put("/hot/b", B)
+    assert cache.put("/hot/c", C)  # preferred-for-preferred: LRU
+    assert not cache.get("/hot/a", A)
+    assert cache.get("/hot/c", C)
 
 
 def test_preference_cache_invalidated_on_policy_change():

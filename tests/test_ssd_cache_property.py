@@ -6,7 +6,10 @@ invalidate over a small key space against a tiny capacity — and after
 
 * ``used_bytes`` equals the byte sum of resident entries and never
   exceeds capacity;
-* hit/miss counters advance exactly per observed residency;
+* hit/miss counters advance exactly per observed residency, where a line
+  is resident for a ``get`` only if it holds the very object the
+  simulated storage holds for the path now (a ``rewrite`` replaces that
+  object behind the cache's back, and the stale line must be dropped);
 * a non-preferred admission never displaces a resident preferred entry
   (the PR 5 inversion fix), while ``put`` return values stay truthful
   about residency.
@@ -29,6 +32,7 @@ op_strategy = st.one_of(
     st.tuples(st.just("prefer"), st.sampled_from(PREFIXES), st.just(0)),
     st.tuples(st.just("unprefer"), st.sampled_from(PREFIXES), st.just(0)),
     st.tuples(st.just("invalidate"), st.sampled_from(KEYS), st.just(0)),
+    st.tuples(st.just("rewrite"), st.sampled_from(KEYS), st.integers(1, 24)),
 )
 
 
@@ -45,11 +49,12 @@ def _check_books(cache: SsdCache) -> None:
 )
 def test_random_sequences_keep_books_exact(ops, capacity, admit_all):
     cache = SsdCache(capacity, admit_preferred_only=not admit_all)
+    stored = {key: b"" for key in KEYS}  # what storage holds per path
     expected_hits = 0
     expected_misses = 0
     for op, key, size in ops:
         if op == "put":
-            data = key.encode()[:1] * size
+            data = stored[key] = key.encode()[:1] * size
             resident_preferred_before = {
                 k for k in cache._entries if cache.is_preferred(k) and k != key
             }
@@ -65,14 +70,16 @@ def test_random_sequences_keep_books_exact(ops, capacity, admit_all):
                 for k in resident_preferred_before:
                     assert k in cache._entries
         elif op == "get":
-            was_resident = key in cache._entries
-            data = cache.get(key)
+            was_resident = cache._entries.get(key) is stored[key]
+            hit = cache.get(key, stored[key])
+            assert hit == was_resident
             if was_resident:
                 expected_hits += 1
-                assert data is not None
             else:
                 expected_misses += 1
-                assert data is None
+                assert key not in cache._entries  # a stale line is dropped
+        elif op == "rewrite":
+            stored[key] = key.encode()[:1] * size + b"'"
         elif op == "prefer":
             cache.prefer(key)
         elif op == "unprefer":
@@ -103,7 +110,7 @@ def test_preferred_only_mode_admits_only_preferred(ops, capacity):
             if admitted:
                 assert cache.is_preferred(key)
         elif op == "get":
-            cache.get(key)
+            cache.get(key, b"")
         elif op == "prefer":
             cache.prefer(key)
         elif op == "unprefer":

@@ -17,7 +17,7 @@ import random
 import numpy as np
 import pytest
 
-from repro import DataType, FeisuCluster, FeisuConfig, LeafConfig, Schema
+from repro import DataType, FeisuCluster, FeisuConfig, Schema
 from repro.client import FeisuClient
 from repro.cluster.jobs import task_signature
 from repro.engine.executor import execute_scan_task, finalize
@@ -108,15 +108,11 @@ def test_cluster_reruns_answer_as_a_fresh_plan(small_cluster):
 
 
 def _gateway_cluster(total_slots=1):
-    # SmartIndex off: its bitvectors are keyed by block id, and a table
-    # reloaded under one name reuses the block ids (ROADMAP item 7's
-    # per-path epoch is what will make that safe).
     cluster = FeisuCluster(
         FeisuConfig(
             datacenters=1,
             racks_per_datacenter=2,
             nodes_per_rack=4,
-            leaf=LeafConfig(enable_smartindex=False),
             gateway=GatewayConfig(total_slots=total_slots),
         )
     )

@@ -50,16 +50,12 @@ def _check_index_books(mgr: SmartIndexManager):
     assert mgr.used_bytes == sum(e.nbytes for e in entries)
     assert mgr.entry_count == len(entries)
     assert mgr.used_bytes <= mgr.memory_budget_bytes
-    for block_id, keys in mgr._by_block.items():
-        for key in keys:
-            assert key in mgr._entries
-            assert mgr._entries[key].block_id == block_id
     for pred_key, keys in mgr._by_predicate.items():
         for key in keys:
             assert key in mgr._entries
             assert mgr._entries[key].predicate_key == pred_key
     for key, entry in mgr._entries.items():
-        assert key in mgr._by_block[entry.block_id]
+        assert key == (entry.block_id, entry.predicate_key)
         assert key in mgr._by_predicate[entry.predicate_key]
 
 
@@ -78,20 +74,26 @@ def test_smartindex_hammer(seed, semantic):
     blocks = [f"b{i}" for i in range(8)]
     masks = [rng.random(512) < 0.5 for _ in range(8)]
     plans = rng.integers(0, 2**31 - 1, THREADS)
+    # A leaf keys entries by (block id, incarnation); a rewritten block
+    # is the same id under a new incarnation.
+    incarnations = {block: 0 for block in blocks}
 
     def ops(tid, i):
         r = np.random.default_rng(plans[tid] + i)
         atom = atoms[int(r.integers(0, len(atoms)))]
         block = blocks[int(r.integers(0, len(blocks)))]
+        key = (block, incarnations[block])
         now = float(i)
         choice = int(r.integers(0, 5))
         if choice == 0:
-            mgr.insert(block, atom, masks[int(r.integers(0, 8))], now,
+            mgr.insert(key, atom, masks[int(r.integers(0, 8))], now,
                        saved_s=0.001 if semantic else 0.0)
         elif choice == 1:
-            mgr.lookup_atom(block, atom, now)
+            mgr.lookup_atom(key, atom, now)
         elif choice == 2:
-            mgr.invalidate_block(block)
+            incarnations[block] += 1  # rewritten: inserts go under the new key
+            mgr.insert((block, incarnations[block]), atom, masks[int(r.integers(0, 8))],
+                       now, saved_s=0.001 if semantic else 0.0)
         elif choice == 3:
             mgr.prefer_predicate(atom.key)
         else:
@@ -120,7 +122,7 @@ def test_ssd_cache_hammer(seed, admit_all):
         if choice <= 1:
             cache.put(path, payloads[int(r.integers(0, len(payloads)))])
         elif choice == 2:
-            cache.get(path)
+            cache.get(path, payloads[int(r.integers(0, len(payloads)))])
         elif choice == 3:
             cache.invalidate(path)
         else:

@@ -97,6 +97,7 @@ TEST_ARGS = [
     "tests/test_layout_property.py",
     "tests/test_new_features.py",
     "tests/test_block_digests.py",
+    "tests/test_block_incarnation.py",
     "tests/test_write_path.py",
     "tests/test_loggen.py",
     "tests/test_conversion_daemon.py",
