@@ -17,13 +17,12 @@ compare different machines (and repeats would be index-covered there).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List
 
-from repro import DataType, FeisuCluster, FeisuConfig, Schema
+from benchmarks._harness import rows_match, skewed_join_twin
 from repro.cluster.node import LeafConfig
 from repro.planner.adaptive import AdaptiveConfig
-from repro.workload.generator import skewed_join_dataset, skewed_join_queries
+from repro.workload.generator import skewed_join_queries
 
 #: Acceptance bar: adaptive must cut mean simulated latency by >= 25%.
 MIN_MEAN_IMPROVEMENT = 0.25
@@ -33,59 +32,10 @@ MAX_IO_RATIO = 1.001
 #: Distinct misestimate queries in the workload.
 NUM_QUERIES = 8
 
-_ROWS = 24_000
-_BLOCK_ROWS = 6_000
-_SCALE_FACTOR = 1_200
-
-FACT_SCHEMA = Schema.of(
-    k=DataType.INT64, v=DataType.FLOAT64, w=DataType.INT64, note=DataType.STRING
-)
-DIM_SCHEMA = Schema.of(k=DataType.INT64, label=DataType.STRING)
-
-
-def _twin(adaptive) -> FeisuCluster:
-    cluster = FeisuCluster(
-        FeisuConfig(
-            datacenters=1,
-            racks_per_datacenter=2,
-            nodes_per_rack=8,
-            leaf=LeafConfig(enable_smartindex=False),
-            adaptive=adaptive,
-        )
-    )
-    fact, dim = skewed_join_dataset(_ROWS, seed=17)
-    cluster.load_table(
-        "T",
-        FACT_SCHEMA,
-        fact,
-        storage="storage-a",
-        block_rows=_BLOCK_ROWS,
-        scale_factor=_SCALE_FACTOR,
-    )
-    cluster.load_table("D", DIM_SCHEMA, dim, storage="storage-b", block_rows=100)
-    return cluster
-
-
-def _rows_match(rows_a: List, rows_b: List) -> bool:
-    if len(rows_a) != len(rows_b):
-        return False
-    for row_a, row_b in zip(rows_a, rows_b):
-        if len(row_a) != len(row_b):
-            return False
-        for a, b in zip(row_a, row_b):
-            if isinstance(a, float) and isinstance(b, float):
-                if math.isnan(a) and math.isnan(b):
-                    continue
-                if not math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9):
-                    return False
-            elif a != b:
-                return False
-    return True
-
 
 def run_suite() -> Dict[str, Dict[str, float]]:
-    frozen = _twin(None)
-    adaptive = _twin(AdaptiveConfig())
+    frozen = skewed_join_twin(LeafConfig(enable_smartindex=False))
+    adaptive = skewed_join_twin(LeafConfig(enable_smartindex=False), adaptive=AdaptiveConfig())
     queries = skewed_join_queries(NUM_QUERIES, seed=23)
 
     frozen_latencies: List[float] = []
@@ -97,7 +47,7 @@ def run_suite() -> Dict[str, Dict[str, float]]:
     for sql in queries:
         f = frozen.query(sql)
         a = adaptive.query(sql)
-        rows_identical = rows_identical and _rows_match(f.rows(), a.rows())
+        rows_identical = rows_identical and rows_match(f.rows(), a.rows())
         f_lat = f.stats["response_time_s"]
         a_lat = a.stats["response_time_s"]
         frozen_latencies.append(f_lat)

@@ -24,9 +24,9 @@ placement; tiering and layouts stay off for the same reason.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List
 
+from benchmarks._harness import rows_match
 from repro import DataType, FeisuCluster, FeisuConfig, Schema
 from repro.cluster.elastic import ElasticConfig
 from repro.cluster.node import LeafConfig
@@ -108,23 +108,6 @@ def _twin(elastic: bool) -> FeisuCluster:
     return cluster
 
 
-def _rows_match(rows_a: List, rows_b: List) -> bool:
-    if len(rows_a) != len(rows_b):
-        return False
-    for row_a, row_b in zip(rows_a, rows_b):
-        if len(row_a) != len(row_b):
-            return False
-        for a, b in zip(row_a, row_b):
-            if isinstance(a, float) and isinstance(b, float):
-                if math.isnan(a) and math.isnan(b):
-                    continue
-                if not math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9):
-                    return False
-            elif a != b:
-                return False
-    return True
-
-
 def run_suite() -> Dict[str, Dict[str, float]]:
     static = _twin(False)
     elastic = _twin(True)
@@ -145,7 +128,7 @@ def run_suite() -> Dict[str, Dict[str, float]]:
     for sql in QUERIES:
         rs = static.query(sql)
         re = elastic.query(sql)
-        rows_identical = rows_identical and _rows_match(rs.rows(), re.rows())
+        rows_identical = rows_identical and rows_match(rs.rows(), re.rows())
         s_lat = rs.stats["response_time_s"]
         e_lat = re.stats["response_time_s"]
         static_latencies.append(s_lat)
@@ -171,7 +154,7 @@ def run_suite() -> Dict[str, Dict[str, float]]:
     for sql in QUERIES:
         rs = static.query(sql)
         re = elastic.query(sql)
-        post_identical = post_identical and _rows_match(rs.rows(), re.rows())
+        post_identical = post_identical and rows_match(rs.rows(), re.rows())
     assert joined.alive  # the newcomer serves through the whole exercise
 
     n = len(QUERIES)

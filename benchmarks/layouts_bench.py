@@ -23,13 +23,12 @@ would compare different machines.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Dict, List
 
-from repro import DataType, FeisuCluster, FeisuConfig, Schema
+from benchmarks._harness import rows_match, skewed_join_twin
+from repro import FeisuCluster
 from repro.cluster.node import LeafConfig
-from repro.workload.generator import skewed_join_dataset
 
 #: Acceptance bar: layout-aware routing must cut mean simulated latency
 #: by >= 25% on the predicate/join-heavy ablation.
@@ -39,15 +38,6 @@ MIN_MEAN_IMPROVEMENT = 0.25
 MIN_MEMO_SPEEDUP = 1.5
 #: Distinct queries in the ablation workload.
 NUM_QUERIES = 8
-
-_ROWS = 24_000
-_BLOCK_ROWS = 6_000
-_SCALE_FACTOR = 1_200
-
-FACT_SCHEMA = Schema.of(
-    k=DataType.INT64, v=DataType.FLOAT64, w=DataType.INT64, note=DataType.STRING
-)
-DIM_SCHEMA = Schema.of(k=DataType.INT64, label=DataType.STRING)
 
 #: Predicate/join-heavy, order-deterministic (aggregates + ORDER BY on
 #: the group key): variant row order must not change any answer.
@@ -64,45 +54,6 @@ QUERIES: List[str] = [
     "WHERE T.w < 150 GROUP BY D.label ORDER BY D.label",
     "SELECT k, COUNT(*) AS n, SUM(v) AS s FROM T WHERE w < 800 GROUP BY k ORDER BY k",
 ]
-
-
-def _twin(enable_layouts: bool) -> FeisuCluster:
-    cluster = FeisuCluster(
-        FeisuConfig(
-            datacenters=1,
-            racks_per_datacenter=2,
-            nodes_per_rack=8,
-            leaf=LeafConfig(enable_smartindex=False, enable_layouts=enable_layouts),
-        )
-    )
-    fact, dim = skewed_join_dataset(_ROWS, seed=17)
-    cluster.load_table(
-        "T",
-        FACT_SCHEMA,
-        fact,
-        storage="storage-a",
-        block_rows=_BLOCK_ROWS,
-        scale_factor=_SCALE_FACTOR,
-    )
-    cluster.load_table("D", DIM_SCHEMA, dim, storage="storage-b", block_rows=100)
-    return cluster
-
-
-def _rows_match(rows_a: List, rows_b: List) -> bool:
-    if len(rows_a) != len(rows_b):
-        return False
-    for row_a, row_b in zip(rows_a, rows_b):
-        if len(row_a) != len(row_b):
-            return False
-        for a, b in zip(row_a, row_b):
-            if isinstance(a, float) and isinstance(b, float):
-                if math.isnan(a) and math.isnan(b):
-                    continue
-                if not math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9):
-                    return False
-            elif a != b:
-                return False
-    return True
 
 
 def _memo_micro_speedup(cluster: FeisuCluster, repeats: int = 2000) -> float:
@@ -136,8 +87,8 @@ def _memo_micro_speedup(cluster: FeisuCluster, repeats: int = 2000) -> float:
 
 
 def run_suite() -> Dict[str, Dict[str, float]]:
-    base = _twin(False)
-    trojan = _twin(True)
+    base = skewed_join_twin(LeafConfig(enable_smartindex=False))
+    trojan = skewed_join_twin(LeafConfig(enable_smartindex=False, enable_layouts=True))
 
     # Warmup pass on both twins (equalizes device/slot state) — on the
     # layout twin it also feeds the census and heat tracker.
@@ -160,7 +111,7 @@ def run_suite() -> Dict[str, Dict[str, float]]:
     for sql in QUERIES:
         rb = base.query(sql)
         rt = trojan.query(sql)
-        rows_identical = rows_identical and _rows_match(rb.rows(), rt.rows())
+        rows_identical = rows_identical and rows_match(rb.rows(), rt.rows())
         b_lat = rb.stats["response_time_s"]
         t_lat = rt.stats["response_time_s"]
         base_latencies.append(b_lat)

@@ -1,4 +1,4 @@
-"""Wall-clock kernels for the semantic SmartIndex layer (DESIGN.md S49).
+"""Kernels of the semantic SmartIndex layer (DESIGN.md S49): ``bench.py smartindex``.
 
 Times the pieces ISSUE 4 added on top of the exact/complement cache:
 
@@ -13,26 +13,21 @@ Times the pieces ISSUE 4 added on top of the exact/complement cache:
 * ``cost_evict`` — insert throughput under memory pressure with the
   benefit-per-byte heaps doing the evicting.
 
-``run_suite`` returns a machine-readable dict;
-``benchmarks/run_smartindex.py`` writes/compares the committed
-``BENCH_smartindex.json`` baseline and ``pytest -m smartbench`` gates on
-it.  Wall-clock only — the figure reproductions' simulated numbers are
-untouched by definition.
+Times are library time in reference seconds (``_harness.best_ref_s``);
+the figure reproductions' simulated numbers are untouched by definition.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from benchmarks._harness import best_ref_s, kernel_regressions
 from repro.index.smartindex import SmartIndexManager
 from repro.planner.cnf import AtomicPredicate, Clause, ConjunctiveForm
 from repro.sql.ast import BinaryOperator
 
-#: A kernel regresses when its wall-clock exceeds baseline * this factor.
-REGRESSION_FACTOR = 2.0
 #: The interval-registry probe must beat the linear atom scan by this
 #: factor at 1k cached entries (ISSUE 4 acceptance criterion).
 MIN_PROBE_SPEEDUP = 5.0
@@ -40,15 +35,6 @@ MIN_PROBE_SPEEDUP = 5.0
 REGISTRY_ENTRIES = 1_000
 ROWS = 4_096
 RESIDUAL_ROWS = 65_536
-
-
-def _best_of(fn: Callable[[], object], repeat: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 _RANGE_OPS = (
@@ -90,7 +76,7 @@ def _linear_superset_scan(
     return None
 
 
-def bench_registry_probe_1k(repeat: int) -> Dict[str, float]:
+def bench_registry_probe_1k() -> Dict[str, float]:
     mgr, atoms, _col = _filled_semantic_manager(REGISTRY_ENTRIES)
     registry = mgr._registry  # noqa: SLF001 - benchmarking the internal probe
     rng = np.random.default_rng(37)
@@ -112,17 +98,16 @@ def bench_registry_probe_1k(repeat: int) -> Dict[str, float]:
         for probe in probes:
             _linear_superset_scan(by_column[probe.column], probe)
 
-    wall = _best_of(fast, repeat) / len(probes)
-    linear = _best_of(slow, repeat) / len(probes)
+    ref, linear = best_ref_s(fast, slow)
     return {
-        "wall_s": wall,
-        "linear_wall_s": linear,
-        "speedup": linear / wall,
+        "ref_s": ref / len(probes),
+        "linear_ref_s": linear / len(probes),
+        "speedup": linear / ref,
         "entries": REGISTRY_ENTRIES,
     }
 
 
-def bench_semantic_compose(repeat: int) -> Dict[str, float]:
+def bench_semantic_compose() -> Dict[str, float]:
     """Derived-hit composition through ``cover_semantic``.
 
     The cache holds LT/LE pairs at 200 values; every probe is an EQ at
@@ -152,10 +137,11 @@ def bench_semantic_compose(repeat: int) -> Dict[str, float]:
             assert mask is not None and not missing and not residuals
         return mgr
 
-    return {"wall_s": _best_of(run, repeat) / len(probes), "rows": ROWS}
+    (ref,) = best_ref_s(run)
+    return {"ref_s": ref / len(probes), "rows": ROWS}
 
 
-def bench_residual_cover(repeat: int) -> Dict[str, float]:
+def bench_residual_cover() -> Dict[str, float]:
     """Candidate-mask probing on a big block: cached ``x < hi`` vectors
     answering tighter ``x < hi/2`` probes as residual candidates."""
     rng = np.random.default_rng(43)
@@ -180,10 +166,11 @@ def bench_residual_cover(repeat: int) -> Dict[str, float]:
             assert not missing
         return hits
 
-    return {"wall_s": _best_of(run, repeat) / len(probes), "rows": RESIDUAL_ROWS}
+    (ref,) = best_ref_s(run)
+    return {"ref_s": ref / len(probes), "rows": RESIDUAL_ROWS}
 
 
-def bench_cost_evict(repeat: int) -> Dict[str, float]:
+def bench_cost_evict() -> Dict[str, float]:
     """Insert throughput with the benefit-per-byte policy evicting.
 
     The budget holds ~64 uncompressed 4k-row vectors; 512 inserts force
@@ -207,10 +194,11 @@ def bench_cost_evict(repeat: int) -> Dict[str, float]:
             mgr.insert("b0", atom, mask, now=float(i) * 1e-3)
         return mgr
 
-    return {"wall_s": _best_of(run, repeat) / inserts, "inserts": inserts}
+    (ref,) = best_ref_s(run)
+    return {"ref_s": ref / inserts, "inserts": inserts}
 
 
-KERNELS: Dict[str, Callable[[int], Dict[str, float]]] = {
+KERNELS: Dict[str, Callable[[], Dict[str, float]]] = {
     "registry_probe_1k": bench_registry_probe_1k,
     "semantic_compose": bench_semantic_compose,
     "residual_cover_64k": bench_residual_cover,
@@ -218,9 +206,9 @@ KERNELS: Dict[str, Callable[[int], Dict[str, float]]] = {
 }
 
 
-def run_suite(repeat: int = 3) -> Dict[str, Dict[str, float]]:
+def run_suite() -> Dict[str, Dict[str, float]]:
     """Run every kernel; returns ``{kernel_name: metrics}``."""
-    return {name: fn(repeat) for name, fn in KERNELS.items()}
+    return {name: fn() for name, fn in KERNELS.items()}
 
 
 def acceptance_failures(results: Dict[str, Dict[str, float]]) -> List[str]:
@@ -235,19 +223,4 @@ def acceptance_failures(results: Dict[str, Dict[str, float]]) -> List[str]:
     return problems
 
 
-def regressions(
-    results: Dict[str, Dict[str, float]], baseline: Dict[str, Dict[str, float]]
-) -> List[str]:
-    """Kernels slower than ``REGRESSION_FACTOR`` x the committed baseline."""
-    problems = []
-    for name, base in baseline.items():
-        current: Optional[Dict[str, float]] = results.get(name)
-        if current is None:
-            problems.append(f"{name}: kernel missing from current suite")
-            continue
-        if current["wall_s"] > base["wall_s"] * REGRESSION_FACTOR:
-            problems.append(
-                f"{name}: {current['wall_s']:.6f}s vs baseline "
-                f"{base['wall_s']:.6f}s (>{REGRESSION_FACTOR:.0f}x regression)"
-            )
-    return problems
+regressions = kernel_regressions

@@ -245,10 +245,11 @@ class SmartIndexManager:
         # creation-time-ordered deque at insert (simulation time is
         # monotonic), and a sweep only pops the expired prefix.  Records
         # go stale when their entry is evicted or re-created; they are
-        # skipped on pop.  Preferred entries that outlive their TTL move
-        # to ``_pinned_expired`` and are re-checked at most once per
-        # ``sweep_interval_s`` (they die at the first sweep after being
-        # unpreferred).
+        # skipped on pop, and dropped once they outnumber the live
+        # entries (``_drop_stale_created``).  Preferred entries that
+        # outlive their TTL move to ``_pinned_expired`` and are re-checked
+        # at most once per ``sweep_interval_s`` (they die at the first
+        # sweep after being unpreferred).
         self._created: Deque[Tuple[float, Tuple[str, str]]] = deque()
         self._pinned_expired: Dict[Tuple[str, str], float] = {}
         self._last_pinned_sweep = float("-inf")
@@ -631,6 +632,26 @@ class SmartIndexManager:
             self._enforce_budget(inserted=entry.key)
         else:
             self._enforce_budget()
+        if len(self._created) > 2 * len(self._entries) + 8:
+            self._drop_stale_created()
+
+    def _drop_stale_created(self) -> None:
+        """Keep only the TTL records ``_expire`` would act on.
+
+        Called once stale records outnumber live entries, so the deque is
+        bounded by the cache's size, not by inserts since the TTL, at
+        O(1) amortized cost per insert.  Order is kept, and equal records
+        (an entry re-created at the same instant) collapse into one.
+        """
+        entries = self._entries
+        self._created = deque(
+            dict.fromkeys(
+                record
+                for record in self._created
+                if (entry := entries.get(record[1])) is not None
+                and entry.created_at == record[0]
+            )
+        )
 
     # -- policy ------------------------------------------------------------
 
