@@ -5,15 +5,15 @@ aggregate workload over a table deliberately loaded at replication 1
 from a single writer node — every block piles onto one server, the
 worst-case hot domain a static cluster can do nothing about.  The
 elastic twin's warmup feeds the heat tracker; forced rebalancer cycles
-then split the hot shard, spread the hot blocks' replicas onto idle
-nodes, and migrate bytes off the overloaded server; the measured pass
-reruns the workload on both twins.  The gate demands:
+then spread the hot blocks' replicas onto idle nodes and migrate bytes
+off the overloaded server; the measured pass reruns the workload on both
+twins.  The gate demands:
 
 * identical rows on both twins for every query (placement moves bytes,
   never answers);
 * at least ``MIN_MEAN_IMPROVEMENT`` mean simulated-latency win for the
   rebalanced twin;
-* the rebalancer actually acted (>= 1 shard split, >= 1 replica spread);
+* the rebalancer actually acted (>= 1 replica spread);
 * the membership exercise — one node joined, one replica-holding node
   decommissioned — ends with zero blocks stranded on the departed node
   and the workload still answering identically.
@@ -64,7 +64,6 @@ _CYCLES = 3
 def elastic_config() -> ElasticConfig:
     return ElasticConfig(
         rebalance_period_s=1e9,  # cycles are forced, not timed
-        autoscale=False,
         spread_heat_threshold=1.0,
         spread_max_extra=3,
         max_spreads_per_cycle=16,
@@ -166,7 +165,6 @@ def run_suite() -> Dict[str, Dict[str, float]]:
             "mean_improvement": sum(improvements) / n,
             "min_improvement": min(improvements),
             "rows_identical": 1.0 if rows_identical else 0.0,
-            "shard_splits": float(reb.stats.splits),
             "replica_spreads": float(reb.stats.spreads),
             "migrations": float(reb.stats.migrations),
             "moved_bytes": float(reb.stats.moved_bytes),
@@ -189,8 +187,6 @@ def acceptance_failures(results: Dict[str, Dict[str, float]]) -> List[str]:
     problems: List[str] = []
     if r["rows_identical"] != 1.0:
         problems.append("elastic twin rows diverge from the static twin's rows")
-    if r["shard_splits"] < 1.0:
-        problems.append("rebalancer split no hot shard")
     if r["replica_spreads"] < 1.0:
         problems.append("rebalancer spread no hot replica — placement never widened")
     if r["mean_improvement"] < MIN_MEAN_IMPROVEMENT:

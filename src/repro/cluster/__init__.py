@@ -1,16 +1,7 @@
 """The simulated Feisu cluster: masters, stems, leaves, scheduling."""
 
 from repro.cluster.domains import CrossDomainDirectory
-from repro.cluster.elastic import (
-    AutoscalePolicy,
-    ElasticConfig,
-    ElasticityManager,
-    Rebalancer,
-    RebalanceStats,
-    ScaleDecision,
-    ShardInfo,
-    ShardMap,
-)
+from repro.cluster.elastic import ElasticConfig, ElasticityManager, Rebalancer, RebalanceStats
 from repro.cluster.failover import PrimaryBackup
 from repro.cluster.jobs import Job, JobManager, JobOptions, JobStats, JobStatus, TaskTiming
 from repro.cluster.ledger import JobLedger, LedgerEntry
@@ -23,14 +14,10 @@ from repro.cluster.scheduler import JobScheduler, Placement
 from repro.cluster.sharding import ShardedClusterManager
 
 __all__ = [
-    "AutoscalePolicy",
     "ElasticConfig",
     "ElasticityManager",
     "Rebalancer",
     "RebalanceStats",
-    "ScaleDecision",
-    "ShardInfo",
-    "ShardMap",
     "ClusterManager",
     "CrossDomainDirectory",
     "ClusterMetrics",

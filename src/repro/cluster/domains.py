@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.errors import FaultInjectedError
-from repro.sim.events import Event, Simulator
+from repro.sim.events import Event, Process, Simulator
 from repro.sim.netmodel import NetworkTopology, NodeAddress, TrafficClass
 
 #: How often the primary pushes pending updates to each dc replica.
@@ -60,14 +59,14 @@ class CrossDomainDirectory:
         self.sim = sim
         self.net = net
         self.primary_address = primary_address
-        self.sync_period_s = sync_period_s
+        self.period_s = sync_period_s
         self._log: List[DirectoryUpdate] = []
         self._primary = _Replica(primary_address)
         self._replicas: Dict[int, _Replica] = {
             dc: _Replica(NodeAddress(dc, 0, 0)) for dc in range(datacenters)
         }
         self.sync_rounds = 0
-        self._started = False
+        self._process: Optional[Process] = None
 
     # -- writes (authoritative) ---------------------------------------------
 
@@ -148,22 +147,13 @@ class CrossDomainDirectory:
         return shipped
 
     def start(self) -> None:
-        """Run sync rounds forever on the simulation clock."""
-        if self._started:
-            return
-        self._started = True
-        self.sim.process(self._loop(), name="cross-domain-sync")
-
-    def _loop(self) -> Generator[Event, None, None]:
-        while True:
-            yield self.sim.timeout(self.sync_period_s)
-            try:
-                yield self.sim.process(self.sync_once(), name="cross-domain-round")
-            except FaultInjectedError:
-                # A lost sync round must not kill replication forever: the
-                # versioned log is idempotent, so the updates this round
-                # failed to ship simply go out on the next period.
-                continue
+        """Run sync rounds forever on the simulation clock.  A lost round
+        does not stop replication: the versioned log is idempotent, so the
+        updates it failed to ship go out on the next period."""
+        if self._process is None:
+            self._process = self.sim.every(
+                self, self.sync_once, "cross-domain-sync", "cross-domain-round"
+            )
 
     def converged(self) -> bool:
         return all(r.version == self.version for r in self._replicas.values())

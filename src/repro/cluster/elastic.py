@@ -2,7 +2,7 @@
 
 §VII recounts a fleet that grew past five and then eight thousand
 workers without downtime; until now the simulated cluster was a fixed
-node set from boot.  This module closes ROADMAP item #5 with three
+node set from boot.  This module closes ROADMAP item #5 with two
 cooperating pieces:
 
 * **Join/decommission on the simulated clock.**  A joining node is
@@ -15,20 +15,13 @@ cooperating pieces:
   publish-after-write copies, running tasks finish, and only then does
   the worker unregister and leave every placement pool.
 
-* **A Rebalancer daemon.**  Per managed storage system it maintains a
-  hash-range :class:`ShardMap` over the namespace (ctools-style minimal
-  version bumps: a split mints one new version, a migration bumps only
-  the shard it moved), detects hot domains from
-  :class:`~repro.storage.tiering.HeatTracker` mass, splits oversized hot
-  shards and merges adjacent cold ones, spreads hot blocks' replicas
-  onto idle eligible nodes, and migrates bytes off overloaded nodes —
-  every copy publish-after-write and idempotent, so a migration killed
-  mid-flight is retried or adopted, never double-counted.
-
-* **An autoscaling policy** that watches the opt-in
-  :class:`~repro.cluster.metrics.MetricsTimeSeries` and *proposes*
-  join/decommission from sustained load; applying a proposal is an
-  explicit call, never a side effect.
+* **A Rebalancer daemon.**  Per managed storage system it spreads hot
+  blocks' replicas (heat from the shared
+  :class:`~repro.storage.tiering.HeatTracker`) onto idle eligible nodes
+  and migrates bytes off overloaded nodes.  Every move goes through the
+  replica mover of :mod:`repro.storage.maintenance` — publish-after-write
+  and idempotent, so a migration killed mid-flight is retried or
+  adopted, never double-counted.
 
 Everything is flag-gated behind ``FeisuConfig.enable_elastic`` — off (the
 default) constructs nothing, adds no simulation events, and leaves the
@@ -37,31 +30,29 @@ committed figure results byte-identical.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import ClusterStateError, FaultInjectedError, FeisuError
-from repro.sim.events import Event, Simulator
-from repro.sim.netmodel import NetworkTopology, NodeAddress, TrafficClass
+from repro.sim.events import Event, Process, Simulator
+from repro.sim.netmodel import NetworkTopology, NodeAddress
 from repro.storage.base import StorageSystem
-from repro.storage.maintenance import ReplicaRepairer
+from repro.storage.maintenance import (
+    ReplicaRepairer,
+    copy_replica,
+    copy_variant,
+    migrate_replica,
+    retire_replica,
+)
 from repro.storage.router import StorageRouter
 from repro.storage.tiering import HeatTracker
 
 __all__ = [
-    "AutoscalePolicy",
     "ElasticConfig",
     "ElasticityManager",
     "Rebalancer",
     "RebalanceStats",
-    "ScaleDecision",
-    "ShardInfo",
-    "ShardMap",
 ]
-
-#: Hash space the shard ranges partition (32-bit blake2b of the path).
-HASH_SPACE = 1 << 32
 
 
 @dataclass
@@ -70,18 +61,9 @@ class ElasticConfig:
 
     #: Rebalancer wakeup period, simulated seconds.
     rebalance_period_s: float = 30.0
-    #: Shards each managed namespace starts with.
-    initial_shards: int = 4
     #: Heat half-life for the standalone tracker (shared with tiering's
     #: tracker when tiering is enabled).
     heat_half_life_s: float = 120.0
-    #: A shard holding at least this share of total namespace heat is a
-    #: hot domain (split candidate).
-    hot_share: float = 0.40
-    #: Never split a shard below this many member paths.
-    split_min_paths: int = 2
-    #: Adjacent shards whose combined heat share is below this merge.
-    merge_share: float = 0.02
     #: Minimum per-path heat before replica spreading considers it.
     spread_heat_threshold: float = 1.5
     #: Extra replicas a hot path may gain over the system's target.
@@ -93,139 +75,14 @@ class ElasticConfig:
     #: Byte-imbalance ratio (heaviest vs. lightest node) tolerated
     #: before a balancing migration moves a block.
     balance_tolerance: float = 0.5
-    #: Autoscaling policy (proposals only; never auto-applied).
-    autoscale: bool = True
-    scale_up_utilization: float = 0.60
-    scale_down_utilization: float = 0.05
-    sustain_samples: int = 3
-    autoscale_cooldown_s: float = 120.0
-    min_nodes: int = 2
     #: Drain loop poll period while a decommission waits for running
     #: tasks and retried evacuations.
     drain_poll_s: float = 2.0
 
 
-def path_hash(path: str) -> int:
-    """Stable 32-bit hash placing ``path`` on the shard ring."""
-    digest = hashlib.blake2b(path.encode("utf-8"), digest_size=4).digest()
-    return int.from_bytes(digest, "little")
-
-
-@dataclass
-class ShardInfo:
-    """One contiguous hash range ``[lo, hi)`` of a namespace."""
-
-    shard_id: str
-    lo: int
-    hi: int
-    #: ctools-style shard version: migrations bump major, splits/merges
-    #: mint a minor — and only on the shard actually touched.
-    major: int = 1
-    minor: int = 0
-
-    @property
-    def version(self) -> str:
-        return f"{self.major}.{self.minor}"
-
-    def covers(self, h: int) -> bool:
-        return self.lo <= h < self.hi
-
-
-class ShardMap:
-    """Hash-range shards over one storage namespace.
-
-    The map is bookkeeping for the rebalancer's *domain* decisions —
-    which region of the namespace is hot, what to split, what one
-    migration invalidates — mirroring how a sharded store tracks chunk
-    ranges and versions.  Blocks themselves stay addressed by path; no
-    read ever routes through the map.
-    """
-
-    def __init__(self, initial_shards: int = 4):
-        if initial_shards < 1:
-            raise FeisuError("need at least one shard")
-        self._shards: List[ShardInfo] = []
-        step = HASH_SPACE // initial_shards
-        for i in range(initial_shards):
-            lo = i * step
-            hi = (i + 1) * step if i < initial_shards - 1 else HASH_SPACE
-            self._shards.append(ShardInfo(f"s{i}", lo, hi))
-        self._next_id = initial_shards
-        self.splits = 0
-        self.merges = 0
-        self.version_bumps = 0
-
-    def shards(self) -> List[ShardInfo]:
-        return sorted(self._shards, key=lambda s: s.lo)
-
-    def shard_for(self, path: str) -> ShardInfo:
-        h = path_hash(path)
-        for shard in self._shards:
-            if shard.covers(h):
-                return shard
-        raise FeisuError(f"no shard covers hash {h}")  # pragma: no cover
-
-    def members(self, paths: List[str]) -> Dict[str, List[str]]:
-        """Shard id → member paths (sorted, deterministic)."""
-        out: Dict[str, List[str]] = {s.shard_id: [] for s in self._shards}
-        for path in sorted(paths):
-            out[self.shard_for(path).shard_id].append(path)
-        return out
-
-    def split(self, shard: ShardInfo, member_paths: List[str]) -> Optional[ShardInfo]:
-        """Split a hot shard at the median member hash.
-
-        The left half keeps the shard's id and version; the right half
-        is a new shard with a fresh minor — exactly one new version per
-        split, so every *other* shard's version (and any cached routing
-        derived from it) stays valid.  Returns the new right shard, or
-        None when the members cannot be separated.
-        """
-        hashes = sorted({path_hash(p) for p in member_paths if shard.covers(path_hash(p))})
-        if len(hashes) < 2:
-            return None
-        mid = hashes[len(hashes) // 2]
-        if mid == hashes[0]:
-            mid = hashes[1]
-        if not (shard.lo < mid < shard.hi):
-            return None
-        right = ShardInfo(
-            f"s{self._next_id}", mid, shard.hi, major=shard.major, minor=shard.minor + 1
-        )
-        self._next_id += 1
-        shard.hi = mid
-        self._shards.append(right)
-        self.splits += 1
-        self.version_bumps += 1
-        return right
-
-    def merge(self, left: ShardInfo, right: ShardInfo) -> ShardInfo:
-        """Merge two adjacent cold shards; the survivor (left) absorbs
-        the range with one minor bump."""
-        if left.hi != right.lo:
-            raise FeisuError(
-                f"shards {left.shard_id} and {right.shard_id} are not adjacent"
-            )
-        left.hi = right.hi
-        left.major = max(left.major, right.major)
-        left.minor += 1
-        self._shards.remove(right)
-        self.merges += 1
-        self.version_bumps += 1
-        return left
-
-    def bump_major(self, shard: ShardInfo) -> None:
-        """A migration moved this shard's blocks: its version majors."""
-        shard.major += 1
-        shard.minor = 0
-        self.version_bumps += 1
-
-
 @dataclass
 class RebalanceStats:
     cycles: int = 0
-    splits: int = 0
-    merges: int = 0
     #: Copies that grew a hot path's replica set (no source drop).
     spreads: int = 0
     #: Completed copy-then-retire block moves.
@@ -239,83 +96,16 @@ class RebalanceStats:
     moved_bytes: int = 0
 
 
-@dataclass
-class ScaleDecision:
-    """One autoscaling proposal (never auto-applied)."""
-
-    action: str  # "scale-up" | "scale-down"
-    at_s: float
-    reason: str
-    worker_id: Optional[str] = None  # scale-down victim
-
-
-class AutoscalePolicy:
-    """Sustained-load join/decommission proposals from metrics samples."""
-
-    def __init__(
-        self,
-        scale_up_utilization: float = 0.60,
-        scale_down_utilization: float = 0.05,
-        sustain_samples: int = 3,
-        cooldown_s: float = 120.0,
-        min_nodes: int = 2,
-    ):
-        self.scale_up_utilization = scale_up_utilization
-        self.scale_down_utilization = scale_down_utilization
-        self.sustain_samples = max(1, sustain_samples)
-        self.cooldown_s = cooldown_s
-        self.min_nodes = min_nodes
-        self._last_decision_at = -float("inf")
-
-    def evaluate(
-        self,
-        samples: List,
-        now: float,
-        leaves_alive: int,
-        pick_victim: Callable[[], Optional[str]],
-    ) -> Optional[ScaleDecision]:
-        """Samples are :class:`~repro.cluster.metrics.ClusterMetrics`;
-        the disk-utilization mean must hold above/below the threshold
-        for ``sustain_samples`` consecutive samples."""
-        if len(samples) < self.sustain_samples:
-            return None
-        if now - self._last_decision_at < self.cooldown_s:
-            return None
-        window = samples[-self.sustain_samples :]
-        utils = [s.disk.mean_utilization for s in window]
-        if all(u >= self.scale_up_utilization for u in utils):
-            self._last_decision_at = now
-            return ScaleDecision(
-                "scale-up",
-                now,
-                f"disk utilization >= {self.scale_up_utilization:.2f} for "
-                f"{self.sustain_samples} consecutive samples",
-            )
-        if leaves_alive > self.min_nodes and all(
-            u <= self.scale_down_utilization for u in utils
-        ):
-            victim = pick_victim()
-            if victim is not None:
-                self._last_decision_at = now
-                return ScaleDecision(
-                    "scale-down",
-                    now,
-                    f"disk utilization <= {self.scale_down_utilization:.2f} for "
-                    f"{self.sustain_samples} consecutive samples",
-                    worker_id=victim,
-                )
-        return None
-
-
 class Rebalancer:
-    """Hot-domain detection, shard split/merge, live block migration.
+    """Hot-replica spreading and byte-balancing block migration.
 
-    Every copy follows the publish-after-write pattern the tiering and
-    layout daemons established: ship bytes first, publish the replica
-    (and its carried layout variant) only after the transfer lands, and
-    retire the source replica last — so a kill at any point leaves the
-    placement at or above where it started, and the retry either redoes
-    the copy or adopts the published half of a previous attempt.
+    Every copy goes through :func:`~repro.storage.maintenance.copy_replica`
+    — ship bytes first, publish the replica (and its carried layout
+    variant) only after the transfer lands and only if the block was not
+    rewritten meanwhile, retire the source replica last — so a kill at
+    any point leaves the placement at or above where it started, and the
+    retry either redoes the copy or adopts the published half of a
+    previous attempt.
     """
 
     def __init__(
@@ -327,34 +117,21 @@ class Rebalancer:
         heat: Optional[HeatTracker] = None,
         config: Optional[ElasticConfig] = None,
         placement_ok: Optional[Callable[[NodeAddress], bool]] = None,
-        on_cycle_end: Optional[Callable[[float], None]] = None,
     ):
         self.sim = sim
         self.net = net
         self.router = router
         self.systems = list(systems)
         self.config = config if config is not None else ElasticConfig()
+        self.period_s = self.config.rebalance_period_s
         self.heat = heat if heat is not None else HeatTracker(self.config.heat_half_life_s)
         self.placement_ok = placement_ok
-        self.on_cycle_end = on_cycle_end
-        self.maps: Dict[str, ShardMap] = {
-            s.name: ShardMap(self.config.initial_shards) for s in self.systems
-        }
         self.stats = RebalanceStats()
-        self._running = False
-
-    # -- lifecycle --------------------------------------------------------
+        self._process: Optional[Process] = None
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.sim.process(self._loop(), name="rebalancer")
-
-    def _loop(self) -> Generator[Event, None, None]:
-        while True:
-            yield self.sim.timeout(self.config.rebalance_period_s)
-            yield self.sim.process(self.run_once(), name="rebalance-cycle")
+        if self._process is None:
+            self._process = self.sim.every(self, self.run_once, "rebalancer", "rebalance-cycle")
 
     # -- one decision cycle ----------------------------------------------
 
@@ -363,15 +140,12 @@ class Rebalancer:
         self.stats.cycles += 1
         for system in self.systems:
             yield from self._rebalance_system(system, now)
-        if self.on_cycle_end is not None:
-            self.on_cycle_end(now)
+
+    def _eligible(self, addr: NodeAddress) -> bool:
+        return self.placement_ok is None or self.placement_ok(addr)
 
     def _eligible_nodes(self, system: StorageSystem) -> List[NodeAddress]:
-        return [
-            n
-            for n in system.nodes()
-            if self.placement_ok is None or self.placement_ok(n)
-        ]
+        return [n for n in system.nodes() if self._eligible(n)]
 
     def _node_key(self, addr: NodeAddress) -> Tuple[int, int, int]:
         return (addr.datacenter, addr.rack, addr.node)
@@ -386,41 +160,12 @@ class Rebalancer:
             return None
         return min(pool, key=lambda n: (system.bytes_on(n), self._node_key(n)))
 
-    def _path_heat(self, system: StorageSystem, inner: str, now: float) -> float:
-        return self.heat.heat(self.router.full_path(system, inner), now)
-
     def _rebalance_system(
         self, system: StorageSystem, now: float
     ) -> Generator[Event, None, None]:
         cfg = self.config
-        smap = self.maps[system.name]
         inners = system.list_paths()
-        heat_of = {p: self._path_heat(system, p, now) for p in inners}
-
-        # -- hot-domain detection: split / merge --------------------------
-        members = smap.members(inners)
-        shard_heat = {
-            sid: sum(heat_of[p] for p in paths) for sid, paths in members.items()
-        }
-        total_heat = sum(shard_heat.values())
-        if total_heat > 0.0:
-            for shard in smap.shards():
-                share = shard_heat.get(shard.shard_id, 0.0) / total_heat
-                paths = members.get(shard.shard_id, [])
-                if share >= cfg.hot_share and len(paths) >= cfg.split_min_paths:
-                    if smap.split(shard, paths) is not None:
-                        self.stats.splits += 1
-            # One merge per cycle keeps version churn minimal.
-            ordered = smap.shards()
-            for left, right in zip(ordered, ordered[1:]):
-                combined = (
-                    shard_heat.get(left.shard_id, 0.0)
-                    + shard_heat.get(right.shard_id, 0.0)
-                ) / total_heat
-                if combined <= cfg.merge_share:
-                    smap.merge(left, right)
-                    self.stats.merges += 1
-                    break
+        heat_of = {p: self.heat.heat(self.router.full_path(system, p), now) for p in inners}
 
         # -- replica spreading: hot blocks fan out to idle nodes ----------
         target_replication = getattr(system, "replication", 1)
@@ -428,7 +173,6 @@ class Rebalancer:
             (p for p in inners if heat_of[p] >= cfg.spread_heat_threshold),
             key=lambda p: (-heat_of[p], p),
         )
-        bumped: set = set()
         spreads = 0
         for inner in hot_paths:
             if spreads >= cfg.max_spreads_per_cycle:
@@ -441,32 +185,25 @@ class Rebalancer:
                 continue
             source = min(holders, key=lambda h: self.net.distance(h, target))
             try:
-                done = yield from self.copy_replica(system, inner, source, target)
+                shipped = yield from copy_replica(self.net, system, inner, source, target)
             except FaultInjectedError:
                 self.stats.failed_migrations += 1
                 continue
-            if done:
+            if shipped:
                 spreads += 1
                 self.stats.spreads += 1
+                self.stats.moved_bytes += shipped
 
         # -- byte balancing: migrate off the heaviest node ----------------
         for _ in range(cfg.max_migrations_per_cycle):
             plan = self._plan_balance(system)
             if plan is None:
                 break
-            inner, source, target = plan
             try:
-                done = yield from self.migrate_block(system, inner, source, target)
+                yield from self._migrate(system, *plan)
             except FaultInjectedError:
                 self.stats.failed_migrations += 1
                 break
-            if done:
-                shard = smap.shard_for(inner)
-                if shard.shard_id not in bumped:
-                    # Minimal version churn: one major bump per shard per
-                    # cycle, only for shards whose blocks actually moved.
-                    smap.bump_major(shard)
-                    bumped.add(shard.shard_id)
 
     def _plan_balance(
         self, system: StorageSystem
@@ -489,96 +226,22 @@ class Rebalancer:
         inner = max(candidates, key=lambda p: (system.size(p), p))
         return inner, heavy, light
 
-    # -- copy primitives (publish-after-write, idempotent) ----------------
-
-    def copy_replica(
+    def _migrate(
         self,
         system: StorageSystem,
         inner: str,
         source: NodeAddress,
         target: NodeAddress,
     ) -> Generator[Event, None, bool]:
-        """Grow ``inner``'s replica set onto ``target`` from ``source``.
-
-        The placement entry appears only after the transfer lands
-        (publish-after-write); ``add_replica`` is idempotent so a racing
-        or retried copy can never double-count a holder.  The source's
-        layout variant rides along and is re-checked after the transfer
-        — the same stale-variant race the repairer guards against.
-        """
-        if not system.exists(inner):
+        """One counted :func:`~repro.storage.maintenance.migrate_replica`."""
+        shipped = yield from migrate_replica(self.net, system, inner, source, target)
+        if shipped is None:
             return False
-        holders = system.locations(inner)
-        if target in holders or source not in holders:
-            return False
-        data = system.read(inner)
-        variant = system.replica_variant(inner, source)
-        meta = system.replica_meta(inner, source)
-        payload = variant if variant is not None else data
-        yield self.net.transfer(source, target, len(payload), TrafficClass.WRITE)
-        if not system.exists(inner):
-            return False  # deleted while the copy was in flight
-        system.add_replica(inner, target)
-        self._carry_variant(system, inner, source, target, variant, meta)
-        self.stats.moved_bytes += len(payload)
-        return True
-
-    def _carry_variant(
-        self,
-        system: StorageSystem,
-        inner: str,
-        source: NodeAddress,
-        target: NodeAddress,
-        variant: Optional[bytes],
-        meta: Optional[dict],
-    ) -> None:
-        if variant is None:
-            return
-        holders = system.locations(inner)
-        if source not in holders or target not in holders:
-            return
-        if (
-            system.replica_variant(inner, source) == variant
-            and system.replica_meta(inner, source) == meta
-        ):
-            system.set_replica_variant(inner, target, variant, meta=meta)
-
-    def migrate_block(
-        self,
-        system: StorageSystem,
-        inner: str,
-        source: NodeAddress,
-        target: NodeAddress,
-    ) -> Generator[Event, None, bool]:
-        """Move one replica: copy to ``target``, then retire ``source``.
-
-        The replica count never dips below its starting point — the add
-        publishes before the drop.  A kill between the two leaves the
-        block over-replicated; the retry sees the published target copy
-        and finishes by retiring the source alone (adoption), so the
-        move is exactly-once in effect.
-        """
-        if not system.exists(inner):
-            return False
-        floor = getattr(system, "replication", 1)
-        holders = system.locations(inner)
-        if source not in holders:
-            return False  # already migrated away
-        if target in holders:
-            # Adopt a half-finished earlier attempt: the copy landed and
-            # published, only the source retirement was lost.
-            if len(holders) > floor:
-                system.drop_replica(inner, source)
-                self.stats.adopted_migrations += 1
-                return True
-            return False
-        done = yield from self.copy_replica(system, inner, source, target)
-        if not done:
-            return False
-        holders = system.locations(inner)
-        if source in holders and len(holders) > floor:
-            system.drop_replica(inner, source)
-        self.stats.migrations += 1
+        if shipped:
+            self.stats.migrations += 1
+            self.stats.moved_bytes += shipped
+        else:
+            self.stats.adopted_migrations += 1
         return True
 
     def evacuate_replica(
@@ -596,34 +259,27 @@ class Rebalancer:
         holders = system.locations(inner)
         if node not in holders:
             return True
-        floor = getattr(system, "replication", 1)
         survivors = [h for h in holders if h != node]
-        if len(survivors) >= floor:
-            variant = system.replica_variant(inner, node)
-            meta = system.replica_meta(inner, node)
-            if variant is not None:
+        if len(survivors) >= getattr(system, "replication", 1):
+            if system.replica_variant(inner, node) is not None:
                 host = next(
                     (
                         s
                         for s in survivors
-                        if system.replica_variant(inner, s) is None
-                        and (self.placement_ok is None or self.placement_ok(s))
+                        if system.replica_variant(inner, s) is None and self._eligible(s)
                     ),
                     None,
                 )
                 if host is not None:
-                    yield self.net.transfer(
-                        node, host, len(variant), TrafficClass.WRITE
-                    )
-                    self._carry_variant(system, inner, node, host, variant, meta)
-            if system.exists(inner) and node in system.locations(inner):
-                system.drop_replica(inner, node)
-            self.stats.evacuations += 1
-            return True
+                    yield from copy_variant(self.net, system, inner, node, host)
+            evacuated = retire_replica(system, inner, node)
+            if evacuated:
+                self.stats.evacuations += 1
+            return evacuated
         target = self._pick_target(system, holders)
         if target is None:
             return False  # nowhere eligible yet; the drain loop retries
-        done = yield from self.migrate_block(system, inner, node, target)
+        done = yield from self._migrate(system, inner, node, target)
         if done:
             self.stats.evacuations += 1
         return done
@@ -632,10 +288,10 @@ class Rebalancer:
 class ElasticityManager:
     """Join/decommission orchestration over one :class:`FeisuCluster`.
 
-    Owns the :class:`Rebalancer`, the :class:`AutoscalePolicy`, and a
-    liveness-aware :class:`~repro.storage.maintenance.ReplicaRepairer`
-    per managed system, and wires drain/liveness awareness into the
-    tiering and layout daemons when those are enabled.
+    Owns the :class:`Rebalancer` and a placement-aware
+    :class:`~repro.storage.maintenance.ReplicaRepairer` per managed
+    system, and wires drain/liveness awareness into the tiering and
+    layout daemons when those are enabled.
     """
 
     def __init__(self, cluster, config: Optional[ElasticConfig] = None):
@@ -643,7 +299,7 @@ class ElasticityManager:
         self.config = config if config is not None else ElasticConfig()
         sim = cluster.sim
         self.sim = sim
-        #: Systems the rebalancer shards and spreads over (the hot,
+        #: Systems the rebalancer spreads and balances over (the hot,
         #: block-replicated substrates the scheduler scans from).
         self.systems: List[StorageSystem] = [cluster.storage_a, cluster.storage_b]
 
@@ -668,18 +324,9 @@ class ElasticityManager:
             heat=heat,
             config=self.config,
             placement_ok=self.node_ok,
-            on_cycle_end=self._autoscale_tick,
         )
-        self.policy = AutoscalePolicy(
-            scale_up_utilization=self.config.scale_up_utilization,
-            scale_down_utilization=self.config.scale_down_utilization,
-            sustain_samples=self.config.sustain_samples,
-            cooldown_s=self.config.autoscale_cooldown_s,
-            min_nodes=self.config.min_nodes,
-        )
-        self.proposals: List[ScaleDecision] = []
         self.repairers = [
-            ReplicaRepairer(sim, cluster.net, system, liveness=self.node_ok)
+            ReplicaRepairer(sim, cluster.net, system, placement_ok=self.node_ok)
             for system in self.systems
         ]
         self.joins = 0
@@ -688,14 +335,8 @@ class ElasticityManager:
         #: checks no block placement ever references one of these.
         self.departed: List[NodeAddress] = []
         self._next_node: Dict[Tuple[int, int], int] = {}
-        self._running = False
-
-    # -- lifecycle --------------------------------------------------------
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
         self.rebalancer.start()
         for repairer in self.repairers:
             repairer.start()
@@ -803,48 +444,3 @@ class ElasticityManager:
                 system.remove_node(addr)
         self.departed.append(addr)
         self.decommissions += 1
-
-    # -- autoscaling ------------------------------------------------------
-
-    def _pick_scale_down_victim(self) -> Optional[str]:
-        """Least-loaded live non-draining leaf, deterministic tie-break."""
-        cm = self.cluster.cluster_manager
-        candidates = []
-        for leaf in self.cluster.leaves:
-            if not leaf.alive:
-                continue
-            try:
-                if not cm.is_alive(leaf.worker_id) or cm.is_draining(leaf.worker_id):
-                    continue
-            except ClusterStateError:
-                continue
-            load = sum(system.bytes_on(leaf.address) for system in self.systems)
-            candidates.append((load, leaf.worker_id))
-        if not candidates:
-            return None
-        return min(candidates)[1]
-
-    def _autoscale_tick(self, now: float) -> None:
-        if not self.config.autoscale:
-            return
-        series = getattr(self.cluster, "metrics_series", None)
-        if series is None:
-            return  # sampler not started: no signal, no proposals
-        alive = sum(leaf.alive for leaf in self.cluster.leaves)
-        decision = self.policy.evaluate(
-            series.samples, now, alive, self._pick_scale_down_victim
-        )
-        if decision is not None:
-            self.proposals.append(decision)
-
-    def apply_proposal(self, decision: ScaleDecision):
-        """Act on one proposal: a scale-up joins a node into the first
-        rack of the first datacenter; a scale-down decommissions the
-        proposed victim.  Returns the new leaf or the drain event."""
-        if decision.action == "scale-up":
-            return self.join_node()
-        if decision.action == "scale-down":
-            if decision.worker_id is None:
-                raise FeisuError("scale-down proposal names no victim")
-            return self.decommission(decision.worker_id)
-        raise FeisuError(f"unknown autoscale action {decision.action!r}")

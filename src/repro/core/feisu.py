@@ -75,8 +75,8 @@ class FeisuConfig:
     #: Elastic membership and rebalancing (S55).  Off (the default)
     #: constructs no daemon and adds no simulation events — committed
     #: figure results stay byte-identical; on, the cluster gains node
-    #: join/decommission, a shard-aware rebalancer and autoscaling
-    #: proposals.
+    #: join/decommission, a rebalancer and placement-aware replica
+    #: repair.
     enable_elastic: bool = False
     #: Optional :class:`repro.cluster.elastic.ElasticConfig` override;
     #: ``None`` with ``enable_elastic=True`` uses the defaults.

@@ -23,7 +23,7 @@ import heapq
 import itertools
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from repro.errors import FeisuError
+from repro.errors import FaultInjectedError, FeisuError
 
 
 class SimulationError(FeisuError):
@@ -182,6 +182,32 @@ class Simulator:
     def process(self, gen: Generator[Event, Any, Any], name: str = "") -> Process:
         """Start a cooperative process from a generator."""
         return Process(self, gen, name=name)
+
+    def every(
+        self,
+        daemon: Any,
+        cycle: Callable[[], Generator[Event, Any, Any]],
+        name: str,
+        cycle_name: str,
+    ) -> Process:
+        """Run ``cycle()`` as a process once per ``daemon.period_s``, forever.
+
+        The first cycle starts one period from now; each waits for the one
+        before it.  The period is read before every wait, so retuning
+        ``daemon.period_s`` takes effect at the next one.  A cycle that
+        raises :class:`FaultInjectedError` ends there and the next period
+        runs a fresh one: a lost transfer never stops the daemon.
+        """
+
+        def loop() -> Generator[Event, Any, None]:
+            while True:
+                yield self.timeout(daemon.period_s)
+                try:
+                    yield self.process(cycle(), name=cycle_name)
+                except FaultInjectedError:
+                    continue
+
+        return self.process(loop(), name=name)
 
     def all_of(self, events: Iterable[Event]) -> Event:
         """An event that fires when every input event has fired ok.

@@ -56,7 +56,7 @@ from repro.columnar.schema import Schema
 from repro.errors import FaultInjectedError, PathError
 from repro.planner.cnf import AtomicPredicate, ConjunctiveForm
 from repro.planner.cost import CostModel
-from repro.sim.events import Event, Simulator
+from repro.sim.events import Event, Process, Simulator
 from repro.sim.netmodel import NetworkTopology, NodeAddress, TrafficClass
 from repro.sql.ast import BinaryOperator, Column
 from repro.storage.router import StorageRouter
@@ -303,7 +303,7 @@ class LayoutDaemon:
         #: double-count).
         self._history_pred: Counter = Counter()
         self._history_reads: Counter = Counter()
-        self._running = False
+        self._process: Optional[Process] = None
 
     # -- census (leaf + history facing) -----------------------------------
 
@@ -480,15 +480,8 @@ class LayoutDaemon:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.sim.process(self._loop(), name="layout-daemon")
-
-    def _loop(self) -> Generator[Event, None, None]:
-        while True:
-            yield self.sim.timeout(self.period_s)
-            yield self.sim.process(self.run_once(), name="layout-cycle")
+        if self._process is None:
+            self._process = self.sim.every(self, self.run_once, "layout-daemon", "layout-cycle")
 
     # -- one decision cycle ------------------------------------------------
 

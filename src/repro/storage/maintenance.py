@@ -1,4 +1,4 @@
-"""Replica repair: keeping storage systems at target replication.
+"""Replica movement and repair: keeping storage systems at target replication.
 
 The scheduler tolerates replica loss by reading surviving copies
 (§III-B), but a healthy deployment *re-replicates*: this maintenance
@@ -6,6 +6,12 @@ process periodically scans each block-replicated system for
 under-replicated files and copies them onto fresh nodes, charging the
 copy traffic to the WRITE class.  It is the substrate-side complement to
 Feisu's task-level fault tolerance.
+
+Every replica copy in the system goes through :func:`copy_replica`, the
+one publish-after-write primitive: the repairer, the elastic rebalancer
+(spread, migrate, evacuate) and the tiering daemon's replica extension
+all call it, and :func:`migrate_replica` / :func:`retire_replica` are the
+only ways a replica leaves a node on purpose.
 """
 
 from __future__ import annotations
@@ -13,12 +19,134 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Generator, List, Optional, Tuple
 
-from repro.sim.events import Event, Simulator
+from repro.sim.events import Event, Process, Simulator
 from repro.sim.netmodel import NetworkTopology, NodeAddress, TrafficClass
+from repro.storage.base import StorageSystem
 from repro.storage.systems import DistributedFS
 
 #: How often the repair scanner wakes up, simulated seconds.
 DEFAULT_SCAN_PERIOD_S = 60.0
+
+
+# -- the replica mover ---------------------------------------------------------
+
+
+def copy_replica(
+    net: NetworkTopology,
+    system: StorageSystem,
+    inner: str,
+    source: NodeAddress,
+    target: NodeAddress,
+) -> Generator[Event, None, int]:
+    """Grow ``inner``'s replica set onto ``target`` from ``source``.
+
+    Returns the bytes shipped, 0 when nothing was published.  A replica
+    is its bytes *plus* its physical layout (S54), so the source's layout
+    variant is what ships when it serves one.  The target is published
+    only after the transfer lands and only if the path still holds the
+    incarnation that was read: a copy that raced a rewrite or a delete
+    publishes nothing.  The variant rides along only if the source still
+    serves exactly it.  ``add_replica`` is idempotent, so a racing or
+    retried copy never double-counts a holder.
+    """
+    incarnation = system.incarnation(inner)
+    if incarnation is None:
+        return 0
+    holders = system.locations(inner)
+    if target in holders or source not in holders:
+        return 0
+    variant = system.replica_variant(inner, source)
+    meta = system.replica_meta(inner, source)
+    nbytes = len(variant) if variant is not None else system.size(inner)
+    yield net.transfer(source, target, nbytes, TrafficClass.WRITE)
+    if system.incarnation(inner) != incarnation or not system.add_replica(inner, target):
+        return 0
+    _carry_variant(system, inner, source, target, variant, meta)
+    return nbytes
+
+
+def copy_variant(
+    net: NetworkTopology,
+    system: StorageSystem,
+    inner: str,
+    source: NodeAddress,
+    target: NodeAddress,
+) -> Generator[Event, None, None]:
+    """Re-home ``source``'s layout variant onto ``target``, which already
+    holds the base bytes, under the incarnation and variant rules of
+    :func:`copy_replica`."""
+    incarnation = system.incarnation(inner)
+    variant = system.replica_variant(inner, source)
+    if variant is None:
+        return
+    meta = system.replica_meta(inner, source)
+    yield net.transfer(source, target, len(variant), TrafficClass.WRITE)
+    if system.incarnation(inner) == incarnation:
+        _carry_variant(system, inner, source, target, variant, meta)
+
+
+def _carry_variant(
+    system: StorageSystem,
+    inner: str,
+    source: NodeAddress,
+    target: NodeAddress,
+    variant: Optional[bytes],
+    meta: Optional[dict],
+) -> None:
+    """Publish ``variant`` on ``target`` if ``source`` still serves it."""
+    if variant is None:
+        return
+    holders = system.locations(inner)
+    if source not in holders or target not in holders:
+        return
+    if (
+        system.replica_variant(inner, source) != variant
+        or system.replica_meta(inner, source) != meta
+    ):
+        return  # layout rewritten mid-transfer: the shipped one matches no live copy
+    system.set_replica_variant(inner, target, variant, meta=meta)
+
+
+def retire_replica(system: StorageSystem, inner: str, node: NodeAddress) -> bool:
+    """Drop ``node``'s replica of ``inner`` while the path stays above its
+    replication floor; returns whether it was dropped."""
+    if not system.exists(inner):
+        return False
+    holders = system.locations(inner)
+    if node not in holders or len(holders) <= getattr(system, "replication", 1):
+        return False
+    system.drop_replica(inner, node)
+    return True
+
+
+def migrate_replica(
+    net: NetworkTopology,
+    system: StorageSystem,
+    inner: str,
+    source: NodeAddress,
+    target: NodeAddress,
+) -> Generator[Event, None, Optional[int]]:
+    """Move one replica: copy to ``target``, then retire ``source``.
+
+    Returns the bytes shipped (0 when an earlier attempt's published copy
+    was adopted), or None when the replica did not move.  The add
+    publishes before the drop, so the replica count never dips below its
+    starting point.  A kill between the two leaves the block
+    over-replicated; the retry sees the published target and finishes by
+    retiring the source alone, so the move is exactly-once in effect.
+    """
+    if not system.exists(inner) or source not in system.locations(inner):
+        return None  # gone, or already migrated away
+    if target in system.locations(inner):
+        return 0 if retire_replica(system, inner, source) else None
+    shipped = yield from copy_replica(net, system, inner, source, target)
+    if not shipped:
+        return None
+    retire_replica(system, inner, source)
+    return shipped
+
+
+# -- the repairer --------------------------------------------------------------
 
 
 @dataclass
@@ -41,18 +169,18 @@ class ReplicaRepairer:
         net: NetworkTopology,
         system: DistributedFS,
         scan_period_s: float = DEFAULT_SCAN_PERIOD_S,
-        liveness: Optional[Callable[[NodeAddress], bool]] = None,
+        placement_ok: Optional[Callable[[NodeAddress], bool]] = None,
     ):
         self.sim = sim
         self.net = net
         self.system = system
-        self.scan_period_s = scan_period_s
-        #: Optional target-eligibility predicate (wire to
-        #: ``ClusterManager.is_alive`` / drain state): repairing onto a
+        self.period_s = scan_period_s
+        #: Optional target-eligibility predicate (the elastic manager wires
+        #: it to membership liveness and drain state): repairing onto a
         #: dead or draining node restores nothing.
-        self.liveness = liveness
+        self.placement_ok = placement_ok
         self.total_repairs = 0
-        self._running = False
+        self._process: Optional[Process] = None
 
     # -- one-shot scan ------------------------------------------------------
 
@@ -72,61 +200,36 @@ class ReplicaRepairer:
         report.files_scanned = len(self.system.list_paths())
         for path, missing in self.find_under_replicated():
             report.under_replicated += 1
+            if not self.system.exists(path):
+                continue  # deleted (e.g. tiering demotion) during an earlier copy
             survivors = self.system.locations(path)
             if not survivors:
                 report.unrepairable.append(path)
                 continue
-            data = self.system.read(path)
             for _ in range(missing):
                 target_node = self._pick_target(path, survivors)
                 if target_node is None:
                     report.unrepairable.append(path)
                     break
                 source = min(survivors, key=lambda s: self.net.distance(s, target_node))
-                # A replica is its *bytes plus its physical layout* (S54):
-                # re-replicating from a source serving a rewritten variant
-                # must copy that variant and its metadata, not silently
-                # revert the new copy to the base layout.
-                variant = self.system.replica_variant(path, source)
-                variant_meta = self.system.replica_meta(path, source)
-                copy_bytes = variant if variant is not None else data
-                yield self.net.transfer(
-                    source, target_node, len(copy_bytes), TrafficClass.WRITE
-                )
-                if not self.system.exists(path):
-                    # Deleted (e.g. tiering demotion) while the copy was in
-                    # flight — nothing to repair any more.
-                    break
-                self.system.add_replica(path, target_node)
-                if variant is not None:
-                    # The copy raced a layout rewrite or a block write: if
-                    # the source no longer serves the captured variant the
-                    # shipped bytes are stale — the new replica falls back
-                    # to the base payload instead of publishing a layout
-                    # that no longer matches any live copy.
-                    if (
-                        source in self.system.locations(path)
-                        and self.system.replica_variant(path, source) == variant
-                        and self.system.replica_meta(path, source) == variant_meta
-                    ):
-                        self.system.set_replica_variant(
-                            path, target_node, variant, meta=variant_meta
-                        )
+                shipped = yield from copy_replica(self.net, self.system, path, source, target_node)
+                if not shipped:
+                    break  # rewritten or deleted mid-copy: the next scan re-counts it
                 survivors = self.system.locations(path)
                 report.repairs_done += 1
-                report.bytes_copied += len(copy_bytes)
+                report.bytes_copied += shipped
                 self.total_repairs += 1
         return report
 
     def _pick_target(self, path: str, existing: List[NodeAddress]) -> Optional[NodeAddress]:
-        """A live-ish node not already holding the file, preferring a rack
+        """An eligible node not already holding the file, preferring a rack
         no current replica occupies (the HDFS placement invariant)."""
         held = set(existing)
         held_racks = {(a.datacenter, a.rack) for a in existing}
         candidates = [
             n
-            for n in self.system._nodes  # noqa: SLF001
-            if n not in held and (self.liveness is None or self.liveness(n))
+            for n in self.system.nodes()
+            if n not in held and (self.placement_ok is None or self.placement_ok(n))
         ]
         if not candidates:
             return None
@@ -138,12 +241,7 @@ class ReplicaRepairer:
 
     def start(self) -> None:
         """Run repair scans forever on the simulation clock."""
-        if self._running:
-            return
-        self._running = True
-        self.sim.process(self._loop(), name=f"repair-{self.system.name}")
-
-    def _loop(self) -> Generator[Event, None, None]:
-        while True:
-            yield self.sim.timeout(self.scan_period_s)
-            yield self.sim.process(self.repair_once(), name="repair-scan")
+        if self._process is None:
+            self._process = self.sim.every(
+                self, self.repair_once, f"repair-{self.system.name}", "repair-scan"
+            )

@@ -47,9 +47,10 @@ from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from repro.errors import FaultInjectedError, PathError
 from repro.planner.cost import CostModel
-from repro.sim.events import Event, Simulator
+from repro.sim.events import Event, Process, Simulator
 from repro.sim.netmodel import NetworkTopology, NodeAddress, TrafficClass
 from repro.storage.base import StorageSystem
+from repro.storage.maintenance import copy_replica
 from repro.storage.router import StorageRouter
 from repro.storage.ssd_cache import SsdCache
 
@@ -197,7 +198,7 @@ class TieringDaemon:
         self._promoted_bytes: Dict[str, int] = {}
         self._caches: List[SsdCache] = []
         self._auto_preferred: Set[str] = set()
-        self._running = False
+        self._process: Optional[Process] = None
 
     # -- leaf/scheduler-facing hints --------------------------------------
 
@@ -236,15 +237,8 @@ class TieringDaemon:
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.sim.process(self._loop(), name="tiering-daemon")
-
-    def _loop(self) -> Generator[Event, None, None]:
-        while True:
-            yield self.sim.timeout(self.period_s)
-            yield self.sim.process(self.run_once(), name="tiering-cycle")
+        if self._process is None:
+            self._process = self.sim.every(self, self.run_once, "tiering-daemon", "tiering-cycle")
 
     # -- one decision cycle -----------------------------------------------
 
@@ -390,10 +384,8 @@ class TieringDaemon:
             return False
         if self.placement_ok is not None and not self.placement_ok(reader):
             return False  # never grow the replica set onto a departing node
-        nbytes = self.hot_system.size(hot_inner)
         source = min(holders, key=lambda s: self.net.distance(s, reader))
-        yield self.net.transfer(source, reader, nbytes, TrafficClass.WRITE)
-        if self.hot_system.add_replica(hot_inner, reader):
+        if (yield from copy_replica(self.net, self.hot_system, hot_inner, source, reader)):
             self.stats.replica_extensions += 1
             return True
         return False

@@ -23,7 +23,7 @@ from repro.columnar.block import Block
 from repro.columnar.json_flatten import align_columns, flatten_records
 from repro.columnar.schema import Schema
 from repro.columnar.table import Table
-from repro.sim.events import Event, Simulator
+from repro.sim.events import Event, Process
 from repro.sim.netmodel import NodeAddress
 from repro.storage.loader import make_block_ref
 
@@ -66,7 +66,7 @@ class ConversionDaemon:
         self.scale_factor = scale_factor
         self.stats = ConversionStats()
         self._block_seq = 0
-        self._running = False
+        self._process: Optional[Process] = None
 
     # -- table management (shared across daemons) ---------------------------
 
@@ -117,15 +117,10 @@ class ConversionDaemon:
     # -- background loop -----------------------------------------------------------
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.cluster.sim.process(self._loop(), name=f"convert-{self.node}")
-
-    def _loop(self) -> Generator[Event, None, None]:
-        while True:
-            yield self.cluster.sim.timeout(self.period_s)
-            yield self.cluster.sim.process(self.convert_pending(), name="convert-scan")
+        if self._process is None:
+            self._process = self.cluster.sim.every(
+                self, self.convert_pending, f"convert-{self.node}", "convert-scan"
+            )
 
 
 def start_conversion_daemons(

@@ -1,7 +1,7 @@
-"""Chaos: kills mid-migration and mid-drain (S55).
+"""Chaos: kills mid-migration, mid-drain and mid-repair (S55).
 
-The rebalancer's block moves and the decommission drain both lean on
-publish-after-write copies.  A total WRITE-class drop window therefore
+The rebalancer's block moves, the decommission drain and the replica
+repairer all lean on the one publish-after-write copy.  A total WRITE-class drop window therefore
 must leave *nothing* half-moved: no block lost, no holder double-counted,
 no replica stranded on a node that already left — and once the fabric
 heals, the retries finish the exact work the kill interrupted.
@@ -21,15 +21,11 @@ pytestmark = pytest.mark.chaos
 SUCCEEDED = JobStatus.SUCCEEDED
 
 
-def _elastic_harness(seed):
+def _elastic_harness(seed, rebalance_period_s=30.0):
     harness = make_harness(
         seed,
         enable_elastic=True,
-        elastic=ElasticConfig(
-            rebalance_period_s=30.0,
-            autoscale=False,  # proposals only add noise to these scenarios
-            drain_poll_s=2.0,
-        ),
+        elastic=ElasticConfig(rebalance_period_s=rebalance_period_s, drain_poll_s=2.0),
     )
     monitor = harness.monitor
     cluster = harness.cluster
@@ -141,3 +137,38 @@ def test_kill_mid_drain_blocks_departure_until_evacuated(seed):
     # double-counted holder, and — via expect_no_departed — no placement
     # still referencing the departed node.
     harness.finish("kill_mid_drain")
+
+
+def test_kill_mid_repair_is_retried(seed):
+    """Lose one replica, then kill every WRITE transfer for 90s: the repair
+    scan at t=60 dies mid-copy and publishes nothing, and the repairer must
+    outlive it — the first scan after the fabric heals restores the floor
+    (a repairer whose loop died with its copy never repaired again)."""
+    # No rebalancer cycle: a balancing copy must not restore the floor for it.
+    harness = _elastic_harness(seed, rebalance_period_s=1e9)
+    cluster = harness.cluster
+    storage = cluster.storage_a
+    repairer = next(r for r in cluster.elastic.repairers if r.system is storage)
+    path = storage.list_paths()[0]
+    storage.drop_replica(path, storage.locations(path)[-1])
+    harness.install(
+        FaultPlan().add(
+            MessageDrop(probability=1.0, cls=TrafficClass.WRITE, at=0.0, duration=90.0)
+        )
+    )
+    job = harness.run(harness.Q_GROUP)
+    assert job.status is SUCCEEDED, job.error
+
+    # The in-window scan died mid-copy: nothing published, nothing counted.
+    harness.sim.run(until=85.0)
+    assert len(storage.locations(path)) == storage.replication - 1
+    assert repairer.total_repairs == 0
+
+    # Fabric heals at t=90: the scan at t=120 repairs exactly the lost copy.
+    harness.sim.run(until=150.0)
+    locs = storage.locations(path)
+    assert len(locs) == storage.replication and len(set(locs)) == len(locs)
+    assert repairer.total_repairs >= 1
+    after = harness.run(harness.Q_GROUP)
+    assert after.status is SUCCEEDED, after.error
+    harness.finish("kill_mid_repair")

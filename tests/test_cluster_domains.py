@@ -82,6 +82,6 @@ def test_feisu_cluster_publishes_metadata():
     assert directory.lookup_table(0, "T") == {"a": "int64"}
     assert directory.can_read(0, "geo", "T")
     # remote dc converges after the sync period
-    cluster.sim.run(until=cluster.sim.now + 2 * directory.sync_period_s)
+    cluster.sim.run(until=cluster.sim.now + 2 * directory.period_s)
     assert directory.lookup_table(1, "T") == {"a": "int64"}
     assert directory.converged()

@@ -1,89 +1,20 @@
-"""Elastic membership + rebalancing (S55): shard map, rebalancer
-primitives, autoscaling policy, join/decommission lifecycle."""
-
-from types import SimpleNamespace
+"""Elastic membership + rebalancing (S55): the shared replica mover as
+the rebalancer drives it, join/decommission lifecycle."""
 
 import numpy as np
 import pytest
 
 from repro import DataType, FeisuCluster, FeisuConfig, Schema
-from repro.cluster.elastic import (
-    HASH_SPACE,
-    AutoscalePolicy,
-    ElasticConfig,
-    Rebalancer,
-    ShardMap,
-    path_hash,
-)
+from repro.cluster.elastic import ElasticConfig, Rebalancer
 from repro.errors import FeisuError, StorageError
 from repro.sim.events import Simulator
 from repro.sim.netmodel import NetworkTopology, NodeAddress, TopologySpec
+from repro.storage.maintenance import copy_replica, migrate_replica
 from repro.storage.router import StorageRouter
 from repro.storage.systems import DistributedFS
 
 
-# -- ShardMap -------------------------------------------------------------
-
-
-def test_shard_map_partitions_hash_space():
-    smap = ShardMap(initial_shards=4)
-    shards = smap.shards()
-    assert shards[0].lo == 0 and shards[-1].hi == HASH_SPACE
-    for left, right in zip(shards, shards[1:]):
-        assert left.hi == right.lo  # contiguous, no gap or overlap
-    for path in ("/t/b0", "/t/b1", "/other"):
-        shard = smap.shard_for(path)
-        assert shard.covers(path_hash(path))
-
-
-def test_shard_split_is_minimal_version_churn():
-    smap = ShardMap(initial_shards=1)
-    (only,) = smap.shards()
-    paths = [f"/t/b{i}" for i in range(8)]
-    before = only.version
-    right = smap.split(only, paths)
-    assert right is not None
-    # The left half keeps its id and version; only the new right shard
-    # carries a fresh minor — one new version per split.
-    assert only.version == before
-    assert right.major == only.major and right.minor == only.minor + 1
-    assert only.hi == right.lo
-    assert smap.splits == 1 and smap.version_bumps == 1
-    # Every path still routes to exactly one of the two halves.
-    members = smap.members(paths)
-    assert sorted(sum(members.values(), [])) == sorted(paths)
-    assert all(members[s.shard_id] for s in smap.shards())
-
-
-def test_shard_split_refuses_inseparable_members():
-    smap = ShardMap(initial_shards=1)
-    (only,) = smap.shards()
-    assert smap.split(only, ["/solo"]) is None
-    assert smap.split(only, []) is None
-    assert smap.splits == 0
-
-
-def test_shard_merge_requires_adjacency():
-    smap = ShardMap(initial_shards=3)
-    s0, s1, s2 = smap.shards()
-    with pytest.raises(FeisuError):
-        smap.merge(s0, s2)
-    survivor = smap.merge(s0, s1)
-    assert survivor is s0
-    assert s0.hi == s2.lo
-    assert len(smap.shards()) == 2
-    assert smap.merges == 1
-
-
-def test_bump_major_resets_minor():
-    smap = ShardMap(initial_shards=1)
-    (shard,) = smap.shards()
-    shard.minor = 3
-    smap.bump_major(shard)
-    assert shard.version == "2.0"
-
-
-# -- Rebalancer primitives ------------------------------------------------
+# -- the replica mover ----------------------------------------------------
 
 
 def _env(**cfg_kwargs):
@@ -110,14 +41,12 @@ def test_copy_replica_publishes_after_write_and_carries_variant():
     variant = b"v" * 300
     fs.set_replica_variant("/f", source, variant, meta={"num_rows": 5})
     target = next(n for n in fs.nodes() if n not in holders)
-    done = _drive(sim, reb.copy_replica(fs, "/f", source, target))
-    assert done
+    assert _drive(sim, copy_replica(net, fs, "/f", source, target)) == len(variant)
     assert target in fs.locations("/f")
     assert fs.replica_variant("/f", target) == variant
     assert fs.replica_meta("/f", target) == {"num_rows": 5}
-    assert reb.stats.moved_bytes == len(variant)
     # Idempotent: a retry against an already-holding target is a no-op.
-    assert not _drive(sim, reb.copy_replica(fs, "/f", source, target))
+    assert _drive(sim, copy_replica(net, fs, "/f", source, target)) == 0
 
 
 def test_migrate_block_moves_exactly_one_replica():
@@ -126,11 +55,10 @@ def test_migrate_block_moves_exactly_one_replica():
     holders = fs.locations("/f")
     source = holders[0]
     target = next(n for n in fs.nodes() if n not in holders)
-    assert _drive(sim, reb.migrate_block(fs, "/f", source, target))
+    assert _drive(sim, migrate_replica(net, fs, "/f", source, target)) == 800
     after = fs.locations("/f")
     assert source not in after and target in after
     assert len(after) == len(holders)  # count never changed
-    assert reb.stats.migrations == 1
 
 
 def test_migrate_block_adopts_half_finished_attempt():
@@ -143,10 +71,8 @@ def test_migrate_block_adopts_half_finished_attempt():
     source = holders[0]
     target = next(n for n in fs.nodes() if n not in holders)
     fs.add_replica("/f", target)  # the published half of a dead attempt
-    moved_before = reb.stats.moved_bytes
-    assert _drive(sim, reb.migrate_block(fs, "/f", source, target))
-    assert reb.stats.adopted_migrations == 1
-    assert reb.stats.moved_bytes == moved_before  # no second copy
+    assert _drive(sim, migrate_replica(net, fs, "/f", source, target)) == 0  # adopted
+    assert sum(ln.bytes_carried for ln in net.links()) == 0  # no second copy
     after = fs.locations("/f")
     assert source not in after and len(after) == len(holders)
 
@@ -158,7 +84,7 @@ def test_migrate_block_never_dips_below_floor():
     # At exactly the floor with the target already holding: adoption must
     # refuse to retire the source (that would drop below replication).
     source, target = holders[0], holders[1]
-    assert not _drive(sim, reb.migrate_block(fs, "/f", source, target))
+    assert _drive(sim, migrate_replica(net, fs, "/f", source, target)) is None
     assert set(fs.locations("/f")) == set(holders)
 
 
@@ -189,42 +115,23 @@ def test_evacuate_replica_migrates_when_at_floor():
     after = fs.locations("/f")
     assert leaving not in after
     assert len(after) == fs.replication  # floor held throughout
+    assert reb.stats.migrations == 1 and reb.stats.moved_bytes == 800
 
 
 def test_run_once_splits_hot_domain_and_spreads_hot_blocks():
-    sim, net, router, fs, reb = _env(
-        hot_share=0.40, spread_heat_threshold=1.5, max_spreads_per_cycle=4
-    )
+    sim, net, router, fs, reb = _env(spread_heat_threshold=1.5, max_spreads_per_cycle=4)
     for i in range(12):
         fs.write(f"/t/b{i}", b"x" * 400)
-    smap = reb.maps[fs.name]
-    members = smap.members(fs.list_paths())
-    sid, paths = max(members.items(), key=lambda kv: len(kv[1]))
-    assert len(paths) >= 2
-    for path in paths:
+    hot = [f"/t/b{i}" for i in range(4)]
+    for path in hot:
         full = router.full_path(fs, path)
         for _ in range(5):
             reb.heat.record(full, 400, now=0.0)
-    replicas_before = len(fs.locations(paths[0]))
+    replicas_before = len(fs.locations(hot[0]))
     _drive(sim, reb.run_once())
-    assert reb.stats.splits >= 1
     assert reb.stats.spreads >= 1
-    assert len(fs.locations(paths[0])) > replicas_before
+    assert len(fs.locations(hot[0])) > replicas_before
     assert reb.stats.cycles == 1
-
-
-def test_run_once_merges_cold_shards():
-    # hot_share > 1 makes splitting unreachable: only merging can fire.
-    sim, net, router, fs, reb = _env(initial_shards=8, merge_share=0.02, hot_share=2.0)
-    for i in range(12):
-        fs.write(f"/t/b{i}", b"x" * 400)
-    # One hot path; everything else stone cold → some adjacent pair of
-    # shards holds ~0% of the heat and merges.
-    reb.heat.record(router.full_path(fs, "/t/b0"), 400, now=0.0)
-    shards_before = len(reb.maps[fs.name].shards())
-    _drive(sim, reb.run_once())
-    assert reb.stats.merges >= 1
-    assert len(reb.maps[fs.name].shards()) < shards_before
 
 
 def test_placement_ok_filters_spread_and_migration_targets():
@@ -245,38 +152,6 @@ def test_placement_ok_filters_spread_and_migration_targets():
     assert reb._pick_target(fs, holders) is None  # noqa: SLF001
     banned.clear()
     assert reb._pick_target(fs, holders) is not None  # noqa: SLF001
-
-
-# -- AutoscalePolicy ------------------------------------------------------
-
-
-def _samples(*utils):
-    return [SimpleNamespace(disk=SimpleNamespace(mean_utilization=u)) for u in utils]
-
-
-def test_autoscale_proposes_up_after_sustained_load():
-    policy = AutoscalePolicy(sustain_samples=3, cooldown_s=60.0)
-    assert policy.evaluate(_samples(0.9, 0.9), 10.0, 5, lambda: None) is None
-    # A dip inside the window breaks the streak.
-    assert policy.evaluate(_samples(0.9, 0.1, 0.9), 20.0, 5, lambda: None) is None
-    decision = policy.evaluate(_samples(0.7, 0.8, 0.9), 30.0, 5, lambda: None)
-    assert decision is not None and decision.action == "scale-up"
-    assert decision.at_s == 30.0
-    # Cooldown: an equally loaded window right after proposes nothing.
-    assert policy.evaluate(_samples(0.9, 0.9, 0.9), 40.0, 5, lambda: None) is None
-    later = policy.evaluate(_samples(0.9, 0.9, 0.9), 100.0, 5, lambda: None)
-    assert later is not None
-
-
-def test_autoscale_proposes_down_with_victim_and_respects_min_nodes():
-    policy = AutoscalePolicy(sustain_samples=2, cooldown_s=0.0, min_nodes=3)
-    idle = _samples(0.0, 0.01)
-    assert policy.evaluate(idle, 10.0, 3, lambda: "w0") is None  # at min
-    decision = policy.evaluate(idle, 20.0, 4, lambda: "w0")
-    assert decision is not None and decision.action == "scale-down"
-    assert decision.worker_id == "w0"
-    # No nameable victim → no proposal.
-    assert policy.evaluate(idle, 30.0, 4, lambda: None) is None
 
 
 # -- topology admission ---------------------------------------------------
@@ -438,26 +313,3 @@ def test_elastic_repairer_avoids_draining_targets():
         if cluster.cluster_manager.is_draining(leaf.worker_id)
     }
     assert not draining.intersection(restored)
-
-
-def test_autoscale_proposals_from_sustained_metrics():
-    cluster = _elastic_cluster(
-        rebalance_period_s=20.0,
-        sustain_samples=2,
-        scale_down_utilization=0.05,
-        autoscale_cooldown_s=1e9,  # at most one proposal in this run
-    )
-    cluster.start_metrics_sampler(period_s=10.0)
-    # An idle cluster's disk utilization sits at ~0: sustained
-    # under-utilization proposes exactly one scale-down with a victim.
-    cluster.sim.run(until=200.0)
-    proposals = cluster.elastic.proposals
-    assert len(proposals) == 1
-    decision = proposals[0]
-    assert decision.action == "scale-down"
-    assert any(l.worker_id == decision.worker_id for l in cluster.leaves)
-    # Applying the proposal actually drains and removes the victim.
-    done = cluster.elastic.apply_proposal(decision)
-    cluster.sim.run_until_complete(done, limit=cluster.sim.now + 600.0)
-    assert cluster.elastic.decommissions == 1
-    assert cluster.query("SELECT COUNT(*) AS n FROM T").rows()[0][0] == 1500

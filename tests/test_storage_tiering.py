@@ -403,8 +403,9 @@ def test_repair_skips_stale_variant_after_inflight_rewrite():
     *before* the copy transfer and previously published it unconditionally
     after — so a block write (or layout rewrite) landing while the copy
     was in flight left the new replica serving a variant no live copy
-    matched.  The fix re-checks the source after the transfer and falls
-    back to the base payload when the captured variant went stale."""
+    matched.  Since S65 the shared mover publishes nothing at all when the
+    block's incarnation moved under the copy: the rewrite placed a full
+    replica set of its own, and the shipped bytes belong to neither."""
     from repro.storage.maintenance import ReplicaRepairer
 
     sim = Simulator()
@@ -424,7 +425,8 @@ def test_repair_skips_stale_variant_after_inflight_rewrite():
     # invalidated, so the bytes in flight no longer match any live copy.
     sim.schedule(1e-4, lambda: fs.write("/f", b"y" * 1000))
     report = sim.run_until_complete(proc)
-    assert report.repairs_done >= 1
+    assert report.repairs_done == 0
+    assert len(fs.locations("/f")) == fs.replication  # not 4 holders of 3
     for node in fs.locations("/f"):
         # No replica may publish the stale pre-rewrite variant.
         assert fs.replica_variant("/f", node) is None
@@ -436,8 +438,8 @@ def test_repair_honors_liveness_predicate():
     """S55 satellite pin: ``_pick_target`` had no liveness filter, so a
     repair could "restore" replication onto a dead or draining node —
     bytes parked where no scan will ever read them.  The optional
-    ``liveness`` hook (wired to ``ClusterManager.is_alive`` by the
-    elastic manager) keeps repairs on serving nodes."""
+    ``placement_ok`` hook (wired to membership liveness and drain state
+    by the elastic manager) keeps repairs on serving nodes."""
     from repro.storage.maintenance import ReplicaRepairer
 
     sim = Simulator()
@@ -452,7 +454,7 @@ def test_repair_honors_liveness_predicate():
     survivor = holders[0]
     allowed = next(n for n in nodes if n != survivor)
     repairer = ReplicaRepairer(
-        sim, net, fs, liveness=lambda n: n == survivor or n == allowed
+        sim, net, fs, placement_ok=lambda n: n == survivor or n == allowed
     )
     report = sim.run_until_complete(sim.process(repairer.repair_once()))
     # Only one eligible target exists: one repair lands there, the other
