@@ -37,6 +37,9 @@ MAX_LOOKUP_SPREAD = 2.0
 
 JOIN_ROWS = 100_000
 AGG_ROWS = 100_000
+#: scan_cold's grouped task (benchmarks/e2e): 40k rows over 16 int groups.
+FEW_GROUPS_ROWS = 40_000
+FEW_GROUPS = 16
 SORT_ROWS = 100_000
 BITS = 1_000_000
 #: One scan_cold block (benchmarks/e2e): 80k rows over a 64-word dictionary.
@@ -87,12 +90,24 @@ def _to_python(value):
     return value
 
 
+def _group_rows(key_columns: List[np.ndarray]) -> np.ndarray:
+    """The seed's factorize: each row's dense group id via ``np.unique``."""
+    combined = None
+    for col in key_columns:
+        uniques, codes = np.unique(col, return_inverse=True)
+        codes = codes.astype(np.int64)
+        if combined is None:
+            combined = codes
+        else:
+            combined = combined * np.int64(len(uniques)) + codes
+    _, ids = np.unique(combined, return_inverse=True)
+    return ids.astype(np.int64)
+
+
 def _scalar_partial_aggregate(
     key_arrays: List[np.ndarray], funcs: List[str], arrays: List[np.ndarray], n: int
 ) -> Dict[Tuple, list]:
-    from repro.engine.aggregates import group_rows
-
-    ids, _reps = group_rows(key_arrays, n)
+    ids = _group_rows(key_arrays)
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
     boundaries = np.flatnonzero(
@@ -159,6 +174,21 @@ def bench_grouped_aggregate() -> Results:
     )
     return {"grouped_aggregate_100k": {
         "ref_s": ref, "scalar_ref_s": scalar, "speedup": scalar / ref, "rows": AGG_ROWS}}
+
+
+def bench_grouped_aggregate_few_groups() -> Results:
+    """``scan_cold``'s grouped task: few groups over many rows, where
+    grouping, not the per-group work, is the cost."""
+    rng = np.random.default_rng(31)
+    keys = rng.integers(0, FEW_GROUPS, FEW_GROUPS_ROWS)
+    values = rng.random(FEW_GROUPS_ROWS)
+    funcs = ["COUNT", "SUM"]
+    ref, scalar = best_ref_s(
+        lambda: partial_aggregate([keys], funcs, [None, values], FEW_GROUPS_ROWS),
+        lambda: _scalar_partial_aggregate([keys], funcs, [values, values], FEW_GROUPS_ROWS),
+    )
+    return {"grouped_aggregate_16g_40k": {
+        "ref_s": ref, "scalar_ref_s": scalar, "speedup": scalar / ref, "rows": FEW_GROUPS_ROWS}}
 
 
 def bench_sort() -> Results:
@@ -308,6 +338,7 @@ def bench_dict_contains_lut() -> Results:
 KERNELS: List[Callable[[], Results]] = [
     bench_join,
     bench_grouped_aggregate,
+    bench_grouped_aggregate_few_groups,
     bench_sort,
     bench_popcount,
     bench_bit_and,
@@ -330,7 +361,7 @@ def acceptance_failures(results: Results) -> List[str]:
     """The suite's built-in invariants (independent of any baseline)."""
     problems = []
     for name in (
-        "join_build_probe_100k", "grouped_aggregate_100k",
+        "join_build_probe_100k", "grouped_aggregate_100k", "grouped_aggregate_16g_40k",
         "dict_string_decode_80k", "dict_contains_lut_80k",
     ):
         speedup = results[name]["speedup"]

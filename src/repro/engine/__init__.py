@@ -3,7 +3,6 @@
 from repro.engine.aggregates import (
     AggregateState,
     GroupedPartial,
-    group_rows,
     make_state,
     partial_aggregate,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "cross_join",
     "execute_scan_task",
     "finalize",
-    "group_rows",
     "hash_join",
     "join",
     "limit_frame",

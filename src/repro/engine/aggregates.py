@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.operators import _stable_order
 from repro.errors import ExecutionError
 
 
@@ -185,31 +184,6 @@ def _to_python(value):
     return value
 
 
-def group_rows(key_columns: Sequence[np.ndarray], num_rows: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Assign each row a dense group id.
-
-    Returns ``(group_ids, representative_indices)`` where
-    ``representative_indices[g]`` is the first row of group ``g``.
-    With no key columns every row lands in group 0.
-    """
-    if not key_columns:
-        ids = np.zeros(num_rows, dtype=np.int64)
-        reps = np.zeros(1 if num_rows else 0, dtype=np.int64)
-        if num_rows == 0:
-            return ids, reps
-        return ids, np.array([0], dtype=np.int64)
-    combined = None
-    for col in key_columns:
-        uniques, codes = np.unique(col, return_inverse=True)
-        codes = codes.astype(np.int64)
-        if combined is None:
-            combined = codes
-        else:
-            combined = combined * np.int64(len(uniques)) + codes
-    _, reps, ids = np.unique(combined, return_index=True, return_inverse=True)
-    return ids.astype(np.int64), reps.astype(np.int64)
-
-
 @dataclass
 class GroupedPartial:
     """Partial aggregation result travelling leaf → stem → master.
@@ -292,99 +266,106 @@ def _dense_codes(col: np.ndarray, gather: Optional[Gather] = None) -> Tuple[np.n
     return codes.astype(np.int64), len(uniques)
 
 
-def _group_order(
+def _group_ids(
     key_arrays: Sequence[np.ndarray],
     num_rows: int,
     key_gathers: Optional[Sequence[Optional[Gather]]] = None,
-):
-    """One stable sort bringing equal key tuples together.
+) -> Tuple[np.ndarray, int, Callable[[np.ndarray], List[list]]]:
+    """Each row's group id, ascending with the key tuple (``np.unique`` order).
 
-    Returns ``(order, starts)``: ``order`` permutes rows so each group is
-    a contiguous run beginning at ``starts[g]``; groups appear in key
-    sort order (matching ``np.unique``), rows within a group in input
-    order.  The single-key fast path needs no factorize pass for numeric
-    keys — one argsort plus one adjacent-difference over the sorted values.
+    Returns ``(ids, size, keys_at)``: row ``r`` falls in bin ``ids[r]`` of
+    ``[0, size)``, some bins may be empty, and ``keys_at(bins)`` gives,
+    per key column, the Python key values of the occupied ``bins``.
+
+    A single integer key spanning at most ``max(num_rows, 1024)`` values
+    is its own id (``key - lo``), so it is neither sorted nor ranked.  Any
+    other key is ranked per column (``_dense_codes``), the ranks are
+    combined in mixed radix and re-densified whenever the radix product
+    outgrows that bound; a group's key values are then its first row's.
     """
-    gathers = key_gathers or [None] * len(key_arrays)
-    if len(key_arrays) == 1:
+    cap = max(num_rows, 1024)
+    if len(key_arrays) == 1 and key_arrays[0].dtype.kind == "i":
         col = key_arrays[0]
-        if col.dtype == object or (
-            np.issubdtype(col.dtype, np.floating) and np.isnan(col).any()
-        ):
-            # Strings: integer codes sort by radix, not by comparisons.
-            # NaN != NaN would split every NaN row into its own group;
-            # np.unique collapses NaNs into one code.
-            col = _dense_codes(col, gathers[0])[0]
-        order = _stable_order(col)
-        svals = col[order]
-        change = svals[1:] != svals[:-1]
-    else:
-        combined = None
-        for col, gather in zip(key_arrays, gathers):
-            codes, cardinality = _dense_codes(col, gather)
-            if combined is None:
-                combined = codes
-            else:
-                combined = combined * np.int64(cardinality) + codes
-        order = _stable_order(combined)
-        svals = combined[order]
-        change = svals[1:] != svals[:-1]
-    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-    return order, starts
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        if span <= cap:
+            # Widen before rebasing: a narrow dtype would wrap in ``col - lo``.
+            ids = col.astype(np.int64, copy=False) - lo
+            return ids, span, lambda bins: [(bins + lo).tolist()]
+    gathers = key_gathers or [None] * len(key_arrays)
+    ids, size = np.zeros(num_rows, dtype=np.int64), 1
+    for col, gather in zip(key_arrays, gathers):
+        codes, cardinality = _dense_codes(col, gather)
+        ids = codes if size == 1 else ids * np.int64(cardinality) + codes
+        size *= cardinality
+        if size > cap:
+            uniques, ids = np.unique(ids, return_inverse=True)
+            size = len(uniques)
+
+    def keys_at(bins: np.ndarray) -> List[list]:
+        first = np.full(size, num_rows, dtype=np.int64)
+        np.minimum.at(first, ids, np.arange(num_rows, dtype=np.int64))
+        reps = first[bins]
+        return [_canonical_key_values(col[reps].tolist()) for col in key_arrays]
+
+    return ids, size, keys_at
 
 
-def _state_column(func: str, arr: Optional[np.ndarray], sorted_arr, starts, counts):
-    """All groups' states for one aggregate, built from bulk reductions.
+def _group_states(func: str, arr: Optional[np.ndarray], ids, size, bins, counts):
+    """All groups' states for one aggregate, built from one scatter reduction.
 
-    One ``np.ufunc.reduceat`` (or the shared ``counts`` list) computes
-    every group's value; states are then mass-allocated via ``__new__``
-    and filled in a tight loop — no per-group slicing or dispatch.
+    The rows are reduced into ``size`` bins in one pass (``np.bincount``
+    or ``np.ufunc.at``) and read at the occupied ``bins``; states are then
+    mass-allocated via ``__new__`` and filled in a tight loop — no sort,
+    no per-group slicing or dispatch.
 
-    ``reduceat`` accumulates float64 sums sequentially where the scalar
-    path's ``values.sum()`` used pairwise summation, so SUM/AVG over
-    float columns can differ from the scalar result in the last ulps for
-    large groups; COUNT/MIN/MAX and integer SUM/AVG stay exact.
+    Integer SUM/AVG scatter-add into int64, exact and wrapping as
+    ``np.sum`` does.  Float SUM/AVG take ``np.bincount(weights=)``, which
+    adds each group's rows left to right where the scalar path's
+    ``values.sum()`` adds pairwise, so they can differ from it in the last
+    ulps for large groups.  COUNT, MIN and MAX are exact; MIN/MAX start
+    from a member of each group, so NaN propagates and strings compare as
+    strings.
     """
-    num_groups = len(starts)
+    num_groups = len(counts)
     if func == "COUNT" or arr is None:
         states = list(map(CountState.__new__, repeat(CountState, num_groups)))
         for state, n in zip(states, counts):
             state.n = n
         return states
-    if func == "SUM":
-        if np.issubdtype(sorted_arr.dtype, np.integer):
-            # match np.sum's promotion of narrow ints to platform int
-            sorted_arr = sorted_arr.astype(np.int64)
-        sums = np.add.reduceat(sorted_arr, starts)
-        states = list(map(SumState.__new__, repeat(SumState, num_groups)))
-        for state, total in zip(states, sums.tolist()):
-            state.total = total
-            state.seen = True
-        return states
-    if func == "MIN" or func == "MAX":
-        ufunc = np.minimum if func == "MIN" else np.maximum
-        values = ufunc.reduceat(sorted_arr, starts)
-        cls = MinState if func == "MIN" else MaxState
-        states = list(map(cls.__new__, repeat(cls, num_groups)))
-        for state, value in zip(states, values.tolist()):
-            state.value = value
-        return states
-    if func == "AVG":
-        if np.issubdtype(sorted_arr.dtype, np.integer):
-            # Sum exactly in int64 and convert each group total once:
-            # element-wise float conversion first would lose low bits of
-            # values beyond 2**53.
-            totals = [
-                float(t) for t in np.add.reduceat(sorted_arr.astype(np.int64), starts).tolist()
-            ]
+    if func == "SUM" or func == "AVG":
+        exact = arr.dtype.kind in "biu"
+        if exact:
+            sums = np.zeros(size, dtype=np.int64)
+            np.add.at(sums, ids, arr.astype(np.int64, copy=False))
         else:
-            if sorted_arr.dtype != np.float64:
-                sorted_arr = sorted_arr.astype(np.float64)
-            totals = np.add.reduceat(sorted_arr, starts).tolist()
+            sums = np.bincount(ids, weights=arr, minlength=size)
+        totals = sums[bins].tolist()
+        if func == "SUM":
+            states = list(map(SumState.__new__, repeat(SumState, num_groups)))
+            for state, total in zip(states, totals):
+                state.total = total
+                state.seen = True
+            return states
+        if exact:
+            # Convert each exact int64 total once: element-wise float
+            # conversion first would lose low bits of values beyond 2**53.
+            totals = [float(t) for t in totals]
         states = list(map(AvgState.__new__, repeat(AvgState, num_groups)))
         for state, total, n in zip(states, totals, counts):
             state.total = total
             state.n = n
+        return states
+    if func == "MIN" or func == "MAX":
+        ufunc = np.minimum if func == "MIN" else np.maximum
+        values = np.empty(size, dtype=arr.dtype)
+        values[ids] = arr
+        with np.errstate(invalid="ignore"):
+            ufunc.at(values, ids, arr)
+        cls = MinState if func == "MIN" else MaxState
+        states = list(map(cls.__new__, repeat(cls, num_groups)))
+        for state, value in zip(states, values[bins].tolist()):
+            state.value = value
         return states
     raise ExecutionError(f"unknown aggregate function {func!r}")
 
@@ -402,41 +383,31 @@ def partial_aggregate(
     ``key_gathers[i]``, where known, is how a join produced
     ``key_arrays[i]`` (``Frame.gathered``) and only speeds grouping up.
 
-    All reductions are vectorized: one stable sort brings each group's
-    rows together, then every aggregate computes all groups' values in a
-    single ``np.ufunc.reduceat`` / counts pass over the sorted values —
-    no per-group slicing loop.
+    All reductions are vectorized: every row gets a dense group id
+    (``_group_ids``), then every aggregate computes all groups' values in
+    one scatter pass over its column — no sort and no per-group slicing
+    loop.  Without GROUP BY each state reduces its column where it lies.
     """
     partial = GroupedPartial(num_keys=len(key_arrays), agg_funcs=list(agg_funcs))
     partial.rows_scanned = num_rows
-    if num_rows == 0:
-        if not key_arrays:
-            partial.state_for(())  # global aggregate over zero rows still yields a row
-        return partial
     if not key_arrays:
-        order = np.arange(num_rows, dtype=np.int64)
-        starts = np.zeros(1, dtype=np.int64)
-    else:
-        order, starts = _group_order(key_arrays, num_rows, key_gathers)
-    counts = np.diff(np.append(starts, num_rows)).tolist()
-    # Sorted gathers are shared between aggregates over the same column
-    # (COUNT(x) / SUM(x) / AVG(x) all reference x once).
-    sorted_cache: Dict[int, np.ndarray] = {}
-    columns = []
-    for func, arr in zip(partial.agg_funcs, agg_arrays):
-        sorted_arr = None
-        if arr is not None and func != "COUNT":
-            sorted_arr = sorted_cache.get(id(arr))
-            if sorted_arr is None:
-                sorted_arr = np.asarray(arr)[order]
-                sorted_cache[id(arr)] = sorted_arr
-        columns.append(_state_column(func, arr, sorted_arr, starts, counts))
-    # Group-key tuples, converted to Python scalars in one pass per column.
-    reps = order[starts]
-    key_cols = [_canonical_key_values(col[reps].tolist()) for col in key_arrays]
-    if key_cols:
-        keys = zip(*key_cols)
-    else:
-        keys = [()]
+        # A global aggregate yields its one row even over zero rows.
+        for state, arr in zip(partial.state_for(()), agg_arrays):
+            if arr is None:
+                state.update_count(num_rows)
+            else:
+                state.update(arr)
+        return partial
+    if num_rows == 0:
+        return partial
+    ids, size, keys_at = _group_ids(key_arrays, num_rows, key_gathers)
+    counts = np.bincount(ids, minlength=size)
+    bins = np.flatnonzero(counts)
+    counts = counts[bins].tolist()
+    columns = [
+        _group_states(func, arr, ids, size, bins, counts)
+        for func, arr in zip(partial.agg_funcs, agg_arrays)
+    ]
+    keys = zip(*keys_at(bins))
     partial.groups = dict(zip(keys, map(list, zip(*columns))))
     return partial

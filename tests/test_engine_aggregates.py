@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.engine.aggregates import (
     GroupedPartial,
-    group_rows,
+    _group_ids,
     make_state,
     partial_aggregate,
 )
@@ -69,21 +69,32 @@ def test_unknown_aggregate():
         make_state("MEDIAN")
 
 
-def test_group_rows_no_keys():
-    ids, reps = group_rows([], 4)
-    assert list(ids) == [0, 0, 0, 0]
-    assert list(reps) == [0]
+def test_group_ids_no_keys():
+    ids, size, keys_at = _group_ids([], 4)
+    assert ids.tolist() == [0, 0, 0, 0]
+    assert size == 1
+    assert keys_at(np.array([0])) == []
 
 
-def test_group_rows_multi_key():
+def test_group_ids_multi_key():
     k1 = np.array([1, 1, 2, 2, 1])
     k2 = np.array([0, 1, 0, 0, 0])
-    ids, reps = group_rows([k1, k2], 5)
+    ids, size, keys_at = _group_ids([k1, k2], 5)
     # groups: (1,0) -> rows 0,4 ; (1,1) -> row 1 ; (2,0) -> rows 2,3
-    assert len(reps) == 3
+    assert ids.min() >= 0 and ids.max() < size
     assert ids[0] == ids[4]
     assert ids[2] == ids[3]
-    assert len({ids[0], ids[1], ids[2]}) == 3
+    # ids ascend with the key tuple
+    assert ids[0] < ids[1] < ids[2]
+    bins = np.unique(ids)
+    assert [list(t) for t in zip(*keys_at(bins))] == [[1, 0], [1, 1], [2, 0]]
+
+
+def test_group_ids_single_int_key_is_its_own_id():
+    keys = np.array([7, -3, 7, 0], dtype=np.int8)
+    ids, size, keys_at = _group_ids([keys], 4)
+    assert ids.tolist() == [10, 0, 10, 3] and size == 11
+    assert keys_at(np.array([0, 3, 10])) == [[-3, 0, 7]]
 
 
 def test_partial_aggregate_grouped():

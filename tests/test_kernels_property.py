@@ -9,11 +9,14 @@ bit-for-bit (float sums use exactly-representable values — sixteenths —
 so summation order cannot shift the result).
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.aggregates import make_state, partial_aggregate
+from repro.engine.aggregates import _group_ids, make_state, partial_aggregate
 from repro.engine.operators import hash_join, sort_frame
 from repro.index.bitmap import BitVector, rle_compress, rle_decompress
 from repro.planner.expressions import Frame
@@ -424,6 +427,135 @@ def test_partial_aggregate_general_floats_within_tolerance(data):
         assert g[0] == w[0] and g[2] == w[2] and g[3] == w[3]
         assert g[1] == pytest.approx(w[1], rel=1e-9, abs=slack)
         assert g[4] == pytest.approx(w[4], rel=1e-9, abs=slack / g[0])
+
+
+# The grouping path's boundaries: a single int key is its own group id up
+# to a span of max(rows, 1024); any other key is ranked, combined in mixed
+# radix and re-densified once the radix product outgrows that bound.
+
+_ALL_FUNCS = ["COUNT", "SUM", "MIN", "MAX", "AVG", "SUM", "AVG"]
+
+
+def _same(a, b):
+    """Equal with the same type, NaN compared as NaN."""
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
+        return True
+    return type(a) is type(b) and a == b
+
+
+def _assert_same_groups(got, want):
+    # Same groups in the scalar loop's ascending key order, same finals.
+    assert list(got.groups) == list(want)
+    for key, states in got.groups.items():
+        finals = [s.final() for s in states]
+        ref = [s.final() for s in want[key]]
+        assert all(map(_same, finals, ref)), (key, finals, ref)
+
+
+def _aggregate_both(keys, n, rng):
+    values = rng.integers(-4096, 4096, n) / 16.0
+    ints = rng.integers(-(10**9), 10**9, n)
+    arrays = [None, values, values, values, values, ints, ints]
+    return (partial_aggregate(keys, _ALL_FUNCS, arrays, n),
+            _reference_partial_aggregate(keys, _ALL_FUNCS, arrays, n))
+
+
+@pytest.mark.parametrize("rows", [50, 2000])
+@pytest.mark.parametrize("past_cap", [-1, 0, 1])
+def test_int_key_span_at_the_direct_id_boundary(rows, past_cap):
+    cap = max(rows, 1024)
+    span = cap + past_cap
+    rng = np.random.default_rng(rows + past_cap)
+    keys = rng.integers(0, span, rows) - 7
+    keys[0], keys[1] = -7, span - 8  # pin the span exactly
+    _ids, size, _keys_at = _group_ids([keys], rows)
+    assert size == (span if span <= cap else len(np.unique(keys)))
+    _assert_same_groups(*_aggregate_both([keys], rows, rng))
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.array([-5, -1, -5, -3, -1], dtype=np.int64),
+        np.array([-(2**63), 2**63 - 1, -(2**63), 0, 2**63 - 1], dtype=np.int64),
+        np.array([2**63 - 1, 2**63 - 3, 2**63 - 1], dtype=np.int64),
+        np.array([-(2**63), -(2**63) + 2, -(2**63)], dtype=np.int64),
+        np.array([-128, 127, 0, -128], dtype=np.int8),
+        np.array([True, False, True, True], dtype=bool),
+        np.array([42], dtype=np.int64),
+        np.array([-0.5], dtype=np.float64),
+    ],
+    ids=["negative", "wide", "near-max", "near-min", "int8-full-span", "bool", "one-row",
+         "one-float-row"],
+)
+def test_edge_keys_match_scalar_reference(keys):
+    got, want = _aggregate_both([keys], len(keys), np.random.default_rng(3))
+    _assert_same_groups(got, want)
+    # bool keys stay bools, not the 0/1 of an integer id
+    assert [type(k[0]) for k in got.groups] == [type(k[0]) for k in want]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_radix_product_beyond_rows_is_redensified(seed):
+    rng = np.random.default_rng(seed)
+    n = 300
+    k1 = rng.integers(-(10**12), 10**12, 40)[rng.integers(0, 40, n)]
+    k2 = _column("str", rng.integers(0, 10**6, 40)[rng.integers(0, 40, n)].tolist())
+    k3 = rng.integers(0, 3, n)
+    assert len(np.unique(k1)) * len(np.unique(k2)) > max(n, 1024)
+    keys = [k1, k2, k3]
+    ids, size, _keys_at = _group_ids(keys, n)
+    assert size <= max(n, 1024) and ids.max() < size
+    _assert_same_groups(*_aggregate_both(keys, n, rng))
+
+
+nan_floats = st.one_of(exact_floats, st.just(float("nan")))
+
+
+@pytest.mark.parametrize("grouped", [True, False])
+@given(data=st.data())
+def test_nan_arguments_propagate_like_scalar_reference(grouped, data):
+    n = data.draw(st.integers(1, 40))
+    keys = [_column("int", data.draw(st.lists(small_ints, min_size=n, max_size=n)))]
+    keys = keys if grouped else []
+    values = np.asarray(data.draw(st.lists(nan_floats, min_size=n, max_size=n)), dtype=np.float64)
+    funcs = ["SUM", "MIN", "MAX", "AVG"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = partial_aggregate(keys, funcs, [values] * 4, n)
+    _assert_same_groups(got, _reference_partial_aggregate(keys, funcs, [values] * 4, n))
+
+
+@given(data=st.data(), family=key_families)
+def test_string_min_max_match_scalar_reference(data, family):
+    n = data.draw(st.integers(1, 40))
+    keys = _column(family, data.draw(st.lists(_family_strategy(family), min_size=n, max_size=n)))
+    values = _column("str", data.draw(st.lists(words, min_size=n, max_size=n)))
+    funcs = ["MIN", "MAX", "COUNT"]
+    got = partial_aggregate([keys], funcs, [values] * 3, n)
+    _assert_same_groups(got, _reference_partial_aggregate([keys], funcs, [values] * 3, n))
+
+
+def test_int64_sum_exact_beyond_double_precision_in_one_group():
+    values = np.array([2**53 + 1, 5, 2**53 + 3, 2**60 + 1], dtype=np.int64)
+    keys = np.array([0, 1, 0, 0], dtype=np.int64)
+    got = partial_aggregate([keys], ["SUM", "AVG"], [values] * 2, 4)
+    want = _reference_partial_aggregate([keys], ["SUM", "AVG"], [values] * 2, 4)
+    assert got.groups[(0,)][0].final() == 2**53 + 1 + 2**53 + 3 + 2**60 + 1
+    _assert_same_groups(got, want)
+
+
+@given(values=st.lists(st.floats(-1e300, 1e300), min_size=0, max_size=60))
+def test_global_aggregate_is_the_scalar_state_over_the_column(values):
+    # Arbitrary doubles, not only sixteenths: without GROUP BY the partial
+    # is AggregateState.update over the whole column, bit for bit.
+    arr = np.asarray(values, dtype=np.float64)
+    funcs = ["SUM", "AVG", "MIN", "MAX", "COUNT"]
+    got = partial_aggregate([], funcs, [arr] * 5, len(arr))
+    for func, state in zip(funcs, got.groups[()]):
+        scalar = make_state(func)
+        scalar.update(arr)
+        assert _same(state.final(), scalar.final()), func
 
 
 # -- sort ------------------------------------------------------------------
