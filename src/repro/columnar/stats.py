@@ -33,6 +33,11 @@ class ColumnHistogram:
     def build(cls, array: np.ndarray, bins: int = DEFAULT_BINS) -> "ColumnHistogram":
         if array.dtype == object or array.dtype == np.bool_:
             raise StorageError("histograms are built over numeric columns only")
+        if array.dtype.kind == "f":
+            # NaN matches no comparison, and NaN or ±inf bounds no bin.
+            finite = np.isfinite(array)
+            if not finite.all():
+                array = array[finite]
         n = len(array)
         if n == 0:
             return cls(0.0, 0.0, tuple([0] * bins), 0, 0)

@@ -101,9 +101,11 @@ class MinState(AggregateState):
             self.value = lo
 
     def merge(self, other: AggregateState) -> None:
-        if other.value is not None:  # type: ignore[attr-defined]
-            if self.value is None or other.value < self.value:  # type: ignore[attr-defined]
-                self.value = other.value  # type: ignore[attr-defined]
+        value = other.value  # type: ignore[attr-defined]
+        # A NaN wins, as in np.minimum: the result is NaN whichever
+        # partial holds it and whichever arrives first.
+        if value is not None and (self.value is None or value < self.value or value != value):
+            self.value = value
 
     def final(self):
         return _to_python(self.value)
@@ -125,9 +127,9 @@ class MaxState(AggregateState):
             self.value = hi
 
     def merge(self, other: AggregateState) -> None:
-        if other.value is not None:  # type: ignore[attr-defined]
-            if self.value is None or other.value > self.value:  # type: ignore[attr-defined]
-                self.value = other.value  # type: ignore[attr-defined]
+        value = other.value  # type: ignore[attr-defined]
+        if value is not None and (self.value is None or value > self.value or value != value):
+            self.value = value
 
     def final(self):
         return _to_python(self.value)
@@ -232,26 +234,17 @@ def _canonical_key_values(values: List) -> List:
     return [_NAN_KEY if isinstance(v, float) and v != v else v for v in values]
 
 
-#: ``(source, index)`` with ``column == source[index]`` (``Frame.gathered``).
-Gather = Tuple[np.ndarray, np.ndarray]
-
-
-def _dense_codes(col: np.ndarray, gather: Optional[Gather] = None) -> Tuple[np.ndarray, int]:
+def _dense_codes(col: np.ndarray) -> Tuple[np.ndarray, int]:
     """``(codes, cardinality)``: each value's rank among sorted distinct
     values, order-equivalent to ``np.unique(col, return_inverse=True)``.
 
-    A column a join gathered from a shorter build side is ranked on that
-    side and the ranks mapped through the gather index (the cardinality
-    is then the build side's).  Other string columns are ranked by
-    hashing — one dict probe per row plus a sort of the distinct values.
-    Sorting the object array instead costs ``n log n`` string comparisons
-    per task, which made a group-by on a string key cost in proportion
-    to how many rows the query's predicates let through.  Anything that
-    is not all ``str`` takes ``np.unique``.
+    String columns are ranked by hashing — one dict probe per row plus a
+    sort of the distinct values.  Sorting the object array instead costs
+    ``n log n`` string comparisons per task, which made a group-by on a
+    string key cost in proportion to how many rows the query's
+    predicates let through.  Anything that is not all ``str`` takes
+    ``np.unique``.
     """
-    if gather is not None and len(gather[0]) <= len(col):
-        codes, cardinality = _dense_codes(gather[0])
-        return codes[gather[1]], cardinality
     if col.dtype == object:
         values = col.tolist()
         try:
@@ -267,9 +260,7 @@ def _dense_codes(col: np.ndarray, gather: Optional[Gather] = None) -> Tuple[np.n
 
 
 def _group_ids(
-    key_arrays: Sequence[np.ndarray],
-    num_rows: int,
-    key_gathers: Optional[Sequence[Optional[Gather]]] = None,
+    key_arrays: Sequence[np.ndarray], num_rows: int
 ) -> Tuple[np.ndarray, int, Callable[[np.ndarray], List[list]]]:
     """Each row's group id, ascending with the key tuple (``np.unique`` order).
 
@@ -290,12 +281,13 @@ def _group_ids(
         span = int(col.max()) - lo + 1
         if span <= cap:
             # Widen before rebasing: a narrow dtype would wrap in ``col - lo``.
-            ids = col.astype(np.int64, copy=False) - lo
+            ids = col.astype(np.int64, copy=False)
+            if lo:
+                ids = ids - lo
             return ids, span, lambda bins: [(bins + lo).tolist()]
-    gathers = key_gathers or [None] * len(key_arrays)
     ids, size = np.zeros(num_rows, dtype=np.int64), 1
-    for col, gather in zip(key_arrays, gathers):
-        codes, cardinality = _dense_codes(col, gather)
+    for col in key_arrays:
+        codes, cardinality = _dense_codes(col)
         ids = codes if size == 1 else ids * np.int64(cardinality) + codes
         size *= cardinality
         if size > cap:
@@ -375,13 +367,10 @@ def partial_aggregate(
     agg_funcs: Sequence[str],
     agg_arrays: Sequence[Optional[np.ndarray]],
     num_rows: int,
-    key_gathers: Optional[Sequence[Optional[Gather]]] = None,
 ) -> GroupedPartial:
     """Aggregate one frame into per-group partial states.
 
-    ``agg_arrays[i]`` is None for COUNT(*) (row counting needs no column);
-    ``key_gathers[i]``, where known, is how a join produced
-    ``key_arrays[i]`` (``Frame.gathered``) and only speeds grouping up.
+    ``agg_arrays[i]`` is None for COUNT(*) (row counting needs no column).
 
     All reductions are vectorized: every row gets a dense group id
     (``_group_ids``), then every aggregate computes all groups' values in
@@ -400,7 +389,7 @@ def partial_aggregate(
         return partial
     if num_rows == 0:
         return partial
-    ids, size, keys_at = _group_ids(key_arrays, num_rows, key_gathers)
+    ids, size, keys_at = _group_ids(key_arrays, num_rows)
     counts = np.bincount(ids, minlength=size)
     bins = np.flatnonzero(counts)
     counts = counts[bins].tolist()

@@ -12,6 +12,12 @@ Leaf path, per block (§IV-C-3 / Fig 7):
    filter;
 4. produce either per-group partial aggregates or a projected row frame.
 
+An aggregate whose plan carries ``eager_join`` swaps steps 3 and 4 when
+the dimensions' key tuples are distinct and free of NaN: the fact rows
+are aggregated per join key, and only those partial rows are joined,
+filtered and merged into the query's groups (S67).  It charges what the
+row-by-row join would have charged.
+
 Master path: merge partials bottom-up, materialize aggregate columns,
 apply HAVING / ORDER BY / LIMIT, and project the output schema.
 
@@ -23,6 +29,8 @@ cluster charges these against its device models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import itemgetter
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,9 +38,10 @@ import numpy as np
 from repro.columnar.block import Block
 from repro.columnar.encoding import ChunkReader
 from repro.columnar.schema import DataType, coerce_array
-from repro.engine.aggregates import GroupedPartial, partial_aggregate
+from repro.engine.aggregates import GroupedPartial, _canonical_key_values, partial_aggregate
 from repro.engine.operators import (
     apply_filter,
+    directly_comparable,
     join,
     limit_frame,
     prefix_columns,
@@ -50,7 +59,7 @@ from repro.planner.cost import (
     atom_saved_seconds,
 )
 from repro.planner.expressions import Frame, evaluate, make_qualified_resolver
-from repro.planner.physical import PhysicalPlan, ScanTask
+from repro.planner.physical import BroadcastTable, EagerJoin, PhysicalPlan, ScanTask
 from repro.sql.analyzer import AnalyzedQuery
 from repro.sql.ast import (
     AggregateCall,
@@ -323,10 +332,16 @@ def _finish_task(
     report: TaskExecutionReport,
     layout=None,
 ) -> TaskResult:
-    """Joins, post-join filter, then partial aggregate or projection."""
+    """Joins, post-join filter, then partial aggregate or projection —
+    or, where :func:`_aggregate_then_join` can, the aggregate first."""
     analyzed = plan.analyzed
     qualified = plan.has_joins
     if qualified:
+        eager = plan.shape.eager_join
+        if eager is not None:
+            partial = _aggregate_then_join(frame, plan, eager, broadcast_frames or {}, report, layout)
+            if partial is not None:
+                return TaskResult(task.task_id, partial=partial, report=report)
         frame = prefix_columns(frame, task.binding)
         frame = _apply_broadcast_joins(
             frame, plan, broadcast_frames or {}, report, layout=layout
@@ -621,14 +636,12 @@ def _apply_broadcast_joins(
     report: TaskExecutionReport,
     layout=None,
 ) -> Frame:
-    analyzed = plan.analyzed
     for bc in plan.broadcasts:
         try:
             dim = broadcast_frames[bc.binding]
         except KeyError:
             raise ExecutionError(f"missing broadcast table {bc.binding!r}") from None
         dim_q = prefix_columns(dim, bc.binding)
-        resolve = make_qualified_resolver(frame)
         before = frame.num_rows
         frame = join(
             frame,
@@ -641,16 +654,132 @@ def _apply_broadcast_joins(
                 Frame({**frame.columns, **dim_q.columns}, 0)
             ),
         )
-        # Co-partitioned variant (S54): when the probe side arrives
-        # clustered by the join key, the hash probe's cache behaviour
-        # halves the effective per-row rate.
-        factor = 3.0
-        if layout is not None and layout.copartition_column is not None:
-            cond_cols = _expr_columns(bc.condition) if bc.condition is not None else set()
-            if layout.copartition_column in cond_cols:
-                factor = 1.5
-        report.cpu_ops += factor * (before + dim.num_rows)
+        report.cpu_ops += _join_rate(bc, layout) * (before + dim.num_rows)
     return frame
+
+
+def _join_rate(bc: BroadcastTable, layout) -> float:
+    """CPU ops a broadcast join charges per probe and per build row.
+
+    Co-partitioned variant (S54): when the probe side arrives clustered
+    by the join key, the hash probe's cache behaviour halves the rate.
+    """
+    if (
+        layout is not None
+        and layout.copartition_column is not None
+        and bc.condition is not None
+        and layout.copartition_column in _expr_columns(bc.condition)
+    ):
+        return 1.5
+    return 3.0
+
+
+def _aggregate_then_join(
+    frame: Frame,
+    plan: PhysicalPlan,
+    eager: EagerJoin,
+    broadcast_frames: Dict[str, Frame],
+    report: TaskExecutionReport,
+    layout=None,
+) -> Optional[GroupedPartial]:
+    """Eager aggregation across the broadcast joins (S67).
+
+    The fact rows are aggregated per tuple of join keys; each tuple is
+    looked up in every dimension's key dict (one row or none, INNER),
+    the residual filter runs on those partial rows, and their states are
+    merged into the query's groups with ``AggregateState.merge``, the
+    stems' rule.  Float SUM/AVG therefore add per key, then across keys.
+
+    Returns None, having charged nothing, when a dimension's key tuples
+    repeat or hold NaN, or a key pair is not ``directly_comparable``:
+    the caller then joins row by row.  Otherwise every charge is the
+    row-by-row path's formula over the row counts it would have seen.
+    """
+    analyzed = plan.analyzed
+    fact_keys = [frame.columns[name] for name in eager.fact_keys]
+    lookups = []
+    for bc, (positions, dim_keys) in zip(plan.broadcasts, eager.joins):
+        dim = broadcast_frames.get(bc.binding)
+        if dim is None:
+            return None
+        columns = [dim.columns[name] for name in dim_keys]
+        for pos, col in zip(positions, columns):
+            if not directly_comparable(fact_keys[pos], col) or (
+                col.dtype.kind == "f" and np.isnan(col).any()
+            ):
+                return None
+        # Keyed the way ``itemgetter(*positions)`` reads a fact key tuple:
+        # by the value for one column, by a tuple for several.
+        values = [col.tolist() for col in columns]
+        index = dict(zip(values[0] if len(values) == 1 else zip(*values), range(dim.num_rows)))
+        if len(index) != dim.num_rows:
+            return None
+        lookups.append((bc, dim, itemgetter(*positions), index))
+
+    resolve = _resolver_for(analyzed, frame, False)
+    funcs = [agg.func for agg in analyzed.aggregates]
+    args = [
+        None if isinstance(agg.argument, Star) else evaluate(agg.argument, frame, resolve)
+        for agg in analyzed.aggregates
+    ]
+    # Each key's row count is the state of a COUNT, from the same grouping
+    # (with no NULLs every COUNT counts rows); else of a trailing COUNT(*).
+    extra = "COUNT" not in funcs
+    per_key = partial_aggregate(
+        fact_keys, funcs + ["COUNT"] * extra, args + [None] * extra, frame.num_rows
+    )
+    keys = list(per_key.groups)
+    states = list(per_key.groups.values())
+    if extra:
+        counts = [s.pop().n for s in states]
+    else:
+        at = funcs.index("COUNT")
+        counts = [s[at].n for s in states]
+
+    # ``alive``: the keys still joined; ``rows``: the row-by-row path's rows.
+    alive = range(len(keys))
+    rows = frame.num_rows
+    found = []
+    for bc, dim, key_of, index in lookups:
+        report.cpu_ops += _join_rate(bc, layout) * (rows + dim.num_rows)
+        dim_rows = list(map(index.get, map(key_of, keys)))
+        alive = [i for i in alive if dim_rows[i] is not None]
+        rows = sum(map(counts.__getitem__, alive))
+        found.append(dim_rows)
+    joined: Dict[str, np.ndarray] = {}
+    for (bc, dim, _, _), dim_rows in zip(lookups, found):
+        at = [dim_rows[i] for i in alive]
+        joined.update({f"{bc.binding}.{name}": col[at] for name, col in dim.columns.items()})
+    partial_rows = Frame(joined, len(alive))
+
+    if plan.post_filter is not None and rows > 0:
+        resolve = _resolver_for(analyzed, partial_rows, True)
+        mask = evaluate(plan.post_filter, partial_rows, resolve).astype(np.bool_)
+        report.cpu_ops += 2.0 * rows
+        partial_rows = partial_rows.take(mask)
+        alive = list(compress(alive, mask))
+        rows = sum(map(counts.__getitem__, alive))
+    report.cpu_ops += 2.0 * rows * max(1, len(funcs))
+
+    out = GroupedPartial(len(eager.group_keys), funcs)
+    out.rows_scanned = rows
+    columns = [
+        [keys[i][k] for i in alive]
+        if isinstance(k, int)
+        else _canonical_key_values(partial_rows.columns[k].tolist())
+        for k in eager.group_keys
+    ]
+    if not columns:
+        out.state_for(())  # a global aggregate yields its row even over zero rows
+    groups = out.groups
+    for group, i in zip(zip(*columns) if columns else repeat(()), alive):
+        mine = groups.get(group)
+        if mine is None:
+            groups[group] = states[i]
+        else:
+            for state, other in zip(mine, states[i]):
+                state.merge(other)
+    return out
 
 
 def _rewrite(expr: Expr, mapping: Dict[Expr, Column]) -> Expr:
@@ -674,10 +803,6 @@ def _partial_aggregate(frame: Frame, plan: PhysicalPlan, qualified: bool) -> Gro
     analyzed = plan.analyzed
     resolve = _resolver_for(analyzed, frame, qualified)
     key_arrays = [evaluate(k, frame, resolve) for k in analyzed.group_keys]
-    key_gathers = [
-        frame.gathered.get(resolve(k)) if isinstance(k, Column) else None
-        for k in analyzed.group_keys
-    ]
     agg_arrays: List[Optional[np.ndarray]] = []
     for agg in analyzed.aggregates:
         if isinstance(agg.argument, Star):
@@ -685,8 +810,7 @@ def _partial_aggregate(frame: Frame, plan: PhysicalPlan, qualified: bool) -> Gro
         else:
             agg_arrays.append(evaluate(agg.argument, frame, resolve))
     return partial_aggregate(
-        key_arrays, [a.func for a in analyzed.aggregates], agg_arrays, frame.num_rows,
-        key_gathers,
+        key_arrays, [a.func for a in analyzed.aggregates], agg_arrays, frame.num_rows
     )
 
 

@@ -113,6 +113,14 @@ def _hash_codes(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return combined
 
 
+def directly_comparable(a: np.ndarray, b: np.ndarray) -> bool:
+    """Join key columns whose values compare as they are: one dtype, or
+    both numeric."""
+    return a.dtype == b.dtype or (
+        np.issubdtype(a.dtype, np.number) and np.issubdtype(b.dtype, np.number)
+    )
+
+
 def hash_join(
     left: Frame,
     right: Frame,
@@ -134,9 +142,6 @@ def hash_join(
     left-row-major order with right matches ascending, exactly like the
     scalar build/probe loop this replaces; swapping the build side would
     change that order, so we do not.
-
-    String columns of the build side that reach the output by a pure
-    gather (no outer padding) are also recorded in ``Frame.gathered``.
     """
     overlap = set(left.columns) & set(right.columns)
     if overlap:
@@ -153,10 +158,7 @@ def hash_join(
         raise ExecutionError("hash join needs at least one key")
 
     la, ra = left_arrays[0], right_arrays[0]
-    if len(left_arrays) == 1 and (
-        la.dtype == ra.dtype
-        or (np.issubdtype(la.dtype, np.number) and np.issubdtype(ra.dtype, np.number))
-    ):
+    if len(left_arrays) == 1 and directly_comparable(la, ra):
         # Single comparable key: the values themselves are the codes — no
         # factorize pass over the concatenated columns needed.
         l_codes, r_codes = la, ra
@@ -230,15 +232,12 @@ def hash_join(
         if pad:
             matched_part = np.concatenate((matched_part, col[unmatched]))
         out[name] = matched_part
-    gathered: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
     for name, col in right.columns.items():
         matched_part = col[ri]
         if pad:
             matched_part = np.concatenate((matched_part, _default_pad(col, pad)))
-        elif col.dtype == object:
-            gathered[name] = (col, ri)
         out[name] = matched_part
-    return Frame(out, total + pad, gathered)
+    return Frame(out, total + pad)
 
 
 def cross_join(left: Frame, right: Frame) -> Frame:

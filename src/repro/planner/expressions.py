@@ -13,9 +13,9 @@ post-join against a combined frame (``binding.column`` names).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -41,13 +41,6 @@ class Frame:
 
     columns: Dict[str, np.ndarray]
     num_rows: int
-    #: ``name -> (source, index)`` for columns a join produced as
-    #: ``source[index]`` from its build side, so that GROUP BY can rank
-    #: the short source and map the ranks through ``index``.  A hint
-    #: only: operations that build a new frame drop it.
-    gathered: Dict[str, Tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
 
     @classmethod
     def from_columns(cls, columns: Dict[str, np.ndarray]) -> "Frame":

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.columnar.table import BlockRef
 from repro.planner.cnf import AtomicPredicate, Clause, ConjunctiveForm, to_cnf
@@ -75,6 +75,29 @@ class BroadcastTable:
 
 
 @dataclass(frozen=True)
+class EagerJoin:
+    """An aggregate a leaf may compute per join key before it joins (S67).
+
+    Eager aggregation (Yan & Larson, VLDB 1995) is valid here when every
+    broadcast is an INNER join on fact-column = dimension-column pairs,
+    every aggregate reads only fact columns, every group key is a plain
+    dimension column or a fact join-key column, and the residual filter
+    reads only dimension columns.  What only the data can tell — that
+    each dimension's key tuples are distinct and free of NaN — the leaf
+    checks per task.
+    """
+
+    #: Fact columns the fact rows are grouped by.
+    fact_keys: Tuple[str, ...]
+    #: Per broadcast: positions in ``fact_keys`` and the dimension columns
+    #: they equal, pairwise.
+    joins: Tuple[Tuple[Tuple[int, ...], Tuple[str, ...]], ...]
+    #: Per group key: its position in ``fact_keys``, or the
+    #: ``binding.column`` name of the dimension column it reads.
+    group_keys: Tuple[Union[int, str], ...]
+
+
+@dataclass(frozen=True)
 class PlanShape:
     """The half of a plan that depends on the statement alone — the same
     for every execution, so it is derived once (:func:`plan_shape`)."""
@@ -97,6 +120,8 @@ class PlanShape:
     task_signature_base: Tuple
     #: The statement half of :func:`plan_fingerprint`'s digest input.
     fingerprint_head: bytes
+    #: Set when a leaf may aggregate its fact rows before the joins.
+    eager_join: Optional[EagerJoin] = None
 
 
 @dataclass
@@ -187,6 +212,9 @@ def _derive_shape(analyzed: AnalyzedQuery) -> PlanShape:
             ),
         ),
         fingerprint_head="".join(head).encode(),
+        eager_join=(
+            _eager_join(analyzed, broadcasts, post_filter, payload_columns) if broadcasts else None
+        ),
     )
 
 
@@ -310,6 +338,79 @@ def _build_broadcasts(analyzed: AnalyzedQuery) -> List[BroadcastTable]:
     for join in analyzed.query.joins:
         add(join.table.binding, join.kind, join.condition)
     return broadcasts
+
+
+def _eager_join(
+    analyzed: AnalyzedQuery,
+    broadcasts: Sequence[BroadcastTable],
+    post_filter: Optional[Expr],
+    payload_columns: Sequence[str],
+) -> Optional[EagerJoin]:
+    """The :class:`EagerJoin` of an aggregate over broadcast joins, or None.
+
+    Sides come from ``analyzed.resolutions``, not from ``Column.table``:
+    ``equi_join_keys`` orients a pair by its qualifiers only, so an
+    unqualified ``ON`` would mislabel them.
+    """
+    from repro.engine.operators import equi_join_keys  # the engine imports this module
+
+    if not analyzed.is_aggregate:
+        return None
+    base = analyzed.base_binding
+    dims = {bc.binding for bc in broadcasts}
+    frame_columns = [(base, payload_columns)] + [(bc.binding, bc.columns) for bc in broadcasts]
+
+    def reads_only(expr: Expr, bindings) -> bool:
+        for node in walk(expr):
+            if isinstance(node, Column):
+                res = analyzed.resolutions.get((node.table, node.name))
+                if res is not None:
+                    binding = res.binding
+                elif node.table is None:
+                    # A residual atom has lost its qualifier; the joined
+                    # frame resolves it to the first column of that name.
+                    binding = next((b for b, cols in frame_columns if node.name in cols), None)
+                else:
+                    return False
+                if binding not in bindings:
+                    return False
+        return True
+
+    fact_keys: List[str] = []
+    joins = []
+    for bc in broadcasts:
+        if bc.kind is not JoinKind.INNER or bc.condition is None:
+            return None
+        pairs = equi_join_keys(bc.condition, base, bc.binding)
+        if pairs is None:
+            return None
+        positions, dim_columns = [], []
+        for a, b in pairs:
+            fact = analyzed.resolutions.get((a.table, a.name))
+            dim = analyzed.resolutions.get((b.table, b.name))
+            if fact is not None and fact.binding != base:
+                fact, dim = dim, fact
+            if fact is None or dim is None or fact.binding != base or dim.binding != bc.binding:
+                return None
+            if fact.field.name not in fact_keys:
+                fact_keys.append(fact.field.name)
+            positions.append(fact_keys.index(fact.field.name))
+            dim_columns.append(dim.field.name)
+        joins.append((tuple(positions), tuple(dim_columns)))
+    if not all(reads_only(agg.argument, (base,)) for agg in analyzed.aggregates):
+        return None
+    if post_filter is not None and not reads_only(post_filter, dims):
+        return None
+    group_keys: List[Union[int, str]] = []
+    for key in analyzed.group_keys:
+        res = analyzed.resolutions.get((key.table, key.name)) if isinstance(key, Column) else None
+        if res is not None and res.binding in dims:
+            group_keys.append(res.qualified)
+        elif res is not None and res.binding == base and res.field.name in fact_keys:
+            group_keys.append(fact_keys.index(res.field.name))
+        else:
+            return None
+    return EagerJoin(tuple(fact_keys), tuple(joins), tuple(group_keys))
 
 
 def _payload_columns(

@@ -145,6 +145,20 @@ DIFFERENTIAL_QUERIES = [
     "SELECT COUNT(*) AS n FROM T WHERE c1 > 10000",
     "SELECT COUNT(*) AS n FROM T WHERE NOT (url CONTAINS 'site1') AND c2 <= 4",
     "SELECT c1 AS a FROM T WHERE c1 < 3 OR c2 = 9 ORDER BY a LIMIT 50",
+    # Join aggregates a leaf computes per join key before joining (S67) ...
+    "SELECT T.c2 AS k, label AS g, COUNT(*) AS n, SUM(clicks) AS s FROM T "
+    "JOIN D ON T.c2 = D.c2 WHERE c1 < 60 GROUP BY k, g ORDER BY k, g",
+    "SELECT COUNT(*) AS n, SUM(clicks) AS s FROM T JOIN D ON T.c2 = D.c2",
+    "SELECT label AS g, MIN(url) AS lo, MAX(clicks) AS hi FROM T "
+    "JOIN D ON T.c2 = D.c2 GROUP BY g ORDER BY g",
+    "SELECT label AS g, COUNT(*) AS n FROM T JOIN D ON T.c2 = D.c2 "
+    "WHERE weight > 0.5 GROUP BY g ORDER BY g",
+    # ... and near misses that join row by row: a residual reading both
+    # sides, an outer join.
+    "SELECT label AS g, COUNT(*) AS n FROM T JOIN D ON T.c2 = D.c2 "
+    "WHERE c1 > weight * 100 GROUP BY g ORDER BY g",
+    "SELECT label AS g, COUNT(*) AS n, AVG(clicks) AS a FROM T "
+    "LEFT JOIN D ON T.c2 = D.c2 GROUP BY g ORDER BY g",
 ]
 
 

@@ -47,6 +47,16 @@ def test_histogram_empty():
     assert h.selectivity(">", 1) == 0.0
 
 
+def test_histogram_over_nan_and_inf_describes_the_finite_values():
+    # A float column holding NaN or ±inf used to fail the table load
+    # (np.histogram refuses a non-finite range).
+    arr = np.array([np.nan, 1.0, 3.0, np.inf, -np.inf, np.nan], dtype=np.float64)
+    h = ColumnHistogram.build(arr)
+    assert (h.lo, h.hi, h.total) == (1.0, 3.0, 2)
+    assert h.fraction_le(2.0) == pytest.approx(0.5)
+    assert ColumnHistogram.build(np.full(3, np.nan)).total == 0
+
+
 def test_histogram_rejects_strings():
     with pytest.raises(StorageError):
         ColumnHistogram.build(np.array(["a"], dtype=object))

@@ -7,9 +7,9 @@ subsystem from one that only its own tests drive.  This census runs the
 tracer of ``tools/coverage_gate.py``:
 
 * the chaos matrix (``tests/chaos`` + ``tests/test_soak_chaos.py``);
-* the figure tier (``pytest benchmarks`` without the ``bench.py``
-  suites and the e2e smoke test; it rewrites ``benchmarks/results/``
-  byte-identically);
+* the figure tier (``pytest benchmarks --benchmark-disable`` without
+  the ``bench.py`` suites and the e2e smoke test; it rewrites
+  ``benchmarks/results/`` byte-identically);
 * every ``examples/*.py`` walkthrough;
 * ``run.py --smoke`` of the five end-to-end workloads, metrics and
   layers (``benchmarks/e2e``).
@@ -46,8 +46,12 @@ from coverage_gate import (  # noqa: E402
 )
 
 E2E_DIR = os.path.join(ROOT, "benchmarks", "e2e")
+#: How the census runs pytest.  pytest-benchmark clears ``sys.settrace``
+#: for the timed call of ``benchmark.pedantic(...)``, so with timing on
+#: whatever a figure reaches only from its timed body reads as unreached.
+PYTEST_ARGS = ["-q", "-p", "no:cacheprovider", "--benchmark-disable"]
 #: The chaos matrix, then the figure tier, relative to the repo root.
-PYTEST_ARGS = [
+WORKLOAD_TESTS = [
     "tests/chaos",
     "tests/test_soak_chaos.py",
     "benchmarks",
@@ -56,10 +60,25 @@ PYTEST_ARGS = [
 ]
 
 
-def _run_pytest() -> int:
+@contextlib.contextmanager
+def tracing():
+    """Record every line of ``src/repro`` run inside (into ``_hits``)."""
+    saved = coverage_gate.TARGET_DIRS, sys.gettrace(), threading.gettrace()
+    coverage_gate.TARGET_DIRS = (os.path.join(SRC, "repro") + os.sep,)  # all of src/repro
+    threading.settrace(_call_tracer)
+    sys.settrace(_call_tracer)
+    try:
+        yield _hits
+    finally:
+        coverage_gate.TARGET_DIRS, previous, previous_threads = saved
+        sys.settrace(previous)
+        threading.settrace(previous_threads)
+
+
+def _run_pytest(tests=WORKLOAD_TESTS) -> int:
     import pytest
 
-    return int(pytest.main(["-q", "-p", "no:cacheprovider", *PYTEST_ARGS]))
+    return int(pytest.main([*PYTEST_ARGS, *tests]))
 
 
 def _run_examples() -> None:
@@ -83,20 +102,15 @@ def _run_e2e_smoke() -> int:
 def main() -> int:
     os.chdir(ROOT)
     sys.path.insert(0, SRC)
-    coverage_gate.TARGET_DIRS = (os.path.join(SRC, "repro") + os.sep,)  # all of src/repro
-    threading.settrace(_call_tracer)
-    sys.settrace(_call_tracer)
-    try:
+    with tracing():
         pytest_exit = _run_pytest()
         _run_examples()
         e2e_failed = _run_e2e_smoke()
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
+        target_files = _target_files()  # all of src/repro while tracing
 
     total_exec = total_hit = 0
     rows = []
-    for path in _target_files():
+    for path in target_files:
         executable = _executable_lines(path)
         hit = _hits.get(path, set()) & executable
         total_exec += len(executable)
