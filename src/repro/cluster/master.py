@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Deque, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.jobs import (
@@ -121,7 +122,7 @@ def _straggler_watchdog(
     * otherwise the attempt is a genuine straggler → launch one backup.
 
     The shared ``attempts``/``estimates``/``launch_times`` lists are the
-    supervisor's own records; ``launch`` is its placement closure.  The
+    supervisor's own records; ``launch`` places one more attempt.  The
     deadline timer being slept on is kept in ``armed`` (when given), so
     whoever resolves ``done`` can :meth:`~Event.abandon` it instead of
     leaving this generator suspended until a deadline nobody needs.
@@ -151,6 +152,196 @@ def _straggler_watchdog(
             continue
         launch()
         return
+
+
+# Per-task and per-wave state lives in the two small objects below, not in
+# closures over the supervising generator's frame.  Closures that call each
+# other (a retry relaunching, a fallback re-registering itself) reach each
+# other through their cells, and such a cycle keeps every attempt, result
+# and frame of a task alive until the cyclic collector runs.  Here the only
+# references into the state come from live frames and pending events, so it
+# dies by reference count once the task or wave resolves.
+
+
+class _Wave:
+    """What the task callbacks of one :meth:`Master._run_wave` share.
+
+    Each task callback is a ``partial`` of one of its bound methods; the
+    wave refers to no callback, so it and its ``arrived`` results are
+    freed once the last of its tasks has reported.
+    """
+
+    __slots__ = (
+        "master", "job", "total", "broadcasts", "sent_broadcast_to", "arrived",
+        "arrived_before", "early_ratio", "supervisor_options", "failed", "reused", "gate",
+    )
+
+    def __init__(
+        self,
+        master: "Master",
+        job: Job,
+        total: int,
+        broadcasts: Dict[str, Frame],
+        sent_broadcast_to: Set[str],
+        arrived: Dict[str, TaskResult],
+        early_ratio: Optional[float],
+        supervisor_options: dict,
+    ):
+        self.master = master
+        self.job = job
+        self.total = total
+        self.broadcasts = broadcasts
+        self.sent_broadcast_to = sent_broadcast_to
+        self.arrived = arrived
+        self.arrived_before = len(arrived)
+        self.early_ratio = early_ratio
+        self.supervisor_options = supervisor_options
+        self.failed = 0
+        self.reused: Set[str] = set()
+        self.gate = master.sim.event(name=f"{job.job_id}.wave")
+
+    def launch(self, task: ScanTask) -> None:
+        """Start ``task``'s own supervisor, published for identical-task
+        reuse.  One callback on its completion settles the job manager's
+        in-flight entry and then the task's place in this wave."""
+        master = self.master
+        done = master.sim.event(name="task.done")
+        sig = task_signature(self.job.plan, task)
+        master.job_manager.track_task(sig, done)
+        master.sim.process(
+            master._task_supervisor(  # noqa: SLF001
+                self.job, task, self.broadcasts, self.sent_broadcast_to, done,
+                **self.supervisor_options,
+            ),
+            name=task.task_id,
+        )
+        done.add_callback(partial(self._settle_own, sig, task))
+
+    def _settle_own(self, sig: Tuple, task: ScanTask, ev: Event) -> None:
+        self.master.job_manager.settle_task(sig, ev)
+        self.settle(task, False, ev)
+
+    def settle(self, task: ScanTask, fallback_allowed: bool, ev: Event) -> None:
+        gate = self.gate
+        if gate.triggered:
+            return
+        job = self.job
+        if ev.ok:
+            self.arrived[task.task_id] = ev.value
+            job.stats.absorb(ev.value)
+            if task.task_id in self.reused:
+                job.stats.tasks_reused += 1
+        elif fallback_allowed:
+            # The shared task exhausted *another job's* attempt budget;
+            # inheriting that failure with zero attempts of our own turned
+            # one job's bad luck into every piggybacker's.  Fall back to
+            # our own supervisor once.
+            self.reused.discard(task.task_id)
+            self.launch(task)
+            return
+        else:
+            self.failed += 1
+            job.stats.tasks_failed += 1
+        completed = len(self.arrived) - self.arrived_before
+        if completed + self.failed == self.total or (
+            self.early_ratio is not None and completed / self.total >= self.early_ratio
+        ):
+            gate.succeed()
+
+
+class _TaskAttempts:
+    """One task's attempts, as :meth:`Master._task_supervisor` launches them.
+
+    The attempts reach this object through the bound :meth:`report`, and
+    it reaches them through ``attempts``: a loop only while an attempt is
+    still running, gone once the last one has returned.
+    """
+
+    __slots__ = (
+        "master", "job", "task", "broadcasts", "sent_broadcast_to", "done",
+        "estimate_scale", "prefer", "on_retry",
+        "attempts", "excluded", "estimates", "launch_times", "failures", "armed",
+    )
+
+    def __init__(
+        self,
+        master: "Master",
+        job: Job,
+        task: ScanTask,
+        broadcasts: Dict[str, Frame],
+        sent_broadcast_to: Set[str],
+        done: Event,
+        estimate_scale: float,
+        prefer: Sequence[str],
+        on_retry,
+    ):
+        self.master = master
+        self.job = job
+        self.task = task
+        self.broadcasts = broadcasts
+        self.sent_broadcast_to = sent_broadcast_to
+        self.done = done
+        self.estimate_scale = estimate_scale
+        self.prefer = prefer
+        self.on_retry = on_retry
+        self.attempts: List[Event] = []
+        self.excluded: List[str] = []
+        self.estimates: List[float] = []
+        self.launch_times: List[float] = []
+        self.failures = 0
+        #: The watchdog's pending deadline timer, if it is asleep on one.
+        self.armed: List[Event] = []
+
+    def report(self, value: Optional[TaskResult], exc: Optional[Exception]) -> None:
+        # Called by the attempt itself as its last step (not as a
+        # callback on its process, which would cost every task one
+        # more zero-delay event to learn what the attempt knows).
+        done = self.done
+        if done.triggered:
+            return
+        if exc is None:
+            done.succeed(value)
+        else:
+            self.failures += 1
+            if self.failures < MAX_TASK_ATTEMPTS:
+                launched = self.launch()
+                if launched and self.on_retry is not None:
+                    self.on_retry(self.task)
+                if launched or self.failures < len(self.attempts):
+                    return
+            done.fail(exc)
+        # The task is resolved: the watchdog's timer dies with it.  Its
+        # slot keeps its time on the queue but no longer wakes (or keeps
+        # alive) this supervisor, its attempts and the job behind them.
+        for timer in self.armed:
+            timer.abandon()
+
+    def launch(self) -> bool:
+        master, job, task, attempts = self.master, self.job, self.task, self.attempts
+        try:
+            placement = master.scheduler.place(
+                task, job.plan.scan_cnf, exclude=self.excluded, prefer=self.prefer
+            )
+        except SchedulingError:
+            return False
+        self.excluded.append(placement.leaf.worker_id)
+        # ``estimate_scale`` folds the adaptive checkpoint's cost
+        # revision into backup deadlines (slices are cheaper than the
+        # whole-block figure the cost model prices).
+        self.estimates.append(placement.estimate_s * self.estimate_scale)
+        self.launch_times.append(master.sim.now)
+        proc = master.sim.process(
+            master._task_flow(  # noqa: SLF001
+                job, task, placement, self.broadcasts, self.sent_broadcast_to, self.report,
+                is_backup=bool(attempts),
+                attempt_index=len(attempts),
+            ),
+            name="task.attempt",
+        )
+        attempts.append(proc)
+        if len(attempts) > 1:
+            job.stats.backups_launched += 1
+        return True
 
 
 class EntryGuard:
@@ -640,13 +831,6 @@ class Master:
         ``recovering`` waves (the adaptive ones) count each attempt
         re-launched after a loss as a recovered partition.
         """
-        plan = job.plan
-        total = len(wave)
-        arrived_before = len(arrived)
-        failed = 0
-        reused: Set[str] = set()
-        gate = self.sim.event(name=f"{job.job_id}.wave")
-
         on_retry = None
         if recovering:
             def on_retry(task: ScanTask) -> None:
@@ -654,52 +838,18 @@ class Master:
                 # partition of the current wave re-runs, nothing else.
                 job.stats.adaptive_partitions_recovered += 1
 
-        supervisor_options = {
-            "estimate_scale": estimate_scale, "prefer": prefer, "on_retry": on_retry,
-        }
-
-        def on_task(task: ScanTask, fallback_allowed: bool = False):
-            def cb(ev: Event) -> None:
-                nonlocal failed
-                if gate.triggered:
-                    return
-                if ev.ok:
-                    arrived[task.task_id] = ev.value
-                    job.stats.absorb(ev.value)
-                    if task.task_id in reused:
-                        job.stats.tasks_reused += 1
-                elif fallback_allowed:
-                    # The shared task exhausted *another job's* attempt
-                    # budget; inheriting that failure with zero attempts of
-                    # our own turned one job's bad luck into every
-                    # piggybacker's.  Fall back to our own supervisor once.
-                    reused.discard(task.task_id)
-                    self._launch_tracked(
-                        job, task, broadcasts, sent_broadcast_to, on_task(task),
-                        **supervisor_options,
-                    )
-                    return
-                else:
-                    failed += 1
-                    job.stats.tasks_failed += 1
-                completed = len(arrived) - arrived_before
-                if completed + failed == total or (
-                    early_ratio is not None and completed / total >= early_ratio
-                ):
-                    gate.succeed()
-
-            return cb
-
+        state = _Wave(
+            self, job, len(wave), broadcasts, sent_broadcast_to, arrived, early_ratio,
+            {"estimate_scale": estimate_scale, "prefer": prefer, "on_retry": on_retry},
+        )
+        gate = state.gate
         for task in wave:
-            shared = self.job_manager.lookup_task(task_signature(plan, task))
+            shared = self.job_manager.lookup_task(task_signature(job.plan, task))
             if shared is not None:
-                reused.add(task.task_id)
-                shared.add_callback(on_task(task, fallback_allowed=True))
+                state.reused.add(task.task_id)
+                shared.add_callback(partial(state.settle, task, True))
             else:
-                self._launch_tracked(
-                    job, task, broadcasts, sent_broadcast_to, on_task(task),
-                    **supervisor_options,
-                )
+                state.launch(task)
 
         if time_left is not None:
             def expire() -> None:
@@ -829,34 +979,6 @@ class Master:
 
     # -- per-task supervision (dispatch, stem routing, backups) ---------------------
 
-    def _launch_tracked(
-        self,
-        job: Job,
-        task: ScanTask,
-        broadcasts: Dict[str, Frame],
-        sent_broadcast_to: Set[str],
-        on_result,
-        **supervisor_options,
-    ) -> None:
-        """Start ``task``'s own supervisor, published for identical-task
-        reuse.  One callback on its completion settles the job manager's
-        in-flight entry and then hands the outcome to ``on_result``."""
-        done = self.sim.event(name="task.done")
-        sig = task_signature(job.plan, task)
-        self.job_manager.track_task(sig, done)
-        self.sim.process(
-            self._task_supervisor(
-                job, task, broadcasts, sent_broadcast_to, done, **supervisor_options
-            ),
-            name=task.task_id,
-        )
-
-        def on_done(ev: Event) -> None:
-            self.job_manager.settle_task(sig, ev)
-            on_result(ev)
-
-        done.add_callback(on_done)
-
     def _task_supervisor(
         self,
         job: Job,
@@ -868,64 +990,11 @@ class Master:
         prefer: Sequence[str] = (),
         on_retry=None,
     ) -> Generator[Event, None, None]:
-        attempts: List[Event] = []
-        excluded: List[str] = []
-        estimates: List[float] = []
-        launch_times: List[float] = []
-        failures = [0]
-        #: The watchdog's pending deadline timer, if it is asleep on one.
-        armed: List[Event] = []
-
-        def on_attempt(value: Optional[TaskResult], exc: Optional[Exception]) -> None:
-            # Called by the attempt itself as its last step (not as a
-            # callback on its process, which would cost every task one
-            # more zero-delay event to learn what the attempt knows).
-            if done.triggered:
-                return
-            if exc is None:
-                done.succeed(value)
-            else:
-                failures[0] += 1
-                if failures[0] < MAX_TASK_ATTEMPTS:
-                    launched = _launch()
-                    if launched and on_retry is not None:
-                        on_retry(task)
-                    if launched or failures[0] < len(attempts):
-                        return
-                done.fail(exc)
-            # The task is resolved: the watchdog's timer dies with it.  Its
-            # slot keeps its time on the queue but no longer wakes (or keeps
-            # alive) this supervisor, its attempts and the job behind them.
-            for timer in armed:
-                timer.abandon()
-
-        def _launch() -> bool:
-            try:
-                placement = self.scheduler.place(
-                    task, job.plan.scan_cnf, exclude=excluded, prefer=prefer
-                )
-            except SchedulingError:
-                return False
-            excluded.append(placement.leaf.worker_id)
-            # ``estimate_scale`` folds the adaptive checkpoint's cost
-            # revision into backup deadlines (slices are cheaper than the
-            # whole-block figure the cost model prices).
-            estimates.append(placement.estimate_s * estimate_scale)
-            launch_times.append(self.sim.now)
-            proc = self.sim.process(
-                self._task_flow(
-                    job, task, placement, broadcasts, sent_broadcast_to, on_attempt,
-                    is_backup=bool(attempts),
-                    attempt_index=len(attempts),
-                ),
-                name="task.attempt",
-            )
-            attempts.append(proc)
-            if len(attempts) > 1:
-                job.stats.backups_launched += 1
-            return True
-
-        if not _launch():
+        state = _TaskAttempts(
+            self, job, task, broadcasts, sent_broadcast_to, done,
+            estimate_scale, prefer, on_retry,
+        )
+        if not state.launch():
             done.fail(SchedulingError(f"no leaf available for {task.task_id}"))
             return
 
@@ -937,7 +1006,8 @@ class Master:
         if job.options.enable_backup:
             yield from _straggler_watchdog(
                 self.sim, self.scheduler.backup_deadline, done,
-                attempts, estimates, launch_times, _launch, armed,
+                state.attempts, state.estimates, state.launch_times,
+                state.launch, state.armed,
             )
         if not done.triggered:
             yield done

@@ -482,6 +482,17 @@ class LeafServer:
             cpu_queue_s=self.cpu.queue_delay(),
         )
 
+    def pressure(self) -> float:
+        """``load_snapshot().pressure``, the same sum in the same order,
+        without building a snapshot: the scheduler reads it for every
+        placement candidate."""
+        return (
+            self.running_tasks
+            + self.queued_tasks
+            + 2.0 * self.disk.queue_delay()
+            + 2.0 * self.cpu.queue_delay()
+        )
+
 
 class StemServer:
     """Intermediate aggregator in the server tree."""

@@ -253,7 +253,7 @@ class JobScheduler:
                     self.net.transfer_time_estimate(addr, leaf.address, int(nbytes))
                     for addr in replica_addrs
                 ) if replica_addrs else 0.0
-            return xfer + 0.05 * leaf.load_snapshot().pressure
+            return xfer + 0.05 * leaf.pressure()
 
         leaf = min(alive, key=remote_cost)
         self._count(False)
@@ -271,12 +271,12 @@ class JobScheduler:
                 holders,
                 key=lambda lf: (
                     self.layouts.scan_seconds(task, cnf, lf.address)
-                    + 0.05 * lf.load_snapshot().pressure,
+                    + 0.05 * lf.pressure(),
                     lf.worker_id,
                 ),
             )
         else:
-            leaf = min(holders, key=lambda lf: lf.load_snapshot().pressure)
+            leaf = min(holders, key=LeafServer.pressure)
         self._count(True)
         return Placement(leaf, True, self._estimate(leaf, task, cnf, True, system, inner))
 

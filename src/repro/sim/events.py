@@ -15,13 +15,20 @@ simulator.  The kernel here is intentionally small and dependency-free:
 Determinism: ties in the event queue are broken by insertion order, so a
 run is a pure function of the seed used by whatever stochastic workload
 drives it.  No wall-clock time or threads are involved anywhere.
+
+Every queue entry is ``(time, seq, fn, args)`` and every push goes
+straight onto the heap: resolving an event, waking a process and arming
+a timeout cost no call into :meth:`Simulator.schedule`, and the run loops
+pop entries themselves rather than through :meth:`Simulator.step`.  The
+clock (``Simulator.now``) and ``Event.triggered`` are plain attributes,
+read far more often than anything else in the kernel.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from heapq import heappop, heappush
+from typing import Any, Callable, Generator, List, Optional
 
 from repro.errors import FaultInjectedError, FeisuError
 
@@ -37,9 +44,11 @@ class Event:
     An event starts *pending*; exactly one call to :meth:`succeed` or
     :meth:`fail` resolves it, at which point all registered callbacks are
     scheduled on the simulator's queue at the current simulation time.
+    ``triggered`` is True from then on (an attribute: read it, never
+    assign it).
     """
 
-    __slots__ = ("sim", "_callbacks", "_value", "_exc", "_resolved", "name")
+    __slots__ = ("sim", "_callbacks", "_value", "_exc", "triggered", "name")
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
@@ -47,28 +56,25 @@ class Event:
         self._callbacks: List[Callable[[Event], None]] = []
         self._value: Any = None
         self._exc: Optional[BaseException] = None
-        self._resolved = False
-
-    @property
-    def triggered(self) -> bool:
-        return self._resolved
+        self.triggered = False
 
     @property
     def ok(self) -> bool:
-        return self._resolved and self._exc is None
+        return self.triggered and self._exc is None
 
     @property
     def value(self) -> Any:
-        if not self._resolved:
+        if not self.triggered:
             raise SimulationError("event value read before it triggered")
         if self._exc is not None:
             raise self._exc
         return self._value
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
-        if self._resolved:
+        if self.triggered:
             # Fire immediately (still via the queue, preserving ordering).
-            self.sim.schedule(0.0, fn, self)
+            sim = self.sim
+            heappush(sim._queue, (sim.now, next(sim._seq), fn, (self,)))
         else:
             self._callbacks.append(fn)
 
@@ -82,25 +88,28 @@ class Event:
         self._callbacks = []
 
     def succeed(self, value: Any = None) -> "Event":
-        self._resolve(value, None)
+        if self.triggered:
+            raise SimulationError(f"event {self.name!r} resolved twice")
+        self.triggered = True
+        self._value = value
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            sim = self.sim
+            queue, seq, now, args = sim._queue, sim._seq, sim.now, (self,)
+            for fn in callbacks:
+                heappush(queue, (now, next(seq), fn, args))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
-        self._resolve(None, exc)
+        # Resolved as by ``succeed``; the callbacks it queued have not run
+        # yet, so every one of them sees the failure.
+        self.succeed()
+        self._exc = exc
         return self
 
-    def _resolve(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self._resolved:
-            raise SimulationError(f"event {self.name!r} resolved twice")
-        self._resolved = True
-        self._value = value
-        self._exc = exc
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            self.sim.schedule(0.0, fn, self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "ok" if self.ok else ("failed" if self._resolved else "pending")
+        state = "ok" if self.ok else ("failed" if self.triggered else "pending")
         return f"<Event {self.name!r} {state}>"
 
 
@@ -110,7 +119,9 @@ class Process(Event):
     The generator yields :class:`Event` instances; the process suspends
     until each fires.  When the generator returns, the process (itself an
     event) succeeds with the return value; an uncaught exception fails it.
-    Other processes may therefore ``yield`` a process to join it.
+    Other processes may therefore ``yield`` a process to join it.  A
+    ``KeyboardInterrupt`` or ``SystemExit`` raised in the body is not a
+    failure of the process: it propagates out of the run loop.
     """
 
     __slots__ = ("_gen",)
@@ -118,49 +129,51 @@ class Process(Event):
     def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any], name: str = ""):
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self._gen = gen
-        sim.schedule(0.0, self._step, None)
+        heappush(sim._queue, (sim.now, next(sim._seq), self._step, (None,)))
 
     def _step(self, fired: Optional[Event]) -> None:
-        if self._resolved:
+        if self.triggered:
             return  # interrupted while waiting; drop the stale wakeup
         try:
             if fired is None:
                 target = next(self._gen)
-            elif fired.ok:
-                target = self._gen.send(fired.value)
+            elif fired._exc is None:
+                target = self._gen.send(fired._value)
             else:
-                target = self._gen.throw(fired._exc)  # noqa: SLF001
+                target = self._gen.throw(fired._exc)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        except BaseException as exc:  # pragma: no cover - defensive
+        except Exception as exc:
             self.fail(exc)
             return
         if not isinstance(target, Event):
             self.fail(SimulationError(f"process {self.name!r} yielded non-event {target!r}"))
             return
-        target.add_callback(self._step)
+        if target.triggered:
+            sim = self.sim
+            heappush(sim._queue, (sim.now, next(sim._seq), self._step, (target,)))
+        else:
+            target._callbacks.append(self._step)
 
     def interrupt(self, reason: str = "interrupted") -> None:
         """Fail the process from outside (used for task cancellation)."""
-        if not self._resolved:
+        if not self.triggered:
             self._gen.close()
             self.fail(SimulationError(reason))
 
 
 class Simulator:
-    """The event loop: virtual clock + timestamped callback queue."""
+    """The event loop: virtual clock + timestamped callback queue.
+
+    ``now`` is the current simulation time in seconds (an attribute:
+    read it, never assign it).
+    """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        self.now = 0.0
         self._queue: List[Any] = []
         self._seq = itertools.count()
-        self._running = False
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     # -- scheduling ---------------------------------------------------
 
@@ -168,15 +181,17 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        heapq.heappush(self._queue, (self._now + delay, next(self._seq), fn, args))
+        heappush(self._queue, (self.now + delay, next(self._seq), fn, args))
 
     def event(self, name: str = "") -> Event:
         return Event(self, name=name)
 
     def timeout(self, delay: float, value: Any = None, name: str = "timeout") -> Event:
         """An event that fires ``delay`` seconds from now."""
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
         ev = Event(self, name=name)
-        self.schedule(delay, ev.succeed, value)
+        heappush(self._queue, (self.now + delay, next(self._seq), ev.succeed, (value,)))
         return ev
 
     def process(self, gen: Generator[Event, Any, Any], name: str = "") -> Process:
@@ -209,62 +224,20 @@ class Simulator:
 
         return self.process(loop(), name=name)
 
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """An event that fires when every input event has fired ok.
-
-        Its value is the list of input values in input order.  Fails as
-        soon as any input fails.
-        """
-        events = list(events)
-        result = Event(self, name="all_of")
-        if not events:
-            result.succeed([])
-            return result
-        remaining = [len(events)]
-
-        def on_fire(_: Event) -> None:
-            if result.triggered:
-                return
-            remaining[0] -= 1
-            failed = next((e for e in events if e.triggered and not e.ok), None)
-            if failed is not None:
-                result.fail(failed._exc)  # noqa: SLF001
-            elif remaining[0] == 0:
-                result.succeed([e.value for e in events])
-
-        for ev in events:
-            ev.add_callback(on_fire)
-        return result
-
-    def any_of(self, events: Iterable[Event]) -> Event:
-        """An event that fires with the first input event's outcome."""
-        events = list(events)
-        result = Event(self, name="any_of")
-        if not events:
-            raise SimulationError("any_of() requires at least one event")
-
-        def on_fire(ev: Event) -> None:
-            if result.triggered:
-                return
-            if ev.ok:
-                result.succeed(ev.value)
-            else:
-                result.fail(ev._exc)  # noqa: SLF001
-
-        for ev in events:
-            ev.add_callback(on_fire)
-        return result
-
     # -- running ------------------------------------------------------
+    #
+    # ``run`` and ``run_until_complete`` pop the queue themselves; each
+    # iteration is exactly one ``step``.
 
     def step(self) -> bool:
         """Execute the next queued callback; return False if queue empty."""
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return False
-        t, _, fn, args = heapq.heappop(self._queue)
-        if t < self._now:  # pragma: no cover - heap invariant
+        t, _, fn, args = heappop(queue)
+        if t < self.now:  # pragma: no cover - heap invariant
             raise SimulationError("time went backwards")
-        self._now = t
+        self.now = t
         fn(*args)
         return True
 
@@ -273,26 +246,31 @@ class Simulator:
 
         Returns the simulation time when the run stopped.
         """
-        self._running = True
-        try:
-            while self._queue:
-                t = self._queue[0][0]
-                if until is not None and t > until:
-                    self._now = until
-                    break
-                self.step()
-        finally:
-            self._running = False
-        if until is not None and self._now < until and not self._queue:
-            self._now = until
-        return self._now
+        queue = self._queue
+        while queue:
+            if until is not None and queue[0][0] > until:
+                self.now = until
+                break
+            t, _, fn, args = heappop(queue)
+            if t < self.now:  # pragma: no cover - heap invariant
+                raise SimulationError("time went backwards")
+            self.now = t
+            fn(*args)
+        if until is not None and self.now < until and not queue:
+            self.now = until
+        return self.now
 
     def run_until_complete(self, ev: Event, limit: float = float("inf")) -> Any:
         """Run until ``ev`` fires (or ``limit`` is reached) and return its value."""
+        queue = self._queue
         while not ev.triggered:
-            if not self._queue:
+            if not queue:
                 raise SimulationError(f"deadlock: {ev.name!r} can never fire")
-            if self._queue[0][0] > limit:
+            if queue[0][0] > limit:
                 raise SimulationError(f"time limit {limit} reached waiting for {ev.name!r}")
-            self.step()
+            t, _, fn, args = heappop(queue)
+            if t < self.now:  # pragma: no cover - heap invariant
+                raise SimulationError("time went backwards")
+            self.now = t
+            fn(*args)
         return ev.value

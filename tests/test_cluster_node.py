@@ -277,3 +277,19 @@ def test_parsed_block_map_is_bounded(monkeypatch):
     _rewrite_table(cluster, _rows(3000, 9))
     assert cluster.query("SELECT COUNT(*) FROM T WHERE a = 7").rows()[0][0] == 0
     assert len(leaf._parsed_blocks) == 3
+
+
+def test_pressure_is_the_load_snapshots_pressure():
+    """``LeafServer.pressure()`` (the scheduler's per-candidate read) is
+    ``load_snapshot().pressure`` to the bit, every term loaded."""
+    cluster = FeisuCluster(FeisuConfig(racks_per_datacenter=1, nodes_per_rack=1))
+    (leaf,) = cluster.leaves
+    assert leaf.pressure() == leaf.load_snapshot().pressure == 0.0
+    leaf.disk.read(7_654_321)
+    for _ in range(leaf.cpu.cores):
+        leaf.cpu.compute(3.3e7)
+    leaf.running_tasks, leaf.queued_tasks = 2, 3
+    cluster.sim.run(until=0.01)
+    snapshot = leaf.load_snapshot()
+    assert snapshot.disk_queue_s > 0 and snapshot.cpu_queue_s > 0
+    assert leaf.pressure() == snapshot.pressure

@@ -157,26 +157,6 @@ def test_process_yielding_non_event_fails():
     assert p.triggered and not p.ok
 
 
-def test_all_of_collects_values_in_order():
-    sim = Simulator()
-    evs = [sim.timeout(3.0, "a"), sim.timeout(1.0, "b"), sim.timeout(2.0, "c")]
-    combined = sim.all_of(evs)
-    assert sim.run_until_complete(combined) == ["a", "b", "c"]
-    assert sim.now == 3.0
-
-
-def test_all_of_empty_succeeds_immediately():
-    sim = Simulator()
-    assert sim.run_until_complete(sim.all_of([])) == []
-
-
-def test_any_of_returns_first():
-    sim = Simulator()
-    combined = sim.any_of([sim.timeout(3.0, "slow"), sim.timeout(1.0, "fast")])
-    assert sim.run_until_complete(combined) == "fast"
-    assert sim.now == 1.0
-
-
 def test_run_until_complete_detects_deadlock():
     sim = Simulator()
     never = sim.event("never")
@@ -194,3 +174,22 @@ def test_interrupt_fails_pending_process():
     p.interrupt("cancelled")
     sim.run()
     assert p.triggered and not p.ok
+
+
+@pytest.mark.parametrize("exc_type", [KeyboardInterrupt, SystemExit])
+def test_interrupt_signal_in_a_process_propagates(exc_type):
+    """Ctrl-C inside a process body stops the run; it is not a failed event."""
+    sim = Simulator()
+    after = []
+
+    def body():
+        yield sim.timeout(1.0)
+        raise exc_type()
+
+    p = sim.process(body())
+    sim.schedule(2.0, after.append, "ran on")
+    with pytest.raises(exc_type):
+        sim.run_until_complete(p)
+    assert not p.triggered
+    assert after == [] and sim.now == 1.0
+
