@@ -77,7 +77,7 @@ class ChunkStats:
 class ColumnChunk:
     """One encoded column inside a block."""
 
-    __slots__ = ("name", "dtype", "encoding_tag", "payload", "stats", "row_count")
+    __slots__ = ("name", "dtype", "encoding_tag", "payload", "stats", "row_count", "_reader_parts")
 
     def __init__(
         self,
@@ -94,6 +94,7 @@ class ColumnChunk:
         self.payload = payload
         self.stats = stats
         self.row_count = row_count
+        self._reader_parts: Optional[tuple] = None
 
     @classmethod
     def from_array(cls, name: str, dtype: DataType, array: np.ndarray) -> "ColumnChunk":
@@ -112,8 +113,19 @@ class ColumnChunk:
 
     def reader(self) -> ChunkReader:
         """Encoding-aware access (predicate on the encoded form, gather
-        of chosen rows) that equals the same operation on :meth:`decode`."""
-        return codec_by_tag(self.encoding_tag).reader(self.payload, self.row_count, self.decode)
+        of chosen rows) that equals the same operation on :meth:`decode`.
+
+        The parts a reader answers from (a dictionary's uniques and codes,
+        an RLE chunk's runs, a plain numeric view) are read off the payload
+        by the first call and shared, read-only, by every later reader of
+        this chunk: they live exactly as long as the chunk and its payload
+        do, which for a leaf is while its parsed-block map holds that very
+        payload.  ``values()`` is still decoded once per reader."""
+        codec = codec_by_tag(self.encoding_tag)
+        parts = self._reader_parts
+        if parts is None:
+            parts = self._reader_parts = codec.reader_parts(self.payload, self.row_count)
+        return codec.reader(parts, self.decode)
 
     @property
     def encoded_bytes(self) -> int:

@@ -18,7 +18,6 @@ numpy buffers.
 from __future__ import annotations
 
 import struct
-from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,6 +50,14 @@ def _unpack_strings(payload, pos: int = 0) -> np.ndarray:
 
 def _is_string(array: np.ndarray) -> bool:
     return array.dtype == object
+
+
+def _frozen(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """``arrays``, made read-only: reader parts are shared by every
+    reader of a chunk."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 class ChunkReader:
@@ -205,10 +212,18 @@ class Encoding:
         """Fully materialize: a fresh writable array of ``count`` values."""
         raise NotImplementedError
 
-    def reader(self, payload, count: int, decode: Callable[[], np.ndarray]) -> ChunkReader:
-        """A :class:`ChunkReader` over ``payload``; ``decode`` is the
-        chunk's own full materialization (used where nothing cheaper
-        applies)."""
+    def reader_parts(self, payload, count: int) -> Tuple[np.ndarray, ...]:
+        """What :meth:`reader` answers from, read off ``payload`` once:
+        read-only arrays (views where they can be), ``()`` where nothing
+        short of the full decode helps."""
+        return ()
+
+    def reader(
+        self, parts: Tuple[np.ndarray, ...], decode: Callable[[], np.ndarray]
+    ) -> ChunkReader:
+        """A :class:`ChunkReader` over this codec's :meth:`reader_parts`;
+        ``decode`` is the chunk's own full materialization (used where
+        nothing cheaper applies)."""
         return ChunkReader(decode)
 
     def encoded_size(self, array: np.ndarray) -> int:
@@ -242,10 +257,11 @@ class PlainEncoding(Encoding):
         dtype = np.dtype(str(payload[1:sep], "ascii"))
         return np.frombuffer(payload, dtype=dtype, count=count, offset=sep + 1)
 
-    def reader(self, payload, count, decode):
-        if payload[:1] == b"s":
-            return ChunkReader(decode)
-        return _ViewReader(decode, self.read(payload, count))
+    def reader_parts(self, payload, count):
+        return () if payload[:1] == b"s" else _frozen(self.read(payload, count))
+
+    def reader(self, parts, decode):
+        return _ViewReader(decode, *parts) if parts else ChunkReader(decode)
 
 
 _PLAIN = PlainEncoding()
@@ -276,8 +292,11 @@ class RunLengthEncoding(Encoding):
         lengths = np.frombuffer(payload, dtype=np.uint32, count=nruns, offset=8 + vlen)
         return values, lengths
 
-    def reader(self, payload, count, decode):
-        return _RunLengthReader(decode, *self.decode_parts(payload))
+    def reader_parts(self, payload, count):
+        return _frozen(*self.decode_parts(payload))
+
+    def reader(self, parts, decode):
+        return _RunLengthReader(decode, *parts)
 
 
 class DictionaryEncoding(Encoding):
@@ -304,8 +323,11 @@ class DictionaryEncoding(Encoding):
         codes = np.frombuffer(payload, dtype=np.uint32, count=count, offset=8 + ulen)
         return uarr, codes
 
-    def reader(self, payload, count, decode):
-        return _DictionaryReader(decode, *self.decode_parts(payload, count))
+    def reader_parts(self, payload, count):
+        return _frozen(*self.decode_parts(payload, count))
+
+    def reader(self, parts, decode):
+        return _DictionaryReader(decode, *parts)
 
 
 class DeltaEncoding(Encoding):
@@ -375,8 +397,14 @@ def codec_by_tag(tag: int) -> Encoding:
         raise StorageError(f"unknown encoding tag {tag}") from None
 
 
+#: Row 0 starts a run.
+_FIRST_RUN = np.ones(1, dtype=np.bool_)
+
+
 def run_length_split(array: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Split an array into (run values, run lengths)."""
+    """Split an array into (run values, run lengths): one neighbour
+    compare gives the run starts, the starts and the end the lengths
+    (no Python list is made into an array on the way)."""
     n = len(array)
     if n == 0:
         return array[:0], np.empty(0, dtype=np.uint32)
@@ -384,14 +412,34 @@ def run_length_split(array: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         change = np.ones(n, dtype=bool)
         change[1:] = array[1:] != array[:-1]
     else:
-        change = np.concatenate(([True], array[1:] != array[:-1]))
-    starts = np.flatnonzero(change)
-    lengths = np.diff(np.concatenate((starts, [n]))).astype(np.uint32)
-    return array[starts], lengths
+        change = np.concatenate((_FIRST_RUN, array[1:] != array[:-1]))
+    starts = change.nonzero()[0]
+    bounds = np.empty(len(starts) + 1, dtype=np.intp)
+    bounds[:-1] = starts
+    bounds[-1] = n
+    return array[starts], np.diff(bounds).astype(np.uint32)
 
 
 #: Rows of a column the codec chooser looks at for its distinct-value estimate.
 CHOOSER_SAMPLE_ROWS = 4096
+
+
+class _fact:
+    """``functools.cached_property`` without its per-first-access lock
+    (Python 3.11 takes an ``RLock`` there, a few µs on every fact of
+    every column): the first access stores the value in the instance
+    ``__dict__``, which later accesses read."""
+
+    def __init__(self, compute: Callable):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, facts, owner=None):
+        if facts is None:
+            return self
+        value = facts.__dict__[self.name] = self.compute(facts)
+        return value
 
 
 class ColumnFacts:
@@ -399,38 +447,40 @@ class ColumnFacts:
     ask of one column, computed at most once.
 
     Every fact is lazy, so a column pays only for what its type and its
-    chosen codec need.  String columns (object arrays) are uniqued in
-    Python — numpy's fixed-width unicode arrays silently strip trailing
-    NULs, corrupting round-trips — but per distinct value, not per row.
+    chosen codec need; :func:`choose_encoding` forgets the runs the chosen
+    codec will not read (a later access recomputes them).  String columns
+    (object arrays) are uniqued in Python — numpy's fixed-width unicode
+    arrays silently strip trailing NULs, corrupting round-trips — but per
+    distinct value, not per row.
     """
 
     def __init__(self, array: np.ndarray):
         self.array = array
 
-    @cached_property
+    @_fact
     def runs(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(run values, run lengths)``."""
         return run_length_split(self.array)
 
-    @cached_property
+    @_fact
     def delta_runs(self) -> Tuple[np.ndarray, np.ndarray]:
         """Runs of the wrapping int64 differences between neighbours."""
-        with np.errstate(over="ignore"):
-            return run_length_split(np.diff(self.array.astype(np.int64)))
+        values = self.array.astype(np.int64, copy=False)
+        return run_length_split(values[1:] - values[:-1])
 
-    @cached_property
+    @_fact
     def strings(self) -> List[str]:
         """A string column as a Python list."""
         return self.array.tolist()
 
-    @cached_property
+    @_fact
     def first_seen(self) -> Dict[str, int]:
         """A string column's distinct values, each mapped to its rank in
         first-appearance order."""
         distinct = dict.fromkeys(self.strings)
         return dict(zip(distinct, range(len(distinct))))
 
-    @cached_property
+    @_fact
     def dictionary(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(uniques, codes)`` with ``uniques[codes]`` equal to the column:
         strings in first-appearance order, numerics sorted."""
@@ -444,18 +494,26 @@ class ColumnFacts:
         )
         return uniques, codes
 
-    @cached_property
+    @_fact
     def distinct_count(self) -> int:
         """Exact number of distinct values in the whole column."""
-        if _is_string(self.array):
+        array = self.array
+        if _is_string(array):
             return len(self.first_seen)
-        # Reuse the dictionary when the codec already paid for it, and
-        # where the column is small enough that the inverse costs nothing.
-        if "dictionary" in self.__dict__ or len(self.array) <= CHOOSER_SAMPLE_ROWS:
+        if "dictionary" in self.__dict__:  # the codec already paid for it
             return len(self.dictionary[0])
-        return len(np.unique(self.array))
+        # A constant or ascending column has as many values as runs; NaN,
+        # unequal to itself, is never ascending.
+        nruns = len(self.runs[1])
+        if nruns <= 1 or (array[1:] >= array[:-1]).all():
+            return nruns
+        # Where the column is small enough that the inverse costs nothing,
+        # the dictionary codec may want it next.
+        if len(array) <= CHOOSER_SAMPLE_ROWS:
+            return len(self.dictionary[0])
+        return len(np.unique(array))
 
-    @cached_property
+    @_fact
     def sampled_distinct_count(self) -> int:
         """Distinct values among the first ``CHOOSER_SAMPLE_ROWS`` rows."""
         if len(self.array) <= CHOOSER_SAMPLE_ROWS:
@@ -498,5 +556,12 @@ def choose_encoding(
         dvalues, dlengths = facts.delta_runs
         delta_size = 8 + len(dvalues) * array.dtype.itemsize + len(dlengths) * 4
         candidates.append((delta_size, DeltaEncoding.tag))
-    best = min(candidates)
-    return _CODECS[best[1]]
+    best = min(candidates)[1]
+    # The chosen codec reads at most one kind of runs (and the statistics
+    # read the dictionary when that is the codec): forget the others, a
+    # column's worth each, before the codec builds its payload.
+    if best != DeltaEncoding.tag:
+        facts.__dict__.pop("delta_runs", None)
+    if best == DictionaryEncoding.tag:
+        facts.__dict__.pop("runs", None)
+    return _CODECS[best]

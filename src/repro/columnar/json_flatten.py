@@ -10,11 +10,20 @@ infers the resulting schema:
 * lists of scalars are joined into one string column (log payloads);
 * missing keys become type-appropriate defaults, since the engine's
   columns are dense.
+
+A batch is flattened shape by shape: records with the same keys in the
+same order form one group, and a group's values move one column at a
+time (``itemgetter`` + ``zip``), nested columns recursing by the same
+rule.  Python work is per distinct shape and per column; only a column
+that mixes objects, sequences and scalars is sorted value by value.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Sequence, Set, Tuple
+from functools import partial
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Dict, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -37,48 +46,170 @@ _SCALAR_TYPES = {
 }
 _CASTS = {dtype: cast for cast, dtype in _SCALAR_TYPES.items()}
 _SCALARS = tuple(_SCALAR_TYPES)
+_NONE = type(None)
+#: Exact types a column stores as they are.
+_STORED = frozenset((*_SCALARS, _NONE))
+_STR = frozenset((str,))
+_SEQUENCES = frozenset((list, tuple))
+
+#: ``(dotted name, row ids, values, set of value types)``; an unsupported
+#: value is ``(None, row id, message, None)``.
+_Piece = Tuple[Any, Any, Any, Any]
 
 
-def _scatter(
-    record: Mapping[str, Any], prefix: str, row: int, nrows: int, columns: Dict[str, list]
+def _joined(values: Sequence[Sequence[Any]]) -> List[str]:
+    """Each list / tuple in ``values`` as its items' ``str`` joined by ``,``."""
+    if set(map(type, chain.from_iterable(values))) <= _STR:
+        return list(map(",".join, values))
+    return list(map(",".join, map(partial(map, str), values)))
+
+
+def _shapes(records: Sequence[Mapping], rows: np.ndarray, prefix: str) -> list:
+    """``(keys, names, records, rows)`` per distinct key sequence, the
+    rows of each group ascending."""
+    shapes = list(map(tuple, records))
+    if shapes.count(shapes[0]) == len(shapes):
+        distinct: Dict[tuple, None] = {shapes[0]: None}
+    else:
+        distinct = dict.fromkeys(shapes)
+    if all(type(k) is str for shape in distinct for k in shape):
+        labels = [(shape, tuple([prefix + k for k in shape])) for shape in distinct]
+    else:
+        # Equal keys of other types can print apart (``1`` and ``True``):
+        # group on the printed names as well.
+        shapes = [(shape, tuple([f"{prefix}{k}" for k in shape])) for shape in shapes]
+        distinct = dict.fromkeys(shapes)
+        labels = list(distinct)
+    if len(distinct) == 1:
+        return [(*labels[0], records, rows)]
+    code = dict(zip(distinct, range(len(distinct))))
+    ids = np.fromiter(map(code.__getitem__, shapes), dtype=np.intp, count=len(shapes))
+    order = np.argsort(ids, kind="stable")
+    groups = []
+    start = 0
+    for label, end in zip(labels, np.cumsum(np.bincount(ids)).tolist()):
+        picked = order[start:end]
+        groups.append((*label, list(map(records.__getitem__, picked.tolist())), rows[picked]))
+        start = end
+    return groups
+
+
+def _walk(
+    records: Sequence[Mapping], rows: np.ndarray, prefix: str, dicts: bool, out: List[_Piece]
 ) -> None:
-    """Write one record's leaves to ``columns[dotted name][row]``.
+    """Append the pieces of ``records`` (at row ids ``rows``; ``dicts``:
+    every record is exactly a ``dict``) to ``out``.
 
-    A column is created, ``None``-filled for ``nrows`` rows, the first
-    time one of its values is met, so ``columns`` ends up in
-    first-appearance order; a later value for the same name and row (a
-    dotted flat key colliding with a nested one) overwrites the earlier.
-    Exact types are dispatched first; ``isinstance`` is the fallback that
-    subclasses and other ``Mapping``s take.
+    The pieces holding any one row are appended in the order a walk of
+    that record meets them, which is what lets a later colliding key win
+    and first appearance be read off (:func:`_columns`).
     """
-    for key, value in record.items():
-        name = key if not prefix and type(key) is str else f"{prefix}{key}"
+    for keys, names, group, group_rows in _shapes(records, rows, prefix):
+        if len(keys) == 1:
+            columns: Any = (list(map(itemgetter(keys[0]), group)),)
+        elif not keys:
+            continue
+        elif dicts:  # one key order per group: the values line up
+            columns = zip(*map(dict.values, group))
+        else:
+            columns = zip(*map(itemgetter(*keys), group))
+        for name, values in zip(names, columns):
+            kinds = set(map(type, values))
+            if kinds <= _STORED:
+                out.append((name, group_rows, values, kinds))
+            elif kinds == {dict}:
+                _walk(values, group_rows, name + ".", True, out)
+            elif kinds <= _SEQUENCES:
+                out.append((name, group_rows, _joined(values), {str}))
+            else:
+                _sort_values(name, values, group_rows, out)
+
+
+def _sort_values(name: str, values: Sequence[Any], rows: np.ndarray, out: List[_Piece]) -> None:
+    """A column mixing objects, sequences and scalars, value by value.
+    Exact types are dispatched first; ``isinstance`` is the fallback that
+    subclasses and other ``Mapping``s take."""
+    kept: List[int] = []
+    stored: List[Any] = []
+    nested: List[int] = []
+    objects: List[Mapping] = []
+    for i, value in enumerate(values):
         kind = type(value)
-        if kind is str or kind is int or kind is float or kind is bool or value is None:
+        if kind in _STORED:
             pass
-        elif kind is dict or (
-            kind is not list and kind is not tuple and isinstance(value, Mapping)
-        ):
-            _scatter(value, f"{name}.", row, nrows, columns)
+        elif kind is dict or (kind is not list and kind is not tuple and isinstance(value, Mapping)):
+            nested.append(i)
+            objects.append(value)
             continue
         elif kind is list or kind is tuple or isinstance(value, (list, tuple)):
             value = ",".join(map(str, value))
         elif not isinstance(value, _SCALARS):
-            raise AnalysisError(
-                f"unsupported json value of type {type(value).__name__} at {name!r}"
-            )
-        try:
-            columns[name][row] = value
-        except KeyError:
-            column = columns[name] = [None] * nrows
-            column[row] = value
+            message = f"unsupported json value of type {kind.__name__} at {name!r}"
+            out.append((None, int(rows[i]), message, None))
+            continue
+        kept.append(i)
+        stored.append(value)
+    if kept:
+        out.append((name, rows[kept], stored, set(map(type, stored))))
+    if nested:
+        _walk(objects, rows[nested], name + ".", False, out)
+
+
+def _columns(records: Sequence[Mapping], prefix: str) -> Dict[str, Tuple[Sequence[Any], Set[type]]]:
+    """``{dotted name: (value per record, None where absent; their types)}``
+    in first-appearance order.
+
+    Raises for the unsupported value a record-by-record walk meets first.
+    """
+    nrows = len(records)
+    out: List[_Piece] = []
+    if nrows:
+        dicts = set(map(type, records)) == {dict}
+        if not dicts:
+            for record in records:
+                if not isinstance(record, Mapping):
+                    raise AnalysisError(
+                        f"a record must be an object, not {type(record).__name__}"
+                    )
+        _walk(records, np.arange(nrows), prefix, dicts, out)
+    first: Dict[str, Tuple[int, int]] = {}
+    pieces: Dict[str, List[_Piece]] = {}
+    error = None
+    for seq, piece in enumerate(out):
+        name = piece[0]
+        if name is None:
+            if error is None or piece[1] < error[1]:
+                error = piece
+            continue
+        # A name first appears in its lowest row, at the earliest piece
+        # holding that row (pieces holding one row are in walk order).
+        mark = (int(piece[1][0]), seq)
+        held = pieces.get(name)
+        if held is None:
+            pieces[name] = [piece]
+            first[name] = mark
+        else:
+            held.append(piece)
+            first[name] = min(first[name], mark)
+    if error is not None:
+        raise AnalysisError(error[2])
+    columns = {}
+    for name in sorted(first, key=first.__getitem__):
+        held = pieces[name]
+        if len(held) == 1 and len(held[0][1]) == nrows:
+            columns[name] = held[0][2:]
+            continue
+        column = np.full(nrows, None, dtype=object)
+        for _name, rows, values, _kinds in held:  # in walk order: a later key wins
+            column[rows] = values
+        values = column.tolist()
+        columns[name] = (values, set(map(type, values)))
+    return columns
 
 
 def flatten_record(record: Mapping[str, Any], prefix: str = "") -> Dict[str, Any]:
     """Flatten one nested record into a dotted-key dict of scalars."""
-    columns: Dict[str, list] = {}
-    _scatter(record, prefix, 0, 1, columns)
-    return {name: column[0] for name, column in columns.items()}
+    return {name: values[0] for name, (values, _kinds) in _columns([record], prefix).items()}
 
 
 def _infer_type(kinds: Set[type]) -> DataType:
@@ -111,21 +242,16 @@ def flatten_records(
     missing key or a ``None`` becomes the type's default, since the
     engine's columns are dense.
     """
-    nrows = len(records)
-    raw: Dict[str, list] = {}
-    for row, record in enumerate(records):
-        _scatter(record, "", row, nrows, raw)
     schema_fields = []
     columns: Dict[str, np.ndarray] = {}
-    for name, values in raw.items():
-        kinds = set(map(type, values))
-        has_none = type(None) in kinds
-        kinds.discard(type(None))
+    for name, (values, kinds) in _columns(records, "").items():
+        has_none = _NONE in kinds
+        kinds = kinds - {_NONE}
         dtype = _infer_type(kinds)
         if has_none:
             default = _DEFAULTS[dtype]
             values = [default if v is None else v for v in values]
-        if dtype is DataType.STRING and kinds - {str}:
+        if dtype is DataType.STRING and kinds - _STR:
             values = list(map(str, values))
         schema_fields.append(Field(name, dtype))
         columns[name] = coerce_array(values, dtype)

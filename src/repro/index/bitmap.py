@@ -127,34 +127,45 @@ class BitVector:
         return f"<BitVector len={self.length} set={self.count()}>"
 
 
+#: One RLE record: the run's byte count (little-endian uint16), the byte.
+_RLE_RECORD = np.dtype([("count", "<u2"), ("byte", "u1")])
+_RUN_MAX = 0xFFFF
+
+
 def rle_compress(bv: BitVector) -> Tuple[bytes, int]:
     """Byte-level run-length compression of the packed buffer.
 
     Returns ``(payload, original_length)``.  Format: repeating
-    ``(count:uint16, byte)`` records.
+    ``(count:uint16, byte)`` records.  One pass: the positions where the
+    byte changes give the run bounds, the bounds the records.
     """
     raw = bv._bits  # noqa: SLF001
-    if len(raw) == 0:
+    n = len(raw)
+    if n == 0:
         return b"", bv.length
-    change = np.concatenate(([True], raw[1:] != raw[:-1]))
-    starts = np.flatnonzero(change)
-    lengths = np.diff(np.append(starts, len(raw)))
-    # Runs longer than 0xFFFF split into full chunks plus a remainder;
-    # records for all chunks are emitted in one vectorized pass.
-    n_chunks = (lengths + 0xFFFE) // 0xFFFF
-    total = int(n_chunks.sum())
-    run_idx = np.repeat(np.arange(len(starts)), n_chunks)
-    within = np.arange(total) - np.repeat(np.cumsum(n_chunks) - n_chunks, n_chunks)
-    sizes = np.where(
-        within == n_chunks[run_idx] - 1,
-        lengths[run_idx] - (n_chunks[run_idx] - 1) * 0xFFFF,
-        0xFFFF,
-    ).astype(np.uint16)
-    records = np.empty((total, 3), dtype=np.uint8)
-    records[:, 0] = sizes & 0xFF  # count, little-endian uint16
-    records[:, 1] = sizes >> 8
-    records[:, 2] = raw[starts][run_idx]
+    ends = (raw[1:] != raw[:-1]).nonzero()[0]
+    bounds = np.empty(len(ends) + 2, dtype=np.intp)
+    bounds[0] = 0
+    np.add(ends, 1, out=bounds[1:-1])
+    bounds[-1] = n
+    starts = bounds[:-1]
+    lengths = bounds[1:] - starts
+    if n > _RUN_MAX and lengths.max() > _RUN_MAX:
+        starts, lengths = _split_long_runs(starts, lengths)
+    records = np.empty(len(lengths), dtype=_RLE_RECORD)
+    records["count"] = lengths
+    records["byte"] = raw[starts]
     return records.tobytes(), bv.length
+
+
+def _split_long_runs(starts: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Runs cut into records of at most 0xFFFF bytes: full records, then
+    the remainder, each record keeping its run's start."""
+    pieces = (lengths + (_RUN_MAX - 1)) // _RUN_MAX
+    run = np.repeat(np.arange(len(lengths)), pieces)
+    counts = np.full(len(run), _RUN_MAX, dtype=np.intp)
+    counts[np.cumsum(pieces) - 1] = lengths - (pieces - 1) * _RUN_MAX
+    return starts[run], counts
 
 
 def rle_decompress(payload: bytes, length: int) -> BitVector:

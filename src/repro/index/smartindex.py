@@ -605,31 +605,33 @@ class SmartIndexManager:
     ) -> None:
         if saved_s is None:
             saved_s = vector.length * DEFAULT_SAVED_S_PER_ROW
+        predicate_key = atom.key  # a formatted string: build it once
         entry = SmartIndexEntry.build(
             block_id,
-            atom.key,
+            predicate_key,
             vector,
             now,
             compress=self.compress,
             atom=atom,
             saved_s=saved_s,
         )
-        entry.preferred = atom.key in self._preferred_predicates
-        old = self._entries.pop(entry.key, None)
+        entry.preferred = predicate_key in self._preferred_predicates
+        key = (block_id, predicate_key)
+        old = self._entries.pop(key, None)
         if old is not None:
             self._bytes -= old.nbytes
-        self._entries[entry.key] = entry
+        self._entries[key] = entry
         self._bytes += entry.nbytes
-        self._created.append((now, entry.key))
-        self._pinned_expired.pop(entry.key, None)  # re-created: TTL restarts
-        self._by_predicate.setdefault(atom.key, {})[entry.key] = None
+        self._created.append((now, key))
+        self._pinned_expired.pop(key, None)  # re-created: TTL restarts
+        self._by_predicate.setdefault(predicate_key, {})[key] = None
         self.stats.creations += 1
         if self.semantic:
             self._seq += 1
             entry.seq = self._seq
             self._registry.add(block_id, atom)
-            heapq.heappush(self._heap_probation, (self._score(entry), entry.seq, entry.key))
-            self._enforce_budget(inserted=entry.key)
+            heapq.heappush(self._heap_probation, (self._score(entry), entry.seq, key))
+            self._enforce_budget(inserted=key)
         else:
             self._enforce_budget()
         if len(self._created) > 2 * len(self._entries) + 8:

@@ -21,6 +21,7 @@ from repro.columnar.block import Block
 from repro.columnar.json_flatten import align_columns, flatten_records
 from repro.columnar.schema import Schema
 from repro.columnar.table import BlockRef, Table
+from repro.errors import AnalysisError
 from repro.sim.netmodel import NodeAddress
 from repro.storage.loader import make_block_ref
 
@@ -68,10 +69,20 @@ class LogIngestor:
         self._table: Optional[Table] = None
         self._block_seq = 0
 
-    def ingest(self, node: NodeAddress, records: Sequence[dict]) -> BlockRef:
-        """Convert one batch of fresh records on one node."""
+    def ingest(self, node: NodeAddress, records: Sequence[dict]) -> Optional[BlockRef]:
+        """Convert one batch of fresh records on one node.
+
+        An empty batch writes no block and returns None; the first batch
+        that has records fixes the table's schema, and must have a field.
+        """
+        if not records:
+            return None
         schema, columns = flatten_records(records)
         if self._schema is None:
+            if not len(schema):
+                raise AnalysisError(
+                    f"the first batch of {self.table_name!r} has no fields to fix its schema"
+                )
             self._schema = schema
             self._table = Table(self.table_name, schema, description="node-local service logs")
             self.cluster.catalog.register(self._table)

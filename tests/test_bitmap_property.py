@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import IndexError_
 from repro.index.bitmap import BitVector, rle_compress, rle_decompress
+from repro.index.smartindex import COMPRESS_THRESHOLD, SmartIndexEntry
 
 settings.register_profile("bitmap", deadline=None, max_examples=80)
 settings.load_profile("bitmap")
@@ -155,3 +156,78 @@ def test_rle_rejects_length_mismatch(bits):
     payload, length = rle_compress(bv)
     with pytest.raises(IndexError_):
         rle_decompress(payload, length + 8)
+
+
+# -- the one-pass RLE against the codec it replaced ------------------------------
+
+
+def _parent_rle_compress(bv: BitVector):
+    """The vectorised ``rle_compress`` the one-pass codec replaced, verbatim."""
+    raw = bv._bits  # noqa: SLF001
+    if len(raw) == 0:
+        return b"", bv.length
+    change = np.concatenate(([True], raw[1:] != raw[:-1]))
+    starts = np.flatnonzero(change)
+    lengths = np.diff(np.append(starts, len(raw)))
+    # Runs longer than 0xFFFF split into full chunks plus a remainder;
+    # records for all chunks are emitted in one vectorized pass.
+    n_chunks = (lengths + 0xFFFE) // 0xFFFF
+    total = int(n_chunks.sum())
+    run_idx = np.repeat(np.arange(len(starts)), n_chunks)
+    within = np.arange(total) - np.repeat(np.cumsum(n_chunks) - n_chunks, n_chunks)
+    sizes = np.where(
+        within == n_chunks[run_idx] - 1,
+        lengths[run_idx] - (n_chunks[run_idx] - 1) * 0xFFFF,
+        0xFFFF,
+    ).astype(np.uint16)
+    records = np.empty((total, 3), dtype=np.uint8)
+    records[:, 0] = sizes & 0xFF  # count, little-endian uint16
+    records[:, 1] = sizes >> 8
+    records[:, 2] = raw[starts][run_idx]
+    return records.tobytes(), bv.length
+
+
+def _assert_codec_matches_parent(bv: BitVector) -> None:
+    payload, length = rle_compress(bv)
+    assert (payload, length) == _parent_rle_compress(bv)
+    assert rle_decompress(payload, length) == bv
+    entry = SmartIndexEntry.build("b", "c > 1", bv, now=0.0)
+    want, _ = _parent_rle_compress(bv)
+    if len(want) <= bv.nbytes * COMPRESS_THRESHOLD:
+        assert entry.compressed == want and entry.raw is None
+        assert entry.nbytes == len(want) + 96
+    else:
+        assert entry.compressed is None and entry.nbytes == bv.nbytes + 96
+    assert entry.vector() == bv
+
+
+@pytest.mark.parametrize("length", [0, 1, 7, 8, 9])
+@pytest.mark.parametrize("fill", [False, True])
+def test_rle_matches_parent_codec_at_short_lengths(length, fill):
+    _assert_codec_matches_parent(BitVector.from_bool_array(np.full(length, fill)))
+
+
+@given(data=st.data())
+def test_rle_matches_parent_codec_on_random_vectors(data):
+    """Random vectors: dense noise, selective masks and clustered runs, on
+    lengths that are and are not whole bytes."""
+    length = data.draw(st.integers(0, 3000))
+    density = data.draw(st.sampled_from([0.0, 0.01, 0.3, 0.5, 0.99, 1.0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(length) < density
+    if data.draw(st.booleans()):
+        mask = np.sort(mask)  # one long run of each value
+    _assert_codec_matches_parent(BitVector.from_bool_array(mask))
+
+
+@pytest.mark.parametrize(
+    "nbytes, head",
+    [(0xFFFF, 0), (0xFFFF + 1, 0), (2 * 0xFFFF, 0), (2 * 0xFFFF + 5, 3), (3 * 0xFFFF + 1, 70_000)],
+)
+def test_rle_matches_parent_codec_past_the_uint16_run_limit(nbytes, head):
+    """Runs of exactly, just past and several times 0xFFFF bytes, alone and
+    behind a run that itself needs splitting."""
+    mask = np.zeros(nbytes * 8, dtype=bool)
+    mask[: head * 8] = True
+    mask[-3] = True  # a short run at the tail
+    _assert_codec_matches_parent(BitVector.from_bool_array(mask))

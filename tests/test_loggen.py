@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import AnalysisError
 from repro.workload.loggen import LogIngestor, generate_log_records
 
 
@@ -66,3 +67,35 @@ def test_batches_are_cast_onto_the_first_seen_schema(fresh_cluster):
     assert sorted(rows) == [("7", 0.0), ("7", 3.0), ("8", 4.0), ("a", 1.5), ("b", 2.5)]
     assert fresh_cluster.query("SELECT COUNT(*) FROM typed WHERE tag = '7'").rows() == [(2,)]
     assert fresh_cluster.query("SELECT SUM(score) FROM typed WHERE score > 2.75").rows() == [(7.0,)]
+
+
+def test_an_empty_batch_fixes_no_schema(fresh_cluster):
+    """An empty first batch used to fix the table at zero columns, so every
+    later batch was stored as zero columns: COUNT(*) read 0 and GROUP BY
+    action raised "unknown column".  An empty batch now writes nothing."""
+    ing = LogIngestor(fresh_cluster)
+    node = fresh_cluster.nodes[0]
+    assert ing.ingest(node, []) is None
+    with pytest.raises(RuntimeError):
+        _ = ing.table
+    records = generate_log_records(10, node_idx=0, hour=0)
+    ing.ingest(node, records)
+    assert ing.ingest(node, []) is None
+    assert len(ing.table.blocks) == 1
+    assert fresh_cluster.query("SELECT COUNT(*) FROM service_logs").rows() == [(10,)]
+    by_action = fresh_cluster.query(
+        "SELECT action, COUNT(*) AS n FROM service_logs GROUP BY action ORDER BY action"
+    ).rows()
+    want = sorted({r["action"] for r in records})
+    assert [a for a, _ in by_action] == want
+    assert sum(n for _, n in by_action) == 10
+
+
+def test_a_first_batch_without_fields_is_refused(fresh_cluster):
+    ing = LogIngestor(fresh_cluster)
+    node = fresh_cluster.nodes[0]
+    with pytest.raises(AnalysisError, match="no fields"):
+        ing.ingest(node, [{}, {"request": {}}])
+    ing.ingest(node, generate_log_records(5, node_idx=0, hour=0))
+    ing.ingest(node, [{}])  # once the schema is fixed, a fieldless record is all defaults
+    assert fresh_cluster.query("SELECT COUNT(*) FROM service_logs").rows() == [(6,)]
