@@ -51,7 +51,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _statements(args: argparse.Namespace) -> List[str]:
     statements = list(args.sql)
     if args.script:
-        text = sys.stdin.read() if args.script == "-" else open(args.script).read()
+        if args.script == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.script, encoding="utf-8") as fh:
+                text = fh.read()
         statements.extend(s.strip() for s in text.split(";") if s.strip())
     return statements
 

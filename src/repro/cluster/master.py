@@ -27,7 +27,7 @@ from repro.cluster.jobs import (
     task_signature,
 )
 from repro.cluster.membership import ClusterManager
-from repro.cluster.messages import DISPATCH_BASE_BYTES, STATUS_BYTES, deliver, send
+from repro.cluster.messages import DISPATCH_BASE_BYTES, STATUS_BYTES
 from repro.cluster.node import LeafServer, StemServer
 from repro.cluster.scheduler import JobScheduler, Placement
 from repro.columnar.table import Catalog
@@ -44,7 +44,7 @@ from repro.planner.expressions import Frame
 from repro.planner.physical import PhysicalPlan, ScanTask, build_plan, plan_fingerprint
 from repro.security.acl import AccessControl, QuotaPolicy, RateLimiter
 from repro.security.auth import Credential, SSOAuthority
-from repro.sim.events import Event, Simulator
+from repro.sim.events import Event, Process, Simulator
 from repro.sim.netmodel import NetworkTopology, NodeAddress, TrafficClass
 from repro.sql.analyzer import analyze_sql
 
@@ -200,20 +200,21 @@ class _Wave:
         self.reused: Set[str] = set()
         self.gate = master.sim.event(name=f"{job.job_id}.wave")
 
-    def launch(self, task: ScanTask) -> None:
+    def launch(self, task: ScanTask, sig: Tuple) -> None:
         """Start ``task``'s own supervisor, published for identical-task
-        reuse.  One callback on its completion settles the job manager's
-        in-flight entry and then the task's place in this wave."""
+        reuse under its signature ``sig``.  One callback on its completion
+        settles the job manager's in-flight entry and then the task's
+        place in this wave."""
         master = self.master
-        done = master.sim.event(name="task.done")
-        sig = task_signature(self.job.plan, task)
+        done = Event(master.sim, "task.done")
         master.job_manager.track_task(sig, done)
-        master.sim.process(
+        Process(
+            master.sim,
             master._task_supervisor(  # noqa: SLF001
                 self.job, task, self.broadcasts, self.sent_broadcast_to, done,
                 **self.supervisor_options,
             ),
-            name=task.task_id,
+            task.task_id,
         )
         done.add_callback(partial(self._settle_own, sig, task))
 
@@ -226,9 +227,10 @@ class _Wave:
         if gate.triggered:
             return
         job = self.job
-        if ev.ok:
-            self.arrived[task.task_id] = ev.value
-            job.stats.absorb(ev.value)
+        if ev._exc is None:  # noqa: SLF001 - a callback's event has fired
+            result = ev._value  # noqa: SLF001
+            self.arrived[task.task_id] = result
+            job.stats.absorb(result)
             if task.task_id in self.reused:
                 job.stats.tasks_reused += 1
         elif fallback_allowed:
@@ -237,7 +239,7 @@ class _Wave:
             # one job's bad luck into every piggybacker's.  Fall back to
             # our own supervisor once.
             self.reused.discard(task.task_id)
-            self.launch(task)
+            self.launch(task, task_signature(job.plan, task))
             return
         else:
             self.failed += 1
@@ -330,13 +332,14 @@ class _TaskAttempts:
         # whole-block figure the cost model prices).
         self.estimates.append(placement.estimate_s * self.estimate_scale)
         self.launch_times.append(master.sim.now)
-        proc = master.sim.process(
+        proc = Process(
+            master.sim,
             master._task_flow(  # noqa: SLF001
                 job, task, placement, self.broadcasts, self.sent_broadcast_to, self.report,
                 is_backup=bool(attempts),
                 attempt_index=len(attempts),
             ),
-            name="task.attempt",
+            "task.attempt",
         )
         attempts.append(proc)
         if len(attempts) > 1:
@@ -448,30 +451,18 @@ class Master:
         """
         self._dc_stems[stem.address.datacenter] = stem
 
-    def _stem_for(self, address: NodeAddress) -> Optional[StemServer]:
-        stem = self._stems.get((address.datacenter, address.rack))
-        if stem is not None and stem.alive:
-            return stem
-        # Fall back to any live stem (rack stem down).
-        for s in self._stems.values():
-            if s.alive:
-                return s
-        return None
-
-    def _dc_stem_for(self, address: NodeAddress) -> Optional[StemServer]:
-        stem = self._dc_stems.get(address.datacenter)
-        if stem is not None and stem.alive:
-            return stem
-        return None
-
     def _aggregation_path(self, leaf_address: NodeAddress) -> List[StemServer]:
-        """The live internal nodes a result crosses, bottom-up."""
+        """The live internal nodes a result crosses, bottom-up: the leaf's
+        rack stem (any live one while it is down), then its datacenter's
+        stem if that is live and another server."""
         path: List[StemServer] = []
-        rack_stem = self._stem_for(leaf_address)
+        rack_stem = self._stems.get((leaf_address.datacenter, leaf_address.rack))
+        if rack_stem is None or not rack_stem.alive:
+            rack_stem = next((s for s in self._stems.values() if s.alive), None)
         if rack_stem is not None:
             path.append(rack_stem)
-        dc_stem = self._dc_stem_for(leaf_address)
-        if dc_stem is not None and dc_stem is not rack_stem:
+        dc_stem = self._dc_stems.get(leaf_address.datacenter)
+        if dc_stem is not None and dc_stem.alive and dc_stem is not rack_stem:
             path.append(dc_stem)
         return path
 
@@ -844,12 +835,13 @@ class Master:
         )
         gate = state.gate
         for task in wave:
-            shared = self.job_manager.lookup_task(task_signature(job.plan, task))
+            sig = task_signature(job.plan, task)
+            shared = self.job_manager.lookup_task(sig)
             if shared is not None:
                 state.reused.add(task.task_id)
                 shared.add_callback(partial(state.settle, task, True))
             else:
-                state.launch(task)
+                state.launch(task, sig)
 
         if time_left is not None:
             def expire() -> None:
@@ -954,14 +946,7 @@ class Master:
                     source = min(replicas, key=lambda r: self.net.distance(r, self.address))
                     nbytes = int(ref.bytes_for(bc.columns) * ref.scale_factor)
                     moved_bytes += nbytes
-                    yield send(
-                        self.sim,
-                        self.net,
-                        source,
-                        self.address,
-                        nbytes,
-                        TrafficClass.READ,
-                    )
+                    yield self.net.transfer(source, self.address, max(1, nbytes), TrafficClass.READ)
             broadcasts[bc.binding] = frame
         if span is not None:
             span.tag("tables", [bc.table_name for bc in plan.broadcasts])
@@ -1042,20 +1027,19 @@ class Master:
             # Dispatch flows down the tree — master [→ dc stem] → rack stem →
             # leaf — on the control class (§III-B: stems "further dissect the
             # plan to the leaf servers"; §V-C: task dispatch is control flow).
-            # ``send``, not ``deliver``, here and for the ship below: at the
-            # instant a job is emitted these hops keep their events even
-            # node-local (see ``messages.send``).
+            # Here and for the ship below, at the instant a job is emitted,
+            # every hop is an event even node-local (``repro.cluster.messages``).
             dispatch_span = span.child("dispatch", self.sim.now) if span is not None else None
             hops = 0
             hop_from = self.address
             for stem in reversed(self._aggregation_path(leaf.address)):
-                yield send(
-                    self.sim, self.net, hop_from, stem.address, DISPATCH_BASE_BYTES, TrafficClass.CONTROL
+                yield self.net.transfer(
+                    hop_from, stem.address, DISPATCH_BASE_BYTES, TrafficClass.CONTROL
                 )
                 hop_from = stem.address
                 hops += 1
-            yield send(
-                self.sim, self.net, hop_from, leaf.address, DISPATCH_BASE_BYTES, TrafficClass.CONTROL
+            yield self.net.transfer(
+                hop_from, leaf.address, DISPATCH_BASE_BYTES, TrafficClass.CONTROL
             )
             hops += 1
             if dispatch_span is not None:
@@ -1069,20 +1053,16 @@ class Master:
                 sent_broadcast_to.add(leaf.worker_id)
                 ship_bytes = self._broadcast_bytes(broadcasts)
                 ship_span = span.child("broadcast_ship", self.sim.now) if span is not None else None
-                yield send(
-                    self.sim,
-                    self.net,
-                    self.address,
-                    leaf.address,
-                    ship_bytes,
-                    TrafficClass.WRITE,
+                yield self.net.transfer(
+                    self.address, leaf.address, max(1, ship_bytes), TrafficClass.WRITE
                 )
                 if ship_span is not None:
                     ship_span.tag("bytes", ship_bytes)
                     ship_span.tag("traffic_class", "write")
                     ship_span.finish(self.sim.now)
             result = yield from leaf.run_task(task, job.plan, broadcasts, span=span)
-            modeled = result.modeled_payload_bytes()
+            payload = result.payload_bytes()
+            modeled = result.modeled_payload_bytes(payload)
             return_span = span.child("result_return", self.sim.now) if span is not None else None
             if modeled > job.options.spill_threshold_bytes:
                 # §V-C write flow: too-big results are dumped to global
@@ -1095,25 +1075,28 @@ class Master:
             else:
                 # Result summarized bottom-up through every live internal
                 # node: leaf → rack stem [→ dc stem] → master (read flow).
-                payload = result.payload_bytes()
+                # A hop between co-located roles is no message on the way up.
                 stems_crossed = 0
                 hop_from = leaf.address
                 # Looked up again, not remembered from dispatch: a stem that
                 # died (or came back) while the leaf worked is routed around.
                 for stem in self._aggregation_path(leaf.address):
-                    yield from deliver(self.net, hop_from, stem.address, payload, TrafficClass.READ)
+                    if hop_from != stem.address:
+                        yield self.net.transfer(hop_from, stem.address, payload, TrafficClass.READ)
                     result = yield from stem.merge(result)
                     hop_from = stem.address
                     stems_crossed += 1
-                yield from deliver(self.net, hop_from, self.address, payload, TrafficClass.READ)
+                if hop_from != self.address:
+                    yield self.net.transfer(hop_from, self.address, payload, TrafficClass.READ)
                 if return_span is not None:
                     return_span.tag("spilled", False)
                     return_span.tag("bytes", payload)
                     return_span.tag("traffic_class", "read")
                     return_span.tag("stems", stems_crossed)
-            yield from deliver(
-                self.net, leaf.address, self.address, STATUS_BYTES, TrafficClass.CONTROL
-            )
+            if leaf.address != self.address:
+                yield self.net.transfer(
+                    leaf.address, self.address, STATUS_BYTES, TrafficClass.CONTROL
+                )
             if return_span is not None:
                 return_span.finish(self.sim.now)
         except BaseException as exc:
@@ -1156,17 +1139,21 @@ class Master:
         inner = f"/tmp/spill/{task.task_id.replace('/', '_')}"
         # Leaf writes the intermediate data: local disk + WRITE-class
         # transfer toward the global filesystem's replica holder.
+        # Hops between co-located roles are no messages (``repro.cluster.messages``).
+        wire_bytes = max(1, int(modeled_bytes))
         yield leaf.disk.write(int(modeled_bytes))
         spill_system.write(inner, payload, node=leaf.address)
         replicas = spill_system.locations(inner)
         remote = next((r for r in replicas if r != leaf.address), None)
         if remote is not None:
-            yield from deliver(self.net, leaf.address, remote, int(modeled_bytes), TrafficClass.WRITE)
+            yield self.net.transfer(leaf.address, remote, wire_bytes, TrafficClass.WRITE)
         # Only the location travels the result path.
-        yield from deliver(self.net, leaf.address, self.address, STATUS_BYTES, TrafficClass.READ)
+        if leaf.address != self.address:
+            yield self.net.transfer(leaf.address, self.address, STATUS_BYTES, TrafficClass.READ)
         # Master fetches from the nearest replica on the read flow.
         source = min(replicas, key=lambda r: self.net.distance(r, self.address))
-        yield from deliver(self.net, source, self.address, int(modeled_bytes), TrafficClass.READ)
+        if source != self.address:
+            yield self.net.transfer(source, self.address, wire_bytes, TrafficClass.READ)
         fetched = deserialize_result(spill_system.read(inner))
         spill_system.delete(inner)
         job.stats.results_spilled += 1

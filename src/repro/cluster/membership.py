@@ -82,7 +82,10 @@ class ClusterManager:
         self._record(worker_id).draining = False
 
     def is_draining(self, worker_id: str) -> bool:
-        return self._record(worker_id).draining
+        try:  # the table itself, not ``_record``: asked per placement candidate
+            return self._workers[worker_id].draining
+        except KeyError:
+            return self._record(worker_id).draining  # raises ClusterStateError
 
     def draining_workers(self) -> List[str]:
         return [r.worker_id for r in self._workers.values() if r.draining]
@@ -125,7 +128,10 @@ class ClusterManager:
             raise ClusterStateError(f"unknown worker {worker_id!r}") from None
 
     def is_alive(self, worker_id: str) -> bool:
-        return self._record(worker_id).alive
+        try:  # as in ``is_draining``
+            return self._workers[worker_id].alive
+        except KeyError:
+            return self._record(worker_id).alive  # raises ClusterStateError
 
     def load_of(self, worker_id: str) -> WorkerLoad:
         return self._record(worker_id).load

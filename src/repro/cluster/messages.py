@@ -1,20 +1,30 @@
-"""Cluster message size accounting and traffic-class routing (§V-C).
+"""Cluster message sizes and the rule for what a hop costs (§V-C).
 
-Every control-plane and data-plane exchange in the simulated cluster goes
-through :func:`send` or :func:`deliver` so the network model can charge
-it against the right traffic class: control/state flow first, write data
-flow second, read data flow last.  The two differ only in what a hop
-between co-located roles costs the *simulator*; neither gives it any
-simulated time.
+Every control-plane and data-plane exchange in the simulated cluster is
+one :meth:`~repro.sim.netmodel.NetworkTopology.transfer` on the right
+traffic class — control/state flow first, write data flow second, read
+data flow last — with a size of at least one byte.  Where the two ends
+share a node, the sender decides whether the hop is a message:
+
+* what happens at the instant a job is emitted — task dispatch, the
+  broadcast ship — always transfers, a zero-delay event when node-local.
+  The number of events a task spends before it reaches its leaf is what
+  orders it against everything else that instant causes: its sibling
+  tasks in the leaf's slot and disk queues (only a leaf's first task
+  ships), and the placements of other jobs emitted at the same instant,
+  which read the leaf's load;
+* the way back up the tree — results, status updates, spills,
+  heartbeats — transfers only ``if src != dst``.  Master, a rack stem and
+  a leaf may share one node, and what passes between them crosses no
+  link, takes no simulated time and loads nothing, so it costs no event
+  either.  The rule does not depend on a fault injector being installed:
+  ``FaultInjector.intercept_transfer`` exempts node-local transfers and
+  draws no randomness for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
-
-from repro.sim.events import Event, Simulator
-from repro.sim.netmodel import NetworkTopology, NodeAddress, TrafficClass
 
 #: Size of a heartbeat message: worker id, load stats, slot counts.
 HEARTBEAT_BYTES = 256
@@ -22,48 +32,6 @@ HEARTBEAT_BYTES = 256
 DISPATCH_BASE_BYTES = 2048
 #: Size of a task status update.
 STATUS_BYTES = 128
-
-
-def send(
-    sim: Simulator,
-    net: NetworkTopology,
-    src: NodeAddress,
-    dst: NodeAddress,
-    nbytes: int,
-    cls: TrafficClass,
-) -> Event:
-    """Transfer ``nbytes`` from ``src`` to ``dst``; completion event.
-
-    Always an event, zero-delay when ``src == dst``.  For what happens at
-    the instant a job is emitted — task dispatch, the broadcast ship —
-    where the number of events a task spends before it reaches its leaf
-    is what orders it against everything else that instant causes: its
-    sibling tasks in the leaf's slot and disk queues (only a leaf's first
-    task ships), and the placements of other jobs emitted at the same
-    instant, which read the leaf's load.
-    """
-    return net.transfer(src, dst, max(1, int(nbytes)), cls)
-
-
-def deliver(
-    net: NetworkTopology,
-    src: NodeAddress,
-    dst: NodeAddress,
-    nbytes: int,
-    cls: TrafficClass,
-) -> Generator[Event, None, None]:
-    """:func:`send` for the way back up the tree; ``yield from`` it.
-
-    A hop between co-located roles is not a message: master, a rack stem
-    and a leaf may share one node, and what passes between them crosses
-    no link, takes no simulated time and loads nothing — so here it costs
-    no event either.  For results, status updates, spills and heartbeats,
-    which happen at instants of their own.  The rule does not depend on a
-    fault injector being installed: ``FaultInjector.intercept_transfer``
-    exempts node-local transfers and draws no randomness for them.
-    """
-    if src != dst:
-        yield net.transfer(src, dst, max(1, int(nbytes)), cls)
 
 
 @dataclass

@@ -23,7 +23,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from repro.cluster.membership import HEARTBEAT_PERIOD_S, ClusterManager
-from repro.cluster.messages import HEARTBEAT_BYTES, WorkerLoad, deliver
+from repro.cluster.messages import HEARTBEAT_BYTES, WorkerLoad
 from repro.columnar.block import Block
 from repro.engine.executor import TaskResult, execute_scan_task
 from repro.errors import ClusterStateError, ExecutionError, FaultInjectedError
@@ -230,18 +230,14 @@ class LeafServer:
                 continue
             if self.faults is not None and self.faults.heartbeat_suppressed(self.worker_id):
                 continue  # zombie: process alive, heartbeats lost in the fabric
-            load = WorkerLoad(
-                running_tasks=self.running_tasks,
-                queued_tasks=self.queued_tasks,
-                disk_queue_s=self.disk.queue_delay(),
-                cpu_queue_s=self.cpu.queue_delay(),
-            )
-            try:
-                yield from deliver(
-                    self.net, self.address, master_addr, HEARTBEAT_BYTES, TrafficClass.CONTROL
-                )
-            except FaultInjectedError:
-                continue  # this beat never arrived; try again next period
+            load = self.load_snapshot()
+            if self.address != master_addr:
+                try:
+                    yield self.net.transfer(
+                        self.address, master_addr, HEARTBEAT_BYTES, TrafficClass.CONTROL
+                    )
+                except FaultInjectedError:
+                    continue  # this beat never arrived; try again next period
             if not self.alive:
                 # Crashed while the heartbeat was in flight.  However late
                 # the packet lands, a dead process must not report itself
@@ -484,13 +480,18 @@ class LeafServer:
 
     def pressure(self) -> float:
         """``load_snapshot().pressure``, the same sum in the same order,
-        without building a snapshot: the scheduler reads it for every
-        placement candidate."""
+        without building a snapshot or calling the devices'
+        ``queue_delay``: the scheduler reads it for every placement
+        candidate."""
+        now = self.sim.now
+        disk_wait = self.disk._free_at - now  # noqa: SLF001
+        cpu_wait = min(self.cpu._lane_free_at) - now  # noqa: SLF001
+        # ``x if x > 0.0 else 0.0`` is ``max(0.0, x)``, bit for bit.
         return (
             self.running_tasks
             + self.queued_tasks
-            + 2.0 * self.disk.queue_delay()
-            + 2.0 * self.cpu.queue_delay()
+            + 2.0 * (disk_wait if disk_wait > 0.0 else 0.0)
+            + 2.0 * (cpu_wait if cpu_wait > 0.0 else 0.0)
         )
 
 
@@ -531,12 +532,13 @@ class StemServer:
                 continue
             if self.faults is not None and self.faults.heartbeat_suppressed(self.worker_id):
                 continue
-            try:
-                yield from deliver(
-                    self.net, self.address, master_addr, HEARTBEAT_BYTES, TrafficClass.CONTROL
-                )
-            except FaultInjectedError:
-                continue
+            if self.address != master_addr:
+                try:
+                    yield self.net.transfer(
+                        self.address, master_addr, HEARTBEAT_BYTES, TrafficClass.CONTROL
+                    )
+                except FaultInjectedError:
+                    continue
             if not self.alive:
                 continue  # died mid-flight; see LeafServer._heartbeat_loop
             cluster_manager.heartbeat(self.worker_id, WorkerLoad())

@@ -15,7 +15,8 @@ different node; the first completion wins.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.membership import ClusterManager
@@ -183,7 +184,7 @@ class JobScheduler:
             # non-draining list non-empty, so the registry-wide filters
             # below would select exactly these leaves — start from the
             # block's replicas instead of from every registered leaf.
-            holders = []
+            ranked = []
             for addr in system.locations(inner):
                 leaf = self._by_address.get(addr)
                 if (
@@ -194,9 +195,10 @@ class JobScheduler:
                     and leaf.worker_id not in exclude
                     and not (is_draining is not None and is_draining(leaf.worker_id))
                 ):
-                    holders.append(leaf)
-            if holders:
-                holders.sort(key=lambda lf: self._order[lf.worker_id])
+                    ranked.append((self._order[leaf.worker_id], leaf))
+            if ranked:
+                ranked.sort(key=itemgetter(0))
+                holders = [leaf for _, leaf in ranked]
                 return self._place_on_holder(holders, task, cnf, system, inner)
 
         # Fall-through (no eligible holder, ``prefer`` given, round-robin

@@ -100,14 +100,16 @@ class TaskExecutionReport:
     index_subsumption_hits: int = 0
     index_residual_clauses: int = 0
     index_residual_fraction: float = 0.0
+    #: ``io_bytes`` and ``cpu_ops`` at production scale, set by :meth:`finish`.
+    modeled_io_bytes: float = field(default=0.0, init=False)
+    modeled_cpu_ops: float = field(default=0.0, init=False)
 
-    @property
-    def modeled_io_bytes(self) -> float:
-        return self.io_bytes * self.scale_factor
-
-    @property
-    def modeled_cpu_ops(self) -> float:
-        return self.cpu_ops * self.scale_factor
+    def finish(self) -> "TaskExecutionReport":
+        """Close the books of a task that has run: nothing adds to
+        ``io_bytes`` or ``cpu_ops`` after this."""
+        self.modeled_io_bytes = self.io_bytes * self.scale_factor
+        self.modeled_cpu_ops = self.cpu_ops * self.scale_factor
+        return self
 
 
 @dataclass
@@ -132,16 +134,17 @@ class TaskResult:
             )
         return 64
 
-    def modeled_payload_bytes(self) -> float:
-        """Production-scale wire size.
+    def modeled_payload_bytes(self, payload_bytes: int) -> float:
+        """Production-scale wire size, given :meth:`payload_bytes` (which
+        the caller needs too, so it is computed once).
 
         Row frames scale with the data (each materialized row models
         ``scale_factor`` production rows); aggregate partials don't —
         their size tracks group cardinality, which is scale-invariant.
         """
         if self.frame is not None and self.report is not None:
-            return self.payload_bytes() * self.report.scale_factor
-        return float(self.payload_bytes())
+            return payload_bytes * self.report.scale_factor
+        return float(payload_bytes)
 
 
 def _resolver_for(analyzed: AnalyzedQuery, frame: Frame, qualified: bool):
@@ -203,7 +206,9 @@ def execute_scan_task(
     )
     frame = _gather(task, plan, readers, rows, report.rows_in_block)
     report.rows_matched = frame.num_rows
-    return _finish_task(frame, task, plan, broadcast_frames, report, layout)
+    result = _finish_task(frame, task, plan, broadcast_frames, report, layout)
+    report.finish()
+    return result
 
 
 def _select_rows(

@@ -189,7 +189,7 @@ def deserialize_result(payload: bytes) -> TaskResult:
         index_subsumption_hits=rdoc.get("index_subsumption_hits", 0),
         index_residual_clauses=rdoc.get("index_residual_clauses", 0),
         index_residual_fraction=rdoc.get("index_residual_fraction", 0.0),
-    )
+    ).finish()
     body = payload[5 + rlen :]
     if tag == _TAG_FRAME:
         return TaskResult(report.task_id, frame=_frame_from_bytes(body), report=report)

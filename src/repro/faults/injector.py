@@ -2,14 +2,17 @@
 
 One injector instance owns one seeded RNG and one fault log.  The
 fabric and storage layers consult it at exactly three interception
-points, each guarded by ``if self.faults is not None`` on the hot path
-so a cluster without an injector runs byte-identically to one that never
-imported this module:
+points; a cluster without an injector runs byte-identically to one that
+never imported this module, and runs no fault code at all:
 
-* :meth:`intercept_transfer` — every cluster message
-  (:meth:`repro.sim.netmodel.NetworkTopology.transfer` delegates here);
+* :meth:`intercept_transfer` — every cluster message: :meth:`install`
+  replaces the topology's ``transfer`` on the instance with a bound
+  partial of it, so an uninstalled network pays no per-message branch;
 * :meth:`heartbeat_suppressed` — worker heartbeat loops (zombies);
 * :meth:`storage_first_byte_extra` — leaf IO charging (slow/cold disks).
+
+The last two are guarded by ``if self.faults is not None`` on the
+worker.
 
 Scheduled entries (crashes, restarts, slow-downs) become plain simulator
 callbacks at :meth:`install` time.
@@ -24,6 +27,7 @@ seed so any scenario can be re-run bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -42,7 +46,7 @@ from repro.faults.plan import (
 )
 from repro.obs.trace import Tracer
 from repro.sim.events import Event, Simulator
-from repro.sim.netmodel import NodeAddress, TrafficClass
+from repro.sim.netmodel import NetworkTopology, NodeAddress, TrafficClass
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,10 @@ class FaultInjector:
         """Hook into a :class:`~repro.core.feisu.FeisuCluster` and schedule
         every time-pinned entry.  Call before driving the simulation."""
         self.cluster = cluster
-        cluster.net.faults = self
+        # The topology's own transfer, not an earlier injector's: the
+        # latest install replaces it.
+        net = cluster.net
+        net.transfer = partial(self.intercept_transfer, NetworkTopology.transfer.__get__(net))
         for worker in list(cluster.leaves) + list(cluster.stems):
             worker.faults = self
             self._workers[worker.worker_id] = worker
@@ -136,9 +143,12 @@ class FaultInjector:
     # -- interception: RPC fabric ----------------------------------------
 
     def intercept_transfer(
-        self, net, src: NodeAddress, dst: NodeAddress, nbytes: int, cls: TrafficClass
+        self, transfer, src: NodeAddress, dst: NodeAddress, nbytes: int, cls: TrafficClass
     ) -> Event:
         """Apply message policies to one transfer; returns its event.
+
+        ``transfer`` is the topology's own: it carries what the policies
+        let through, and a duplicate's ghost copy.
 
         Node-local transfers never touch the fabric and are exempt.
         Partitions drop deterministically; probabilistic policies draw
@@ -146,7 +156,7 @@ class FaultInjector:
         duplicate), so the draw sequence is replayable.
         """
         if src == dst:
-            return net._transfer(src, dst, nbytes, cls)
+            return transfer(src, dst, nbytes, cls)
         now = self.sim.now
         if self._partitioned(src, dst, now):
             return self._drop(src, dst, nbytes, cls, reason="partition")
@@ -166,8 +176,8 @@ class FaultInjector:
             ):
                 self.duplicated += 1
                 self._record("duplicate", self._msg(src, dst, nbytes, cls))
-                net._transfer(src, dst, nbytes, cls)  # ghost copy loads the links
-        inner = net._transfer(src, dst, nbytes, cls)
+                transfer(src, dst, nbytes, cls)  # ghost copy loads the links
+        inner = transfer(src, dst, nbytes, cls)
         if extra <= 0.0:
             return inner
         self.delayed += 1
@@ -177,7 +187,7 @@ class FaultInjector:
         def relay(ev: Event) -> None:
             if ev.ok:
                 self.sim.schedule(extra, held.succeed, ev._value)  # noqa: SLF001
-            else:  # pragma: no cover - _transfer events always succeed
+            else:  # pragma: no cover - transfer events always succeed
                 self.sim.schedule(extra, held.fail, ev._exc)  # noqa: SLF001
 
         inner.add_callback(relay)

@@ -295,16 +295,7 @@ class SmartIndexManager:
         complement's bit-NOT (Fig 7)."""
         if sweep:
             self._expire(now)
-        entry = self._touch((block_id, atom.key), now)
-        if entry is not None:
-            self.stats.hits += 1
-            return entry.vector()
-        entry = self._touch((block_id, atom.complement().key), now)
-        if entry is not None:
-            self.stats.complement_hits += 1
-            return ~entry.vector()
-        self.stats.misses += 1
-        return None
+        return self._lookup_atom(block_id, atom, now)
 
     @_locked
     def lookup_clause(
@@ -318,13 +309,7 @@ class SmartIndexManager:
             return None
         if sweep:
             self._expire(now)
-        result: Optional[BitVector] = None
-        for atom in clause.atoms:
-            vec = self.lookup_atom(block_id, atom, now, sweep=False)
-            if vec is None:
-                return None
-            result = vec if result is None else (result | vec)
-        return result
+        return self._lookup_clause(block_id, clause, now)
 
     @_locked
     def cover(
@@ -339,7 +324,8 @@ class SmartIndexManager:
 
         The TTL sweep runs exactly once per cover call (not once per
         atom), so a multi-clause CNF probe does not multiply sweep cost;
-        see ``stats.ttl_sweeps``.
+        see ``stats.ttl_sweeps``.  The lock, too, is taken once: the
+        probes go through the lookups' unlocked halves.
 
         ``span`` (a :class:`~repro.obs.trace.Span`, or None) is tagged
         with this probe's hit/miss deltas.
@@ -353,7 +339,7 @@ class SmartIndexManager:
         mask: Optional[BitVector] = None
         missing: List[Clause] = []
         for clause in cnf.clauses:
-            vec = self.lookup_clause(block_id, clause, now, sweep=False)
+            vec = self._lookup_clause(block_id, clause, now) if clause.is_indexable else None
             if vec is None:
                 missing.append(clause)
             else:
@@ -363,6 +349,31 @@ class SmartIndexManager:
             span.tag("complement_hits", self.stats.complement_hits - before[1])
             span.tag("atom_misses", self.stats.misses - before[2])
         return mask, missing
+
+    def _lookup_atom(
+        self, block_id: Hashable, atom: AtomicPredicate, now: float
+    ) -> Optional[BitVector]:
+        """:meth:`lookup_atom`, lock held and sweep done."""
+        entry = self._touch((block_id, atom.key), now)
+        if entry is not None:
+            self.stats.hits += 1
+            return entry.vector()
+        entry = self._touch((block_id, atom.complement().key), now)
+        if entry is not None:
+            self.stats.complement_hits += 1
+            return ~entry.vector()
+        self.stats.misses += 1
+        return None
+
+    def _lookup_clause(self, block_id: Hashable, clause: Clause, now: float) -> Optional[BitVector]:
+        """:meth:`lookup_clause` of an indexable clause, lock held and sweep done."""
+        result: Optional[BitVector] = None
+        for atom in clause.atoms:
+            vec = self._lookup_atom(block_id, atom, now)
+            if vec is None:
+                return None
+            result = vec if result is None else (result | vec)
+        return result
 
     # -- semantic probe layer (flag-gated; see module docstring) -----------
 

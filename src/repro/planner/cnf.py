@@ -76,18 +76,17 @@ class AtomicPredicate:
     op: BinaryOperator
     value: Union[int, float, str, bool]
     negated: bool = False
+    #: Cache identity: equal keys ⇔ equal predicate semantics.  Built with
+    #: the atom, since every index probe of every task reads it.
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in _ATOMIC_OPS:
             raise PlanError(f"{self.op} is not an atomic comparison")
         if self.negated and self.op is not BinaryOperator.CONTAINS:
             raise PlanError("only CONTAINS predicates carry a negation flag")
-
-    @property
-    def key(self) -> str:
-        """Cache identity: equal keys ⇔ equal predicate semantics."""
         prefix = "NOT " if self.negated else ""
-        return f"{prefix}{self.column} {self.op.value} {self.value!r}"
+        object.__setattr__(self, "key", f"{prefix}{self.column} {self.op.value} {self.value!r}")
 
     @property
     def base(self) -> "AtomicPredicate":
@@ -186,6 +185,9 @@ class ConjunctiveForm:
     """A WHERE condition as AND-of-clauses."""
 
     clauses: List[Clause] = field(default_factory=list)
+    #: :meth:`repro.planner.cost.CostModel.predicate_ops_per_row`, filled
+    #: on first use — a form's clauses are not rewritten once built.
+    _ops_per_row: Optional[float] = field(default=None, repr=False, compare=False)
 
     @property
     def indexable_clauses(self) -> List[Clause]:

@@ -39,14 +39,19 @@ class CostModel:
     cpu_ops_per_sec: float = CPU_OPS_PER_SEC
 
     def predicate_ops_per_row(self, cnf: ConjunctiveForm) -> float:
-        ops = 0.0
-        for clause in cnf.clauses:
-            for atom in clause.atoms:
-                if atom.op is BinaryOperator.CONTAINS:
-                    ops += OPS_PER_CONTAINS
-                else:
-                    ops += OPS_PER_COMPARISON
-            ops += 2.0 * len(clause.residuals)  # opaque exprs: rough charge
+        """Filter ops per row; the rates are constants, so it is summed
+        once per form (placement prices every task of a plan with it)."""
+        ops = cnf._ops_per_row  # noqa: SLF001 - the memo slot is this module's
+        if ops is None:
+            ops = 0.0
+            for clause in cnf.clauses:
+                for atom in clause.atoms:
+                    if atom.op is BinaryOperator.CONTAINS:
+                        ops += OPS_PER_CONTAINS
+                    else:
+                        ops += OPS_PER_COMPARISON
+                ops += 2.0 * len(clause.residuals)  # opaque exprs: rough charge
+            cnf._ops_per_row = ops  # noqa: SLF001
         return ops
 
     def scan_io_seconds(

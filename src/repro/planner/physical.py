@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.columnar.table import BlockRef
@@ -147,14 +147,13 @@ class PhysicalPlan:
     pruned_blocks: int = 0
     #: Per broadcast, its table's block incarnations at instantiation.
     broadcast_incarnations: Tuple[Tuple[int, ...], ...] = ()
+    #: Derived once (a plan never changes): read for every task.
+    is_aggregate: bool = field(init=False, repr=False, compare=False)
+    has_joins: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_aggregate(self) -> bool:
-        return self.analyzed.is_aggregate
-
-    @property
-    def has_joins(self) -> bool:
-        return bool(self.broadcasts)
+    def __post_init__(self) -> None:
+        self.is_aggregate = self.analyzed.is_aggregate
+        self.has_joins = bool(self.broadcasts)
 
     def scan_predicate_keys(self) -> List[str]:
         """Canonical keys of every indexable scan atom (similarity stats)."""

@@ -17,8 +17,8 @@ flow-level model:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import FeisuError
 from repro.sim.events import Event, Simulator
@@ -61,17 +61,13 @@ class Link:
         self.bytes_carried = 0
         self.busy_time = 0.0
 
-    def transfer_duration(self, nbytes: int, cls: TrafficClass) -> float:
-        share = CLASS_BANDWIDTH_SHARE[cls]
-        return nbytes / (self.bandwidth_bps * share)
-
     def occupy(self, nbytes: int, cls: TrafficClass) -> float:
         """Reserve the link for a transfer; returns completion delay from now.
 
         Control traffic bypasses the data queue (reserved bandwidth);
         write/read traffic queues FIFO behind earlier data transfers.
         """
-        duration = self.transfer_duration(nbytes, cls)
+        duration = nbytes / (self.bandwidth_bps * CLASS_BANDWIDTH_SHARE[cls])
         now = self.sim.now
         self.bytes_carried += nbytes
         if cls is TrafficClass.CONTROL:
@@ -91,9 +87,15 @@ class Link:
         return min(1.0, self.busy_time / self.sim.now)
 
 
-@dataclass(frozen=True)
-class NodeAddress:
-    """Position of a node in the datacenter/rack tree."""
+class NodeAddress(NamedTuple):
+    """Position of a node in the datacenter/rack tree.
+
+    A named tuple, so hashing and comparing one runs in C: addresses key
+    the routes, the replica maps and the leaf registry, and are compared
+    on every hop.  Its hash is ``hash((datacenter, rack, node))``, which
+    is what a frozen dataclass of these fields hashed to, so sets and
+    dicts keyed by addresses keep their iteration order.
+    """
 
     datacenter: int
     rack: int
@@ -135,9 +137,6 @@ class NetworkTopology:
     def __init__(self, sim: Simulator, spec: TopologySpec):
         self.sim = sim
         self.spec = spec
-        #: Installed :class:`~repro.faults.injector.FaultInjector`, or
-        #: None — the default — in which case no fault code runs at all.
-        self.faults = None
         self._tor: Dict[Tuple[int, int], Link] = {}
         self._core: Dict[int, Link] = {}
         self._wan: Dict[Tuple[int, int], Link] = {}
@@ -223,24 +222,19 @@ class NetworkTopology:
         nbytes: int,
         cls: TrafficClass = TrafficClass.READ,
     ) -> Event:
-        """Move ``nbytes`` from ``src`` to ``dst``; completion event.
+        """Move ``nbytes`` (an int, at least 1) from ``src`` to ``dst``;
+        completion event.
 
         The transfer queues on its bottleneck link and pays propagation
-        latency on the rest of the path.  This is the fault layer's RPC
-        interception point: with an injector installed, every message may
-        be dropped, delayed or duplicated per the active plan.
+        latency on the rest of the path.  A node-local pair crosses no
+        link and completes after a zero delay, but is still an event: the
+        caller decides whether a hop between co-located roles is a
+        message at all (``repro.cluster.messages``).  This is the fault
+        layer's RPC interception point: an installed
+        :class:`~repro.faults.injector.FaultInjector` replaces this
+        method on the instance, so every message may be dropped, delayed
+        or duplicated per the active plan.
         """
-        if self.faults is not None:
-            return self.faults.intercept_transfer(self, src, dst, nbytes, cls)
-        return self._transfer(src, dst, nbytes, cls)
-
-    def _transfer(
-        self,
-        src: NodeAddress,
-        dst: NodeAddress,
-        nbytes: int,
-        cls: TrafficClass = TrafficClass.READ,
-    ) -> Event:
         routes = self._routes[cls]
         route = routes.get((src, dst))
         if route is None:
@@ -271,7 +265,9 @@ class NetworkTopology:
         if not links:
             return 0.0
         bottleneck = min(links, key=lambda ln: ln.bandwidth_bps * CLASS_BANDWIDTH_SHARE[cls])
-        return sum(ln.latency_s for ln in links) + bottleneck.transfer_duration(nbytes, cls)
+        return sum(ln.latency_s for ln in links) + nbytes / (
+            bottleneck.bandwidth_bps * CLASS_BANDWIDTH_SHARE[cls]
+        )
 
     def links(self) -> List[Link]:
         """All links, for utilization reporting."""

@@ -166,9 +166,6 @@ class Cpu(Device):
         self._lane_free_at = [0.0] * cores
         self.ops_executed = 0.0
 
-    def compute_time(self, ops: float) -> float:
-        return ops / self.ops_per_sec
-
     def compute(self, ops: float, value: Any = None) -> Event:
         if ops < 0:
             raise SimulationError(f"negative op count {ops}")
@@ -176,7 +173,7 @@ class Cpu(Device):
         lanes = self._lane_free_at
         lane = lanes.index(min(lanes))  # first least-loaded lane
         start = max(now, lanes[lane])
-        duration = self.compute_time(ops)
+        duration = ops / self.ops_per_sec
         end = start + duration
         lanes[lane] = end
         self.busy_time += duration
@@ -206,7 +203,7 @@ class Resource:
         self._waiters: Deque[Event] = deque()
 
     def request(self) -> Event:
-        ev = self.sim.event(name=self._grant_name)
+        ev = Event(self.sim, self._grant_name)
         if self.in_use < self.capacity:
             self.in_use += 1
             ev.succeed()

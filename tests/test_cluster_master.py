@@ -155,22 +155,21 @@ def test_stats_surface(small_cluster):
 # -- a hop between co-located roles is not a message (S57) -------------------
 
 
-def test_deliver_creates_an_event_only_between_different_nodes():
-    from repro.cluster.messages import deliver, send
+def test_node_local_transfer_is_a_zero_delay_event():
+    """Dispatch and the broadcast ship keep an event even node-local, so
+    ``transfer`` gives one; the hops back up the tree make no call at all
+    between co-located roles (the event budget below pins that)."""
     from repro.sim.netmodel import NetworkTopology, NodeAddress, TopologySpec, TrafficClass
 
     sim = Simulator()
     net = NetworkTopology(sim, TopologySpec(1, 2, 2))
     here, there = NodeAddress(0, 0, 0), NodeAddress(0, 1, 1)
-    assert list(deliver(net, here, NodeAddress(0, 0, 0), 2048, TrafficClass.CONTROL)) == []
-    assert sim.step() is False  # nothing was scheduled
-    (event,) = list(deliver(net, here, there, 2048, TrafficClass.CONTROL))
-    sim.run_until_complete(event)
+    local = net.transfer(here, NodeAddress(0, 0, 0), 2048, TrafficClass.CONTROL)
+    assert not local.triggered  # an event on the queue, not a resolved one
+    sim.run_until_complete(local)
+    assert sim.now == 0.0
+    sim.run_until_complete(net.transfer(here, there, 2048, TrafficClass.CONTROL))
     assert sim.now > 0.0
-    # ``send`` keeps its place in the event order even node-local.
-    at = sim.now
-    sim.run_until_complete(send(sim, net, here, here, 2048, TrafficClass.CONTROL))
-    assert sim.now == at
 
 
 def test_index_covered_query_stays_within_its_event_budget():

@@ -86,14 +86,19 @@ def test_cli_explain_statement():
 
 def test_cli_script_file(tmp_path):
     script = tmp_path / "queries.sql"
+    # The script is UTF-8 whatever the locale: the third statement's
+    # literal must reach the parser intact.
     script.write_text(
         "SELECT COUNT(*) n FROM T1;\nSELECT province, COUNT(*) c FROM T1 GROUP BY province ORDER BY c DESC LIMIT 2;"
+        "\nSELECT COUNT(*) n FROM T1 WHERE province = 'Zhèjiāng 浙江';",
+        encoding="utf-8",
     )
     code, output = _run_cli(
         [str(script), "--t1-rows", "2000", "--t2-rows", "2000", "--t3-rows", "1000", "--nodes", "2"]
     )
     assert code == 0
-    assert output.count("feisu>") == 2
+    assert output.count("feisu>") == 3
+    assert "WHERE province = 'Zhèjiāng 浙江'" in output
 
 
 def test_cli_reports_errors_and_continues():
