@@ -97,6 +97,47 @@ def main() -> None:
         f"{stats.lookups} lookups (drill-down sessions repeat predicates, §IV-A)"
     )
 
+    # --- step 5: the other join shapes -----------------------------------
+    # The outer join keeps every page, requested or not; of the pages
+    # requested in the last hour, one whose worst status there is below
+    # 500 served that hour cleanly.
+    print("\n== Pages with no failing requests in the last hour ==")
+    clean = client.query(
+        "SELECT pages.page AS path, owner_service, MAX(request.status) AS worst "
+        "FROM pages LEFT JOIN service_logs ON pages.page = request.page "
+        "WHERE hour = 5 GROUP BY pages.page, owner_service HAVING MAX(request.status) < 500 "
+        "ORDER BY path"
+    )
+    print(client.format_table(clean), "\n")
+
+    # A non-equi ON: which latency budgets did the failing requests blow?
+    cluster.load_table(
+        "latency_budgets",
+        Schema.of(tier=DataType.STRING, budget_ms=DataType.FLOAT64),
+        {
+            "tier": np.array(["interactive", "standard", "batch"], dtype=object),
+            "budget_ms": np.array([50.0, 150.0, 400.0]),
+        },
+        storage="storage-b",
+    )
+    print("== Failing requests over each latency budget ==")
+    breaches = client.query(
+        "SELECT tier, COUNT(*) AS over_budget "
+        "FROM service_logs JOIN latency_budgets ON latency_ms > budget_ms "
+        "WHERE request.status = 500 GROUP BY tier ORDER BY over_budget DESC"
+    )
+    print(client.format_table(breaches), "\n")
+
+    # §III-A's comma join, its equality in the WHERE: step 3's answer again.
+    print("== Step 3 as a comma join ==")
+    comma = client.query(
+        "SELECT owner_service, COUNT(*) AS failing_requests "
+        "FROM service_logs, pages WHERE request.page = pages.page "
+        "AND request.status = 500 "
+        "GROUP BY owner_service ORDER BY failing_requests DESC"
+    )
+    print(client.format_table(comma))
+
 
 if __name__ == "__main__":
     main()

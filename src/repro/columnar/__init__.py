@@ -7,7 +7,6 @@ from repro.columnar.block import (
     ColumnChunk,
     split_into_blocks,
 )
-from repro.columnar.bloom import BloomFilter
 from repro.columnar.encoding import (
     BitPackedEncoding,
     ChunkReader,
@@ -29,7 +28,6 @@ __all__ = [
     "BitPackedEncoding",
     "Block",
     "BlockRef",
-    "BloomFilter",
     "Catalog",
     "ColumnHistogram",
     "ChunkReader",

@@ -2,7 +2,7 @@
 
 A :class:`Block` holds a horizontal slice of a table (a few tens of
 thousands of rows) as a set of independently encoded column chunks, plus
-per-chunk statistics (min/max range, null-free, Bloom filter) used for
+per-chunk statistics (min/max range, distinct estimate) used for
 block pruning.  SmartIndex entries are keyed by ``(block_id, predicate)``
 exactly as Fig 6 shows.
 
@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.columnar.bloom import BloomFilter
 from repro.columnar.encoding import ChunkReader, ColumnFacts, choose_encoding, codec_by_tag
 from repro.columnar.schema import DataType, Schema
 from repro.errors import StorageError
@@ -35,43 +33,11 @@ _MAGIC = b"FSU1"
 
 @dataclass
 class ChunkStats:
-    """Statistics for one column chunk, used for pruning.
-
-    The Bloom filter of a freshly written string chunk is built the
-    first time it is consulted, from the values ``bloom_source()``
-    returns; it is not serialised, so a block parsed back from bytes
-    prunes on min / max alone.
-    """
+    """Statistics for one column chunk, used for pruning."""
 
     min_value: Optional[object] = None
     max_value: Optional[object] = None
     distinct_estimate: int = 0
-    bloom_source: Optional[Callable[[], np.ndarray]] = field(
-        default=None, repr=False, compare=False
-    )
-    _bloom: Optional[BloomFilter] = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def bloom(self) -> Optional[BloomFilter]:
-        if self._bloom is None and self.bloom_source is not None:
-            distinct = set(map(str, self.bloom_source()))
-            self._bloom = BloomFilter(expected_items=len(distinct))
-            self._bloom.update(distinct)
-            self.bloom_source = None
-        return self._bloom
-
-    def range_excludes_equality(self, value: object) -> bool:
-        """True if ``column == value`` can't match anything in the chunk."""
-        if self.min_value is None or self.max_value is None:
-            return False
-        try:
-            if value < self.min_value or value > self.max_value:
-                return True
-        except TypeError:
-            return False
-        if self.bloom is not None and not self.bloom.might_contain(value):
-            return True
-        return False
 
 
 class ColumnChunk:
@@ -102,9 +68,6 @@ class ColumnChunk:
         codec = choose_encoding(array, dtype, facts)
         payload = codec.encode(array, facts)
         stats = _compute_stats(array, dtype, facts)
-        if dtype is DataType.STRING and len(array):
-            # Holds the payload the chunk holds anyway, not the array.
-            stats.bloom_source = partial(codec.decode, payload, len(array))
         return cls(name, dtype, codec.tag, payload, stats, len(array))
 
     def decode(self) -> np.ndarray:

@@ -226,11 +226,6 @@ class Encoding:
         nothing cheaper applies)."""
         return ChunkReader(decode)
 
-    def encoded_size(self, array: np.ndarray) -> int:
-        """Size estimate used by :func:`choose_encoding` (exact here)."""
-        return len(self.encode(array))
-
-
 class PlainEncoding(Encoding):
     """Raw little-endian buffer (strings: offsets + UTF-8)."""
 

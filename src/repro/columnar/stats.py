@@ -1,6 +1,6 @@
 """Table-level column statistics: equi-width histograms.
 
-Block chunks already carry min/max/Bloom for pruning; the *catalog*
+Block chunks already carry min/max for pruning; the *catalog*
 additionally keeps one histogram per numeric column so the cost-based
 planner (§III-B) can estimate predicate selectivity — how many rows a
 filter keeps — which feeds EXPLAIN's row estimates and the master's

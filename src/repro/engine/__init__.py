@@ -21,7 +21,6 @@ from repro.engine.operators import (
     join,
     limit_frame,
     prefix_columns,
-    scan_block,
     sort_frame,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "make_state",
     "partial_aggregate",
     "prefix_columns",
-    "scan_block",
     "serialize_result",
     "deserialize_result",
     "sort_frame",

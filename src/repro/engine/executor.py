@@ -647,18 +647,11 @@ def _apply_broadcast_joins(
         except KeyError:
             raise ExecutionError(f"missing broadcast table {bc.binding!r}") from None
         dim_q = prefix_columns(dim, bc.binding)
+        resolve = None
+        if bc.keys is None:
+            resolve = make_qualified_resolver(Frame({**frame.columns, **dim_q.columns}, 0))
         before = frame.num_rows
-        frame = join(
-            frame,
-            dim_q,
-            bc.kind,
-            bc.condition,
-            left_binding=plan.analyzed.base_binding,
-            right_binding=bc.binding,
-            resolve=make_qualified_resolver(
-                Frame({**frame.columns, **dim_q.columns}, 0)
-            ),
-        )
+        frame = join(frame, dim_q, bc.kind, bc.keys, bc.condition, resolve)
         report.cpu_ops += _join_rate(bc, layout) * (before + dim.num_rows)
     return frame
 

@@ -1,25 +1,19 @@
 """Relational operators over :class:`~repro.planner.expressions.Frame`.
 
 These are the building blocks leaf servers, stem servers and the master
-compose: scan (block decode + projection), filter, hash join, sort and
-limit.  Grouped aggregation lives in :mod:`repro.engine.aggregates`.
+compose: filter, hash join, sort and limit.  Grouped aggregation lives
+in :mod:`repro.engine.aggregates`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.columnar.block import Block
 from repro.errors import ExecutionError
 from repro.planner.expressions import Frame, Resolver, evaluate
-from repro.sql.ast import BinaryOp, BinaryOperator, Column, Expr, JoinKind, walk
-
-
-def scan_block(block: Block, columns: Sequence[str]) -> Frame:
-    """Decode the requested columns of a block into a frame."""
-    return Frame(block.columns(list(columns)), block.num_rows)
+from repro.sql.ast import Expr, JoinKind
 
 
 def apply_filter(frame: Frame, mask: np.ndarray) -> Frame:
@@ -33,36 +27,6 @@ def apply_filter(frame: Frame, mask: np.ndarray) -> Frame:
 def prefix_columns(frame: Frame, binding: str) -> Frame:
     """Qualify all column names with a table binding (pre-join)."""
     return Frame({f"{binding}.{n}": v for n, v in frame.columns.items()}, frame.num_rows)
-
-
-def equi_join_keys(
-    condition: Expr, left_binding: str, right_binding: str
-) -> Optional[List[Tuple[Column, Column]]]:
-    """Extract equi-join key pairs from an ON condition.
-
-    Returns pairs ``(left_col, right_col)`` when the condition is a
-    conjunction of cross-table equalities; None otherwise (the join then
-    degrades to filtered cross product).
-    """
-    pairs: List[Tuple[Column, Column]] = []
-    stack = [condition]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, BinaryOp) and node.op is BinaryOperator.AND:
-            stack.extend((node.left, node.right))
-            continue
-        if not (
-            isinstance(node, BinaryOp)
-            and node.op is BinaryOperator.EQ
-            and isinstance(node.left, Column)
-            and isinstance(node.right, Column)
-        ):
-            return None
-        a, b = node.left, node.right
-        if a.table == right_binding or (b.table == left_binding):
-            a, b = b, a
-        pairs.append((a, b))
-    return pairs or None
 
 
 def _stable_order(col: np.ndarray) -> np.ndarray:
@@ -257,33 +221,25 @@ def join(
     left: Frame,
     right: Frame,
     kind: JoinKind,
-    condition: Optional[Expr],
-    left_binding: str,
-    right_binding: str,
-    resolve: Resolver,
+    keys: Optional[Sequence[Tuple[str, str]]],
+    condition: Optional[Expr] = None,
+    resolve: Optional[Resolver] = None,
 ) -> Frame:
-    """General join: equi fast path, else filtered cross product."""
+    """Hash join on ``keys``, the planner's ``(left column, right column)``
+    pairs; without keys, the cross product filtered by ``condition``."""
+    if keys is not None:
+        return hash_join(left, right, [k for k, _ in keys], [k for _, k in keys], kind)
     if kind is JoinKind.CROSS:
         return cross_join(left, right)
     if condition is None:
         raise ExecutionError("non-CROSS join requires a condition")
-    pairs = equi_join_keys(condition, left_binding, right_binding)
-    if pairs is not None:
-        try:
-            left_keys = [resolve_in(left, p[0]) for p in pairs]
-            right_keys = [resolve_in(right, p[1]) for p in pairs]
-        except ExecutionError:
-            pairs = None
-        else:
-            return hash_join(left, right, left_keys, right_keys, kind)
-    # Fallback: cross product, then filter; outer pads unmatched rows.
     product = cross_join(left, right)
     mask = evaluate(condition, product, resolve).astype(np.bool_)
     matched = product.take(mask)
     if kind is JoinKind.INNER:
         return matched
-    # LEFT/RIGHT outer via the fallback path
-    probe, build = (left, right) if kind is JoinKind.LEFT_OUTER else (right, left)
+    # LEFT/RIGHT outer: pad the probe side's unmatched rows.
+    probe = left if kind is JoinKind.LEFT_OUTER else right
     matched_mask = mask.reshape(left.num_rows, right.num_rows)
     if kind is JoinKind.LEFT_OUTER:
         missing = ~matched_mask.any(axis=1)
@@ -298,17 +254,6 @@ def join(
         else:
             out[name] = np.concatenate((col, _default_pad(col, pad)))
     return Frame(out, matched.num_rows + pad)
-
-
-def resolve_in(frame: Frame, col: Column) -> str:
-    if col.table is not None and f"{col.table}.{col.name}" in frame.columns:
-        return f"{col.table}.{col.name}"
-    if col.name in frame.columns:
-        return col.name
-    for key in frame.columns:
-        if key.endswith(f".{col.name}"):
-            return key
-    raise ExecutionError(f"column {col} not found in join input")
 
 
 def _default_pad(col: np.ndarray, n: int) -> np.ndarray:

@@ -54,10 +54,6 @@ class PathError(StorageError):
     """A path does not exist or its prefix maps to no registered plugin."""
 
 
-class ReplicaUnavailableError(StorageError):
-    """No live replica of a requested block could be located."""
-
-
 class AccessDeniedError(FeisuError):
     """Authentication or authorization failed for the requesting user."""
 

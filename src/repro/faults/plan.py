@@ -158,9 +158,5 @@ class FaultPlan:
         self.entries.extend(entries)
         return self
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
-
     def __len__(self) -> int:
         return len(self.entries)

@@ -172,11 +172,6 @@ class IntervalRegistry:
         self._ranges: Dict[Tuple[str, str, str], Dict[BinaryOperator, _SortedAtoms]] = {}
         self._eq: Dict[Tuple[str, str, str], Dict[object, str]] = {}
         self._contains: Dict[Tuple[str, str], Dict[str, str]] = {}
-        self._atoms = 0
-
-    @property
-    def atom_count(self) -> int:
-        return self._atoms
 
     # -- maintenance -------------------------------------------------------
 
@@ -185,46 +180,34 @@ class IntervalRegistry:
         if op is BinaryOperator.CONTAINS:
             if atom.negated:
                 return  # negated CONTAINS subsumes nothing useful
-            needles = self._contains.setdefault((block_id, atom.column), {})
-            if str(atom.value) not in needles:
-                self._atoms += 1
-            needles[str(atom.value)] = atom.key
+            self._contains.setdefault((block_id, atom.column), {})[str(atom.value)] = atom.key
             return
         if op is BinaryOperator.NE:
             return  # NE answers come from the EQ complement, never composition
         bucket = (block_id, atom.column, _type_class(atom.value))
         if op is BinaryOperator.EQ:
-            eqs = self._eq.setdefault(bucket, {})
-            if atom.value not in eqs:
-                self._atoms += 1
-            eqs[atom.value] = atom.key
+            self._eq.setdefault(bucket, {})[atom.value] = atom.key
             return
         ranges = self._ranges.setdefault(bucket, {})
         arr = ranges.get(op)
         if arr is None:
             arr = ranges[op] = _SortedAtoms()
-        before = len(arr)
         arr.add(atom.value, atom.key)
-        self._atoms += len(arr) - before
 
     def discard(self, block_id: str, atom: AtomicPredicate) -> None:
         op = atom.op
         if op is BinaryOperator.CONTAINS:
             needles = self._contains.get((block_id, atom.column))
-            if needles and needles.pop(str(atom.value), None) is not None:
-                self._atoms -= 1
-                if not needles:
-                    del self._contains[(block_id, atom.column)]
+            if needles and needles.pop(str(atom.value), None) is not None and not needles:
+                del self._contains[(block_id, atom.column)]
             return
         if op is BinaryOperator.NE:
             return
         bucket = (block_id, atom.column, _type_class(atom.value))
         if op is BinaryOperator.EQ:
             eqs = self._eq.get(bucket)
-            if eqs and eqs.pop(atom.value, None) is not None:
-                self._atoms -= 1
-                if not eqs:
-                    del self._eq[bucket]
+            if eqs and eqs.pop(atom.value, None) is not None and not eqs:
+                del self._eq[bucket]
             return
         ranges = self._ranges.get(bucket)
         if not ranges:
@@ -232,9 +215,7 @@ class IntervalRegistry:
         arr = ranges.get(op)
         if arr is None:
             return
-        before = len(arr)
         arr.discard(atom.value)
-        self._atoms -= before - len(arr)
         if not len(arr):
             del ranges[op]
             if not ranges:

@@ -78,21 +78,6 @@ class CostModel:
         rows = task.block.modeled_rows
         return (OPS_PER_INDEX_ROW * rows * max(1, num_clauses)) / self.cpu_ops_per_sec
 
-    def residual_scan_seconds(
-        self, task: ScanTask, cnf: ConjunctiveForm, fraction: float
-    ) -> float:
-        """Estimate for a residual candidate-mask scan (semantic index).
-
-        The candidate fraction scales both the column read and the
-        predicate re-evaluation; the index pass over the candidate
-        vectors is charged in full.
-        """
-        fraction = min(max(fraction, 0.0), 1.0)
-        nbytes = task.block.bytes_for(task.columns) * task.block.scale_factor
-        io = self.disk_seek_s + fraction * nbytes / self.disk_bandwidth_bps
-        cpu = fraction * self.scan_cpu_seconds(task, cnf)
-        return io + cpu + self.index_cpu_seconds(task, max(1, len(cnf.clauses)))
-
     def sized_task_seconds(
         self,
         nbytes: float,

@@ -32,7 +32,6 @@ from repro.planner.cnf import AtomicPredicate, Clause, ConjunctiveForm, to_cnf
 from repro.planner.simplify import simplify_cnf
 from repro.sql.analyzer import AnalyzedQuery
 from repro.sql.ast import (
-    AggregateCall,
     BinaryOp,
     BinaryOperator,
     Column,
@@ -72,6 +71,11 @@ class BroadcastTable:
     columns: Tuple[str, ...]
     kind: JoinKind
     condition: Optional[Expr]
+    #: ``(probe column, dimension column)`` pairs, as ``binding.field``
+    #: names of the joined frame, when ``condition`` is a conjunction of
+    #: equalities between this table and the base table or an earlier
+    #: broadcast; None when the join is a filtered cross product.
+    keys: Optional[Tuple[Tuple[str, str], ...]]
 
 
 @dataclass(frozen=True)
@@ -154,10 +158,6 @@ class PhysicalPlan:
     def __post_init__(self) -> None:
         self.is_aggregate = self.analyzed.is_aggregate
         self.has_joins = bool(self.broadcasts)
-
-    def scan_predicate_keys(self) -> List[str]:
-        """Canonical keys of every indexable scan atom (similarity stats)."""
-        return self.scan_cnf.predicate_keys()
 
     def estimated_scan_bytes(self) -> int:
         return sum(t.block.bytes_for(t.columns) for t in self.tasks)
@@ -309,8 +309,51 @@ def _clauses_to_expr(clauses: Sequence[Clause]) -> Optional[Expr]:
     return out
 
 
+def equi_join_keys(condition: Expr) -> Optional[List[Tuple[Column, Column]]]:
+    """The column pairs of an ON condition that is a conjunction of
+    column equalities, each pair as written; None otherwise."""
+    pairs: List[Tuple[Column, Column]] = []
+    stack = [condition]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, BinaryOp) and node.op is BinaryOperator.AND:
+            stack.extend((node.left, node.right))
+            continue
+        if not (
+            isinstance(node, BinaryOp)
+            and node.op is BinaryOperator.EQ
+            and isinstance(node.left, Column)
+            and isinstance(node.right, Column)
+        ):
+            return None
+        pairs.append((node.left, node.right))
+    return pairs
+
+
+def _join_keys(
+    analyzed: AnalyzedQuery, condition: Optional[Expr], binding: str, earlier: Sequence[str]
+) -> Optional[Tuple[Tuple[str, str], ...]]:
+    """:attr:`BroadcastTable.keys` of the join of ``binding`` on ``condition``:
+    each pair's sides come from ``analyzed.resolutions``, one on
+    ``binding`` and the other on a binding in ``earlier``."""
+    pairs = equi_join_keys(condition) if condition is not None else None
+    if pairs is None:
+        return None
+    keys = []
+    for a, b in pairs:
+        probe = analyzed.resolutions.get((a.table, a.name))
+        dim = analyzed.resolutions.get((b.table, b.name))
+        if probe is not None and probe.binding == binding:
+            probe, dim = dim, probe
+        if probe is None or dim is None or probe.binding not in earlier or dim.binding != binding:
+            return None
+        keys.append((probe.qualified, dim.qualified))
+    return tuple(keys)
+
+
 def _build_broadcasts(analyzed: AnalyzedQuery) -> List[BroadcastTable]:
     broadcasts = []
+    joined = [analyzed.base_binding]
 
     def add(binding: str, kind: JoinKind, condition: Optional[Expr]) -> None:
         columns = analyzed.columns_of(binding)
@@ -326,8 +369,10 @@ def _build_broadcasts(analyzed: AnalyzedQuery) -> List[BroadcastTable]:
                 columns=tuple(columns),
                 kind=kind,
                 condition=condition,
+                keys=_join_keys(analyzed, condition, binding, joined),
             )
         )
+        joined.append(binding)
 
     # §III-A's comma-separated FROM list: old-style joins.  Tables after
     # the first broadcast as cross products; join predicates written in
@@ -345,17 +390,11 @@ def _eager_join(
     post_filter: Optional[Expr],
     payload_columns: Sequence[str],
 ) -> Optional[EagerJoin]:
-    """The :class:`EagerJoin` of an aggregate over broadcast joins, or None.
-
-    Sides come from ``analyzed.resolutions``, not from ``Column.table``:
-    ``equi_join_keys`` orients a pair by its qualifiers only, so an
-    unqualified ``ON`` would mislabel them.
-    """
-    from repro.engine.operators import equi_join_keys  # the engine imports this module
-
+    """The :class:`EagerJoin` of an aggregate over broadcast joins, or None."""
     if not analyzed.is_aggregate:
         return None
     base = analyzed.base_binding
+    fact_prefix = base + "."
     dims = {bc.binding for bc in broadcasts}
     frame_columns = [(base, payload_columns)] + [(bc.binding, bc.columns) for bc in broadcasts]
 
@@ -378,23 +417,17 @@ def _eager_join(
     fact_keys: List[str] = []
     joins = []
     for bc in broadcasts:
-        if bc.kind is not JoinKind.INNER or bc.condition is None:
-            return None
-        pairs = equi_join_keys(bc.condition, base, bc.binding)
-        if pairs is None:
+        if bc.kind is not JoinKind.INNER or bc.keys is None:
             return None
         positions, dim_columns = [], []
-        for a, b in pairs:
-            fact = analyzed.resolutions.get((a.table, a.name))
-            dim = analyzed.resolutions.get((b.table, b.name))
-            if fact is not None and fact.binding != base:
-                fact, dim = dim, fact
-            if fact is None or dim is None or fact.binding != base or dim.binding != bc.binding:
+        for probe, dim in bc.keys:
+            if not probe.startswith(fact_prefix):
                 return None
-            if fact.field.name not in fact_keys:
-                fact_keys.append(fact.field.name)
-            positions.append(fact_keys.index(fact.field.name))
-            dim_columns.append(dim.field.name)
+            fact = probe[len(fact_prefix):]
+            if fact not in fact_keys:
+                fact_keys.append(fact)
+            positions.append(fact_keys.index(fact))
+            dim_columns.append(dim[len(bc.binding) + 1:])
         joins.append((tuple(positions), tuple(dim_columns)))
     if not all(reads_only(agg.argument, (base,)) for agg in analyzed.aggregates):
         return None

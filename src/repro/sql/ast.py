@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 
 class BinaryOperator(enum.Enum):
@@ -58,17 +58,6 @@ class BinaryOperator(enum.Enum):
     @property
     def is_boolean(self) -> bool:
         return self in (BinaryOperator.AND, BinaryOperator.OR)
-
-    @property
-    def is_arithmetic(self) -> bool:
-        return self in (
-            BinaryOperator.ADD,
-            BinaryOperator.SUB,
-            BinaryOperator.MUL,
-            BinaryOperator.DIV,
-            BinaryOperator.MOD,
-        )
-
 
 #: Comparison flip table for normalizing ``literal OP column``.
 FLIPPED = {
@@ -260,11 +249,6 @@ def walk(expr: Expr):
     yield expr
     for child in expr.children():
         yield from walk(child)
-
-
-def referenced_columns(expr: Expr) -> List[Column]:
-    """All column references inside an expression, in visit order."""
-    return [e for e in walk(expr) if isinstance(e, Column)]
 
 
 def contains_aggregate(expr: Expr) -> bool:

@@ -391,15 +391,6 @@ class LayoutDaemon:
                     self.stats.ineligible_reads += 1
         return system.read(inner), None
 
-    def layout_of(self, path: str, node) -> Optional[LayoutSpec]:
-        """Convenience for tests/EXPLAIN: the spec ``node`` serves for a
-        full catalog path, or None."""
-        try:
-            system, inner = self.router.resolve(path)
-        except PathError:
-            return None
-        return self.spec_at(system, inner, node)
-
     # -- placement scoring (scheduler facing) ------------------------------
 
     def replica_bytes(self, task, addr) -> float:

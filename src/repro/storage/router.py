@@ -37,12 +37,6 @@ class StorageRouter:
     def systems(self) -> List[StorageSystem]:
         return list(self._systems.values())
 
-    def system_for_scheme(self, scheme: str) -> StorageSystem:
-        try:
-            return self._systems[scheme]
-        except KeyError:
-            raise PathError(f"no storage plugin for scheme {scheme!r}") from None
-
     def resolve(self, full_path: str) -> Tuple[StorageSystem, str]:
         """Split a full path into (plugin, plugin-internal path).
 

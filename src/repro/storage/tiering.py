@@ -411,6 +411,3 @@ class TieringDaemon:
             for cache in self._caches:
                 cache.prefer(prefix)
         self._auto_preferred = desired
-
-    def auto_preferred(self) -> Set[str]:
-        return set(self._auto_preferred)

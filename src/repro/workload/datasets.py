@@ -160,11 +160,6 @@ def synthesize(spec: DatasetSpec) -> Tuple[Schema, Dict[str, np.ndarray]]:
     return schema, columns
 
 
-def modeled_dataset_bytes(name: str, materialized_bytes: int, scale_factor: float) -> float:
-    """Production-size estimate for Table I reporting."""
-    return materialized_bytes * scale_factor
-
-
 def load_paper_datasets(cluster, specs: Optional[List[DatasetSpec]] = None, block_rows: int = 4096):
     """Synthesize and load T1/T2/T3 into a cluster; returns descriptors."""
     tables = {}

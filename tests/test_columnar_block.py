@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.columnar.block import Block, split_into_blocks
-from repro.columnar.bloom import BloomFilter
 from repro.columnar.schema import DataType, Schema
 from repro.errors import StorageError
 
@@ -62,59 +61,10 @@ def test_stats_ranges():
     assert stats.distinct_estimate == len(np.unique(cols["a"]))
 
 
-def test_string_stats_have_bloom():
-    block = Block.from_arrays("t.b0", SCHEMA, _columns())
-    stats = block.chunks["s"].stats
-    assert stats.bloom is not None
-    assert not stats.range_excludes_equality("val3")
-    assert stats.range_excludes_equality("zzz")  # beyond max
-
-
-def test_bloom_is_built_on_first_use_and_equals_the_eager_one(monkeypatch):
-    """Writing a string chunk digests nothing; the filter the first
-    consultation builds is the one write-time construction built."""
-    import hashlib
-
-    digests = []
-    real = hashlib.blake2b
-
-    def counting(*args, **kwargs):
-        digests.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(hashlib, "blake2b", counting)
-    cols = _columns()
-    block = Block.from_arrays("t.b0", SCHEMA, cols)
-    block.to_bytes()
-    stats = block.chunks["s"].stats
-    assert stats.range_excludes_equality("zzz")  # answered by min / max alone
-    assert not digests
-    assert not stats.range_excludes_equality("val3")  # in range: the filter is consulted
-    assert len(digests) == 9 + 1  # nine distinct values hashed once, then the probe
-    assert stats.bloom is stats.bloom  # built once
-    eager = BloomFilter(expected_items=9)
-    eager.update({str(v) for v in cols["s"]})
-    assert stats.bloom.count == eager.count == 9
-    assert stats.bloom.to_bytes() == eager.to_bytes()
-    assert stats.range_excludes_equality("val3x")  # in range, not in the filter
-    assert block.chunks["a"].stats.bloom is None  # numeric chunks never had one
-
-
-def test_round_tripped_block_prunes_on_min_max_alone():
+def test_round_tripped_block_keeps_its_chunk_stats():
     back = Block.from_bytes(Block.from_arrays("t.b0", SCHEMA, _columns()).to_bytes())
     stats = back.chunks["s"].stats
-    assert stats.bloom is None  # the filter is not serialised
     assert (stats.min_value, stats.max_value, stats.distinct_estimate) == ("val0", "val8", 9)
-    assert stats.range_excludes_equality("zzz") and stats.range_excludes_equality("a")
-    assert not stats.range_excludes_equality("val3")
-    assert not stats.range_excludes_equality("val3x")  # in range: cannot be excluded
-
-
-def test_range_excludes_equality_numeric():
-    block = Block.from_arrays("t.b0", SCHEMA, _columns())
-    stats = block.chunks["a"].stats
-    assert stats.range_excludes_equality(10_000)
-    assert not stats.range_excludes_equality(0)
 
 
 def test_serialization_round_trip():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.engine.operators import (
     apply_filter,
     cross_join,
-    equi_join_keys,
     hash_join,
     limit_frame,
     prefix_columns,
@@ -17,7 +16,6 @@ from repro.engine.operators import (
 from repro.errors import ExecutionError
 from repro.planner.expressions import Frame
 from repro.sql.ast import JoinKind
-from repro.sql.parser import parse_expression
 
 
 def _frame(**cols):
@@ -41,18 +39,6 @@ def test_apply_filter_checks_length():
 def test_prefix_columns():
     f = prefix_columns(_frame(a=[1]), "t")
     assert list(f.columns) == ["t.a"]
-
-
-def test_equi_join_keys_extraction():
-    cond = parse_expression("t.k = u.k AND t.j = u.j")
-    pairs = equi_join_keys(cond, "t", "u")
-    assert len(pairs) == 2
-    assert all(p[0].table == "t" and p[1].table == "u" for p in pairs)
-
-
-def test_equi_join_keys_rejects_non_equi():
-    assert equi_join_keys(parse_expression("t.k > u.k"), "t", "u") is None
-    assert equi_join_keys(parse_expression("t.k = 5"), "t", "u") is None
 
 
 def test_hash_join_inner():

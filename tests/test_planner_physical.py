@@ -6,10 +6,10 @@ import pytest
 from repro.columnar.schema import DataType, Schema
 from repro.columnar.table import Catalog
 from repro.errors import PlanError
-from repro.planner.physical import build_plan
+from repro.planner.physical import build_plan, equi_join_keys
 from repro.sim.netmodel import TopologySpec
 from repro.sql.analyzer import analyze
-from repro.sql.parser import parse
+from repro.sql.parser import parse, parse_expression
 from repro.storage.loader import store_table
 from repro.storage.router import StorageRouter
 from repro.storage.systems import DistributedFS
@@ -128,3 +128,19 @@ def test_residual_where_goes_to_post_filter(env):
     assert plan.post_filter is not None
     # the residual's column must still be read
     assert "c2" in plan.tasks[0].columns
+
+
+def test_equi_join_keys_extraction():
+    cond = parse_expression("t.k = u.k AND t.j = u.j")
+    pairs = equi_join_keys(cond)
+    assert len(pairs) == 2
+    assert all(p[0].table == "t" and p[1].table == "u" for p in pairs)
+    # Pairs come as written: which side is which is the planner's decision.
+    [(a, b)] = equi_join_keys(parse_expression("u.k = t.k"))
+    assert (a.table, b.table) == ("u", "t")
+
+
+def test_equi_join_keys_rejects_non_equi():
+    assert equi_join_keys(parse_expression("t.k > u.k")) is None
+    assert equi_join_keys(parse_expression("t.k = 5")) is None
+    assert equi_join_keys(parse_expression("t.k = u.k AND t.j > 1")) is None

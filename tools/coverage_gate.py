@@ -60,7 +60,6 @@ TEST_ARGS = [
     "tests/test_elastic.py",
     "tests/test_membership.py",
     "tests/test_columnar_block.py",
-    "tests/test_columnar_bloom.py",
     "tests/test_columnar_encoding.py",
     "tests/test_columnar_json.py",
     "tests/test_columnar_reader_property.py",

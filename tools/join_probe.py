@@ -4,25 +4,33 @@
 Builds the ``join_groupby`` tables and statements of ``benchmarks/e2e``
 at ``--seed`` (48 000 fact rows in 6 000-row blocks, an 8-row dimension,
 40 statements), runs ``_select_rows`` / ``_gather`` once per task, and
-then times what follows on the gathered frame:
+then measures what follows on the gathered frame:
 
 * ``_finish_task`` itself, which aggregates per join key before joining
   wherever the plan and the dimension allow it (S67);
 * the join-then-aggregate path, which is ``_finish_task`` on the same
   plan with ``shape.eager_join`` cleared: the code every ineligible
-  statement runs.
+  statement runs;
+* ``_finish_task`` on the statements rewritten into the shapes the eager
+  path declines: a LEFT JOIN, an ON with a conjunct that is no column
+  equality, a non-equi ON, a comma join and a join with no aggregate.
 
-It asserts that both give the same groups, key types, finals (floats at
-``rel_tol=1e-9``) and ``TaskExecutionReport``, and prints microseconds
-per task.  Printed, not gated: wall microseconds depend on the box.
+It asserts that the first two give the same groups, key types, finals
+(floats at ``rel_tol=1e-9``) and ``TaskExecutionReport``.  Per shape it
+prints the interpreter calls per task (an exact cProfile count) and the
+microseconds per task.  Printed, not gated: wall microseconds depend on
+the box.
 
     python tools/join_probe.py [--seed 7] [--repeat 20]
 """
 
 import argparse
+import cProfile
 import dataclasses
 import math
 import os
+import pstats
+import re
 import sys
 from time import perf_counter
 
@@ -44,8 +52,7 @@ from repro.workload.generator import skewed_join_dataset, skewed_join_queries  #
 ROWS, BLOCK_ROWS, QUERIES = 48_000, 6_000, 40
 
 
-def _tasks(seed: int):
-    """``(plan, join_plan, broadcasts, task, frame, report)`` per task."""
+def _store(seed: int):
     fs = DistributedFS(TopologySpec(1, 1, 2).addresses())
     router = StorageRouter()
     router.register(fs, default=True)
@@ -58,8 +65,13 @@ def _tasks(seed: int):
     )
     store_table("D", Schema.of(k=DataType.INT64, label=DataType.STRING), dim, router, fs,
                 catalog=catalog)
+    return router, catalog
+
+
+def _tasks(router, catalog, statements):
+    """``(plan, join_plan, broadcasts, task, frame, report)`` per task."""
     out = []
-    for sql in skewed_join_queries(QUERIES, seed=seed):
+    for sql in statements:
         plan = build_plan(analyze_sql(sql, catalog))
         join_plan = dataclasses.replace(
             plan, shape=dataclasses.replace(plan.shape, eager_join=None)
@@ -79,6 +91,21 @@ def _tasks(seed: int):
             report.rows_matched = frame.num_rows
             out.append((plan, join_plan, broadcasts, task, frame, report))
     return out
+
+
+#: ``(shape, rewrite of a workload statement)``; the first is the workload.
+SHAPES = [
+    ("eligible, eager", lambda sql: sql),
+    ("LEFT JOIN", lambda sql: sql.replace(" JOIN D ", " LEFT JOIN D ")),
+    ("ON with a residual conjunct",
+     lambda sql: sql.replace("ON T.k = D.k", "ON T.k = D.k AND T.w > 100")),
+    ("non-equi", lambda sql: sql.replace("ON T.k = D.k", "ON T.k < D.k")),
+    ("comma join",
+     lambda sql: sql.replace(" JOIN D ON T.k = D.k WHERE ", ", D WHERE T.k = D.k AND ")),
+    ("non-aggregate join",
+     lambda sql: re.sub(r"^SELECT .* FROM ", "SELECT D.label AS g, T.v AS a FROM ",
+                        sql).replace(" GROUP BY D.label", "")),
+]
 
 
 def _same(a, b) -> bool:
@@ -109,23 +136,35 @@ def _us(run, tasks, repeat: int) -> float:
     return 1e6 * (perf_counter() - start) / (repeat * len(tasks))
 
 
+def _calls(run, tasks) -> float:
+    """Interpreter calls per task, Python and C alike."""
+    profile = cProfile.Profile()
+    profile.enable()
+    for args in tasks:
+        run(*args)
+    profile.disable()
+    return pstats.Stats(profile).total_calls / len(tasks)
+
+
+def _run(frame, task, plan, broadcasts, report):
+    return _finish_task(frame, task, plan, broadcasts, dataclasses.replace(report))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=7, help="data and statement seed")
     ap.add_argument("--repeat", type=int, default=20, help="passes timed over all tasks")
     args = ap.parse_args(argv)
-    tasks = _tasks(args.seed)
+    router, catalog = _store(args.seed)
+    statements = skewed_join_queries(QUERIES, seed=args.seed)
+    tasks = _tasks(router, catalog, statements)
     eager = [(f, t, p, b, r) for p, _j, b, t, f, r in tasks]
     joined = [(f, t, j, b, r) for _p, j, b, t, f, r in tasks]
-
-    def run(frame, task, plan, broadcasts, report):
-        return _finish_task(frame, task, plan, broadcasts, dataclasses.replace(report))
-
     for e, j in zip(eager, joined):
-        _agree(run(*e), run(*j))
+        _agree(_run(*e), _run(*j))
     eligible = sum(p.shape.eager_join is not None for p, *_ in tasks)
     per_query = len(tasks) / QUERIES
-    eager_us, join_us = _us(run, eager, args.repeat), _us(run, joined, args.repeat)
+    eager_us, join_us = _us(_run, eager, args.repeat), _us(_run, joined, args.repeat)
     print(f"{len(tasks)} tasks ({eligible} eligible), {per_query:.0f} per query; "
           "both paths agree on groups, finals and reports")
     print(f"{'path':<22}{'us per task':>12}")
@@ -133,6 +172,15 @@ def main(argv=None) -> int:
     print(f"{'_finish_task':<22}{eager_us:>12.1f}")
     print(f"speed-up {join_us / eager_us:.2f}x, "
           f"{(join_us - eager_us) * per_query / 1000:.3f} ms saved per query")
+    del tasks, joined
+
+    print(f"\n{'shape':<30}{'calls / task':>14}{'us / task':>12}")
+    for shape, rewrite in SHAPES:
+        runs = eager if shape == SHAPES[0][0] else [
+            (f, t, p, b, r)
+            for p, _j, b, t, f, r in _tasks(router, catalog, map(rewrite, statements))
+        ]
+        print(f"{shape:<30}{_calls(_run, runs):>14.1f}{_us(_run, runs, args.repeat):>12.0f}")
     return 0
 
 
