@@ -7,7 +7,9 @@ Combines three pieces the paper's operators relied on:
 * the replay harness driving it through the cluster with real arrival
   gaps on the simulated clock (so index TTLs and cache churn behave);
 * the monitoring surface (§III-C: shadows serve "monitoring running
-  information") summarizing device, network, index and job health.
+  information") summarizing device, network, index and job health, first
+  as one snapshot, then as a rolling series sampled on the simulated
+  clock while more of the trace replays.
 
 Run with::
 
@@ -32,7 +34,8 @@ def main() -> None:
         value_ranges={"click_count": (0, 50), "position": (1, 10), "user_id": (0, 5000)},
         contains_values={"url": [f"site{i}" for i in range(5)]},
     )
-    trace = gen.generate(4 * 3600.0)[:120]
+    queries = gen.generate(4 * 3600.0)
+    trace = queries[:120]
     print(f"replaying {len(trace)} queries from {len({q.user for q in trace})} analysts "
           f"over a simulated {trace[-1].at_s / 3600:.1f} h window...\n")
 
@@ -48,7 +51,7 @@ def main() -> None:
 
     m = cluster.metrics()
     print("\n== cluster monitoring snapshot ==")
-    for key, value in m.as_dict().items():
+    for key, value in m.items():
         if isinstance(value, float) and not float(value).is_integer():
             print(f"  {key:36s} {value:12.4f}")
         else:
@@ -60,6 +63,14 @@ def main() -> None:
         f"/{stats.lookups} lookups hit "
         f"({stats.creations} entries created, {stats.evictions_ttl} TTL evictions)"
     )
+
+    # Rolling view: one snapshot every simulated 5 minutes while the next
+    # 40 queries of the trace replay.
+    series = cluster.start_metrics_sampler(period_s=300.0, retention_s=3600.0)
+    replayer.replay(queries[120:160])
+    print("\n== index hit rate, sampled every 5 simulated minutes ==")
+    for t, rate in zip(series.timestamps(), series.series("index_hit_rate")):
+        print(f"  t={t / 3600:5.2f} h  {rate:.4f}")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from repro.cluster.master import EntryGuard, Master
 from repro.cluster.membership import ClusterManager, WorkerRecord
 from repro.cluster.messages import WorkerLoad
 from repro.cluster.node import LeafConfig, LeafServer, StemServer
-from repro.cluster.metrics import ClusterMetrics, collect_metrics
+from repro.cluster.metrics import collect_metrics
 from repro.cluster.scheduler import JobScheduler, Placement
 from repro.cluster.sharding import ShardedClusterManager
 
@@ -20,7 +20,6 @@ __all__ = [
     "RebalanceStats",
     "ClusterManager",
     "CrossDomainDirectory",
-    "ClusterMetrics",
     "ShardedClusterManager",
     "collect_metrics",
     "EntryGuard",

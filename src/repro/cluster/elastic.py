@@ -303,15 +303,13 @@ class ElasticityManager:
         #: block-replicated substrates the scheduler scans from).
         self.systems: List[StorageSystem] = [cluster.storage_a, cluster.storage_b]
 
-        tiering = getattr(cluster, "tiering", None)
+        tiering = cluster.tiering
         if tiering is not None:
             heat = tiering.heat  # one census, two consumers
             tiering.placement_ok = self.node_ok
         else:
             heat = HeatTracker(self.config.heat_half_life_s)
-            for leaf in cluster.leaves:
-                leaf.heat = heat
-        layouts = getattr(cluster, "layouts", None)
+        layouts = cluster.layouts
         if layouts is not None:
             layouts.placement_ok = self.node_ok
         self.heat = heat
@@ -378,19 +376,7 @@ class ElasticityManager:
             cluster_manager=self.cluster.cluster_manager,
             config=replace(self.cluster.config.leaf),
         )
-        tiering = getattr(self.cluster, "tiering", None)
-        if tiering is not None:
-            leaf.tiering = tiering
-            if leaf.ssd_cache is not None:
-                tiering.attach_cache(leaf.ssd_cache)
-        else:
-            leaf.heat = self.heat
-        layouts = getattr(self.cluster, "layouts", None)
-        if layouts is not None:
-            leaf.layouts = layouts
-        injector = getattr(self.cluster, "fault_injector", None)
-        if injector is not None:
-            leaf.faults = injector
+        self.cluster.wire_leaf(leaf)
         self.cluster.leaves.append(leaf)
         self.cluster.scheduler.register_leaf(leaf)
         self.joins += 1

@@ -3,160 +3,103 @@
 The paper's shadow components "provide functionalities such as
 monitoring running information to reduce the burdens on the primary"
 (§III-C); this module is that monitoring surface: one call collects
-device utilizations, network link load, SmartIndex counters and job
-outcomes across the deployment.
+device utilizations, network link load, SmartIndex counters, job
+outcomes, gateway serving counters and the maintenance daemons' books
+across the deployment, as one flat ``name -> number`` dict.
+
+Every counter is a plain dataclass field on the object that increments
+it (``IndexStats``, ``TieringStats``, ``GatewaySnapshot``, ...).
+:func:`counters` and :func:`summed` read those declared fields, so a
+field added there reaches every snapshot and sum without being listed
+anywhere else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import fields
+from typing import Dict, Iterable, List, Optional, Type, TypeVar
 
 from repro.cluster.jobs import JobStatus
 
-
-@dataclass
-class DeviceMetrics:
-    """Utilization of one device class aggregated over leaves."""
-
-    mean_utilization: float = 0.0
-    max_utilization: float = 0.0
-    total_bytes: float = 0.0
+T = TypeVar("T")
 
 
-@dataclass
-class ClusterMetrics:
-    """One point-in-time snapshot of the whole deployment."""
-
-    sim_time_s: float = 0.0
-    leaves_alive: int = 0
-    leaves_total: int = 0
-    disk: DeviceMetrics = field(default_factory=DeviceMetrics)
-    cpu: DeviceMetrics = field(default_factory=DeviceMetrics)
-    network_busiest_link_utilization: float = 0.0
-    network_total_bytes: float = 0.0
-    index_entries: int = 0
-    index_memory_bytes: int = 0
-    index_hit_rate: float = 0.0
-    jobs_total: int = 0
-    jobs_succeeded: int = 0
-    jobs_failed: int = 0
-    jobs_timed_out: int = 0
-    tasks_completed: int = 0
-    heartbeats_received: int = 0
-    jobs_queued: int = 0
-    results_spilled: int = 0
-    # Gateway serving counters (all zero when no gateway is configured).
-    gateway_sessions_open: int = 0
-    gateway_queue_depth: int = 0
-    gateway_running: int = 0
-    gateway_admitted: int = 0
-    gateway_rejected: int = 0
-    gateway_completed: int = 0
-    gateway_failed: int = 0
-    gateway_killed: int = 0
-    gateway_timed_out: int = 0
-    gateway_memory_in_use: float = 0.0
-    #: Per-tenant queue depth keyed by tenant name (not in ``as_dict``,
-    #: whose schema is flat floats; read it off the snapshot directly).
-    gateway_tenant_queue_depth: Dict[str, int] = field(default_factory=dict)
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "sim_time_s": self.sim_time_s,
-            "leaves_alive": self.leaves_alive,
-            "leaves_total": self.leaves_total,
-            "disk_mean_utilization": self.disk.mean_utilization,
-            "disk_max_utilization": self.disk.max_utilization,
-            "disk_total_bytes": self.disk.total_bytes,
-            "cpu_mean_utilization": self.cpu.mean_utilization,
-            "cpu_max_utilization": self.cpu.max_utilization,
-            "network_busiest_link_utilization": self.network_busiest_link_utilization,
-            "network_total_bytes": self.network_total_bytes,
-            "index_entries": self.index_entries,
-            "index_memory_bytes": self.index_memory_bytes,
-            "index_hit_rate": self.index_hit_rate,
-            "jobs_total": self.jobs_total,
-            "jobs_succeeded": self.jobs_succeeded,
-            "jobs_failed": self.jobs_failed,
-            "jobs_timed_out": self.jobs_timed_out,
-            "tasks_completed": self.tasks_completed,
-            "heartbeats_received": self.heartbeats_received,
-            "jobs_queued": self.jobs_queued,
-            "results_spilled": self.results_spilled,
-            "gateway_sessions_open": self.gateway_sessions_open,
-            "gateway_queue_depth": self.gateway_queue_depth,
-            "gateway_running": self.gateway_running,
-            "gateway_admitted": self.gateway_admitted,
-            "gateway_rejected": self.gateway_rejected,
-            "gateway_completed": self.gateway_completed,
-            "gateway_failed": self.gateway_failed,
-            "gateway_killed": self.gateway_killed,
-            "gateway_timed_out": self.gateway_timed_out,
-            "gateway_memory_in_use": self.gateway_memory_in_use,
-        }
+def counters(obj, prefix: str = "") -> Dict[str, float]:
+    """``obj``'s numeric dataclass fields in declaration order, keyed
+    ``prefix + name``; non-numeric fields (dicts, names) are skipped."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, (int, float)):
+            out[prefix + f.name] = value
+    return out
 
 
-def collect_metrics(cluster) -> ClusterMetrics:
-    """Snapshot a :class:`~repro.core.feisu.FeisuCluster`."""
-    m = ClusterMetrics(sim_time_s=cluster.sim.now)
+def summed(objs: Iterable[T], cls: Type[T]) -> T:
+    """Field-wise sum of ``objs``' numeric fields, as a fresh ``cls()``."""
+    total = cls()
+    for obj in objs:
+        for name, value in counters(obj).items():
+            setattr(total, name, getattr(total, name) + value)
+    return total
+
+
+def collect_metrics(cluster) -> Dict[str, float]:
+    """Snapshot a :class:`~repro.core.feisu.FeisuCluster`.
+
+    ``gateway_*`` keys are the gateway snapshot's counters (a default,
+    all-zero snapshot without a gateway); ``tiering_*``, ``layouts_*``
+    and ``rebalance_*`` appear only when that daemon exists.  Per-tenant
+    queue depths live on ``cluster.gateway.snapshot().tenants``.
+    """
+    from repro.gateway.gateway import GatewaySnapshot  # repro.gateway imports this module
+
     leaves = cluster.leaves
-    m.leaves_total = len(leaves)
-    m.leaves_alive = sum(leaf.alive for leaf in leaves)
-    if leaves:
-        disk_utils = [leaf.disk.utilization() for leaf in leaves]
-        cpu_utils = [leaf.cpu.utilization() for leaf in leaves]
-        m.disk = DeviceMetrics(
-            mean_utilization=sum(disk_utils) / len(leaves),
-            max_utilization=max(disk_utils),
-            total_bytes=float(sum(leaf.disk.bytes_read for leaf in leaves)),
-        )
-        m.cpu = DeviceMetrics(
-            mean_utilization=sum(cpu_utils) / len(leaves),
-            max_utilization=max(cpu_utils),
-            total_bytes=float(sum(leaf.cpu.ops_executed for leaf in leaves)),
-        )
-        m.tasks_completed = sum(leaf.tasks_completed for leaf in leaves)
-
+    disk = [leaf.disk.utilization() for leaf in leaves]
+    cpu = [leaf.cpu.utilization() for leaf in leaves]
     links = cluster.net.links()
-    if links:
-        m.network_busiest_link_utilization = max(ln.utilization() for ln in links)
-        m.network_total_bytes = float(sum(ln.bytes_carried for ln in links))
-
-    stats = cluster.aggregate_index_stats()
-    m.index_hit_rate = (
-        (stats.hits + stats.complement_hits) / stats.lookups if stats.lookups else 0.0
-    )
-    m.index_entries = sum(
-        leaf.index_manager.entry_count for leaf in leaves if leaf.index_manager is not None
-    )
-    m.index_memory_bytes = cluster.index_memory_used()
-
-    job_manager = cluster.master.job_manager
-    m.jobs_total = job_manager.jobs_total
-    m.jobs_succeeded = job_manager.finished_by_status[JobStatus.SUCCEEDED]
-    m.jobs_failed = job_manager.finished_by_status[JobStatus.FAILED]
-    m.jobs_timed_out = job_manager.finished_by_status[JobStatus.TIMED_OUT]
-    m.heartbeats_received = cluster.cluster_manager.heartbeats_received
-    m.jobs_queued = cluster.master.queued_jobs
-    m.results_spilled = job_manager.results_spilled
-
-    gateway = getattr(cluster, "gateway", None)
-    if gateway is not None:
-        snap = gateway.snapshot()
-        m.gateway_sessions_open = snap.sessions_open
-        m.gateway_queue_depth = snap.queue_depth
-        m.gateway_running = snap.running
-        m.gateway_admitted = snap.admitted
-        m.gateway_rejected = snap.rejected
-        m.gateway_completed = snap.completed
-        m.gateway_failed = snap.failed
-        m.gateway_killed = snap.killed
-        m.gateway_timed_out = snap.timed_out
-        m.gateway_memory_in_use = snap.memory_in_use
-        m.gateway_tenant_queue_depth = {
-            name: ts.queue_depth for name, ts in snap.tenants.items()
-        }
+    index = cluster.aggregate_index_stats()
+    jobs = cluster.master.job_manager
+    m: Dict[str, float] = {
+        "sim_time_s": cluster.sim.now,
+        "leaves_alive": sum(leaf.alive for leaf in leaves),
+        "leaves_total": len(leaves),
+        "disk_mean_utilization": sum(disk) / len(leaves) if leaves else 0.0,
+        "disk_max_utilization": max(disk, default=0.0),
+        "disk_total_bytes": float(sum(leaf.disk.bytes_read for leaf in leaves)),
+        "cpu_mean_utilization": sum(cpu) / len(leaves) if leaves else 0.0,
+        "cpu_max_utilization": max(cpu, default=0.0),
+        "network_busiest_link_utilization": max(
+            (ln.utilization() for ln in links), default=0.0
+        ),
+        "network_total_bytes": float(sum(ln.bytes_carried for ln in links)),
+        "index_entries": sum(
+            leaf.index_manager.entry_count for leaf in leaves if leaf.index_manager is not None
+        ),
+        "index_memory_bytes": cluster.index_memory_used(),
+        "index_hit_rate": (
+            (index.hits + index.complement_hits) / index.lookups if index.lookups else 0.0
+        ),
+        "jobs_total": jobs.jobs_total,
+        "jobs_succeeded": jobs.finished_by_status[JobStatus.SUCCEEDED],
+        "jobs_failed": jobs.finished_by_status[JobStatus.FAILED],
+        "jobs_timed_out": jobs.finished_by_status[JobStatus.TIMED_OUT],
+        "tasks_completed": sum(leaf.tasks_completed for leaf in leaves),
+        "heartbeats_received": cluster.cluster_manager.heartbeats_received,
+        "jobs_queued": cluster.master.queued_jobs,
+        "results_spilled": jobs.results_spilled,
+    }
+    gateway = cluster.gateway
+    snapshot = gateway.snapshot() if gateway is not None else GatewaySnapshot()
+    m.update(counters(snapshot, "gateway_"))
+    elastic = cluster.elastic
+    for prefix, daemon in (
+        ("tiering_", cluster.tiering),
+        ("layouts_", cluster.layouts),
+        ("rebalance_", elastic.rebalancer if elastic is not None else None),
+    ):
+        if daemon is not None:
+            m.update(counters(daemon.stats, prefix))
     return m
 
 
@@ -176,7 +119,7 @@ class MetricsTimeSeries:
         self.cluster = cluster
         self.period_s = float(period_s)
         self.retention_s = float(retention_s)
-        self.samples: List[ClusterMetrics] = []
+        self.samples: List[Dict[str, float]] = []
         self.samples_taken = 0
         self.samples_evicted = 0
         self._proc = None
@@ -192,20 +135,20 @@ class MetricsTimeSeries:
             self.samples.append(collect_metrics(self.cluster))
             self.samples_taken += 1
             cutoff = self.cluster.sim.now - self.retention_s
-            while self.samples and self.samples[0].sim_time_s < cutoff:
+            while self.samples and self.samples[0]["sim_time_s"] < cutoff:
                 self.samples.pop(0)
                 self.samples_evicted += 1
 
-    def latest(self) -> Optional[ClusterMetrics]:
+    def latest(self) -> Optional[Dict[str, float]]:
         return self.samples[-1] if self.samples else None
 
     def series(self, key: str) -> List[float]:
         """One metric's values across the retained samples."""
-        return [s.as_dict()[key] for s in self.samples]
+        return [s[key] for s in self.samples]
 
     def timestamps(self) -> List[float]:
-        return [s.sim_time_s for s in self.samples]
+        return [s["sim_time_s"] for s in self.samples]
 
     def export(self) -> List[Dict[str, float]]:
         """JSON-ready list of sample dicts (benchmark-harness surface)."""
-        return [s.as_dict() for s in self.samples]
+        return [dict(s) for s in self.samples]

@@ -102,15 +102,15 @@ class LeafServer:
         #: None keeps every interception point on its zero-cost branch.
         self.faults = None
         #: Tiering hook (:class:`repro.storage.tiering.TieringDaemon`);
-        #: None keeps reads on the catalog path with no heat recording.
+        #: None keeps reads on the catalog path.
         self.tiering = None
         #: Layout hook (:class:`repro.storage.layouts.LayoutDaemon`);
         #: None keeps every read on the base replica payload.
         self.layouts = None
-        #: Standalone heat hook (:class:`repro.storage.tiering.HeatTracker`);
-        #: the elastic rebalancer (S55) wires one here when tiering is off
-        #: so hot-domain detection still sees every access.  None (the
-        #: default) records nothing.
+        #: Heat hook (:class:`repro.storage.tiering.HeatTracker`): every
+        #: access is recorded here — the tiering daemon's tracker, or the
+        #: elastic rebalancer's (S55) when tiering is off (see
+        #: ``FeisuCluster.wire_leaf``).  None (the default) records nothing.
         self.heat = None
         #: Set by a completed decommission (S55): the heartbeat process
         #: exits instead of looping forever on a dead worker.
@@ -436,10 +436,6 @@ class LeafServer:
         """
         nbytes = int(report.modeled_io_bytes)
         profile = system.profile
-        if self.tiering is not None:
-            self.tiering.record_access(
-                task.block.path, nbytes, reader=self.address, now=self.sim.now
-            )
         if self.heat is not None:
             self.heat.record(
                 task.block.path, nbytes, reader=self.address, now=self.sim.now

@@ -23,6 +23,7 @@ import numpy as np
 from repro.cluster.jobs import Job, JobOptions
 from repro.cluster.master import EntryGuard, Master
 from repro.cluster.membership import ClusterManager
+from repro.cluster.metrics import MetricsTimeSeries, collect_metrics, summed
 from repro.cluster.node import LeafConfig, LeafServer, StemServer
 from repro.cluster.scheduler import JobScheduler
 from repro.columnar.schema import Schema
@@ -193,10 +194,6 @@ class FeisuCluster:
                 cost_model=self.scheduler.cost_model,
             )
             self.scheduler.tiering = self.tiering
-            for leaf in self.leaves:
-                leaf.tiering = self.tiering
-                if leaf.ssd_cache is not None:
-                    self.tiering.attach_cache(leaf.ssd_cache)
             self.tiering.start()
 
         #: Per-replica heterogeneous layouts (S54); same flag-gating
@@ -213,8 +210,6 @@ class FeisuCluster:
                 cost_model=self.scheduler.cost_model,
             )
             self.scheduler.layouts = self.layouts
-            for leaf in self.leaves:
-                leaf.layouts = self.layouts
             self.layouts.start()
 
         #: Elastic membership + rebalancing (S55); flag-gated like
@@ -238,6 +233,8 @@ class FeisuCluster:
         #: Fault-injection layer (None = fault-free; every interception
         #: point is behind an ``is not None`` guard, so this costs nothing).
         self.fault_injector = None
+        for leaf in self.leaves:
+            self.wire_leaf(leaf)
 
         self._credentials: Dict[str, Credential] = {}
         self._default_user = "analyst"
@@ -251,6 +248,22 @@ class FeisuCluster:
             from repro.gateway import SQLGateway
 
             self.gateway = SQLGateway(self, self.config.gateway)
+
+    def wire_leaf(self, leaf: LeafServer) -> None:
+        """Give ``leaf`` the cluster's tiering, layout, heat and fault
+        hooks and attach its SSD cache to the tiering daemon (at
+        construction and when a node joins).  Heat goes to the one
+        tracker the tiering daemon and the rebalancer share, or to the
+        rebalancer's own when tiering is off."""
+        leaf.tiering = self.tiering
+        leaf.layouts = self.layouts
+        leaf.faults = self.fault_injector
+        if self.tiering is not None:
+            leaf.heat = self.tiering.heat
+            if leaf.ssd_cache is not None:
+                self.tiering.attach_cache(leaf.ssd_cache)
+        elif self.elastic is not None:
+            leaf.heat = self.elastic.heat
 
     def install_faults(self, plan, seed: int = 0):
         """Install a :class:`~repro.faults.plan.FaultPlan` on this cluster.
@@ -454,22 +467,10 @@ class FeisuCluster:
 
     def aggregate_index_stats(self) -> IndexStats:
         """Sum of SmartIndex counters across every leaf."""
-        total = IndexStats()
-        for leaf in self.leaves:
-            mgr = leaf.index_manager
-            if mgr is None:
-                continue
-            total.hits += mgr.stats.hits
-            total.complement_hits += mgr.stats.complement_hits
-            total.misses += mgr.stats.misses
-            total.creations += mgr.stats.creations
-            total.evictions_lru += mgr.stats.evictions_lru
-            total.evictions_ttl += mgr.stats.evictions_ttl
-            total.subsumption_hits += mgr.stats.subsumption_hits
-            total.residual_hits += mgr.stats.residual_hits
-            total.admission_rejects += mgr.stats.admission_rejects
-            total.evictions_cost += mgr.stats.evictions_cost
-        return total
+        return summed(
+            (leaf.index_manager.stats for leaf in self.leaves if leaf.index_manager is not None),
+            IndexStats,
+        )
 
     def index_memory_used(self) -> int:
         return sum(
@@ -500,11 +501,9 @@ class FeisuCluster:
             raise FeisuError(f"no leaf at {address}")
         return leaf
 
-    def metrics(self):
+    def metrics(self) -> Dict[str, float]:
         """Point-in-time monitoring snapshot (§III-C's shadow-served
         'monitoring running information')."""
-        from repro.cluster.metrics import collect_metrics
-
         return collect_metrics(self)
 
     def start_metrics_sampler(self, period_s: float = 5.0, retention_s: float = 3600.0):
@@ -515,8 +514,6 @@ class FeisuCluster:
         so deployments that need bit-identical event ordering (the figure
         benchmarks) simply never start it.
         """
-        from repro.cluster.metrics import MetricsTimeSeries
-
         self.metrics_series = MetricsTimeSeries(
             self, period_s=period_s, retention_s=retention_s
         ).start()

@@ -44,7 +44,6 @@ from repro.faults.plan import (
     StorageStall,
     ZombieWindow,
 )
-from repro.obs.trace import Tracer
 from repro.sim.events import Event, Simulator
 from repro.sim.netmodel import NetworkTopology, NodeAddress, TrafficClass
 
@@ -67,10 +66,6 @@ class FaultInjector:
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.records: List[FaultRecord] = []
-        #: Injected faults double as trace spans (zero-duration events
-        #: under one root), so chaos runs can be inspected like queries.
-        self.tracer = Tracer(f"faults-seed{seed}")
-        self.tracer.begin("faults", 0.0, seed=seed, entries=len(plan))
         self.dropped = 0
         self.delayed = 0
         self.duplicated = 0
@@ -280,8 +275,6 @@ class FaultInjector:
 
     def _record(self, kind: str, detail: str) -> None:
         self.records.append(FaultRecord(self.sim.now, kind, detail))
-        if self.tracer.root is not None:
-            self.tracer.root.event(kind, self.sim.now, detail=detail)
 
     def log_fingerprint(self) -> Tuple[Tuple[float, str, str], ...]:
         """Hashable view of the fault log for replay comparison."""

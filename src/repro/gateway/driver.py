@@ -25,7 +25,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.cluster.metrics import counters
 from repro.errors import FeisuError, GatewayOverloadedError
+from repro.gateway.fairshare import outcome_counts
 from repro.gateway.gateway import SQLGateway
 from repro.gateway.session import GatewayQuery, GatewaySession, QueryStatus
 from repro.workload.generator import SessionTrace
@@ -104,25 +106,7 @@ class MultiSessionReport:
 
     def as_dict(self) -> Dict[str, float]:
         """Flat numeric view for JSON baselines and metrics."""
-        out = {
-            "sessions": float(self.sessions),
-            "submitted": float(self.submitted),
-            "rejected": float(self.rejected),
-            "completed": float(self.completed),
-            "failed": float(self.failed),
-            "killed": float(self.killed),
-            "timed_out": float(self.timed_out),
-            "makespan_s": self.makespan_s,
-            "service_p50_s": self.service_p50_s,
-            "service_p99_s": self.service_p99_s,
-            "total_p50_s": self.total_p50_s,
-            "total_p99_s": self.total_p99_s,
-            "queue_wait_p50_s": self.queue_wait_p50_s,
-            "queue_wait_p99_s": self.queue_wait_p99_s,
-            "jain_fairness": self.jain_fairness,
-            "fairness_tenants": float(self.fairness_tenants),
-        }
-        return out
+        return {name: float(value) for name, value in counters(self).items()}
 
 
 def run_sessions(
@@ -238,7 +222,10 @@ def build_report(
 ) -> MultiSessionReport:
     """Summarize a finished run (all ``handles`` terminal)."""
     now = gateway.cluster.sim.now
-    report = MultiSessionReport(sessions=len(sessions), makespan_s=now - start_s)
+    tenants = list(gateway.admission.tenants())
+    totals = outcome_counts(tenants)
+    totals["submitted"] = totals.pop("admitted")
+    report = MultiSessionReport(sessions=len(sessions), makespan_s=now - start_s, **totals)
     ok = [h for h in handles if h.status is QueryStatus.SUCCEEDED]
     report.service_p50_s = percentile([h.service_s for h in ok], 0.50)
     report.service_p99_s = percentile([h.service_s for h in ok], 0.99)
@@ -254,35 +241,22 @@ def build_report(
     for h in handles:
         waits_per_tenant.setdefault(h.tenant, []).append(h.queue_wait_s)
 
-    allocations: List[float] = []
-    for tq in gateway.admission.tenants():
+    for tq in tenants:
         busy = tq.backlogged_total(now)
         waits = waits_per_tenant.get(tq.name, [])
         tr = TenantReport(
             tenant=tq.name,
             weight=tq.policy.weight,
             sessions=sessions_per_tenant.get(tq.name, 0),
-            admitted=tq.admitted,
-            rejected=tq.rejected,
-            completed=tq.completed,
-            failed=tq.failed,
-            killed=tq.killed,
-            timed_out=tq.timed_out,
             served_units=tq.served_units,
             backlogged_s=busy,
             queue_wait_p50_s=percentile(waits, 0.50),
             queue_wait_p99_s=percentile(waits, 0.99),
+            **outcome_counts([tq]),
         )
         if busy >= min_backlog_fraction * report.makespan_s and busy > 0.0:
             tr.normalized_rate = tq.served_units / (max(tq.policy.weight, 1e-9) * busy)
-            allocations.append(tr.normalized_rate)
         report.per_tenant[tq.name] = tr
-        report.submitted += tq.admitted
-        report.rejected += tq.rejected
-        report.completed += tq.completed
-        report.failed += tq.failed
-        report.killed += tq.killed
-        report.timed_out += tq.timed_out
     report.jain_fairness, report.fairness_tenants = windowed_fairness(
         gateway, handles, start_s, now
     )

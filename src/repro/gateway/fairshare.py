@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.gateway.config import TenantPolicy
 from repro.gateway.session import GatewayQuery
@@ -24,6 +24,17 @@ from repro.gateway.session import GatewayQuery
 #: Closed backlog intervals a tenant keeps, newest last: enough for a
 #: fairness measurement over any recent run, not a log of every drain.
 BACKLOG_SPANS_RETAINED = 4096
+
+#: A tenant queue's lifecycle outcome counters, by attribute name: the
+#: gateway snapshot and the multi-session report copy and total exactly
+#: these through :func:`outcome_counts`.
+OUTCOMES = ("admitted", "rejected", "completed", "failed", "killed", "timed_out")
+
+
+def outcome_counts(queues: Iterable["TenantQueue"]) -> Dict[str, int]:
+    """Each :data:`OUTCOMES` counter summed over ``queues``."""
+    queues = list(queues)
+    return {name: sum(getattr(tq, name) for tq in queues) for name in OUTCOMES}
 
 
 class TenantQueue:
@@ -37,7 +48,7 @@ class TenantQueue:
         #: Currently running queries / their summed memory estimates.
         self.running = 0
         self.memory_in_use = 0.0
-        # Lifecycle counters (surfaced through metrics).
+        # Lifecycle counters, one per name in OUTCOMES.
         self.admitted = 0
         self.rejected = 0
         self.completed = 0

@@ -31,7 +31,7 @@ from repro.cluster.jobs import JobOptions, JobStatus
 from repro.errors import FeisuError, QueryCancelled, QueryTimeout
 from repro.gateway.admission import AdmissionController, estimate_query_memory
 from repro.gateway.config import GatewayConfig
-from repro.gateway.fairshare import TenantQueue
+from repro.gateway.fairshare import TenantQueue, outcome_counts
 from repro.gateway.session import (
     GatewayQuery,
     GatewaySession,
@@ -63,8 +63,11 @@ class TenantSnapshot:
 
 @dataclass
 class GatewaySnapshot:
-    """Point-in-time view of the whole gateway (metrics surface)."""
+    """Point-in-time view of the whole gateway (metrics surface: its
+    numeric fields, in this order, are ``cluster.metrics()``'s
+    ``gateway_*`` keys)."""
 
+    sessions_open: int = 0
     queue_depth: int = 0
     running: int = 0
     admitted: int = 0
@@ -73,7 +76,6 @@ class GatewaySnapshot:
     failed: int = 0
     killed: int = 0
     timed_out: int = 0
-    sessions_open: int = 0
     memory_in_use: float = 0.0
     tenants: Dict[str, TenantSnapshot] = field(default_factory=dict)
 
@@ -348,30 +350,22 @@ class SQLGateway:
                 raise FeisuError(f"gateway drain exceeded the {limit}s limit")
 
     def snapshot(self) -> GatewaySnapshot:
-        snap = GatewaySnapshot(
+        tenants = list(self.admission.tenants())
+        return GatewaySnapshot(
+            sessions_open=len(self.open_sessions()),
             queue_depth=self.admission.queue_depth(),
             running=self.admission.running,
-            sessions_open=len(self.open_sessions()),
             memory_in_use=self.admission.memory_in_use,
+            tenants={
+                tq.name: TenantSnapshot(
+                    tenant=tq.name,
+                    queue_depth=tq.depth,
+                    running=tq.running,
+                    served_units=tq.served_units,
+                    memory_in_use=tq.memory_in_use,
+                    **outcome_counts([tq]),
+                )
+                for tq in tenants
+            },
+            **outcome_counts(tenants),
         )
-        for tq in self.admission.tenants():
-            snap.tenants[tq.name] = TenantSnapshot(
-                tenant=tq.name,
-                queue_depth=tq.depth,
-                running=tq.running,
-                admitted=tq.admitted,
-                rejected=tq.rejected,
-                completed=tq.completed,
-                failed=tq.failed,
-                killed=tq.killed,
-                timed_out=tq.timed_out,
-                served_units=tq.served_units,
-                memory_in_use=tq.memory_in_use,
-            )
-            snap.admitted += tq.admitted
-            snap.rejected += tq.rejected
-            snap.completed += tq.completed
-            snap.failed += tq.failed
-            snap.killed += tq.killed
-            snap.timed_out += tq.timed_out
-        return snap

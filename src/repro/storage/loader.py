@@ -36,29 +36,21 @@ def store_table(
     catalog: Optional[Catalog] = None,
     description: str = "",
 ) -> Table:
-    """Split, serialize and place a table; return its descriptor.
-
-    ``scale_factor`` records how many production rows each materialized
-    row stands for (DESIGN.md §1) — it flows into every block reference
-    so the cost model charges production-proportional I/O.
-    """
-    base_path = base_path or f"/tables/{name}"
-    blocks = split_into_blocks(name, schema, dict(columns), block_rows, scale_factor)
-    table = Table(name=name, schema=schema, description=description)
-    for f in schema:
-        if f.dtype.is_numeric:
-            table.column_stats[f.name] = ColumnHistogram.build(
-                np.asarray(columns[f.name])
-            )
-    for block in blocks:
-        inner = f"{base_path}/{block.block_id}"
-        full = router.full_path(system, inner)
-        payload = block.to_bytes()
-        incarnation = system.write(inner, payload, node=node)
-        table.add_block(make_block_ref(block, full, payload, incarnation))
-    if catalog is not None:
-        catalog.register(table)
-    return table
+    """Split, serialize and place a table on one system; return its
+    descriptor (the one-system case of :func:`store_table_striped`)."""
+    return store_table_striped(
+        name,
+        schema,
+        columns,
+        router,
+        [system],
+        base_path,
+        block_rows,
+        scale_factor,
+        catalog,
+        description,
+        node=node,
+    )
 
 
 def store_table_striped(
@@ -72,15 +64,20 @@ def store_table_striped(
     scale_factor: float = 1.0,
     catalog: Optional[Catalog] = None,
     description: str = "",
+    node: Optional[NodeAddress] = None,
 ) -> Table:
-    """Like :func:`store_table` but striping blocks round-robin across
-    several storage systems.
+    """Split, serialize and place a table, striping its blocks
+    round-robin across ``systems``; return its descriptor.
 
     This is the paper's data-integration scenario in its purest form:
     *one* logical table whose data lives on heterogeneous systems (hot
     HDFS + cold Fatman, say), queried through one SQL statement — each
     scan task resolves its own block's system through the common storage
-    layer, honouring that system's service profile.
+    layer, honouring that system's service profile.  ``scale_factor``
+    records how many production rows each materialized row stands for
+    (DESIGN.md §1) — it flows into every block reference so the cost
+    model charges production-proportional I/O.  ``node`` is a placement
+    hint passed to every write.
     """
     if not systems:
         raise StorageError("store_table_striped needs at least one system")
@@ -97,7 +94,7 @@ def store_table_striped(
         inner = f"{base_path}/{block.block_id}"
         full = router.full_path(system, inner)
         payload = block.to_bytes()
-        incarnation = system.write(inner, payload)
+        incarnation = system.write(inner, payload, node=node)
         table.add_block(make_block_ref(block, full, payload, incarnation))
     if catalog is not None:
         catalog.register(table)

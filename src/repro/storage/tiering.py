@@ -151,8 +151,9 @@ class TieringStats:
 class TieringDaemon:
     """Background promotion/demotion loop on the simulated clock.
 
-    One daemon serves the whole cluster: leaves call
-    :meth:`record_access` from their I/O charge path and
+    One daemon serves the whole cluster: leaves record every access,
+    under its *original* catalog path so heat survives promotion and
+    demotion, in :attr:`heat` from their I/O charge path and call
     :meth:`effective_path` before resolving a block, the scheduler calls
     :meth:`effective_path` for placement, and
     :meth:`attach_cache` wires each leaf's :class:`SsdCache` for
@@ -201,11 +202,6 @@ class TieringDaemon:
         self._process: Optional[Process] = None
 
     # -- leaf/scheduler-facing hints --------------------------------------
-
-    def record_access(self, path: str, nbytes: int, reader=None, now: float = 0.0) -> None:
-        """Called with the *original* catalog path so heat survives
-        promotion and demotion transitions."""
-        self.heat.record(path, nbytes, reader=reader, now=now)
 
     def effective_path(self, path: str) -> str:
         """Where reads for ``path`` go: its promoted copy while that is current."""

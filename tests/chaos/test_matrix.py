@@ -348,7 +348,7 @@ def test_crash_mid_promotion_keeps_replica_books_exact(seed):
         if leaf.address not in holders and leaf.address != crash_addr
     )
     for _ in range(10):
-        daemon.record_access(b0.path, b0.encoded_bytes, reader=remote, now=0.0)
+        daemon.heat.record(b0.path, b0.encoded_bytes, reader=remote, now=0.0)
     # Drops cover every daemon cycle until t=60 (cycles at 15/30/45), so
     # the in-flight copy dies repeatedly and must retry; a frequent-reader
     # leaf also crashes inside the window.

@@ -147,7 +147,7 @@ def test_client_path_state_is_flat_in_jobs_served(small_window):
     manager = cluster.master.job_manager
     assert manager.jobs_total == 3 * N and len(manager.jobs) == 8
     assert cluster.job_ledger.log_length < 256 and len(cluster.job_ledger.entries()) == 3 * N
-    assert cluster.metrics().jobs_succeeded == 3 * N
+    assert cluster.metrics()["jobs_succeeded"] == 3 * N
 
 
 def test_completed_task_reuse_keeps_only_its_window(small_window):

@@ -160,16 +160,15 @@ def test_metrics_snapshot_contents():
     cluster.query("SELECT COUNT(*) FROM T WHERE a > 10")
     cluster.sim.run(until=cluster.sim.now + 20.0)  # let heartbeats flow
     m = cluster.metrics()
-    assert m.leaves_total == 8 and m.leaves_alive == 8
-    assert m.jobs_total == 1 and m.jobs_succeeded == 1
-    assert m.tasks_completed > 0
-    assert m.disk.total_bytes > 0
-    assert 0.0 <= m.disk.mean_utilization <= m.disk.max_utilization <= 1.0
-    assert m.network_total_bytes > 0
-    assert m.index_entries > 0 and m.index_memory_bytes > 0
-    assert m.heartbeats_received > 0
-    d = m.as_dict()
-    assert d["jobs_succeeded"] == 1
+    assert m["leaves_total"] == 8 and m["leaves_alive"] == 8
+    assert m["jobs_total"] == 1 and m["jobs_succeeded"] == 1
+    assert m["tasks_completed"] > 0
+    assert m["disk_total_bytes"] > 0
+    assert 0.0 <= m["disk_mean_utilization"] <= m["disk_max_utilization"] <= 1.0
+    assert m["network_total_bytes"] > 0
+    assert m["index_entries"] > 0 and m["index_memory_bytes"] > 0
+    assert m["heartbeats_received"] > 0
+    assert m["jobs_succeeded"] == 1
 
 
 def test_metrics_track_failures():
@@ -178,9 +177,9 @@ def test_metrics_track_failures():
         leaf.crash()
     cluster.query_job("SELECT COUNT(*) FROM T")
     m = cluster.metrics()
-    assert m.leaves_alive == 0
-    assert m.jobs_failed + m.jobs_timed_out >= 0  # job recorded either way
-    assert m.jobs_total == 1
+    assert m["leaves_alive"] == 0
+    assert m["jobs_failed"] + m["jobs_timed_out"] >= 0  # job recorded either way
+    assert m["jobs_total"] == 1
 
 
 # -- fault injection ------------------------------------------------------------------

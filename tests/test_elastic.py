@@ -4,7 +4,7 @@ the rebalancer drives it, join/decommission lifecycle."""
 import numpy as np
 import pytest
 
-from repro import DataType, FeisuCluster, FeisuConfig, Schema
+from repro import DataType, FeisuCluster, FeisuConfig, LeafConfig, Schema
 from repro.cluster.elastic import ElasticConfig, Rebalancer
 from repro.errors import FeisuError, StorageError
 from repro.sim.events import Simulator
@@ -238,6 +238,32 @@ def test_join_node_becomes_schedulable_and_pooled():
     cluster.cluster_manager.sweep()
     assert cluster.cluster_manager.is_alive(leaf.worker_id)
     assert cluster.query("SELECT COUNT(*) AS n FROM T").rows()[0][0] == 1500
+
+
+@pytest.mark.parametrize("tiering", [False, True])
+def test_every_leaf_records_heat_into_the_one_shared_tracker(tiering):
+    """Built and joined leaves get the same hooks; with tiering on the
+    rebalancer reads the tiering daemon's tracker, so one tracker sees
+    every access either way."""
+    config = FeisuConfig(
+        datacenters=1,
+        racks_per_datacenter=2,
+        nodes_per_rack=3,
+        enable_elastic=True,
+        leaf=LeafConfig(enable_tiering=tiering, enable_layouts=True, enable_ssd_cache=True),
+    )
+    cluster = FeisuCluster(config)
+    joined = cluster.join_node()
+    heat = cluster.elastic.heat
+    if tiering:
+        assert heat is cluster.tiering.heat
+    for leaf in cluster.leaves:
+        assert leaf.heat is heat
+        assert leaf.tiering is cluster.tiering and leaf.layouts is cluster.layouts
+    if tiering:
+        assert joined.ssd_cache in cluster.tiering._caches  # noqa: SLF001
+    plain = FeisuCluster(FeisuConfig(nodes_per_rack=2))
+    assert all(leaf.heat is None for leaf in plain.leaves)
 
 
 def test_join_requires_elastic_flag():

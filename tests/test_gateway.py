@@ -406,20 +406,22 @@ def test_metrics_surface_gateway_counters():
     for _ in range(3):
         session.submit("SELECT COUNT(*) FROM T")
     mid = collect_metrics(cluster)
-    assert mid.gateway_sessions_open == 1
-    assert mid.gateway_running == 1
-    assert mid.gateway_queue_depth == 2
-    assert mid.gateway_tenant_queue_depth == {"ads": 2}
-    assert mid.gateway_memory_in_use > 0
+    assert mid["gateway_sessions_open"] == 1
+    assert mid["gateway_running"] == 1
+    assert mid["gateway_queue_depth"] == 2
+    tenants = cluster.gateway.snapshot().tenants
+    assert {name: ts.queue_depth for name, ts in tenants.items()} == {"ads": 2}
+    assert mid["gateway_memory_in_use"] > 0
     drain(cluster.gateway)
     done = collect_metrics(cluster)
-    assert done.gateway_completed == 3
-    assert done.gateway_queue_depth == 0
-    assert done.as_dict()["gateway_admitted"] == 3
+    assert done["gateway_completed"] == 3
+    assert done["gateway_queue_depth"] == 0
+    assert done["gateway_admitted"] == 3
     # Flag off: all gateway fields stay zero.
-    plain = collect_metrics(make_cluster(gateway=None))
-    assert plain.gateway_admitted == 0
-    assert plain.gateway_tenant_queue_depth == {}
+    plain_cluster = make_cluster(gateway=None)
+    plain = collect_metrics(plain_cluster)
+    assert plain["gateway_admitted"] == 0
+    assert plain_cluster.gateway is None  # no per-tenant queue depths to read
 
 
 def test_metrics_time_series_carries_gateway_depth():

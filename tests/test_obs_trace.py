@@ -192,12 +192,12 @@ def test_metrics_sampler_collects_periodic_snapshots(fresh_cluster):
     assert series.samples_taken >= 5
     latest = series.latest()
     assert latest is not None
-    assert latest.jobs_total >= 1 and latest.jobs_succeeded >= 1
+    assert latest["jobs_total"] >= 1 and latest["jobs_succeeded"] >= 1
     assert series.timestamps() == sorted(series.timestamps())
     assert len(series.series("jobs_total")) == len(series.samples)
     exported = series.export()
     json.dumps(exported)  # JSON-ready
-    assert exported[-1]["jobs_total"] == latest.jobs_total
+    assert exported[-1]["jobs_total"] == latest["jobs_total"]
 
 
 def test_metrics_sampler_respects_retention(fresh_cluster):

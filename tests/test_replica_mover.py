@@ -95,7 +95,7 @@ def _extend_replica():
     daemon = TieringDaemon(sim, net, router, hot_system=hot)
     cold.write("/t/b0", OLD)
     for _ in range(5):
-        daemon.record_access("/ffs/t/b0", len(OLD), reader=SPEC.addresses()[0], now=0.0)
+        daemon.heat.record("/ffs/t/b0", len(OLD), reader=SPEC.addresses()[0], now=0.0)
     sim.run_until_complete(sim.process(daemon.run_once()))
     _, hot_inner = router.resolve(daemon.effective_path("/ffs/t/b0"))
     reader = next(n for n in SPEC.addresses() if n not in hot.locations(hot_inner))

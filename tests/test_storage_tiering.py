@@ -93,7 +93,7 @@ def _tier_env(**daemon_kwargs):
 
 def _heat_up(daemon, path, nbytes, reader, times):
     for t in times:
-        daemon.record_access(path, nbytes, reader=reader, now=t)
+        daemon.heat.record(path, nbytes, reader=reader, now=t)
 
 
 def test_promotion_copies_cold_block_near_top_reader():
