@@ -89,7 +89,6 @@ def _twin(elastic: bool) -> FeisuCluster:
             racks_per_datacenter=2,
             nodes_per_rack=4,
             leaf=LeafConfig(enable_smartindex=False),
-            enable_elastic=elastic,
             elastic=elastic_config() if elastic else None,
         )
     )

@@ -41,9 +41,14 @@ def _catalog_and_block():
         "clicks": rng.random(N),
     }
     block = Block.from_arrays("T.b0", schema, columns)
-    from repro.storage.loader import make_block_ref
+    from repro.sim.netmodel import NodeAddress
+    from repro.storage import LocalFS, StorageRouter, write_block
 
-    ref = make_block_ref(block, "/hdfs/tables/T/T.b0", block.to_bytes())
+    node = NodeAddress(0, 0, 0)
+    fs = LocalFS([node])
+    router = StorageRouter()
+    router.register(fs, default=True)
+    ref = write_block(router, fs, "/tables/T/T.b0", block, node)
     table = Table("T", schema, [ref])
     catalog = Catalog()
     catalog.register(table)

@@ -23,7 +23,7 @@ cooperating pieces:
   and idempotent, so a migration killed mid-flight is retried or
   adopted, never double-counted.
 
-Everything is flag-gated behind ``FeisuConfig.enable_elastic`` — off (the
+Everything is gated behind ``FeisuConfig.elastic`` — ``None`` (the
 default) constructs nothing, adds no simulation events, and leaves the
 committed figure results byte-identical.
 """
@@ -294,9 +294,9 @@ class ElasticityManager:
     layout daemons when those are enabled.
     """
 
-    def __init__(self, cluster, config: Optional[ElasticConfig] = None):
+    def __init__(self, cluster, config: ElasticConfig):
         self.cluster = cluster
-        self.config = config if config is not None else ElasticConfig()
+        self.config = config
         sim = cluster.sim
         self.sim = sim
         #: Systems the rebalancer spreads and balances over (the hot,

@@ -57,14 +57,8 @@ DEFAULT_MAX_CONCURRENT_JOBS = 64
 
 
 class CandidateQueue:
-    """The master's admitted-but-not-yet-emitted job queue (§III-C).
-
-    Extracted from the master so the emission *policy* is pluggable: the
-    default is strict FIFO (the paper's candidate queue); a serving
-    front-end may install a subclass whose :meth:`pop_next` implements a
-    different order.  The master only ever calls these five methods, so
-    a policy override cannot corrupt job bookkeeping.
-    """
+    """The master's admitted-but-not-yet-emitted job queue (§III-C),
+    strict FIFO like the paper's candidate queue."""
 
     def __init__(self) -> None:
         self._queue: Deque[Tuple[Job, Event]] = deque()
@@ -403,7 +397,6 @@ class Master:
         service_credential: Optional[Credential] = None,
         ledger=None,
         max_concurrent_jobs: int = DEFAULT_MAX_CONCURRENT_JOBS,
-        candidate_queue: Optional[CandidateQueue] = None,
         adaptive=None,
     ):
         #: Cross-domain credential the master uses for internal data
@@ -426,7 +419,7 @@ class Master:
         #: the master-level "resource agreement" knob.
         self.max_concurrent_jobs = max_concurrent_jobs
         self._running_jobs = 0
-        self._candidate_queue = candidate_queue if candidate_queue is not None else CandidateQueue()
+        self._candidate_queue = CandidateQueue()
         #: Durable job history replicated to the backup master (§III-C).
         self.ledger = ledger
         #: Adaptive re-optimization config (S53,

@@ -28,7 +28,7 @@ from repro.cluster.node import LeafConfig, LeafServer, StemServer
 from repro.cluster.scheduler import JobScheduler
 from repro.columnar.schema import Schema
 from repro.columnar.table import Catalog, Table
-from repro.storage.loader import store_table
+from repro.storage.loader import store_table_striped
 from repro.engine.executor import QueryResult
 from repro.errors import FeisuError, StorageError
 from repro.index.smartindex import IndexStats
@@ -73,14 +73,12 @@ class FeisuConfig:
     #: waves, checkpoint re-planning, skew splitting and partition-level
     #: recovery.
     adaptive: Optional["object"] = None
-    #: Elastic membership and rebalancing (S55).  Off (the default)
+    #: Elastic membership and rebalancing (S55).  ``None`` (the default)
     #: constructs no daemon and adds no simulation events — committed
-    #: figure results stay byte-identical; on, the cluster gains node
-    #: join/decommission, a rebalancer and placement-aware replica
+    #: figure results stay byte-identical; set a
+    #: :class:`repro.cluster.elastic.ElasticConfig` and the cluster gains
+    #: node join/decommission, a rebalancer and placement-aware replica
     #: repair.
-    enable_elastic: bool = False
-    #: Optional :class:`repro.cluster.elastic.ElasticConfig` override;
-    #: ``None`` with ``enable_elastic=True`` uses the defaults.
     elastic: Optional["object"] = None
 
     def topology(self) -> TopologySpec:
@@ -215,7 +213,7 @@ class FeisuCluster:
         #: Elastic membership + rebalancing (S55); flag-gated like
         #: tiering and layouts so the default deployment is untouched.
         self.elastic = None
-        if self.config.enable_elastic:
+        if self.config.elastic is not None:
             from repro.cluster.elastic import ElasticityManager
 
             self.elastic = ElasticityManager(self, self.config.elastic)
@@ -372,23 +370,16 @@ class FeisuCluster:
     ) -> Table:
         """Convert columns into blocks on a storage system and register
         the table (the §III light-weight ingestion process, in bulk)."""
-        system = self.storage_by_name(storage)
-        table = store_table(
+        return self.load_table_striped(
             name,
             schema,
             columns,
-            self.router,
-            system,
+            [storage],
             block_rows=block_rows,
-            scale_factor=(
-                scale_factor if scale_factor is not None else self.config.default_scale_factor
-            ),
-            node=node,
-            catalog=self.catalog,
+            scale_factor=scale_factor,
             description=description,
+            node=node,
         )
-        self.domain_directory.publish_table(name, schema.to_dict())
-        return table
 
     def load_table_striped(
         self,
@@ -399,25 +390,25 @@ class FeisuCluster:
         block_rows: int = 8192,
         scale_factor: Optional[float] = None,
         description: str = "",
+        node: Optional[NodeAddress] = None,
     ) -> Table:
         """One logical table striped block-by-block across several
         storage systems — the heterogeneous-integration case in one
-        table (e.g. ``storages=["storage-a", "fatman"]``)."""
-        from repro.storage.loader import store_table_striped
-
-        systems = [self.storage_by_name(s) for s in storages]
+        table (e.g. ``storages=["storage-a", "fatman"]``).  ``node`` is
+        a placement hint passed to every block write."""
         table = store_table_striped(
             name,
             schema,
             columns,
             self.router,
-            systems,
+            [self.storage_by_name(s) for s in storages],
             block_rows=block_rows,
             scale_factor=(
                 scale_factor if scale_factor is not None else self.config.default_scale_factor
             ),
             catalog=self.catalog,
             description=description,
+            node=node,
         )
         self.domain_directory.publish_table(name, schema.to_dict())
         return table
@@ -483,16 +474,16 @@ class FeisuCluster:
 
     def join_node(self, datacenter: int = 0, rack: int = 0) -> LeafServer:
         """Bring a new leaf into an existing rack (requires
-        ``enable_elastic``); returns the registered, heartbeating leaf."""
+        ``FeisuConfig.elastic``); returns the registered, heartbeating leaf."""
         if self.elastic is None:
-            raise FeisuError("join_node requires FeisuConfig(enable_elastic=True)")
+            raise FeisuError("join_node requires FeisuConfig(elastic=ElasticConfig())")
         return self.elastic.join_node(datacenter, rack)
 
     def decommission(self, worker_id: str) -> Event:
         """Gracefully drain and remove a leaf (requires
-        ``enable_elastic``); returns the drain process event."""
+        ``FeisuConfig.elastic``); returns the drain process event."""
         if self.elastic is None:
-            raise FeisuError("decommission requires FeisuConfig(enable_elastic=True)")
+            raise FeisuError("decommission requires FeisuConfig(elastic=ElasticConfig())")
         return self.elastic.decommission(worker_id)
 
     def leaf_at(self, address: NodeAddress) -> LeafServer:

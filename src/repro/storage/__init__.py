@@ -1,7 +1,7 @@
 """Heterogeneous storage substrates and the common storage layer."""
 
 from repro.storage.base import ServiceProfile, StorageSystem
-from repro.storage.loader import load_block, make_block_ref, read_table_frame, store_table, store_table_striped
+from repro.storage.loader import load_block, read_table_frame, store_table, store_table_striped, write_block
 from repro.storage.maintenance import RepairReport, ReplicaRepairer
 from repro.storage.router import StorageRouter
 from repro.storage.ssd_cache import SsdCache
@@ -28,8 +28,8 @@ __all__ = [
     "TieringDaemon",
     "TieringStats",
     "load_block",
-    "make_block_ref",
     "read_table_frame",
     "store_table",
     "store_table_striped",
+    "write_block",
 ]

@@ -90,18 +90,31 @@ def store_table_striped(
                 np.asarray(columns[f.name])
             )
     for i, block in enumerate(blocks):
-        system = systems[i % len(systems)]
-        inner = f"{base_path}/{block.block_id}"
-        full = router.full_path(system, inner)
-        payload = block.to_bytes()
-        incarnation = system.write(inner, payload, node=node)
-        table.add_block(make_block_ref(block, full, payload, incarnation))
+        table.add_block(
+            write_block(
+                router, systems[i % len(systems)], f"{base_path}/{block.block_id}", block, node
+            )
+        )
     if catalog is not None:
         catalog.register(table)
     return table
 
 
-def make_block_ref(block: Block, full_path: str, payload: bytes, incarnation: int = 0) -> BlockRef:
+def write_block(
+    router: StorageRouter,
+    system: StorageSystem,
+    inner: str,
+    block: Block,
+    node: Optional[NodeAddress] = None,
+) -> BlockRef:
+    """Serialize ``block``, write it at ``inner`` on ``system`` and return
+    its reference, stamped with the write's incarnation.
+
+    The only way a base block enters storage: bulk loads and the log
+    ingestor both come through here.
+    """
+    payload = block.to_bytes()
+    incarnation = system.write(inner, payload, node=node)
     column_bytes = tuple((n, c.encoded_bytes) for n, c in block.chunks.items())
     ranges = tuple(
         (n, c.stats.min_value, c.stats.max_value)
@@ -110,7 +123,7 @@ def make_block_ref(block: Block, full_path: str, payload: bytes, incarnation: in
     )
     return BlockRef(
         block_id=block.block_id,
-        path=full_path,
+        path=router.full_path(system, inner),
         num_rows=block.num_rows,
         encoded_bytes=len(payload),
         column_bytes=column_bytes,

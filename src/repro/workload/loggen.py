@@ -14,16 +14,14 @@ columnar blocks and keeps one logical table spanning all nodes' logs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.columnar.block import Block
 from repro.columnar.json_flatten import align_columns, flatten_records
-from repro.columnar.schema import Schema
 from repro.columnar.table import BlockRef, Table
 from repro.errors import AnalysisError
 from repro.sim.netmodel import NodeAddress
-from repro.storage.loader import make_block_ref
+from repro.storage.loader import write_block
 
 #: Paper figure: log volume per node per hour.
 LOG_BYTES_PER_NODE_PER_HOUR = 2.3 * 1024**3
@@ -65,7 +63,6 @@ class LogIngestor:
         self.cluster = cluster
         self.table_name = table_name
         self.scale_factor = scale_factor
-        self._schema: Optional[Schema] = None
         self._table: Optional[Table] = None
         self._block_seq = 0
 
@@ -74,30 +71,28 @@ class LogIngestor:
 
         An empty batch writes no block and returns None; the first batch
         that has records fixes the table's schema, and must have a field.
+        A batch that cannot be stored raises :class:`AnalysisError` and
+        leaves the table as it was.
         """
         if not records:
             return None
         schema, columns = flatten_records(records)
-        if self._schema is None:
+        if self._table is None:
             if not len(schema):
                 raise AnalysisError(
                     f"the first batch of {self.table_name!r} has no fields to fix its schema"
                 )
-            self._schema = schema
             self._table = Table(self.table_name, schema, description="node-local service logs")
             self.cluster.catalog.register(self._table)
-        elif schema != self._schema:
+        elif schema != self._table.schema:
             # Dense engine: every batch lands on the first-seen schema.
-            columns = align_columns(self._schema, columns, len(records))
+            columns = align_columns(self._table.schema, columns, len(records))
         block_id = f"{self.table_name}.b{self._block_seq}"
         self._block_seq += 1
-        block = Block.from_arrays(block_id, self._schema, columns, self.scale_factor)
-        payload = block.to_bytes()
-        inner = f"/logs/{node}/{block_id}"
-        incarnation = self.cluster.local_fs.write(inner, payload, node=node)
-        full = self.cluster.router.full_path(self.cluster.local_fs, inner)
-        ref = make_block_ref(block, full, payload, incarnation)
-        assert self._table is not None
+        block = Block.from_arrays(block_id, self._table.schema, columns, self.scale_factor)
+        ref = write_block(
+            self.cluster.router, self.cluster.local_fs, f"/logs/{node}/{block_id}", block, node
+        )
         self._table.add_block(ref)
         return ref
 

@@ -42,7 +42,6 @@ def build_cluster(
     gateway=None,
     adaptive=None,
     scale_factor=None,
-    enable_elastic=False,
     elastic=None,
 ):
     """A fresh wired cluster with known contents (fact T, dimension D)."""
@@ -52,7 +51,6 @@ def build_cluster(
         nodes_per_rack=nodes_per_rack,
         gateway=gateway,
         adaptive=adaptive,
-        enable_elastic=enable_elastic,
         elastic=elastic,
     )
     if leaf is not None:

@@ -209,8 +209,7 @@ def _elastic_cluster(nodes_per_rack=3, n=1500, **elastic_kwargs):
         datacenters=1,
         racks_per_datacenter=2,
         nodes_per_rack=nodes_per_rack,
-        enable_elastic=True,
-        elastic=ElasticConfig(**elastic_kwargs) if elastic_kwargs else None,
+        elastic=ElasticConfig(**elastic_kwargs),
     )
     cluster = FeisuCluster(config)
     rng = np.random.default_rng(5)
@@ -249,7 +248,7 @@ def test_every_leaf_records_heat_into_the_one_shared_tracker(tiering):
         datacenters=1,
         racks_per_datacenter=2,
         nodes_per_rack=3,
-        enable_elastic=True,
+        elastic=ElasticConfig(),
         leaf=LeafConfig(enable_tiering=tiering, enable_layouts=True, enable_ssd_cache=True),
     )
     cluster = FeisuCluster(config)

@@ -1,4 +1,4 @@
-"""Broadcast joins ≡ sqlite3 on the same rows and the same SQL text.
+"""Broadcast joins and the log write path ≡ sqlite3 on the same rows.
 
 The same integer / string rows are loaded into an in-memory sqlite3
 database and into a cluster whose fact table ``T`` spans three blocks,
@@ -6,14 +6,21 @@ with two dimension tables on another storage system: ``D``, whose join
 key repeats and misses fact keys, and ``E``, whose keys are distinct.
 Every statement runs as text on both, and the sorted rows must match,
 after the one rewrite :data:`DIVERGENCES` names for that statement.
+
+The write path is checked the same way: nested log batches enter the
+cluster through ``LogIngestor`` and through the conversion daemons, and
+sqlite through a flattener written here, one row per record.
 """
 
+import re
 import sqlite3
 
 import numpy as np
 import pytest
 
 from repro import DataType, FeisuCluster, FeisuConfig, Schema
+from repro.workload.conversion import start_conversion_daemons, write_raw_records
+from repro.workload.loggen import LogIngestor, generate_log_records
 
 FACT = {
     "id": list(range(12)),
@@ -42,6 +49,8 @@ TABLES = {
 DIVERGENCES = {
     "outer padding": "the engine has no NULL: an outer join pads an unmatched row "
     "with '' (strings) or 0 (numbers) where sqlite writes NULL",
+    "missing key": "the engine's columns are dense: a key a record lacks reads as "
+    "'' (strings) or 0 (numbers) where sqlite holds NULL",
 }
 
 #: ``(statement, divergence or None)``.
@@ -103,18 +112,18 @@ def engines():
     db.close()
 
 
-def _both(engines, sql, divergence=None):
+def _both(engines, sql, divergence=None, sqlite_sql=None):
     cluster, db = engines
     result = cluster.query(sql)
-    want = db.execute(sql).fetchall()
-    if divergence == "outer padding":
+    want = db.execute(sqlite_sql or sql).fetchall()
+    if divergence is not None:  # each one reads sqlite's NULL as the type's default
         pads = ["" if result.column(c).dtype == object else 0 for c in result.columns]
         want = [tuple(p if x is None else x for x, p in zip(row, pads)) for row in want]
     return sorted(result.rows()), sorted(want)
 
 
 def test_every_divergence_is_used_and_explained():
-    used = {d for _, d in STATEMENTS if d is not None}
+    used = {d for _, d in STATEMENTS + WRITE_STATEMENTS if d is not None}
     assert used == set(DIVERGENCES)
     assert all(DIVERGENCES.values())
 
@@ -137,4 +146,87 @@ def test_right_join_matches_sqlite(engines):
         "SELECT D.label, COUNT(*) FROM T RIGHT JOIN D ON T.tk = D.dk GROUP BY D.label",
         "outer padding",
     )
+    assert got == want
+
+
+# -- the write path ---------------------------------------------------------------
+
+#: ``(statement over table {t}, divergence or None)``; rows of hour 9
+#: lack some keys.
+WRITE_STATEMENTS = [
+    ("SELECT COUNT(*) FROM {t}", None),
+    ("SELECT request.status, COUNT(*) FROM {t} WHERE hour < 9 GROUP BY request.status", None),
+    ("SELECT hour, COUNT(*) FROM {t} WHERE tags CONTAINS 't3' GROUP BY hour", None),
+    ("SELECT request.status, action, COUNT(*) FROM {t} WHERE hour = 9 "
+     "GROUP BY request.status, action", "missing key"),
+]
+
+
+def _log_batches():
+    """Two waves of ``(node index, records)`` batches: two full hours on
+    every node, then hour 9, whose records lack a status, an action or tags."""
+    full = [(i, generate_log_records(25, i, hour, seed=5)) for hour in range(2) for i in range(4)]
+    sparse = generate_log_records(24, 1, 9, seed=5)
+    for j, record in enumerate(sparse):
+        if j % 2:
+            del record["request"]["status"]
+        if j % 3:
+            del record["action"]
+        if j % 4 == 0:
+            del record["tags"]
+    return full, [(1, sparse)]
+
+
+def _flatten(record, prefix=""):
+    """One record as ``{dotted name: scalar}``, a list as its items joined by ','."""
+    out = {}
+    for key, value in record.items():
+        if isinstance(value, dict):
+            out.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = ",".join(map(str, value)) if isinstance(value, list) else value
+    return out
+
+
+def _to_sqlite(sql):
+    """The engine's dotted names quoted, and ``CONTAINS`` as ``instr``."""
+    sql = re.sub(r"\b(request\.\w+)", r'"\1"', sql)
+    return re.sub(r"(\w+) CONTAINS ('[^']*')", r"instr(\1, \2) > 0", sql)
+
+
+@pytest.fixture(scope="module")
+def ingested():
+    """Table ``logs`` written by one ``LogIngestor``, ``dlogs`` by the
+    conversion daemons from raw files, both from the same batches; sqlite
+    holds each batch row by row."""
+    cluster = FeisuCluster(FeisuConfig(datacenters=1, racks_per_datacenter=1, nodes_per_rack=4))
+    ingestor = LogIngestor(cluster, "logs")
+    start_conversion_daemons(cluster, "dlogs", period_s=10.0)
+    rows = []
+    for wave in _log_batches():  # the full hours fix the schema first
+        for seq, (i, records) in enumerate(wave):
+            ingestor.ingest(cluster.nodes[i], records)
+            write_raw_records(cluster, cluster.nodes[i], f"{len(rows)}.{seq}.jsonl", records)
+            rows.extend(map(_flatten, records))
+        cluster.sim.run(until=cluster.sim.now + 15.0)  # one sweep
+    assert cluster.local_fs.list_paths("/raw/") == []
+    db = sqlite3.connect(":memory:")
+    columns = list(dict.fromkeys(name for row in rows for name in row))
+    quoted = ", ".join(f'"{c}"' for c in columns)
+    for table in ("logs", "dlogs"):
+        db.execute(f"CREATE TABLE {table} ({quoted})")
+        db.executemany(
+            f"INSERT INTO {table} VALUES ({', '.join('?' * len(columns))})",
+            [tuple(row.get(c) for c in columns) for row in rows],
+        )
+    yield cluster, db
+    db.close()
+
+
+@pytest.mark.parametrize("table", ["logs", "dlogs"])
+@pytest.mark.parametrize("sql, divergence", WRITE_STATEMENTS, ids=[s for s, _ in WRITE_STATEMENTS])
+def test_written_logs_match_sqlite(ingested, table, sql, divergence):
+    sql = sql.format(t=table)
+    got, want = _both(ingested, sql, divergence, _to_sqlite(sql))
+    assert want, sql
     assert got == want

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import DataType, FeisuCluster, FeisuConfig, JobOptions, LeafConfig, Schema
-from repro.cluster.elastic import RebalanceStats
+from repro.cluster.elastic import ElasticConfig, RebalanceStats
 from repro.cluster.metrics import counters, summed
 from repro.errors import GatewayOverloadedError
 from repro.gateway import GatewayConfig, TenantPolicy, run_sessions
@@ -186,7 +186,7 @@ def test_aggregate_index_stats_sums_every_field_including_ttl_sweeps():
 
 def test_daemon_counters_reach_the_snapshot_only_when_their_daemon_exists():
     cluster = _cluster(
-        leaf=LeafConfig(enable_tiering=True, enable_layouts=True), enable_elastic=True
+        leaf=LeafConfig(enable_tiering=True, enable_layouts=True), elastic=ElasticConfig()
     )
     for _ in range(4):
         cluster.query("SELECT COUNT(*) FROM T WHERE a > 10")

@@ -24,6 +24,7 @@ from repro.storage.router import StorageRouter
 from repro.storage.systems import DistributedFS, FatmanFS
 from repro.storage.tiering import TieringDaemon
 from repro.workload.conversion import ConversionDaemon
+from repro.workload.loggen import LogIngestor
 
 SPEC = TopologySpec(1, 2, 4)
 OLD = b"o" * 1_000_000  # big enough that a copy spans simulated time
@@ -137,7 +138,7 @@ def _daemons(sim):
         ),
         "repairer": (ReplicaRepairer(sim, net, fs, scan_period_s=10.0), "repair_once"),
         "conversion": (
-            ConversionDaemon(cluster, SPEC.addresses()[0], period_s=10.0),
+            ConversionDaemon(LogIngestor(cluster), SPEC.addresses()[0], period_s=10.0),
             "convert_pending",
         ),
         "domain_sync": (CrossDomainDirectory(sim, net, 2, sync_period_s=10.0), "sync_once"),
