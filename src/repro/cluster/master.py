@@ -47,6 +47,7 @@ from repro.security.auth import Credential, SSOAuthority
 from repro.sim.events import Event, Process, Simulator
 from repro.sim.netmodel import NetworkTopology, NodeAddress, TrafficClass
 from repro.sql.analyzer import analyze_sql
+from repro.sql.ast import JoinKind
 
 #: How many distinct leaves one task may be attempted on before failing.
 MAX_TASK_ATTEMPTS = 4
@@ -521,7 +522,7 @@ class Master:
         self._running_jobs += 1
         job.started_at = self.sim.now
         if job.trace is not None and job.trace.root is not None:
-            job.trace.root.tag("queued_s", job.started_at - job.submitted_at)
+            job.trace.root.tag(queued_s=job.started_at - job.submitted_at)
         self._active[job.job_id] = (job, done)
         if self.ledger is not None:
             self.ledger.record_submitted(job.job_id, job.user, job.sql, job.submitted_at)
@@ -542,7 +543,7 @@ class Master:
             # Close the root and clamp any attempt spans a timeout or
             # cancel left open; root duration == job.response_time_s.
             end = job.finished_at if job.finished_at is not None else self.sim.now
-            job.trace.root.tag("status", job.status.value)
+            job.trace.root.tag(status=job.status.value)
             job.trace.root.finish_tree(end)
         if self.ledger is not None:
             if job.started_at is None:
@@ -660,7 +661,8 @@ class Master:
         wave instead (S53).  Block sampling and early-return ratios
         change which rows a job *intends* to read, and the two-wave
         bookkeeping would misreport them; those jobs stay one wave, as
-        does anything below ``min_tasks``.
+        does anything below ``min_tasks`` and a RIGHT JOIN (each slice
+        of its one block would pad the unmatched dimension rows).
 
         Every pilot result is retained at the master across the
         checkpoint, so a worker crash mid-job re-runs only the lost
@@ -671,18 +673,11 @@ class Master:
         plan = job.plan
         options = job.options
         root = job.trace.root if job.trace is not None else None
-        fetch_span = None
-        if root is not None and plan.broadcasts:
-            fetch_span = root.child("fetch_broadcasts", self.sim.now)
         try:
-            broadcasts = yield from self._fetch_broadcasts(plan, span=fetch_span)
+            broadcasts = yield from self._fetch_broadcasts(job)
         except FeisuError as exc:
-            if fetch_span is not None:
-                fetch_span.tag("error", str(exc)).finish(self.sim.now)
             self._finish_failed(job, done, exc)
             return
-        if fetch_span is not None:
-            fetch_span.finish(self.sim.now)
 
         controller = None
         if (
@@ -690,6 +685,7 @@ class Master:
             and options.sample_block_ratio is None
             and options.min_processed_ratio >= 1.0
             and len(plan.tasks) >= max(1, self.adaptive.min_tasks)
+            and all(bc.kind is not JoinKind.RIGHT_OUTER for bc in plan.broadcasts)
         ):
             from repro.planner.adaptive import ReoptController
 
@@ -752,8 +748,9 @@ class Master:
             )
             job.stats.adaptive_tasks_skipped += decision.skipped_tasks
             if root is not None:
-                root.event(
+                root.add(
                     "reopt.decision",
+                    self.sim.now,
                     self.sim.now,
                     actions=",".join(decision.actions) or "none",
                     estimated_selectivity=decision.estimated_selectivity,
@@ -912,39 +909,58 @@ class Master:
 
     # -- broadcast tables ----------------------------------------------------------
 
-    def _fetch_broadcasts(
-        self, plan: PhysicalPlan, span=None
-    ) -> Generator[Event, None, Dict[str, Frame]]:
+    def _fetch_broadcasts(self, job: Job) -> Generator[Event, None, Dict[str, Frame]]:
         """Read each joined dimension table once and charge its movement."""
+        plan = job.plan
+        fetch = None
+        if job.trace is not None and plan.broadcasts:
+            fetch = job.trace.root.add("fetch_broadcasts", self.sim.now)
         broadcasts: Dict[str, Frame] = {}
         moved_bytes = 0
         tiering = self.scheduler.tiering
-        for bc in plan.broadcasts:
-            table = self.catalog.get(bc.table_name)
-            columns = read_table_frame(
-                self.router,
-                table,
-                list(bc.columns),
-                cred=self.service_credential,
-                now=self.sim.now,
-                span=span,
-                tiering=tiering,
+        try:
+            for bc in plan.broadcasts:
+                table = self.catalog.get(bc.table_name)
+                columns = read_table_frame(
+                    self.router,
+                    table,
+                    list(bc.columns),
+                    cred=self.service_credential,
+                    now=self.sim.now,
+                    tiering=tiering,
+                )
+                if fetch is not None:
+                    fetch.add(
+                        f"read_table.{table.name}",
+                        self.sim.now,
+                        self.sim.now,
+                        blocks=len(table.blocks),
+                        encoded_bytes=sum(ref.bytes_for(bc.columns) for ref in table.blocks),
+                    )
+                frame = Frame.from_columns(columns)
+                for ref in table.blocks:
+                    path = tiering.effective_path(ref.path) if tiering is not None else ref.path
+                    system, inner = self.router.resolve(path)
+                    replicas = system.locations(inner)
+                    if replicas and self.address not in replicas:
+                        source = min(replicas, key=lambda r: self.net.distance(r, self.address))
+                        nbytes = int(ref.bytes_for(bc.columns) * ref.scale_factor)
+                        moved_bytes += nbytes
+                        yield self.net.transfer(
+                            source, self.address, max(1, nbytes), TrafficClass.READ
+                        )
+                broadcasts[bc.binding] = frame
+        except FeisuError as exc:
+            if fetch is not None:
+                fetch.finish(self.sim.now, error=str(exc))
+            raise
+        if fetch is not None:
+            fetch.finish(
+                self.sim.now,
+                tables=[bc.table_name for bc in plan.broadcasts],
+                bytes=moved_bytes,
+                traffic_class="read",
             )
-            frame = Frame.from_columns(columns)
-            for ref in table.blocks:
-                path = tiering.effective_path(ref.path) if tiering is not None else ref.path
-                system, inner = self.router.resolve(path)
-                replicas = system.locations(inner)
-                if replicas and self.address not in replicas:
-                    source = min(replicas, key=lambda r: self.net.distance(r, self.address))
-                    nbytes = int(ref.bytes_for(bc.columns) * ref.scale_factor)
-                    moved_bytes += nbytes
-                    yield self.net.transfer(source, self.address, max(1, nbytes), TrafficClass.READ)
-            broadcasts[bc.binding] = frame
-        if span is not None:
-            span.tag("tables", [bc.table_name for bc in plan.broadcasts])
-            span.tag("bytes", moved_bytes)
-            span.tag("traffic_class", "read")
         return broadcasts
 
     @staticmethod
@@ -1010,19 +1026,22 @@ class Master:
             root = None  # job already resolved; don't trace the straggler
         span = None
         if root is not None:
-            span = root.child(f"task.attempt{attempt_index}", attempt_started)
-            span.tag("task_id", task.task_id)
-            span.tag("worker", leaf.worker_id)
-            span.tag("data_local", placement.data_local)
-            span.tag("backup", is_backup)
-            span.tag("estimate_s", placement.estimate_s)
+            span = root.add(
+                f"task.attempt{attempt_index}",
+                attempt_started,
+                task_id=task.task_id,
+                worker=leaf.worker_id,
+                data_local=placement.data_local,
+                backup=is_backup,
+                estimate_s=placement.estimate_s,
+            )
         try:
             # Dispatch flows down the tree — master [→ dc stem] → rack stem →
             # leaf — on the control class (§III-B: stems "further dissect the
             # plan to the leaf servers"; §V-C: task dispatch is control flow).
             # Here and for the ship below, at the instant a job is emitted,
             # every hop is an event even node-local (``repro.cluster.messages``).
-            dispatch_span = span.child("dispatch", self.sim.now) if span is not None else None
+            dispatch = span.add("dispatch", self.sim.now) if span is not None else None
             hops = 0
             hop_from = self.address
             for stem in reversed(self._aggregation_path(leaf.address)):
@@ -1035,36 +1054,34 @@ class Master:
                 hop_from, leaf.address, DISPATCH_BASE_BYTES, TrafficClass.CONTROL
             )
             hops += 1
-            if dispatch_span is not None:
-                dispatch_span.tag("hops", hops)
-                dispatch_span.tag("bytes", DISPATCH_BASE_BYTES * hops)
-                dispatch_span.tag("traffic_class", "control")
-                dispatch_span.finish(self.sim.now)
+            if dispatch is not None:
+                dispatch.finish(
+                    self.sim.now,
+                    hops=hops,
+                    bytes=DISPATCH_BASE_BYTES * hops,
+                    traffic_class="control",
+                )
             # First task on this leaf for a join query ships the dimensions
             # (write data flow: intermediate data, §V-C).
             if broadcasts and leaf.worker_id not in sent_broadcast_to:
                 sent_broadcast_to.add(leaf.worker_id)
                 ship_bytes = self._broadcast_bytes(broadcasts)
-                ship_span = span.child("broadcast_ship", self.sim.now) if span is not None else None
+                ship = span.add("broadcast_ship", self.sim.now) if span is not None else None
                 yield self.net.transfer(
                     self.address, leaf.address, max(1, ship_bytes), TrafficClass.WRITE
                 )
-                if ship_span is not None:
-                    ship_span.tag("bytes", ship_bytes)
-                    ship_span.tag("traffic_class", "write")
-                    ship_span.finish(self.sim.now)
+                if ship is not None:
+                    ship.finish(self.sim.now, bytes=ship_bytes, traffic_class="write")
             result = yield from leaf.run_task(task, job.plan, broadcasts, span=span)
             payload = result.payload_bytes()
             modeled = result.modeled_payload_bytes(payload)
-            return_span = span.child("result_return", self.sim.now) if span is not None else None
+            returned = span.add("result_return", self.sim.now) if span is not None else None
             if modeled > job.options.spill_threshold_bytes:
                 # §V-C write flow: too-big results are dumped to global
                 # storage and only the location information is passed.
                 result = yield from self._spill_result(job, task, leaf, result, modeled)
-                if return_span is not None:
-                    return_span.tag("spilled", True)
-                    return_span.tag("bytes", modeled)
-                    return_span.tag("traffic_class", "write")
+                if returned is not None:
+                    returned.tag(spilled=True, bytes=modeled, traffic_class="write")
             else:
                 # Result summarized bottom-up through every live internal
                 # node: leaf → rack stem [→ dc stem] → master (read flow).
@@ -1081,20 +1098,19 @@ class Master:
                     stems_crossed += 1
                 if hop_from != self.address:
                     yield self.net.transfer(hop_from, self.address, payload, TrafficClass.READ)
-                if return_span is not None:
-                    return_span.tag("spilled", False)
-                    return_span.tag("bytes", payload)
-                    return_span.tag("traffic_class", "read")
-                    return_span.tag("stems", stems_crossed)
+                if returned is not None:
+                    returned.tag(
+                        spilled=False, bytes=payload, traffic_class="read", stems=stems_crossed
+                    )
             if leaf.address != self.address:
                 yield self.net.transfer(
                     leaf.address, self.address, STATUS_BYTES, TrafficClass.CONTROL
                 )
-            if return_span is not None:
-                return_span.finish(self.sim.now)
+            if returned is not None:
+                returned.finish(self.sim.now)
         except BaseException as exc:
             if span is not None:
-                span.tag("error", str(exc))
+                span.tag(error=str(exc))
             if isinstance(exc, Exception):  # not a generator being closed
                 report(None, exc)
             raise

@@ -45,6 +45,11 @@ from repro.storage.ssd_cache import SsdCache
 PARSED_BLOCKS_MAX = 128
 
 
+def _mean_residual_fraction(report) -> float:
+    """Mean candidate fraction of a task's residual clauses, as traced."""
+    return round(report.index_residual_fraction / report.index_residual_clauses, 4)
+
+
 @dataclass
 class LeafConfig:
     """Per-leaf feature switches and sizes."""
@@ -281,9 +286,11 @@ class LeafServer:
         """Generator process executing one scan task on this leaf.
 
         ``span`` (a :class:`~repro.obs.trace.Span` for this attempt, or
-        None) gains ``queue_wait`` / ``scan`` / ``aggregate`` children;
-        span bookkeeping is plain object mutation and never touches the
-        event loop, so tracing cannot perturb simulated timing.
+        None) gains ``queue_wait`` / ``index_probe`` / ``scan`` /
+        ``aggregate`` children, the probe's read off the task's report
+        and this leaf's index counters; span bookkeeping is plain object
+        mutation and never touches the event loop, so tracing cannot
+        perturb simulated timing.
         """
         if not self.alive:
             raise ClusterStateError(f"{self.worker_id} is down")
@@ -295,11 +302,10 @@ class LeafServer:
         system, inner = self.router.resolve(block_path)
         slot = self._slots[system.name]
         self.queued_tasks += 1
-        wait_span = span.child("queue_wait", self.sim.now) if span is not None else None
+        wait = span.add("queue_wait", self.sim.now) if span is not None else None
         yield slot.request()
-        if wait_span is not None:
-            wait_span.tag("storage", system.name)
-            wait_span.finish(self.sim.now)
+        if wait is not None:
+            wait.finish(self.sim.now, storage=system.name)
         self.queued_tasks -= 1
         self.running_tasks += 1
         try:
@@ -334,6 +340,10 @@ class LeafServer:
                     if layout.index_column is not None
                     else None
                 )
+            probed = None
+            if span is not None and index_manager is not None:
+                stats = index_manager.stats
+                probed = (stats.hits, stats.complement_hits, stats.misses)
             result = execute_scan_task(
                 task,
                 plan,
@@ -342,11 +352,12 @@ class LeafServer:
                 index_manager=index_manager,
                 btree_provider=btree_provider,
                 now=self.sim.now,
-                span=span,
                 layout=layout,
                 index_key=index_key,
             )
             report = result.report
+            if probed is not None:
+                self._trace_index_probe(span, index_manager, probed, report)
             if self.layouts is not None:
                 from repro.storage.layouts import base_join_columns
 
@@ -360,51 +371,18 @@ class LeafServer:
                     now=self.sim.now,
                 )
 
-            if report.io_bytes > 0:
-                scan_span = span.child("scan", self.sim.now) if span is not None else None
+            charged = report.io_bytes > 0
+            scan = span.add("scan", self.sim.now) if span is not None else None
+            if charged:
                 yield from self._charge_io(task, system, inner, block_path, payload, report)
-                if scan_span is not None:
-                    if self.tiering is not None:
-                        scan_span.tag("tier", self.tiering.tier_of(task.block.path))
-                    if self.layouts is not None:
-                        scan_span.tag(
-                            "layout", layout.describe() if layout is not None else "base"
-                        )
-                    scan_span.tag("io_bytes_modeled", report.modeled_io_bytes)
-                    scan_span.tag("seeks", report.io_seeks)
-                    scan_span.tag("rows_in", report.rows_in_block)
-                    scan_span.tag("rows_out", report.rows_matched)
-                    if report.index_residual_clauses:
-                        scan_span.tag("residual_clauses", report.index_residual_clauses)
-                        scan_span.tag(
-                            "residual_fraction",
-                            round(
-                                report.index_residual_fraction
-                                / report.index_residual_clauses,
-                                4,
-                            ),
-                        )
-                    scan_span.finish(self.sim.now)
-            elif span is not None:
-                # Fully index-covered: record a zero-IO scan span so the
-                # rows still show up in EXPLAIN ANALYZE totals.
-                covered_span = span.child("scan", self.sim.now).tag("io_bytes_modeled", 0).tag(
-                    "rows_in", report.rows_in_block
-                ).tag("rows_out", report.rows_matched)
-                if self.tiering is not None:
-                    covered_span.tag("tier", self.tiering.tier_of(task.block.path))
-                if self.layouts is not None:
-                    covered_span.tag(
-                        "layout", layout.describe() if layout is not None else "base"
-                    )
-                covered_span.finish(self.sim.now)
+            if scan is not None:
+                scan.finish(self.sim.now, **self._scan_tags(task, layout, report, charged))
             if report.modeled_cpu_ops > 0:
                 cpu_name = "aggregate" if plan.is_aggregate else "project"
-                cpu_span = span.child(cpu_name, self.sim.now) if span is not None else None
+                cpu = span.add(cpu_name, self.sim.now) if span is not None else None
                 yield self.cpu.compute(report.modeled_cpu_ops)
-                if cpu_span is not None:
-                    cpu_span.tag("cpu_ops_modeled", report.modeled_cpu_ops)
-                    cpu_span.finish(self.sim.now)
+                if cpu is not None:
+                    cpu.finish(self.sim.now, cpu_ops_modeled=report.modeled_cpu_ops)
             if not self.alive:
                 raise ClusterStateError(f"{self.worker_id} died mid-task")
             self.tasks_completed += 1
@@ -412,6 +390,56 @@ class LeafServer:
         finally:
             self.running_tasks -= 1
             slot.release()
+
+    def _trace_index_probe(self, span, index_manager, probed, report) -> None:
+        """The ``index_probe`` child of a traced attempt, written at the
+        instant the probe ran: ``probed`` is the manager's atom counters
+        before the task, the rest is on the task's report.  No child when
+        no probe ran (no filter, a row slice)."""
+        clauses = (
+            report.index_clause_hits + report.index_clause_misses + report.index_residual_clauses
+        )
+        if not clauses:
+            return
+        stats = index_manager.stats
+        tags = {
+            "atom_hits": stats.hits - probed[0],
+            "complement_hits": stats.complement_hits - probed[1],
+            "atom_misses": stats.misses - probed[2],
+        }
+        if index_manager.semantic:
+            tags["subsumption_hits"] = report.index_subsumption_hits
+            tags["residual_clauses"] = report.index_residual_clauses
+            if report.index_residual_clauses:
+                tags["residual_fraction"] = _mean_residual_fraction(report)
+        span.add(
+            "index_probe",
+            self.sim.now,
+            self.sim.now,
+            **tags,
+            clauses=clauses,
+            covered=report.index_clause_hits,
+            full_cover=not report.index_clause_misses and not report.index_residual_clauses,
+        )
+
+    def _scan_tags(self, task: ScanTask, layout, report, charged: bool) -> dict:
+        """Tags of a traced ``scan`` child; a scan the index answered in
+        full (not ``charged``) read nothing."""
+        tags = {
+            "io_bytes_modeled": report.modeled_io_bytes if charged else 0,
+            "rows_in": report.rows_in_block,
+            "rows_out": report.rows_matched,
+        }
+        if charged:
+            tags["seeks"] = report.io_seeks
+            if report.index_residual_clauses:
+                tags["residual_clauses"] = report.index_residual_clauses
+                tags["residual_fraction"] = _mean_residual_fraction(report)
+        if self.tiering is not None:
+            tags["tier"] = self.tiering.tier_of(task.block.path)
+        if self.layouts is not None:
+            tags["layout"] = layout.describe() if layout is not None else "base"
+        return tags
 
     def _parsed_block(self, block_path: str, payload: bytes) -> Block:
         """``Block.from_bytes(payload)``, parsed once per stored object."""

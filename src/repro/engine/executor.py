@@ -173,7 +173,6 @@ def execute_scan_task(
     index_manager: Optional[SmartIndexManager] = None,
     btree_provider: Optional[BTreeProvider] = None,
     now: float = 0.0,
-    span=None,
     layout=None,
     index_key: Optional[Hashable] = None,
 ) -> TaskResult:
@@ -182,9 +181,6 @@ def execute_scan_task(
     Filter, then gather: predicates are answered on the encoded chunks
     (:func:`_select_rows`), and only ``plan.payload_columns`` are
     materialized, only at the matching rows.
-
-    ``span`` is the attempt's :class:`~repro.obs.trace.Span` (or None);
-    the index probe is recorded as a child and the row counts as tags.
 
     ``layout`` is the :class:`~repro.storage.layouts.LayoutSpec` the
     served block carries (None for the base layout).  It never changes
@@ -202,7 +198,7 @@ def execute_scan_task(
     if index_key is None:
         index_key = block.block_id
     report, readers, rows = _select_rows(
-        task, plan, block, index_key, index_manager, btree_provider, now, span, layout
+        task, plan, block, index_key, index_manager, btree_provider, now, layout
     )
     frame = _gather(task, plan, readers, rows, report.rows_in_block)
     report.rows_matched = frame.num_rows
@@ -219,7 +215,6 @@ def _select_rows(
     index_manager: Optional[SmartIndexManager],
     btree_provider: Optional[BTreeProvider],
     now: float,
-    span=None,
     layout=None,
 ) -> Tuple[TaskExecutionReport, Optional[Dict[str, ChunkReader]], Optional[np.ndarray]]:
     """Probe the index, price the scan and evaluate what is left.
@@ -247,7 +242,7 @@ def _select_rows(
     )
     cnf = plan.scan_cnf
     mask, missing, residuals = _filter_mask(
-        cnf, block, index_key, index_manager, btree_provider, now, report, span=span
+        cnf, block, index_key, index_manager, btree_provider, now, report
     )
     if report.index_full_cover and mask is not None and not mask.any():
         return report, None, None
@@ -381,7 +376,6 @@ def _filter_mask(
     btree_provider: Optional[BTreeProvider],
     now: float,
     report: TaskExecutionReport,
-    span=None,
 ) -> Tuple[Optional[np.ndarray], List[Clause], List[ResidualClause]]:
     """Resolve as much of the scan filter as possible without scanning.
 
@@ -396,19 +390,16 @@ def _filter_mask(
     missing = list(cnf.clauses)
     residuals: List[ResidualClause] = []
     if index_manager is not None:
-        probe = span.child("index_probe", now) if span is not None else None
         if index_manager.semantic:
             before_sub = index_manager.stats.subsumption_hits
-            mask_bv, missing, residuals = index_manager.cover_semantic(
-                index_key, cnf, now, span=probe
-            )
+            mask_bv, missing, residuals = index_manager.cover_semantic(index_key, cnf, now)
             report.index_subsumption_hits += (
                 index_manager.stats.subsumption_hits - before_sub
             )
             report.index_residual_clauses += len(residuals)
             report.index_residual_fraction += sum(r.fraction for r in residuals)
         else:
-            mask_bv, missing = index_manager.cover(index_key, cnf, now, span=probe)
+            mask_bv, missing = index_manager.cover(index_key, cnf, now)
         covered = len(cnf.clauses) - len(missing) - len(residuals)
         report.index_clause_hits += covered
         report.index_clause_misses += len(missing)
@@ -417,11 +408,6 @@ def _filter_mask(
         report.cpu_ops += OPS_PER_INDEX_ROW * block.num_rows * max(
             covered + len(residuals), 0
         )
-        if probe is not None:
-            probe.tag("clauses", len(cnf.clauses))
-            probe.tag("covered", covered)
-            probe.tag("full_cover", not missing and not residuals)
-            probe.finish(now)
         if not missing and not residuals:
             report.index_full_cover = True
             full = mask_bv.to_bool_array() if mask_bv is not None else None

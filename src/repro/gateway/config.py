@@ -57,11 +57,6 @@ class GatewayConfig:
     default_policy: TenantPolicy = field(default_factory=TenantPolicy)
     #: Per-tenant resource agreements, keyed by tenant name.
     tenants: Dict[str, TenantPolicy] = field(default_factory=dict)
-    #: Collect gateway-side spans (one ``gateway.query`` span per
-    #: admitted query, with a ``queue_wait`` child) in
-    #: ``SQLGateway.tracer``.  Off by default: span trees grow with
-    #: every query, which thousand-session drivers don't want.
-    trace: bool = False
 
     def policy_for(self, tenant: str) -> TenantPolicy:
         return self.tenants.get(tenant, self.default_policy)

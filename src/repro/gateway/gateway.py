@@ -38,7 +38,6 @@ from repro.gateway.session import (
     QueryStatus,
     SessionState,
 )
-from repro.obs.trace import Tracer
 from repro.planner.physical import build_plan
 from repro.sim.events import Event
 from repro.sql.analyzer import analyze_sql
@@ -102,12 +101,6 @@ class SQLGateway:
         self.queries: Dict[str, GatewayQuery] = {}
         self._session_ids = itertools.count()
         self._query_ids = itertools.count()
-        #: Gateway-side span tree (``gateway.query`` → ``queue_wait``),
-        #: populated only when ``config.trace`` is on.
-        self.tracer: Optional[Tracer] = None
-        if self.config.trace:
-            self.tracer = Tracer("gateway")
-            self.tracer.begin("gateway", cluster.sim.now)
 
     # -- sessions ---------------------------------------------------------
 
@@ -180,13 +173,6 @@ class SQLGateway:
         self.queries[query.query_id] = query
         session.queries.append(query)
         session.history.record(sim.now, session.user, sql, analyzed)
-        if self.tracer is not None:
-            span = self.tracer.root.child("gateway.query", sim.now)
-            span.tag("query_id", query.query_id)
-            span.tag("tenant", query.tenant)
-            span.tag("user", query.user)
-            query._span = span  # noqa: SLF001
-            query._wait_span = span.child("queue_wait", sim.now)  # noqa: SLF001
         if timeout_s is not None:
             sim.schedule(timeout_s, self._expire, query)
         self._pump()
@@ -209,9 +195,6 @@ class SQLGateway:
         self.admission.on_emit(tq, query)
         query.emitted_at = sim.now
         query.status = QueryStatus.RUNNING
-        if query._wait_span is not None:  # noqa: SLF001
-            query._wait_span.tag("wait_s", query.queue_wait_s)  # noqa: SLF001
-            query._wait_span.finish(sim.now)  # noqa: SLF001
         try:
             # The master re-validates at emission time (credential
             # lifetime, rate limits, per-user quotas) — the entry
@@ -227,8 +210,6 @@ class SQLGateway:
             self._resolve(tq, query, QueryStatus.FAILED, exc)
             return
         query.job = job
-        if job.trace is not None and job.trace.root is not None:
-            job.trace.root.tag("gateway_wait_s", query.queue_wait_s)
         done.add_callback(lambda ev: self._on_job_done(tq, query, ev))
 
     def _on_job_done(self, tq: TenantQueue, query: GatewayQuery, ev: Event) -> None:
@@ -265,9 +246,6 @@ class SQLGateway:
             tq.timed_out += 1
         else:
             tq.failed += 1
-        if query._span is not None:  # noqa: SLF001
-            query._span.tag("status", status.value)  # noqa: SLF001
-            query._span.finish_tree(self.cluster.sim.now)  # noqa: SLF001
         query.done.succeed(status)
         self._retire_session(query.session)
 

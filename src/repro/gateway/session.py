@@ -75,8 +75,6 @@ class GatewayQuery:
         "done",
         "timeout_s",
         "_kill_reason",
-        "_span",
-        "_wait_span",
     )
 
     def __init__(
@@ -108,8 +106,6 @@ class GatewayQuery:
         #: Set before cancelling the underlying job so the completion
         #: callback can tell a kill/timeout from an organic failure.
         self._kill_reason = None
-        self._span = None
-        self._wait_span = None
 
     # -- derived views ----------------------------------------------------
 

@@ -313,7 +313,7 @@ class SmartIndexManager:
 
     @_locked
     def cover(
-        self, block_id: Hashable, cnf: ConjunctiveForm, now: float, span=None
+        self, block_id: Hashable, cnf: ConjunctiveForm, now: float
     ) -> Tuple[Optional[BitVector], List[Clause]]:
         """Try to answer a whole scan filter from the cache.
 
@@ -326,15 +326,7 @@ class SmartIndexManager:
         atom), so a multi-clause CNF probe does not multiply sweep cost;
         see ``stats.ttl_sweeps``.  The lock, too, is taken once: the
         probes go through the lookups' unlocked halves.
-
-        ``span`` (a :class:`~repro.obs.trace.Span`, or None) is tagged
-        with this probe's hit/miss deltas.
         """
-        before = (
-            (self.stats.hits, self.stats.complement_hits, self.stats.misses)
-            if span is not None
-            else None
-        )
         self._expire(now)
         mask: Optional[BitVector] = None
         missing: List[Clause] = []
@@ -344,10 +336,6 @@ class SmartIndexManager:
                 missing.append(clause)
             else:
                 mask = vec if mask is None else (mask & vec)
-        if before is not None:
-            span.tag("atom_hits", self.stats.hits - before[0])
-            span.tag("complement_hits", self.stats.complement_hits - before[1])
-            span.tag("atom_misses", self.stats.misses - before[2])
         return mask, missing
 
     def _lookup_atom(
@@ -379,7 +367,7 @@ class SmartIndexManager:
 
     @_locked
     def cover_semantic(
-        self, block_id: Hashable, cnf: ConjunctiveForm, now: float, span=None
+        self, block_id: Hashable, cnf: ConjunctiveForm, now: float
     ) -> Tuple[Optional[BitVector], List[Clause], List[ResidualClause]]:
         """Subsumption-aware :meth:`cover`.
 
@@ -391,17 +379,6 @@ class SmartIndexManager:
         """
         if not self.semantic:
             raise IndexError_("cover_semantic requires semantic=True")
-        before = (
-            (
-                self.stats.hits,
-                self.stats.complement_hits,
-                self.stats.misses,
-                self.stats.subsumption_hits,
-                self.stats.residual_hits,
-            )
-            if span is not None
-            else None
-        )
         self._expire(now)
         mask: Optional[BitVector] = None
         missing: List[Clause] = []
@@ -429,17 +406,6 @@ class SmartIndexManager:
                 self.stats.residual_hits += 1
             else:
                 missing.append(clause)
-        if before is not None:
-            span.tag("atom_hits", self.stats.hits - before[0])
-            span.tag("complement_hits", self.stats.complement_hits - before[1])
-            span.tag("atom_misses", self.stats.misses - before[2])
-            span.tag("subsumption_hits", self.stats.subsumption_hits - before[3])
-            span.tag("residual_clauses", self.stats.residual_hits - before[4])
-            if residuals:
-                span.tag(
-                    "residual_fraction",
-                    round(sum(r.fraction for r in residuals) / len(residuals), 4),
-                )
         return mask, missing, residuals
 
     def _probe_atom_semantic(

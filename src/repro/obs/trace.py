@@ -6,6 +6,8 @@ the tree mirrors the execution path::
 
     job
     ├─ fetch_broadcasts
+    │  └─ read_table.<name>  (blocks and encoded bytes read)
+    ├─ reopt.decision       (adaptive checkpoint, zero duration)
     └─ task.attempt0
        ├─ dispatch          (master → stem hops, CONTROL bytes)
        ├─ broadcast_ship    (WRITE bytes, when the leaf lacks the frames)
@@ -14,6 +16,14 @@ the tree mirrors the execution path::
        ├─ scan              (modeled IO charge)
        ├─ aggregate | project  (modeled CPU charge)
        └─ result_return     (READ bytes upstream, or spill)
+
+Only the places where the simulated clock moves write the tree: the
+master (the job, broadcast fetch, re-plan decision and each attempt's
+network phases) and ``LeafServer.run_task`` (the leaf's phases).  A
+phase that waits on the clock is :meth:`Span.add`-ed when it starts and
+:meth:`Span.finish`-ed with its tags when it ends, so a job that
+resolves while an attempt is mid-phase shows that phase, open until the
+clamp; a point-in-time span is one :meth:`Span.add` with its end.
 
 ``index_probe`` tags ``atom_hits`` / ``complement_hits`` /
 ``atom_misses`` always; with the semantic index enabled it adds
@@ -29,7 +39,6 @@ or exporting spans cannot perturb event ordering.  Tracing is off unless
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = ["Span", "Tracer"]
@@ -49,9 +58,7 @@ def _jsonable(value: Any) -> Any:
 class Span:
     """One timed region of a query's execution.
 
-    ``end_s`` is ``None`` while the span is open; :meth:`finish` is
-    idempotent so error paths may close a span that a ``finally`` block
-    closes again.
+    ``end_s`` is ``None`` while the span is open.
     """
 
     __slots__ = ("name", "start_s", "end_s", "tags", "children")
@@ -63,25 +70,25 @@ class Span:
         self.tags: Dict[str, Any] = {}
         self.children: List["Span"] = []
 
-    def child(self, name: str, now: float) -> "Span":
-        span = Span(name, now)
+    def add(self, name: str, start_s: float, end_s: Optional[float] = None, **tags: Any) -> "Span":
+        """Open a child tagged with ``tags``; closed at ``end_s`` too
+        when that is given (a point-in-time or already-ended phase)."""
+        span = Span(name, start_s).tag(**tags)
+        if end_s is not None:
+            span.end_s = float(end_s)
         self.children.append(span)
         return span
 
-    def event(self, name: str, now: float, **tags: Any) -> "Span":
-        """A zero-duration child marking a point occurrence (e.g. an
-        injected fault): opened, tagged and finished at ``now``."""
-        span = self.child(name, now)
+    def tag(self, **tags: Any) -> "Span":
         for k, v in tags.items():
-            span.tag(k, v)
-        span.finish(now)
-        return span
-
-    def tag(self, key: str, value: Any) -> "Span":
-        self.tags[key] = _jsonable(value)
+            self.tags[k] = _jsonable(v)
         return self
 
-    def finish(self, now: float) -> None:
+    def finish(self, now: float, **tags: Any) -> None:
+        """Tag and close this span.  Closing is idempotent: error paths may
+        close a span that a ``finally`` block closes again, and a span a
+        clamp closed early still gains the tags of its phase's end."""
+        self.tag(**tags)
         if self.end_s is None:
             self.end_s = float(now)
 
@@ -107,14 +114,6 @@ class Span:
             d["children"] = [c.to_dict() for c in self.children]
         return d
 
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "Span":
-        span = cls(d["name"], d["start_s"])
-        span.end_s = d.get("end_s")
-        span.tags = dict(d.get("tags", {}))
-        span.children = [cls.from_dict(c) for c in d.get("children", [])]
-        return span
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Span({self.name!r}, {self.start_s:.6f}..{self.end_s}, tags={self.tags})"
 
@@ -129,9 +128,7 @@ class Tracer:
         self.root: Optional[Span] = None
 
     def begin(self, name: str, now: float, **tags: Any) -> Span:
-        self.root = Span(name, now)
-        for k, v in tags.items():
-            self.root.tag(k, v)
+        self.root = Span(name, now).tag(**tags)
         return self.root
 
     # -- queries -------------------------------------------------------------
@@ -139,10 +136,6 @@ class Tracer:
     def spans(self) -> Iterator[Span]:
         if self.root is not None:
             yield from self.root.walk()
-
-    @property
-    def span_count(self) -> int:
-        return sum(1 for _ in self.spans())
 
     def find(self, name: str) -> List[Span]:
         return [s for s in self.spans() if s.name == name]
@@ -197,13 +190,3 @@ class Tracer:
             "job_id": self.job_id,
             "root": self.root.to_dict() if self.root is not None else None,
         }
-
-    def export_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.export(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_export(cls, d: Dict[str, Any]) -> "Tracer":
-        tracer = cls(d["job_id"])
-        if d.get("root") is not None:
-            tracer.root = Span.from_dict(d["root"])
-        return tracer

@@ -103,18 +103,17 @@ def explain_analyze(
 ) -> str:
     """Render the plan annotated with what actually happened.
 
-    ``job`` is an executed :class:`~repro.cluster.jobs.Job`.  Each
-    operator line gains ``actual:`` annotations — simulated seconds,
-    rows, modeled bytes and index hit counts next to the cost model's
-    estimates — sourced from the job's :class:`~repro.obs.trace.Tracer`
-    when it ran with ``JobOptions.trace=True``, falling back to the
-    aggregate job counters when tracing was off.
+    ``job`` is an executed :class:`~repro.cluster.jobs.Job` that ran with
+    ``JobOptions.trace=True``.  Each operator line gains ``actual:``
+    annotations — simulated seconds, rows, modeled bytes and index hit
+    counts next to the cost model's estimates — read off the job's
+    :class:`~repro.obs.trace.Tracer` and its counters.
     """
     lines, anchors = _plan_lines(plan, cost_model)
     stats = job.stats
     timeline = job.task_timeline
-    trace = getattr(job, "trace", None)
-    totals = trace.totals_by_name() if trace is not None else {}
+    trace = job.trace
+    totals = trace.totals_by_name()
 
     def tot(name: str) -> "tuple[int, float]":
         agg = totals.get(name)
@@ -123,55 +122,49 @@ def explain_analyze(
     inserts: List["tuple[int, List[str]]"] = []
     if "scan" in anchors:
         scan_lines: List[str] = []
-        if trace is not None:
-            _n_scan, scan_s = tot("scan")
-            rows_in = trace.tag_sum("rows_in", "scan")
-            rows_out = trace.tag_sum("rows_out", "scan")
-            n_probe, _ = tot("index_probe")
-            n_wait, wait_s = tot("queue_wait")
-            scan_lines.append(
-                f"actual: {len(timeline)} attempts, {scan_s:.4f}s scan, "
-                f"{stats.io_bytes_modeled / 1e6:.1f} MB modeled, "
-                f"rows {int(rows_in):,} -> {int(rows_out):,}"
+        _n_scan, scan_s = tot("scan")
+        rows_in = trace.tag_sum("rows_in", "scan")
+        rows_out = trace.tag_sum("rows_out", "scan")
+        n_probe, _ = tot("index_probe")
+        n_wait, wait_s = tot("queue_wait")
+        scan_lines.append(
+            f"actual: {len(timeline)} attempts, {scan_s:.4f}s scan, "
+            f"{stats.io_bytes_modeled / 1e6:.1f} MB modeled, "
+            f"rows {int(rows_in):,} -> {int(rows_out):,}"
+        )
+        scan_lines.append(
+            f"actual index: {stats.index_full_covers} full covers, "
+            f"{stats.index_clause_hits} clause hits, "
+            f"{stats.index_clause_misses} misses ({n_probe} probes)"
+        )
+        if stats.index_subsumption_hits or stats.index_residual_clauses:
+            # Semantic-index line: only rendered when the flag-gated
+            # probe layer actually fired, so default-mode output is
+            # unchanged.
+            mean_fraction = (
+                stats.index_residual_fraction_sum / stats.index_residual_clauses
+                if stats.index_residual_clauses
+                else 0.0
             )
             scan_lines.append(
-                f"actual index: {stats.index_full_covers} full covers, "
-                f"{stats.index_clause_hits} clause hits, "
-                f"{stats.index_clause_misses} misses ({n_probe} probes)"
+                f"actual semantic: {stats.index_subsumption_hits} subsumption hits, "
+                f"{stats.index_residual_clauses} residual clauses "
+                f"(mean candidate fraction {mean_fraction:.3f})"
             )
-            if stats.index_subsumption_hits or stats.index_residual_clauses:
-                # Semantic-index line: only rendered when the flag-gated
-                # probe layer actually fired, so default-mode output is
-                # unchanged.
-                mean_fraction = (
-                    stats.index_residual_fraction_sum / stats.index_residual_clauses
-                    if stats.index_residual_clauses
-                    else 0.0
-                )
-                scan_lines.append(
-                    f"actual semantic: {stats.index_subsumption_hits} subsumption hits, "
-                    f"{stats.index_residual_clauses} residual clauses "
-                    f"(mean candidate fraction {mean_fraction:.3f})"
-                )
-            tiers = trace.tag_values("tier", "scan")
-            if tiers:
-                # Tiering line: the tag only exists when the flag-gated
-                # daemon is attached, so default-mode output is unchanged.
-                parts = ", ".join(f"{n} {t}" for t, n in sorted(tiers.items()))
-                scan_lines.append(f"actual tier: {parts}")
-            layouts = trace.tag_values("layout", "scan")
-            if layouts:
-                # Trojan-replica line (S54): the tag only exists when the
-                # flag-gated layout daemon is attached, so default-mode
-                # output is unchanged.
-                parts = ", ".join(f"{n} {t}" for t, n in sorted(layouts.items()))
-                scan_lines.append(f"actual layout: {parts}")
-            scan_lines.append(f"actual queue wait: {wait_s:.4f}s over {n_wait} slot waits")
-        else:
-            scan_lines.append(
-                f"actual: {stats.tasks_completed}/{stats.tasks_total} tasks, "
-                f"{stats.io_bytes_modeled / 1e6:.1f} MB modeled (trace disabled)"
-            )
+        tiers = trace.tag_values("tier", "scan")
+        if tiers:
+            # Tiering line: the tag only exists when the flag-gated
+            # daemon is attached, so default-mode output is unchanged.
+            parts = ", ".join(f"{n} {t}" for t, n in sorted(tiers.items()))
+            scan_lines.append(f"actual tier: {parts}")
+        layouts = trace.tag_values("layout", "scan")
+        if layouts:
+            # Trojan-replica line (S54): the tag only exists when the
+            # flag-gated layout daemon is attached, so default-mode
+            # output is unchanged.
+            parts = ", ".join(f"{n} {t}" for t, n in sorted(layouts.items()))
+            scan_lines.append(f"actual layout: {parts}")
+        scan_lines.append(f"actual queue wait: {wait_s:.4f}s over {n_wait} slot waits")
         if stats.adaptive_waves:
             # Adaptive line: the counters are only nonzero when the
             # flag-gated re-optimizer ran, so default output is unchanged.
@@ -182,7 +175,7 @@ def explain_analyze(
                 f"{stats.adaptive_tasks_skipped} tasks skipped"
             )
         inserts.append((anchors["scan"], scan_lines))
-    if "aggregate" in anchors and trace is not None:
+    if "aggregate" in anchors:
         n_agg, agg_s = tot("aggregate")
         groups = job.result.num_rows if job.result is not None else 0
         inserts.append(
@@ -194,7 +187,7 @@ def explain_analyze(
                 ],
             )
         )
-    if "broadcast" in anchors and trace is not None:
+    if "broadcast" in anchors:
         ship_bytes = trace.tag_sum("bytes", "broadcast_ship")
         n_ship, _ = tot("broadcast_ship")
         fetch_bytes = trace.tag_sum("bytes", "fetch_broadcasts")
@@ -221,7 +214,7 @@ def explain_analyze(
         else ""
     )
     lines.append(f"  response: {stats.response_time_s:.4f}s simulated{queued}")
-    if getattr(job, "replanned_plan_digest", None):
+    if job.replanned_plan_digest:
         lines.append(
             f"  plan digest: {job.plan_digest} -> {job.replanned_plan_digest} (re-planned)"
         )
@@ -235,27 +228,26 @@ def explain_analyze(
         f"  SmartIndex: {covered}/{len(timeline)} attempts fully covered, "
         f"{stats.io_bytes_modeled / 1e6:.1f} MB modeled scan"
     )
-    if trace is not None:
-        for phase in (
-            "fetch_broadcasts",
-            "dispatch",
-            "broadcast_ship",
-            "queue_wait",
-            "index_probe",
-            "scan",
-            "aggregate",
-            "project",
-            "result_return",
-        ):
-            if phase in totals:
-                count, total_s = tot(phase)
-                lines.append(f"  phase {phase}: {total_s:.4f}s over {count} spans")
-        by_class = trace.bytes_by_class()
-        if by_class:
-            parts = ", ".join(
-                f"{cls} {by_class[cls] / 1e3:.1f} KB" for cls in sorted(by_class)
-            )
-            lines.append(f"  traffic: {parts}")
+    for phase in (
+        "fetch_broadcasts",
+        "dispatch",
+        "broadcast_ship",
+        "queue_wait",
+        "index_probe",
+        "scan",
+        "aggregate",
+        "project",
+        "result_return",
+    ):
+        if phase in totals:
+            count, total_s = tot(phase)
+            lines.append(f"  phase {phase}: {total_s:.4f}s over {count} spans")
+    by_class = trace.bytes_by_class()
+    if by_class:
+        parts = ", ".join(
+            f"{cls} {by_class[cls] / 1e3:.1f} KB" for cls in sorted(by_class)
+        )
+        lines.append(f"  traffic: {parts}")
     if timeline:
         slowest = sorted(timeline, key=lambda t: -t.duration_s)[:5]
         lines.append("  slowest task attempts:")

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.columnar.table import BlockRef
+from repro.errors import PlanError
 from repro.planner.cnf import AtomicPredicate, Clause, ConjunctiveForm, to_cnf
 from repro.planner.simplify import simplify_cnf
 from repro.sql.analyzer import AnalyzedQuery
@@ -224,6 +225,15 @@ def build_plan(analyzed: AnalyzedQuery) -> PhysicalPlan:
     shape = plan_shape(analyzed)
     base_binding = analyzed.base_binding
     base_table = analyzed.tables[base_binding]
+    for bc in shape.broadcasts:
+        if bc.kind is JoinKind.RIGHT_OUTER and len(base_table.blocks) > 1:
+            # Each task pads the dimension rows its own block did not
+            # match, so over several blocks an unmatched row would be
+            # padded once per block: refuse rather than answer wrong.
+            raise PlanError(
+                f"RIGHT JOIN {bc.table_name} needs a one-block {base_table.name}, "
+                f"which has {len(base_table.blocks)} blocks"
+            )
     plan_id = f"plan-{next(_plan_counter)}"
     tasks: List[ScanTask] = []
     pruned = 0

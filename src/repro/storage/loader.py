@@ -157,25 +157,14 @@ def read_table_frame(
     columns: Sequence[str],
     cred=None,
     now: float = 0.0,
-    span=None,
     tiering=None,
 ) -> Dict[str, np.ndarray]:
-    """Materialize selected columns of a whole table (broadcast tables).
-
-    ``span`` (a :class:`~repro.obs.trace.Span`) gains one child per table
-    read, tagged with the block count and encoded bytes touched.
-    """
+    """Materialize selected columns of a whole table (broadcast tables)."""
     parts: Dict[str, list] = {c: [] for c in columns}
-    read_bytes = 0
     for ref in table.blocks:
         block = load_block(router, ref, cred=cred, now=now, tiering=tiering)
-        read_bytes += ref.bytes_for(columns)
         for c in columns:
             parts[c].append(block.column(c))
-    if span is not None:
-        span.child(f"read_table.{table.name}", now).tag("blocks", len(table.blocks)).tag(
-            "encoded_bytes", read_bytes
-        ).finish(now)
     return {
         c: (np.concatenate(v) if v else np.empty(0, dtype=table.schema.field(c).dtype.numpy_dtype))
         for c, v in parts.items()

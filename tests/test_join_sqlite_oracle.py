@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 
 from repro import DataType, FeisuCluster, FeisuConfig, Schema
+from repro.errors import PlanError
+from repro.planner.adaptive import AdaptiveConfig
 from repro.workload.conversion import start_conversion_daemons, write_raw_records
 from repro.workload.loggen import LogIngestor, generate_log_records
 
@@ -89,9 +91,10 @@ def _dtype(values):
     return DataType.STRING if isinstance(values[0], str) else DataType.INT64
 
 
-@pytest.fixture(scope="module")
-def engines():
-    cluster = FeisuCluster(FeisuConfig(datacenters=1, racks_per_datacenter=1, nodes_per_rack=4))
+def _engines(fact_block_rows: int, adaptive=None):
+    cluster = FeisuCluster(
+        FeisuConfig(datacenters=1, racks_per_datacenter=1, nodes_per_rack=4, adaptive=adaptive)
+    )
     db = sqlite3.connect(":memory:")
     for name, (columns, storage, block_rows) in TABLES.items():
         cluster.load_table(
@@ -100,13 +103,19 @@ def engines():
             {c: np.array(v, dtype=object if _dtype(v) is DataType.STRING else np.int64)
              for c, v in columns.items()},
             storage=storage,
-            block_rows=block_rows,
+            block_rows=fact_block_rows if name == "T" else block_rows,
         )
         db.execute(f"CREATE TABLE {name} ({', '.join(columns)})")
         db.executemany(
             f"INSERT INTO {name} VALUES ({', '.join('?' * len(columns))})",
             zip(*columns.values()),
         )
+    return cluster, db
+
+
+@pytest.fixture(scope="module")
+def engines():
+    cluster, db = _engines(TABLES["T"][2])
     assert len(cluster.catalog.get("T").blocks) == 3
     yield cluster, db
     db.close()
@@ -135,17 +144,27 @@ def test_join_matches_sqlite(engines, sql, divergence):
     assert got == want
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 14: each leaf pads RIGHT JOIN's unmatched dimension rows "
-    "against its own block, so a 3-block fact table pads them up to 3 times",
+RIGHT_SQL = "SELECT D.label, COUNT(*) FROM T RIGHT JOIN D ON T.tk = D.dk GROUP BY D.label"
+
+
+def test_right_join_over_several_blocks_is_refused(engines):
+    """Each leaf pads the dimension rows its own block did not match, so
+    over three blocks an unmatched row would count up to three times."""
+    cluster, _db = engines
+    with pytest.raises(PlanError, match="RIGHT JOIN D"):
+        cluster.query(RIGHT_SQL)
+
+
+@pytest.mark.parametrize(
+    "adaptive",
+    [None, AdaptiveConfig(pilot_min_rows=1, min_split_rows=1)],
+    ids=["frozen", "adaptive"],
 )
-def test_right_join_matches_sqlite(engines):
-    got, want = _both(
-        engines,
-        "SELECT D.label, COUNT(*) FROM T RIGHT JOIN D ON T.tk = D.dk GROUP BY D.label",
-        "outer padding",
-    )
+def test_right_join_over_one_block_matches_sqlite(adaptive):
+    cluster, db = _engines(len(FACT["id"]), adaptive)
+    assert len(cluster.catalog.get("T").blocks) == 1
+    got, want = _both((cluster, db), RIGHT_SQL, "outer padding")
+    db.close()
     assert got == want
 
 

@@ -10,7 +10,7 @@ import pytest
 from repro.client.cli import main
 from repro.client.client import FeisuClient
 from repro.cluster.jobs import JobOptions
-from repro.obs.trace import Span, Tracer
+from repro.obs.trace import Span
 from repro.sql.statements import classify_statement
 
 JOIN_SQL = (
@@ -94,25 +94,15 @@ def test_index_probe_spans_record_cover_outcomes(fresh_cluster):
     assert any(s.tags.get("full_cover") for s in warm.trace.find("index_probe"))
 
 
-# -- export / round-trip ------------------------------------------------------
+# -- export ---------------------------------------------------------------------
 
 
-def test_export_json_round_trips(small_cluster):
+def test_export_is_json_ready(small_cluster):
     job = _traced_job(small_cluster)
     exported = job.trace.export()
-    text = json.dumps(exported, sort_keys=True)  # must not raise
-    restored = Tracer.from_export(json.loads(text))
-    assert restored.job_id == job.trace.job_id
-    assert restored.export() == exported
-    assert restored.span_count == job.trace.span_count
-    assert restored.totals_by_name() == job.trace.totals_by_name()
-
-
-def test_export_json_helper_matches_export(small_cluster):
-    job = _traced_job(small_cluster)
-    assert json.loads(job.trace.export_json()) == json.loads(
-        json.dumps(job.trace.export())
-    )
+    assert json.loads(json.dumps(exported)) == exported
+    assert exported["job_id"] == job.job_id
+    assert exported["root"]["name"] == "job"
 
 
 # -- EXPLAIN ANALYZE ----------------------------------------------------------

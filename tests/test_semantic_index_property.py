@@ -23,7 +23,7 @@ from repro.errors import IndexError_
 from repro.index.advisor import IndexAdvisor
 from repro.index.smartindex import SmartIndexManager
 from repro.columnar.table import Catalog
-from repro.obs.trace import Span
+from repro.cluster.jobs import JobOptions
 from repro.planner.cnf import AtomicPredicate, Clause, ConjunctiveForm
 from repro.sql.ast import BinaryOperator
 
@@ -182,16 +182,37 @@ def test_empty_cache_and_flag_gate():
 
 
 def test_cover_semantic_tags_span():
-    col = np.arange(32, dtype=np.float64)
-    mgr = _manager(col, [(BinaryOperator.LT, 6)])
-    span = Span("index_probe", 0.0)
-    probe = AtomicPredicate("c", BinaryOperator.LT, 4)
-    mgr.cover_semantic("b", _single(probe), now=1.0, span=span)
-    for key in ("atom_hits", "complement_hits", "atom_misses",
-                "subsumption_hits", "residual_clauses"):
-        assert key in span.tags
-    assert span.tags["residual_clauses"] == 1
-    assert 0.0 < span.tags["residual_fraction"] <= 1.0
+    """The leaf tags a traced attempt's ``index_probe`` with what the
+    semantic cover answered: a narrower range over a cached one is a
+    residual clause."""
+    cluster = FeisuCluster(
+        FeisuConfig(
+            datacenters=1,
+            racks_per_datacenter=1,
+            nodes_per_rack=2,
+            leaf=LeafConfig(index_semantic=True),
+        )
+    )
+    cluster.load_table(
+        "T",
+        Schema.of(c=DataType.FLOAT64),
+        {"c": np.arange(64, dtype=np.float64)},
+        storage="storage-a",
+        block_rows=32,
+    )
+    cluster.query("SELECT COUNT(*) FROM T WHERE c < 6")
+    job = cluster.query_job("SELECT COUNT(*) FROM T WHERE c < 4", options=JobOptions(trace=True))
+    probes = job.trace.find("index_probe")
+    assert probes
+    for span in probes:
+        for key in ("atom_hits", "complement_hits", "atom_misses",
+                    "subsumption_hits", "residual_clauses"):
+            assert key in span.tags
+    residual = [s for s in probes if s.tags["residual_clauses"]]
+    assert residual
+    for span in residual:
+        assert span.tags["residual_clauses"] == 1
+        assert 0.0 < span.tags["residual_fraction"] <= 1.0
 
 
 # -- cost-aware cache management ------------------------------------------
