@@ -59,6 +59,14 @@ class JobOptions:
     #: the disabled path allocates no spans at all.
     trace: bool = False
 
+    def validate(self) -> None:
+        """Raise ValueError naming the first set field no job can serve:
+        a negative or NaN sample ratio or time limit."""
+        for name in ("sample_block_ratio", "max_time_s"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0.0:
+                raise ValueError(f"JobOptions.{name} must be >= 0, got {value!r}")
+
 
 @dataclass
 class JobStats:

@@ -499,6 +499,8 @@ class Master:
         if self._shut_down:
             raise ClusterStateError("this master has shut down; resubmit to its successor")
         options = options or JobOptions()
+        if options.sample_block_ratio is not None or options.max_time_s is not None:
+            options.validate()  # only where set: the default path costs no call
         analyzed = analyze_sql(sql, self.catalog)
         self.entry_guard.admit(user, cred, analyzed.table_names, self.sim.now)
         plan = build_plan(analyzed)
@@ -697,8 +699,8 @@ class Master:
             sampled_fraction = 1.0
         else:
             wave = self._sampled_tasks(plan, options)
-            if not wave:
-                self._finish_ok(job, done, [], 1.0)
+            if not wave:  # an empty sample of a non-empty plan processed nothing
+                self._finish_ok(job, done, [], 0.0 if plan.tasks else 1.0)
                 return
             sampled_fraction = len(wave) / max(len(plan.tasks), 1)
         #: Tasks the job means to run; the remainder wave adds its own.

@@ -9,6 +9,7 @@ result-size expectations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -46,7 +47,14 @@ class ColumnHistogram:
             counts = [0] * bins
             counts[0] = n
             return cls(lo, hi, tuple(counts), n, 1)
-        counts, _edges = np.histogram(array.astype(np.float64), bins=bins, range=(lo, hi))
+        values, lo_, hi_ = array.astype(np.float64), lo, hi
+        if math.isinf(hi - lo):  # the same bins over halves, whose span is finite
+            values, lo_, hi_ = values / 2, lo / 2, hi / 2
+        try:
+            counts, _edges = np.histogram(values, bins=bins, range=(lo_, hi_))
+        except ValueError:  # fewer than ``bins`` floats lie between lo and hi
+            position = ((values - lo_) / (hi_ - lo_) * bins).astype(np.int64)
+            counts = np.bincount(np.clip(position, 0, bins - 1), minlength=bins)
         distinct = int(len(np.unique(array[: min(n, 8192)])))
         return cls(lo, hi, tuple(int(c) for c in counts), n, distinct)
 
@@ -66,7 +74,10 @@ class ColumnHistogram:
         width = self._bin_width()
         if width == 0.0:
             return 1.0 if value >= self.lo else 0.0
-        position = (value - self.lo) / width
+        if math.isinf(width):  # hi - lo overflows: the same position from halves
+            position = (value / 2 - self.lo / 2) / ((self.hi / 2 - self.lo / 2) / len(self.counts))
+        else:
+            position = (value - self.lo) / width
         whole = int(position)
         fraction_in_bin = position - whole
         covered = sum(self.counts[:whole]) + self.counts[min(whole, len(self.counts) - 1)] * fraction_in_bin

@@ -8,7 +8,9 @@ to preserve:
 1. **Bounded liveness** — every admitted job reaches a terminal state
    within a horizon; the event loop never deadlocks waiting on it.
 2. **Safety** — a *successful, complete* answer is never wrong
-   (differential check against a single-node reference oracle).
+   (differential check against a single-node oracle; the test suite's
+   is stdlib sqlite3 over the same tables, ``tests/_oracle.py``, whose
+   ``DIVERGENCES`` name where the engine answers differently on purpose).
 3. **Replication floor** — storage systems never silently drop below
    their replica target.
 4. **At-most-once accounting** — backup/retry races never count one

@@ -147,9 +147,12 @@ class SQLGateway:
         timeout_s: Optional[float],
     ) -> GatewayQuery:
         sim = self.cluster.sim
-        # Client-end pre-flight: syntax and ACL fail synchronously, so
-        # bad requests never occupy queue space (§III-C).  The statement
-        # stays cached for the master to find at emission.
+        # Client-end pre-flight: options, syntax and ACL fail
+        # synchronously, so bad requests never occupy queue space
+        # (§III-C).  The statement stays cached for the master to find at
+        # emission.
+        if options is not None:
+            options.validate()
         analyzed = analyze_sql(sql, self.cluster.catalog)
         self.cluster.acl.check_read(session.user, analyzed.table_names)
         plan = build_plan(analyzed)

@@ -1,255 +1,45 @@
-"""Shared reference-execution oracle for differential tests.
+"""The one oracle of every differential test: stdlib ``sqlite3``.
 
-A deliberately simple row-at-a-time interpreter executes the same SQL
-over the same data as the distributed engine; results must match exactly
-(modulo float tolerance and row order for unordered queries).  Used by
-the randomized differential suite, the soak test, and the chaos matrix's
-:class:`~repro.faults.invariants.InvariantMonitor` safety check.
+:func:`oracle_for` loads a test's column arrays into one in-memory sqlite
+database, and each statement runs there as text. Nothing here imports
+the engine, so a parser, analyzer or CNF bug cannot hide on both sides.
+
+- The one rewrite is ``x CONTAINS 'y'`` → ``instr(x, 'y') > 0``; the
+  dotted names of nested fields are quoted. What sqlite reads differently
+  from the engine (``WITHIN``, ``/``, ``%``, a ``LIMIT`` without
+  ``ORDER BY``) is refused, not guessed, and so is a NaN value, which
+  sqlite stores as NULL.
+- Where the engine answers differently on purpose, the statement names a
+  row of :data:`DIVERGENCES`, and under it sqlite's NULL reads as the
+  engine's default for the result column's type. An unnamed NULL fails.
+- Under ``ORDER BY`` rows compare in order, each run of ties as a
+  multiset; otherwise both sides compare as sorted multisets. Floats
+  compare at ``rel = abs = 1e-9``.
 """
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+import re
+import sqlite3
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import pytest
 
-from repro.sql.ast import (
-    AggregateCall,
-    BinaryOp,
-    BinaryOperator,
-    Column,
-    FunctionCall,
-    Literal,
-    Negate,
-    NotOp,
-    Star,
-)
-from repro.sql.parser import parse
+#: Where the engine answers differently from sqlite on purpose, and why.
+DIVERGENCES = {
+    "outer padding": "the engine has no NULL: an outer join pads an unmatched row "
+    "with '' (strings) or 0 (numbers) where sqlite writes NULL",
+    "missing key": "the engine's columns are dense: a key a record lacks reads as "
+    "'' (strings) or 0 (numbers) where sqlite holds NULL",
+    "empty aggregate": "over no rows the engine's MIN / MAX / SUM give 0, '' or NaN "
+    "by the argument's type, and AVG gives NaN, where sqlite gives NULL",
+}
 
-# -- the naive reference engine ---------------------------------------------
-
-
-def _ref_scalar(expr, row):
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Column):
-        if expr.table is not None:
-            return row[f"{expr.table}.{expr.name}"]
-        return row[expr.name]
-    if isinstance(expr, Negate):
-        return -_ref_scalar(expr.operand, row)
-    if isinstance(expr, NotOp):
-        return not _ref_scalar(expr.operand, row)
-    if isinstance(expr, FunctionCall):
-        args = [_ref_scalar(a, row) for a in expr.args]
-        return {
-            "LENGTH": lambda: len(args[0]),
-            "LOWER": lambda: args[0].lower(),
-            "UPPER": lambda: args[0].upper(),
-            "ABS": lambda: abs(args[0]),
-        }[expr.name]()
-    if isinstance(expr, BinaryOp):
-        op = expr.op
-        if op is BinaryOperator.AND:
-            return bool(_ref_scalar(expr.left, row)) and bool(_ref_scalar(expr.right, row))
-        if op is BinaryOperator.OR:
-            return bool(_ref_scalar(expr.left, row)) or bool(_ref_scalar(expr.right, row))
-        left, right = _ref_scalar(expr.left, row), _ref_scalar(expr.right, row)
-        return {
-            BinaryOperator.EQ: lambda: left == right,
-            BinaryOperator.NE: lambda: left != right,
-            BinaryOperator.LT: lambda: left < right,
-            BinaryOperator.LE: lambda: left <= right,
-            BinaryOperator.GT: lambda: left > right,
-            BinaryOperator.GE: lambda: left >= right,
-            BinaryOperator.CONTAINS: lambda: right in left,
-            BinaryOperator.ADD: lambda: left + right,
-            BinaryOperator.SUB: lambda: left - right,
-            BinaryOperator.MUL: lambda: left * right,
-            BinaryOperator.DIV: lambda: left / right if right != 0 else math.inf * (1 if left > 0 else -1) if left != 0 else math.nan,
-            BinaryOperator.MOD: lambda: left % right if right != 0 else math.nan,
-        }[op]()
-    raise AssertionError(f"reference engine: unhandled node {expr}")
-
-
-def _ref_aggregate(func, values):
-    if func == "COUNT":
-        return len(values)
-    if not values:
-        return None
-    if func == "SUM":
-        return sum(values)
-    if func == "AVG":
-        return sum(values) / len(values)
-    if func == "MIN":
-        return min(values)
-    if func == "MAX":
-        return max(values)
-    raise AssertionError(func)
-
-
-def _qualify(row, binding):
-    """One table's row with both bare and binding-qualified keys."""
-    out = dict(row)
-    for key, value in row.items():
-        out[f"{binding}.{key}"] = value
-    return out
-
-
-def _joined_rows(query, rows, join_tables):
-    """Nested-loop inner joins for the reference engine."""
-    base_binding = query.tables[0].binding
-    current = [_qualify(r, base_binding) for r in rows]
-    for join in query.joins:
-        binding = join.table.binding
-        dim_rows = [_qualify(r, binding) for r in join_tables[join.table.name]]
-        merged = []
-        for left in current:
-            for right in dim_rows:
-                # bare-name collisions resolve in favour of qualified use;
-                # generated queries qualify any shared column.
-                combined = {**right, **left}
-                combined.update({k: v for k, v in right.items() if "." in k})
-                if join.condition is None or _ref_scalar(join.condition, combined):
-                    merged.append(combined)
-        current = merged
-    return current
-
-
-def reference_execute(sql, rows, join_tables=None):
-    """Reference implementation over lists of row dicts.
-
-    ``join_tables`` maps table names to dimension rows for queries with
-    INNER JOINs (the only kind the generators emit).
-    """
-    query = parse(sql)
-    if query.joins:
-        rows = _joined_rows(query, rows, join_tables or {})
-    data = [r for r in rows if query.where is None or _ref_scalar(query.where, r)]
-    select_exprs = [item.expr for item in query.select_items]
-    aliases = {item.alias: item.expr for item in query.select_items if item.alias}
-
-    def dealias(expr):
-        if isinstance(expr, Column) and expr.table is None and expr.name in aliases:
-            return aliases[expr.name]
-        return expr
-
-    query = type(query)(
-        select_items=query.select_items,
-        tables=query.tables,
-        joins=query.joins,
-        where=query.where,
-        group_by=tuple(dealias(g) for g in query.group_by),
-        having=query.having,
-        order_by=query.order_by,
-        limit=query.limit,
-    )
-    aggregates = []
-    for expr in select_exprs + ([query.having] if query.having else []):
-        stack = [expr]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, AggregateCall):
-                aggregates.append(node)
-            elif node is not None and hasattr(node, "children"):
-                stack.extend(node.children())
-    group_keys = list(query.group_by)
-    for agg in aggregates:
-        if agg.within is not None and agg.within not in group_keys:
-            group_keys.append(agg.within)
-
-    if aggregates or group_keys:
-        groups = {}
-        for r in data:
-            key = tuple(_ref_scalar(k, r) for k in group_keys)
-            groups.setdefault(key, []).append(r)
-        if not group_keys and not groups:
-            groups[()] = []  # global aggregate over zero rows: one row
-        out_rows = []
-        for key, members in groups.items():
-            env = dict(zip([str(k) for k in group_keys], key))
-
-            def agg_value(agg):
-                if isinstance(agg.argument, Star):
-                    return len(members)
-                value = _ref_aggregate(
-                    agg.func, [_ref_scalar(agg.argument, m) for m in members]
-                )
-                if value is not None:
-                    return value
-                # Mirror the engine's NULL-defaulting by output type.
-                if agg.func == "AVG":
-                    return math.nan
-                sample = _ref_scalar(agg.argument, rows[0]) if rows else 0
-                if isinstance(sample, float):
-                    return math.nan
-                if isinstance(sample, str):
-                    return ""
-                return 0
-
-            def expr_value(expr, rep):
-                if isinstance(expr, AggregateCall):
-                    return agg_value(expr)
-                if expr in group_keys:
-                    return key[group_keys.index(expr)]
-                if isinstance(expr, BinaryOp):
-                    # rebuild from parts (sufficient for generated queries)
-                    return _ref_scalar(expr, rep)
-                if isinstance(expr, Literal):
-                    return expr.value
-                return _ref_scalar(expr, rep)
-
-            rep = members[0] if members else {}
-            if query.having is not None:
-                h = query.having
-
-                def having_value(expr):
-                    if isinstance(expr, AggregateCall):
-                        return agg_value(expr)
-                    if isinstance(expr, BinaryOp):
-                        left = having_value(expr.left)
-                        right = having_value(expr.right)
-                        return _ref_scalar(
-                            BinaryOp(expr.op, Literal(left), Literal(right)), rep
-                        )
-                    if isinstance(expr, NotOp):
-                        return not having_value(expr.operand)
-                    return _ref_scalar(expr, rep)
-
-                if not having_value(h):
-                    continue
-            out_rows.append(tuple(expr_value(e, rep) for e in select_exprs))
-    else:
-        out_rows = [tuple(_ref_scalar(e, r) for e in select_exprs) for r in data]
-
-    alias_map = {
-        (item.alias or str(item.expr)): i for i, item in enumerate(query.select_items)
-    }
-    if query.order_by:
-        def sort_key(row):
-            parts = []
-            for item in query.order_by:
-                expr = item.expr
-                if isinstance(expr, Column) and expr.name in alias_map:
-                    v = row[alias_map[expr.name]]
-                else:
-                    v = row[alias_map.get(str(expr), 0)] if str(expr) in alias_map else None
-                parts.append(v)
-            return parts
-
-        # stable multi-key sort honoring per-key direction
-        for item, _ in zip(reversed(query.order_by), range(len(query.order_by))):
-            expr = item.expr
-            idx = alias_map.get(
-                expr.name if isinstance(expr, Column) else str(expr), None
-            )
-            assert idx is not None, "generated ORDER BY must target an output"
-            out_rows.sort(key=lambda r: r[idx], reverse=not item.ascending)
-    if query.limit is not None:
-        out_rows = out_rows[: query.limit]
-    return out_rows
-
-
-# -- comparison helpers --------------------------------------------------------
+_LITERAL = re.compile(r"'(?:[^']|'')*'")
+#: WITHIN, division, modulo, and a LIMIT that no ORDER BY precedes.
+_REFUSED = re.compile(r"\bWITHIN\b|/|%|^(?:(?!\bORDER\s+BY\b).)*\bLIMIT\b", re.I | re.S)
+_CONTAINS = re.compile(r"""([\w.]+|"[^"]*")\s+CONTAINS\s+('(?:[^']|'')*')""", re.I)
+_ORDER_BY = re.compile(r"\bORDER\s+BY\s+(.+?)(?:\s+LIMIT\s+\d+)?\s*$", re.I | re.S)
+_DIRECTION = re.compile(r"\s+(?:ASC|DESC)$", re.I)
 
 
 def _match(value_a, value_b):
@@ -262,17 +52,9 @@ def _match(value_a, value_b):
     return value_a == value_b
 
 
-def _row_dicts(cols):
-    n = len(next(iter(cols.values())))
-    return [
-        {name: (arr[i].item() if arr.dtype != object else arr[i]) for name, arr in cols.items()}
-        for i in range(n)
-    ]
-
-
 def compare_rows(got: List[Tuple], expected: List[Tuple]) -> Optional[str]:
-    """None when row lists match; otherwise a description of the first
-    divergence (for invariant-violation reports)."""
+    """None when the row lists match in order; otherwise a description of
+    the first divergence (for invariant-violation reports)."""
     if len(got) != len(expected):
         return f"row count {len(got)} != expected {len(expected)}"
     for i, (row_a, row_b) in enumerate(zip(got, expected)):
@@ -284,18 +66,110 @@ def compare_rows(got: List[Tuple], expected: List[Tuple]) -> Optional[str]:
     return None
 
 
-def oracle_for(columns, join_tables_columns=None) -> Callable:
-    """An ``oracle(sql, result)`` closure over column arrays, in the shape
-    :class:`~repro.faults.invariants.InvariantMonitor` consumes."""
-    rows = _row_dicts(columns)
-    join_tables = (
-        {name: _row_dicts(cols) for name, cols in join_tables_columns.items()}
-        if join_tables_columns
-        else None
+def _sort_key(row: Sequence) -> Tuple:
+    """A total order over rows of numbers, NaN, strings and None."""
+    return tuple(
+        (3, 0) if v is None else (2, v) if isinstance(v, str) else (1, 0) if v != v else (0, v)
+        for v in row
     )
 
-    def oracle(sql: str, result) -> Optional[str]:
-        expected = reference_execute(sql, rows, join_tables)
-        return compare_rows(result.rows(), expected)
 
-    return oracle
+def _canonical(rows: List[Tuple], keys: Optional[List[int]]) -> List[Tuple]:
+    """``rows`` sorted whole without ``keys``; with them, each run of rows
+    equal on ``keys`` sorted in place."""
+    if keys is None:
+        return sorted(rows, key=_sort_key)
+    out: List[Tuple] = []
+    run: List[Tuple] = []
+    for row in rows:
+        if run and _sort_key([row[k] for k in keys]) != _sort_key([run[0][k] for k in keys]):
+            out += sorted(run, key=_sort_key)
+            run = []
+        run.append(row)
+    return out + sorted(run, key=_sort_key)
+
+
+def _order_keys(sql: str, names: List[str]) -> Optional[List[int]]:
+    """The output positions ``sql`` orders by; None without ORDER BY."""
+    found = _ORDER_BY.search(sql)
+    if found is None:
+        return None
+    keys = []
+    for item in found.group(1).split(","):
+        name = _DIRECTION.sub("", item.strip())
+        if name not in names:
+            raise ValueError(f"ORDER BY {name} is no output column, so its ties are unknown: {sql}")
+        keys.append(names.index(name))
+    return keys
+
+
+def _default(divergence: str, dtype) -> object:
+    """The engine's answer where sqlite's is NULL, by the result column's dtype."""
+    if dtype == object:
+        return ""
+    if divergence == "empty aggregate" and dtype.kind == "f":
+        return math.nan
+    return 0
+
+
+class SqliteOracle:
+    """One in-memory sqlite database holding a test's tables, called as
+    ``oracle(sql, result)``: the shape
+    :class:`~repro.faults.invariants.InvariantMonitor` consumes."""
+
+    def __init__(self, tables: Mapping[str, Mapping[str, Sequence]]):
+        self.db = sqlite3.connect(":memory:")
+        self._dotted: List[str] = []
+        for name, columns in tables.items():
+            self.load(name, columns)
+
+    def load(self, name: str, columns: Mapping[str, Sequence]) -> None:
+        """Table ``name`` from ``{column: values}``: arrays or lists, ``None`` as NULL."""
+        values = [v.tolist() if hasattr(v, "tolist") else list(v) for v in columns.values()]
+        if any(x != x for column in values for x in column):
+            raise ValueError(f"table {name} holds NaN, which sqlite stores as NULL")
+        self._dotted += [c for c in columns if "." in c and c not in self._dotted]
+        quoted = ", ".join(f'"{c}"' for c in columns)
+        self.db.execute(f'CREATE TABLE "{name}" ({quoted})')
+        self.db.executemany(
+            f'INSERT INTO "{name}" VALUES ({", ".join("?" * len(values))})', zip(*values)
+        )
+
+    def to_sqlite(self, sql: str) -> str:
+        """``sql`` as sqlite must read it; ValueError where sqlite cannot."""
+        refused = _REFUSED.search(_LITERAL.sub("''", sql))
+        if refused is not None:
+            raise ValueError(f"sqlite reads {refused.group().split()[-1]!r} differently: {sql}")
+        for name in self._dotted:
+            sql = re.sub(rf'(?<![\w."]){re.escape(name)}(?![\w"])', f'"{name}"', sql)
+        return _CONTAINS.sub(r"instr(\1, \2) > 0", sql)
+
+    def __call__(self, sql: str, result, divergence: Optional[str] = None) -> Optional[str]:
+        """None when ``result`` (the engine's answer) is sqlite's answer to
+        ``sql`` under ``divergence``; otherwise what differs."""
+        if divergence is not None and divergence not in DIVERGENCES:
+            raise KeyError(divergence)
+        cursor = self.db.execute(self.to_sqlite(sql))
+        want = cursor.fetchall()
+        nulls = [row for row in want if None in row]
+        if nulls and divergence is None:
+            return f"sqlite answers {nulls[0]!r}, a NULL no divergence names"
+        if nulls:
+            pads = [_default(divergence, result.column(c).dtype) for c in result.columns]
+            want = [tuple(p if v is None else v for v, p in zip(row, pads)) for row in want]
+        keys = _order_keys(sql, [d[0] for d in cursor.description])
+        return compare_rows(_canonical(result.rows(), keys), _canonical(want, keys))
+
+    def close(self) -> None:
+        self.db.close()
+
+    def __enter__(self) -> "SqliteOracle":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def oracle_for(tables: Mapping[str, Mapping[str, Sequence]]) -> SqliteOracle:
+    """An ``oracle(sql, result)`` over ``{table: {column: values}}``."""
+    return SqliteOracle(tables)

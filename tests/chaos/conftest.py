@@ -3,10 +3,12 @@
 Every scenario gets a fresh small cluster (2 racks × 5 nodes, table T on
 storage A, dimension D on storage B), a seeded
 :class:`~repro.faults.injector.FaultInjector`, and an
-:class:`~repro.faults.invariants.InvariantMonitor` wired to the shared
-reference oracle.  The seed defaults to :data:`DEFAULT_SEED` and is
-overridden with the ``CHAOS_SEED`` environment variable — exactly what a
-failure report tells you to do to replay a scenario bit-for-bit.
+:class:`~repro.faults.invariants.InvariantMonitor` wired to the sqlite
+oracle of ``tests/_oracle.py``, which holds T and D (no statement here
+names one of its ``DIVERGENCES``).  The seed defaults to
+:data:`DEFAULT_SEED` and is overridden with the ``CHAOS_SEED``
+environment variable — exactly what a failure report tells you to do to
+replay a scenario bit-for-bit.
 """
 
 import os
@@ -106,7 +108,7 @@ class ChaosHarness:
         self.monitor = InvariantMonitor(
             self.cluster,
             horizon_s=600.0,
-            oracle=oracle_for(self.columns, {"D": self.dim}),
+            oracle=oracle_for({"T": self.columns, "D": self.dim}),
         )
         self.monitor.expect_replication(self.cluster.storage_a)
         self.injector = None

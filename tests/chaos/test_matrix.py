@@ -2,7 +2,9 @@
 
 Each scenario composes fault primitives into a :class:`FaultPlan`, drives
 real queries through the cluster under the always-on
-:class:`InvariantMonitor`, and pins the expected *recovery* behaviour
+:class:`InvariantMonitor`, whose oracle is stdlib sqlite3 over the same
+tables (``tests/_oracle.py``; no statement here names one of its
+``DIVERGENCES``), and pins the expected *recovery* behaviour
 (backups rescuing stragglers, retries escaping partitions, re-admission
 after false death, failover after master loss).  Every scenario is fully
 determined by one seed; a failing run's report prints that seed and the
@@ -34,7 +36,6 @@ from repro.faults import (
 )
 from repro.sim.netmodel import TrafficClass
 
-from tests._oracle import oracle_for
 from tests.chaos.conftest import DEFAULT_SEED, make_harness
 
 pytestmark = pytest.mark.chaos
@@ -266,11 +267,7 @@ def test_cold_storage_stall_with_backups(seed):
         storage="fatman",
         block_rows=250,
     )
-    t_oracle = harness.monitor.oracle
-    f_oracle = oracle_for(cold)
-    harness.monitor.oracle = lambda sql, result: (
-        f_oracle(sql, result) if " FROM F" in sql else t_oracle(sql, result)
-    )
+    harness.monitor.oracle.load("F", cold)
     harness.install(
         FaultPlan().add(
             StorageStall(system="fatman", at=0.0, duration=30.0, extra_first_byte_s=2.5)
@@ -325,11 +322,7 @@ def test_crash_mid_promotion_keeps_replica_books_exact(seed):
         storage="fatman",
         block_rows=500,
     )
-    t_oracle = harness.monitor.oracle
-    f_oracle = oracle_for(cold)
-    harness.monitor.oracle = lambda sql, result: (
-        f_oracle(sql, result) if " FROM F" in sql else t_oracle(sql, result)
-    )
+    harness.monitor.oracle.load("F", cold)
     # Both tiers under the replication-floor invariant: promotion is a
     # copy, so fatman must stay at 2 and every published hot copy at 3.
     harness.monitor.expect_replication(harness.cluster.fatman)

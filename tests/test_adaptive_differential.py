@@ -1,9 +1,12 @@
 """Differential wall for the adaptive re-optimizer (S53).
 
 Twin clusters — one frozen (``adaptive=None``), one with the pilot-slice
-re-optimizer on — run the same queries over identical data.  Rows must
-match (float aggregates up to addition-order ulps, everything else
-exactly) and, on the misestimate scenarios the re-optimizer exists for,
+re-optimizer on — run the same queries over identical data.  The frozen
+rows must be stdlib sqlite3's answer over the same tables
+(``tests/_oracle.py``, where a generated global aggregate names the
+"empty aggregate" row of its ``DIVERGENCES``), the adaptive rows the frozen ones in
+order (float aggregates up to addition-order ulps, everything else
+exactly), and, on the misestimate scenarios the re-optimizer exists for,
 the re-planned run must never exceed the frozen plan's modeled cost.
 
 A Hypothesis section proves the skew-split algebra: splitting a block's
@@ -30,9 +33,9 @@ from repro.engine.aggregates import GroupedPartial, partial_aggregate
 from repro.planner.adaptive import AdaptiveConfig
 from repro.planner.physical import plan_fingerprint
 from repro.workload.generator import skewed_join_dataset, skewed_join_queries
-from tests._oracle import compare_rows
+from tests._oracle import compare_rows, oracle_for
 from tests.conftest import CLICKS_SCHEMA, make_clicks_columns
-from tests.test_integration_differential import _random_join_query, _random_query
+from tests.test_integration_differential import _divergence, _random_join_query, _random_query
 
 pytestmark = pytest.mark.adaptive
 
@@ -40,6 +43,11 @@ FACT_SCHEMA = Schema.of(
     k=DataType.INT64, v=DataType.FLOAT64, w=DataType.INT64, note=DataType.STRING
 )
 DIM_SCHEMA = Schema.of(k=DataType.INT64, label=DataType.STRING)
+CLICKS_DIM = {
+    "c2": np.arange(10),
+    "label": np.array([f"grp{i}" for i in range(10)], dtype=object),
+    "weight": np.linspace(0.1, 1.0, 10),
+}
 
 
 # -- twin construction ----------------------------------------------------------
@@ -56,15 +64,10 @@ def _clicks_twin(adaptive) -> FeisuCluster:
     )
     columns = make_clicks_columns()
     cluster.load_table("T", CLICKS_SCHEMA, columns, storage="storage-a", block_rows=1500)
-    dim = {
-        "c2": np.arange(10),
-        "label": np.array([f"grp{i}" for i in range(10)], dtype=object),
-        "weight": np.linspace(0.1, 1.0, 10),
-    }
     cluster.load_table(
         "D",
         Schema.of(c2=DataType.INT64, label=DataType.STRING, weight=DataType.FLOAT64),
-        dim,
+        CLICKS_DIM,
         storage="storage-b",
         block_rows=100,
     )
@@ -100,11 +103,26 @@ def adaptive_twins():
 
 
 @pytest.fixture(scope="module")
+def clicks_oracle():
+    with oracle_for({"T": make_clicks_columns(), "D": CLICKS_DIM}) as oracle:
+        yield oracle
+
+
+@pytest.fixture(scope="module")
 def skew_twins():
     return _skew_twin(None), _skew_twin(AdaptiveConfig())
 
 
-def _assert_rows_match(frozen_result, adaptive_result, sql):
+@pytest.fixture(scope="module")
+def skew_oracle():
+    fact, dim = skewed_join_dataset(20000, seed=9)
+    with oracle_for({"T": fact, "D": dim}) as oracle:
+        yield oracle
+
+
+def _assert_rows_match(oracle, frozen_result, adaptive_result, sql, divergence=None):
+    divergence = oracle(sql, frozen_result, divergence)
+    assert divergence is None, (sql, "frozen", divergence)
     assert adaptive_result.columns == frozen_result.columns, sql
     divergence = compare_rows(adaptive_result.rows(), frozen_result.rows())
     assert divergence is None, (sql, divergence)
@@ -136,41 +154,45 @@ ADAPTIVE_DIFFERENTIAL_QUERIES = [
 
 
 @pytest.mark.parametrize("sql", ADAPTIVE_DIFFERENTIAL_QUERIES)
-def test_adaptive_matches_frozen(adaptive_twins, sql):
+def test_adaptive_matches_frozen(adaptive_twins, clicks_oracle, sql):
     frozen, adaptive = adaptive_twins
     # Two rounds: round two runs the frozen twin index-covered, so the
     # comparison pins both the cold and covered frozen paths.
     for _ in range(2):
-        _assert_rows_match(frozen.query(sql), adaptive.query(sql), sql)
+        _assert_rows_match(clicks_oracle, frozen.query(sql), adaptive.query(sql), sql)
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_adaptive_matches_frozen_random(adaptive_twins, seed):
+def test_adaptive_matches_frozen_random(adaptive_twins, clicks_oracle, seed):
     frozen, adaptive = adaptive_twins
     rng = random.Random(2000 + seed)
     for _ in range(4):
         sql = _random_query(rng)
-        _assert_rows_match(frozen.query(sql), adaptive.query(sql), sql)
+        _assert_rows_match(
+            clicks_oracle, frozen.query(sql), adaptive.query(sql), sql, _divergence(sql)
+        )
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_adaptive_matches_frozen_random_joins(adaptive_twins, seed):
+def test_adaptive_matches_frozen_random_joins(adaptive_twins, clicks_oracle, seed):
     frozen, adaptive = adaptive_twins
     rng = random.Random(3000 + seed)
     for _ in range(3):
         sql = _random_join_query(rng)
-        _assert_rows_match(frozen.query(sql), adaptive.query(sql), sql)
+        _assert_rows_match(
+            clicks_oracle, frozen.query(sql), adaptive.query(sql), sql, _divergence(sql)
+        )
 
 
 # -- misestimate scenarios: re-plan fires, cost never regresses -----------------
 
 
-def test_misestimate_replans_and_never_costs_more(skew_twins):
+def test_misestimate_replans_and_never_costs_more(skew_twins, skew_oracle):
     frozen, adaptive = skew_twins
     for sql in skewed_join_queries(6, seed=3):
         f = frozen.query(sql)
         a = adaptive.query(sql)
-        _assert_rows_match(f, a, sql)
+        _assert_rows_match(skew_oracle, f, a, sql)
         # The CONTAINS default selectivity is ~6x below the data's match
         # rate, so every one of these runs must have re-planned...
         assert a.stats.get("adaptive_waves", 0) == 2, sql
@@ -182,6 +204,14 @@ def test_misestimate_replans_and_never_costs_more(skew_twins):
             a.stats["io_bytes_modeled"] <= f.stats["io_bytes_modeled"] * 1.001 + 8192
         ), sql
         assert a.stats["response_time_s"] <= f.stats["response_time_s"] * 1.02, sql
+
+
+def test_join_groupby_statements_match_sqlite(skew_twins, skew_oracle):
+    """The e2e ``join_groupby`` workload's 40 statements, on both twins."""
+    for sql in skewed_join_queries(40, seed=9):
+        for twin in skew_twins:
+            divergence = skew_oracle(sql, twin.query(sql))
+            assert divergence is None, (sql, divergence)
 
 
 def test_no_misestimate_no_replan(adaptive_twins):

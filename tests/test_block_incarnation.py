@@ -7,7 +7,9 @@ completed task results, promoted tier copies, SSD cache lines, layout
 variants — is valid only for the *incarnation* of the bytes it was
 derived from: a number minted by the storage write that stored them.
 Each case below changes a block's contents under the same id and checks
-the next answer against ``tests/_oracle.py``.
+the next answer against stdlib sqlite3 over the new contents
+(``tests/_oracle.py``; no statement here names one of its
+``DIVERGENCES``).
 """
 
 from __future__ import annotations
@@ -41,9 +43,11 @@ def _cluster(nodes: int = 3, reuse_s: float = 0.0, **leaf) -> FeisuCluster:
     )
 
 
-def _assert_oracle(cluster, sql, columns, dims=None):
+def _assert_oracle(cluster, sql, **tables):
     result = cluster.query(sql)
-    assert oracle_for(columns, dims)(sql, result) is None, (sql, result.rows())
+    with oracle_for(tables) as oracle:
+        divergence = oracle(sql, result)
+    assert divergence is None, (sql, divergence)
     return result
 
 
@@ -66,20 +70,20 @@ def test_reload_under_the_same_block_ids_answers_from_the_new_rows(leaf):
     old = make_clicks_columns(3000, seed=1)
     cluster.load_table("T", CLICKS_SCHEMA, old, block_rows=500)
     for _ in range(2):
-        _assert_oracle(cluster, COUNT, old)
+        _assert_oracle(cluster, COUNT, T=old)
     new = make_clicks_columns(500, seed=2)
     _reload(cluster, "T", CLICKS_SCHEMA, new, block_rows=500)
-    _assert_oracle(cluster, COUNT, new)
+    _assert_oracle(cluster, COUNT, T=new)
 
 
 def test_completed_task_results_are_not_reused_across_a_reload():
     cluster = _cluster(reuse_s=3600.0, enable_smartindex=False)
     old = make_clicks_columns(3000, seed=1)
     cluster.load_table("T", CLICKS_SCHEMA, old, block_rows=500)
-    _assert_oracle(cluster, COUNT, old)
+    _assert_oracle(cluster, COUNT, T=old)
     new = make_clicks_columns(3000, seed=2)
     _reload(cluster, "T", CLICKS_SCHEMA, new, block_rows=500)
-    _assert_oracle(cluster, COUNT, new)
+    _assert_oracle(cluster, COUNT, T=new)
 
 
 def test_completed_task_results_are_not_reused_across_a_dimension_reload():
@@ -91,7 +95,7 @@ def test_completed_task_results_are_not_reused_across_a_dimension_reload():
         if "D" in cluster.catalog:
             cluster.catalog.drop("D")
         cluster.load_table("D", DIM_SCHEMA, dim, storage="storage-b")
-        _assert_oracle(cluster, JOIN, fact, {"D": dim})
+        _assert_oracle(cluster, JOIN, T=fact, D=dim)
 
 
 def test_promoted_copy_of_a_rewritten_block_is_not_served():
@@ -101,7 +105,7 @@ def test_promoted_copy_of_a_rewritten_block_is_not_served():
     cluster.load_table("T", CLICKS_SCHEMA, old, storage="fatman", block_rows=500)
     sql = "SELECT COUNT(*) FROM T WHERE c1 < 50"
     for _ in range(4):
-        _assert_oracle(cluster, sql, old)
+        _assert_oracle(cluster, sql, T=old)
         cluster.sim.run(until=cluster.sim.now + 40.0)  # let the daemon fire
     promoted = cluster.tiering.promoted_paths()
     assert promoted
@@ -109,13 +113,13 @@ def test_promoted_copy_of_a_rewritten_block_is_not_served():
     cluster.catalog.replace(
         store_table("T", CLICKS_SCHEMA, new, cluster.router, cluster.fatman, block_rows=500)
     )
-    _assert_oracle(cluster, sql, new)
+    _assert_oracle(cluster, sql, T=new)
     for path in promoted:  # the copies are still there, but stale
         assert cluster.tiering.effective_path(path) == path
         assert cluster.tiering.tier_of(path) == "cold"
     _run_tiering(cluster)  # the next cycle demotes the stale copies
     assert cluster.tiering.stats.demotions >= len(promoted)
-    _assert_oracle(cluster, sql, new)
+    _assert_oracle(cluster, sql, T=new)
 
 
 def test_promoted_copy_keeps_its_source_incarnation_and_index_hits():
@@ -128,19 +132,19 @@ def test_promoted_copy_keeps_its_source_incarnation_and_index_hits():
     refs = cluster.catalog.get("T").blocks
     # A payload column: an index-covered read still costs I/O, so heats.
     sql = "SELECT SUM(clicks) AS s FROM T WHERE c1 < 50"
-    _assert_oracle(cluster, sql, columns)  # builds the index from the cold bytes
-    warm = _assert_oracle(cluster, sql, columns)
+    _assert_oracle(cluster, sql, T=columns)  # builds the index from the cold bytes
+    warm = _assert_oracle(cluster, sql, T=columns)
     assert warm.stats["index_full_covers"] == len(refs)
     for _ in range(4):
         _run_tiering(cluster)
         if len(cluster.tiering.promoted_paths()) == len(refs):
             break
-        _assert_oracle(cluster, sql, columns)  # more heat
+        _assert_oracle(cluster, sql, T=columns)  # more heat
     for ref in refs:
         hot_system, hot_inner = cluster.router.resolve(cluster.tiering.effective_path(ref.path))
         assert hot_system is cluster.storage_a
         assert hot_system.incarnation(hot_inner) == ref.incarnation
-    hot = _assert_oracle(cluster, sql, columns)
+    hot = _assert_oracle(cluster, sql, T=columns)
     assert hot.stats["index_full_covers"] == warm.stats["index_full_covers"]
 
 
@@ -241,7 +245,7 @@ class _ContentsChange(RuleBasedStateMachine):
 
     @rule(sql=st.sampled_from(T_QUERIES))
     def query_fact(self, sql):
-        _assert_oracle(self.cluster, sql, self.fact, {"D": self.dim})
+        _assert_oracle(self.cluster, sql, T=self.fact, D=self.dim)
 
     @precondition(lambda self: self.logs)
     @rule(sql=st.sampled_from(LOG_QUERIES))
@@ -250,7 +254,7 @@ class _ContentsChange(RuleBasedStateMachine):
             name: np.array([r[name] for r in self.logs], dtype=object if name == "action" else None)
             for name in ("latency_ms", "hour", "action")
         }
-        _assert_oracle(self.cluster, sql, columns)
+        _assert_oracle(self.cluster, sql, logs=columns)
 
 
 def _machine(name, leaf=None, reuse_s=0.0):

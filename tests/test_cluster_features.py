@@ -484,12 +484,29 @@ def test_sampling_extremes():
     cluster = _cluster()
     nothing = cluster.query("SELECT COUNT(*) FROM T", options=JobOptions(sample_block_ratio=0.0))
     assert nothing.rows() == [(0,)]
+    assert nothing.processed_ratio == 0.0  # it scanned none of the table
     everything = cluster.query(
         "SELECT COUNT(*) FROM T", options=JobOptions(sample_block_ratio=1.0)
     )
     assert everything.rows()[0][0] == 4000
     tiny = cluster.query("SELECT COUNT(*) FROM T", options=JobOptions(sample_block_ratio=0.01))
     assert tiny.rows()[0][0] > 0  # at least one block always scans
+
+
+def test_empty_sample_of_nothing_processed_all_of_it():
+    cluster = _cluster()
+    pruned = cluster.query(
+        "SELECT COUNT(*) FROM T WHERE a > 1000", options=JobOptions(sample_block_ratio=0.0)
+    )
+    assert pruned.rows() == [(0,)] and pruned.processed_ratio == 1.0
+
+
+@pytest.mark.parametrize("field", ["sample_block_ratio", "max_time_s"])
+@pytest.mark.parametrize("value", [-0.5, float("nan")], ids=["negative", "nan"])
+def test_options_no_job_can_serve_are_refused(field, value):
+    cluster = _cluster()
+    with pytest.raises(ValueError, match=f"JobOptions.{field}"):
+        cluster.query("SELECT COUNT(*) FROM T", options=JobOptions(**{field: value}))
 
 
 # -- cancellation ----------------------------------------------------------------

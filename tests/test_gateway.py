@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import DataType, FeisuCluster, FeisuConfig, Schema
+from repro import DataType, FeisuCluster, FeisuConfig, JobOptions, Schema
 from repro.cluster.metrics import MetricsTimeSeries, collect_metrics
 from repro.errors import (
     AccessDeniedError,
@@ -136,6 +136,8 @@ def test_preflight_rejects_before_admission():
     admitted_before = cluster.master.entry_guard.admitted
     with pytest.raises(ParseError):
         session.submit("SELEC c1 FROM T")
+    with pytest.raises(ValueError, match="JobOptions.max_time_s"):
+        session.submit("SELECT c1 FROM T", options=JobOptions(max_time_s=-1.0))
     cluster.acl.revoke("alice", "T")
     with pytest.raises(AccessDeniedError):
         session.submit("SELECT c1 FROM T")

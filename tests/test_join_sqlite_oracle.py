@@ -4,16 +4,18 @@ The same integer / string rows are loaded into an in-memory sqlite3
 database and into a cluster whose fact table ``T`` spans three blocks,
 with two dimension tables on another storage system: ``D``, whose join
 key repeats and misses fact keys, and ``E``, whose keys are distinct.
-Every statement runs as text on both, and the sorted rows must match,
-after the one rewrite :data:`DIVERGENCES` names for that statement.
+Every statement runs as text on both through the oracle of
+``tests/_oracle.py``, and the rows must match, with sqlite's NULL read
+as the engine's default only where the statement names one of its
+``DIVERGENCES``.
 
 The write path is checked the same way: nested log batches enter the
 cluster through ``LogIngestor`` and through the conversion daemons, and
 sqlite through a flattener written here, one row per record.
 """
 
-import re
-import sqlite3
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from repro.errors import PlanError
 from repro.planner.adaptive import AdaptiveConfig
 from repro.workload.conversion import start_conversion_daemons, write_raw_records
 from repro.workload.loggen import LogIngestor, generate_log_records
+from tests import _oracle
+from tests._oracle import DIVERGENCES, oracle_for
 
 FACT = {
     "id": list(range(12)),
@@ -45,14 +49,6 @@ TABLES = {
     "T": (FACT, "storage-a", 4),
     "D": (DIM, "storage-b", 100),
     "E": (SECOND, "storage-b", 100),
-}
-
-#: Where the engine answers differently from sqlite on purpose, and why.
-DIVERGENCES = {
-    "outer padding": "the engine has no NULL: an outer join pads an unmatched row "
-    "with '' (strings) or 0 (numbers) where sqlite writes NULL",
-    "missing key": "the engine's columns are dense: a key a record lacks reads as "
-    "'' (strings) or 0 (numbers) where sqlite holds NULL",
 }
 
 #: ``(statement, divergence or None)``.
@@ -84,6 +80,9 @@ STATEMENTS = [
     # Two chained broadcasts, the second keyed on the base and on the first.
     ("SELECT T.id, D.label, E.tag FROM T JOIN D ON T.tk = D.dk JOIN E ON T.a = E.e", None),
     ("SELECT T.id, D.label, E.tag FROM T JOIN D ON T.tk = D.dk JOIN E ON D.a = E.e", None),
+    # Aggregates over no rows.
+    ("SELECT MIN(T.s), MAX(T.v), SUM(T.v), AVG(T.v) FROM T JOIN D ON T.tk = D.dk "
+     "WHERE T.v > 100", "empty aggregate"),
 ]
 
 
@@ -95,7 +94,6 @@ def _engines(fact_block_rows: int, adaptive=None):
     cluster = FeisuCluster(
         FeisuConfig(datacenters=1, racks_per_datacenter=1, nodes_per_rack=4, adaptive=adaptive)
     )
-    db = sqlite3.connect(":memory:")
     for name, (columns, storage, block_rows) in TABLES.items():
         cluster.load_table(
             name,
@@ -105,30 +103,22 @@ def _engines(fact_block_rows: int, adaptive=None):
             storage=storage,
             block_rows=fact_block_rows if name == "T" else block_rows,
         )
-        db.execute(f"CREATE TABLE {name} ({', '.join(columns)})")
-        db.executemany(
-            f"INSERT INTO {name} VALUES ({', '.join('?' * len(columns))})",
-            zip(*columns.values()),
-        )
-    return cluster, db
+    return cluster, oracle_for({name: columns for name, (columns, _, _) in TABLES.items()})
 
 
 @pytest.fixture(scope="module")
 def engines():
-    cluster, db = _engines(TABLES["T"][2])
+    cluster, oracle = _engines(TABLES["T"][2])
     assert len(cluster.catalog.get("T").blocks) == 3
-    yield cluster, db
-    db.close()
+    with oracle:
+        yield cluster, oracle
 
 
-def _both(engines, sql, divergence=None, sqlite_sql=None):
-    cluster, db = engines
+def _assert_matches(engines, sql, divergence):
+    cluster, oracle = engines
     result = cluster.query(sql)
-    want = db.execute(sqlite_sql or sql).fetchall()
-    if divergence is not None:  # each one reads sqlite's NULL as the type's default
-        pads = ["" if result.column(c).dtype == object else 0 for c in result.columns]
-        want = [tuple(p if x is None else x for x, p in zip(row, pads)) for row in want]
-    return sorted(result.rows()), sorted(want)
+    assert result.num_rows, sql  # every statement has an answer to compare
+    assert oracle(sql, result, divergence) is None, (sql, result.rows())
 
 
 def test_every_divergence_is_used_and_explained():
@@ -137,11 +127,33 @@ def test_every_divergence_is_used_and_explained():
     assert all(DIVERGENCES.values())
 
 
+def test_oracle_imports_nothing_of_the_engine():
+    tree = ast.parse(Path(_oracle.__file__).read_text())
+    names = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    names += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert "sqlite3" in names
+    assert [n for n in names if "repro" in n.split(".")] == []
+
+
+def test_oracle_fails_what_it_must(engines):
+    """An unnamed NULL fails; ORDER BY fixes the order up to ties and its
+    absence does not; what sqlite reads differently is refused."""
+    cluster, oracle = engines
+    empty, _divergence = STATEMENTS[-1]
+    assert "NULL" in oracle(empty, cluster.query(empty))
+    by_a_then_id_down = cluster.query("SELECT a, id FROM T ORDER BY a, id DESC")
+    assert oracle("SELECT a, id FROM T ORDER BY a", by_a_then_id_down) is None
+    assert oracle("SELECT a, id FROM T ORDER BY a DESC", by_a_then_id_down) is not None
+    assert oracle("SELECT a, id FROM T", by_a_then_id_down) is None
+    for sql in ("SELECT id / 2 FROM T", "SELECT id % 2 FROM T", "SELECT id FROM T LIMIT 2",
+                "SELECT COUNT(a) WITHIN b FROM T"):
+        with pytest.raises(ValueError, match="differently"):
+            oracle(sql, by_a_then_id_down)
+
+
 @pytest.mark.parametrize("sql, divergence", STATEMENTS, ids=[s for s, _ in STATEMENTS])
 def test_join_matches_sqlite(engines, sql, divergence):
-    got, want = _both(engines, sql, divergence)
-    assert want, sql  # every statement has an answer to compare
-    assert got == want
+    _assert_matches(engines, sql, divergence)
 
 
 RIGHT_SQL = "SELECT D.label, COUNT(*) FROM T RIGHT JOIN D ON T.tk = D.dk GROUP BY D.label"
@@ -150,7 +162,7 @@ RIGHT_SQL = "SELECT D.label, COUNT(*) FROM T RIGHT JOIN D ON T.tk = D.dk GROUP B
 def test_right_join_over_several_blocks_is_refused(engines):
     """Each leaf pads the dimension rows its own block did not match, so
     over three blocks an unmatched row would count up to three times."""
-    cluster, _db = engines
+    cluster, _oracle = engines
     with pytest.raises(PlanError, match="RIGHT JOIN D"):
         cluster.query(RIGHT_SQL)
 
@@ -161,11 +173,10 @@ def test_right_join_over_several_blocks_is_refused(engines):
     ids=["frozen", "adaptive"],
 )
 def test_right_join_over_one_block_matches_sqlite(adaptive):
-    cluster, db = _engines(len(FACT["id"]), adaptive)
+    cluster, oracle = _engines(len(FACT["id"]), adaptive)
     assert len(cluster.catalog.get("T").blocks) == 1
-    got, want = _both((cluster, db), RIGHT_SQL, "outer padding")
-    db.close()
-    assert got == want
+    with oracle:
+        _assert_matches((cluster, oracle), RIGHT_SQL, "outer padding")
 
 
 # -- the write path ---------------------------------------------------------------
@@ -207,12 +218,6 @@ def _flatten(record, prefix=""):
     return out
 
 
-def _to_sqlite(sql):
-    """The engine's dotted names quoted, and ``CONTAINS`` as ``instr``."""
-    sql = re.sub(r"\b(request\.\w+)", r'"\1"', sql)
-    return re.sub(r"(\w+) CONTAINS ('[^']*')", r"instr(\1, \2) > 0", sql)
-
-
 @pytest.fixture(scope="module")
 def ingested():
     """Table ``logs`` written by one ``LogIngestor``, ``dlogs`` by the
@@ -229,23 +234,13 @@ def ingested():
             rows.extend(map(_flatten, records))
         cluster.sim.run(until=cluster.sim.now + 15.0)  # one sweep
     assert cluster.local_fs.list_paths("/raw/") == []
-    db = sqlite3.connect(":memory:")
-    columns = list(dict.fromkeys(name for row in rows for name in row))
-    quoted = ", ".join(f'"{c}"' for c in columns)
-    for table in ("logs", "dlogs"):
-        db.execute(f"CREATE TABLE {table} ({quoted})")
-        db.executemany(
-            f"INSERT INTO {table} VALUES ({', '.join('?' * len(columns))})",
-            [tuple(row.get(c) for c in columns) for row in rows],
-        )
-    yield cluster, db
-    db.close()
+    names = dict.fromkeys(name for row in rows for name in row)
+    columns = {name: [row.get(name) for row in rows] for name in names}
+    with oracle_for({"logs": columns, "dlogs": columns}) as oracle:
+        yield cluster, oracle
 
 
 @pytest.mark.parametrize("table", ["logs", "dlogs"])
 @pytest.mark.parametrize("sql, divergence", WRITE_STATEMENTS, ids=[s for s, _ in WRITE_STATEMENTS])
 def test_written_logs_match_sqlite(ingested, table, sql, divergence):
-    sql = sql.format(t=table)
-    got, want = _both(ingested, sql, divergence, _to_sqlite(sql))
-    assert want, sql
-    assert got == want
+    _assert_matches(ingested, sql.format(t=table), divergence)

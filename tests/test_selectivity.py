@@ -1,10 +1,13 @@
 """Histograms and selectivity estimation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import DataType, FeisuCluster, FeisuConfig, Schema
 from repro.columnar.stats import ColumnHistogram
 from repro.errors import StorageError
 from repro.planner.cnf import to_cnf
@@ -55,6 +58,58 @@ def test_histogram_over_nan_and_inf_describes_the_finite_values():
     assert (h.lo, h.hi, h.total) == (1.0, 3.0, 2)
     assert h.fraction_le(2.0) == pytest.approx(0.5)
     assert ColumnHistogram.build(np.full(3, np.nan)).total == 0
+
+
+#: Finite columns np.histogram refuses: fewer than 32 floats lie between
+#: their bounds, or their span overflows to inf.
+NARROW_OR_WIDE = [
+    [0.0, 5e-324],
+    [1.0, 1.0 + 2**-52],
+    [1e308, 1.0000000000000002e308],
+    [-1e308, 1e308],
+]
+
+
+def _assert_estimates(h, values, probes=()):
+    """Every value counted once; ``fraction_le`` in [0, 1] and monotone."""
+    assert sum(h.counts) == h.total == len(values)
+    fractions = [h.fraction_le(p) for p in sorted([*values, *probes, h.lo / 2 + h.hi / 2])]
+    assert all(0.0 <= f <= 1.0 for f in fractions)
+    assert fractions == sorted(fractions)
+
+
+@pytest.mark.parametrize("values", NARROW_OR_WIDE, ids=str)
+def test_histogram_over_a_narrow_or_overflowing_range(values):
+    h = ColumnHistogram.build(np.array(values))
+    assert (h.lo, h.hi) == (values[0], values[1])
+    _assert_estimates(h, values)
+    assert h.fraction_le(values[1]) == 1.0
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+#: Two floats a few ulps apart: a range narrower than the bins.
+_ulps_apart = st.builds(
+    lambda x, k: [x, x + k * math.ulp(x)], _finite, st.integers(1, 40)
+).filter(lambda pair: math.isfinite(pair[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.one_of(
+        st.tuples(_finite, _finite).map(list),
+        _ulps_apart,
+        st.lists(_finite, min_size=1, max_size=8),
+    ),
+    probes=st.lists(_finite, max_size=6),
+)
+def test_property_histogram_builds_on_any_finite_column(values, probes):
+    _assert_estimates(ColumnHistogram.build(np.array(values, dtype=np.float64)), values, probes)
+
+
+def test_load_table_over_a_two_ulp_float_column():
+    cluster = FeisuCluster(FeisuConfig(datacenters=1, racks_per_datacenter=1, nodes_per_rack=1))
+    cluster.load_table("T", Schema.of(v=DataType.FLOAT64), {"v": np.array([0.0, 5e-324])})
+    assert cluster.query("SELECT SUM(v) FROM T").rows() == [(5e-324,)]
 
 
 def test_histogram_rejects_strings():

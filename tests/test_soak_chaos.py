@@ -5,7 +5,8 @@ churn, backup tasks, partial recovery and membership together: a stream
 of drill-down queries runs while leaves crash and recover underneath it.
 Invariants: the simulator never deadlocks, every admitted job reaches a
 terminal state, and every successful answer is exactly correct (checked
-against the shared reference oracle).
+against the sqlite oracle of ``tests/_oracle.py``, whose ``DIVERGENCES``
+none of these statements names).
 
 All randomness flows through one seeded ``np.random.default_rng`` per
 test, so a failure is reproducible from the seed alone.  For seeded
@@ -18,7 +19,7 @@ import pytest
 from repro import FeisuCluster, FeisuConfig, Schema, DataType
 from repro.cluster.jobs import JobStatus
 
-from tests._oracle import _row_dicts, reference_execute
+from tests._oracle import oracle_for
 
 
 @pytest.fixture(scope="module")
@@ -38,13 +39,13 @@ def soak_env():
         storage="storage-a",
         block_rows=600,
     )
-    return cluster, columns
+    with oracle_for({"T": columns}) as oracle:
+        yield cluster, oracle
 
 
 def test_soak_with_leaf_chaos(soak_env):
-    cluster, columns = soak_env
+    cluster, oracle = soak_env
     rng = np.random.default_rng(4)
-    rows = _row_dicts(columns)
     alive_floor = 4  # never kill below this many leaves
     crashed = []
     outcomes = {"ok": 0, "failed": 0, "wrong": 0}
@@ -65,8 +66,7 @@ def test_soak_with_leaf_chaos(soak_env):
         sql = f"SELECT COUNT(*) FROM T WHERE a >= {lo} AND a < {hi}"
         job = cluster.query_job(sql)
         if job.status is JobStatus.SUCCEEDED and job.result.processed_ratio == 1.0:
-            [(expected,)] = reference_execute(sql, rows)
-            if job.result.rows()[0][0] == expected:
+            if oracle(sql, job.result) is None:
                 outcomes["ok"] += 1
             else:
                 outcomes["wrong"] += 1
@@ -87,12 +87,10 @@ def test_soak_with_leaf_chaos(soak_env):
 
 
 def test_soak_index_stays_consistent_across_chaos(soak_env):
-    cluster, columns = soak_env
+    cluster, oracle = soak_env
     # After all the churn above, covered answers still match cold answers.
-    warm = cluster.query("SELECT COUNT(*) FROM T WHERE a >= 5 AND a < 10")
-    [(expected,)] = reference_execute(
-        "SELECT COUNT(*) FROM T WHERE a >= 5 AND a < 10", _row_dicts(columns)
-    )
-    assert warm.rows()[0][0] == expected
-    again = cluster.query("SELECT COUNT(*) FROM T WHERE a >= 5 AND NOT (a >= 10)")
-    assert again.rows()[0][0] == expected
+    sql = "SELECT COUNT(*) FROM T WHERE a >= 5 AND a < 10"
+    warm = cluster.query(sql)
+    assert oracle(sql, warm) is None
+    again = "SELECT COUNT(*) FROM T WHERE a >= 5 AND NOT (a >= 10)"
+    assert oracle(again, cluster.query(again)) is None

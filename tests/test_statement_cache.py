@@ -80,7 +80,7 @@ def _broadcasts(router, plan):
 
 @pytest.mark.parametrize("sql", _corpus())
 def test_cached_plan_is_the_fresh_plan(task_env, sql):  # noqa: F811
-    router, catalog, _rows_, _dim = task_env
+    router, catalog, _oracle = task_env
     fresh = build_plan(analyze(parse(sql), catalog))
     runs = [build_plan(analyze_sql(sql, catalog)) for _ in range(2)]
     assert runs[0].analyzed is runs[1].analyzed  # the second run was a hit
