@@ -79,7 +79,8 @@ class ColumnChunk:
         of chosen rows) that equals the same operation on :meth:`decode`.
 
         The parts a reader answers from (a dictionary's uniques and codes,
-        an RLE chunk's runs, a plain numeric view) are read off the payload
+        or its decoded copy when it is no smaller than plain; an RLE
+        chunk's runs; a plain numeric view) are read off the payload
         by the first call and shared, read-only, by every later reader of
         this chunk: they live exactly as long as the chunk and its payload
         do, which for a leaf is while its parsed-block map holds that very

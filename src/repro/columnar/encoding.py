@@ -70,10 +70,12 @@ class ChunkReader:
     depends on row ``i`` of its input alone) and ``rows`` is an integer
     id array.  ``rows`` is never a boolean mask: the kernels gather with
     ``take``, which would read a mask as the ids 0 and 1.  Subclasses
-    answer from the encoded form; this one decodes once, on first use.
+    answer from the encoded form (a numeric dictionary no smaller than
+    plain, from its decoded copy); this one decodes once, on first use.
 
-    ``fn`` may be handed a read-only view over the chunk's payload and
-    must not keep or write to it.  No result aliases the payload, and
+    ``fn`` may be handed a read-only view over the chunk's payload, or
+    over a part shared by every reader of the chunk, and must not keep
+    or write to it.  No result aliases the payload, and
     ``take``/``map_bool`` results are fresh writable arrays.  ``values()``
     is decoded once and *shared*: every call on one reader returns the
     same array, so callers must not write to it in place (copy first).
@@ -101,7 +103,8 @@ class ChunkReader:
 
 
 class _ViewReader(ChunkReader):
-    """Plain numerics: work on the zero-copy ``frombuffer`` view."""
+    """Plain numerics: work on the zero-copy ``frombuffer`` view (or on
+    the decoded copy of a dictionary read as plain)."""
 
     __slots__ = ("_view",)
 
@@ -319,10 +322,18 @@ class DictionaryEncoding(Encoding):
         return uarr, codes
 
     def reader_parts(self, payload, count):
-        return _frozen(*self.decode_parts(payload, count))
+        """``(uniques, codes)``; a numeric dictionary no smaller than its
+        plain form gives ``(decoded,)``, gathered once, instead."""
+        uniques, codes = self.decode_parts(payload, count)
+        size = uniques.itemsize
+        if uniques.dtype != object and uniques.size * size + _U32_SIZE * count >= count * size:
+            return _frozen(uniques.take(codes))
+        return _frozen(uniques, codes)
 
     def reader(self, parts, decode):
-        return _DictionaryReader(decode, *parts)
+        if parts[1:]:
+            return _DictionaryReader(decode, *parts)
+        return _ViewReader(parts[0].copy, *parts)  # read as plain; values() copies
 
 
 class DeltaEncoding(Encoding):

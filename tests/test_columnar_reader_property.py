@@ -10,11 +10,15 @@ atom operator.  The contract (docs/API.md, columnar section):
 every result is writable and survives the payload buffer being
 overwritten, ``take``/``map_bool`` results are fresh and ``values()`` is
 one array shared per reader.
+
+A numeric dictionary no smaller than its plain form is read as plain,
+from one decoded copy shared by the chunk's readers; the property draws
+dictionary chunks on both sides of that threshold.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, note, settings, strategies as st
 
 from repro.columnar.block import Block, ChunkStats, ColumnChunk
 from repro.columnar.encoding import (
@@ -23,6 +27,8 @@ from repro.columnar.encoding import (
     DictionaryEncoding,
     PlainEncoding,
     RunLengthEncoding,
+    _DictionaryReader,
+    _ViewReader,
 )
 from repro.columnar.schema import DataType, Schema
 from repro.planner.cnf import AtomicPredicate
@@ -48,8 +54,12 @@ def cases(draw):
     """``(dtype, values array, codec, atoms to try)``."""
     kind = draw(st.sampled_from(["int", "float", "string", "bool"]))
     n = draw(st.sampled_from([0, 1, 2, 7, 40]))
+    # A few distinct numerics keep a dictionary in code space, many read it as plain.
+    few = kind in ("int", "float") and draw(st.booleans())
 
     def column(elements):
+        if few:
+            elements = st.sampled_from(draw(st.lists(elements, min_size=1, max_size=4)))
         return draw(st.lists(elements, min_size=n, max_size=n))
 
     if kind == "int":
@@ -88,6 +98,17 @@ def _chunk(dtype, array, codec, buffer_type=bytes) -> ColumnChunk:
     return ColumnChunk("c", dtype, codec.tag, payload, ChunkStats(), len(array))
 
 
+def _expected_reader(array, codec):
+    """The reader class a chunk of ``array`` under ``codec`` must get, or
+    None where the rule below does not decide it."""
+    if not isinstance(codec, DictionaryEncoding):
+        return None
+    n, size = len(array), array.dtype.itemsize
+    if array.dtype != object and len(np.unique(array)) * size + 4 * n >= n * size:
+        return _ViewReader
+    return _DictionaryReader
+
+
 @given(cases(), st.data())
 def test_reader_equals_decode(case, data):
     dtype, array, codec, atoms = case
@@ -100,6 +121,9 @@ def test_reader_equals_decode(case, data):
         dtype=np.intp,
     )
     reader = chunk.reader()
+    note(f"{codec.name} chunk read by {type(reader).__name__}")
+    expected_reader = _expected_reader(array, codec)
+    assert expected_reader is None or type(reader) is expected_reader
     assert _same(reader.values(), decoded)
     assert _same(reader.take(rows), decoded[rows])
     for atom in atoms:
@@ -116,6 +140,7 @@ def test_results_are_writable_and_outlive_the_payload(case):
     chunk = _chunk(dtype, array, codec, buffer_type=bytearray)
     rows = np.arange(len(array))[::2]
     reader = chunk.reader()
+    note(f"{codec.name} chunk read by {type(reader).__name__}")
     results = [reader.values(), reader.take(rows), chunk.decode()]
     results += [reader.map_bool(atom.evaluate) for atom in atoms]
     expected = [r.copy() for r in results]
@@ -259,3 +284,65 @@ def test_near_unique_chunks_from_bytes(case):
         for atom in atoms:
             expected = np.asarray(atom.evaluate(reference), dtype=np.bool_)
             _assert_fresh(reader.map_bool(atom.evaluate, rows), expected, wire, shared)
+
+
+# -- which reader a dictionary chunk gets -------------------------------------------
+#
+# A numeric dictionary whose uniques plus 4-byte codes take no fewer bytes
+# than the plain values (for 8-byte types: at least half the rows
+# distinct) is read as plain, from one decoded copy; a smaller one keeps
+# the code-space reader, and so does every string dictionary.
+
+
+def _dictionary_chunk(dtype, array):
+    """A dictionary chunk of ``array`` as a leaf holds it (from bytes)."""
+    block = Block("b", Schema.of(c=dtype), {"c": _chunk(dtype, array, DictionaryEncoding())},
+                  len(array))
+    return Block.from_bytes(block.to_bytes()).chunks["c"]
+
+
+def _with_distinct(n, distinct, rng):
+    """``n`` shuffled int64 values with exactly ``distinct`` of them distinct."""
+    values = np.arange(distinct, dtype=np.int64) * 7 - 1000
+    return rng.permutation(np.concatenate([values, values[rng.integers(0, distinct, n - distinct)]]))
+
+
+@pytest.mark.parametrize(
+    "distinct, reader_class",
+    # At exactly half the rows distinct the two forms are the same size:
+    # "no smaller" reads as plain.
+    [(1, _DictionaryReader), (16, _DictionaryReader), (4095, _DictionaryReader),
+     (4096, _ViewReader), (4097, _ViewReader), (8192, _ViewReader)],
+)
+def test_numeric_dictionary_reader_follows_its_size(distinct, reader_class):
+    rng = np.random.default_rng(distinct)
+    array = _with_distinct(8192, distinct, rng)
+    for dtype, column in ((DataType.INT64, array), (DataType.FLOAT64, array / 8.0)):
+        reader = _dictionary_chunk(dtype, column).reader()
+        assert type(reader) is reader_class
+        rows = rng.integers(0, len(column), 100)
+        pivot = column[rows[0]]
+        assert _same(reader.take(rows), column[rows])
+        assert _same(reader.map_bool(lambda v: v < pivot), column < pivot)
+
+
+def test_near_unique_string_dictionary_stays_in_code_space():
+    array = np.array([f"s{i}" for i in range(8192)], dtype=object)
+    reader = _dictionary_chunk(DataType.STRING, array).reader()
+    assert type(reader) is _DictionaryReader
+    assert _same(reader.map_bool(lambda v: v == "s7"), array == "s7")
+
+
+def test_readers_of_a_plain_read_dictionary_share_one_read_only_copy():
+    array = _with_distinct(8192, 6000, np.random.default_rng(3))
+    chunk = _dictionary_chunk(DataType.INT64, array)
+    first, second = chunk.reader(), chunk.reader()
+    (decoded,) = chunk._reader_parts
+    assert first._view is decoded and second._view is decoded
+    assert not decoded.flags.writeable
+    assert decoded.nbytes <= len(chunk.payload)
+    # values() is a fresh copy, once per reader, not the shared part.
+    values = first.values()
+    assert values.flags.writeable and not np.shares_memory(values, decoded)
+    assert first.values() is values and second.values() is not values
+    assert _same(values, array)

@@ -4,8 +4,10 @@
 Prints microseconds per ``ChunkReader.map_bool`` (a comparison atom, on
 every row and on half the rows) and per ``take`` of half the rows, on
 chunks of ``--rows`` rows parsed by ``Block.from_bytes`` — so the views
-are as unaligned as on a leaf.  A change to the kernels or to the codec
-chooser can size its gain here without the end-to-end harness.
+are as unaligned as on a leaf — and the reader class each chunk got (a
+numeric dictionary no smaller than plain reads as ``_ViewReader``).  A
+change to the kernels or to the codec chooser can size its gain here
+without the end-to-end harness.
 Printed, not gated: wall microseconds depend on the box.
 
     python tools/reader_probe.py [--rows 80000] [--repeat 50]
@@ -47,6 +49,9 @@ def _cases(n: int, rng):
         ("dict int64 near-unique", DataType.INT64, near_unique, DictionaryEncoding(), lt(500_000)),
         ("dict float64 near-unique", DataType.FLOAT64, rng.random(n) * 100.0,
          DictionaryEncoding(), lt(50.0)),
+        # Exactly half the rows distinct: the boundary, still read as plain.
+        ("dict int64 half-distinct", DataType.INT64, rng.permutation(np.arange(n) // 2),
+         DictionaryEncoding(), lt(n // 4)),
         ("dict int64 16 uniques", DataType.INT64, few, DictionaryEncoding(),
          AtomicPredicate("c", Op.EQ, 7, False)),
         ("dict string contains", DataType.STRING, words, DictionaryEncoding(),
@@ -74,7 +79,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     rng = np.random.default_rng(7)
     half = np.sort(rng.choice(args.rows, args.rows // 2, replace=False))
-    print(f"{'chunk':<26}{'map_bool':>10}{'map_bool/2':>12}{'take/2':>10}   us per call")
+    print(f"{'chunk':<26}{'map_bool':>10}{'map_bool/2':>12}{'take/2':>10}  reader   (us per call)")
     for label, dtype, array, codec, atom in _cases(args.rows, rng):
         chunk = ColumnChunk("c", dtype, codec.tag, codec.encode(array), ChunkStats(), len(array))
         wire = Block("probe", Schema.of(c=dtype), {"c": chunk}, len(array)).to_bytes()
@@ -84,7 +89,8 @@ def main(argv=None) -> int:
             _us(lambda: reader.map_bool(atom.evaluate, half), args.repeat),
             _us(lambda: reader.take(half), args.repeat),
         )
-        print(f"{label:<26}" + "".join(f"{f:>{w}.1f}" for f, w in zip(figures, (10, 12, 10))))
+        print(f"{label:<26}" + "".join(f"{f:>{w}.1f}" for f, w in zip(figures, (10, 12, 10)))
+              + f"  {type(reader).__name__}")
     return 0
 
 
