@@ -55,15 +55,17 @@ __all__ = [
 ]
 
 
+#: Byte-imbalance ratio (heaviest vs. lightest node) tolerated before a
+#: balancing migration moves a block.
+BALANCE_TOLERANCE = 0.5
+
+
 @dataclass
 class ElasticConfig:
     """Policy knobs for the elastic subsystem."""
 
     #: Rebalancer wakeup period, simulated seconds.
     rebalance_period_s: float = 30.0
-    #: Heat half-life for the standalone tracker (shared with tiering's
-    #: tracker when tiering is enabled).
-    heat_half_life_s: float = 120.0
     #: Minimum per-path heat before replica spreading considers it.
     spread_heat_threshold: float = 1.5
     #: Extra replicas a hot path may gain over the system's target.
@@ -72,9 +74,6 @@ class ElasticConfig:
     #: bytes; both are bounded so a cycle never floods the fabric).
     max_spreads_per_cycle: int = 8
     max_migrations_per_cycle: int = 2
-    #: Byte-imbalance ratio (heaviest vs. lightest node) tolerated
-    #: before a balancing migration moves a block.
-    balance_tolerance: float = 0.5
     #: Drain loop poll period while a decommission waits for running
     #: tasks and retried evacuations.
     drain_poll_s: float = 2.0
@@ -124,7 +123,7 @@ class Rebalancer:
         self.systems = list(systems)
         self.config = config if config is not None else ElasticConfig()
         self.period_s = self.config.rebalance_period_s
-        self.heat = heat if heat is not None else HeatTracker(self.config.heat_half_life_s)
+        self.heat = heat if heat is not None else HeatTracker()
         self.placement_ok = placement_ok
         self.stats = RebalanceStats()
         self._process: Optional[Process] = None
@@ -216,7 +215,7 @@ class Rebalancer:
         light = min(nodes, key=lambda n: (loads[n], self._node_key(n)))
         if loads[heavy] <= 0:
             return None
-        if loads[heavy] - loads[light] <= self.config.balance_tolerance * loads[heavy]:
+        if loads[heavy] - loads[light] <= BALANCE_TOLERANCE * loads[heavy]:
             return None
         candidates = [
             p for p in system.held_paths(heavy) if light not in system.locations(p)
@@ -308,7 +307,7 @@ class ElasticityManager:
             heat = tiering.heat  # one census, two consumers
             tiering.placement_ok = self.node_ok
         else:
-            heat = HeatTracker(self.config.heat_half_life_s)
+            heat = HeatTracker()
         layouts = cluster.layouts
         if layouts is not None:
             layouts.placement_ok = self.node_ok

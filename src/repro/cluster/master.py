@@ -569,13 +569,7 @@ class Master:
         exc = ClusterStateError("master failed over; resubmit the query")
         for job, done in list(self._active.values()) + self._candidate_queue.jobs():
             if job.status in (JobStatus.PENDING, JobStatus.RUNNING):
-                job.status = JobStatus.FAILED
-                job.error = exc
-                job.finished_at = self.sim.now
-                job.stats.response_time_s = job.response_time_s
-                self._record_terminal(job)
-                if not done.triggered:
-                    done.succeed(job)
+                self._finish_failed(job, done, exc, holds_slot=False)
                 aborted += 1
         self._candidate_queue.drain()
         self._running_jobs = 0
@@ -606,26 +600,14 @@ class Master:
         queued = self._candidate_queue.remove(job_id)
         if queued is not None:
             job, done = queued
-            job.status = JobStatus.FAILED
-            job.error = QueryCancelled(f"{job_id} cancelled while queued")
-            job.finished_at = self.sim.now
-            self._record_terminal(job)
-            done.succeed(job)
+            exc = QueryCancelled(f"{job_id} cancelled while queued")
+            self._finish_failed(job, done, exc, holds_slot=False)
             return True
         hit = self._active.get(job_id)
-        if hit is None:
+        if hit is None or hit[0].status not in (JobStatus.RUNNING, JobStatus.PENDING):
             return False
         job, done = hit
-        if job.status not in (JobStatus.RUNNING, JobStatus.PENDING):
-            return False
-        job.status = JobStatus.FAILED
-        job.error = QueryCancelled(f"{job_id} cancelled by the user")
-        job.finished_at = self.sim.now
-        job.stats.response_time_s = job.response_time_s
-        self._record_terminal(job)
-        self._job_finished()
-        if not done.triggered:
-            done.succeed(job)
+        self._finish_failed(job, done, QueryCancelled(f"{job_id} cancelled by the user"))
         return True
 
     @staticmethod
@@ -897,8 +879,16 @@ class Master:
         done.succeed(job)
 
     def _finish_failed(
-        self, job: Job, done: Event, exc: BaseException, status: JobStatus = JobStatus.FAILED
+        self,
+        job: Job,
+        done: Event,
+        exc: BaseException,
+        status: JobStatus = JobStatus.FAILED,
+        holds_slot: bool = True,
     ) -> None:
+        """The one way a job ends without an answer.  ``holds_slot`` is
+        False for a job cancelled from the candidate queue and for every
+        job of a master that shuts down: neither frees a running slot."""
         if job.status not in (JobStatus.RUNNING, JobStatus.PENDING):
             return
         job.status = status
@@ -906,8 +896,10 @@ class Master:
         job.finished_at = self.sim.now
         job.stats.response_time_s = job.response_time_s
         self._record_terminal(job)
-        self._job_finished()
-        done.succeed(job)
+        if holds_slot:
+            self._job_finished()
+        if not done.triggered:
+            done.succeed(job)
 
     # -- broadcast tables ----------------------------------------------------------
 

@@ -38,7 +38,12 @@ import numpy as np
 from repro.columnar.block import Block
 from repro.columnar.encoding import ChunkReader
 from repro.columnar.schema import DataType, coerce_array
-from repro.engine.aggregates import GroupedPartial, _canonical_key_values, partial_aggregate
+from repro.engine.aggregates import (
+    GroupedPartial,
+    _canonical_key_values,
+    _to_python,
+    partial_aggregate,
+)
 from repro.engine.operators import (
     apply_filter,
     directly_comparable,
@@ -860,20 +865,10 @@ class QueryResult:
 
     def rows(self) -> List[Tuple]:
         cols = [self.frame.columns[c] for c in self.columns]
-        return [tuple(_python_scalar(c[i]) for c in cols) for i in range(self.frame.num_rows)]
+        return [tuple(_to_python(c[i]) for c in cols) for i in range(self.frame.num_rows)]
 
     def column(self, name: str) -> np.ndarray:
         return self.frame.column(name)
-
-
-def _python_scalar(v):
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, np.bool_):
-        return bool(v)
-    return v
 
 
 def finalize(

@@ -11,27 +11,29 @@ result with this module, writes the bytes to the global filesystem over
 the WRITE traffic class, and ships only the path upstream; the master
 fetches and deserializes on the READ flow.
 
-Wire format: 1 tag byte, then either a columnar block (frames) or a
-length-prefixed structure of group keys and aggregate states (partials).
+Wire format: 1 tag byte, the report's length and its JSON, then either a
+columnar block (frames) or the JSON of group keys and aggregate states
+(partials).  The codec owns only that framing: the report travels as its
+dataclass ``init`` fields and each aggregate state as the values of its
+class's ``__slots__``, so a field added to either needs no edit here,
+only a value JSON can hold.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Dict, List, Tuple
+from dataclasses import fields
 
 import numpy as np
 
 from repro.columnar.block import Block
-from repro.columnar.schema import DataType, Schema, coerce_array
+from repro.columnar.schema import DataType, Schema
 from repro.engine.aggregates import (
-    AvgState,
-    CountState,
+    AggregateState,
     GroupedPartial,
-    MaxState,
-    MinState,
-    SumState,
+    _canonical_key_values,
+    _to_python,
     make_state,
 )
 from repro.engine.executor import TaskExecutionReport, TaskResult
@@ -40,6 +42,9 @@ from repro.planner.expressions import Frame
 
 _TAG_FRAME = 0x01
 _TAG_PARTIAL = 0x02
+
+#: The report fields its constructor takes; the rest ``finish`` derives.
+_REPORT_FIELDS = [f.name for f in fields(TaskExecutionReport) if f.init]
 
 
 def _infer_dtype(array: np.ndarray) -> DataType:
@@ -75,66 +80,33 @@ def _frame_from_bytes(payload: bytes) -> Frame:
     return Frame({name: block.column(name) for name in block.schema.names}, block.num_rows)
 
 
-_STATE_PACKERS = {
-    "COUNT": lambda s: {"n": s.n},
-    "SUM": lambda s: {"total": float(s.total), "seen": s.seen, "int": isinstance(s.total, (int, np.integer))},
-    "AVG": lambda s: {"total": s.total, "n": s.n},
-    "MIN": lambda s: {"value": _json_value(s.value)},
-    "MAX": lambda s: {"value": _json_value(s.value)},
-}
+def _pack_state(state: AggregateState) -> list:
+    return [_to_python(getattr(state, slot)) for slot in type(state).__slots__]
 
 
-def _json_value(v):
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, np.bool_):
-        return bool(v)
-    return v
-
-
-def _restore_state(func: str, data: Dict):
+def _unpack_state(func: str, values: list) -> AggregateState:
     state = make_state(func)
-    if func == "COUNT":
-        state.n = data["n"]
-    elif func == "SUM":
-        state.seen = data["seen"]
-        state.total = int(data["total"]) if data["int"] else data["total"]
-    elif func == "AVG":
-        state.total = data["total"]
-        state.n = data["n"]
-    else:  # MIN / MAX
-        state.value = data["value"]
+    for slot, value in zip(type(state).__slots__, values):
+        setattr(state, slot, value)
     return state
 
 
 def _partial_to_bytes(partial: GroupedPartial) -> bytes:
-    doc = {
-        "num_keys": partial.num_keys,
-        "agg_funcs": partial.agg_funcs,
-        "rows_scanned": partial.rows_scanned,
-        "groups": [
-            {
-                "key": [_json_value(k) for k in key],
-                "states": [
-                    _STATE_PACKERS[f](s) for f, s in zip(partial.agg_funcs, states)
-                ],
-            }
-            for key, states in partial.groups.items()
-        ],
-    }
+    groups = [
+        [[_to_python(k) for k in key], [_pack_state(s) for s in states]]
+        for key, states in partial.groups.items()
+    ]
+    doc = [partial.num_keys, partial.agg_funcs, partial.rows_scanned, groups]
     return json.dumps(doc).encode()
 
 
 def _partial_from_bytes(payload: bytes) -> GroupedPartial:
-    doc = json.loads(payload.decode())
-    partial = GroupedPartial(doc["num_keys"], list(doc["agg_funcs"]))
-    partial.rows_scanned = doc["rows_scanned"]
-    for group in doc["groups"]:
-        key = tuple(group["key"])
-        partial.groups[key] = [
-            _restore_state(f, data) for f, data in zip(partial.agg_funcs, group["states"])
+    num_keys, agg_funcs, rows_scanned, groups = json.loads(payload.decode())
+    partial = GroupedPartial(num_keys, agg_funcs, rows_scanned=rows_scanned)
+    for key, states in groups:
+        # A NaN key must be the shared ``_NAN_KEY`` to merge with live ones.
+        partial.groups[tuple(_canonical_key_values(key))] = [
+            _unpack_state(f, values) for f, values in zip(agg_funcs, states)
         ]
     return partial
 
@@ -142,22 +114,7 @@ def _partial_from_bytes(payload: bytes) -> GroupedPartial:
 def serialize_result(result: TaskResult) -> bytes:
     """Serialize a task result for spilling to global storage."""
     report = json.dumps(
-        {
-            "task_id": result.report.task_id,
-            "rows_in_block": result.report.rows_in_block,
-            "rows_matched": result.report.rows_matched,
-            "io_bytes": result.report.io_bytes,
-            "io_seeks": result.report.io_seeks,
-            "cpu_ops": result.report.cpu_ops,
-            "index_full_cover": result.report.index_full_cover,
-            "index_clause_hits": result.report.index_clause_hits,
-            "index_clause_misses": result.report.index_clause_misses,
-            "btree_clauses": result.report.btree_clauses,
-            "scale_factor": result.report.scale_factor,
-            "index_subsumption_hits": result.report.index_subsumption_hits,
-            "index_residual_clauses": result.report.index_residual_clauses,
-            "index_residual_fraction": result.report.index_residual_fraction,
-        }
+        {name: _to_python(getattr(result.report, name)) for name in _REPORT_FIELDS}
     ).encode()
     if result.frame is not None:
         tag, body = _TAG_FRAME, _frame_to_bytes(result.frame)
@@ -172,24 +129,7 @@ def deserialize_result(payload: bytes) -> TaskResult:
     """Inverse of :func:`serialize_result`."""
     tag = payload[0]
     (rlen,) = struct.unpack_from("<I", payload, 1)
-    rdoc = json.loads(payload[5 : 5 + rlen].decode())
-    report = TaskExecutionReport(
-        task_id=rdoc["task_id"],
-        rows_in_block=rdoc["rows_in_block"],
-        rows_matched=rdoc["rows_matched"],
-        io_bytes=rdoc["io_bytes"],
-        io_seeks=rdoc["io_seeks"],
-        cpu_ops=rdoc["cpu_ops"],
-        index_full_cover=rdoc["index_full_cover"],
-        index_clause_hits=rdoc["index_clause_hits"],
-        index_clause_misses=rdoc["index_clause_misses"],
-        btree_clauses=rdoc["btree_clauses"],
-        scale_factor=rdoc["scale_factor"],
-        # .get(): spills written before the semantic index lack these.
-        index_subsumption_hits=rdoc.get("index_subsumption_hits", 0),
-        index_residual_clauses=rdoc.get("index_residual_clauses", 0),
-        index_residual_fraction=rdoc.get("index_residual_fraction", 0.0),
-    ).finish()
+    report = TaskExecutionReport(**json.loads(payload[5 : 5 + rlen].decode())).finish()
     body = payload[5 + rlen :]
     if tag == _TAG_FRAME:
         return TaskResult(report.task_id, frame=_frame_from_bytes(body), report=report)

@@ -268,22 +268,7 @@ class SQLGateway:
             return False
         if reason is None:
             reason = QueryCancelled(f"{query.query_id} killed by the gateway")
-        tq = self.admission.tenant(query.tenant)
-        if query.status is QueryStatus.QUEUED:
-            tq.remove(query)
-            if tq.depth == 0:
-                tq.note_drain(self.cluster.sim.now)
-            self._resolve(tq, query, QueryStatus.KILLED, reason)
-            self._pump()
-            return True
-        # Running: mark intent, cancel at the master; the completion
-        # callback releases the slot and resolves the handle.
-        query._kill_reason = (QueryStatus.KILLED, reason)  # noqa: SLF001
-        assert query.job is not None
-        if not self.cluster.master.cancel(query.job.job_id):
-            query._kill_reason = None  # noqa: SLF001 - finished first
-            return False
-        return True
+        return self._kill(query, QueryStatus.KILLED, reason)
 
     def kill_session(self, session: GatewaySession) -> int:
         session.state = SessionState.KILLED
@@ -303,18 +288,27 @@ class SQLGateway:
         exc = QueryTimeout(
             f"{query.query_id} exceeded its {query.timeout_s}s gateway timeout"
         )
+        self._kill(query, QueryStatus.TIMED_OUT, exc)
+
+    def _kill(self, query: GatewayQuery, status: QueryStatus, reason: BaseException) -> bool:
+        """End an unfinished query as ``status`` (KILLED or TIMED_OUT);
+        False if its job finished first."""
         tq = self.admission.tenant(query.tenant)
         if query.status is QueryStatus.QUEUED:
             tq.remove(query)
             if tq.depth == 0:
                 tq.note_drain(self.cluster.sim.now)
-            self._resolve(tq, query, QueryStatus.TIMED_OUT, exc)
+            self._resolve(tq, query, status, reason)
             self._pump()
-            return
-        query._kill_reason = (QueryStatus.TIMED_OUT, exc)  # noqa: SLF001
+            return True
+        # Running: mark intent, cancel at the master; the completion
+        # callback releases the slot and resolves the handle.
+        query._kill_reason = (status, reason)  # noqa: SLF001
         assert query.job is not None
         if not self.cluster.master.cancel(query.job.job_id):
             query._kill_reason = None  # noqa: SLF001 - finished first
+            return False
+        return True
 
     # -- draining & introspection -----------------------------------------
 

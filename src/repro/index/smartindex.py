@@ -63,7 +63,7 @@ COMPRESS_THRESHOLD = 0.75
 DEFAULT_SWEEP_INTERVAL_S = 60.0
 #: Residual candidate masks covering more than this row fraction are
 #: treated as misses — re-scanning ~everything saves nothing.
-DEFAULT_RESIDUAL_MAX_FRACTION = 0.95
+RESIDUAL_MAX_FRACTION = 0.95
 #: Fallback saved-scan-seconds per row for cost-aware scoring when the
 #: caller supplies none: one comparison op per row at a few Gops/s.
 DEFAULT_SAVED_S_PER_ROW = 2.5e-10
@@ -227,7 +227,6 @@ class SmartIndexManager:
         compress: bool = True,
         sweep_interval_s: float = DEFAULT_SWEEP_INTERVAL_S,
         semantic: bool = False,
-        residual_max_fraction: float = DEFAULT_RESIDUAL_MAX_FRACTION,
     ):
         if memory_budget_bytes <= 0:
             raise IndexError_("index memory budget must be positive")
@@ -237,7 +236,6 @@ class SmartIndexManager:
         self.compress = compress
         self.sweep_interval_s = sweep_interval_s
         self.semantic = semantic
-        self.residual_max_fraction = residual_max_fraction
         self._entries: "OrderedDict[Tuple[str, str], SmartIndexEntry]" = OrderedDict()
         self._bytes = 0
         self._preferred_predicates: set = set()
@@ -520,7 +518,7 @@ class SmartIndexManager:
         if candidate is None:
             return None
         fraction = candidate.count() / candidate.length if candidate.length else 0.0
-        if fraction > self.residual_max_fraction:
+        if fraction > RESIDUAL_MAX_FRACTION:
             return None
         return ResidualClause(clause, candidate, fraction)
 

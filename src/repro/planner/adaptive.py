@@ -7,7 +7,7 @@ between them:
 
 1. **Pilot wave** — a thin row slice of every scan task (a
    :attr:`~repro.planner.physical.ScanTask.row_slice` covering
-   ``pilot_fraction`` of each block).  Slices charge I/O and CPU
+   ``PILOT_FRACTION`` of each block).  Slices charge I/O and CPU
    proportionally, so the pilot is genuinely cheap on the simulated
    clock and the two waves together cost exactly one full scan.
 2. **Checkpoint** — the :class:`ReoptController` compares observed
@@ -38,23 +38,30 @@ from repro.planner.physical import PhysicalPlan, ScanTask
 from repro.planner.selectivity import estimate_selectivity
 
 
+#: Fraction of each block the pilot wave scans.
+PILOT_FRACTION = 0.125
+#: Re-plan when max(est, obs) / min(est, obs) selectivity ≥ this.
+ERROR_RATIO = 2.0
+#: Skew-split when the hottest group holds ≥ this share of pilot rows.
+SKEW_THRESHOLD = 0.3
+#: ... or when the slowest pilot slice ran ≥ this multiple of the
+#: median (a straggling/slow leaf looks exactly like data skew to
+#: the remainder wave: split its work so others absorb it).
+STRAGGLER_RATIO = 3.0
+#: Colocate remainder tasks with broadcast-holding leaves when the
+#: dimension ship is at least this fraction of a task's own read.
+COLOCATE_RATIO = 0.25
+#: Clamp on the cost-estimate rescale derived from pilot timings.
+ESTIMATE_SCALE_BOUNDS = (0.25, 4.0)
+
+
 @dataclass(frozen=True)
 class AdaptiveConfig:
     """Knobs for the adaptive re-optimizer (``FeisuConfig.adaptive``)."""
 
-    #: Fraction of each block the pilot wave scans.
-    pilot_fraction: float = 0.125
     #: Floor on pilot rows per block (tiny blocks: pilot = whole block,
     #: and the remainder wave skips them — honest stage skipping).
     pilot_min_rows: int = 256
-    #: Re-plan when max(est, obs) / min(est, obs) selectivity ≥ this.
-    error_ratio: float = 2.0
-    #: Skew-split when the hottest group holds ≥ this share of pilot rows.
-    skew_threshold: float = 0.3
-    #: ... or when the slowest pilot slice ran ≥ this multiple of the
-    #: median (a straggling/slow leaf looks exactly like data skew to
-    #: the remainder wave: split its work so others absorb it).
-    straggler_ratio: float = 3.0
     #: Max sub-slices one remainder partition splits into.
     split_factor: int = 4
     #: Never create sub-slices smaller than this many rows.
@@ -62,11 +69,6 @@ class AdaptiveConfig:
     #: Jobs with fewer tasks than this run the frozen path (the
     #: checkpoint would cost more than it could save).
     min_tasks: int = 1
-    #: Colocate remainder tasks with broadcast-holding leaves when the
-    #: dimension ship is at least this fraction of a task's own read.
-    colocate_ratio: float = 0.25
-    #: Clamp on the cost-estimate rescale derived from pilot timings.
-    estimate_scale_bounds: Tuple[float, float] = (0.25, 4.0)
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ class ReoptController:
     def pilot_rows(self, task: ScanTask) -> int:
         """Rows the pilot slice of ``task`` covers (whole block if small)."""
         n = task.block.num_rows
-        want = max(self.config.pilot_min_rows, int(n * self.config.pilot_fraction))
+        want = max(self.config.pilot_min_rows, int(n * PILOT_FRACTION))
         return min(n, want)
 
     def pilot_wave(self, tasks: Sequence[ScanTask]) -> List[ScanTask]:
@@ -162,7 +164,6 @@ class ReoptController:
         ``pilot_durations`` maps pilot task id → attempt seconds (absent
         for results reused from another job's in-flight tasks).
         """
-        cfg = self.config
         estimated = estimate_selectivity(self.plan.scan_cnf, self.base_table)
         rows_in = sum(r.report.rows_in_block for r in pilot_results)
         rows_matched = sum(r.report.rows_matched for r in pilot_results)
@@ -171,7 +172,7 @@ class ReoptController:
         err = hi / lo
 
         actions: List[str] = []
-        if self.plan.scan_cnf.clauses and err >= cfg.error_ratio:
+        if self.plan.scan_cnf.clauses and err >= ERROR_RATIO:
             actions.append("revise-selectivity")
 
         hot_group, hot_share = self._hot_group(pilot_results)
@@ -182,14 +183,14 @@ class ReoptController:
             actions.append("skip-covered")
 
         split = 1
-        skewed = hot_share >= cfg.skew_threshold or duration_skew >= cfg.straggler_ratio
+        skewed = hot_share >= SKEW_THRESHOLD or duration_skew >= STRAGGLER_RATIO
         # A big selectivity misestimate with idle capacity is its own
         # reason to repartition: the frozen plan sized one task per block
         # on wrong numbers, and spare leaves can absorb the sub-slices.
         idle_capacity = bool(remaining) and live_workers > len(remaining)
         if (skewed or ("revise-selectivity" in actions and idle_capacity)) and remaining:
             split = min(
-                cfg.split_factor, max(2, live_workers // max(1, len(remaining)))
+                self.config.split_factor, max(2, live_workers // max(1, len(remaining)))
             )
             if split > 1:
                 actions.append("skew-split" if skewed else "repartition")
@@ -207,7 +208,7 @@ class ReoptController:
                 t.block.bytes_for(t.columns) for t in remaining
             ) / len(remaining)
             enough_holders = 2 * len(broadcast_holders) >= len(remaining)
-            if enough_holders and broadcast_bytes >= cfg.colocate_ratio * mean_read:
+            if enough_holders and broadcast_bytes >= COLOCATE_RATIO * mean_read:
                 prefer = tuple(sorted(broadcast_holders))
                 actions.append("colocate-broadcast")
 
@@ -298,7 +299,7 @@ class ReoptController:
                 modeled_full_s = self._modeled_median_seconds(tasks)
                 if modeled_full_s > 0.0:
                     observed_ratio = observed_full_s / modeled_full_s
-        lo, hi = self.config.estimate_scale_bounds
+        lo, hi = ESTIMATE_SCALE_BOUNDS
         return min(hi, max(lo, mean_fraction * observed_ratio))
 
     def _modeled_median_seconds(self, tasks: Sequence[ScanTask]) -> float:

@@ -64,6 +64,12 @@ from repro.storage.tiering import HeatTracker
 
 __all__ = ["LayoutSpec", "LayoutDaemon", "LayoutStats", "apply_layout"]
 
+#: Replica rewrites started per cycle, at most.
+MAX_REWRITES_PER_CYCLE = 4
+#: Hottest paths a cycle considers, and frequent predicates / columns it
+#: reads from each attached query history.
+CENSUS_TOP_K = 32
+
 #: Ordered comparisons a sorted replica can binary-search and an
 #: attached B+ tree can answer (mirrors ``BPlusTree.supports``).
 RANGE_OPS = frozenset(
@@ -276,8 +282,6 @@ class LayoutDaemon:
         period_s: float = 45.0,
         heat_threshold: float = 2.0,
         min_evidence: int = 2,
-        max_rewrites_per_cycle: int = 4,
-        census_top_k: int = 32,
     ):
         self.sim = sim
         self.net = net
@@ -287,8 +291,6 @@ class LayoutDaemon:
         self.period_s = period_s
         self.heat_threshold = heat_threshold
         self.min_evidence = min_evidence
-        self.max_rewrites_per_cycle = max_rewrites_per_cycle
-        self.census_top_k = census_top_k
         #: Optional placement-eligibility predicate over node addresses
         #: (S55): when wired to membership drain/liveness state the
         #: daemon stops planning rewrites onto nodes that are dead or
@@ -342,14 +344,14 @@ class LayoutDaemon:
         self._history_pred = Counter()
         self._history_reads = Counter()
         for history in self._histories:
-            for key, count in history.frequent_predicates(self.census_top_k):
+            for key, count in history.frequent_predicates(CENSUS_TOP_K):
                 parts = key.split()
                 if len(parts) < 3 or parts[0] == "NOT":
                     continue
                 column, op = parts[0], parts[1]
                 if op in ("<", "<=", ">", ">=", "="):
                     self._history_pred[column] += count
-            for column, count in history.frequent_columns(self.census_top_k):
+            for column, count in history.frequent_columns(CENSUS_TOP_K):
                 self._history_reads[column] += count
 
     # -- read-path hooks (leaf facing) -------------------------------------
@@ -526,8 +528,8 @@ class LayoutDaemon:
         self.stats.cycles += 1
         self._ingest_histories()
         rewrites = 0
-        for path, heat in self.heat.hottest(now, self.census_top_k):
-            if rewrites >= self.max_rewrites_per_cycle:
+        for path, heat in self.heat.hottest(now, CENSUS_TOP_K):
+            if rewrites >= MAX_REWRITES_PER_CYCLE:
                 break
             if heat < self.heat_threshold:
                 continue

@@ -60,6 +60,11 @@ __all__ = ["HeatRecord", "HeatTracker", "TieringDaemon", "TieringStats"]
 #: scheme is embedded so two substrates with colliding inner paths cannot
 #: overwrite each other's promotions.
 PROMOTED_MOUNT = "/_tier"
+#: A promoted block whose heat has decayed to this is demoted, and no
+#: path this cold is pinned in the SSD caches.
+DEMOTE_THRESHOLD = 0.75
+#: Promotions started per cycle, at most.
+MAX_PROMOTIONS_PER_CYCLE = 8
 
 
 @dataclass
@@ -170,9 +175,7 @@ class TieringDaemon:
         cost_model: Optional[CostModel] = None,
         period_s: float = 30.0,
         promote_threshold: float = 3.0,
-        demote_threshold: float = 0.75,
         max_promoted_bytes: int = 256 * 1024 * 1024,
-        max_promotions_per_cycle: int = 8,
         prefer_top_k: int = 8,
     ):
         self.sim = sim
@@ -183,9 +186,7 @@ class TieringDaemon:
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.period_s = period_s
         self.promote_threshold = promote_threshold
-        self.demote_threshold = demote_threshold
         self.max_promoted_bytes = max_promoted_bytes
-        self.max_promotions_per_cycle = max_promotions_per_cycle
         self.prefer_top_k = prefer_top_k
         self.stats = TieringStats()
         #: Optional placement-eligibility predicate over node addresses
@@ -279,13 +280,13 @@ class TieringDaemon:
         self.stats.cycles += 1
         # Demote first: decayed blocks and stale copies free budget this cycle.
         for path in list(self._promoted):
-            decayed = self.heat.heat(path, now) <= self.demote_threshold
+            decayed = self.heat.heat(path, now) <= DEMOTE_THRESHOLD
             if decayed or self.effective_path(path) == path:
                 self._demote(path)
         budget = self.max_promoted_bytes - sum(self._promoted_bytes.values())
         promoted = 0
         for path in self._promotion_candidates(now):
-            if promoted >= self.max_promotions_per_cycle:
+            if promoted >= MAX_PROMOTIONS_PER_CYCLE:
                 break
             est = self.heat.nbytes(path)
             if est > budget:
@@ -394,7 +395,7 @@ class TieringDaemon:
         under *both* names so a cache entry keyed by either survives."""
         desired: Set[str] = set()
         for path, heat in self.heat.hottest(now, self.prefer_top_k):
-            if heat <= self.demote_threshold:
+            if heat <= DEMOTE_THRESHOLD:
                 continue  # decayed residue is not worth pinning
             desired.add(path)
             hot_full = self._promoted.get(path)

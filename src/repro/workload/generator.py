@@ -24,6 +24,8 @@ from repro.columnar.schema import DataType, Schema
 
 #: Comparison operators eligible for numeric predicate synthesis.
 _NUM_OPS = (">", ">=", "<", "<=", "=")
+#: Size of the per-user predicate pool sessions draw from.
+PREDICATE_POOL_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,6 @@ class WorkloadConfig:
     #: Columns a session works with (data locality strength: smaller =
     #: stronger locality).
     columns_per_session: int = 3
-    #: Size of the per-user predicate pool sessions draw from.
-    predicate_pool_size: int = 8
     #: Probability a new predicate is drawn from the pool rather than
     #: freshly randomized (query similarity strength).
     reuse_probability: float = 0.8
@@ -140,7 +140,7 @@ class WorkloadGenerator:
         if pool is None:
             pool = [
                 self._random_predicate(columns)
-                for _ in range(self.config.predicate_pool_size)
+                for _ in range(PREDICATE_POOL_SIZE)
             ]
             self._pools[user] = pool
         return pool

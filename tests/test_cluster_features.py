@@ -62,6 +62,57 @@ def test_spilled_results_identical_to_direct():
         assert a[2] == pytest.approx(b[2])
 
 
+def _spill_twins(columns, sql, threshold):
+    """``sql`` on one cluster without a spill and on a twin with
+    ``spill_threshold_bytes=threshold``; returns (direct rows, spilled
+    job), each row list sorted by ``repr`` so NaN compares too."""
+    clusters = []
+    for _ in range(2):
+        cfg = FeisuConfig(datacenters=1, racks_per_datacenter=2, nodes_per_rack=4)
+        cluster = FeisuCluster(cfg)
+        cluster.load_table(
+            "T",
+            Schema.of(g=DataType.FLOAT64, v=DataType.INT64),
+            columns,
+            storage="storage-a",
+            block_rows=800,
+        )
+        clusters.append(cluster)
+    direct = clusters[0].query(sql).rows()
+    job = clusters[1].query_job(sql, options=JobOptions(spill_threshold_bytes=threshold))
+    return sorted(direct, key=repr), job
+
+
+def test_spilled_integer_sum_stays_exact():
+    n = 3000
+    row = np.arange(n)
+    g = (row % 5).astype(np.float64)
+    g[row % 3 == 0] = np.nan
+    v = np.full(n, 2**50 + 1, dtype=np.int64)
+    sql = "SELECT g, COUNT(*), SUM(v) FROM T GROUP BY g"
+    direct, job = _spill_twins({"g": g, "v": v}, sql, 1.0)
+    assert job.stats.results_spilled == job.stats.tasks_total
+    spilled = sorted(job.result.rows(), key=repr)
+    assert [repr(r) for r in spilled] == [repr(r) for r in direct]
+    assert all(type(r[2]) is int for r in spilled)
+
+
+def test_spilled_nan_group_merges_with_live_ones():
+    n = 3200
+    row = np.arange(n)
+    # The first block's partial holds 151 groups and spills; the other
+    # three hold 1.0 and NaN only and stay under the threshold.
+    g = np.where(row < 800, row % 200, 1).astype(np.float64)
+    g[row % 4 == 0] = np.nan
+    v = np.ones(n, dtype=np.int64)
+    sql = "SELECT g, COUNT(*) FROM T GROUP BY g"
+    direct, job = _spill_twins({"g": g, "v": v}, sql, 2000.0)
+    assert 0 < job.stats.results_spilled < job.stats.tasks_total
+    spilled = sorted(job.result.rows(), key=repr)
+    assert len(direct) == 151
+    assert [repr(r) for r in spilled] == [repr(r) for r in direct]
+
+
 def test_small_results_do_not_spill():
     cluster = _cluster()
     job = cluster.query_job("SELECT COUNT(*) FROM T")
@@ -536,10 +587,15 @@ def test_cancel_queued_job():
     _j1, d1 = cluster.submit("SELECT SUM(b) FROM T WHERE a >= 0")
     j2, d2 = cluster.submit("SELECT SUM(b) FROM T WHERE a >= 1")
     assert cluster.master.queued_jobs == 1
+    cluster.sim.run(until=cluster.sim.now + 0.001)
+    assert cluster.master.queued_jobs == 1
     assert cluster.master.cancel(j2.job_id)
     assert cluster.master.queued_jobs == 0
     cluster.sim.run_until_complete(d2)
     assert isinstance(j2.error, QueryCancelled)
+    # The job's stats read the same response time as the job itself.
+    assert j2.response_time_s == pytest.approx(0.001)
+    assert j2.stats.response_time_s == j2.response_time_s
     cluster.sim.run_until_complete(d1)  # the first job is unaffected
 
 

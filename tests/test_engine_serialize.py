@@ -1,10 +1,16 @@
 """Task-result serialization (the §V-C spill format)."""
 
+import ast
+import dataclasses
+import math
+import pathlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
+from repro.engine import aggregates, serialize
 from repro.engine.aggregates import partial_aggregate
 from repro.engine.executor import TaskExecutionReport, TaskResult
 from repro.engine.serialize import deserialize_result, serialize_result
@@ -95,6 +101,23 @@ def test_report_survives():
     assert back.report.io_bytes == 1234
 
 
+def test_report_round_trips_every_init_field():
+    # A distinct non-default value per field, derived from the class.
+    values = {}
+    for i, f in enumerate(dataclasses.fields(TaskExecutionReport)):
+        if not f.init:
+            continue
+        kind = type(f.default) if f.default is not dataclasses.MISSING else str
+        values[f.name] = {bool: True, int: 7 + i, float: 0.5 + i, str: f"t{i}"}[kind]
+    report = TaskExecutionReport(**values).finish()
+    frame = Frame.from_columns({"x": np.array([1])})
+    back = deserialize_result(serialize_result(TaskResult("t", frame=frame, report=report))).report
+    for name, value in values.items():
+        got = getattr(back, name)
+        assert got == value and type(got) is type(value), name
+    assert dataclasses.asdict(back) == dataclasses.asdict(report)
+
+
 def test_empty_payload_rejected():
     with pytest.raises(ExecutionError):
         serialize_result(TaskResult("t", report=_report()))
@@ -124,3 +147,112 @@ def test_property_frame_round_trip(ints, strs):
     )
     assert list(back.frame.column("i")) == ints[:n]
     assert list(back.frame.column("s")) == strs[:n]
+
+
+# -- spilled partials merge exactly like live ones ---------------------------
+
+_FUNCS = ["COUNT", "SUM", "AVG", "MIN", "MAX"]
+_DTYPES = {"int": np.int64, "float": np.float64, "str": object, "bool": np.bool_}
+_KEYS = {
+    # Wide ints are ranked; a narrow span is its own group id.
+    "int": st.integers(-(2**62), 2**62) | st.integers(-3, 3),
+    "float": st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1.5, 2.0**60]),
+    "str": st.sampled_from(["", "a", "b", "中文"]),
+    "bool": st.booleans(),
+}
+_VALUES = {
+    "int": st.integers(-(2**56), 2**56),
+    "float": st.sampled_from([float("nan"), float("inf"), -0.0, 0.25, -3.0, 1e300]),
+    "str": st.text(max_size=4),
+    "bool": st.booleans(),
+}
+
+
+def _column(kind, values):
+    out = np.empty(len(values), dtype=_DTYPES[kind])
+    out[:] = values
+    return out
+
+
+@st.composite
+def _partial_inputs(draw):
+    """One aggregate list over all five functions and two tasks' inputs
+    to it: ``(funcs, value kinds, [(keys, arrays, rows)] * 2)``."""
+    key_kinds = draw(st.lists(st.sampled_from(sorted(_KEYS)), max_size=2))
+    funcs = draw(st.lists(st.sampled_from(_FUNCS), min_size=1, max_size=6))
+    value_kinds = [
+        draw(st.sampled_from(["int", "float"] if f in ("SUM", "AVG") else sorted(_VALUES)))
+        for f in funcs
+    ]
+    tasks = []
+    for _ in range(2):
+        n = draw(st.integers(0, 24))
+        keys = [_column(k, draw(st.lists(_KEYS[k], min_size=n, max_size=n))) for k in key_kinds]
+        arrays = [
+            None if f == "COUNT" else _column(v, draw(st.lists(_VALUES[v], min_size=n, max_size=n)))
+            for f, v in zip(funcs, value_kinds)
+        ]
+        tasks.append((keys, arrays, n))
+    note(f"keys={key_kinds} funcs={funcs} values={value_kinds}")
+    return funcs, value_kinds, tasks
+
+
+def _spilled(partial):
+    result = TaskResult("t", partial=partial, report=_report())
+    return deserialize_result(serialize_result(result)).partial
+
+
+def _same(a, b):
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
+        return True
+    return type(a) is type(b) and a == b
+
+
+def _assert_same_partial(got, want):
+    assert len(got.groups) == len(want.groups)
+    assert got.rows_scanned == want.rows_scanned
+    got_keys = {key: key for key in got.groups}
+    for key, states in want.groups.items():
+        # A NaN key component is the one shared NaN, so lookup is exact.
+        assert all(map(_same, got_keys[key], key))
+        for g, w in zip(got.groups[key], states):
+            assert _same(g.final(), w.final()), (key, g.func, g.final(), w.final())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_partial_inputs())
+def test_property_restored_partial_merges_like_a_live_one(inputs):
+    funcs, value_kinds, (left, right) = inputs
+
+    def live(task):
+        keys, arrays, n = task
+        return partial_aggregate(keys, funcs, arrays, n)
+
+    want = live(left)
+    want.merge(live(right))
+    into_live = live(left)
+    into_live.merge(_spilled(live(right)))
+    _assert_same_partial(into_live, want)
+    into_restored = _spilled(live(left))
+    into_restored.merge(live(right))
+    _assert_same_partial(into_restored, want)
+    for states in into_live.groups.values():
+        for f, v, state in zip(funcs, value_kinds, states):
+            if f == "SUM" and v == "int" and state.seen:
+                assert type(state.final()) is int
+
+
+# -- the codec knows no layout ------------------------------------------------
+
+
+def test_codec_names_no_state_slot_or_report_field():
+    tree = ast.parse(pathlib.Path(serialize.__file__).read_text(encoding="utf-8"))
+    state_classes = {cls.__name__ for cls in aggregates._STATE_FACTORY.values()}
+    slots = {slot for cls in aggregates._STATE_FACTORY.values() for slot in cls.__slots__}
+    report_fields = {f.name for f in dataclasses.fields(TaskExecutionReport)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported = {alias.name for alias in node.names}
+            assert not imported & state_classes, imported & state_classes
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            assert node.value not in slots | report_fields, node.value
