@@ -93,7 +93,6 @@ class FeisuClient:
         if job.error is not None:
             raise job.error
         assert job.result is not None
-        job.result.stats["response_time_s"] = job.stats.response_time_s
         return job.result
 
     def query_job(self, sql: str, options: Optional[JobOptions] = None) -> Job:

@@ -845,6 +845,8 @@ class Master:
             # job resolves with the error attached.
             self._finish_failed(job, done, exc)
             return
+        job.finished_at = self.sim.now
+        job.stats.response_time_s = job.response_time_s
         job.result.stats = {
             "io_bytes_modeled": job.stats.io_bytes_modeled,
             "cpu_ops_modeled": job.stats.cpu_ops_modeled,
@@ -857,6 +859,7 @@ class Master:
             "tasks_total": job.stats.tasks_total,
             "tasks_reused": job.stats.tasks_reused,
             "backups_launched": job.stats.backups_launched,
+            "response_time_s": job.stats.response_time_s,
         }
         if job.stats.adaptive_waves:
             # Only adaptive-path jobs carry these keys, so the frozen
@@ -872,8 +875,6 @@ class Master:
                 }
             )
         job.status = JobStatus.SUCCEEDED
-        job.finished_at = self.sim.now
-        job.stats.response_time_s = job.response_time_s
         self._record_terminal(job)
         self._job_finished()
         done.succeed(job)

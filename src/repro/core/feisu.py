@@ -440,7 +440,6 @@ class FeisuCluster:
         if job.error is not None:
             raise job.error
         assert job.result is not None
-        job.result.stats["response_time_s"] = job.stats.response_time_s
         return job.result
 
     def query_job(

@@ -1,9 +1,12 @@
 """B+ tree secondary index — the baseline of Fig 9(b).
 
 The paper compares SmartIndex against "B-tree index in Feisu": a
-conventional per-column value index built ahead of queries.  This is a
-real bulk-loaded B+ tree (order-64 internal fan-out, leaf chaining for
-range scans), mapping column values to row positions inside one block.
+conventional per-column value index built ahead of queries.  What a
+lookup reads is the tree's leaf level — one block's row positions in
+value order — so that is all this keeps, bisected by
+:func:`sorted_span`; the inner levels only set the lookup's cost, so
+``height`` is the height of an order-``ORDER`` B+ tree bulk-loaded from
+the block's distinct keys.
 
 Why it loses to SmartIndex on this workload (§VI-B-1): a B-tree answers
 *point and range* lookups on the indexed column, but (1) it cannot help
@@ -15,72 +18,56 @@ only partially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import IndexError_
 from repro.planner.cnf import AtomicPredicate
-from repro.sql.ast import BinaryOperator
 
 #: Max keys per node.
 ORDER = 64
 
 
-@dataclass
-class _LeafNode:
-    keys: List = field(default_factory=list)
-    #: One row-position array per key (duplicates collapse onto one key).
-    rows: List[np.ndarray] = field(default_factory=list)
-    next: Optional["_LeafNode"] = None
-
-
-@dataclass
-class _InnerNode:
-    #: separators[i] is the smallest key in children[i + 1]'s subtree.
-    separators: List = field(default_factory=list)
-    children: List[Union["_InnerNode", _LeafNode]] = field(default_factory=list)
+def sorted_span(sorted_values: np.ndarray, bounds: Tuple) -> Tuple[int, int]:
+    """``(start, stop)`` of the values an atom's ``bounds`` admits in an
+    ascending array.  NaN sorts last and no bounds admit it; a NaN bound
+    admits nothing."""
+    low, low_inclusive, high, high_inclusive = bounds
+    if low != low or high != high:  # a NaN literal
+        return 0, 0
+    start = 0
+    if low is not None:
+        start = int(np.searchsorted(sorted_values, low, "left" if low_inclusive else "right"))
+    if high is not None:
+        stop = int(np.searchsorted(sorted_values, high, "right" if high_inclusive else "left"))
+    elif sorted_values.dtype.kind == "f":
+        stop = int(np.searchsorted(sorted_values, np.nan))  # before the NaN tail
+    else:
+        stop = len(sorted_values)
+    return start, max(start, stop)
 
 
 class BPlusTree:
-    """Bulk-loaded, read-only B+ tree over one column of one block."""
+    """Read-only value index over one column of one block."""
 
     def __init__(self, values: np.ndarray):
         self.num_rows = len(values)
-        if self.num_rows == 0:
-            self._root, self._first_leaf = _bulk_load([], [])
-            self.num_keys = 0
-            self.height = _height(self._root)
-            return
-        order = np.argsort(values, kind="stable")
-        sorted_vals = values[order]
-        boundaries = np.flatnonzero(
-            np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1]))
-        )
-        ends = np.append(boundaries[1:], len(sorted_vals))
-        keys = [sorted_vals[b] for b in boundaries]
-        rows = [np.sort(order[b:e]) for b, e in zip(boundaries, ends)]
-        self._root, self._first_leaf = _bulk_load(keys, rows)
-        self.num_keys = len(keys)
-        self.height = _height(self._root)
+        rows = np.flatnonzero(values == values)  # every row but NaN
+        self._rows = rows[np.argsort(values[rows], kind="stable")]
+        self._keys = values[self._rows]
+        changes = np.count_nonzero(self._keys[1:] != self._keys[:-1])
+        self.num_keys = int(changes) + (len(self._keys) > 0)
+        # Bulk load packs ORDER keys per leaf and ORDER children per node.
+        nodes, self.height = max(-(-self.num_keys // ORDER), 1), 1
+        while nodes > 1:
+            nodes, self.height = -(-nodes // ORDER), self.height + 1
 
     # -- lookups ---------------------------------------------------------
 
-    def _leaf_for(self, key) -> _LeafNode:
-        node = self._root
-        while isinstance(node, _InnerNode):
-            idx = _upper_bound(node.separators, key)
-            node = node.children[idx]
-        return node
-
     def search(self, key) -> np.ndarray:
         """Row positions where the column equals ``key``."""
-        leaf = self._leaf_for(key)
-        for k, rows in zip(leaf.keys, leaf.rows):
-            if k == key:
-                return rows
-        return np.empty(0, dtype=np.int64)
+        return self.range(key, key)
 
     def range(
         self,
@@ -90,110 +77,21 @@ class BPlusTree:
         high_inclusive: bool = True,
     ) -> np.ndarray:
         """Row positions with ``low (<|<=) value (<|<=) high``."""
-        leaf = self._first_leaf if low is None else self._leaf_for(low)
-        out: List[np.ndarray] = []
-        while leaf is not None:
-            for k, rows in zip(leaf.keys, leaf.rows):
-                if low is not None:
-                    if k < low or (k == low and not low_inclusive):
-                        continue
-                if high is not None:
-                    if k > high or (k == high and not high_inclusive):
-                        return _concat(out)
-                out.append(rows)
-            leaf = leaf.next
-        return _concat(out)
+        start, stop = sorted_span(self._keys, (low, low_inclusive, high, high_inclusive))
+        return self._rows[start:stop]
 
     # -- predicate interface (what the leaf server calls) -----------------
 
     def supports(self, atom: AtomicPredicate) -> bool:
-        """B-trees answer ordered comparisons and equality — not CONTAINS
-        and not inequality (≠ selects nearly everything anyway)."""
-        return atom.op in (
-            BinaryOperator.EQ,
-            BinaryOperator.LT,
-            BinaryOperator.LE,
-            BinaryOperator.GT,
-            BinaryOperator.GE,
-        )
+        """B-trees answer the atoms that have bounds — not CONTAINS and
+        not inequality (≠ selects nearly everything anyway)."""
+        return atom.bounds is not None
 
     def evaluate(self, atom: AtomicPredicate) -> np.ndarray:
         """Boolean mask for an atom over this block's rows."""
-        if not self.supports(atom):
+        if atom.bounds is None:
             raise IndexError_(f"B+ tree cannot answer {atom.key}")
-        op, v = atom.op, atom.value
-        if op is BinaryOperator.EQ:
-            positions = self.search(v)
-        elif op is BinaryOperator.LT:
-            positions = self.range(high=v, high_inclusive=False)
-        elif op is BinaryOperator.LE:
-            positions = self.range(high=v, high_inclusive=True)
-        elif op is BinaryOperator.GT:
-            positions = self.range(low=v, low_inclusive=False)
-        else:  # GE
-            positions = self.range(low=v, low_inclusive=True)
+        start, stop = sorted_span(self._keys, atom.bounds)
         mask = np.zeros(self.num_rows, dtype=np.bool_)
-        mask[positions] = True
+        mask[self._rows[start:stop]] = True
         return mask
-
-    def nbytes(self) -> int:
-        """Rough memory footprint (keys + row arrays + node overhead)."""
-        total = 0
-        leaf = self._first_leaf
-        while leaf is not None:
-            total += 64 + 16 * len(leaf.keys)
-            total += sum(r.nbytes for r in leaf.rows)
-            leaf = leaf.next
-        return total
-
-
-def _bulk_load(keys: List, rows: List[np.ndarray]) -> Tuple[Union[_InnerNode, _LeafNode], _LeafNode]:
-    """Classic bottom-up bulk load: pack leaves, then build inner levels."""
-    leaves: List[_LeafNode] = []
-    for start in range(0, max(len(keys), 1), ORDER):
-        leaf = _LeafNode(keys=keys[start : start + ORDER], rows=rows[start : start + ORDER])
-        if leaves:
-            leaves[-1].next = leaf
-        leaves.append(leaf)
-    if not leaves:
-        leaves = [_LeafNode()]
-    level: List[Union[_InnerNode, _LeafNode]] = list(leaves)
-    level_min_keys = [leaf.keys[0] if leaf.keys else None for leaf in leaves]
-    while len(level) > 1:
-        parents: List[Union[_InnerNode, _LeafNode]] = []
-        parent_mins: List = []
-        for start in range(0, len(level), ORDER):
-            children = level[start : start + ORDER]
-            mins = level_min_keys[start : start + ORDER]
-            node = _InnerNode(separators=list(mins[1:]), children=list(children))
-            parents.append(node)
-            parent_mins.append(mins[0])
-        level = parents
-        level_min_keys = parent_mins
-    return level[0], leaves[0]
-
-
-def _upper_bound(separators: List, key) -> int:
-    """Child index for ``key``: count of separators <= key."""
-    lo, hi = 0, len(separators)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if separators[mid] <= key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _height(node: Union[_InnerNode, _LeafNode]) -> int:
-    h = 1
-    while isinstance(node, _InnerNode):
-        node = node.children[0]
-        h += 1
-    return h
-
-
-def _concat(arrays: List[np.ndarray]) -> np.ndarray:
-    if not arrays:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(arrays)

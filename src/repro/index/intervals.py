@@ -34,14 +34,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.planner.cnf import AtomicPredicate
 from repro.sql.ast import BinaryOperator
 
-#: Range operators tracked in sorted arrays.
-RANGE_OPS = (
-    BinaryOperator.LT,
-    BinaryOperator.LE,
-    BinaryOperator.GT,
-    BinaryOperator.GE,
-)
-
 
 def _type_class(value) -> str:
     """Bucket values into mutually orderable families."""

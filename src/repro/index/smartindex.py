@@ -69,17 +69,6 @@ RESIDUAL_MAX_FRACTION = 0.95
 DEFAULT_SAVED_S_PER_ROW = 2.5e-10
 #: Halve all frequency counters once their sum reaches this (aging).
 _FREQ_AGING_LIMIT = 8192
-#: Operators with a NaN-exact bitmap-algebra derivation (NE is excluded:
-#: it is answered by the EQ complement, see ``_derive_atom``).
-_DERIVABLE_OPS = frozenset(
-    {
-        BinaryOperator.EQ,
-        BinaryOperator.LT,
-        BinaryOperator.LE,
-        BinaryOperator.GT,
-        BinaryOperator.GE,
-    }
-)
 
 
 @dataclass
@@ -441,9 +430,9 @@ class SmartIndexManager:
         here: its answer is the EQ complement, which the complement
         probe above already finds.
         """
-        op = atom.op
-        if op not in _DERIVABLE_OPS:
+        if atom.bounds is None:
             return None
+        op = atom.op
         found = self._registry.same_value(block_id, atom.column, atom.value)
         if not found:
             return None

@@ -26,7 +26,6 @@ from repro.planner.expressions import (
     Frame,
     bare_resolver,
     evaluate,
-    expression_cost_ops,
     make_qualified_resolver,
 )
 from repro.planner.physical import (
@@ -60,7 +59,6 @@ __all__ = [
     "clause_selectivity",
     "estimate_result_rows",
     "estimate_selectivity",
-    "expression_cost_ops",
     "extract_atom",
     "make_qualified_resolver",
     "to_cnf",

@@ -79,6 +79,12 @@ class AtomicPredicate:
     #: Cache identity: equal keys ⇔ equal predicate semantics.  Built with
     #: the atom, since every index probe of every task reads it.
     key: str = field(init=False, repr=False, compare=False)
+    #: The values an ordered atom admits, ``(low, low_inclusive, high,
+    #: high_inclusive)``, with ``None`` for an open side; ``None`` for NE
+    #: and CONTAINS.  NaN lies inside no bounds (it fails every ordered
+    #: comparison), so pruning, simplification, the B+ tree and sorted
+    #: replicas read this instead of switching on the operator.
+    bounds: Optional[Tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in _ATOMIC_OPS:
@@ -87,6 +93,20 @@ class AtomicPredicate:
             raise PlanError("only CONTAINS predicates carry a negation flag")
         prefix = "NOT " if self.negated else ""
         object.__setattr__(self, "key", f"{prefix}{self.column} {self.op.value} {self.value!r}")
+        op, v = self.op, self.value
+        if op is BinaryOperator.EQ:
+            bounds = (v, True, v, True)
+        elif op is BinaryOperator.LT:
+            bounds = (None, False, v, False)
+        elif op is BinaryOperator.LE:
+            bounds = (None, False, v, True)
+        elif op is BinaryOperator.GT:
+            bounds = (v, False, None, False)
+        elif op is BinaryOperator.GE:
+            bounds = (v, True, None, False)
+        else:
+            bounds = None
+        object.__setattr__(self, "bounds", bounds)
 
     @property
     def base(self) -> "AtomicPredicate":

@@ -312,23 +312,3 @@ def contains_implies(needle_a: str, needle_b: str) -> bool:
     """``x CONTAINS needle_a`` implies ``x CONTAINS needle_b`` iff the
     coarser needle is a substring of the finer one."""
     return needle_b in needle_a
-
-
-def expression_cost_ops(expr: Expr, num_rows: int) -> float:
-    """Abstract op count for evaluating ``expr`` over ``num_rows`` rows.
-
-    The CPU cost model charges one op per row per operator node, with
-    CONTAINS weighted heavier (substring search).  Used both by the
-    cost-based planner and by leaf servers when charging simulated
-    compute time — SmartIndex's benefit is precisely skipping this.
-    """
-    node_cost = 0.0
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, BinaryOp) and node.op is BinaryOperator.CONTAINS:
-            node_cost += 20.0
-        elif isinstance(node, (BinaryOp, NotOp, Negate, FunctionCall)):
-            node_cost += 1.0
-        stack.extend(node.children())
-    return node_cost * num_rows

@@ -503,18 +503,13 @@ def _prunable(ref: BlockRef, range_atoms: Sequence[AtomicPredicate]) -> bool:
 
 
 def _range_excludes(atom: AtomicPredicate, lo, hi) -> bool:
-    op, v = atom.op, atom.value
+    """Does ``[lo, hi]`` lie wholly outside the atom's bounds?"""
+    if atom.bounds is None:
+        return False  # NE / CONTAINS can't be range-pruned
+    low, low_inclusive, high, high_inclusive = atom.bounds
     try:
-        if op is BinaryOperator.EQ:
-            return v < lo or v > hi
-        if op is BinaryOperator.GT:
-            return hi <= v
-        if op is BinaryOperator.GE:
-            return hi < v
-        if op is BinaryOperator.LT:
-            return lo >= v
-        if op is BinaryOperator.LE:
-            return lo > v
+        return (low is not None and (hi < low or (hi == low and not low_inclusive))) or (
+            high is not None and (lo > high or (lo == high and not high_inclusive))
+        )
     except TypeError:
         return False
-    return False  # NE / CONTAINS can't be range-pruned

@@ -19,13 +19,10 @@ index reuse: fewer, canonical conjuncts mean fewer distinct cache keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.planner.cnf import AtomicPredicate, Clause, ConjunctiveForm
 from repro.sql.ast import BinaryOperator
-
-_LOWER = (BinaryOperator.GT, BinaryOperator.GE)
-_UPPER = (BinaryOperator.LT, BinaryOperator.LE)
 
 
 @dataclass
@@ -68,51 +65,36 @@ def _simplify_column(atoms: List[AtomicPredicate]) -> Tuple[List[AtomicPredicate
     """Simplify the conjunction of single-column atoms.
 
     Only numeric/orderable comparisons participate; CONTAINS and
-    mixed-type oddities pass through untouched.
+    mixed-type oddities pass through untouched.  The atoms' bounds
+    narrow one span: the largest lower bound and the smallest upper
+    bound survive, an exclusive one winning a tie.
     """
     ordered = [a for a in atoms if _comparable(a)]
     rest = [a for a in atoms if not _comparable(a)]
     if not ordered:
         return _dedupe(atoms), False
 
-    equalities = [a for a in ordered if a.op is BinaryOperator.EQ]
-    inequalities = [a for a in ordered if a.op is BinaryOperator.NE]
-    lowers = [a for a in ordered if a.op in _LOWER]
-    uppers = [a for a in ordered if a.op in _UPPER]
-
-    # Multiple distinct equalities on one column contradict.
-    eq_values = {a.value for a in equalities}
-    if len(eq_values) > 1:
-        return [], True
-
-    if equalities:
-        v = equalities[0].value
-        # the equality must satisfy every other constraint, else contradiction
-        for a in lowers:
-            if not _holds(v, a):
-                return [], True
-        for a in uppers:
-            if not _holds(v, a):
-                return [], True
-        for a in inequalities:
-            if v == a.value:
-                return [], True
-        return _dedupe([equalities[0]] + rest), False
-
-    best_lower = _tightest(lowers, direction="lower")
-    best_upper = _tightest(uppers, direction="upper")
-    if best_lower is not None and best_upper is not None:
-        if not _range_satisfiable(best_lower, best_upper):
+    inequalities = [a for a in ordered if a.bounds is None]
+    lowers = [a for a in ordered if a.bounds is not None and a.bounds[0] is not None]
+    uppers = [a for a in ordered if a.bounds is not None and a.bounds[2] is not None]
+    lower = max(lowers, key=lambda a: (a.bounds[0], not a.bounds[1])) if lowers else None
+    upper = min(uppers, key=lambda a: (a.bounds[2], a.bounds[3])) if uppers else None
+    low, low_inclusive = lower.bounds[:2] if lower is not None else (None, False)
+    high, high_inclusive = upper.bounds[2:] if upper is not None else (None, False)
+    if lower is not None and upper is not None:
+        if not (low < high or (low == high and low_inclusive and high_inclusive)):
             return [], True
-    survivors = [a for a in (best_lower, best_upper) if a is not None]
-    # NE atoms whose value lies outside the surviving range are vacuous.
-    for a in inequalities:
-        if best_lower is not None and not _holds(a.value, best_lower):
-            continue
-        if best_upper is not None and not _holds(a.value, best_upper):
-            continue
-        survivors.append(a)
-    return _dedupe(survivors + rest), False
+    span = (low, low_inclusive, high, high_inclusive)
+    # NE atoms whose value lies outside the span are vacuous.
+    relevant = [a for a in inequalities if _admits(span, a.value)]
+    equalities = [a for a in lowers if a.bounds[2] is not None]
+    if equalities:
+        # The span is the equalities' one value: an inequality there contradicts.
+        if relevant:
+            return [], True
+        return _dedupe([equalities[0]] + rest), False
+    survivors = [a for a in (lower, upper) if a is not None]
+    return _dedupe(survivors + relevant + rest), False
 
 
 def _comparable(atom: AtomicPredicate) -> bool:
@@ -121,44 +103,12 @@ def _comparable(atom: AtomicPredicate) -> bool:
     return isinstance(atom.value, (int, float)) and not isinstance(atom.value, bool)
 
 
-def _holds(value, atom: AtomicPredicate) -> bool:
-    """Does ``value`` satisfy ``column OP atom.value``?"""
-    op, bound = atom.op, atom.value
-    if op is BinaryOperator.GT:
-        return value > bound
-    if op is BinaryOperator.GE:
-        return value >= bound
-    if op is BinaryOperator.LT:
-        return value < bound
-    if op is BinaryOperator.LE:
-        return value <= bound
-    if op is BinaryOperator.EQ:
-        return value == bound
-    return value != bound
-
-
-def _tightest(atoms: List[AtomicPredicate], direction: str) -> Optional[AtomicPredicate]:
-    """The binding constraint among same-direction bounds."""
-    if not atoms:
-        return None
-    if direction == "lower":
-        # larger bound is tighter; on ties, strict (>) beats non-strict (>=)
-        return max(
-            atoms, key=lambda a: (a.value, 1 if a.op is BinaryOperator.GT else 0)
-        )
-    return min(
-        atoms, key=lambda a: (a.value, -1 if a.op is BinaryOperator.LT else 0)
+def _admits(bounds: Tuple, value) -> bool:
+    """Does ``value`` lie within ``bounds``?"""
+    low, low_inclusive, high, high_inclusive = bounds
+    return (low is None or low < value or (low_inclusive and low == value)) and (
+        high is None or value < high or (high_inclusive and value == high)
     )
-
-
-def _range_satisfiable(lower: AtomicPredicate, upper: AtomicPredicate) -> bool:
-    lo, hi = lower.value, upper.value
-    if lo > hi:
-        return False
-    if lo == hi:
-        # touching bounds satisfiable only when both ends are inclusive
-        return lower.op is BinaryOperator.GE and upper.op is BinaryOperator.LE
-    return True
 
 
 def _dedupe(atoms: List[AtomicPredicate]) -> List[AtomicPredicate]:

@@ -54,6 +54,7 @@ import numpy as np
 from repro.columnar.block import Block
 from repro.columnar.schema import Schema
 from repro.errors import FaultInjectedError, PathError
+from repro.index.btree import sorted_span
 from repro.planner.cnf import AtomicPredicate, ConjunctiveForm
 from repro.planner.cost import CostModel
 from repro.sim.events import Event, Process, Simulator
@@ -69,18 +70,6 @@ MAX_REWRITES_PER_CYCLE = 4
 #: Hottest paths a cycle considers, and frequent predicates / columns it
 #: reads from each attached query history.
 CENSUS_TOP_K = 32
-
-#: Ordered comparisons a sorted replica can binary-search and an
-#: attached B+ tree can answer (mirrors ``BPlusTree.supports``).
-RANGE_OPS = frozenset(
-    {
-        BinaryOperator.EQ,
-        BinaryOperator.LT,
-        BinaryOperator.LE,
-        BinaryOperator.GT,
-        BinaryOperator.GE,
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -332,7 +321,7 @@ class LayoutDaemon:
             # a sort order or attached index can serve.
             if len(clause.atoms) == 1 and not clause.residuals:
                 atom = clause.atoms[0]
-                if atom.op in RANGE_OPS and not atom.negated:
+                if atom.bounds is not None:
                     census.predicate_cols[atom.column] += 1
 
     def attach_history(self, history) -> None:
@@ -625,7 +614,7 @@ def _index_covers(cnf: ConjunctiveForm, index_column: str) -> bool:
         if clause.residuals or len(clause.atoms) != 1:
             return False
         atom = clause.atoms[0]
-        if atom.column != index_column or atom.negated or atom.op not in RANGE_OPS:
+        if atom.column != index_column or atom.bounds is None:
             return False
     return True
 
@@ -694,7 +683,7 @@ def sorted_candidate_rows(
         if clause.residuals or len(clause.atoms) != 1:
             continue
         atom = clause.atoms[0]
-        if atom.column == sort_column and not atom.negated and atom.op in RANGE_OPS:
+        if atom.column == sort_column and atom.bounds is not None:
             usable.append(atom)
     if not usable:
         return None
@@ -711,20 +700,11 @@ def sorted_candidate_rows(
     ]
     if not usable:
         return None
-    lo_idx, hi_idx = 0, len(values)
+    start, stop = 0, len(values)
     try:
         for atom in usable:
-            if atom.op is BinaryOperator.EQ:
-                lo_idx = max(lo_idx, int(np.searchsorted(values, atom.value, side="left")))
-                hi_idx = min(hi_idx, int(np.searchsorted(values, atom.value, side="right")))
-            elif atom.op is BinaryOperator.LT:
-                hi_idx = min(hi_idx, int(np.searchsorted(values, atom.value, side="left")))
-            elif atom.op is BinaryOperator.LE:
-                hi_idx = min(hi_idx, int(np.searchsorted(values, atom.value, side="right")))
-            elif atom.op is BinaryOperator.GT:
-                lo_idx = max(lo_idx, int(np.searchsorted(values, atom.value, side="right")))
-            elif atom.op is BinaryOperator.GE:
-                lo_idx = max(lo_idx, int(np.searchsorted(values, atom.value, side="left")))
+            lo, hi = sorted_span(values, atom.bounds)
+            start, stop = max(start, lo), min(stop, hi)
     except TypeError:
         return None  # incomparable literal (e.g. string vs. numeric column)
-    return max(0, hi_idx - lo_idx)
+    return max(0, stop - start)

@@ -147,9 +147,12 @@ def test_pruned_empty_plan_succeeds(small_cluster):
 
 
 def test_stats_surface(small_cluster):
-    r = small_cluster.query("SELECT COUNT(*) FROM T WHERE c2 = 1")
-    for key in ("io_bytes_modeled", "tasks_total", "response_time_s"):
-        assert key in r.stats
+    sql = "SELECT COUNT(*) FROM T WHERE c2 = 1"
+    job = small_cluster.query_job(sql)
+    for r in (small_cluster.query(sql), job.result):
+        for key in ("io_bytes_modeled", "tasks_total", "response_time_s"):
+            assert key in r.stats
+    assert job.result.stats["response_time_s"] == job.stats.response_time_s
 
 
 # -- a hop between co-located roles is not a message (S57) -------------------

@@ -107,6 +107,26 @@ def test_btree_mode_executes_correctly():
     assert sum(lf.btree_builds for lf in cluster.leaves) > 0
 
 
+@pytest.mark.parametrize(
+    "where, count", [("x > 30", 7), ("x >= 0", 30), ("x < 10", 7), ("x = 8", 0)]
+)
+def test_btree_answers_nan_rows_like_a_scan(where, count):
+    """NaN fails every ordered comparison, so the B+ tree must not hand
+    NaN rows to any bound (every fourth row of x = 0..39 is NaN)."""
+    x = np.arange(40, dtype=np.float64)
+    x[::4] = np.nan
+    answers = []
+    for enable_btree in (True, False):
+        cluster = FeisuCluster(
+            FeisuConfig(leaf=LeafConfig(enable_btree=enable_btree, enable_smartindex=False))
+        )
+        cluster.load_table("T", Schema.of(x=DataType.FLOAT64), {"x": x}, block_rows=20)
+        answers.append(cluster.query(f"SELECT COUNT(*) FROM T WHERE {where}").rows())
+        if enable_btree:
+            assert sum(lf.btree_builds for lf in cluster.leaves) > 0
+    assert answers == [[(count,)], [(count,)]]
+
+
 def test_index_memory_accounting_visible():
     cluster = _cluster()
     cluster.query("SELECT COUNT(*) FROM T WHERE a > 10")

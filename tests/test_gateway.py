@@ -125,6 +125,7 @@ def test_session_query_matches_direct_path():
     via_gateway = session.query(sql)
     direct = make_cluster(gateway=None).query(sql, user="alice")
     assert sorted(via_gateway.rows()) == sorted(direct.rows())
+    assert via_gateway.stats["response_time_s"] > 0.0
 
 
 # -- pre-flight & session lifecycle ----------------------------------------
@@ -454,6 +455,8 @@ def test_gateway_handles_record_queue_wait():
     assert first.queue_wait_s == 0.0
     assert second.queue_wait_s > 0.0
     assert second.queue_wait_s == pytest.approx(second.emitted_at - second.submitted_at)
+    for handle in (first, second):
+        assert handle.result().stats["response_time_s"] == handle.job.stats.response_time_s > 0.0
 
 
 # -- driver & helpers -------------------------------------------------------

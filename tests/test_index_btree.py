@@ -85,11 +85,6 @@ def test_empty_tree():
     assert list(tree.range()) == []
 
 
-def test_nbytes_positive():
-    tree = BPlusTree(np.arange(1000, dtype=np.int64))
-    assert tree.nbytes() > 0
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.integers(-20, 20), min_size=1, max_size=300),
@@ -107,12 +102,39 @@ def test_property_range_matches_numpy(values, lo, hi):
     assert (got == expected).all()
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(-10, 10), min_size=1, max_size=200), st.integers(-12, 12))
-def test_property_atom_evaluation_matches_direct(values, threshold):
-    arr = np.array(values, dtype=np.int64)
+def _array(dtype):
+    def build(values):
+        arr = np.empty(len(values), dtype=dtype)
+        arr[:] = values
+        return arr
+
+    return build
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 2.0, 2.5]),
+    st.floats(width=64),
+)
+_TEXT = st.text(alphabet="abc", max_size=3)
+#: (column values, threshold): int64, float64 with NaN, ±inf and −0.0
+#: (a NaN threshold too), and strings.
+_COLUMNS_AND_THRESHOLDS = st.one_of(
+    st.tuples(st.lists(st.integers(-10, 10), min_size=1, max_size=200).map(_array(np.int64)),
+              st.integers(-12, 12)),
+    st.tuples(st.lists(_FLOATS, max_size=80).map(_array(np.float64)), _FLOATS),
+    st.tuples(st.lists(_TEXT, max_size=40).map(_array(object)), _TEXT),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_COLUMNS_AND_THRESHOLDS)
+def test_property_atom_evaluation_matches_direct(case):
+    """NaN rows fail every bound and are no key; a NaN threshold admits
+    no row."""
+    arr, threshold = case
     tree = BPlusTree(arr)
+    assert tree.num_keys == len({v for v in arr.tolist() if v == v})
     for op in (BinaryOperator.EQ, BinaryOperator.LT, BinaryOperator.LE,
                BinaryOperator.GT, BinaryOperator.GE):
         atom = AtomicPredicate("c", op, threshold)
-        assert (tree.evaluate(atom) == atom.evaluate(arr)).all()
+        assert (tree.evaluate(atom) == atom.evaluate(arr)).all(), op

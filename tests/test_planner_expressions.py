@@ -7,7 +7,6 @@ from repro.errors import ExecutionError
 from repro.planner.expressions import (
     Frame,
     evaluate,
-    expression_cost_ops,
     make_qualified_resolver,
     string_contains,
 )
@@ -134,9 +133,3 @@ def test_qualified_resolver():
     assert resolve(Column("a")) == "t.a"  # suffix fallback
     with pytest.raises(ExecutionError):
         resolve(Column("zz"))
-
-
-def test_cost_ops_contains_weighted():
-    cheap = expression_cost_ops(parse_expression("a > 1"), 100)
-    pricey = expression_cost_ops(parse_expression("s CONTAINS 'x'"), 100)
-    assert pricey > cheap

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.columnar.schema import DataType, Schema
 from repro.columnar.table import Catalog
 from repro.errors import PlanError
-from repro.planner.physical import build_plan, equi_join_keys
+from repro.planner.cnf import AtomicPredicate
+from repro.planner.physical import _range_excludes, build_plan, equi_join_keys
 from repro.sim.netmodel import TopologySpec
 from repro.sql.analyzer import analyze
+from repro.sql.ast import BinaryOperator
 from repro.sql.parser import parse, parse_expression
 from repro.storage.loader import store_table
 from repro.storage.router import StorageRouter
@@ -72,6 +76,37 @@ def test_no_pruning_on_unsorted_column(env):
 def test_ne_and_contains_never_pruned(env):
     assert len(_plan(env, "SELECT COUNT(*) FROM T WHERE c_sorted != 1").tasks) == 4
     assert len(_plan(env, "SELECT COUNT(*) FROM T WHERE url CONTAINS 'u1'").tasks) == 4
+
+
+_GRID = [-float("inf"), -3.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, float("inf")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(
+        [BinaryOperator.EQ, BinaryOperator.NE, BinaryOperator.LT,
+         BinaryOperator.LE, BinaryOperator.GT, BinaryOperator.GE]
+    ),
+    st.sampled_from(_GRID + [2, float("nan")]),
+    st.sampled_from(_GRID + [1, float("nan")]),
+    st.sampled_from(_GRID + [1, float("nan")]),
+)
+def test_property_range_excludes_only_blocks_with_no_match(op, value, lo, hi):
+    """Pruning is sound: when a block's ``[lo, hi]`` is excluded, no value
+    of the grid inside it satisfies the atom.  A NaN bound excludes
+    nothing: neither a NaN literal nor the NaN range a float chunk with a
+    NaN row records (its min and max are both NaN)."""
+    atom = AtomicPredicate("c", op, value)
+    if lo != lo or hi != hi:
+        lo = hi = float("nan")
+    elif hi < lo:
+        lo, hi = hi, lo
+    excluded = _range_excludes(atom, lo, hi)
+    if value != value or lo != lo:
+        assert not excluded
+    if excluded:
+        inside = np.array([x for x in _GRID + [lo, hi] if lo <= x <= hi])
+        assert not atom.evaluate(inside).any()
 
 
 def test_scan_columns_include_predicates_and_payload(env):

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from repro.planner.cnf import to_cnf
 from repro.planner.expressions import Frame, evaluate
 from repro.planner.simplify import simplify_cnf
+from repro.sql.ast import BinaryOp, BinaryOperator, Column, Literal
 from repro.sql.parser import parse_expression
+
+_OPS = {op.value: op for op in BinaryOperator}
 
 
 def _simplify(text):
@@ -113,34 +116,55 @@ def test_domination_improves_index_reuse(fresh_cluster):
     assert r.stats["index_full_covers"] > 0  # `c2 > 3` was dropped, `c2 > 5` hit
 
 
+_SPECIAL_FLOATS = [2.5, -0.0, 0.0, 2.0, float("inf"), -float("inf")]
+
+
+def _frames():
+    """An integer frame, and a float one whose rows add NaN, ±inf, −0.0
+    and values between the integers."""
+    rng = np.random.default_rng(0)
+    ints = {c: rng.integers(-6, 7, 200) for c in "ab"}
+    floats = {}
+    for c, col in ints.items():
+        col = col.astype(np.float64)
+        col[::7] = np.nan
+        col[1::11] = rng.choice(_SPECIAL_FLOATS + [-2.5], size=len(col[1::11]))
+        floats[c] = col
+    return Frame.from_columns(ints), Frame.from_columns(floats)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(
         st.tuples(
             st.sampled_from(["a", "b"]),
             st.sampled_from([">", ">=", "<", "<=", "=", "!="]),
-            st.integers(-4, 4),
+            st.one_of(st.integers(-4, 4), st.sampled_from(_SPECIAL_FLOATS)),
         ),
         min_size=1,
         max_size=6,
     )
 )
 def test_property_simplification_preserves_semantics(triples):
-    text = " AND ".join(f"({c} {op} {v})" for c, op, v in triples)
-    expr = parse_expression(text)
-    rng = np.random.default_rng(0)
-    frame = Frame.from_columns(
-        {"a": rng.integers(-6, 7, 200), "b": rng.integers(-6, 7, 200)}
-    )
-    original = evaluate(expr, frame).astype(bool)
+    conjuncts = [
+        parse_expression(f"{c} {op} {v}")
+        if isinstance(v, int)
+        else BinaryOp(_OPS[op], Column(c), Literal(v))
+        for c, op, v in triples
+    ]
+    expr = conjuncts[0]
+    for conjunct in conjuncts[1:]:
+        expr = BinaryOp(BinaryOperator.AND, expr, conjunct)
     s = simplify_cnf(to_cnf(expr))
-    if s.contradiction:
-        assert not original.any()
-        return
-    rebuilt_expr = s.cnf.to_expr()
-    rebuilt = (
-        np.ones(200, dtype=bool)
-        if rebuilt_expr is None
-        else evaluate(rebuilt_expr, frame).astype(bool)
-    )
-    assert (original == rebuilt).all()
+    rebuilt_expr = None if s.contradiction else s.cnf.to_expr()
+    for frame in _frames():
+        original = evaluate(expr, frame).astype(bool)
+        if s.contradiction:
+            assert not original.any()
+            continue
+        rebuilt = (
+            np.ones(200, dtype=bool)
+            if rebuilt_expr is None
+            else evaluate(rebuilt_expr, frame).astype(bool)
+        )
+        assert (original == rebuilt).all()

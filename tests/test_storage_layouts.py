@@ -130,6 +130,35 @@ def test_sorted_candidate_rows_exact_counts():
     ) == int((w == 7).sum())
 
 
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        [(BinaryOperator.GT, 2)],
+        [(BinaryOperator.GE, 2)],
+        [(BinaryOperator.GE, 2), (BinaryOperator.LT, 5)],
+        [(BinaryOperator.LE, float("inf"))],
+        [(BinaryOperator.EQ, 5)],
+        [(BinaryOperator.GT, -float("inf")), (BinaryOperator.NE, 3)],
+    ],
+)
+def test_sorted_candidate_rows_excludes_trailing_nan(atoms):
+    """NaN sorts last and fails every bound: the count is the number of
+    rows that satisfy every usable atom, never the NaN tail too."""
+    w = np.array([1.0, 2.0, 3.0, 5.0, np.nan, np.nan])
+    schema = Schema.of(w=DataType.FLOAT64)
+    block = apply_layout(
+        Block.from_arrays("b0", schema, {"w": w[::-1].copy()}), LayoutSpec(sort_column="w")
+    )
+    cnf = ConjunctiveForm(
+        [Clause((AtomicPredicate("w", op, value),)) for op, value in atoms]
+    )
+    expected = np.ones(len(w), dtype=bool)
+    for atom in cnf.atoms:
+        if atom.op is not BinaryOperator.NE:  # a binary search cannot use NE
+            expected &= atom.evaluate(w)
+    assert sorted_candidate_rows(block, "w", cnf) == int(expected.sum())
+
+
 def test_sorted_candidate_rows_none_when_unprunable():
     block = apply_layout(_block(), LayoutSpec(sort_column="w"))
     assert sorted_candidate_rows(block, "w", _cnf(column="k")) is None
