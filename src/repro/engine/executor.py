@@ -483,7 +483,9 @@ def _feed_index(
 ) -> None:
     if index_manager is not None:
         saved_s = atom_saved_seconds(task.block, atom) if index_manager.semantic else None
-        index_manager.insert(index_key, atom, atom_mask, now, saved_s=saved_s)
+        # np.min propagates NaN: the catalog minimum is NaN iff the column holds it.
+        low = (task.block.range_of(atom.column) or (None,))[0]
+        index_manager.insert(index_key, atom, atom_mask, now, saved_s, low != low)
 
 
 def _evaluate_missing(

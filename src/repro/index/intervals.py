@@ -11,18 +11,16 @@ for every atom probe, without scanning the whole cache:
   ``x < 10`` probe — the residual scan then touches only candidate
   rows.)
 
-Both are O(log n) here: per ``(block, column, type-class)`` the registry
-keeps one sorted value array per range operator (LT/LE/GT/GE) probed
-with ``bisect``, a value→key dict for equalities, and a needle→key dict
-for CONTAINS.  Values are bucketed by *type class* (numbers vs strings)
-so a mixed-type column never makes ``bisect`` compare unorderable
-values.
+Both are O(log n) here: per ``(block, column)`` the registry keeps one
+sorted value array per range operator (LT/LE/GT/GE) probed with
+``bisect``, a value→key dict for equalities, and a needle→key dict for
+CONTAINS.  The analyzer refuses to compare a string column with a
+number, so the values of one column are mutually orderable.
 
-Soundness of the candidate tables below relies on numpy comparison
-semantics: NaN fails every ordered comparison, so for ordered probes a
-*complement* vector (``invert=True`` — the bit-NOT of a stored entry)
-over-approximates by exactly the NaN rows.  Supersets stay supersets;
-the residual evaluation restores exactness.
+A probe reads its atom's ``bounds``.  NaN lies inside no bounds, so for
+ordered probes a *complement* vector (``invert=True`` — the bit-NOT of a
+stored entry) over-approximates by exactly the NaN rows.  Supersets stay
+supersets; the residual evaluation restores exactness.
 """
 
 from __future__ import annotations
@@ -33,15 +31,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.planner.cnf import AtomicPredicate
 from repro.sql.ast import BinaryOperator
-
-
-def _type_class(value) -> str:
-    """Bucket values into mutually orderable families."""
-    if isinstance(value, (bool, int, float)):
-        return "num"
-    if isinstance(value, str):
-        return "str"
-    return type(value).__name__
 
 
 class _SortedAtoms:
@@ -109,46 +98,24 @@ class Candidate:
     invert: bool
 
 
-# Tightest-superset probe table.  Per probe operator: which cached-op
-# array to consult, whether the match is used through bit-NOT, whether
-# to take the floor (lower bound) or ceil (upper bound) neighbour, and
-# whether the bound must be strict.  Derivation (one row each, probe
-# ``OP v`` against cached ``cached_op w``):
-#
-#   LT v ⊆ LT w / LE w / ~GE w / ~GT w   iff w >= v
-#   LE v ⊆ LE w / ~GT w                  iff w >= v ;  ⊆ LT w / ~GE w iff w > v
-#   GT v ⊆ GT w / GE w / ~LE w / ~LT w   iff w <= v
-#   GE v ⊆ GE w / ~LT w                  iff w <= v ;  ⊆ GT w / ~LE w iff w < v
-#   EQ v: both sides of the point — the LE-probe rows above v and the
-#         GE-probe rows below v.
-_CANDIDATE_PROBES: Dict[BinaryOperator, Tuple[Tuple[BinaryOperator, bool, bool, bool], ...]] = {
-    BinaryOperator.LT: (
-        (BinaryOperator.LT, False, False, False),
-        (BinaryOperator.LE, False, False, False),
-        (BinaryOperator.GE, True, False, False),
-        (BinaryOperator.GT, True, False, False),
-    ),
-    BinaryOperator.LE: (
-        (BinaryOperator.LT, False, False, True),
-        (BinaryOperator.LE, False, False, False),
-        (BinaryOperator.GE, True, False, True),
-        (BinaryOperator.GT, True, False, False),
-    ),
-    BinaryOperator.GT: (
-        (BinaryOperator.GT, False, True, False),
-        (BinaryOperator.GE, False, True, False),
-        (BinaryOperator.LE, True, True, False),
-        (BinaryOperator.LT, True, True, False),
-    ),
-    BinaryOperator.GE: (
-        (BinaryOperator.GT, False, True, True),
-        (BinaryOperator.GE, False, True, False),
-        (BinaryOperator.LE, True, True, True),
-        (BinaryOperator.LT, True, True, False),
-    ),
-}
-_CANDIDATE_PROBES[BinaryOperator.EQ] = (
-    _CANDIDATE_PROBES[BinaryOperator.LE] + _CANDIDATE_PROBES[BinaryOperator.GE]
+# Tightest-superset probe tables: the cached sets bounded above and
+# below, each row ``(cached op, invert, the set admits its own value)``.
+# A probe whose bounds end at ``v`` on that side is a subset of the set
+# at ``w`` iff ``w`` lies beyond ``v``, strictly when the probe admits
+# ``v`` and the set does not admit ``w``; the tightest such ``w`` is the
+# ceil of the probe's high bound (above) or the floor of its low bound
+# (below).  An EQ probe walks both tables.
+_BOUNDED_ABOVE = (
+    (BinaryOperator.LT, False, False),
+    (BinaryOperator.LE, False, True),
+    (BinaryOperator.GE, True, False),
+    (BinaryOperator.GT, True, True),
+)
+_BOUNDED_BELOW = (
+    (BinaryOperator.GT, False, False),
+    (BinaryOperator.GE, False, True),
+    (BinaryOperator.LE, True, False),
+    (BinaryOperator.LT, True, True),
 )
 
 
@@ -161,8 +128,8 @@ class IntervalRegistry:
     """
 
     def __init__(self) -> None:
-        self._ranges: Dict[Tuple[str, str, str], Dict[BinaryOperator, _SortedAtoms]] = {}
-        self._eq: Dict[Tuple[str, str, str], Dict[object, str]] = {}
+        self._ranges: Dict[Tuple[str, str], Dict[BinaryOperator, _SortedAtoms]] = {}
+        self._eq: Dict[Tuple[str, str], Dict[object, str]] = {}
         self._contains: Dict[Tuple[str, str], Dict[str, str]] = {}
 
     # -- maintenance -------------------------------------------------------
@@ -176,7 +143,7 @@ class IntervalRegistry:
             return
         if op is BinaryOperator.NE:
             return  # NE answers come from the EQ complement, never composition
-        bucket = (block_id, atom.column, _type_class(atom.value))
+        bucket = (block_id, atom.column)
         if op is BinaryOperator.EQ:
             self._eq.setdefault(bucket, {})[atom.value] = atom.key
             return
@@ -195,7 +162,7 @@ class IntervalRegistry:
             return
         if op is BinaryOperator.NE:
             return
-        bucket = (block_id, atom.column, _type_class(atom.value))
+        bucket = (block_id, atom.column)
         if op is BinaryOperator.EQ:
             eqs = self._eq.get(bucket)
             if eqs and eqs.pop(atom.value, None) is not None and not eqs:
@@ -222,7 +189,7 @@ class IntervalRegistry:
         ``LE = LT | EQ``, ``LT = LE &~ EQ``, …); each lookup is one
         bisect or dict hit.
         """
-        bucket = (block_id, column, _type_class(value))
+        bucket = (block_id, column)
         out: Dict[BinaryOperator, str] = {}
         eqs = self._eq.get(bucket)
         if eqs is not None:
@@ -258,23 +225,29 @@ class IntervalRegistry:
                 for needle, key in needles.items()
                 if needle != probe and needle in probe
             ]
-        rows = _CANDIDATE_PROBES.get(atom.op)
-        if rows is None:
+        if atom.bounds is None:
             return []
-        bucket = (block_id, atom.column, _type_class(atom.value))
-        ranges = self._ranges.get(bucket)
+        ranges = self._ranges.get((block_id, atom.column))
         if not ranges:
             return []
+        low, low_inclusive, high, high_inclusive = atom.bounds
         out: List[Candidate] = []
-        for cached_op, invert, use_floor, strict in rows:
-            arr = ranges.get(cached_op)
-            if arr is None:
+        for table, value, inclusive, nearest in (
+            (_BOUNDED_ABOVE, high, high_inclusive, _SortedAtoms.ceil),
+            (_BOUNDED_BELOW, low, low_inclusive, _SortedAtoms.floor),
+        ):
+            if value is None:
                 continue
-            hit = arr.floor(atom.value, strict) if use_floor else arr.ceil(atom.value, strict)
-            if hit is None:
-                continue
-            _, key = hit
-            if not invert and key == atom.key:
-                continue  # the probe itself; exact lookup already failed upstream
-            out.append(Candidate(key, invert))
+            for cached_op, invert, admits_own in table:
+                arr = ranges.get(cached_op)
+                if arr is None:
+                    continue
+                strict = inclusive and not admits_own
+                hit = nearest(arr, value, strict)
+                if hit is None:
+                    continue
+                _, key = hit
+                if not invert and key == atom.key:
+                    continue  # the probe itself; exact lookup already failed upstream
+                out.append(Candidate(key, invert))
         return out

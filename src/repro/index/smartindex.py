@@ -16,7 +16,10 @@ The :class:`SmartIndexManager` implements §IV-C-2's management policy:
 
 Lookup implements the Fig 7 rewrite: a probe for predicate *p* first
 tries *p*'s own vector, then the stored vector of *p*'s complement
-negated on the fly (one in-memory bit-NOT).
+negated on the fly (one in-memory bit-NOT).  NaN fails every ordered
+comparison and EQ, so over a column that holds NaN the bit-NOT of
+``x > 0`` selects NaN rows that ``x <= 0`` does not: a probe with
+``bounds`` does not take it (EQ and NE stay each other's complements).
 
 With ``semantic=True`` (default off — the committed paper figures use
 the exact/complement-only manager above) three further layers engage:
@@ -94,6 +97,9 @@ class SmartIndexEntry:
     saved_s: float = 0.0
     seq: int = 0
     protected: bool = False
+    #: The vector leaves out NaN rows of the column, so its bit-NOT
+    #: holds them: an atom with bounds over a column that holds NaN.
+    nan_excluded: bool = False
 
     @classmethod
     def build(
@@ -186,6 +192,21 @@ class ResidualClause:
     clause: Clause
     mask: BitVector
     fraction: float
+
+
+#: Per derived operator, the compositions tried in order: ``(a, b,
+#: combine)`` builds the atom at ``v`` from the cached ``a v`` and ``b v``.
+_COMPOSITIONS = {
+    BinaryOperator.EQ: (
+        (BinaryOperator.LE, BinaryOperator.GE, BitVector.__and__),  # {x<=v} ∩ {x>=v}
+        (BinaryOperator.LE, BinaryOperator.LT, BitVector.andnot),  # {x<=v} \ {x<v}
+        (BinaryOperator.GE, BinaryOperator.GT, BitVector.andnot),
+    ),
+    BinaryOperator.LE: ((BinaryOperator.LT, BinaryOperator.EQ, BitVector.__or__),),
+    BinaryOperator.GE: ((BinaryOperator.GT, BinaryOperator.EQ, BitVector.__or__),),
+    BinaryOperator.LT: ((BinaryOperator.LE, BinaryOperator.EQ, BitVector.andnot),),
+    BinaryOperator.GT: ((BinaryOperator.GE, BinaryOperator.EQ, BitVector.andnot),),
+}
 
 
 def _locked(method):
@@ -334,7 +355,7 @@ class SmartIndexManager:
             self.stats.hits += 1
             return entry.vector()
         entry = self._touch((block_id, atom.complement().key), now)
-        if entry is not None:
+        if entry is not None and not (entry.nan_excluded and atom.bounds is not None):
             self.stats.complement_hits += 1
             return ~entry.vector()
         self.stats.misses += 1
@@ -405,80 +426,51 @@ class SmartIndexManager:
             self.stats.hits += 1
             return entry.vector()
         entry = self._touch((block_id, atom.complement().key), now)
-        if entry is not None:
+        if entry is not None and not (entry.nan_excluded and atom.bounds is not None):
             self.stats.complement_hits += 1
             return ~entry.vector()
-        vec = self._derive_atom(block_id, atom, now)
-        if vec is not None:
+        derived = self._derive_atom(block_id, atom, now)
+        if derived is not None:
+            vec, nan_rows = derived
             self.stats.subsumption_hits += 1
             # Materialize: the composition is exact, so future probes of
             # this atom (and its complement) become plain hits.
-            self._insert_vector(block_id, atom, vec, now)
+            self._insert_vector(block_id, atom, vec, now, nan_rows=nan_rows)
             return vec
         self.stats.misses += 1
         return None
 
     def _derive_atom(
         self, block_id: Hashable, atom: AtomicPredicate, now: float
-    ) -> Optional[BitVector]:
-        """Exact bitmap-algebra composition from same-value cached atoms.
+    ) -> Optional[Tuple[BitVector, bool]]:
+        """Exact bitmap-algebra composition from same-value cached atoms,
+        and whether its sources left out NaN rows of the column.
 
-        Every identity below uses only positively stored vectors, which
-        makes the result bit-identical to evaluating the atom — NaN rows
-        included (NaN fails EQ/LT/LE/GT/GE, and set algebra over sets
-        that all exclude NaN cannot re-admit it).  NE is never derived
-        here: its answer is the EQ complement, which the complement
-        probe above already finds.
+        Every identity in :data:`_COMPOSITIONS` uses only positively
+        stored vectors, which makes the result bit-identical to
+        evaluating the atom — NaN rows included (NaN fails
+        EQ/LT/LE/GT/GE, and set algebra over sets that all exclude NaN
+        cannot re-admit it).  NE is never derived here: its answer is
+        the EQ complement, which the complement probe above already
+        finds.
         """
         if atom.bounds is None:
             return None
-        op = atom.op
         found = self._registry.same_value(block_id, atom.column, atom.value)
         if not found:
             return None
+        entries: Dict[BinaryOperator, Optional[SmartIndexEntry]] = {}
 
-        def vec(want: BinaryOperator) -> Optional[BitVector]:
-            key = found.get(want)
-            if key is None:
-                return None
-            entry = self._touch((block_id, key), now)
-            return entry.vector() if entry is not None else None
+        def entry(want: BinaryOperator) -> Optional[SmartIndexEntry]:
+            if want not in entries:
+                key = found.get(want)
+                entries[want] = None if key is None else self._touch((block_id, key), now)
+            return entries[want]
 
-        if op is BinaryOperator.EQ:
-            le = vec(BinaryOperator.LE)
-            ge = vec(BinaryOperator.GE)
-            if le is not None and ge is not None:
-                return le & ge  # {x<=v} ∩ {x>=v} = {x=v}
-            lt = vec(BinaryOperator.LT)
-            if le is not None and lt is not None:
-                return le.andnot(lt)  # {x<=v} \ {x<v} = {x=v}
-            gt = vec(BinaryOperator.GT)
-            if ge is not None and gt is not None:
-                return ge.andnot(gt)
-            return None
-        if op is BinaryOperator.LE:
-            lt = vec(BinaryOperator.LT)
-            eq = vec(BinaryOperator.EQ)
-            if lt is not None and eq is not None:
-                return lt | eq
-            return None
-        if op is BinaryOperator.GE:
-            gt = vec(BinaryOperator.GT)
-            eq = vec(BinaryOperator.EQ)
-            if gt is not None and eq is not None:
-                return gt | eq
-            return None
-        if op is BinaryOperator.LT:
-            le = vec(BinaryOperator.LE)
-            eq = vec(BinaryOperator.EQ)
-            if le is not None and eq is not None:
-                return le.andnot(eq)
-            return None
-        # GT
-        ge = vec(BinaryOperator.GE)
-        eq = vec(BinaryOperator.EQ)
-        if ge is not None and eq is not None:
-            return ge.andnot(eq)
+        for first, second, combine in _COMPOSITIONS[atom.op]:
+            a, b = entry(first), entry(second)
+            if a is not None and b is not None:
+                return combine(a.vector(), b.vector()), a.nan_excluded or b.nan_excluded
         return None
 
     def _candidate_clause(
@@ -548,6 +540,7 @@ class SmartIndexManager:
         mask: np.ndarray,
         now: float,
         saved_s: Optional[float] = None,
+        nan_rows: bool = False,
     ) -> None:
         """Record a freshly evaluated predicate result (§IV-C-2:
         "Feisu creates a SmartIndex each time a query predicate is
@@ -555,9 +548,12 @@ class SmartIndexManager:
 
         ``saved_s`` is the estimated scan-seconds one future hit saves —
         the numerator of the semantic-mode benefit-per-byte score.
-        Ignored (and optional) with ``semantic=False``.
+        Ignored (and optional) with ``semantic=False``.  ``nan_rows``
+        says the block's column holds NaN.
         """
-        self._insert_vector(block_id, atom, BitVector.from_bool_array(mask), now, saved_s)
+        self._insert_vector(
+            block_id, atom, BitVector.from_bool_array(mask), now, saved_s, nan_rows
+        )
 
     def _insert_vector(
         self,
@@ -566,6 +562,7 @@ class SmartIndexManager:
         vector: BitVector,
         now: float,
         saved_s: Optional[float] = None,
+        nan_rows: bool = False,
     ) -> None:
         if saved_s is None:
             saved_s = vector.length * DEFAULT_SAVED_S_PER_ROW
@@ -580,6 +577,7 @@ class SmartIndexManager:
             saved_s=saved_s,
         )
         entry.preferred = predicate_key in self._preferred_predicates
+        entry.nan_excluded = nan_rows and atom.bounds is not None
         key = (block_id, predicate_key)
         old = self._entries.pop(key, None)
         if old is not None:

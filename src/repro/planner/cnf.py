@@ -28,40 +28,20 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import PlanError
-from repro.planner.expressions import comparison_implies, contains_implies, string_contains
+from repro.planner.expressions import contains_implies, string_contains
 from repro.sql.ast import (
+    FLIPPED,
     NEGATED,
     BinaryOp,
     BinaryOperator,
     Column,
     Expr,
     Literal,
-    Negate,
     NotOp,
+    literal_value,
 )
 
-_COMPLEMENT = dict(NEGATED)  # EQ<->NE, LT<->GE, LE<->GT
-
-_FLIP = {
-    BinaryOperator.LT: BinaryOperator.GT,
-    BinaryOperator.LE: BinaryOperator.GE,
-    BinaryOperator.GT: BinaryOperator.LT,
-    BinaryOperator.GE: BinaryOperator.LE,
-    BinaryOperator.EQ: BinaryOperator.EQ,
-    BinaryOperator.NE: BinaryOperator.NE,
-}
-
-_ATOMIC_OPS = frozenset(
-    {
-        BinaryOperator.EQ,
-        BinaryOperator.NE,
-        BinaryOperator.LT,
-        BinaryOperator.LE,
-        BinaryOperator.GT,
-        BinaryOperator.GE,
-        BinaryOperator.CONTAINS,
-    }
-)
+_ATOMIC_OPS = frozenset(NEGATED) | {BinaryOperator.CONTAINS}
 
 
 @dataclass(frozen=True)
@@ -123,15 +103,17 @@ class AtomicPredicate:
         """
         if self.op is BinaryOperator.CONTAINS:
             return AtomicPredicate(self.column, self.op, self.value, negated=not self.negated)
-        return AtomicPredicate(self.column, _COMPLEMENT[self.op], self.value)
+        return AtomicPredicate(self.column, NEGATED[self.op], self.value)
 
     def implies(self, other: "AtomicPredicate") -> bool:
         """True iff every row satisfying this atom satisfies ``other``.
 
-        Sound under numpy comparison semantics (NaN fails every ordered
-        comparison and ``==``, satisfies ``!=``), so a cached superset
-        vector found through this test is a valid candidate mask for a
-        residual scan.  Conservative: returns False when unsure.
+        Read off ``bounds``: NaN satisfies NE alone, so NE implies only
+        the same NE; an atom with bounds implies an NE whose value they
+        do not admit, and an atom whose bounds contain its own.  So a
+        cached superset vector found through this test is a valid
+        candidate mask for a residual scan.  Conservative: returns False
+        when unsure.
         """
         if self.column != other.column:
             return False
@@ -139,7 +121,24 @@ class AtomicPredicate:
             if self.op is not other.op or self.negated or other.negated:
                 return False
             return contains_implies(str(self.value), str(other.value))
-        return comparison_implies(self.op, self.value, other.op, other.value)
+        try:
+            if self.bounds is None:
+                return other.bounds is None and self.value == other.value
+            if other.bounds is None:
+                return not admits(self.bounds, other.value)
+            low, low_in, high, high_in = self.bounds
+            out_low, out_low_in, out_high, out_high_in = other.bounds
+            return (
+                out_low is None
+                or low is not None
+                and (out_low < low or out_low == low and (out_low_in or not low_in))
+            ) and (
+                out_high is None
+                or high is not None
+                and (high < out_high or high == out_high and (out_high_in or not high_in))
+            )
+        except TypeError:
+            return False
 
     def evaluate(self, column_values: np.ndarray) -> np.ndarray:
         """Evaluate over one column array; returns a boolean vector."""
@@ -165,6 +164,14 @@ class AtomicPredicate:
 
     def __str__(self) -> str:
         return self.key
+
+
+def admits(bounds: Tuple, value) -> bool:
+    """Does ``value`` lie within ``bounds`` (an atom's ``bounds``)?"""
+    low, low_inclusive, high, high_inclusive = bounds
+    return (low is None or low < value or (low_inclusive and low == value)) and (
+        high is None or value < high or (high_inclusive and value == high)
+    )
 
 
 @dataclass(frozen=True)
@@ -236,38 +243,36 @@ class ConjunctiveForm:
 # -- normalization ------------------------------------------------------------
 
 
-def extract_atom(expr: Expr, negated: bool = False) -> Optional[AtomicPredicate]:
+def extract_atom(
+    expr: Expr, negated: bool = False, binding: Optional[str] = None
+) -> Optional[AtomicPredicate]:
     """Recognize ``column OP literal`` (either operand order).
 
     Returns None when the expression isn't atomic (arithmetic on the
-    column, column-vs-column comparison, ...).
+    column, column-vs-column comparison, ...), and, given a ``binding``,
+    when the column is qualified by another table: an atom names its
+    column bare, so it may only stand for the scanned table's.
     """
     if isinstance(expr, NotOp):
-        return extract_atom(expr.operand, negated=not negated)
+        return extract_atom(expr.operand, not negated, binding)
     if not isinstance(expr, BinaryOp) or expr.op not in _ATOMIC_OPS:
         return None
     left, right, op = expr.left, expr.right, expr.op
-    left_lit = _literal_value(left)
-    right_lit = _literal_value(right)
+    right_lit = literal_value(right)
     if isinstance(left, Column) and right_lit is not None:
-        atom = AtomicPredicate(left.name, op, right_lit)
-    elif isinstance(right, Column) and left_lit is not None and op is not BinaryOperator.CONTAINS:
-        atom = AtomicPredicate(right.name, _FLIP[op], left_lit)
+        column, value = left, right_lit
+    elif isinstance(right, Column) and op is not BinaryOperator.CONTAINS:
+        column, op, value = right, FLIPPED[op], literal_value(left)
+        if value is None:
+            return None
     else:
         return None
+    if binding is not None and column.table not in (None, binding):
+        return None
+    atom = AtomicPredicate(column.name, op, value)
     if negated:
         atom = atom.complement()
     return atom
-
-
-def _literal_value(expr: Expr):
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Negate) and isinstance(expr.operand, Literal):
-        value = expr.operand.value
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return -value
-    return None
 
 
 def to_nnf(expr: Expr, negated: bool = False) -> Expr:
@@ -281,9 +286,9 @@ def to_nnf(expr: Expr, negated: bool = False) -> Expr:
         return BinaryOp(op, to_nnf(expr.left, negated), to_nnf(expr.right, negated))
     if not negated:
         return expr
-    atom = extract_atom(expr, negated=True)
-    if atom is not None:
-        return atom.to_expr()
+    if extract_atom(expr) is not None and expr.op in NEGATED:
+        # ``NOT c2 <= 5`` → ``c2 > 5``, operands (and their qualifiers) kept.
+        return BinaryOp(NEGATED[expr.op], expr.left, expr.right)
     return NotOp(expr)  # opaque leaf: keep the NOT
 
 
@@ -292,8 +297,11 @@ def to_nnf(expr: Expr, negated: bool = False) -> Expr:
 MAX_CNF_CLAUSES = 64
 
 
-def to_cnf(expr: Optional[Expr]) -> ConjunctiveForm:
-    """Convert a boolean expression to conjunctive normal form."""
+def to_cnf(expr: Optional[Expr], binding: Optional[str] = None) -> ConjunctiveForm:
+    """Convert a boolean expression to conjunctive normal form.
+
+    Given the scanned table's ``binding``, a comparison on a column that
+    another binding qualifies stays a residual expression."""
     if expr is None:
         return ConjunctiveForm([])
     nnf = to_nnf(expr)
@@ -306,7 +314,7 @@ def to_cnf(expr: Optional[Expr]) -> ConjunctiveForm:
         atoms: List[AtomicPredicate] = []
         residuals: List[Expr] = []
         for d in disjuncts:
-            atom = extract_atom(d)
+            atom = extract_atom(d, binding=binding)
             if atom is not None:
                 atoms.append(atom)
             else:

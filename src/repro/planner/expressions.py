@@ -200,12 +200,20 @@ def _evaluate_binary(expr: BinaryOp, frame: Frame, resolve: Resolver) -> np.ndar
             return left
         return left | evaluate(expr.right, frame, resolve).astype(np.bool_)
 
-    left = evaluate(expr.left, frame, resolve)
-    right = evaluate(expr.right, frame, resolve)
     if op is BinaryOperator.CONTAINS:
+        left = evaluate(expr.left, frame, resolve)
         if isinstance(expr.right, Literal) and isinstance(expr.right.value, str):
             return string_contains(left, expr.right.value)
-        return _contains(left, right)
+        return _contains(left, evaluate(expr.right, frame, resolve))
+    # A literal operand stays a Python scalar, which numpy compares with
+    # the column exactly, an int past int64 included; of two literals one
+    # is still broadcast, so the answer is a column.
+    if isinstance(expr.right, Literal):
+        left, right = evaluate(expr.left, frame, resolve), expr.right.value
+    elif isinstance(expr.left, Literal):
+        left, right = expr.left.value, evaluate(expr.right, frame, resolve)
+    else:
+        left, right = evaluate(expr.left, frame, resolve), evaluate(expr.right, frame, resolve)
     if op is BinaryOperator.EQ:
         return left == right
     if op is BinaryOperator.NE:
@@ -231,81 +239,6 @@ def _evaluate_binary(expr: BinaryOp, frame: Frame, resolve: Resolver) -> np.ndar
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.mod(left, right)
     raise ExecutionError(f"unsupported operator {op}")
-
-
-# -- predicate implication (semantic SmartIndex probing) ---------------------
-#
-# ``comparison_implies(op_a, va, op_b, vb)`` decides whether every value
-# satisfying ``x op_a va`` also satisfies ``x op_b vb`` under *numpy
-# comparison semantics*: NaN fails every ordered comparison and ``==``,
-# and satisfies ``!=``.  The table below is therefore NaN-exact — it is
-# what lets the semantic cache layer treat a cached ``x < 20`` vector as
-# a sound candidate superset for a ``x < 10`` probe even on float
-# columns with NaN rows.
-
-_ORDERED_OPS = frozenset(
-    {BinaryOperator.LT, BinaryOperator.LE, BinaryOperator.GT, BinaryOperator.GE}
-)
-
-
-def comparison_implies(op_a: BinaryOperator, value_a, op_b: BinaryOperator, value_b) -> bool:
-    """True iff ``x op_a value_a`` implies ``x op_b value_b`` for every x.
-
-    Both atoms must compare the *same* column; CONTAINS is handled by
-    :func:`contains_implies`.  Conservative: unknown op pairs or
-    unorderable value pairs return False.
-    """
-    a, b = op_a, op_b
-    try:
-        if a is BinaryOperator.EQ:
-            # x == va pins the value; check it against the target atom.
-            if b is BinaryOperator.EQ:
-                return bool(value_a == value_b)
-            if b is BinaryOperator.NE:
-                return bool(value_a != value_b)
-            if b is BinaryOperator.LT:
-                return bool(value_a < value_b)
-            if b is BinaryOperator.LE:
-                return bool(value_a <= value_b)
-            if b is BinaryOperator.GT:
-                return bool(value_a > value_b)
-            if b is BinaryOperator.GE:
-                return bool(value_a >= value_b)
-            return False
-        if a is BinaryOperator.NE:
-            # NaN satisfies NE, so NE only implies an identical NE.
-            return b is BinaryOperator.NE and bool(value_a == value_b)
-        if a not in _ORDERED_OPS:
-            return False
-        if b is BinaryOperator.NE:
-            # x < va implies x != vb whenever vb lies outside the half-line.
-            if a is BinaryOperator.LT:
-                return bool(value_b >= value_a)
-            if a is BinaryOperator.LE:
-                return bool(value_b > value_a)
-            if a is BinaryOperator.GT:
-                return bool(value_b <= value_a)
-            if a is BinaryOperator.GE:
-                return bool(value_b < value_a)
-        if a is BinaryOperator.LT:
-            return (b is BinaryOperator.LT and bool(value_b >= value_a)) or (
-                b is BinaryOperator.LE and bool(value_b >= value_a)
-            )
-        if a is BinaryOperator.LE:
-            return (b is BinaryOperator.LT and bool(value_b > value_a)) or (
-                b is BinaryOperator.LE and bool(value_b >= value_a)
-            )
-        if a is BinaryOperator.GT:
-            return (b is BinaryOperator.GT and bool(value_b <= value_a)) or (
-                b is BinaryOperator.GE and bool(value_b <= value_a)
-            )
-        if a is BinaryOperator.GE:
-            return (b is BinaryOperator.GT and bool(value_b < value_a)) or (
-                b is BinaryOperator.GE and bool(value_b <= value_a)
-            )
-    except TypeError:
-        return False
-    return False
 
 
 def contains_implies(needle_a: str, needle_b: str) -> bool:

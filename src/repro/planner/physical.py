@@ -175,7 +175,7 @@ def plan_shape(analyzed: AnalyzedQuery) -> PlanShape:
 
 def _derive_shape(analyzed: AnalyzedQuery) -> PlanShape:
     base_binding = analyzed.base_binding
-    cnf = to_cnf(analyzed.query.where)
+    cnf = to_cnf(analyzed.query.where, base_binding)
     broadcasts = tuple(_build_broadcasts(analyzed))
     simplified = simplify_cnf(cnf)
     scan_cnf, post_filter, payload_columns = ConjunctiveForm([]), None, ()

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.planner.cnf import AtomicPredicate, Clause, ConjunctiveForm
+from repro.planner.cnf import AtomicPredicate, Clause, ConjunctiveForm, admits
 from repro.sql.ast import BinaryOperator
 
 
@@ -86,7 +86,7 @@ def _simplify_column(atoms: List[AtomicPredicate]) -> Tuple[List[AtomicPredicate
             return [], True
     span = (low, low_inclusive, high, high_inclusive)
     # NE atoms whose value lies outside the span are vacuous.
-    relevant = [a for a in inequalities if _admits(span, a.value)]
+    relevant = [a for a in inequalities if admits(span, a.value)]
     equalities = [a for a in lowers if a.bounds[2] is not None]
     if equalities:
         # The span is the equalities' one value: an inequality there contradicts.
@@ -101,14 +101,6 @@ def _comparable(atom: AtomicPredicate) -> bool:
     if atom.op is BinaryOperator.CONTAINS:
         return False
     return isinstance(atom.value, (int, float)) and not isinstance(atom.value, bool)
-
-
-def _admits(bounds: Tuple, value) -> bool:
-    """Does ``value`` lie within ``bounds``?"""
-    low, low_inclusive, high, high_inclusive = bounds
-    return (low is None or low < value or (low_inclusive and low == value)) and (
-        high is None or value < high or (high_inclusive and value == high)
-    )
 
 
 def _dedupe(atoms: List[AtomicPredicate]) -> List[AtomicPredicate]:

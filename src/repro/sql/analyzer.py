@@ -13,8 +13,9 @@ analyzes each statement once per catalog and keeps the result.
 
 from __future__ import annotations
 
+import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,6 +23,7 @@ from repro.columnar.schema import DataType, Field, Schema, common_type
 from repro.columnar.table import Catalog, Table
 from repro.errors import AnalysisError, ParseError
 from repro.sql.ast import (
+    FLIPPED,
     AggregateCall,
     BinaryOp,
     BinaryOperator,
@@ -38,6 +40,7 @@ from repro.sql.ast import (
     SelectItem,
     Star,
     contains_aggregate,
+    literal_value,
     walk,
 )
 from repro.sql.parser import parse
@@ -185,6 +188,9 @@ def analyze(query: Query, catalog: Catalog) -> AnalyzedQuery:
     _collect_grouping(analyzed)
     _check_aggregate_rules(analyzed)
     _check_where_having(analyzed)
+    where = query.where and _exact_literals(query.where, analyzed)
+    if where is not query.where:
+        analyzed.query = replace(query, where=where)
     _check_join_conditions(analyzed)
     _check_order_by(analyzed)
     analyzed.output_schema = Schema(
@@ -467,6 +473,70 @@ def _check_where_having(analyzed: AnalyzedQuery) -> None:
         for node in walk(having):
             if isinstance(node, AggregateCall) and node not in analyzed.aggregates:
                 analyzed.aggregates.append(node)
+
+
+#: The int64 range, ``[INT64_MIN, INT64_END)``.
+INT64_MIN, INT64_END = -(2**63), 2**63
+
+
+def _exact_literals(expr: Expr, analyzed: AnalyzedQuery) -> Expr:
+    """``expr`` with each ``column OP literal`` under AND / OR / NOT put
+    in the column's domain, so that numpy and Python's exact comparison
+    (every reader of an atom's ``bounds``) agree on it; ``expr`` itself
+    where nothing moves.  An INT64 column takes an integral float as an
+    int and a literal past int64 as a boolean literal; a FLOAT64 column
+    takes an int that no double equals as its neighbouring doubles.
+    """
+    if isinstance(expr, NotOp):
+        operand = _exact_literals(expr.operand, analyzed)
+        return expr if operand is expr.operand else NotOp(operand)
+    if not isinstance(expr, BinaryOp):
+        return expr
+    op, left, right = expr.op, expr.left, expr.right
+    if op is BinaryOperator.AND or op is BinaryOperator.OR:
+        new_left, new_right = _exact_literals(left, analyzed), _exact_literals(right, analyzed)
+        if new_left is left and new_right is right:
+            return expr
+        return BinaryOp(op, new_left, new_right)
+    if op not in FLIPPED:
+        return expr
+    if isinstance(left, Column):
+        column, value = left, literal_value(right)
+    elif isinstance(right, Column):
+        column, op, value = right, FLIPPED[op], literal_value(left)
+    else:
+        return expr
+    resolved = analyzed.resolutions.get((column.table, column.name))
+    if resolved is None or isinstance(value, (bool, str)) or value is None:
+        return expr
+    dtype = resolved.field.dtype
+    if dtype is DataType.INT64:
+        if isinstance(value, float) and not value.is_integer():
+            return expr  # a fraction (below 2^52), ±inf or NaN: numpy is exact
+        if INT64_MIN <= value < INT64_END:
+            return expr if isinstance(value, int) else BinaryOp(op, column, Literal(int(value)))
+        # Past int64: every row lies on the same side of the literal.
+        if op is BinaryOperator.EQ or op is BinaryOperator.NE:
+            return Literal(op is BinaryOperator.NE)
+        return Literal((op is BinaryOperator.LT or op is BinaryOperator.LE) == (value > 0))
+    if dtype is not DataType.FLOAT64 or isinstance(value, float):
+        return expr
+    try:
+        nearest = float(value)
+    except OverflowError:
+        nearest = math.inf if value > 0 else -math.inf
+    if nearest == value:
+        return expr
+    # No double lies strictly between the literal's two neighbours.
+    if op is BinaryOperator.EQ or op is BinaryOperator.NE:
+        return Literal(op is BinaryOperator.NE)
+    if nearest > value:
+        below, above = math.nextafter(nearest, -math.inf), nearest
+    else:
+        below, above = nearest, math.nextafter(nearest, math.inf)
+    if op is BinaryOperator.LT or op is BinaryOperator.LE:
+        return BinaryOp(BinaryOperator.LE, column, Literal(below))
+    return BinaryOp(BinaryOperator.GE, column, Literal(above))
 
 
 def _check_join_conditions(analyzed: AnalyzedQuery) -> None:

@@ -59,7 +59,7 @@ class BinaryOperator(enum.Enum):
     def is_boolean(self) -> bool:
         return self in (BinaryOperator.AND, BinaryOperator.OR)
 
-#: Comparison flip table for normalizing ``literal OP column``.
+#: Comparison flip table: ``a OP b``  ==  ``b FLIPPED[OP] a``.
 FLIPPED = {
     BinaryOperator.LT: BinaryOperator.GT,
     BinaryOperator.LE: BinaryOperator.GE,
@@ -242,6 +242,17 @@ class Query:
     having: Optional[Expr] = None
     order_by: Tuple[OrderItem, ...] = ()
     limit: Optional[int] = None
+
+
+def literal_value(expr: Expr):
+    """The value of a literal or of a negated numeric literal, else None."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, Negate) and isinstance(expr.operand, Literal):
+        value = expr.operand.value
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return -value
+    return None
 
 
 def walk(expr: Expr):

@@ -629,9 +629,11 @@ def _meta_range_fraction(meta: Optional[dict], cnf: ConjunctiveForm, sort_column
     if not rng:
         return 1.0
     lo, hi = rng
-    if not isinstance(lo, (int, float)) or not isinstance(hi, (int, float)) or hi <= lo:
+    if not isinstance(lo, (int, float)) or not isinstance(hi, (int, float)):
         return 1.0
-    width = float(hi) - float(lo)
+    width = float(hi) - float(lo)  # 0.0 for distinct int64 ends that round alike
+    if width <= 0:
+        return 1.0
     fraction = 1.0
     for clause in cnf.clauses:
         if clause.residuals or len(clause.atoms) != 1:

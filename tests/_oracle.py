@@ -32,6 +32,9 @@ DIVERGENCES = {
     "'' (strings) or 0 (numbers) where sqlite holds NULL",
     "empty aggregate": "over no rows the engine's MIN / MAX / SUM give 0, '' or NaN "
     "by the argument's type, and AVG gives NaN, where sqlite gives NULL",
+    "arithmetic comparison": "a comparison whose column side is arithmetic compares in "
+    "numpy's types: an int64 value against a float literal is rounded to float64, where "
+    "sqlite compares exactly (the analyzer puts only a bare column's literal in its domain)",
 }
 
 _LITERAL = re.compile(r"'(?:[^']|'')*'")

@@ -135,6 +135,137 @@ def test_index_memory_accounting_visible():
     assert stats.creations > 0
 
 
+# -- exact comparison (S79) ---------------------------------------------------
+#
+# Every expected count is sqlite's and Python's exact ``x OP v``.  Before
+# the analyzer put literals in their column's domain, numpy rounded one
+# side, and a literal numpy could not convert retried until the job
+# timed out as "processed 0% of data".
+
+_BIG = [2**53, 2**53 + 1, 3, -5, 0, 2**53 + 1]
+
+
+def _numbers(leaf: LeafConfig = LeafConfig()):
+    cluster = FeisuCluster(FeisuConfig(leaf=leaf))
+    cluster.load_table("A", Schema.of(a=DataType.INT64), {"a": np.array(_BIG, dtype=np.int64)})
+    cluster.load_table(
+        "F", Schema.of(f=DataType.FLOAT64), {"f": np.array([2.0**53, 1.5, 0.0])}
+    )
+    # Its range reaches both infinities, so no literal prunes the block.
+    cluster.load_table(
+        "G", Schema.of(g=DataType.FLOAT64), {"g": np.array([np.inf, 1.0, -np.inf])}
+    )
+    return cluster
+
+
+def _count(cluster, sql):
+    return cluster.query(sql).rows()[0][0]
+
+
+@pytest.mark.parametrize(
+    "leaf",
+    [LeafConfig(), LeafConfig(enable_btree=True, enable_smartindex=False),
+     LeafConfig(index_semantic=True)],
+    ids=["default", "btree", "semantic"],
+)
+@pytest.mark.parametrize(
+    "where, count",
+    [
+        ("A WHERE a > 9007199254740992.0", 2),
+        ("A WHERE a = 9007199254740992.0", 1),
+        ("A WHERE 9007199254740992.0 < a", 2),
+        ("A WHERE NOT (a <= 9007199254740992.0)", 2),
+        ("A WHERE a = 9007199254740993 AND a > 9007199254740992.0", 2),
+        ("A WHERE a < 9223372036854775808", 6),
+        ("A WHERE a >= -9223372036854775809", 6),
+        ("A WHERE a != 18446744073709551616", 6),
+        ("F WHERE f < 9007199254740993", 3),
+        ("F WHERE f > 9007199254740993", 0),
+        ("F WHERE f = 9007199254740993", 0),
+        ("F WHERE f != 9007199254740993", 3),
+        (f"G WHERE g = {10**400}", 0),
+        (f"G WHERE g < {10**400}", 2),
+        (f"G WHERE g <= -{10**400}", 1),
+        (f"G WHERE g > -{10**400}", 2),
+    ],
+)
+def test_literal_compares_exactly_with_its_column(leaf, where, count):
+    cluster = _numbers(leaf)
+    for _ in range(2):  # the second run may be answered from the index
+        assert _count(cluster, f"SELECT COUNT(*) FROM {where}") == count
+
+
+def test_semantic_registry_does_not_reuse_a_rounded_vector():
+    """The cached ``a > 2^53`` vector was computed under numpy's rounding
+    while the registry proved it a superset exactly; after two runs (the
+    cost-aware cache admits on reuse) it answered 0 for each probe."""
+    cluster = _numbers(LeafConfig(index_semantic=True))
+    for _ in range(2):
+        assert _count(cluster, "SELECT COUNT(*) FROM A WHERE a > 9007199254740992.0") == 2
+    for where in ("a = 9007199254740993", "a >= 9007199254740993", "a > 9007199254740992"):
+        for _ in range(2):
+            assert _count(cluster, f"SELECT COUNT(*) FROM A WHERE {where}") == 2, where
+
+
+def test_btree_reads_a_literal_past_int64():
+    """``np.searchsorted`` misread the out-of-range literal (14 of 16);
+    the comparison now holds for every row before any tree is probed."""
+    cluster = FeisuCluster(FeisuConfig(leaf=LeafConfig(enable_btree=True, enable_smartindex=False)))
+    a = np.arange(16)
+    a[-2:] = [2**63 - 1, 2**63 - 2]  # numpy reads 2^63 as a double these round to
+    cluster.load_table("A", Schema.of(a=DataType.INT64), {"a": a})
+    for _ in range(2):
+        assert _count(cluster, "SELECT COUNT(*) FROM A WHERE a < 9223372036854775808") == 16
+
+
+@pytest.mark.parametrize("leaf", [LeafConfig(), LeafConfig(index_semantic=True)],
+                         ids=["default", "semantic"])
+def test_ordered_complement_does_not_answer_nan_rows(leaf):
+    """Fig 7's bit-NOT of ``f > 0`` selects the NaN rows too, which
+    ``f <= 0`` does not; EQ and NE stay each other's exact complements."""
+    cluster = FeisuCluster(FeisuConfig(leaf=leaf))
+    f = np.array([0.0, 1.5, np.nan, 3.0, np.nan, -2.0])
+    cluster.load_table("F", Schema.of(f=DataType.FLOAT64), {"f": f})
+    for where, count in [("f > 0", 2), ("f <= 0", 2), ("f < 0", 1), ("f >= 0", 3),
+                         ("f = 0", 1), ("f != 0", 5), ("f = 0", 1)]:
+        for _ in range(2):
+            assert _count(cluster, f"SELECT COUNT(*) FROM F WHERE {where}") == count, where
+    assert cluster.aggregate_index_stats().complement_hits > 0  # f = 0 from the f != 0 vector
+
+
+def _joined():
+    cluster = FeisuCluster(FeisuConfig())
+    schema = Schema.of(k=DataType.INT64, a=DataType.INT64)
+    tens = np.array([10, 20, 30, 40])
+    cluster.load_table("T", schema, {"k": np.arange(1, 5), "a": tens})
+    cluster.load_table("D", schema, {"k": np.array([7, 8, 9, 1]), "a": tens})
+    return cluster
+
+
+def test_where_on_a_joined_column_is_not_applied_to_the_base_column():
+    """An atom names its column bare, so ``D.k = 1`` became a scan atom
+    on ``T.k`` once the select list had resolved ``T.k``."""
+    cluster = _joined()
+    join = "SELECT T.k, D.k FROM T JOIN D ON T.a = D.a WHERE"
+    assert cluster.query(f"{join} D.k = 1").rows() == [(4, 1)]
+    assert sorted(cluster.query(f"{join} NOT (D.k = 1)").rows()) == [(1, 7), (2, 8), (3, 9)]
+    assert cluster.query(f"{join} T.k = 1").rows() == [(1, 7)]
+
+
+def test_join_filter_with_a_literal_past_int64():
+    cluster = _joined()
+    sql = "SELECT COUNT(*) FROM T JOIN D ON T.a = D.a WHERE D.k < 9223372036854775808"
+    assert _count(cluster, sql) == 4
+
+
+def test_comparison_reads_a_literal_operand_as_a_scalar():
+    cluster = _numbers()
+    having = "SELECT a, COUNT(*) FROM A GROUP BY a HAVING COUNT(*) < 9223372036854775808"
+    assert len(cluster.query(having).rows()) == 5
+    assert _count(cluster, "SELECT COUNT(*) FROM A WHERE a + 1 < 9223372036854775808") == 6
+    assert _count(cluster, "SELECT COUNT(*) FROM A WHERE 9223372036854775808 > a + 1") == 6
+
+
 # -- parsed-block map (S57) ---------------------------------------------------
 #
 # A leaf keeps the Block it parsed from a stored payload and reuses it

@@ -121,8 +121,27 @@ def _assert_matches(engines, sql, divergence):
     assert oracle(sql, result, divergence) is None, (sql, result.rows())
 
 
+#: ``(statement over N, divergence, the engine's rows)``: sqlite answers
+#: these otherwise, for the reason the divergence names.
+NUMBERS = {"a": [2**53, 2**53 + 1, 3, -5, 0, 2**53 + 1]}
+DIVERGENT = [
+    ("SELECT COUNT(*) FROM N WHERE a + 0 > 9007199254740992.0", "arithmetic comparison", [(0,)]),
+]
+
+
+@pytest.mark.parametrize("sql, divergence, rows", DIVERGENT, ids=[s for s, _, _ in DIVERGENT])
+def test_divergent_statement_answers_as_named(sql, divergence, rows):
+    cluster = FeisuCluster(FeisuConfig())
+    cluster.load_table("N", Schema.of(a=DataType.INT64), {"a": np.array(NUMBERS["a"])})
+    result = cluster.query(sql)
+    assert result.rows() == rows
+    with oracle_for({"N": NUMBERS}) as oracle:
+        assert oracle(sql, result, divergence) is not None
+
+
 def test_every_divergence_is_used_and_explained():
     used = {d for _, d in STATEMENTS + WRITE_STATEMENTS if d is not None}
+    used |= {d for _, d, _ in DIVERGENT}
     assert used == set(DIVERGENCES)
     assert all(DIVERGENCES.values())
 

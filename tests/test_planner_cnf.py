@@ -226,3 +226,58 @@ def test_property_complement_is_bitwise_not(col, op, val):
     values = rng.integers(-4, 5, 100)
     atom = extract_atom(parse_expression(f"{col} {op} {val}"))
     assert (atom.complement().evaluate(values) == ~atom.evaluate(values)).all()
+
+
+# -- implies, read off bounds (S79) -------------------------------------------
+
+_OPS = [BinaryOperator.EQ, BinaryOperator.NE, BinaryOperator.LT, BinaryOperator.LE,
+        BinaryOperator.GT, BinaryOperator.GE]
+_VALUES = [0, 1, -1, 2, 2.0, 2.5, -0.0, 2**53, 2**53 + 1, float(2**53), 1e300,
+           float("inf"), float("-inf")]
+
+
+def value_grid(values):
+    """Every literal, a point between each neighbouring pair and beyond
+    both ends (as exact fractions), and NaN: an interval with endpoints
+    among ``values`` is fixed by which grid points it holds."""
+    from fractions import Fraction
+
+    finite = sorted({Fraction(v) for v in values if v not in (float("inf"), float("-inf"))})
+    between = [(a + b) / 2 for a, b in zip(finite, finite[1:])]
+    return finite + between + [finite[0] - 1, finite[-1] + 1] + [
+        float("inf"), float("-inf"), float("nan")
+    ]
+
+
+_COMPARE = {
+    BinaryOperator.EQ: lambda x, v: x == v,
+    BinaryOperator.NE: lambda x, v: x != v,
+    BinaryOperator.LT: lambda x, v: x < v,
+    BinaryOperator.LE: lambda x, v: x <= v,
+    BinaryOperator.GT: lambda x, v: x > v,
+    BinaryOperator.GE: lambda x, v: x >= v,
+}
+
+
+def admitted(atom, grid):
+    """The grid points ``atom`` holds for, compared exactly by Python."""
+    return {i for i, x in enumerate(grid) if _COMPARE[atom.op](x, atom.value)}
+
+
+def test_implies_is_set_containment_on_a_value_grid():
+    """Sound everywhere; complete wherever the antecedent holds for some
+    finite point and both values are finite (``x >= inf`` holds only for
+    inf, which its bounds do not state as a point)."""
+    grid = value_grid(_VALUES)
+    atoms = [AtomicPredicate("x", op, v) for op in _OPS for v in _VALUES]
+    for p in atoms:
+        p_set = admitted(p, grid)
+        for q in atoms:
+            subset = p_set <= admitted(q, grid)
+            if p.implies(q):
+                assert subset, (p, q)
+            elif subset and p_set and all(abs(a.value) != float("inf") for a in (p, q)):
+                raise AssertionError(f"{p} implies {q} on the grid, but not by bounds")
+    assert not AtomicPredicate("x", BinaryOperator.LT, 1).implies(
+        AtomicPredicate("y", BinaryOperator.LT, 2)
+    )

@@ -4,9 +4,10 @@ The semantic layer's contract is that every *exact* answer it produces —
 derived-by-composition bitmaps and residual scatter-backs — is
 bit-identical to evaluating the predicate against the data, NaN rows
 included.  Hypothesis drives columns with NaNs, empty intervals (values
-matching no row) and mixed cached-op sets against that contract; the
-one documented exception, Fig 7 complement rewrites of *ordered* ops on
-NaN rows, is pinned as-is (seed behaviour, unchanged by this layer).
+matching no row) and mixed cached-op sets against that contract.  Fig 7
+complement rewrites of *ordered* ops add the NaN rows; a leaf inserts
+with ``nan_rows`` so that no probe with bounds takes them (S79), and an
+entry inserted without the flag keeps the bit-NOT, pinned as-is.
 
 Deterministic tests below cover the benefit-per-byte cache policy
 (eviction order, admission rejection, probation→protected promotion),
@@ -21,11 +22,13 @@ from hypothesis import given, settings, strategies as st
 from repro import DataType, FeisuCluster, FeisuConfig, LeafConfig, Schema
 from repro.errors import IndexError_
 from repro.index.advisor import IndexAdvisor
+from repro.index.intervals import IntervalRegistry
 from repro.index.smartindex import SmartIndexManager
 from repro.columnar.table import Catalog
 from repro.cluster.jobs import JobOptions
 from repro.planner.cnf import AtomicPredicate, Clause, ConjunctiveForm
 from repro.sql.ast import BinaryOperator
+from tests.test_planner_cnf import admitted, value_grid
 
 settings.register_profile("semantic", deadline=None, max_examples=60)
 settings.load_profile("semantic")
@@ -132,9 +135,10 @@ def test_residual_candidate_superset_and_scatter_exact(col, v, widen):
 
 @given(col=nan_columns, v=values)
 def test_complement_interaction_with_nan(col, v):
-    """NE via the EQ complement is NaN-exact; ordered complements keep
-    the seed's documented Fig 7 semantics (the stored vector's bit-NOT),
-    which intentionally differs from scalar evaluation on NaN rows."""
+    """NE via the EQ complement is NaN-exact; an entry inserted without
+    ``nan_rows`` hands ordered probes its bit-NOT (Fig 7), which differs
+    from scalar evaluation on NaN rows — the leaf passes the flag, see
+    the test below."""
     eq = AtomicPredicate("c", BinaryOperator.EQ, v)
     mgr = _manager(col, [(BinaryOperator.EQ, v)])
     ne = AtomicPredicate("c", BinaryOperator.NE, v)
@@ -148,6 +152,42 @@ def test_complement_interaction_with_nan(col, v):
     assert mask2 is not None and not missing2 and not residuals2
     gt = AtomicPredicate("c", BinaryOperator.GT, v)
     np.testing.assert_array_equal(mask2.to_bool_array(), ~gt.evaluate(col))
+
+
+@given(col=nan_columns, v=values, op=st.sampled_from(OPS), semantic=st.booleans())
+def test_no_ordered_complement_over_nan_rows(col, v, op, semantic):
+    """Given ``nan_rows``, an ordered probe does not take the bit-NOT of
+    its complement's vector (it would add the NaN rows), and neither does
+    an entry derived from such vectors; EQ and NE still answer each other."""
+    nan_rows = bool(np.isnan(col).any())
+    mgr = SmartIndexManager(compress=False, semantic=semantic)
+    stored = AtomicPredicate("c", op, v).complement()
+    mgr.insert("b", stored, stored.evaluate(col), now=0.0, nan_rows=nan_rows)
+    probe = stored.complement()
+    if semantic:
+        mask, missing, residuals = mgr.cover_semantic("b", _single(probe), now=1.0)
+        vec = mask if not missing and not residuals else None
+    else:
+        vec = mgr.lookup_atom("b", probe, now=1.0)
+    exact = not nan_rows or probe.bounds is None or stored.bounds is None
+    assert (vec is not None) == exact
+    if vec is not None:
+        np.testing.assert_array_equal(vec.to_bool_array(), probe.evaluate(col))
+    if semantic and op in ORDERED:
+        # LT / GT and EQ at v derive LE / GE, which inherit the flag.
+        mgr = SmartIndexManager(compress=False, semantic=True)
+        strict = AtomicPredicate("c", BinaryOperator.LT if op in ORDERED[:2] else BinaryOperator.GT, v)
+        for atom in (strict, AtomicPredicate("c", BinaryOperator.EQ, v)):
+            mgr.insert("b", atom, atom.evaluate(col), now=0.0, nan_rows=nan_rows)
+        closed = AtomicPredicate("c", NEGATED_CLOSED[strict.op], v)
+        mgr.cover_semantic("b", _single(closed), now=1.0)  # derives and stores it
+        opposite = closed.complement()
+        mask, missing, residuals = mgr.cover_semantic("b", _single(opposite), now=2.0)
+        if not missing and not residuals:
+            np.testing.assert_array_equal(mask.to_bool_array(), opposite.evaluate(col))
+
+
+NEGATED_CLOSED = {BinaryOperator.LT: BinaryOperator.LE, BinaryOperator.GT: BinaryOperator.GE}
 
 
 @given(
@@ -358,3 +398,52 @@ def test_residual_scan_charges_fractional_io_through_cluster():
     assert partial < full  # candidate-mask scan reads a fraction of the column
     # Exactness through the whole stack: same answer both ways.
     assert plain.query(tight).rows() == sem.query(tight).rows()
+
+
+# -- superset_candidates, read off bounds (S79) ---------------------------------
+
+
+_GRID_VALUES = [0, 1, -1, 2, 2.0, 2.5, 2**53, 2**53 + 1, float(2**53), float("inf")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cached=st.lists(st.tuples(st.sampled_from(OPS), st.sampled_from(_GRID_VALUES)), max_size=10),
+    probe_op=st.sampled_from(OPS),
+    probe_value=st.sampled_from(_GRID_VALUES),
+)
+def test_superset_candidates_are_the_tightest_on_a_value_grid(cached, probe_op, probe_value):
+    """Every candidate holds for every grid point the probe holds for (a
+    bit-NOT adds NaN); per cached operator and inversion, the one returned
+    is the smallest such set whenever one exists among finite values."""
+    grid = value_grid(_GRID_VALUES)
+    registry = IntervalRegistry()
+    atoms = {}
+    for op, v in cached:
+        atom = AtomicPredicate("c", op, v)
+        registry.add("b", atom)
+        atoms[atom.key] = atom
+    probe = AtomicPredicate("c", probe_op, probe_value)
+    probe_set = admitted(probe, grid)
+    everything = set(range(len(grid)))
+
+    def holds(atom, invert):
+        return everything - admitted(atom, grid) if invert else admitted(atom, grid)
+
+    found = registry.superset_candidates("b", probe)
+    for cand in found:
+        assert probe_set <= holds(atoms[cand.predicate_key], cand.invert), cand
+    if not probe_set or probe.bounds is None or probe_value == float("inf"):
+        return
+    for op in ORDERED:
+        for invert in (False, True):
+            family = [a for a in atoms.values() if a.op is op and a.value != float("inf")]
+            if not invert and probe.key in atoms and atoms[probe.key].op is op:
+                continue  # the probe's own entry is its exact hit, never a candidate
+            supersets = [a for a in family if probe_set <= holds(a, invert)]
+            returned = [c for c in found if c.invert is invert and atoms[c.predicate_key].op is op]
+            if not supersets:
+                continue
+            assert len(returned) == 1, (op, invert, found)
+            tightest = holds(atoms[returned[0].predicate_key], invert)
+            assert all(tightest <= holds(a, invert) for a in supersets), (op, invert)
