@@ -7,7 +7,7 @@ Times the pieces ISSUE 4 added on top of the exact/complement cache:
   atoms (the remedy the registry exists for); the suite's acceptance
   invariant requires the registry to win by ``MIN_PROBE_SPEEDUP``.
 * ``semantic_compose`` — derived-atom bitmap composition
-  (``EQ = LE &~ LT`` etc.) end to end through ``cover_semantic``.
+  (``EQ = LE &~ LT`` etc.) end to end through a semantic manager's ``cover``.
 * ``residual_cover`` — candidate-mask clause probing over a 64k-row
   block, the residual-scan fast path.
 * ``cost_evict`` — insert throughput under memory pressure with the
@@ -108,7 +108,7 @@ def bench_registry_probe_1k() -> Dict[str, float]:
 
 
 def bench_semantic_compose() -> Dict[str, float]:
-    """Derived-hit composition through ``cover_semantic``.
+    """Derived-hit composition through a semantic manager's ``cover``.
 
     The cache holds LT/LE pairs at 200 values; every probe is an EQ at
     one of them — answered exactly by ``LE &~ LT`` without touching
@@ -133,7 +133,7 @@ def bench_semantic_compose() -> Dict[str, float]:
             mgr.insert("b0", lt, col < v, now=float(i) * 1e-3)
             mgr.insert("b0", le, col <= v, now=float(i) * 1e-3)
         for cnf in probes:
-            mask, missing, residuals = mgr.cover_semantic("b0", cnf, now=1.0)
+            mask, missing, residuals = mgr.cover("b0", cnf.clauses, now=1.0)
             assert mask is not None and not missing and not residuals
         return mgr
 
@@ -161,7 +161,7 @@ def bench_residual_cover() -> Dict[str, float]:
     def run():
         hits = 0
         for cnf in probes:
-            _mask, missing, residuals = mgr.cover_semantic("b0", cnf, now=100.0)
+            _mask, missing, residuals = mgr.cover("b0", cnf.clauses, now=100.0)
             hits += len(residuals)
             assert not missing
         return hits

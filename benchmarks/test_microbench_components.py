@@ -113,10 +113,10 @@ def test_micro_scan_task_index_covered(benchmark):
     plan = build_plan(analyze(parse(SQL), catalog))
     task = plan.tasks[0]
     mgr = SmartIndexManager()
-    execute_scan_task(task, plan, block, {}, index_manager=mgr)  # warm the cache
+    execute_scan_task(task, plan, block, {}, paths=[mgr])  # warm the cache
 
     def run():
-        return execute_scan_task(task, plan, block, {}, index_manager=mgr, now=1.0)
+        return execute_scan_task(task, plan, block, {}, paths=[mgr], now=1.0)
 
     result = benchmark(run)
     assert result.report.index_full_cover
@@ -127,11 +127,11 @@ def test_micro_index_cover_probe(benchmark):
     catalog, block = _catalog_and_block()
     plan = build_plan(analyze(parse(SQL), catalog))
     mgr = SmartIndexManager()
-    execute_scan_task(plan.tasks[0], plan, block, {}, index_manager=mgr)
+    execute_scan_task(plan.tasks[0], plan, block, {}, paths=[mgr])
 
     def probe():
-        return mgr.cover(block.block_id, plan.scan_cnf, now=1.0)
+        return mgr.cover(block.block_id, plan.scan_cnf.clauses, now=1.0)
 
-    mask, missing = benchmark(probe)
-    assert missing == []
+    mask, missing, residuals = benchmark(probe)
+    assert missing == [] and residuals == []
 

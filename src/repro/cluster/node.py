@@ -27,7 +27,7 @@ from repro.cluster.messages import HEARTBEAT_BYTES, WorkerLoad
 from repro.columnar.block import Block
 from repro.engine.executor import TaskResult, execute_scan_task
 from repro.errors import ClusterStateError, ExecutionError, FaultInjectedError
-from repro.index.btree import BPlusTree
+from repro.index.btree import BTreeIndex
 from repro.index.smartindex import SmartIndexManager
 from repro.planner.cost import CostModel
 from repro.planner.expressions import Frame
@@ -141,8 +141,12 @@ class LeafServer:
             if config.enable_ssd_cache
             else None
         )
-        self._btrees: Dict[Tuple[str, str], Tuple[int, BPlusTree]] = {}  # (incarnation, tree)
-        self.btree_builds = 0
+        #: The B+ tree baseline over base row order (Fig 9(b)), or None.
+        self.btrees: Optional[BTreeIndex] = BTreeIndex() if config.enable_btree else None
+        #: The access paths of base bytes in fold order, and per variant
+        #: design its own (:meth:`_paths_of`).
+        self._paths = [p for p in (self.index_manager, self.btrees) if p is not None]
+        self._layout_paths: Dict[object, list] = {}
         #: Effective path → (payload, the :class:`Block` parsed from it),
         #: oldest first.  An entry is reused only while the storage layer
         #: hands back *that very* bytes object: a write, re-tiering,
@@ -251,28 +255,17 @@ class LeafServer:
                 continue
             self.cluster_manager.heartbeat(self.worker_id, load)
 
-    # -- B+ tree baseline ---------------------------------------------------
+    # -- access paths ----------------------------------------------------------
 
-    def _btree_provider(self, block: Block, tag: str = "", only_column: Optional[str] = None):
-        """``tag`` namespaces the cache per physical layout (a variant's
-        row order invalidates base-order trees, S54); ``only_column``
-        restricts the provider to a variant's *attached* index column."""
-
-        def provider(index_key: Tuple[str, int], column: str) -> Optional[BPlusTree]:
-            if only_column is not None and column != only_column:
-                return None
-            key = (index_key[0] + tag, column)  # index_key: (block id, incarnation)
-            built = self._btrees.get(key)
-            if built is None or built[0] != index_key[1]:
-                if column not in block.chunks:
-                    return None
-                # B-trees are prebuilt ahead of queries in the paper's
-                # comparison; build lazily here but off the query clock.
-                built = self._btrees[key] = (index_key[1], BPlusTree(block.column(column)))
-                self.btree_builds += 1
-            return built[1]
-
-        return provider
+    def _paths_of(self, layout) -> list:
+        """A variant's access paths (S54): SmartIndex vectors and baseline
+        trees hold base row order, so it offers only its own — its sort
+        order, which prices the read from every clause and so goes
+        first, then a tree on its attached column, kept per design."""
+        if layout not in self._layout_paths:
+            tree = [BTreeIndex(layout.index_column)] if layout.index_column else []
+            self._layout_paths[layout] = [layout, *tree]
+        return self._layout_paths[layout]
 
     # -- task execution ------------------------------------------------------
 
@@ -322,24 +315,7 @@ class LeafServer:
                 payload = system.read(inner)
             block = self._parsed_block(block_path, payload)
             index_key = (block.block_id, system.incarnation(inner))  # of the bytes just read
-            if layout is None:
-                index_manager = self.index_manager
-                btree_provider = self._btree_provider(block) if self.config.enable_btree else None
-            else:
-                # Variant row order invalidates whole-block SmartIndex
-                # bitvectors (keyed by block_id on *base* order) — same
-                # rule adaptive row slices follow.  The variant's own
-                # attached B+ tree is served under a layout-tagged key.
-                index_manager = None
-                btree_provider = (
-                    self._btree_provider(
-                        block,
-                        tag="#" + layout.describe(),
-                        only_column=layout.index_column,
-                    )
-                    if layout.index_column is not None
-                    else None
-                )
+            index_manager = self.index_manager
             probed = None
             if span is not None and index_manager is not None:
                 stats = index_manager.stats
@@ -349,8 +325,7 @@ class LeafServer:
                 plan,
                 block,
                 broadcast_frames,
-                index_manager=index_manager,
-                btree_provider=btree_provider,
+                paths=self._paths if layout is None else self._paths_of(layout),
                 now=self.sim.now,
                 layout=layout,
                 index_key=index_key,
@@ -395,7 +370,7 @@ class LeafServer:
         """The ``index_probe`` child of a traced attempt, written at the
         instant the probe ran: ``probed`` is the manager's atom counters
         before the task, the rest is on the task's report.  No child when
-        no probe ran (no filter, a row slice)."""
+        no probe ran (no filter, a row slice, a variant's bytes)."""
         clauses = (
             report.index_clause_hits + report.index_clause_misses + report.index_residual_clauses
         )

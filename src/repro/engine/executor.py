@@ -2,12 +2,13 @@
 
 Leaf path, per block (§IV-C-3 / Fig 7):
 
-1. probe the SmartIndex cache with the scan CNF — fully covered filters
-   skip both the block scan and predicate evaluation;
-2. otherwise evaluate only the *missing* clauses on the encoded column
-   chunks (optionally through the B+ tree baseline), insert fresh
-   SmartIndex entries for every atom evaluated, and materialize the
-   payload columns at the matching rows only;
+1. fold the scan CNF through the access paths the leaf hands over (the
+   SmartIndex, the B+ tree baseline, a sorted variant) — a fully
+   answered filter skips both the block scan and predicate evaluation;
+2. otherwise evaluate what is left on the encoded column chunks (a
+   residual clause on its candidate rows only), feed every evaluated
+   atom to the SmartIndex, and materialize the payload columns at the
+   matching rows only;
 3. join against broadcast dimension tables, apply the post-join residual
    filter;
 4. produce either per-group partial aggregates or a projected row frame.
@@ -29,9 +30,9 @@ cluster charges these against its device models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import itemgetter
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from itertools import chain, compress, repeat
+from operator import attrgetter, itemgetter
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,15 +54,11 @@ from repro.engine.operators import (
     sort_frame,
 )
 from repro.errors import ExecutionError
-from repro.index.btree import BPlusTree
-from repro.index.smartindex import ResidualClause, SmartIndexManager
-from repro.planner.cnf import Clause, ConjunctiveForm
+from repro.planner.cnf import Clause
 from repro.planner.cost import (
     OPS_PER_COMPARISON,
     OPS_PER_CONTAINS,
     OPS_PER_DECODE,
-    OPS_PER_INDEX_ROW,
-    atom_saved_seconds,
 )
 from repro.planner.expressions import Frame, evaluate, make_qualified_resolver
 from repro.planner.physical import BroadcastTable, EagerJoin, PhysicalPlan, ScanTask
@@ -77,10 +74,8 @@ from repro.sql.ast import (
     NotOp,
     OrderItem,
     Star,
+    walk,
 )
-
-#: Provides a prebuilt B+ tree for (block key, column), or None.
-BTreeProvider = Callable[[Hashable, str], Optional[BPlusTree]]
 
 
 @dataclass
@@ -175,8 +170,7 @@ def execute_scan_task(
     plan: PhysicalPlan,
     block: Block,
     broadcast_frames: Optional[Dict[str, Frame]] = None,
-    index_manager: Optional[SmartIndexManager] = None,
-    btree_provider: Optional[BTreeProvider] = None,
+    paths: Sequence = (),
     now: float = 0.0,
     layout=None,
     index_key: Optional[Hashable] = None,
@@ -187,24 +181,16 @@ def execute_scan_task(
     (:func:`_select_rows`), and only ``plan.payload_columns`` are
     materialized, only at the matching rows.
 
-    ``layout`` is the :class:`~repro.storage.layouts.LayoutSpec` the
-    served block carries (None for the base layout).  It never changes
-    *what* is computed — evaluation runs exact on every row — only what
-    the scan charges: a sorted variant pays its binary-searched
-    candidate fraction of the non-sort chunks, and a co-partitioned
-    variant pays the clustered join rate.  The caller is responsible for
-    passing ``index_manager=None`` alongside a non-base layout (variant
-    row order invalidates whole-block bitvectors, as with row slices).
-    ``index_key`` (default: the block id) is the one key the index and
-    ``btree_provider`` see; a leaf passes ``(block id, incarnation)``.
+    ``paths`` are the access paths the served bytes offer, folded in
+    order (:func:`_select_rows`).  ``layout`` is the
+    :class:`~repro.storage.layouts.LayoutSpec` the served block carries
+    (None for the base layout); here it only sets a co-partitioned
+    variant's join rate.  ``index_key`` (default: the block id) is the
+    one key every path sees; a leaf passes ``(block id, incarnation)``.
     """
-    if task.row_slice is not None:
-        layout = None  # slices are defined on base row order only
     if index_key is None:
         index_key = block.block_id
-    report, readers, rows = _select_rows(
-        task, plan, block, index_key, index_manager, btree_provider, now, layout
-    )
+    report, readers, rows = _select_rows(task, plan, block, index_key, paths, now)
     frame = _gather(task, plan, readers, rows, report.rows_in_block)
     report.rows_matched = frame.num_rows
     result = _finish_task(frame, task, plan, broadcast_frames, report, layout)
@@ -217,98 +203,88 @@ def _select_rows(
     plan: PhysicalPlan,
     block: Block,
     index_key: Hashable,
-    index_manager: Optional[SmartIndexManager],
-    btree_provider: Optional[BTreeProvider],
+    paths: Sequence,
     now: float,
-    layout=None,
 ) -> Tuple[TaskExecutionReport, Optional[Dict[str, ChunkReader]], Optional[np.ndarray]]:
-    """Probe the index, price the scan and evaluate what is left.
+    """Fold the access paths, price the scan and evaluate what is left.
+
+    Each path's ``probe(key, clauses, scope, now)`` sees the clauses the
+    paths before it left and the ``(block, rows)`` the task covers, and
+    returns ``(mask, missing, residuals, charge)``: the boolean mask of
+    the clauses it answered (or None), the clauses still missing, those
+    it bounds by candidate rows, and ``charge(report, read, payload,
+    left)``, which books its costs once the read set is known and says
+    whether it priced the read (None: the path declined the scope).  A
+    path's ``learn``, if not None, is fed every atom evaluated here.
 
     Returns ``(report, readers, rows)``: the readers of the columns the
-    scan reads (None when an index-covered filter matches nothing, so
+    scan reads (None when a fully answered filter matches nothing, so
     nothing is read at all) and the ascending ids of the matching rows
     (None for every row of the block).  Every charge is a formula over
     whole-block row counts, never over the work done here, so the
     simulated clock cannot see how a column was read.
     """
     lo, hi = 0, block.num_rows
+    rows = None
     if task.row_slice is not None:
         # Adaptive sub-task (S53): cover only rows [lo, hi) of the block.
-        # The SmartIndex and B+ trees are whole-block structures — a mask
-        # computed on a slice must neither consult nor feed them, or a
-        # partial answer would be reused for a full-block probe.
-        index_manager = None
-        btree_provider = None
         lo = max(0, min(int(task.row_slice[0]), block.num_rows))
         hi = max(lo, min(int(task.row_slice[1]), block.num_rows))
+        rows = np.arange(lo, hi)
     num_rows = hi - lo
     report = TaskExecutionReport(
         task_id=task.task_id, rows_in_block=num_rows, scale_factor=block.scale_factor
     )
-    cnf = plan.scan_cnf
-    mask, missing, residuals = _filter_mask(
-        cnf, block, index_key, index_manager, btree_provider, now, report
-    )
-    if report.index_full_cover and mask is not None and not mask.any():
-        return report, None, None
+    scope = (block, rows)
+    mask = None
+    left = plan.scan_cnf.clauses
+    residuals: list = []
+    charges: list = []
+    learn = None
+    for path in paths:
+        if not left:
+            break
+        answered, left, bounded, charge = path.probe(index_key, left, scope, now)
+        if charge is None:
+            continue
+        if answered is not None:
+            mask = answered if mask is None else (mask & answered)
+        residuals += bounded
+        charges += [charge]
+        learn = learn or path.learn
+    full = mask is not None and not left and not residuals
+    report.index_full_cover = full
     payload_columns = plan.payload_columns
-    read_columns = payload_columns if report.index_full_cover else task.columns
-    if read_columns:
-        if residuals:
-            io_bytes, decode_ops = _semantic_read_costs(
-                block, read_columns, residuals, missing, payload_columns
-            )
-            report.io_bytes += io_bytes
-            report.cpu_ops += decode_ops
-        elif task.row_slice is not None:
+    empty = full and not mask.any()
+    read_columns = () if empty else payload_columns if full else task.columns
+    priced = False
+    for charge in charges:
+        priced = charge(report, read_columns, payload_columns, left) or priced
+    if empty:
+        return report, None, None
+    if read_columns and not priced:
+        if rows is None:
+            report.io_bytes += block.column_bytes(read_columns)
+            report.cpu_ops += OPS_PER_DECODE * block.num_rows * len(read_columns)
+        else:
             # Proportional charge: a slice reads its fraction of every
             # chunk, so summed sub-task costs equal the whole block's.
             fraction = num_rows / max(1, block.num_rows)
             report.io_bytes += int(round(block.column_bytes(read_columns) * fraction))
             report.cpu_ops += OPS_PER_DECODE * num_rows * len(read_columns)
-        else:
-            candidate_rows = (
-                sorted_candidate_rows_for(layout, block, cnf, read_columns)
-                if layout is not None
-                else None
-            )
-            if candidate_rows is not None:
-                # Sorted variant (S54): a binary search over the sort
-                # column bounds the candidate range, so the scan pays
-                # the sort chunk in full plus only the candidates'
-                # share of every other chunk.  Evaluation below stays
-                # exact over all rows — only the charge shrinks.
-                fraction = candidate_rows / max(1, block.num_rows)
-                sort_col = layout.sort_column
-                rest = [c for c in read_columns if c != sort_col]
-                report.io_bytes += block.column_bytes([sort_col]) + int(
-                    round(block.column_bytes(rest) * fraction)
-                )
-                report.cpu_ops += (
-                    OPS_PER_DECODE * block.num_rows
-                    + OPS_PER_DECODE * candidate_rows * len(rest)
-                    + 64.0  # the binary search itself
-                )
-            else:
-                report.io_bytes += block.column_bytes(read_columns)
-                report.cpu_ops += OPS_PER_DECODE * block.num_rows * len(read_columns)
+    if read_columns:
         report.io_seeks += 1
     readers = {c: block.chunks[c].reader() for c in read_columns}
-    scope = None if task.row_slice is None else np.arange(lo, hi)
-    if missing:
-        mask = _evaluate_missing(
-            missing, readers, scope, num_rows, mask, index_manager, index_key, task, now, report
-        )
-    if residuals:
-        mask = _evaluate_residuals(
-            residuals, readers, mask, index_manager, index_key, task, now, report
+    if left or residuals:
+        mask = _evaluate(
+            left, residuals, readers, rows, num_rows, mask, learn, index_key, task, now, report
         )
     if mask is None:
-        return report, readers, scope
-    rows = mask.nonzero()[0]
+        return report, readers, rows
+    matched = mask.nonzero()[0]
     if lo:
-        rows += lo
-    return report, readers, rows
+        matched += lo
+    return report, readers, matched
 
 
 def _gather(
@@ -373,149 +349,53 @@ def _np_dtype(analyzed: AnalyzedQuery, task: ScanTask, column: str):
     return table.schema.field(column).dtype.numpy_dtype
 
 
-def _filter_mask(
-    cnf: ConjunctiveForm,
-    block: Block,
-    index_key: Hashable,
-    index_manager: Optional[SmartIndexManager],
-    btree_provider: Optional[BTreeProvider],
-    now: float,
-    report: TaskExecutionReport,
-) -> Tuple[Optional[np.ndarray], List[Clause], List[ResidualClause]]:
-    """Resolve as much of the scan filter as possible without scanning.
-
-    Returns ``(mask, missing, residuals)``; ``residuals`` is only ever
-    non-empty for a semantic-mode index manager — clauses answered with
-    a candidate superset mask that :func:`_evaluate_residuals` finishes
-    on candidate rows only.
-    """
-    if not cnf.clauses:
-        return None, [], []
-    mask_bv = None
-    missing = list(cnf.clauses)
-    residuals: List[ResidualClause] = []
-    if index_manager is not None:
-        if index_manager.semantic:
-            before_sub = index_manager.stats.subsumption_hits
-            mask_bv, missing, residuals = index_manager.cover_semantic(index_key, cnf, now)
-            report.index_subsumption_hits += (
-                index_manager.stats.subsumption_hits - before_sub
-            )
-            report.index_residual_clauses += len(residuals)
-            report.index_residual_fraction += sum(r.fraction for r in residuals)
-        else:
-            mask_bv, missing = index_manager.cover(index_key, cnf, now)
-        covered = len(cnf.clauses) - len(missing) - len(residuals)
-        report.index_clause_hits += covered
-        report.index_clause_misses += len(missing)
-        # Candidate-mask application costs the same bitvector pass as a
-        # covered clause.
-        report.cpu_ops += OPS_PER_INDEX_ROW * block.num_rows * max(
-            covered + len(residuals), 0
-        )
-        if not missing and not residuals:
-            report.index_full_cover = True
-            full = mask_bv.to_bool_array() if mask_bv is not None else None
-            return full, [], []
-    # Try the B+ tree baseline for still-missing single-atom clauses.
-    if btree_provider is not None:
-        still_missing: List[Clause] = []
-        for clause in missing:
-            resolved = _btree_clause(clause, index_key, btree_provider, report)
-            if resolved is None:
-                still_missing.append(clause)
-            else:
-                bv_arr = resolved
-                if mask_bv is None:
-                    combined = bv_arr
-                else:
-                    combined = mask_bv.to_bool_array() & bv_arr
-                from repro.index.bitmap import BitVector
-
-                mask_bv = BitVector.from_bool_array(combined)
-        missing = still_missing
-        if not missing and not residuals and mask_bv is not None:
-            # All clauses answered by B+ trees: same scan-skipping benefit.
-            report.index_full_cover = True
-            return mask_bv.to_bool_array(), [], []
-    return (
-        (mask_bv.to_bool_array() if mask_bv is not None else None),
-        missing,
-        residuals,
-    )
-
-
-def _btree_clause(
-    clause: Clause,
-    index_key: Hashable,
-    btree_provider: BTreeProvider,
-    report: TaskExecutionReport,
-) -> Optional[np.ndarray]:
-    if not clause.is_indexable:
-        return None
-    masks = []
-    for atom in clause.atoms:
-        tree = btree_provider(index_key, atom.column)
-        if tree is None or not tree.supports(atom):
-            return None
-        mask = tree.evaluate(atom)
-        # Charge tree traversal + per-match materialization.
-        report.cpu_ops += 64.0 * tree.height + 2.0 * int(mask.sum())
-        masks.append(mask)
-    report.btree_clauses += 1
-    out = masks[0]
-    for m in masks[1:]:
-        out = out | m
-    return out
-
-
-def _atom_ops(atom) -> float:
-    return OPS_PER_CONTAINS if atom.op is BinaryOperator.CONTAINS else OPS_PER_COMPARISON
-
-
-def _feed_index(
-    index_manager: Optional[SmartIndexManager],
-    index_key: Hashable,
-    task: ScanTask,
-    atom,
-    atom_mask: np.ndarray,
-    now: float,
-) -> None:
-    if index_manager is not None:
-        saved_s = atom_saved_seconds(task.block, atom) if index_manager.semantic else None
-        # np.min propagates NaN: the catalog minimum is NaN iff the column holds it.
-        low = (task.block.range_of(atom.column) or (None,))[0]
-        index_manager.insert(index_key, atom, atom_mask, now, saved_s, low != low)
-
-
-def _evaluate_missing(
+def _evaluate(
     missing: Sequence[Clause],
+    residuals: Sequence,
     readers: Dict[str, ChunkReader],
-    scope: Optional[np.ndarray],
+    rows: Optional[np.ndarray],
     num_rows: int,
     mask: Optional[np.ndarray],
-    index_manager: Optional[SmartIndexManager],
+    learn,
     index_key: Hashable,
     task: ScanTask,
     now: float,
     report: TaskExecutionReport,
 ) -> np.ndarray:
-    """Evaluate the uncovered clauses on the ``num_rows`` rows in
-    ``scope`` (None: the whole block); feed the index."""
-    combined = mask
-    for clause in missing:
+    """Evaluate what the access paths left, AND-ed into ``mask``.
+
+    A missing clause is evaluated on the ``num_rows`` rows in ``rows``
+    (None: the whole block), a residual only on its candidate rows, each
+    atom scattered back into a zeroed block-length mask.  That scatter
+    is *exact*: the candidate mask is a superset of the clause's
+    true-set, so no atom-true row sits outside it, and every evaluated
+    atom is safe to ``learn`` as an ordinary entry.
+    """
+    # A missing clause is a residual whose candidates are every row.
+    work = chain(zip(missing, repeat(None)), map(attrgetter("clause", "mask"), residuals))
+    for clause, candidates in work:
+        ids, n = rows, num_rows
+        if candidates is not None:
+            ids = np.flatnonzero(candidates.to_bool_array())
+            n = len(ids)
         clause_mask: Optional[np.ndarray] = None
         for atom in clause.atoms:
-            atom_mask = readers[atom.column].map_bool(atom.evaluate, scope)
-            report.cpu_ops += _atom_ops(atom) * num_rows
-            _feed_index(index_manager, index_key, task, atom, atom_mask, now)
+            atom_mask = readers[atom.column].map_bool(atom.evaluate, ids)
+            report.cpu_ops += (
+                OPS_PER_CONTAINS if atom.op is BinaryOperator.CONTAINS else OPS_PER_COMPARISON
+            ) * n
+            if candidates is not None:
+                sub, atom_mask = atom_mask, np.zeros(candidates.length, dtype=np.bool_)
+                atom_mask[ids] = sub
+            if learn is not None:
+                learn(index_key, atom, atom_mask, now, task.block)
             clause_mask = atom_mask if clause_mask is None else (clause_mask | atom_mask)
         for residual in clause.residuals:
             # Opaque expression: needs real values of the columns it touches.
             frame = Frame(
                 {
-                    c: readers[c].values() if scope is None else readers[c].take(scope)
-                    for c in _expr_columns(residual)
+                    c: readers[c].values() if rows is None else readers[c].take(rows)
+                    for c in {n.name for n in walk(residual) if isinstance(n, Column)}
                 },
                 num_rows,
             )
@@ -524,107 +404,9 @@ def _evaluate_missing(
             clause_mask = res_mask if clause_mask is None else (clause_mask | res_mask)
         if clause_mask is None:
             raise ExecutionError("clause with neither atoms nor residuals")
-        combined = clause_mask if combined is None else (combined & clause_mask)
-    assert combined is not None
-    return combined
-
-
-def sorted_candidate_rows_for(layout, block: Block, cnf, read_columns) -> Optional[int]:
-    """Candidate-row count for a sorted-variant read, or None when the
-    layout prunes nothing for this CNF (then the full price applies)."""
-    if layout.sort_column is None or layout.sort_column not in read_columns:
-        return None
-    from repro.storage.layouts import sorted_candidate_rows
-
-    return sorted_candidate_rows(block, layout.sort_column, cnf)
-
-
-def _expr_columns(expr: Expr) -> set:
-    """Column names referenced anywhere in an expression tree."""
-    out: set = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Column):
-            out.add(node.name)
-        else:
-            stack.extend(node.children())
-    return out
-
-
-def _semantic_read_costs(
-    block: Block,
-    read_columns: Sequence[str],
-    residuals: Sequence[ResidualClause],
-    missing: Sequence[Clause],
-    payload_columns: Sequence[str],
-) -> Tuple[int, float]:
-    """I/O bytes and decode ops for a scan with residual candidate masks.
-
-    A column referenced *only* by residual clauses is charged at that
-    clause's candidate fraction (the scan touches candidate rows only);
-    payload columns and anything a fully-missing clause needs are read
-    at full price, same as the non-semantic path.
-    """
-    fractions: Dict[str, float] = {}
-    for r in residuals:
-        for col in r.clause.columns:
-            fractions[col] = max(fractions.get(col, 0.0), r.fraction)
-    full_price = set(payload_columns)
-    for clause in missing:
-        full_price.update(clause.columns)
-        for expr in clause.residuals:
-            full_price.update(_expr_columns(expr))
-    io = 0.0
-    ops = 0.0
-    for col in read_columns:
-        nbytes = block.column_bytes([col])
-        if col in fractions and col not in full_price:
-            io += nbytes * fractions[col]
-            ops += OPS_PER_DECODE * block.num_rows * fractions[col]
-        else:
-            io += nbytes
-            ops += OPS_PER_DECODE * block.num_rows
-    return int(io), ops
-
-
-def _evaluate_residuals(
-    residuals: Sequence[ResidualClause],
-    readers: Dict[str, ChunkReader],
-    mask: Optional[np.ndarray],
-    index_manager: Optional[SmartIndexManager],
-    index_key: Hashable,
-    task: ScanTask,
-    now: float,
-    report: TaskExecutionReport,
-) -> np.ndarray:
-    """Finish candidate-masked clauses by evaluating on candidate rows.
-
-    Every atom is evaluated over the candidate subset only and scattered
-    back into a zeroed full-length mask.  That scatter is *exact*: a row
-    where the atom holds satisfies the clause, and the candidate mask is
-    a superset of the clause's true-set, so no atom-true row sits
-    outside the candidate rows.  The scattered masks are therefore safe
-    to insert into the index as ordinary entries.
-    """
-    combined = mask
-    for r in residuals:
-        cand = r.mask.to_bool_array()
-        idx = np.flatnonzero(cand)
-        clause_sub = np.zeros(len(idx), dtype=np.bool_)
-        for atom in r.clause.atoms:
-            sub = readers[atom.column].map_bool(atom.evaluate, idx)
-            report.cpu_ops += _atom_ops(atom) * len(idx)
-            if index_manager is not None:
-                full_atom = np.zeros(len(cand), dtype=np.bool_)
-                full_atom[idx] = sub
-                _feed_index(index_manager, index_key, task, atom, full_atom, now)
-            clause_sub |= sub
-        clause_full = np.zeros(len(cand), dtype=np.bool_)
-        clause_full[idx] = clause_sub
-        combined = clause_full if combined is None else (combined & clause_full)
-    assert combined is not None
-    return combined
+        mask = clause_mask if mask is None else (mask & clause_mask)
+    assert mask is not None
+    return mask
 
 
 def _apply_broadcast_joins(
@@ -659,7 +441,8 @@ def _join_rate(bc: BroadcastTable, layout) -> float:
         layout is not None
         and layout.copartition_column is not None
         and bc.condition is not None
-        and layout.copartition_column in _expr_columns(bc.condition)
+        and any(isinstance(n, Column) and n.name == layout.copartition_column
+                for n in walk(bc.condition))
     ):
         return 1.5
     return 3.0

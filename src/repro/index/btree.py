@@ -13,17 +13,18 @@ Why it loses to SmartIndex on this workload (§VI-B-1): a B-tree answers
 ``CONTAINS`` predicates at all, (2) each query still pays result
 materialization per matching row, and (3) it memorizes *values*, not
 *predicate results*, so repeated predicate evaluation work is repaid
-only partially.
+only partially.  :class:`BTreeIndex` is the baseline as a scan's access
+path.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import IndexError_
-from repro.planner.cnf import AtomicPredicate
+from repro.planner.cnf import AtomicPredicate, Clause
 
 #: Max keys per node.
 ORDER = 64
@@ -80,7 +81,7 @@ class BPlusTree:
         start, stop = sorted_span(self._keys, (low, low_inclusive, high, high_inclusive))
         return self._rows[start:stop]
 
-    # -- predicate interface (what the leaf server calls) -----------------
+    # -- predicate interface (what the leaf's access path calls) ----------
 
     def supports(self, atom: AtomicPredicate) -> bool:
         """B-trees answer the atoms that have bounds — not CONTAINS and
@@ -95,3 +96,77 @@ class BPlusTree:
         mask = np.zeros(self.num_rows, dtype=np.bool_)
         mask[self._rows[start:stop]] = True
         return mask
+
+
+class BTreeIndex:
+    """The B+ tree baseline as a scan's access path.
+
+    Keeps one :class:`BPlusTree` per (block, column), built from the
+    served block the first time a probe needs it (the paper prebuilds
+    them, so building is off the query clock) and rebuilt in place when
+    the probe's ``key`` names new bytes.  ``column`` restricts the path
+    to one column: a variant's attached index (S54).
+    """
+
+    #: Built ahead of queries: a tree learns nothing from a scan.
+    learn = None
+
+    def __init__(self, column: Optional[str] = None):
+        self.column = column
+        #: (block id, column) -> (the probe ``key`` it was built under, tree).
+        self.trees: Dict[Tuple[Hashable, str], Tuple[Hashable, BPlusTree]] = {}
+        self.builds = 0
+
+    def answers(self, atom: AtomicPredicate) -> bool:
+        """An atom a tree :meth:`~BPlusTree.supports`, on an indexed column."""
+        return atom.bounds is not None and self.column in (None, atom.column)
+
+    def covers(self, clauses: Sequence[Clause]) -> bool:
+        """Does a probe answer every clause (the placement estimate)?"""
+        return bool(clauses) and all(
+            clause.is_indexable and all(map(self.answers, clause.atoms)) for clause in clauses
+        )
+
+    def probe(self, key: Hashable, clauses: Sequence[Clause], scope, now: float):
+        """Answer the clauses whose every atom a tree answers; declines a
+        row slice.  The charge is each evaluated atom's traversal plus
+        per-match materialization, also for the atoms of a clause that a
+        later atom leaves unanswered, and counts ``btree_clauses``."""
+        block, rows = scope
+        if rows is not None:
+            return None, clauses, (), None
+        mask = None
+        missing = []
+        costs = []
+        for clause in clauses:
+            clause_mask = None
+            for atom in clause.atoms if clause.is_indexable else ():
+                tree = self._tree(key, block, atom)
+                if tree is None:
+                    clause_mask = None
+                    break
+                atom_mask = tree.evaluate(atom)
+                costs.append(64.0 * tree.height + 2.0 * int(atom_mask.sum()))
+                clause_mask = atom_mask if clause_mask is None else (clause_mask | atom_mask)
+            if clause_mask is None:
+                missing.append(clause)
+            else:
+                mask = clause_mask if mask is None else (mask & clause_mask)
+
+        def charge(report, read, payload, left) -> bool:
+            for cost in costs:
+                report.cpu_ops += cost
+            report.btree_clauses += len(clauses) - len(missing)
+            return False
+
+        return mask, missing, (), charge
+
+    def _tree(self, key, block, atom: AtomicPredicate) -> Optional[BPlusTree]:
+        if not self.answers(atom) or atom.column not in block.chunks:
+            return None
+        slot = (block.block_id, atom.column)
+        built = self.trees.get(slot)
+        if built is None or built[0] != key:
+            built = self.trees[slot] = (key, BPlusTree(block.column(atom.column)))
+            self.builds += 1
+        return built[1]

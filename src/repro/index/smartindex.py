@@ -32,7 +32,8 @@ the exact/complement-only manager above) three further layers engage:
 * **residual candidates** — when a cached atom strictly subsumes the
   probe (``x < 10`` ⊆ cached ``x < 20``), the clause is answered with a
   *candidate mask*: the executor re-evaluates the clause on candidate
-  rows only and the leaf charges I/O for only that fraction.
+  rows only, and :meth:`SmartIndexManager.probe` charges I/O for only
+  that fraction.
 * **cost-aware caching** — LRU is replaced by benefit-per-byte scoring
   (``saved_s × observed reuse ÷ nbytes``) with a scan-resistant
   probation segment; a fresh insert that is itself the cheapest victim
@@ -46,15 +47,16 @@ import heapq
 import threading
 from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import IndexError_
 from repro.index.bitmap import BitVector, rle_compress, rle_decompress
 from repro.index.intervals import IntervalRegistry
-from repro.planner.cnf import AtomicPredicate, Clause, ConjunctiveForm
-from repro.sql.ast import BinaryOperator
+from repro.planner.cnf import AtomicPredicate, Clause
+from repro.planner.cost import OPS_PER_DECODE, OPS_PER_INDEX_ROW, atom_saved_seconds
+from repro.sql.ast import BinaryOperator, Column, walk
 
 #: Default index Time-To-Live: 72 hours (§IV-C-2).
 DEFAULT_TTL_S = 72 * 3600.0
@@ -194,6 +196,39 @@ class ResidualClause:
     fraction: float
 
 
+def _charge_residuals(report, block, read, payload, left, residuals) -> None:
+    """Count the residual clauses and charge the read of ``read``.
+
+    A column referenced *only* by residual clauses is charged at that
+    clause's candidate fraction (the scan touches candidate rows only);
+    ``payload`` columns and anything a clause ``left`` to a full
+    evaluation needs are read at full price, as without residuals.
+    """
+    report.index_residual_clauses += len(residuals)
+    report.index_residual_fraction += sum(r.fraction for r in residuals)
+    fractions: Dict[str, float] = {}
+    for r in residuals:
+        for col in r.clause.columns:
+            fractions[col] = max(fractions.get(col, 0.0), r.fraction)
+    full_price = set(payload)
+    for clause in left:
+        full_price.update(clause.columns)
+        for expr in clause.residuals:
+            full_price.update(n.name for n in walk(expr) if isinstance(n, Column))
+    io = 0.0
+    ops = 0.0
+    for col in read:
+        nbytes = block.column_bytes([col])
+        if col in fractions and col not in full_price:
+            io += nbytes * fractions[col]
+            ops += OPS_PER_DECODE * block.num_rows * fractions[col]
+        else:
+            io += nbytes
+            ops += OPS_PER_DECODE * block.num_rows
+    report.io_bytes += int(io)
+    report.cpu_ops += ops
+
+
 #: Per derived operator, the compositions tried in order: ``(a, b,
 #: combine)`` builds the atom at ``v`` from the cached ``a v`` and ``b v``.
 _COMPOSITIONS = {
@@ -321,14 +356,19 @@ class SmartIndexManager:
 
     @_locked
     def cover(
-        self, block_id: Hashable, cnf: ConjunctiveForm, now: float
-    ) -> Tuple[Optional[BitVector], List[Clause]]:
-        """Try to answer a whole scan filter from the cache.
+        self, block_id: Hashable, clauses: Sequence[Clause], now: float
+    ) -> Tuple[Optional[BitVector], List[Clause], List[ResidualClause]]:
+        """Try to answer a scan filter's clauses from the cache.
 
-        Returns ``(mask, missing_clauses)``.  ``mask`` is the AND of the
-        clause vectors found; ``missing_clauses`` are the ones that must
-        be evaluated against data.  Full cover ⇔ ``missing_clauses == []``
-        — then the block scan and predicate evaluation are both skipped.
+        Returns ``(mask, missing, residuals)``: ``mask`` ANDs the clauses
+        answered exactly, ``residuals`` are clauses answered with a
+        candidate superset mask for a partial re-scan, and ``missing``
+        must be evaluated against data.  Full cover ⇔ both lists are
+        empty — then the block scan and predicate evaluation are both
+        skipped.  Only a ``semantic`` manager derives atoms and builds
+        candidate masks: it probes every atom of a clause, which the
+        candidates need, where the exact manager stops at a clause's
+        first missing atom.
 
         The TTL sweep runs exactly once per cover call (not once per
         atom), so a multi-clause CNF probe does not multiply sweep cost;
@@ -338,18 +378,83 @@ class SmartIndexManager:
         self._expire(now)
         mask: Optional[BitVector] = None
         missing: List[Clause] = []
-        for clause in cnf.clauses:
-            vec = self._lookup_clause(block_id, clause, now) if clause.is_indexable else None
+        residuals: List[ResidualClause] = []
+        for clause in clauses:
+            if not clause.is_indexable:
+                missing.append(clause)
+                continue
+            if not self.semantic:
+                vec = self._lookup_clause(block_id, clause, now)
+            else:
+                vecs = [self._lookup_atom(block_id, atom, now) for atom in clause.atoms]
+                vec = None if any(v is None for v in vecs) else functools.reduce(
+                    BitVector.__or__, vecs
+                )
+                if vec is None:
+                    residual = self._candidate_clause(block_id, clause, vecs, now)
+                    if residual is not None:
+                        residuals.append(residual)
+                        self.stats.residual_hits += 1
+                        continue
             if vec is None:
                 missing.append(clause)
             else:
                 mask = vec if mask is None else (mask & vec)
-        return mask, missing
+        return mask, missing, residuals
+
+    # -- the scan's access path (§IV-C, Fig 7) ------------------------------
+
+    @_locked
+    def probe(self, key: Hashable, clauses: Sequence[Clause], scope, now: float):
+        """:meth:`cover` as a scan's access path; declines a row slice,
+        as vectors span whole blocks.  The charge counts the clauses
+        (the derived ones under the lock, with :meth:`cover`), costs one
+        bitvector pass per answered or candidate clause, and with
+        residuals prices the read (:func:`_charge_residuals`)."""
+        block, rows = scope
+        if rows is not None:
+            return None, clauses, (), None
+        derived = self.stats.subsumption_hits
+        mask, missing, residuals = self.cover(key, clauses, now)
+        derived = self.stats.subsumption_hits - derived
+        misses = len(missing)
+        passes = len(clauses) - misses
+        covered = passes - len(residuals)
+
+        def charge(report, read, payload, left) -> bool:
+            report.index_subsumption_hits += derived
+            report.index_clause_hits += covered
+            report.index_clause_misses += misses
+            report.cpu_ops += OPS_PER_INDEX_ROW * block.num_rows * passes
+            if residuals:
+                _charge_residuals(report, block, read, payload, left, residuals)
+            return bool(residuals)
+
+        return (None if mask is None else mask.to_bool_array()), missing, residuals, charge
+
+    @_locked
+    def learn(
+        self, block_id: Hashable, atom: AtomicPredicate, mask: np.ndarray, now: float, ref
+    ) -> None:
+        """:meth:`insert` an atom a scan evaluated over the whole block.
+
+        ``ref`` is the block's catalog entry: its range says whether the
+        column holds NaN (``np.min`` propagates it), and the semantic
+        cache scores the entry by the scan-seconds a hit saves.
+        """
+        saved_s = atom_saved_seconds(ref, atom) if self.semantic else None
+        low = (ref.range_of(atom.column) or (None,))[0]
+        self._insert_vector(
+            block_id, atom, BitVector.from_bool_array(mask), now, saved_s, low != low
+        )
 
     def _lookup_atom(
         self, block_id: Hashable, atom: AtomicPredicate, now: float
     ) -> Optional[BitVector]:
-        """:meth:`lookup_atom`, lock held and sweep done."""
+        """:meth:`lookup_atom`, lock held and sweep done: exact, then
+        complement, then — ``semantic`` only — derived by composition."""
+        if self.semantic:
+            self._bump_freq(atom.key)
         entry = self._touch((block_id, atom.key), now)
         if entry is not None:
             self.stats.hits += 1
@@ -358,6 +463,14 @@ class SmartIndexManager:
         if entry is not None and not (entry.nan_excluded and atom.bounds is not None):
             self.stats.complement_hits += 1
             return ~entry.vector()
+        derived = self._derive_atom(block_id, atom, now) if self.semantic else None
+        if derived is not None:
+            vec, nan_rows = derived
+            self.stats.subsumption_hits += 1
+            # Materialize: the composition is exact, so future probes of
+            # this atom (and its complement) become plain hits.
+            self._insert_vector(block_id, atom, vec, now, nan_rows=nan_rows)
+            return vec
         self.stats.misses += 1
         return None
 
@@ -371,74 +484,7 @@ class SmartIndexManager:
             result = vec if result is None else (result | vec)
         return result
 
-    # -- semantic probe layer (flag-gated; see module docstring) -----------
-
-    @_locked
-    def cover_semantic(
-        self, block_id: Hashable, cnf: ConjunctiveForm, now: float
-    ) -> Tuple[Optional[BitVector], List[Clause], List[ResidualClause]]:
-        """Subsumption-aware :meth:`cover`.
-
-        Returns ``(mask, missing, residuals)``: ``mask`` ANDs the
-        exactly answered clauses (exact, complement, or derived hits);
-        ``residuals`` are clauses answered with a candidate superset
-        mask for a partial re-scan; ``missing`` must be evaluated in
-        full.  Requires ``semantic=True``.
-        """
-        if not self.semantic:
-            raise IndexError_("cover_semantic requires semantic=True")
-        self._expire(now)
-        mask: Optional[BitVector] = None
-        missing: List[Clause] = []
-        residuals: List[ResidualClause] = []
-        for clause in cnf.clauses:
-            if not clause.is_indexable:
-                missing.append(clause)
-                continue
-            vecs: List[Optional[BitVector]] = []
-            resolved = True
-            for atom in clause.atoms:
-                vec = self._probe_atom_semantic(block_id, atom, now)
-                vecs.append(vec)
-                if vec is None:
-                    resolved = False
-            if resolved:
-                clause_vec = vecs[0]
-                for vec in vecs[1:]:
-                    clause_vec = clause_vec | vec
-                mask = clause_vec if mask is None else (mask & clause_vec)
-                continue
-            residual = self._candidate_clause(block_id, clause, vecs, now)
-            if residual is not None:
-                residuals.append(residual)
-                self.stats.residual_hits += 1
-            else:
-                missing.append(clause)
-        return mask, missing, residuals
-
-    def _probe_atom_semantic(
-        self, block_id: Hashable, atom: AtomicPredicate, now: float
-    ) -> Optional[BitVector]:
-        """Exact → complement → derived-by-composition, with stats."""
-        self._bump_freq(atom.key)
-        entry = self._touch((block_id, atom.key), now)
-        if entry is not None:
-            self.stats.hits += 1
-            return entry.vector()
-        entry = self._touch((block_id, atom.complement().key), now)
-        if entry is not None and not (entry.nan_excluded and atom.bounds is not None):
-            self.stats.complement_hits += 1
-            return ~entry.vector()
-        derived = self._derive_atom(block_id, atom, now)
-        if derived is not None:
-            vec, nan_rows = derived
-            self.stats.subsumption_hits += 1
-            # Materialize: the composition is exact, so future probes of
-            # this atom (and its complement) become plain hits.
-            self._insert_vector(block_id, atom, vec, now, nan_rows=nan_rows)
-            return vec
-        self.stats.misses += 1
-        return None
+    # -- semantic layer (flag-gated; see module docstring) -----------------
 
     def _derive_atom(
         self, block_id: Hashable, atom: AtomicPredicate, now: float

@@ -36,11 +36,14 @@ Everything is flag-gated behind ``LeafConfig.enable_layouts`` — with the
 flag off the daemon is never constructed and no simulation event, trace
 tag or figure byte changes.
 
-Correctness note: SmartIndex bitvectors and whole-block B+ trees are
-keyed by ``block_id`` and assume the *base* row order.  A task served
-from a non-base variant must not consult or feed them — the leaf passes
-``index_manager=None`` for variant reads (exactly like adaptive row
-slices do) and attached B+ trees are cached under a layout-tagged key.
+Correctness note: SmartIndex bitvectors and the B+ tree baseline are
+keyed by ``block_id`` and assume the *base* row order.  A variant offers
+the scan its own access paths instead: the spec itself (its sort order,
+:meth:`LayoutSpec.probe`), then a
+:class:`~repro.index.btree.BTreeIndex` on its attached column, which the
+leaf keeps per spec so that its trees hold that design's row order.  A
+row slice is defined on base row order: the leaf reads it from the base
+payload, and every access path declines it.
 """
 
 from __future__ import annotations
@@ -54,9 +57,9 @@ import numpy as np
 from repro.columnar.block import Block
 from repro.columnar.schema import Schema
 from repro.errors import FaultInjectedError, PathError
-from repro.index.btree import sorted_span
-from repro.planner.cnf import AtomicPredicate, ConjunctiveForm
-from repro.planner.cost import CostModel
+from repro.index.btree import BTreeIndex, sorted_span
+from repro.planner.cnf import AtomicPredicate, Clause, ConjunctiveForm
+from repro.planner.cost import OPS_PER_DECODE, CostModel
 from repro.sim.events import Event, Process, Simulator
 from repro.sim.netmodel import NetworkTopology, NodeAddress, TrafficClass
 from repro.sql.ast import BinaryOperator, Column
@@ -108,6 +111,41 @@ class LayoutSpec:
     def serves(self, columns: Sequence[str]) -> bool:
         """Can this variant answer a scan reading ``columns``?"""
         return self.columns is None or set(columns) <= set(self.columns)
+
+    #: A replica's design learns nothing from a scan.
+    learn = None
+
+    def probe(self, key, clauses: Sequence[Clause], scope, now: float):
+        """The sort order as a scan's access path; declines a row slice.
+
+        It answers no clause: a binary search over the sort column
+        bounds the candidate range (:func:`sorted_candidate_rows`), so a
+        read of that column pays its chunk in full plus only the
+        candidates' share of every other chunk.  Evaluation stays exact
+        over all rows — only the charge shrinks.
+        """
+        block, rows = scope
+        column = self.sort_column
+        if column is None or rows is not None:
+            return None, clauses, (), None
+
+        def charge(report, read, payload, left) -> bool:
+            candidates = sorted_candidate_rows(block, column, clauses) if column in read else None
+            if candidates is None:
+                return False
+            fraction = candidates / max(1, block.num_rows)
+            rest = [c for c in read if c != column]
+            report.io_bytes += block.column_bytes([column]) + int(
+                round(block.column_bytes(rest) * fraction)
+            )
+            report.cpu_ops += (
+                OPS_PER_DECODE * block.num_rows
+                + OPS_PER_DECODE * candidates * len(rest)
+                + 64.0  # the binary search itself
+            )
+            return True
+
+        return None, clauses, (), charge
 
     def describe(self) -> str:
         parts: List[str] = []
@@ -437,7 +475,7 @@ class LayoutDaemon:
                 bandwidth_factor=profile.bandwidth_factor,
                 extra_latency_s=profile.first_byte_latency_s,
             )
-        if spec.index_column is not None and _index_covers(cnf, spec.index_column):
+        if spec.index_column is not None and BTreeIndex(spec.index_column).covers(cnf.clauses):
             # Covered probe: same shape the SmartIndex full-cover path uses.
             return self.cost_model.index_cpu_seconds(task, max(1, len(cnf.clauses)))
         nbytes = self.replica_bytes(task, serving)
@@ -604,21 +642,6 @@ def _top_with_evidence(counter: Counter, min_evidence: int) -> Optional[str]:
     return best[0] if best is not None else None
 
 
-def _index_covers(cnf: ConjunctiveForm, index_column: str) -> bool:
-    """Can an attached B+ tree on ``index_column`` answer the whole CNF?
-    Mirrors the executor's full-cover condition: every clause single-atom,
-    residual-free, on the indexed column, with a supported operator."""
-    if not cnf.clauses:
-        return False
-    for clause in cnf.clauses:
-        if clause.residuals or len(clause.atoms) != 1:
-            return False
-        atom = clause.atoms[0]
-        if atom.column != index_column or atom.bounds is None:
-            return False
-    return True
-
-
 def _meta_range_fraction(meta: Optional[dict], cnf: ConjunctiveForm, sort_column: str) -> float:
     """Estimated candidate-row fraction a sorted replica's binary search
     leaves for ``cnf``, from the variant's published order-column range.
@@ -669,19 +692,21 @@ def _json_scalar(value):
 
 
 def sorted_candidate_rows(
-    block: Block, sort_column: str, cnf: ConjunctiveForm
+    block: Block, sort_column: str, clauses: Sequence[Clause]
 ) -> Optional[int]:
     """Exact candidate-row count a binary search over ``sort_column``
     leaves on a sorted block, or None when no clause prunes.
 
-    Used by the executor to charge a sorted variant's fractional read;
+    Prices a sorted variant's fractional read (:meth:`LayoutSpec.probe`);
     evaluation itself stays exact on every row, so answers are identical
-    to the base replica's.
+    to the base replica's.  The analyzer puts every literal in its
+    column's domain, so each usable atom's bounds compare with the
+    column's values.
     """
     if sort_column not in block.chunks:
         return None
     usable: List[AtomicPredicate] = []
-    for clause in cnf.clauses:
+    for clause in clauses:
         if clause.residuals or len(clause.atoms) != 1:
             continue
         atom = clause.atoms[0]
@@ -690,23 +715,8 @@ def sorted_candidate_rows(
     if not usable:
         return None
     values = block.column(sort_column)
-    # Literal/column kind mismatch (e.g. a string literal against a
-    # numeric sort column): numpy's comparison is not meaningful for
-    # pruning even when searchsorted doesn't raise — skip those atoms.
-    numeric = values.dtype.kind in "iuf"
-    usable = [
-        atom
-        for atom in usable
-        if (isinstance(atom.value, (int, float)) and not isinstance(atom.value, bool))
-        == numeric
-    ]
-    if not usable:
-        return None
     start, stop = 0, len(values)
-    try:
-        for atom in usable:
-            lo, hi = sorted_span(values, atom.bounds)
-            start, stop = max(start, lo), min(stop, hi)
-    except TypeError:
-        return None  # incomparable literal (e.g. string vs. numeric column)
+    for atom in usable:
+        lo, hi = sorted_span(values, atom.bounds)
+        start, stop = max(start, lo), min(stop, hi)
     return max(0, stop - start)

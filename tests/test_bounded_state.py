@@ -265,8 +265,8 @@ def test_reloads_leave_derived_block_state_bounded():
         assert manager.used_bytes <= budget
         # TTL records of evicted entries go with them, not after the 72 h TTL.
         assert len(manager._created) <= 2 * manager.entry_count + 8  # noqa: SLF001
-        sizes.append((len(leaf._btrees), manager.entry_count))
-    assert leaf.btree_builds == 20 * sizes[0][0]  # rebuilt for every reload...
+        sizes.append((len(leaf.btrees.trees), manager.entry_count))
+    assert leaf.btrees.builds == 20 * sizes[0][0]  # rebuilt for every reload...
     assert set(sizes[2:]) == {sizes[-1]}  # ...in place, and the index at its budget
 
 

@@ -126,9 +126,7 @@ def test_every_order_of_an_equi_on_runs_the_hash_join(stored, on):
     with _counting("hash_join", "cross_join") as calls:
         for task in plan.tasks:
             block = load_block(router, task.block)
-            report, readers, selected = _select_rows(
-                task, plan, block, block.block_id, None, None, 0.0
-            )
+            report, readers, selected = _select_rows(task, plan, block, block.block_id, (), 0.0)
             frame = _gather(task, plan, readers, selected, report.rows_in_block)
             result = _finish_task(frame, task, plan, {"D": dim}, dataclasses.replace(report))
             columns = result.frame.columns

@@ -104,7 +104,7 @@ def test_btree_mode_executes_correctly():
     cols_a = None
     r2 = cluster.query("SELECT COUNT(*) FROM T WHERE a >= 25")
     assert r1.rows() == r2.rows()
-    assert sum(lf.btree_builds for lf in cluster.leaves) > 0
+    assert sum(lf.btrees.builds for lf in cluster.leaves) > 0
 
 
 @pytest.mark.parametrize(
@@ -123,7 +123,7 @@ def test_btree_answers_nan_rows_like_a_scan(where, count):
         cluster.load_table("T", Schema.of(x=DataType.FLOAT64), {"x": x}, block_rows=20)
         answers.append(cluster.query(f"SELECT COUNT(*) FROM T WHERE {where}").rows())
         if enable_btree:
-            assert sum(lf.btree_builds for lf in cluster.leaves) > 0
+            assert sum(lf.btrees.builds for lf in cluster.leaves) > 0
     assert answers == [[(count,)], [(count,)]]
 
 

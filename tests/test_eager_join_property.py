@@ -107,7 +107,7 @@ def _run_both(router, catalog, sql, layout=None):
     with _counting_hash_joins() as eager_calls:
         for task in plan.tasks:
             block = load_block(router, task.block)
-            report, readers, rows = _select_rows(task, plan, block, block.block_id, None, None, 0.0)
+            report, readers, rows = _select_rows(task, plan, block, block.block_id, (), 0.0)
             frame = _gather(task, plan, readers, rows, report.rows_in_block)
             report.rows_matched = frame.num_rows
             got = _finish_task(frame, task, plan, broadcasts, dataclasses.replace(report), layout)

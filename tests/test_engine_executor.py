@@ -8,7 +8,7 @@ import pytest
 from repro.columnar.schema import DataType, Schema
 from repro.columnar.table import Catalog
 from repro.engine.executor import execute_scan_task, finalize
-from repro.index.btree import BPlusTree
+from repro.index.btree import BTreeIndex
 from repro.index.smartindex import SmartIndexManager
 from repro.planner.expressions import Frame
 from repro.planner.physical import build_plan
@@ -50,7 +50,7 @@ def env():
     return router, catalog, columns
 
 
-def run_query(env, sql, index_manager=None, btree_provider=None, now=0.0):
+def run_query(env, sql, paths=(), now=0.0):
     router, catalog, _ = env
     plan = build_plan(analyze(parse(sql), catalog))
     broadcasts = {}
@@ -65,8 +65,7 @@ def run_query(env, sql, index_manager=None, btree_provider=None, now=0.0):
             plan,
             load_block(router, task.block),
             broadcasts,
-            index_manager=index_manager,
-            btree_provider=btree_provider,
+            paths=paths,
             now=now,
         )
         for task in plan.tasks
@@ -148,8 +147,8 @@ def test_join_group_by(env):
 def test_index_full_cover_second_run(env):
     mgr = SmartIndexManager()
     sql = "SELECT COUNT(*) FROM T WHERE c2 > 2 AND c2 <= 7"
-    r1, res1 = run_query(env, sql, index_manager=mgr)
-    r2, res2 = run_query(env, sql, index_manager=mgr, now=1.0)
+    r1, res1 = run_query(env, sql, paths=[mgr])
+    r2, res2 = run_query(env, sql, paths=[mgr], now=1.0)
     assert r1.rows() == r2.rows()
     assert all(not r.report.index_full_cover for r in res1)
     assert all(r.report.index_full_cover for r in res2)
@@ -159,8 +158,8 @@ def test_index_full_cover_second_run(env):
 def test_index_cover_with_payload_reads_less(env):
     mgr = SmartIndexManager()
     sql = "SELECT SUM(clicks) FROM T WHERE c2 > 2 AND c2 <= 7"
-    _, res1 = run_query(env, sql, index_manager=mgr)
-    _, res2 = run_query(env, sql, index_manager=mgr, now=1.0)
+    _, res1 = run_query(env, sql, paths=[mgr])
+    _, res2 = run_query(env, sql, paths=[mgr], now=1.0)
     io1 = sum(r.report.io_bytes for r in res1)
     io2 = sum(r.report.io_bytes for r in res2)
     assert 0 < io2 < io1
@@ -170,7 +169,7 @@ def test_cold_pass_feeds_the_index_in_clause_order(env):
     """One entry per evaluated atom per block, inserted in CNF order."""
     _, catalog, _ = env
     mgr = SmartIndexManager()
-    run_query(env, "SELECT c1 FROM T WHERE c1 > 60 AND c2 = 4", index_manager=mgr)
+    run_query(env, "SELECT c1 FROM T WHERE c1 > 60 AND c2 = 4", paths=[mgr])
     blocks = catalog.get("T").blocks
     assert mgr.entry_count == 2 * len(blocks)
     for ref in blocks:
@@ -183,8 +182,8 @@ def test_index_covered_pass_reads_nothing_where_no_row_matches(env):
     a block whose cover says no row matches."""
     mgr = SmartIndexManager()
     sql = "SELECT c1 FROM T WHERE c1 > 98 AND c2 = 4"
-    r1, res1 = run_query(env, sql, index_manager=mgr)
-    r2, res2 = run_query(env, sql, index_manager=mgr, now=1.0)
+    r1, res1 = run_query(env, sql, paths=[mgr])
+    r2, res2 = run_query(env, sql, paths=[mgr], now=1.0)
     assert r1.rows() == r2.rows()
     assert all(r.report.index_full_cover for r in res2)
     assert all(s.report.io_bytes < f.report.io_bytes for s, f in zip(res2, res1))
@@ -194,34 +193,24 @@ def test_index_covered_pass_reads_nothing_where_no_row_matches(env):
 
 
 def test_btree_answers_supported_clauses(env):
-    router, catalog, columns = env
-    trees = {}
-
-    def provider(block_id, column):
-        key = (block_id, column)
-        if key not in trees:
-            table = catalog.get("T")
-            ref = table.block(block_id)
-            trees[key] = BPlusTree(load_block(router, ref).column(column))
-        return trees[key]
-
-    result, res = run_query(env, "SELECT COUNT(*) FROM T WHERE c2 >= 7", btree_provider=provider)
+    _, catalog, columns = env
+    trees = BTreeIndex()
+    result, res = run_query(env, "SELECT COUNT(*) FROM T WHERE c2 >= 7", paths=[trees])
     assert result.rows()[0][0] == int((columns["c2"] >= 7).sum())
     assert all(r.report.btree_clauses == 1 for r in res)
     assert all(r.report.index_full_cover for r in res)
+    assert trees.builds == len(catalog.get("T").blocks)  # one tree per block, on c2
+    run_query(env, "SELECT COUNT(*) FROM T WHERE c2 < 3", paths=[trees], now=1.0)
+    assert trees.builds == len(catalog.get("T").blocks)  # ...built once
 
 
 def test_btree_cannot_answer_contains(env):
-    seen = []
-
-    def provider(block_id, column):
-        seen.append(column)
-        return None
-
+    trees = BTreeIndex()
     result, res = run_query(
-        env, "SELECT COUNT(*) FROM T WHERE url CONTAINS 's1.com'", btree_provider=provider
+        env, "SELECT COUNT(*) FROM T WHERE url CONTAINS 's1.com'", paths=[trees]
     )
     assert all(r.report.btree_clauses == 0 for r in res)
+    assert trees.builds == 0  # no tree is built for an atom it cannot answer
 
 
 def test_partial_results_ratio(env):

@@ -65,11 +65,11 @@ def test_cover_full_and_partial():
     mgr = SmartIndexManager()
     cnf = to_cnf(parse_expression("a > 5 AND b < 2"))
     mgr.insert("b0", cnf.clauses[0].atoms[0], _mask([1, 1, 0]), now=0.0)
-    mask, missing = mgr.cover("b0", cnf, now=0.0)
+    mask, missing, _ = mgr.cover("b0", cnf.clauses, now=0.0)
     assert len(missing) == 1
     assert list(mask.to_bool_array()) == [True, True, False]
     mgr.insert("b0", cnf.clauses[1].atoms[0], _mask([1, 0, 1]), now=0.0)
-    mask, missing = mgr.cover("b0", cnf, now=0.0)
+    mask, missing, _ = mgr.cover("b0", cnf.clauses, now=0.0)
     assert missing == []
     assert list(mask.to_bool_array()) == [True, False, False]
 
@@ -172,7 +172,7 @@ def test_cover_sweeps_ttl_exactly_once():
     for clause in cnf.clauses:
         mgr.insert("b0", clause.atoms[0], _mask([1, 0, 1]), now=0.0)
     before = mgr.stats.ttl_sweeps
-    _mask_out, missing = mgr.cover("b0", cnf, now=1.0)
+    _mask_out, missing, _ = mgr.cover("b0", cnf.clauses, now=1.0)
     assert missing == []
     assert mgr.stats.ttl_sweeps == before + 1
 

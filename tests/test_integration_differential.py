@@ -26,6 +26,7 @@ import pytest
 from repro import DataType, Schema
 from repro.columnar.table import Catalog
 from repro.engine.executor import execute_scan_task, finalize
+from repro.index.btree import BTreeIndex
 from repro.index.smartindex import SmartIndexManager
 from repro.planner.expressions import Frame
 from repro.planner.physical import build_plan
@@ -238,17 +239,17 @@ def _assert_matches_oracle(task_env, plan, results, sql):
 
 @pytest.mark.parametrize("index", ["none", "plain", "semantic"])
 def test_tasks_match_oracle(task_env, index):
-    manager = {
-        "none": None,
-        "plain": SmartIndexManager(),
-        "semantic": SmartIndexManager(semantic=True),
+    paths = {
+        "none": [],
+        "plain": [SmartIndexManager()],
+        "semantic": [SmartIndexManager(semantic=True)],
     }[index]
     full_covers = residual_clauses = 0
     for sql in TASK_DIFFERENTIAL_QUERIES:
         plan, broadcasts, blocks = _compile(task_env, sql)
         for round_ in ("cold", "covered"):
             results = [
-                execute_scan_task(t, plan, b, broadcasts, index_manager=manager, now=1.0)
+                execute_scan_task(t, plan, b, broadcasts, paths=paths, now=1.0)
                 for t, b in zip(plan.tasks, blocks)
             ]
             _assert_matches_oracle(task_env, plan, results, sql)
@@ -326,7 +327,7 @@ def test_readers_are_handed_integer_row_ids(task_env, monkeypatch):
     for sql in (wide, narrow):
         plan, broadcasts, blocks = _compile(task_env, sql)
         results = [
-            execute_scan_task(t, plan, b, broadcasts, index_manager=manager, now=1.0)
+            execute_scan_task(t, plan, b, broadcasts, paths=[manager], now=1.0)
             for t, b in zip(plan.tasks, blocks)
         ]
         _assert_matches_oracle(task_env, plan, results, sql)
@@ -340,13 +341,18 @@ def test_readers_are_handed_integer_row_ids(task_env, monkeypatch):
         LayoutSpec(sort_column="c1"),
         LayoutSpec(sort_column="url", copartition_column="c2"),
         LayoutSpec(copartition_column="c2", columns=("c1", "c2", "url", "clicks", "province")),
+        LayoutSpec(sort_column="c2", index_column="c1"),
     ],
 )
 def test_layout_variants_agree(task_env, spec):
+    # A variant's own access paths, as the leaf folds them.
+    paths = [spec] + ([BTreeIndex(spec.index_column)] if spec.index_column else [])
     for sql in TASK_DIFFERENTIAL_QUERIES:
         plan, broadcasts, blocks = _compile(task_env, sql)
         results = [
-            execute_scan_task(t, plan, apply_layout(b, spec), broadcasts, layout=spec)
+            execute_scan_task(
+                t, plan, apply_layout(b, spec), broadcasts, paths=paths, layout=spec
+            )
             for t, b in zip(plan.tasks, blocks)
         ]
         _assert_matches_oracle(task_env, plan, results, sql)

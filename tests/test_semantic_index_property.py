@@ -20,13 +20,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import DataType, FeisuCluster, FeisuConfig, LeafConfig, Schema
-from repro.errors import IndexError_
 from repro.index.advisor import IndexAdvisor
 from repro.index.intervals import IntervalRegistry
 from repro.index.smartindex import SmartIndexManager
 from repro.columnar.table import Catalog
 from repro.cluster.jobs import JobOptions
-from repro.planner.cnf import AtomicPredicate, Clause, ConjunctiveForm
+from repro.planner.cnf import AtomicPredicate, Clause
 from repro.sql.ast import BinaryOperator
 from tests.test_planner_cnf import admitted, value_grid
 
@@ -65,7 +64,7 @@ def _manager(col, cached):
 
 
 def _single(atom):
-    return ConjunctiveForm([Clause((atom,))])
+    return [Clause((atom,))]
 
 
 # -- Hypothesis: semantic answers vs. scalar ground truth ------------------
@@ -81,7 +80,7 @@ def test_full_cover_bit_identical_without_nan(col, cached, probe_op, probe_value
     """Without NaN every path — exact, complement, derived — is exact."""
     mgr = _manager(col, cached)
     probe = AtomicPredicate("c", probe_op, probe_value)
-    mask, missing, residuals = mgr.cover_semantic("b", _single(probe), now=1.0)
+    mask, missing, residuals = mgr.cover("b", _single(probe), now=1.0)
     if mask is not None and not missing and not residuals:
         np.testing.assert_array_equal(mask.to_bool_array(), probe.evaluate(col))
 
@@ -100,7 +99,7 @@ def test_derived_eq_bit_identical_with_nan(col, cached_ops, v):
     mgr = _manager(col, [(op, v) for op in cached_ops])
     probe = AtomicPredicate("c", BinaryOperator.EQ, v)
     before = mgr.stats.subsumption_hits
-    mask, missing, residuals = mgr.cover_semantic("b", _single(probe), now=1.0)
+    mask, missing, residuals = mgr.cover("b", _single(probe), now=1.0)
     if mask is not None and not missing and not residuals:
         assert mgr.stats.subsumption_hits == before + 1
         np.testing.assert_array_equal(mask.to_bool_array(), probe.evaluate(col))
@@ -114,7 +113,7 @@ def test_residual_candidate_superset_and_scatter_exact(col, v, widen):
     wide = AtomicPredicate("c", BinaryOperator.LT, v + widen)
     mgr = _manager(col, [(BinaryOperator.LT, v + widen)])
     probe = AtomicPredicate("c", BinaryOperator.LT, v)
-    mask, missing, residuals = mgr.cover_semantic("b", _single(probe), now=1.0)
+    mask, missing, residuals = mgr.cover("b", _single(probe), now=1.0)
     truth = probe.evaluate(col)
     if probe.key == wide.key:
         return  # widen == 0: plain exact hit, covered elsewhere
@@ -142,13 +141,13 @@ def test_complement_interaction_with_nan(col, v):
     eq = AtomicPredicate("c", BinaryOperator.EQ, v)
     mgr = _manager(col, [(BinaryOperator.EQ, v)])
     ne = AtomicPredicate("c", BinaryOperator.NE, v)
-    mask, missing, residuals = mgr.cover_semantic("b", _single(ne), now=1.0)
+    mask, missing, residuals = mgr.cover("b", _single(ne), now=1.0)
     assert mask is not None and not missing and not residuals
     np.testing.assert_array_equal(mask.to_bool_array(), ne.evaluate(col))
 
     mgr2 = _manager(col, [(BinaryOperator.GT, v)])
     le = AtomicPredicate("c", BinaryOperator.LE, v)
-    mask2, missing2, residuals2 = mgr2.cover_semantic("b", _single(le), now=1.0)
+    mask2, missing2, residuals2 = mgr2.cover("b", _single(le), now=1.0)
     assert mask2 is not None and not missing2 and not residuals2
     gt = AtomicPredicate("c", BinaryOperator.GT, v)
     np.testing.assert_array_equal(mask2.to_bool_array(), ~gt.evaluate(col))
@@ -165,7 +164,7 @@ def test_no_ordered_complement_over_nan_rows(col, v, op, semantic):
     mgr.insert("b", stored, stored.evaluate(col), now=0.0, nan_rows=nan_rows)
     probe = stored.complement()
     if semantic:
-        mask, missing, residuals = mgr.cover_semantic("b", _single(probe), now=1.0)
+        mask, missing, residuals = mgr.cover("b", _single(probe), now=1.0)
         vec = mask if not missing and not residuals else None
     else:
         vec = mgr.lookup_atom("b", probe, now=1.0)
@@ -180,9 +179,9 @@ def test_no_ordered_complement_over_nan_rows(col, v, op, semantic):
         for atom in (strict, AtomicPredicate("c", BinaryOperator.EQ, v)):
             mgr.insert("b", atom, atom.evaluate(col), now=0.0, nan_rows=nan_rows)
         closed = AtomicPredicate("c", NEGATED_CLOSED[strict.op], v)
-        mgr.cover_semantic("b", _single(closed), now=1.0)  # derives and stores it
+        mgr.cover("b", _single(closed), now=1.0)  # derives and stores it
         opposite = closed.complement()
-        mask, missing, residuals = mgr.cover_semantic("b", _single(opposite), now=2.0)
+        mask, missing, residuals = mgr.cover("b", _single(opposite), now=2.0)
         if not missing and not residuals:
             np.testing.assert_array_equal(mask.to_bool_array(), opposite.evaluate(col))
 
@@ -201,8 +200,8 @@ def test_materialized_derivations_stay_exact(col, cached, probe_op, probe_value)
     first answer: inserted derived vectors are ordinary exact entries."""
     mgr = _manager(col, cached)
     probe = AtomicPredicate("c", probe_op, probe_value)
-    first = mgr.cover_semantic("b", _single(probe), now=1.0)
-    second = mgr.cover_semantic("b", _single(probe), now=2.0)
+    first = mgr.cover("b", _single(probe), now=1.0)
+    second = mgr.cover("b", _single(probe), now=2.0)
     if first[0] is not None and not first[1] and not first[2]:
         assert second[0] is not None and not second[1] and not second[2]
         np.testing.assert_array_equal(
@@ -213,12 +212,16 @@ def test_materialized_derivations_stay_exact(col, cached, probe_op, probe_value)
 def test_empty_cache_and_flag_gate():
     mgr = SmartIndexManager(semantic=True)
     probe = AtomicPredicate("c", BinaryOperator.LT, 3)
-    mask, missing, residuals = mgr.cover_semantic("b", _single(probe), now=0.0)
+    mask, missing, residuals = mgr.cover("b", _single(probe), now=0.0)
     assert mask is None and residuals == [] and len(missing) == 1
 
+    # Only the semantic manager answers with candidates: the exact one
+    # leaves the narrower range missing, its wider vector untouched.
     plain = SmartIndexManager()
-    with pytest.raises(IndexError_):
-        plain.cover_semantic("b", _single(probe), now=0.0)
+    wider = AtomicPredicate("c", BinaryOperator.LT, 5)
+    plain.insert("b", wider, np.array([True, True, False]), now=0.0)
+    mask, missing, residuals = plain.cover("b", _single(probe), now=0.0)
+    assert mask is None and residuals == [] and len(missing) == 1
 
 
 def test_cover_semantic_tags_span():

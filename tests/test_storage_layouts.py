@@ -15,7 +15,7 @@ from repro import DataType, FeisuCluster, FeisuConfig, Schema
 from repro.client import FeisuClient
 from repro.cluster.node import LeafConfig
 from repro.columnar.block import Block
-from repro.errors import StorageError
+from repro.errors import AnalysisError, StorageError
 from repro.planner.cnf import AtomicPredicate, Clause, ConjunctiveForm
 from repro.sim.events import Simulator
 from repro.sim.netmodel import NetworkTopology, TopologySpec
@@ -121,12 +121,12 @@ def test_apply_layout_round_trips_through_bytes():
 def test_sorted_candidate_rows_exact_counts():
     block = apply_layout(_block(), LayoutSpec(sort_column="w"))
     w = block.column("w")
-    assert sorted_candidate_rows(block, "w", _cnf(value=50)) == int((w < 50).sum())
+    assert sorted_candidate_rows(block, "w", _cnf(value=50).clauses) == int((w < 50).sum())
     assert sorted_candidate_rows(
-        block, "w", _cnf(op=BinaryOperator.GE, value=90)
+        block, "w", _cnf(op=BinaryOperator.GE, value=90).clauses
     ) == int((w >= 90).sum())
     assert sorted_candidate_rows(
-        block, "w", _cnf(op=BinaryOperator.EQ, value=7)
+        block, "w", _cnf(op=BinaryOperator.EQ, value=7).clauses
     ) == int((w == 7).sum())
 
 
@@ -156,15 +156,19 @@ def test_sorted_candidate_rows_excludes_trailing_nan(atoms):
     for atom in cnf.atoms:
         if atom.op is not BinaryOperator.NE:  # a binary search cannot use NE
             expected &= atom.evaluate(w)
-    assert sorted_candidate_rows(block, "w", cnf) == int(expected.sum())
+    assert sorted_candidate_rows(block, "w", cnf.clauses) == int(expected.sum())
 
 
 def test_sorted_candidate_rows_none_when_unprunable():
     block = apply_layout(_block(), LayoutSpec(sort_column="w"))
-    assert sorted_candidate_rows(block, "w", _cnf(column="k")) is None
-    assert sorted_candidate_rows(block, "missing", _cnf()) is None
-    # Incomparable literal: searchsorted raises TypeError → no pruning.
-    assert sorted_candidate_rows(block, "w", _cnf(value="fifty")) is None
+    assert sorted_candidate_rows(block, "w", _cnf(column="k").clauses) is None
+    assert sorted_candidate_rows(block, "missing", _cnf().clauses) is None
+    # No scan reaches a binary search with a literal of another kind:
+    # the analyzer refuses the comparison.
+    cluster = FeisuCluster(FeisuConfig(datacenters=1, racks_per_datacenter=1, nodes_per_rack=1))
+    cluster.load_table("T", FACT_SCHEMA, {c: block.column(c) for c in FACT_SCHEMA.names})
+    with pytest.raises(AnalysisError):
+        cluster.query("SELECT COUNT(*) FROM T WHERE w < 'fifty'")
 
 
 # -- storage variant overlay ----------------------------------------------
@@ -361,6 +365,13 @@ def test_scheduler_scores_variant_replicas_cheaper():
     assert indexed_s < base_s  # covered probe beats the full read
     assert daemon.replica_bytes(task, replicas[1]) < task.block.bytes_for(
         task.columns
+    )
+    # The attached tree answers an OR of ranges on its column as well,
+    # so placement prices it as the covered probe the leaf runs.
+    lt, gt = BinaryOperator.LT, BinaryOperator.GT
+    either = ConjunctiveForm([Clause((AtomicPredicate("w", lt, 3), AtomicPredicate("w", gt, 10)))])
+    assert daemon.scan_seconds(task, either, replicas[2]) == (
+        daemon.cost_model.index_cpu_seconds(task, 1)
     )
 
 

@@ -84,9 +84,7 @@ def _tasks(router, catalog, statements):
         }
         for task in plan.tasks:
             block = load_block(router, task.block)
-            report, readers, rows = _select_rows(
-                task, plan, block, block.block_id, None, None, 0.0
-            )
+            report, readers, rows = _select_rows(task, plan, block, block.block_id, (), 0.0)
             frame = _gather(task, plan, readers, rows, report.rows_in_block)
             report.rows_matched = frame.num_rows
             out.append((plan, join_plan, broadcasts, task, frame, report))
