@@ -4,8 +4,9 @@
 Combines three pieces the paper's operators relied on:
 
 * the §IV-A drill-down workload generator producing a timed trace;
-* the replay harness driving it through the cluster with real arrival
-  gaps on the simulated clock (so index TTLs and cache churn behave);
+* the gateway's open-loop driver replaying it, one session per analyst,
+  with real arrival gaps on the simulated clock (so index TTLs and cache
+  churn behave);
 * the monitoring surface (§III-C: shadows serve "monitoring running
   information") summarizing device, network, index and job health, first
   as one snapshot, then as a rolling series sampled on the simulated
@@ -18,15 +19,20 @@ Run with::
     python examples/trace_replay_monitoring.py
 """
 
+from dataclasses import replace
+
 from repro import FeisuCluster, FeisuConfig
 from repro.client import cli
+from repro.gateway import GatewayConfig
+from repro.gateway.driver import run_sessions
 from repro.workload.datasets import DatasetSpec, load_paper_datasets
-from repro.workload.generator import WorkloadConfig, WorkloadGenerator
-from repro.workload.replay import TraceReplayer
+from repro.workload.generator import WorkloadConfig, WorkloadGenerator, user_sessions
 
 
 def main() -> None:
-    cluster = FeisuCluster(FeisuConfig(datacenters=1, racks_per_datacenter=2, nodes_per_rack=8))
+    cluster = FeisuCluster(
+        FeisuConfig(datacenters=1, racks_per_datacenter=2, nodes_per_rack=8, gateway=GatewayConfig())
+    )
     spec = DatasetSpec("T1", 16_000, 12, "storage-a", 16_000 * 1500, seed=101)
     tables = load_paper_datasets(cluster, [spec], block_rows=2048)
 
@@ -37,20 +43,22 @@ def main() -> None:
         value_ranges={"click_count": (0, 50), "position": (1, 10), "user_id": (0, 5000)},
         contains_values={"url": [f"site{i}" for i in range(5)]},
     )
-    queries = gen.generate(4 * 3600.0)
+    queries = gen.generate(4 * 3600.0)[:160]
     trace = queries[:120]
     print(f"replaying {len(trace)} queries from {len({q.user for q in trace})} analysts "
           f"over a simulated {trace[-1].at_s / 3600:.1f} h window...\n")
 
-    replayer = TraceReplayer(cluster, time_compression=1.0)
-    report = replayer.replay(trace)
+    # Each analyst opens one gateway session; every query is submitted
+    # at its own trace time on the simulated clock.
+    for user in sorted({q.user for q in queries}):
+        cluster.create_user(user, tables=["T1"])
+    report = run_sessions(cluster.gateway, user_sessions(trace))
 
-    times = sorted(report.response_times())
     print("== service profile ==")
-    print(f"  queries:      {report.count} ({report.success_ratio():.0%} ok)")
-    print(f"  median:       {report.percentile(0.5) * 1000:8.1f} ms")
-    print(f"  p95:          {report.percentile(0.95) * 1000:8.1f} ms")
-    print(f"  worst:        {times[-1] * 1000:8.1f} ms")
+    print(f"  queries:      {report.submitted} ({report.completed / report.submitted:.0%} ok)")
+    print(f"  median:       {report.total_p50_s * 1000:8.1f} ms")
+    print(f"  p99:          {report.total_p99_s * 1000:8.1f} ms")
+    print(f"  makespan:     {report.makespan_s / 3600:8.2f} h")
 
     m = cluster.metrics()
     print("\n== cluster monitoring snapshot ==")
@@ -68,9 +76,11 @@ def main() -> None:
     )
 
     # Rolling view: one snapshot every simulated 5 minutes while the next
-    # 40 queries of the trace replay.
+    # 40 queries of the trace replay.  The driver counts trace times from
+    # the moment it starts, so the rest of the trace is shifted to now.
     series = cluster.start_metrics_sampler(period_s=300.0, retention_s=3600.0)
-    replayer.replay(queries[120:160])
+    now = cluster.sim.now
+    run_sessions(cluster.gateway, user_sessions(replace(q, at_s=q.at_s - now) for q in queries[120:]))
     print("\n== index hit rate, sampled every 5 simulated minutes ==")
     for t, rate in zip(series.timestamps(), series.series("index_hit_rate")):
         print(f"  t={t / 3600:5.2f} h  {rate:.4f}")

@@ -371,14 +371,14 @@ class LayoutDaemon:
         self._history_pred = Counter()
         self._history_reads = Counter()
         for history in self._histories:
-            for key, count in history.frequent_predicates(CENSUS_TOP_K):
+            for key, count in history.frequent_predicates(top=CENSUS_TOP_K):
                 parts = key.split()
                 if len(parts) < 3 or parts[0] == "NOT":
                     continue
                 column, op = parts[0], parts[1]
                 if op in ("<", "<=", ">", ">=", "="):
                     self._history_pred[column] += count
-            for column, count in history.frequent_columns(CENSUS_TOP_K):
+            for column, count in history.frequent_columns(top=CENSUS_TOP_K):
                 self._history_reads[column] += count
 
     # -- read-path hooks (leaf facing) -------------------------------------

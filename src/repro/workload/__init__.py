@@ -24,7 +24,6 @@ from repro.workload.generator import (
 )
 from repro.workload.conversion import ConversionDaemon, start_conversion_daemons, write_raw_records
 from repro.workload.loggen import LogIngestor, generate_log_records
-from repro.workload.replay import ReplayOutcome, ReplayReport, TraceReplayer
 
 __all__ = [
     "ConversionDaemon",
@@ -36,9 +35,6 @@ __all__ = [
     "default_specs",
     "generate_log_records",
     "keyword_frequency",
-    "ReplayOutcome",
-    "ReplayReport",
-    "TraceReplayer",
     "load_paper_datasets",
     "log_schema",
     "repeated_columns_by_span",

@@ -16,9 +16,10 @@ how strong both effects are, so the Fig 4/5 benches can sweep them.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.columnar.schema import DataType, Schema
 
@@ -26,6 +27,9 @@ from repro.columnar.schema import DataType, Schema
 _NUM_OPS = (">", ">=", "<", "<=", "=")
 #: Size of the per-user predicate pool sessions draw from.
 PREDICATE_POOL_SIZE = 8
+#: Columns a drill-down session works with (data locality strength:
+#: smaller = stronger locality).
+COLUMNS_PER_SESSION = 3
 
 
 @dataclass(frozen=True)
@@ -41,8 +45,9 @@ class TimedQuery:
 class SessionTrace:
     """One gateway session: who opens it, when, and its query stream.
 
-    ``queries`` carry *absolute* submission times (simulated seconds), all
-    at or after ``opens_at_s``; the driver replays them against an open
+    ``queries`` carry trace times, not offsets from the open (simulated
+    seconds counted from the driver's start), all at or after
+    ``opens_at_s``; the driver replays them against an open
     :class:`~repro.gateway.session.GatewaySession`.
     """
 
@@ -50,6 +55,23 @@ class SessionTrace:
     user: str
     opens_at_s: float
     queries: Tuple[TimedQuery, ...]
+
+
+def user_sessions(queries: Iterable[TimedQuery]) -> List[SessionTrace]:
+    """A timed query stream as one session per user, sorted by open time.
+
+    Each user is its own tenant and opens its session at its first
+    query; :func:`~repro.gateway.driver.run_sessions` then submits every
+    query at its own time, whether or not the user's previous one has
+    finished.
+    """
+    by_user: Dict[str, List[TimedQuery]] = {}
+    for query in sorted(queries, key=lambda q: q.at_s):
+        by_user.setdefault(query.user, []).append(query)
+    return [
+        SessionTrace(tenant=user, user=user, opens_at_s=qs[0].at_s, queries=tuple(qs))
+        for user, qs in by_user.items()
+    ]
 
 
 @dataclass
@@ -73,7 +95,6 @@ class MultiTenantConfig:
     #: Sessions open uniformly over this window — thousands of sessions
     #: arriving within a minute is what saturates admission control.
     open_window_s: float = 60.0
-    columns_per_session: int = 3
     aggregate_fraction: float = 0.7
     seed: int = 42
 
@@ -85,9 +106,6 @@ class WorkloadConfig:
     num_users: int = 12
     #: Mean queries per drill-down session.
     session_length: int = 6
-    #: Columns a session works with (data locality strength: smaller =
-    #: stronger locality).
-    columns_per_session: int = 3
     #: Probability a new predicate is drawn from the pool rather than
     #: freshly randomized (query similarity strength).
     reuse_probability: float = 0.8
@@ -113,10 +131,16 @@ class WorkloadGenerator:
         self.table = table
         self.schema = schema
         self.config = config or WorkloadConfig()
-        self._rng = random.Random(self.config.seed)
+        #: The one stream every draw comes from, so a trace is a function
+        #: of the seed alone; :func:`multi_tenant_sessions` takes its
+        #: tenant, open-time and length draws from it too.
+        self.rng = random.Random(self.config.seed)
         #: Numeric columns eligible for comparison predicates.
         self._numeric = [f.name for f in schema if f.dtype.is_numeric]
-        self._strings = [f.name for f in schema if f.dtype is DataType.STRING]
+        strings = [f.name for f in schema if f.dtype is DataType.STRING]
+        # Users share a biased column universe: hot columns first, a cold
+        # tail behind them (the head repeats often; the tail rarely).
+        self._hot_columns = (self._numeric + strings)[: max(4, COLUMNS_PER_SESSION * 5)]
         self._ranges = value_ranges or {}
         self._contains = contains_values or {}
         self._pools: Dict[str, List[str]] = {}
@@ -124,7 +148,7 @@ class WorkloadGenerator:
     # -- predicate synthesis --------------------------------------------------
 
     def _random_predicate(self, columns: Sequence[str]) -> str:
-        rng = self._rng
+        rng = self.rng
         candidates = [c for c in columns if c in self._numeric or c in self._contains]
         column = rng.choice(candidates if candidates else list(columns))
         if column in self._contains and (column not in self._numeric or rng.random() < 0.3):
@@ -146,7 +170,7 @@ class WorkloadGenerator:
         return pool
 
     def _next_predicate(self, user: str, columns: Sequence[str]) -> str:
-        rng = self._rng
+        rng = self.rng
         pool = self._pool_for(user, columns)
         if rng.random() < self.config.reuse_probability and pool:
             return rng.choice(pool)
@@ -159,25 +183,25 @@ class WorkloadGenerator:
 
     # -- query synthesis ----------------------------------------------------------
 
-    def _session_columns(self, user_columns: Sequence[str]) -> List[str]:
+    def _session_columns(self) -> List[str]:
         """Pick a session's working set, biased toward hot columns.
 
         Weighted sampling without replacement with geometrically decaying
-        weights: the head of ``user_columns`` is hot (repeats across
+        weights: the head of the column universe is hot (repeats across
         sessions quickly), the tail is cold (repeats only over long
         spans) — which is what gives Fig 4 its growth with span.
         """
-        k = min(self.config.columns_per_session, len(user_columns))
-        pool = list(user_columns)
+        k = min(COLUMNS_PER_SESSION, len(self._hot_columns))
+        pool = list(self._hot_columns)
         chosen: List[str] = []
         while len(chosen) < k:
             weights = [0.6**i for i in range(len(pool))]
-            pick = self._rng.choices(range(len(pool)), weights=weights, k=1)[0]
+            pick = self.rng.choices(range(len(pool)), weights=weights, k=1)[0]
             chosen.append(pool.pop(pick))
         return chosen
 
     def _select_clause(self, columns: Sequence[str], aggregate: bool) -> str:
-        rng = self._rng
+        rng = self.rng
         if not aggregate:
             return ", ".join(columns[: max(1, len(columns) - 1)])
         numeric = [c for c in columns if c in self._numeric]
@@ -187,32 +211,56 @@ class WorkloadGenerator:
         agg = rng.choice(["SUM", "AVG", "MAX", "MIN"])
         return f"{agg}({rng.choice(numeric)})"
 
+    def drill_down(
+        self,
+        user: str,
+        start_s: float,
+        length: Callable[[], int],
+        think_time_s: float,
+        until_s: float = math.inf,
+    ) -> Tuple[List[TimedQuery], float]:
+        """One drill-down session of ``user``, its first query at ``start_s``.
+
+        The session fixes its columns and whether it aggregates, draws
+        its query count with ``length()``, then issues an unfiltered
+        query and refines it one predicate at a time, an exponential
+        think gap of mean ``think_time_s`` after each query.  No query
+        is issued at or after ``until_s``.  Returns the queries and the
+        time the session's last gap ends.
+        """
+        rng = self.rng
+        columns = self._session_columns()
+        aggregate = rng.random() < self.config.aggregate_fraction
+        t = start_s
+        predicates: List[str] = []
+        queries: List[TimedQuery] = []
+        for step in range(length()):
+            if t >= until_s:
+                break
+            if step > 0:
+                predicates.append(self._next_predicate(user, columns))
+            sql = f"SELECT {self._select_clause(columns, aggregate)} FROM {self.table}"
+            if predicates:
+                sql += " WHERE " + " AND ".join(f"({p})" for p in predicates)
+            queries.append(TimedQuery(at_s=t, user=user, sql=sql))
+            t += rng.expovariate(1.0 / think_time_s)
+        return queries, t
+
     def generate(self, duration_s: float) -> List[TimedQuery]:
         """Emit the merged, time-ordered query stream of all users."""
-        rng = self._rng
+        rng = self.rng
         cfg = self.config
+
+        def length() -> int:
+            return max(1, int(rng.gauss(cfg.session_length, 1.5)))
+
         out: List[TimedQuery] = []
-        # Users share a biased column universe: hot columns first, a cold
-        # tail behind them (the head repeats often; the tail rarely).
-        hot_columns = (self._numeric + self._strings)[: max(4, cfg.columns_per_session * 5)]
         for u in range(cfg.num_users):
             user = f"user{u}"
             t = rng.uniform(0, cfg.think_time_s)
             while t < duration_s:
-                session_cols = self._session_columns(hot_columns)
-                aggregate = rng.random() < cfg.aggregate_fraction
-                predicates: List[str] = []
-                length = max(1, int(rng.gauss(cfg.session_length, 1.5)))
-                for step in range(length):
-                    if t >= duration_s:
-                        break
-                    if step > 0:
-                        predicates.append(self._next_predicate(user, session_cols))
-                    sql = f"SELECT {self._select_clause(session_cols, aggregate)} FROM {self.table}"
-                    if predicates:
-                        sql += " WHERE " + " AND ".join(f"({p})" for p in predicates)
-                    out.append(TimedQuery(at_s=t, user=user, sql=sql))
-                    t += rng.expovariate(1.0 / cfg.think_time_s)
+                queries, t = self.drill_down(user, t, length, cfg.think_time_s, duration_s)
+                out.extend(queries)
                 t += rng.expovariate(1.0 / (cfg.think_time_s * 2))
         out.sort(key=lambda q: q.at_s)
         return out
@@ -228,47 +276,31 @@ def multi_tenant_sessions(
     """Generate Zipf-skewed concurrent session traces for the gateway.
 
     Each trace is one session of one tenant's shared service account
-    (``<tenant>-svc``); query text reuses the drill-down synthesis of
-    :class:`WorkloadGenerator` so locality/similarity match the paper's
-    trace profile.  Returned traces are sorted by open time.
+    (``<tenant>-svc``); its queries are one
+    :meth:`WorkloadGenerator.drill_down` so locality/similarity match the
+    paper's trace profile.  Returned traces are sorted by open time.
     """
     cfg = config or MultiTenantConfig()
     gen = WorkloadGenerator(
         table,
         schema,
-        WorkloadConfig(
-            columns_per_session=cfg.columns_per_session,
-            aggregate_fraction=cfg.aggregate_fraction,
-            seed=cfg.seed,
-        ),
+        WorkloadConfig(aggregate_fraction=cfg.aggregate_fraction, seed=cfg.seed),
         value_ranges=value_ranges,
         contains_values=contains_values,
     )
-    rng = gen._rng  # noqa: SLF001 - one stream keeps the trace deterministic
+    rng = gen.rng
+
+    def length() -> int:
+        return max(1, round(rng.gauss(cfg.queries_per_session, 1.0)))
+
     tenants = [f"tenant{r:02d}" for r in range(cfg.num_tenants)]
     weights = [1.0 / (r + 1) ** cfg.zipf_exponent for r in range(cfg.num_tenants)]
-    hot_columns = (gen._numeric + gen._strings)[  # noqa: SLF001
-        : max(4, cfg.columns_per_session * 5)
-    ]
     traces: List[SessionTrace] = []
     for _ in range(cfg.num_sessions):
         tenant = rng.choices(tenants, weights=weights, k=1)[0]
         user = f"{tenant}-svc"
         opens_at = rng.uniform(0.0, cfg.open_window_s)
-        session_cols = gen._session_columns(hot_columns)  # noqa: SLF001
-        aggregate = rng.random() < cfg.aggregate_fraction
-        length = max(1, round(rng.gauss(cfg.queries_per_session, 1.0)))
-        t = opens_at
-        predicates: List[str] = []
-        queries: List[TimedQuery] = []
-        for step in range(length):
-            if step > 0:
-                predicates.append(gen._next_predicate(user, session_cols))  # noqa: SLF001
-            sql = f"SELECT {gen._select_clause(session_cols, aggregate)} FROM {table}"  # noqa: SLF001
-            if predicates:
-                sql += " WHERE " + " AND ".join(f"({p})" for p in predicates)
-            queries.append(TimedQuery(at_s=t, user=user, sql=sql))
-            t += rng.expovariate(1.0 / cfg.think_time_s)
+        queries, _ = gen.drill_down(user, opens_at, length, cfg.think_time_s)
         traces.append(
             SessionTrace(
                 tenant=tenant, user=user, opens_at_s=opens_at, queries=tuple(queries)

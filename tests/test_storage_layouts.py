@@ -267,6 +267,31 @@ def test_desired_layouts_needs_evidence_and_replicas():
     assert daemon.desired_layouts("/hdfs/missing") == {}
 
 
+def test_client_history_alone_drives_desired_layouts():
+    # A client's history is evidence of its own: with no scan recorded on
+    # the path, the column its predicates keep filtering on still earns
+    # a sorted replica and an attached index.
+    cluster = FeisuCluster(FeisuConfig(datacenters=1, racks_per_datacenter=2, nodes_per_rack=4))
+    block = _block()
+    columns = {f.name: block.column(f.name) for f in FACT_SCHEMA}
+    cluster.load_table("T", FACT_SCHEMA, columns, storage="storage-a")
+    cluster.create_user("analyst", admin=True)
+    client = FeisuClient(cluster, "analyst")
+    for bound in (5, 5, 5, 7):
+        client.query(f"SELECT COUNT(*) FROM T WHERE w < {bound}")
+    sim, net, router, fs, daemon = _layout_env()
+    fs.write("/t/b0", block.to_bytes())
+    daemon.attach_history(client.history)
+    sim.run_until_complete(sim.process(daemon.run_once()))
+    assert daemon._history_pred == {"w": 4}
+    assert daemon._history_reads == {"w": 4}
+    replicas = fs.locations("/t/b0")
+    assert daemon.desired_layouts("/hdfs/t/b0") == {
+        replicas[1]: LayoutSpec(sort_column="w", columns=("w",)),
+        replicas[2]: LayoutSpec(columns=("w",), index_column="w"),
+    }
+
+
 def test_run_once_rewrites_one_replica_per_cycle_then_adopts():
     sim, net, router, fs, daemon = _layout_env()
     block = _block()

@@ -1,16 +1,27 @@
-"""Trace replay against the simulated cluster."""
+"""Timed trace replay through the gateway's open-loop driver."""
 
 import numpy as np
 import pytest
 
 from repro import FeisuCluster, FeisuConfig, Schema, DataType
-from repro.workload.generator import TimedQuery, WorkloadConfig, WorkloadGenerator
-from repro.workload.replay import TraceReplayer
+from repro.errors import AnalysisError
+from repro.gateway import GatewayConfig
+from repro.gateway.driver import percentile, run_sessions
+from repro.workload.generator import (
+    TimedQuery,
+    WorkloadConfig,
+    WorkloadGenerator,
+    user_sessions,
+)
 
 
 @pytest.fixture()
 def cluster():
-    cluster = FeisuCluster(FeisuConfig(datacenters=1, racks_per_datacenter=2, nodes_per_rack=4))
+    cluster = FeisuCluster(
+        FeisuConfig(
+            datacenters=1, racks_per_datacenter=2, nodes_per_rack=4, gateway=GatewayConfig()
+        )
+    )
     rng = np.random.default_rng(1)
     n = 3000
     cluster.load_table(
@@ -23,6 +34,15 @@ def cluster():
     return cluster
 
 
+def _replay(cluster, trace):
+    """Run ``trace`` through ``run_sessions``; the report and every
+    query handle in submission order."""
+    for user in sorted({q.user for q in trace}):
+        cluster.create_user(user, tables=["T"])
+    report = run_sessions(cluster.gateway, user_sessions(trace), limit_s=1e6)
+    return report, list(cluster.gateway.queries.values())
+
+
 def _trace():
     return [
         TimedQuery(10.0, "u1", "SELECT COUNT(*) FROM T WHERE a > 5"),
@@ -31,54 +51,42 @@ def _trace():
     ]
 
 
+def test_user_sessions_groups_a_stream_by_user():
+    trace = _trace() + [TimedQuery(5.0, "u3", "SELECT COUNT(*) FROM T")]
+    sessions = user_sessions(trace)
+    assert [(s.tenant, s.user, s.opens_at_s) for s in sessions] == [
+        ("u3", "u3", 5.0), ("u1", "u1", 10.0), ("u2", "u2", 20.0),
+    ]
+    assert [q.at_s for q in sessions[1].queries] == [10.0, 30.0]
+
+
 def test_replay_honours_arrival_times(cluster):
-    replayer = TraceReplayer(cluster)
-    report = replayer.replay(_trace())
-    assert report.count == 3
-    assert report.success_ratio() == 1.0
-    # first query submitted at (or after) its trace timestamp
-    assert report.outcomes[0].submitted_at >= 10.0
-    assert report.outcomes[2].submitted_at >= 30.0
-    assert all(o.response_time_s > 0 for o in report.outcomes)
+    report, handles = _replay(cluster, _trace())
+    assert report.submitted == report.completed == 3
+    assert [h.submitted_at for h in handles] == [10.0, 20.0, 30.0]
+    assert all(h.service_s > 0 for h in handles)
 
 
-def test_replay_time_compression(cluster):
-    replayer = TraceReplayer(cluster, time_compression=10.0)
-    report = replayer.replay(_trace())
-    assert report.outcomes[0].submitted_at >= 1.0
-    assert report.outcomes[0].submitted_at < 10.0
-
-
-def test_replay_invalid_compression(cluster):
-    with pytest.raises(ValueError):
-        TraceReplayer(cluster, time_compression=0.0)
-
-
-def test_replay_creates_users(cluster):
-    replayer = TraceReplayer(cluster)
-    report = replayer.replay(_trace())
-    assert report.success_ratio() == 1.0
-    assert "u1" in cluster._credentials and "u2" in cluster._credentials
-
-
-def test_replay_records_bad_queries(cluster):
-    trace = [TimedQuery(1.0, "u", "SELECT nope FROM T")]
-    report = TraceReplayer(cluster).replay(trace)
-    assert report.count == 0
-    assert len(report.errors) == 1
-    assert "nope" in report.errors[0]
+def test_replay_sequential_submitted_at_is_arrival(cluster):
+    # Queries far enough apart run alone: each is submitted to the
+    # master at its arrival instant and finishes after it.
+    _report, handles = _replay(cluster, _trace())
+    for handle, at in zip(handles, (10.0, 20.0, 30.0)):
+        assert handle.job.submitted_at == handle.submitted_at == at
+        assert handle.submitted_at < handle.finished_at
 
 
 def test_replay_concurrent_reuses_identical_tasks(cluster):
-    # two identical queries arriving in the same instant share their tasks
+    # Two identical queries arriving in the same instant share their
+    # tasks: the second reuses every one of the first's four.
     trace = [
         TimedQuery(5.0, "u1", "SELECT COUNT(*) FROM T WHERE a > 7"),
         TimedQuery(5.0, "u2", "SELECT COUNT(*) FROM T WHERE a > 7"),
     ]
-    report = TraceReplayer(cluster).replay(trace, concurrent=True)
-    assert report.count == 2
-    reused = sum(o.job.stats.tasks_reused for o in report.outcomes)
-    assert reused > 0
+    report, handles = _replay(cluster, trace)
+    assert report.completed == 2
+    assert [h.job.stats.tasks_reused for h in handles] == [0, 4]
+    assert handles[0].job.stats.response_time_s == handles[1].job.stats.response_time_s
 
 
 def test_replay_concurrent_sessions_overlap(cluster):
@@ -89,10 +97,10 @@ def test_replay_concurrent_sessions_overlap(cluster):
         TimedQuery(5.0, "u1", "SELECT COUNT(*) FROM T WHERE a > 3"),
         TimedQuery(5.0, "u2", "SELECT SUM(b) FROM T WHERE a < 9"),
     ]
-    report = TraceReplayer(cluster).replay(trace, concurrent=True)
-    assert report.count == 2
-    jobs = [o.job for o in report.outcomes]
-    assert all(o.submitted_at == 5.0 for o in report.outcomes)
+    report, handles = _replay(cluster, trace)
+    assert report.completed == 2
+    jobs = [h.job for h in handles]
+    assert all(h.submitted_at == 5.0 for h in handles)
     assert all(j.started_at == 5.0 for j in jobs)
     # Overlap: each job starts before the other finishes.
     assert jobs[0].started_at < jobs[1].finished_at
@@ -100,33 +108,30 @@ def test_replay_concurrent_sessions_overlap(cluster):
 
 
 def test_replay_concurrent_collects_out_of_order_completions(cluster):
-    # A heavier query submitted first must not block collection of a
-    # lighter one that finishes earlier; every outcome is gathered via
-    # one completion barrier, in trace order.
+    # A lighter query submitted later (block pruning leaves it no task)
+    # finishes while a heavier one is still running; the driver waits
+    # for both.
     trace = [
         TimedQuery(2.0, "u1", "SELECT SUM(b), COUNT(*) FROM T"),
-        TimedQuery(2.5, "u2", "SELECT COUNT(*) FROM T WHERE a = 1"),
+        TimedQuery(2.005, "u2", "SELECT COUNT(*) FROM T WHERE a > 100"),
     ]
-    report = TraceReplayer(cluster).replay(trace, concurrent=True)
-    assert report.count == 2
-    assert report.success_ratio() == 1.0
-    assert [o.query.user for o in report.outcomes] == ["u1", "u2"]
-    assert all(o.job.finished_at is not None for o in report.outcomes)
+    report, handles = _replay(cluster, trace)
+    assert report.completed == report.submitted == 2
+    assert [h.user for h in handles] == ["u1", "u2"]
+    assert handles[1].finished_at < handles[0].finished_at
+    assert report.makespan_s == handles[0].finished_at
 
 
-def test_replay_sequential_submitted_at_is_arrival(cluster):
-    # Regression: the sequential path once recorded submitted_at AFTER
-    # query_job ran the query to completion on the simulated clock.
-    report = TraceReplayer(cluster).replay(_trace())
-    for outcome, at in zip(report.outcomes, (10.0, 20.0, 30.0)):
-        assert outcome.submitted_at == at
-        assert outcome.submitted_at < outcome.job.finished_at
-        assert outcome.job.submitted_at == outcome.submitted_at
+def test_replay_raises_on_bad_queries(cluster):
+    with pytest.raises(AnalysisError, match="nope"):
+        _replay(cluster, [TimedQuery(1.0, "u", "SELECT nope FROM T")])
 
 
 def test_replay_report_percentiles(cluster):
-    report = TraceReplayer(cluster).replay(_trace())
-    assert report.percentile(0.5) <= report.percentile(0.99)
+    report, handles = _replay(cluster, _trace())
+    assert report.service_p50_s == percentile([h.service_s for h in handles], 0.5)
+    assert 0 < report.service_p50_s <= report.service_p99_s <= report.total_p99_s
+    assert percentile([4.0, 1.0, 3.0, 2.0], 0.5) == 2.5
 
 
 def test_replay_generated_trace_end_to_end(cluster):
@@ -137,6 +142,6 @@ def test_replay_generated_trace_end_to_end(cluster):
         value_ranges={"a": (0, 20)},
     )
     trace = gen.generate(600.0)[:12]
-    report = TraceReplayer(cluster).replay(trace)
-    assert report.count == len(trace)
-    assert report.success_ratio() == 1.0
+    report, handles = _replay(cluster, trace)
+    assert report.submitted == report.completed == len(trace)
+    assert sorted(h.submitted_at for h in handles) == [q.at_s for q in trace]

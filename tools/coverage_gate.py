@@ -102,6 +102,7 @@ TEST_ARGS = [
     "tests/test_conversion_daemon.py",
     "tests/test_workload.py",
     "tests/test_workload_replay.py",
+    "tests/test_workload_traces.py",
 ]
 
 FLOOR = 0.80
