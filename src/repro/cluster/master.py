@@ -13,7 +13,6 @@ replication of master-component state is provided by
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from typing import Deque, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
@@ -32,7 +31,7 @@ from repro.cluster.node import LeafServer, StemServer
 from repro.cluster.scheduler import JobScheduler, Placement
 from repro.columnar.table import Catalog
 from repro.storage.loader import read_table_frame
-from repro.engine.executor import QueryResult, TaskResult, finalize
+from repro.engine.executor import TaskResult, finalize
 from repro.errors import (
     AccessDeniedError,
     ClusterStateError,
@@ -169,6 +168,7 @@ class _Wave:
     __slots__ = (
         "master", "job", "total", "broadcasts", "sent_broadcast_to", "arrived",
         "arrived_before", "early_ratio", "supervisor_options", "failed", "reused", "gate",
+        "unplaced", "placements",
     )
 
     def __init__(
@@ -194,24 +194,38 @@ class _Wave:
         self.failed = 0
         self.reused: Set[str] = set()
         self.gate = master.sim.event(name=f"{job.job_id}.wave")
+        self.unplaced: List[ScanTask] = []  # its own tasks, until placed
+        self.placements: Optional[List[Optional[Placement]]] = None
 
-    def launch(self, task: ScanTask, sig: Tuple) -> None:
-        """Start ``task``'s own supervisor, published for identical-task
-        reuse under its signature ``sig``.  One callback on its completion
-        settles the job manager's in-flight entry and then the task's
-        place in this wave."""
+    def launch(self, task: ScanTask, sig: Tuple, in_wave: bool = False) -> None:
+        """Start ``task``'s own supervisor (placed by the wave when
+        ``in_wave``), published for identical-task reuse under ``sig``.
+        One callback on its completion settles the job manager's
+        in-flight entry and then the task's place in this wave."""
         master = self.master
         done = Event(master.sim, "task.done")
         master.job_manager.track_task(sig, done)
-        Process(
-            master.sim,
-            master._task_supervisor(  # noqa: SLF001
-                self.job, task, self.broadcasts, self.sent_broadcast_to, done,
-                **self.supervisor_options,
-            ),
-            task.task_id,
+        first = None
+        if in_wave:
+            first = partial(self.placement, len(self.unplaced))
+            self.unplaced.append(task)
+        state = _TaskAttempts(
+            master, self.job, task, self.broadcasts, self.sent_broadcast_to, done,
+            **self.supervisor_options,
         )
+        Process(master.sim, master._task_supervisor(state, first), task.task_id)  # noqa: SLF001
         done.add_callback(partial(self._settle_own, sig, task))
+
+    def placement(self, index: int) -> Optional[Placement]:
+        """The first supervisor to ask places the wave: the first steps of
+        its supervisors are consecutive pops, so one ``place_wave`` decides
+        what their ``place`` calls would have (in ``_run_wave`` it would
+        not: lower-seq entries of the instant run between and move load)."""
+        if self.placements is None:
+            self.placements = self.master.scheduler.place_wave(
+                self.unplaced, self.job.plan.scan_cnf, prefer=self.supervisor_options["prefer"]
+            )
+        return self.placements[index]
 
     def _settle_own(self, sig: Tuple, task: ScanTask, ev: Event) -> None:
         self.master.job_manager.settle_task(sig, ev)
@@ -313,13 +327,16 @@ class _TaskAttempts:
         for timer in self.armed:
             timer.abandon()
 
-    def launch(self) -> bool:
+    def launch(self, first=None) -> bool:
+        """Start one more attempt, placed by ``first()`` if given."""
         master, job, task, attempts = self.master, self.job, self.task, self.attempts
         try:
-            placement = master.scheduler.place(
+            placement = first() if first is not None else master.scheduler.place(
                 task, job.plan.scan_cnf, exclude=self.excluded, prefer=self.prefer
             )
         except SchedulingError:
+            placement = None
+        if placement is None:
             return False
         self.excluded.append(placement.leaf.worker_id)
         # ``estimate_scale`` folds the adaptive checkpoint's cost
@@ -815,7 +832,7 @@ class Master:
                 state.reused.add(task.task_id)
                 shared.add_callback(partial(state.settle, task, True))
             else:
-                state.launch(task, sig)
+                state.launch(task, sig, in_wave=True)
 
         if time_left is not None:
             def expire() -> None:
@@ -968,23 +985,10 @@ class Master:
 
     # -- per-task supervision (dispatch, stem routing, backups) ---------------------
 
-    def _task_supervisor(
-        self,
-        job: Job,
-        task: ScanTask,
-        broadcasts: Dict[str, Frame],
-        sent_broadcast_to: Set[str],
-        done: Event,
-        estimate_scale: float = 1.0,
-        prefer: Sequence[str] = (),
-        on_retry=None,
-    ) -> Generator[Event, None, None]:
-        state = _TaskAttempts(
-            self, job, task, broadcasts, sent_broadcast_to, done,
-            estimate_scale, prefer, on_retry,
-        )
-        if not state.launch():
-            done.fail(SchedulingError(f"no leaf available for {task.task_id}"))
+    def _task_supervisor(self, state: _TaskAttempts, first=None) -> Generator[Event, None, None]:
+        done = state.done
+        if not state.launch(first):
+            done.fail(SchedulingError(f"no leaf available for {state.task.task_id}"))
             return
 
         # Straggler watchdog: launch a backup if the newest in-flight
@@ -992,7 +996,7 @@ class Master:
         # tasks).  The deadline rebases whenever a retry replaces a
         # failed attempt — firing on attempt 0's clock after attempt 0
         # already failed would double up on a retry that just started.
-        if job.options.enable_backup:
+        if state.job.options.enable_backup:
             yield from _straggler_watchdog(
                 self.sim, self.scheduler.backup_deadline, done,
                 state.attempts, state.estimates, state.launch_times,

@@ -23,7 +23,7 @@ from repro.cluster.membership import ClusterManager
 from repro.cluster.node import LeafServer
 from repro.errors import SchedulingError
 from repro.planner.cnf import ConjunctiveForm
-from repro.planner.cost import CostModel
+from repro.planner.cost import OPS_PER_DECODE, CostModel
 from repro.planner.physical import ScanTask
 from repro.sim.netmodel import NetworkTopology, NodeAddress
 from repro.storage.router import StorageRouter
@@ -38,6 +38,10 @@ BACKUP_MIN_S = 2.0
 TASK_BYTES_CACHE_ENTRIES = 1 << 16
 #: How many re-admitted worker ids the scheduler remembers by name.
 RECENT_READMISSIONS = 64
+#: A leaf's standing in one :meth:`JobScheduler.place_wave` call (down,
+#: dead-marked or excluded; draining; open), and a local candidate's rank.
+_DEAD, _DRAINING, _OPEN = range(3)
+_RANK = itemgetter(0, 1)
 
 
 @dataclass
@@ -154,13 +158,6 @@ class JobScheduler:
         self._task_bytes_cache[key] = nbytes
         return nbytes
 
-    def _effective_path(self, task: ScanTask) -> str:
-        """The path the leaf will actually read — promoted hot copy when
-        the tiering daemon has published one, catalog path otherwise."""
-        if self.tiering is not None:
-            return self.tiering.effective_path(task.block.path)
-        return task.block.path
-
     # -- placement -----------------------------------------------------------
 
     def place(
@@ -170,151 +167,150 @@ class JobScheduler:
         exclude: Sequence[str] = (),
         prefer: Sequence[str] = (),
     ) -> Placement:
-        """Choose a leaf for ``task`` per the §III-B policy.
-
-        ``prefer`` narrows the candidate pool to those workers when any
-        of them is alive — the adaptive re-optimizer uses it to colocate
-        remainder tasks with leaves that already hold the broadcast
-        frames, avoiding a second dimension-table ship.
-        """
-        system, inner = self.router.resolve(self._effective_path(task))
-        is_draining = getattr(self.cluster_manager, "is_draining", None)
-        if self.locality_aware and not prefer:
-            # Holder-first: a live, non-draining holder proves the global
-            # non-draining list non-empty, so the registry-wide filters
-            # below would select exactly these leaves — start from the
-            # block's replicas instead of from every registered leaf.
-            ranked = []
-            for addr in system.locations(inner):
-                leaf = self._by_address.get(addr)
-                if (
-                    leaf is not None
-                    and self._leaves.get(leaf.worker_id) is leaf
-                    and leaf.alive
-                    and self.cluster_manager.is_alive(leaf.worker_id)
-                    and leaf.worker_id not in exclude
-                    and not (is_draining is not None and is_draining(leaf.worker_id))
-                ):
-                    ranked.append((self._order[leaf.worker_id], leaf))
-            if ranked:
-                ranked.sort(key=itemgetter(0))
-                holders = [leaf for _, leaf in ranked]
-                return self._place_on_holder(holders, task, cnf, system, inner)
-
-        # Fall-through (no eligible holder, ``prefer`` given, round-robin
-        # ablation, every live leaf draining): filter the whole registry.
-        alive = [
-            leaf
-            for leaf in self._leaves.values()
-            if leaf.alive
-            and self.cluster_manager.is_alive(leaf.worker_id)
-            and leaf.worker_id not in exclude
-        ]
-        # Draining workers (S55) take no new tasks while their replicas
-        # evacuate — unless they are the only live leaves left, in which
-        # case liveness beats drain strictness.  A manager without drain
-        # states (test doubles) drains nothing.
-        if is_draining is not None:
-            non_draining = [leaf for leaf in alive if not is_draining(leaf.worker_id)]
-            if non_draining:
-                alive = non_draining
-        if prefer:
-            preferred = [leaf for leaf in alive if leaf.worker_id in prefer]
-            if preferred:
-                alive = preferred
-        if not alive:
+        """Choose a leaf for ``task``: :meth:`place_wave` of one task."""
+        placement = self.place_wave((task,), cnf, exclude, prefer)[0]
+        if placement is None:
             raise SchedulingError(f"no live leaf available for task {task.task_id}")
-        if not self.locality_aware:
-            with self._lock:
-                cursor = self._rr
-                self._rr += 1
-            leaf = alive[cursor % len(alive)]
-            local = leaf.address in system.locations(inner)
-            self._count(local)
-            return Placement(leaf, local, self._estimate(leaf, task, cnf, local, system, inner))
+        return placement
 
-        replica_addrs = set(system.locations(inner))
-        local_candidates = [leaf for leaf in alive if leaf.address in replica_addrs]
-        if local_candidates:
-            return self._place_on_holder(local_candidates, task, cnf, system, inner)
+    def place_wave(
+        self,
+        tasks: Sequence[ScanTask],
+        cnf: ConjunctiveForm,
+        exclude: Sequence[str] = (),
+        prefer: Sequence[str] = (),
+    ) -> List[Optional[Placement]]:
+        """Place ``tasks`` in order per the §III-B policy, exactly as one
+        :meth:`place` per task would; None where no leaf is live.
 
-        # No replica holder available: minimize transfer + load.
-        def remote_cost(leaf: LeafServer) -> float:
-            if self.layouts is not None:
-                xfer = min(
-                    self.net.transfer_time_estimate(
-                        addr,
-                        leaf.address,
-                        int(self.layouts.replica_bytes(task, addr)),
-                    )
-                    for addr in replica_addrs
-                ) if replica_addrs else 0.0
-            else:
-                nbytes = self._task_bytes(task)
-                xfer = min(
-                    self.net.transfer_time_estimate(addr, leaf.address, int(nbytes))
-                    for addr in replica_addrs
-                ) if replica_addrs else 0.0
-            return xfer + 0.05 * leaf.pressure()
+        Placing changes no leaf, so each candidate leaf's eligibility and
+        ``pressure()`` are read at most once per call, and the cost
+        model's terms once.  ``prefer`` narrows the pool to those workers
+        when any is alive: the adaptive re-optimizer colocates remainder
+        tasks with the leaves that already hold the broadcast frames.
+        """
+        manager, layouts, net = self.cluster_manager, self.layouts, self.net
+        is_draining = getattr(manager, "is_draining", None)
+        cost = self.cost_model
+        seek, bandwidth, cpu_rate = cost.disk_seek_s, cost.disk_bandwidth_bps, cost.cpu_ops_per_sec
+        ops_per_row = cost.predicate_ops_per_row(cnf)
+        # Per leaf its state and load, per replica address its candidate.
+        states, loads, holders_at = {}, {}, {}
+        pool: Optional[List[LeafServer]] = None
+        placements: List[Optional[Placement]] = []
+        local_count = 0
 
-        leaf = min(alive, key=remote_cost)
-        self._count(False)
-        return Placement(leaf, False, self._estimate(leaf, task, cnf, False, system, inner))
-
-    def _place_on_holder(
-        self, holders: List[LeafServer], task: ScanTask, cnf: ConjunctiveForm, system, inner: str
-    ) -> Placement:
-        """The §III-B local choice among replica ``holders``, given in
-        registration order (``min`` keeps the first of equals)."""
-        if self.layouts is not None:
-            # Trojan replicas (S54): holders are not interchangeable —
-            # score each by the layout its copy serves, load-broken.
-            leaf = min(
-                holders,
-                key=lambda lf: (
-                    self.layouts.scan_seconds(task, cnf, lf.address)
-                    + 0.05 * lf.pressure(),
-                    lf.worker_id,
-                ),
-            )
-        else:
-            leaf = min(holders, key=LeafServer.pressure)
-        self._count(True)
-        return Placement(leaf, True, self._estimate(leaf, task, cnf, True, system, inner))
-
-    def _count(self, local: bool) -> None:
-        with self._lock:
-            if local:
-                self.placements_local += 1
-            else:
-                self.placements_remote += 1
-
-    def _estimate(
-        self, leaf: LeafServer, task: ScanTask, cnf: ConjunctiveForm, local: bool, system, inner: str
-    ) -> float:
-        """Cost estimate for ``task`` on ``leaf``; ``system``/``inner`` are
-        the task's effective path as :meth:`place` resolved it."""
-        if self.layouts is not None:
-            # Layout-aware estimate: prices the serving replica's variant
-            # and already includes the transfer leg for non-holders.
-            return self.layouts.scan_seconds(task, cnf, leaf.address)
-        est = self.cost_model.task_seconds(
-            task,
-            cnf,
-            index_covered=False,
-            bandwidth_factor=system.profile.bandwidth_factor,
-            extra_latency_s=system.profile.first_byte_latency_s,
-            nbytes=self._task_bytes(task),
-        )
-        if not local:
-            replicas = system.locations(inner)
-            if replicas:
-                nbytes = self._task_bytes(task)
-                est += min(
-                    self.net.transfer_time_estimate(addr, leaf.address, int(nbytes))
-                    for addr in replicas
+        def state(leaf: LeafServer) -> int:
+            if leaf not in states:
+                wid = leaf.worker_id
+                states[leaf] = (
+                    _DEAD if not (leaf.alive and manager.is_alive(wid)) or wid in exclude
+                    else _DRAINING if is_draining is not None and is_draining(wid) else _OPEN
                 )
-        return est
+            return states[leaf]
+
+        def load(leaf: LeafServer) -> float:
+            if leaf not in loads:
+                loads[leaf] = leaf.pressure()
+            return loads[leaf]
+
+        def holder(addr: NodeAddress) -> Optional[tuple]:
+            leaf = self._by_address.get(addr)
+            registered = leaf is not None and self._leaves.get(leaf.worker_id) is leaf
+            holders_at[addr] = (
+                (load(leaf), self._order[leaf.worker_id], leaf)
+                if registered and state(leaf) == _OPEN else None
+            )
+            return holders_at[addr]
+
+        for task in tasks:
+            path = task.block.path
+            if self.tiering is not None:  # the promoted hot copy, once published
+                path = self.tiering.effective_path(path)
+            system, inner = self.router.resolve(path)
+            replicas = system.locations(inner)
+            # Local candidates as (load, registration index, leaf): the
+            # least loaded wins, and of equals the first a scan of every
+            # leaf would meet.
+            local = []
+            if self.locality_aware and not prefer:
+                # Holder-first: an open holder proves the pool below would
+                # choose among exactly the block's open holders.
+                for addr in replicas:
+                    entry = holders_at[addr] if addr in holders_at else holder(addr)
+                    if entry is not None:
+                        local.append(entry)
+            if not local:
+                if pool is None:
+                    # Draining workers (S55) take no new tasks unless they
+                    # are the only live leaves left; a manager without
+                    # drain states (test doubles) drains nothing.
+                    live = [leaf for leaf in self._leaves.values() if state(leaf) != _DEAD]
+                    pool = [leaf for leaf in live if states[leaf] == _OPEN] or live
+                    if prefer:
+                        pool = [leaf for leaf in pool if leaf.worker_id in prefer] or pool
+                if not pool:
+                    placements.append(None)
+                    continue
+                if not self.locality_aware:
+                    with self._lock:
+                        cursor = self._rr
+                        self._rr += 1
+                    leaf = pool[cursor % len(pool)]
+                else:
+                    replica_addrs = set(replicas)
+                    local = [
+                        (load(leaf), self._order[leaf.worker_id], leaf)
+                        for leaf in pool
+                        if leaf.address in replica_addrs
+                    ]
+                    if not local:
+                        # No replica holder available: minimize transfer + load.
+                        def remote_cost(leaf: LeafServer) -> float:
+                            nbytes = self._task_bytes(task) if layouts is None else 0.0
+                            xfers = (
+                                net.transfer_time_estimate(addr, leaf.address, int(
+                                    nbytes if layouts is None else layouts.replica_bytes(task, addr)
+                                ))
+                                for addr in replica_addrs
+                            )
+                            return min(xfers, default=0.0) + 0.05 * load(leaf)
+
+                        leaf = min(pool, key=remote_cost)
+            if local:
+                if layouts is None:
+                    leaf = min(local, key=_RANK)[2]
+                else:
+                    # Trojan replicas (S54): holders are not interchangeable —
+                    # score each by the layout its copy serves, load-broken.
+                    leaf = min(local, key=lambda c: (
+                        layouts.scan_seconds(task, cnf, c[2].address) + 0.05 * c[0],
+                        c[2].worker_id,
+                    ))[2]
+            data_local = bool(local) or leaf.address in replicas
+            if layouts is not None:
+                # Prices the serving replica's variant, transfer leg included.
+                estimate = layouts.scan_seconds(task, cnf, leaf.address)
+            else:
+                # ``CostModel.task_seconds`` in its float order, so bit for bit.
+                profile, rows = system.profile, task.block.modeled_rows
+                estimate = (
+                    profile.first_byte_latency_s
+                    + (seek + self._task_bytes(task) / (bandwidth * profile.bandwidth_factor))
+                    + (OPS_PER_DECODE * rows * len(task.columns) + ops_per_row * rows) / cpu_rate
+                )
+                if not data_local and replicas:
+                    nbytes = self._task_bytes(task)
+                    estimate += min(
+                        net.transfer_time_estimate(addr, leaf.address, int(nbytes))
+                        for addr in replicas
+                    )
+            local_count += data_local
+            placements.append(Placement(leaf, data_local, estimate))
+        with self._lock:
+            self.placements_local += local_count
+            self.placements_remote += len(placements) - placements.count(None) - local_count
+        return placements
 
     # -- backup tasks ----------------------------------------------------------
 

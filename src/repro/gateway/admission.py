@@ -19,29 +19,33 @@ deterministic.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
+from repro.columnar.table import BlockRef
 from repro.errors import GatewayOverloadedError
 from repro.gateway.config import GatewayConfig
 from repro.gateway.fairshare import DeficitRoundRobin, TenantQueue
 from repro.gateway.session import GatewayQuery
-from repro.planner.physical import PhysicalPlan
+from repro.planner.physical import plan_shape
+from repro.sql.analyzer import AnalyzedQuery
 
 
-def _task_bytes(task) -> float:
-    encoded = task.block.bytes_for(task.columns)
+def _scan_bytes(block, columns) -> float:
+    encoded = block.bytes_for(columns)
     if encoded <= 0:
         # Projection-free scans (SELECT COUNT(*)) still hold per-row
         # presence state; floor the estimate so no query is "free".
-        encoded = 8 * task.block.num_rows
-    return encoded * task.block.scale_factor
+        encoded = 8 * block.num_rows
+    return encoded * block.scale_factor
 
 
-def estimate_query_memory(plan: PhysicalPlan, catalog) -> float:
-    """Planner-derived working-set estimate for one query, in bytes."""
-    peak_task = max((_task_bytes(task) for task in plan.tasks), default=0.0)
+def estimate_query_memory(analyzed: AnalyzedQuery, blocks: Sequence[BlockRef], catalog) -> float:
+    """Planner-derived working-set estimate, in bytes, for ``analyzed``
+    scanning ``blocks`` (:func:`~repro.planner.physical.scan_blocks`)."""
+    shape = plan_shape(analyzed)
+    peak_task = max((_scan_bytes(ref, shape.base_columns) for ref in blocks), default=0.0)
     broadcast = 0.0
-    for bc in plan.broadcasts:
+    for bc in shape.broadcasts:
         table = catalog.get(bc.table_name)
         broadcast += sum(
             ref.bytes_for(bc.columns) * ref.scale_factor for ref in table.blocks

@@ -103,6 +103,9 @@ class MultiSessionReport:
     jain_fairness: float = 1.0
     fairness_tenants: int = 0
     per_tenant: Dict[str, TenantReport] = field(default_factory=dict)
+    #: Every admitted query's handle, in submission order (the gateway
+    #: forgets them once their closed sessions resolve).
+    queries: List[GatewayQuery] = field(default_factory=list, repr=False)
 
     def as_dict(self) -> Dict[str, float]:
         """Flat numeric view for JSON baselines and metrics."""
@@ -120,14 +123,17 @@ def run_sessions(
     Users referenced by the traces must already exist on the cluster
     (with read grants); :class:`~repro.errors.GatewayOverloadedError`
     rejections are counted, any other submission error propagates.
-    Returns the report; raises on deadlock or when the simulated clock
-    passes ``limit_s``.
+    Each session closes once its last query is submitted, so the gateway
+    forgets it and its handles when they resolve.  Returns the report;
+    raises on deadlock or when the simulated clock passes ``limit_s``.
     """
     sim = gateway.cluster.sim
     start = sim.now
     pending = {"opens": len(traces), "submits": sum(len(t.queries) for t in traces)}
     handles: List[GatewayQuery] = []
     sessions: List[GatewaySession] = []
+    # Queries each open session has still to submit, by session id.
+    unsubmitted: Dict[str, int] = {}
 
     def _submit(session: GatewaySession, sql: str) -> None:
         pending["submits"] -= 1
@@ -135,11 +141,18 @@ def run_sessions(
             handles.append(session.submit(sql))
         except GatewayOverloadedError:
             pass  # counted on the tenant queue
+        finally:
+            unsubmitted[session.session_id] -= 1
+            if not unsubmitted[session.session_id]:
+                session.close()
 
     def _open(trace: SessionTrace) -> None:
         pending["opens"] -= 1
         session = gateway.open_session(trace.user, tenant=trace.tenant)
         sessions.append(session)
+        unsubmitted[session.session_id] = len(trace.queries)
+        if not trace.queries:
+            session.close()
         for tq in trace.queries:
             sim.schedule(max(0.0, tq.at_s - (sim.now - start)), _submit, session, tq.sql)
 
@@ -225,7 +238,9 @@ def build_report(
     tenants = list(gateway.admission.tenants())
     totals = outcome_counts(tenants)
     totals["submitted"] = totals.pop("admitted")
-    report = MultiSessionReport(sessions=len(sessions), makespan_s=now - start_s, **totals)
+    report = MultiSessionReport(
+        sessions=len(sessions), makespan_s=now - start_s, queries=list(handles), **totals
+    )
     ok = [h for h in handles if h.status is QueryStatus.SUCCEEDED]
     report.service_p50_s = percentile([h.service_s for h in ok], 0.50)
     report.service_p99_s = percentile([h.service_s for h in ok], 0.99)

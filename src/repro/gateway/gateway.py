@@ -38,7 +38,7 @@ from repro.gateway.session import (
     QueryStatus,
     SessionState,
 )
-from repro.planner.physical import build_plan
+from repro.planner.physical import scan_blocks
 from repro.sim.events import Event
 from repro.sql.analyzer import analyze_sql
 
@@ -155,7 +155,9 @@ class SQLGateway:
             options.validate()
         analyzed = analyze_sql(sql, self.cluster.catalog)
         self.cluster.acl.check_read(session.user, analyzed.table_names)
-        plan = build_plan(analyzed)
+        # Priced from the blocks a plan would scan; the master plans the
+        # query once, when it is emitted.
+        blocks, _ = scan_blocks(analyzed)
         tq = self.admission.tenant(session.tenant)
         if timeout_s is None:
             timeout_s = tq.policy.query_timeout_s
@@ -165,8 +167,8 @@ class SQLGateway:
             session=session,
             sql=sql,
             options=options or JobOptions(),
-            cost_units=float(max(1, len(plan.tasks))),
-            memory_bytes=estimate_query_memory(plan, self.cluster.catalog),
+            cost_units=float(max(1, len(blocks))),
+            memory_bytes=estimate_query_memory(analyzed, blocks, self.cluster.catalog),
             submitted_at=sim.now,
             done=sim.event(name=f"{query_id}.done"),
             timeout_s=timeout_s,

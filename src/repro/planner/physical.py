@@ -218,13 +218,12 @@ def _derive_shape(analyzed: AnalyzedQuery) -> PlanShape:
     )
 
 
-def build_plan(analyzed: AnalyzedQuery) -> PhysicalPlan:
-    """Instantiate the physical plan of an analyzed query: a fresh plan id
-    and one task per block of the base table's *current* block list that
-    range statistics cannot prune."""
+def scan_blocks(analyzed: AnalyzedQuery) -> Tuple[List[BlockRef], int]:
+    """The base table's *current* blocks that range statistics cannot
+    prune, in block order, and how many they pruned.  A plan scans one
+    task per block; the gateway prices a query from them unplanned."""
     shape = plan_shape(analyzed)
-    base_binding = analyzed.base_binding
-    base_table = analyzed.tables[base_binding]
+    base_table = analyzed.tables[analyzed.base_binding]
     for bc in shape.broadcasts:
         if bc.kind is JoinKind.RIGHT_OUTER and len(base_table.blocks) > 1:
             # Each task pads the dimension rows its own block did not
@@ -234,25 +233,30 @@ def build_plan(analyzed: AnalyzedQuery) -> PhysicalPlan:
                 f"RIGHT JOIN {bc.table_name} needs a one-block {base_table.name}, "
                 f"which has {len(base_table.blocks)} blocks"
             )
-    plan_id = f"plan-{next(_plan_counter)}"
-    tasks: List[ScanTask] = []
-    pruned = 0
     if shape.contradiction:
-        pruned = len(base_table.blocks)
-    else:
-        for ref in base_table.blocks:
-            if _prunable(ref, shape.range_atoms):
-                pruned += 1
-                continue
-            tasks.append(
-                ScanTask(
-                    task_id=f"{plan_id}/t{len(tasks)}",
-                    table_name=base_table.name,
-                    binding=base_binding,
-                    block=ref,
-                    columns=shape.base_columns,
-                )
-            )
+        return [], len(base_table.blocks)
+    blocks = [ref for ref in base_table.blocks if not _prunable(ref, shape.range_atoms)]
+    return blocks, len(base_table.blocks) - len(blocks)
+
+
+def build_plan(analyzed: AnalyzedQuery) -> PhysicalPlan:
+    """Instantiate the physical plan of an analyzed query: a fresh plan id
+    and one task per block :func:`scan_blocks` keeps."""
+    shape = plan_shape(analyzed)
+    base_binding = analyzed.base_binding
+    table_name = analyzed.tables[base_binding].name
+    blocks, pruned = scan_blocks(analyzed)
+    plan_id = f"plan-{next(_plan_counter)}"
+    tasks = [
+        ScanTask(
+            task_id=f"{plan_id}/t{i}",
+            table_name=table_name,
+            binding=base_binding,
+            block=ref,
+            columns=shape.base_columns,
+        )
+        for i, ref in enumerate(blocks)
+    ]
     return PhysicalPlan(
         plan_id=plan_id,
         analyzed=analyzed,

@@ -145,7 +145,38 @@ def test_cross_datacenter_data_is_slower():
 # ``JobScheduler.place`` starts from the block's replica holders and only
 # falls through to filtering every registered leaf when no holder is
 # eligible.  ``_reference_place`` is the body it had when it scanned the
-# registry for every task; the two must agree on every decision.
+# registry for every task, and ``_reference_estimate`` the pricing it had
+# before ``place_wave`` hoisted the cost model's terms; the two must agree
+# on every decision.
+
+
+def _reference_count(self, local):
+    if local:
+        self.placements_local += 1
+    else:
+        self.placements_remote += 1
+
+
+def _reference_estimate(self, leaf, task, cnf, local, system, inner):
+    if self.layouts is not None:
+        return self.layouts.scan_seconds(task, cnf, leaf.address)
+    est = self.cost_model.task_seconds(
+        task,
+        cnf,
+        index_covered=False,
+        bandwidth_factor=system.profile.bandwidth_factor,
+        extra_latency_s=system.profile.first_byte_latency_s,
+        nbytes=self._task_bytes(task),
+    )
+    if not local:
+        replicas = system.locations(inner)
+        if replicas:
+            nbytes = self._task_bytes(task)
+            est += min(
+                self.net.transfer_time_estimate(addr, leaf.address, int(nbytes))
+                for addr in replicas
+            )
+    return est
 
 
 def _reference_place(self, task, cnf, exclude=(), prefer=()):
@@ -167,15 +198,20 @@ def _reference_place(self, task, cnf, exclude=(), prefer=()):
             alive = preferred
     if not alive:
         raise SchedulingError(f"no live leaf available for task {task.task_id}")
-    system, inner = self.router.resolve(self._effective_path(task))
+    path = task.block.path
+    if self.tiering is not None:
+        path = self.tiering.effective_path(path)
+    system, inner = self.router.resolve(path)
     if not self.locality_aware:
         with self._lock:
             cursor = self._rr
             self._rr += 1
         leaf = alive[cursor % len(alive)]
         local = leaf.address in system.locations(inner)
-        self._count(local)
-        return Placement(leaf, local, self._estimate(leaf, task, cnf, local, system, inner))
+        _reference_count(self, local)
+        return Placement(
+            leaf, local, _reference_estimate(self, leaf, task, cnf, local, system, inner)
+        )
 
     replica_addrs = set(system.locations(inner))
     local_candidates = [leaf for leaf in alive if leaf.address in replica_addrs]
@@ -191,8 +227,10 @@ def _reference_place(self, task, cnf, exclude=(), prefer=()):
             )
         else:
             leaf = min(local_candidates, key=lambda lf: lf.load_snapshot().pressure)
-        self._count(True)
-        return Placement(leaf, True, self._estimate(leaf, task, cnf, True, system, inner))
+        _reference_count(self, True)
+        return Placement(
+            leaf, True, _reference_estimate(self, leaf, task, cnf, True, system, inner)
+        )
 
     def remote_cost(leaf):
         if self.layouts is not None:
@@ -211,8 +249,8 @@ def _reference_place(self, task, cnf, exclude=(), prefer=()):
         return xfer + 0.05 * leaf.load_snapshot().pressure
 
     leaf = min(alive, key=remote_cost)
-    self._count(False)
-    return Placement(leaf, False, self._estimate(leaf, task, cnf, False, system, inner))
+    _reference_count(self, False)
+    return Placement(leaf, False, _reference_estimate(self, leaf, task, cnf, False, system, inner))
 
 
 class _NoDrainManager:

@@ -27,11 +27,16 @@ from repro.gateway import (
     percentile,
     run_sessions,
 )
-from repro.planner.physical import build_plan
+from repro.planner.physical import scan_blocks
 from repro.security.acl import Quota
 from repro.sql.analyzer import analyze
 from repro.sql.parser import parse
 from repro.workload.generator import MultiTenantConfig, multi_tenant_sessions
+
+
+def memory_need(cluster, sql: str) -> float:
+    analyzed = analyze(parse(sql), cluster.catalog)
+    return estimate_query_memory(analyzed, scan_blocks(analyzed)[0], cluster.catalog)
 
 
 def make_cluster(gateway: GatewayConfig = None, **config_kwargs) -> FeisuCluster:
@@ -200,8 +205,7 @@ def test_slot_and_tenant_concurrency_limits_hold():
 
 def test_memory_budget_serializes_queries():
     cluster = make_cluster(gateway=GatewayConfig())
-    plan = build_plan(analyze(parse("SELECT COUNT(*) FROM T"), cluster.catalog))
-    need = estimate_query_memory(plan, cluster.catalog)
+    need = memory_need(cluster, "SELECT COUNT(*) FROM T")
     assert need > 0
     # Budget fits one query but not two: they must run one at a time.
     cfg = GatewayConfig(
@@ -219,8 +223,7 @@ def test_memory_budget_serializes_queries():
 
 def test_over_budget_singleton_still_runs():
     cluster = make_cluster(gateway=GatewayConfig())
-    plan = build_plan(analyze(parse("SELECT COUNT(*) FROM T"), cluster.catalog))
-    need = estimate_query_memory(plan, cluster.catalog)
+    need = memory_need(cluster, "SELECT COUNT(*) FROM T")
     cfg = GatewayConfig(total_slots=2, memory_budget_bytes=need / 2)
     cluster = make_cluster(gateway=cfg)
     session = cluster.gateway.open_session("alice")
@@ -231,16 +234,27 @@ def test_over_budget_singleton_still_runs():
 
 def test_join_memory_estimate_includes_broadcast():
     cluster = make_cluster(gateway=GatewayConfig())
-    scan = build_plan(analyze(parse("SELECT COUNT(*) FROM T"), cluster.catalog))
-    join = build_plan(
-        analyze(
-            parse("SELECT T.c1 FROM T JOIN D ON T.c2 = D.c2 WHERE D.weight > 0.5"),
-            cluster.catalog,
+    join = "SELECT T.c1 FROM T JOIN D ON T.c2 = D.c2 WHERE D.weight > 0.5"
+    assert memory_need(cluster, join) > memory_need(cluster, "SELECT COUNT(*) FROM T")
+
+
+def test_gateway_prices_a_query_without_planning_it():
+    # Admission prices a query from the blocks its plan will scan; only
+    # the master builds the plan, so plan ids advance by one per query.
+    cluster = make_cluster(gateway=GatewayConfig())
+    session = cluster.gateway.open_session("alice")
+    handles = []
+    for sql in ("SELECT COUNT(*) FROM T WHERE c1 < 50", "SELECT SUM(clicks) FROM T"):
+        handles.append(session.submit(sql))
+        drain(cluster.gateway)
+    first, second = (int(h.job.plan.plan_id.split("-")[1]) for h in handles)
+    assert second == first + 1
+    for h in handles:
+        plan = h.job.plan
+        assert h.cost_units == float(max(1, len(plan.tasks)))
+        assert h.memory_bytes == estimate_query_memory(
+            plan.analyzed, [t.block for t in plan.tasks], cluster.catalog
         )
-    )
-    assert estimate_query_memory(join, cluster.catalog) > estimate_query_memory(
-        scan, cluster.catalog
-    )
 
 
 # -- fair share -------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro import FeisuCluster, FeisuConfig, Schema, DataType
 from repro.errors import AnalysisError
 from repro.gateway import GatewayConfig
 from repro.gateway.driver import percentile, run_sessions
+from repro.gateway.session import QueryStatus
 from repro.workload.generator import (
     TimedQuery,
     WorkloadConfig,
@@ -40,7 +41,7 @@ def _replay(cluster, trace):
     for user in sorted({q.user for q in trace}):
         cluster.create_user(user, tables=["T"])
     report = run_sessions(cluster.gateway, user_sessions(trace), limit_s=1e6)
-    return report, list(cluster.gateway.queries.values())
+    return report, report.queries
 
 
 def _trace():
@@ -145,3 +146,16 @@ def test_replay_generated_trace_end_to_end(cluster):
     report, handles = _replay(cluster, trace)
     assert report.submitted == report.completed == len(trace)
     assert sorted(h.submitted_at for h in handles) == [q.at_s for q in trace]
+
+
+def test_replay_leaves_no_session_open(cluster):
+    # Each session closes once its last query is submitted, so the
+    # gateway forgets it and its handles when they resolve; a second
+    # replay on the same gateway leaves the same.
+    for user in ("u1", "u2"):
+        cluster.create_user(user, tables=["T"])
+    for _ in range(2):
+        report = run_sessions(cluster.gateway, user_sessions(_trace()), limit_s=1e6)
+        assert [h.status for h in report.queries] == [QueryStatus.SUCCEEDED] * 3
+        assert cluster.metrics()["gateway_sessions_open"] == 0
+        assert cluster.gateway.sessions == {} and cluster.gateway.queries == {}

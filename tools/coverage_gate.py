@@ -56,6 +56,7 @@ TEST_ARGS = [
     "tests/test_cluster_membership.py",
     "tests/test_cluster_node.py",
     "tests/test_cluster_scheduler.py",
+    "tests/test_place_wave.py",
     "tests/test_cluster_state_fixes.py",
     "tests/test_elastic.py",
     "tests/test_membership.py",

@@ -4,8 +4,9 @@
 Builds 4 datacenters x 32 racks x 32 nodes (4 096 leaves), loads a
 256-block table, and runs five cold scans of ~200 tasks each through the
 public client.  Prints build / load / per-query wall seconds and how many
-``ClusterManager.is_alive`` calls one ``JobScheduler.place`` makes, then
-checks every answer against the same queries on an 8-leaf cluster.
+``ClusterManager.is_alive`` calls the scheduler makes per placed task
+(``JobScheduler.place_wave`` reads each leaf's liveness once per wave),
+then checks every answer against the same queries on an 8-leaf cluster.
 
     python tools/scale_probe.py                       # the paper-size shape
     python tools/scale_probe.py --racks 2 --nodes 4   # any other shape
@@ -72,17 +73,17 @@ def probe(datacenters: int, racks: int, nodes: int, seed: int) -> dict:
     t2 = time.perf_counter()
 
     counts = {"place": 0, "is_alive": 0}
-    place, is_alive = JobScheduler.place, ClusterManager.is_alive
+    place_wave, is_alive = JobScheduler.place_wave, ClusterManager.is_alive
 
-    def counted_place(self, *args, **kwargs):
-        counts["place"] += 1
-        return place(self, *args, **kwargs)
+    def counted_place_wave(self, tasks, *args, **kwargs):
+        counts["place"] += len(tasks)
+        return place_wave(self, tasks, *args, **kwargs)
 
     def counted_is_alive(self, worker_id):
         counts["is_alive"] += 1
         return is_alive(self, worker_id)
 
-    JobScheduler.place, ClusterManager.is_alive = counted_place, counted_is_alive
+    JobScheduler.place_wave, ClusterManager.is_alive = counted_place_wave, counted_is_alive
     try:
         walls, tasks, answers = [], [], []
         for sql in _queries():
@@ -92,7 +93,7 @@ def probe(datacenters: int, racks: int, nodes: int, seed: int) -> dict:
             tasks.append(job.stats.tasks_total)
             answers.append(job.result.rows())
     finally:
-        JobScheduler.place, ClusterManager.is_alive = place, is_alive
+        JobScheduler.place_wave, ClusterManager.is_alive = place_wave, is_alive
     return {
         "leaves": len(cluster.leaves),
         "build_s": t1 - t0,
