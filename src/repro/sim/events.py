@@ -22,11 +22,18 @@ a timeout cost no call into :meth:`Simulator.schedule`, and the run loops
 pop entries themselves rather than through :meth:`Simulator.step`.  The
 clock (``Simulator.now``) and ``Event.triggered`` are plain attributes,
 read far more often than anything else in the kernel.
+
+Numbering an entry and waiting on an event cost no call of their own.
+``seq`` comes from a plain integer, ``Simulator._seq``, that each push
+site reads and advances itself (``Event.succeed`` stores it back once
+per batch), numbering from 0.  An event holds no waiter list until it
+has a waiter: ``Event._callbacks`` is the shared empty tuple until the
+first one makes it ``[fn]``, and ``succeed`` and ``abandon`` put the
+tuple back, so an event nobody waits on allocates no list.
 """
 
 from __future__ import annotations
 
-import itertools
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, List, Optional
 
@@ -53,7 +60,8 @@ class Event:
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
         self.name = name
-        self._callbacks: List[Callable[[Event], None]] = []
+        #: ``()`` until the first waiter, then a list.
+        self._callbacks: Any = ()
         self._value: Any = None
         self._exc: Optional[BaseException] = None
         self.triggered = False
@@ -74,9 +82,15 @@ class Event:
         if self.triggered:
             # Fire immediately (still via the queue, preserving ordering).
             sim = self.sim
-            heappush(sim._queue, (sim.now, next(sim._seq), fn, (self,)))
+            seq = sim._seq
+            sim._seq = seq + 1
+            heappush(sim._queue, (sim.now, seq, fn, (self,)))
         else:
-            self._callbacks.append(fn)
+            waiters = self._callbacks
+            if waiters:
+                waiters.append(fn)
+            else:
+                self._callbacks = [fn]
 
     def abandon(self) -> None:
         """Drop every waiter of this event.
@@ -85,7 +99,7 @@ class Event:
         slot on the queue keeps its time, so the clock still advances
         there, but it wakes nobody and holds nothing alive.
         """
-        self._callbacks = []
+        self._callbacks = ()
 
     def succeed(self, value: Any = None) -> "Event":
         if self.triggered:
@@ -94,11 +108,13 @@ class Event:
         self._value = value
         callbacks = self._callbacks
         if callbacks:
-            self._callbacks = []
+            self._callbacks = ()
             sim = self.sim
             queue, seq, now, args = sim._queue, sim._seq, sim.now, (self,)
             for fn in callbacks:
-                heappush(queue, (now, next(seq), fn, args))
+                heappush(queue, (now, seq, fn, args))
+                seq += 1
+            sim._seq = seq
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -129,7 +145,9 @@ class Process(Event):
     def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any], name: str = ""):
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self._gen = gen
-        heappush(sim._queue, (sim.now, next(sim._seq), self._step, (None,)))
+        seq = sim._seq
+        sim._seq = seq + 1
+        heappush(sim._queue, (sim.now, seq, self._step, (None,)))
 
     def _step(self, fired: Optional[Event]) -> None:
         if self.triggered:
@@ -147,14 +165,21 @@ class Process(Event):
         except Exception as exc:
             self.fail(exc)
             return
-        if not isinstance(target, Event):
+        cls = target.__class__
+        if cls is not Event and cls is not Process and not isinstance(target, Event):
             self.fail(SimulationError(f"process {self.name!r} yielded non-event {target!r}"))
             return
         if target.triggered:
             sim = self.sim
-            heappush(sim._queue, (sim.now, next(sim._seq), self._step, (target,)))
+            seq = sim._seq
+            sim._seq = seq + 1
+            heappush(sim._queue, (sim.now, seq, self._step, (target,)))
         else:
-            target._callbacks.append(self._step)
+            waiters = target._callbacks
+            if waiters:
+                waiters.append(self._step)
+            else:
+                target._callbacks = [self._step]
 
     def interrupt(self, reason: str = "interrupted") -> None:
         """Fail the process from outside (used for task cancellation)."""
@@ -173,25 +198,30 @@ class Simulator:
     def __init__(self) -> None:
         self.now = 0.0
         self._queue: List[Any] = []
-        self._seq = itertools.count()
+        #: The next entry's sequence number; see the module docstring.
+        self._seq = 0
 
     # -- scheduling ---------------------------------------------------
 
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0:
+        if not delay >= 0:  # refuses NaN as well
             raise SimulationError(f"negative delay {delay}")
-        heappush(self._queue, (self.now + delay, next(self._seq), fn, args))
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._queue, (self.now + delay, seq, fn, args))
 
     def event(self, name: str = "") -> Event:
         return Event(self, name=name)
 
     def timeout(self, delay: float, value: Any = None, name: str = "timeout") -> Event:
         """An event that fires ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # refuses NaN as well
             raise SimulationError(f"negative delay {delay}")
         ev = Event(self, name=name)
-        heappush(self._queue, (self.now + delay, next(self._seq), ev.succeed, (value,)))
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._queue, (self.now + delay, seq, ev.succeed, (value,)))
         return ev
 
     def process(self, gen: Generator[Event, Any, Any], name: str = "") -> Process:
@@ -244,8 +274,12 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> float:
         """Drain the event queue (optionally stopping at time ``until``).
 
-        Returns the simulation time when the run stopped.
+        Returns the simulation time when the run stopped.  An ``until``
+        earlier than ``now`` (or NaN) raises :class:`SimulationError` and
+        leaves the clock and the queue as they were.
         """
+        if until is not None and not until >= self.now:
+            raise SimulationError(f"run until {until} is before now ({self.now})")
         queue = self._queue
         while queue:
             if until is not None and queue[0][0] > until:

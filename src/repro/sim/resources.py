@@ -59,7 +59,7 @@ class Device:
         Returns an event that fires when the work completes; its value is
         ``value``.
         """
-        if duration < 0:
+        if not duration >= 0:  # refuses NaN as well
             raise SimulationError(f"negative service duration {duration}")
         now = self.sim.now
         start = max(now, self._free_at)
@@ -167,7 +167,7 @@ class Cpu(Device):
         self.ops_executed = 0.0
 
     def compute(self, ops: float, value: Any = None) -> Event:
-        if ops < 0:
+        if not ops >= 0:  # refuses NaN as well
             raise SimulationError(f"negative op count {ops}")
         now = self.sim.now
         lanes = self._lane_free_at

@@ -29,10 +29,50 @@ def test_ties_break_by_insertion_order():
     assert seen == [0, 1, 2, 3, 4]
 
 
-def test_negative_delay_rejected():
+def _assert_delay_refused(delay):
     sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.schedule(-0.1, lambda: None)
+    with pytest.raises(SimulationError, match="negative delay"):
+        sim.schedule(delay, lambda: None)
+    with pytest.raises(SimulationError, match="negative delay"):
+        sim.timeout(delay)
+    assert sim._queue == [] and sim.now == 0.0  # noqa: SLF001
+
+
+def test_negative_delay_rejected():
+    _assert_delay_refused(-0.1)
+
+
+def test_nan_delay_rejected():
+    """NaN used to pass the ``< 0`` check and leave the clock at NaN."""
+    _assert_delay_refused(float("nan"))
+
+
+def test_run_until_before_now_is_refused_and_changes_nothing():
+    """``run(until=t)`` with ``t`` behind the clock used to rewind it, so a
+    new timer could land before an event that had already fired."""
+    sim = Simulator()
+    fired = []
+
+    def sleeper():
+        yield sim.timeout(5.0)
+        fired.append(sim.now)
+        yield sim.timeout(5.0)
+        fired.append(sim.now)
+
+    sim.process(sleeper())
+    assert sim.run(until=6.0) == 6.0
+    queued = list(sim._queue)  # noqa: SLF001
+    for until in (3.0, float("nan")):
+        with pytest.raises(SimulationError, match="before now"):
+            sim.run(until=until)
+        assert sim.now == 6.0 and sim._queue == queued  # noqa: SLF001
+    assert sim.run(until=6.0) == 6.0  # until == now is a no-op
+    assert sim._queue == queued  # noqa: SLF001
+    late = sim.timeout(1.0)
+    sim.run_until_complete(late)
+    assert sim.now == 7.0 and fired == [5.0]
+    sim.run()
+    assert fired == [5.0, 10.0]
 
 
 def test_run_until_stops_clock_at_limit():
@@ -155,6 +195,71 @@ def test_process_yielding_non_event_fails():
     p = sim.process(wrong())
     sim.run()
     assert p.triggered and not p.ok
+
+
+def test_process_resumes_on_a_user_subclass_of_event():
+    class Signal(Event):
+        __slots__ = ()
+
+    sim = Simulator()
+    signal = Signal(sim, "signal")
+    sim.schedule(1.5, signal.succeed, "go")
+
+    def waiter():
+        got = yield signal
+        return (got, sim.now)
+
+    assert sim.run_until_complete(sim.process(waiter())) == ("go", 1.5)
+
+
+def test_process_yielding_a_lookalike_with_triggered_fails():
+    class Lookalike:
+        triggered = True
+
+    sim = Simulator()
+
+    def wrong():
+        yield Lookalike()
+
+    p = sim.process(wrong())
+    sim.run()
+    assert p.triggered and not p.ok
+    with pytest.raises(SimulationError, match="yielded non-event"):
+        _ = p.value
+
+
+def test_an_event_without_waiters_holds_no_list():
+    sim = Simulator()
+    timer = sim.timeout(1.0)
+    ev = sim.event()
+    assert timer._callbacks == () and ev._callbacks == ()  # noqa: SLF001
+    timer.abandon()
+    assert timer._callbacks == ()  # noqa: SLF001
+    ev.succeed(1)
+    sim.run()
+    assert timer._callbacks == () and ev._callbacks == ()  # noqa: SLF001
+
+
+def test_waiters_share_one_list_and_leave_it_on_resolution():
+    sim = Simulator()
+    ev = sim.event()
+    got = []
+
+    def waiter(i):
+        got.append((i, (yield ev)))
+
+    for i in range(2):
+        sim.process(waiter(i))
+    sim.run()
+    ev.add_callback(lambda e: got.append(("cb", e.value)))
+    assert len(ev._callbacks) == 3  # noqa: SLF001
+    ev.abandon()
+    assert ev._callbacks == ()  # noqa: SLF001
+    ev.add_callback(lambda e: got.append(("cb", e.value)))
+    ev.succeed("v")
+    assert ev._callbacks == ()  # noqa: SLF001
+    sim.run()
+    assert got == [("cb", "v")]
 
 
 def test_run_until_complete_detects_deadlock():

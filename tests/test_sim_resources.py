@@ -27,10 +27,25 @@ def test_device_idle_gap_not_charged():
     assert ends == [11.0]
 
 
-def test_device_negative_duration_rejected():
+def _assert_service_refused(amount):
     sim = Simulator()
-    with pytest.raises(SimulationError):
-        Device(sim, "d").service(-1.0)
+    disk, cpu = Disk(sim), Cpu(sim, cores=2)
+    with pytest.raises(SimulationError, match="negative service duration"):
+        disk.service(amount)
+    with pytest.raises(SimulationError, match="negative op count"):
+        cpu.compute(amount)
+    assert disk._free_at == 0.0 and cpu._lane_free_at == [0.0, 0.0]  # noqa: SLF001
+    assert sim._queue == []  # noqa: SLF001
+
+
+def test_device_negative_duration_rejected():
+    _assert_service_refused(-1.0)
+
+
+def test_device_nan_duration_rejected():
+    """NaN used to pass the ``< 0`` check and leave the device's next free
+    time (or a CPU lane's) at NaN."""
+    _assert_service_refused(float("nan"))
 
 
 def test_disk_read_time_includes_seek_and_bandwidth():

@@ -11,7 +11,11 @@ from ``benchmarks/e2e/workloads.py``) and runs its warm-up pass.  Then:
   batches events is measured against;
 * one pass under cProfile: interpreter calls per task by module family.
   A Python function counts in its own module's family; a builtin (``len``,
-  ``heappush``, ``dict.get``, ...) counts in its caller's.
+  ``heappush``, ``dict.get``, ...) counts in its caller's.  The same pass
+  counts the kernel's own ``heappush`` calls (every queue entry: nothing
+  outside ``sim/events`` pushes onto the simulator's queue) and prints
+  kernel-family calls per heap push: what one queue entry costs the
+  kernel, its push, pop and callback included.
 
 Families: ``kernel`` (``sim/events``), ``net`` (``sim/netmodel``,
 ``sim/resources``, ``cluster/messages``, ``faults``), ``scheduler``
@@ -98,8 +102,12 @@ def pushes_by_kind(run_pass) -> collections.Counter:
     return counts
 
 
-def calls_by_family(run_pass) -> collections.Counter:
-    """Interpreter calls by module family while ``run_pass()`` runs."""
+HEAPPUSH = "<built-in method _heapq.heappush>"
+
+
+def calls_by_family(run_pass) -> tuple:
+    """Interpreter calls by module family while ``run_pass()`` runs, and
+    the heap pushes the kernel made in that pass."""
     prof = cProfile.Profile()
     prof.enable()
     try:
@@ -107,6 +115,7 @@ def calls_by_family(run_pass) -> collections.Counter:
     finally:
         prof.disable()
     counts: collections.Counter = collections.Counter()
+    pushes = 0
     for entry in prof.getstats():
         if isinstance(entry.code, str):
             continue  # a builtin: counted below, in its callers' families
@@ -115,7 +124,9 @@ def calls_by_family(run_pass) -> collections.Counter:
         for sub in entry.calls or ():
             if isinstance(sub.code, str):
                 counts[family] += sub.callcount
-    return counts
+                if family == "kernel" and sub.code == HEAPPUSH:
+                    pushes += sub.callcount
+    return counts, pushes
 
 
 def probe(name: str, seed: int, top: int) -> None:
@@ -134,13 +145,16 @@ def probe(name: str, seed: int, top: int) -> None:
         print(f"  {rest / queries:>9.2f}  ({len(pushes) - top} other kinds)")
 
     profiled = []
-    calls = calls_by_family(lambda: profiled.extend(w.run_pass(ctx, Meter(0), 2, False)))
+    calls, pushed = calls_by_family(
+        lambda: profiled.extend(w.run_pass(ctx, Meter(0), 2, False)))
     tasks = sum(o.stats.tasks_total for o in profiled if o.stats is not None)
     per = max(1, tasks)
     print(f"  {sum(calls.values()) / per:.1f} interpreter calls per task "
           f"({tasks / max(1, len(profiled)):.2f} tasks per query)")
     for family in FAMILY_ORDER:
         print(f"  {calls[family] / per:>9.1f}  {family}")
+    print(f"  {calls['kernel'] / max(1, pushed):.2f} kernel calls per heap push "
+          f"({pushed / max(1, len(profiled)):.2f} heap pushes per query in this pass)")
 
 
 def main(argv=None) -> int:
