@@ -3,7 +3,7 @@
 Usage (from the repo root)::
 
     python benchmarks/bench.py                      # every suite
-    python benchmarks/bench.py kernels smartindex   # the named suites
+    python benchmarks/bench.py kernels gateway      # the named suites
     python benchmarks/bench.py gateway --update     # re-baseline a suite
 
 A suite is a module with ``run_suite()``, ``acceptance_failures(results)``
@@ -12,7 +12,7 @@ suite's acceptance bar does not hold or, without ``--update``, when it
 regressed against its baseline.  ``--update`` rewrites a suite's baseline
 only when its acceptance bar holds.  An unknown suite name exits 2.
 
-The two kernel suites time in reference seconds (``_harness.best_ref_s``);
+The kernel suite times in reference seconds (``_harness.best_ref_s``);
 the other four report simulated seconds and counts.
 """
 
@@ -39,7 +39,6 @@ SCHEMA_VERSION = 2
 #: Suite name -> module under ``benchmarks/``.
 SUITES: Dict[str, str] = {
     "kernels": "kernels",
-    "smartindex": "smartindex_kernels",
     "gateway": "gateway_bench",
     "adaptive": "adaptive_bench",
     "layouts": "layouts_bench",

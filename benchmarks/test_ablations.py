@@ -238,64 +238,6 @@ def test_ablation_reuse_window(benchmark, figure_report):
     assert exec_on < exec_off
 
 
-def _drilldown_queries():
-    """A Fig-5-style trial-and-error session: each column is probed with
-    a widening-then-tightening bound, so consecutive predicates differ
-    in value (no exact-key reuse) but each implies an earlier one."""
-    queries = []
-    for lo in range(2, 17):
-        queries.append(f"SELECT COUNT(*) FROM T1 WHERE click_count > {lo}")
-    for hi in range(10, 2, -1):
-        queries.append(f"SELECT COUNT(*) FROM T1 WHERE position < {hi}")
-    for lo in range(100, 2100, 200):
-        queries.append(f"SELECT COUNT(*) FROM T1 WHERE user_id > {lo}")
-    # Point lookups at already-bracketed values: once `>= v` and `> v`
-    # are both cached, `= v` derives as GE &~ GT without touching data.
-    for v in (4, 6, 8):
-        queries.append(f"SELECT COUNT(*) FROM T1 WHERE click_count >= {v}")
-        queries.append(f"SELECT COUNT(*) FROM T1 WHERE click_count = {v}")
-    return queries
-
-
-@pytest.mark.benchmark(group="ablations")
-def test_ablation_smartindex_subsumption(benchmark, figure_report):
-    """S49 semantic probing: exact-key caching gets zero hits on a
-    drill-down workload whose predicate values never repeat, while the
-    semantic layer answers every tightened bound from the cached wider
-    one — derived bitmaps when possible, candidate-mask residual scans
-    (fractional I/O) otherwise."""
-
-    def run(semantic: bool):
-        cluster = eval_cluster(
-            LeafConfig(enable_smartindex=True, index_semantic=semantic)
-        )
-        load_t1(cluster)
-        stats = run_stream(cluster, _drilldown_queries())
-        mean = sum(s["response_time_s"] for s in stats) / len(stats)
-        return mean, cluster.aggregate_index_stats()
-
-    def both():
-        return run(False), run(True)
-
-    (t_exact, s_exact), (t_sem, s_sem) = benchmark.pedantic(both, rounds=1, iterations=1)
-    figure_report(
-        "Ablation: SmartIndex subsumption (semantic vs exact-only)",
-        format_series(
-            ["configuration", "mean response (s)", "subsumption hits", "residual hits"],
-            [
-                ("exact/complement only", t_exact, s_exact.subsumption_hits, s_exact.residual_hits),
-                ("semantic probing", t_sem, s_sem.subsumption_hits, s_sem.residual_hits),
-            ],
-        ),
-    )
-    # Values never repeat, so the exact-key cache contributes nothing...
-    assert s_exact.subsumption_hits == 0 and s_exact.residual_hits == 0
-    # ...while the semantic layer serves the same stream mostly from cache.
-    assert s_sem.residual_hits > 0
-    assert s_sem.subsumption_hits > 0
-    assert t_sem <= 0.75 * t_exact  # >= 25% mean-latency win (ISSUE 4)
-
-
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_tiering(benchmark, figure_report):
     """S50 heat tiering: a hot subset of an archival Fatman table is

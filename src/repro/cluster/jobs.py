@@ -84,9 +84,6 @@ class JobStats:
     index_full_covers: int = 0
     index_clause_hits: int = 0
     index_clause_misses: int = 0
-    index_subsumption_hits: int = 0
-    index_residual_clauses: int = 0
-    index_residual_fraction_sum: float = 0.0
     response_time_s: float = 0.0
     #: Adaptive re-optimization counters (S53); all zero unless the
     #: master ran the job through the adaptive two-wave path.
@@ -104,9 +101,6 @@ class JobStats:
         self.index_full_covers += int(report.index_full_cover)
         self.index_clause_hits += report.index_clause_hits
         self.index_clause_misses += report.index_clause_misses
-        self.index_subsumption_hits += report.index_subsumption_hits
-        self.index_residual_clauses += report.index_residual_clauses
-        self.index_residual_fraction_sum += report.index_residual_fraction
 
 
 @dataclass

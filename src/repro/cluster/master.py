@@ -870,9 +870,6 @@ class Master:
             "index_full_covers": job.stats.index_full_covers,
             "index_clause_hits": job.stats.index_clause_hits,
             "index_clause_misses": job.stats.index_clause_misses,
-            "index_subsumption_hits": job.stats.index_subsumption_hits,
-            "index_residual_clauses": job.stats.index_residual_clauses,
-            "index_residual_fraction_sum": job.stats.index_residual_fraction_sum,
             "tasks_total": job.stats.tasks_total,
             "tasks_reused": job.stats.tasks_reused,
             "backups_launched": job.stats.backups_launched,

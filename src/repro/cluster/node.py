@@ -45,11 +45,6 @@ from repro.storage.ssd_cache import SsdCache
 PARSED_BLOCKS_MAX = 128
 
 
-def _mean_residual_fraction(report) -> float:
-    """Mean candidate fraction of a task's residual clauses, as traced."""
-    return round(report.index_residual_fraction / report.index_residual_clauses, 4)
-
-
 @dataclass
 class LeafConfig:
     """Per-leaf feature switches and sizes."""
@@ -58,10 +53,6 @@ class LeafConfig:
     index_memory_bytes: int = 512 * 1024 * 1024
     index_ttl_s: float = 72 * 3600.0
     index_compress: bool = True
-    #: Semantic probe layer + cost-aware cache (subsumption, residual
-    #: candidate scans, benefit-per-byte eviction).  Off by default: the
-    #: committed paper figures use the exact/complement-only manager.
-    index_semantic: bool = False
     enable_btree: bool = False
     enable_ssd_cache: bool = False
     ssd_cache_bytes: int = 400 * 1024 * 1024 * 1024
@@ -131,7 +122,6 @@ class LeafServer:
                 memory_budget_bytes=config.index_memory_bytes,
                 ttl_s=config.index_ttl_s,
                 compress=config.index_compress,
-                semantic=config.index_semantic,
             )
             if config.enable_smartindex
             else None
@@ -371,30 +361,20 @@ class LeafServer:
         instant the probe ran: ``probed`` is the manager's atom counters
         before the task, the rest is on the task's report.  No child when
         no probe ran (no filter, a row slice, a variant's bytes)."""
-        clauses = (
-            report.index_clause_hits + report.index_clause_misses + report.index_residual_clauses
-        )
+        clauses = report.index_clause_hits + report.index_clause_misses
         if not clauses:
             return
         stats = index_manager.stats
-        tags = {
-            "atom_hits": stats.hits - probed[0],
-            "complement_hits": stats.complement_hits - probed[1],
-            "atom_misses": stats.misses - probed[2],
-        }
-        if index_manager.semantic:
-            tags["subsumption_hits"] = report.index_subsumption_hits
-            tags["residual_clauses"] = report.index_residual_clauses
-            if report.index_residual_clauses:
-                tags["residual_fraction"] = _mean_residual_fraction(report)
         span.add(
             "index_probe",
             self.sim.now,
             self.sim.now,
-            **tags,
+            atom_hits=stats.hits - probed[0],
+            complement_hits=stats.complement_hits - probed[1],
+            atom_misses=stats.misses - probed[2],
             clauses=clauses,
             covered=report.index_clause_hits,
-            full_cover=not report.index_clause_misses and not report.index_residual_clauses,
+            full_cover=not report.index_clause_misses,
         )
 
     def _scan_tags(self, task: ScanTask, layout, report, charged: bool) -> dict:
@@ -407,9 +387,6 @@ class LeafServer:
         }
         if charged:
             tags["seeks"] = report.io_seeks
-            if report.index_residual_clauses:
-                tags["residual_clauses"] = report.index_residual_clauses
-                tags["residual_fraction"] = _mean_residual_fraction(report)
         if self.tiering is not None:
             tags["tier"] = self.tiering.tier_of(task.block.path)
         if self.layouts is not None:

@@ -5,10 +5,9 @@ Leaf path, per block (§IV-C-3 / Fig 7):
 1. fold the scan CNF through the access paths the leaf hands over (the
    SmartIndex, the B+ tree baseline, a sorted variant) — a fully
    answered filter skips both the block scan and predicate evaluation;
-2. otherwise evaluate what is left on the encoded column chunks (a
-   residual clause on its candidate rows only), feed every evaluated
-   atom to the SmartIndex, and materialize the payload columns at the
-   matching rows only;
+2. otherwise evaluate what is left on the encoded column chunks, feed
+   every evaluated atom to the SmartIndex, and materialize the payload
+   columns at the matching rows only;
 3. join against broadcast dimension tables, apply the post-join residual
    filter;
 4. produce either per-group partial aggregates or a projected row frame.
@@ -30,8 +29,8 @@ cluster charges these against its device models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
-from operator import attrgetter, itemgetter
+from itertools import compress, repeat
+from operator import itemgetter
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,13 +92,6 @@ class TaskExecutionReport:
     index_clause_misses: int = 0
     btree_clauses: int = 0
     scale_factor: float = 1.0
-    #: Semantic-index extras (zero unless the manager runs semantic=True):
-    #: atoms answered by bitmap-algebra composition, clauses answered by
-    #: a candidate mask, and the summed candidate row fraction of those
-    #: clauses (mean = sum / clauses).
-    index_subsumption_hits: int = 0
-    index_residual_clauses: int = 0
-    index_residual_fraction: float = 0.0
     #: ``io_bytes`` and ``cpu_ops`` at production scale, set by :meth:`finish`.
     modeled_io_bytes: float = field(default=0.0, init=False)
     modeled_cpu_ops: float = field(default=0.0, init=False)
@@ -210,12 +202,12 @@ def _select_rows(
 
     Each path's ``probe(key, clauses, scope, now)`` sees the clauses the
     paths before it left and the ``(block, rows)`` the task covers, and
-    returns ``(mask, missing, residuals, charge)``: the boolean mask of
-    the clauses it answered (or None), the clauses still missing, those
-    it bounds by candidate rows, and ``charge(report, read, payload,
-    left)``, which books its costs once the read set is known and says
-    whether it priced the read (None: the path declined the scope).  A
-    path's ``learn``, if not None, is fed every atom evaluated here.
+    returns ``(mask, missing, charge)``: the boolean mask of the clauses
+    it answered (or None), the clauses still missing, and
+    ``charge(report, read)``, which books its costs once the read set is
+    known and says whether it priced the read (None: the path declined
+    the scope).  A path's ``learn``, if not None, is fed every atom
+    evaluated here.
 
     Returns ``(report, readers, rows)``: the readers of the columns the
     scan reads (None when a fully answered filter matches nothing, so
@@ -238,28 +230,26 @@ def _select_rows(
     scope = (block, rows)
     mask = None
     left = plan.scan_cnf.clauses
-    residuals: list = []
     charges: list = []
     learn = None
     for path in paths:
         if not left:
             break
-        answered, left, bounded, charge = path.probe(index_key, left, scope, now)
+        answered, left, charge = path.probe(index_key, left, scope, now)
         if charge is None:
             continue
         if answered is not None:
             mask = answered if mask is None else (mask & answered)
-        residuals += bounded
         charges += [charge]
         learn = learn or path.learn
-    full = mask is not None and not left and not residuals
+    full = mask is not None and not left
     report.index_full_cover = full
     payload_columns = plan.payload_columns
     empty = full and not mask.any()
     read_columns = () if empty else payload_columns if full else task.columns
     priced = False
     for charge in charges:
-        priced = charge(report, read_columns, payload_columns, left) or priced
+        priced = charge(report, read_columns) or priced
     if empty:
         return report, None, None
     if read_columns and not priced:
@@ -275,10 +265,8 @@ def _select_rows(
     if read_columns:
         report.io_seeks += 1
     readers = {c: block.chunks[c].reader() for c in read_columns}
-    if left or residuals:
-        mask = _evaluate(
-            left, residuals, readers, rows, num_rows, mask, learn, index_key, task, now, report
-        )
+    if left:
+        mask = _evaluate(left, readers, rows, num_rows, mask, learn, index_key, task, now, report)
     if mask is None:
         return report, readers, rows
     matched = mask.nonzero()[0]
@@ -351,7 +339,6 @@ def _np_dtype(analyzed: AnalyzedQuery, task: ScanTask, column: str):
 
 def _evaluate(
     missing: Sequence[Clause],
-    residuals: Sequence,
     readers: Dict[str, ChunkReader],
     rows: Optional[np.ndarray],
     num_rows: int,
@@ -362,31 +349,16 @@ def _evaluate(
     now: float,
     report: TaskExecutionReport,
 ) -> np.ndarray:
-    """Evaluate what the access paths left, AND-ed into ``mask``.
-
-    A missing clause is evaluated on the ``num_rows`` rows in ``rows``
-    (None: the whole block), a residual only on its candidate rows, each
-    atom scattered back into a zeroed block-length mask.  That scatter
-    is *exact*: the candidate mask is a superset of the clause's
-    true-set, so no atom-true row sits outside it, and every evaluated
-    atom is safe to ``learn`` as an ordinary entry.
-    """
-    # A missing clause is a residual whose candidates are every row.
-    work = chain(zip(missing, repeat(None)), map(attrgetter("clause", "mask"), residuals))
-    for clause, candidates in work:
-        ids, n = rows, num_rows
-        if candidates is not None:
-            ids = np.flatnonzero(candidates.to_bool_array())
-            n = len(ids)
+    """Evaluate the clauses the access paths left, AND-ed into ``mask``,
+    on the ``num_rows`` rows in ``rows`` (None: the whole block); every
+    evaluated atom is fed to ``learn``."""
+    for clause in missing:
         clause_mask: Optional[np.ndarray] = None
         for atom in clause.atoms:
-            atom_mask = readers[atom.column].map_bool(atom.evaluate, ids)
+            atom_mask = readers[atom.column].map_bool(atom.evaluate, rows)
             report.cpu_ops += (
                 OPS_PER_CONTAINS if atom.op is BinaryOperator.CONTAINS else OPS_PER_COMPARISON
-            ) * n
-            if candidates is not None:
-                sub, atom_mask = atom_mask, np.zeros(candidates.length, dtype=np.bool_)
-                atom_mask[ids] = sub
+            ) * num_rows
             if learn is not None:
                 learn(index_key, atom, atom_mask, now, task.block)
             clause_mask = atom_mask if clause_mask is None else (clause_mask | atom_mask)

@@ -28,16 +28,11 @@ class Recommendation:
     repetitions: int
     #: Estimated seconds of scan+evaluation work one repetition saves.
     saved_seconds_per_use: float
-    #: Benefit the semantic cache has *measured* for this key (from
-    #: :meth:`SmartIndexManager.benefit_snapshot`); 0 when unavailable.
-    observed_benefit_s: float = 0.0
 
     @property
     def score(self) -> float:
         # First use builds the index; every later one collects the win.
-        # Observed benefit (realized saved-seconds, when the semantic
-        # cache reports it) is evidence on top of the estimate.
-        return max(self.repetitions - 1, 0) * self.saved_seconds_per_use + self.observed_benefit_s
+        return max(self.repetitions - 1, 0) * self.saved_seconds_per_use
 
 
 class IndexAdvisor:
@@ -69,18 +64,12 @@ class IndexAdvisor:
         entries: Sequence[Any],
         top: int = 5,
         min_repetitions: int = 2,
-        observed: Optional[Dict[str, float]] = None,
     ) -> List[Recommendation]:
         """Rank predicates from history entries by expected benefit.
 
         ``entries`` are :class:`repro.client.history.HistoryEntry`-shaped
         objects (``tables`` and ``predicate_keys`` attributes); the duck
         typing avoids a package cycle with the client layer.
-
-        ``observed`` maps predicate keys to realized saved-seconds, as
-        produced by :meth:`SmartIndexManager.benefit_snapshot` (sum it
-        across leaves for a cluster-wide view); keys with measured
-        benefit rank above equal estimates.
         """
         reps: Counter = Counter()
         table_of: Dict[str, str] = {}
@@ -90,14 +79,12 @@ class IndexAdvisor:
             for key in set(entry.predicate_keys):
                 reps[key] += 1
                 table_of.setdefault(key, entry.tables[0])
-        observed = observed or {}
         recs = [
             Recommendation(
                 predicate_key=key,
                 table=table_of[key],
                 repetitions=count,
                 saved_seconds_per_use=self._saved_seconds(table_of[key], key),
-                observed_benefit_s=observed.get(key, 0.0),
             )
             for key, count in reps.items()
             if count >= min_repetitions

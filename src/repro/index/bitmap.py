@@ -77,14 +77,6 @@ class BitVector:
         self._check(other)
         return BitVector(self._bits | other._bits, self.length)
 
-    def andnot(self, other: "BitVector") -> "BitVector":
-        """``self & ~other`` in one pass — the range AND-NOT composition
-        the semantic probe layer uses (e.g. ``x < v`` from cached
-        ``x <= v`` minus cached ``x = v``).  No tail re-masking needed:
-        the result is a subset of ``self``'s set bits."""
-        self._check(other)
-        return BitVector(self._bits & ~other._bits, self.length)
-
     def __invert__(self) -> "BitVector":
         out = BitVector(~self._bits, self.length)
         out._mask_tail()

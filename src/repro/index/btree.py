@@ -134,7 +134,7 @@ class BTreeIndex:
         later atom leaves unanswered, and counts ``btree_clauses``."""
         block, rows = scope
         if rows is not None:
-            return None, clauses, (), None
+            return None, clauses, None
         mask = None
         missing = []
         costs = []
@@ -153,13 +153,13 @@ class BTreeIndex:
             else:
                 mask = clause_mask if mask is None else (mask & clause_mask)
 
-        def charge(report, read, payload, left) -> bool:
+        def charge(report, read) -> bool:
             for cost in costs:
                 report.cpu_ops += cost
             report.btree_clauses += len(clauses) - len(missing)
             return False
 
-        return mask, missing, (), charge
+        return mask, missing, charge
 
     def _tree(self, key, block, atom: AtomicPredicate) -> Optional[BPlusTree]:
         if not self.answers(atom) or atom.column not in block.chunks:

@@ -26,10 +26,8 @@ resolves while an attempt is mid-phase shows that phase, open until the
 clamp; a point-in-time span is one :meth:`Span.add` with its end.
 
 ``index_probe`` tags ``atom_hits`` / ``complement_hits`` /
-``atom_misses`` always; with the semantic index enabled it adds
-``subsumption_hits``, ``residual_clauses``, and the mean candidate
-``residual_fraction``, and the ``scan`` span repeats the residual clause
-count and fraction when a candidate-mask partial scan ran.
+``atom_misses``, the probed ``clauses``, how many were ``covered`` and
+whether that was a ``full_cover``.
 
 Everything is plain Python over values passed in from the caller — the
 module never touches the :class:`~repro.sim.events.Simulator`, so adding

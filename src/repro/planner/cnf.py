@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import PlanError
-from repro.planner.expressions import contains_implies, string_contains
+from repro.planner.expressions import string_contains
 from repro.sql.ast import (
     FLIPPED,
     NEGATED,
@@ -104,41 +104,6 @@ class AtomicPredicate:
         if self.op is BinaryOperator.CONTAINS:
             return AtomicPredicate(self.column, self.op, self.value, negated=not self.negated)
         return AtomicPredicate(self.column, NEGATED[self.op], self.value)
-
-    def implies(self, other: "AtomicPredicate") -> bool:
-        """True iff every row satisfying this atom satisfies ``other``.
-
-        Read off ``bounds``: NaN satisfies NE alone, so NE implies only
-        the same NE; an atom with bounds implies an NE whose value they
-        do not admit, and an atom whose bounds contain its own.  So a
-        cached superset vector found through this test is a valid
-        candidate mask for a residual scan.  Conservative: returns False
-        when unsure.
-        """
-        if self.column != other.column:
-            return False
-        if self.op is BinaryOperator.CONTAINS or other.op is BinaryOperator.CONTAINS:
-            if self.op is not other.op or self.negated or other.negated:
-                return False
-            return contains_implies(str(self.value), str(other.value))
-        try:
-            if self.bounds is None:
-                return other.bounds is None and self.value == other.value
-            if other.bounds is None:
-                return not admits(self.bounds, other.value)
-            low, low_in, high, high_in = self.bounds
-            out_low, out_low_in, out_high, out_high_in = other.bounds
-            return (
-                out_low is None
-                or low is not None
-                and (out_low < low or out_low == low and (out_low_in or not low_in))
-            ) and (
-                out_high is None
-                or high is not None
-                and (high < out_high or high == out_high and (out_high_in or not high_in))
-            )
-        except TypeError:
-            return False
 
     def evaluate(self, column_values: np.ndarray) -> np.ndarray:
         """Evaluate over one column array; returns a boolean vector."""

@@ -109,7 +109,7 @@ class CostModel:
         Profiles are duck-typed ``ServiceProfile``-likes (first-byte
         latency + bandwidth factor) so the planner stays import-free of
         the storage package.  The numerator of the tiering daemon's
-        benefit-per-byte score, mirroring :func:`atom_saved_seconds`.
+        benefit-per-byte score.
         """
         cold_s = cold_profile.first_byte_latency_s + nbytes / (
             self.disk_bandwidth_bps * cold_profile.bandwidth_factor
@@ -143,18 +143,3 @@ class CostModel:
             + self.scan_io_seconds(task, bandwidth_factor, nbytes=nbytes)
             + self.scan_cpu_seconds(task, cnf)
         )
-
-
-def atom_saved_seconds(block, atom, cost_model: "CostModel" = None) -> float:
-    """Scan-seconds one future hit on a cached atom vector saves.
-
-    The numerator of the semantic cache's benefit-per-byte score: the
-    per-row comparison plus decode CPU the hit skips, and the cached
-    atom's share of the block read (its own column's bytes).
-    """
-    cm = cost_model if cost_model is not None else CostModel()
-    rows = block.modeled_rows
-    ops = OPS_PER_CONTAINS if atom.op is BinaryOperator.CONTAINS else OPS_PER_COMPARISON
-    cpu = (ops + OPS_PER_DECODE) * rows / cm.cpu_ops_per_sec
-    io = block.bytes_for([atom.column]) * block.scale_factor / cm.disk_bandwidth_bps
-    return cpu + io

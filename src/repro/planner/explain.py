@@ -137,20 +137,6 @@ def explain_analyze(
             f"{stats.index_clause_hits} clause hits, "
             f"{stats.index_clause_misses} misses ({n_probe} probes)"
         )
-        if stats.index_subsumption_hits or stats.index_residual_clauses:
-            # Semantic-index line: only rendered when the flag-gated
-            # probe layer actually fired, so default-mode output is
-            # unchanged.
-            mean_fraction = (
-                stats.index_residual_fraction_sum / stats.index_residual_clauses
-                if stats.index_residual_clauses
-                else 0.0
-            )
-            scan_lines.append(
-                f"actual semantic: {stats.index_subsumption_hits} subsumption hits, "
-                f"{stats.index_residual_clauses} residual clauses "
-                f"(mean candidate fraction {mean_fraction:.3f})"
-            )
         tiers = trace.tag_values("tier", "scan")
         if tiers:
             # Tiering line: the tag only exists when the flag-gated

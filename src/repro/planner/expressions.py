@@ -239,9 +239,3 @@ def _evaluate_binary(expr: BinaryOp, frame: Frame, resolve: Resolver) -> np.ndar
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.mod(left, right)
     raise ExecutionError(f"unsupported operator {op}")
-
-
-def contains_implies(needle_a: str, needle_b: str) -> bool:
-    """``x CONTAINS needle_a`` implies ``x CONTAINS needle_b`` iff the
-    coarser needle is a substring of the finer one."""
-    return needle_b in needle_a

@@ -127,9 +127,9 @@ class LayoutSpec:
         block, rows = scope
         column = self.sort_column
         if column is None or rows is not None:
-            return None, clauses, (), None
+            return None, clauses, None
 
-        def charge(report, read, payload, left) -> bool:
+        def charge(report, read) -> bool:
             candidates = sorted_candidate_rows(block, column, clauses) if column in read else None
             if candidates is None:
                 return False
@@ -145,7 +145,7 @@ class LayoutSpec:
             )
             return True
 
-        return None, clauses, (), charge
+        return None, clauses, charge
 
     def describe(self) -> str:
         parts: List[str] = []

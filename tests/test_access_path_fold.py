@@ -4,14 +4,24 @@
 through their ``probe``; it names none of them by type, so a new path,
 or the deletion of one, touches the path and the leaf, never the
 executor.  The SmartIndex answers a scan filter through one ``cover``,
-semantic or not.
+and every path's ``probe`` returns ``(mask, missing, charge)``.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import repro.engine.executor as executor
+from repro.columnar.block import Block
+from repro.columnar.schema import DataType, Schema
+from repro.engine.executor import TaskExecutionReport
+from repro.index.btree import BTreeIndex
 from repro.index.smartindex import SmartIndexManager
+from repro.planner.cnf import to_cnf
+from repro.sql.parser import parse_expression
+from repro.storage.layouts import LayoutSpec
 
 #: Access-path types and helpers the executor must not name.
 ACCESS_PATH_NAMES = {
@@ -50,3 +60,18 @@ def test_executor_names_no_access_path():
 def test_smartindex_has_one_cover():
     assert not hasattr(SmartIndexManager, "cover_semantic")
     assert not hasattr(SmartIndexManager, "_probe_atom_semantic")
+
+
+@pytest.mark.parametrize(
+    "path",
+    [SmartIndexManager(), BTreeIndex(), LayoutSpec(sort_column="x")],
+    ids=["smartindex", "btree", "sorted"],
+)
+def test_every_probe_returns_mask_missing_charge(path):
+    block = Block.from_arrays("b", Schema.of(x=DataType.INT64), {"x": np.arange(8)})
+    clauses = to_cnf(parse_expression("x < 5")).clauses
+    mask, missing, charge = path.probe("b", clauses, (block, None), 0.0)
+    assert mask is None or mask.dtype == np.bool_
+    assert isinstance(charge(TaskExecutionReport("t"), ("x",)), bool)
+    # A row slice is declined: nothing answered, no charge.
+    assert path.probe("b", clauses, (block, np.arange(2)), 0.0) == (None, clauses, None)

@@ -62,8 +62,8 @@ def _run_tiering(cluster):
 
 @pytest.mark.parametrize(
     "leaf",
-    [{}, {"index_semantic": True}, {"enable_smartindex": False, "enable_btree": True}],
-    ids=["smartindex", "semantic", "btree"],
+    [{}, {"enable_smartindex": False, "enable_btree": True}],
+    ids=["smartindex", "btree"],
 )
 def test_reload_under_the_same_block_ids_answers_from_the_new_rows(leaf):
     cluster = _cluster(**leaf)
@@ -269,7 +269,6 @@ def _machine(name, leaf=None, reuse_s=0.0):
 
 
 TestDefault = _machine("Default")
-TestSemanticIndex = _machine("SemanticIndex", {"index_semantic": True})
 TestBTree = _machine("BTree", {"enable_smartindex": False, "enable_btree": True})
 TestSsdCache = _machine("SsdCache", {"enable_ssd_cache": True, "ssd_admit_preferred_only": False})
 TestTiering = _machine("Tiering", {"enable_tiering": True})

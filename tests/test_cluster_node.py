@@ -164,9 +164,8 @@ def _count(cluster, sql):
 
 @pytest.mark.parametrize(
     "leaf",
-    [LeafConfig(), LeafConfig(enable_btree=True, enable_smartindex=False),
-     LeafConfig(index_semantic=True)],
-    ids=["default", "btree", "semantic"],
+    [LeafConfig(), LeafConfig(enable_btree=True, enable_smartindex=False)],
+    ids=["default", "btree"],
 )
 @pytest.mark.parametrize(
     "where, count",
@@ -195,18 +194,6 @@ def test_literal_compares_exactly_with_its_column(leaf, where, count):
         assert _count(cluster, f"SELECT COUNT(*) FROM {where}") == count
 
 
-def test_semantic_registry_does_not_reuse_a_rounded_vector():
-    """The cached ``a > 2^53`` vector was computed under numpy's rounding
-    while the registry proved it a superset exactly; after two runs (the
-    cost-aware cache admits on reuse) it answered 0 for each probe."""
-    cluster = _numbers(LeafConfig(index_semantic=True))
-    for _ in range(2):
-        assert _count(cluster, "SELECT COUNT(*) FROM A WHERE a > 9007199254740992.0") == 2
-    for where in ("a = 9007199254740993", "a >= 9007199254740993", "a > 9007199254740992"):
-        for _ in range(2):
-            assert _count(cluster, f"SELECT COUNT(*) FROM A WHERE {where}") == 2, where
-
-
 def test_btree_reads_a_literal_past_int64():
     """``np.searchsorted`` misread the out-of-range literal (14 of 16);
     the comparison now holds for every row before any tree is probed."""
@@ -218,8 +205,7 @@ def test_btree_reads_a_literal_past_int64():
         assert _count(cluster, "SELECT COUNT(*) FROM A WHERE a < 9223372036854775808") == 16
 
 
-@pytest.mark.parametrize("leaf", [LeafConfig(), LeafConfig(index_semantic=True)],
-                         ids=["default", "semantic"])
+@pytest.mark.parametrize("leaf", [LeafConfig()], ids=["default"])
 def test_ordered_complement_does_not_answer_nan_rows(leaf):
     """Fig 7's bit-NOT of ``f > 0`` selects the NaN rows too, which
     ``f <= 0`` does not; EQ and NE stay each other's exact complements."""

@@ -2,15 +2,15 @@
 
 The analyzer puts each WHERE literal in its column's domain, so numpy's
 comparison (the scan, every cached SmartIndex vector) and Python's exact
-one (block pruning, simplification, the semantic registry, the B+ tree
-and sorted replicas, all reading ``AtomicPredicate.bounds``) agree on
+one (block pruning, simplification, the B+ tree and sorted replicas,
+all reading ``AtomicPredicate.bounds``) agree on
 every atom.  Hypothesis draws INT64 columns near 0, ±2^53 and the int64
 ends, FLOAT64 columns near ±2^53 with NaN, ±inf and -0.0, and int and
 float literals near the same points, ±inf and past int64, under the
-default config, the B+ tree baseline, the semantic SmartIndex, a sorted
-replica of the column and a replica with an attached index on it.  Each
-access path alone must also answer a row slice exactly, by declining it:
-its whole-block vectors and trees say nothing of a slice's rows.
+default config, the B+ tree baseline, a sorted replica of the column
+and a replica with an attached index on it.  Each access path alone
+must also answer a row slice exactly, by declining it: its whole-block
+vectors and trees say nothing of a slice's rows.
 
 The truth is Python's row-by-row ``x OP v``, which compares int and
 float exactly.  Where the column holds no NaN (sqlite reads NaN as NULL)
@@ -44,7 +44,6 @@ OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
 CONFIGS = {
     "default": (LeafConfig(), None),
     "btree": (LeafConfig(enable_btree=True, enable_smartindex=False), None),
-    "semantic": (LeafConfig(index_semantic=True), None),
     "sorted": (
         LeafConfig(enable_smartindex=False, enable_layouts=True),
         LayoutSpec(sort_column="x"),
@@ -57,7 +56,6 @@ CONFIGS = {
 #: Name -> a fresh access path, as the leaf folds it.
 PATHS = {
     "smartindex": SmartIndexManager,
-    "semantic": lambda: SmartIndexManager(semantic=True),
     "btree": BTreeIndex,
     "sorted": lambda: LayoutSpec(sort_column="x"),
     "attached": lambda: BTreeIndex("x"),

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.index.smartindex import SmartIndexEntry, SmartIndexManager
 from repro.index.bitmap import BitVector
-from repro.planner.cnf import AtomicPredicate, to_cnf
+from repro.planner.cnf import AtomicPredicate, Clause, to_cnf
 from repro.sql.ast import BinaryOperator
 from repro.sql.parser import parse_expression
 
@@ -65,11 +66,11 @@ def test_cover_full_and_partial():
     mgr = SmartIndexManager()
     cnf = to_cnf(parse_expression("a > 5 AND b < 2"))
     mgr.insert("b0", cnf.clauses[0].atoms[0], _mask([1, 1, 0]), now=0.0)
-    mask, missing, _ = mgr.cover("b0", cnf.clauses, now=0.0)
+    mask, missing = mgr.cover("b0", cnf.clauses, now=0.0)
     assert len(missing) == 1
     assert list(mask.to_bool_array()) == [True, True, False]
     mgr.insert("b0", cnf.clauses[1].atoms[0], _mask([1, 0, 1]), now=0.0)
-    mask, missing, _ = mgr.cover("b0", cnf.clauses, now=0.0)
+    mask, missing = mgr.cover("b0", cnf.clauses, now=0.0)
     assert missing == []
     assert list(mask.to_bool_array()) == [True, False, False]
 
@@ -172,7 +173,7 @@ def test_cover_sweeps_ttl_exactly_once():
     for clause in cnf.clauses:
         mgr.insert("b0", clause.atoms[0], _mask([1, 0, 1]), now=0.0)
     before = mgr.stats.ttl_sweeps
-    _mask_out, missing, _ = mgr.cover("b0", cnf.clauses, now=1.0)
+    _mask_out, missing = mgr.cover("b0", cnf.clauses, now=1.0)
     assert missing == []
     assert mgr.stats.ttl_sweeps == before + 1
 
@@ -215,3 +216,127 @@ def test_ttl_reinsert_restarts_clock():
     assert mgr.lookup_atom("b0", atom, now=150.0) is not None
     assert mgr.stats.evictions_ttl == 0
     assert mgr.lookup_atom("b0", atom, now=191.0) is None
+
+
+# -- complement answers over NaN rows (S49, S79) -----------------------------
+
+OPS = (
+    BinaryOperator.LT,
+    BinaryOperator.LE,
+    BinaryOperator.GT,
+    BinaryOperator.GE,
+    BinaryOperator.EQ,
+    BinaryOperator.NE,
+)
+
+#: Small shared value domain so cached and probed atoms collide often
+#: (including on values matching zero rows).
+values = st.integers(min_value=-2, max_value=6)
+plain_columns = st.lists(
+    st.floats(min_value=-4, max_value=8, allow_nan=False), min_size=1, max_size=48
+).map(lambda xs: np.array(xs, dtype=np.float64))
+nan_columns = st.lists(
+    st.one_of(st.floats(min_value=-4, max_value=8, allow_nan=False), st.just(float("nan"))),
+    min_size=1,
+    max_size=48,
+).map(lambda xs: np.array(xs, dtype=np.float64))
+
+
+def _manager(col, cached):
+    mgr = SmartIndexManager(compress=False)
+    for i, (op, v) in enumerate(cached):
+        atom = AtomicPredicate("c", op, v)
+        mgr.insert("b", atom, atom.evaluate(col), now=float(i) * 1e-3)
+    return mgr
+
+
+def _single(atom):
+    return [Clause((atom,))]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    col=plain_columns,
+    cached=st.lists(st.tuples(st.sampled_from(OPS[:5]), values), max_size=8),
+    probe_op=st.sampled_from(OPS),
+    probe_value=values,
+)
+def test_full_cover_bit_identical_without_nan(col, cached, probe_op, probe_value):
+    """Without NaN both answers, exact and complement, equal evaluation."""
+    mgr = _manager(col, cached)
+    probe = AtomicPredicate("c", probe_op, probe_value)
+    mask, missing = mgr.cover("b", _single(probe), now=1.0)
+    if mask is not None and not missing:
+        np.testing.assert_array_equal(mask.to_bool_array(), probe.evaluate(col))
+
+
+@settings(deadline=None, max_examples=60)
+@given(col=nan_columns, v=values)
+def test_complement_interaction_with_nan(col, v):
+    """NE via the EQ complement is NaN-exact; an entry inserted without
+    ``nan_rows`` hands ordered probes its bit-NOT (Fig 7), which differs
+    from scalar evaluation on NaN rows — the leaf passes the flag, see
+    the test below."""
+    mgr = _manager(col, [(BinaryOperator.EQ, v)])
+    ne = AtomicPredicate("c", BinaryOperator.NE, v)
+    mask, missing = mgr.cover("b", _single(ne), now=1.0)
+    assert mask is not None and not missing
+    np.testing.assert_array_equal(mask.to_bool_array(), ne.evaluate(col))
+
+    mgr2 = _manager(col, [(BinaryOperator.GT, v)])
+    le = AtomicPredicate("c", BinaryOperator.LE, v)
+    mask2, missing2 = mgr2.cover("b", _single(le), now=1.0)
+    assert mask2 is not None and not missing2
+    gt = AtomicPredicate("c", BinaryOperator.GT, v)
+    np.testing.assert_array_equal(mask2.to_bool_array(), ~gt.evaluate(col))
+
+
+@settings(deadline=None, max_examples=60)
+@given(col=nan_columns, v=values, op=st.sampled_from(OPS))
+def test_no_ordered_complement_over_nan_rows(col, v, op):
+    """Given ``nan_rows``, an ordered probe does not take the bit-NOT of
+    its complement's vector (it would add the NaN rows); EQ and NE still
+    answer each other."""
+    nan_rows = bool(np.isnan(col).any())
+    mgr = SmartIndexManager(compress=False)
+    stored = AtomicPredicate("c", op, v).complement()
+    mgr.insert("b", stored, stored.evaluate(col), now=0.0, nan_rows=nan_rows)
+    probe = stored.complement()
+    vec = mgr.lookup_atom("b", probe, now=1.0)
+    exact = not nan_rows or probe.bounds is None or stored.bounds is None
+    assert (vec is not None) == exact
+    if vec is not None:
+        np.testing.assert_array_equal(vec.to_bool_array(), probe.evaluate(col))
+
+
+def test_empty_cache_and_narrower_range_miss():
+    """The cache answers keys, not ranges: a cached ``c < 5`` leaves a
+    ``c < 3`` probe missing, as does an empty cache."""
+    probe = AtomicPredicate("c", BinaryOperator.LT, 3)
+    mgr = SmartIndexManager()
+    mask, missing = mgr.cover("b", _single(probe), now=0.0)
+    assert mask is None and len(missing) == 1
+
+    wider = AtomicPredicate("c", BinaryOperator.LT, 5)
+    mgr.insert("b", wider, np.array([True, True, False]), now=0.0)
+    mask, missing = mgr.cover("b", _single(probe), now=0.0)
+    assert mask is None and len(missing) == 1
+    assert mgr.stats.misses == 2 and mgr.entry_count == 1
+
+
+def test_prefer_unprefer_uses_secondary_index():
+    col = np.arange(64, dtype=np.float64)
+    mgr = SmartIndexManager(compress=False)
+    atom = AtomicPredicate("c", BinaryOperator.LT, 9)
+    for block in ("b0", "b1", "b2"):
+        mgr.insert(block, atom, col < 9, now=0.0)
+    other = AtomicPredicate("c", BinaryOperator.LT, 11)
+    mgr.insert("b0", other, col < 11, now=0.0)
+    mgr.prefer_predicate(atom.key)
+    assert all(e.preferred for b in ("b0", "b1", "b2")
+               for e in mgr.entries_for_block(b) if e.predicate_key == atom.key)
+    assert not any(e.preferred for e in mgr.entries_for_block("b0")
+                   if e.predicate_key == other.key)
+    mgr.unprefer_predicate(atom.key)
+    assert not any(e.preferred for b in ("b0", "b1", "b2")
+                   for e in mgr.entries_for_block(b))

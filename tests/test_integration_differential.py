@@ -12,9 +12,8 @@ cold, then with the SmartIndex entries round one fed — so the covered
 path is pinned against the oracle too.
 
 A task-level section runs ``execute_scan_task`` task by task — cold and
-index-covered, with plain and semantic (candidate-mask) index managers,
-on adaptive row slices and on layout variants — and compares the rows
-with the oracle.
+index-covered, with and without an index manager, on adaptive row
+slices and on layout variants — and compares the rows with the oracle.
 """
 
 import dataclasses
@@ -183,7 +182,7 @@ def test_queries_match_oracle(small_cluster, oracle, sql):
 
 TASK_DIFFERENTIAL_QUERIES = [
     "SELECT COUNT(*) AS n, SUM(c1) AS s FROM T WHERE c1 < 60",
-    "SELECT COUNT(*) AS n, SUM(c1) AS s FROM T WHERE c1 < 30",  # residual of the above
+    "SELECT COUNT(*) AS n, SUM(c1) AS s FROM T WHERE c1 < 30",  # narrower than the above
     "SELECT province AS p, COUNT(*) AS n, AVG(clicks) AS a FROM T "
     "WHERE url CONTAINS 'site3' AND c2 > 2 GROUP BY p ORDER BY p",
     "SELECT province AS p, COUNT(*) AS n FROM T WHERE url CONTAINS 'site' "
@@ -237,14 +236,10 @@ def _assert_matches_oracle(task_env, plan, results, sql):
     assert divergence is None, (sql, divergence)
 
 
-@pytest.mark.parametrize("index", ["none", "plain", "semantic"])
+@pytest.mark.parametrize("index", ["none", "plain"])
 def test_tasks_match_oracle(task_env, index):
-    paths = {
-        "none": [],
-        "plain": [SmartIndexManager()],
-        "semantic": [SmartIndexManager(semantic=True)],
-    }[index]
-    full_covers = residual_clauses = 0
+    paths = {"none": [], "plain": [SmartIndexManager()]}[index]
+    full_covers = 0
     for sql in TASK_DIFFERENTIAL_QUERIES:
         plan, broadcasts, blocks = _compile(task_env, sql)
         for round_ in ("cold", "covered"):
@@ -255,11 +250,8 @@ def test_tasks_match_oracle(task_env, index):
             _assert_matches_oracle(task_env, plan, results, sql)
             if round_ == "covered":
                 full_covers += sum(r.report.index_full_cover for r in results)
-            residual_clauses += sum(r.report.index_residual_clauses for r in results)
-    # The second round really ran index-covered, and the semantic manager
-    # really answered with candidate masks.
+    # The second round really ran index-covered.
     assert (full_covers > 0) == (index != "none")
-    assert (residual_clauses > 0) == (index == "semantic")
 
 
 @pytest.mark.parametrize("sql", TASK_DIFFERENTIAL_QUERIES)
@@ -312,27 +304,14 @@ def test_readers_are_handed_integer_row_ids(task_env, monkeypatch):
     monkeypatch.setattr(
         ColumnChunk, "reader", lambda chunk: _IntegerRowsReader(real_reader(chunk), seen)
     )
-    wide, narrow = TASK_DIFFERENTIAL_QUERIES[:2]  # ``narrow`` is a residual of ``wide``
     # Whole-block tasks, then row slices, each gathering at matched rows.
-    for sql in (wide, TASK_DIFFERENTIAL_QUERIES[2], TASK_DIFFERENTIAL_QUERIES[4]):
+    for sql in TASK_DIFFERENTIAL_QUERIES[0:5:2]:
         plan, broadcasts, blocks = _compile(task_env, sql)
         for task, block in zip(plan.tasks, blocks):
             execute_scan_task(task, plan, block, broadcasts)
             part = dataclasses.replace(task, row_slice=(3, block.num_rows - 5))
             execute_scan_task(part, plan, block, broadcasts)
     assert seen
-    # Semantic residuals: candidate rows of ``narrow`` inside ``wide``'s vectors.
-    manager = SmartIndexManager(semantic=True)
-    residual_clauses = 0
-    for sql in (wide, narrow):
-        plan, broadcasts, blocks = _compile(task_env, sql)
-        results = [
-            execute_scan_task(t, plan, b, broadcasts, paths=[manager], now=1.0)
-            for t, b in zip(plan.tasks, blocks)
-        ]
-        _assert_matches_oracle(task_env, plan, results, sql)
-        residual_clauses += sum(r.report.index_residual_clauses for r in results)
-    assert residual_clauses > 0
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import os
 import sys
 import textwrap
 
-from repro.planner.expressions import contains_implies
+from repro.planner.cnf import admits
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
 
@@ -23,15 +23,15 @@ def test_census_reaches_a_body_only_a_timed_call_runs(tmp_path):
     probe.write_text(
         textwrap.dedent(
             """
-            from repro.planner.expressions import contains_implies
+            from repro.planner.cnf import admits
 
 
             def test_timed_body(benchmark):
-                assert benchmark.pedantic(contains_implies, args=("abc", "b"), rounds=3)
+                assert benchmark.pedantic(admits, args=((None, False, 5, False), 3), rounds=3)
             """
         )
     )
-    code = contains_implies.__code__
+    code = admits.__code__
     body = max(line for _, _, line in code.co_lines() if line is not None)
     with reach_census.tracing() as hits:
         hits.pop(code.co_filename, None)

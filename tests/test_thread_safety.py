@@ -60,13 +60,11 @@ def _check_index_books(mgr: SmartIndexManager):
 
 
 @settings(deadline=None, max_examples=8)
-@given(seed=st.integers(0, 2**31 - 1), semantic=st.booleans())
-def test_smartindex_hammer(seed, semantic):
+@given(seed=st.integers(0, 2**31 - 1))
+def test_smartindex_hammer(seed):
     rng = np.random.default_rng(seed)
     # A budget small enough that eviction runs concurrently with insert.
-    mgr = SmartIndexManager(
-        memory_budget_bytes=64 * 1024, compress=False, semantic=semantic
-    )
+    mgr = SmartIndexManager(memory_budget_bytes=64 * 1024, compress=False)
     atoms = [
         AtomicPredicate(f"c{i % 5}", BinaryOperator.GT, int(v))
         for i, v in enumerate(rng.integers(0, 50, 64))
@@ -86,14 +84,12 @@ def test_smartindex_hammer(seed, semantic):
         now = float(i)
         choice = int(r.integers(0, 5))
         if choice == 0:
-            mgr.insert(key, atom, masks[int(r.integers(0, 8))], now,
-                       saved_s=0.001 if semantic else 0.0)
+            mgr.insert(key, atom, masks[int(r.integers(0, 8))], now)
         elif choice == 1:
             mgr.lookup_atom(key, atom, now)
         elif choice == 2:
             incarnations[block] += 1  # rewritten: inserts go under the new key
-            mgr.insert((block, incarnations[block]), atom, masks[int(r.integers(0, 8))],
-                       now, saved_s=0.001 if semantic else 0.0)
+            mgr.insert((block, incarnations[block]), atom, masks[int(r.integers(0, 8))], now)
         elif choice == 3:
             mgr.prefer_predicate(atom.key)
         else:

@@ -1,10 +1,10 @@
 """Golden span trees: the detector for a moved S47 trace.
 
 A fixed script runs traced jobs through the phases and clamps the span
-tree records — index probes cold, warm and semantic (with residuals), a
-broadcast join, a spilled result, tiering and layout tags, an adaptive
-re-plan, a crashed leaf next to a backup, a timeout, a cancel and
-dropped messages — and compares ``json.dumps(job.trace.export(),
+tree records — index probes cold and warm, a broadcast join, a spilled
+result, tiering and layout tags, an adaptive re-plan, a crashed leaf
+next to a backup, a timeout, a cancel and dropped messages — and
+compares ``json.dumps(job.trace.export(),
 sort_keys=True)`` of each with ``tests/golden/trace_export.json``.  Plan
 and job ids come from process-wide counters, so they are normalised.
 A change to who writes the tree, or how, must leave the file untouched;
@@ -121,11 +121,6 @@ def run_script() -> dict:
     run(plain, "faulty_scan", "SELECT COUNT(*) FROM T WHERE c1 < 35")
     run(plain, "faulty_join", JOIN_SQL.replace("c1 < 60", "c1 < 45"))
 
-    # The semantic index answers a narrower range with residual clauses.
-    semantic = _cluster(leaf=LeafConfig(index_semantic=True))
-    run(semantic, "semantic_cold", "SELECT COUNT(*) FROM T WHERE c1 < 50")
-    run(semantic, "semantic_residual", "SELECT COUNT(*) FROM T WHERE c1 < 30")
-
     # Tiering on, then layouts on: the scan spans carry tier and layout tags.
     tier_sql = "SELECT COUNT(*) FROM T WHERE c1 < 50"
     tiered = _cluster(
@@ -195,7 +190,6 @@ def test_golden_script_exercises_what_it_claims():
 
     assert not any(t.get("atom_hits") for t in tags("index_cold", "index_probe"))
     assert any(t.get("full_cover") for t in tags("index_warm", "index_probe"))
-    assert any(t.get("residual_clauses") for t in tags("semantic_residual", "index_probe"))
     assert {"fetch_broadcasts", "read_table.D", "broadcast_ship"} <= set(names("broadcast_join"))
     assert any(t.get("spilled") for t in tags("spilled_result", "result_return"))
     assert {t.get("tier") for t in tags("tiered_cold", "scan")} == {"cold"}

@@ -76,7 +76,6 @@ TEST_ARGS = [
     "tests/test_index_bitmap.py",
     "tests/test_index_btree.py",
     "tests/test_index_smartindex.py",
-    "tests/test_semantic_index_property.py",
     "tests/test_sim_events.py",
     "tests/test_sim_golden.py",
     "tests/test_sim_netmodel.py",
