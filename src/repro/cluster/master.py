@@ -125,7 +125,7 @@ def _straggler_watchdog(
     while not done.triggered:
         target = launch_times[watched] + deadline_for(estimates[watched])
         if target > sim.now:
-            timer = sim.timeout(target - sim.now)
+            timer = Event(sim, "timeout", target - sim.now)
             if armed is not None:
                 armed[:] = [timer]
             yield timer
@@ -462,20 +462,17 @@ class Master:
         """
         self._dc_stems[stem.address.datacenter] = stem
 
-    def _aggregation_path(self, leaf_address: NodeAddress) -> List[StemServer]:
+    def _aggregation_path(self, leaf_address: NodeAddress) -> Tuple[StemServer, ...]:
         """The live internal nodes a result crosses, bottom-up: the leaf's
         rack stem (any live one while it is down), then its datacenter's
         stem if that is live and another server."""
-        path: List[StemServer] = []
         rack_stem = self._stems.get((leaf_address.datacenter, leaf_address.rack))
         if rack_stem is None or not rack_stem.alive:
             rack_stem = next((s for s in self._stems.values() if s.alive), None)
-        if rack_stem is not None:
-            path.append(rack_stem)
         dc_stem = self._dc_stems.get(leaf_address.datacenter)
-        if dc_stem is not None and dc_stem.alive and dc_stem is not rack_stem:
-            path.append(dc_stem)
-        return path
+        if dc_stem is None or not dc_stem.alive or dc_stem is rack_stem:
+            return () if rack_stem is None else (rack_stem,)
+        return (dc_stem,) if rack_stem is None else (rack_stem, dc_stem)
 
     def _sweep_loop(self) -> Generator[Event, None, None]:
         while True:

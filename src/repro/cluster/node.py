@@ -431,7 +431,7 @@ class LeafServer:
             first_byte += self.faults.storage_first_byte_extra(system.name, self.worker_id)
         if self.address in replicas:
             if first_byte:
-                yield self.sim.timeout(first_byte)
+                yield Event(self.sim, "timeout", first_byte)
             yield self.disk.read(
                 int(nbytes / profile.bandwidth_factor), seeks=report.io_seeks
             )
@@ -439,7 +439,7 @@ class LeafServer:
             # Remote read: source replica's storage latency + network path.
             source = min(replicas, key=lambda r: self.net.distance(r, self.address))
             if first_byte:
-                yield self.sim.timeout(first_byte)
+                yield Event(self.sim, "timeout", first_byte)
             yield self.net.transfer(source, self.address, nbytes, TrafficClass.READ)
         if self.ssd_cache is not None:
             self.ssd_cache.put(block_path, payload)

@@ -237,5 +237,7 @@ def _evaluate_binary(expr: BinaryOp, frame: Frame, resolve: Resolver) -> np.ndar
             return np.true_divide(left, right)
     if op is BinaryOperator.MOD:
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.mod(left, right)
+            # SQL's remainder truncates toward zero (-7 % 2 is -1), as
+            # ``fmod`` does; ``np.mod`` is floor modulo (-7 % 2 is 1).
+            return np.fmod(left, right)
     raise ExecutionError(f"unsupported operator {op}")

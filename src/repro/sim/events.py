@@ -23,6 +23,13 @@ pop entries themselves rather than through :meth:`Simulator.step`.  The
 clock (``Simulator.now``) and ``Event.triggered`` are plain attributes,
 read far more often than anything else in the kernel.
 
+An event arms itself: ``Event(sim, name, delay, value)`` is a timer
+that pushes its own ``succeed`` at ``now + delay``, so the hot paths
+(a network hop, a device charge, a first-byte wait) build their timer
+in one frame; :meth:`Simulator.timeout` is the same call under its
+public name.  A :class:`Process` sets Event's slots itself rather than
+through ``super().__init__``.
+
 Numbering an entry and waiting on an event cost no call of their own.
 ``seq`` comes from a plain integer, ``Simulator._seq``, that each push
 site reads and advances itself (``Event.succeed`` stores it back once
@@ -53,11 +60,21 @@ class Event:
     scheduled on the simulator's queue at the current simulation time.
     ``triggered`` is True from then on (an attribute: read it, never
     assign it).
+
+    Given a ``delay``, the event is a timer: it queues its own
+    :meth:`succeed` with ``value`` at ``now + delay``, exactly as
+    :meth:`Simulator.timeout` does.
     """
 
     __slots__ = ("sim", "_callbacks", "_value", "_exc", "triggered", "name")
 
-    def __init__(self, sim: "Simulator", name: str = ""):
+    def __init__(
+        self,
+        sim: "Simulator",
+        name: str = "",
+        delay: Optional[float] = None,
+        value: Any = None,
+    ):
         self.sim = sim
         self.name = name
         #: ``()`` until the first waiter, then a list.
@@ -65,6 +82,12 @@ class Event:
         self._value: Any = None
         self._exc: Optional[BaseException] = None
         self.triggered = False
+        if delay is not None:
+            if not delay >= 0:  # refuses NaN as well
+                raise SimulationError(f"negative delay {delay}")
+            seq = sim._seq
+            sim._seq = seq + 1
+            heappush(sim._queue, (sim.now + delay, seq, self.succeed, (value,)))
 
     @property
     def ok(self) -> bool:
@@ -143,7 +166,14 @@ class Process(Event):
     __slots__ = ("_gen",)
 
     def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any], name: str = ""):
-        super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
+        # Event's slots, set here rather than through ``super().__init__``
+        # (one frame less per process); a test keeps the two in step.
+        self.sim = sim
+        self.name = name or getattr(gen, "__name__", "process")
+        self._callbacks = ()
+        self._value = None
+        self._exc = None
+        self.triggered = False
         self._gen = gen
         seq = sim._seq
         sim._seq = seq + 1
@@ -216,13 +246,7 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None, name: str = "timeout") -> Event:
         """An event that fires ``delay`` seconds from now."""
-        if not delay >= 0:  # refuses NaN as well
-            raise SimulationError(f"negative delay {delay}")
-        ev = Event(self, name=name)
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._queue, (self.now + delay, seq, ev.succeed, (value,)))
-        return ev
+        return Event(self, name, delay, value)
 
     def process(self, gen: Generator[Event, Any, Any], name: str = "") -> Process:
         """Start a cooperative process from a generator."""

@@ -10,6 +10,10 @@ flow-level model:
 * every link is a FIFO-serialized :class:`Link`;
 * a transfer queues on its *bottleneck* link and pays propagation latency
   for the remaining hops (standard flow-level approximation);
+  :meth:`NetworkTopology.transfer` prices the bottleneck itself and arms
+  its completion event directly, so a :class:`Link` is plain state
+  (bandwidth, latency, the time its data queue frees, counters) with no
+  method on the hop path;
 * control-class messages ride the reserved bandwidth and skip data
   queues, mirroring the TOS reservation.
 """
@@ -60,23 +64,6 @@ class Link:
         self._free_at = 0.0
         self.bytes_carried = 0
         self.busy_time = 0.0
-
-    def occupy(self, nbytes: int, cls: TrafficClass) -> float:
-        """Reserve the link for a transfer; returns completion delay from now.
-
-        Control traffic bypasses the data queue (reserved bandwidth);
-        write/read traffic queues FIFO behind earlier data transfers.
-        """
-        duration = nbytes / (self.bandwidth_bps * CLASS_BANDWIDTH_SHARE[cls])
-        now = self.sim.now
-        self.bytes_carried += nbytes
-        if cls is TrafficClass.CONTROL:
-            return self.latency_s + duration
-        start = max(now, self._free_at)
-        end = start + duration
-        self._free_at = end
-        self.busy_time += duration
-        return (end - now) + self.latency_s
 
     def queue_delay(self) -> float:
         return max(0.0, self._free_at - self.sim.now)
@@ -240,13 +227,27 @@ class NetworkTopology:
         if route is None:
             route = routes[(src, dst)] = self._route(src, dst, cls)
         bottleneck, others = route
+        sim = self.sim
         if bottleneck is None:
-            return self.sim.timeout(0.0, name="local-transfer")
-        delay = bottleneck.occupy(nbytes, cls)
+            return Event(sim, "local-transfer", 0.0)
+        # Reserve the bottleneck.  Control traffic bypasses the data queue
+        # (reserved bandwidth); write/read traffic queues FIFO behind
+        # earlier data transfers.
+        duration = nbytes / (bottleneck.bandwidth_bps * CLASS_BANDWIDTH_SHARE[cls])
+        bottleneck.bytes_carried += nbytes
+        if cls is TrafficClass.CONTROL:
+            delay = bottleneck.latency_s + duration
+        else:
+            now = sim.now
+            free_at = bottleneck._free_at
+            end = (now if now >= free_at else free_at) + duration
+            bottleneck._free_at = end
+            bottleneck.busy_time += duration
+            delay = (end - now) + bottleneck.latency_s
         for link in others:
             delay += link.latency_s
             link.bytes_carried += nbytes  # volume accounting on the full path
-        return self.sim.timeout(delay, name="xfer")
+        return Event(sim, "xfer", delay)
 
     def _route(
         self, src: NodeAddress, dst: NodeAddress, cls: TrafficClass

@@ -61,13 +61,14 @@ class Device:
         """
         if not duration >= 0:  # refuses NaN as well
             raise SimulationError(f"negative service duration {duration}")
-        now = self.sim.now
-        start = max(now, self._free_at)
-        end = start + duration
+        sim = self.sim
+        now = sim.now
+        free_at = self._free_at
+        end = (now if now >= free_at else free_at) + duration
         self._free_at = end
         self.busy_time += duration
         self.request_count += 1
-        return self.sim.timeout(end - now, value=value, name=self._event_name)
+        return Event(sim, self._event_name, end - now, value)
 
     def queue_delay(self) -> float:
         """Seconds a request issued now would wait before starting."""
@@ -169,17 +170,18 @@ class Cpu(Device):
     def compute(self, ops: float, value: Any = None) -> Event:
         if not ops >= 0:  # refuses NaN as well
             raise SimulationError(f"negative op count {ops}")
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         lanes = self._lane_free_at
-        lane = lanes.index(min(lanes))  # first least-loaded lane
-        start = max(now, lanes[lane])
+        free_at = min(lanes)
+        lane = lanes.index(free_at)  # first least-loaded lane
         duration = ops / self.ops_per_sec
-        end = start + duration
+        end = (now if now >= free_at else free_at) + duration
         lanes[lane] = end
         self.busy_time += duration
         self.request_count += 1
         self.ops_executed += ops
-        return self.sim.timeout(end - now, value=value, name=self._event_name)
+        return Event(sim, self._event_name, end - now, value)
 
     def queue_delay(self) -> float:
         return max(0.0, min(self._lane_free_at) - self.sim.now)
@@ -206,7 +208,8 @@ class Resource:
         ev = Event(self.sim, self._grant_name)
         if self.in_use < self.capacity:
             self.in_use += 1
-            ev.succeed()
+            # What ``succeed()`` does to an event nobody waits on yet.
+            ev.triggered = True
         else:
             self._waiters.append(ev)
         return ev
@@ -214,9 +217,11 @@ class Resource:
     def release(self) -> None:
         if self.in_use <= 0:
             raise SimulationError(f"release on idle resource {self.name!r}")
-        if self._waiters:
+        if self._waiters and self.in_use <= self.capacity:
             self._waiters.popleft().succeed()
         else:
+            # No waiter, or a resize shrank the pool below what is held:
+            # the unit goes back rather than to the next waiter.
             self.in_use -= 1
 
     def resize(self, capacity: int) -> None:

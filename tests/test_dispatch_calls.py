@@ -20,14 +20,16 @@ from repro import DataType, FeisuCluster, FeisuConfig, Schema
 from repro.sim.netmodel import NodeAddress, TopologySpec
 
 #: Calls per task of the query below, its own planning and finalizing
-#: included: 339.1 on CPython 3.11 (379.1 while every queue entry took
-#: its number from ``next()`` on an ``itertools.count`` and every event
-#: built a waiter list, 401.9 while every task was placed by its own
-#: ``place`` call, 508.1 while every message went send → transfer →
-#: _transfer → occupy → transfer_duration and addresses hashed in
-#: Python).  The bound leaves 10 % for interpreter and numpy versions;
-#: lower it when the count drops.
-CALLS_PER_TASK_MEASURED = 339.1
+#: included: 316.3 on CPython 3.11 (339.1 while a timer went through
+#: ``Simulator.timeout`` and ``Event.__init__``, a hop through
+#: ``Link.occupy`` and a free slot's grant through ``succeed``, 379.1
+#: while every queue entry took its number from ``next()`` on an
+#: ``itertools.count`` and every event built a waiter list, 401.9 while
+#: every task was placed by its own ``place`` call, 508.1 while every
+#: message went send → transfer → _transfer → occupy → transfer_duration
+#: and addresses hashed in Python).  The bound leaves 10 % for
+#: interpreter and numpy versions; lower it when the count drops.
+CALLS_PER_TASK_MEASURED = 316.3
 
 
 def _calls(fn, *args):

@@ -1,5 +1,8 @@
 """Vectorized expression evaluation."""
 
+import itertools
+import sqlite3
+
 import numpy as np
 import pytest
 
@@ -133,3 +136,23 @@ def test_qualified_resolver():
     assert resolve(Column("a")) == "t.a"  # suffix fallback
     with pytest.raises(ExecutionError):
         resolve(Column("zz"))
+
+
+def test_modulo_truncates_toward_zero_as_sqlite_does():
+    """``%`` keeps the dividend's sign (SQL), not the divisor's (floor
+    modulo): ``-7 % 2`` is -1.  Checked against stdlib sqlite3 over
+    negative and positive INT64 operands with nonzero divisors."""
+    values = [-9, -7, -4, -1, 0, 1, 4, 7, 9]
+    divisors = [-4, -3, -2, -1, 1, 2, 3, 5]
+    pairs = list(itertools.product(values, divisors))
+    x = np.array([p[0] for p in pairs], dtype=np.int64)
+    y = np.array([p[1] for p in pairs], dtype=np.int64)
+    got = evaluate(parse_expression("x % y"), Frame.from_columns({"x": x, "y": y}))
+    con = sqlite3.connect(":memory:")
+    try:
+        want = [con.execute("SELECT ? % ?", p).fetchone()[0] for p in pairs]
+    finally:
+        con.close()
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+    assert got[pairs.index((-7, 2))] == -1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.events import Event, SimulationError, Simulator
+from repro.sim.events import Event, Process, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -35,7 +35,9 @@ def _assert_delay_refused(delay):
         sim.schedule(delay, lambda: None)
     with pytest.raises(SimulationError, match="negative delay"):
         sim.timeout(delay)
-    assert sim._queue == [] and sim.now == 0.0  # noqa: SLF001
+    with pytest.raises(SimulationError, match="negative delay"):
+        Event(sim, "timer", delay)
+    assert sim._queue == [] and sim.now == 0.0 and sim._seq == 0  # noqa: SLF001
 
 
 def test_negative_delay_rejected():
@@ -260,6 +262,61 @@ def test_waiters_share_one_list_and_leave_it_on_resolution():
     assert ev._callbacks == ()  # noqa: SLF001
     sim.run()
     assert got == [("cb", "v")]
+
+
+# -- an event arms itself (S85) -----------------------------------------------
+
+
+def test_an_event_given_a_delay_is_the_timeout_of_that_delay():
+    """``Event(sim, name, delay, value)`` queues what ``sim.timeout(delay,
+    value)`` queues: the same time, the next ``seq``, its own ``succeed``
+    and the value; both pop alike."""
+    fired = {}
+    for build in ("timeout", "event"):
+        sim = Simulator()
+
+        def noop():
+            pass
+
+        sim.schedule(0.25, noop)
+        events = []
+        for delay, value in [(1.5, "a"), (0.0, None), (1.5, 7)]:
+            if build == "timeout":
+                events.append(sim.timeout(delay, value, name="t"))
+            else:
+                events.append(Event(sim, "t", delay, value))
+        assert sorted(sim._queue) == [  # noqa: SLF001
+            (0.0, 2, events[1].succeed, (None,)),
+            (0.25, 0, noop, ()),
+            (1.5, 1, events[0].succeed, ("a",)),
+            (1.5, 3, events[2].succeed, (7,)),
+        ]
+        seen = fired[build] = []
+        for ev in events:
+            ev.add_callback(lambda e, seen=seen, sim=sim: seen.append((sim.now, e.name, e.value)))
+        sim.run()
+    assert fired["event"] == fired["timeout"] == [(0.0, "t", None), (1.5, "t", "a"), (1.5, "t", 7)]
+
+
+def test_an_event_without_a_delay_is_not_queued():
+    sim = Simulator()
+    ev = Event(sim, "plain")
+    assert sim._queue == [] and sim._seq == 0 and not ev.triggered  # noqa: SLF001
+
+
+def test_a_fresh_process_sets_every_event_slot_to_its_default():
+    """``Process.__init__`` sets Event's slots itself; this fails if Event
+    gains a slot the process does not set, or a default the two disagree on."""
+    sim = Simulator()
+    plain = Event(sim, "p")
+
+    def body():
+        yield sim.timeout(1.0)
+
+    proc = Process(sim, body(), name="p")
+    for slot in Event.__slots__:
+        assert getattr(proc, slot) == getattr(plain, slot), slot
+    assert Process(sim, body()).name == "body"
 
 
 def test_run_until_complete_detects_deadlock():

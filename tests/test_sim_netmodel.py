@@ -125,7 +125,18 @@ def _transfer_before_s57(topo, src, dst, nbytes, cls):
     if not links:
         return topo.sim.timeout(0.0)
     bottleneck = min(links, key=lambda ln: ln.bandwidth_bps * CLASS_BANDWIDTH_SHARE[cls])
-    delay = bottleneck.occupy(nbytes, cls)
+    # ``Link.occupy`` as it was: the bottleneck's queueing, priced apart.
+    duration = nbytes / (bottleneck.bandwidth_bps * CLASS_BANDWIDTH_SHARE[cls])
+    now = topo.sim.now
+    bottleneck.bytes_carried += nbytes
+    if cls is TrafficClass.CONTROL:
+        delay = bottleneck.latency_s + duration
+    else:
+        start = max(now, bottleneck._free_at)  # noqa: SLF001
+        end = start + duration
+        bottleneck._free_at = end  # noqa: SLF001
+        bottleneck.busy_time += duration
+        delay = (end - now) + bottleneck.latency_s
     for link in links:
         if link is not bottleneck:
             delay += link.latency_s

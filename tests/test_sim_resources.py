@@ -129,6 +129,44 @@ def test_resource_resize_grants_waiters():
     assert waiting.triggered
 
 
+def test_release_after_a_shrink_returns_the_unit_instead_of_granting_it():
+    """A pool resized below what is held hands no unit to a waiter until
+    ``in_use`` is back within the new capacity (§V-B: new tasks wait for
+    the reduced slot pool)."""
+    sim = Simulator()
+    res = Resource(sim, 2)
+    a, b, c = res.request(), res.request(), res.request()
+    res.resize(1)
+    res.release()
+    sim.run()
+    assert a.triggered and b.triggered and not c.triggered
+    assert (res.in_use, res.queue_length) == (1, 1)
+    res.release()
+    sim.run()
+    assert c.triggered and (res.in_use, res.queue_length) == (1, 0)
+    res.release()
+    assert res.in_use == 0
+
+
+def test_a_free_slot_is_granted_at_once_with_no_value():
+    """A grant from a free pool is resolved when ``request`` returns, and a
+    process that yields it resumes at the same instant."""
+    sim = Simulator()
+    res = Resource(sim, 2)
+    grant = res.request()
+    assert grant.triggered and grant.ok and grant.value is None
+    assert grant._callbacks == () and sim._queue == []  # noqa: SLF001
+    sim.run(until=2.0)
+    resumed = []
+
+    def holder():
+        got = yield res.request()
+        resumed.append((sim.now, got))
+
+    sim.run_until_complete(sim.process(holder()))
+    assert resumed == [(2.0, None)] and res.in_use == 2
+
+
 def test_resource_invalid_capacity():
     sim = Simulator()
     with pytest.raises(SimulationError):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.index.smartindex import SmartIndexManager
 from repro import DataType, Schema
 from repro.columnar.table import Catalog, Table
-from repro.planner.cnf import AtomicPredicate
+from repro.planner.cnf import AtomicPredicate, Clause
 from repro.sql import analyzer
 from repro.sql.ast import BinaryOperator
 from repro.storage.ssd_cache import SsdCache
@@ -82,11 +82,17 @@ def test_smartindex_hammer(seed):
         block = blocks[int(r.integers(0, len(blocks)))]
         key = (block, incarnations[block])
         now = float(i)
-        choice = int(r.integers(0, 5))
+        choice = int(r.integers(0, 6))
         if choice == 0:
             mgr.insert(key, atom, masks[int(r.integers(0, 8))], now)
         elif choice == 1:
             mgr.lookup_atom(key, atom, now)
+        elif choice == 5:
+            # ``probe`` takes no lock of its own: it reads the cache only
+            # through the locked ``cover``.
+            clause = Clause((atom,))
+            mask, missing, _ = mgr.probe(key, [clause], (None, None), now)
+            assert (mask is None and missing == [clause]) or (len(mask) == 512 and missing == [])
         elif choice == 2:
             incarnations[block] += 1  # rewritten: inserts go under the new key
             mgr.insert((block, incarnations[block]), atom, masks[int(r.integers(0, 8))], now)

@@ -9,9 +9,12 @@ from ``benchmarks/e2e/workloads.py``) and runs its warm-up pass.  Then:
   name, plus the generator's for a ``Process._step``).  Counted off the
   kernel itself, so it is the event baseline any change that removes or
   batches events is measured against;
-* one pass under cProfile: interpreter calls per task by module family.
-  A Python function counts in its own module's family; a builtin (``len``,
-  ``heappush``, ``dict.get``, ...) counts in its caller's.  The same pass
+* one pass under cProfile: interpreter calls and Python frames per task
+  by module family.  A Python function counts in its own module's
+  family; a builtin (``len``, ``heappush``, ``dict.get``, ...) counts in
+  its caller's.  A frame is a profiled entry whose ``code`` is a code
+  object (a Python function call or a generator resumption), so frames
+  are the calls less the builtins.  The same pass
   counts the kernel's own ``heappush`` calls (every queue entry: nothing
   outside ``sim/events`` pushes onto the simulator's queue) and prints
   kernel-family calls per heap push: what one queue entry costs the
@@ -106,8 +109,8 @@ HEAPPUSH = "<built-in method _heapq.heappush>"
 
 
 def calls_by_family(run_pass) -> tuple:
-    """Interpreter calls by module family while ``run_pass()`` runs, and
-    the heap pushes the kernel made in that pass."""
+    """Interpreter calls and Python frames by module family while
+    ``run_pass()`` runs, and the heap pushes the kernel made in that pass."""
     prof = cProfile.Profile()
     prof.enable()
     try:
@@ -115,18 +118,20 @@ def calls_by_family(run_pass) -> tuple:
     finally:
         prof.disable()
     counts: collections.Counter = collections.Counter()
+    frames: collections.Counter = collections.Counter()
     pushes = 0
     for entry in prof.getstats():
         if isinstance(entry.code, str):
             continue  # a builtin: counted below, in its callers' families
         family = family_of(entry.code.co_filename)
         counts[family] += entry.callcount
+        frames[family] += entry.callcount
         for sub in entry.calls or ():
             if isinstance(sub.code, str):
                 counts[family] += sub.callcount
                 if family == "kernel" and sub.code == HEAPPUSH:
                     pushes += sub.callcount
-    return counts, pushes
+    return counts, frames, pushes
 
 
 def probe(name: str, seed: int, top: int) -> None:
@@ -145,14 +150,16 @@ def probe(name: str, seed: int, top: int) -> None:
         print(f"  {rest / queries:>9.2f}  ({len(pushes) - top} other kinds)")
 
     profiled = []
-    calls, pushed = calls_by_family(
+    calls, frames, pushed = calls_by_family(
         lambda: profiled.extend(w.run_pass(ctx, Meter(0), 2, False)))
     tasks = sum(o.stats.tasks_total for o in profiled if o.stats is not None)
     per = max(1, tasks)
-    print(f"  {sum(calls.values()) / per:.1f} interpreter calls per task "
+    print(f"  {sum(calls.values()) / per:.1f} interpreter calls and "
+          f"{sum(frames.values()) / per:.1f} Python frames per task "
           f"({tasks / max(1, len(profiled)):.2f} tasks per query)")
+    print(f"  {'calls':>9}  {'frames':>9}")
     for family in FAMILY_ORDER:
-        print(f"  {calls[family] / per:>9.1f}  {family}")
+        print(f"  {calls[family] / per:>9.1f}  {frames[family] / per:>9.1f}  {family}")
     print(f"  {calls['kernel'] / max(1, pushed):.2f} kernel calls per heap push "
           f"({pushed / max(1, len(profiled)):.2f} heap pushes per query in this pass)")
 
