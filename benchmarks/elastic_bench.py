@@ -19,7 +19,7 @@ twins.  The gate demands:
   and the workload still answering identically.
 
 SmartIndex is disabled on BOTH twins so the comparison is pure
-placement; tiering and layouts stay off for the same reason.
+placement.
 """
 
 from __future__ import annotations

@@ -238,73 +238,6 @@ def test_ablation_reuse_window(benchmark, figure_report):
     assert exec_on < exec_off
 
 
-@pytest.mark.benchmark(group="ablations")
-def test_ablation_tiering(benchmark, figure_report):
-    """S50 heat tiering: a hot subset of an archival Fatman table is
-    scanned over and over.  Manual SSD preferences (§IV-B's answer)
-    cannot absorb blocks bigger than the cache, so every scan keeps
-    paying Fatman's 0.25 s first byte at half bandwidth on one task slot
-    per node; the tiering daemon instead promotes the hot blocks into
-    DistributedFS replicas near their readers."""
-    import numpy as np
-
-    from repro import DataType, Schema
-
-    def run(tiered: bool):
-        cluster = eval_cluster(
-            LeafConfig(
-                enable_smartindex=False,
-                enable_ssd_cache=True,
-                ssd_cache_bytes=16 * 1024,  # half a block: pinning cannot help
-                ssd_admit_preferred_only=True,
-                enable_tiering=tiered,
-            )
-        )
-        rng = np.random.default_rng(23)
-        block_rows = 8192
-        n = block_rows * 6
-        # `seq` is sorted, so block ranges partition it and `seq < k`
-        # prunes to a stable hot prefix of the table's blocks.
-        cluster.load_table(
-            "F",
-            Schema.of(seq=DataType.INT64, clicks=DataType.INT64),
-            {"seq": np.arange(n), "clicks": rng.integers(0, 100, n)},
-            storage="fatman",
-            block_rows=block_rows,
-        )
-        if not tiered:
-            # The paper's manual operator interference, applied perfectly:
-            # every leaf pins the whole hot table up front.
-            for leaf in cluster.leaves:
-                leaf.ssd_cache.prefer("/ffs/tables/F")
-        stats = run_stream(
-            cluster,
-            [f"SELECT SUM(clicks) AS s FROM F WHERE seq < {block_rows * 3}"] * 30,
-            inter_query_gap_s=30.0,  # let the daemon cycle between queries
-        )
-        mean = sum(s["response_time_s"] for s in stats) / len(stats)
-        promoted = len(cluster.tiering.promoted_paths()) if cluster.tiering else 0
-        return mean, promoted
-
-    def both():
-        return run(False), run(True)
-
-    (t_manual, _), (t_tier, promoted) = benchmark.pedantic(both, rounds=1, iterations=1)
-    figure_report(
-        "Ablation: heat-based tiering vs manual SSD preferences",
-        format_series(
-            ["configuration", "mean response (s)", "blocks promoted"],
-            [
-                ("manual preferences (paper)", t_manual, 0),
-                ("tiering daemon", t_tier, promoted),
-            ],
-        ),
-    )
-    assert promoted > 0  # the hot prefix was promoted...
-    assert promoted < 6  # ...but not the cold remainder of the table
-    assert t_tier <= 0.75 * t_manual  # >= 25% mean-latency win (ISSUE 5)
-
-
 def _degrade_busiest_holder(cluster, table, factor: float):
     """Slow down the leaf holding the most block replicas, so the
     locality scheduler is guaranteed to route work onto the straggler."""

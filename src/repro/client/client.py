@@ -48,10 +48,6 @@ class FeisuClient:
         self.cluster = cluster
         self.user = user
         self.history = QueryHistory()
-        # Trojan-replica census (S54): the layout daemon mines the same
-        # §IV-A frequent-predicate signal SmartIndex uses.
-        if getattr(cluster, "layouts", None) is not None:
-            cluster.layouts.attach_history(self.history)
         # Ensure the user exists (no-op if already created by the caller).
         if user not in cluster._credentials:  # noqa: SLF001 - facade-internal
             cluster.create_user(user)

@@ -11,14 +11,13 @@ cooperating pieces:
   registering, heartbeating :class:`~repro.cluster.node.LeafServer`.  A
   decommission *drains*: the :class:`~repro.cluster.membership.ClusterManager`
   marks the worker draining (the scheduler stops placing on it), its
-  replicas — layout variants included — are evacuated with
-  publish-after-write copies, running tasks finish, and only then does
+  replicas are evacuated with publish-after-write copies, running tasks finish, and only then does
   the worker unregister and leave every placement pool.
 
 * **A Rebalancer daemon.**  Per managed storage system it spreads hot
-  blocks' replicas (heat from the shared
-  :class:`~repro.storage.tiering.HeatTracker`) onto idle eligible nodes
-  and migrates bytes off overloaded nodes.  Every move goes through the
+  blocks' replicas (heat from the :class:`HeatTracker` every leaf
+  records its reads in) onto idle eligible nodes and migrates bytes off
+  overloaded nodes.  Every move goes through the
   replica mover of :mod:`repro.storage.maintenance` — publish-after-write
   and idempotent, so a migration killed mid-flight is retried or
   adopted, never double-counted.
@@ -30,6 +29,7 @@ committed figure results byte-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
@@ -40,16 +40,16 @@ from repro.storage.base import StorageSystem
 from repro.storage.maintenance import (
     ReplicaRepairer,
     copy_replica,
-    copy_variant,
     migrate_replica,
     retire_replica,
 )
 from repro.storage.router import StorageRouter
-from repro.storage.tiering import HeatTracker
 
 __all__ = [
     "ElasticConfig",
     "ElasticityManager",
+    "HeatRecord",
+    "HeatTracker",
     "Rebalancer",
     "RebalanceStats",
 ]
@@ -58,6 +58,45 @@ __all__ = [
 #: Byte-imbalance ratio (heaviest vs. lightest node) tolerated before a
 #: balancing migration moves a block.
 BALANCE_TOLERANCE = 0.5
+
+
+@dataclass
+class HeatRecord:
+    """Decayed access mass of one full path."""
+
+    mass: float = 0.0
+    last_access_s: float = 0.0
+
+    def decayed(self, now: float, half_life_s: float) -> float:
+        age = max(0.0, now - self.last_access_s)
+        return self.mass * math.pow(0.5, age / half_life_s)
+
+
+class HeatTracker:
+    """Per-path exponentially-decayed access heat.
+
+    Each access adds one unit of mass; mass halves every
+    ``half_life_s`` simulated seconds, so heat blends frequency and
+    recency.  The tracker never touches the simulator — callers pass
+    ``now`` in.
+    """
+
+    def __init__(self, half_life_s: float = 120.0):
+        if half_life_s <= 0:
+            raise ValueError("half_life_s must be positive")
+        self.half_life_s = half_life_s
+        self._records: Dict[str, HeatRecord] = {}
+
+    def record(self, path: str, now: float) -> None:
+        rec = self._records.get(path)
+        if rec is None:
+            rec = self._records[path] = HeatRecord()
+        rec.mass = rec.decayed(now, self.half_life_s) + 1.0
+        rec.last_access_s = now
+
+    def heat(self, path: str, now: float) -> float:
+        rec = self._records.get(path)
+        return rec.decayed(now, self.half_life_s) if rec is not None else 0.0
 
 
 @dataclass
@@ -99,9 +138,9 @@ class Rebalancer:
     """Hot-replica spreading and byte-balancing block migration.
 
     Every copy goes through :func:`~repro.storage.maintenance.copy_replica`
-    — ship bytes first, publish the replica (and its carried layout
-    variant) only after the transfer lands and only if the block was not
-    rewritten meanwhile, retire the source replica last — so a kill at
+    — ship bytes first, publish the replica only after the transfer
+    lands and only if the block was not rewritten meanwhile, retire the
+    source replica last — so a kill at
     any point leaves the placement at or above where it started, and the
     retry either redoes the copy or adopts the published half of a
     previous attempt.
@@ -113,7 +152,6 @@ class Rebalancer:
         net: NetworkTopology,
         router: StorageRouter,
         systems: List[StorageSystem],
-        heat: Optional[HeatTracker] = None,
         config: Optional[ElasticConfig] = None,
         placement_ok: Optional[Callable[[NodeAddress], bool]] = None,
     ):
@@ -123,7 +161,8 @@ class Rebalancer:
         self.systems = list(systems)
         self.config = config if config is not None else ElasticConfig()
         self.period_s = self.config.rebalance_period_s
-        self.heat = heat if heat is not None else HeatTracker()
+        #: What leaves record their reads in (``FeisuCluster.wire_leaf``).
+        self.heat = HeatTracker()
         self.placement_ok = placement_ok
         self.stats = RebalanceStats()
         self._process: Optional[Process] = None
@@ -249,28 +288,15 @@ class Rebalancer:
         """Take ``node``'s replica of ``inner`` off it (drain support).
 
         When enough copies already live elsewhere the replica is simply
-        retired — after re-homing any layout variant it alone served
-        onto a surviving holder.  Otherwise a full publish-after-write
-        migration runs first.
+        retired.  Otherwise a full publish-after-write migration runs
+        first.
         """
         if not system.exists(inner):
             return True
         holders = system.locations(inner)
         if node not in holders:
             return True
-        survivors = [h for h in holders if h != node]
-        if len(survivors) >= getattr(system, "replication", 1):
-            if system.replica_variant(inner, node) is not None:
-                host = next(
-                    (
-                        s
-                        for s in survivors
-                        if system.replica_variant(inner, s) is None and self._eligible(s)
-                    ),
-                    None,
-                )
-                if host is not None:
-                    yield from copy_variant(self.net, system, inner, node, host)
+        if len(holders) > getattr(system, "replication", 1):
             evacuated = retire_replica(system, inner, node)
             if evacuated:
                 self.stats.evacuations += 1
@@ -287,10 +313,10 @@ class Rebalancer:
 class ElasticityManager:
     """Join/decommission orchestration over one :class:`FeisuCluster`.
 
-    Owns the :class:`Rebalancer` and a placement-aware
+    Owns the :class:`Rebalancer` (whose :class:`HeatTracker` every leaf
+    records its reads in) and a placement-aware
     :class:`~repro.storage.maintenance.ReplicaRepairer` per managed
-    system, and wires drain/liveness awareness into the tiering and
-    layout daemons when those are enabled.
+    system.
     """
 
     def __init__(self, cluster, config: ElasticConfig):
@@ -302,26 +328,15 @@ class ElasticityManager:
         #: block-replicated substrates the scheduler scans from).
         self.systems: List[StorageSystem] = [cluster.storage_a, cluster.storage_b]
 
-        tiering = cluster.tiering
-        if tiering is not None:
-            heat = tiering.heat  # one census, two consumers
-            tiering.placement_ok = self.node_ok
-        else:
-            heat = HeatTracker()
-        layouts = cluster.layouts
-        if layouts is not None:
-            layouts.placement_ok = self.node_ok
-        self.heat = heat
-
         self.rebalancer = Rebalancer(
             sim,
             cluster.net,
             cluster.router,
             self.systems,
-            heat=heat,
             config=self.config,
             placement_ok=self.node_ok,
         )
+        self.heat = self.rebalancer.heat
         self.repairers = [
             ReplicaRepairer(sim, cluster.net, system, placement_ok=self.node_ok)
             for system in self.systems
@@ -388,8 +403,8 @@ class ElasticityManager:
         (drive the simulation to completion to finish it).
 
         Drain order: mark draining (scheduler stops placing) → evacuate
-        every replica the node holds across every storage system,
-        variants included — retrying through fault windows — → wait for
+        every replica the node holds across every storage system —
+        retrying through fault windows — → wait for
         running tasks to finish → retire, unregister, leave every
         placement pool.
         """

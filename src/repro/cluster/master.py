@@ -923,7 +923,6 @@ class Master:
             fetch = job.trace.root.add("fetch_broadcasts", self.sim.now)
         broadcasts: Dict[str, Frame] = {}
         moved_bytes = 0
-        tiering = self.scheduler.tiering
         try:
             for bc in plan.broadcasts:
                 table = self.catalog.get(bc.table_name)
@@ -933,7 +932,6 @@ class Master:
                     list(bc.columns),
                     cred=self.service_credential,
                     now=self.sim.now,
-                    tiering=tiering,
                 )
                 if fetch is not None:
                     fetch.add(
@@ -945,8 +943,7 @@ class Master:
                     )
                 frame = Frame.from_columns(columns)
                 for ref in table.blocks:
-                    path = tiering.effective_path(ref.path) if tiering is not None else ref.path
-                    system, inner = self.router.resolve(path)
+                    system, inner = self.router.resolve(ref.path)
                     replicas = system.locations(inner)
                     if replicas and self.address not in replicas:
                         source = min(replicas, key=lambda r: self.net.distance(r, self.address))

@@ -8,7 +8,7 @@ outcomes, gateway serving counters and the maintenance daemons' books
 across the deployment, as one flat ``name -> number`` dict.
 
 Every counter is a plain dataclass field on the object that increments
-it (``IndexStats``, ``TieringStats``, ``GatewaySnapshot``, ...).
+it (``IndexStats``, ``RebalanceStats``, ``GatewaySnapshot``, ...).
 :func:`counters` and :func:`summed` read those declared fields, so a
 field added there reaches every snapshot and sum without being listed
 anywhere else.
@@ -48,8 +48,8 @@ def collect_metrics(cluster) -> Dict[str, float]:
     """Snapshot a :class:`~repro.core.feisu.FeisuCluster`.
 
     ``gateway_*`` keys are the gateway snapshot's counters (a default,
-    all-zero snapshot without a gateway); ``tiering_*``, ``layouts_*``
-    and ``rebalance_*`` appear only when that daemon exists.  Per-tenant
+    all-zero snapshot without a gateway); ``rebalance_*`` appear only
+    when the elastic rebalancer exists.  Per-tenant
     queue depths live on ``cluster.gateway.snapshot().tenants``.
     """
     from repro.gateway.gateway import GatewaySnapshot  # repro.gateway imports this module
@@ -93,13 +93,8 @@ def collect_metrics(cluster) -> Dict[str, float]:
     snapshot = gateway.snapshot() if gateway is not None else GatewaySnapshot()
     m.update(counters(snapshot, "gateway_"))
     elastic = cluster.elastic
-    for prefix, daemon in (
-        ("tiering_", cluster.tiering),
-        ("layouts_", cluster.layouts),
-        ("rebalance_", elastic.rebalancer if elastic is not None else None),
-    ):
-        if daemon is not None:
-            m.update(counters(daemon.stats, prefix))
+    if elastic is not None:
+        m.update(counters(elastic.rebalancer.stats, "rebalance_"))
     return m
 
 

@@ -57,15 +57,6 @@ class LeafConfig:
     enable_ssd_cache: bool = False
     ssd_cache_bytes: int = 400 * 1024 * 1024 * 1024
     ssd_admit_preferred_only: bool = True
-    #: Heat-based adaptive tiering (S50): auto-derived SSD preferences,
-    #: cold→hot block promotion, scheduler placement hints.  Off by
-    #: default: the committed paper figures use static placement.
-    enable_tiering: bool = False
-    #: Per-replica heterogeneous physical layouts (S54): "Trojan"
-    #: replicas rewritten by the LayoutDaemon, layout-aware routing and
-    #: cheaper variant I/O charges.  Off by default: the committed paper
-    #: figures use byte-identical replicas.
-    enable_layouts: bool = False
 
 
 class LeafServer:
@@ -97,15 +88,8 @@ class LeafServer:
         #: Fault-injection hook (:class:`repro.faults.FaultInjector`);
         #: None keeps every interception point on its zero-cost branch.
         self.faults = None
-        #: Tiering hook (:class:`repro.storage.tiering.TieringDaemon`);
-        #: None keeps reads on the catalog path.
-        self.tiering = None
-        #: Layout hook (:class:`repro.storage.layouts.LayoutDaemon`);
-        #: None keeps every read on the base replica payload.
-        self.layouts = None
-        #: Heat hook (:class:`repro.storage.tiering.HeatTracker`): every
-        #: access is recorded here — the tiering daemon's tracker, or the
-        #: elastic rebalancer's (S55) when tiering is off (see
+        #: Heat hook (:class:`repro.cluster.elastic.HeatTracker`): every
+        #: access is recorded in the elastic rebalancer's tracker (S55; see
         #: ``FeisuCluster.wire_leaf``).  None (the default) records nothing.
         self.heat = None
         #: Set by a completed decommission (S55): the heartbeat process
@@ -133,15 +117,12 @@ class LeafServer:
         )
         #: The B+ tree baseline over base row order (Fig 9(b)), or None.
         self.btrees: Optional[BTreeIndex] = BTreeIndex() if config.enable_btree else None
-        #: The access paths of base bytes in fold order, and per variant
-        #: design its own (:meth:`_paths_of`).
+        #: The access paths in fold order.
         self._paths = [p for p in (self.index_manager, self.btrees) if p is not None]
-        self._layout_paths: Dict[object, list] = {}
-        #: Effective path → (payload, the :class:`Block` parsed from it),
+        #: Block path → (payload, the :class:`Block` parsed from it),
         #: oldest first.  An entry is reused only while the storage layer
-        #: hands back *that very* bytes object: a write, re-tiering,
-        #: layout publish/retract or delete replaces or drops the stored
-        #: object, so a stale parse can never be served.
+        #: hands back *that very* bytes object: a write or delete replaces
+        #: or drops the stored object, so a stale parse can never be served.
         self._parsed_blocks: Dict[str, Tuple[bytes, Block]] = {}
 
         #: Per-storage-system task slots honouring resource agreements.
@@ -245,18 +226,6 @@ class LeafServer:
                 continue
             self.cluster_manager.heartbeat(self.worker_id, load)
 
-    # -- access paths ----------------------------------------------------------
-
-    def _paths_of(self, layout) -> list:
-        """A variant's access paths (S54): SmartIndex vectors and baseline
-        trees hold base row order, so it offers only its own — its sort
-        order, which prices the read from every clause and so goes
-        first, then a tree on its attached column, kept per design."""
-        if layout not in self._layout_paths:
-            tree = [BTreeIndex(layout.index_column)] if layout.index_column else []
-            self._layout_paths[layout] = [layout, *tree]
-        return self._layout_paths[layout]
-
     # -- task execution ------------------------------------------------------
 
     def run_task(
@@ -277,11 +246,7 @@ class LeafServer:
         """
         if not self.alive:
             raise ClusterStateError(f"{self.worker_id} is down")
-        block_path = (
-            self.tiering.effective_path(task.block.path)
-            if self.tiering is not None
-            else task.block.path
-        )
+        block_path = task.block.path
         system, inner = self.router.resolve(block_path)
         slot = self._slots[system.name]
         self.queued_tasks += 1
@@ -292,17 +257,7 @@ class LeafServer:
         self.queued_tasks -= 1
         self.running_tasks += 1
         try:
-            layout = None
-            if self.layouts is not None and task.row_slice is None:
-                # Trojan replicas (S54): the read is served by this node's
-                # own replica when it holds one (else the nearest), and
-                # that replica may carry a rewritten physical variant.
-                serving = self.layouts.serving_replica(system, inner, self.address)
-                payload, layout = self.layouts.payload_for(
-                    system, inner, serving, task.columns
-                )
-            else:
-                payload = system.read(inner)
+            payload = system.read(inner)
             block = self._parsed_block(block_path, payload)
             index_key = (block.block_id, system.incarnation(inner))  # of the bytes just read
             index_manager = self.index_manager
@@ -315,33 +270,20 @@ class LeafServer:
                 plan,
                 block,
                 broadcast_frames,
-                paths=self._paths if layout is None else self._paths_of(layout),
+                paths=self._paths,
                 now=self.sim.now,
-                layout=layout,
                 index_key=index_key,
             )
             report = result.report
             if probed is not None:
                 self._trace_index_probe(span, index_manager, probed, report)
-            if self.layouts is not None:
-                from repro.storage.layouts import base_join_columns
-
-                self.layouts.record_scan(
-                    task.block.path,
-                    plan.scan_cnf,
-                    task.columns,
-                    join_columns=base_join_columns(plan),
-                    reader=self.address,
-                    nbytes=int(report.modeled_io_bytes),
-                    now=self.sim.now,
-                )
 
             charged = report.io_bytes > 0
             scan = span.add("scan", self.sim.now) if span is not None else None
             if charged:
-                yield from self._charge_io(task, system, inner, block_path, payload, report)
+                yield from self._charge_io(system, inner, block_path, payload, report)
             if scan is not None:
-                scan.finish(self.sim.now, **self._scan_tags(task, layout, report, charged))
+                scan.finish(self.sim.now, **self._scan_tags(report, charged))
             if report.modeled_cpu_ops > 0:
                 cpu_name = "aggregate" if plan.is_aggregate else "project"
                 cpu = span.add(cpu_name, self.sim.now) if span is not None else None
@@ -360,7 +302,7 @@ class LeafServer:
         """The ``index_probe`` child of a traced attempt, written at the
         instant the probe ran: ``probed`` is the manager's atom counters
         before the task, the rest is on the task's report.  No child when
-        no probe ran (no filter, a row slice, a variant's bytes)."""
+        no probe ran (no filter, a row slice)."""
         clauses = report.index_clause_hits + report.index_clause_misses
         if not clauses:
             return
@@ -377,7 +319,7 @@ class LeafServer:
             full_cover=not report.index_clause_misses,
         )
 
-    def _scan_tags(self, task: ScanTask, layout, report, charged: bool) -> dict:
+    def _scan_tags(self, report, charged: bool) -> dict:
         """Tags of a traced ``scan`` child; a scan the index answered in
         full (not ``charged``) read nothing."""
         tags = {
@@ -387,10 +329,6 @@ class LeafServer:
         }
         if charged:
             tags["seeks"] = report.io_seeks
-        if self.tiering is not None:
-            tags["tier"] = self.tiering.tier_of(task.block.path)
-        if self.layouts is not None:
-            tags["layout"] = layout.describe() if layout is not None else "base"
         return tags
 
     def _parsed_block(self, block_path: str, payload: bytes) -> Block:
@@ -406,20 +344,17 @@ class LeafServer:
         return block
 
     def _charge_io(
-        self, task: ScanTask, system, inner: str, block_path: str, payload: bytes, report
+        self, system, inner: str, block_path: str, payload: bytes, report
     ) -> Generator[Event, None, None]:
         """Charge the simulated time for this task's data access.
 
-        ``block_path`` is the *effective* full path (post tiering
-        redirect) keying the SSD cache; heat is recorded against the
-        original catalog path so it survives promotion transitions.
+        ``block_path`` is the catalog's full path: it keys the SSD cache
+        and the access heat.
         """
         nbytes = int(report.modeled_io_bytes)
         profile = system.profile
         if self.heat is not None:
-            self.heat.record(
-                task.block.path, nbytes, reader=self.address, now=self.sim.now
-            )
+            self.heat.record(block_path, self.sim.now)
         if self.ssd_cache is not None and self.ssd_cache.get(block_path, payload):
             yield self.ssd.read(nbytes, seeks=report.io_seeks)
             return

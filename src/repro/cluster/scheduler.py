@@ -73,16 +73,8 @@ class JobScheduler:
         self.cost_model = cost_model if cost_model is not None else CostModel()
         #: Ablation switch: False falls back to round-robin placement.
         self.locality_aware = locality_aware
-        #: Tiering hook (:class:`repro.storage.tiering.TieringDaemon`);
-        #: when set, placement follows the promoted replica set.
-        self.tiering = None
-        #: Layout hook (:class:`repro.storage.layouts.LayoutDaemon`);
-        #: when set, candidate replicas are scored by the layout each one
-        #: serves (sorted → range pruning, subset → smaller read,
-        #: attached index → covered probe) instead of load pressure alone.
-        self.layouts = None
-        #: Memoized per-(block, columns) modeled byte sizes (S54
-        #: satellite): ``BlockRef.bytes_for`` rebuilds a dict from the
+        #: Memoized per-(block, columns) modeled byte sizes:
+        #: ``BlockRef.bytes_for`` rebuilds a dict from the
         #: column-size tuple on every call, and placement used to pay
         #: that for every candidate of every task.
         self._task_bytes_cache: Dict[tuple, float] = {}
@@ -189,7 +181,7 @@ class JobScheduler:
         when any is alive: the adaptive re-optimizer colocates remainder
         tasks with the leaves that already hold the broadcast frames.
         """
-        manager, layouts, net = self.cluster_manager, self.layouts, self.net
+        manager, net = self.cluster_manager, self.net
         is_draining = getattr(manager, "is_draining", None)
         cost = self.cost_model
         seek, bandwidth, cpu_rate = cost.disk_seek_s, cost.disk_bandwidth_bps, cost.cpu_ops_per_sec
@@ -224,10 +216,7 @@ class JobScheduler:
             return holders_at[addr]
 
         for task in tasks:
-            path = task.block.path
-            if self.tiering is not None:  # the promoted hot copy, once published
-                path = self.tiering.effective_path(path)
-            system, inner = self.router.resolve(path)
+            system, inner = self.router.resolve(task.block.path)
             replicas = system.locations(inner)
             # Local candidates as (load, registration index, leaf): the
             # least loaded wins, and of equals the first a scan of every
@@ -267,44 +256,30 @@ class JobScheduler:
                     if not local:
                         # No replica holder available: minimize transfer + load.
                         def remote_cost(leaf: LeafServer) -> float:
-                            nbytes = self._task_bytes(task) if layouts is None else 0.0
+                            nbytes = self._task_bytes(task)
                             xfers = (
-                                net.transfer_time_estimate(addr, leaf.address, int(
-                                    nbytes if layouts is None else layouts.replica_bytes(task, addr)
-                                ))
+                                net.transfer_time_estimate(addr, leaf.address, int(nbytes))
                                 for addr in replica_addrs
                             )
                             return min(xfers, default=0.0) + 0.05 * load(leaf)
 
                         leaf = min(pool, key=remote_cost)
             if local:
-                if layouts is None:
-                    leaf = min(local, key=_RANK)[2]
-                else:
-                    # Trojan replicas (S54): holders are not interchangeable —
-                    # score each by the layout its copy serves, load-broken.
-                    leaf = min(local, key=lambda c: (
-                        layouts.scan_seconds(task, cnf, c[2].address) + 0.05 * c[0],
-                        c[2].worker_id,
-                    ))[2]
+                leaf = min(local, key=_RANK)[2]
             data_local = bool(local) or leaf.address in replicas
-            if layouts is not None:
-                # Prices the serving replica's variant, transfer leg included.
-                estimate = layouts.scan_seconds(task, cnf, leaf.address)
-            else:
-                # ``CostModel.task_seconds`` in its float order, so bit for bit.
-                profile, rows = system.profile, task.block.modeled_rows
-                estimate = (
-                    profile.first_byte_latency_s
-                    + (seek + self._task_bytes(task) / (bandwidth * profile.bandwidth_factor))
-                    + (OPS_PER_DECODE * rows * len(task.columns) + ops_per_row * rows) / cpu_rate
+            # ``CostModel.task_seconds`` in its float order, so bit for bit.
+            profile, rows = system.profile, task.block.modeled_rows
+            estimate = (
+                profile.first_byte_latency_s
+                + (seek + self._task_bytes(task) / (bandwidth * profile.bandwidth_factor))
+                + (OPS_PER_DECODE * rows * len(task.columns) + ops_per_row * rows) / cpu_rate
+            )
+            if not data_local and replicas:
+                nbytes = self._task_bytes(task)
+                estimate += min(
+                    net.transfer_time_estimate(addr, leaf.address, int(nbytes))
+                    for addr in replicas
                 )
-                if not data_local and replicas:
-                    nbytes = self._task_bytes(task)
-                    estimate += min(
-                        net.transfer_time_estimate(addr, leaf.address, int(nbytes))
-                        for addr in replicas
-                    )
             local_count += data_local
             placements.append(Placement(leaf, data_local, estimate))
         with self._lock:

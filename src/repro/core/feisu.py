@@ -10,7 +10,9 @@ one object with a small surface:
     >>> result = cluster.query("SELECT COUNT(*) FROM T")  # doctest: +SKIP
 
 Queries compute real answers; response times come from the simulated
-clock and are exposed in ``result.stats["response_time_s"]``.
+clock and are exposed in ``result.stats["response_time_s"]``.  A task
+reads its block from the path the catalog names, every replica holds
+the same bytes, and SSD cache preferences are set by hand (§IV-B).
 """
 
 from __future__ import annotations
@@ -177,41 +179,8 @@ class FeisuCluster:
                 self.stems.append(dc_stem)
                 self.master.register_dc_stem(dc_stem)
 
-        #: Heat-based adaptive tiering (S50); constructed and started only
-        #: when the flag is on so default deployments gain no simulation
-        #: events and committed figure results stay byte-identical.
-        self.tiering = None
-        if self.config.leaf.enable_tiering:
-            from repro.storage.tiering import TieringDaemon
-
-            self.tiering = TieringDaemon(
-                self.sim,
-                self.net,
-                self.router,
-                hot_system=self.storage_a,
-                cost_model=self.scheduler.cost_model,
-            )
-            self.scheduler.tiering = self.tiering
-            self.tiering.start()
-
-        #: Per-replica heterogeneous layouts (S54); same flag-gating
-        #: discipline as tiering — off means no daemon, no events, no
-        #: figure drift.
-        self.layouts = None
-        if self.config.leaf.enable_layouts:
-            from repro.storage.layouts import LayoutDaemon
-
-            self.layouts = LayoutDaemon(
-                self.sim,
-                self.net,
-                self.router,
-                cost_model=self.scheduler.cost_model,
-            )
-            self.scheduler.layouts = self.layouts
-            self.layouts.start()
-
-        #: Elastic membership + rebalancing (S55); flag-gated like
-        #: tiering and layouts so the default deployment is untouched.
+        #: Elastic membership + rebalancing (S55); constructed only when
+        #: configured, so the default deployment is untouched.
         self.elastic = None
         if self.config.elastic is not None:
             from repro.cluster.elastic import ElasticityManager
@@ -248,19 +217,11 @@ class FeisuCluster:
             self.gateway = SQLGateway(self, self.config.gateway)
 
     def wire_leaf(self, leaf: LeafServer) -> None:
-        """Give ``leaf`` the cluster's tiering, layout, heat and fault
-        hooks and attach its SSD cache to the tiering daemon (at
-        construction and when a node joins).  Heat goes to the one
-        tracker the tiering daemon and the rebalancer share, or to the
-        rebalancer's own when tiering is off."""
-        leaf.tiering = self.tiering
-        leaf.layouts = self.layouts
+        """Give ``leaf`` the cluster's heat and fault hooks (at
+        construction and when a node joins): its reads feed the elastic
+        rebalancer's heat tracker when elastic is configured."""
         leaf.faults = self.fault_injector
-        if self.tiering is not None:
-            leaf.heat = self.tiering.heat
-            if leaf.ssd_cache is not None:
-                self.tiering.attach_cache(leaf.ssd_cache)
-        elif self.elastic is not None:
+        if self.elastic is not None:
             leaf.heat = self.elastic.heat
 
     def install_faults(self, plan, seed: int = 0):

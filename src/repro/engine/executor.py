@@ -3,7 +3,7 @@
 Leaf path, per block (§IV-C-3 / Fig 7):
 
 1. fold the scan CNF through the access paths the leaf hands over (the
-   SmartIndex, the B+ tree baseline, a sorted variant) — a fully
+   SmartIndex, the B+ tree baseline) — a fully
    answered filter skips both the block scan and predicate evaluation;
 2. otherwise evaluate what is left on the encoded column chunks, feed
    every evaluated atom to the SmartIndex, and materialize the payload
@@ -60,7 +60,7 @@ from repro.planner.cost import (
     OPS_PER_DECODE,
 )
 from repro.planner.expressions import Frame, evaluate, make_qualified_resolver
-from repro.planner.physical import BroadcastTable, EagerJoin, PhysicalPlan, ScanTask
+from repro.planner.physical import EagerJoin, PhysicalPlan, ScanTask
 from repro.sql.analyzer import AnalyzedQuery
 from repro.sql.ast import (
     AggregateCall,
@@ -75,6 +75,9 @@ from repro.sql.ast import (
     Star,
     walk,
 )
+
+#: CPU ops a broadcast join charges per probe row and per build row.
+JOIN_OPS_PER_ROW = 3.0
 
 
 @dataclass
@@ -164,7 +167,6 @@ def execute_scan_task(
     broadcast_frames: Optional[Dict[str, Frame]] = None,
     paths: Sequence = (),
     now: float = 0.0,
-    layout=None,
     index_key: Optional[Hashable] = None,
 ) -> TaskResult:
     """Run one scan task against its (already fetched) block.
@@ -173,11 +175,8 @@ def execute_scan_task(
     (:func:`_select_rows`), and only ``plan.payload_columns`` are
     materialized, only at the matching rows.
 
-    ``paths`` are the access paths the served bytes offer, folded in
-    order (:func:`_select_rows`).  ``layout`` is the
-    :class:`~repro.storage.layouts.LayoutSpec` the served block carries
-    (None for the base layout); here it only sets a co-partitioned
-    variant's join rate.  ``index_key`` (default: the block id) is the
+    ``paths`` are the access paths the leaf offers, folded in order
+    (:func:`_select_rows`).  ``index_key`` (default: the block id) is the
     one key every path sees; a leaf passes ``(block id, incarnation)``.
     """
     if index_key is None:
@@ -185,7 +184,7 @@ def execute_scan_task(
     report, readers, rows = _select_rows(task, plan, block, index_key, paths, now)
     frame = _gather(task, plan, readers, rows, report.rows_in_block)
     report.rows_matched = frame.num_rows
-    result = _finish_task(frame, task, plan, broadcast_frames, report, layout)
+    result = _finish_task(frame, task, plan, broadcast_frames, report)
     report.finish()
     return result
 
@@ -299,7 +298,6 @@ def _finish_task(
     plan: PhysicalPlan,
     broadcast_frames: Optional[Dict[str, Frame]],
     report: TaskExecutionReport,
-    layout=None,
 ) -> TaskResult:
     """Joins, post-join filter, then partial aggregate or projection —
     or, where :func:`_aggregate_then_join` can, the aggregate first."""
@@ -308,13 +306,11 @@ def _finish_task(
     if qualified:
         eager = plan.shape.eager_join
         if eager is not None:
-            partial = _aggregate_then_join(frame, plan, eager, broadcast_frames or {}, report, layout)
+            partial = _aggregate_then_join(frame, plan, eager, broadcast_frames or {}, report)
             if partial is not None:
                 return TaskResult(task.task_id, partial=partial, report=report)
         frame = prefix_columns(frame, task.binding)
-        frame = _apply_broadcast_joins(
-            frame, plan, broadcast_frames or {}, report, layout=layout
-        )
+        frame = _apply_broadcast_joins(frame, plan, broadcast_frames or {}, report)
     if plan.post_filter is not None and frame.num_rows > 0:
         resolve = _resolver_for(analyzed, frame, qualified)
         post_mask = evaluate(plan.post_filter, frame, resolve).astype(np.bool_)
@@ -386,7 +382,6 @@ def _apply_broadcast_joins(
     plan: PhysicalPlan,
     broadcast_frames: Dict[str, Frame],
     report: TaskExecutionReport,
-    layout=None,
 ) -> Frame:
     for bc in plan.broadcasts:
         try:
@@ -399,25 +394,8 @@ def _apply_broadcast_joins(
             resolve = make_qualified_resolver(Frame({**frame.columns, **dim_q.columns}, 0))
         before = frame.num_rows
         frame = join(frame, dim_q, bc.kind, bc.keys, bc.condition, resolve)
-        report.cpu_ops += _join_rate(bc, layout) * (before + dim.num_rows)
+        report.cpu_ops += JOIN_OPS_PER_ROW * (before + dim.num_rows)
     return frame
-
-
-def _join_rate(bc: BroadcastTable, layout) -> float:
-    """CPU ops a broadcast join charges per probe and per build row.
-
-    Co-partitioned variant (S54): when the probe side arrives clustered
-    by the join key, the hash probe's cache behaviour halves the rate.
-    """
-    if (
-        layout is not None
-        and layout.copartition_column is not None
-        and bc.condition is not None
-        and any(isinstance(n, Column) and n.name == layout.copartition_column
-                for n in walk(bc.condition))
-    ):
-        return 1.5
-    return 3.0
 
 
 def _aggregate_then_join(
@@ -426,7 +404,6 @@ def _aggregate_then_join(
     eager: EagerJoin,
     broadcast_frames: Dict[str, Frame],
     report: TaskExecutionReport,
-    layout=None,
 ) -> Optional[GroupedPartial]:
     """Eager aggregation across the broadcast joins (S67).
 
@@ -487,7 +464,7 @@ def _aggregate_then_join(
     rows = frame.num_rows
     found = []
     for bc, dim, key_of, index in lookups:
-        report.cpu_ops += _join_rate(bc, layout) * (rows + dim.num_rows)
+        report.cpu_ops += JOIN_OPS_PER_ROW * (rows + dim.num_rows)
         dim_rows = list(map(index.get, map(key_of, keys)))
         alive = [i for i in alive if dim_rows[i] is not None]
         rows = sum(map(counts.__getitem__, alive))

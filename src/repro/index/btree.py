@@ -105,7 +105,7 @@ class BTreeIndex:
     served block the first time a probe needs it (the paper prebuilds
     them, so building is off the query clock) and rebuilt in place when
     the probe's ``key`` names new bytes.  ``column`` restricts the path
-    to one column: a variant's attached index (S54).
+    to one column.
     """
 
     #: Built ahead of queries: a tree learns nothing from a scan.

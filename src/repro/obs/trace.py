@@ -157,18 +157,6 @@ class Tracer:
                 total += v
         return total
 
-    def tag_values(self, key: str, span_name: Optional[str] = None) -> Dict[str, int]:
-        """Occurrence count of each distinct value of a string tag,
-        optionally restricted to spans with ``span_name``."""
-        out: Dict[str, int] = {}
-        for span in self.spans():
-            if span_name is not None and span.name != span_name:
-                continue
-            v = span.tags.get(key)
-            if isinstance(v, str):
-                out[v] = out.get(v, 0) + 1
-        return out
-
     def bytes_by_class(self) -> Dict[str, float]:
         """Sum of ``bytes`` tags grouped by the span's ``traffic_class`` tag."""
         out: Dict[str, float] = {}

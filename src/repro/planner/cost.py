@@ -78,47 +78,6 @@ class CostModel:
         rows = task.block.modeled_rows
         return (OPS_PER_INDEX_ROW * rows * max(1, num_clauses)) / self.cpu_ops_per_sec
 
-    def sized_task_seconds(
-        self,
-        nbytes: float,
-        modeled_rows: float,
-        cnf: ConjunctiveForm,
-        num_columns: int,
-        bandwidth_factor: float = 1.0,
-        extra_latency_s: float = 0.0,
-    ) -> float:
-        """Like :meth:`task_seconds` but for an explicitly-sized read.
-
-        The layout-aware scheduler (S54) prices a candidate replica by
-        the bytes *its* physical variant would actually serve — a
-        column-subset projection or a sorted replica's binary-searched
-        candidate range — rather than the catalog block's estimate.
-        """
-        io = (
-            extra_latency_s
-            + self.disk_seek_s
-            + nbytes / (self.disk_bandwidth_bps * bandwidth_factor)
-        )
-        decode_ops = OPS_PER_DECODE * modeled_rows * max(0, num_columns)
-        filter_ops = self.predicate_ops_per_row(cnf) * modeled_rows
-        return io + (decode_ops + filter_ops) / self.cpu_ops_per_sec
-
-    def tier_saved_seconds(self, nbytes: float, cold_profile, hot_profile) -> float:
-        """Scan-seconds one read saves after promotion cold → hot.
-
-        Profiles are duck-typed ``ServiceProfile``-likes (first-byte
-        latency + bandwidth factor) so the planner stays import-free of
-        the storage package.  The numerator of the tiering daemon's
-        benefit-per-byte score.
-        """
-        cold_s = cold_profile.first_byte_latency_s + nbytes / (
-            self.disk_bandwidth_bps * cold_profile.bandwidth_factor
-        )
-        hot_s = hot_profile.first_byte_latency_s + nbytes / (
-            self.disk_bandwidth_bps * hot_profile.bandwidth_factor
-        )
-        return max(0.0, cold_s - hot_s)
-
     def task_seconds(
         self,
         task: ScanTask,

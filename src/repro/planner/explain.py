@@ -137,19 +137,6 @@ def explain_analyze(
             f"{stats.index_clause_hits} clause hits, "
             f"{stats.index_clause_misses} misses ({n_probe} probes)"
         )
-        tiers = trace.tag_values("tier", "scan")
-        if tiers:
-            # Tiering line: the tag only exists when the flag-gated
-            # daemon is attached, so default-mode output is unchanged.
-            parts = ", ".join(f"{n} {t}" for t, n in sorted(tiers.items()))
-            scan_lines.append(f"actual tier: {parts}")
-        layouts = trace.tag_values("layout", "scan")
-        if layouts:
-            # Trojan-replica line (S54): the tag only exists when the
-            # flag-gated layout daemon is attached, so default-mode
-            # output is unchanged.
-            parts = ", ".join(f"{n} {t}" for t, n in sorted(layouts.items()))
-            scan_lines.append(f"actual layout: {parts}")
         scan_lines.append(f"actual queue wait: {wait_s:.4f}s over {n_wait} slot waits")
         if stats.adaptive_waves:
             # Adaptive line: the counters are only nonzero when the

@@ -140,6 +140,11 @@ def _map_rows(fn, dtype, *columns: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, *columns), dtype=dtype, count=count)
 
 
+def _floating(value) -> bool:
+    """Is an operand (a column or a literal) REAL?"""
+    return isinstance(value, float) or (isinstance(value, np.ndarray) and value.dtype.kind == "f")
+
+
 def _contains(haystack: np.ndarray, needle: np.ndarray) -> np.ndarray:
     return _map_rows(operator.contains, np.bool_, haystack, needle)
 
@@ -239,5 +244,8 @@ def _evaluate_binary(expr: BinaryOp, frame: Frame, resolve: Resolver) -> np.ndar
         with np.errstate(divide="ignore", invalid="ignore"):
             # SQL's remainder truncates toward zero (-7 % 2 is -1), as
             # ``fmod`` does; ``np.mod`` is floor modulo (-7 % 2 is 1).
+            # A REAL operand is cast to an integer first (7.5 % 2 is 1.0).
+            if _floating(left) or _floating(right):
+                left, right = np.trunc(left), np.trunc(right)
             return np.fmod(left, right)
     raise ExecutionError(f"unsupported operator {op}")

@@ -11,12 +11,10 @@ from repro.storage.systems import (
     KeyValueStore,
     LocalFS,
 )
-from repro.storage.tiering import HeatTracker, TieringDaemon, TieringStats
 
 __all__ = [
     "DistributedFS",
     "FatmanFS",
-    "HeatTracker",
     "KeyValueStore",
     "LocalFS",
     "RepairReport",
@@ -25,8 +23,6 @@ __all__ = [
     "SsdCache",
     "StorageRouter",
     "StorageSystem",
-    "TieringDaemon",
-    "TieringStats",
     "load_block",
     "read_table_frame",
     "store_table",

@@ -18,12 +18,12 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.errors import PathError, StorageError
 from repro.sim.netmodel import NodeAddress
 
-_incarnations = itertools.count(1)  # one for all systems: names a write wherever it is copied
+_incarnations = itertools.count(1)  # one for all systems: no two writes share one
 
 
 @dataclass(frozen=True)
@@ -53,33 +53,20 @@ class StorageSystem(abc.ABC):
         self._files: Dict[str, bytes] = {}
         self._incarnations: Dict[str, int] = {}  # path -> incarnation of its bytes
         self._placement: Dict[str, List[NodeAddress]] = {}
-        #: Per-replica physical variants ("Trojan" layouts, S54): an
-        #: individual replica holder may serve an alternative encoding of
-        #: the same logical file, published by the layout daemon.  The
-        #: base payload in ``_files`` stays authoritative — variants are
-        #: an overlay, so replication accounting and readability never
-        #: depend on them.  Each entry is ``(bytes, meta)`` where meta is
-        #: an opaque JSON-able dict describing the layout.
-        self._variants: Dict[str, Dict[NodeAddress, Tuple[bytes, Optional[dict]]]] = {}
 
     # -- namespace ------------------------------------------------------
 
-    def write(
-        self, path: str, data: bytes, node: Optional[NodeAddress] = None, incarnation: int = 0
-    ) -> int:
+    def write(self, path: str, data: bytes, node: Optional[NodeAddress] = None) -> int:
         """Store ``data`` at ``path`` with system-specific placement; return
-        its incarnation: a fresh one, or that of the write it copies."""
+        the fresh incarnation minted for these bytes."""
         if not path.startswith("/"):
             raise PathError(f"storage paths must be absolute, got {path!r}")
         placement = self._place(path, len(data), node)
         if not placement:
             raise StorageError(f"{self.name}: no placement for {path!r}")
         self._files[path] = bytes(data)
-        self._incarnations[path] = incarnation or next(_incarnations)
+        self._incarnations[path] = next(_incarnations)
         self._placement[path] = placement
-        # A rewritten base payload invalidates every replica variant: the
-        # variants were derived from the old bytes.
-        self._variants.pop(path, None)
         return self._incarnations[path]
 
     def incarnation(self, path: str) -> Optional[int]:
@@ -103,51 +90,6 @@ class StorageSystem(abc.ABC):
         del self._files[path]
         del self._incarnations[path]
         del self._placement[path]
-        self._variants.pop(path, None)
-
-    # -- per-replica layout variants (S54) -------------------------------
-
-    def set_replica_variant(
-        self, path: str, node: NodeAddress, data: bytes, meta: Optional[dict] = None
-    ) -> None:
-        """Publish an alternative physical encoding of ``path`` served by
-        ``node``'s replica.  The node must currently hold a replica; the
-        base payload is untouched, so readability and the replication
-        floor never depend on a variant."""
-        if node not in self.locations(path):
-            raise StorageError(
-                f"{self.name}: {node} holds no replica of {path!r}; "
-                "cannot attach a layout variant"
-            )
-        self._variants.setdefault(path, {})[node] = (bytes(data), meta)
-
-    def replica_variant(self, path: str, node: NodeAddress) -> Optional[bytes]:
-        """The variant bytes ``node`` serves for ``path``, or None."""
-        entry = self._variants.get(path, {}).get(node)
-        return entry[0] if entry is not None else None
-
-    def replica_meta(self, path: str, node: NodeAddress) -> Optional[dict]:
-        """The layout metadata attached to ``node``'s replica, or None."""
-        entry = self._variants.get(path, {}).get(node)
-        return entry[1] if entry is not None else None
-
-    def read_replica(self, path: str, node: NodeAddress) -> bytes:
-        """What a read served by ``node`` returns: its layout variant
-        when one is published, the base payload otherwise."""
-        variant = self.replica_variant(path, node)
-        return variant if variant is not None else self.read(path)
-
-    def clear_replica_variant(self, path: str, node: NodeAddress) -> None:
-        """Retract a variant; the replica falls back to the base payload."""
-        per_node = self._variants.get(path)
-        if per_node is not None:
-            per_node.pop(node, None)
-            if not per_node:
-                del self._variants[path]
-
-    def variant_nodes(self, path: str) -> List[NodeAddress]:
-        """Replica holders currently serving a non-base layout."""
-        return list(self._variants.get(path, {}))
 
     def list_paths(self, prefix: str = "/") -> List[str]:
         return sorted(p for p in self._files if p.startswith(prefix))
@@ -219,9 +161,6 @@ class StorageSystem(abc.ABC):
             raise PathError(f"{self.name}: no such path {path!r}")
         if node in replicas:
             replicas.remove(node)
-            # The node's payload is gone with the replica — a later
-            # re-add must not resurrect a stale layout variant.
-            self.clear_replica_variant(path, node)
 
     def add_replica(self, path: str, node: NodeAddress) -> bool:
         """Record an extra replica holder; idempotent (a node already in

@@ -133,16 +133,9 @@ def write_block(
     )
 
 
-def load_block(
-    router: StorageRouter, ref: BlockRef, cred=None, now: float = 0.0, tiering=None
-) -> Block:
-    """Fetch and decode one block through the common storage layer.
-
-    ``tiering`` (a :class:`~repro.storage.tiering.TieringDaemon`, or
-    None) redirects the read to the promoted hot copy when one exists.
-    """
-    path = tiering.effective_path(ref.path) if tiering is not None else ref.path
-    payload = router.read(path, cred=cred, now=now)
+def load_block(router: StorageRouter, ref: BlockRef, cred=None, now: float = 0.0) -> Block:
+    """Fetch and decode one block through the common storage layer."""
+    payload = router.read(ref.path, cred=cred, now=now)
     block = Block.from_bytes(payload)
     if block.block_id != ref.block_id:
         raise StorageError(
@@ -157,12 +150,11 @@ def read_table_frame(
     columns: Sequence[str],
     cred=None,
     now: float = 0.0,
-    tiering=None,
 ) -> Dict[str, np.ndarray]:
     """Materialize selected columns of a whole table (broadcast tables)."""
     parts: Dict[str, list] = {c: [] for c in columns}
     for ref in table.blocks:
-        block = load_block(router, ref, cred=cred, now=now, tiering=tiering)
+        block = load_block(router, ref, cred=cred, now=now)
         for c in columns:
             parts[c].append(block.column(c))
     return {

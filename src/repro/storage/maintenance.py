@@ -8,10 +8,11 @@ copy traffic to the WRITE class.  It is the substrate-side complement to
 Feisu's task-level fault tolerance.
 
 Every replica copy in the system goes through :func:`copy_replica`, the
-one publish-after-write primitive: the repairer, the elastic rebalancer
-(spread, migrate, evacuate) and the tiering daemon's replica extension
-all call it, and :func:`migrate_replica` / :func:`retire_replica` are the
-only ways a replica leaves a node on purpose.
+one publish-after-write primitive: the repairer and the elastic
+rebalancer (spread, migrate, evacuate) call it, and
+:func:`migrate_replica` / :func:`retire_replica` are the only ways a
+replica leaves a node on purpose.  A replica is its block's bytes and
+nothing more, so a copy ships ``system.size(inner)`` bytes.
 """
 
 from __future__ import annotations
@@ -40,14 +41,11 @@ def copy_replica(
 ) -> Generator[Event, None, int]:
     """Grow ``inner``'s replica set onto ``target`` from ``source``.
 
-    Returns the bytes shipped, 0 when nothing was published.  A replica
-    is its bytes *plus* its physical layout (S54), so the source's layout
-    variant is what ships when it serves one.  The target is published
-    only after the transfer lands and only if the path still holds the
-    incarnation that was read: a copy that raced a rewrite or a delete
-    publishes nothing.  The variant rides along only if the source still
-    serves exactly it.  ``add_replica`` is idempotent, so a racing or
-    retried copy never double-counts a holder.
+    Returns the bytes shipped, 0 when nothing was published.  The target
+    is published only after the transfer lands and only if the path
+    still holds the incarnation that was read: a copy that raced a
+    rewrite or a delete publishes nothing.  ``add_replica`` is
+    idempotent, so a racing or retried copy never double-counts a holder.
     """
     incarnation = system.incarnation(inner)
     if incarnation is None:
@@ -55,56 +53,11 @@ def copy_replica(
     holders = system.locations(inner)
     if target in holders or source not in holders:
         return 0
-    variant = system.replica_variant(inner, source)
-    meta = system.replica_meta(inner, source)
-    nbytes = len(variant) if variant is not None else system.size(inner)
+    nbytes = system.size(inner)
     yield net.transfer(source, target, nbytes, TrafficClass.WRITE)
     if system.incarnation(inner) != incarnation or not system.add_replica(inner, target):
         return 0
-    _carry_variant(system, inner, source, target, variant, meta)
     return nbytes
-
-
-def copy_variant(
-    net: NetworkTopology,
-    system: StorageSystem,
-    inner: str,
-    source: NodeAddress,
-    target: NodeAddress,
-) -> Generator[Event, None, None]:
-    """Re-home ``source``'s layout variant onto ``target``, which already
-    holds the base bytes, under the incarnation and variant rules of
-    :func:`copy_replica`."""
-    incarnation = system.incarnation(inner)
-    variant = system.replica_variant(inner, source)
-    if variant is None:
-        return
-    meta = system.replica_meta(inner, source)
-    yield net.transfer(source, target, len(variant), TrafficClass.WRITE)
-    if system.incarnation(inner) == incarnation:
-        _carry_variant(system, inner, source, target, variant, meta)
-
-
-def _carry_variant(
-    system: StorageSystem,
-    inner: str,
-    source: NodeAddress,
-    target: NodeAddress,
-    variant: Optional[bytes],
-    meta: Optional[dict],
-) -> None:
-    """Publish ``variant`` on ``target`` if ``source`` still serves it."""
-    if variant is None:
-        return
-    holders = system.locations(inner)
-    if source not in holders or target not in holders:
-        return
-    if (
-        system.replica_variant(inner, source) != variant
-        or system.replica_meta(inner, source) != meta
-    ):
-        return  # layout rewritten mid-transfer: the shipped one matches no live copy
-    system.set_replica_variant(inner, target, variant, meta=meta)
 
 
 def retire_replica(system: StorageSystem, inner: str, node: NodeAddress) -> bool:
@@ -201,7 +154,7 @@ class ReplicaRepairer:
         for path, missing in self.find_under_replicated():
             report.under_replicated += 1
             if not self.system.exists(path):
-                continue  # deleted (e.g. tiering demotion) during an earlier copy
+                continue  # deleted during an earlier copy
             survivors = self.system.locations(path)
             if not survivors:
                 report.unrepairable.append(path)

@@ -88,10 +88,6 @@ class StorageRouter:
         self._check(system, cred, now)
         return system.write(inner, data, node=node)
 
-    def incarnation(self, full_path: str) -> Optional[int]:
-        system, inner = self.resolve(full_path)
-        return system.incarnation(inner)
-
     def exists(self, full_path: str) -> bool:
         """False only for resolvable-but-missing paths.
 

@@ -12,9 +12,8 @@ implementation reproduces both behaviours:
   benchmarks can switch to admit-all to reproduce the 80 %-miss
   observation.
 
-Preference entries are path *prefixes*; they come either from operators
-(the paper's manual interference) or from the automatic tiering daemon
-(:mod:`repro.storage.tiering`), which derives them from observed heat.
+Preference entries are path *prefixes*, set by operators: the paper's
+manual interference, and the only source of preferences.
 
 Two policy guarantees (regression-pinned in ``tests/test_ssd_cache.py``):
 
@@ -82,7 +81,7 @@ class SsdCache:
         self.misses = 0
         self.rejected_for_preferred = 0
 
-    # -- preferences (manual §IV-B interference, or tiering-derived) -----
+    # -- preferences (manual §IV-B interference) ------------------------
 
     @_locked
     def prefer(self, path_prefix: str) -> None:

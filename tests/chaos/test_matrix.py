@@ -298,72 +298,3 @@ def test_slow_disk_straggler(seed):
     assert job.status is SUCCEEDED, job.error
     assert job.stats.backups_launched >= 1
     harness.finish("slow_disk_straggler")
-
-
-def test_crash_mid_promotion_keeps_replica_books_exact(seed):
-    """Tiering promotions die mid-transfer (WRITE drops + a reader crash)
-    and must retry idempotently: the cold tier never loses a replica, the
-    hot tier never double-counts one, and answers stay exact throughout."""
-    from repro.cluster.node import LeafConfig
-
-    harness = make_harness(
-        seed, leaf=LeafConfig(enable_smartindex=False, enable_tiering=True)
-    )
-    daemon = harness.cluster.tiering
-    daemon.period_s = 15.0
-    daemon.promote_threshold = 2.0
-    rng = np.random.default_rng(11)
-    n = 2000
-    cold = {"f1": rng.integers(0, 50, n), "f2": rng.integers(0, 8, n)}
-    harness.cluster.load_table(
-        "F",
-        Schema.of(f1=DataType.INT64, f2=DataType.INT64),
-        cold,
-        storage="fatman",
-        block_rows=500,
-    )
-    harness.monitor.oracle.load("F", cold)
-    # Both tiers under the replication-floor invariant: promotion is a
-    # copy, so fatman must stay at 2 and every published hot copy at 3.
-    harness.monitor.expect_replication(harness.cluster.fatman)
-    # Pin block 0's dominant reader to a leaf that holds *no* fatman
-    # replica of it: the promotion copy must then cross the fabric, where
-    # the WRITE drop window kills it mid-transfer.  (Scheduler-local scans
-    # read from their own disk, which no message fault can touch.)
-    fatman = harness.cluster.fatman
-    b0 = harness.cluster.catalog.get("F").blocks[0]
-    _, b0_inner = harness.cluster.router.resolve(b0.path)
-    holders = set(fatman.locations(b0_inner))
-    crash_addr = harness.leaf("leaf-dc0/rack0/node1").address
-    remote = next(
-        leaf.address
-        for leaf in harness.cluster.leaves
-        if leaf.address not in holders and leaf.address != crash_addr
-    )
-    for _ in range(10):
-        daemon.heat.record(b0.path, b0.encoded_bytes, reader=remote, now=0.0)
-    # Drops cover every daemon cycle until t=60 (cycles at 15/30/45), so
-    # the in-flight copy dies repeatedly and must retry; a frequent-reader
-    # leaf also crashes inside the window.
-    harness.install(
-        FaultPlan()
-        .add(MessageDrop(probability=1.0, cls=TrafficClass.WRITE, at=0.0, duration=60.0))
-        .add(CrashWindow(worker="leaf-dc0/rack0/node1", at=25.0, restart_after=30.0))
-    )
-    sql = "SELECT f2 AS k, COUNT(*) AS n FROM F GROUP BY k ORDER BY k"
-    for _ in range(6):
-        job = harness.run(sql)
-        assert job.status is SUCCEEDED, job.error
-        harness.sim.run(until=harness.sim.now + 20.0)  # let the daemon cycle
-    assert daemon.stats.promotions >= 1  # retries eventually landed
-    assert b0.path in daemon.promoted_paths()  # the remote-reader block too
-    for cold_full, hot_full in daemon.promoted_paths().items():
-        c_sys, c_inner = harness.cluster.router.resolve(cold_full)
-        h_sys, h_inner = harness.cluster.router.resolve(hot_full)
-        assert len(c_sys.locations(c_inner)) >= c_sys.replication
-        hot_holders = h_sys.locations(h_inner)
-        assert len(hot_holders) >= h_sys.replication
-        assert len(set(hot_holders)) == len(hot_holders)
-    if seed == DEFAULT_SEED:
-        assert daemon.stats.failed_promotions >= 1  # the window did bite
-    harness.finish("crash_mid_promotion")

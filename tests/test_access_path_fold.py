@@ -21,7 +21,6 @@ from repro.index.btree import BTreeIndex
 from repro.index.smartindex import SmartIndexManager
 from repro.planner.cnf import to_cnf
 from repro.sql.parser import parse_expression
-from repro.storage.layouts import LayoutSpec
 
 #: Access-path types and helpers the executor must not name.
 ACCESS_PATH_NAMES = {
@@ -64,8 +63,8 @@ def test_smartindex_has_one_cover():
 
 @pytest.mark.parametrize(
     "path",
-    [SmartIndexManager(), BTreeIndex(), LayoutSpec(sort_column="x")],
-    ids=["smartindex", "btree", "sorted"],
+    [SmartIndexManager(), BTreeIndex()],
+    ids=["smartindex", "btree"],
 )
 def test_every_probe_returns_mask_missing_charge(path):
     block = Block.from_arrays("b", Schema.of(x=DataType.INT64), {"x": np.arange(8)})

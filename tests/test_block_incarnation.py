@@ -3,13 +3,12 @@
 Block ids are positional (``T.b0``, ``T.b1``, ...), so a reload or an
 in-place rewrite reuses them and their storage paths.  Every cache that
 holds state derived from a block's bytes — SmartIndex vectors, B+ trees,
-completed task results, promoted tier copies, SSD cache lines, layout
-variants — is valid only for the *incarnation* of the bytes it was
-derived from: a number minted by the storage write that stored them.
-Each case below changes a block's contents under the same id and checks
-the next answer against stdlib sqlite3 over the new contents
-(``tests/_oracle.py``; no statement here names one of its
-``DIVERGENCES``).
+completed task results, SSD cache lines — is valid only for the
+*incarnation* of the bytes it was derived from: a number minted by the
+storage write that stored them.  Each case below changes a block's
+contents under the same id and checks the next answer against stdlib
+sqlite3 over the new contents (``tests/_oracle.py``; no statement here
+names one of its ``DIVERGENCES``).
 """
 
 from __future__ import annotations
@@ -56,10 +55,6 @@ def _reload(cluster, name, schema, columns, **kw):
     cluster.load_table(name, schema, columns, **kw)
 
 
-def _run_tiering(cluster):
-    cluster.sim.run_until_complete(cluster.sim.process(cluster.tiering.run_once()))
-
-
 @pytest.mark.parametrize(
     "leaf",
     [{}, {"enable_smartindex": False, "enable_btree": True}],
@@ -98,56 +93,6 @@ def test_completed_task_results_are_not_reused_across_a_dimension_reload():
         _assert_oracle(cluster, JOIN, T=fact, D=dim)
 
 
-def test_promoted_copy_of_a_rewritten_block_is_not_served():
-    cluster = _cluster(enable_smartindex=False, enable_tiering=True)
-    cluster.tiering.promote_threshold = 2.0
-    old = make_clicks_columns(2000, seed=3)
-    cluster.load_table("T", CLICKS_SCHEMA, old, storage="fatman", block_rows=500)
-    sql = "SELECT COUNT(*) FROM T WHERE c1 < 50"
-    for _ in range(4):
-        _assert_oracle(cluster, sql, T=old)
-        cluster.sim.run(until=cluster.sim.now + 40.0)  # let the daemon fire
-    promoted = cluster.tiering.promoted_paths()
-    assert promoted
-    new = {**old, "c1": 99 - old["c1"]}  # same range: nothing prunes
-    cluster.catalog.replace(
-        store_table("T", CLICKS_SCHEMA, new, cluster.router, cluster.fatman, block_rows=500)
-    )
-    _assert_oracle(cluster, sql, T=new)
-    for path in promoted:  # the copies are still there, but stale
-        assert cluster.tiering.effective_path(path) == path
-        assert cluster.tiering.tier_of(path) == "cold"
-    _run_tiering(cluster)  # the next cycle demotes the stale copies
-    assert cluster.tiering.stats.demotions >= len(promoted)
-    _assert_oracle(cluster, sql, T=new)
-
-
-def test_promoted_copy_keeps_its_source_incarnation_and_index_hits():
-    # One node: the leaf that built the index from the cold bytes is the
-    # one that reads the promoted copy.
-    cluster = _cluster(nodes=1, enable_tiering=True)
-    cluster.tiering.promote_threshold = 2.0
-    columns = make_clicks_columns(2000, seed=3)
-    cluster.load_table("T", CLICKS_SCHEMA, columns, storage="fatman", block_rows=500)
-    refs = cluster.catalog.get("T").blocks
-    # A payload column: an index-covered read still costs I/O, so heats.
-    sql = "SELECT SUM(clicks) AS s FROM T WHERE c1 < 50"
-    _assert_oracle(cluster, sql, T=columns)  # builds the index from the cold bytes
-    warm = _assert_oracle(cluster, sql, T=columns)
-    assert warm.stats["index_full_covers"] == len(refs)
-    for _ in range(4):
-        _run_tiering(cluster)
-        if len(cluster.tiering.promoted_paths()) == len(refs):
-            break
-        _assert_oracle(cluster, sql, T=columns)  # more heat
-    for ref in refs:
-        hot_system, hot_inner = cluster.router.resolve(cluster.tiering.effective_path(ref.path))
-        assert hot_system is cluster.storage_a
-        assert hot_system.incarnation(hot_inner) == ref.incarnation
-    hot = _assert_oracle(cluster, sql, T=columns)
-    assert hot.stats["index_full_covers"] == warm.stats["index_full_covers"]
-
-
 # -- every way a block's contents change, interleaved with queries -----------
 
 
@@ -167,8 +112,8 @@ LOG_QUERIES = (
 
 class _ContentsChange(RuleBasedStateMachine):
     """Load, drop + reload, rewrite in place, append and re-ingest logs on
-    the same paths, run the tiering and layout daemons, and query; every
-    answer must be the oracle's.  Subclasses pick the one flag under test."""
+    the same paths, and query; every answer must be the oracle's.
+    Subclasses pick the one flag under test."""
 
     LEAF: dict = {}
     REUSE_S = 0.0
@@ -176,13 +121,7 @@ class _ContentsChange(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.cluster = _cluster(reuse_s=self.REUSE_S, **self.LEAF)
-        # Cold storage when tiering is under test: only cold blocks promote.
-        self.storage = "fatman" if self.cluster.tiering is not None else "storage-a"
-        if self.cluster.tiering is not None:
-            self.cluster.tiering.promote_threshold = 1.0
-        if self.cluster.layouts is not None:
-            self.cluster.layouts.heat_threshold = 0.5
-            self.cluster.layouts.min_evidence = 1
+        self.storage = "storage-a"
         self.seed = 0
         self.fact = self._load(1500)
         self.dim = None
@@ -232,17 +171,6 @@ class _ContentsChange(RuleBasedStateMachine):
         self.ingestor.ingest(self.cluster.nodes[node], records)
         self.logs.extend(records)
 
-    @precondition(lambda self: self.cluster.tiering is not None)
-    @rule()
-    def run_tiering(self):
-        _run_tiering(self.cluster)
-
-    @precondition(lambda self: self.cluster.layouts is not None)
-    @rule()
-    def run_layouts(self):
-        sim = self.cluster.sim
-        sim.run_until_complete(sim.process(self.cluster.layouts.run_once()))
-
     @rule(sql=st.sampled_from(T_QUERIES))
     def query_fact(self, sql):
         _assert_oracle(self.cluster, sql, T=self.fact, D=self.dim)
@@ -271,6 +199,4 @@ def _machine(name, leaf=None, reuse_s=0.0):
 TestDefault = _machine("Default")
 TestBTree = _machine("BTree", {"enable_smartindex": False, "enable_btree": True})
 TestSsdCache = _machine("SsdCache", {"enable_ssd_cache": True, "ssd_admit_preferred_only": False})
-TestTiering = _machine("Tiering", {"enable_tiering": True})
-TestLayouts = _machine("Layouts", {"enable_layouts": True})
 TestTaskReuse = _machine("TaskReuse", reuse_s=3600.0)

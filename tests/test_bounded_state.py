@@ -37,14 +37,15 @@ ALLOWED_TO_GROW = {
     "Catalog.statements": "statement cache, bounded by STATEMENT_CACHE_ENTRIES, oldest out first",
 }
 # Not listed because the census does not count them: a ``deque`` with a
-# ``maxlen`` is bounded by construction (``QueryHistory._entries``, gateway
-# session histories, ``TenantQueue.backlog_spans``); ``MetricsTimeSeries``
-# (TTL on the simulated clock), ``HeatTracker`` (one record per stored
-# path), trace spans (per traced job, freed with it) and fault logs (one
-# record per injected fault) exist only when their feature is switched
-# on.  The simulator heap is counted *after a drain*: abandoned watchdog
-# slots wait out their >= 2 s deadline, so mid-run it holds what the last
-# ~2 simulated seconds dispatched.
+# ``maxlen`` is bounded by construction (``QueryHistory._entries``,
+# gateway session histories, ``TenantQueue.backlog_spans``);
+# ``MetricsTimeSeries`` (TTL on the simulated clock), the elastic
+# rebalancer's ``HeatTracker`` (``repro.cluster.elastic``; one record
+# per read path), trace spans (per traced job, freed with it) and fault
+# logs (one record per injected fault) exist only when their feature is
+# switched on.  The simulator heap is counted *after a drain*: abandoned
+# watchdog slots wait out their >= 2 s deadline, so mid-run it holds
+# what the last ~2 simulated seconds dispatched.
 
 _CONTAINERS = (dict, list, set, frozenset, deque)
 _LEAVES = (str, bytes, int, float, bool, type(None), np.ndarray, np.generic, enum.Enum, type)

@@ -321,70 +321,6 @@ def test_block_parsed_once_then_reparsed_after_overwrite_and_recreate(monkeypatc
     assert _within_bound(cluster)
 
 
-def test_layout_variant_publish_and_retract_are_seen(monkeypatch):
-    # One node: the leaf that parsed the base bytes is the one that must
-    # notice the variant, and later the retraction.
-    cluster = FeisuCluster(
-        FeisuConfig(
-            datacenters=1,
-            racks_per_datacenter=1,
-            nodes_per_rack=1,
-            leaf=LeafConfig(enable_smartindex=False, enable_layouts=True),
-        )
-    )
-    rng = np.random.default_rng(2)
-    cluster.load_table(
-        "T", _SCHEMA, {"a": rng.integers(0, 50, 3000), "b": rng.random(3000)},
-        storage="storage-a", block_rows=500,
-    )
-    parses = _count_parses(monkeypatch)
-    sql = "SELECT COUNT(*) FROM T WHERE a < 20"
-    expected = cluster.query(sql).rows()[0][0]
-    assert cluster.query(sql).rows()[0][0] == expected
-    assert len(parses) == 6
-
-    from repro.storage.layouts import LayoutSpec
-
-    system = cluster.storage_by_name("storage-a")
-    inners = [cluster.router.resolve(ref.path)[1] for ref in cluster.catalog.get("T").blocks]
-    for inner in inners:  # publish a sorted variant on the only replica
-        (node,) = system.locations(inner)
-        rewrite = cluster.layouts._rewrite(system, inner, node, LayoutSpec(sort_column="a"))
-        assert cluster.sim.run_until_complete(cluster.sim.process(rewrite))
-    settled = len(parses)
-    assert cluster.query(sql).rows()[0][0] == expected  # served by a variant
-    assert cluster.layouts.stats.variant_reads >= 1
-    assert len(parses) > settled  # the variant's bytes were parsed, not the base parse reused
-
-    for inner in inners:  # retract every variant
-        for node in system.variant_nodes(inner):
-            system.clear_replica_variant(inner, node)
-    variant_reads = cluster.layouts.stats.variant_reads
-    settled = len(parses)
-    assert cluster.query(sql).rows()[0][0] == expected  # base order again
-    assert cluster.layouts.stats.variant_reads == variant_reads
-    assert len(parses) > settled  # and the variant's parse was not reused for the base
-    assert _within_bound(cluster)
-
-
-def test_promoted_block_is_read_from_its_hot_copy():
-    cluster = _cluster(LeafConfig(enable_smartindex=False, enable_tiering=True))
-    cluster.tiering.promote_threshold = 2.0
-    cluster.load_table("F", _SCHEMA, _rows(1000, 7), storage="fatman", block_rows=500)
-    sql = "SELECT COUNT(*) FROM F WHERE a = 7"
-    for _ in range(4):
-        assert cluster.query(sql).rows()[0][0] == 1000
-        cluster.sim.run(until=cluster.sim.now + 40.0)  # let the daemon fire
-    assert cluster.tiering.stats.promotions >= 1
-    assert cluster.query(sql).rows()[0][0] == 1000
-    # The map is keyed by the path actually read: the hot copies are in it.
-    keys = {key for leaf in cluster.leaves for key in leaf._parsed_blocks}
-    assert any(cluster.tiering.effective_path(ref.path) in keys
-               for ref in cluster.catalog.get("F").blocks
-               if cluster.tiering.effective_path(ref.path) != ref.path)
-    assert _within_bound(cluster)
-
-
 def test_reingested_log_table_on_the_same_paths_returns_new_rows():
     from repro.workload.loggen import LogIngestor, generate_log_records
 

@@ -158,8 +158,6 @@ def _reference_count(self, local):
 
 
 def _reference_estimate(self, leaf, task, cnf, local, system, inner):
-    if self.layouts is not None:
-        return self.layouts.scan_seconds(task, cnf, leaf.address)
     est = self.cost_model.task_seconds(
         task,
         cnf,
@@ -198,10 +196,7 @@ def _reference_place(self, task, cnf, exclude=(), prefer=()):
             alive = preferred
     if not alive:
         raise SchedulingError(f"no live leaf available for task {task.task_id}")
-    path = task.block.path
-    if self.tiering is not None:
-        path = self.tiering.effective_path(path)
-    system, inner = self.router.resolve(path)
+    system, inner = self.router.resolve(task.block.path)
     if not self.locality_aware:
         with self._lock:
             cursor = self._rr
@@ -216,36 +211,18 @@ def _reference_place(self, task, cnf, exclude=(), prefer=()):
     replica_addrs = set(system.locations(inner))
     local_candidates = [leaf for leaf in alive if leaf.address in replica_addrs]
     if local_candidates:
-        if self.layouts is not None:
-            leaf = min(
-                local_candidates,
-                key=lambda lf: (
-                    self.layouts.scan_seconds(task, cnf, lf.address)
-                    + 0.05 * lf.load_snapshot().pressure,
-                    lf.worker_id,
-                ),
-            )
-        else:
-            leaf = min(local_candidates, key=lambda lf: lf.load_snapshot().pressure)
+        leaf = min(local_candidates, key=lambda lf: lf.load_snapshot().pressure)
         _reference_count(self, True)
         return Placement(
             leaf, True, _reference_estimate(self, leaf, task, cnf, True, system, inner)
         )
 
     def remote_cost(leaf):
-        if self.layouts is not None:
-            xfer = min(
-                self.net.transfer_time_estimate(
-                    addr, leaf.address, int(self.layouts.replica_bytes(task, addr))
-                )
-                for addr in replica_addrs
-            ) if replica_addrs else 0.0
-        else:
-            nbytes = self._task_bytes(task)
-            xfer = min(
-                self.net.transfer_time_estimate(addr, leaf.address, int(nbytes))
-                for addr in replica_addrs
-            ) if replica_addrs else 0.0
+        nbytes = self._task_bytes(task)
+        xfer = min(
+            self.net.transfer_time_estimate(addr, leaf.address, int(nbytes))
+            for addr in replica_addrs
+        ) if replica_addrs else 0.0
         return xfer + 0.05 * leaf.load_snapshot().pressure
 
     leaf = min(alive, key=remote_cost)
@@ -261,19 +238,6 @@ class _NoDrainManager:
 
     def is_alive(self, worker_id):
         return self._inner.is_alive(worker_id)
-
-
-class _FakeLayouts:
-    """Layout scorer double: a coarse score per address, so holders tie."""
-
-    def __init__(self, scores):
-        self._scores = scores
-
-    def scan_seconds(self, task, cnf, address):
-        return self._scores.get(address, 0.5)
-
-    def replica_bytes(self, task, address):
-        return 1000.0 * (1 + self._scores.get(address, 0.5))
 
 
 _N_LEAVES = 8
@@ -292,16 +256,13 @@ _subset = st.sets(st.integers(0, _N_LEAVES - 1), max_size=2)
     prefer=st.sampled_from([set(), set(), {1}, {2, 5}, {0, 3, 6}]),
     reregistered=st.lists(st.integers(0, _N_LEAVES - 1), max_size=4),
     running=st.lists(st.integers(0, 2), min_size=_N_LEAVES, max_size=_N_LEAVES),
-    layout_scores=st.none() | st.lists(
-        st.sampled_from([0.25, 0.5]), min_size=_N_LEAVES, max_size=_N_LEAVES
-    ),
     locality_aware=st.sampled_from([True, True, True, False]),
     drainless_manager=st.booleans(),
     rr=st.integers(0, 20),
 )
 def test_holder_first_place_equals_registry_scan(
     env, replicas, crashed, manager_dead, draining, exclude, prefer, reregistered,
-    running, layout_scores, locality_aware, drainless_manager, rr,
+    running, locality_aware, drainless_manager, rr,
 ):
     cluster, plan = env
     sched, manager = cluster.scheduler, cluster.cluster_manager
@@ -321,10 +282,6 @@ def test_holder_first_place_equals_registry_scan(
             sched.unregister_leaf(leaves[i].worker_id)
             sched.register_leaf(leaves[i])
         sched.locality_aware = locality_aware
-        if layout_scores is not None:
-            sched.layouts = _FakeLayouts(
-                {leaf.address: layout_scores[i] for i, leaf in enumerate(leaves)}
-            )
         if drainless_manager:
             sched.cluster_manager = _NoDrainManager(manager)
         kwargs = dict(
@@ -345,7 +302,6 @@ def test_holder_first_place_equals_registry_scan(
     finally:
         system._placement[inner] = original_replicas  # noqa: SLF001
         sched.cluster_manager = manager
-        sched.layouts = None
         sched.locality_aware = True
         for leaf in leaves:
             leaf.alive = True

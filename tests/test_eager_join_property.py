@@ -8,7 +8,7 @@ plan with ``shape.eager_join`` cleared, the code every ineligible
 statement runs: the same group keys and key types, COUNT / MIN / MAX /
 integer SUM exactly, float SUM / AVG at ``rel_tol=1e-9`` (they add per
 key, then across keys), and a field-for-field identical
-``TaskExecutionReport``, under a co-partitioned layout too.  A counter
+``TaskExecutionReport``.  A counter
 on ``hash_join`` shows which path ran.
 """
 
@@ -28,7 +28,6 @@ from repro.planner.expressions import Frame
 from repro.planner.physical import build_plan
 from repro.sim.netmodel import TopologySpec
 from repro.sql.analyzer import analyze_sql
-from repro.storage.layouts import LayoutSpec
 from repro.storage.loader import load_block, read_table_frame, store_table
 from repro.storage.router import StorageRouter
 from repro.storage.systems import DistributedFS
@@ -92,7 +91,7 @@ def _assert_agree(got, want, tolerant):
             assert _same(mine.final(), theirs.final(), tol), (key, mine.final(), theirs.final())
 
 
-def _run_both(router, catalog, sql, layout=None):
+def _run_both(router, catalog, sql):
     """Every task of ``sql`` through ``_finish_task`` and through the
     join-then-aggregate path; returns the plan and hash_join call counts."""
     plan = build_plan(analyze_sql(sql, catalog))
@@ -110,11 +109,11 @@ def _run_both(router, catalog, sql, layout=None):
             report, readers, rows = _select_rows(task, plan, block, block.block_id, (), 0.0)
             frame = _gather(task, plan, readers, rows, report.rows_in_block)
             report.rows_matched = frame.num_rows
-            got = _finish_task(frame, task, plan, broadcasts, dataclasses.replace(report), layout)
+            got = _finish_task(frame, task, plan, broadcasts, dataclasses.replace(report))
             results.append((frame, task, report, got))
     with _counting_hash_joins() as join_calls:
         wants = [
-            _finish_task(frame, task, join_plan, broadcasts, dataclasses.replace(report), layout)
+            _finish_task(frame, task, join_plan, broadcasts, dataclasses.replace(report))
             for frame, task, report, _got in results
         ]
     assert len(join_calls) >= len(plan.tasks)  # the reference really joined
@@ -136,12 +135,10 @@ NEAR_MISSES = [None] * 6 + ["LEFT JOIN", "RIGHT JOIN", "mixed residual",
     group=st.sampled_from(["none", "label", "fact key + label"]),
     float_keys=st.sampled_from(["int", "float fact", "float dimension"]),
     distinct_dimension=st.sampled_from([True, True, False]),
-    layout=st.sampled_from([None, LayoutSpec(copartition_column="k"),
-                            LayoutSpec(copartition_column="w")]),
     empty_scan=st.sampled_from([False, False, False, True]),
 )
 def test_finish_task_equals_join_then_aggregate(
-    data, miss, two_keys, second_dim, residual, group, float_keys, distinct_dimension, layout,
+    data, miss, two_keys, second_dim, residual, group, float_keys, distinct_dimension,
     empty_scan,
 ):
     def with_nans(values, label):
@@ -222,7 +219,7 @@ def test_finish_task_equals_join_then_aggregate(
     if keys:
         sql += " GROUP BY " + ", ".join(f"g{i}" for i in range(len(keys)))
 
-    plan, pairs, eager_calls = _run_both(router, catalog, sql, layout)
+    plan, pairs, eager_calls = _run_both(router, catalog, sql)
     tolerant = [tol for _, tol in aggregates]
     for got, want in pairs:
         _assert_agree(got, want, tolerant)

@@ -5,13 +5,42 @@ import numpy as np
 import pytest
 
 from repro import DataType, FeisuCluster, FeisuConfig, LeafConfig, Schema
-from repro.cluster.elastic import ElasticConfig, Rebalancer
+from repro.cluster.elastic import ElasticConfig, HeatTracker, Rebalancer
 from repro.errors import FeisuError, StorageError
 from repro.sim.events import Simulator
 from repro.sim.netmodel import NetworkTopology, NodeAddress, TopologySpec
-from repro.storage.maintenance import copy_replica, migrate_replica
+from repro.storage.maintenance import ReplicaRepairer, copy_replica, migrate_replica
 from repro.storage.router import StorageRouter
 from repro.storage.systems import DistributedFS
+
+
+# -- the heat the rebalancer reads -------------------------------------------
+
+
+def test_heat_accumulates_and_decays():
+    tracker = HeatTracker(half_life_s=100.0)
+    tracker.record("/ffs/b0", now=0.0)
+    tracker.record("/ffs/b0", now=0.0)
+    assert tracker.heat("/ffs/b0", 0.0) == pytest.approx(2.0)
+    # One half-life later the mass has halved.
+    assert tracker.heat("/ffs/b0", 100.0) == pytest.approx(1.0)
+    assert tracker.heat("/ffs/b0", 200.0) == pytest.approx(0.5)
+    assert tracker.heat("/never", 0.0) == 0.0
+
+
+def test_heat_blends_recency_into_frequency():
+    tracker = HeatTracker(half_life_s=50.0)
+    for t in (0.0, 10.0, 20.0):
+        tracker.record("/old", now=t)
+    tracker.record("/new", now=200.0)
+    tracker.record("/new", now=200.0)
+    # Three stale accesses lose to two fresh ones.
+    assert tracker.heat("/new", 200.0) > tracker.heat("/old", 200.0)
+
+
+def test_tracker_rejects_bad_half_life():
+    with pytest.raises(ValueError):
+        HeatTracker(half_life_s=0.0)
 
 
 # -- the replica mover ----------------------------------------------------
@@ -33,18 +62,15 @@ def _drive(sim, gen):
     return sim.run_until_complete(sim.process(gen))
 
 
-def test_copy_replica_publishes_after_write_and_carries_variant():
+def test_copy_replica_publishes_after_write():
     sim, net, router, fs, reb = _env()
     fs.write("/f", b"x" * 800)
     holders = fs.locations("/f")
     source = holders[0]
-    variant = b"v" * 300
-    fs.set_replica_variant("/f", source, variant, meta={"num_rows": 5})
     target = next(n for n in fs.nodes() if n not in holders)
-    assert _drive(sim, copy_replica(net, fs, "/f", source, target)) == len(variant)
+    assert _drive(sim, copy_replica(net, fs, "/f", source, target)) == 800
     assert target in fs.locations("/f")
-    assert fs.replica_variant("/f", target) == variant
-    assert fs.replica_meta("/f", target) == {"num_rows": 5}
+    assert sum(ln.bytes_carried for ln in net.links()) > 0
     # Idempotent: a retry against an already-holding target is a no-op.
     assert _drive(sim, copy_replica(net, fs, "/f", source, target)) == 0
 
@@ -88,22 +114,20 @@ def test_migrate_block_never_dips_below_floor():
     assert set(fs.locations("/f")) == set(holders)
 
 
-def test_evacuate_replica_rehomes_variant_to_survivor():
+def test_evacuate_replica_retires_when_over_replicated():
     sim, net, router, fs, reb = _env()
     fs.write("/f", b"x" * 800)
     holders = fs.locations("/f")
     leaving = holders[0]
-    variant = b"v" * 200
-    fs.set_replica_variant("/f", leaving, variant, meta={"num_rows": 2})
     # Over-replicated: survivors alone satisfy the floor.
     extra = next(n for n in fs.nodes() if n not in holders)
     fs.add_replica("/f", extra)
     assert _drive(sim, reb.evacuate_replica(fs, "/f", leaving))
     after = fs.locations("/f")
     assert leaving not in after and len(after) >= fs.replication
-    # The variant the leaving node alone served survives on a survivor.
-    assert any(fs.replica_variant("/f", n) == variant for n in after)
-    assert reb.stats.evacuations == 1
+    # Retired, not copied: nothing crossed the network.
+    assert sum(ln.bytes_carried for ln in net.links()) == 0
+    assert reb.stats.evacuations == 1 and reb.stats.migrations == 0
 
 
 def test_evacuate_replica_migrates_when_at_floor():
@@ -126,7 +150,7 @@ def test_run_once_splits_hot_domain_and_spreads_hot_blocks():
     for path in hot:
         full = router.full_path(fs, path)
         for _ in range(5):
-            reb.heat.record(full, 400, now=0.0)
+            reb.heat.record(full, now=0.0)
     replicas_before = len(fs.locations(hot[0]))
     _drive(sim, reb.run_once())
     assert reb.stats.spreads >= 1
@@ -239,28 +263,26 @@ def test_join_node_becomes_schedulable_and_pooled():
     assert cluster.query("SELECT COUNT(*) AS n FROM T").rows()[0][0] == 1500
 
 
-@pytest.mark.parametrize("tiering", [False, True])
-def test_every_leaf_records_heat_into_the_one_shared_tracker(tiering):
-    """Built and joined leaves get the same hooks; with tiering on the
-    rebalancer reads the tiering daemon's tracker, so one tracker sees
-    every access either way."""
+def test_every_leaf_records_heat_into_the_one_shared_tracker():
+    """Built and joined leaves get the same hook, so the rebalancer's one
+    tracker sees every access."""
     config = FeisuConfig(
         datacenters=1,
         racks_per_datacenter=2,
         nodes_per_rack=3,
         elastic=ElasticConfig(),
-        leaf=LeafConfig(enable_tiering=tiering, enable_layouts=True, enable_ssd_cache=True),
+        leaf=LeafConfig(enable_smartindex=False),
     )
     cluster = FeisuCluster(config)
-    joined = cluster.join_node()
+    cluster.join_node()
     heat = cluster.elastic.heat
-    if tiering:
-        assert heat is cluster.tiering.heat
     for leaf in cluster.leaves:
         assert leaf.heat is heat
-        assert leaf.tiering is cluster.tiering and leaf.layouts is cluster.layouts
-    if tiering:
-        assert joined.ssd_cache in cluster.tiering._caches  # noqa: SLF001
+    schema = Schema.of(a=DataType.INT64)
+    cluster.load_table("T", schema, {"a": np.arange(400)}, block_rows=100)
+    cluster.query("SELECT COUNT(*) FROM T WHERE a > 7")
+    now = cluster.sim.now
+    assert all(heat.heat(ref.path, now) > 0.0 for ref in cluster.catalog.get("T").blocks)
     plain = FeisuCluster(FeisuConfig(nodes_per_rack=2))
     assert all(leaf.heat is None for leaf in plain.leaves)
 
@@ -338,3 +360,31 @@ def test_elastic_repairer_avoids_draining_targets():
         if cluster.cluster_manager.is_draining(leaf.worker_id)
     }
     assert not draining.intersection(restored)
+
+
+def test_repair_honors_liveness_predicate():
+    """S55 satellite pin: ``_pick_target`` had no liveness filter, so a
+    repair could "restore" replication onto a dead or draining node —
+    bytes parked where no scan will ever read them.  The optional
+    ``placement_ok`` hook (wired to membership liveness and drain state
+    by the elastic manager) keeps repairs on serving nodes."""
+    sim = Simulator()
+    spec = TopologySpec(1, 2, 4)
+    net = NetworkTopology(sim, spec)
+    nodes = spec.addresses()
+    fs = DistributedFS(nodes, seed=3)
+    fs.write("/f", b"x" * 500)
+    holders = fs.locations("/f")
+    for node in holders[1:]:
+        fs.drop_replica("/f", node)
+    survivor = holders[0]
+    allowed = next(n for n in nodes if n != survivor)
+    repairer = ReplicaRepairer(
+        sim, net, fs, placement_ok=lambda n: n == survivor or n == allowed
+    )
+    report = sim.run_until_complete(sim.process(repairer.repair_once()))
+    # Only one eligible target exists: one repair lands there, the other
+    # copy is unrepairable rather than parked on an ineligible node.
+    assert report.repairs_done == 1
+    assert set(fs.locations("/f")) == {survivor, allowed}
+    assert "/f" in report.unrepairable

@@ -2,13 +2,12 @@
 
 The analyzer puts each WHERE literal in its column's domain, so numpy's
 comparison (the scan, every cached SmartIndex vector) and Python's exact
-one (block pruning, simplification, the B+ tree and sorted replicas,
-all reading ``AtomicPredicate.bounds``) agree on
+one (block pruning, simplification and the B+ tree, all reading
+``AtomicPredicate.bounds``) agree on
 every atom.  Hypothesis draws INT64 columns near 0, ±2^53 and the int64
 ends, FLOAT64 columns near ±2^53 with NaN, ±inf and -0.0, and int and
 float literals near the same points, ±inf and past int64, under the
-default config, the B+ tree baseline, a sorted replica of the column
-and a replica with an attached index on it.  Each access path alone
+default config and the B+ tree baseline.  Each access path alone
 must also answer a row slice exactly, by declining it: its whole-block
 vectors and trees say nothing of a slice's rows.
 
@@ -34,30 +33,20 @@ from repro.index.smartindex import SmartIndexManager
 from repro.planner.physical import build_plan
 from repro.sql.analyzer import analyze
 from repro.sql.parser import parse
-from repro.storage.layouts import LayoutSpec, apply_layout
 from tests._oracle import SqliteOracle
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
        ">": operator.gt, ">=": operator.ge}
-#: Name -> (leaf config, the design of the only replica of every block).
+#: Name -> leaf config.
 CONFIGS = {
-    "default": (LeafConfig(), None),
-    "btree": (LeafConfig(enable_btree=True, enable_smartindex=False), None),
-    "sorted": (
-        LeafConfig(enable_smartindex=False, enable_layouts=True),
-        LayoutSpec(sort_column="x"),
-    ),
-    "attached": (
-        LeafConfig(enable_smartindex=False, enable_layouts=True),
-        LayoutSpec(index_column="x"),
-    ),
+    "default": LeafConfig(),
+    "btree": LeafConfig(enable_btree=True, enable_smartindex=False),
 }
 #: Name -> a fresh access path, as the leaf folds it.
 PATHS = {
     "smartindex": SmartIndexManager,
     "btree": BTreeIndex,
-    "sorted": lambda: LayoutSpec(sort_column="x"),
     "attached": lambda: BTreeIndex("x"),
 }
 
@@ -109,7 +98,7 @@ def _truth(x: np.ndarray, drawn) -> dict:
     return truth
 
 
-def _cluster(leaf: LeafConfig, spec, dtype: DataType, x: np.ndarray) -> FeisuCluster:
+def _cluster(leaf: LeafConfig, dtype: DataType, x: np.ndarray) -> FeisuCluster:
     cluster = FeisuCluster(
         FeisuConfig(datacenters=1, racks_per_datacenter=1, nodes_per_rack=1, leaf=leaf)
     )
@@ -117,13 +106,6 @@ def _cluster(leaf: LeafConfig, spec, dtype: DataType, x: np.ndarray) -> FeisuClu
         "T", Schema.of(id=DataType.INT64, x=dtype), {"id": np.arange(len(x)), "x": x},
         storage="storage-a", block_rows=3,
     )
-    if spec is not None:  # the variant on the only replica of every block
-        system = cluster.storage_by_name("storage-a")
-        for ref in cluster.catalog.get("T").blocks:
-            inner = cluster.router.resolve(ref.path)[1]
-            (node,) = system.locations(inner)
-            rewrite = cluster.layouts._rewrite(system, inner, node, spec)
-            assert cluster.sim.run_until_complete(cluster.sim.process(rewrite))
     return cluster
 
 
@@ -154,8 +136,8 @@ def test_comparisons_are_exact_on_every_access_path(case):
     conjunctions = [(p, q) for p in wheres for q in wheres if p != q]
     oracle = None if np.isnan(x).any() else SqliteOracle({"T": {"id": range(len(x)), "x": cells}})
     try:
-        for name, (leaf, spec) in CONFIGS.items():
-            cluster = _cluster(leaf, spec, dtype, x)
+        for name, leaf in CONFIGS.items():
+            cluster = _cluster(leaf, dtype, x)
             for _ in range(2):  # the second pass reads what the first one cached
                 answers = {}
                 for where, want in truth.items():
@@ -178,18 +160,16 @@ def test_each_access_path_alone_answers_blocks_and_row_slices_exactly(case):
     """Each path is folded alone into tasks run directly: cold and warm
     on whole blocks, then on row slices of the blocks it has answered."""
     dtype, x, drawn = case
-    cluster = _cluster(LeafConfig(enable_smartindex=False), None, dtype, x)
+    cluster = _cluster(LeafConfig(enable_smartindex=False), dtype, x)
     for where, want in _truth(x, drawn).items():
         plan = build_plan(analyze(parse(f"SELECT id FROM T WHERE {where}"), cluster.catalog))
         blocks = [_stored(cluster, task.block) for task in plan.tasks]
         for name, make in PATHS.items():
             path = make()
-            # A sorted design's whole blocks are its variant; slices read base rows.
-            served = [apply_layout(b, path) for b in blocks] if name == "sorted" else blocks
             for now in (1.0, 2.0):
                 whole = [
                     execute_scan_task(task, plan, block, paths=[path], now=now)
-                    for task, block in zip(plan.tasks, served)
+                    for task, block in zip(plan.tasks, blocks)
                 ]
                 assert _ids(whole) == want, (name, where, x.tolist())
             before = _probe_counts(path)

@@ -12,8 +12,8 @@ cold, then with the SmartIndex entries round one fed — so the covered
 path is pinned against the oracle too.
 
 A task-level section runs ``execute_scan_task`` task by task — cold and
-index-covered, with and without an index manager, on adaptive row
-slices and on layout variants — and compares the rows with the oracle.
+index-covered, with and without an index manager, and on adaptive row
+slices — and compares the rows with the oracle.
 """
 
 import dataclasses
@@ -25,14 +25,12 @@ import pytest
 from repro import DataType, Schema
 from repro.columnar.table import Catalog
 from repro.engine.executor import execute_scan_task, finalize
-from repro.index.btree import BTreeIndex
 from repro.index.smartindex import SmartIndexManager
 from repro.planner.expressions import Frame
 from repro.planner.physical import build_plan
 from repro.sim.netmodel import TopologySpec
 from repro.sql.analyzer import analyze
 from repro.sql.parser import parse
-from repro.storage.layouts import LayoutSpec, apply_layout
 from repro.storage.loader import load_block, read_table_frame, store_table
 from repro.storage.router import StorageRouter
 from repro.storage.systems import DistributedFS
@@ -313,25 +311,3 @@ def test_readers_are_handed_integer_row_ids(task_env, monkeypatch):
             execute_scan_task(part, plan, block, broadcasts)
     assert seen
 
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        LayoutSpec(sort_column="c1"),
-        LayoutSpec(sort_column="url", copartition_column="c2"),
-        LayoutSpec(copartition_column="c2", columns=("c1", "c2", "url", "clicks", "province")),
-        LayoutSpec(sort_column="c2", index_column="c1"),
-    ],
-)
-def test_layout_variants_agree(task_env, spec):
-    # A variant's own access paths, as the leaf folds them.
-    paths = [spec] + ([BTreeIndex(spec.index_column)] if spec.index_column else [])
-    for sql in TASK_DIFFERENTIAL_QUERIES:
-        plan, broadcasts, blocks = _compile(task_env, sql)
-        results = [
-            execute_scan_task(
-                t, plan, apply_layout(b, spec), broadcasts, paths=paths, layout=spec
-            )
-            for t, b in zip(plan.tasks, blocks)
-        ]
-        _assert_matches_oracle(task_env, plan, results, sql)

@@ -21,8 +21,6 @@ from repro.cluster.metrics import counters, summed
 from repro.errors import GatewayOverloadedError
 from repro.gateway import GatewayConfig, TenantPolicy, run_sessions
 from repro.index.smartindex import IndexStats
-from repro.storage.layouts import LayoutStats
-from repro.storage.tiering import TieringStats
 from repro.workload.generator import MultiTenantConfig, multi_tenant_sessions
 
 GOLDEN = Path(__file__).parent / "golden" / "metrics_snapshot.json"
@@ -185,23 +183,18 @@ def test_aggregate_index_stats_sums_every_field_including_ttl_sweeps():
 
 
 def test_daemon_counters_reach_the_snapshot_only_when_their_daemon_exists():
-    cluster = _cluster(
-        leaf=LeafConfig(enable_tiering=True, enable_layouts=True), elastic=ElasticConfig()
-    )
+    cluster = _cluster(elastic=ElasticConfig())
     for _ in range(4):
         cluster.query("SELECT COUNT(*) FROM T WHERE a > 10")
     cluster.sim.run(until=cluster.sim.now + 120.0)
     m = cluster.metrics()
-    for prefix, stats, cls in (
-        ("tiering_", cluster.tiering.stats, TieringStats),
-        ("layouts_", cluster.layouts.stats, LayoutStats),
-        ("rebalance_", cluster.elastic.rebalancer.stats, RebalanceStats),
-    ):
-        assert [k for k in m if k.startswith(prefix)] == [prefix + f.name for f in fields(cls)]
-        assert {k: m[k] for k in m if k.startswith(prefix)} == counters(stats, prefix)
-    assert m["tiering_cycles"] > 0 and m["layouts_cycles"] > 0 and m["rebalance_cycles"] > 0
+    prefix, stats = "rebalance_", cluster.elastic.rebalancer.stats
+    names = [prefix + f.name for f in fields(RebalanceStats)]
+    assert [k for k in m if k.startswith(prefix)] == names
+    assert {k: m[k] for k in m if k.startswith(prefix)} == counters(stats, prefix)
+    assert m["rebalance_cycles"] > 0
     plain = _cluster().metrics()
-    assert not [k for k in plain if k.startswith(("tiering_", "layouts_", "rebalance_"))]
+    assert not [k for k in plain if k.startswith(prefix)]
 
 
 def test_counters_and_summed_read_declared_numeric_fields():

@@ -3,10 +3,9 @@
 The master places a wave's tasks in one call, at the first step of the
 first of its supervisors.  The property below draws a cluster state —
 dead, dead-marked, draining, unregistered and re-registered leaves, an
-exclusion list, a ``prefer`` set, a tiering redirect onto a storage
-system with another service profile, the layout daemon, the round-robin
-ablation, blocks whose replicas no eligible leaf holds and blocks with
-no replica at all — and checks that the wave's placements, estimates
+exclusion list, a ``prefer`` set, the round-robin ablation, blocks on a
+storage system with a first-byte latency, blocks whose replicas no
+eligible leaf holds and blocks with no replica at all — and checks that the wave's placements, estimates
 (compared with ``==``), round-robin cursor and local / remote counters
 are those of one-by-one placement as ``place`` did it before waves,
 ``_reference_place``, and that each leaf's state and load are read at
@@ -20,7 +19,7 @@ import functools
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import DataType, FeisuCluster, FeisuConfig, LeafConfig, Schema
+from repro import DataType, FeisuCluster, FeisuConfig, Schema
 from repro.errors import SchedulingError
 from repro.planner.cost import CostModel
 from repro.planner.physical import build_plan
@@ -39,7 +38,6 @@ def _env():
             datacenters=1,
             racks_per_datacenter=2,
             nodes_per_rack=4,
-            leaf=LeafConfig(enable_layouts=True),
         )
     )
     schema = Schema.of(a=DataType.INT64, b=DataType.FLOAT64)
@@ -48,26 +46,13 @@ def _env():
     # Modelled as large blocks, so that no term of an estimate is lost in
     # the rounding of another.
     load = dict(block_rows=250, scale_factor=1237.0)
-    cluster.load_table("T", schema, columns, storage="storage-a", **load)
-    # The tiering redirect's targets: the same blocks on a store with
-    # another service profile and its own replica sets.
-    cluster.load_table("U", schema, columns, storage="fatman", **load)
-    plan = build_plan(
-        analyze(parse("SELECT SUM(b) FROM T WHERE a >= 0 AND b < 2.0"), cluster.catalog)
-    )
-    assert len(plan.tasks) == _N_BLOCKS
-    promoted = [ref.path for ref in cluster.catalog.get("U").blocks]
-    return cluster, plan, promoted
-
-
-class _Redirect:
-    """A tiering double: the promoted copy of some blocks is elsewhere."""
-
-    def __init__(self, mapping):
-        self.mapping = mapping
-
-    def effective_path(self, path):
-        return self.mapping.get(path, path)
+    plans = {}
+    for table, storage in (("T", "storage-a"), ("U", "fatman")):
+        cluster.load_table(table, schema, columns, storage=storage, **load)
+        sql = f"SELECT SUM(b) FROM {table} WHERE a >= 0 AND b < 2.0"
+        plans[storage] = build_plan(analyze(parse(sql), cluster.catalog))
+        assert len(plans[storage].tasks) == _N_BLOCKS
+    return cluster, plans
 
 
 _leaf_set = st.sets(st.integers(0, _N_LEAVES - 1), max_size=3)
@@ -82,7 +67,6 @@ _replica_override = st.none() | st.lists(
 @given(
     wave=st.lists(st.integers(0, _N_BLOCKS - 1), min_size=1, max_size=_N_BLOCKS, unique=True),
     replicas=st.lists(_replica_override, min_size=_N_BLOCKS, max_size=_N_BLOCKS),
-    promoted=st.sets(st.integers(0, _N_BLOCKS - 1), max_size=4),
     crashed=_leaf_set,
     manager_dead=_leaf_set,
     draining=_leaf_set,
@@ -92,37 +76,35 @@ _replica_override = st.none() | st.lists(
     prefer=st.sampled_from([set(), set(), set(), {1}, {2, 5}, {0, 3, 6}]),
     running=st.lists(st.integers(0, 2), min_size=_N_LEAVES, max_size=_N_LEAVES),
     queued=st.lists(st.integers(0, 1), min_size=_N_LEAVES, max_size=_N_LEAVES),
-    layouts=st.booleans(),
     locality_aware=st.sampled_from([True, True, True, False]),
     drainless_manager=st.booleans(),
     rr=st.integers(0, 20),
-    bandwidth_factors=st.tuples(
-        st.sampled_from([1.0, 0.3, 1.9]), st.sampled_from([0.5, 0.7, 1.3])
-    ),
+    storage=st.sampled_from(["storage-a", "fatman"]),
+    bandwidth_factor=st.sampled_from([1.0, 0.3, 1.9]),
     rates=st.sampled_from([None, (3.3e8, 1.3e-4, 1.7e9)]),
 )
 def test_place_wave_equals_one_place_per_task(
-    wave, replicas, promoted, crashed, manager_dead, draining, unregistered, reregistered,
-    exclude, prefer, running, queued, layouts, locality_aware, drainless_manager, rr,
-    bandwidth_factors, rates,
+    wave, replicas, crashed, manager_dead, draining, unregistered, reregistered,
+    exclude, prefer, running, queued, locality_aware, drainless_manager, rr,
+    storage, bandwidth_factor, rates,
 ):
-    cluster, plan, promoted_paths = _env()
+    cluster, plans = _env()
+    plan = plans[storage]
     sched, manager = cluster.scheduler, cluster.cluster_manager
     leaves = list(cluster.leaves)
     tasks = [plan.tasks[i] for i in wave]
     cnf = plan.scan_cnf
-    systems = (cluster.storage_a, cluster.fatman)
-    profiles = [system.profile for system in systems]
+    system = cluster.storage_by_name(storage)
+    profile = system.profile
     cost_model = sched.cost_model
     saved = {}
     for task in plan.tasks:
-        system, inner = cluster.router.resolve(task.block.path)
-        saved[inner] = (system, list(system._placement[inner]))  # noqa: SLF001
+        _, inner = cluster.router.resolve(task.block.path)
+        saved[inner] = list(system._placement[inner])  # noqa: SLF001
     try:
         # Odd rates and bandwidth factors, so that an estimate priced in
         # another float order than ``CostModel.task_seconds`` shows.
-        for system, factor in zip(systems, bandwidth_factors):
-            system.profile = dataclasses.replace(system.profile, bandwidth_factor=factor)
+        system.profile = dataclasses.replace(profile, bandwidth_factor=bandwidth_factor)
         if rates is not None:
             bandwidth, seek, cpu = rates
             sched.cost_model = CostModel(
@@ -130,12 +112,8 @@ def test_place_wave_equals_one_place_per_task(
             )
         for task, override in zip(plan.tasks, replicas):
             if override is not None:
-                system, inner = cluster.router.resolve(task.block.path)
+                _, inner = cluster.router.resolve(task.block.path)
                 system._placement[inner] = [leaves[i].address for i in override]  # noqa: SLF001
-        if promoted:
-            sched.tiering = _Redirect(
-                {plan.tasks[i].block.path: promoted_paths[i] for i in promoted}
-            )
         for i, leaf in enumerate(leaves):
             leaf.alive = i not in crashed
             leaf.running_tasks = running[i]
@@ -149,7 +127,6 @@ def test_place_wave_equals_one_place_per_task(
         for i in unregistered:
             sched.unregister_leaf(leaves[i].worker_id)
         sched.locality_aware = locality_aware
-        sched.layouts = cluster.layouts if layouts else None
         if drainless_manager:
             sched.cluster_manager = _NoDrainManager(manager)
         kwargs = dict(
@@ -186,14 +163,11 @@ def test_place_wave_equals_one_place_per_task(
         assert all(n <= 1 for n in reads.values()), reads
         assert run(one_by_one(sched.place)) == expected
     finally:
-        for system, profile in zip(systems, profiles):
-            system.profile = profile
+        system.profile = profile
         sched.cost_model = cost_model
-        for inner, (system, original) in saved.items():
+        for inner, original in saved.items():
             system._placement[inner] = original  # noqa: SLF001
         sched.cluster_manager = manager
-        sched.tiering = None
-        sched.layouts = None
         sched.locality_aware = True
         manager.__dict__.pop("is_alive", None)
         manager.__dict__.pop("is_draining", None)

@@ -156,3 +156,23 @@ def test_modulo_truncates_toward_zero_as_sqlite_does():
     assert got.dtype == np.int64
     assert got.tolist() == want
     assert got[pairs.index((-7, 2))] == -1
+
+    # A REAL operand: sqlite casts both sides to INTEGER first, and the
+    # answer stays REAL (7.5 % 2 is 1.0, -7.5 % 2 is -1.0, 7 % 2.5 is 1.0).
+    reals = [-9.9, -7.5, -0.5, 0.0, 2.5, 7.5, 9.9]
+    real_divisors = [-4.5, -2.5, -1.0, 1.5, 2.5, 3.9]
+    for xs, ys in ((reals, divisors), (values, real_divisors), (reals, real_divisors)):
+        pairs = list(itertools.product(xs, ys))
+        x = np.array([p[0] for p in pairs])
+        y = np.array([p[1] for p in pairs])
+        got = evaluate(parse_expression("x % y"), Frame.from_columns({"x": x, "y": y}))
+        con = sqlite3.connect(":memory:")
+        try:
+            want = [con.execute("SELECT ? % ?", p).fetchone()[0] for p in pairs]
+        finally:
+            con.close()
+        assert got.dtype == np.float64
+        assert got.tolist() == want
+    for sql, want in (("7.5 % 2", 1.0), ("-7.5 % 2", -1.0), ("7 % 2.5", 1.0)):
+        got = evaluate(parse_expression(sql), Frame.from_columns({"x": np.zeros(1)}))
+        assert got.tolist() == [want], sql

@@ -1,12 +1,12 @@
 """The one replica mover and the one daemon loop.
 
-Every replica copy — repair, rebalancer spread and migration, tiering
-replica extension — is ``repro.storage.maintenance.copy_replica``, and
-every maintenance daemon runs on ``Simulator.every``.  These tests drive
-each caller through its own public entry point, so they pin the shared
-rules where the callers use them: a copy that races a rewrite of its
-block publishes nothing, and a cycle killed by the fault layer is
-followed by the next period's cycle.
+Every replica copy — repair, rebalancer spread and migration — is
+``repro.storage.maintenance.copy_replica``, and every maintenance daemon
+runs on ``Simulator.every``.  These tests drive each caller through its
+own public entry point, so they pin the shared rules where the callers
+use them: a copy that races a rewrite of its block publishes nothing,
+and a cycle killed by the fault layer is followed by the next period's
+cycle.
 """
 
 from types import SimpleNamespace
@@ -18,11 +18,9 @@ from repro.cluster.elastic import ElasticConfig, Rebalancer
 from repro.errors import FaultInjectedError
 from repro.sim.events import Simulator
 from repro.sim.netmodel import NetworkTopology, TopologySpec
-from repro.storage.layouts import LayoutDaemon
 from repro.storage.maintenance import ReplicaRepairer
 from repro.storage.router import StorageRouter
-from repro.storage.systems import DistributedFS, FatmanFS
-from repro.storage.tiering import TieringDaemon
+from repro.storage.systems import DistributedFS
 from repro.workload.conversion import ConversionDaemon
 from repro.workload.loggen import LogIngestor
 
@@ -73,7 +71,7 @@ def _spread():
         sim, net, router, [fs],
         config=ElasticConfig(spread_heat_threshold=1.0, max_migrations_per_cycle=0),
     )
-    reb.heat.record(router.full_path(fs, "/f"), len(OLD), now=0.0)
+    reb.heat.record(router.full_path(fs, "/f"), now=0.0)
     placed = _race(sim, fs, "/f", reb.run_once())
     return fs, "/f", placed, reb.stats.spreads
 
@@ -89,26 +87,10 @@ def _migrate():
     return fs, "/f", placed, reb.stats.migrations + reb.stats.adopted_migrations
 
 
-def _extend_replica():
-    sim, net, router, hot = _env()
-    cold = FatmanFS(SPEC.addresses(), seed=4)
-    router.register(cold)
-    daemon = TieringDaemon(sim, net, router, hot_system=hot)
-    cold.write("/t/b0", OLD)
-    for _ in range(5):
-        daemon.heat.record("/ffs/t/b0", len(OLD), reader=SPEC.addresses()[0], now=0.0)
-    sim.run_until_complete(sim.process(daemon.run_once()))
-    _, hot_inner = router.resolve(daemon.effective_path("/ffs/t/b0"))
-    reader = next(n for n in SPEC.addresses() if n not in hot.locations(hot_inner))
-    # The racing rewrite is a re-promotion, which lands on the new reader.
-    placed = _race(sim, hot, hot_inner, daemon.extend_replica("/ffs/t/b0", reader), node=reader)
-    return hot, hot_inner, placed, daemon.stats.replica_extensions
-
-
 @pytest.mark.parametrize(
     "race",
-    [_repairer, _spread, _migrate, _extend_replica],
-    ids=["repairer", "spread", "migrate", "extend_replica"],
+    [_repairer, _spread, _migrate],
+    ids=["repairer", "spread", "migrate"],
 )
 def test_copy_racing_a_rewrite_publishes_nothing(race):
     system, inner, placed, counted = race()
@@ -130,8 +112,6 @@ def _daemons(sim):
     router.register(fs, default=True)
     cluster = SimpleNamespace(sim=sim)
     return {
-        "tiering": (TieringDaemon(sim, net, router, hot_system=fs, period_s=10.0), "run_once"),
-        "layouts": (LayoutDaemon(sim, net, router, period_s=10.0), "run_once"),
         "rebalancer": (
             Rebalancer(sim, net, router, [fs], config=ElasticConfig(rebalance_period_s=10.0)),
             "run_once",
@@ -146,7 +126,7 @@ def _daemons(sim):
 
 
 @pytest.mark.parametrize(
-    "name", ["tiering", "layouts", "rebalancer", "repairer", "conversion", "domain_sync"]
+    "name", ["rebalancer", "repairer", "conversion", "domain_sync"]
 )
 def test_daemon_survives_a_killed_cycle(name):
     sim = Simulator()

@@ -4,10 +4,14 @@
 a hit only if it holds that very object.
 """
 
+import numpy as np
 import pytest
 
+from repro import FeisuCluster, FeisuConfig, LeafConfig
 from repro.errors import StorageError
+from repro.storage.loader import store_table
 from repro.storage.ssd_cache import SsdCache
+from tests.conftest import CLICKS_SCHEMA, make_clicks_columns
 
 A, B, C = (bytes(bytearray(b"1234")) for _ in range(3))  # equal bytes, distinct objects
 
@@ -185,3 +189,41 @@ def test_preference_cache_invalidated_on_policy_change():
     assert cache.is_preferred("/t/a")
     cache.unprefer("/t/")
     assert not cache.is_preferred("/t/a")
+
+
+def test_leaf_overwrite_then_read_serves_fresh_bytes():
+    """PR 5 staleness regression, end to end: rewriting a table's blocks
+    must invalidate the SSD-cached payloads, not serve stale rows.  (A
+    line is valid only for the payload object it holds, see
+    ``tests/test_ssd_cache.py``.)"""
+    cluster = FeisuCluster(
+        FeisuConfig(
+            datacenters=1,
+            racks_per_datacenter=2,
+            nodes_per_rack=4,
+            leaf=LeafConfig(
+                enable_smartindex=False,
+                enable_ssd_cache=True,
+                ssd_admit_preferred_only=False,
+            ),
+        )
+    )
+    n = 2000
+    v1 = {
+        **make_clicks_columns(n, seed=3),
+        "c1": np.zeros(n, dtype=np.int64),
+    }
+    cluster.load_table("T", CLICKS_SCHEMA, v1, storage="storage-a", block_rows=1000)
+    assert cluster.query("SELECT COUNT(*) FROM T WHERE c1 < 50").rows()[0][0] == n
+    # Cached: a second run hits the SSD cache.
+    assert cluster.query("SELECT COUNT(*) FROM T WHERE c1 < 50").rows()[0][0] == n
+    assert sum(leaf.ssd_cache.hits for leaf in cluster.leaves) > 0
+    # The ingestion process rewrites every block in place (same paths,
+    # same block ids — only the contents change).
+    v2 = {**v1, "c1": np.full(n, 99, dtype=np.int64)}
+    store_table(
+        "T", CLICKS_SCHEMA, v2, cluster.router,
+        cluster.storage_by_name("storage-a"), block_rows=1000,
+    )
+    result = cluster.query("SELECT COUNT(*) FROM T WHERE c1 < 50")
+    assert result.rows()[0][0] == 0  # stale cache would answer 2000

@@ -2,7 +2,7 @@
 
 A fixed script runs traced jobs through the phases and clamps the span
 tree records — index probes cold and warm, a broadcast join, a spilled
-result, tiering and layout tags, an adaptive re-plan, a crashed leaf
+result, an adaptive re-plan, a crashed leaf
 next to a backup, a timeout, a cancel and dropped messages — and
 compares ``json.dumps(job.trace.export(),
 sort_keys=True)`` of each with ``tests/golden/trace_export.json``.  Plan
@@ -121,25 +121,6 @@ def run_script() -> dict:
     run(plain, "faulty_scan", "SELECT COUNT(*) FROM T WHERE c1 < 35")
     run(plain, "faulty_join", JOIN_SQL.replace("c1 < 60", "c1 < 45"))
 
-    # Tiering on, then layouts on: the scan spans carry tier and layout tags.
-    tier_sql = "SELECT COUNT(*) FROM T WHERE c1 < 50"
-    tiered = _cluster(
-        storage="fatman", leaf=LeafConfig(enable_smartindex=False, enable_tiering=True)
-    )
-    tiered.tiering.promote_threshold = 2.0
-    run(tiered, "tiered_cold", tier_sql)
-    for _ in range(3):
-        tiered.query(tier_sql)
-        tiered.sim.run(until=tiered.sim.now + 40.0)
-    run(tiered, "tiered_promoted", tier_sql)
-    laid_out = _cluster(leaf=LeafConfig(enable_smartindex=False, enable_layouts=True))
-    run(laid_out, "layout_base", tier_sql)
-    for _ in range(2):
-        laid_out.query(tier_sql)
-    for _ in range(2):
-        laid_out.sim.run_until_complete(laid_out.sim.process(laid_out.layouts.run_once()))
-    run(laid_out, "layout_variant", tier_sql)
-
     # An adaptive re-plan records its decision.
     adaptive = FeisuCluster(
         FeisuConfig(
@@ -192,10 +173,6 @@ def test_golden_script_exercises_what_it_claims():
     assert any(t.get("full_cover") for t in tags("index_warm", "index_probe"))
     assert {"fetch_broadcasts", "read_table.D", "broadcast_ship"} <= set(names("broadcast_join"))
     assert any(t.get("spilled") for t in tags("spilled_result", "result_return"))
-    assert {t.get("tier") for t in tags("tiered_cold", "scan")} == {"cold"}
-    assert "promoted" in {t.get("tier") for t in tags("tiered_promoted", "scan")}
-    assert {t.get("layout") for t in tags("layout_base", "scan")} == {"base"}
-    assert any(t.get("layout") != "base" for t in tags("layout_variant", "scan"))
     assert "reopt.decision" in names("adaptive_replan")
     assert trees["timeout"]["tags"]["status"] == "timed_out"
     assert trees["crash_and_backup"]["tags"]["status"] == "succeeded"

@@ -91,9 +91,6 @@ TEST_ARGS = [
     "tests/test_ssd_cache_property.py",
     "tests/test_storage_router.py",
     "tests/test_storage_systems.py",
-    "tests/test_storage_tiering.py",
-    "tests/test_storage_layouts.py",
-    "tests/test_layout_property.py",
     "tests/test_new_features.py",
     "tests/test_block_digests.py",
     "tests/test_block_incarnation.py",
