@@ -8,9 +8,8 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from benchmarks.e2e.ticks import TICKS_PER_REF_S, ref_tick
-from repro import DataType, FeisuCluster, FeisuConfig, LeafConfig, Schema
+from repro import FeisuCluster, FeisuConfig, LeafConfig
 from repro.workload.datasets import DatasetSpec, load_paper_datasets
-from repro.workload.generator import skewed_join_dataset
 
 #: A kernel is timed at least this many times, and until its runs add
 #: up to ``MIN_TIMED_S``, in turns of at least ``TURN_S``; the cheapest
@@ -185,27 +184,3 @@ def rows_match(rows_a: List, rows_b: List) -> bool:
             elif a != b:
                 return False
     return True
-
-
-SKEWED_FACT_SCHEMA = Schema.of(
-    k=DataType.INT64, v=DataType.FLOAT64, w=DataType.INT64, note=DataType.STRING
-)
-SKEWED_DIM_SCHEMA = Schema.of(k=DataType.INT64, label=DataType.STRING)
-
-
-def skewed_join_twin(leaf: LeafConfig, **config) -> FeisuCluster:
-    """One twin of an ablation: 16 nodes with ``skewed_join_dataset(24 000)``
-    loaded — fact ``T`` in four blocks on storage-a, dimension ``D`` on
-    storage-b.  Twins differ only in ``leaf`` and the ``FeisuConfig``
-    fields in ``config``."""
-    cluster = FeisuCluster(
-        FeisuConfig(
-            datacenters=1, racks_per_datacenter=2, nodes_per_rack=8, leaf=leaf, **config
-        )
-    )
-    fact, dim = skewed_join_dataset(24_000, seed=17)
-    cluster.load_table(
-        "T", SKEWED_FACT_SCHEMA, fact, storage="storage-a", block_rows=6_000, scale_factor=1_200
-    )
-    cluster.load_table("D", SKEWED_DIM_SCHEMA, dim, storage="storage-b", block_rows=100)
-    return cluster

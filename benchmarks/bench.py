@@ -13,7 +13,7 @@ regressed against its baseline.  ``--update`` rewrites a suite's baseline
 only when its acceptance bar holds.  An unknown suite name exits 2.
 
 The kernel suite times in reference seconds (``_harness.best_ref_s``);
-the other three report simulated seconds and counts.
+the other two report simulated seconds and counts.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ SCHEMA_VERSION = 2
 SUITES: Dict[str, str] = {
     "kernels": "kernels",
     "gateway": "gateway_bench",
-    "adaptive": "adaptive_bench",
     "elastic": "elastic_bench",
 }
 BASELINE_DIR = HERE

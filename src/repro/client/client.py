@@ -82,8 +82,7 @@ class FeisuClient:
         """Syntax-check, verify rights, submit, record history.
 
         Routes through :meth:`query_job` so the recorded history entry
-        carries the executed job's plan digests (pre and, under the
-        adaptive re-optimizer, post re-plan).
+        carries the executed job's plan digest.
         """
         job = self.query_job(sql, options=options)
         if job.error is not None:
@@ -94,20 +93,12 @@ class FeisuClient:
     def query_job(self, sql: str, options: Optional[JobOptions] = None) -> Job:
         analyzed = self._guarded_preflight(sql)
         job = self.cluster.query_job(sql, user=self.user, options=options)
-        # History keeps the ORIGINAL plan fingerprint even when the
-        # adaptive path re-planned mid-query; the post-re-plan digest is
-        # a separate field so it can be cross-checked against EXPLAIN
-        # ANALYZE's "plan digest: X -> Y" line.
-        digest = getattr(job, "plan_digest", "")
-        if not digest and job.plan is not None:
-            digest = plan_fingerprint(job.plan)
         self.history.record(
             self.cluster.sim.now,
             self.user,
             sql,
             analyzed,
-            plan_digest=digest,
-            post_plan_digest=getattr(job, "replanned_plan_digest", None),
+            plan_digest=plan_fingerprint(job.plan),
         )
         return job
 

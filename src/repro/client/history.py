@@ -48,14 +48,9 @@ class HistoryEntry:
     tables: Tuple[str, ...]
     columns: Tuple[str, ...]
     predicate_keys: Tuple[str, ...]
-    #: Fingerprint of the plan the master *initially* produced.  An
-    #: adaptive re-plan must never rewrite this — history answers "what
-    #: did the optimizer first decide", and the re-planned digest is
-    #: recorded separately so EXPLAIN ANALYZE and history agree.
+    #: Fingerprint of the plan the master ran
+    #: (:func:`repro.planner.physical.plan_fingerprint`).
     plan_digest: str = ""
-    #: Fingerprint after a mid-query re-plan, ``None`` when the plan ran
-    #: unchanged (frozen path, or adaptive run with no trigger).
-    post_plan_digest: Optional[str] = None
 
 
 class QueryHistory:
@@ -76,7 +71,6 @@ class QueryHistory:
         sql: str,
         analyzed: AnalyzedQuery,
         plan_digest: str = "",
-        post_plan_digest: Optional[str] = None,
     ) -> HistoryEntry:
         """Record one query; its features are the statement's, derived
         once per statement."""
@@ -88,7 +82,6 @@ class QueryHistory:
             columns=analyzed.touched_columns,
             predicate_keys=plan_shape(analyzed).predicate_keys,
             plan_digest=plan_digest,
-            post_plan_digest=post_plan_digest,
         )
         self._append(entry)
         return entry

@@ -85,13 +85,6 @@ class JobStats:
     index_clause_hits: int = 0
     index_clause_misses: int = 0
     response_time_s: float = 0.0
-    #: Adaptive re-optimization counters (S53); all zero unless the
-    #: master ran the job through the adaptive two-wave path.
-    adaptive_waves: int = 0
-    adaptive_replans: int = 0
-    adaptive_splits: int = 0
-    adaptive_partitions_recovered: int = 0
-    adaptive_tasks_skipped: int = 0
 
     def absorb(self, result: TaskResult) -> None:
         report = result.report
@@ -143,12 +136,6 @@ class Job:
     task_timeline: List[TaskTiming] = field(default_factory=list)
     #: Span tree over the simulated clock (None unless ``options.trace``).
     trace: Optional[Tracer] = None
-    #: Structural digest of the plan as admitted (the *original* plan —
-    #: re-planning never rewrites it) and, when the adaptive path
-    #: re-planned the remaining work, the digest of the revised task set.
-    #: QueryHistory records both so history and EXPLAIN ANALYZE agree.
-    plan_digest: str = ""
-    replanned_plan_digest: Optional[str] = None
 
     @property
     def response_time_s(self) -> float:
@@ -186,7 +173,6 @@ def task_signature(plan: PhysicalPlan, task: ScanTask) -> Tuple:
         post_filter,
         broadcast_sig,
         plan.broadcast_incarnations,
-        task.row_slice,
     )
 
 

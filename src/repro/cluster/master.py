@@ -40,13 +40,12 @@ from repro.errors import (
     SchedulingError,
 )
 from repro.planner.expressions import Frame
-from repro.planner.physical import PhysicalPlan, ScanTask, build_plan, plan_fingerprint
+from repro.planner.physical import PhysicalPlan, ScanTask, build_plan
 from repro.security.acl import AccessControl, QuotaPolicy, RateLimiter
 from repro.security.auth import Credential, SSOAuthority
 from repro.sim.events import Event, Process, Simulator
 from repro.sim.netmodel import NetworkTopology, NodeAddress, TrafficClass
 from repro.sql.analyzer import analyze_sql
-from repro.sql.ast import JoinKind
 
 #: How many distinct leaves one task may be attempted on before failing.
 MAX_TASK_ATTEMPTS = 4
@@ -167,8 +166,7 @@ class _Wave:
 
     __slots__ = (
         "master", "job", "total", "broadcasts", "sent_broadcast_to", "arrived",
-        "arrived_before", "early_ratio", "supervisor_options", "failed", "reused", "gate",
-        "unplaced", "placements",
+        "early_ratio", "failed", "reused", "gate", "unplaced", "placements",
     )
 
     def __init__(
@@ -177,20 +175,15 @@ class _Wave:
         job: Job,
         total: int,
         broadcasts: Dict[str, Frame],
-        sent_broadcast_to: Set[str],
-        arrived: Dict[str, TaskResult],
         early_ratio: Optional[float],
-        supervisor_options: dict,
     ):
         self.master = master
         self.job = job
         self.total = total
         self.broadcasts = broadcasts
-        self.sent_broadcast_to = sent_broadcast_to
-        self.arrived = arrived
-        self.arrived_before = len(arrived)
+        self.sent_broadcast_to: Set[str] = set()
+        self.arrived: Dict[str, TaskResult] = {}
         self.early_ratio = early_ratio
-        self.supervisor_options = supervisor_options
         self.failed = 0
         self.reused: Set[str] = set()
         self.gate = master.sim.event(name=f"{job.job_id}.wave")
@@ -210,8 +203,7 @@ class _Wave:
             first = partial(self.placement, len(self.unplaced))
             self.unplaced.append(task)
         state = _TaskAttempts(
-            master, self.job, task, self.broadcasts, self.sent_broadcast_to, done,
-            **self.supervisor_options,
+            master, self.job, task, self.broadcasts, self.sent_broadcast_to, done
         )
         Process(master.sim, master._task_supervisor(state, first), task.task_id)  # noqa: SLF001
         done.add_callback(partial(self._settle_own, sig, task))
@@ -223,7 +215,7 @@ class _Wave:
         not: lower-seq entries of the instant run between and move load)."""
         if self.placements is None:
             self.placements = self.master.scheduler.place_wave(
-                self.unplaced, self.job.plan.scan_cnf, prefer=self.supervisor_options["prefer"]
+                self.unplaced, self.job.plan.scan_cnf
             )
         return self.placements[index]
 
@@ -253,7 +245,7 @@ class _Wave:
         else:
             self.failed += 1
             job.stats.tasks_failed += 1
-        completed = len(self.arrived) - self.arrived_before
+        completed = len(self.arrived)
         if completed + self.failed == self.total or (
             self.early_ratio is not None and completed / self.total >= self.early_ratio
         ):
@@ -270,7 +262,6 @@ class _TaskAttempts:
 
     __slots__ = (
         "master", "job", "task", "broadcasts", "sent_broadcast_to", "done",
-        "estimate_scale", "prefer", "on_retry",
         "attempts", "excluded", "estimates", "launch_times", "failures", "armed",
     )
 
@@ -282,9 +273,6 @@ class _TaskAttempts:
         broadcasts: Dict[str, Frame],
         sent_broadcast_to: Set[str],
         done: Event,
-        estimate_scale: float,
-        prefer: Sequence[str],
-        on_retry,
     ):
         self.master = master
         self.job = job
@@ -292,9 +280,6 @@ class _TaskAttempts:
         self.broadcasts = broadcasts
         self.sent_broadcast_to = sent_broadcast_to
         self.done = done
-        self.estimate_scale = estimate_scale
-        self.prefer = prefer
-        self.on_retry = on_retry
         self.attempts: List[Event] = []
         self.excluded: List[str] = []
         self.estimates: List[float] = []
@@ -315,10 +300,7 @@ class _TaskAttempts:
         else:
             self.failures += 1
             if self.failures < MAX_TASK_ATTEMPTS:
-                launched = self.launch()
-                if launched and self.on_retry is not None:
-                    self.on_retry(self.task)
-                if launched or self.failures < len(self.attempts):
+                if self.launch() or self.failures < len(self.attempts):
                     return
             done.fail(exc)
         # The task is resolved: the watchdog's timer dies with it.  Its
@@ -332,17 +314,14 @@ class _TaskAttempts:
         master, job, task, attempts = self.master, self.job, self.task, self.attempts
         try:
             placement = first() if first is not None else master.scheduler.place(
-                task, job.plan.scan_cnf, exclude=self.excluded, prefer=self.prefer
+                task, job.plan.scan_cnf, exclude=self.excluded
             )
         except SchedulingError:
             placement = None
         if placement is None:
             return False
         self.excluded.append(placement.leaf.worker_id)
-        # ``estimate_scale`` folds the adaptive checkpoint's cost
-        # revision into backup deadlines (slices are cheaper than the
-        # whole-block figure the cost model prices).
-        self.estimates.append(placement.estimate_s * self.estimate_scale)
+        self.estimates.append(placement.estimate_s)
         self.launch_times.append(master.sim.now)
         proc = Process(
             master.sim,
@@ -415,7 +394,6 @@ class Master:
         service_credential: Optional[Credential] = None,
         ledger=None,
         max_concurrent_jobs: int = DEFAULT_MAX_CONCURRENT_JOBS,
-        adaptive=None,
     ):
         #: Cross-domain credential the master uses for internal data
         #: movement (broadcast-table reads); mirrors SSO's "mapping their
@@ -440,10 +418,6 @@ class Master:
         self._candidate_queue = CandidateQueue()
         #: Durable job history replicated to the backup master (§III-C).
         self.ledger = ledger
-        #: Adaptive re-optimization config (S53,
-        #: :class:`repro.planner.adaptive.AdaptiveConfig`); None keeps
-        #: every job on the frozen single-wave path.
-        self.adaptive = adaptive
         self._active: Dict[str, Tuple[Job, Event]] = {}
         self._shut_down = False
         sim.process(self._sweep_loop(), name="master.sweep")
@@ -653,135 +627,37 @@ class Master:
     def _job_process(self, job: Job, done: Event) -> Generator[Event, None, None]:
         """Drive one job: fetch its broadcasts, run its tasks, resolve it.
 
-        The frozen plan is one wave over the (possibly sampled) task
-        list.  On a cluster with ``adaptive`` configured a plain
-        full-scan job runs pilot wave → checkpoint (re-plan) → remainder
-        wave instead (S53).  Block sampling and early-return ratios
-        change which rows a job *intends* to read, and the two-wave
-        bookkeeping would misreport them; those jobs stay one wave, as
-        does anything below ``min_tasks`` and a RIGHT JOIN (each slice
-        of its one block would pad the unmatched dimension rows).
-
-        Every pilot result is retained at the master across the
-        checkpoint, so a worker crash mid-job re-runs only the lost
-        partitions of the *current* wave (the supervisor's retry
-        machinery), never completed ones — partition-level recovery.
+        A job is one wave over its plan's (possibly sampled) task list,
+        one task per block.
         """
         job.status = JobStatus.RUNNING
         plan = job.plan
         options = job.options
-        root = job.trace.root if job.trace is not None else None
         try:
             broadcasts = yield from self._fetch_broadcasts(job)
         except FeisuError as exc:
             self._finish_failed(job, done, exc)
             return
 
-        controller = None
-        if (
-            self.adaptive is not None
-            and options.sample_block_ratio is None
-            and options.min_processed_ratio >= 1.0
-            and len(plan.tasks) >= max(1, self.adaptive.min_tasks)
-            and all(bc.kind is not JoinKind.RIGHT_OUTER for bc in plan.broadcasts)
-        ):
-            from repro.planner.adaptive import ReoptController
-
-            controller = ReoptController(self.adaptive, plan, self.scheduler.cost_model)
-            job.plan_digest = plan_fingerprint(plan)
-            wave = controller.pilot_wave(plan.tasks)
-            job.stats.tasks_total = len(wave)
-            job.stats.adaptive_waves = 1
-            sampled_fraction = 1.0
-        else:
-            wave = self._sampled_tasks(plan, options)
-            if not wave:  # an empty sample of a non-empty plan processed nothing
-                self._finish_ok(job, done, [], 0.0 if plan.tasks else 1.0)
-                return
-            sampled_fraction = len(wave) / max(len(plan.tasks), 1)
-        #: Tasks the job means to run; the remainder wave adds its own.
-        intended = len(wave)
-        deadline_at = (
-            self.sim.now + options.max_time_s if options.max_time_s is not None else None
-        )
-        sent_broadcast_to: Set[str] = set()
-        arrived: Dict[str, TaskResult] = {}
-        yield from self._run_wave(
-            job, wave, broadcasts, sent_broadcast_to, arrived,
+        wave = self._sampled_tasks(plan, options)
+        if not wave:  # an empty sample of a non-empty plan processed nothing
+            self._finish_ok(job, done, [], 0.0 if plan.tasks else 1.0)
+            return
+        sampled_fraction = len(wave) / max(len(plan.tasks), 1)
+        arrived = yield from self._run_wave(
+            job, wave, broadcasts,
             early_ratio=(
                 options.min_processed_ratio if options.min_processed_ratio < 1.0 else None
             ),
             time_left=options.max_time_s,
-            recovering=controller is not None,
         )
         if job.status not in (JobStatus.RUNNING, JobStatus.PENDING):
             return  # cancelled or failed over while tasks were in flight
 
-        if controller is not None and len(arrived) == intended:
-            # Checkpoint: compare pilot actuals against the frozen estimates.
-            pilot_durations = {}
-            for timing in job.task_timeline:
-                if timing.task_id in arrived and timing.task_id not in pilot_durations:
-                    pilot_durations[timing.task_id] = timing.duration_s
-            live_workers = sum(
-                1
-                for leaf in self.scheduler.leaves()
-                if leaf.alive and self.cluster_manager.is_alive(leaf.worker_id)
-            )
-            decision = controller.decide(
-                now=self.sim.now,
-                tasks=plan.tasks,
-                pilot_results=[arrived[t.task_id] for t in wave],
-                pilot_durations=pilot_durations,
-                live_workers=live_workers,
-                broadcast_holders=tuple(sorted(sent_broadcast_to)),
-                broadcast_bytes=self._broadcast_bytes(broadcasts) if broadcasts else 0,
-            )
-            remainder = controller.remainder_wave(plan.tasks, decision)
-            if decision.replanned:
-                job.stats.adaptive_replans += 1
-                job.replanned_plan_digest = plan_fingerprint(plan, wave + remainder)
-            job.stats.adaptive_splits += max(
-                0, len(remainder) - (len(plan.tasks) - decision.skipped_tasks)
-            )
-            job.stats.adaptive_tasks_skipped += decision.skipped_tasks
-            if root is not None:
-                root.add(
-                    "reopt.decision",
-                    self.sim.now,
-                    self.sim.now,
-                    actions=",".join(decision.actions) or "none",
-                    estimated_selectivity=decision.estimated_selectivity,
-                    observed_selectivity=decision.observed_selectivity,
-                    error_ratio=decision.error_ratio,
-                    split_factor=decision.split_factor,
-                    estimate_scale=decision.estimate_scale,
-                    hot_share=decision.hot_share,
-                    duration_skew=decision.duration_skew,
-                    prefer_workers=len(decision.prefer_workers),
-                    skipped_tasks=decision.skipped_tasks,
-                )
-
-            intended += len(remainder)
-            job.stats.tasks_total = intended
-            if remainder:
-                job.stats.adaptive_waves += 1
-                yield from self._run_wave(
-                    job, remainder, broadcasts, sent_broadcast_to, arrived,
-                    time_left=(
-                        max(0.0, deadline_at - self.sim.now) if deadline_at is not None else None
-                    ),
-                    recovering=True,
-                    prefer=decision.prefer_workers,
-                    estimate_scale=decision.estimate_scale,
-                )
-                if job.status not in (JobStatus.RUNNING, JobStatus.PENDING):
-                    return
-
         # Completion is judged against what the job *intended* to scan
         # (the sample, if one was requested); the reported ratio is the
         # true fraction of the table's blocks that were processed.
-        completed_fraction = len(arrived) / intended
+        completed_fraction = len(arrived) / len(wave)
         ratio = completed_fraction * sampled_fraction
         if completed_fraction < options.min_processed_ratio and completed_fraction < 1.0:
             self._finish_timeout(job, done, ratio)
@@ -793,34 +669,18 @@ class Master:
         job: Job,
         wave: List[ScanTask],
         broadcasts: Dict[str, Frame],
-        sent_broadcast_to: Set[str],
-        arrived: Dict[str, TaskResult],
         early_ratio: Optional[float] = None,
         time_left: Optional[float] = None,
-        recovering: bool = False,
-        prefer: Sequence[str] = (),
-        estimate_scale: float = 1.0,
-    ) -> Generator[Event, None, None]:
-        """Launch one wave of a job's tasks and wait for it.
+    ) -> Generator[Event, None, Dict[str, TaskResult]]:
+        """Launch a job's tasks, wait for them and return the results
+        that arrived, by task id.
 
         The wait ends when every task has resolved, when ``early_ratio``
         of them have arrived, or after ``time_left`` simulated seconds.
-        Results land in ``arrived``; a task of the wave absent from it
-        afterwards failed terminally or was still in flight.
-        ``recovering`` waves (the adaptive ones) count each attempt
-        re-launched after a loss as a recovered partition.
+        A task absent from the results failed terminally or was still in
+        flight.
         """
-        on_retry = None
-        if recovering:
-            def on_retry(task: ScanTask) -> None:
-                # A lost attempt re-launched on a surviving leaf: exactly one
-                # partition of the current wave re-runs, nothing else.
-                job.stats.adaptive_partitions_recovered += 1
-
-        state = _Wave(
-            self, job, len(wave), broadcasts, sent_broadcast_to, arrived, early_ratio,
-            {"estimate_scale": estimate_scale, "prefer": prefer, "on_retry": on_retry},
-        )
+        state = _Wave(self, job, len(wave), broadcasts, early_ratio)
         gate = state.gate
         for task in wave:
             sig = task_signature(job.plan, task)
@@ -839,6 +699,7 @@ class Master:
             self.sim.schedule(time_left, expire)
 
         yield gate
+        return state.arrived
 
     def _finish_timeout(self, job: Job, done: Event, ratio: float) -> None:
         """Terminal path when a job lost tasks or ran out of time below
@@ -872,19 +733,6 @@ class Master:
             "backups_launched": job.stats.backups_launched,
             "response_time_s": job.stats.response_time_s,
         }
-        if job.stats.adaptive_waves:
-            # Only adaptive-path jobs carry these keys, so the frozen
-            # path's stats dict — and every committed figure derived
-            # from it — stays byte-identical with the flag off.
-            job.result.stats.update(
-                {
-                    "adaptive_waves": job.stats.adaptive_waves,
-                    "adaptive_replans": job.stats.adaptive_replans,
-                    "adaptive_splits": job.stats.adaptive_splits,
-                    "adaptive_partitions_recovered": job.stats.adaptive_partitions_recovered,
-                    "adaptive_tasks_skipped": job.stats.adaptive_tasks_skipped,
-                }
-            )
         job.status = JobStatus.SUCCEEDED
         self._record_terminal(job)
         self._job_finished()

@@ -302,7 +302,7 @@ class LeafServer:
         """The ``index_probe`` child of a traced attempt, written at the
         instant the probe ran: ``probed`` is the manager's atom counters
         before the task, the rest is on the task's report.  No child when
-        no probe ran (no filter, a row slice)."""
+        no probe ran (no filter)."""
         clauses = report.index_clause_hits + report.index_clause_misses
         if not clauses:
             return

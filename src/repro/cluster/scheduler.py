@@ -157,10 +157,9 @@ class JobScheduler:
         task: ScanTask,
         cnf: ConjunctiveForm,
         exclude: Sequence[str] = (),
-        prefer: Sequence[str] = (),
     ) -> Placement:
         """Choose a leaf for ``task``: :meth:`place_wave` of one task."""
-        placement = self.place_wave((task,), cnf, exclude, prefer)[0]
+        placement = self.place_wave((task,), cnf, exclude)[0]
         if placement is None:
             raise SchedulingError(f"no live leaf available for task {task.task_id}")
         return placement
@@ -170,16 +169,13 @@ class JobScheduler:
         tasks: Sequence[ScanTask],
         cnf: ConjunctiveForm,
         exclude: Sequence[str] = (),
-        prefer: Sequence[str] = (),
     ) -> List[Optional[Placement]]:
         """Place ``tasks`` in order per the §III-B policy, exactly as one
         :meth:`place` per task would; None where no leaf is live.
 
         Placing changes no leaf, so each candidate leaf's eligibility and
         ``pressure()`` are read at most once per call, and the cost
-        model's terms once.  ``prefer`` narrows the pool to those workers
-        when any is alive: the adaptive re-optimizer colocates remainder
-        tasks with the leaves that already hold the broadcast frames.
+        model's terms once.
         """
         manager, net = self.cluster_manager, self.net
         is_draining = getattr(manager, "is_draining", None)
@@ -222,7 +218,7 @@ class JobScheduler:
             # least loaded wins, and of equals the first a scan of every
             # leaf would meet.
             local = []
-            if self.locality_aware and not prefer:
+            if self.locality_aware:
                 # Holder-first: an open holder proves the pool below would
                 # choose among exactly the block's open holders.
                 for addr in replicas:
@@ -236,8 +232,6 @@ class JobScheduler:
                     # drain states (test doubles) drains nothing.
                     live = [leaf for leaf in self._leaves.values() if state(leaf) != _DEAD]
                     pool = [leaf for leaf in live if states[leaf] == _OPEN] or live
-                    if prefer:
-                        pool = [leaf for leaf in pool if leaf.worker_id in prefer] or pool
                 if not pool:
                     placements.append(None)
                     continue

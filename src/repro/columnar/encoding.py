@@ -64,14 +64,14 @@ class ChunkReader:
     """Encoding-aware access to one column chunk.
 
     With ``d`` the fully decoded array, ``values()`` is ``d``,
-    ``take(rows)`` is ``d[rows]`` and ``map_bool(fn, rows)`` is
-    ``fn(d)`` (``fn(d[rows])`` when ``rows`` is given) as booleans —
-    exactly, provided ``fn`` is *elementwise* (row ``i`` of its result
-    depends on row ``i`` of its input alone) and ``rows`` is an integer
-    id array.  ``rows`` is never a boolean mask: the kernels gather with
-    ``take``, which would read a mask as the ids 0 and 1.  Subclasses
-    answer from the encoded form (a numeric dictionary no smaller than
-    plain, from its decoded copy); this one decodes once, on first use.
+    ``take(rows)`` is ``d[rows]`` and ``map_bool(fn)`` is ``fn(d)`` as
+    booleans — exactly, provided ``fn`` is *elementwise* (row ``i`` of
+    its result depends on row ``i`` of its input alone) and ``rows`` is
+    an integer id array.  ``rows`` is never a boolean mask: the kernels
+    gather with ``take``, which would read a mask as the ids 0 and 1.
+    Subclasses answer from the encoded form (a numeric dictionary no
+    smaller than plain, from its decoded copy); this one decodes once,
+    on first use.
 
     ``fn`` may be handed a read-only view over the chunk's payload, or
     over a part shared by every reader of the chunk, and must not keep
@@ -97,9 +97,8 @@ class ChunkReader:
     def take(self, rows: np.ndarray) -> np.ndarray:
         return self.values()[rows]
 
-    def map_bool(self, fn: Callable[[np.ndarray], np.ndarray], rows=None) -> np.ndarray:
-        values = self.values()
-        return np.asarray(fn(values if rows is None else values[rows]), dtype=np.bool_)
+    def map_bool(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        return np.asarray(fn(self.values()), dtype=np.bool_)
 
 
 class _ViewReader(ChunkReader):
@@ -115,9 +114,8 @@ class _ViewReader(ChunkReader):
     def take(self, rows):
         return self._view.take(rows)
 
-    def map_bool(self, fn, rows=None):
-        view = self._view
-        return np.asarray(fn(view if rows is None else view.take(rows)), dtype=np.bool_)
+    def map_bool(self, fn):
+        return np.asarray(fn(self._view), dtype=np.bool_)
 
 
 def _true_range(verdicts: np.ndarray) -> Optional[Tuple[int, int]]:
@@ -162,12 +160,9 @@ class _DictionaryReader(ChunkReader):
         # through the unaligned uint32 codes.
         return self._uniques.take(self._codes.take(rows))
 
-    def map_bool(self, fn, rows=None):
-        uniques = self._uniques
-        if rows is not None and len(rows) < len(uniques):
-            return np.asarray(fn(self.take(rows)), dtype=np.bool_)
-        codes = self._codes if rows is None else self._codes.take(rows)
-        lut = np.asarray(fn(uniques), dtype=np.bool_)
+    def map_bool(self, fn):
+        codes = self._codes
+        lut = np.asarray(fn(self._uniques), dtype=np.bool_)
         span = _true_range(lut)
         if span is None:
             return lut.take(codes)
@@ -191,9 +186,8 @@ class _RunLengthReader(ChunkReader):
         self._runs = runs
         self._lengths = lengths
 
-    def map_bool(self, fn, rows=None):
-        full = np.repeat(np.asarray(fn(self._runs), dtype=np.bool_), self._lengths)
-        return full if rows is None else full[rows]
+    def map_bool(self, fn):
+        return np.repeat(np.asarray(fn(self._runs), dtype=np.bool_), self._lengths)
 
 
 class Encoding:

@@ -68,13 +68,6 @@ class FeisuConfig:
     #: :class:`repro.gateway.GatewayConfig` to serve sessions through
     #: admission control and fair-share scheduling.
     gateway: Optional["object"] = None
-    #: Adaptive mid-query re-optimization (S53).  ``None`` (the default)
-    #: keeps every job on the frozen single-wave plan so committed
-    #: figure results stay byte-identical; set a
-    #: :class:`repro.planner.adaptive.AdaptiveConfig` to enable pilot
-    #: waves, checkpoint re-planning, skew splitting and partition-level
-    #: recovery.
-    adaptive: Optional["object"] = None
     #: Elastic membership and rebalancing (S55).  ``None`` (the default)
     #: constructs no daemon and adds no simulation events — committed
     #: figure results stay byte-identical; set a
@@ -254,7 +247,6 @@ class FeisuCluster:
             ),
             ledger=self.job_ledger,
             max_concurrent_jobs=self.config.max_concurrent_jobs,
-            adaptive=self.config.adaptive,
         )
 
     def fail_master(self) -> int:

@@ -199,14 +199,12 @@ def _select_rows(
 ) -> Tuple[TaskExecutionReport, Optional[Dict[str, ChunkReader]], Optional[np.ndarray]]:
     """Fold the access paths, price the scan and evaluate what is left.
 
-    Each path's ``probe(key, clauses, scope, now)`` sees the clauses the
-    paths before it left and the ``(block, rows)`` the task covers, and
-    returns ``(mask, missing, charge)``: the boolean mask of the clauses
-    it answered (or None), the clauses still missing, and
-    ``charge(report, read)``, which books its costs once the read set is
-    known and says whether it priced the read (None: the path declined
-    the scope).  A path's ``learn``, if not None, is fed every atom
-    evaluated here.
+    Each path's ``probe(key, clauses, block, now)`` sees the clauses the
+    paths before it left, and returns ``(mask, missing, charge)``: the
+    boolean mask of the clauses it answered (or None), the clauses still
+    missing, and ``charge(report, read)``, which books its costs once
+    the read set is known and says whether it priced the read.  A path's
+    ``learn``, if not None, is fed every atom evaluated here.
 
     Returns ``(report, readers, rows)``: the readers of the columns the
     scan reads (None when a fully answered filter matches nothing, so
@@ -215,18 +213,9 @@ def _select_rows(
     whole-block row counts, never over the work done here, so the
     simulated clock cannot see how a column was read.
     """
-    lo, hi = 0, block.num_rows
-    rows = None
-    if task.row_slice is not None:
-        # Adaptive sub-task (S53): cover only rows [lo, hi) of the block.
-        lo = max(0, min(int(task.row_slice[0]), block.num_rows))
-        hi = max(lo, min(int(task.row_slice[1]), block.num_rows))
-        rows = np.arange(lo, hi)
-    num_rows = hi - lo
     report = TaskExecutionReport(
-        task_id=task.task_id, rows_in_block=num_rows, scale_factor=block.scale_factor
+        task_id=task.task_id, rows_in_block=block.num_rows, scale_factor=block.scale_factor
     )
-    scope = (block, rows)
     mask = None
     left = plan.scan_cnf.clauses
     charges: list = []
@@ -234,9 +223,7 @@ def _select_rows(
     for path in paths:
         if not left:
             break
-        answered, left, charge = path.probe(index_key, left, scope, now)
-        if charge is None:
-            continue
+        answered, left, charge = path.probe(index_key, left, block, now)
         if answered is not None:
             mask = answered if mask is None else (mask & answered)
         charges += [charge]
@@ -252,26 +239,16 @@ def _select_rows(
     if empty:
         return report, None, None
     if read_columns and not priced:
-        if rows is None:
-            report.io_bytes += block.column_bytes(read_columns)
-            report.cpu_ops += OPS_PER_DECODE * block.num_rows * len(read_columns)
-        else:
-            # Proportional charge: a slice reads its fraction of every
-            # chunk, so summed sub-task costs equal the whole block's.
-            fraction = num_rows / max(1, block.num_rows)
-            report.io_bytes += int(round(block.column_bytes(read_columns) * fraction))
-            report.cpu_ops += OPS_PER_DECODE * num_rows * len(read_columns)
+        report.io_bytes += block.column_bytes(read_columns)
+        report.cpu_ops += OPS_PER_DECODE * block.num_rows * len(read_columns)
     if read_columns:
         report.io_seeks += 1
     readers = {c: block.chunks[c].reader() for c in read_columns}
     if left:
-        mask = _evaluate(left, readers, rows, num_rows, mask, learn, index_key, task, now, report)
+        mask = _evaluate(left, readers, block.num_rows, mask, learn, index_key, task, now, report)
     if mask is None:
-        return report, readers, rows
-    matched = mask.nonzero()[0]
-    if lo:
-        matched += lo
-    return report, readers, matched
+        return report, readers, None
+    return report, readers, mask.nonzero()[0]
 
 
 def _gather(
@@ -336,7 +313,6 @@ def _np_dtype(analyzed: AnalyzedQuery, task: ScanTask, column: str):
 def _evaluate(
     missing: Sequence[Clause],
     readers: Dict[str, ChunkReader],
-    rows: Optional[np.ndarray],
     num_rows: int,
     mask: Optional[np.ndarray],
     learn,
@@ -346,12 +322,12 @@ def _evaluate(
     report: TaskExecutionReport,
 ) -> np.ndarray:
     """Evaluate the clauses the access paths left, AND-ed into ``mask``,
-    on the ``num_rows`` rows in ``rows`` (None: the whole block); every
-    evaluated atom is fed to ``learn``."""
+    on the block's ``num_rows`` rows; every evaluated atom is fed to
+    ``learn``."""
     for clause in missing:
         clause_mask: Optional[np.ndarray] = None
         for atom in clause.atoms:
-            atom_mask = readers[atom.column].map_bool(atom.evaluate, rows)
+            atom_mask = readers[atom.column].map_bool(atom.evaluate)
             report.cpu_ops += (
                 OPS_PER_CONTAINS if atom.op is BinaryOperator.CONTAINS else OPS_PER_COMPARISON
             ) * num_rows
@@ -362,7 +338,7 @@ def _evaluate(
             # Opaque expression: needs real values of the columns it touches.
             frame = Frame(
                 {
-                    c: readers[c].values() if rows is None else readers[c].take(rows)
+                    c: readers[c].values()
                     for c in {n.name for n in walk(residual) if isinstance(n, Column)}
                 },
                 num_rows,

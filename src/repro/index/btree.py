@@ -104,22 +104,20 @@ class BTreeIndex:
     Keeps one :class:`BPlusTree` per (block, column), built from the
     served block the first time a probe needs it (the paper prebuilds
     them, so building is off the query clock) and rebuilt in place when
-    the probe's ``key`` names new bytes.  ``column`` restricts the path
-    to one column.
+    the probe's ``key`` names new bytes.
     """
 
     #: Built ahead of queries: a tree learns nothing from a scan.
     learn = None
 
-    def __init__(self, column: Optional[str] = None):
-        self.column = column
+    def __init__(self):
         #: (block id, column) -> (the probe ``key`` it was built under, tree).
         self.trees: Dict[Tuple[Hashable, str], Tuple[Hashable, BPlusTree]] = {}
         self.builds = 0
 
     def answers(self, atom: AtomicPredicate) -> bool:
-        """An atom a tree :meth:`~BPlusTree.supports`, on an indexed column."""
-        return atom.bounds is not None and self.column in (None, atom.column)
+        """An atom a tree :meth:`~BPlusTree.supports`."""
+        return atom.bounds is not None
 
     def covers(self, clauses: Sequence[Clause]) -> bool:
         """Does a probe answer every clause (the placement estimate)?"""
@@ -127,14 +125,11 @@ class BTreeIndex:
             clause.is_indexable and all(map(self.answers, clause.atoms)) for clause in clauses
         )
 
-    def probe(self, key: Hashable, clauses: Sequence[Clause], scope, now: float):
-        """Answer the clauses whose every atom a tree answers; declines a
-        row slice.  The charge is each evaluated atom's traversal plus
-        per-match materialization, also for the atoms of a clause that a
-        later atom leaves unanswered, and counts ``btree_clauses``."""
-        block, rows = scope
-        if rows is not None:
-            return None, clauses, None
+    def probe(self, key: Hashable, clauses: Sequence[Clause], block, now: float):
+        """Answer the clauses whose every atom a tree answers.  The charge
+        is each evaluated atom's traversal plus per-match
+        materialization, also for the atoms of a clause that a later atom
+        leaves unanswered, and counts ``btree_clauses``."""
         mask = None
         missing = []
         costs = []

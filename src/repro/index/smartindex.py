@@ -259,17 +259,13 @@ class SmartIndexManager:
 
     # -- the scan's access path (§IV-C, Fig 7) ------------------------------
 
-    def probe(self, key: Hashable, clauses: Sequence[Clause], scope, now: float):
-        """:meth:`cover` as a scan's access path; declines a row slice,
-        as vectors span whole blocks.  The charge counts the clauses and
-        costs one bitvector pass per answered clause.
+    def probe(self, key: Hashable, clauses: Sequence[Clause], block, now: float):
+        """:meth:`cover` as a scan's access path.  The charge counts the
+        clauses and costs one bitvector pass per answered clause.
 
         The cache is read only inside :meth:`cover`, which takes the
         lock, so a probe takes it once; what ``cover`` hands back (fresh
         or immutable vectors) needs no lock to read."""
-        block, rows = scope
-        if rows is not None:
-            return None, clauses, None
         mask, missing = self.cover(key, clauses, now)
         misses = len(missing)
         covered = len(clauses) - misses

@@ -7,7 +7,6 @@ the tree mirrors the execution path::
     job
     ├─ fetch_broadcasts
     │  └─ read_table.<name>  (blocks and encoded bytes read)
-    ├─ reopt.decision       (adaptive checkpoint, zero duration)
     └─ task.attempt0
        ├─ dispatch          (master → stem hops, CONTROL bytes)
        ├─ broadcast_ship    (WRITE bytes, when the leaf lacks the frames)
@@ -18,12 +17,12 @@ the tree mirrors the execution path::
        └─ result_return     (READ bytes upstream, or spill)
 
 Only the places where the simulated clock moves write the tree: the
-master (the job, broadcast fetch, re-plan decision and each attempt's
-network phases) and ``LeafServer.run_task`` (the leaf's phases).  A
-phase that waits on the clock is :meth:`Span.add`-ed when it starts and
-:meth:`Span.finish`-ed with its tags when it ends, so a job that
-resolves while an attempt is mid-phase shows that phase, open until the
-clamp; a point-in-time span is one :meth:`Span.add` with its end.
+master (the job, broadcast fetch and each attempt's network phases) and
+``LeafServer.run_task`` (the leaf's phases).  A phase that waits on the
+clock is :meth:`Span.add`-ed when it starts and :meth:`Span.finish`-ed
+with its tags when it ends, so a job that resolves while an attempt is
+mid-phase shows that phase, open until the clamp; a point-in-time span
+is one :meth:`Span.add` with its end.
 
 ``index_probe`` tags ``atom_hits`` / ``complement_hits`` /
 ``atom_misses``, the probed ``clauses``, how many were ``covered`` and

@@ -8,11 +8,6 @@ from repro.planner.cnf import (
     to_cnf,
     to_nnf,
 )
-from repro.planner.adaptive import (
-    AdaptiveConfig,
-    ReoptController,
-    ReoptDecision,
-)
 from repro.planner.cost import CostModel
 from repro.planner.explain import explain
 from repro.planner.selectivity import (
@@ -37,11 +32,8 @@ from repro.planner.physical import (
 )
 
 __all__ = [
-    "AdaptiveConfig",
     "AtomicPredicate",
     "BroadcastTable",
-    "ReoptController",
-    "ReoptDecision",
     "plan_fingerprint",
     "Clause",
     "ConjunctiveForm",

@@ -138,15 +138,6 @@ def explain_analyze(
             f"{stats.index_clause_misses} misses ({n_probe} probes)"
         )
         scan_lines.append(f"actual queue wait: {wait_s:.4f}s over {n_wait} slot waits")
-        if stats.adaptive_waves:
-            # Adaptive line: the counters are only nonzero when the
-            # flag-gated re-optimizer ran, so default output is unchanged.
-            scan_lines.append(
-                f"actual adaptive: {stats.adaptive_waves} waves, "
-                f"{stats.adaptive_replans} re-plans, {stats.adaptive_splits} splits, "
-                f"{stats.adaptive_partitions_recovered} partitions recovered, "
-                f"{stats.adaptive_tasks_skipped} tasks skipped"
-            )
         inserts.append((anchors["scan"], scan_lines))
     if "aggregate" in anchors:
         n_agg, agg_s = tot("aggregate")
@@ -187,10 +178,6 @@ def explain_analyze(
         else ""
     )
     lines.append(f"  response: {stats.response_time_s:.4f}s simulated{queued}")
-    if job.replanned_plan_digest:
-        lines.append(
-            f"  plan digest: {job.plan_digest} -> {job.replanned_plan_digest} (re-planned)"
-        )
     lines.append(
         f"  tasks: {stats.tasks_completed}/{stats.tasks_total} completed, "
         f"{stats.tasks_reused} reused, {stats.backups_launched} backups, "

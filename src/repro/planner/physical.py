@@ -54,13 +54,6 @@ class ScanTask:
     block: BlockRef
     #: Columns this task must read (projection pushdown).
     columns: Tuple[str, ...]
-    #: Half-open row range ``[lo, hi)`` of the block this task covers.
-    #: ``None`` (the default, and the only value the static planner ever
-    #: produces) means the whole block.  The adaptive re-optimizer (S53)
-    #: slices tasks for pilot waves and hot-partition splits; a sliced
-    #: task charges I/O and CPU proportionally and never touches the
-    #: SmartIndex (a partial-block mask would poison full-block answers).
-    row_slice: Optional[Tuple[int, int]] = None
 
 
 @dataclass(frozen=True)
@@ -274,18 +267,16 @@ def build_plan(analyzed: AnalyzedQuery) -> PhysicalPlan:
     )
 
 
-def plan_fingerprint(plan: PhysicalPlan, tasks: Optional[Sequence[ScanTask]] = None) -> str:
-    """Stable structural digest of a plan (or of a revised task set).
+def plan_fingerprint(plan: PhysicalPlan) -> str:
+    """Stable structural digest of a plan.
 
     Covers what determines the answer and the work: scan predicates,
-    residual filter, broadcasts, and per-task block/slice/columns.
-    ``QueryHistory`` records the original plan's digest plus (after a
-    re-plan) the revised one, so history and EXPLAIN ANALYZE agree.
+    residual filter, broadcasts, and per-task block/columns.
+    ``QueryHistory`` records it with every query.
     """
-    chosen = plan.tasks if tasks is None else tasks
     h = hashlib.blake2b(plan.shape.fingerprint_head, digest_size=8)
-    for t in chosen:
-        h.update(f"|{t.block.block_id}:{t.row_slice}:{','.join(t.columns)}".encode())
+    for t in plan.tasks:
+        h.update(f"|{t.block.block_id}:{','.join(t.columns)}".encode())
     return h.hexdigest()
 
 

@@ -372,15 +372,14 @@ def skewed_join_dataset(
     num_groups: int = 8,
     match_share: float = 0.6,
 ) -> "Tuple[Dict[str, object], Dict[str, object]]":
-    """Fact/dimension columns engineered to defeat the static planner.
+    """Fact/dimension columns the static planner misestimates.
 
     Returns ``(fact, dim)`` column dicts for a fact table with a Zipf-like
     hot join key (``hot_share`` of all rows land on key 0, the rest spread
     uniformly — the skew that makes one partition a straggler) and a
     ``note`` string column where ``match_share`` of rows contain the
-    needle ``'hit'``.  The planner's CONTAINS default selectivity is far
-    below ``match_share``, so the estimate/observation gap reliably
-    crosses the adaptive re-optimizer's trigger.
+    needle ``'hit'``, far above the planner's CONTAINS default
+    selectivity.
     """
     import numpy as np
 

@@ -42,8 +42,6 @@ def build_cluster(
     data_seed: int = 7,
     leaf=None,
     gateway=None,
-    adaptive=None,
-    scale_factor=None,
     elastic=None,
 ):
     """A fresh wired cluster with known contents (fact T, dimension D)."""
@@ -52,7 +50,6 @@ def build_cluster(
         racks_per_datacenter=2,
         nodes_per_rack=nodes_per_rack,
         gateway=gateway,
-        adaptive=adaptive,
         elastic=elastic,
     )
     if leaf is not None:
@@ -73,7 +70,6 @@ def build_cluster(
         columns,
         storage="storage-a",
         block_rows=block_rows,
-        scale_factor=scale_factor,
         node=NodeAddress(0, 1, 1),
     )
     dim = {

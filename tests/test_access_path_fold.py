@@ -69,8 +69,6 @@ def test_smartindex_has_one_cover():
 def test_every_probe_returns_mask_missing_charge(path):
     block = Block.from_arrays("b", Schema.of(x=DataType.INT64), {"x": np.arange(8)})
     clauses = to_cnf(parse_expression("x < 5")).clauses
-    mask, missing, charge = path.probe("b", clauses, (block, None), 0.0)
+    mask, missing, charge = path.probe("b", clauses, block, 0.0)
     assert mask is None or mask.dtype == np.bool_
     assert isinstance(charge(TaskExecutionReport("t"), ("x",)), bool)
-    # A row slice is declined: nothing answered, no charge.
-    assert path.probe("b", clauses, (block, np.arange(2)), 0.0) == (None, clauses, None)

@@ -8,7 +8,7 @@ import shutil
 
 import pytest
 
-from benchmarks import adaptive_bench, bench, kernels
+from benchmarks import bench, elastic_bench, kernels
 
 
 def _doc(suite: str) -> dict:
@@ -49,21 +49,21 @@ def test_a_kernel_slower_than_twice_its_baseline_regresses():
 
 
 def test_a_failing_run_exits_1_and_never_becomes_the_baseline(tmp_path, monkeypatch):
-    shutil.copy(bench.baseline_path("adaptive"), tmp_path)
+    shutil.copy(bench.baseline_path("elastic"), tmp_path)
     monkeypatch.setattr(bench, "BASELINE_DIR", str(tmp_path))
-    path = tmp_path / "BENCH_adaptive.json"
+    path = tmp_path / "BENCH_elastic.json"
     committed = path.read_bytes()
     runs = json.loads(committed)["runs"]
     failing = copy.deepcopy(runs)
-    failing["misestimate_ablation"]["rows_identical"] = 0.0
+    failing["elastic_ablation"]["rows_identical"] = 0.0
 
-    monkeypatch.setattr(adaptive_bench, "run_suite", lambda: failing)
-    assert bench.main(["adaptive"]) == 1
-    assert bench.main(["adaptive", "--update"]) == 1
+    monkeypatch.setattr(elastic_bench, "run_suite", lambda: failing)
+    assert bench.main(["elastic"]) == 1
+    assert bench.main(["elastic", "--update"]) == 1
     assert path.read_bytes() == committed
 
-    monkeypatch.setattr(adaptive_bench, "run_suite", lambda: runs)
-    assert bench.main(["adaptive"]) == 0
-    assert bench.main(["adaptive", "--update"]) == 0
+    monkeypatch.setattr(elastic_bench, "run_suite", lambda: runs)
+    assert bench.main(["elastic"]) == 0
+    assert bench.main(["elastic", "--update"]) == 0
     doc = json.loads(path.read_text())
     assert doc["schema_version"] == bench.SCHEMA_VERSION and doc["runs"] == runs

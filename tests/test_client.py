@@ -4,6 +4,7 @@ import pytest
 
 from repro.client import FeisuClient
 from repro.errors import AccessDeniedError, ParseError
+from repro.planner.physical import plan_fingerprint
 from tests.conftest import CLICKS_SCHEMA
 
 
@@ -37,6 +38,11 @@ def test_query_executes_and_records_history(client):
     entry = client.history.entries()[0]
     assert entry.tables == ("T",)
     assert "c2 > 3" in entry.predicate_keys
+
+
+def test_frozen_history_digest_recorded(client):
+    job = client.query_job("SELECT COUNT(*) AS n FROM T WHERE c1 > 50")
+    assert client.history.entries()[-1].plan_digest == plan_fingerprint(job.plan)
 
 
 def test_access_verification_client_side(fresh_cluster):

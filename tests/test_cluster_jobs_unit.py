@@ -77,14 +77,10 @@ def test_projection_vs_aggregate_different_signatures(catalog):
     assert task_signature(p1, p1.tasks[0]) != task_signature(p2, p2.tasks[0])
 
 
-def test_row_slice_columns_and_path_distinguish_tasks(catalog):
+def test_columns_and_path_distinguish_tasks(catalog):
     plan = _plan(catalog, "SELECT COUNT(*) FROM T WHERE a > 3")
     task, other_block = plan.tasks[0], plan.tasks[1]
     whole = task_signature(plan, task)
-    assert task_signature(plan, dataclasses.replace(task, row_slice=(0, 100))) != whole
-    assert task_signature(plan, dataclasses.replace(task, row_slice=(0, 100))) != task_signature(
-        plan, dataclasses.replace(task, row_slice=(100, 200))
-    )
     assert task_signature(plan, dataclasses.replace(task, columns=("a", "b"))) != whole
     assert task_signature(plan, other_block) != whole
     rewritten = dataclasses.replace(task.block, incarnation=task.block.incarnation + 1)
@@ -118,15 +114,11 @@ def _reference_signature(plan, task):
             tuple(ref.incarnation for ref in analyzed.tables[bc.binding].blocks)
             for bc in plan.broadcasts
         ),
-        task.row_slice,
     )
 
 
 def test_signature_equals_the_reference_formula_over_the_corpus(small_cluster):
-    """Element for element, over the differential corpus and over the
-    slices the adaptive re-optimizer cuts tasks into."""
-    from repro.planner.adaptive import AdaptiveConfig, ReoptController, ReoptDecision
-    from tests.test_adaptive_differential import ADAPTIVE_DIFFERENTIAL_QUERIES
+    """Element for element, over the differential corpus."""
     from tests.test_integration_differential import (
         DIFFERENTIAL_QUERIES,
         TASK_DIFFERENTIAL_QUERIES,
@@ -138,23 +130,13 @@ def test_signature_equals_the_reference_formula_over_the_corpus(small_cluster):
     corpus = (
         DIFFERENTIAL_QUERIES
         + TASK_DIFFERENTIAL_QUERIES
-        + ADAPTIVE_DIFFERENTIAL_QUERIES
-        + [_random_query(rng) for _ in range(40)]
-        + [_random_join_query(rng) for _ in range(12)]
+        + [_random_query(rng) for _ in range(100)]
+        + [_random_join_query(rng) for _ in range(30)]
     )
-    split = ReoptDecision(0.0, 0.1, 0.5, 5.0, actions=("skew-split",), split_factor=3)
     checked = 0
     for sql in corpus:
         plan = _plan(small_cluster.catalog, sql)
-        controller = ReoptController(
-            AdaptiveConfig(pilot_min_rows=64, min_split_rows=128), plan
-        )
-        tasks = (
-            list(plan.tasks)
-            + controller.pilot_wave(plan.tasks)
-            + controller.remainder_wave(plan.tasks, split)
-        )
-        for task in tasks:
+        for task in plan.tasks:
             got, want = task_signature(plan, task), _reference_signature(plan, task)
             assert got == want, sql
             assert [type(x) for x in got] == [type(x) for x in want], sql

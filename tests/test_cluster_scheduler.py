@@ -177,7 +177,7 @@ def _reference_estimate(self, leaf, task, cnf, local, system, inner):
     return est
 
 
-def _reference_place(self, task, cnf, exclude=(), prefer=()):
+def _reference_place(self, task, cnf, exclude=()):
     alive = [
         leaf
         for leaf in self._leaves.values()
@@ -190,10 +190,6 @@ def _reference_place(self, task, cnf, exclude=(), prefer=()):
         non_draining = [leaf for leaf in alive if not is_draining(leaf.worker_id)]
         if non_draining:
             alive = non_draining
-    if prefer:
-        preferred = [leaf for leaf in alive if leaf.worker_id in prefer]
-        if preferred:
-            alive = preferred
     if not alive:
         raise SchedulingError(f"no live leaf available for task {task.task_id}")
     system, inner = self.router.resolve(task.block.path)
@@ -253,7 +249,6 @@ _subset = st.sets(st.integers(0, _N_LEAVES - 1), max_size=2)
     manager_dead=_subset,
     draining=_subset,
     exclude=st.sets(st.integers(0, _N_LEAVES - 1), max_size=4),
-    prefer=st.sampled_from([set(), set(), {1}, {2, 5}, {0, 3, 6}]),
     reregistered=st.lists(st.integers(0, _N_LEAVES - 1), max_size=4),
     running=st.lists(st.integers(0, 2), min_size=_N_LEAVES, max_size=_N_LEAVES),
     locality_aware=st.sampled_from([True, True, True, False]),
@@ -261,7 +256,7 @@ _subset = st.sets(st.integers(0, _N_LEAVES - 1), max_size=2)
     rr=st.integers(0, 20),
 )
 def test_holder_first_place_equals_registry_scan(
-    env, replicas, crashed, manager_dead, draining, exclude, prefer, reregistered,
+    env, replicas, crashed, manager_dead, draining, exclude, reregistered,
     running, locality_aware, drainless_manager, rr,
 ):
     cluster, plan = env
@@ -284,10 +279,7 @@ def test_holder_first_place_equals_registry_scan(
         sched.locality_aware = locality_aware
         if drainless_manager:
             sched.cluster_manager = _NoDrainManager(manager)
-        kwargs = dict(
-            exclude=[leaves[i].worker_id for i in sorted(exclude)],
-            prefer=[leaves[i].worker_id for i in sorted(prefer)],
-        )
+        kwargs = dict(exclude=[leaves[i].worker_id for i in sorted(exclude)])
 
         def run(place):
             sched._rr, sched.placements_local, sched.placements_remote = rr, 0, 0  # noqa: SLF001

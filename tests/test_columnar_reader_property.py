@@ -129,7 +129,6 @@ def test_reader_equals_decode(case, data):
     for atom in atoms:
         expected = np.asarray(atom.evaluate(decoded), dtype=np.bool_)
         assert _same(reader.map_bool(atom.evaluate), expected), atom
-        assert _same(reader.map_bool(atom.evaluate, rows), expected[rows]), atom
         # A fresh reader too: nothing above may depend on a cached decode.
         assert _same(chunk.reader().map_bool(atom.evaluate), expected), atom
 
@@ -202,10 +201,10 @@ def _assert_fresh(got, expected, wire, shared):
 
 
 def _row_sets(n, n_uniques, rng):
-    """``rows=None`` plus id arrays shorter and longer than the uniques."""
+    """Id arrays shorter and longer than the uniques."""
     short = np.sort(rng.choice(n, size=max(0, min(n, n_uniques - 1) // 2), replace=False))
     long = rng.integers(0, n, size=n_uniques + 5) if n else np.empty(0, dtype=np.intp)
-    return [None, short.astype(np.intp), long, np.arange(n)[::3]]
+    return [short.astype(np.intp), long, np.arange(n)[::3]]
 
 
 #: Which of 16 sorted uniques hold: each verdict shape the reader tells apart.
@@ -238,11 +237,9 @@ def test_dictionary_verdict_shapes(kind, shape):
         return np.isin(values, chosen)
 
     shared = reader.values()
+    _assert_fresh(reader.map_bool(fn), fn(decoded), wire, shared)
     for rows in _row_sets(len(array), 16, rng):
-        reference = decoded if rows is None else decoded[rows]
-        _assert_fresh(reader.map_bool(fn, rows), fn(reference), wire, shared)
-        if rows is not None:
-            _assert_fresh(reader.take(rows), reference, wire, shared)
+        _assert_fresh(reader.take(rows), decoded[rows], wire, shared)
 
 
 @st.composite
@@ -277,13 +274,11 @@ def test_near_unique_chunks_from_bytes(case):
     reader, decoded, wire = _loaded_reader(dtype, array, codec)
     assert _same(decoded, array)
     shared = reader.values()
+    for atom in atoms:
+        expected = np.asarray(atom.evaluate(decoded), dtype=np.bool_)
+        _assert_fresh(reader.map_bool(atom.evaluate), expected, wire, shared)
     for rows in _row_sets(len(array), len(np.unique(array)), rng):
-        reference = decoded if rows is None else decoded[rows]
-        if rows is not None:
-            _assert_fresh(reader.take(rows), reference, wire, shared)
-        for atom in atoms:
-            expected = np.asarray(atom.evaluate(reference), dtype=np.bool_)
-            _assert_fresh(reader.map_bool(atom.evaluate, rows), expected, wire, shared)
+        _assert_fresh(reader.take(rows), decoded[rows], wire, shared)
 
 
 # -- which reader a dictionary chunk gets -------------------------------------------

@@ -1,5 +1,7 @@
 """Aggregate states and grouped partial aggregation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,3 +175,94 @@ def test_property_split_merge_equals_global(pairs):
                 assert fa == pytest.approx(fb, rel=1e-9, abs=1e-9)
             else:
                 assert fa == fb
+
+
+# -- split-then-merge == unsplit -------------------------------------------------
+#
+# The stem merges each task's partial aggregate into the job's: splitting
+# rows into arbitrary partitions (empty ones too) and merging their
+# partials must equal aggregating them unsplit, NaN group keys included.
+
+_FUNCS = ["COUNT", "SUM", "MIN", "MAX"]
+
+
+def _partial_over(keys: np.ndarray, values: np.ndarray) -> GroupedPartial:
+    arrays = [None if f == "COUNT" else values for f in _FUNCS]
+    return partial_aggregate([keys], _FUNCS, arrays, len(keys))
+
+
+def _assert_partials_equal(whole: GroupedPartial, merged: GroupedPartial) -> None:
+    assert set(whole.groups) == set(merged.groups)
+    for key, states in whole.groups.items():
+        for state_a, state_b in zip(states, merged.groups[key]):
+            a, b = state_a.final(), state_b.final()
+            if isinstance(a, float) and isinstance(b, float):
+                assert (math.isnan(a) and math.isnan(b)) or math.isclose(
+                    a, b, rel_tol=1e-9, abs_tol=1e-9
+                ), key
+            else:
+                assert a == b, key
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    keys=st.lists(
+        st.sampled_from([0.0, 1.0, 2.0, float("nan")]), min_size=0, max_size=48
+    ),
+    cuts=st.lists(st.integers(0, 48), max_size=5),
+    data=st.data(),
+)
+def test_split_then_merge_equals_unsplit(keys, cuts, data):
+    n = len(keys)
+    values = data.draw(
+        st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    key_arr = np.array(keys, dtype=np.float64)
+    val_arr = np.array(values, dtype=np.float64)
+    whole = _partial_over(key_arr, val_arr)
+    # Arbitrary sub-partitions, duplicates allowed -> empty slices too.
+    edges = [0] + sorted(min(c, n) for c in cuts) + [n]
+    merged = GroupedPartial(num_keys=1, agg_funcs=list(_FUNCS))
+    for lo, hi in zip(edges, edges[1:]):
+        merged.merge(_partial_over(key_arr[lo:hi], val_arr[lo:hi]))
+    _assert_partials_equal(whole, merged)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    keys=st.lists(st.integers(-2, 2), min_size=1, max_size=32),
+    cut=st.integers(0, 32),
+)
+def test_split_then_merge_integer_sums_exact(keys, cut):
+    """Integer SUM/COUNT must be bit-exact under any split."""
+    n = len(keys)
+    key_arr = np.array(keys, dtype=np.int64)
+    val_arr = np.arange(n, dtype=np.int64) * 7 - 3
+    whole = partial_aggregate([key_arr], ["COUNT", "SUM"], [None, val_arr], n)
+    lo = min(cut, n)
+    merged = partial_aggregate([key_arr[:lo]], ["COUNT", "SUM"], [None, val_arr[:lo]], lo)
+    merged.merge(
+        partial_aggregate([key_arr[lo:]], ["COUNT", "SUM"], [None, val_arr[lo:]], n - lo)
+    )
+    assert {k: [s.final() for s in v] for k, v in whole.groups.items()} == {
+        k: [s.final() for s in v] for k, v in merged.groups.items()
+    }
+
+
+def test_nan_group_keys_merge_across_partials():
+    """Pinned regression: distinct NaN float objects from different tasks
+    must land in ONE group when partials merge (``nan != nan`` would
+    otherwise duplicate the group per producing task)."""
+    a = _partial_over(np.array([float("nan"), 1.0]), np.array([2.0, 3.0]))
+    b = _partial_over(np.array([float("nan")]), np.array([5.0]))
+    a.merge(b)
+    nan_keys = [k for k in a.groups if k[0] != k[0]]
+    assert len(nan_keys) == 1
+    count, total, lo, hi = (s.final() for s in a.groups[nan_keys[0]])
+    assert count == 2
+    assert total == pytest.approx(7.0)
+    assert (lo, hi) == (2.0, 5.0)

@@ -9,6 +9,9 @@ Every statement runs as text on both through the oracle of
 as the engine's default only where the statement names one of its
 ``DIVERGENCES``.
 
+The e2e ``join_groupby`` statements run the same way over the skewed
+fact / dimension pair they are written for.
+
 The write path is checked the same way: nested log batches enter the
 cluster through ``LogIngestor`` and through the conversion daemons, and
 sqlite through a flattener written here, one row per record.
@@ -21,9 +24,10 @@ import numpy as np
 import pytest
 
 from repro import DataType, FeisuCluster, FeisuConfig, Schema
+from repro.cluster.node import LeafConfig
 from repro.errors import PlanError
-from repro.planner.adaptive import AdaptiveConfig
 from repro.workload.conversion import start_conversion_daemons, write_raw_records
+from repro.workload.generator import skewed_join_dataset, skewed_join_queries
 from repro.workload.loggen import LogIngestor, generate_log_records
 from tests import _oracle
 from tests._oracle import DIVERGENCES, oracle_for
@@ -90,10 +94,8 @@ def _dtype(values):
     return DataType.STRING if isinstance(values[0], str) else DataType.INT64
 
 
-def _engines(fact_block_rows: int, adaptive=None):
-    cluster = FeisuCluster(
-        FeisuConfig(datacenters=1, racks_per_datacenter=1, nodes_per_rack=4, adaptive=adaptive)
-    )
+def _engines(fact_block_rows: int):
+    cluster = FeisuCluster(FeisuConfig(datacenters=1, racks_per_datacenter=1, nodes_per_rack=4))
     for name, (columns, storage, block_rows) in TABLES.items():
         cluster.load_table(
             name,
@@ -186,16 +188,44 @@ def test_right_join_over_several_blocks_is_refused(engines):
         cluster.query(RIGHT_SQL)
 
 
-@pytest.mark.parametrize(
-    "adaptive",
-    [None, AdaptiveConfig(pilot_min_rows=1, min_split_rows=1)],
-    ids=["frozen", "adaptive"],
-)
-def test_right_join_over_one_block_matches_sqlite(adaptive):
-    cluster, oracle = _engines(len(FACT["id"]), adaptive)
+def test_right_join_over_one_block_matches_sqlite():
+    cluster, oracle = _engines(len(FACT["id"]))
     assert len(cluster.catalog.get("T").blocks) == 1
     with oracle:
         _assert_matches((cluster, oracle), RIGHT_SQL, "outer padding")
+
+
+# -- the join_groupby statements --------------------------------------------------
+
+
+def test_join_groupby_statements_match_sqlite():
+    """The e2e ``join_groupby`` workload's 40 statements over a hot join
+    key and a CONTAINS filter the planner underestimates ~6x."""
+    cluster = FeisuCluster(
+        FeisuConfig(
+            datacenters=1,
+            racks_per_datacenter=2,
+            nodes_per_rack=8,
+            leaf=LeafConfig(enable_smartindex=False),
+        )
+    )
+    fact, dim = skewed_join_dataset(20000, seed=9)
+    cluster.load_table(
+        "T",
+        Schema.of(k=DataType.INT64, v=DataType.FLOAT64, w=DataType.INT64, note=DataType.STRING),
+        fact,
+        storage="storage-a",
+        block_rows=5000,
+        scale_factor=500,
+    )
+    cluster.load_table(
+        "D", Schema.of(k=DataType.INT64, label=DataType.STRING), dim,
+        storage="storage-b", block_rows=100,
+    )
+    with oracle_for({"T": fact, "D": dim}) as oracle:
+        for sql in skewed_join_queries(40, seed=9):
+            divergence = oracle(sql, cluster.query(sql))
+            assert divergence is None, (sql, divergence)
 
 
 # -- the write path ---------------------------------------------------------------

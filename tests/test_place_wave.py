@@ -3,13 +3,13 @@
 The master places a wave's tasks in one call, at the first step of the
 first of its supervisors.  The property below draws a cluster state —
 dead, dead-marked, draining, unregistered and re-registered leaves, an
-exclusion list, a ``prefer`` set, the round-robin ablation, blocks on a
-storage system with a first-byte latency, blocks whose replicas no
-eligible leaf holds and blocks with no replica at all — and checks that the wave's placements, estimates
-(compared with ``==``), round-robin cursor and local / remote counters
-are those of one-by-one placement as ``place`` did it before waves,
-``_reference_place``, and that each leaf's state and load are read at
-most once per call.
+exclusion list, the round-robin ablation, blocks on a storage system
+with a first-byte latency, blocks whose replicas no eligible leaf holds
+and blocks with no replica at all — and checks that the wave's
+placements, estimates (compared with ``==``), round-robin cursor and
+local / remote counters are those of one-by-one placement as ``place``
+did it before waves, ``_reference_place``, and that each leaf's state
+and load are read at most once per call.
 """
 
 import collections
@@ -73,7 +73,6 @@ _replica_override = st.none() | st.lists(
     unregistered=st.sets(st.integers(0, _N_LEAVES - 1), max_size=2),
     reregistered=st.lists(st.integers(0, _N_LEAVES - 1), max_size=3),
     exclude=_leaf_set,
-    prefer=st.sampled_from([set(), set(), set(), {1}, {2, 5}, {0, 3, 6}]),
     running=st.lists(st.integers(0, 2), min_size=_N_LEAVES, max_size=_N_LEAVES),
     queued=st.lists(st.integers(0, 1), min_size=_N_LEAVES, max_size=_N_LEAVES),
     locality_aware=st.sampled_from([True, True, True, False]),
@@ -85,7 +84,7 @@ _replica_override = st.none() | st.lists(
 )
 def test_place_wave_equals_one_place_per_task(
     wave, replicas, crashed, manager_dead, draining, unregistered, reregistered,
-    exclude, prefer, running, queued, locality_aware, drainless_manager, rr,
+    exclude, running, queued, locality_aware, drainless_manager, rr,
     storage, bandwidth_factor, rates,
 ):
     cluster, plans = _env()
@@ -129,10 +128,7 @@ def test_place_wave_equals_one_place_per_task(
         sched.locality_aware = locality_aware
         if drainless_manager:
             sched.cluster_manager = _NoDrainManager(manager)
-        kwargs = dict(
-            exclude=[leaves[i].worker_id for i in sorted(exclude)],
-            prefer=[leaves[i].worker_id for i in sorted(prefer)],
-        )
+        kwargs = dict(exclude=[leaves[i].worker_id for i in sorted(exclude)])
 
         def outcome(placement):
             if placement is None:

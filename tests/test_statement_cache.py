@@ -54,7 +54,7 @@ def _fingerprint_as_recorded(plan) -> str:
     for bc in plan.broadcasts:
         h.update(f"|{bc.binding}:{bc.table_name}:{bc.kind.value}".encode())
     for t in plan.tasks:
-        h.update(f"|{t.block.block_id}:{t.row_slice}:{','.join(t.columns)}".encode())
+        h.update(f"|{t.block.block_id}:{','.join(t.columns)}".encode())
     return h.hexdigest()
 
 

@@ -91,7 +91,7 @@ def test_smartindex_hammer(seed):
             # ``probe`` takes no lock of its own: it reads the cache only
             # through the locked ``cover``.
             clause = Clause((atom,))
-            mask, missing, _ = mgr.probe(key, [clause], (None, None), now)
+            mask, missing, _ = mgr.probe(key, [clause], None, now)
             assert (mask is None and missing == [clause]) or (len(mask) == 512 and missing == [])
         elif choice == 2:
             incarnations[block] += 1  # rewritten: inserts go under the new key

@@ -2,9 +2,8 @@
 
 A fixed script runs traced jobs through the phases and clamps the span
 tree records — index probes cold and warm, a broadcast join, a spilled
-result, an adaptive re-plan, a crashed leaf
-next to a backup, a timeout, a cancel and dropped messages — and
-compares ``json.dumps(job.trace.export(),
+result, a crashed leaf next to a backup, a timeout, a cancel and dropped
+messages — and compares ``json.dumps(job.trace.export(),
 sort_keys=True)`` of each with ``tests/golden/trace_export.json``.  Plan
 and job ids come from process-wide counters, so they are normalised.
 A change to who writes the tree, or how, must leave the file untouched;
@@ -21,12 +20,10 @@ import sys
 
 import numpy as np
 
-from repro import DataType, FeisuCluster, FeisuConfig, LeafConfig, Schema
+from repro import DataType, FeisuCluster, FeisuConfig, Schema
 from repro.cluster.jobs import JobOptions
 from repro.faults.plan import FaultPlan, MessageDrop
-from repro.planner.adaptive import AdaptiveConfig
 from repro.sim.netmodel import NodeAddress, TrafficClass
-from repro.workload.generator import skewed_join_dataset, skewed_join_queries
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "trace_export.json")
 
@@ -120,25 +117,6 @@ def run_script() -> dict:
     )
     run(plain, "faulty_scan", "SELECT COUNT(*) FROM T WHERE c1 < 35")
     run(plain, "faulty_join", JOIN_SQL.replace("c1 < 60", "c1 < 45"))
-
-    # An adaptive re-plan records its decision.
-    adaptive = FeisuCluster(
-        FeisuConfig(
-            datacenters=1, racks_per_datacenter=2, nodes_per_rack=4,
-            leaf=LeafConfig(enable_smartindex=False), adaptive=AdaptiveConfig(),
-        )
-    )
-    fact, dim = skewed_join_dataset(12000, seed=9)
-    adaptive.load_table(
-        "T",
-        Schema.of(k=DataType.INT64, v=DataType.FLOAT64, w=DataType.INT64, note=DataType.STRING),
-        fact, storage="storage-a", block_rows=3000, scale_factor=500,
-    )
-    adaptive.load_table(
-        "D", Schema.of(k=DataType.INT64, label=DataType.STRING), dim,
-        storage="storage-b", block_rows=100,
-    )
-    run(adaptive, "adaptive_replan", skewed_join_queries(1, seed=3)[0])
     return out
 
 
@@ -173,7 +151,6 @@ def test_golden_script_exercises_what_it_claims():
     assert any(t.get("full_cover") for t in tags("index_warm", "index_probe"))
     assert {"fetch_broadcasts", "read_table.D", "broadcast_ship"} <= set(names("broadcast_join"))
     assert any(t.get("spilled") for t in tags("spilled_result", "result_return"))
-    assert "reopt.decision" in names("adaptive_replan")
     assert trees["timeout"]["tags"]["status"] == "timed_out"
     assert trees["crash_and_backup"]["tags"]["status"] == "succeeded"
     attempts = [s for s in spans(trees["crash_and_backup"]) if s["name"].startswith("task.attempt")]

@@ -69,7 +69,6 @@ TEST_ARGS = [
     "tests/test_engine_executor.py",
     "tests/test_engine_operators.py",
     "tests/test_engine_serialize.py",
-    "tests/test_adaptive_differential.py",
     "tests/test_gateway.py",
     "tests/test_gateway_differential.py",
     "tests/test_integration_differential.py",
