@@ -22,7 +22,7 @@ from benchmarks._harness import best_ref_s, kernel_regressions
 from repro.columnar.block import ColumnChunk
 from repro.columnar.encoding import DictionaryEncoding
 from repro.columnar.schema import DataType
-from repro.engine.aggregates import make_state, partial_aggregate
+from repro.engine.aggregates import partial_aggregate
 from repro.engine.operators import hash_join, sort_frame
 from repro.index.bitmap import BitVector, rle_compress, rle_decompress
 from repro.index.smartindex import SmartIndexManager
@@ -104,6 +104,16 @@ def _group_rows(key_columns: List[np.ndarray]) -> np.ndarray:
     return ids.astype(np.int64)
 
 
+#: The seed's per-group reduction of one aggregate (a group has a row).
+_REDUCERS = {
+    "COUNT": len,
+    "SUM": lambda values: values.sum(),
+    "MIN": lambda values: values.min(),
+    "MAX": lambda values: values.max(),
+    "AVG": lambda values: float(values.sum()) / len(values),
+}
+
+
 def _scalar_partial_aggregate(
     key_arrays: List[np.ndarray], funcs: List[str], arrays: List[np.ndarray], n: int
 ) -> Dict[Tuple, list]:
@@ -119,12 +129,7 @@ def _scalar_partial_aggregate(
         rows = order[slices[gi] : slices[gi + 1]]
         rep = rows[0]
         key = tuple(_to_python(col[rep]) for col in key_arrays)
-        states = groups.get(key)
-        if states is None:
-            states = [make_state(f) for f in funcs]
-            groups[key] = states
-        for state, arr in zip(states, arrays):
-            state.update(arr[rows])
+        groups[key] = [_REDUCERS[f](arr[rows]) for f, arr in zip(funcs, arrays)]
     return groups
 
 

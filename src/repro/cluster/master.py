@@ -92,61 +92,6 @@ class CandidateQueue:
         return len(self._queue)
 
 
-def _straggler_watchdog(
-    sim: Simulator,
-    deadline_for,
-    done: Event,
-    attempts: List[Event],
-    estimates: List[float],
-    launch_times: List[float],
-    launch,
-    armed: Optional[List[Event]] = None,
-) -> Generator[Event, None, None]:
-    """Back up the *newest in-flight* attempt once it is overdue.
-
-    Watches one attempt at a time.  When its deadline passes:
-
-    * a newer attempt exists (retry after failure, launched by the
-      supervisor's completion callback) → rebase the deadline on it
-      instead of speculating against a clock that no longer matters;
-    * the watched attempt already failed at this very instant → yield
-      once at zero delay so the failure callback can schedule its retry,
-      then rebase (or stop if the task resolved / no retry appeared);
-    * otherwise the attempt is a genuine straggler → launch one backup.
-
-    The shared ``attempts``/``estimates``/``launch_times`` lists are the
-    supervisor's own records; ``launch`` places one more attempt.  The
-    deadline timer being slept on is kept in ``armed`` (when given), so
-    whoever resolves ``done`` can :meth:`~Event.abandon` it instead of
-    leaving this generator suspended until a deadline nobody needs.
-    """
-    watched = 0
-    while not done.triggered:
-        target = launch_times[watched] + deadline_for(estimates[watched])
-        if target > sim.now:
-            timer = Event(sim, "timeout", target - sim.now)
-            if armed is not None:
-                armed[:] = [timer]
-            yield timer
-        if done.triggered:
-            return
-        newest = len(attempts) - 1
-        if newest != watched:
-            watched = newest
-            continue
-        if attempts[watched].triggered:
-            # Failed attempt; its retry (if any) is scheduled behind us
-            # in this timestamp's callback queue.  One zero-delay yield
-            # lets it appear — looping without it would spin forever.
-            yield sim.timeout(0.0)
-            if done.triggered or len(attempts) - 1 == watched:
-                return
-            watched = len(attempts) - 1
-            continue
-        launch()
-        return
-
-
 # Per-task and per-wave state lives in the two small objects below, not in
 # closures over the supervising generator's frame.  Closures that call each
 # other (a retry relaunching, a fallback re-registering itself) reach each
@@ -285,7 +230,7 @@ class _TaskAttempts:
         self.estimates: List[float] = []
         self.launch_times: List[float] = []
         self.failures = 0
-        #: The watchdog's pending deadline timer, if it is asleep on one.
+        #: The supervisor's pending backup deadline timer, if it sleeps on one.
         self.armed: List[Event] = []
 
     def report(self, value: Optional[TaskResult], exc: Optional[Exception]) -> None:
@@ -303,7 +248,7 @@ class _TaskAttempts:
                 if self.launch() or self.failures < len(self.attempts):
                     return
             done.fail(exc)
-        # The task is resolved: the watchdog's timer dies with it.  Its
+        # The task is resolved: the backup deadline timer dies with it.  Its
         # slot keeps its time on the queue but no longer wakes (or keeps
         # alive) this supervisor, its attempts and the job behind them.
         for timer in self.armed:
@@ -825,22 +770,57 @@ class Master:
     # -- per-task supervision (dispatch, stem routing, backups) ---------------------
 
     def _task_supervisor(self, state: _TaskAttempts, first=None) -> Generator[Event, None, None]:
+        """Launch ``state``'s task, then back up the *newest in-flight*
+        attempt once it is overdue past its cost-model estimate (§III-C
+        backup tasks), then wait for the task to resolve.
+
+        The watch is on one attempt at a time.  When its deadline passes:
+
+        * a newer attempt exists (a retry after a failure, launched by the
+          failure's report) → rebase the deadline on it: firing on attempt
+          0's clock after attempt 0 already failed would double up on a
+          retry that just started;
+        * the watched attempt already failed at this very instant → yield
+          once at zero delay so the failure's report can launch its retry,
+          then rebase (or stop if the task resolved / no retry appeared);
+        * otherwise the attempt is a genuine straggler → launch one backup.
+
+        The deadline timer being slept on is kept in ``state.armed``, so
+        whoever resolves ``done`` can :meth:`~Event.abandon` it instead of
+        leaving this generator suspended until a deadline nobody needs.
+        """
         done = state.done
         if not state.launch(first):
             done.fail(SchedulingError(f"no leaf available for {state.task.task_id}"))
             return
-
-        # Straggler watchdog: launch a backup if the newest in-flight
-        # attempt is overdue past its cost-model estimate (§III-C backup
-        # tasks).  The deadline rebases whenever a retry replaces a
-        # failed attempt — firing on attempt 0's clock after attempt 0
-        # already failed would double up on a retry that just started.
         if state.job.options.enable_backup:
-            yield from _straggler_watchdog(
-                self.sim, self.scheduler.backup_deadline, done,
-                state.attempts, state.estimates, state.launch_times,
-                state.launch, state.armed,
-            )
+            sim, deadline_for = self.sim, self.scheduler.backup_deadline
+            attempts, estimates, launch_times = state.attempts, state.estimates, state.launch_times
+            watched = 0
+            while not done.triggered:
+                target = launch_times[watched] + deadline_for(estimates[watched])
+                if target > sim.now:
+                    timer = Event(sim, "timeout", target - sim.now)
+                    state.armed[:] = [timer]
+                    yield timer
+                    if done.triggered:
+                        break
+                newest = len(attempts) - 1
+                if newest != watched:
+                    watched = newest
+                    continue
+                if attempts[watched].triggered:
+                    # Failed attempt; its retry (if any) is scheduled behind
+                    # us in this timestamp's callback queue.  One zero-delay
+                    # yield lets it appear — looping without it would spin
+                    # forever.
+                    yield sim.timeout(0.0)
+                    if done.triggered or len(attempts) - 1 == watched:
+                        break
+                    watched = len(attempts) - 1
+                    continue
+                state.launch()
+                break
         if not done.triggered:
             yield done
 
@@ -931,7 +911,7 @@ class Master:
                 for stem in self._aggregation_path(leaf.address):
                     if hop_from != stem.address:
                         yield self.net.transfer(hop_from, stem.address, payload, TrafficClass.READ)
-                    result = yield from stem.merge(result)
+                    result = yield stem.merge(result)
                     hop_from = stem.address
                     stems_crossed += 1
                 if hop_from != self.address:

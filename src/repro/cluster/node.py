@@ -454,16 +454,16 @@ class StemServer:
                 continue  # died mid-flight; see LeafServer._heartbeat_loop
             cluster_manager.heartbeat(self.worker_id, WorkerLoad())
 
-    def merge(self, result: TaskResult) -> Generator[Event, None, TaskResult]:
-        """Charge merge CPU for one incoming task result."""
+    def merge(self, result: TaskResult) -> Event:
+        """Charge merge CPU for one incoming task result: the CPU event,
+        whose value is ``result``."""
         if not self.alive:
             raise ClusterStateError(f"{self.worker_id} is down")
         if result.partial is not None:
-            ops = 8.0 * max(1, len(result.partial.groups))
+            ops = 8.0 * (result.partial.num_groups or 1)
         elif result.frame is not None:
-            ops = 2.0 * max(1, result.frame.num_rows)
+            ops = 2.0 * (result.frame.num_rows or 1)
         else:
             ops = 1.0
-        yield self.cpu.compute(ops)
         self.results_merged += 1
-        return result
+        return self.cpu.compute(ops, result)

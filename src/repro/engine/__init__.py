@@ -1,11 +1,6 @@
 """Vectorized execution engine: operators, aggregates, task executor."""
 
-from repro.engine.aggregates import (
-    AggregateState,
-    GroupedPartial,
-    make_state,
-    partial_aggregate,
-)
+from repro.engine.aggregates import GroupedPartial, partial_aggregate
 from repro.engine.executor import (
     QueryResult,
     TaskExecutionReport,
@@ -25,7 +20,6 @@ from repro.engine.operators import (
 )
 
 __all__ = [
-    "AggregateState",
     "GroupedPartial",
     "QueryResult",
     "TaskExecutionReport",
@@ -37,7 +31,6 @@ __all__ = [
     "hash_join",
     "join",
     "limit_frame",
-    "make_state",
     "partial_aggregate",
     "prefix_columns",
     "serialize_result",

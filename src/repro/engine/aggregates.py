@@ -1,177 +1,24 @@
-"""Mergeable aggregate states.
+"""Mergeable partial aggregates, held as columns.
 
 Feisu aggregates bottom-up through its server tree: leaves produce
 partial states per group, stem servers merge them, and the master
-finalizes (§III-B).  Every state here therefore supports the classic
-``update / merge / final`` contract, and grouped partials know their own
-approximate wire size so the network model can charge realistic transfer
-costs.
+finalizes (§III-B).  A partial here is columnar — its group keys, each
+group's row count and one state column per aggregate — so a leaf builds
+it with one scatter per aggregate, a merge regroups any number of
+partials with one scatter per state column (Hespe et al., PAPERS.md,
+merge per node with vector reductions), and a partial knows its own
+approximate wire size so the network model can charge realistic
+transfer costs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ExecutionError
-
-
-class AggregateState:
-    """One aggregate's running state for one group."""
-
-    func = "?"
-
-    def update(self, values: Optional[np.ndarray]) -> None:
-        raise NotImplementedError
-
-    def merge(self, other: "AggregateState") -> None:
-        raise NotImplementedError
-
-    def final(self):
-        raise NotImplementedError
-
-
-class CountState(AggregateState):
-    func = "COUNT"
-
-    __slots__ = ("n",)
-
-    def __init__(self) -> None:
-        self.n = 0
-
-    def update(self, values: Optional[np.ndarray]) -> None:
-        if values is None:
-            raise ExecutionError("COUNT update needs a row count or values")
-        self.n += len(values)
-
-    def update_count(self, n: int) -> None:
-        self.n += n
-
-    def merge(self, other: AggregateState) -> None:
-        self.n += other.n  # type: ignore[attr-defined]
-
-    def final(self) -> int:
-        return self.n
-
-
-class SumState(AggregateState):
-    func = "SUM"
-
-    __slots__ = ("total", "seen")
-
-    def __init__(self) -> None:
-        self.total = 0
-        self.seen = False
-
-    def update(self, values: Optional[np.ndarray]) -> None:
-        if values is None or len(values) == 0:
-            return
-        self.total = self.total + values.sum()
-        self.seen = True
-
-    def merge(self, other: AggregateState) -> None:
-        if other.seen:  # type: ignore[attr-defined]
-            self.total = self.total + other.total  # type: ignore[attr-defined]
-            self.seen = True
-
-    def final(self):
-        if not self.seen:
-            return None  # SQL SUM over zero rows is NULL
-        if isinstance(self.total, (np.integer, int)):
-            return int(self.total)
-        return float(self.total)
-
-
-class MinState(AggregateState):
-    func = "MIN"
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = None
-
-    def update(self, values: Optional[np.ndarray]) -> None:
-        if values is None or len(values) == 0:
-            return
-        lo = values.min()
-        if self.value is None or lo < self.value:
-            self.value = lo
-
-    def merge(self, other: AggregateState) -> None:
-        value = other.value  # type: ignore[attr-defined]
-        # A NaN wins, as in np.minimum: the result is NaN whichever
-        # partial holds it and whichever arrives first.
-        if value is not None and (self.value is None or value < self.value or value != value):
-            self.value = value
-
-    def final(self):
-        return _to_python(self.value)
-
-
-class MaxState(AggregateState):
-    func = "MAX"
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = None
-
-    def update(self, values: Optional[np.ndarray]) -> None:
-        if values is None or len(values) == 0:
-            return
-        hi = values.max()
-        if self.value is None or hi > self.value:
-            self.value = hi
-
-    def merge(self, other: AggregateState) -> None:
-        value = other.value  # type: ignore[attr-defined]
-        if value is not None and (self.value is None or value > self.value or value != value):
-            self.value = value
-
-    def final(self):
-        return _to_python(self.value)
-
-
-class AvgState(AggregateState):
-    func = "AVG"
-
-    __slots__ = ("total", "n")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.n = 0
-
-    def update(self, values: Optional[np.ndarray]) -> None:
-        if values is None or len(values) == 0:
-            return
-        self.total += float(values.sum())
-        self.n += len(values)
-
-    def merge(self, other: AggregateState) -> None:
-        self.total += other.total  # type: ignore[attr-defined]
-        self.n += other.n  # type: ignore[attr-defined]
-
-    def final(self) -> Optional[float]:
-        return self.total / self.n if self.n else None
-
-
-_STATE_FACTORY = {
-    "COUNT": CountState,
-    "SUM": SumState,
-    "MIN": MinState,
-    "MAX": MaxState,
-    "AVG": AvgState,
-}
-
-
-def make_state(func: str) -> AggregateState:
-    try:
-        return _STATE_FACTORY[func]()
-    except KeyError:
-        raise ExecutionError(f"unknown aggregate function {func!r}") from None
 
 
 def _to_python(value):
@@ -186,52 +33,158 @@ def _to_python(value):
     return value
 
 
-@dataclass
+#: The shared counts column of a partial that has no group.
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+_NO_ROWS.flags.writeable = False
+
+
 class GroupedPartial:
     """Partial aggregation result travelling leaf → stem → master.
 
-    ``groups`` maps the tuple of group-key values to one state per
-    aggregate, in the plan's aggregate order.
+    Group ``g`` has the key values ``keys[k][g]``, ``counts[g]`` rows
+    (int64, at least one) and, for aggregate ``j``, the state
+    ``states[j][g]``:
+
+    * COUNT: the row count (the ``counts`` column itself);
+    * SUM: the sum, int64 for an integer or bool argument, else float64;
+    * AVG: the sum as float64, read with the count;
+    * MIN / MAX: the value, typed as the argument (object for strings).
+
+    A partial with no group holds no column.  A global aggregate (no
+    keys) over zero rows is such a partial; :meth:`finals` and
+    ``finalize`` give it its one row, COUNT 0 and every other aggregate
+    NULL.
     """
 
-    num_keys: int
-    agg_funcs: List[str]
-    groups: Dict[Tuple, List[AggregateState]] = field(default_factory=dict)
-    #: Rows the producing task actually scanned (partial-result accounting).
-    rows_scanned: int = 0
+    __slots__ = ("num_keys", "agg_funcs", "keys", "counts", "states", "rows_scanned")
 
-    def state_for(self, key: Tuple) -> List[AggregateState]:
-        states = self.groups.get(key)
-        if states is None:
-            states = [make_state(f) for f in self.agg_funcs]
-            self.groups[key] = states
-        return states
+    def __init__(
+        self,
+        num_keys: int,
+        agg_funcs: List[str],
+        keys: Sequence[np.ndarray] = (),
+        counts: np.ndarray = _NO_ROWS,
+        states: Sequence[np.ndarray] = (),
+        rows_scanned: int = 0,
+    ):
+        self.num_keys = num_keys
+        self.agg_funcs = agg_funcs
+        self.keys = keys
+        self.counts = counts
+        self.states = states
+        #: Rows the producing task actually scanned (partial-result accounting).
+        self.rows_scanned = rows_scanned
 
-    def merge(self, other: "GroupedPartial") -> None:
-        if other.num_keys != self.num_keys or other.agg_funcs != self.agg_funcs:
-            raise ExecutionError("cannot merge incompatible partials")
-        for key, states in other.groups.items():
-            mine = self.state_for(key)
-            for a, b in zip(mine, states):
-                a.merge(b)
-        self.rows_scanned += other.rows_scanned
+    @property
+    def num_groups(self) -> int:
+        return len(self.counts)
+
+    def merge(self, *others: "GroupedPartial") -> "GroupedPartial":
+        """This partial's groups and ``others``', regrouped into a new one.
+
+        The columns are concatenated in argument order, regrouped by
+        ``_group_ids`` (so the groups come in ascending key order) and
+        reduced by one scatter per state column.  A float sum adds a
+        group's states left to right from 0.0, so it does not depend on
+        how a query's partials were built, only on their order; MIN / MAX
+        keep the first of equal values and let a NaN win.  An integer SUM
+        that leaves int64 raises ``ExecutionError("integer overflow")``,
+        sqlite's answer.  A lone partial whose key tuples are already
+        distinct is its own regrouping and keeps its order (no state of a
+        partial is a float sum of -0.0, which 0.0 + would change).
+        """
+        funcs = self.agg_funcs
+        rows_scanned = self.rows_scanned
+        parts = [self] if len(self.counts) else []
+        for other in others:
+            if other.num_keys != self.num_keys or other.agg_funcs != funcs:
+                raise ExecutionError("cannot merge incompatible partials")
+            rows_scanned += other.rows_scanned
+            if len(other.counts):
+                parts.append(other)
+        out = GroupedPartial(self.num_keys, funcs, rows_scanned=rows_scanned)
+        if not parts:
+            return out
+        if len(parts) == 1:
+            # A regrouping of one partial (the eager join's) reads its
+            # columns where they lie, and is the partial itself when its
+            # key tuples are already distinct.
+            (part,) = parts
+            counts, keys, columns = part.counts, part.keys, part.states
+            if _distinct(keys, len(counts)):
+                out.keys, out.counts, out.states = keys, counts, columns
+                return out
+        else:
+            counts = np.concatenate([p.counts for p in parts])
+            keys = [np.concatenate([p.keys[k] for p in parts]) for k in range(self.num_keys)]
+            columns = [
+                None if func == "COUNT" else np.concatenate([p.states[j] for p in parts])
+                for j, func in enumerate(funcs)
+            ]
+        ids, size, keys_at = _group_ids(keys, len(counts))
+        totals = np.bincount(ids, weights=counts, minlength=size)
+        bins = totals.nonzero()[0]
+        out.counts = totals[bins].astype(np.int64)
+        backwards = ids[::-1]
+        states = []
+        for func, col in zip(funcs, columns):
+            if func == "COUNT":
+                col = out.counts
+            elif func == "MIN" or func == "MAX":
+                # Scanned backwards, the scatter keeps the first of equal values.
+                col = _extremes(func, col[::-1], backwards, size)[bins]
+            elif col.dtype.kind == "i":
+                col = _exact_int_sums(ids, size, col)[bins]
+            else:
+                col = np.bincount(ids, weights=col, minlength=size)[bins]
+            states.append(col)
+        out.states = states
+        out.keys = keys_at(bins)
+        return out
+
+    def final_columns(self) -> List[np.ndarray]:
+        """Each aggregate's final value per group, in group order."""
+        return [
+            col / self.counts if func == "AVG" else col
+            for func, col in zip(self.agg_funcs, self.states)
+        ]
+
+    def finals(self) -> Dict[Tuple, list]:
+        """Each group's key tuple → its aggregates' final values, as
+        Python values; a NaN key component is the one shared ``_NAN_KEY``."""
+        if not len(self.counts):
+            if self.num_keys:
+                return {}
+            return {(): [0 if f == "COUNT" else None for f in self.agg_funcs]}
+        keys = zip(*(_canonical_key_values(k.tolist()) for k in self.keys)) if self.keys else [()]
+        values = zip(*(col.tolist() for col in self.final_columns()))
+        return dict(zip(keys, map(list, values)))
 
     def estimated_bytes(self) -> int:
         """Wire-size estimate for the network cost model."""
         per_group = 16 * self.num_keys + 24 * len(self.agg_funcs)
-        return 64 + per_group * len(self.groups)
+        return 64 + per_group * (len(self.counts) if self.num_keys else 1)
 
 
 #: The one NaN used in every group-key tuple.  ``nan != nan``, but tuple
 #: equality (and dict hashing in Python ≥3.10) short-circuits on object
-#: identity — so distinct NaN floats produced by different tasks would
-#: never merge into one group, while a single shared object always does.
+#: identity — so distinct NaN floats read out of different partials would
+#: never find each other as dict keys, while a single shared object does.
 _NAN_KEY = float("nan")
 
 
 def _canonical_key_values(values: List) -> List:
     """Replace every NaN key component with the shared ``_NAN_KEY``."""
     return [_NAN_KEY if isinstance(v, float) and v != v else v for v in values]
+
+
+def _distinct(key_arrays: Sequence[np.ndarray], num_rows: int) -> bool:
+    """Whether no two rows share a key tuple (NaN equal to NaN)."""
+    columns = [
+        _canonical_key_values(col.tolist()) if col.dtype.kind == "f" else col.tolist()
+        for col in key_arrays
+    ]
+    return len(set(zip(*columns))) == num_rows if columns else num_rows == 1
 
 
 def _dense_codes(col: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -251,7 +204,7 @@ def _dense_codes(col: np.ndarray) -> Tuple[np.ndarray, int]:
             uniques = sorted(set(values))
         except TypeError:  # unhashable or mutually unorderable values
             uniques = None
-        if uniques is not None and all(type(u) is str for u in uniques):
+        if uniques is not None and set(map(type, uniques)) <= {str}:
             rank = dict(zip(uniques, range(len(uniques))))
             codes = np.fromiter(map(rank.__getitem__, values), np.int64, len(values))
             return codes, len(uniques)
@@ -261,12 +214,12 @@ def _dense_codes(col: np.ndarray) -> Tuple[np.ndarray, int]:
 
 def _group_ids(
     key_arrays: Sequence[np.ndarray], num_rows: int
-) -> Tuple[np.ndarray, int, Callable[[np.ndarray], List[list]]]:
+) -> Tuple[np.ndarray, int, Callable[[np.ndarray], List[np.ndarray]]]:
     """Each row's group id, ascending with the key tuple (``np.unique`` order).
 
     Returns ``(ids, size, keys_at)``: row ``r`` falls in bin ``ids[r]`` of
     ``[0, size)``, some bins may be empty, and ``keys_at(bins)`` gives,
-    per key column, the Python key values of the occupied ``bins``.
+    per key column, the key values of the occupied ``bins`` as an array.
 
     A single integer key spanning at most ``max(num_rows, 1024)`` values
     is its own id (``key - lo``), so it is neither sorted nor ranked.  Any
@@ -284,7 +237,7 @@ def _group_ids(
             ids = col.astype(np.int64, copy=False)
             if lo:
                 ids = ids - lo
-            return ids, span, lambda bins: [(bins + lo).tolist()]
+            return ids, span, lambda bins: [bins + lo]
     ids, size = np.zeros(num_rows, dtype=np.int64), 1
     for col in key_arrays:
         codes, cardinality = _dense_codes(col)
@@ -294,71 +247,90 @@ def _group_ids(
             uniques, ids = np.unique(ids, return_inverse=True)
             size = len(uniques)
 
-    def keys_at(bins: np.ndarray) -> List[list]:
-        first = np.full(size, num_rows, dtype=np.int64)
-        np.minimum.at(first, ids, np.arange(num_rows, dtype=np.int64))
+    def keys_at(bins: np.ndarray) -> List[np.ndarray]:
+        if not key_arrays:
+            return []
+        # Assigned backwards, each bin keeps its first row (of repeated
+        # indices the last assignment stays, as ``_extremes`` relies on).
+        first = np.empty(size, dtype=np.int64)
+        first[ids[::-1]] = np.arange(num_rows - 1, -1, -1, dtype=np.int64)
         reps = first[bins]
-        return [_canonical_key_values(col[reps].tolist()) for col in key_arrays]
+        return [col[reps] for col in key_arrays]
 
     return ids, size, keys_at
 
 
-def _group_states(func: str, arr: Optional[np.ndarray], ids, size, bins, counts):
-    """All groups' states for one aggregate, built from one scatter reduction.
+def _extremes(func: str, arr: np.ndarray, ids: np.ndarray, size: int) -> np.ndarray:
+    """Each bin's MIN or MAX of ``arr`` (bins no row hits are garbage).
 
-    The rows are reduced into ``size`` bins in one pass (``np.bincount``
-    or ``np.ufunc.at``) and read at the occupied ``bins``; states are then
-    mass-allocated via ``__new__`` and filled in a tight loop — no sort,
-    no per-group slicing or dispatch.
+    Every bin starts from one of its own rows, so NaN propagates and
+    strings compare as strings; of equal values (``0.0`` and ``-0.0``)
+    the last row's stays.
+    """
+    values = np.empty(size, dtype=arr.dtype)
+    values[ids] = arr
+    ufunc = np.minimum if func == "MIN" else np.maximum
+    if arr.dtype.kind == "f" and np.isnan(arr).any():
+        with np.errstate(invalid="ignore"):  # a NaN operand flags "invalid"
+            ufunc.at(values, ids, arr)
+    else:
+        ufunc.at(values, ids, arr)
+    return values
+
+
+def _exact_int_sums(ids: np.ndarray, size: int, values: np.ndarray) -> np.ndarray:
+    """Each bin's sum of int64 ``values``, exact, or
+    ``ExecutionError("integer overflow")`` when one leaves int64.
+
+    The 32-bit halves are summed apart (neither sum can wrap below 2^31
+    rows), the low half's carry moves up, and the total fits iff the
+    high half does in 32 bits.
+    """
+    hi = np.zeros(size, dtype=np.int64)
+    np.add.at(hi, ids, values >> 32)
+    lo = np.zeros(size, dtype=np.int64)
+    np.add.at(lo, ids, values & 0xFFFFFFFF)
+    hi += lo >> 32
+    if ((hi + 2**31) >> 32).any():
+        raise ExecutionError("integer overflow")
+    return (hi << 32) | (lo & 0xFFFFFFFF)
+
+
+def _grouped_state(func: str, arr: Optional[np.ndarray], ids, size, bins, counts) -> np.ndarray:
+    """One aggregate's state column over the occupied ``bins``, from one
+    scatter reduction of its rows into ``size`` bins.
 
     Integer SUM/AVG scatter-add into int64, exact and wrapping as
-    ``np.sum`` does.  Float SUM/AVG take ``np.bincount(weights=)``, which
-    adds each group's rows left to right where the scalar path's
-    ``values.sum()`` adds pairwise, so they can differ from it in the last
-    ulps for large groups.  COUNT, MIN and MAX are exact; MIN/MAX start
-    from a member of each group, so NaN propagates and strings compare as
-    strings.
+    ``np.sum`` does; AVG then converts each exact total once.  Float
+    SUM/AVG take ``np.bincount(weights=)``, which adds each group's rows
+    left to right where the scalar path's ``values.sum()`` adds pairwise,
+    so they can differ from it in the last ulps for large groups.
     """
-    num_groups = len(counts)
     if func == "COUNT" or arr is None:
-        states = list(map(CountState.__new__, repeat(CountState, num_groups)))
-        for state, n in zip(states, counts):
-            state.n = n
-        return states
+        return counts
     if func == "SUM" or func == "AVG":
-        exact = arr.dtype.kind in "biu"
-        if exact:
+        if arr.dtype.kind in "biu":
             sums = np.zeros(size, dtype=np.int64)
             np.add.at(sums, ids, arr.astype(np.int64, copy=False))
-        else:
-            sums = np.bincount(ids, weights=arr, minlength=size)
-        totals = sums[bins].tolist()
-        if func == "SUM":
-            states = list(map(SumState.__new__, repeat(SumState, num_groups)))
-            for state, total in zip(states, totals):
-                state.total = total
-                state.seen = True
-            return states
-        if exact:
-            # Convert each exact int64 total once: element-wise float
-            # conversion first would lose low bits of values beyond 2**53.
-            totals = [float(t) for t in totals]
-        states = list(map(AvgState.__new__, repeat(AvgState, num_groups)))
-        for state, total, n in zip(states, totals, counts):
-            state.total = total
-            state.n = n
-        return states
+            return sums[bins] if func == "SUM" else sums[bins].astype(np.float64)
+        return np.bincount(ids, weights=arr, minlength=size)[bins]
     if func == "MIN" or func == "MAX":
-        ufunc = np.minimum if func == "MIN" else np.maximum
-        values = np.empty(size, dtype=arr.dtype)
-        values[ids] = arr
-        with np.errstate(invalid="ignore"):
-            ufunc.at(values, ids, arr)
-        cls = MinState if func == "MIN" else MaxState
-        states = list(map(cls.__new__, repeat(cls, num_groups)))
-        for state, value in zip(states, values[bins].tolist()):
-            state.value = value
-        return states
+        return _extremes(func, arr, ids, size)[bins]
+    raise ExecutionError(f"unknown aggregate function {func!r}")
+
+
+def _global_state(func: str, arr: Optional[np.ndarray], counts: np.ndarray) -> np.ndarray:
+    """One aggregate's state over a whole column, reduced where it lies
+    (a float sum is ``np.sum``'s, pairwise)."""
+    if func == "COUNT" or arr is None:
+        return counts
+    if func == "SUM" or func == "AVG":
+        if arr.dtype.kind in "biu":
+            return np.array([arr.sum()], dtype=np.int64 if func == "SUM" else np.float64)
+        # From 0.0, as a merge adds: a sum of -0.0 reads 0.0 either way.
+        return np.array([0.0 + arr.sum()], dtype=np.float64)
+    if func == "MIN" or func == "MAX":
+        return arr.min(keepdims=True) if func == "MIN" else arr.max(keepdims=True)
     raise ExecutionError(f"unknown aggregate function {func!r}")
 
 
@@ -368,35 +340,31 @@ def partial_aggregate(
     agg_arrays: Sequence[Optional[np.ndarray]],
     num_rows: int,
 ) -> GroupedPartial:
-    """Aggregate one frame into per-group partial states.
+    """Aggregate one frame into per-group partial state columns.
 
     ``agg_arrays[i]`` is None for COUNT(*) (row counting needs no column).
 
     All reductions are vectorized: every row gets a dense group id
-    (``_group_ids``), then every aggregate computes all groups' values in
-    one scatter pass over its column — no sort and no per-group slicing
-    loop.  Without GROUP BY each state reduces its column where it lies.
+    (``_group_ids``), then every aggregate computes all groups' states in
+    one scatter pass over its column — no sort, no per-group slicing loop
+    and no per-group object.  Without GROUP BY each aggregate reduces its
+    column where it lies.
     """
     partial = GroupedPartial(num_keys=len(key_arrays), agg_funcs=list(agg_funcs))
     partial.rows_scanned = num_rows
-    if not key_arrays:
-        # A global aggregate yields its one row even over zero rows.
-        for state, arr in zip(partial.state_for(()), agg_arrays):
-            if arr is None:
-                state.update_count(num_rows)
-            else:
-                state.update(arr)
-        return partial
     if num_rows == 0:
+        return partial
+    if not key_arrays:
+        counts = partial.counts = np.array([num_rows], dtype=np.int64)
+        partial.states = list(map(_global_state, agg_funcs, agg_arrays, repeat(counts)))
         return partial
     ids, size, keys_at = _group_ids(key_arrays, num_rows)
     counts = np.bincount(ids, minlength=size)
-    bins = np.flatnonzero(counts)
-    counts = counts[bins].tolist()
-    columns = [
-        _group_states(func, arr, ids, size, bins, counts)
-        for func, arr in zip(partial.agg_funcs, agg_arrays)
+    bins = counts.nonzero()[0]
+    counts = partial.counts = counts[bins]
+    partial.states = [
+        _grouped_state(func, arr, ids, size, bins, counts)
+        for func, arr in zip(agg_funcs, agg_arrays)
     ]
-    keys = zip(*keys_at(bins))
-    partial.groups = dict(zip(keys, map(list, zip(*columns))))
+    partial.keys = keys_at(bins)
     return partial

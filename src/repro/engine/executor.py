@@ -29,7 +29,7 @@ cluster charges these against its device models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress
 from operator import itemgetter
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -40,7 +40,6 @@ from repro.columnar.encoding import ChunkReader
 from repro.columnar.schema import DataType, coerce_array
 from repro.engine.aggregates import (
     GroupedPartial,
-    _canonical_key_values,
     _to_python,
     partial_aggregate,
 )
@@ -386,8 +385,8 @@ def _aggregate_then_join(
     The fact rows are aggregated per tuple of join keys; each tuple is
     looked up in every dimension's key dict (one row or none, INNER),
     the residual filter runs on those partial rows, and their states are
-    merged into the query's groups with ``AggregateState.merge``, the
-    stems' rule.  Float SUM/AVG therefore add per key, then across keys.
+    regrouped by the query's keys with ``GroupedPartial.merge``, the
+    master's rule.  Float SUM/AVG therefore add per key, then across keys.
 
     Returns None, having charged nothing, when a dimension's key tuples
     repeat or hold NaN, or a key pair is not ``directly_comparable``:
@@ -421,19 +420,9 @@ def _aggregate_then_join(
         None if isinstance(agg.argument, Star) else evaluate(agg.argument, frame, resolve)
         for agg in analyzed.aggregates
     ]
-    # Each key's row count is the state of a COUNT, from the same grouping
-    # (with no NULLs every COUNT counts rows); else of a trailing COUNT(*).
-    extra = "COUNT" not in funcs
-    per_key = partial_aggregate(
-        fact_keys, funcs + ["COUNT"] * extra, args + [None] * extra, frame.num_rows
-    )
-    keys = list(per_key.groups)
-    states = list(per_key.groups.values())
-    if extra:
-        counts = [s.pop().n for s in states]
-    else:
-        at = funcs.index("COUNT")
-        counts = [s[at].n for s in states]
+    per_key = partial_aggregate(fact_keys, funcs, args, frame.num_rows)
+    keys = list(zip(*map(np.ndarray.tolist, per_key.keys)))
+    counts = per_key.counts.tolist()
 
     # ``alive``: the keys still joined; ``rows``: the row-by-row path's rows.
     alive = range(len(keys))
@@ -460,25 +449,22 @@ def _aggregate_then_join(
         rows = sum(map(counts.__getitem__, alive))
     report.cpu_ops += 2.0 * rows * max(1, len(funcs))
 
-    out = GroupedPartial(len(eager.group_keys), funcs)
-    out.rows_scanned = rows
-    columns = [
-        [keys[i][k] for i in alive]
-        if isinstance(k, int)
-        else _canonical_key_values(partial_rows.columns[k].tolist())
-        for k in eager.group_keys
-    ]
-    if not columns:
-        out.state_for(())  # a global aggregate yields its row even over zero rows
-    groups = out.groups
-    for group, i in zip(zip(*columns) if columns else repeat(()), alive):
-        mine = groups.get(group)
-        if mine is None:
-            groups[group] = states[i]
-        else:
-            for state, other in zip(mine, states[i]):
-                state.merge(other)
-    return out
+    # The joined keys' partial rows, regrouped by the query's keys.
+    if not alive:
+        return GroupedPartial(len(eager.group_keys), funcs, rows_scanned=rows)
+    at = np.array(alive, dtype=np.int64)
+    joined_keys = GroupedPartial(
+        len(eager.group_keys),
+        funcs,
+        keys=[
+            per_key.keys[k][at] if isinstance(k, int) else partial_rows.columns[k]
+            for k in eager.group_keys
+        ],
+        counts=per_key.counts[at],
+        states=[col[at] for col in per_key.states],
+        rows_scanned=rows,
+    )
+    return joined_keys.merge()
 
 
 def _rewrite(expr: Expr, mapping: Dict[Expr, Column]) -> Expr:
@@ -647,34 +633,34 @@ def _aggregate_mapping(analyzed: AnalyzedQuery) -> Dict[Expr, Column]:
 
 
 def _materialize_aggregates(plan: PhysicalPlan, results: Sequence[TaskResult]) -> Frame:
+    """Merge every arrived partial in one call and read the groups out as
+    columns, ordered by their keys' ``str`` tuples."""
     analyzed = plan.analyzed
-    merged: Optional[GroupedPartial] = None
-    for r in results:
-        if r.partial is None:
-            continue
-        if merged is None:
-            merged = GroupedPartial(r.partial.num_keys, list(r.partial.agg_funcs))
-        merged.merge(r.partial)
-    if merged is None:
-        merged = GroupedPartial(len(analyzed.group_keys), [a.func for a in analyzed.aggregates])
-        if not analyzed.group_keys:
-            merged.state_for(())
-    keys = sorted(merged.groups.keys(), key=lambda k: tuple(str(v) for v in k))
+    merged = GroupedPartial(
+        len(analyzed.group_keys), [a.func for a in analyzed.aggregates]
+    ).merge(*[r.partial for r in results if r.partial is not None])
+    num_rows = merged.num_groups
+    if num_rows:
+        strs = list(zip(*(map(str, col.tolist()) for col in merged.keys)))
+        order = sorted(range(len(strs)), key=strs.__getitem__) if strs else [0]
+        keys = [col[order] for col in merged.keys]
+        finals = [col[order] for col in merged.final_columns()]
+    else:
+        # No group: no row, or a global aggregate's one row over no rows,
+        # where COUNT's 0 is INT64's NULL default.
+        keys = [[] for _ in analyzed.group_keys]
+        num_rows = 0 if keys else 1
+        finals = [[_null_default(analyzed.type_of(a))] * num_rows for a in analyzed.aggregates]
     columns: Dict[str, np.ndarray] = {}
-    for i, key_expr in enumerate(analyzed.group_keys):
-        dtype = analyzed.type_of(key_expr)
-        columns[f"__key{i}"] = coerce_array([k[i] for k in keys], dtype)
-    for j, agg in enumerate(analyzed.aggregates):
-        dtype = analyzed.type_of(agg)
-        values = [_final_or_default(merged.groups[k][j], dtype) for k in keys]
-        columns[f"__agg{j}"] = coerce_array(values, dtype)
-    return Frame(columns, len(keys))
+    for i, (key_expr, col) in enumerate(zip(analyzed.group_keys, keys)):
+        columns[f"__key{i}"] = coerce_array(col, analyzed.type_of(key_expr))
+    for j, (agg, col) in enumerate(zip(analyzed.aggregates, finals)):
+        columns[f"__agg{j}"] = coerce_array(col, analyzed.type_of(agg))
+    return Frame(columns, num_rows)
 
 
-def _final_or_default(state, dtype: DataType):
-    value = state.final()
-    if value is not None:
-        return value
+def _null_default(dtype: DataType):
+    """What a NULL aggregate reads as in a dense column."""
     if dtype is DataType.STRING:
         return ""
     if dtype is DataType.FLOAT64:

@@ -12,11 +12,15 @@ the WRITE traffic class, and ships only the path upstream; the master
 fetches and deserializes on the READ flow.
 
 Wire format: 1 tag byte, the report's length and its JSON, then either a
-columnar block (frames) or the JSON of group keys and aggregate states
-(partials).  The codec owns only that framing: the report travels as its
-dataclass ``init`` fields and each aggregate state as the values of its
-class's ``__slots__``, so a field added to either needs no edit here,
-only a value JSON can hold.
+columnar block (frames) or a partial's columns: the length and JSON of
+its header (``num_keys``, ``agg_funcs``, ``rows_scanned``, the group
+count and each column's byte length), then its key columns, its counts
+and its state columns, each in the plain encoding (raw little-endian
+values, strings as offsets + UTF-8), so every float comes back bit for
+bit, ``-0.0`` and NaN included.  The codec owns only that framing: the
+report travels as its dataclass ``init`` fields and a partial as its
+list of columns, so a field or a state column added to either needs no
+edit here.
 """
 
 from __future__ import annotations
@@ -28,14 +32,9 @@ from dataclasses import fields
 import numpy as np
 
 from repro.columnar.block import Block
+from repro.columnar.encoding import PlainEncoding
 from repro.columnar.schema import DataType, Schema
-from repro.engine.aggregates import (
-    AggregateState,
-    GroupedPartial,
-    _canonical_key_values,
-    _to_python,
-    make_state,
-)
+from repro.engine.aggregates import GroupedPartial, _to_python
 from repro.engine.executor import TaskExecutionReport, TaskResult
 from repro.errors import ExecutionError
 from repro.planner.expressions import Frame
@@ -80,34 +79,38 @@ def _frame_from_bytes(payload: bytes) -> Frame:
     return Frame({name: block.column(name) for name in block.schema.names}, block.num_rows)
 
 
-def _pack_state(state: AggregateState) -> list:
-    return [_to_python(getattr(state, slot)) for slot in type(state).__slots__]
-
-
-def _unpack_state(func: str, values: list) -> AggregateState:
-    state = make_state(func)
-    for slot, value in zip(type(state).__slots__, values):
-        setattr(state, slot, value)
-    return state
+_PLAIN = PlainEncoding()
 
 
 def _partial_to_bytes(partial: GroupedPartial) -> bytes:
-    groups = [
-        [[_to_python(k) for k in key], [_pack_state(s) for s in states]]
-        for key, states in partial.groups.items()
-    ]
-    doc = [partial.num_keys, partial.agg_funcs, partial.rows_scanned, groups]
-    return json.dumps(doc).encode()
+    # An empty partial holds no column.
+    columns = (*partial.keys, partial.counts, *partial.states) if partial.num_groups else ()
+    chunks = [_PLAIN.encode(col) for col in columns]
+    head = json.dumps(
+        [
+            partial.num_keys,
+            partial.agg_funcs,
+            partial.rows_scanned,
+            partial.num_groups,
+            [len(chunk) for chunk in chunks],
+        ]
+    ).encode()
+    return b"".join([struct.pack("<I", len(head)), head, *chunks])
 
 
 def _partial_from_bytes(payload: bytes) -> GroupedPartial:
-    num_keys, agg_funcs, rows_scanned, groups = json.loads(payload.decode())
+    (hlen,) = struct.unpack_from("<I", payload)
+    num_keys, agg_funcs, rows_scanned, num_groups, lengths = json.loads(payload[4 : 4 + hlen])
     partial = GroupedPartial(num_keys, agg_funcs, rows_scanned=rows_scanned)
-    for key, states in groups:
-        # A NaN key must be the shared ``_NAN_KEY`` to merge with live ones.
-        partial.groups[tuple(_canonical_key_values(key))] = [
-            _unpack_state(f, values) for f, values in zip(agg_funcs, states)
-        ]
+    pos = 4 + hlen
+    columns = []
+    for length in lengths:
+        columns.append(_PLAIN.decode(payload[pos : pos + length], num_groups))
+        pos += length
+    if columns:
+        partial.keys = columns[:num_keys]
+        partial.counts = columns[num_keys]
+        partial.states = columns[num_keys + 1 :]
     return partial
 
 

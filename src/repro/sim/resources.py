@@ -190,8 +190,9 @@ class Cpu(Device):
 class Resource:
     """A counted resource with FIFO waiters (e.g. task slots on a leaf).
 
-    ``request()`` returns an event that fires once a unit is granted; the
-    holder must call ``release()`` exactly once.
+    ``request()`` returns an event that fires once a unit is granted (a
+    shared, already resolved one when a unit is free; a queued request's
+    own otherwise); the holder must call ``release()`` exactly once.
     """
 
     def __init__(self, sim: Simulator, capacity: int, name: str = "resource"):
@@ -203,15 +204,18 @@ class Resource:
         self.in_use = 0
         self._grant_name = f"{name}.grant"
         self._waiters: Deque[Event] = deque()
+        #: The one grant every request a free unit answers gets: resolved
+        #: with no value (what ``succeed()`` does to an event nobody waits
+        #: on yet), and nothing ever resolves it again.
+        self._granted = Event(sim, self._grant_name)
+        self._granted.triggered = True
 
     def request(self) -> Event:
-        ev = Event(self.sim, self._grant_name)
         if self.in_use < self.capacity:
             self.in_use += 1
-            # What ``succeed()`` does to an event nobody waits on yet.
-            ev.triggered = True
-        else:
-            self._waiters.append(ev)
+            return self._granted
+        ev = Event(self.sim, self._grant_name)
+        self._waiters.append(ev)
         return ev
 
     def release(self) -> None:

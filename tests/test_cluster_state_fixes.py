@@ -9,18 +9,21 @@ Covers four long-standing defects:
 * the unbounded :class:`PrimaryBackup` op log (now truncated at
   ``sync_shadow`` checkpoints and not kept at all without a shadow; a
   new shadow starts from a copy of the live primary);
-* the straggler watchdog launching a backup against a stale deadline
-  right after a failed attempt's retry started (double-backup).
+* the straggler watch (in the task supervisor) launching a backup
+  against a stale deadline right after a failed attempt's retry started
+  (double-backup).
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro import FeisuCluster, FeisuConfig
 from repro.cluster.failover import PrimaryBackup
 from repro.cluster.ledger import JobLedger
-from repro.cluster.master import _straggler_watchdog
+from repro.cluster.master import Master
 from repro.cluster.membership import ClusterManager
 from repro.cluster.messages import WorkerLoad
 from repro.cluster.node import LeafServer
@@ -226,7 +229,11 @@ class TestBoundedOpLog:
 
 
 class _WatchdogHarness:
-    """Drives ``_straggler_watchdog`` with the supervisor's bookkeeping."""
+    """Drives ``Master._task_supervisor``'s straggler watch with the
+    supervisor's bookkeeping: the harness stands in for both the master
+    (``sim``, ``scheduler.backup_deadline``) and the task's attempts
+    (``done``, ``attempts``, ``estimates``, ``launch_times``, ``armed``,
+    ``launch``)."""
 
     def __init__(self, first_estimate: float = 1.0):
         self.sim = Simulator()
@@ -234,10 +241,21 @@ class _WatchdogHarness:
         self.attempts = [self.sim.event(name="attempt0")]
         self.estimates = [first_estimate]
         self.launch_times = [0.0]
+        self.armed = []
         self.backups = 0
+        self.job = SimpleNamespace(options=SimpleNamespace(enable_backup=True))
+        self.scheduler = SimpleNamespace(backup_deadline=self.deadline_for)
+        self._launched = False
 
     def deadline_for(self, estimate_s: float) -> float:
         return max(2.0, 3.0 * estimate_s)
+
+    def launch(self, first=None) -> bool:
+        # The supervisor's first launch is attempt 0, made above.
+        if self._launched:
+            self.launch_backup()
+        self._launched = True
+        return True
 
     def launch_backup(self) -> None:
         self.backups += 1
@@ -264,18 +282,7 @@ class _WatchdogHarness:
         )
 
     def start(self):
-        return self.sim.process(
-            _straggler_watchdog(
-                self.sim,
-                self.deadline_for,
-                self.done,
-                self.attempts,
-                self.estimates,
-                self.launch_times,
-                self.launch_backup,
-            ),
-            name="watchdog",
-        )
+        return self.sim.process(Master._task_supervisor(self, self), name="watchdog")
 
 
 class TestStragglerWatchdogRebase:

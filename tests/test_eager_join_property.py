@@ -82,13 +82,14 @@ def _same(a, b, tolerant: bool) -> bool:
 def _assert_agree(got, want, tolerant):
     assert dataclasses.asdict(got.report) == dataclasses.asdict(want.report)
     assert got.partial.rows_scanned == want.partial.rows_scanned
-    got_keys = {key: key for key in got.partial.groups}
-    assert got_keys.keys() == want.partial.groups.keys()
-    for key, states in want.partial.groups.items():
+    got_finals, want_finals = got.partial.finals(), want.partial.finals()
+    got_keys = {key: key for key in got_finals}
+    assert got_keys.keys() == want_finals.keys()
+    for key, finals in want_finals.items():
         assert list(map(type, got_keys[key])) == list(map(type, key)), key
-        pairs = zip(got.partial.groups[key], states, tolerant)
+        pairs = zip(got_finals[key], finals, tolerant)
         for mine, theirs, tol in pairs:
-            assert _same(mine.final(), theirs.final(), tol), (key, mine.final(), theirs.final())
+            assert _same(mine, theirs, tol), (key, mine, theirs)
 
 
 def _run_both(router, catalog, sql):

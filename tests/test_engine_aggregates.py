@@ -10,65 +10,60 @@ from hypothesis import strategies as st
 from repro.engine.aggregates import (
     GroupedPartial,
     _group_ids,
-    make_state,
     partial_aggregate,
 )
 from repro.errors import ExecutionError
 
 
+def _global(func, *columns):
+    """One global partial per column of ``func``'s argument, merged: the
+    aggregate's final value (an ``int`` column is that many COUNT(*) rows)."""
+    parts = [
+        partial_aggregate([], [func], [None], c)
+        if isinstance(c, int)
+        else partial_aggregate([], [func], [c], len(c))
+        for c in columns
+    ]
+    return parts[0].merge(*parts[1:]).finals()[()][0]
+
+
 def test_count_state():
-    s = make_state("COUNT")
-    s.update(np.arange(5))
-    s.update_count(3)
-    assert s.final() == 8
+    assert _global("COUNT", np.arange(5), 3) == 8
 
 
 def test_sum_state_empty_is_null():
-    assert make_state("SUM").final() is None
+    assert _global("SUM", np.empty(0)) is None
 
 
 def test_sum_state_preserves_int():
-    s = make_state("SUM")
-    s.update(np.array([1, 2, 3], dtype=np.int64))
-    assert s.final() == 6 and isinstance(s.final(), int)
+    value = _global("SUM", np.array([1, 2, 3], dtype=np.int64))
+    assert value == 6 and isinstance(value, int)
 
 
 def test_min_max_states():
-    lo, hi = make_state("MIN"), make_state("MAX")
-    for arr in (np.array([3, 1]), np.array([2])):
-        lo.update(arr)
-        hi.update(arr)
-    assert lo.final() == 1 and hi.final() == 3
+    lo, hi = (_global(f, np.array([3, 1]), np.array([2])) for f in ("MIN", "MAX"))
+    assert lo == 1 and hi == 3
 
 
 def test_min_max_strings():
     s = np.empty(2, dtype=object)
     s[:] = ["b", "a"]
-    lo = make_state("MIN")
-    lo.update(s)
-    assert lo.final() == "a"
+    assert _global("MIN", s) == "a"
 
 
 def test_avg_state():
-    s = make_state("AVG")
-    s.update(np.array([1.0, 2.0]))
-    s.update(np.array([6.0]))
-    assert s.final() == pytest.approx(3.0)
-    assert make_state("AVG").final() is None
+    assert _global("AVG", np.array([1.0, 2.0]), np.array([6.0])) == pytest.approx(3.0)
+    assert _global("AVG", np.empty(0)) is None
 
 
 def test_merge_equals_single_pass():
-    a, b, merged = make_state("SUM"), make_state("SUM"), make_state("SUM")
-    a.update(np.array([1.5, 2.5]))
-    b.update(np.array([4.0]))
-    a.merge(b)
-    merged.update(np.array([1.5, 2.5, 4.0]))
-    assert a.final() == pytest.approx(merged.final())
+    merged = _global("SUM", np.array([1.5, 2.5]), np.array([4.0]))
+    assert merged == pytest.approx(_global("SUM", np.array([1.5, 2.5, 4.0])))
 
 
 def test_unknown_aggregate():
     with pytest.raises(ExecutionError):
-        make_state("MEDIAN")
+        partial_aggregate([], ["MEDIAN"], [np.arange(3)], 3)
 
 
 def test_group_ids_no_keys():
@@ -96,35 +91,36 @@ def test_group_ids_single_int_key_is_its_own_id():
     keys = np.array([7, -3, 7, 0], dtype=np.int8)
     ids, size, keys_at = _group_ids([keys], 4)
     assert ids.tolist() == [10, 0, 10, 3] and size == 11
-    assert keys_at(np.array([0, 3, 10])) == [[-3, 0, 7]]
+    assert [k.tolist() for k in keys_at(np.array([0, 3, 10]))] == [[-3, 0, 7]]
 
 
 def test_partial_aggregate_grouped():
     keys = [np.array(["a", "b", "a", "b"], dtype=object)]
     values = np.array([1.0, 2.0, 3.0, 4.0])
     partial = partial_aggregate(keys, ["SUM", "COUNT"], [values, None], 4)
-    assert partial.groups[("a",)][0].final() == pytest.approx(4.0)
-    assert partial.groups[("b",)][0].final() == pytest.approx(6.0)
-    assert partial.groups[("a",)][1].final() == 2
+    finals = partial.finals()
+    assert finals[("a",)][0] == pytest.approx(4.0)
+    assert finals[("b",)][0] == pytest.approx(6.0)
+    assert finals[("a",)][1] == 2
     assert partial.rows_scanned == 4
 
 
 def test_partial_aggregate_global_zero_rows_still_has_group():
     partial = partial_aggregate([], ["COUNT"], [None], 0)
-    assert partial.groups[()][0].final() == 0
+    assert partial.finals()[()][0] == 0
 
 
 def test_partial_aggregate_grouped_zero_rows_empty():
     partial = partial_aggregate([np.empty(0, dtype=np.int64)], ["COUNT"], [None], 0)
-    assert partial.groups == {}
+    assert partial.finals() == {}
 
 
 def test_merge_partials():
     p1 = partial_aggregate([np.array([1, 1])], ["COUNT"], [None], 2)
     p2 = partial_aggregate([np.array([1, 2])], ["COUNT"], [None], 2)
-    p1.merge(p2)
-    assert p1.groups[(1,)][0].final() == 3
-    assert p1.groups[(2,)][0].final() == 1
+    p1 = p1.merge(p2)
+    assert p1.finals()[(1,)][0] == 3
+    assert p1.finals()[(2,)][0] == 1
     assert p1.rows_scanned == 4
 
 
@@ -147,8 +143,8 @@ def test_property_grouped_count_matches_bincount(keys):
     arr = np.array(keys, dtype=np.int64)
     partial = partial_aggregate([arr], ["COUNT"], [None], len(arr))
     counts = np.bincount(arr)
-    for value, states in partial.groups.items():
-        assert states[0].final() == counts[value[0]]
+    for value, finals in partial.finals().items():
+        assert finals[0] == counts[value[0]]
 
 
 @settings(max_examples=50, deadline=None)
@@ -166,11 +162,10 @@ def test_property_split_merge_equals_global(pairs):
     p2 = partial_aggregate(
         [keys[half:]], ["SUM", "AVG", "MIN", "MAX"], [vals[half:]] * 4, len(pairs) - half
     )
-    p1.merge(p2)
-    assert set(p1.groups) == set(whole.groups)
-    for key in whole.groups:
-        for sa, sb in zip(p1.groups[key], whole.groups[key]):
-            fa, fb = sa.final(), sb.final()
+    p1 = p1.merge(p2)
+    assert set(p1.finals()) == set(whole.finals())
+    for key in whole.finals():
+        for fa, fb in zip(p1.finals()[key], whole.finals()[key]):
             if isinstance(fa, float):
                 assert fa == pytest.approx(fb, rel=1e-9, abs=1e-9)
             else:
@@ -192,10 +187,9 @@ def _partial_over(keys: np.ndarray, values: np.ndarray) -> GroupedPartial:
 
 
 def _assert_partials_equal(whole: GroupedPartial, merged: GroupedPartial) -> None:
-    assert set(whole.groups) == set(merged.groups)
-    for key, states in whole.groups.items():
-        for state_a, state_b in zip(states, merged.groups[key]):
-            a, b = state_a.final(), state_b.final()
+    assert set(whole.finals()) == set(merged.finals())
+    for key, finals in whole.finals().items():
+        for a, b in zip(finals, merged.finals()[key]):
             if isinstance(a, float) and isinstance(b, float):
                 assert (math.isnan(a) and math.isnan(b)) or math.isclose(
                     a, b, rel_tol=1e-9, abs_tol=1e-9
@@ -228,7 +222,7 @@ def test_split_then_merge_equals_unsplit(keys, cuts, data):
     edges = [0] + sorted(min(c, n) for c in cuts) + [n]
     merged = GroupedPartial(num_keys=1, agg_funcs=list(_FUNCS))
     for lo, hi in zip(edges, edges[1:]):
-        merged.merge(_partial_over(key_arr[lo:hi], val_arr[lo:hi]))
+        merged = merged.merge(_partial_over(key_arr[lo:hi], val_arr[lo:hi]))
     _assert_partials_equal(whole, merged)
 
 
@@ -245,12 +239,10 @@ def test_split_then_merge_integer_sums_exact(keys, cut):
     whole = partial_aggregate([key_arr], ["COUNT", "SUM"], [None, val_arr], n)
     lo = min(cut, n)
     merged = partial_aggregate([key_arr[:lo]], ["COUNT", "SUM"], [None, val_arr[:lo]], lo)
-    merged.merge(
+    merged = merged.merge(
         partial_aggregate([key_arr[lo:]], ["COUNT", "SUM"], [None, val_arr[lo:]], n - lo)
     )
-    assert {k: [s.final() for s in v] for k, v in whole.groups.items()} == {
-        k: [s.final() for s in v] for k, v in merged.groups.items()
-    }
+    assert whole.finals() == merged.finals()
 
 
 def test_nan_group_keys_merge_across_partials():
@@ -259,10 +251,57 @@ def test_nan_group_keys_merge_across_partials():
     otherwise duplicate the group per producing task)."""
     a = _partial_over(np.array([float("nan"), 1.0]), np.array([2.0, 3.0]))
     b = _partial_over(np.array([float("nan")]), np.array([5.0]))
-    a.merge(b)
-    nan_keys = [k for k in a.groups if k[0] != k[0]]
+    a = a.merge(b)
+    nan_keys = [k for k in a.finals() if k[0] != k[0]]
     assert len(nan_keys) == 1
-    count, total, lo, hi = (s.final() for s in a.groups[nan_keys[0]])
+    count, total, lo, hi = a.finals()[nan_keys[0]]
     assert count == 2
     assert total == pytest.approx(7.0)
     assert (lo, hi) == (2.0, 5.0)
+
+
+def test_merged_integer_sum_leaving_int64_raises_sqlites_error():
+    """Three rows of 2^62 in one group, one task each: the merge's exact
+    sum leaves int64, and the answer is sqlite's "integer overflow", not
+    an untyped ``OverflowError`` nor a wrapped number."""
+    from repro import DataType, FeisuCluster, FeisuConfig, Schema
+
+    cluster = FeisuCluster(FeisuConfig())
+    cluster.load_table(
+        "T",
+        Schema.of(g=DataType.INT64, x=DataType.INT64),
+        {
+            "g": np.array([0, 0, 0, 1, 1, 1], dtype=np.int64),
+            "x": np.array([2**62, 2**62, 2**62, -(2**62), 5, 7], dtype=np.int64),
+        },
+        block_rows=1,
+    )
+    with pytest.raises(ExecutionError, match="integer overflow"):
+        cluster.query("SELECT g, SUM(x) FROM T GROUP BY g")
+    assert cluster.query("SELECT g, SUM(x) FROM T WHERE g = 1 GROUP BY g").rows() == [
+        (1, -(2**62) + 12)
+    ]
+
+
+def _one_row_sum(value):
+    return partial_aggregate([np.zeros(1, dtype=np.int64)], ["SUM"], [np.array([value])], 1)
+
+
+@pytest.mark.parametrize(
+    "values, total",
+    [
+        ([2**62, 2**62, -(2**62), -(2**62) + 1], 1),
+        ([2**63 - 1, -(2**63), 1], 0),
+        ([-(2**63), 2**62, 2**62, -1], -1),
+        ([-(2**62), 2**62, -(2**62), -(2**62)], -(2**63)),
+        ([2**62, 2**62, 2**62, -(2**62), -(2**62), 2**62 - 1], 2**63 - 1),
+    ],
+)
+def test_merged_integer_sum_is_exact_up_to_the_int64_bounds(values, total):
+    """Running sums may leave int64 on the way; only the total may not."""
+    parts = [_one_row_sum(v) for v in values]
+    merged = parts[0].merge(*parts[1:])
+    assert merged.finals() == {(0,): [total]}
+    if total in (2**63 - 1, -(2**63)):
+        with pytest.raises(ExecutionError, match="integer overflow"):
+            merged.merge(_one_row_sum(1 if total > 0 else -1))

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.aggregates import _group_ids, make_state, partial_aggregate
+from repro.engine.aggregates import _group_ids, partial_aggregate
 from repro.engine.operators import hash_join, sort_frame
 from repro.index.bitmap import BitVector, rle_compress, rle_decompress
 from repro.planner.expressions import Frame
@@ -37,6 +37,49 @@ def _to_python(value):
 
 
 # -- scalar references (copied from the seed) ------------------------------
+
+
+class _ScalarState:
+    """The seed's per-group aggregate state (``update`` / ``final``), one
+    class for its five functions."""
+
+    def __init__(self, func):
+        self.func = func
+        self.n = 0
+        self.total = 0.0 if func == "AVG" else 0
+        self.value = None
+
+    def update_count(self, n):
+        self.n += n
+
+    def update(self, values):
+        if len(values) == 0:
+            return
+        self.n += len(values)
+        if self.func == "SUM":
+            self.total = self.total + values.sum()
+        elif self.func == "AVG":
+            self.total += float(values.sum())
+        elif self.func == "MIN":
+            lo = values.min()
+            if self.value is None or lo < self.value:
+                self.value = lo
+        elif self.func == "MAX":
+            hi = values.max()
+            if self.value is None or hi > self.value:
+                self.value = hi
+
+    def final(self):
+        if self.func == "COUNT":
+            return self.n
+        if not self.n:
+            return None  # SQL SUM / AVG / MIN / MAX over zero rows is NULL
+        if self.func == "SUM":
+            exact = isinstance(self.total, (np.integer, int))
+            return int(self.total) if exact else float(self.total)
+        if self.func == "AVG":
+            return self.total / self.n
+        return _to_python(self.value)
 
 
 def _default_pad(col, n):
@@ -103,7 +146,7 @@ def _reference_partial_aggregate(key_arrays, agg_funcs, agg_arrays, num_rows):
     groups = {}
     if num_rows == 0:
         if not key_arrays:
-            groups[()] = [make_state(f) for f in agg_funcs]
+            groups[()] = [_ScalarState(f) for f in agg_funcs]
         return groups
     ids, _reps = _reference_group_rows(key_arrays, num_rows)
     order = np.argsort(ids, kind="stable")
@@ -118,7 +161,7 @@ def _reference_partial_aggregate(key_arrays, agg_funcs, agg_arrays, num_rows):
         key = tuple(_to_python(col[rep]) for col in key_arrays)
         states = groups.get(key)
         if states is None:
-            states = [make_state(f) for f in agg_funcs]
+            states = [_ScalarState(f) for f in agg_funcs]
             groups[key] = states
         for state, arr in zip(states, agg_arrays):
             if arr is None:
@@ -283,9 +326,8 @@ def test_partial_aggregate_matches_scalar_reference(data, family, use_count_star
     arrays = [None if use_count_star else values, values, values, values, values, ints]
     got = partial_aggregate([keys], funcs, arrays, n)
     want = _reference_partial_aggregate([keys], funcs, arrays, n)
-    assert set(got.groups) == set(want.keys())
-    for key, states in got.groups.items():
-        finals = [s.final() for s in states]
+    assert set(got.finals()) == set(want.keys())
+    for key, finals in got.finals().items():
         ref_finals = [s.final() for s in want[key]]
         assert finals == ref_finals, key
 
@@ -302,9 +344,9 @@ def test_partial_aggregate_multi_key_matches_scalar_reference(data):
     arrays = [values] * 5
     got = partial_aggregate([k1, k2], funcs, arrays, n)
     want = _reference_partial_aggregate([k1, k2], funcs, arrays, n)
-    assert set(got.groups) == set(want.keys())
-    for key, states in got.groups.items():
-        assert [s.final() for s in states] == [s.final() for s in want[key]], key
+    assert set(got.finals()) == set(want.keys())
+    for key, finals in got.finals().items():
+        assert finals == [s.final() for s in want[key]], key
 
 
 @given(data=st.data())
@@ -317,16 +359,16 @@ def test_partial_aggregate_no_keys_matches_scalar_reference(data):
     arrays = [None, values, values]
     got = partial_aggregate([], funcs, arrays, n)
     want = _reference_partial_aggregate([], funcs, arrays, n)
-    assert set(got.groups) == set(want.keys())
-    for key, states in got.groups.items():
-        assert [s.final() for s in states] == [s.final() for s in want[key]]
+    assert set(got.finals()) == set(want.keys())
+    for key, finals in got.finals().items():
+        assert finals == [s.final() for s in want[key]]
 
 
 def test_partial_aggregate_object_keys_that_are_not_all_strings():
     # The hashed ranking is for ``str`` only; anything else keeps np.unique.
     keys = np.array([3, 1, 3, 2], dtype=object)
     got = partial_aggregate([keys], ["COUNT"], [None], 4)
-    assert [(k, s[0].final()) for k, s in got.groups.items()] == [((1,), 1), ((2,), 1), ((3,), 2)]
+    assert [(k, f[0]) for k, f in got.finals().items()] == [((1,), 1), ((2,), 1), ((3,), 2)]
 
 
 def test_partial_aggregate_nan_keys_share_one_group():
@@ -341,23 +383,24 @@ def test_partial_aggregate_nan_keys_share_one_group():
 
     def by_label(groups):
         out = {}
-        for (k,), states in groups.items():
+        for (k,), finals in groups.items():
             label = "nan" if isinstance(k, float) and math.isnan(k) else k
             assert label not in out  # one group per distinct key, NaN included
-            out[label] = [s.final() for s in states]
+            out[label] = finals
         return out
 
-    assert by_label(got.groups) == by_label(want) == {"nan": [2, 5.0], 1.0: [1, 5.0]}
+    want = {key: [s.final() for s in states] for key, states in want.items()}
+    assert by_label(got.finals()) == by_label(want) == {"nan": [2, 5.0], 1.0: [1, 5.0]}
 
 
 def test_partial_aggregate_avg_int64_exact_beyond_double_precision():
-    # The scalar AvgState summed exactly in int64 and converted once;
+    # The scalar AVG state summed exactly in int64 and converted once;
     # element-wise float conversion would collapse these to AVG == 0.0.
     values = np.array([2**60 + 1, 2**60 + 3, -(2**60), -(2**60)], dtype=np.int64)
     keys = np.zeros(4, dtype=np.int64)
     got = partial_aggregate([keys], ["AVG"], [values], 4)
     want = _reference_partial_aggregate([keys], ["AVG"], [values], 4)
-    assert [s.final() for s in got.groups[(0,)]] == [1.0]
+    assert got.finals()[(0,)] == [1.0]
     assert [s.final() for s in want[(0,)]] == [1.0]
 
 
@@ -380,12 +423,11 @@ def test_partial_aggregate_general_floats_within_tolerance(data):
     funcs = ["COUNT", "SUM", "MIN", "MAX", "AVG"]
     got = partial_aggregate([keys], funcs, [values] * 5, n)
     want = _reference_partial_aggregate([keys], funcs, [values] * 5, n)
-    assert set(got.groups) == set(want.keys())
+    assert set(got.finals()) == set(want.keys())
     # Reordering error for a float sum is bounded by n * eps * sum(|x|),
     # which dwarfs rel * |sum| when large terms cancel to a small total.
     slack = n * np.finfo(np.float64).eps * float(np.sum(np.abs(values)))
-    for key, states in got.groups.items():
-        g = [s.final() for s in states]
+    for key, g in got.finals().items():
         w = [s.final() for s in want[key]]
         assert g[0] == w[0] and g[2] == w[2] and g[3] == w[3]
         assert g[1] == pytest.approx(w[1], rel=1e-9, abs=slack)
@@ -408,9 +450,8 @@ def _same(a, b):
 
 def _assert_same_groups(got, want):
     # Same groups in the scalar loop's ascending key order, same finals.
-    assert list(got.groups) == list(want)
-    for key, states in got.groups.items():
-        finals = [s.final() for s in states]
+    assert list(got.finals()) == list(want)
+    for key, finals in got.finals().items():
         ref = [s.final() for s in want[key]]
         assert all(map(_same, finals, ref)), (key, finals, ref)
 
@@ -455,7 +496,7 @@ def test_edge_keys_match_scalar_reference(keys):
     got, want = _aggregate_both([keys], len(keys), np.random.default_rng(3))
     _assert_same_groups(got, want)
     # bool keys stay bools, not the 0/1 of an integer id
-    assert [type(k[0]) for k in got.groups] == [type(k[0]) for k in want]
+    assert [type(k[0]) for k in got.finals()] == [type(k[0]) for k in want]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -504,21 +545,21 @@ def test_int64_sum_exact_beyond_double_precision_in_one_group():
     keys = np.array([0, 1, 0, 0], dtype=np.int64)
     got = partial_aggregate([keys], ["SUM", "AVG"], [values] * 2, 4)
     want = _reference_partial_aggregate([keys], ["SUM", "AVG"], [values] * 2, 4)
-    assert got.groups[(0,)][0].final() == 2**53 + 1 + 2**53 + 3 + 2**60 + 1
+    assert got.finals()[(0,)][0] == 2**53 + 1 + 2**53 + 3 + 2**60 + 1
     _assert_same_groups(got, want)
 
 
 @given(values=st.lists(st.floats(-1e300, 1e300), min_size=0, max_size=60))
 def test_global_aggregate_is_the_scalar_state_over_the_column(values):
     # Arbitrary doubles, not only sixteenths: without GROUP BY the partial
-    # is AggregateState.update over the whole column, bit for bit.
+    # is the scalar state's update over the whole column, bit for bit.
     arr = np.asarray(values, dtype=np.float64)
     funcs = ["SUM", "AVG", "MIN", "MAX", "COUNT"]
     got = partial_aggregate([], funcs, [arr] * 5, len(arr))
-    for func, state in zip(funcs, got.groups[()]):
-        scalar = make_state(func)
+    for func, final in zip(funcs, got.finals()[()]):
+        scalar = _ScalarState(func)
         scalar.update(arr)
-        assert _same(state.final(), scalar.final()), func
+        assert _same(final, scalar.final()), func
 
 
 # -- sort ------------------------------------------------------------------

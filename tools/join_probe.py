@@ -116,12 +116,12 @@ def _agree(got, want) -> None:
     """The two paths' task results are the same answer and the same charge."""
     assert dataclasses.asdict(got.report) == dataclasses.asdict(want.report), got.task_id
     assert got.partial.rows_scanned == want.partial.rows_scanned
-    got_keys = {key: key for key in got.partial.groups}
-    assert got_keys.keys() == want.partial.groups.keys()
-    for key, states in want.partial.groups.items():
+    got_finals, want_finals = got.partial.finals(), want.partial.finals()
+    got_keys = {key: key for key in got_finals}
+    assert got_keys.keys() == want_finals.keys()
+    for key, finals in want_finals.items():
         assert list(map(type, got_keys[key])) == list(map(type, key)), key
-        finals = [s.final() for s in got.partial.groups[key]]
-        assert all(map(_same, finals, [s.final() for s in states])), (key, finals)
+        assert all(map(_same, got_finals[key], finals)), (key, got_finals[key])
 
 
 def _us(run, tasks, repeat: int) -> float:
