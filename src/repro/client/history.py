@@ -15,8 +15,8 @@ from __future__ import annotations
 import functools
 import threading
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, List, Optional, Tuple
 
 from repro.planner.physical import plan_shape
 from repro.sql.analyzer import AnalyzedQuery

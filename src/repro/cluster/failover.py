@@ -18,7 +18,7 @@ replays any remaining log and takes over.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generic, List, Optional, Tuple, TypeVar
 
 from repro.errors import ClusterStateError

@@ -36,6 +36,7 @@ from repro.errors import (
     AccessDeniedError,
     ClusterStateError,
     FeisuError,
+    IntegerOverflowError,
     QueryTimeout,
     SchedulingError,
 )
@@ -111,7 +112,7 @@ class _Wave:
 
     __slots__ = (
         "master", "job", "total", "broadcasts", "sent_broadcast_to", "arrived",
-        "early_ratio", "failed", "reused", "gate", "unplaced", "placements",
+        "early_ratio", "failed", "error", "reused", "gate", "unplaced", "placements",
     )
 
     def __init__(
@@ -130,6 +131,8 @@ class _Wave:
         self.arrived: Dict[str, TaskResult] = {}
         self.early_ratio = early_ratio
         self.failed = 0
+        #: The first terminal failure of one of its tasks.
+        self.error: Optional[BaseException] = None
         self.reused: Set[str] = set()
         self.gate = master.sim.event(name=f"{job.job_id}.wave")
         self.unplaced: List[ScanTask] = []  # its own tasks, until placed
@@ -143,32 +146,22 @@ class _Wave:
         master = self.master
         done = Event(master.sim, "task.done")
         master.job_manager.track_task(sig, done)
-        first = None
-        if in_wave:
-            first = partial(self.placement, len(self.unplaced))
-            self.unplaced.append(task)
         state = _TaskAttempts(
             master, self.job, task, self.broadcasts, self.sent_broadcast_to, done
         )
-        Process(master.sim, master._task_supervisor(state, first), task.task_id)  # noqa: SLF001
+        if in_wave:
+            state.wave = self
+            state.wave_index = len(self.unplaced)
+            self.unplaced.append(task)
+        Process(master.sim, master._task_supervisor(state), task.task_id)  # noqa: SLF001
         done.add_callback(partial(self._settle_own, sig, task))
 
-    def placement(self, index: int) -> Optional[Placement]:
-        """The first supervisor to ask places the wave: the first steps of
-        its supervisors are consecutive pops, so one ``place_wave`` decides
-        what their ``place`` calls would have (in ``_run_wave`` it would
-        not: lower-seq entries of the instant run between and move load)."""
-        if self.placements is None:
-            self.placements = self.master.scheduler.place_wave(
-                self.unplaced, self.job.plan.scan_cnf
-            )
-        return self.placements[index]
-
-    def _settle_own(self, sig: Tuple, task: ScanTask, ev: Event) -> None:
-        self.master.job_manager.settle_task(sig, ev)
-        self.settle(task, False, ev)
-
-    def settle(self, task: ScanTask, fallback_allowed: bool, ev: Event) -> None:
+    def _settle_own(self, sig: Optional[Tuple], task: ScanTask, ev: Event) -> None:
+        """The task's place in this wave, once ``ev`` (its own supervisor's
+        ``done``, published under ``sig``, or with ``sig`` None a reused
+        task's) has resolved."""
+        if sig is not None:
+            self.master.job_manager.settle_task(sig, ev)
         gate = self.gate
         if gate.triggered:
             return
@@ -179,22 +172,29 @@ class _Wave:
             job.stats.absorb(result)
             if task.task_id in self.reused:
                 job.stats.tasks_reused += 1
-        elif fallback_allowed:
-            # The shared task exhausted *another job's* attempt budget;
-            # inheriting that failure with zero attempts of our own turned
-            # one job's bad luck into every piggybacker's.  Fall back to
-            # our own supervisor once.
-            self.reused.discard(task.task_id)
-            self.launch(task, task_signature(job.plan, task))
-            return
         else:
             self.failed += 1
             job.stats.tasks_failed += 1
+            if self.error is None:
+                self.error = ev._exc  # noqa: SLF001
         completed = len(self.arrived)
         if completed + self.failed == self.total or (
             self.early_ratio is not None and completed / self.total >= self.early_ratio
         ):
             gate.succeed()
+
+    def settle(self, task: ScanTask, ev: Event) -> None:
+        """A reused task's result, as :meth:`_settle_own` takes it; but when
+        the shared task failed, the task falls back to its own supervisor
+        once."""
+        if ev._exc is not None and not self.gate.triggered:  # noqa: SLF001
+            # The shared task exhausted *another job's* attempt budget;
+            # inheriting that failure with zero attempts of our own turned
+            # one job's bad luck into every piggybacker's.
+            self.reused.discard(task.task_id)
+            self.launch(task, task_signature(self.job.plan, task))
+            return
+        self._settle_own(None, task, ev)
 
 
 class _TaskAttempts:
@@ -208,6 +208,7 @@ class _TaskAttempts:
     __slots__ = (
         "master", "job", "task", "broadcasts", "sent_broadcast_to", "done",
         "attempts", "excluded", "estimates", "launch_times", "failures", "armed",
+        "wave", "wave_index",
     )
 
     def __init__(
@@ -232,6 +233,10 @@ class _TaskAttempts:
         self.failures = 0
         #: The supervisor's pending backup deadline timer, if it sleeps on one.
         self.armed: List[Event] = []
+        #: The wave that places the first attempt, and the task's index in
+        #: it; None once used, or for a task placed by ``place``.
+        self.wave: Optional[_Wave] = None
+        self.wave_index = 0
 
     def report(self, value: Optional[TaskResult], exc: Optional[Exception]) -> None:
         # Called by the attempt itself as its last step (not as a
@@ -254,13 +259,28 @@ class _TaskAttempts:
         for timer in self.armed:
             timer.abandon()
 
-    def launch(self, first=None) -> bool:
-        """Start one more attempt, placed by ``first()`` if given."""
+    def launch(self) -> bool:
+        """Start one more attempt.  A wave's task is first placed by its
+        wave: the first supervisor to launch places the whole wave, since
+        the first steps of its supervisors are consecutive pops, so one
+        ``place_wave`` decides what their ``place`` calls would have (in
+        ``_run_wave`` it would not: lower-seq entries of the instant run
+        between and move load)."""
         master, job, task, attempts = self.master, self.job, self.task, self.attempts
+        wave = self.wave
         try:
-            placement = first() if first is not None else master.scheduler.place(
-                task, job.plan.scan_cnf, exclude=self.excluded
-            )
+            if wave is None:
+                placement = master.scheduler.place(
+                    task, job.plan.scan_cnf, exclude=self.excluded
+                )
+            else:
+                self.wave = None
+                placements = wave.placements
+                if placements is None:
+                    placements = wave.placements = master.scheduler.place_wave(
+                        wave.unplaced, job.plan.scan_cnf
+                    )
+                placement = placements[self.wave_index]
         except SchedulingError:
             placement = None
         if placement is None:
@@ -268,17 +288,18 @@ class _TaskAttempts:
         self.excluded.append(placement.leaf.worker_id)
         self.estimates.append(placement.estimate_s)
         self.launch_times.append(master.sim.now)
+        index = len(attempts)
         proc = Process(
             master.sim,
             master._task_flow(  # noqa: SLF001
                 job, task, placement, self.broadcasts, self.sent_broadcast_to, self.report,
-                is_backup=bool(attempts),
-                attempt_index=len(attempts),
+                is_backup=index > 0,
+                attempt_index=index,
             ),
             "task.attempt",
         )
         attempts.append(proc)
-        if len(attempts) > 1:
+        if index:
             job.stats.backups_launched += 1
         return True
 
@@ -589,7 +610,7 @@ class Master:
             self._finish_ok(job, done, [], 0.0 if plan.tasks else 1.0)
             return
         sampled_fraction = len(wave) / max(len(plan.tasks), 1)
-        arrived = yield from self._run_wave(
+        state = yield from self._run_wave(
             job, wave, broadcasts,
             early_ratio=(
                 options.min_processed_ratio if options.min_processed_ratio < 1.0 else None
@@ -602,10 +623,14 @@ class Master:
         # Completion is judged against what the job *intended* to scan
         # (the sample, if one was requested); the reported ratio is the
         # true fraction of the table's blocks that were processed.
+        arrived = state.arrived
         completed_fraction = len(arrived) / len(wave)
         ratio = completed_fraction * sampled_fraction
         if completed_fraction < options.min_processed_ratio and completed_fraction < 1.0:
-            self._finish_timeout(job, done, ratio)
+            if isinstance(state.error, IntegerOverflowError):
+                self._finish_failed(job, done, state.error)
+            else:
+                self._finish_timeout(job, done, ratio)
         else:
             self._finish_ok(job, done, list(arrived.values()), ratio)
 
@@ -616,9 +641,9 @@ class Master:
         broadcasts: Dict[str, Frame],
         early_ratio: Optional[float] = None,
         time_left: Optional[float] = None,
-    ) -> Generator[Event, None, Dict[str, TaskResult]]:
-        """Launch a job's tasks, wait for them and return the results
-        that arrived, by task id.
+    ) -> Generator[Event, None, _Wave]:
+        """Launch a job's tasks, wait for them and return the wave: the
+        results that arrived, by task id, in ``arrived``.
 
         The wait ends when every task has resolved, when ``early_ratio``
         of them have arrived, or after ``time_left`` simulated seconds.
@@ -632,7 +657,7 @@ class Master:
             shared = self.job_manager.lookup_task(sig)
             if shared is not None:
                 state.reused.add(task.task_id)
-                shared.add_callback(partial(state.settle, task, True))
+                shared.add_callback(partial(state.settle, task))
             else:
                 state.launch(task, sig, in_wave=True)
 
@@ -644,7 +669,7 @@ class Master:
             self.sim.schedule(time_left, expire)
 
         yield gate
-        return state.arrived
+        return state
 
     def _finish_timeout(self, job: Job, done: Event, ratio: float) -> None:
         """Terminal path when a job lost tasks or ran out of time below
@@ -769,7 +794,7 @@ class Master:
 
     # -- per-task supervision (dispatch, stem routing, backups) ---------------------
 
-    def _task_supervisor(self, state: _TaskAttempts, first=None) -> Generator[Event, None, None]:
+    def _task_supervisor(self, state: _TaskAttempts) -> Generator[Event, None, None]:
         """Launch ``state``'s task, then back up the *newest in-flight*
         attempt once it is overdue past its cost-model estimate (§III-C
         backup tasks), then wait for the task to resolve.
@@ -790,7 +815,7 @@ class Master:
         leaving this generator suspended until a deadline nobody needs.
         """
         done = state.done
-        if not state.launch(first):
+        if not state.launch():
             done.fail(SchedulingError(f"no leaf available for {state.task.task_id}"))
             return
         if state.job.options.enable_backup:
@@ -892,7 +917,15 @@ class Master:
                     ship.finish(self.sim.now, bytes=ship_bytes, traffic_class="write")
             result = yield from leaf.run_task(task, job.plan, broadcasts, span=span)
             payload = result.payload_bytes()
-            modeled = result.modeled_payload_bytes(payload)
+            # Production-scale wire size: row frames scale with the data
+            # (each materialized row models ``scale_factor`` production
+            # rows); aggregate partials don't, as group cardinality is
+            # scale-invariant.
+            modeled = (
+                payload * result.report.scale_factor
+                if result.frame is not None
+                else float(payload)
+            )
             returned = span.add("result_return", self.sim.now) if span is not None else None
             if modeled > job.options.spill_threshold_bytes:
                 # §V-C write flow: too-big results are dumped to global

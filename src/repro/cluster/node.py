@@ -16,11 +16,8 @@ real by :mod:`repro.engine`.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, Generator, Optional, Tuple
 
 from repro.cluster.membership import HEARTBEAT_PERIOD_S, ClusterManager
 from repro.cluster.messages import HEARTBEAT_BYTES, WorkerLoad
@@ -258,7 +255,17 @@ class LeafServer:
         self.running_tasks += 1
         try:
             payload = system.read(inner)
-            block = self._parsed_block(block_path, payload)
+            # ``Block.from_bytes(payload)``, parsed once per stored object:
+            # an entry is valid while storage returns that very payload.
+            parsed = self._parsed_blocks
+            hit = parsed.get(block_path)
+            if hit is not None and hit[0] is payload:
+                block = hit[1]
+            else:
+                block = Block.from_bytes(payload)
+                if hit is None and len(parsed) >= PARSED_BLOCKS_MAX:
+                    del parsed[next(iter(parsed))]
+                parsed[block_path] = (payload, block)
             index_key = (block.block_id, system.incarnation(inner))  # of the bytes just read
             index_manager = self.index_manager
             probed = None
@@ -330,18 +337,6 @@ class LeafServer:
         if charged:
             tags["seeks"] = report.io_seeks
         return tags
-
-    def _parsed_block(self, block_path: str, payload: bytes) -> Block:
-        """``Block.from_bytes(payload)``, parsed once per stored object."""
-        parsed = self._parsed_blocks
-        hit = parsed.get(block_path)
-        if hit is not None and hit[0] is payload:
-            return hit[1]
-        block = Block.from_bytes(payload)
-        if hit is None and len(parsed) >= PARSED_BLOCKS_MAX:
-            del parsed[next(iter(parsed))]
-        parsed[block_path] = (payload, block)
-        return block
 
     def _charge_io(
         self, system, inner: str, block_path: str, payload: bytes, report

@@ -43,7 +43,10 @@ class ChunkStats:
 class ColumnChunk:
     """One encoded column inside a block."""
 
-    __slots__ = ("name", "dtype", "encoding_tag", "payload", "stats", "row_count", "_reader_parts")
+    __slots__ = (
+        "name", "dtype", "encoding_tag", "payload", "stats", "row_count",
+        "_reader_parts", "_make_reader",
+    )
 
     def __init__(
         self,
@@ -61,6 +64,7 @@ class ColumnChunk:
         self.stats = stats
         self.row_count = row_count
         self._reader_parts: Optional[tuple] = None
+        self._make_reader = None  # the codec's ``reader``, with the parts
 
     @classmethod
     def from_array(cls, name: str, dtype: DataType, array: np.ndarray) -> "ColumnChunk":
@@ -84,12 +88,14 @@ class ColumnChunk:
         by the first call and shared, read-only, by every later reader of
         this chunk: they live exactly as long as the chunk and its payload
         do, which for a leaf is while its parsed-block map holds that very
-        payload.  ``values()`` is still decoded once per reader."""
-        codec = codec_by_tag(self.encoding_tag)
-        parts = self._reader_parts
-        if parts is None:
-            parts = self._reader_parts = codec.reader_parts(self.payload, self.row_count)
-        return codec.reader(parts, self.decode)
+        payload.  ``values()`` is still decoded once per reader.  The
+        codec is looked up once too, by the same first call."""
+        make = self._make_reader
+        if make is None:
+            codec = codec_by_tag(self.encoding_tag)
+            self._reader_parts = codec.reader_parts(self.payload, self.row_count)
+            make = self._make_reader = codec.reader
+        return make(self._reader_parts, self.decode)
 
     @property
     def encoded_bytes(self) -> int:
@@ -161,7 +167,12 @@ class Block:
     def column_bytes(self, names: Sequence[str]) -> int:
         """Encoded bytes of the requested columns — the I/O the columnar
         layout actually pays for a projection (§III-A's motivation)."""
-        return sum(self.chunks[n].encoded_bytes for n in names if n in self.chunks)
+        chunks = self.chunks
+        total = 0
+        for n in names:
+            if n in chunks:
+                total += len(chunks[n].payload)
+        return total
 
     @property
     def total_bytes(self) -> int:

@@ -81,6 +81,10 @@ class ChunkReader:
     same array, so callers must not write to it in place (copy first).
     The reader itself is valid for as long as its chunk's payload
     buffer is.
+
+    Subclasses set ``_decode`` and ``_full`` themselves rather than
+    through ``ChunkReader.__init__`` (one frame less per column a task
+    reads).
     """
 
     __slots__ = ("_decode", "_full")
@@ -108,7 +112,8 @@ class _ViewReader(ChunkReader):
     __slots__ = ("_view",)
 
     def __init__(self, decode, view: np.ndarray):
-        ChunkReader.__init__(self, decode)
+        self._decode = decode
+        self._full = None
         self._view = view
 
     def take(self, rows):
@@ -151,7 +156,8 @@ class _DictionaryReader(ChunkReader):
     __slots__ = ("_uniques", "_codes")
 
     def __init__(self, decode, uniques: np.ndarray, codes: np.ndarray):
-        ChunkReader.__init__(self, decode)
+        self._decode = decode
+        self._full = None
         self._uniques = uniques
         self._codes = codes
 
@@ -182,7 +188,8 @@ class _RunLengthReader(ChunkReader):
     __slots__ = ("_runs", "_lengths")
 
     def __init__(self, decode, runs: np.ndarray, lengths: np.ndarray):
-        ChunkReader.__init__(self, decode)
+        self._decode = decode
+        self._full = None
         self._runs = runs
         self._lengths = lengths
 

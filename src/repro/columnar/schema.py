@@ -10,8 +10,8 @@ data is flattened into dotted column names by
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 

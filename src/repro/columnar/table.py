@@ -10,7 +10,7 @@ without touching data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.columnar.schema import Schema
 from repro.errors import StorageError

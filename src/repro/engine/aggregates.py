@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, IntegerOverflowError
 
 
 def _to_python(value):
@@ -88,7 +88,7 @@ class GroupedPartial:
         group's states left to right from 0.0, so it does not depend on
         how a query's partials were built, only on their order; MIN / MAX
         keep the first of equal values and let a NaN win.  An integer SUM
-        that leaves int64 raises ``ExecutionError("integer overflow")``,
+        that leaves int64 raises ``IntegerOverflowError("integer overflow")``,
         sqlite's answer.  A lone partial whose key tuples are already
         distinct is its own regrouping and keeps its order (no state of a
         partial is a float sum of -0.0, which 0.0 + would change).
@@ -280,7 +280,7 @@ def _extremes(func: str, arr: np.ndarray, ids: np.ndarray, size: int) -> np.ndar
 
 def _exact_int_sums(ids: np.ndarray, size: int, values: np.ndarray) -> np.ndarray:
     """Each bin's sum of int64 ``values``, exact, or
-    ``ExecutionError("integer overflow")`` when one leaves int64.
+    ``IntegerOverflowError("integer overflow")`` when one leaves int64.
 
     The 32-bit halves are summed apart (neither sum can wrap below 2^31
     rows), the low half's carry moves up, and the total fits iff the
@@ -292,26 +292,40 @@ def _exact_int_sums(ids: np.ndarray, size: int, values: np.ndarray) -> np.ndarra
     np.add.at(lo, ids, values & 0xFFFFFFFF)
     hi += lo >> 32
     if ((hi + 2**31) >> 32).any():
-        raise ExecutionError("integer overflow")
+        raise IntegerOverflowError("integer overflow")
     return (hi << 32) | (lo & 0xFFFFFFFF)
+
+
+def _int_sum_cannot_wrap(values: np.ndarray) -> bool:
+    """``max|x| · rows < 2^63`` for a non-empty integer column: no sum of
+    any of its rows leaves int64."""
+    lo, hi = int(np.minimum.reduce(values)), int(np.maximum.reduce(values))
+    return (hi if hi > -lo else -lo) * values.size < 2**63
 
 
 def _grouped_state(func: str, arr: Optional[np.ndarray], ids, size, bins, counts) -> np.ndarray:
     """One aggregate's state column over the occupied ``bins``, from one
     scatter reduction of its rows into ``size`` bins.
 
-    Integer SUM/AVG scatter-add into int64, exact and wrapping as
-    ``np.sum`` does; AVG then converts each exact total once.  Float
-    SUM/AVG take ``np.bincount(weights=)``, which adds each group's rows
-    left to right where the scalar path's ``values.sum()`` adds pairwise,
-    so they can differ from it in the last ulps for large groups.
+    Integer SUM scatter-adds into int64 where no sum can wrap, and
+    otherwise sums exactly (``_exact_int_sums``), raising
+    ``IntegerOverflowError("integer overflow")`` when a group's total
+    leaves int64.  Integer AVG scatter-adds into int64, wrapping as ``np.sum``
+    does, and converts each total once.  Float SUM/AVG take
+    ``np.bincount(weights=)``, which adds each group's rows left to right
+    where the scalar path's ``values.sum()`` adds pairwise, so they can
+    differ from it in the last ulps for large groups.
     """
     if func == "COUNT" or arr is None:
         return counts
     if func == "SUM" or func == "AVG":
-        if arr.dtype.kind in "biu":
+        kind = arr.dtype.kind
+        if kind in "biu":
+            values = arr.astype(np.int64, copy=False)
+            if func == "SUM" and kind != "b" and not _int_sum_cannot_wrap(arr):
+                return _exact_int_sums(ids, size, values)[bins]
             sums = np.zeros(size, dtype=np.int64)
-            np.add.at(sums, ids, arr.astype(np.int64, copy=False))
+            np.add.at(sums, ids, values)
             return sums[bins] if func == "SUM" else sums[bins].astype(np.float64)
         return np.bincount(ids, weights=arr, minlength=size)[bins]
     if func == "MIN" or func == "MAX":
@@ -321,11 +335,16 @@ def _grouped_state(func: str, arr: Optional[np.ndarray], ids, size, bins, counts
 
 def _global_state(func: str, arr: Optional[np.ndarray], counts: np.ndarray) -> np.ndarray:
     """One aggregate's state over a whole column, reduced where it lies
-    (a float sum is ``np.sum``'s, pairwise)."""
+    (a float sum is ``np.sum``'s, pairwise; an integer SUM that could
+    wrap is summed exactly, as in ``_grouped_state``)."""
     if func == "COUNT" or arr is None:
         return counts
     if func == "SUM" or func == "AVG":
-        if arr.dtype.kind in "biu":
+        kind = arr.dtype.kind
+        if kind in "biu":
+            if func == "SUM" and kind != "b" and not _int_sum_cannot_wrap(arr):
+                ids = np.zeros(arr.size, dtype=np.int64)
+                return _exact_int_sums(ids, 1, arr.astype(np.int64, copy=False))
             return np.array([arr.sum()], dtype=np.int64 if func == "SUM" else np.float64)
         # From 0.0, as a merge adds: a sum of -0.0 reads 0.0 either way.
         return np.array([0.0 + arr.sum()], dtype=np.float64)

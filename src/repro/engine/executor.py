@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,26 +119,13 @@ class TaskResult:
         """Wire-size estimate of this result for the network model."""
         if self.partial is not None:
             return self.partial.estimated_bytes()
+        total = 64
         if self.frame is not None:
             # ``len(str(x)) + 8`` per string; ``map`` keeps the per-row
             # work out of Python frames.
-            return 64 + sum(
-                v.nbytes if v.dtype != object else sum(map(len, map(str, v))) + 8 * len(v)
-                for v in self.frame.columns.values()
-            )
-        return 64
-
-    def modeled_payload_bytes(self, payload_bytes: int) -> float:
-        """Production-scale wire size, given :meth:`payload_bytes` (which
-        the caller needs too, so it is computed once).
-
-        Row frames scale with the data (each materialized row models
-        ``scale_factor`` production rows); aggregate partials don't —
-        their size tracks group cardinality, which is scale-invariant.
-        """
-        if self.frame is not None and self.report is not None:
-            return payload_bytes * self.report.scale_factor
-        return float(payload_bytes)
+            for v in self.frame.columns.values():
+                total += v.nbytes if v.dtype != object else sum(map(len, map(str, v))) + 8 * v.size
+        return total
 
 
 def _resolver_for(analyzed: AnalyzedQuery, frame: Frame, qualified: bool):
@@ -171,32 +158,33 @@ def execute_scan_task(
     """Run one scan task against its (already fetched) block.
 
     Filter, then gather: predicates are answered on the encoded chunks
-    (:func:`_select_rows`), and only ``plan.payload_columns`` are
+    (:func:`_scan_block`), and only ``plan.payload_columns`` are
     materialized, only at the matching rows.
 
     ``paths`` are the access paths the leaf offers, folded in order
-    (:func:`_select_rows`).  ``index_key`` (default: the block id) is the
+    (:func:`_scan_block`).  ``index_key`` (default: the block id) is the
     one key every path sees; a leaf passes ``(block id, incarnation)``.
     """
     if index_key is None:
         index_key = block.block_id
-    report, readers, rows = _select_rows(task, plan, block, index_key, paths, now)
-    frame = _gather(task, plan, readers, rows, report.rows_in_block)
-    report.rows_matched = frame.num_rows
+    report, frame = _scan_block(task, plan, block, index_key, paths, now)
     result = _finish_task(frame, task, plan, broadcast_frames, report)
-    report.finish()
+    # ``report.finish()``, spelled out: nothing adds to the books after this.
+    report.modeled_io_bytes = report.io_bytes * report.scale_factor
+    report.modeled_cpu_ops = report.cpu_ops * report.scale_factor
     return result
 
 
-def _select_rows(
+def _scan_block(
     task: ScanTask,
     plan: PhysicalPlan,
     block: Block,
     index_key: Hashable,
     paths: Sequence,
     now: float,
-) -> Tuple[TaskExecutionReport, Optional[Dict[str, ChunkReader]], Optional[np.ndarray]]:
-    """Fold the access paths, price the scan and evaluate what is left.
+) -> Tuple[TaskExecutionReport, Frame]:
+    """Fold the access paths, price the scan, evaluate what is left and
+    gather the payload columns at the matching rows.
 
     Each path's ``probe(key, clauses, block, now)`` sees the clauses the
     paths before it left, and returns ``(mask, missing, charge)``: the
@@ -205,12 +193,12 @@ def _select_rows(
     the read set is known and says whether it priced the read.  A path's
     ``learn``, if not None, is fed every atom evaluated here.
 
-    Returns ``(report, readers, rows)``: the readers of the columns the
-    scan reads (None when a fully answered filter matches nothing, so
-    nothing is read at all) and the ascending ids of the matching rows
-    (None for every row of the block).  Every charge is a formula over
-    whole-block row counts, never over the work done here, so the
-    simulated clock cannot see how a column was read.
+    Returns ``(report, frame)``: ``plan.payload_columns`` at the matching
+    rows, in ascending row order (nothing is read at all when a fully
+    answered filter matches nothing), with ``report.rows_matched`` set.
+    Every charge is a formula over whole-block row counts, never over the
+    work done here, so the simulated clock cannot see how a column was
+    read.
     """
     report = TaskExecutionReport(
         task_id=task.task_id, rows_in_block=block.num_rows, scale_factor=block.scale_factor
@@ -230,42 +218,39 @@ def _select_rows(
     full = mask is not None and not left
     report.index_full_cover = full
     payload_columns = plan.payload_columns
-    empty = full and not mask.any()
+    # ``mask.any()`` without numpy's Python-level ``_any``.
+    empty = full and not np.logical_or.reduce(mask)
     read_columns = () if empty else payload_columns if full else task.columns
     priced = False
     for charge in charges:
         priced = charge(report, read_columns) or priced
     if empty:
-        return report, None, None
+        return report, Frame(
+            {c: np.empty(0, dtype=_np_dtype(plan.analyzed, task, c)) for c in payload_columns}, 0
+        )
+    num_rows = block.num_rows
     if read_columns and not priced:
         report.io_bytes += block.column_bytes(read_columns)
-        report.cpu_ops += OPS_PER_DECODE * block.num_rows * len(read_columns)
+        report.cpu_ops += OPS_PER_DECODE * num_rows * len(read_columns)
     if read_columns:
         report.io_seeks += 1
-    readers = {c: block.chunks[c].reader() for c in read_columns}
+    chunks = block.chunks
+    readers: Dict[str, ChunkReader] = {}
+    for c in read_columns:
+        readers[c] = chunks[c].reader()
     if left:
-        mask = _evaluate(left, readers, block.num_rows, mask, learn, index_key, task, now, report)
+        mask = _evaluate(left, readers, num_rows, mask, learn, index_key, task, now, report)
+    columns: Dict[str, np.ndarray] = {}
     if mask is None:
-        return report, readers, None
-    return report, readers, mask.nonzero()[0]
-
-
-def _gather(
-    task: ScanTask,
-    plan: PhysicalPlan,
-    readers: Optional[Dict[str, ChunkReader]],
-    rows: Optional[np.ndarray],
-    num_rows: int,
-) -> Frame:
-    """Materialize the payload columns at ``rows`` (see :func:`_select_rows`)."""
-    columns = plan.payload_columns
-    if readers is None:
-        return Frame(
-            {c: np.empty(0, dtype=_np_dtype(plan.analyzed, task, c)) for c in columns}, 0
-        )
-    if rows is None:
-        return Frame({c: readers[c].values() for c in columns}, num_rows)
-    return Frame({c: readers[c].take(rows) for c in columns}, len(rows))
+        for c in payload_columns:
+            columns[c] = readers[c].values()
+    else:
+        rows = mask.nonzero()[0]
+        num_rows = rows.size
+        for c in payload_columns:
+            columns[c] = readers[c].take(rows)
+    report.rows_matched = num_rows
+    return report, Frame(columns, num_rows)
 
 
 def _finish_task(
@@ -389,28 +374,21 @@ def _aggregate_then_join(
     master's rule.  Float SUM/AVG therefore add per key, then across keys.
 
     Returns None, having charged nothing, when a dimension's key tuples
-    repeat or hold NaN, or a key pair is not ``directly_comparable``:
-    the caller then joins row by row.  Otherwise every charge is the
+    repeat or hold NaN, or a key pair is not ``directly_comparable``
+    (decided once per broadcast frame, :func:`_dimension_index`): the
+    caller then joins row by row.  Otherwise every charge is the
     row-by-row path's formula over the row counts it would have seen.
     """
     analyzed = plan.analyzed
     fact_keys = [frame.columns[name] for name in eager.fact_keys]
+    fact_dtypes = tuple(map(_DTYPE, fact_keys))
     lookups = []
     for bc, (positions, dim_keys) in zip(plan.broadcasts, eager.joins):
         dim = broadcast_frames.get(bc.binding)
         if dim is None:
             return None
-        columns = [dim.columns[name] for name in dim_keys]
-        for pos, col in zip(positions, columns):
-            if not directly_comparable(fact_keys[pos], col) or (
-                col.dtype.kind == "f" and np.isnan(col).any()
-            ):
-                return None
-        # Keyed the way ``itemgetter(*positions)`` reads a fact key tuple:
-        # by the value for one column, by a tuple for several.
-        values = [col.tolist() for col in columns]
-        index = dict(zip(values[0] if len(values) == 1 else zip(*values), range(dim.num_rows)))
-        if len(index) != dim.num_rows:
+        index = _dimension_index(dim, positions, dim_keys, fact_keys, fact_dtypes)
+        if index is None:
             return None
         lookups.append((bc, dim, itemgetter(*positions), index))
 
@@ -465,6 +443,46 @@ def _aggregate_then_join(
         rows_scanned=rows,
     )
     return joined_keys.merge()
+
+
+_DTYPE = attrgetter("dtype")
+
+
+def _dimension_index(
+    dim: Frame,
+    positions: Tuple[int, ...],
+    dim_keys: Tuple[str, ...],
+    fact_keys: List[np.ndarray],
+    fact_dtypes: Tuple,
+) -> Optional[Dict]:
+    """``dim``'s row per key tuple of its ``dim_keys`` columns, keyed the
+    way ``itemgetter(*positions)`` reads a fact key tuple (by the value for
+    one column, by a tuple for several); None when the tuples repeat or
+    hold NaN, or a key pair is not ``directly_comparable``.
+
+    A broadcast frame is the same for every task of a job, so the answer
+    is derived once per frame and kept on it (``Frame.derived``), under
+    the key columns and the fact keys' dtypes it was checked against.
+    """
+    derived = dim.derived
+    if derived is None:
+        derived = dim.derived = {}
+    memo_key = ("eager_join", positions, dim_keys, fact_dtypes)
+    if memo_key in derived:
+        return derived[memo_key]
+    index: Optional[Dict] = None
+    columns = [dim.columns[name] for name in dim_keys]
+    if all(
+        directly_comparable(fact_keys[pos], col)
+        and not (col.dtype.kind == "f" and np.isnan(col).any())
+        for pos, col in zip(positions, columns)
+    ):
+        values = [col.tolist() for col in columns]
+        index = dict(zip(values[0] if len(values) == 1 else zip(*values), range(dim.num_rows)))
+        if len(index) != dim.num_rows:
+            index = None
+    derived[memo_key] = index
+    return index
 
 
 def _rewrite(expr: Expr, mapping: Dict[Expr, Column]) -> Expr:

@@ -46,6 +46,12 @@ class ExecutionError(FeisuError):
     """A task failed while executing a (sub-)plan on a leaf server."""
 
 
+class IntegerOverflowError(ExecutionError):
+    """An integer SUM left int64: sqlite's "integer overflow".  It is the
+    data's answer, the same on every leaf, so a job whose task raised it
+    fails with it rather than as a timeout."""
+
+
 class StorageError(FeisuError):
     """Base class for storage-substrate failures."""
 

@@ -10,7 +10,7 @@ produce long zero runs that collapse well.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -61,7 +61,9 @@ class BitVector:
             self._bits[-1] &= np.uint8(0xFF << (8 - tail) & 0xFF)
 
     def to_bool_array(self) -> np.ndarray:
-        return np.unpackbits(self._bits, count=self.length).astype(np.bool_)
+        # ``unpackbits`` writes a fresh array of 0 and 1 bytes: read as
+        # booleans where it lies.
+        return np.unpackbits(self._bits, count=self.length).view(np.bool_)
 
     def _check(self, other: "BitVector") -> None:
         if self.length != other.length:

@@ -240,17 +240,38 @@ class SmartIndexManager:
 
         The TTL sweep runs exactly once per cover call (not once per
         atom), so a multi-clause CNF probe does not multiply sweep cost;
-        see ``stats.ttl_sweeps``.  The lock, too, is taken once: the
-        probes go through the lookups' unlocked halves.
+        see ``stats.ttl_sweeps``.  A sweep with nothing due is only
+        counted.  The lock, too, is taken once.  The probes are
+        :meth:`_lookup_clause`'s, spelled out: an exact hit, the common
+        case, is read here, and only a miss of the exact key goes through
+        :meth:`_lookup_complement`.
         """
-        self._expire(now)
+        created = self._created
+        if self._pinned_expired or (created and created[0][0] < now - self.ttl_s):
+            self._expire(now)
+        else:
+            self.stats.ttl_sweeps += 1
+        entries, stats = self._entries, self.stats
         mask: Optional[BitVector] = None
         missing: List[Clause] = []
         for clause in clauses:
-            if not clause.is_indexable:
-                missing.append(clause)
-                continue
-            vec = self._lookup_clause(block_id, clause, now)
+            vec: Optional[BitVector] = None
+            if clause.is_indexable:
+                for atom in clause.atoms:
+                    key = (block_id, atom.key)
+                    entry = entries.get(key)
+                    if entry is None:
+                        atom_vec = self._lookup_complement(block_id, atom, now)
+                        if atom_vec is None:
+                            vec = None
+                            break
+                    else:  # ``_touch``, then ``entry.vector()``
+                        entry.last_used = now
+                        entry.hit_count += 1
+                        entries.move_to_end(key)
+                        stats.hits += 1
+                        atom_vec = entry.raw if entry.raw is not None else entry.vector()
+                    vec = atom_vec if vec is None else (vec | atom_vec)
             if vec is None:
                 missing.append(clause)
             else:
@@ -299,6 +320,13 @@ class SmartIndexManager:
         if entry is not None:
             self.stats.hits += 1
             return entry.vector()
+        return self._lookup_complement(block_id, atom, now)
+
+    def _lookup_complement(
+        self, block_id: Hashable, atom: AtomicPredicate, now: float
+    ) -> Optional[BitVector]:
+        """:meth:`_lookup_atom` once the exact key missed: the
+        complement's bit-NOT, else a miss."""
         entry = self._touch((block_id, atom.complement().key), now)
         if entry is not None and not (entry.nan_excluded and atom.bounds is not None):
             self.stats.complement_hits += 1

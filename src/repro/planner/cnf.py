@@ -149,10 +149,11 @@ class Clause:
 
     atoms: Tuple[AtomicPredicate, ...]
     residuals: Tuple[Expr, ...] = ()
+    #: Built with the clause, since every index probe of every task reads it.
+    is_indexable: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_indexable(self) -> bool:
-        return not self.residuals and bool(self.atoms)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "is_indexable", not self.residuals and bool(self.atoms))
 
     @property
     def columns(self) -> Tuple[str, ...]:

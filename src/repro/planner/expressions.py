@@ -13,13 +13,12 @@ post-join against a combined frame (``binding.column`` names).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.columnar.schema import DataType
 from repro.errors import ExecutionError
 from repro.sql.ast import (
     AggregateCall,
@@ -41,6 +40,11 @@ class Frame:
 
     columns: Dict[str, np.ndarray]
     num_rows: int
+    #: What a reader derived from the columns and keeps with them (the
+    #: eager join's dimension key index), by the reader's key; None until
+    #: the first.  Valid for as long as the frame: a frame's columns are
+    #: not changed once it is built.
+    derived: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_columns(cls, columns: Dict[str, np.ndarray]) -> "Frame":

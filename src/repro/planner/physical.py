@@ -82,7 +82,7 @@ class EagerJoin:
     dimension column or a fact join-key column, and the residual filter
     reads only dimension columns.  What only the data can tell — that
     each dimension's key tuples are distinct and free of NaN — the leaf
-    checks per task.
+    checks once per broadcast frame.
     """
 
     #: Fact columns the fact rows are grouped by.

@@ -10,7 +10,7 @@ Two layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Set, Tuple
 
 from repro.errors import AccessDeniedError, QuotaExceededError

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable
 
 from repro.errors import AccessDeniedError
 

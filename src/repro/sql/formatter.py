@@ -27,7 +27,6 @@ from repro.sql.ast import (
     NotOp,
     OrderItem,
     Query,
-    SelectItem,
     Star,
 )
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import PathError, StorageError
 from repro.sim.netmodel import NodeAddress

@@ -43,17 +43,15 @@ class StorageRouter:
         An unrecognized prefix activates the local filesystem by default,
         exactly as §III-C specifies.
         """
-        if not full_path.startswith("/"):
+        if full_path[:1] != "/":
             raise PathError(f"paths must be absolute, got {full_path!r}")
-        parts = full_path.split("/", 2)
-        prefix = parts[1] if len(parts) > 1 else ""
+        _, prefix, *rest = full_path.split("/", 2)
         if full_path != "/" and not prefix:
             # "//foo" has an empty scheme segment; silently routing it to
             # the default FS makes a typo'd prefix unreachable forever.
             raise PathError(f"empty scheme segment in {full_path!r}")
         if prefix in self._systems:
-            inner = "/" + (parts[2] if len(parts) > 2 else "")
-            return self._systems[prefix], inner
+            return self._systems[prefix], ("/" + rest[0] if rest else "/")
         if self._default is None:
             raise PathError(f"no plugin for {full_path!r} and no default filesystem")
         return self._default, full_path

@@ -16,7 +16,7 @@ These functions compute the same statistics over generated traces.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set
 
 from repro.errors import ParseError
 from repro.planner.cnf import to_cnf

@@ -15,7 +15,7 @@ import pytest
 from repro import DataType, FeisuCluster, FeisuConfig, Schema
 from repro.columnar.table import Catalog
 from repro.engine import operators
-from repro.engine.executor import _finish_task, _gather, _select_rows
+from repro.engine.executor import _finish_task, _scan_block
 from repro.planner.expressions import Frame
 from repro.planner.physical import build_plan
 from repro.sim.netmodel import TopologySpec
@@ -126,8 +126,7 @@ def test_every_order_of_an_equi_on_runs_the_hash_join(stored, on):
     with _counting("hash_join", "cross_join") as calls:
         for task in plan.tasks:
             block = load_block(router, task.block)
-            report, readers, selected = _select_rows(task, plan, block, block.block_id, (), 0.0)
-            frame = _gather(task, plan, readers, selected, report.rows_in_block)
+            report, frame = _scan_block(task, plan, block, block.block_id, (), 0.0)
             result = _finish_task(frame, task, plan, {"D": dim}, dataclasses.replace(report))
             columns = result.frame.columns
             rows.extend(zip(columns["T.id"].tolist(), columns["D.label"].tolist()))

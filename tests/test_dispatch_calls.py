@@ -20,7 +20,16 @@ from repro import DataType, FeisuCluster, FeisuConfig, Schema
 from repro.sim.netmodel import NodeAddress, TopologySpec
 
 #: Calls per task of the query below, its own planning and finalizing
-#: included: 302.8 on CPython 3.11 (316.3 while a partial aggregate was a
+#: included: 269.8 on CPython 3.11 (302.8 while a disk charge went through
+#: ``read_time``, a column reader through ``codec_by_tag`` and
+#: ``ChunkReader.__init__``, a SmartIndex hit through ``_lookup_clause``,
+#: ``_lookup_atom``, ``_touch`` and ``vector()``, every probe through
+#: ``_expire`` and ``Clause.is_indexable``, a wave's first placement
+#: through a ``partial``, a task's settling through ``settle``, a result's
+#: wire size through a generator and ``modeled_payload_bytes``, the scan
+#: through ``_gather`` and ``report.finish()``, the parsed-block map
+#: through ``_parsed_block`` and an emptiness test through numpy's
+#: ``_any``; 316.3 while a partial aggregate was a
 #: dict of per-group state objects, the stem's merge a generator, every
 #: free slot's grant a new event and the straggler watchdog a generator
 #: of its own; 339.1 while a timer went through
@@ -32,7 +41,7 @@ from repro.sim.netmodel import NodeAddress, TopologySpec
 #: message went send → transfer → _transfer → occupy → transfer_duration
 #: and addresses hashed in Python).  The bound leaves 10 % for
 #: interpreter and numpy versions; lower it when the count drops.
-CALLS_PER_TASK_MEASURED = 302.8
+CALLS_PER_TASK_MEASURED = 269.8
 
 
 def _calls(fn, *args):

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.columnar.schema import DataType, Schema
 from repro.columnar.table import Catalog
 from repro.engine import operators
-from repro.engine.executor import _finish_task, _gather, _select_rows
+from repro.engine.executor import _finish_task, _scan_block
 from repro.planner.expressions import Frame
 from repro.planner.physical import build_plan
 from repro.sim.netmodel import TopologySpec
@@ -107,9 +107,7 @@ def _run_both(router, catalog, sql):
     with _counting_hash_joins() as eager_calls:
         for task in plan.tasks:
             block = load_block(router, task.block)
-            report, readers, rows = _select_rows(task, plan, block, block.block_id, (), 0.0)
-            frame = _gather(task, plan, readers, rows, report.rows_in_block)
-            report.rows_matched = frame.num_rows
+            report, frame = _scan_block(task, plan, block, block.block_id, (), 0.0)
             got = _finish_task(frame, task, plan, broadcasts, dataclasses.replace(report))
             results.append((frame, task, report, got))
     with _counting_hash_joins() as join_calls:

@@ -283,6 +283,40 @@ def test_merged_integer_sum_leaving_int64_raises_sqlites_error():
     ]
 
 
+@pytest.mark.parametrize("block_rows", [6, 2, 1])
+@pytest.mark.parametrize(
+    "sql", ["SELECT SUM(x) FROM T", "SELECT g, SUM(x) FROM T GROUP BY g"]
+)
+def test_leaf_integer_sum_leaving_int64_raises_sqlites_error(block_rows, sql):
+    """Three rows of 2^62 in group 0, then -2^62, 5 and 7: a leaf whose
+    rows can sum past int64 sums them exactly, so a job answers sqlite's
+    "integer overflow" however the rows are cut into blocks, where the
+    leaf's int64 scatter used to wrap to a negative total."""
+    from repro import DataType, FeisuCluster, FeisuConfig, Schema
+
+    cluster = FeisuCluster(FeisuConfig())
+    cluster.load_table(
+        "T",
+        Schema.of(g=DataType.INT64, x=DataType.INT64),
+        {
+            "g": np.array([0, 0, 0, 1, 1, 1], dtype=np.int64),
+            "x": np.array([2**62, 2**62, 2**62, -(2**62), 5, 7], dtype=np.int64),
+        },
+        block_rows=block_rows,
+    )
+    with pytest.raises(ExecutionError, match="integer overflow"):
+        cluster.query(sql)
+
+
+@pytest.mark.parametrize("keys", [[], [np.zeros(4, dtype=np.int64)]])
+def test_leaf_integer_sum_near_the_bounds_is_exact(keys):
+    """Rows whose magnitudes could wrap are summed exactly: the total
+    fits, so it is the answer, not an error."""
+    values = np.array([2**62, 2**62, -(2**62), -(2**62) + 1], dtype=np.int64)
+    partial = partial_aggregate(keys, ["SUM"], [values], 4)
+    assert partial.finals() == {tuple(0 for _ in keys): [1]}
+
+
 def _one_row_sum(value):
     return partial_aggregate([np.zeros(1, dtype=np.int64)], ["SUM"], [np.array([value])], 1)
 

@@ -3,7 +3,7 @@
 
 Builds the ``join_groupby`` tables and statements of ``benchmarks/e2e``
 at ``--seed`` (48 000 fact rows in 6 000-row blocks, an 8-row dimension,
-40 statements), runs ``_select_rows`` / ``_gather`` once per task, and
+40 statements), runs ``_scan_block`` once per task, and
 then measures what follows on the gathered frame:
 
 * ``_finish_task`` itself, which aggregates per join key before joining
@@ -39,7 +39,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.columnar.schema import DataType, Schema  # noqa: E402
 from repro.columnar.table import Catalog  # noqa: E402
-from repro.engine.executor import _finish_task, _gather, _select_rows  # noqa: E402
+from repro.engine.executor import _finish_task, _scan_block  # noqa: E402
 from repro.planner.expressions import Frame  # noqa: E402
 from repro.planner.physical import build_plan  # noqa: E402
 from repro.sim.netmodel import TopologySpec  # noqa: E402
@@ -84,9 +84,7 @@ def _tasks(router, catalog, statements):
         }
         for task in plan.tasks:
             block = load_block(router, task.block)
-            report, readers, rows = _select_rows(task, plan, block, block.block_id, (), 0.0)
-            frame = _gather(task, plan, readers, rows, report.rows_in_block)
-            report.rows_matched = frame.num_rows
+            report, frame = _scan_block(task, plan, block, block.block_id, (), 0.0)
             out.append((plan, join_plan, broadcasts, task, frame, report))
     return out
 
