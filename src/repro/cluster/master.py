@@ -207,8 +207,7 @@ class _TaskAttempts:
 
     __slots__ = (
         "master", "job", "task", "broadcasts", "sent_broadcast_to", "done",
-        "attempts", "excluded", "estimates", "launch_times", "failures", "armed",
-        "wave", "wave_index",
+        "attempts", "failures", "armed", "wave", "wave_index",
     )
 
     def __init__(
@@ -226,10 +225,8 @@ class _TaskAttempts:
         self.broadcasts = broadcasts
         self.sent_broadcast_to = sent_broadcast_to
         self.done = done
-        self.attempts: List[Event] = []
-        self.excluded: List[str] = []
-        self.estimates: List[float] = []
-        self.launch_times: List[float] = []
+        #: One ``(process, placement, launched_at)`` record per attempt.
+        self.attempts: List[Tuple[Process, Placement, float]] = []
         self.failures = 0
         #: The supervisor's pending backup deadline timer, if it sleeps on one.
         self.armed: List[Event] = []
@@ -249,7 +246,9 @@ class _TaskAttempts:
             done.succeed(value)
         else:
             self.failures += 1
-            if self.failures < MAX_TASK_ATTEMPTS:
+            # An overflow is the data's answer on every leaf: not retried,
+            # and the task fails without waiting for its other attempts.
+            if self.failures < MAX_TASK_ATTEMPTS and not isinstance(exc, IntegerOverflowError):
                 if self.launch() or self.failures < len(self.attempts):
                     return
             done.fail(exc)
@@ -271,7 +270,8 @@ class _TaskAttempts:
         try:
             if wave is None:
                 placement = master.scheduler.place(
-                    task, job.plan.scan_cnf, exclude=self.excluded
+                    task, job.plan.scan_cnf,
+                    exclude=[a[1].leaf.worker_id for a in attempts] if attempts else (),
                 )
             else:
                 self.wave = None
@@ -285,9 +285,6 @@ class _TaskAttempts:
             placement = None
         if placement is None:
             return False
-        self.excluded.append(placement.leaf.worker_id)
-        self.estimates.append(placement.estimate_s)
-        self.launch_times.append(master.sim.now)
         index = len(attempts)
         proc = Process(
             master.sim,
@@ -298,7 +295,7 @@ class _TaskAttempts:
             ),
             "task.attempt",
         )
-        attempts.append(proc)
+        attempts.append((proc, placement, master.sim.now))
         if index:
             job.stats.backups_launched += 1
         return True
@@ -820,10 +817,11 @@ class Master:
             return
         if state.job.options.enable_backup:
             sim, deadline_for = self.sim, self.scheduler.backup_deadline
-            attempts, estimates, launch_times = state.attempts, state.estimates, state.launch_times
+            attempts = state.attempts
             watched = 0
             while not done.triggered:
-                target = launch_times[watched] + deadline_for(estimates[watched])
+                _, placement, launched_at = attempts[watched]
+                target = launched_at + deadline_for(placement.estimate_s)
                 if target > sim.now:
                     timer = Event(sim, "timeout", target - sim.now)
                     state.armed[:] = [timer]
@@ -834,7 +832,7 @@ class Master:
                 if newest != watched:
                     watched = newest
                     continue
-                if attempts[watched].triggered:
+                if attempts[watched][0].triggered:
                     # Failed attempt; its retry (if any) is scheduled behind
                     # us in this timestamp's callback queue.  One zero-delay
                     # yield lets it appear — looping without it would spin

@@ -4,8 +4,8 @@ Feisu's evaluation ran on a 4,000-node production cluster; this
 reproduction replaces that testbed with a deterministic discrete-event
 simulator.  The kernel here is intentionally small and dependency-free:
 
-* :class:`Simulator` — the event loop: a priority queue of timestamped
-  callbacks plus a virtual clock.
+* :class:`Simulator` — the event loop: a timer heap and a due-now lane
+  of timestamped callbacks plus a virtual clock.
 * :class:`Event` — a one-shot future that callbacks or processes can wait
   on.
 * :class:`Process` — a generator-based cooperative task.  A process body
@@ -16,12 +16,27 @@ Determinism: ties in the event queue are broken by insertion order, so a
 run is a pure function of the seed used by whatever stochastic workload
 drives it.  No wall-clock time or threads are involved anywhere.
 
-Every queue entry is ``(time, seq, fn, args)`` and every push goes
-straight onto the heap: resolving an event, waking a process and arming
-a timeout cost no call into :meth:`Simulator.schedule`, and the run loops
-pop entries themselves rather than through :meth:`Simulator.step`.  The
-clock (``Simulator.now``) and ``Event.triggered`` are plain attributes,
-read far more often than anything else in the kernel.
+Every queue entry is ``(time, seq, fn, args)``, and entries run in
+``(time, seq)`` order.  They live in two containers.  An entry due at
+``now`` (an event's waiters when it resolves, a callback added to a
+resolved event, a new process's first step, a process that yields a
+resolved event, a zero-delay timer or callback) is appended to
+``Simulator._lane``, a FIFO ``deque``; an entry due later is pushed onto
+the heap ``Simulator._queue``.  The lane's entries all carry ``now`` and
+rising ``seq`` numbers, so it is sorted, and the clock cannot pass
+``now`` while it holds one; the next entry is the heap's head only when
+``queue[0] < lane[0]``.  The pop order is therefore exactly that of one
+heap holding every entry, and a due-now entry never sifts through a heap
+of pending timers.
+
+Pushing an entry costs no call into :meth:`Simulator.schedule`, and
+``run`` and ``run_until_complete`` share one loop that pops entries
+itself.  That loop resolves a timer (an ``Event.succeed`` entry) and
+resumes a process (a ``Process._step`` entry) in place, without calling
+the method; an override of either, and every other callback, is called.
+:meth:`Simulator.step` is the plain one-entry path.  The clock
+(``Simulator.now``) and ``Event.triggered`` are plain attributes, read
+far more often than anything else in the kernel.
 
 An event arms itself: ``Event(sim, name, delay, value)`` is a timer
 that pushes its own ``succeed`` at ``now + delay``, so the hot paths
@@ -41,10 +56,16 @@ tuple back, so an event nobody waits on allocates no list.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, List, Optional
+from types import MethodType
+from typing import Any, Callable, Deque, Generator, List, Optional
 
 from repro.errors import FaultInjectedError, FeisuError
+
+#: The lane's pop.  The run loops read it, like ``heappop``, from this
+#: module when they start, so a detector can wrap either.
+popleft = deque.popleft
 
 
 class SimulationError(FeisuError):
@@ -87,7 +108,10 @@ class Event:
                 raise SimulationError(f"negative delay {delay}")
             seq = sim._seq
             sim._seq = seq + 1
-            heappush(sim._queue, (sim.now + delay, seq, self.succeed, (value,)))
+            if delay:
+                heappush(sim._queue, (sim.now + delay, seq, self.succeed, (value,)))
+            else:
+                sim._lane.append((sim.now, seq, self.succeed, (value,)))
 
     @property
     def ok(self) -> bool:
@@ -107,7 +131,7 @@ class Event:
             sim = self.sim
             seq = sim._seq
             sim._seq = seq + 1
-            heappush(sim._queue, (sim.now, seq, fn, (self,)))
+            sim._lane.append((sim.now, seq, fn, (self,)))
         else:
             waiters = self._callbacks
             if waiters:
@@ -133,9 +157,9 @@ class Event:
         if callbacks:
             self._callbacks = ()
             sim = self.sim
-            queue, seq, now, args = sim._queue, sim._seq, sim.now, (self,)
+            push, seq, now, args = sim._lane.append, sim._seq, sim.now, (self,)
             for fn in callbacks:
-                heappush(queue, (now, seq, fn, args))
+                push((now, seq, fn, args))
                 seq += 1
             sim._seq = seq
         return self
@@ -177,7 +201,7 @@ class Process(Event):
         self._gen = gen
         seq = sim._seq
         sim._seq = seq + 1
-        heappush(sim._queue, (sim.now, seq, self._step, (None,)))
+        sim._lane.append((sim.now, seq, self._step, (None,)))
 
     def _step(self, fired: Optional[Event]) -> None:
         if self.triggered:
@@ -203,7 +227,7 @@ class Process(Event):
             sim = self.sim
             seq = sim._seq
             sim._seq = seq + 1
-            heappush(sim._queue, (sim.now, seq, self._step, (target,)))
+            sim._lane.append((sim.now, seq, self._step, (target,)))
         else:
             waiters = target._callbacks
             if waiters:
@@ -227,7 +251,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
+        #: Entries due after ``now``: a heap.
         self._queue: List[Any] = []
+        #: Entries due at ``now``, in ``seq`` order; see the module docstring.
+        self._lane: Deque[Any] = deque()
         #: The next entry's sequence number; see the module docstring.
         self._seq = 0
 
@@ -239,7 +266,10 @@ class Simulator:
             raise SimulationError(f"negative delay {delay}")
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (self.now + delay, seq, fn, args))
+        if delay:
+            heappush(self._queue, (self.now + delay, seq, fn, args))
+        else:
+            self._lane.append((self.now, seq, fn, args))
 
     def event(self, name: str = "") -> Event:
         return Event(self, name=name)
@@ -279,19 +309,19 @@ class Simulator:
         return self.process(loop(), name=name)
 
     # -- running ------------------------------------------------------
-    #
-    # ``run`` and ``run_until_complete`` pop the queue themselves; each
-    # iteration is exactly one ``step``.
 
     def step(self) -> bool:
         """Execute the next queued callback; return False if queue empty."""
-        queue = self._queue
-        if not queue:
+        queue, lane = self._queue, self._lane
+        if lane and not (queue and queue[0] < lane[0]):
+            _, _, fn, args = popleft(lane)
+        elif queue:
+            t, _, fn, args = heappop(queue)
+            if t < self.now:  # pragma: no cover - heap invariant
+                raise SimulationError("time went backwards")
+            self.now = t
+        else:
             return False
-        t, _, fn, args = heappop(queue)
-        if t < self.now:  # pragma: no cover - heap invariant
-            raise SimulationError("time went backwards")
-        self.now = t
         fn(*args)
         return True
 
@@ -302,33 +332,110 @@ class Simulator:
         earlier than ``now`` (or NaN) raises :class:`SimulationError` and
         leaves the clock and the queue as they were.
         """
-        if until is not None and not until >= self.now:
+        if until is None:
+            self._drain(_NEVER, _INF)
+            return self.now
+        if not until >= self.now:
             raise SimulationError(f"run until {until} is before now ({self.now})")
-        queue = self._queue
-        while queue:
-            if until is not None and queue[0][0] > until:
-                self.now = until
-                break
-            t, _, fn, args = heappop(queue)
-            if t < self.now:  # pragma: no cover - heap invariant
-                raise SimulationError("time went backwards")
-            self.now = t
-            fn(*args)
-        if until is not None and self.now < until and not queue:
-            self.now = until
-        return self.now
+        self._drain(_NEVER, until)
+        self.now = until
+        return until
 
     def run_until_complete(self, ev: Event, limit: float = float("inf")) -> Any:
         """Run until ``ev`` fires (or ``limit`` is reached) and return its value."""
-        queue = self._queue
-        while not ev.triggered:
-            if not queue:
+        self._drain(ev, limit)
+        if not ev.triggered:
+            if not (self._queue or self._lane):
                 raise SimulationError(f"deadlock: {ev.name!r} can never fire")
-            if queue[0][0] > limit:
-                raise SimulationError(f"time limit {limit} reached waiting for {ev.name!r}")
-            t, _, fn, args = heappop(queue)
-            if t < self.now:  # pragma: no cover - heap invariant
-                raise SimulationError("time went backwards")
-            self.now = t
-            fn(*args)
+            raise SimulationError(f"time limit {limit} reached waiting for {ev.name!r}")
         return ev.value
+
+    def _drain(self, ev: Any, limit: float) -> None:
+        """Run entries in ``(time, seq)`` order until ``ev`` has triggered,
+        nothing is queued or the next entry is due after ``limit``.
+
+        An ``Event.succeed`` entry (a timer) is resolved and a
+        ``Process._step`` entry resumed here, as those methods would,
+        without the call; any other callback is called.
+        """
+        queue, lane = self._queue, self._lane
+        pop, take, push = heappop, popleft, lane.append
+        method, succeed_fn, step_fn = MethodType, _SUCCEED, _STEP
+        while not ev.triggered:
+            if lane and not (queue and queue[0] < lane[0]):
+                if lane[0][0] > limit:
+                    return
+                t, _, fn, args = take(lane)
+            elif queue:
+                if queue[0][0] > limit:
+                    return
+                t, _, fn, args = pop(queue)
+                if t < self.now:  # pragma: no cover - heap invariant
+                    raise SimulationError("time went backwards")
+                self.now = t
+            else:
+                return
+            if fn.__class__ is method:
+                func = fn.__func__
+                if func is succeed_fn and not args[1:]:
+                    event = fn.__self__
+                    if event.triggered:
+                        raise SimulationError(f"event {event.name!r} resolved twice")
+                    event.triggered = True
+                    event._value = args[0] if args else None
+                    waiters = event._callbacks
+                    if waiters:
+                        event._callbacks = ()
+                        seq, wake = self._seq, (event,)
+                        for waiter in waiters:
+                            push((t, seq, waiter, wake))
+                            seq += 1
+                        self._seq = seq
+                    continue
+                if func is step_fn:
+                    proc = fn.__self__
+                    if proc.triggered:
+                        continue  # interrupted while waiting; drop the stale wakeup
+                    fired = args[0]
+                    try:
+                        if fired is None:
+                            target = next(proc._gen)
+                        elif fired._exc is None:
+                            target = proc._gen.send(fired._value)
+                        else:
+                            target = proc._gen.throw(fired._exc)
+                    except StopIteration as stop:
+                        proc.succeed(stop.value)
+                        continue
+                    except Exception as exc:
+                        proc.fail(exc)
+                        continue
+                    cls = target.__class__
+                    if cls is not Event and cls is not Process and not isinstance(target, Event):
+                        proc.fail(
+                            SimulationError(f"process {proc.name!r} yielded non-event {target!r}")
+                        )
+                    elif target.triggered:
+                        seq = self._seq
+                        self._seq = seq + 1
+                        push((self.now, seq, fn, (target,)))
+                    else:
+                        waiters = target._callbacks
+                        if waiters:
+                            waiters.append(fn)
+                        else:
+                            target._callbacks = [fn]
+                    continue
+            fn(*args)
+
+
+class _Never:
+    """What a plain ``run`` waits for: an event that never triggers."""
+
+    triggered = False
+
+
+_NEVER = _Never()
+_INF = float("inf")
+_SUCCEED = Event.succeed
+_STEP = Process._step

@@ -209,16 +209,18 @@ def test_gateway_path_state_is_flat_in_sessions_served(small_window):
 
 
 def test_no_supervisor_outlives_its_job_on_the_heap():
-    """After a job completes, no heap entry still wakes one of its task
-    supervisors: the watchdog's deadline slots stay (they keep their
-    time) but have lost their waiter."""
+    """After a job completes, no queue entry (on the timer heap or the
+    due-now lane) still wakes one of its task supervisors: the watchdog's
+    deadline slots stay (they keep their time) but have lost their
+    waiter."""
     cluster = _cluster()
     client = FeisuClient(cluster, "u")
     for sql in QUERIES:
         client.query(sql)
     waiting = []
     slots = 0
-    for _t, _seq, fn, _args in cluster.sim._queue:  # noqa: SLF001
+    sim = cluster.sim
+    for _t, _seq, fn, _args in [*sim._queue, *sim._lane]:  # noqa: SLF001
         event = getattr(fn, "__self__", None)
         if not isinstance(event, Event):
             continue

@@ -232,15 +232,15 @@ class _WatchdogHarness:
     """Drives ``Master._task_supervisor``'s straggler watch with the
     supervisor's bookkeeping: the harness stands in for both the master
     (``sim``, ``scheduler.backup_deadline``) and the task's attempts
-    (``done``, ``attempts``, ``estimates``, ``launch_times``, ``armed``,
-    ``launch``)."""
+    (``done``, ``attempts``, ``armed``, ``launch``).  An attempt is the
+    supervisor's ``(process, placement, launched_at)`` record, with a plain
+    event for the process and only the placement's ``estimate_s``."""
 
     def __init__(self, first_estimate: float = 1.0):
         self.sim = Simulator()
         self.done = self.sim.event(name="task-done")
-        self.attempts = [self.sim.event(name="attempt0")]
-        self.estimates = [first_estimate]
-        self.launch_times = [0.0]
+        self.attempts = []
+        self._add_attempt(first_estimate)
         self.armed = []
         self.backups = 0
         self.job = SimpleNamespace(options=SimpleNamespace(enable_backup=True))
@@ -257,11 +257,22 @@ class _WatchdogHarness:
         self._launched = True
         return True
 
+    def _add_attempt(self, estimate: float) -> None:
+        self.attempts.append((
+            self.sim.event(name=f"attempt{len(self.attempts)}"),
+            SimpleNamespace(estimate_s=estimate),
+            self.sim.now,
+        ))
+
+    def attempt(self, index: int):
+        return self.attempts[index][0]
+
+    def launched_at(self, index: int) -> float:
+        return self.attempts[index][2]
+
     def launch_backup(self) -> None:
         self.backups += 1
-        self.attempts.append(self.sim.event(name=f"attempt{len(self.attempts)}"))
-        self.estimates.append(self.estimates[0])
-        self.launch_times.append(self.sim.now)
+        self._add_attempt(self.attempts[0][1].estimate_s)
 
     def retry_on_failure(self, attempt_index: int, estimate: float) -> None:
         """Mimic the supervisor's completion callback: when an attempt
@@ -270,14 +281,12 @@ class _WatchdogHarness:
 
         def do_retry():
             if not self.done.triggered:
-                self.attempts.append(self.sim.event(name=f"attempt{len(self.attempts)}"))
-                self.estimates.append(estimate)
-                self.launch_times.append(self.sim.now)
+                self._add_attempt(estimate)
 
         # Two queue hops (event callback, then the launch itself), so at
         # a shared timestamp the retry can land *behind* the watchdog's
         # wake-up — the ordering the zero-delay re-check exists for.
-        self.attempts[attempt_index].add_callback(
+        self.attempt(attempt_index).add_callback(
             lambda _ev: self.sim.schedule(0.0, do_retry)
         )
 
@@ -290,10 +299,10 @@ class TestStragglerWatchdogRebase:
         h = _WatchdogHarness(first_estimate=1.0)
         proc = h.start()
         # First attempt completes only at t=10, well past its t=3 deadline.
-        h.sim.schedule(10.0, lambda: (h.attempts[0].succeed(), h.done.succeed()))
+        h.sim.schedule(10.0, lambda: (h.attempt(0).succeed(), h.done.succeed()))
         h.sim.run_until_complete(proc)
         assert h.backups == 1
-        assert h.launch_times[1] == pytest.approx(3.0)
+        assert h.launched_at(1) == pytest.approx(3.0)
 
     def test_fresh_retry_is_not_immediately_backed_up(self):
         # The bug: attempt 0 (launched t=0, deadline t=3) fails at t=2.9
@@ -303,9 +312,9 @@ class TestStragglerWatchdogRebase:
         h = _WatchdogHarness(first_estimate=1.0)
         h.retry_on_failure(0, estimate=1.0)
         proc = h.start()
-        h.sim.schedule(2.9, h.attempts[0].succeed)
+        h.sim.schedule(2.9, h.attempt(0).succeed)
         # The retry (launched ~t=2.9) completes healthily at t=4.0.
-        h.sim.schedule(4.0, lambda: (h.attempts[1].succeed(), h.done.succeed()))
+        h.sim.schedule(4.0, lambda: (h.attempt(1).succeed(), h.done.succeed()))
         h.sim.run_until_complete(proc)
         assert h.backups == 0, "retry was fresh; no backup deadline had passed"
 
@@ -313,12 +322,12 @@ class TestStragglerWatchdogRebase:
         h = _WatchdogHarness(first_estimate=1.0)
         h.retry_on_failure(0, estimate=1.0)
         proc = h.start()
-        h.sim.schedule(2.9, h.attempts[0].succeed)
+        h.sim.schedule(2.9, h.attempt(0).succeed)
         # Retry launched at t=2.9 with deadline t=5.9; it straggles.
-        h.sim.schedule(20.0, lambda: (h.attempts[1].succeed(), h.done.succeed()))
+        h.sim.schedule(20.0, lambda: (h.attempt(1).succeed(), h.done.succeed()))
         h.sim.run_until_complete(proc)
         assert h.backups == 1
-        assert h.launch_times[2] == pytest.approx(2.9 + 3.0)
+        assert h.launched_at(2) == pytest.approx(2.9 + 3.0)
 
     def test_failure_at_deadline_instant_rebases_not_doubles(self):
         # Failure lands exactly on the watchdog's wake-up timestamp; the
@@ -327,8 +336,8 @@ class TestStragglerWatchdogRebase:
         h = _WatchdogHarness(first_estimate=1.0)
         h.retry_on_failure(0, estimate=1.0)
         proc = h.start()
-        h.sim.schedule(3.0, h.attempts[0].succeed)
-        h.sim.schedule(4.0, lambda: (h.attempts[1].succeed(), h.done.succeed()))
+        h.sim.schedule(3.0, h.attempt(0).succeed)
+        h.sim.schedule(4.0, lambda: (h.attempt(1).succeed(), h.done.succeed()))
         h.sim.run_until_complete(proc)
         assert h.backups == 0
 
@@ -339,7 +348,7 @@ class TestStragglerWatchdogRebase:
         proc = h.start()
 
         def fail_then_resolve():
-            h.attempts[0].succeed()
+            h.attempt(0).succeed()
             h.sim.schedule(0.0, h.done.succeed)
 
         h.sim.schedule(3.0, fail_then_resolve)
@@ -350,6 +359,6 @@ class TestStragglerWatchdogRebase:
     def test_done_before_deadline_never_launches(self):
         h = _WatchdogHarness(first_estimate=1.0)
         proc = h.start()
-        h.sim.schedule(1.0, lambda: (h.attempts[0].succeed(), h.done.succeed()))
+        h.sim.schedule(1.0, lambda: (h.attempt(0).succeed(), h.done.succeed()))
         h.sim.run_until_complete(proc)
         assert h.backups == 0

@@ -20,7 +20,9 @@ from repro import DataType, FeisuCluster, FeisuConfig, Schema
 from repro.sim.netmodel import NodeAddress, TopologySpec
 
 #: Calls per task of the query below, its own planning and finalizing
-#: included: 269.8 on CPython 3.11 (302.8 while a disk charge went through
+#: included: 248.5 on CPython 3.11 (269.8 while the run loops called
+#: ``Event.succeed`` for every timer and ``Process._step`` for every
+#: wake-up; 302.8 while a disk charge went through
 #: ``read_time``, a column reader through ``codec_by_tag`` and
 #: ``ChunkReader.__init__``, a SmartIndex hit through ``_lookup_clause``,
 #: ``_lookup_atom``, ``_touch`` and ``vector()``, every probe through
@@ -41,7 +43,7 @@ from repro.sim.netmodel import NodeAddress, TopologySpec
 #: message went send → transfer → _transfer → occupy → transfer_duration
 #: and addresses hashed in Python).  The bound leaves 10 % for
 #: interpreter and numpy versions; lower it when the count drops.
-CALLS_PER_TASK_MEASURED = 269.8
+CALLS_PER_TASK_MEASURED = 248.5
 
 
 def _calls(fn, *args):

@@ -3,9 +3,10 @@
 Small instances of the five end-to-end shapes (an indexed drill-down, a
 cold scan, a broadcast join with GROUP BY, a multi-tenant gateway run and
 an ingest-then-query run) plus a drill-down under a seeded fault plan run
-while every entry the kernel pops off its queue is recorded as
-``(time, seq, callback kind)``.  The callback kind is the qualified name
-of the callback, plus the generator's for a ``Process._step``, so an event
+while every entry the kernel pops off its timer heap or its due-now lane
+is recorded as ``(time, seq, callback kind)``.  The callback kind is the
+qualified name of the callback, plus the generator's for a
+``Process._step``, so an event
 that moves in time, changes place in the queue, is added, is dropped or
 wakes a different body changes the digest.
 
@@ -58,29 +59,32 @@ def callback_kind(fn) -> str:
 
 
 class TraceRecorder:
-    """Hashes every popped queue entry while installed over ``heappop``."""
+    """Hashes every popped queue entry while installed over ``heappop``
+    and ``popleft`` (the timer heap's pop and the due-now lane's)."""
 
     def __init__(self) -> None:
         self.sha = hashlib.sha256()
         self.pops = 0
 
     def __enter__(self) -> "TraceRecorder":
-        real = events.heappop
         sha = self.sha
 
-        def recording_heappop(queue):
-            entry = real(queue)
-            t, seq, fn, _ = entry
-            sha.update(f"{t!r} {seq} {callback_kind(fn)}\n".encode())
-            self.pops += 1
-            return entry
+        def recording(real):
+            def pop(container):
+                entry = real(container)
+                t, seq, fn, _ = entry
+                sha.update(f"{t!r} {seq} {callback_kind(fn)}\n".encode())
+                self.pops += 1
+                return entry
 
-        self._real = real
-        events.heappop = recording_heappop
+            return pop
+
+        self._real = events.heappop, events.popleft
+        events.heappop, events.popleft = (recording(real) for real in self._real)
         return self
 
     def __exit__(self, *exc) -> None:
-        events.heappop = self._real
+        events.heappop, events.popleft = self._real
 
     def summary(self) -> dict:
         return {"pops": self.pops, "sha256": self.sha.hexdigest()}

@@ -270,7 +270,8 @@ def test_waiters_share_one_list_and_leave_it_on_resolution():
 def test_an_event_given_a_delay_is_the_timeout_of_that_delay():
     """``Event(sim, name, delay, value)`` queues what ``sim.timeout(delay,
     value)`` queues: the same time, the next ``seq``, its own ``succeed``
-    and the value; both pop alike."""
+    and the value (on the due-now lane for a zero delay, on the heap for
+    the others); both pop alike."""
     fired = {}
     for build in ("timeout", "event"):
         sim = Simulator()
@@ -285,8 +286,8 @@ def test_an_event_given_a_delay_is_the_timeout_of_that_delay():
                 events.append(sim.timeout(delay, value, name="t"))
             else:
                 events.append(Event(sim, "t", delay, value))
+        assert list(sim._lane) == [(0.0, 2, events[1].succeed, (None,))]  # noqa: SLF001
         assert sorted(sim._queue) == [  # noqa: SLF001
-            (0.0, 2, events[1].succeed, (None,)),
             (0.25, 0, noop, ()),
             (1.5, 1, events[0].succeed, ("a",)),
             (1.5, 3, events[2].succeed, (7,)),
@@ -355,3 +356,105 @@ def test_interrupt_signal_in_a_process_propagates(exc_type):
     assert not p.triggered
     assert after == [] and sim.now == 1.0
 
+
+
+# -- the due-now lane beside the timer heap ----------------------------------
+
+_RUN_LOOPS = {
+    "run": lambda sim, ev: sim.run(),
+    "run_until": lambda sim, ev: sim.run(until=5.0),
+    "run_until_complete": lambda sim, ev: sim.run_until_complete(ev),
+    "step": lambda sim, ev: sum(iter(sim.step, False)),
+}
+
+
+def test_due_now_entries_take_the_lane_and_later_ones_the_heap():
+    """A process's first step, an event's waiters, a zero-delay timer and a
+    zero-delay callback are due now and go to the lane, in ``seq`` order;
+    a later timer or callback goes to the heap."""
+    sim = Simulator()
+
+    def body():
+        yield sim.timeout(0.0)
+
+    proc = sim.process(body())
+    ev = sim.event("e")
+    ev.add_callback(lambda e: None)
+    ev.succeed()
+    sim.timeout(0.0)
+    sim.schedule(0.0, lambda: None)
+    sim.timeout(1.0)
+    sim.schedule(0.5, lambda: None)
+    assert [(t, seq) for t, seq, _, _ in sim._lane] == [(0.0, i) for i in range(4)]  # noqa: SLF001
+    assert sorted((t, seq) for t, seq, _, _ in sim._queue) == [(0.5, 5), (1.0, 4)]  # noqa: SLF001
+    sim.run_until_complete(proc)
+    assert sim.now == 0.0 and len(sim._queue) == 2 and not sim._lane  # noqa: SLF001
+
+
+@pytest.mark.parametrize("loop", sorted(_RUN_LOOPS))
+def test_a_heap_entry_due_now_runs_before_younger_lane_entries(loop):
+    """Two timers at one instant, each waking a process: the second timer
+    (on the heap, older ``seq``) fires before the first timer's waiter
+    (on the lane, younger ``seq``) resumes."""
+    sim = Simulator()
+    timers = [sim.timeout(1.0, name=f"t{i}") for i in range(2)]
+    seen = []
+
+    def sleeper(i):
+        yield timers[i]
+        seen.append((i, sim.now, [t.triggered for t in timers]))
+
+    procs = [sim.process(sleeper(i)) for i in range(2)]
+    _RUN_LOOPS[loop](sim, procs[1])
+    assert seen == [(0, 1.0, [True, True]), (1, 1.0, [True, True])]
+
+
+@pytest.mark.parametrize("loop", sorted(_RUN_LOOPS))
+def test_a_scheduled_succeed_without_a_value_resolves_with_none(loop):
+    """``sim.schedule(d, ev.succeed)`` queues ``succeed`` with no argument;
+    the run loop resolves it in place with the default ``None``."""
+    sim = Simulator()
+    ev = sim.event("bare")
+    sim.schedule(1.0, ev.succeed)
+    woke = []
+
+    def waiter():
+        woke.append((yield ev))
+
+    sim.process(waiter())
+    _RUN_LOOPS[loop](sim, ev)
+    assert ev.triggered and ev.ok and ev.value is None
+    if loop != "run_until_complete":  # that run stops once ``ev`` fires
+        assert woke == [None]
+
+
+@pytest.mark.parametrize("loop", sorted(_RUN_LOOPS))
+def test_an_override_of_succeed_or_step_is_still_called(loop):
+    """The run loop resolves ``Event.succeed`` and resumes
+    ``Process._step`` in place; a subclass's override of either is called."""
+    calls = []
+
+    class LoudEvent(Event):
+        __slots__ = ()
+
+        def succeed(self, value=None):
+            calls.append(("succeed", value))
+            return super().succeed(value)
+
+    class LoudProcess(Process):
+        __slots__ = ()
+
+        def _step(self, fired):
+            calls.append(("step", fired.name if fired is not None else None))
+            super()._step(fired)
+
+    sim = Simulator()
+    ev = LoudEvent(sim, "loud", 1.0, "v")
+
+    def body():
+        return (yield ev)
+
+    proc = LoudProcess(sim, body(), name="p")
+    _RUN_LOOPS[loop](sim, proc)
+    assert proc.value == "v"
+    assert calls == [("step", None), ("succeed", "v"), ("step", "loud")]

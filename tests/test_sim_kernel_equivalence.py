@@ -8,8 +8,8 @@ programs (zero-delay and equal-time timeouts, callbacks on resolved events,
 failures thrown into waiters, ``interrupt``, ``abandon``, misuse) and a way
 to run them (``run``, ``run(until=)``, ``run_until_complete``, ``step``).
 Both kernels must fire the same callbacks at the same times in the same
-order, keep the same ``(time, seq, fn)`` entries on the queue, and raise
-the same errors.
+order, keep the same ``(time, seq, fn)`` entries queued (on the heap and
+the due-now lane together), and raise the same errors.
 """
 
 from __future__ import annotations
@@ -315,7 +315,10 @@ def execute(simulator_cls, program) -> list:
     trace: list = []
 
     def note(*what) -> None:
-        queue = sorted((t, seq, fn.__name__) for t, seq, fn, _ in sim._queue)  # noqa: SLF001
+        # The kernel keeps its due-now entries in a lane beside the heap;
+        # the reference has the heap alone.
+        entries = [*sim._queue, *getattr(sim, "_lane", ())]  # noqa: SLF001
+        queue = sorted((t, seq, fn.__name__) for t, seq, fn, _ in entries)
         trace.append((sim.now, *what, tuple(queue)))
 
     shared = [sim.event(name=f"e{i}") for i in range(N_EVENTS)]

@@ -4,21 +4,23 @@
 Builds each ``benchmarks/e2e`` workload at ``--seed`` (imported read-only
 from ``benchmarks/e2e/workloads.py``) and runs its warm-up pass.  Then:
 
-* one pass with the kernel's ``heappush`` wrapped: every entry the
+* one pass with the kernel's ``heappush`` wrapped and the cluster's
+  due-now lane swapped for a counting ``deque``: every entry the
   simulator queues, per query, by callback kind (the callback's qualified
-  name, plus the generator's for a ``Process._step``).  Counted off the
-  kernel itself, so it is the event baseline any change that removes or
-  batches events is measured against;
+  name, plus the generator's for a ``Process._step``), and how many went
+  to the timer heap and how many to the lane.  Counted off the kernel
+  itself, so it is the event baseline any change that removes or batches
+  events is measured against;
 * one pass under cProfile: interpreter calls and Python frames per task
   by module family.  A Python function counts in its own module's
   family; a builtin (``len``, ``heappush``, ``dict.get``, ...) counts in
   its caller's.  A frame is a profiled entry whose ``code`` is a code
   object (a Python function call or a generator resumption), so frames
   are the calls less the builtins.  The same pass
-  counts the kernel's own ``heappush`` calls (every queue entry: nothing
-  outside ``sim/events`` pushes onto the simulator's queue) and prints
-  kernel-family calls per heap push: what one queue entry costs the
-  kernel, its push, pop and callback included.
+  counts the kernel's own ``heappush`` and lane ``append`` calls (every
+  queue entry: nothing outside ``sim/events`` queues an entry) and prints
+  kernel-family calls per queue entry: what one entry costs the kernel,
+  its push, pop and callback included.
 
 Families: ``kernel`` (``sim/events``), ``net`` (``sim/netmodel``,
 ``sim/resources``, ``cluster/messages``, ``faults``), ``scheduler``
@@ -88,29 +90,46 @@ def callback_kind(fn) -> str:
     return kind
 
 
-def pushes_by_kind(run_pass) -> collections.Counter:
-    """Kernel queue entries by callback kind while ``run_pass()`` runs."""
-    counts: collections.Counter = collections.Counter()
+class CountingLane(collections.deque):
+    """A due-now lane that counts what is appended to it by callback kind."""
+
+    def __init__(self, entries, counts: collections.Counter):
+        super().__init__(entries)
+        self.counts = counts
+
+    def append(self, entry) -> None:
+        self.counts[callback_kind(entry[2])] += 1
+        collections.deque.append(self, entry)
+
+
+def pushes_by_kind(sim, run_pass) -> tuple:
+    """Kernel queue entries by callback kind while ``run_pass()`` runs:
+    those pushed onto the timer heap, and those appended to ``sim``'s lane."""
+    heap: collections.Counter = collections.Counter()
+    lane: collections.Counter = collections.Counter()
     real = events.heappush
 
     def counting_heappush(queue, entry):
-        counts[callback_kind(entry[2])] += 1
+        heap[callback_kind(entry[2])] += 1
         real(queue, entry)
 
     events.heappush = counting_heappush
+    sim._lane = CountingLane(sim._lane, lane)  # noqa: SLF001
     try:
         run_pass()
     finally:
         events.heappush = real
-    return counts
+        sim._lane = collections.deque(sim._lane)  # noqa: SLF001
+    return heap, lane
 
 
 HEAPPUSH = "<built-in method _heapq.heappush>"
+LANE_APPEND = "<method 'append' of 'collections.deque' objects>"
 
 
 def calls_by_family(run_pass) -> tuple:
     """Interpreter calls and Python frames by module family while
-    ``run_pass()`` runs, and the heap pushes the kernel made in that pass."""
+    ``run_pass()`` runs, and the entries the kernel queued in that pass."""
     prof = cProfile.Profile()
     prof.enable()
     try:
@@ -129,7 +148,7 @@ def calls_by_family(run_pass) -> tuple:
         for sub in entry.calls or ():
             if isinstance(sub.code, str):
                 counts[family] += sub.callcount
-                if family == "kernel" and sub.code == HEAPPUSH:
+                if family == "kernel" and sub.code in (HEAPPUSH, LANE_APPEND):
                     pushes += sub.callcount
     return counts, frames, pushes
 
@@ -140,9 +159,15 @@ def probe(name: str, seed: int, top: int) -> None:
     w.run_pass(ctx, Meter(0), 0, False)
 
     pushed_pass = []
-    pushes = pushes_by_kind(lambda: pushed_pass.extend(w.run_pass(ctx, Meter(0), 1, False)))
+    heap, lane = pushes_by_kind(
+        ctx["cluster"].sim, lambda: pushed_pass.extend(w.run_pass(ctx, Meter(0), 1, False)))
+    pushes = heap + lane
     queries = max(1, len(pushed_pass))
-    print(f"{name} (seed {seed}): {sum(pushes.values()) / queries:.2f} heap pushes per query")
+    total = sum(pushes.values())
+    print(f"{name} (seed {seed}): {total / queries:.2f} queue entries per query: "
+          f"{sum(heap.values()) / queries:.2f} on the timer heap, "
+          f"{sum(lane.values()) / queries:.2f} on the due-now lane "
+          f"({sum(lane.values()) / max(1, total):.1%})")
     for kind, count in pushes.most_common(top):
         print(f"  {count / queries:>9.2f}  {kind}")
     rest = sum(pushes.values()) - sum(c for _, c in pushes.most_common(top))
@@ -160,8 +185,8 @@ def probe(name: str, seed: int, top: int) -> None:
     print(f"  {'calls':>9}  {'frames':>9}")
     for family in FAMILY_ORDER:
         print(f"  {calls[family] / per:>9.1f}  {frames[family] / per:>9.1f}  {family}")
-    print(f"  {calls['kernel'] / max(1, pushed):.2f} kernel calls per heap push "
-          f"({pushed / max(1, len(profiled)):.2f} heap pushes per query in this pass)")
+    print(f"  {calls['kernel'] / max(1, pushed):.2f} kernel calls per queue entry "
+          f"({pushed / max(1, len(profiled)):.2f} queue entries per query in this pass)")
 
 
 def main(argv=None) -> int:
