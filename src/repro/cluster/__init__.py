@@ -11,7 +11,6 @@ from repro.cluster.messages import WorkerLoad
 from repro.cluster.node import LeafConfig, LeafServer, StemServer
 from repro.cluster.metrics import collect_metrics
 from repro.cluster.scheduler import JobScheduler, Placement
-from repro.cluster.sharding import ShardedClusterManager
 
 __all__ = [
     "ElasticConfig",
@@ -20,7 +19,6 @@ __all__ = [
     "RebalanceStats",
     "ClusterManager",
     "CrossDomainDirectory",
-    "ShardedClusterManager",
     "collect_metrics",
     "EntryGuard",
     "Job",

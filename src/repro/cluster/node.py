@@ -391,7 +391,7 @@ class LeafServer:
         candidate."""
         now = self.sim.now
         disk_wait = self.disk._free_at - now  # noqa: SLF001
-        cpu_wait = min(self.cpu._lane_free_at) - now  # noqa: SLF001
+        cpu_wait = self.cpu._lane_free_at[0] - now  # noqa: SLF001
         # ``x if x > 0.0 else 0.0`` is ``max(0.0, x)``, bit for bit.
         return (
             self.running_tasks

@@ -178,7 +178,7 @@ class JobScheduler:
         model's terms once.
         """
         manager, net = self.cluster_manager, self.net
-        is_draining = getattr(manager, "is_draining", None)
+        is_draining = manager.is_draining
         cost = self.cost_model
         seek, bandwidth, cpu_rate = cost.disk_seek_s, cost.disk_bandwidth_bps, cost.cpu_ops_per_sec
         ops_per_row = cost.predicate_ops_per_row(cnf)
@@ -193,7 +193,7 @@ class JobScheduler:
                 wid = leaf.worker_id
                 states[leaf] = (
                     _DEAD if not (leaf.alive and manager.is_alive(wid)) or wid in exclude
-                    else _DRAINING if is_draining is not None and is_draining(wid) else _OPEN
+                    else _DRAINING if is_draining(wid) else _OPEN
                 )
             return states[leaf]
 
@@ -228,8 +228,7 @@ class JobScheduler:
             if not local:
                 if pool is None:
                     # Draining workers (S55) take no new tasks unless they
-                    # are the only live leaves left; a manager without
-                    # drain states (test doubles) drains nothing.
+                    # are the only live leaves left.
                     live = [leaf for leaf in self._leaves.values() if state(leaf) != _DEAD]
                     pool = [leaf for leaf in live if states[leaf] == _OPEN] or live
                 if not pool:

@@ -1,7 +1,6 @@
 """SmartIndex (adaptive predicate-result cache) and the B+ tree baseline."""
 
 from repro.index.bitmap import BitVector, rle_compress, rle_decompress
-from repro.index.advisor import IndexAdvisor, Recommendation, apply_recommendations
 from repro.index.btree import BPlusTree
 from repro.index.smartindex import (
     DEFAULT_MEMORY_BYTES,
@@ -13,9 +12,6 @@ from repro.index.smartindex import (
 
 __all__ = [
     "BPlusTree",
-    "IndexAdvisor",
-    "Recommendation",
-    "apply_recommendations",
     "BitVector",
     "DEFAULT_MEMORY_BYTES",
     "DEFAULT_TTL_S",

@@ -15,6 +15,7 @@ Ethernet, 64 GB of memory.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heapreplace
 from typing import Any, Deque
 
 from repro.sim.events import Event, SimulationError, Simulator
@@ -167,6 +168,8 @@ class Cpu(Device):
         self._event_name = f"{name}.compute"
         self.cores = cores
         self.ops_per_sec = ops_per_sec
+        #: When each lane frees, as a min-heap: the lanes are
+        #: interchangeable, and only the earliest free time is read.
         self._lane_free_at = [0.0] * cores
         self.ops_executed = 0.0
 
@@ -176,18 +179,17 @@ class Cpu(Device):
         sim = self.sim
         now = sim.now
         lanes = self._lane_free_at
-        free_at = min(lanes)
-        lane = lanes.index(free_at)  # first least-loaded lane
+        free_at = lanes[0]  # the least-loaded lane
         duration = ops / self.ops_per_sec
         end = (now if now >= free_at else free_at) + duration
-        lanes[lane] = end
+        heapreplace(lanes, end)
         self.busy_time += duration
         self.request_count += 1
         self.ops_executed += ops
         return Event(sim, self._event_name, end - now, value)
 
     def queue_delay(self) -> float:
-        return max(0.0, min(self._lane_free_at) - self.sim.now)
+        return max(0.0, self._lane_free_at[0] - self.sim.now)
 
 
 class Resource:

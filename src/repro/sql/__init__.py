@@ -19,7 +19,6 @@ from repro.sql.ast import (
     Star,
     TableRef,
 )
-from repro.sql.formatter import format_expression, format_query
 from repro.sql.lexer import Token, TokenType, tokenize
 from repro.sql.parser import parse, parse_expression
 from repro.sql.statements import classify_statement
@@ -47,8 +46,6 @@ __all__ = [
     "analyze",
     "analyze_sql",
     "classify_statement",
-    "format_expression",
-    "format_query",
     "parse",
     "parse_expression",
     "tokenize",

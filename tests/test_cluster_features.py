@@ -1,15 +1,11 @@
-"""Result spilling, resource reclamation, sharded cluster management,
-metrics, and fault injection through the full stack."""
+"""Result spilling, resource reclamation, metrics, and fault injection
+through the full stack."""
 
 import numpy as np
 import pytest
 
 from repro import FeisuCluster, FeisuConfig, JobOptions, LeafConfig, Schema, DataType
-from repro.cluster.sharding import ShardedClusterManager
 from repro.errors import ClusterStateError
-from repro.sim.events import Simulator
-from repro.sim.netmodel import NodeAddress
-from repro.cluster.messages import WorkerLoad
 
 
 def _cluster(**kw):
@@ -153,54 +149,6 @@ def test_reclaim_unknown_storage_rejected():
         cluster.leaves[0].reclaim_slots("nope", 1)
     with pytest.raises(ClusterStateError):
         cluster.leaves[0].restore_slots("nope")
-
-
-# -- §VII sharded cluster manager ---------------------------------------------------
-
-
-def test_sharded_manager_spreads_workers():
-    sim = Simulator()
-    mgr = ShardedClusterManager(sim, shards=3)
-    for i in range(60):
-        mgr.register(f"w{i}", NodeAddress(0, 0, 0))
-    sizes = mgr.shard_sizes()
-    assert sum(sizes) == 60
-    assert all(size > 0 for size in sizes)
-    assert mgr.worker_count() == 60
-
-
-def test_sharded_manager_same_interface():
-    sim = Simulator()
-    mgr = ShardedClusterManager(sim, shards=2)
-    mgr.register("w0", NodeAddress(0, 1, 2), is_stem=True)
-    mgr.heartbeat("w0", WorkerLoad(running_tasks=1))
-    assert mgr.is_alive("w0")
-    assert mgr.load_of("w0").running_tasks == 1
-    assert mgr.address_of("w0") == NodeAddress(0, 1, 2)
-    assert [w.worker_id for w in mgr.live_workers(stems=True)] == ["w0"]
-    assert mgr.sweep() == []
-
-
-def test_shard_capacity_overflow_and_scale_out():
-    sim = Simulator()
-    mgr = ShardedClusterManager(sim, shards=1, shard_capacity=4)
-    for i in range(4):
-        mgr.register(f"w{i}", NodeAddress(0, 0, 0))
-    with pytest.raises(ClusterStateError, match="add_shard"):
-        mgr.register("overflow", NodeAddress(0, 0, 0))
-    mgr.add_shard()
-    mgr.register("overflow", NodeAddress(0, 0, 0))
-    assert mgr.worker_count() == 5
-    assert mgr.is_alive("overflow")
-
-
-def test_sharded_manager_accepts_real_worker_population():
-    cluster = _cluster()
-    sim = Simulator()
-    mgr = ShardedClusterManager(sim, shards=2)
-    for leaf in cluster.leaves:
-        mgr.register(leaf.worker_id, leaf.address)
-    assert mgr.worker_count() == len(cluster.leaves)
 
 
 # -- metrics ------------------------------------------------------------------------

@@ -185,11 +185,10 @@ def _reference_place(self, task, cnf, exclude=()):
         and self.cluster_manager.is_alive(leaf.worker_id)
         and leaf.worker_id not in exclude
     ]
-    is_draining = getattr(self.cluster_manager, "is_draining", None)
-    if is_draining is not None:
-        non_draining = [leaf for leaf in alive if not is_draining(leaf.worker_id)]
-        if non_draining:
-            alive = non_draining
+    is_draining = self.cluster_manager.is_draining
+    non_draining = [leaf for leaf in alive if not is_draining(leaf.worker_id)]
+    if non_draining:
+        alive = non_draining
     if not alive:
         raise SchedulingError(f"no live leaf available for task {task.task_id}")
     system, inner = self.router.resolve(task.block.path)
@@ -226,16 +225,6 @@ def _reference_place(self, task, cnf, exclude=()):
     return Placement(leaf, False, _reference_estimate(self, leaf, task, cnf, False, system, inner))
 
 
-class _NoDrainManager:
-    """A cluster-manager double that knows liveness and nothing else."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def is_alive(self, worker_id):
-        return self._inner.is_alive(worker_id)
-
-
 _N_LEAVES = 8
 #: Small, so that most examples leave some holder eligible (the early
 #: exit) while a good share leave none (the fall-through).
@@ -252,12 +241,11 @@ _subset = st.sets(st.integers(0, _N_LEAVES - 1), max_size=2)
     reregistered=st.lists(st.integers(0, _N_LEAVES - 1), max_size=4),
     running=st.lists(st.integers(0, 2), min_size=_N_LEAVES, max_size=_N_LEAVES),
     locality_aware=st.sampled_from([True, True, True, False]),
-    drainless_manager=st.booleans(),
     rr=st.integers(0, 20),
 )
 def test_holder_first_place_equals_registry_scan(
     env, replicas, crashed, manager_dead, draining, exclude, reregistered,
-    running, locality_aware, drainless_manager, rr,
+    running, locality_aware, rr,
 ):
     cluster, plan = env
     sched, manager = cluster.scheduler, cluster.cluster_manager
@@ -277,8 +265,6 @@ def test_holder_first_place_equals_registry_scan(
             sched.unregister_leaf(leaves[i].worker_id)
             sched.register_leaf(leaves[i])
         sched.locality_aware = locality_aware
-        if drainless_manager:
-            sched.cluster_manager = _NoDrainManager(manager)
         kwargs = dict(exclude=[leaves[i].worker_id for i in sorted(exclude)])
 
         def run(place):
@@ -293,7 +279,6 @@ def test_holder_first_place_equals_registry_scan(
         assert run(sched.place) == run(lambda *a, **k: _reference_place(sched, *a, **k))
     finally:
         system._placement[inner] = original_replicas  # noqa: SLF001
-        sched.cluster_manager = manager
         sched.locality_aware = True
         for leaf in leaves:
             leaf.alive = True

@@ -28,8 +28,6 @@ from repro.cluster.membership import ClusterManager
 from repro.cluster.messages import WorkerLoad
 from repro.cluster.node import LeafServer
 from repro.cluster.scheduler import JobScheduler
-from repro.cluster.sharding import ShardedClusterManager
-from repro.index.advisor import IndexAdvisor
 from repro.sim.events import Simulator
 from repro.sim.netmodel import NodeAddress
 
@@ -76,13 +74,6 @@ class TestPerInstanceDefaults:
                 for d in LeafServer.__init__.__defaults__
             )
         ), "LeafServer must not bake CostModel/LeafConfig instances into its defaults"
-        assert (
-            IndexAdvisor.__init__.__defaults__ is None
-            or all(
-                d is None or d.__class__.__name__ != "CostModel"
-                for d in IndexAdvisor.__init__.__defaults__
-            )
-        ), "IndexAdvisor must not bake a CostModel instance into its defaults"
 
 
 # -- satellite 2: explicit zombie re-admission ------------------------------
@@ -125,23 +116,6 @@ class TestHeartbeatReadmission:
         cluster.cluster_manager.heartbeat(wid, WorkerLoad())
         assert cluster.scheduler.readmitted_workers == [wid]
         assert cluster.cluster_manager.is_alive(wid)
-
-    def test_sharded_manager_forwards_readmissions(self):
-        sim = Simulator()
-        scm = ShardedClusterManager(sim, shards=2)
-        for i in range(4):
-            scm.register(f"w{i}", NodeAddress(0, 0, i))
-        seen = []
-        scm.on_readmit(seen.append)
-        scm.add_shard()  # late shards must inherit listeners too
-        scm.register("late", NodeAddress(0, 1, 9))
-        sim.run(until=100.0)
-        dead = set(scm.sweep())
-        assert "late" in dead and "w0" in dead
-        scm.heartbeat("w0", WorkerLoad())
-        scm.heartbeat("late", WorkerLoad())
-        assert scm.readmissions == 2
-        assert sorted(seen) == ["late", "w0"]
 
 
 # -- satellite 3: bounded PrimaryBackup op log ------------------------------

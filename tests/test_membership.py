@@ -1,5 +1,4 @@
-"""Membership lifecycle (S55): sweep boundary, drain states, unregister,
-and the sharded-manager routing/rehoming regressions."""
+"""Membership lifecycle (S55): sweep boundary, drain states, unregister."""
 
 import pytest
 
@@ -9,14 +8,12 @@ from repro.cluster.membership import (
     ClusterManager,
 )
 from repro.cluster.messages import WorkerLoad
-from repro.cluster.sharding import ShardedClusterManager
 from repro.errors import ClusterStateError
 from repro.sim.events import Simulator
 from repro.sim.netmodel import NodeAddress
 
 A0 = NodeAddress(0, 0, 0)
 A1 = NodeAddress(0, 0, 1)
-A2 = NodeAddress(0, 1, 0)
 
 
 def advance(sim: Simulator, to: float) -> None:
@@ -84,119 +81,3 @@ def test_unregister_removes_worker_and_allows_rejoin():
     cm.register("w0", A1)
     assert cm.is_alive("w0")
     assert cm.address_of("w0") == A1
-
-
-# -- ShardedClusterManager ------------------------------------------------
-
-
-def _ids_for_shard(scm: ShardedClusterManager, shard, prefix: str, count: int):
-    """Worker ids whose hash route lands on ``shard``."""
-    out = []
-    i = 0
-    while len(out) < count:
-        wid = f"{prefix}{i}"
-        if scm._hash_shard(wid) is shard:  # noqa: SLF001
-            out.append(wid)
-        i += 1
-    return out
-
-
-def test_probe_of_unknown_worker_does_not_pollute_routing():
-    """Regression (S55 satellite): ``_shard_for`` used to cache the hash
-    route on *any* lookup, so probing an unregistered id (a monitoring
-    typo, a scheduler race) pinned it to its hash shard before the shard
-    raised — and when that shard was full, a later legitimate register
-    rehomed the worker to a spare while lookups kept following the stale
-    cached route into the full shard: every heartbeat then raised
-    "unknown worker" for a worker that *was* registered."""
-    sim = Simulator()
-    scm = ShardedClusterManager(sim, shards=2, shard_capacity=1)
-    victim = "w-new"
-    # Probe before registration — the path that used to pollute _route.
-    with pytest.raises(ClusterStateError):
-        scm.is_alive(victim)
-    # Fill the shard the victim hashes to, forcing overflow rehoming.
-    home = scm._hash_shard(victim)  # noqa: SLF001
-    (filler,) = _ids_for_shard(scm, home, "f", 1)
-    scm.register(filler, A0)
-    scm.register(victim, A1)
-    assert scm.worker_count() == 2
-    assert sorted(scm.shard_sizes()) == [1, 1]
-    # Lookups must follow the worker to where it actually registered.
-    assert scm.is_alive(victim)
-    scm.heartbeat(victim, WorkerLoad())
-    assert scm.address_of(victim) == A1
-
-
-def test_failed_register_does_not_move_existing_worker():
-    sim = Simulator()
-    scm = ShardedClusterManager(sim, shards=2, shard_capacity=4)
-    scm.register("w0", A0)
-    with pytest.raises(ClusterStateError):
-        scm.register("w0", A1)  # duplicate
-    assert scm.address_of("w0") == A0
-    assert scm.worker_count() == 1
-
-
-def test_overflow_exhaustion_demands_add_shard():
-    sim = Simulator()
-    scm = ShardedClusterManager(sim, shards=2, shard_capacity=1)
-    scm.register("a", A0)
-    # Fill whichever shard is still open.
-    spare = next(s for s in scm._shards if s.worker_count() == 0)  # noqa: SLF001
-    (wid,) = _ids_for_shard(scm, spare, "b", 1)
-    scm.register(wid, A1)
-    with pytest.raises(ClusterStateError, match="add_shard"):
-        scm.register("c", A2)
-
-
-def test_add_shard_pins_existing_workers_and_serves_new_ones():
-    sim = Simulator()
-    scm = ShardedClusterManager(sim, shards=1, shard_capacity=2)
-    scm.register("w0", A0)
-    scm.register("w1", A1)
-    sizes_before = scm.shard_sizes()
-    scm.add_shard()
-    # Existing workers keep their established heartbeat connection.
-    assert scm.shard_sizes()[: len(sizes_before)] == sizes_before
-    assert scm.is_alive("w0") and scm.is_alive("w1")
-    # The old shard is at capacity: the next register rehomes to the new.
-    scm.register("w2", A2)
-    assert scm.shard_sizes() == [2, 1]
-    assert scm.is_alive("w2")
-
-
-def test_add_shard_propagates_readmit_listeners():
-    """A shard added after ``on_readmit`` subscriptions must inherit
-    them — a worker rehomed onto the new shard that dies and comes back
-    would otherwise resurrect silently, exactly the bug explicit
-    re-admission exists to prevent."""
-    sim = Simulator()
-    events = []
-    scm = ShardedClusterManager(sim, shards=1, shard_capacity=1)
-    scm.on_readmit(events.append)
-    scm.register("w0", A0)
-    scm.add_shard()
-    scm.register("w1", A1)  # overflows onto the new shard
-    assert scm.shard_sizes() == [1, 1]
-    advance(sim, HEARTBEAT_PERIOD_S * MISSED_LIMIT + 1.0)
-    assert set(scm.sweep()) == {"w0", "w1"}
-    scm.heartbeat("w1", WorkerLoad())
-    assert events == ["w1"]
-    assert scm.readmissions == 1
-
-
-def test_sharded_drain_and_unregister_forwarding():
-    sim = Simulator()
-    scm = ShardedClusterManager(sim, shards=2)
-    scm.register("w0", A0)
-    scm.register("w1", A1)
-    scm.start_drain("w0")
-    assert scm.is_draining("w0") and not scm.is_draining("w1")
-    assert scm.draining_workers() == ["w0"]
-    scm.cancel_drain("w0")
-    assert scm.draining_workers() == []
-    scm.unregister("w1")
-    assert scm.worker_count() == 1
-    with pytest.raises(ClusterStateError):
-        scm.is_alive("w1")

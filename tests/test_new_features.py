@@ -1,4 +1,4 @@
-"""Delta encoding, replica repair, rate limiting, index advisor."""
+"""Delta encoding, replica repair, rate limiting."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.columnar.encoding import DeltaEncoding, choose_encoding
 from repro.columnar.schema import DataType
 from repro.errors import QuotaExceededError, StorageError
-from repro.index.advisor import IndexAdvisor, apply_recommendations
 from repro.security.acl import RateLimiter
 from repro.sim.events import Simulator
 from repro.sim.netmodel import NetworkTopology, TopologySpec
@@ -173,55 +172,3 @@ def test_entry_guard_rate_limit_end_to_end(fresh_cluster):
     fresh_cluster.query("SELECT COUNT(*) FROM T")
     with pytest.raises(QuotaExceededError, match="rate limit"):
         fresh_cluster.query("SELECT COUNT(*) FROM T")
-
-
-# -- index advisor -------------------------------------------------------------------
-
-
-def test_advisor_ranks_by_benefit(fresh_cluster):
-    from repro.client import FeisuClient
-
-    fresh_cluster.create_user("adv", admin=True)
-    client = FeisuClient(fresh_cluster, "adv")
-    for _ in range(4):
-        client.query("SELECT COUNT(*) FROM T WHERE url CONTAINS 'site3'")  # expensive, frequent
-    for _ in range(2):
-        client.query("SELECT COUNT(*) FROM T WHERE c2 = 1")  # cheap, less frequent
-    client.query("SELECT COUNT(*) FROM T WHERE c1 = 99")  # once: below threshold
-
-    advisor = IndexAdvisor(fresh_cluster.catalog)
-    recs = advisor.recommend_for_user(client.history, "adv", top=5)
-    keys = [r.predicate_key for r in recs]
-    assert keys[0] == "url CONTAINS 'site3'"  # costliest + most repeated
-    assert "c2 = 1" in keys
-    assert "c1 = 99" not in keys  # min_repetitions filter
-    assert all(r.score >= 0 for r in recs)
-    assert recs[0].repetitions == 4
-
-
-def test_advisor_apply_pins_everywhere(fresh_cluster):
-    from repro.client import FeisuClient
-
-    fresh_cluster.create_user("adv2", admin=True)
-    client = FeisuClient(fresh_cluster, "adv2")
-    for _ in range(3):
-        client.query("SELECT COUNT(*) FROM T WHERE c2 > 4")
-    advisor = IndexAdvisor(fresh_cluster.catalog)
-    recs = advisor.recommend_for_user(client.history, "adv2")
-    keys = apply_recommendations(fresh_cluster, recs)
-    assert "c2 > 4" in keys
-    for leaf in fresh_cluster.leaves:
-        assert "c2 > 4" in leaf.index_manager._preferred_predicates  # noqa: SLF001
-
-
-def test_advisor_handles_unknown_table():
-    from repro.columnar.table import Catalog
-
-    advisor = IndexAdvisor(Catalog())
-
-    class FakeEntry:
-        tables = ("ghost",)
-        predicate_keys = ("x > 1",)
-
-    recs = advisor.recommend([FakeEntry(), FakeEntry()])
-    assert recs[0].saved_seconds_per_use == 0.0

@@ -25,7 +25,7 @@ from repro.planner.cost import CostModel
 from repro.planner.physical import build_plan
 from repro.sql.analyzer import analyze
 from repro.sql.parser import parse
-from tests.test_cluster_scheduler import _NoDrainManager, _reference_place
+from tests.test_cluster_scheduler import _reference_place
 
 _N_LEAVES = 8
 _N_BLOCKS = 8
@@ -76,7 +76,6 @@ _replica_override = st.none() | st.lists(
     running=st.lists(st.integers(0, 2), min_size=_N_LEAVES, max_size=_N_LEAVES),
     queued=st.lists(st.integers(0, 1), min_size=_N_LEAVES, max_size=_N_LEAVES),
     locality_aware=st.sampled_from([True, True, True, False]),
-    drainless_manager=st.booleans(),
     rr=st.integers(0, 20),
     storage=st.sampled_from(["storage-a", "fatman"]),
     bandwidth_factor=st.sampled_from([1.0, 0.3, 1.9]),
@@ -84,7 +83,7 @@ _replica_override = st.none() | st.lists(
 )
 def test_place_wave_equals_one_place_per_task(
     wave, replicas, crashed, manager_dead, draining, unregistered, reregistered,
-    exclude, running, queued, locality_aware, drainless_manager, rr,
+    exclude, running, queued, locality_aware, rr,
     storage, bandwidth_factor, rates,
 ):
     cluster, plans = _env()
@@ -126,8 +125,6 @@ def test_place_wave_equals_one_place_per_task(
         for i in unregistered:
             sched.unregister_leaf(leaves[i].worker_id)
         sched.locality_aware = locality_aware
-        if drainless_manager:
-            sched.cluster_manager = _NoDrainManager(manager)
         kwargs = dict(exclude=[leaves[i].worker_id for i in sorted(exclude)])
 
         def outcome(placement):
@@ -163,7 +160,6 @@ def test_place_wave_equals_one_place_per_task(
         sched.cost_model = cost_model
         for inner, original in saved.items():
             system._placement[inner] = original  # noqa: SLF001
-        sched.cluster_manager = manager
         sched.locality_aware = True
         manager.__dict__.pop("is_alive", None)
         manager.__dict__.pop("is_draining", None)

@@ -180,22 +180,29 @@ def test_resource_invalid_capacity():
 
 
 def test_cpu_picks_the_first_least_loaded_lane():
-    """``lanes.index(min(lanes))`` must choose what ``min(range(cores),
-    key=...)`` chose: the lowest-numbered lane among equally free ones."""
+    """Each charge ends when ``min(range(cores), key=...)``'s lane, the
+    lowest-numbered among equally free ones, would end it.  The lanes are
+    a heap, so which lane took a charge is not state: only the multiset
+    of free times is compared."""
     import random
 
     rng = random.Random(57)
     sim = Simulator()
     cpu = Cpu(sim, cores=4, ops_per_sec=1.0)
     reference = [0.0] * 4
-    for _ in range(400):
+    fired, expected = [], []
+    for charge in range(400):
         if rng.random() < 0.3:
             sim.run(until=sim.now + rng.choice([0.0, 0.5, 2.0]))
         ops = rng.choice([1.0, 1.0, 2.0, 3.5])  # repeats force ties
         lane = min(range(4), key=lambda i: reference[i])
         reference[lane] = max(sim.now, reference[lane]) + ops
-        cpu.compute(ops)
-        assert cpu._lane_free_at == reference
+        # A timer fires at ``now + delay``, with ``delay = end - now``.
+        expected.append((charge, sim.now + (reference[lane] - sim.now)))
+        cpu.compute(ops).add_callback(lambda _ev, c=charge: fired.append((c, sim.now)))
+        assert sorted(cpu._lane_free_at) == sorted(reference)  # noqa: SLF001
+    sim.run()
+    assert sorted(fired) == expected
 
 
 def test_resource_waiters_are_granted_in_request_order():

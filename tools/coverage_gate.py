@@ -80,7 +80,6 @@ TEST_ARGS = [
     "tests/test_sim_netmodel.py",
     "tests/test_sim_resources.py",
     "tests/test_sql_analyzer.py",
-    "tests/test_sql_formatter.py",
     "tests/test_sql_fuzz.py",
     "tests/test_sql_lexer.py",
     "tests/test_sql_parser.py",
