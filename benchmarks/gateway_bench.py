@@ -46,7 +46,6 @@ JAIN_TOLERANCE = 0.05
 def _build_cluster(total_slots: int) -> FeisuCluster:
     gw = GatewayConfig(
         total_slots=total_slots,
-        quantum_units=4.0,
         default_policy=TenantPolicy(
             max_concurrent=max(2, total_slots // 2), max_queued=2048
         ),

@@ -58,6 +58,9 @@ __all__ = [
 #: Byte-imbalance ratio (heaviest vs. lightest node) tolerated before a
 #: balancing migration moves a block.
 BALANCE_TOLERANCE = 0.5
+#: Drain loop poll period while a decommission waits for running tasks
+#: and retried evacuations, simulated seconds.
+DRAIN_POLL_S = 2.0
 
 
 @dataclass
@@ -113,9 +116,6 @@ class ElasticConfig:
     #: bytes; both are bounded so a cycle never floods the fabric).
     max_spreads_per_cycle: int = 8
     max_migrations_per_cycle: int = 2
-    #: Drain loop poll period while a decommission waits for running
-    #: tasks and retried evacuations.
-    drain_poll_s: float = 2.0
 
 
 @dataclass
@@ -322,6 +322,7 @@ class ElasticityManager:
     def __init__(self, cluster, config: ElasticConfig):
         self.cluster = cluster
         self.config = config
+        self.drain_poll_s = DRAIN_POLL_S
         sim = cluster.sim
         self.sim = sim
         #: Systems the rebalancer spreads and balances over (the hot,
@@ -435,7 +436,7 @@ class ElasticityManager:
                     # replica is still on the draining node, and the next
                     # pass retries.  The drain never gives up.
                     self.rebalancer.stats.failed_migrations += 1
-            yield self.sim.timeout(self.config.drain_poll_s)
+            yield self.sim.timeout(self.drain_poll_s)
         leaf.retire()
         self.cluster.scheduler.unregister_leaf(leaf.worker_id)
         self.cluster.cluster_manager.unregister(leaf.worker_id)

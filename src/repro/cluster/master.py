@@ -51,9 +51,9 @@ from repro.sql.analyzer import analyze_sql
 #: How many distinct leaves one task may be attempted on before failing.
 MAX_TASK_ATTEMPTS = 4
 
-#: Default cap on concurrently running jobs (§III-C candidate queue);
-#: deployments size it via ``FeisuConfig.max_concurrent_jobs``.
-DEFAULT_MAX_CONCURRENT_JOBS = 64
+#: Cap on concurrently running jobs (§III-C candidate queue); admitted
+#: jobs beyond it wait in the candidate queue.
+MAX_CONCURRENT_JOBS = 64
 
 
 class CandidateQueue:
@@ -356,7 +356,6 @@ class Master:
         reuse_completed_window_s: float = 0.0,
         service_credential: Optional[Credential] = None,
         ledger=None,
-        max_concurrent_jobs: int = DEFAULT_MAX_CONCURRENT_JOBS,
     ):
         #: Cross-domain credential the master uses for internal data
         #: movement (broadcast-table reads); mirrors SSO's "mapping their
@@ -374,9 +373,8 @@ class Master:
         self._stems: Dict[Tuple[int, int], StemServer] = {}
         self._dc_stems: Dict[int, StemServer] = {}
         #: §III-C: admitted jobs wait in a candidate queue until the
-        #: scheduler emits them; this caps concurrently running jobs —
-        #: the master-level "resource agreement" knob.
-        self.max_concurrent_jobs = max_concurrent_jobs
+        #: scheduler emits them; this caps concurrently running jobs.
+        self.max_concurrent_jobs = MAX_CONCURRENT_JOBS
         self._running_jobs = 0
         self._candidate_queue = CandidateQueue()
         #: Durable job history replicated to the backup master (§III-C).

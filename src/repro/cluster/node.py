@@ -25,7 +25,7 @@ from repro.columnar.block import Block
 from repro.engine.executor import TaskResult, execute_scan_task
 from repro.errors import ClusterStateError, ExecutionError, FaultInjectedError
 from repro.index.btree import BTreeIndex
-from repro.index.smartindex import SmartIndexManager
+from repro.index.smartindex import DEFAULT_MEMORY_BYTES, DEFAULT_TTL_S, SmartIndexManager
 from repro.planner.cost import CostModel
 from repro.planner.expressions import Frame
 from repro.planner.physical import PhysicalPlan, ScanTask
@@ -47,8 +47,8 @@ class LeafConfig:
     """Per-leaf feature switches and sizes."""
 
     enable_smartindex: bool = True
-    index_memory_bytes: int = 512 * 1024 * 1024
-    index_ttl_s: float = 72 * 3600.0
+    index_memory_bytes: int = DEFAULT_MEMORY_BYTES
+    index_ttl_s: float = DEFAULT_TTL_S
     index_compress: bool = True
     enable_btree: bool = False
     enable_ssd_cache: bool = False

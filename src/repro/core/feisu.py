@@ -58,10 +58,6 @@ class FeisuConfig:
     locality_aware: bool = True
     #: Reuse window for completed identical tasks (0 = running jobs only).
     reuse_completed_window_s: float = 0.0
-    #: Master-level "resource agreement" knob (§III): cap on jobs
-    #: running concurrently; admitted jobs beyond it wait in the
-    #: candidate queue.
-    max_concurrent_jobs: int = 64
     #: Multi-tenant SQL gateway (S52).  ``None`` (the default) builds no
     #: gateway at all — no extra objects, no simulation events — so
     #: committed figure results stay byte-identical; set a
@@ -246,7 +242,6 @@ class FeisuCluster:
                 ttl_s=10 * 365 * 86400.0,
             ),
             ledger=self.job_ledger,
-            max_concurrent_jobs=self.config.max_concurrent_jobs,
         )
 
     def fail_master(self) -> int:

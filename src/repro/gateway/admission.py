@@ -58,7 +58,7 @@ class AdmissionController:
 
     def __init__(self, config: GatewayConfig):
         self.config = config
-        self.drr = DeficitRoundRobin(config.quantum_units)
+        self.drr = DeficitRoundRobin()
         self.running = 0
         self.memory_in_use = 0.0
         self.rejected_total = 0

@@ -5,7 +5,7 @@ each business tenant: how much of the shared cluster a tenant may hold
 at once.  :class:`TenantPolicy` is that contract for one tenant —
 fair-share weight, concurrent-slot quota, queue depth, memory budget,
 query timeout — and :class:`GatewayConfig` is the deployment-wide shape
-(global slot and memory budgets, scheduler quantum).  It plugs into
+(global slot and memory budgets).  It plugs into
 :class:`repro.core.feisu.FeisuConfig` via the ``gateway`` field; leaving
 that field ``None`` (the default) builds no gateway at all.
 """
@@ -50,9 +50,6 @@ class GatewayConfig:
     #: queries.  A single query estimated above the cap is still served
     #: when it would run alone (no permanent starvation).
     memory_budget_bytes: float = float("inf")
-    #: Deficit-round-robin quantum, in task units added per round and
-    #: unit of weight.  Larger quanta are cheaper but burstier.
-    quantum_units: float = 4.0
     #: Policy for tenants without an explicit entry in ``tenants``.
     default_policy: TenantPolicy = field(default_factory=TenantPolicy)
     #: Per-tenant resource agreements, keyed by tenant name.

@@ -30,6 +30,10 @@ BACKLOG_SPANS_RETAINED = 4096
 #: these through :func:`outcome_counts`.
 OUTCOMES = ("admitted", "rejected", "completed", "failed", "killed", "timed_out")
 
+#: Deficit-round-robin quantum, in task units added per round and unit
+#: of weight.  Larger quanta are cheaper but burstier.
+QUANTUM_UNITS = 4.0
+
 
 def outcome_counts(queues: Iterable["TenantQueue"]) -> Dict[str, int]:
     """Each :data:`OUTCOMES` counter summed over ``queues``."""
@@ -111,10 +115,8 @@ class TenantQueue:
 class DeficitRoundRobin:
     """The tenant ring and its deficit bookkeeping."""
 
-    def __init__(self, quantum_units: float):
-        if quantum_units <= 0:
-            raise ValueError("quantum_units must be positive")
-        self.quantum_units = quantum_units
+    def __init__(self) -> None:
+        self.quantum_units = QUANTUM_UNITS
         self.tenants: Dict[str, TenantQueue] = {}
         self._ring: List[str] = []
         self._cursor = 0

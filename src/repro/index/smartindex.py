@@ -44,7 +44,7 @@ DEFAULT_MEMORY_BYTES = 512 * 1024 * 1024
 #: Compress entries whose RLE payload is at most this fraction of raw.
 COMPRESS_THRESHOLD = 0.75
 #: Re-check preferred-but-expired entries at most this often (seconds).
-DEFAULT_SWEEP_INTERVAL_S = 60.0
+SWEEP_INTERVAL_S = 60.0
 
 
 @dataclass
@@ -157,7 +157,6 @@ class SmartIndexManager:
         memory_budget_bytes: int = DEFAULT_MEMORY_BYTES,
         ttl_s: float = DEFAULT_TTL_S,
         compress: bool = True,
-        sweep_interval_s: float = DEFAULT_SWEEP_INTERVAL_S,
     ):
         if memory_budget_bytes <= 0:
             raise IndexError_("index memory budget must be positive")
@@ -165,7 +164,7 @@ class SmartIndexManager:
         self.memory_budget_bytes = memory_budget_bytes
         self.ttl_s = ttl_s
         self.compress = compress
-        self.sweep_interval_s = sweep_interval_s
+        self.sweep_interval_s = SWEEP_INTERVAL_S
         self._entries: "OrderedDict[Tuple[str, str], SmartIndexEntry]" = OrderedDict()
         self._bytes = 0
         self._preferred_predicates: set = set()

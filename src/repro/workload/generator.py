@@ -30,6 +30,8 @@ PREDICATE_POOL_SIZE = 8
 #: Columns a drill-down session works with (data locality strength:
 #: smaller = stronger locality).
 COLUMNS_PER_SESSION = 3
+#: Mean queries per drill-down session of :meth:`WorkloadGenerator.generate`.
+SESSION_LENGTH = 6
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,6 @@ class MultiTenantConfig:
     #: Sessions open uniformly over this window — thousands of sessions
     #: arriving within a minute is what saturates admission control.
     open_window_s: float = 60.0
-    aggregate_fraction: float = 0.7
     seed: int = 42
 
 
@@ -104,8 +105,6 @@ class WorkloadConfig:
     """Knobs controlling locality/similarity strength."""
 
     num_users: int = 12
-    #: Mean queries per drill-down session.
-    session_length: int = 6
     #: Probability a new predicate is drawn from the pool rather than
     #: freshly randomized (query similarity strength).
     reuse_probability: float = 0.8
@@ -131,6 +130,7 @@ class WorkloadGenerator:
         self.table = table
         self.schema = schema
         self.config = config or WorkloadConfig()
+        self.session_length = SESSION_LENGTH
         #: The one stream every draw comes from, so a trace is a function
         #: of the seed alone; :func:`multi_tenant_sessions` takes its
         #: tenant, open-time and length draws from it too.
@@ -252,7 +252,7 @@ class WorkloadGenerator:
         cfg = self.config
 
         def length() -> int:
-            return max(1, int(rng.gauss(cfg.session_length, 1.5)))
+            return max(1, int(rng.gauss(self.session_length, 1.5)))
 
         out: List[TimedQuery] = []
         for u in range(cfg.num_users):
@@ -284,7 +284,7 @@ def multi_tenant_sessions(
     gen = WorkloadGenerator(
         table,
         schema,
-        WorkloadConfig(aggregate_fraction=cfg.aggregate_fraction, seed=cfg.seed),
+        WorkloadConfig(seed=cfg.seed),
         value_ranges=value_ranges,
         contains_values=contains_values,
     )

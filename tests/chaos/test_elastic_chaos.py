@@ -24,7 +24,7 @@ SUCCEEDED = JobStatus.SUCCEEDED
 def _elastic_harness(seed, rebalance_period_s=30.0):
     harness = make_harness(
         seed,
-        elastic=ElasticConfig(rebalance_period_s=rebalance_period_s, drain_poll_s=2.0),
+        elastic=ElasticConfig(rebalance_period_s=rebalance_period_s),
     )
     monitor = harness.monitor
     cluster = harness.cluster

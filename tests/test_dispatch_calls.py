@@ -20,7 +20,9 @@ from repro import DataType, FeisuCluster, FeisuConfig, Schema
 from repro.sim.netmodel import NodeAddress, TopologySpec
 
 #: Calls per task of the query below, its own planning and finalizing
-#: included: 248.5 on CPython 3.11 (269.8 while the run loops called
+#: included: 245.9 on CPython 3.11 (248.5 while a CPU charge called
+#: ``min`` and ``list.index``, ``LeafServer.pressure`` ``min`` and a
+#: wave's placement ``getattr``; 269.8 while the run loops called
 #: ``Event.succeed`` for every timer and ``Process._step`` for every
 #: wake-up; 302.8 while a disk charge went through
 #: ``read_time``, a column reader through ``codec_by_tag`` and
@@ -43,7 +45,7 @@ from repro.sim.netmodel import NodeAddress, TopologySpec
 #: message went send → transfer → _transfer → occupy → transfer_duration
 #: and addresses hashed in Python).  The bound leaves 10 % for
 #: interpreter and numpy versions; lower it when the count drops.
-CALLS_PER_TASK_MEASURED = 248.5
+CALLS_PER_TASK_MEASURED = 245.9
 
 
 def _calls(fn, *args):

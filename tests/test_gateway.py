@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import DataType, FeisuCluster, FeisuConfig, JobOptions, Schema
+from repro.cluster import master as master_module
 from repro.cluster.metrics import MetricsTimeSeries, collect_metrics
 from repro.errors import (
     AccessDeniedError,
@@ -27,6 +28,7 @@ from repro.gateway import (
     percentile,
     run_sessions,
 )
+from repro.gateway import fairshare
 from repro.planner.physical import scan_blocks
 from repro.security.acl import Quota
 from repro.sql.analyzer import analyze
@@ -102,11 +104,10 @@ def test_flag_off_builds_no_gateway():
     assert cluster.gateway is None
 
 
-def test_total_slots_must_fit_master():
+def test_total_slots_must_fit_master(monkeypatch):
+    monkeypatch.setattr(master_module, "MAX_CONCURRENT_JOBS", 8)
     with pytest.raises(ValueError, match="max_concurrent_jobs"):
-        make_cluster(
-            gateway=GatewayConfig(total_slots=16), max_concurrent_jobs=8
-        )
+        make_cluster(gateway=GatewayConfig(total_slots=16))
     with pytest.raises(ValueError, match="at least 1"):
         make_cluster(gateway=GatewayConfig(total_slots=0))
 
@@ -260,10 +261,10 @@ def test_gateway_prices_a_query_without_planning_it():
 # -- fair share -------------------------------------------------------------
 
 
-def test_weighted_fair_share_tracks_weights():
+def test_weighted_fair_share_tracks_weights(monkeypatch):
+    monkeypatch.setattr(fairshare, "QUANTUM_UNITS", 3.0)
     cfg = GatewayConfig(
         total_slots=2,
-        quantum_units=3.0,
         tenants={
             "ads": TenantPolicy(weight=2.0, max_concurrent=2, max_queued=128),
             "search": TenantPolicy(weight=1.0, max_concurrent=2, max_queued=128),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.index import smartindex
 from repro.index.smartindex import SmartIndexEntry, SmartIndexManager
 from repro.index.bitmap import BitVector
 from repro.planner.cnf import AtomicPredicate, Clause, to_cnf
@@ -191,11 +192,12 @@ def test_lookup_sweeps_ttl_exactly_once():
     assert mgr.stats.ttl_sweeps == before + 2
 
 
-def test_preferred_entry_expires_after_unprefer():
+def test_preferred_entry_expires_after_unprefer(monkeypatch):
     # Preferred entries ride out their TTL in _pinned_expired; once the
-    # preference is dropped, the next sweep past sweep_interval_s
+    # preference is dropped, the next sweep past SWEEP_INTERVAL_S
     # evicts them.
-    mgr = SmartIndexManager(ttl_s=100.0, sweep_interval_s=10.0)
+    monkeypatch.setattr(smartindex, "SWEEP_INTERVAL_S", 10.0)
+    mgr = SmartIndexManager(ttl_s=100.0)
     atom = _atom("c2 > 5")
     mgr.prefer_predicate(atom.key)
     mgr.insert("b0", atom, _mask([1]), now=0.0)

@@ -8,6 +8,7 @@ from repro.errors import AnalysisError
 from repro.gateway import GatewayConfig
 from repro.gateway.driver import percentile, run_sessions
 from repro.gateway.session import QueryStatus
+from repro.workload import generator
 from repro.workload.generator import (
     TimedQuery,
     WorkloadConfig,
@@ -135,11 +136,12 @@ def test_replay_report_percentiles(cluster):
     assert percentile([4.0, 1.0, 3.0, 2.0], 0.5) == 2.5
 
 
-def test_replay_generated_trace_end_to_end(cluster):
+def test_replay_generated_trace_end_to_end(cluster, monkeypatch):
+    monkeypatch.setattr(generator, "SESSION_LENGTH", 3)
     gen = WorkloadGenerator(
         "T",
         cluster.catalog.get("T").schema,
-        WorkloadConfig(num_users=3, think_time_s=50.0, seed=9, session_length=3),
+        WorkloadConfig(num_users=3, think_time_s=50.0, seed=9),
         value_ranges={"a": (0, 20)},
     )
     trace = gen.generate(600.0)[:12]

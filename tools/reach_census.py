@@ -16,7 +16,8 @@ tracer of ``tools/coverage_gate.py``:
 
 It prints the unreached lines per file and the union's totals, and gates
 nothing: a file full of unreached lines is a candidate for deletion, to
-be confirmed by reading it.  Run from anywhere (~2 min on 2 cores):
+be confirmed by reading it.  Run from anywhere (3.5–4 min on a 2-core
+Xeon with Python 3.11: 207 s and 250 s in two runs):
 
     python tools/reach_census.py
 
