@@ -61,16 +61,13 @@ class JobScheduler:
         cluster_manager: ClusterManager,
         net: NetworkTopology,
         router: StorageRouter,
-        cost_model: Optional[CostModel] = None,
+        cost_model: CostModel,
         locality_aware: bool = True,
     ):
         self.cluster_manager = cluster_manager
         self.net = net
         self.router = router
-        # A `CostModel()` *default argument* would be evaluated once at
-        # def time and shared by every scheduler — ablation tweaks to its
-        # rates would leak across clusters.  Construct per instance.
-        self.cost_model = cost_model if cost_model is not None else CostModel()
+        self.cost_model = cost_model
         #: Ablation switch: False falls back to round-robin placement.
         self.locality_aware = locality_aware
         #: Memoized per-(block, columns) modeled byte sizes:
@@ -78,8 +75,6 @@ class JobScheduler:
         #: column-size tuple on every call, and placement used to pay
         #: that for every candidate of every task.
         self._task_bytes_cache: Dict[tuple, float] = {}
-        self.task_bytes_hits = 0
-        self.task_bytes_misses = 0
         self._leaves: Dict[str, LeafServer] = {}
         #: Registration index per worker — ``_leaves``' insertion order,
         #: so a block's holders can be put in the order a scan of every
@@ -141,9 +136,7 @@ class JobScheduler:
         key = (task.block.block_id, task.block.incarnation, task.columns)
         cached = self._task_bytes_cache.get(key)
         if cached is not None:
-            self.task_bytes_hits += 1
             return cached
-        self.task_bytes_misses += 1
         nbytes = task.block.bytes_for(task.columns) * task.block.scale_factor
         if len(self._task_bytes_cache) >= TASK_BYTES_CACHE_ENTRIES:
             del self._task_bytes_cache[next(iter(self._task_bytes_cache))]

@@ -179,12 +179,13 @@ def _canonical_key_values(values: List) -> List:
 
 
 def _distinct(key_arrays: Sequence[np.ndarray], num_rows: int) -> bool:
-    """Whether no two rows share a key tuple (NaN equal to NaN)."""
+    """Whether no two rows share a key tuple (NaN equal to NaN); never for
+    a partial without keys, whose one row ``merge`` regroups."""
     columns = [
         _canonical_key_values(col.tolist()) if col.dtype.kind == "f" else col.tolist()
         for col in key_arrays
     ]
-    return len(set(zip(*columns))) == num_rows if columns else num_rows == 1
+    return len(set(zip(*columns))) == num_rows
 
 
 def _dense_codes(col: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -241,7 +242,7 @@ def _group_ids(
     ids, size = np.zeros(num_rows, dtype=np.int64), 1
     for col in key_arrays:
         codes, cardinality = _dense_codes(col)
-        ids = codes if size == 1 else ids * np.int64(cardinality) + codes
+        ids = ids * np.int64(cardinality) + codes
         size *= cardinality
         if size > cap:
             uniques, ids = np.unique(ids, return_inverse=True)
@@ -369,8 +370,7 @@ def partial_aggregate(
     and no per-group object.  Without GROUP BY each aggregate reduces its
     column where it lies.
     """
-    partial = GroupedPartial(num_keys=len(key_arrays), agg_funcs=list(agg_funcs))
-    partial.rows_scanned = num_rows
+    partial = GroupedPartial(len(key_arrays), list(agg_funcs), rows_scanned=num_rows)
     if num_rows == 0:
         return partial
     if not key_arrays:

@@ -2,8 +2,8 @@
 
 An entry mirrors the Fig 6 record: block id; the canonical
 ``op/colname/colvalue`` predicate identity; the 0-1 result vector
-(optionally RLE-compressed); and misc metadata (creation time, last use,
-preference flag).  The block id is an opaque key: a leaf passes ``(block
+(optionally RLE-compressed); and misc metadata (creation time, preference flag; last
+use is the place in LRU order).  The block id is an opaque key: a leaf passes ``(block
 id, incarnation)``, so vectors of rewritten bytes are simply never probed.
 
 The :class:`SmartIndexManager` implements §IV-C-2's management policy:
@@ -55,11 +55,9 @@ class SmartIndexEntry:
     predicate_key: str
     length: int
     created_at: float
-    last_used: float
     preferred: bool = False
     compressed: Optional[bytes] = None
     raw: Optional[BitVector] = None
-    hit_count: int = 0
     #: The vector leaves out NaN rows of the column, so its bit-NOT
     #: holds them: an atom with bounds over a column that holds NaN.
     nan_excluded: bool = False
@@ -78,7 +76,6 @@ class SmartIndexEntry:
             predicate_key=predicate_key,
             length=vector.length,
             created_at=now,
-            last_used=now,
         )
         if compress:
             payload, _ = rle_compress(vector)
@@ -91,8 +88,6 @@ class SmartIndexEntry:
     def vector(self) -> BitVector:
         if self.raw is not None:
             return self.raw
-        if self.compressed is None:
-            raise IndexError_(f"entry {self.key} holds no payload")
         return rle_decompress(self.compressed, self.length)
 
     @property
@@ -101,9 +96,8 @@ class SmartIndexEntry:
 
     @property
     def nbytes(self) -> int:
-        payload = len(self.compressed) if self.compressed is not None else (
-            self.raw.nbytes if self.raw is not None else 0
-        )
+        # ``build`` gives an entry exactly one payload.
+        payload = self.raw.nbytes if self.raw is not None else len(self.compressed)
         return payload + 96  # struct overhead: ids, timestamps, misc
 
 
@@ -210,7 +204,7 @@ class SmartIndexManager:
         complement's bit-NOT (Fig 7)."""
         if sweep:
             self._expire(now)
-        return self._lookup_atom(block_id, atom, now)
+        return self._lookup_atom(block_id, atom)
 
     @_locked
     def lookup_clause(
@@ -224,7 +218,7 @@ class SmartIndexManager:
             return None
         if sweep:
             self._expire(now)
-        return self._lookup_clause(block_id, clause, now)
+        return self._lookup_clause(block_id, clause)
 
     @_locked
     def cover(
@@ -239,17 +233,12 @@ class SmartIndexManager:
 
         The TTL sweep runs exactly once per cover call (not once per
         atom), so a multi-clause CNF probe does not multiply sweep cost;
-        see ``stats.ttl_sweeps``.  A sweep with nothing due is only
-        counted.  The lock, too, is taken once.  The probes are
-        :meth:`_lookup_clause`'s, spelled out: an exact hit, the common
-        case, is read here, and only a miss of the exact key goes through
-        :meth:`_lookup_complement`.
+        see ``stats.ttl_sweeps``.  The lock, too, is taken once.  The
+        probes are :meth:`_lookup_clause`'s, spelled out: an exact hit,
+        the common case, is read here, and only a miss of the exact key
+        goes through :meth:`_lookup_complement`.
         """
-        created = self._created
-        if self._pinned_expired or (created and created[0][0] < now - self.ttl_s):
-            self._expire(now)
-        else:
-            self.stats.ttl_sweeps += 1
+        self._expire(now)
         entries, stats = self._entries, self.stats
         mask: Optional[BitVector] = None
         missing: List[Clause] = []
@@ -260,13 +249,11 @@ class SmartIndexManager:
                     key = (block_id, atom.key)
                     entry = entries.get(key)
                     if entry is None:
-                        atom_vec = self._lookup_complement(block_id, atom, now)
+                        atom_vec = self._lookup_complement(block_id, atom)
                         if atom_vec is None:
                             vec = None
                             break
                     else:  # ``_touch``, then ``entry.vector()``
-                        entry.last_used = now
-                        entry.hit_count += 1
                         entries.move_to_end(key)
                         stats.hits += 1
                         atom_vec = entry.raw if entry.raw is not None else entry.vector()
@@ -310,34 +297,30 @@ class SmartIndexManager:
         low = (ref.range_of(atom.column) or (None,))[0]
         self._insert_vector(block_id, atom, BitVector.from_bool_array(mask), now, low != low)
 
-    def _lookup_atom(
-        self, block_id: Hashable, atom: AtomicPredicate, now: float
-    ) -> Optional[BitVector]:
+    def _lookup_atom(self, block_id: Hashable, atom: AtomicPredicate) -> Optional[BitVector]:
         """:meth:`lookup_atom`, lock held and sweep done: exact, then
         complement."""
-        entry = self._touch((block_id, atom.key), now)
+        entry = self._touch((block_id, atom.key))
         if entry is not None:
             self.stats.hits += 1
             return entry.vector()
-        return self._lookup_complement(block_id, atom, now)
+        return self._lookup_complement(block_id, atom)
 
-    def _lookup_complement(
-        self, block_id: Hashable, atom: AtomicPredicate, now: float
-    ) -> Optional[BitVector]:
+    def _lookup_complement(self, block_id: Hashable, atom: AtomicPredicate) -> Optional[BitVector]:
         """:meth:`_lookup_atom` once the exact key missed: the
         complement's bit-NOT, else a miss."""
-        entry = self._touch((block_id, atom.complement().key), now)
+        entry = self._touch((block_id, atom.complement().key))
         if entry is not None and not (entry.nan_excluded and atom.bounds is not None):
             self.stats.complement_hits += 1
             return ~entry.vector()
         self.stats.misses += 1
         return None
 
-    def _lookup_clause(self, block_id: Hashable, clause: Clause, now: float) -> Optional[BitVector]:
+    def _lookup_clause(self, block_id: Hashable, clause: Clause) -> Optional[BitVector]:
         """:meth:`lookup_clause` of an indexable clause, lock held and sweep done."""
         result: Optional[BitVector] = None
         for atom in clause.atoms:
-            vec = self._lookup_atom(block_id, atom, now)
+            vec = self._lookup_atom(block_id, atom)
             if vec is None:
                 return None
             result = vec if result is None else (result | vec)
@@ -378,7 +361,6 @@ class SmartIndexManager:
         self._entries[key] = entry
         self._bytes += entry.nbytes
         self._created.append((now, key))
-        self._pinned_expired.pop(key, None)  # re-created: TTL restarts
         self._by_predicate.setdefault(predicate_key, {})[key] = None
         self.stats.creations += 1
         self._enforce_budget()
@@ -405,12 +387,10 @@ class SmartIndexManager:
 
     # -- policy ------------------------------------------------------------
 
-    def _touch(self, key: Tuple[str, str], now: float) -> Optional[SmartIndexEntry]:
+    def _touch(self, key: Tuple[str, str]) -> Optional[SmartIndexEntry]:
         entry = self._entries.get(key)
         if entry is None:
             return None
-        entry.last_used = now
-        entry.hit_count += 1
         self._entries.move_to_end(key)
         return entry
 

@@ -175,7 +175,7 @@ def _derive_shape(analyzed: AnalyzedQuery) -> PlanShape:
     if not simplified.contradiction:
         scan_clauses, residual_clauses = _split_clauses(simplified.cnf, analyzed, base_binding)
         scan_cnf = ConjunctiveForm(scan_clauses)
-        post_filter = _clauses_to_expr(residual_clauses)
+        post_filter = ConjunctiveForm(residual_clauses).to_expr()
         payload_columns = tuple(_payload_columns(analyzed, base_binding, post_filter))
     scan_key = tuple(sorted(str(c) for c in scan_cnf.clauses))
     head = [repr(scan_key), str(post_filter)]
@@ -302,16 +302,6 @@ def _clause_on_base(clause: Clause, analyzed: AnalyzedQuery, base_binding: str) 
         if res is None or res.binding != base_binding:
             return False
     return True
-
-
-def _clauses_to_expr(clauses: Sequence[Clause]) -> Optional[Expr]:
-    if not clauses:
-        return None
-    exprs = [c.to_expr() for c in clauses]
-    out = exprs[0]
-    for e in exprs[1:]:
-        out = BinaryOp(BinaryOperator.AND, out, e)
-    return out
 
 
 def equi_join_keys(condition: Expr) -> Optional[List[Tuple[Column, Column]]]:

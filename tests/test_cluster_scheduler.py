@@ -307,3 +307,35 @@ def test_local_placement_cost_does_not_grow_with_the_registry():
     placement = cluster.scheduler.place(task, plan.scan_cnf)
     assert len(cluster.leaves) == 4096 and placement.data_local
     assert len(calls) <= n_replicas + 2
+
+
+def test_an_unregistered_leaf_is_no_longer_found_by_address(env):
+    cluster, _plan = env
+    leaf = cluster.leaves[0]
+    assert cluster.scheduler.leaf_at(leaf.address) is leaf
+    cluster.scheduler.unregister_leaf(leaf.worker_id)
+    assert cluster.scheduler.leaf_at(leaf.address) is None
+    assert leaf not in cluster.scheduler.leaves()
+
+
+def test_a_wave_counts_only_placed_tasks_local_or_remote(env):
+    cluster, plan = env
+    scheduler = cluster.scheduler
+    before = scheduler.placements_local, scheduler.placements_remote
+    every = [leaf.worker_id for leaf in cluster.leaves]
+    placements = scheduler.place_wave(plan.tasks[:2], plan.scan_cnf, exclude=every)
+    assert placements == [None, None]
+    assert (scheduler.placements_local, scheduler.placements_remote) == before
+    placements = scheduler.place_wave(plan.tasks[:2], plan.scan_cnf, exclude=every[1:])
+    local = sum(p.data_local for p in placements)
+    assert scheduler.placements_local == before[0] + local
+    assert scheduler.placements_remote == before[1] + 2 - local
+
+
+def test_the_scheduler_counts_every_readmission_and_names_the_last_64(env):
+    cluster, _plan = env
+    scheduler = cluster.scheduler
+    for i in range(70):
+        scheduler.note_readmission(f"w{i}")
+    assert scheduler.readmissions == 70
+    assert scheduler.readmitted_workers == [f"w{i}" for i in range(6, 70)]

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from repro.engine.aggregates import (
     GroupedPartial,
+    _dense_codes,
     _group_ids,
+    _int_sum_cannot_wrap,
     partial_aggregate,
 )
 from repro.errors import ExecutionError
@@ -92,6 +94,15 @@ def test_group_ids_single_int_key_is_its_own_id():
     ids, size, keys_at = _group_ids([keys], 4)
     assert ids.tolist() == [10, 0, 10, 3] and size == 11
     assert [k.tolist() for k in keys_at(np.array([0, 3, 10]))] == [[-3, 0, 7]]
+
+
+def test_dense_codes_of_unhashable_values_are_np_uniques():
+    """Values a set cannot hold are ranked by ``np.unique``, not by hashing."""
+    col = np.empty(4, dtype=object)
+    for i, value in enumerate([[2], [1], [2], [0, 5]]):
+        col[i] = value
+    codes, cardinality = _dense_codes(col)
+    assert codes.tolist() == [2, 1, 2, 0] and cardinality == 3
 
 
 def test_partial_aggregate_grouped():
@@ -339,3 +350,66 @@ def test_merged_integer_sum_is_exact_up_to_the_int64_bounds(values, total):
     if total in (2**63 - 1, -(2**63)):
         with pytest.raises(ExecutionError, match="integer overflow"):
             merged.merge(_one_row_sum(1 if total > 0 else -1))
+
+
+@pytest.mark.parametrize("block_rows", [6, 2, 1])
+@pytest.mark.parametrize(
+    "sql", ["SELECT AVG(x) FROM T", "SELECT g, AVG(x) FROM T WHERE g = 0 GROUP BY g"]
+)
+def test_integer_avg_past_int64_answers_and_does_not_raise(block_rows, sql):
+    """An integer AVG whose sum leaves int64 answers, as sqlite's AVG does:
+    only SUM takes the exact path that raises "integer overflow".  (The
+    value itself is ROADMAP item 22's.)"""
+    from repro import DataType, FeisuCluster, FeisuConfig, Schema
+
+    cluster = FeisuCluster(FeisuConfig())
+    cluster.load_table(
+        "T",
+        Schema.of(g=DataType.INT64, x=DataType.INT64),
+        {
+            "g": np.array([0, 0, 0, 1, 1, 1], dtype=np.int64),
+            "x": np.array([2**62, 2**62, 2**62, -(2**62), 5, 7], dtype=np.int64),
+        },
+        block_rows=block_rows,
+    )
+    (row,) = cluster.query(sql).rows()
+    assert isinstance(row[-1], float)
+
+
+def test_a_merge_into_a_fresh_partial_counts_only_its_parts_rows():
+    """The master merges every arrived partial into a fresh one, which has
+    scanned no rows itself."""
+    parts = [
+        partial_aggregate([np.arange(n, dtype=np.int64)], ["COUNT"], [None], n) for n in (3, 4)
+    ]
+    merged = GroupedPartial(1, ["COUNT"]).merge(*parts)
+    assert merged.rows_scanned == 7
+    assert GroupedPartial(0, ["SUM"]).rows_scanned == 0
+
+
+@pytest.mark.parametrize(
+    "values, safe",
+    [
+        ([2**62 - 1, -(2**62 - 1)], True),  # 2 · (2^62 - 1) < 2^63
+        ([2**61, 2**61], True),
+        ([2**62, 1], False),  # 2 · 2^62 = 2^63
+        ([-(2**63)], False),  # |x| = 2^63: the low side decides
+        ([-(2**62) + 1, 2**62 - 1], True),
+    ],
+)
+def test_int_sum_cannot_wrap_is_max_abs_times_rows_below_2_63(values, safe):
+    """The leaf's cheap int64 scatter is taken exactly when no sum of the
+    column's rows can leave int64: ``max|x| · rows < 2^63``."""
+    assert _int_sum_cannot_wrap(np.array(values, dtype=np.int64)) is safe
+
+
+@pytest.mark.parametrize(
+    "values", [[1, 2, 3, 4], [2**62, 2**62, -(2**62), -(2**62) + 1]]
+)
+def test_a_global_partial_holds_one_state_row_on_either_sum_path(values):
+    """Without GROUP BY a partial is one row, whether its integer SUM took
+    the int64 reduction or the exact one."""
+    col = np.array(values, dtype=np.int64)
+    partial = partial_aggregate([], ["SUM", "MIN"], [col, col], len(values))
+    assert [len(state) for state in partial.states] == [1, 1]
+    assert partial.finals() == {(): [sum(values), min(values)]}

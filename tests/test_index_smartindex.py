@@ -80,8 +80,20 @@ def test_ttl_expiry():
     mgr = SmartIndexManager(ttl_s=100.0)
     mgr.insert("b0", _atom("c2 > 5"), _mask([1]), now=0.0)
     assert mgr.lookup_atom("b0", _atom("c2 > 5"), now=99.0) is not None
+    assert mgr.lookup_atom("b0", _atom("c2 > 5"), now=100.0) is not None  # ttl_s exactly
     assert mgr.lookup_atom("b0", _atom("c2 > 5"), now=201.0) is None
     assert mgr.stats.evictions_ttl == 1
+
+
+def test_defaults_are_the_papers_72_hours_and_512_mb():
+    """§IV-C-2's index TTL is 72 hours, §VI-A's per-leaf index memory
+    512 MB."""
+    mgr = SmartIndexManager()
+    assert mgr.memory_budget_bytes == 512 * 2**20
+    hours = 3600.0
+    mgr.insert("b0", _atom("c2 > 5"), _mask([1]), now=0.0)
+    assert mgr.lookup_atom("b0", _atom("c2 > 5"), now=72 * hours - 1.0) is not None
+    assert mgr.lookup_atom("b0", _atom("c2 > 5"), now=72 * hours + 1.0) is None
 
 
 def test_preferred_survives_ttl():
@@ -98,9 +110,21 @@ def test_lru_eviction_under_memory_pressure():
     mgr.insert("b0", _atom("a > 2"), big, now=1.0)
     mgr.lookup_atom("b0", _atom("a > 1"), now=2.0)  # touch a>1
     mgr.insert("b0", _atom("a > 3"), big, now=3.0)
-    # budget fits ~2 entries: a>2 (LRU) must have been evicted
-    assert mgr.stats.evictions_lru >= 1
+    # budget fits ~2 entries: a>2 (LRU) must have been evicted, alone
+    assert mgr.stats.evictions_lru == 1
     assert mgr.lookup_atom("b0", _atom("a > 2"), now=4.0) is None
+
+
+def test_a_cover_hit_is_a_use_in_lru_order():
+    mgr = SmartIndexManager(memory_budget_bytes=400, compress=False)
+    big = _mask([True] * 800)
+    mgr.insert("b0", _atom("a > 1"), big, now=0.0)
+    mgr.insert("b0", _atom("a > 2"), big, now=1.0)
+    _mask_out, missing = mgr.cover("b0", to_cnf(parse_expression("a > 1")).clauses, now=2.0)
+    assert missing == []
+    mgr.insert("b0", _atom("a > 3"), big, now=3.0)
+    assert mgr.lookup_atom("b0", _atom("a > 2"), now=4.0) is None
+    assert mgr.lookup_atom("b0", _atom("a > 1"), now=4.0) is not None
 
 
 def test_preferred_last_victim():
@@ -218,6 +242,49 @@ def test_ttl_reinsert_restarts_clock():
     assert mgr.lookup_atom("b0", atom, now=150.0) is not None
     assert mgr.stats.evictions_ttl == 0
     assert mgr.lookup_atom("b0", atom, now=191.0) is None
+
+
+def test_an_unpreferred_predicate_pins_no_later_entry():
+    mgr = SmartIndexManager(ttl_s=100.0)
+    atom = _atom("c2 > 5")
+    mgr.prefer_predicate(atom.key)
+    mgr.unprefer_predicate(atom.key)
+    mgr.insert("b0", atom, _mask([1]), now=0.0)
+    assert mgr.lookup_atom("b0", atom, now=150.0) is None
+
+
+def test_cover_expires_the_oldest_entry_while_a_newer_one_lives():
+    mgr = SmartIndexManager(ttl_s=100.0)
+    mgr.insert("b0", _atom("a > 1"), _mask([1]), now=0.0)
+    mgr.insert("b0", _atom("b > 1"), _mask([1]), now=150.0)
+    clauses = to_cnf(parse_expression("a > 1 AND b > 1")).clauses
+    _mask_out, missing = mgr.cover("b0", clauses, now=201.0)
+    assert [str(c) for c in missing] == ["(a > 1)"]
+    assert mgr.stats.evictions_ttl == 1
+
+
+def test_compacting_ttl_records_keeps_every_live_entrys_record():
+    """Re-creating one entry leaves a stale TTL record each time, until
+    the records are compacted; the other entry's record stays, so it
+    still expires."""
+    mgr = SmartIndexManager(ttl_s=100.0)
+    atom, churn = _atom("a > 1"), _atom("b > 1")
+    mgr.insert("b0", atom, _mask([1]), now=0.0)
+    for i in range(20):
+        mgr.insert("b0", churn, _mask([1]), now=1.0 + i)
+    assert mgr.lookup_atom("b0", atom, now=115.0) is None
+    assert mgr.lookup_atom("b0", churn, now=115.0) is not None
+    assert mgr.lookup_atom("b0", churn, now=250.0) is None
+
+
+def test_a_removed_entry_leaves_its_predicates_index():
+    mgr = SmartIndexManager(ttl_s=100.0)
+    atom = _atom("c2 > 5")
+    mgr.insert("b0", atom, _mask([1]), now=0.0)
+    assert mgr.lookup_atom("b0", atom, now=150.0) is None  # TTL removed it
+    mgr.prefer_predicate(atom.key)  # finds no entry left to pin
+    mgr.insert("b0", atom, _mask([1]), now=160.0)
+    assert mgr.lookup_atom("b0", atom, now=500.0) is not None
 
 
 # -- complement answers over NaN rows (S49, S79) -----------------------------

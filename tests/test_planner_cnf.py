@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from repro.errors import PlanError
 from repro.planner.cnf import (
+    MAX_CNF_CLAUSES,
     AtomicPredicate,
+    Clause,
     ConjunctiveForm,
+    admits,
     extract_atom,
     to_cnf,
     to_nnf,
 )
 from repro.planner.expressions import Frame, evaluate
-from repro.sql.ast import BinaryOperator
+from repro.sql.ast import BinaryOp, BinaryOperator, NotOp
 from repro.sql.parser import parse_expression
 
 
@@ -163,6 +166,59 @@ def test_cnf_to_expr_round_trip_semantics():
     original = evaluate(parse_expression(text), frame)
     rebuilt = evaluate(to_cnf(parse_expression(text)).to_expr(), frame)
     assert (original == rebuilt).all()
+
+
+def test_cnf_to_expr_rebuilds_each_clause_once():
+    cnf = _cnf("a > 1 AND (b < 2 OR c = 3)")
+    first, second = (c.to_expr() for c in cnf.clauses)
+    assert cnf.to_expr() == BinaryOp(BinaryOperator.AND, first, second)
+    assert _cnf("a > 1").to_expr() == first
+    assert ConjunctiveForm([]).to_expr() is None
+
+
+@pytest.mark.parametrize(
+    "bounds, admitted",
+    [
+        ((5, False, None, False), [6, 7]),
+        ((5, True, None, False), [5, 6, 7]),
+        ((None, False, 5, False), [3, 4]),
+        ((None, False, 5, True), [3, 4, 5]),
+        ((4, False, 6, False), [5]),
+        ((4, True, 6, True), [4, 5, 6]),
+    ],
+)
+def test_admits_keeps_each_bound_open_or_closed(bounds, admitted):
+    assert [v for v in range(3, 8) if admits(bounds, v)] == admitted
+
+
+def test_a_clause_is_indexable_only_with_atoms_and_no_residual():
+    atom = AtomicPredicate("a", BinaryOperator.GT, 1)
+    residual = parse_expression("a > b")
+    assert Clause((atom,)).is_indexable
+    assert not Clause((atom,), (residual,)).is_indexable
+    assert not Clause((), (residual,)).is_indexable
+    assert not Clause(()).is_indexable
+
+
+def test_nnf_folds_a_negated_atom_and_keeps_the_not_of_an_opaque_leaf():
+    assert to_nnf(parse_expression("NOT (c2 <= 5)")) == parse_expression("c2 > 5")
+    opaque = parse_expression("a > b")
+    assert to_nnf(NotOp(opaque)) == NotOp(opaque)
+
+
+def _ors_of_ands(*widths):
+    return " OR ".join(
+        "(" + " AND ".join(f"x{i}_{j} > {j}" for j in range(width)) + ")"
+        for i, width in enumerate(widths)
+    )
+
+
+def test_distribution_keeps_up_to_the_clause_cap_and_degrades_past_it():
+    assert MAX_CNF_CLAUSES == 64
+    at_cap = _cnf(_ors_of_ands(8, 8))  # 8 · 8 = 64 clauses
+    assert len(at_cap.clauses) == 64 and all(c.is_indexable for c in at_cap.clauses)
+    past_cap = _cnf(_ors_of_ands(5, 13))  # 65
+    assert len(past_cap.clauses) == 1 and past_cap.clauses[0].residuals
 
 
 # -- property: CNF preserves semantics -------------------------------------------

@@ -339,6 +339,24 @@ def test_interrupt_fails_pending_process():
     assert p.triggered and not p.ok
 
 
+def test_interrupt_closes_the_body_at_once():
+    """An interrupted body's ``finally`` runs at the interrupt, while the
+    process is still referenced, not whenever its generator is collected."""
+    sim = Simulator()
+    released = []
+
+    def holder():
+        try:
+            yield sim.timeout(100.0)
+        finally:
+            released.append(sim.now)
+
+    p = sim.process(holder())
+    sim.run(until=1.0)
+    p.interrupt("cancelled")
+    assert released == [1.0]
+
+
 @pytest.mark.parametrize("exc_type", [KeyboardInterrupt, SystemExit])
 def test_interrupt_signal_in_a_process_propagates(exc_type):
     """Ctrl-C inside a process body stops the run; it is not a failed event."""
@@ -426,6 +444,36 @@ def test_a_scheduled_succeed_without_a_value_resolves_with_none(loop):
     assert ev.triggered and ev.ok and ev.value is None
     if loop != "run_until_complete":  # that run stops once ``ev`` fires
         assert woke == [None]
+
+
+@pytest.mark.parametrize("loop", sorted(_RUN_LOOPS))
+def test_every_waiter_of_one_event_resumes_in_every_loop(loop):
+    """Three processes wait on one pending event: the first waiter starts
+    its list and the others join it, in the run loop's in-place resume
+    and in ``Process._step`` (which ``step()`` calls) alike."""
+    sim = Simulator()
+    ev = Event(sim, "shared", 1.0, "v")
+    got = []
+
+    def waiter(i):
+        got.append((i, (yield ev)))
+
+    last = [sim.process(waiter(i)) for i in range(3)][-1]
+    _RUN_LOOPS[loop](sim, last)
+    assert got == [(0, "v"), (1, "v"), (2, "v")]
+
+
+@pytest.mark.parametrize("loop", sorted(_RUN_LOOPS))
+def test_a_scheduled_succeed_with_two_arguments_fails_in_every_loop(loop):
+    """Only a ``succeed`` queued with at most one argument is resolved in
+    place; ``sim.schedule(d, ev.succeed, 1, 2)`` is called, and fails as
+    ``succeed(1, 2)`` does, under every run loop alike."""
+    sim = Simulator()
+    ev = sim.event("two")
+    sim.schedule(1.0, ev.succeed, 1, 2)
+    with pytest.raises(TypeError):
+        _RUN_LOOPS[loop](sim, ev)
+    assert not ev.triggered
 
 
 @pytest.mark.parametrize("loop", sorted(_RUN_LOOPS))

@@ -98,6 +98,7 @@ TEST_ARGS = [
     "tests/test_workload.py",
     "tests/test_workload_replay.py",
     "tests/test_workload_traces.py",
+    "tests/test_mutation_census.py",
 ]
 
 FLOOR = 0.80
