@@ -361,6 +361,7 @@ class SmartIndexManager:
         self._entries[key] = entry
         self._bytes += entry.nbytes
         self._created.append((now, key))
+        self._pinned_expired.pop(key, None)  # re-created: TTL restarts
         self._by_predicate.setdefault(predicate_key, {})[key] = None
         self.stats.creations += 1
         self._enforce_budget()

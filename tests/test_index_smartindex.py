@@ -232,6 +232,26 @@ def test_preferred_entry_expires_after_unprefer(monkeypatch):
     assert mgr.stats.evictions_ttl == 1
 
 
+def test_a_recreated_pinned_entry_leaves_the_pinned_sweep_clock_alone():
+    # Re-creating a pinned entry drops its pinned record, so a sweep with
+    # nothing pinned is skipped and does not restart the sweep interval.
+    mgr = SmartIndexManager(ttl_s=100.0)
+    a, b = _atom("a > 1"), _atom("b > 1")
+    mgr.prefer_predicate(a.key)
+    mgr.prefer_predicate(b.key)
+    mgr.insert("b0", a, _mask([1]), now=0.0)
+    mgr.insert("b0", b, _mask([1]), now=120.0)
+    assert mgr.lookup_atom("b0", a, now=150.0) is not None  # a pinned; pinned sweep at 150
+    mgr.insert("b0", a, _mask([1]), now=160.0)  # re-created: TTL restarts
+    assert mgr.lookup_atom("b0", a, now=215.0) is not None  # nothing pinned: no pinned sweep
+    assert mgr.lookup_atom("b0", b, now=221.0) is not None  # b pinned; pinned sweep at 221
+    mgr.unprefer_predicate(b.key)
+    assert mgr.lookup_atom("b0", b, now=276.0) is not None  # 55 s since the last pinned sweep
+    assert mgr.stats.evictions_ttl == 0
+    assert mgr.lookup_atom("b0", b, now=281.0) is None
+    assert mgr.stats.evictions_ttl == 1
+
+
 def test_ttl_reinsert_restarts_clock():
     # Re-creating an entry must invalidate the old deque record: the old
     # record's expiry must not evict the fresh entry.

@@ -108,15 +108,18 @@ def test_apply_then_restore_is_byte_identical(tmp_path, monkeypatch, outcome):
     assert copies.qsize() == 1  # the copy goes back to the pool
 
 
-def test_refuses_to_write_into_its_own_tree(tmp_path):
+def test_refuses_to_write_into_its_own_tree(tmp_path, monkeypatch):
     inside = os.path.join(mc.ROOT, "mutants")
     with pytest.raises(ValueError):
         mc.check_workdir(mc.ROOT, inside)
     with pytest.raises(ValueError):
         mc.check_workdir(mc.ROOT, mc.ROOT)
     mc.check_workdir(mc.ROOT, str(tmp_path))  # outside: fine
-    with pytest.raises(SystemExit):
-        mc.main(["planner/cnf.py", "--workdir", inside])
+    # A temporary directory that lands inside the tree stops the census
+    # before it copies anything there.
+    monkeypatch.setattr(mc.tempfile, "mkdtemp", lambda prefix: inside)
+    with pytest.raises(ValueError):
+        mc.main(["planner/cnf.py"])
     assert not os.path.exists(inside)
 
 

@@ -2,7 +2,7 @@
 """Mutation census: which seeded mutants of a module the tests miss.
 
 For each module it lists every mutation site (stdlib ``ast`` only), samples
-``--per-module`` of them with a fixed seed, and runs each mutant:
+``--per-module`` of them with the fixed ``SEED``, and runs each mutant:
 
 * first against the module's targeted test files (``MODULES``), with
   ``-x`` and a timeout;
@@ -16,11 +16,12 @@ The operators are the boundary and sense flips ``<`` / ``<=``,
 a statement that is a bare call.  A mutant edits the source text in place
 of the operator or constant, so every other line keeps its number.
 
-Every mutant runs in a copy of this tree (one copy per worker, under
-``--workdir``, which may not lie inside the tree), and each copy's file is
-restored in a ``finally``; the tree the tool was called from is only read.
-Hypothesis runs with a fixed seed and an empty example database, so one
-seed repeats the same survivors.
+Every mutant runs in a copy of this tree (one copy and one worker per
+core, in a fresh temporary directory that may not lie inside the tree and
+is removed afterwards), and each copy's file is restored in a ``finally``;
+the tree the tool was called from is only read.  Hypothesis runs with a
+fixed seed and an empty example database, so two runs report the same
+survivors.
 
 A verdict is *killed* (a test failed, in either stage), *timeout*
 (counted as detected) or *survived*.  A survivor the tables below explain
@@ -28,7 +29,7 @@ is printed with that reason; any other is work: a missing test, an
 equivalent rewrite to add to ``EQUIVALENT``, or a second path that either
 pays (``SECOND_PATHS``, with the gain measured) or goes.  Run from anywhere:
 
-    python tools/mutation_census.py                      # the five modules, seed 1, 60 each
+    python tools/mutation_census.py                      # the five modules, 60 each
     python tools/mutation_census.py engine/aggregates.py --per-module 20
     python tools/mutation_census.py --list               # the sampled sites, runs nothing
 """
@@ -54,6 +55,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join("src", "repro")
+#: The sampling seed: one seed, so every census samples the same mutants.
+SEED = 1
 
 #: Module (under ``src/repro``) -> the test files that target it.
 MODULES: Dict[str, Tuple[str, ...]] = {
@@ -430,10 +433,7 @@ def _explain(site: Site, source: str) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("modules", nargs="*", default=list(MODULES), help="modules under src/repro")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--per-module", type=int, default=60)
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    parser.add_argument("--workdir", default=None, help="where the tree copies go (default: a temp dir)")
     parser.add_argument("--list", action="store_true", help="print the sampled sites and run nothing")
     args = parser.parse_args(argv)
 
@@ -443,25 +443,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"no targeted tests listed for {module!r}; known: {', '.join(MODULES)}")
         with open(os.path.join(ROOT, PACKAGE, module)) as fh:
             sources[module] = fh.read()
-    sampled = {m: sample_sites(m, sources[m], args.seed, args.per_module) for m in args.modules}
+    sampled = {m: sample_sites(m, sources[m], SEED, args.per_module) for m in args.modules}
     if args.list:
         for module, sites in sampled.items():
             for site in sites:
                 print(f"{module}:{site.line}  {site.function or '<module>'}  {site.operator}")
         return 0
 
-    workdir = args.workdir or tempfile.mkdtemp(prefix="mutation-census-")
-    try:
-        check_workdir(ROOT, workdir)
-    except ValueError as exc:
-        parser.error(str(exc))
-    copies: Queue = Queue()
-    trees = [os.path.join(workdir, f"tree{i}") for i in range(max(1, args.jobs))]
-    for copy in trees:
-        shutil.copytree(ROOT, copy, ignore=_IGNORE)
-        copies.put(copy)
+    jobs = os.cpu_count() or 1
+    workdir = tempfile.mkdtemp(prefix="mutation-census-")
     started = time.perf_counter()
     try:
+        check_workdir(ROOT, workdir)
+        copies: Queue = Queue()
+        trees = [os.path.join(workdir, f"tree{i}") for i in range(jobs)]
+        for copy in trees:
+            shutil.copytree(ROOT, copy, ignore=_IGNORE)
+            copies.put(copy)
         timeouts = {}
         for module in args.modules:
             verdict, seconds = _pytest(trees[0], MODULES[module], 600.0)
@@ -481,15 +479,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 results.append(result)
                 print(f"  {site.module}:{site.line} {site.operator}: {result.verdict} ({result.stage})", flush=True)
 
-        jobs = [site for sites in sampled.values() for site in sites]
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            list(pool.map(run, jobs))
+        mutants = [site for sites in sampled.values() for site in sites]
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            list(pool.map(run, mutants))
     finally:
-        if args.workdir is None:
-            shutil.rmtree(workdir, ignore_errors=True)
+        shutil.rmtree(workdir, ignore_errors=True)
     wall = time.perf_counter() - started
 
-    order = {(s.module, s.line, s.operator, s.edits): i for i, s in enumerate(jobs)}
+    order = {(s.module, s.line, s.operator, s.edits): i for i, s in enumerate(mutants)}
     results.sort(key=lambda r: order[(r.site.module, r.site.line, r.site.operator, r.site.edits)])
     width = max(len(m) for m in args.modules)
     print(f"\n{'module':<{width}}  sites  sampled  killed  (tier 1)  timeout  survived")
@@ -509,7 +506,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"[{_explain(site, sources[site.module])}]")
     targeted = sum(r.targeted_s for r in results)
     tier1 = sum(r.tier1_s for r in results)
-    print(f"\nseed {args.seed}, {args.jobs} worker(s): wall {wall:.0f} s; "
+    print(f"\nseed {SEED}, {jobs} worker(s): wall {wall:.0f} s; "
           f"process time in the targeted stage {targeted:.0f} s, in the tier-1 stage {tier1:.0f} s")
     return 0
 
